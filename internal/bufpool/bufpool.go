@@ -122,7 +122,6 @@ func (a *arena[T]) put(b []T) {
 var (
 	bytes    arena[byte]
 	float32s arena[float32]
-	uint32s  arena[uint32]
 )
 
 // GetBytes returns a []byte of length n from the arena.
@@ -136,12 +135,6 @@ func GetFloat32(n int) []float32 { return float32s.get(n) }
 
 // PutFloat32 returns f to the arena; the caller must drop all references.
 func PutFloat32(f []float32) { float32s.put(f) }
-
-// GetUint32 returns a []uint32 of length n from the arena.
-func GetUint32(n int) []uint32 { return uint32s.get(n) }
-
-// PutUint32 returns u to the arena; the caller must drop all references.
-func PutUint32(u []uint32) { uint32s.put(u) }
 
 // ByteStats returns the []byte arena counters.
 func ByteStats() StatsSnapshot { return bytes.stats.Snapshot() }

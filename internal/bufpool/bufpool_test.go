@@ -33,11 +33,6 @@ func TestGetReturnsRequestedLength(t *testing.T) {
 		t.Fatalf("GetFloat32(100) returned len %d", len(f))
 	}
 	PutFloat32(f)
-	u := GetUint32(10)
-	if len(u) != 10 {
-		t.Fatalf("GetUint32(10) returned len %d", len(u))
-	}
-	PutUint32(u)
 }
 
 func TestPutRejectsForeignBuffers(t *testing.T) {

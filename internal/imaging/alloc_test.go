@@ -1,6 +1,8 @@
 package imaging
 
 import (
+	"errors"
+	"runtime"
 	"testing"
 
 	"repro/internal/raceflag"
@@ -8,13 +10,12 @@ import (
 
 // The codec is the data plane's hottest kernel, so its steady-state
 // allocation behavior is pinned. With warm pools, every buffer we control —
-// plane scratch, codec state, pixel output — is recycled; what remains is
-// compress/flate rebuilding its per-block huffman tables inside Decode
-// (~45 tiny allocations, ~2 KB total, unavoidable without reimplementing
-// inflate). The budgets below are therefore a small byte ceiling plus an
-// alloc-count ceiling just above that flate floor: a regression that
-// reintroduces per-call plane or pixel buffers (megabytes per op) trips the
-// byte budget immediately.
+// plane scratch, inflater tables, pixel output — is recycled; what remains
+// of a Decode is the returned Image header. The budgets below are therefore
+// a small byte ceiling plus an alloc-count ceiling one above that floor: a
+// regression that reintroduces per-call plane or pixel buffers (megabytes
+// per op) trips the byte budget immediately, one that reintroduces per-block
+// table allocations trips the count.
 
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if testing.Short() {
@@ -31,7 +32,7 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the flate-reader and plane/pixel pools.
+	// Warm the inflater and plane/pixel pools.
 	for i := 0; i < 8; i++ {
 		out, err := Decode(data)
 		if err != nil {
@@ -52,8 +53,8 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if got := res.AllocedBytesPerOp(); got > 64<<10 {
 		t.Fatalf("Decode allocates %d B/op at steady state, budget is 64 KiB (pre-pooling: ~1.4 MB)", got)
 	}
-	if got := res.AllocsPerOp(); got > 60 {
-		t.Fatalf("Decode makes %d allocs/op at steady state, budget is 60 (flate-internal floor ~45)", got)
+	if got := res.AllocsPerOp(); got > 2 {
+		t.Fatalf("Decode makes %d allocs/op at steady state, budget is 2 (the Image header is 1)", got)
 	}
 }
 
@@ -77,5 +78,33 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	})
 	if allocs > 2 {
 		t.Fatalf("Encode allocates %.1f allocs/op at steady state, budget is 2", allocs)
+	}
+}
+
+// TestDecodeSizesNothingFromAnImplausibleHeader: DEFLATE cannot expand past
+// 1032:1, so dimensions the payload cannot possibly fill are refused before
+// the planes (here 366 MB) are requested.
+func TestDecodeSizesNothingFromAnImplausibleHeader(t *testing.T) {
+	sjpg := []byte{'S', 'J', 'P', 'G', sjpgVersion, 80, 0, 0, 0x3e, 0x80, 0, 0, 0x3e, 0x80, 0x03, 0x00} // 16000x16000, empty final block
+	im := synthFor(t, 1, 16, 12, 0.5)
+	sjpr, err := EncodeProgressive(im, 80, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	copy(sjpr[6:14], sjpg[6:14]) // same claim; the scan CRCs still hold
+	for name, decode := range map[string]func() error{
+		"Decode":            func() error { _, err := Decode(sjpg); return err },
+		"DecodeProgressive": func() error { _, _, err := DecodeProgressive(sjpr); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := decode()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
+			t.Errorf("%s allocated %d bytes for a %d-byte input", name, got, len(sjpg))
+		}
 	}
 }

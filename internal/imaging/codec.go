@@ -48,9 +48,10 @@ func shifts(quality int) (yShift, cShift uint) {
 	}
 }
 
-// Scratch pools for the codec hot path: the DEFLATE coders carry large
-// internal state (tens of KB each) and are reset between uses; the plane and
-// accumulator scratch comes from the bufpool arena.
+// Scratch pools for the encode path: the DEFLATE writer carries large
+// internal state (tens of KB) and is reset between uses; the plane scratch
+// comes from the bufpool arena. Decode's pooled state is the inflater
+// (inflate.go).
 var (
 	flateWriterPool = sync.Pool{New: func() any {
 		zw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
@@ -59,31 +60,8 @@ var (
 		}
 		return zw
 	}}
-	flateReaderPool = sync.Pool{New: func() any {
-		return &pooledReader{br: bytes.NewReader(nil), zr: flate.NewReader(bytes.NewReader(nil))}
-	}}
 	encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 )
-
-// pooledReader bundles a reusable bytes.Reader with a resettable DEFLATE
-// decompressor so Decode performs no per-call codec-state allocation.
-type pooledReader struct {
-	br *bytes.Reader
-	zr io.ReadCloser
-}
-
-func (p *pooledReader) reset(data []byte) {
-	p.br.Reset(data)
-	// flate.NewReader's concrete type always implements Resetter.
-	p.zr.(flate.Resetter).Reset(p.br, nil)
-}
-
-// release drops the reference to the caller's data (so pooling the reader
-// cannot pin a decoded stream in memory) and returns it to the pool.
-func (p *pooledReader) release() {
-	p.br.Reset(nil)
-	flateReaderPool.Put(p)
-}
 
 // Encode compresses im at the given quality (1..100) and returns the SJPG
 // byte stream. The returned slice is freshly allocated and owned by the
@@ -133,34 +111,41 @@ func Encode(im *Image, quality int) ([]byte, error) {
 // pixel shifted by yShift, chroma 2x2-box-averaged then shifted by cShift.
 // The plane slices must be sized W*H, cw*ch, cw*ch respectively.
 func fillPlanes(im *Image, yShift, cShift uint, yPlane, cbPlane, crPlane []uint8) {
-	cw, ch := (im.W+1)/2, (im.H+1)/2
-	sums := bufpool.GetUint32(3 * cw * ch)
-	defer bufpool.PutUint32(sums)
-	cbSum := sums[:cw*ch]
-	crSum := sums[cw*ch : 2*cw*ch]
-	cnt := sums[2*cw*ch:]
-	for i := range sums {
-		sums[i] = 0
-	}
-
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(x, y)
-			yy, cb, cr := color.RGBToYCbCr(r, g, b)
-			yPlane[y*im.W+x] = yy >> yShift
-			ci := (y/2)*cw + x/2
-			cbSum[ci] += uint32(cb)
-			crSum[ci] += uint32(cr)
-			cnt[ci]++
+	w, h := im.W, im.H
+	cw := (w + 1) / 2
+	for y := 0; y < h; y += 2 {
+		// One chroma row covers two pixel rows. Under the last row of an
+		// odd-height image the second row aliases the first: every sum
+		// doubles, and so does the divisor.
+		y1 := y + 1
+		if y1 == h {
+			y1 = y
 		}
-	}
-	for i := range cbPlane {
-		n := cnt[i]
-		if n == 0 {
-			continue
+		top, bot := im.Pix[y*w*Channels:(y+1)*w*Channels], im.Pix[y1*w*Channels:(y1+1)*w*Channels]
+		yTop, yBot := yPlane[y*w:(y+1)*w], yPlane[y1*w:(y1+1)*w]
+		cbRow, crRow := cbPlane[y/2*cw:(y/2+1)*cw], crPlane[y/2*cw:(y/2+1)*cw]
+		for cx := range cbRow {
+			// The box is two rows by two columns — one column at the end of
+			// an odd width — so the mean is a shift by log2 of that.
+			x, mean := 2*cx, uint(1)
+			yy, cb, cr := color.RGBToYCbCr(top[3*x], top[3*x+1], top[3*x+2])
+			yTop[x] = yy >> yShift
+			cbSum, crSum := uint32(cb), uint32(cr)
+			yy, cb, cr = color.RGBToYCbCr(bot[3*x], bot[3*x+1], bot[3*x+2])
+			yBot[x] = yy >> yShift
+			cbSum, crSum = cbSum+uint32(cb), crSum+uint32(cr)
+			if x++; x < w {
+				mean = 2
+				yy, cb, cr = color.RGBToYCbCr(top[3*x], top[3*x+1], top[3*x+2])
+				yTop[x] = yy >> yShift
+				cbSum, crSum = cbSum+uint32(cb), crSum+uint32(cr)
+				yy, cb, cr = color.RGBToYCbCr(bot[3*x], bot[3*x+1], bot[3*x+2])
+				yBot[x] = yy >> yShift
+				cbSum, crSum = cbSum+uint32(cb), crSum+uint32(cr)
+			}
+			cbRow[cx] = uint8(cbSum>>mean) >> cShift
+			crRow[cx] = uint8(crSum>>mean) >> cShift
 		}
-		cbPlane[i] = uint8(cbSum[i]/n) >> cShift
-		crPlane[i] = uint8(crSum[i]/n) >> cShift
 	}
 }
 
@@ -180,29 +165,14 @@ func Decode(data []byte) (*Image, error) {
 
 	cw, chh := (w+1)/2, (h+1)/2
 	total := w*h + 2*cw*chh
+	payload := data[headerSize:]
+	if !canInflateTo(len(payload), total) {
+		return nil, fmt.Errorf("%w: %d-byte payload cannot hold %dx%d", ErrCorrupt, len(payload), w, h)
+	}
 	planes := bufpool.GetBytes(total)
 	defer bufpool.PutBytes(planes)
-	pr := flateReaderPool.Get().(*pooledReader)
-	defer pr.release()
-	pr.reset(data[headerSize:])
-	zr := pr.zr
-	if _, err := io.ReadFull(zr, planes); err != nil {
+	if err := inflateInto(payload, planes); err != nil {
 		return nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
-	}
-	// A well-formed stream has no trailing plane data. A reader may legally
-	// return (0, nil) before signalling EOF, so a single Read is not a
-	// reliable probe; io.ReadFull retries until it gets a byte or an error.
-	var trail [1]byte
-	switch _, err := io.ReadFull(zr, trail[:]); err {
-	case io.EOF:
-		// Clean end of stream.
-	case nil:
-		return nil, fmt.Errorf("%w: trailing data", ErrCorrupt)
-	default:
-		return nil, fmt.Errorf("%w: trailing garbage: %v", ErrCorrupt, err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("%w: close: %v", ErrCorrupt, err)
 	}
 
 	yPlane := planes[:w*h]
@@ -215,39 +185,78 @@ func Decode(data []byte) (*Image, error) {
 	return planesToImage(w, h, yShift, cShift, yPlane, cbPlane, crPlane)
 }
 
+// canInflateTo reports whether a DEFLATE stream of n bytes can produce total
+// bytes. The densest symbol is a 258-byte match coded in two bits, 1032:1, so
+// a header claiming more is rejected before any buffer is sized from it.
+func canInflateTo(n, total int) bool {
+	return uint64(total) <= 1032*uint64(n)
+}
+
 // planesToImage dequantizes Y/Cb/Cr planes (already delta-decoded) back into
 // a pooled RGB image. The shifts are the effective quantization at decode
 // time — for a progressive prefix they include the undelivered refinement
-// depth on top of the quality-derived shift.
+// depth on top of the quality-derived shift. The arithmetic is
+// color.YCbCrToRGB's, with its per-chroma-sample terms hoisted out of the
+// (up to four) pixels that share them.
 func planesToImage(w, h int, yShift, cShift uint, yPlane, cbPlane, crPlane []uint8) (*Image, error) {
-	cw := (w + 1) / 2
 	im, err := NewPooled(w, h)
 	if err != nil {
 		return nil, err
 	}
-	yHalf := uint8(0)
-	if yShift > 0 {
-		yHalf = 1 << (yShift - 1)
+	// Dequantized luma pre-multiplied into YCbCrToRGB's yy1, and dequantized
+	// chroma re-centred on zero.
+	var yy1, c1 [256]int32
+	for v := range yy1 {
+		yy1[v] = int32(dequant(uint8(v), yShift)) * 0x10101
+		c1[v] = int32(dequant(uint8(v), cShift)) - 128
 	}
-	cHalf := uint8(0)
-	if cShift > 0 {
-		cHalf = 1 << (cShift - 1)
-	}
-	for y := 0; y < h; y++ {
-		for x := 0; x < w; x++ {
-			yy := dequant(yPlane[y*w+x], yShift, yHalf)
-			ci := (y/2)*cw + x/2
-			cb := dequant(cbPlane[ci], cShift, cHalf)
-			cr := dequant(crPlane[ci], cShift, cHalf)
-			r, g, b := color.YCbCrToRGB(yy, cb, cr)
-			im.Set(x, y, r, g, b)
+	cw := (w + 1) / 2
+	for y := 0; y < h; y += 2 {
+		// Under the last row of an odd-height image the second row aliases
+		// the first and is simply written twice.
+		y1 := y + 1
+		if y1 == h {
+			y1 = y
+		}
+		top, bot := im.Pix[y*w*Channels:(y+1)*w*Channels], im.Pix[y1*w*Channels:(y1+1)*w*Channels]
+		yTop, yBot := yPlane[y*w:(y+1)*w], yPlane[y1*w:(y1+1)*w]
+		cbRow, crRow := cbPlane[y/2*cw:(y/2+1)*cw], crPlane[y/2*cw:(y/2+1)*cw]
+		for cx, cb := range cbRow {
+			cb1, cr1 := c1[cb], c1[crRow[cx]]
+			rAdd, gAdd, bAdd := 91881*cr1, -22554*cb1-46802*cr1, 116130*cb1
+			x := 2 * cx
+			if x+1 == w { // last column of an odd width
+				l0, l1 := yy1[yTop[x]], yy1[yBot[x]]
+				t, b := top[3*x:3*x+3:3*x+3], bot[3*x:3*x+3:3*x+3]
+				t[0], t[1], t[2] = clamp8(l0+rAdd), clamp8(l0+gAdd), clamp8(l0+bAdd)
+				b[0], b[1], b[2] = clamp8(l1+rAdd), clamp8(l1+gAdd), clamp8(l1+bAdd)
+				break
+			}
+			t, b := top[3*x:3*x+6:3*x+6], bot[3*x:3*x+6:3*x+6]
+			l0, l1 := yy1[yTop[x]], yy1[yTop[x+1]]
+			t[0], t[1], t[2] = clamp8(l0+rAdd), clamp8(l0+gAdd), clamp8(l0+bAdd)
+			t[3], t[4], t[5] = clamp8(l1+rAdd), clamp8(l1+gAdd), clamp8(l1+bAdd)
+			l0, l1 = yy1[yBot[x]], yy1[yBot[x+1]]
+			b[0], b[1], b[2] = clamp8(l0+rAdd), clamp8(l0+gAdd), clamp8(l0+bAdd)
+			b[3], b[4], b[5] = clamp8(l1+rAdd), clamp8(l1+gAdd), clamp8(l1+bAdd)
 		}
 	}
 	return im, nil
 }
 
-func dequant(v uint8, shift uint, half uint8) uint8 {
-	out := uint16(v)<<shift + uint16(half)
+// clamp8 maps a 16.16 fixed-point channel to [0, 255].
+func clamp8(v int32) uint8 {
+	if uint32(v)&0xff000000 == 0 {
+		return uint8(v >> 16)
+	}
+	return uint8(^(v >> 31))
+}
+
+func dequant(v uint8, shift uint) uint8 {
+	if shift == 0 {
+		return v
+	}
+	out := uint16(v)<<shift + 1<<(shift-1)
 	if out > 255 {
 		out = 255
 	}
@@ -283,19 +292,22 @@ func parseHeader(data []byte) (w, h, quality int, err error) {
 
 // deltaEncode replaces each value with its difference from the previous
 // value in the row (first column predicts from the row above), tightening
-// the residual distribution for DEFLATE.
+// the residual distribution for DEFLATE. len(plane) is a multiple of stride.
 func deltaEncode(plane []uint8, stride int) {
 	if stride <= 0 {
 		return
 	}
-	for i := len(plane) - 1; i > 0; i-- {
-		var pred uint8
-		if i%stride != 0 {
-			pred = plane[i-1]
-		} else {
-			pred = plane[i-stride]
+	// Bottom-up, so the row above is still unencoded when it predicts.
+	for row := len(plane) - stride; row >= 0; row -= stride {
+		var prev uint8
+		if row > 0 {
+			prev = plane[row-stride]
 		}
-		plane[i] -= pred
+		r := plane[row : row+stride]
+		for i, v := range r {
+			r[i] = v - prev
+			prev = v
+		}
 	}
 }
 
@@ -304,13 +316,15 @@ func deltaDecode(plane []uint8, stride int) {
 	if stride <= 0 {
 		return
 	}
-	for i := 1; i < len(plane); i++ {
-		var pred uint8
-		if i%stride != 0 {
-			pred = plane[i-1]
-		} else {
-			pred = plane[i-stride]
+	for row := 0; row < len(plane); row += stride {
+		var acc uint8
+		if row > 0 {
+			acc = plane[row-stride]
 		}
-		plane[i] += pred
+		r := plane[row : row+stride]
+		for i, v := range r {
+			acc += v
+			r[i] = acc
+		}
 	}
 }

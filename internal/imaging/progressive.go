@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 
 	"repro/internal/bufpool"
 )
@@ -344,6 +343,13 @@ func decodeScans(data []byte, hd *sjprHeader, k int) (*Image, error) {
 	cw, ch := (hd.w+1)/2, (hd.h+1)/2
 	total := hd.w*hd.h + 2*cw*ch
 
+	// Every scan inflates to a full set of planes; an index too short for
+	// that is refused before the planes are sized from the header.
+	for j := 0; j < k; j++ {
+		if !canInflateTo(hd.lens[j], total) {
+			return nil, fmt.Errorf("%w: %d-byte scan %d cannot hold %dx%d", ErrCorrupt, hd.lens[j], j, hd.w, hd.h)
+		}
+	}
 	planes := bufpool.GetBytes(2 * total)
 	defer bufpool.PutBytes(planes)
 	scratch := planes[total:]
@@ -360,7 +366,7 @@ func decodeScans(data []byte, hd *sjprHeader, k int) (*Image, error) {
 		if j > 0 {
 			dst = scratch
 		}
-		if err := inflateExact(payload, dst); err != nil {
+		if err := inflateInto(payload, dst); err != nil {
 			return nil, fmt.Errorf("%w: scan %d: %v", ErrCorrupt, j, err)
 		}
 		if j == 0 {
@@ -380,27 +386,4 @@ func decodeScans(data []byte, hd *sjprHeader, k int) (*Image, error) {
 	extra := uint(hd.scans - k)
 	return planesToImage(hd.w, hd.h, yShift+extra, cShift+extra,
 		planes[:hd.w*hd.h], planes[hd.w*hd.h:hd.w*hd.h+cw*ch], planes[hd.w*hd.h+cw*ch:])
-}
-
-// inflateExact decompresses payload into dst, requiring the stream to yield
-// exactly len(dst) bytes with nothing trailing.
-func inflateExact(payload, dst []byte) error {
-	pr := flateReaderPool.Get().(*pooledReader)
-	defer pr.release()
-	pr.reset(payload)
-	if _, err := io.ReadFull(pr.zr, dst); err != nil {
-		return fmt.Errorf("decompress: %v", err)
-	}
-	var trail [1]byte
-	switch _, err := io.ReadFull(pr.zr, trail[:]); err {
-	case io.EOF:
-	case nil:
-		return errors.New("trailing data")
-	default:
-		return fmt.Errorf("trailing garbage: %v", err)
-	}
-	if err := pr.zr.Close(); err != nil {
-		return fmt.Errorf("close: %v", err)
-	}
-	return nil
 }

@@ -1,0 +1,290 @@
+package imaging
+
+import (
+	"bytes"
+	"compress/flate"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"hash/fnv"
+	"image/color"
+	"io"
+	"testing"
+)
+
+// The reference decoder: compress/flate's reader, a modulo per byte in the
+// delta pass and one color.YCbCrToRGB + Image.Set per pixel — the decode path
+// as it stood before the row kernels and the slice-to-slice inflater. It
+// exists only so the production path has something other than itself to be
+// compared with.
+
+// refInflate is inflateInto's contract on compress/flate: src must yield
+// exactly len(dst) bytes.
+func refInflate(src, dst []byte) error {
+	zr := flate.NewReader(bytes.NewReader(src))
+	if _, err := io.ReadFull(zr, dst); err != nil {
+		return fmt.Errorf("decompress: %v", err)
+	}
+	var trail [1]byte
+	switch _, err := io.ReadFull(zr, trail[:]); err {
+	case io.EOF:
+	case nil:
+		return errors.New("trailing data")
+	default:
+		return fmt.Errorf("trailing garbage: %v", err)
+	}
+	return zr.Close()
+}
+
+func refDeltaDecode(plane []uint8, stride int) {
+	for i := 1; i < len(plane); i++ {
+		if i%stride != 0 {
+			plane[i] += plane[i-1]
+		} else {
+			plane[i] += plane[i-stride]
+		}
+	}
+}
+
+func refDeltaEncode(plane []uint8, stride int) {
+	for i := len(plane) - 1; i > 0; i-- {
+		if i%stride != 0 {
+			plane[i] -= plane[i-1]
+		} else {
+			plane[i] -= plane[i-stride]
+		}
+	}
+}
+
+func refDequant(v uint8, shift uint) uint8 {
+	out := uint16(v) << shift
+	if shift > 0 {
+		out += 1 << (shift - 1)
+	}
+	if out > 255 {
+		out = 255
+	}
+	return uint8(out)
+}
+
+func refPlanesToImage(w, h int, yShift, cShift uint, planes []uint8) *Image {
+	cw, ch := (w+1)/2, (h+1)/2
+	yPlane, cbPlane, crPlane := planes[:w*h], planes[w*h:w*h+cw*ch], planes[w*h+cw*ch:]
+	im := MustNew(w, h)
+	for y := 0; y < h; y++ {
+		for x := 0; x < w; x++ {
+			ci := (y/2)*cw + x/2
+			r, g, b := color.YCbCrToRGB(
+				refDequant(yPlane[y*w+x], yShift),
+				refDequant(cbPlane[ci], cShift),
+				refDequant(crPlane[ci], cShift))
+			im.Set(x, y, r, g, b)
+		}
+	}
+	return im
+}
+
+func refDeltaDecodePlanes(planes []uint8, w, h int) {
+	cw, ch := (w+1)/2, (h+1)/2
+	refDeltaDecode(planes[:w*h], w)
+	refDeltaDecode(planes[w*h:w*h+cw*ch], cw)
+	refDeltaDecode(planes[w*h+cw*ch:], cw)
+}
+
+// refDecode decodes an SJPG stream, or the first k scans of an SJPR
+// container (k is ignored for SJPG).
+func refDecode(data []byte, k int) (*Image, error) {
+	if !IsProgressive(data) {
+		w, h, quality, err := parseHeader(data)
+		if err != nil {
+			return nil, err
+		}
+		planes := make([]uint8, w*h+2*((w+1)/2)*((h+1)/2))
+		if err := refInflate(data[headerSize:], planes); err != nil {
+			return nil, err
+		}
+		refDeltaDecodePlanes(planes, w, h)
+		yShift, cShift := shifts(quality)
+		return refPlanesToImage(w, h, yShift, cShift, planes), nil
+	}
+	hd, err := parseProgressive(data)
+	if err != nil {
+		return nil, err
+	}
+	planes := make([]uint8, hd.w*hd.h+2*((hd.w+1)/2)*((hd.h+1)/2))
+	scratch := make([]uint8, len(planes))
+	off := hd.body
+	for j := 0; j < k; j++ {
+		payload := data[off : off+hd.lens[j]]
+		off += hd.lens[j]
+		if crc32.Checksum(payload, sjprCRC) != hd.crcs[j] {
+			return nil, fmt.Errorf("scan %d CRC mismatch", j)
+		}
+		if j == 0 {
+			if err := refInflate(payload, planes); err != nil {
+				return nil, err
+			}
+			refDeltaDecodePlanes(planes, hd.w, hd.h)
+			continue
+		}
+		if err := refInflate(payload, scratch); err != nil {
+			return nil, err
+		}
+		for i, b := range scratch {
+			planes[i] = planes[i]<<1 | b
+		}
+	}
+	yShift, cShift := shifts(hd.quality)
+	extra := uint(hd.scans - k)
+	return refPlanesToImage(hd.w, hd.h, yShift+extra, cShift+extra, planes), nil
+}
+
+var (
+	refDims      = [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {15, 17}, {160, 161}, {640, 480}}
+	refQualities = []int{95, 80, 60, 30} // one per shifts() band
+)
+
+// TestDecodeMatchesReference: every decode entry point equals the reference
+// pixel for pixel, over odd and degenerate geometries, every quantization
+// band and every scan depth.
+func TestDecodeMatchesReference(t *testing.T) {
+	for _, dim := range refDims {
+		w, h := dim[0], dim[1]
+		if testing.Short() && w*h > 160*161 {
+			continue
+		}
+		im := synthFor(t, uint64(w*1000+h), w, h, 0.6)
+		for _, q := range refQualities {
+			name := fmt.Sprintf("%dx%d/q%d", w, h, q)
+			data, err := Encode(im, q)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			want, err := refDecode(data, 0)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			got, err := Decode(data)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if !got.Equal(want) {
+				t.Errorf("%s: Decode differs from the reference", name)
+			}
+			got.Release()
+
+			for scans := 1; scans <= MaxScans; scans++ {
+				prog, err := EncodeProgressive(im, q, scans)
+				if err != nil {
+					t.Fatalf("%s/L%d: %v", name, scans, err)
+				}
+				for k := 1; k <= scans; k++ {
+					name := fmt.Sprintf("%s/L%d/k%d", name, scans, k)
+					want, err := refDecode(prog, k)
+					if err != nil {
+						t.Fatalf("%s: reference: %v", name, err)
+					}
+					got, err := DecodeAtFidelity(prog, k)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if !got.Equal(want) {
+						t.Errorf("%s: DecodeAtFidelity differs from the reference", name)
+					}
+					got.Release()
+					prefix, err := SlicePrefix(prog, k)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					got, n, err := DecodeProgressive(prefix)
+					if err != nil || n != k {
+						t.Fatalf("%s: DecodeProgressive = %d scans, %v", name, n, err)
+					}
+					if !got.Equal(want) {
+						t.Errorf("%s: DecodeProgressive differs from the reference", name)
+					}
+					got.Release()
+				}
+			}
+		}
+	}
+}
+
+// TestDeltaMatchesReference: the row-wise delta passes equal the per-byte
+// ones, and invert each other.
+func TestDeltaMatchesReference(t *testing.T) {
+	for _, dim := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {13, 7}, {64, 33}} {
+		stride, rows := dim[0], dim[1]
+		orig := make([]uint8, stride*rows)
+		for i := range orig {
+			orig[i] = uint8(i*131 + i>>3)
+		}
+		want := append([]uint8(nil), orig...)
+		refDeltaEncode(want, stride)
+		got := append([]uint8(nil), orig...)
+		deltaEncode(got, stride)
+		if !bytes.Equal(got, want) {
+			t.Errorf("deltaEncode %dx%d differs from the reference", stride, rows)
+		}
+		refDeltaDecode(want, stride)
+		deltaDecode(got, stride)
+		if !bytes.Equal(got, orig) || !bytes.Equal(want, orig) {
+			t.Errorf("deltaDecode %dx%d does not invert deltaEncode", stride, rows)
+		}
+	}
+}
+
+func fnvHex(parts ...[]byte) string {
+	h := fnv.New64a()
+	for _, p := range parts {
+		h.Write(p)
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestGoldenDigests pins the stored bytes and the decoded pixels of three
+// fixed images, so that a change to either — in this package or in the
+// compress/flate writer it encodes with — is noticed. The digests were taken
+// from the per-pixel encoder and the compress/flate-reader decoder.
+func TestGoldenDigests(t *testing.T) {
+	for _, c := range []struct {
+		seed          uint64
+		w, h, quality int
+		detail        float64
+		sjpg, sjpr    string // encoded bytes
+		pixels        string // Decode, then DecodeAtFidelity k = 1..MaxScans
+	}{
+		{seed: 1, w: 160, h: 161, quality: 80, detail: 0.5,
+			sjpg: "b34d7f4eae437c54", sjpr: "52bafcce5630016c", pixels: "cca12a6e5f0185ec"},
+		{seed: 2, w: 333, h: 250, quality: 95, detail: 0.9,
+			sjpg: "66c67f406ec9c7a7", sjpr: "b7a946fad0d51c24", pixels: "a03d1547a4ceb6ad"},
+		{seed: 3, w: 640, h: 480, quality: 40, detail: 0.2,
+			sjpg: "f38947f85974b88b", sjpr: "a3b47c581021a09e", pixels: "4f8d8ca9b8699bfd"},
+	} {
+		im := synthFor(t, c.seed, c.w, c.h, c.detail)
+		sjpg, err := Encode(im, c.quality)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sjpr, err := EncodeProgressiveSidecar(im, c.quality, MaxScans, []byte("label"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := Decode(sjpg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pix := [][]byte{dec.Pix}
+		for k := 1; k <= MaxScans; k++ {
+			d, err := DecodeAtFidelity(sjpr, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pix = append(pix, d.Pix)
+		}
+		got := [3]string{fnvHex(sjpg), fnvHex(sjpr), fnvHex(pix...)}
+		if want := [3]string{c.sjpg, c.sjpr, c.pixels}; got != want {
+			t.Errorf("seed %d: digests (sjpg, sjpr, pixels) = %q, want %q", c.seed, got, want)
+		}
+	}
+}

@@ -7,13 +7,15 @@
 //
 // The suite deliberately re-implements only the loop bodies of the
 // corresponding *_test.go benchmarks (full 640×480 decode, fused tensor
-// kernel, frame encode, and so on) so the numbers are comparable to
-// `go test -benchmem` output for the same kernels.
+// kernel, frame encode, and so on) so ns/op and B/op are comparable to
+// `go test -benchmem` output for the same kernels; allocs/op is the
+// steady-state count (see run), which is what the gate compares.
 package perfbench
 
 import (
 	"fmt"
 	"io"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -33,8 +35,24 @@ type Result struct {
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
 }
 
+// run measures one kernel. allocs/op is the steady-state count: the collector
+// is off, because sync.Pool is emptied only by garbage collection — with it
+// on, how many pooled buffers a kernel has to allocate again depends on heap
+// size and timing — and it comes from testing.AllocsPerRun, which warms the
+// pools and pins the run to one P, because pools cache per P and every P the
+// goroutine is moved to refills them once (the mean testing.Benchmark
+// reports carried those refills: Encode read 1 or 2 from run to run).
 func run(name string, bytesPerOp int64, body func() error) (Result, error) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var failure error
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := body(); err != nil {
+			failure = err
+		}
+	})
+	if failure != nil {
+		return Result{}, fmt.Errorf("perfbench: %s: %w", name, failure)
+	}
 	res := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		if bytesPerOp > 0 {
@@ -54,7 +72,7 @@ func run(name string, bytesPerOp int64, body func() error) (Result, error) {
 		Name:        name,
 		NsPerOp:     float64(res.NsPerOp()),
 		BytesPerOp:  res.AllocedBytesPerOp(),
-		AllocsPerOp: res.AllocsPerOp(),
+		AllocsPerOp: int64(allocs),
 	}
 	if bytesPerOp > 0 && res.NsPerOp() > 0 {
 		r.MBPerSec = float64(bytesPerOp) / float64(res.NsPerOp()) * 1e9 / 1e6

@@ -10,10 +10,14 @@ import (
 	"repro/internal/profiler"
 )
 
-// decodedDims reads the stored image's dimensions from its SJPG header
-// without a full decode.
-func decodedDims(raw []byte) (int, int, error) {
-	w, h, err := imaging.DecodeDims(raw)
+// decodedDims reads the stored image's dimensions from its SJPG or SJPR
+// header without a full decode.
+func decodedDims(raw []byte) (w, h int, err error) {
+	if imaging.IsProgressive(raw) {
+		w, h, _, _, _, err = imaging.ProgressiveInfo(raw)
+	} else {
+		w, h, err = imaging.DecodeDims(raw)
+	}
 	if err != nil {
 		return 0, 0, fmt.Errorf("trainsim: decode dims: %w", err)
 	}

@@ -5,8 +5,10 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/compressor"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
+	"repro/internal/imaging"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
@@ -22,7 +24,7 @@ type harness struct {
 	n        int
 }
 
-func newHarness(t testing.TB, n, serverCores int) *harness {
+func newImageSet(t testing.TB, n int) *dataset.ImageSet {
 	t.Helper()
 	set, err := dataset.NewSyntheticImageSet(dataset.SyntheticOptions{
 		Name: "live", N: n, Seed: 77, MinDim: 48, MaxDim: 160,
@@ -30,10 +32,21 @@ func newHarness(t testing.TB, n, serverCores int) *harness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store, err := storage.FromImageSet(set)
+	return set
+}
+
+func newHarness(t testing.TB, n, serverCores int) *harness {
+	t.Helper()
+	store, err := storage.FromImageSet(newImageSet(t, n))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return newHarnessOver(t, store, serverCores)
+}
+
+// newHarnessOver serves an already materialized store.
+func newHarnessOver(t testing.TB, store *storage.Store, serverCores int) *harness {
+	t.Helper()
 	p := pipeline.Standard(pipeline.StandardOptions{CropSize: 64, FlipP: -1})
 	srv, err := storage.NewServer(storage.ServerConfig{Store: store, Pipeline: p, Cores: serverCores})
 	if err != nil {
@@ -42,7 +55,7 @@ func newHarness(t testing.TB, n, serverCores int) *harness {
 	l := netsim.NewPipeListener()
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
-	return &harness{listener: l, server: srv, pipe: p, n: n}
+	return &harness{listener: l, server: srv, pipe: p, n: store.N()}
 }
 
 func (h *harness) config() Config {
@@ -250,6 +263,45 @@ func TestProfilingEpochFillsCollector(t *testing.T) {
 	}
 	if traffic > trace.TotalRawBytes() {
 		t.Fatal("measured-trace plan increased traffic")
+	}
+}
+
+// TestProfilingEpochOverProgressiveStore: the stage-2 epoch reads source
+// dimensions from whichever container the store holds.
+func TestProfilingEpochOverProgressiveStore(t *testing.T) {
+	set := newImageSet(t, 8)
+	objects, _, err := compressor.MaterializeProgressive(set, imaging.MaxScans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := storage.NewStore("live-sjpr", objects)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTrainer(t, newHarnessOver(t, store, 1))
+	collector, err := profiler.NewCollector(len(objects))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := tr.RunEpoch(1, nil, collector)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.Samples != len(objects) || !collector.Complete() {
+		t.Fatalf("profiled %d of %d samples, complete=%v", report.Samples, len(objects), collector.Complete())
+	}
+	trace, err := collector.Trace("live-sjpr")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range objects {
+		m, err := set.Meta(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := trace.Records[i]; got.Width != m.W || got.Height != m.H {
+			t.Errorf("sample %d profiled as %dx%d, stored %dx%d", i, got.Width, got.Height, m.W, m.H)
+		}
 	}
 }
 
