@@ -93,12 +93,27 @@ func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 		return 3
 	}
 	wireA := make([][]byte, n)
+	var wireBytes int64
 	for s := uint32(0); s < n; s++ {
 		res, err := a.Fetch(ctx, s, split(s), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wireA[s] = encode(t, res)
+		wireBytes += int64(len(wireA[s]))
+		// Cached image entries shrink with the wire form: what is retained is
+		// the packed encoding, under the artifact's unpacked size.
+		if split(s) == 3 && len(wireA[s]) >= res.Artifact.WireSize() {
+			t.Fatalf("sample %d: image artifact encodes to %d bytes, unpacked %d", s, len(wireA[s]), res.Artifact.WireSize())
+		}
+	}
+	// The cache holds exactly those encodings: charged by len, no slack
+	// capacity behind them.
+	if st := a.Stats(); st.BytesInserted != wireBytes {
+		t.Fatalf("tenant a inserted %d bytes, its artifacts encode to %d", st.BytesInserted, wireBytes)
+	}
+	if data, ok := shared.Get("probe", cache.ArtifactKey{Dataset: shareKey, Sample: 3, Cut: 3, Epoch: 1}); !ok || cap(data) != len(data) || !bytes.Equal(data, wireA[3]) {
+		t.Fatalf("cached entry for sample 3: present %v, len %d, cap %d, want the %d-byte encoding exactly", ok, len(data), cap(data), len(wireA[3]))
 	}
 
 	// Tenant b overlaps on every sample; all fetches must hit.

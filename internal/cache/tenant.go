@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/bufpool"
 	"repro/internal/pipeline"
 	"repro/internal/storage"
 )
@@ -81,13 +82,19 @@ func hit(sample uint32, split int, data []byte) (storage.FetchResult, error) {
 }
 
 // retain encodes a fetched artifact into a plain owned buffer for the shared
-// cache. The source artifact is only read, never retained or released.
+// cache. The source artifact is only read, never retained or released. The
+// encoding goes through pooled scratch first: WireSize is the unpacked size,
+// about twice what an image encodes to, and the cache charges len, not cap.
 func (t *TenantFetcher) retain(key ArtifactKey, res storage.FetchResult) {
-	enc, err := res.Artifact.AppendEncode(make([]byte, 0, res.Artifact.WireSize()))
+	scratch := bufpool.GetBytes(res.Artifact.WireSize())
+	defer bufpool.PutBytes(scratch)
+	enc, err := res.Artifact.AppendEncode(scratch[:0])
 	if err != nil {
 		return // unencodable artifact kinds are simply not cached
 	}
-	t.shared.Put(t.tenant, key, enc)
+	owned := make([]byte, len(enc))
+	copy(owned, enc)
+	t.shared.Put(t.tenant, key, owned)
 }
 
 // Fetch serves the sample from the shared cache when any tenant of the share

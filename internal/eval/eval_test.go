@@ -379,6 +379,11 @@ func TestValidateGenerator(t *testing.T) {
 	if res.Benefiting <= 0 || res.Benefiting >= 1 {
 		t.Fatalf("degenerate benefiting fraction %v", res.Benefiting)
 	}
+	// The law holds on Sizes; what image stages ship is the packed form,
+	// well under it on photo-like content.
+	if res.ShippedOverLaw < 0.2 || res.ShippedOverLaw > 0.7 {
+		t.Fatalf("image stages ship %.3f of the law's bytes, want about half", res.ShippedOverLaw)
+	}
 }
 
 // TestDiscussionBandwidthSweep checks §5's crossover claims: SOPHON

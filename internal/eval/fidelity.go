@@ -5,25 +5,26 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
-	"repro/internal/profiler"
 )
 
-// FidelityResult checks the model tier against the real tier: records
+// FidelityResult checks the model tier against the real tier: samples
 // measured by running the real codec and real ops must obey exactly the
-// wire-size law the trace generator assumes, and their offload structure
+// artifact-size law the trace generator assumes, and their offload structure
 // (which stage is minimal) must follow from raw size vs crop-artifact size
-// the same way.
+// the same way. The law is what StageTrace.Sizes reports; what the live tier
+// ships on image stages is smaller, by the measured ShippedOverLaw.
 type FidelityResult struct {
 	Samples          int
 	LawViolations    int     // measured stage sizes that break the artifact size law
 	MinStageMismatch int     // samples whose min stage isn't argmin(raw, decode, crop)
 	Benefiting       float64 // fraction with min stage > 0 in the real tier
+	ShippedOverLaw   float64 // packed bytes ÷ law bytes, summed over the image stages
 }
 
 // ValidateGenerator renders n real synthetic photos, measures them through
-// the real pipeline (profiler stage 2), and audits every record against the
-// model tier's assumptions. DESIGN.md's substitution argument rests on this
-// correspondence.
+// the real pipeline (the profiler's stage-2 kernel), and audits every stage
+// trace against the model tier's assumptions. DESIGN.md's substitution
+// argument rests on this correspondence.
 func ValidateGenerator(n int, seed uint64) (FidelityResult, Table, error) {
 	if n <= 0 {
 		n = 96
@@ -36,10 +37,10 @@ func ValidateGenerator(n int, seed uint64) (FidelityResult, Table, error) {
 	}
 	const crop = 128
 	p := pipeline.Standard(pipeline.StandardOptions{CropSize: crop, FlipP: -1})
-	collector, err := profiler.NewCollector(n)
-	if err != nil {
-		return FidelityResult{}, Table{}, err
-	}
+	res := FidelityResult{Samples: n}
+	cropWire := pipeline.ImageWireSize(crop, crop)
+	tensorWire := pipeline.TensorWireSize(3, crop, crop)
+	var benefiting, shipped, law int
 	for i := 0; i < n; i++ {
 		raw, err := set.Raw(i)
 		if err != nil {
@@ -49,44 +50,41 @@ func ValidateGenerator(n int, seed uint64) (FidelityResult, Table, error) {
 		if err != nil {
 			return FidelityResult{}, Table{}, err
 		}
-		_, st, err := p.Trace(raw, pipeline.Seed{Job: seed, Epoch: 1, Sample: uint64(i)})
+		out, st, err := p.Trace(raw, pipeline.Seed{Job: seed, Epoch: 1, Sample: uint64(i)})
 		if err != nil {
 			return FidelityResult{}, Table{}, err
 		}
-		if err := collector.Observe(uint32(i), st, meta.W, meta.H); err != nil {
-			return FidelityResult{}, Table{}, err
-		}
-	}
-	tr, err := collector.Trace("fidelity")
-	if err != nil {
-		return FidelityResult{}, Table{}, err
-	}
-
-	res := FidelityResult{Samples: n, Benefiting: tr.FractionBenefiting()}
-	cropWire := int64(pipeline.ImageWireSize(crop, crop))
-	tensorWire := int64(pipeline.TensorWireSize(3, crop, crop))
-	for i := range tr.Records {
-		r := &tr.Records[i]
+		out.Release()
 		// The artifact size law the trace generator assumes.
-		if r.StageSizes[0] != int64(pipeline.RawWireSize(int(r.RawSize))) ||
-			r.StageSizes[1] != int64(pipeline.ImageWireSize(r.Width, r.Height)) ||
-			r.StageSizes[2] != cropWire || r.StageSizes[3] != cropWire ||
-			r.StageSizes[4] != tensorWire || r.StageSizes[5] != tensorWire {
+		if st.Sizes[0] != pipeline.RawWireSize(len(raw)) ||
+			st.Sizes[1] != pipeline.ImageWireSize(meta.W, meta.H) ||
+			st.Sizes[2] != cropWire || st.Sizes[3] != cropWire ||
+			st.Sizes[4] != tensorWire || st.Sizes[5] != tensorWire {
 			res.LawViolations++
 		}
 		// Min stage must be the argmin over {raw, decode, crop} (tensor
 		// stages are always the largest).
 		want := 0
-		if r.StageSizes[1] < r.StageSizes[want] {
+		if st.Sizes[1] < st.Sizes[want] {
 			want = 1
 		}
-		if cropWire < r.StageSizes[want] {
+		if cropWire < st.Sizes[want] {
 			want = 2
 		}
-		if r.MinStage() != want {
+		min := st.MinStage()
+		if min != want {
 			res.MinStageMismatch++
 		}
+		if min > 0 {
+			benefiting++
+		}
+		for k := 1; k <= 3; k++ {
+			shipped += st.Shipped[k]
+			law += st.Sizes[k]
+		}
 	}
+	res.Benefiting = float64(benefiting) / float64(n)
+	res.ShippedOverLaw = float64(shipped) / float64(law)
 	t := Table{
 		Title:   "Fidelity: real-tier measurements vs the model tier's assumptions",
 		Columns: []string{"Metric", "Value"},
@@ -95,6 +93,7 @@ func ValidateGenerator(n int, seed uint64) (FidelityResult, Table, error) {
 	t.AddRow("artifact size-law violations", fmt.Sprintf("%d", res.LawViolations))
 	t.AddRow("min-stage mismatches", fmt.Sprintf("%d", res.MinStageMismatch))
 	t.AddRow("benefiting fraction (real tier)", fmtF(res.Benefiting, 3))
+	t.AddRow("image stages, shipped ÷ law bytes", fmtF(res.ShippedOverLaw, 3))
 	t.Notes = append(t.Notes,
 		"zero violations ⇒ the statistical trace generator and the real pipeline share one size law")
 	return res, t, nil

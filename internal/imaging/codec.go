@@ -35,6 +35,10 @@ var (
 // DefaultQuality is used by EncodeDefault and by the dataset generator.
 const DefaultQuality = 80
 
+// maxDim is the largest width or height any header (SJPG, SJPR, packed
+// artifact) may claim.
+const maxDim = 1 << 16
+
 func shifts(quality int) (yShift, cShift uint) {
 	switch {
 	case quality >= 90:
@@ -171,7 +175,7 @@ func Decode(data []byte) (*Image, error) {
 	}
 	planes := bufpool.GetBytes(total)
 	defer bufpool.PutBytes(planes)
-	if err := inflateInto(payload, planes); err != nil {
+	if _, err := inflateInto(payload, planes); err != nil {
 		return nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 	}
 
@@ -283,7 +287,6 @@ func parseHeader(data []byte) (w, h, quality int, err error) {
 	}
 	w = int(binary.BigEndian.Uint32(data[6:10]))
 	h = int(binary.BigEndian.Uint32(data[10:14]))
-	const maxDim = 1 << 16
 	if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
 		return 0, 0, 0, fmt.Errorf("%w: dims %dx%d", ErrCorrupt, w, h)
 	}

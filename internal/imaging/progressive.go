@@ -209,7 +209,6 @@ func parseProgressive(data []byte) (sjprHeader, error) {
 	}
 	h.w = int(binary.BigEndian.Uint32(data[6:10]))
 	h.h = int(binary.BigEndian.Uint32(data[10:14]))
-	const maxDim = 1 << 16
 	if h.w <= 0 || h.h <= 0 || h.w > maxDim || h.h > maxDim {
 		return h, fmt.Errorf("%w: dims %dx%d", ErrCorrupt, h.w, h.h)
 	}
@@ -366,7 +365,7 @@ func decodeScans(data []byte, hd *sjprHeader, k int) (*Image, error) {
 		if j > 0 {
 			dst = scratch
 		}
-		if err := inflateInto(payload, dst); err != nil {
+		if _, err := inflateInto(payload, dst); err != nil {
 			return nil, fmt.Errorf("%w: scan %d: %v", ErrCorrupt, j, err)
 		}
 		if j == 0 {

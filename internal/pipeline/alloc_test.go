@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/imaging"
@@ -76,5 +77,33 @@ func TestFullPipelineSteadyStateAllocs(t *testing.T) {
 	}
 	if got := res.AllocsPerOp(); got > 5 {
 		t.Fatalf("full pipeline makes %d allocs/op at steady state, budget is 5", got)
+	}
+}
+
+// TestDecodeArtifactImageSteadyStateAllocs: unpacking an image artifact
+// allocates the returned Image header and nothing else — the inflater, the
+// plane scratch and the pixels are pooled — as copying raw pixels did.
+func TestDecodeArtifactImageSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // only a collection empties the pools
+	im, err := imaging.Synthesize(imaging.SynthParams{W: 128, H: 128, Detail: 0.5, Seed: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ImageArtifact(im).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		a, err := DecodeArtifact(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a.Release()
+	})
+	if allocs != 1 {
+		t.Fatalf("image DecodeArtifact allocates %.1f allocs/op at steady state, want 1 (the Image header)", allocs)
 	}
 }

@@ -1,6 +1,6 @@
 // Package pipeline implements the preprocessing-pipeline framework at the
-// heart of SOPHON's offloading model: typed intermediate artifacts with an
-// exact wire encoding (so every stage has a measurable transfer size), the
+// heart of SOPHON's offloading model: typed intermediate artifacts with one
+// wire encoding each (so every stage has a measurable transfer size), the
 // five standard image-classification ops (Decode, RandomResizedCrop,
 // RandomHorizontalFlip, ToTensor, Normalize), deterministic per-op
 // augmentation seeding, and split execution — run a prefix of the ops on the
@@ -71,15 +71,22 @@ const imageHeader = 1 + 8 // kind byte + W,H uint32
 // bytes.
 func RawWireSize(n int) int { return 1 + n }
 
-// ImageWireSize returns the encoded size of a w×h image artifact.
+// ImageWireSize returns the unpacked size of a w×h image artifact: header
+// plus pixel bytes. This is the artifact-size law (the paper's Figure 1a, the
+// trace generator, every model-tier table) and what the artifact occupies in
+// memory. What crosses the wire is the packed form, about half of it on
+// photo-like content; only AppendEncode knows that number.
 func ImageWireSize(w, h int) int { return imageHeader + w*h*imaging.Channels }
 
 // TensorWireSize returns the encoded size of a c×h×w tensor artifact.
 func TensorWireSize(c, h, w int) int { return 1 + tensor.MarshaledSize(c, h, w) }
 
-// WireSize returns the exact number of bytes this artifact occupies when
-// encoded for network transfer. This is the quantity the paper's Figure 1a
-// traces through the pipeline.
+// WireSize returns, in O(1), the artifact's unpacked encoded size — the
+// quantity the paper's Figure 1a traces through the pipeline. For raw and
+// tensor artifacts it is exactly len(Encode()). For images it is
+// ImageWireSize: the in-memory charge and the capacity to encode into, which
+// the packed encoding stays under except on noise-like pixels, where stored
+// blocks put it 5 B per 65 535 B plus a constant over.
 func (a Artifact) WireSize() int {
 	switch a.Kind {
 	case KindRaw:
@@ -94,9 +101,9 @@ func (a Artifact) WireSize() int {
 }
 
 // Encode serializes the artifact: a kind byte followed by the payload
-// (raw bytes verbatim; images as W,H plus pixels; tensors via
-// tensor.Marshal). The result is freshly allocated; use AppendEncode to
-// encode into a pooled buffer instead.
+// (raw bytes verbatim; images as W,H plus the pixels packed losslessly by
+// imaging.AppendPacked; tensors via tensor.Marshal). The result is freshly
+// allocated; use AppendEncode to encode into a pooled buffer instead.
 func (a Artifact) Encode() ([]byte, error) {
 	return a.AppendEncode(make([]byte, 0, a.WireSize()))
 }
@@ -115,8 +122,7 @@ func (a Artifact) AppendEncode(dst []byte) ([]byte, error) {
 		hdr[0] = byte(KindImage)
 		binary.LittleEndian.PutUint32(hdr[1:5], uint32(im.W))
 		binary.LittleEndian.PutUint32(hdr[5:9], uint32(im.H))
-		dst = append(dst, hdr[:]...)
-		return append(dst, im.Pix...), nil
+		return imaging.AppendPacked(append(dst, hdr[:]...), im)
 	case KindTensor:
 		dst = append(dst, byte(KindTensor))
 		return a.Tensor.AppendMarshal(dst), nil
@@ -139,9 +145,11 @@ func (a Artifact) Release() {
 }
 
 // DecodeArtifact parses an encoded artifact. Image and tensor payloads are
-// copied into pool-backed buffers — the caller owns the result (Release when
-// done) and data is never aliased. Raw payloads are copied into plain memory
-// since raw artifacts are borrowed-by-convention and never released.
+// unpacked or copied into pool-backed buffers — the caller owns the result
+// (Release when done) and data is never aliased. Raw payloads are copied into
+// plain memory since raw artifacts are borrowed-by-convention and never
+// released. Every rejection is ErrCorrupt, made before a buffer is sized from
+// anything the payload cannot back.
 func DecodeArtifact(data []byte) (Artifact, error) {
 	if len(data) < 1 {
 		return Artifact{}, fmt.Errorf("%w: empty", ErrCorrupt)
@@ -157,19 +165,10 @@ func DecodeArtifact(data []byte) (Artifact, error) {
 		}
 		w := int(binary.LittleEndian.Uint32(data[1:5]))
 		h := int(binary.LittleEndian.Uint32(data[5:9]))
-		const maxDim = 1 << 16
-		if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
-			return Artifact{}, fmt.Errorf("%w: image dims %dx%d", ErrCorrupt, w, h)
-		}
-		want := imageHeader + w*h*imaging.Channels
-		if len(data) != want {
-			return Artifact{}, fmt.Errorf("%w: image payload %d bytes, want %d", ErrCorrupt, len(data), want)
-		}
-		im, err := imaging.NewPooled(w, h)
+		im, err := imaging.Unpack(data[imageHeader:], w, h)
 		if err != nil {
 			return Artifact{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
 		}
-		copy(im.Pix, data[imageHeader:])
 		return ImageArtifact(im), nil
 	case KindTensor:
 		t, err := tensor.Unmarshal(data[1:])

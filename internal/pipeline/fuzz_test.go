@@ -1,22 +1,44 @@
 package pipeline
 
 import (
+	"errors"
 	"testing"
 
 	"repro/internal/imaging"
 	"repro/internal/tensor"
 )
 
-// FuzzDecodeArtifact: the artifact parser must never panic, and accepted
+// FuzzDecodeArtifact: the artifact parser must never panic or size a buffer
+// from bytes that are not there, every rejection is ErrCorrupt, and accepted
 // artifacts must re-encode losslessly.
 func FuzzDecodeArtifact(f *testing.F) {
 	im, err := imaging.Synthesize(imaging.SynthParams{W: 8, H: 6, Detail: 0.4, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	if enc, err := ImageArtifact(im).Encode(); err == nil {
-		f.Add(enc)
+	packed, err := ImageArtifact(im).Encode()
+	if err != nil {
+		f.Fatal(err)
 	}
+	f.Add(packed)
+	// The packed image truncated at every byte, with each header bit (kind,
+	// W, H and the DEFLATE block header behind them) flipped, and with
+	// trailing garbage.
+	for cut := 0; cut < len(packed); cut++ {
+		f.Add(packed[:cut])
+	}
+	for bit := 0; bit < 8*(imageHeader+2); bit++ {
+		d := append([]byte(nil), packed...)
+		d[bit/8] ^= 1 << (bit % 8)
+		f.Add(d)
+	}
+	f.Add(append(append([]byte(nil), packed...), 0))
+	f.Add(append(append([]byte(nil), packed...), packed...))
+	all := make([]byte, 256)
+	for i := range all {
+		all[i] = byte(i)
+	}
+	f.Add(append([]byte{byte(KindImage), 16, 0, 0, 0, 16, 0, 0, 0}, all...))
 	if enc, err := RawArtifact([]byte{1, 2, 3}).Encode(); err == nil {
 		f.Add(enc)
 	}
@@ -30,6 +52,9 @@ func FuzzDecodeArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeArtifact(data)
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejection is not ErrCorrupt: %v", err)
+			}
 			return
 		}
 		enc, err := a.Encode()
@@ -43,7 +68,13 @@ func FuzzDecodeArtifact(f *testing.F) {
 		if !a.Equal(b) {
 			t.Fatal("artifact changed across round trip")
 		}
-		if len(enc) != a.WireSize() {
+		// WireSize is exact, except for images: the unpacked size, which the
+		// packed encoding exceeds only by stored-block framing.
+		if a.Kind == KindImage {
+			if len(enc) > imageEncodeBound(a) {
+				t.Fatalf("image encoded to %d bytes, bound %d", len(enc), imageEncodeBound(a))
+			}
+		} else if len(enc) != a.WireSize() {
 			t.Fatalf("WireSize %d != encoded %d", a.WireSize(), len(enc))
 		}
 	})

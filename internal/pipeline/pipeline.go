@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/tensor"
 )
 
@@ -170,11 +171,18 @@ func (p *Pipeline) Run(raw []byte, seed Seed) (Artifact, error) {
 	return p.RunRange(RawArtifact(raw), 0, len(p.ops), seed)
 }
 
-// StageTrace records the artifact wire size after every stage and the CPU
-// time each op took. Sizes has Len()+1 entries (stage 0 = raw); OpTimes has
-// Len() entries.
+// StageTrace records the artifact size after every stage and the CPU time
+// each op took. Sizes and Shipped have Len()+1 entries (stage 0 = raw);
+// OpTimes has Len() entries.
+//
+// Sizes is the artifact-size law, WireSize(): a function of kind and
+// dimensions alone, which the paper's Figure 1a, the trace generator and the
+// model-tier tables are written in. Shipped is len(Encode()), the bytes a
+// fetch cut at that stage puts on the link; it differs from Sizes on image
+// stages, whose pixels travel packed, and is what a planner must price.
 type StageTrace struct {
 	Sizes   []int
+	Shipped []int
 	OpTimes []time.Duration
 }
 
@@ -191,17 +199,20 @@ func (t StageTrace) MinStage() int {
 	return best
 }
 
-// Trace runs the full pipeline over raw bytes, recording per-stage wire
-// sizes and per-op wall times. It is the measurement kernel of the profiler's
-// second stage, so it deliberately runs every op sequentially — no
-// ToTensor+Normalize fusion — to measure each op's true cost.
+// Trace runs the full pipeline over raw bytes, recording per-stage sizes and
+// per-op wall times. It is the measurement kernel of the profiler's second
+// stage, so it deliberately runs every op sequentially — no
+// ToTensor+Normalize fusion — to measure each op's true cost. Image stages
+// are packed once each, outside the op timings, to learn what they ship.
 func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 	trace := StageTrace{
 		Sizes:   make([]int, len(p.ops)+1),
+		Shipped: make([]int, len(p.ops)+1),
 		OpTimes: make([]time.Duration, len(p.ops)),
 	}
 	cur := RawArtifact(raw)
 	trace.Sizes[0] = cur.WireSize()
+	trace.Shipped[0] = trace.Sizes[0]
 	for i, op := range p.ops {
 		start := time.Now()
 		next, err := op.Apply(cur, rngFor(seed, i))
@@ -211,6 +222,21 @@ func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 		}
 		cur = next
 		trace.Sizes[i+1] = cur.WireSize()
+		if trace.Shipped[i+1], err = shippedSize(cur); err != nil {
+			return Artifact{}, StageTrace{}, fmt.Errorf("pipeline: trace stage %d: %w", i+1, err)
+		}
 	}
 	return cur, trace, nil
+}
+
+// shippedSize returns len(a.Encode()) without keeping the encoding. Only the
+// image encoding depends on content; the others are their WireSize.
+func shippedSize(a Artifact) (int, error) {
+	if a.Kind != KindImage {
+		return a.WireSize(), nil
+	}
+	buf := bufpool.GetBytes(a.WireSize())
+	defer bufpool.PutBytes(buf)
+	enc, err := a.AppendEncode(buf[:0])
+	return len(enc), err
 }

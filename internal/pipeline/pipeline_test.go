@@ -1,9 +1,13 @@
 package pipeline
 
 import (
+	"encoding/binary"
+	"errors"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/bufpool"
 	"repro/internal/imaging"
 	"repro/internal/tensor"
 )
@@ -47,8 +51,12 @@ func TestArtifactEncodeDecodeImage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(enc) != a.WireSize() {
-		t.Fatalf("encoded %d bytes, WireSize says %d", len(enc), a.WireSize())
+	// Images travel packed: kind, W, H, then fewer bytes than the pixels.
+	if a.WireSize() != ImageWireSize(13, 7) || len(enc) >= a.WireSize() {
+		t.Fatalf("encoded %d bytes, unpacked size is %d (law %d)", len(enc), a.WireSize(), ImageWireSize(13, 7))
+	}
+	if Kind(enc[0]) != KindImage || binary.LittleEndian.Uint32(enc[1:5]) != 13 || binary.LittleEndian.Uint32(enc[5:9]) != 7 {
+		t.Fatalf("image header % x", enc[:9])
 	}
 	got, err := DecodeArtifact(enc)
 	if err != nil {
@@ -56,6 +64,87 @@ func TestArtifactEncodeDecodeImage(t *testing.T) {
 	}
 	if !got.Equal(a) {
 		t.Fatal("image artifact round trip mismatch")
+	}
+}
+
+// Property: the image wire form is lossless at any geometry — 1×1, single
+// rows and columns, odd widths — and on any content, from one colour to
+// noise, which Huffman coding cannot shrink and the encoder stores.
+func TestArtifactImageRoundTripProperty(t *testing.T) {
+	f := func(w, h, class uint8, seed uint64) bool {
+		iw, ih := int(w)%40+1, int(h)%40+1
+		im, err := imaging.Synthesize(imaging.SynthParams{W: iw, H: ih, Detail: float64(seed%10) / 10, Seed: seed})
+		if err != nil {
+			return false
+		}
+		rng := rand.New(rand.NewPCG(seed, 1))
+		switch class % 3 {
+		case 1: // one colour
+			for i := range im.Pix {
+				im.Pix[i] = im.Pix[i%imaging.Channels]
+			}
+		case 2: // noise
+			for i := range im.Pix {
+				im.Pix[i] = uint8(rng.Uint32())
+			}
+		}
+		a := ImageArtifact(im)
+		enc, err := a.Encode()
+		if err != nil {
+			return false
+		}
+		got, err := DecodeArtifact(enc)
+		if err != nil {
+			return false
+		}
+		defer got.Release()
+		return got.Equal(a) && len(enc) <= imageEncodeBound(a)
+	}
+	for _, dims := range [][2]uint8{{0, 0}, {0, 8}, {8, 0}, {12, 6}} { // 1×1, 1×9, 9×1, 13×7
+		for class := uint8(0); class < 3; class++ {
+			if !f(dims[0], dims[1], class, 7) {
+				t.Fatalf("round trip failed at %dx%d, class %d", dims[0]+1, dims[1]+1, class)
+			}
+		}
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// imageEncodeBound is the most an image artifact can encode to: its unpacked
+// size plus DEFLATE's stored-block framing, 5 B per 65 535 B of pixels and a
+// 5 B final block.
+func imageEncodeBound(a Artifact) int {
+	n := a.Image.ByteSize()
+	return a.WireSize() + 5*((n+65534)/65535) + 5
+}
+
+// TestImageEncodeFitsItsPooledBuffer: the executor encodes into
+// bufpool.GetBytes(WireSize()); on the live tier's crops the packed form is
+// about half of that, and even noise, stored, stays inside the size class, so
+// AppendEncode never regrows the pooled buffer at steady state.
+func TestImageEncodeFitsItsPooledBuffer(t *testing.T) {
+	noise := imaging.MustNew(128, 128)
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := range noise.Pix {
+		noise.Pix[i] = uint8(rng.Uint32())
+	}
+	photo, _ := imaging.Synthesize(imaging.SynthParams{W: 128, H: 128, Detail: 0.5, Seed: 2})
+	for name, im := range map[string]*imaging.Image{"photo": photo, "noise": noise} {
+		a := ImageArtifact(im)
+		buf := bufpool.GetBytes(a.WireSize())
+		enc, err := a.AppendEncode(buf[:0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &enc[0] != &buf[0] {
+			t.Errorf("%s: %d encoded bytes regrew a pooled buffer of capacity %d", name, len(enc), cap(buf))
+		}
+		if name == "noise" && (len(enc) <= a.WireSize() || len(enc) > imageEncodeBound(a)) {
+			t.Errorf("noise encoded to %d bytes, want stored: over %d, at most %d", len(enc), a.WireSize(), imageEncodeBound(a))
+		}
+		bufpool.PutBytes(buf)
 	}
 }
 
@@ -82,24 +171,40 @@ func TestArtifactEncodeDecodeTensor(t *testing.T) {
 func TestDecodeArtifactRejectsCorrupt(t *testing.T) {
 	im, _ := imaging.Synthesize(imaging.SynthParams{W: 4, H: 4, Detail: 0, Seed: 1})
 	good, _ := ImageArtifact(im).Encode()
+	withDims := func(w, h uint32) []byte {
+		d := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(d[1:5], w)
+		binary.LittleEndian.PutUint32(d[5:9], h)
+		return d
+	}
 	cases := map[string][]byte{
-		"empty":           {},
-		"unknown kind":    {99, 0, 0},
-		"short image":     good[:5],
-		"truncated image": good[:len(good)-1],
-		"zero image dims": func() []byte {
-			d := append([]byte(nil), good...)
-			for i := 1; i < 9; i++ {
-				d[i] = 0
-			}
-			return d
-		}(),
-		"bad tensor": {byte(KindTensor), 1, 2, 3},
+		"empty":            {},
+		"unknown kind":     {99, 0, 0},
+		"short image":      good[:5],
+		"header only":      good[:imageHeader],
+		"truncated image":  good[:len(good)-1],
+		"trailing byte":    append(append([]byte(nil), good...), 0),
+		"zero image dims":  withDims(0, 0),
+		"dims over cap":    withDims(1<<16+1, 1),
+		"dims past uint31": withDims(1<<31, 4),
+		"wrong dims":       withDims(4, 5),
+		"bad tensor":       {byte(KindTensor), 1, 2, 3},
 	}
 	for name, c := range cases {
-		if _, err := DecodeArtifact(c); err == nil {
-			t.Errorf("DecodeArtifact accepted %s", name)
+		if _, err := DecodeArtifact(c); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("DecodeArtifact(%s) = %v, want ErrCorrupt", name, err)
 		}
+	}
+	// A 9-byte header may claim 65 536 × 65 536; nothing is sized from it.
+	before := bufpool.ByteStats()
+	if _, err := DecodeArtifact(withDims(1<<16, 1<<16)[:imageHeader]); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("bare 65536x65536 header: %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodeArtifact(withDims(1<<16, 1<<16)); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("65536x65536 over a 4x4 payload: %v, want ErrCorrupt", err)
+	}
+	if after := bufpool.ByteStats(); after != before {
+		t.Errorf("an implausible image header reached the buffer arena: %+v -> %+v", before, after)
 	}
 }
 
@@ -305,6 +410,28 @@ func TestTraceSizesMatchPaperShape(t *testing.T) {
 	// Decode inflates a compressed raw image.
 	if trace.Sizes[1] <= trace.Sizes[0] {
 		t.Fatalf("decode did not inflate: %d -> %d", trace.Sizes[0], trace.Sizes[1])
+	}
+	// Beside the law, what each stage ships: raw and tensor stages ship their
+	// size exactly, image stages their packed encoding.
+	if len(trace.Shipped) != 6 {
+		t.Fatalf("%d shipped sizes", len(trace.Shipped))
+	}
+	for _, k := range []int{0, 4, 5} {
+		if trace.Shipped[k] != trace.Sizes[k] {
+			t.Fatalf("stage %d ships %d bytes, size %d", k, trace.Shipped[k], trace.Sizes[k])
+		}
+	}
+	for k := 1; k <= 3; k++ {
+		if trace.Shipped[k] <= imageHeader || trace.Shipped[k] >= trace.Sizes[k]*3/4 {
+			t.Fatalf("image stage %d ships %d of %d bytes, want well under", k, trace.Shipped[k], trace.Sizes[k])
+		}
+	}
+	cut2, err := p.RunRange(RawArtifact(raw), 0, 2, Seed{Job: 1, Epoch: 1, Sample: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if enc, _ := cut2.Encode(); len(enc) != trace.Shipped[2] {
+		t.Fatalf("a cut-2 fetch ships %d bytes, the trace said %d", len(enc), trace.Shipped[2])
 	}
 }
 

@@ -153,9 +153,11 @@ func NewCollector(n int) (*Collector, error) {
 
 // Observe records one sample's stage trace. Re-observations overwrite (the
 // last epoch-1 measurement wins). Width/height are the decoded dimensions.
+// The record's StageSizes are the trace's shipped bytes, not the size law:
+// the planner prices what a cut puts on the link.
 func (c *Collector) Observe(id uint32, st pipeline.StageTrace, width, height int) error {
-	if len(st.Sizes) != dataset.StageCount || len(st.OpTimes) != dataset.OpCount {
-		return fmt.Errorf("profiler: stage trace has %d sizes / %d times", len(st.Sizes), len(st.OpTimes))
+	if len(st.Shipped) != dataset.StageCount || len(st.OpTimes) != dataset.OpCount {
+		return fmt.Errorf("profiler: stage trace has %d shipped sizes / %d times", len(st.Shipped), len(st.OpTimes))
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -164,11 +166,11 @@ func (c *Collector) Observe(id uint32, st pipeline.StageTrace, width, height int
 	}
 	rec := dataset.Record{
 		ID:      id,
-		RawSize: int64(st.Sizes[0] - 1), // strip the artifact kind byte
+		RawSize: int64(st.Shipped[0] - 1), // strip the artifact kind byte
 		Width:   width,
 		Height:  height,
 	}
-	for i, s := range st.Sizes {
+	for i, s := range st.Shipped {
 		rec.StageSizes[i] = int64(s)
 	}
 	for i, d := range st.OpTimes {

@@ -160,6 +160,7 @@ func TestCollectorLifecycle(t *testing.T) {
 	}
 
 	p := pipeline.DefaultStandard()
+	var shipped [3][]int
 	for id := uint32(0); id < 3; id++ {
 		im, err := imaging.Synthesize(imaging.SynthParams{W: 60 + int(id)*10, H: 50, Detail: 0.4, Seed: uint64(id)})
 		if err != nil {
@@ -176,6 +177,7 @@ func TestCollectorLifecycle(t *testing.T) {
 		if err := c.Observe(id, st, im.W, im.H); err != nil {
 			t.Fatal(err)
 		}
+		shipped[id] = st.Shipped
 	}
 	if !c.Complete() {
 		t.Fatal("collector incomplete after observing all")
@@ -189,8 +191,15 @@ func TestCollectorLifecycle(t *testing.T) {
 	}
 	for i := range tr.Records {
 		r := &tr.Records[i]
-		if r.StageSizes[2] != int64(pipeline.ImageWireSize(224, 224)) {
-			t.Fatalf("record %d stage2 size %d", i, r.StageSizes[2])
+		// The record carries what each cut ships, not the size law: the
+		// 224×224 crop travels packed, under its unpacked size.
+		for k, s := range shipped[i] {
+			if r.StageSizes[k] != int64(s) {
+				t.Fatalf("record %d stage %d size %d, trace shipped %d", i, k, r.StageSizes[k], s)
+			}
+		}
+		if law := int64(pipeline.ImageWireSize(224, 224)); r.StageSizes[2] >= law {
+			t.Fatalf("record %d stage2 size %d is not under the unpacked %d", i, r.StageSizes[2], law)
 		}
 		if r.Width != 60+i*10 {
 			t.Fatalf("record %d width %d", i, r.Width)
@@ -207,7 +216,7 @@ func TestCollectorRejectsBadObservations(t *testing.T) {
 		t.Fatal("accepted empty stage trace")
 	}
 	good := pipeline.StageTrace{
-		Sizes:   make([]int, dataset.StageCount),
+		Shipped: make([]int, dataset.StageCount),
 		OpTimes: make([]time.Duration, dataset.OpCount),
 	}
 	if err := c.Observe(5, good, 1, 1); err == nil {
@@ -230,7 +239,7 @@ func TestCollectorConcurrent(t *testing.T) {
 	const n = 64
 	c, _ := NewCollector(n)
 	st := pipeline.StageTrace{
-		Sizes:   make([]int, dataset.StageCount),
+		Shipped: make([]int, dataset.StageCount),
 		OpTimes: make([]time.Duration, dataset.OpCount),
 	}
 	var wg sync.WaitGroup
@@ -293,5 +302,89 @@ func TestCollectedTraceDrivesEngine(t *testing.T) {
 	}
 	if traffic > tr.TotalRawBytes() {
 		t.Fatalf("SOPHON plan increased traffic: %d > %d", traffic, tr.TotalRawBytes())
+	}
+}
+
+// measure runs the stage-2 kernel over every image and returns the collected
+// trace.
+func measure(t *testing.T, p *pipeline.Pipeline, name string, images []*imaging.Image) *dataset.Trace {
+	t.Helper()
+	c, err := NewCollector(len(images))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, im := range images {
+		raw, err := imaging.EncodeDefault(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, st, err := p.Trace(raw, pipeline.Seed{Job: 1, Epoch: 1, Sample: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Release()
+		if err := c.Observe(uint32(i), st, im.W, im.H); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tr, err := c.Trace(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
+func synthSet(t *testing.T, seed uint64, dims ...[2]int) []*imaging.Image {
+	t.Helper()
+	images := make([]*imaging.Image, len(dims))
+	for i, d := range dims {
+		im, err := imaging.Synthesize(imaging.SynthParams{W: d[0], H: d[1], Detail: 0.5, Seed: seed + uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		images[i] = im
+	}
+	return images
+}
+
+// TestPlannerPricesShippedBytes: the collected StageSizes are what a cut
+// ships, so the planner offloads the samples whose stored object is smaller
+// than the unpacked crop but larger than the packed one — under the size law
+// alone raw would be their minimum — and still offloads nothing when every
+// stored object is below even the packed crop.
+func TestPlannerPricesShippedBytes(t *testing.T) {
+	const crop = 128
+	p := pipeline.Standard(pipeline.StandardOptions{CropSize: crop, FlipP: -1})
+	env := paperEnv()
+	env.Bandwidth = netsim.Mbps(5)
+	law := int64(pipeline.ImageWireSize(crop, crop))
+
+	between := measure(t, p, "between", synthSet(t, 3, [2]int{220, 165}, [2]int{240, 180}, [2]int{250, 190}, [2]int{270, 200}))
+	plan, err := policy.NewSophon().Plan(between, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range between.Records {
+		r := &between.Records[i]
+		if !(r.StageSizes[2] < r.StageSizes[0] && r.StageSizes[0] < law) {
+			t.Fatalf("sample %d: raw %d is not between the packed crop %d and the unpacked %d", i, r.StageSizes[0], r.StageSizes[2], law)
+		}
+		if plan.Split(i) < 2 {
+			t.Errorf("sample %d (raw %d, crop ships %d) planned at cut %d, want offloaded to the crop", i, r.StageSizes[0], r.StageSizes[2], plan.Split(i))
+		}
+	}
+
+	small := measure(t, p, "raw-minimal", synthSet(t, 5, [2]int{80, 60}, [2]int{96, 72}, [2]int{110, 90}, [2]int{128, 96}))
+	plan, err = policy.NewSophon().Plan(small, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range small.Records {
+		if r := &small.Records[i]; r.MinStage() != 0 {
+			t.Fatalf("sample %d: raw %d is not its smallest stage %v", i, r.StageSizes[0], r.StageSizes)
+		}
+	}
+	if n := plan.OffloadedCount(); n != 0 {
+		t.Errorf("%d of %d raw-minimal samples offloaded", n, small.N())
 	}
 }

@@ -1,8 +1,10 @@
 package storage
 
 import (
+	"runtime/debug"
 	"testing"
 
+	"repro/internal/bufpool"
 	"repro/internal/pipeline"
 	"repro/internal/raceflag"
 	"repro/internal/wire"
@@ -37,5 +39,39 @@ func TestPrefixServeSteadyStateAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, serve)
 	if allocs > 2 {
 		t.Fatalf("prefix serve allocates %.1f allocs/op at steady state, budget is 2", allocs)
+	}
+}
+
+// TestRunPrefixEncodedCut2SteadyStateAllocs pins the offloaded hot path: a
+// cut-2 fetch decodes, crops and packs the crop into one pooled buffer. With
+// warm pools what allocates is the two Image headers (decoded, cropped) —
+// the same two as when crops shipped as raw pixels; the packer's DEFLATE
+// writer and plane scratch are pooled. The collector is off because only a
+// collection empties the pools.
+func TestRunPrefixEncodedCut2SteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	st := testStore(t, 1)
+	raw, err := st.Get(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	exec, err := NewExecutor(pipeline.Standard(pipeline.StandardOptions{CropSize: 128, FlipP: -1}), 1, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sample uint64
+	allocs := testing.AllocsPerRun(50, func() {
+		sample++
+		enc, err := exec.RunPrefixEncoded(raw, 2, pipeline.Seed{Job: 1, Epoch: 1, Sample: sample})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bufpool.PutBytes(enc)
+	})
+	if allocs != 2 {
+		t.Fatalf("cut-2 RunPrefixEncoded allocates %.1f allocs/op at steady state, want 2 (two Image headers)", allocs)
 	}
 }
