@@ -12,6 +12,7 @@ package sophon
 
 import (
 	"flag"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -69,27 +70,35 @@ func runSoak(t *testing.T, cfg soak.Config) soak.Report {
 	return rep
 }
 
-// TestChaosSoakClasses: a short soak per fault class. Recoverable classes
-// must lose nothing; the partition class must lose exactly the severed
-// shard's samples for the severed epoch.
+// TestChaosSoakClasses: a short soak per fault class, at the trainer's
+// default fetch depth and at Lookahead 4. Recoverable classes must lose
+// nothing; the partition class must lose exactly the severed shard's samples
+// for the severed epoch.
 func TestChaosSoakClasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	for _, class := range []soak.Class{soak.ClassDelays, soak.ClassCorrupt, soak.ClassMixed, soak.ClassPartition} {
-		class := class
-		t.Run(string(class), func(t *testing.T) {
-			rep := runSoak(t, soak.Config{Seed: 0xC0FFEE, Class: class, Samples: 24, Epochs: 3})
-			injected := int64(0)
-			for _, s := range rep.Chaos {
-				injected += s.Total()
-			}
-			if class != soak.ClassPartition && class != soak.ClassNone && injected == 0 {
-				t.Fatalf("class %s injected no faults — the soak exercised nothing", class)
-			}
-			t.Logf("class=%s digest=%08x compared=%d injected=%d failed=%d",
-				class, rep.Digest, rep.Compared, injected, rep.Failed)
-		})
+	for _, class := range []soak.Class{soak.ClassNone, soak.ClassDelays, soak.ClassCorrupt, soak.ClassMixed, soak.ClassPartition} {
+		for _, depth := range []int{0, 4} {
+			class, depth := class, depth
+			t.Run(fmt.Sprintf("%s/lookahead=%d", class, depth), func(t *testing.T) {
+				rep := runSoak(t, soak.Config{Seed: 0xC0FFEE, Class: class, Samples: 24, Epochs: 3, Lookahead: depth})
+				injected := int64(0)
+				for _, s := range rep.Chaos {
+					injected += s.Total()
+				}
+				if class != soak.ClassPartition && class != soak.ClassNone && injected == 0 {
+					t.Fatalf("class %s injected no faults — the soak exercised nothing", class)
+				}
+				for _, er := range rep.Epochs {
+					if er.Heavy != 0 {
+						t.Fatalf("epoch %d counted %d heavy samples with no classifier", er.Epoch, er.Heavy)
+					}
+				}
+				t.Logf("class=%s digest=%08x compared=%d injected=%d failed=%d",
+					class, rep.Digest, rep.Compared, injected, rep.Failed)
+			})
+		}
 	}
 }
 
@@ -120,7 +129,7 @@ func TestChaosSoakReproducible(t *testing.T) {
 	}
 }
 
-// TestChaosSoakLookaheadPartition: the clairvoyant scheduler under chaos. A
+// TestChaosSoakLookaheadPartition: the fetch scheduler under chaos. A
 // shard is severed for the middle epoch while a deep per-shard lookahead has
 // speculative fetches in flight against it; the soak must still deliver
 // bit-identical artifacts, account the loss exactly (the severed shard's
@@ -154,16 +163,16 @@ func TestChaosSoakLookaheadPartition(t *testing.T) {
 	if a.Failed != b.Failed || a.Compared != b.Compared {
 		t.Fatalf("same seed, different outcomes:\n a %+v\n b %+v", a, b)
 	}
-	// The deep-lookahead soak and the reactive soak fetch through the same
-	// fault schedule, so their loss accounting must agree.
-	reactive := runSoak(t, soak.Config{Seed: cfg.Seed, Class: cfg.Class, Samples: cfg.Samples, Epochs: cfg.Epochs})
-	if reactive.Failed != a.Failed {
-		t.Fatalf("lookahead lost %d samples, reactive lost %d — accounting diverged", a.Failed, reactive.Failed)
+	// The deep-lookahead soak and the default-depth soak fetch through the
+	// same fault schedule, so their loss accounting must agree.
+	shallow := runSoak(t, soak.Config{Seed: cfg.Seed, Class: cfg.Class, Samples: cfg.Samples, Epochs: cfg.Epochs})
+	if shallow.Failed != a.Failed {
+		t.Fatalf("lookahead %d lost %d samples, default depth lost %d — accounting diverged", cfg.Lookahead, a.Failed, shallow.Failed)
 	}
 	t.Logf("lookahead=%d digest=%08x compared=%d failed=%d", cfg.Lookahead, a.Digest, a.Compared, a.Failed)
 }
 
-// TestChaosSoakMixFlip: the variance-aware work-stealing scheduler under
+// TestChaosSoakMixFlip: the classified work-stealing prep pool under
 // chaos plus a mid-training skew flip. Epochs run over a fault-injected
 // fabric with the seeded heavy set flipping from ~8% to ~60% halfway through
 // epoch 2; the soak must deliver bit-identical artifacts and exact failure
@@ -178,8 +187,8 @@ func TestChaosSoakMixFlip(t *testing.T) {
 	}
 	cfg := soak.Config{Seed: 0xF11BED, Class: soak.ClassMixed, Samples: 48, Epochs: 4, MixFlip: true}
 	a := runSoak(t, cfg)
-	if !a.MixFlip || a.Lookahead == 0 {
-		t.Fatalf("mix-flip soak not marked variance-aware: %+v", a)
+	if !a.MixFlip {
+		t.Fatalf("mix-flip soak not marked as one: %+v", a)
 	}
 	if a.Replans == 0 {
 		t.Fatalf("skew flip never replanned: %+v", a)

@@ -32,10 +32,10 @@ import (
 	"repro/internal/trainsim"
 )
 
-// liveClassifier is the late-bound variance-aware classifier: the trainer is
+// liveClassifier is the late-bound heavy/light classifier: the trainer is
 // constructed before the stage-2 trace exists, so its Classify hook reads
-// this pointer — nil (everything light) through the profiling epoch, then
-// the trace-derived classifier for the trained epochs.
+// this pointer — nil (everything light) through the profiling epoch and
+// under -plan-file, then the trace-derived classifier for the trained epochs.
 type liveClassifier struct {
 	cl *prepsched.Classifier
 	tr *dataset.Trace
@@ -76,10 +76,9 @@ func main() {
 	planFile := flag.String("plan-file", "", "load a precomputed plan and skip profiling")
 	dumpTrace := flag.String("dump-trace", "", "write the measured stage-2 trace to this file")
 	fetchBatch := flag.Int("fetch-batch", 0, "samples per storage round trip (0 = one)")
-	prefetch := flag.Int("prefetch", 0, "in-flight fetch requests on the session in reactive mode (0 = 2x workers; exclusive with -lookahead)")
-	lookahead := flag.Int("lookahead", 0, "clairvoyant prefetch: round trips kept in flight per shard (0 = reactive mode)")
-	lookaheadHorizon := flag.Int("lookahead-horizon", 0, "max stream positions fetched ahead of consumption (0 = 8 x lookahead x fetch-batch x shards; needs -lookahead)")
-	stagingBytes := flag.Int64("staging-bytes", 0, "soft byte budget for staged prefetched artifacts (0 = unbounded; needs -lookahead)")
+	lookahead := flag.Int("lookahead", 0, "fetch round trips kept in flight per shard (0 = 2x workers)")
+	lookaheadHorizon := flag.Int("lookahead-horizon", 0, "max stream positions fetched ahead of consumption (0 = 8 x lookahead x fetch-batch x shards)")
+	stagingBytes := flag.Int64("staging-bytes", 0, "soft byte budget for staged prefetched artifacts (0 = 64 MiB)")
 	maxInFlight := flag.Int("max-inflight", 0, "max concurrent requests the session admits (0 = default 64)")
 	reqTimeout := flag.Duration("request-timeout", 0, "per-request timeout (0 = default 30s, negative = none)")
 	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard server addresses (overrides -addr; enables the fan-out client)")
@@ -89,18 +88,16 @@ func main() {
 	adaptive := flag.Bool("adaptive", false, "adaptive control plane: re-probe the link each epoch and replan on drift (sophon policies only)")
 	driftThreshold := flag.Float64("drift-threshold", 0, "relative change that counts as drift (0 = default 0.2)")
 	driftHysteresis := flag.Int("drift-hysteresis", 0, "consecutive drifted epochs before replanning (0 = default 2)")
-	varianceAware := flag.Bool("variance-aware", false, "variance-aware preprocessing: classify samples heavy/light from the stage-2 profile and run epochs under per-worker work-stealing deques (needs -lookahead)")
-	heavyThreshold := flag.Float64("heavy-threshold", 0, "heavy classification threshold as a multiple of the mean per-sample preprocessing cost (0 = default 4x; needs -variance-aware)")
+	heavyThreshold := flag.Float64("heavy-threshold", 0, "heavy classification threshold as a multiple of the mean per-sample preprocessing cost in the stage-2 profile (0 = default 4x)")
 	cliutil.Parse("sophon-train", "Profiles, plans, and trains against a running sophon-server under an offload policy.")
 
 	logger := log.New(os.Stderr, "sophon-train: ", log.LstdFlags)
 	cliutil.ValidateInts(logger,
 		map[string]bool{"workers": true, "batch": true, "epochs": true, "attempts": true},
-		map[string]bool{"prefetch": true, "max-inflight": true, "fetch-batch": true, "compute-cores": true, "lookahead": true, "lookahead-horizon": true},
+		map[string]bool{"max-inflight": true, "fetch-batch": true, "compute-cores": true, "lookahead": true, "lookahead-horizon": true},
 		map[string]int{
 			"workers": *workers, "batch": *batch, "epochs": *epochs, "attempts": *attempts,
-			"prefetch": *prefetch, "max-inflight": *maxInFlight,
-			"fetch-batch": *fetchBatch, "compute-cores": *computeCores,
+			"max-inflight": *maxInFlight, "fetch-batch": *fetchBatch, "compute-cores": *computeCores,
 			"lookahead": *lookahead, "lookahead-horizon": *lookaheadHorizon,
 		})
 	if *stagingBytes < 0 {
@@ -109,16 +106,8 @@ func main() {
 	if *heavyThreshold < 0 {
 		logger.Fatalf("-heavy-threshold must be >= 0, got %g", *heavyThreshold)
 	}
-	if *heavyThreshold > 0 && !*varianceAware {
-		logger.Fatal("-heavy-threshold needs -variance-aware")
-	}
-	if *varianceAware {
-		if *lookahead <= 0 {
-			logger.Fatal("-variance-aware needs -lookahead: the work-stealing dispatcher rides the clairvoyant stream")
-		}
-		if *planFile != "" {
-			logger.Fatal("-variance-aware needs the profiling path: classification comes from the stage-2 trace, which -plan-file skips")
-		}
+	if *heavyThreshold > 0 && *planFile != "" {
+		logger.Fatal("-heavy-threshold needs the profiling path: classification comes from the stage-2 trace, which -plan-file skips")
 	}
 
 	model, err := gpu.ByName(*modelName)
@@ -160,15 +149,12 @@ func main() {
 	}
 
 	var live atomic.Pointer[liveClassifier]
-	var classify func(sample int) prepsched.Class
-	if *varianceAware {
-		classify = func(sample int) prepsched.Class {
-			lc := live.Load()
-			if lc == nil || sample >= lc.tr.N() {
-				return prepsched.Light
-			}
-			return lc.cl.Classify(lc.tr.Records[sample].TotalTime())
+	classify := func(sample int) prepsched.Class {
+		lc := live.Load()
+		if lc == nil || sample >= lc.tr.N() {
+			return prepsched.Light
 		}
+		return lc.cl.Classify(lc.tr.Records[sample].TotalTime())
 	}
 
 	trainer, err := trainsim.New(trainsim.Config{
@@ -181,12 +167,10 @@ func main() {
 		JobID:            *jobID,
 		Shuffle:          true,
 		FetchBatchSize:   *fetchBatch,
-		PrefetchWindow:   *prefetch,
 		Lookahead:        *lookahead,
 		LookaheadHorizon: *lookaheadHorizon,
 		StagingBytes:     *stagingBytes,
 		DegradedMode:     *degraded,
-		VarianceAware:    *varianceAware,
 		Classify:         classify,
 	})
 	if err != nil {
@@ -248,15 +232,13 @@ func main() {
 		}
 		logger.Printf("stage-2 trace written to %s", *dumpTrace)
 	}
-	if *varianceAware {
-		cl, err := prepsched.FromTrace(trace, *heavyThreshold)
-		if err != nil {
-			logger.Fatal(err)
-		}
-		live.Store(&liveClassifier{cl: cl, tr: trace})
-		logger.Printf("variance-aware: heavy above %v (%.1f%% of the profile)",
-			cl.Threshold().Round(time.Microsecond), 100*cl.BaselineHeavyFrac())
+	cl, err := prepsched.FromTrace(trace, *heavyThreshold)
+	if err != nil {
+		logger.Fatal(err)
 	}
+	live.Store(&liveClassifier{cl: cl, tr: trace})
+	logger.Printf("prep classes: heavy above %v (%.1f%% of the profile)",
+		cl.Threshold().Round(time.Microsecond), 100*cl.BaselineHeavyFrac())
 
 	env := policy.Env{
 		Bandwidth:       netsim.Mbps(*mbps),
@@ -275,7 +257,7 @@ func main() {
 		}
 		runAdaptive(logger, trainer, &core.Framework{Engine: s}, trace, env, *epochs, *batch,
 			profiler.DriftConfig{RelThreshold: *driftThreshold, Hysteresis: *driftHysteresis},
-			*heavyThreshold, *varianceAware)
+			*heavyThreshold)
 		return
 	}
 
@@ -307,12 +289,12 @@ func main() {
 
 // runAdaptive closes the control loop on the live trainer: each epoch runs
 // under the controller's current snapshot, a serial fetch probe re-measures
-// the link, and drift replans at the next boundary. Under variance-aware
-// mode the observed heavy/light mix is folded in alongside the bandwidth, so
-// a mid-training skew flip replans too ("mix-drift").
+// the link, and drift replans at the next boundary. The observed heavy/light
+// mix is folded in alongside the bandwidth, so a mid-training skew flip
+// replans too ("mix-drift").
 func runAdaptive(logger *log.Logger, trainer *trainsim.Trainer, fw *core.Framework,
 	trace *dataset.Trace, env policy.Env, epochs, batch int, drift profiler.DriftConfig,
-	heavyRatio float64, mix bool) {
+	heavyRatio float64) {
 	ctrl, err := core.NewController(core.ControllerConfig{
 		Framework: fw, Trace: trace, Env: env, Drift: drift, HeavyRatio: heavyRatio,
 	})
@@ -336,11 +318,9 @@ func runAdaptive(logger *log.Logger, trainer *trainsim.Trainer, fw *core.Framewo
 		if err != nil {
 			logger.Fatal(err)
 		}
-		sample := profiler.EpochSample{Epoch: uint64(e), Bandwidth: bw}
-		if mix {
-			sample.MixHeavy, sample.MixTotal = rep.Heavy, rep.Samples
-		}
-		next, drifts, err := ctrl.ObserveEpoch(sample)
+		next, drifts, err := ctrl.ObserveEpoch(profiler.EpochSample{
+			Epoch: uint64(e), Bandwidth: bw, MixHeavy: rep.Heavy, MixTotal: rep.Samples,
+		})
 		if err != nil {
 			logger.Fatal(err)
 		}

@@ -9,59 +9,66 @@ import (
 	"repro/internal/storage"
 )
 
-// FetchingCache wraps a storage client with a local raw-object cache. Only
+// FetchingCache wraps a storage client — a bare session or any stack of
+// retry / fan-out layers over one — with a local raw-object cache. Only
 // split-0 fetches are cacheable: partially preprocessed artifacts embed
 // per-epoch random augmentations and must be recomputed, which is the
 // paper's argument for keeping preprocessing online rather than storing
 // preprocessed datasets.
 type FetchingCache struct {
-	client *storage.Client
+	client Fetcher
 	cache  Cache
 }
 
 // NewFetchingCache wraps client with cache.
-func NewFetchingCache(client *storage.Client, c Cache) *FetchingCache {
+func NewFetchingCache(client Fetcher, c Cache) *FetchingCache {
 	return &FetchingCache{client: client, cache: c}
+}
+
+// hit serves a raw directive from the cache at zero wire bytes. A
+// reduced-fidelity directive is served from the cached full object by
+// truncating its progressive container locally — bit-identical to the
+// prefix the server would slice.
+func (f *FetchingCache) hit(sample uint32, split int) (storage.FetchResult, bool) {
+	cut, fid := storage.UnpackDirective(split)
+	if cut != 0 {
+		return storage.FetchResult{}, false
+	}
+	raw, ok := f.cache.Get(sample)
+	if !ok {
+		return storage.FetchResult{}, false
+	}
+	if fid > 0 {
+		if prefix, ok := truncateBodyToFidelity(raw, uint8(fid)); ok {
+			raw = prefix
+		}
+	}
+	return storage.FetchResult{Sample: sample, Artifact: pipeline.RawArtifact(raw), Fidelity: fid}, true
+}
+
+// fill inserts a fetched raw object. split == 0 means cut 0 AND full
+// fidelity, so a truncated container never poisons full-fidelity readers.
+// Safe to retain: raw artifact payloads are decoded into plain owned memory,
+// never pool-backed buffers (see pipeline.DecodeArtifact), so the cache
+// cannot alias memory the arena might hand out again.
+func (f *FetchingCache) fill(sample uint32, split int, res storage.FetchResult) {
+	if res.Err == nil && split == 0 && res.Artifact.Kind == pipeline.KindRaw {
+		f.cache.Put(sample, res.Artifact.Raw)
+	}
 }
 
 // Fetch returns the sample's artifact. Raw fetches that hit the cache cost
 // zero wire bytes; raw misses populate the cache. Offloaded fetches bypass
-// the cache entirely. A reduced-fidelity raw directive is served from a
-// cached full object by truncating its progressive container locally —
-// bit-identical to the prefix the server would slice; only full-fidelity
-// fetches populate the cache, so a truncated container never poisons
-// full-fidelity readers.
+// the cache entirely.
 func (f *FetchingCache) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
-	cut, fid := storage.UnpackDirective(split)
-	if cut == 0 {
-		if data, ok := f.cache.Get(sample); ok {
-			raw := data
-			if fid > 0 {
-				if prefix, ok := truncateBodyToFidelity(data, uint8(fid)); ok {
-					raw = prefix
-				}
-			}
-			return storage.FetchResult{
-				Sample:    sample,
-				Artifact:  pipeline.RawArtifact(raw),
-				Split:     0,
-				Fidelity:  fid,
-				WireBytes: 0,
-			}, nil
-		}
+	if res, ok := f.hit(sample, split); ok {
+		return res, nil
 	}
 	res, err := f.client.Fetch(ctx, sample, split, epoch)
 	if err != nil {
 		return storage.FetchResult{}, err
 	}
-	if split == 0 && res.Artifact.Kind == pipeline.KindRaw {
-		// Safe to retain: raw artifact payloads are decoded into plain owned
-		// memory, never pool-backed buffers (see pipeline.DecodeArtifact), so
-		// the cache cannot alias memory the arena might hand out again.
-		// (split == 0 means cut 0 AND full fidelity: truncated containers
-		// are never inserted.)
-		f.cache.Put(sample, res.Artifact.Raw)
-	}
+	f.fill(sample, split, res)
 	return res, nil
 }
 
@@ -78,17 +85,9 @@ func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits
 	var missSplits []int
 	var missIdx []int
 	for i := range samples {
-		if cut, fid := storage.UnpackDirective(splits[i]); cut == 0 {
-			if data, ok := f.cache.Get(samples[i]); ok {
-				raw := data
-				if fid > 0 {
-					if prefix, ok := truncateBodyToFidelity(data, uint8(fid)); ok {
-						raw = prefix
-					}
-				}
-				out[i] = storage.FetchResult{Sample: samples[i], Artifact: pipeline.RawArtifact(raw), Fidelity: fid}
-				continue
-			}
+		if res, ok := f.hit(samples[i], splits[i]); ok {
+			out[i] = res
+			continue
 		}
 		missSamples = append(missSamples, samples[i])
 		missSplits = append(missSplits, splits[i])
@@ -100,12 +99,8 @@ func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits
 			return nil, err
 		}
 		for k, res := range fetched {
-			i := missIdx[k]
-			out[i] = res
-			if res.Err == nil && missSplits[k] == 0 && res.Artifact.Kind == pipeline.KindRaw {
-				// Raw payloads are plain owned memory (never pooled); see Fetch.
-				f.cache.Put(missSamples[k], res.Artifact.Raw)
-			}
+			out[missIdx[k]] = res
+			f.fill(missSamples[k], missSplits[k], res)
 		}
 	}
 	return out, nil
@@ -115,9 +110,14 @@ func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits
 func (f *FetchingCache) NumSamples() int { return f.client.NumSamples() }
 
 // SetPlanVersion implements storage.PlanVersioner by forwarding to the
-// wrapped session — cache hits are local and carry no stamp, but every
-// fetch that does reach the wire carries the current plan version.
-func (f *FetchingCache) SetPlanVersion(v uint32) { f.client.SetPlanVersion(v) }
+// wrapped client when it stamps versions — cache hits are local and carry no
+// stamp, but every fetch that does reach the wire carries the current plan
+// version.
+func (f *FetchingCache) SetPlanVersion(v uint32) {
+	if pv, ok := f.client.(storage.PlanVersioner); ok {
+		pv.SetPlanVersion(v)
+	}
+}
 
 // Stats exposes the underlying cache counters.
 func (f *FetchingCache) Stats() Stats { return f.cache.Stats() }

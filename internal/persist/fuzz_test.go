@@ -2,49 +2,63 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"repro/internal/dataset"
 	"repro/internal/policy"
 )
 
-// FuzzReadPlan: the plan parser must never panic, and accepted plans
-// round-trip.
+// FuzzReadPlan: the one plan reader answers every input with a plan that
+// round-trips or with ErrCorrupt — never a panic, another error, or a plan
+// whose vectors disagree with its N. Seeds: a valid file truncated at every
+// byte, with each header bit flipped, under both retired magics, with a zero
+// and an oversized sample count, and with the fidelity vector one short.
 func FuzzReadPlan(f *testing.F) {
-	plan, err := policy.NewUniformPlan("p", 5, 2)
-	if err != nil {
-		f.Fatal(err)
-	}
+	plan := &policy.Plan{Name: "fz", Splits: []uint8{0, 2, 0}, Fidelity: []uint8{2, 0, 1}}
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, plan); err != nil {
+	if err := WritePlanVersioned(&buf, plan, PlanMeta{Version: 4, EnvFingerprint: 7}); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(buf.Bytes())
-	buf.Reset()
-	if err := WritePlanVersioned(&buf, plan, PlanMeta{Version: 3, EnvFingerprint: 99}); err != nil {
-		f.Fatal(err)
+	valid := buf.Bytes()
+	for cut := 0; cut <= len(valid); cut++ {
+		f.Add(valid[:cut])
 	}
-	f.Add(buf.Bytes())
-	fid := &policy.Plan{Name: "fz", Splits: []uint8{0, 2, 0}, Fidelity: []uint8{2, 0, 1}}
-	var v3 bytes.Buffer
-	if err := WritePlanVersioned(&v3, fid, PlanMeta{Version: 4, EnvFingerprint: 7}); err != nil {
-		f.Fatal(err)
+	header := len(planMagic) + 4 + 8
+	for bit := 0; bit < 8*header; bit++ {
+		flipped := bytes.Clone(valid)
+		flipped[bit/8] ^= 1 << (bit % 8)
+		f.Add(flipped)
 	}
-	f.Add(v3.Bytes())
-	f.Add([]byte{})
+	for _, magic := range []string{"SOPHPLN1", "SOPHPLN2"} {
+		f.Add(append([]byte(magic), valid[len(planMagic):]...))
+	}
+	countAt := header + 2 + len(plan.Name)
+	for _, n := range []uint32{0, maxRecords + 1} {
+		bad := bytes.Clone(valid)
+		binary.LittleEndian.PutUint32(bad[countAt:], n)
+		f.Add(bad)
+	}
+	f.Add(valid[:len(valid)-1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, meta, err := ReadPlanVersioned(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("rejected with an untyped error: %v", err)
+			}
 			return
+		}
+		if p.N() == 0 || len(p.Splits) != p.N() || len(p.Fidelity) != p.N() {
+			t.Fatalf("accepted a plan of N %d with %d splits, %d fidelity entries", p.N(), len(p.Splits), len(p.Fidelity))
 		}
 		var out bytes.Buffer
 		if err := WritePlanVersioned(&out, p, meta); err != nil {
 			t.Fatalf("accepted plan failed to write: %v", err)
 		}
-		again, meta2, err := ReadPlanVersioned(&out)
-		if err != nil || again.N() != p.N() || meta2 != meta {
-			t.Fatalf("round trip failed: %v (%+v vs %+v)", err, meta2, meta)
+		if !bytes.Equal(out.Bytes(), data) {
+			t.Fatal("accepted bytes are not what the writer produces for the plan they decode to")
 		}
 	})
 }

@@ -18,25 +18,22 @@ import (
 	"repro/internal/policy"
 )
 
-// File format constants. Plans have three on-disk generations: v1 is the
-// bare plan, v2 prefixes it with a control-plane header (plan version + the
-// fingerprint of the environment it was computed against), and v3 appends
-// the per-sample fidelity vector of progressive plans after the splits.
-// Readers accept all three; writers emit the oldest format that can carry
-// the plan, so fidelity-free plans keep producing byte-identical v2 files.
+// File format constants. A plan file is the magic, the control-plane header
+// (plan version + the fingerprint of the environment it was computed
+// against), the name, the sample count, the splits and the per-sample
+// fidelity vector. A zero header and an all-zero fidelity vector are
+// ordinary values: an unversioned, full-fidelity plan.
 const (
-	traceMagic  = "SOPHTRC1"
-	planMagic   = "SOPHPLN1"
-	planMagicV2 = "SOPHPLN2"
-	planMagicV3 = "SOPHPLN3"
-	maxName     = 1 << 10
-	maxRecords  = 1 << 26
+	traceMagic = "SOPHTRC1"
+	planMagic  = "SOPHPLN3"
+	maxName    = 1 << 10
+	maxRecords = 1 << 26
 )
 
-// PlanMeta is the v2 plan header. Zero for plans loaded from v1 files.
+// PlanMeta is the plan file's control-plane header.
 type PlanMeta struct {
-	// Version is the control-plane plan version the file captured (0 when
-	// the file predates versioning).
+	// Version is the control-plane plan version the file captured (0 for a
+	// plan written outside the control plane).
 	Version policy.PlanVersion
 	// EnvFingerprint is policy.Env.Fingerprint() of the planning environment.
 	EnvFingerprint uint64
@@ -138,29 +135,13 @@ func ReadTrace(r io.Reader) (*dataset.Trace, error) {
 	return tr, nil
 }
 
-// WritePlan serializes a plan in the legacy v1 format (no control-plane
-// header) — unless the plan carries a fidelity dimension, which v1 cannot
-// express; such plans are promoted to v3 with a zero header rather than
-// silently flattened to full fidelity.
+// WritePlan serializes a plan with a zero control-plane header.
 func WritePlan(w io.Writer, p *policy.Plan) error {
-	if p != nil && p.HasFidelity() {
-		return writePlan(w, p, planMagicV3, PlanMeta{})
-	}
-	return writePlan(w, p, planMagic, PlanMeta{})
+	return WritePlanVersioned(w, p, PlanMeta{})
 }
 
-// WritePlanVersioned serializes a plan with its control-plane header: v2
-// for discrete plans (byte-identical to earlier releases), v3 when the
-// plan carries a fidelity vector.
-func WritePlanVersioned(w io.Writer, p *policy.Plan, meta PlanMeta) error {
-	if p != nil && p.HasFidelity() {
-		return writePlan(w, p, planMagicV3, meta)
-	}
-	return writePlan(w, p, planMagicV2, meta)
-}
-
-// WritePlanSnapshot serializes a control-plane snapshot's plan in the v2
-// format, deriving the header from the snapshot itself.
+// WritePlanSnapshot serializes a control-plane snapshot's plan, deriving the
+// header from the snapshot itself.
 func WritePlanSnapshot(w io.Writer, snap *policy.PlanSnapshot) error {
 	if snap == nil {
 		return errors.New("persist: nil snapshot")
@@ -171,24 +152,30 @@ func WritePlanSnapshot(w io.Writer, snap *policy.PlanSnapshot) error {
 	})
 }
 
-func writePlan(w io.Writer, p *policy.Plan, magic string, meta PlanMeta) error {
+// WritePlanVersioned serializes a plan with its control-plane header.
+func WritePlanVersioned(w io.Writer, p *policy.Plan, meta PlanMeta) error {
 	if p == nil {
 		return errors.New("persist: nil plan")
 	}
 	if len(p.Name) > maxName {
 		return fmt.Errorf("persist: plan name of %d bytes too long", len(p.Name))
 	}
+	fid := p.Fidelity
+	if fid == nil {
+		fid = make([]uint8, p.N())
+	}
+	if len(fid) != p.N() {
+		return fmt.Errorf("persist: fidelity vector covers %d of %d samples", len(fid), p.N())
+	}
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	if _, err := bw.WriteString(planMagic); err != nil {
 		return err
 	}
-	if magic == planMagicV2 || magic == planMagicV3 {
-		if err := binary.Write(bw, binary.LittleEndian, uint32(meta.Version)); err != nil {
-			return err
-		}
-		if err := binary.Write(bw, binary.LittleEndian, meta.EnvFingerprint); err != nil {
-			return err
-		}
+	if err := binary.Write(bw, binary.LittleEndian, uint32(meta.Version)); err != nil {
+		return err
+	}
+	if err := binary.Write(bw, binary.LittleEndian, meta.EnvFingerprint); err != nil {
+		return err
 	}
 	if err := writeString(bw, p.Name); err != nil {
 		return err
@@ -199,27 +186,20 @@ func writePlan(w io.Writer, p *policy.Plan, magic string, meta PlanMeta) error {
 	if _, err := bw.Write(p.Splits); err != nil {
 		return err
 	}
-	if magic == planMagicV3 {
-		fid := p.Fidelity
-		if len(fid) != p.N() {
-			return fmt.Errorf("persist: fidelity vector covers %d of %d samples", len(fid), p.N())
-		}
-		if _, err := bw.Write(fid); err != nil {
-			return err
-		}
+	if _, err := bw.Write(fid); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
 
-// ReadPlan deserializes a plan from either format generation, discarding the
-// v2 header.
+// ReadPlan deserializes a plan, discarding its header.
 func ReadPlan(r io.Reader) (*policy.Plan, error) {
 	p, _, err := ReadPlanVersioned(r)
 	return p, err
 }
 
-// ReadPlanVersioned deserializes a plan from either format generation. Plans
-// from v1 files return a zero PlanMeta.
+// ReadPlanVersioned deserializes a plan and its header. Anything but a
+// well-formed SOPHPLN3 stream is ErrCorrupt.
 func ReadPlanVersioned(r io.Reader) (*policy.Plan, PlanMeta, error) {
 	var meta PlanMeta
 	br := bufio.NewReader(r)
@@ -227,22 +207,17 @@ func ReadPlanVersioned(r io.Reader) (*policy.Plan, PlanMeta, error) {
 	if _, err := io.ReadFull(br, magic); err != nil {
 		return nil, meta, fmt.Errorf("%w: magic: %v", ErrCorrupt, err)
 	}
-	progressive := false
-	switch string(magic) {
-	case planMagic:
-	case planMagicV2, planMagicV3:
-		progressive = string(magic) == planMagicV3
-		var v uint32
-		if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-			return nil, meta, fmt.Errorf("%w: plan version: %v", ErrCorrupt, err)
-		}
-		if err := binary.Read(br, binary.LittleEndian, &meta.EnvFingerprint); err != nil {
-			return nil, meta, fmt.Errorf("%w: env fingerprint: %v", ErrCorrupt, err)
-		}
-		meta.Version = policy.PlanVersion(v)
-	default:
+	if string(magic) != planMagic {
 		return nil, meta, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
 	}
+	var v uint32
+	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
+		return nil, meta, fmt.Errorf("%w: plan version: %v", ErrCorrupt, err)
+	}
+	if err := binary.Read(br, binary.LittleEndian, &meta.EnvFingerprint); err != nil {
+		return nil, meta, fmt.Errorf("%w: env fingerprint: %v", ErrCorrupt, err)
+	}
+	meta.Version = policy.PlanVersion(v)
 	name, err := readString(br)
 	if err != nil {
 		return nil, meta, err
@@ -263,16 +238,13 @@ func ReadPlanVersioned(r io.Reader) (*policy.Plan, PlanMeta, error) {
 			return nil, meta, fmt.Errorf("%w: split %d of sample %d out of range", ErrCorrupt, s, i)
 		}
 	}
-	var fidelity []uint8
-	if progressive {
-		fidelity = make([]uint8, n)
-		if _, err := io.ReadFull(br, fidelity); err != nil {
-			return nil, meta, fmt.Errorf("%w: fidelity: %v", ErrCorrupt, err)
-		}
-		for i, f := range fidelity {
-			if int(f) >= imaging.MaxScans {
-				return nil, meta, fmt.Errorf("%w: fidelity %d of sample %d out of range", ErrCorrupt, f, i)
-			}
+	fidelity := make([]uint8, n)
+	if _, err := io.ReadFull(br, fidelity); err != nil {
+		return nil, meta, fmt.Errorf("%w: fidelity: %v", ErrCorrupt, err)
+	}
+	for i, f := range fidelity {
+		if int(f) >= imaging.MaxScans {
+			return nil, meta, fmt.Errorf("%w: fidelity %d of sample %d out of range", ErrCorrupt, f, i)
 		}
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
@@ -301,7 +273,7 @@ func SavePlan(path string, p *policy.Plan) error {
 	return saveFile(path, func(w io.Writer) error { return WritePlan(w, p) })
 }
 
-// LoadPlan reads a plan from path (either format generation).
+// LoadPlan reads a plan from path.
 func LoadPlan(path string) (*policy.Plan, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -311,13 +283,12 @@ func LoadPlan(path string) (*policy.Plan, error) {
 	return ReadPlan(f)
 }
 
-// SavePlanVersioned writes a plan with its v2 control-plane header to path.
+// SavePlanVersioned writes a plan with its control-plane header to path.
 func SavePlanVersioned(path string, p *policy.Plan, meta PlanMeta) error {
 	return saveFile(path, func(w io.Writer) error { return WritePlanVersioned(w, p, meta) })
 }
 
-// LoadPlanVersioned reads a plan and its header from path (either format
-// generation; v1 files give a zero header).
+// LoadPlanVersioned reads a plan and its header from path.
 func LoadPlanVersioned(path string) (*policy.Plan, PlanMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {

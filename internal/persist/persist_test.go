@@ -112,7 +112,7 @@ func TestReadRejectsCorrupt(t *testing.T) {
 		"trailing":    append(append([]byte(nil), planBytes...), 1),
 		"bad split": func() []byte {
 			b := append([]byte(nil), planBytes...)
-			b[len(b)-1] = 99 // split out of range
+			b[len(b)-1-plan.N()] = 99 // last split, ahead of the fidelity vector
 			return b
 		}(),
 	}

@@ -15,10 +15,9 @@ var goldenFidelityPlan = &policy.Plan{
 	Fidelity: []uint8{1, 0, 3, 0, 2, 0, 0, 1},
 }
 
-// A plan carrying a fidelity vector round-trips through the v3 format with
-// both the versioned and plain readers; a fidelity-free plan must keep
-// producing byte-identical v2 output so pre-progressive files and tools
-// stay interchangeable.
+// A plan carrying a fidelity vector round-trips with both the versioned and
+// plain readers; a fidelity-free plan — nil or all-zero vector — takes the
+// same format and reads back as full fidelity.
 func TestPlanV3RoundTrip(t *testing.T) {
 	meta := PlanMeta{Version: 9, EnvFingerprint: 0xabad1dea}
 	var buf bytes.Buffer
@@ -26,9 +25,6 @@ func TestPlanV3RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if !bytes.HasPrefix(raw, []byte(planMagicV3)) {
-		t.Fatalf("fidelity plan serialized with magic %q", raw[:8])
-	}
 	p, got, err := ReadPlanVersioned(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
@@ -41,45 +37,50 @@ func TestPlanV3RoundTrip(t *testing.T) {
 		t.Fatalf("plan %+v", p)
 	}
 	if p2, err := ReadPlan(bytes.NewReader(raw)); err != nil || !p2.HasFidelity() {
-		t.Fatalf("ReadPlan on v3 bytes: %v", err)
+		t.Fatalf("ReadPlan: %v", err)
 	}
 
-	// Fidelity-free plans — including an all-zero explicit vector — must
-	// stay on the v2 wire format byte for byte.
-	flat := &policy.Plan{Name: "flat", Splits: []uint8{0, 1, 2}, Fidelity: []uint8{0, 0, 0}}
-	buf.Reset()
-	if err := WritePlanVersioned(&buf, flat, meta); err != nil {
-		t.Fatal(err)
+	var files [][]byte
+	for _, fid := range [][]uint8{nil, {0, 0, 0}} {
+		flat := &policy.Plan{Name: "flat", Splits: []uint8{0, 1, 2}, Fidelity: fid}
+		buf.Reset()
+		if err := WritePlanVersioned(&buf, flat, meta); err != nil {
+			t.Fatal(err)
+		}
+		files = append(files, append([]byte(nil), buf.Bytes()...))
+		back, _, err := ReadPlanVersioned(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.HasFidelity() || !bytes.Equal(back.Splits, flat.Splits) {
+			t.Fatalf("fidelity-free plan read back as %+v", back)
+		}
 	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(planMagicV2)) {
-		t.Fatalf("fidelity-free plan serialized with magic %q", buf.Bytes()[:8])
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("nil and all-zero fidelity vectors serialize differently")
 	}
 }
 
-// The legacy v1 writer cannot express fidelity; it promotes to v3 rather
-// than silently flattening the plan.
-func TestWritePlanPromotesFidelity(t *testing.T) {
+// WritePlan is WritePlanVersioned with a zero header: it keeps the fidelity
+// vector rather than flattening the plan.
+func TestWritePlanKeepsFidelity(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePlan(&buf, goldenFidelityPlan); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte(planMagicV3)) {
-		t.Fatalf("WritePlan emitted magic %q for a fidelity plan", buf.Bytes()[:8])
 	}
 	p, meta, err := ReadPlanVersioned(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if meta != (PlanMeta{}) {
-		t.Fatalf("promoted plan carries meta %+v, want zero", meta)
+		t.Fatalf("WritePlan wrote meta %+v, want zero", meta)
 	}
 	if !bytes.Equal(p.Fidelity, goldenFidelityPlan.Fidelity) {
 		t.Fatalf("fidelity %v", p.Fidelity)
 	}
 }
 
-// TestPlanV3Golden pins the v3 generation byte for byte, like the v1/v2
-// goldens.
+// TestPlanV3Golden pins the plan file format byte for byte.
 func TestPlanV3Golden(t *testing.T) {
 	v3, err := os.ReadFile(filepath.Join("testdata", "plan_v3.golden"))
 	if err != nil {

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,8 +14,8 @@ import (
 
 var goldenPlan = &policy.Plan{Name: "golden", Splits: []uint8{0, 3, 1, 2, 0, 4, 2, 0}}
 
-// TestPlanVersionedRoundTrip: the v2 header survives a write/read cycle, and
-// the unversioned reader accepts the same bytes.
+// TestPlanVersionedRoundTrip: the header survives a write/read cycle, and
+// the header-discarding reader accepts the same bytes.
 func TestPlanVersionedRoundTrip(t *testing.T) {
 	meta := PlanMeta{Version: 12, EnvFingerprint: 0xdeadbeef}
 	var buf bytes.Buffer
@@ -33,9 +34,8 @@ func TestPlanVersionedRoundTrip(t *testing.T) {
 	if p.Name != goldenPlan.Name || !bytes.Equal(p.Splits, goldenPlan.Splits) {
 		t.Fatalf("plan %+v", p)
 	}
-	// The plain reader tolerates the versioned format.
 	if p2, err := ReadPlan(bytes.NewReader(raw)); err != nil || p2.N() != goldenPlan.N() {
-		t.Fatalf("ReadPlan on v2 bytes: %v", err)
+		t.Fatalf("ReadPlan: %v", err)
 	}
 }
 
@@ -62,50 +62,33 @@ func TestWritePlanSnapshot(t *testing.T) {
 	}
 }
 
-// TestPlanGoldenFiles pins both on-disk generations byte for byte: old files
-// must stay readable forever, and the current writers must keep producing
-// exactly these bytes.
+// TestPlanGoldenFiles: the two retired generations — nothing outside this
+// repository ever wrote them — are corrupt streams now, and a fidelity-free
+// plan takes the one format: the old v2 layout under the current magic with
+// an all-zero fidelity vector behind the splits.
 func TestPlanGoldenFiles(t *testing.T) {
-	v1, err := os.ReadFile(filepath.Join("testdata", "plan_v1.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, meta, err := ReadPlanVersioned(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta != (PlanMeta{}) {
-		t.Fatalf("v1 golden produced meta %+v, want zero", meta)
-	}
-	if p.Name != "golden" || !bytes.Equal(p.Splits, goldenPlan.Splits) {
-		t.Fatalf("v1 golden plan %+v", p)
-	}
-	var out bytes.Buffer
-	if err := WritePlan(&out, p); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), v1) {
-		t.Fatal("v1 writer no longer reproduces the golden bytes")
+	for _, name := range []string{"plan_v1.golden", "plan_v2.golden"} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ReadPlanVersioned(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
 	}
 
 	v2, err := os.ReadFile(filepath.Join("testdata", "plan_v2.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMeta := PlanMeta{Version: 7, EnvFingerprint: 0xfeedface01020304}
-	p2, meta2, err := ReadPlanVersioned(bytes.NewReader(v2))
-	if err != nil {
+	want := append([]byte(planMagic), v2[len(planMagic):]...)
+	want = append(want, make([]byte, goldenPlan.N())...)
+	var out bytes.Buffer
+	if err := WritePlanVersioned(&out, goldenPlan, PlanMeta{Version: 7, EnvFingerprint: 0xfeedface01020304}); err != nil {
 		t.Fatal(err)
 	}
-	if meta2 != wantMeta {
-		t.Fatalf("v2 golden meta %+v, want %+v", meta2, wantMeta)
-	}
-	out.Reset()
-	if err := WritePlanVersioned(&out, p2, meta2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(out.Bytes(), v2) {
-		t.Fatal("v2 writer no longer reproduces the golden bytes")
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Fatal("fidelity-free plan is not the v2 layout plus a zero fidelity vector")
 	}
 }
 
@@ -129,14 +112,14 @@ func TestPlanVersionedFileHelpers(t *testing.T) {
 	}
 }
 
-// TestReadPlanVersionedCorrupt covers truncated v2 headers.
+// TestReadPlanVersionedCorrupt covers truncated headers.
 func TestReadPlanVersionedCorrupt(t *testing.T) {
 	var buf bytes.Buffer
 	if err := WritePlanVersioned(&buf, goldenPlan, PlanMeta{Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	for _, cut := range []int{len(planMagicV2) + 2, len(planMagicV2) + 9} {
+	for _, cut := range []int{len(planMagic) + 2, len(planMagic) + 9} {
 		if _, _, err := ReadPlanVersioned(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("accepted header truncated at %d", cut)
 		}

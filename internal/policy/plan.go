@@ -20,10 +20,9 @@ import (
 // Fidelity is the progressive second dimension: for split-0 samples stored
 // as progressive containers, Fidelity[i] refinement scans are withheld in
 // transfer (the server slices the stored container; see imaging.SJPR). A
-// nil or all-zero Fidelity means full fidelity everywhere — the discrete
-// plans of earlier versions are exactly that case, so SOPHPLN1/2 plans
-// load unchanged. Fidelity is advisory for split > 0: deeper cuts ship
-// decoded artifacts with no scan structure.
+// nil or all-zero Fidelity means full fidelity everywhere — a discrete
+// plan is exactly that case. Fidelity is advisory for split > 0: deeper
+// cuts ship decoded artifacts with no scan structure.
 type Plan struct {
 	Name     string
 	Splits   []uint8

@@ -116,10 +116,13 @@ func (p *Pool[T]) Close() {
 }
 
 // Stop aborts the pool: every blocked Dispatch and Take wakes and returns
-// false immediately, abandoning queued samples. For error-path teardown.
+// false immediately, and queued samples are dropped, so a stopped pool holds
+// no references and Pending reads 0. For error-path teardown.
 func (p *Pool[T]) Stop() {
 	p.mu.Lock()
 	p.stopped = true
+	p.deques = make([]Deque[T], len(p.deques))
+	p.pending = 0
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }

@@ -129,6 +129,9 @@ func TestPoolStopUnblocksEveryone(t *testing.T) {
 	if _, _, ok := p.Take(0); ok {
 		t.Fatal("take returned a sample after stop")
 	}
+	if n := p.Pending(); n != 0 {
+		t.Fatalf("stopped pool still holds %d samples", n)
+	}
 }
 
 // TestPoolDrainsAfterClose closes with samples still queued and checks Take

@@ -69,29 +69,24 @@ type Config struct {
 	Samples int   // dataset size (0 → 48)
 	Shards  int   // storage shards (0 → 2)
 	Epochs  int   // trainer epochs (0 → 3)
-	// Lookahead selects the trainer's clairvoyant prefetch scheduler with
-	// this per-shard depth; 0 keeps the legacy reactive window. Soaking with
-	// a deep lookahead proves the recovery invariants hold while many
-	// speculative fetches are in flight against a faulty fabric.
+	// Lookahead is the trainer's per-shard fetch depth (0 → the trainer's
+	// default, 2×Workers). Soaking with a deep lookahead proves the recovery
+	// invariants hold while many speculative fetches are in flight against a
+	// faulty fabric.
 	Lookahead int
-	// MixFlip runs the epochs under the variance-aware work-stealing
-	// scheduler with a seeded heavy/light classification whose heavy set
-	// flips mid-epoch from sparse (~8% of samples) to dominant (~60%), while
-	// an adaptive controller watches the observed per-epoch mix. The soak
-	// then proves the scheduler invariants end to end: artifacts stay
-	// bit-identical to the fault-free reference, failure accounting stays
-	// exact, and the sustained skew flip triggers at least one "mix-drift"
-	// replan. Implies a lookahead (0 → 4) — variance-aware mode rides the
-	// clairvoyant stream.
+	// MixFlip runs the epochs with a seeded heavy/light classification on
+	// the trainer's work-stealing prep pool, whose heavy set flips mid-epoch
+	// from sparse (~8% of samples) to dominant (~60%), while an adaptive
+	// controller watches the observed per-epoch mix. The soak then proves
+	// the scheduler invariants end to end: artifacts stay bit-identical to
+	// the fault-free reference, failure accounting stays exact, and the
+	// sustained skew flip triggers at least one "mix-drift" replan.
 	MixFlip bool
 }
 
 func (c Config) withDefaults() Config {
 	if c.Class == "" {
 		c.Class = ClassMixed
-	}
-	if c.MixFlip && c.Lookahead <= 0 {
-		c.Lookahead = 4
 	}
 	if c.Samples <= 0 {
 		c.Samples = 48
@@ -263,7 +258,7 @@ func identitySweep(rep *Report, cfg Config, n int, pipe *pipeline.Pipeline, faul
 // the partition class, shard 0 is severed for the middle epoch and healed
 // after, so the expected failure count is exactly its owned-sample count.
 // MixFlip soaks swap the static uniform plan for an adaptive controller and
-// run the variance-aware scheduler through a mid-training skew flip.
+// run the prep pool through a mid-training skew flip.
 func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 	tcfg := trainsim.Config{
 		DialClient: func() (trainsim.StorageClient, error) {
@@ -287,7 +282,6 @@ func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 		// though worker completion order is not.
 		var dispatched atomic.Int64
 		flipAt := int64(cfg.Samples + cfg.Samples/2)
-		tcfg.VarianceAware = true
 		tcfg.PrepMetrics = &prepsched.Metrics{}
 		tcfg.Classify = func(sample int) prepsched.Class {
 			salt, pct := uint64(0xA11CE), uint64(8)
@@ -335,7 +329,7 @@ func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 	return nil
 }
 
-// mixFlipEpochs drives the variance-aware epochs under an adaptive
+// mixFlipEpochs drives the classified epochs under an adaptive
 // controller: each epoch runs under the controller's current snapshot, the
 // observed heavy/light mix is folded back at the boundary, and replans land
 // on the live trainer through ApplySnapshot. The controller plans over a

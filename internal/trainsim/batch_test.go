@@ -10,19 +10,11 @@ import (
 func TestBatchedFetchEpochMatchesPerSample(t *testing.T) {
 	h := newHarness(t, 24, 2)
 
-	perSample, err := New(h.config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer perSample.Close()
+	perSample := newTrainer(t, h.config())
 
 	batchedCfg := h.config()
 	batchedCfg.FetchBatchSize = 8
-	batched, err := New(batchedCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer batched.Close()
+	batched := newTrainer(t, batchedCfg)
 
 	plan, err := policy.NewUniformPlan("resize", 24, 2)
 	if err != nil {
@@ -49,11 +41,7 @@ func TestBatchedProfilingEpoch(t *testing.T) {
 	h := newHarness(t, 12, 1)
 	cfg := h.config()
 	cfg.FetchBatchSize = 5 // does not divide 12: exercises the tail chunk
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 	collector, err := profiler.NewCollector(12)
 	if err != nil {
 		t.Fatal(err)
@@ -76,11 +64,7 @@ func TestBatchSizeValidation(t *testing.T) {
 	}
 	// Oversized values are clamped, not rejected.
 	cfg.FetchBatchSize = 10000
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 	if _, err := tr.RunEpoch(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}

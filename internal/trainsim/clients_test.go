@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/netsim"
+	"repro/internal/policy"
 	"repro/internal/storage"
 )
 
@@ -34,11 +35,7 @@ func TestTrainerWithReconnectingClientSurvivesFlakyLinks(t *testing.T) {
 		}
 		return storage.NewReconnecting(dial, 8, time.Millisecond, nil)
 	}
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 	rep, err := tr.RunEpoch(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -48,31 +45,33 @@ func TestTrainerWithReconnectingClientSurvivesFlakyLinks(t *testing.T) {
 	}
 }
 
-// TestTrainerWithCachingClient runs two epochs with a local cache: the
-// second epoch's raw fetches all hit locally, cutting traffic to ~zero.
+// TestTrainerWithCachingClient runs a local cache over a retry-wrapped
+// session on a progressive store: the second epoch's raw fetches all hit
+// locally, and so does a third epoch under a reduced-fidelity plan — the
+// cache truncates its full containers itself, so no directive reaches the
+// wire and the server slices nothing.
 func TestTrainerWithCachingClient(t *testing.T) {
-	h := newHarness(t, 12, 0)
+	const n = 12
+	h := progressiveHarness(t, n, 0)
 	inner, err := cache.NewNoEvict(64 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := h.config()
 	cfg.DialClient = func() (StorageClient, error) {
-		conn, err := h.listener.Dial()
+		rc, err := storage.NewReconnecting(func() (*storage.Client, error) {
+			conn, err := h.listener.Dial()
+			if err != nil {
+				return nil, err
+			}
+			return storage.NewClient(conn, 7)
+		}, 3, time.Millisecond, nil)
 		if err != nil {
 			return nil, err
 		}
-		c, err := storage.NewClient(conn, 7)
-		if err != nil {
-			return nil, err
-		}
-		return cache.NewFetchingCache(c, inner), nil
+		return cache.NewFetchingCache(rc, inner), nil
 	}
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 
 	first, err := tr.RunEpoch(1, nil, nil)
 	if err != nil {
@@ -90,6 +89,26 @@ func TestTrainerWithCachingClient(t *testing.T) {
 	}
 	if inner.Stats().HitRate() <= 0 {
 		t.Fatal("cache recorded no hits")
+	}
+
+	reduced, err := policy.NewUniformPlan("prog", n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reduced.Fidelity = make([]uint8, n)
+	for i := range reduced.Fidelity {
+		reduced.Fidelity[i] = 2
+	}
+	third, err := tr.RunEpoch(3, reduced, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Samples != n || third.BytesFetched != 0 {
+		t.Fatalf("reduced-fidelity epoch over a warm cache: %d samples, %d wire bytes, want %d and 0",
+			third.Samples, third.BytesFetched, n)
+	}
+	if got := h.server.Counters().PrefixServed.Load(); got != 0 {
+		t.Fatalf("server sliced %d prefixes the cache should have served", got)
 	}
 }
 
@@ -114,11 +133,7 @@ func TestTrainerCachingWithBatchedFetches(t *testing.T) {
 		}
 		return cache.NewFetchingCache(c, inner), nil
 	}
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 	if _, err := tr.RunEpoch(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/storage"
 )
 
@@ -77,10 +78,7 @@ func TestDegradedModeSkipsFailedSamples(t *testing.T) {
 		}
 		cfg.DegradedMode = true
 		cfg.FetchBatchSize = batched
-		tr, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := newTrainer(t, cfg)
 		rep, err := tr.RunEpoch(1, nil, nil)
 		tr.Close()
 		if err != nil {
@@ -109,21 +107,23 @@ func TestDegradedModeAllFailedErrors(t *testing.T) {
 		return &failingClient{StorageClient: c, fails: func(uint32) bool { return true }}, nil
 	}
 	cfg.DegradedMode = true
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 	if _, err := tr.RunEpoch(1, nil, nil); err == nil {
 		t.Fatal("epoch with every sample failed reported success")
 	}
 }
 
 // TestStrictModeAbortsOnFailure: without DegradedMode the first failed
-// sample aborts the epoch — the seed behaviour, unchanged.
+// sample aborts the epoch mid-stream, with fetched entries still staged; the
+// teardown must hand their bytes back to a ledger other trainers share.
 func TestStrictModeAbortsOnFailure(t *testing.T) {
-	h := newHarness(t, 16, 0)
+	h := newHarness(t, 48, 0)
+	ledger, err := cache.NewStaging(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg := h.config()
+	cfg.StagingLedger = ledger
 	inner := cfg.DialClient
 	cfg.DialClient = func() (StorageClient, error) {
 		c, err := inner()
@@ -132,12 +132,11 @@ func TestStrictModeAbortsOnFailure(t *testing.T) {
 		}
 		return &failingClient{StorageClient: c, fails: func(s uint32) bool { return s == 7 }}, nil
 	}
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 	if _, err := tr.RunEpoch(1, nil, nil); err == nil {
 		t.Fatal("strict epoch completed despite a failed sample")
+	}
+	if ledger.Snapshot().Reserves == 0 {
+		t.Fatal("nothing was ever staged; the abort tore down an idle loader")
 	}
 }

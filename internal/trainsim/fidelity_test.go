@@ -48,7 +48,7 @@ func progressiveHarness(t testing.TB, n, serverCores int) *harness {
 func TestRunEpochFidelityPlanReducesTraffic(t *testing.T) {
 	const n = 16
 	h := progressiveHarness(t, n, 0)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 
 	baseline, err := tr.RunEpoch(1, nil, nil)
 	if err != nil {
@@ -91,11 +91,7 @@ func TestRunEpochFidelityBatched(t *testing.T) {
 	h := progressiveHarness(t, n, 0)
 	cfg := h.config()
 	cfg.FetchBatchSize = 4
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tr.Close)
+	tr := newTrainer(t, cfg)
 
 	plan, err := policy.NewUniformPlan("prog", n, 0)
 	if err != nil {

@@ -50,11 +50,7 @@ func TestFleetTenantsShareArtifacts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	first, err := New(tenantConfig("tenant-a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer first.Close()
+	first := newTrainer(t, tenantConfig("tenant-a"))
 	repA, err := first.RunEpoch(1, plan, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -63,11 +59,7 @@ func TestFleetTenantsShareArtifacts(t *testing.T) {
 		t.Fatalf("tenant a trained %d of %d samples", repA.Samples, h.n)
 	}
 
-	second, err := New(tenantConfig("tenant-b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer second.Close()
+	second := newTrainer(t, tenantConfig("tenant-b"))
 	repB, err := second.RunEpoch(1, plan, nil)
 	if err != nil {
 		t.Fatal(err)

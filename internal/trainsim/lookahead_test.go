@@ -1,7 +1,6 @@
 package trainsim
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -13,96 +12,146 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/prefetch"
+	"repro/internal/prepsched"
 	"repro/internal/storage"
 )
 
+// TestLookaheadConfigValidation: the loader has one path, so every loader
+// field is legal on its own. The zero Config resolves to depth 2×Workers and
+// the default staging budget; each field set alone constructs and trains a
+// full epoch; only negative depths are rejected.
 func TestLookaheadConfigValidation(t *testing.T) {
-	h := newHarness(t, 4, 1)
+	const n = 12
+	h := newHarness(t, n, 1)
+	cfg := h.config()
+	tr := newTrainer(t, cfg)
+	if tr.cfg.Lookahead != 2*cfg.Workers {
+		t.Fatalf("default depth %d, want 2×Workers = %d", tr.cfg.Lookahead, 2*cfg.Workers)
+	}
+	if tr.cfg.StagingBytes != DefaultStagingBytes {
+		t.Fatalf("staging default %d, want %d", tr.cfg.StagingBytes, DefaultStagingBytes)
+	}
+
 	ledger, err := cache.NewStaging(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cases := []struct {
+	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
 	}{
-		{"window+lookahead", func(c *Config) { c.PrefetchWindow = 8; c.Lookahead = 4 }},
-		{"horizon without lookahead", func(c *Config) { c.LookaheadHorizon = 64 }},
-		{"staging without lookahead", func(c *Config) { c.StagingBytes = 1 << 20 }},
-		{"ledger without lookahead", func(c *Config) { c.StagingLedger = ledger }},
-	}
-	for _, tc := range cases {
+		{"depth alone", func(c *Config) { c.Lookahead = 4 }},
+		{"horizon alone", func(c *Config) { c.LookaheadHorizon = 2 }},
+		{"staging alone", func(c *Config) { c.StagingBytes = 1 << 10 }},
+		{"unbounded staging", func(c *Config) { c.StagingBytes = -1 }},
+		{"ledger alone", func(c *Config) { c.StagingLedger = ledger }},
+	} {
 		cfg := h.config()
 		tc.mut(&cfg)
-		if _, err := New(cfg); !errors.Is(err, ErrPrefetchConfig) {
-			t.Errorf("%s: err = %v, want ErrPrefetchConfig", tc.name, err)
+		r, err := newTrainer(t, cfg).RunEpoch(1, nil, nil)
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+		} else if r.Samples != n {
+			t.Errorf("%s: trained %d of %d samples", tc.name, r.Samples, n)
 		}
 	}
+	if ledger.Snapshot().Reserves == 0 {
+		t.Error("a ledger set without an explicit depth was never charged")
+	}
 
-	// Legacy semantics preserved: window 0 still means 2×Workers reactive.
-	cfg := h.config()
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	if tr.cfg.PrefetchWindow != 2*cfg.Workers {
-		t.Fatalf("reactive default window %d, want %d", tr.cfg.PrefetchWindow, 2*cfg.Workers)
-	}
-	// And lookahead mode leaves the window alone (no silent 2×Workers).
-	cfg2 := h.config()
-	cfg2.Lookahead = 4
-	tr2, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr2.Close()
-	if tr2.cfg.PrefetchWindow != 0 {
-		t.Fatalf("lookahead mode defaulted the reactive window to %d", tr2.cfg.PrefetchWindow)
-	}
-	if tr2.cfg.StagingBytes != DefaultStagingBytes {
-		t.Fatalf("staging default %d, want %d", tr2.cfg.StagingBytes, DefaultStagingBytes)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"negative depth", func(c *Config) { c.Lookahead = -1 }},
+		{"negative horizon", func(c *Config) { c.LookaheadHorizon = -1 }},
+	} {
+		cfg := h.config()
+		tc.mut(&cfg)
+		if _, err := New(cfg); err == nil {
+			t.Errorf("%s accepted", tc.name)
+		}
 	}
 }
 
-// TestLookaheadEpochSingleServer: lookahead over a plain (non-sharded)
-// client falls back to single-link scheduling and still trains the full
-// epoch, byte-for-byte equal to the reactive run.
+// loaderGrid runs one epoch per cell of {default depth, depth 1, deep depth}
+// × {nil Classify, all heavy, mixed} — what used to be the reactive,
+// lookahead and variance-aware modes — and holds every cell to the default
+// cell's outcome: same Samples, Offloaded and Failed, Heavy exactly the
+// classifier's share, wire bytes equal up to batch-frame headers (a shallow
+// depth can cut a round trip short at the horizon), and a prep pool that
+// took every sample it was handed exactly once. That the artifacts behind
+// those counts are bit-identical to a fault-free reference is the chaos
+// soak's check (internal/soak identitySweep).
+func loaderGrid(t *testing.T, base Config, plan *policy.Plan, n int) {
+	t.Helper()
+	mixed := func(sample int) prepsched.Class {
+		if sample%5 == 0 {
+			return prepsched.Heavy
+		}
+		return prepsched.Light
+	}
+	classes := []struct {
+		name     string
+		classify func(int) prepsched.Class
+	}{
+		{"nil", nil},
+		{"heavy", func(int) prepsched.Class { return prepsched.Heavy }},
+		{"mixed", mixed},
+	}
+	var ref EpochReport
+	for _, depth := range []int{0, 1, 16} {
+		for _, cl := range classes {
+			cfg := base
+			cfg.Lookahead, cfg.Classify = depth, cl.classify
+			tr := newTrainer(t, cfg)
+			r, err := tr.RunEpoch(1, plan, nil)
+			if err != nil {
+				t.Fatalf("depth %d classify %s: %v", depth, cl.name, err)
+			}
+			if depth == 0 && cl.classify == nil {
+				ref = r
+				if r.Samples != n || r.Failed != 0 {
+					t.Fatalf("reference epoch trained %d of %d samples, %d failed", r.Samples, n, r.Failed)
+				}
+			}
+			wantHeavy := 0
+			for i := 0; i < n && cl.classify != nil; i++ {
+				if cl.classify(i) == prepsched.Heavy {
+					wantHeavy++
+				}
+			}
+			if r.Samples != ref.Samples || r.Offloaded != ref.Offloaded || r.Failed != ref.Failed || r.Heavy != wantHeavy {
+				t.Errorf("depth %d classify %s: samples %d offloaded %d failed %d heavy %d, want %d %d %d %d",
+					depth, cl.name, r.Samples, r.Offloaded, r.Failed, r.Heavy, ref.Samples, ref.Offloaded, ref.Failed, wantHeavy)
+			}
+			if d := r.BytesFetched - ref.BytesFetched; d > int64(n)*64 || d < -int64(n)*64 {
+				t.Errorf("depth %d classify %s: fetched %d bytes, reference %d — more than frame headers apart",
+					depth, cl.name, r.BytesFetched, ref.BytesFetched)
+			}
+			ps := tr.PrepMetrics().Snapshot()
+			if ps.Light+ps.Heavy != int64(n) || ps.Heavy != int64(wantHeavy) || ps.OwnPops+ps.Steals != int64(n) {
+				t.Errorf("depth %d classify %s: prep pool %+v, want %d dispatched (%d heavy) and %d taken",
+					depth, cl.name, ps, n, wantHeavy, n)
+			}
+			pf := tr.PrefetchMetrics().Snapshot()
+			if pf.Completed != int64(n) || pf.Offloaded != int64(ref.Offloaded) {
+				t.Errorf("depth %d classify %s: prefetch counters %+v for %d samples (%d offloaded)",
+					depth, cl.name, pf, n, ref.Offloaded)
+			}
+		}
+	}
+}
+
+// TestLookaheadEpochSingleServer: over a plain (non-sharded) client the
+// scheduler falls back to one link; every depth and classifier trains the
+// same raw epoch.
 func TestLookaheadEpochSingleServer(t *testing.T) {
-	h := newHarness(t, 32, 4)
-
-	rcfg := h.config()
-	rcfg.FetchBatchSize = 4
-	reactive, err := New(rcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reactive.Close()
-	r1, err := reactive.RunEpoch(1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	const n = 32
+	h := newHarness(t, n, 4)
 	cfg := h.config()
-	cfg.Lookahead = 3
 	cfg.FetchBatchSize = 4
-	la, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer la.Close()
-	r2, err := la.RunEpoch(1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Samples != r1.Samples || r2.BytesFetched != r1.BytesFetched {
-		t.Fatalf("lookahead epoch (samples %d, bytes %d) != reactive (samples %d, bytes %d)",
-			r2.Samples, r2.BytesFetched, r1.Samples, r1.BytesFetched)
-	}
-	snap := la.PrefetchMetrics().Snapshot()
-	if snap.Completed != int64(r2.Samples) || snap.Raw != int64(r2.Samples) {
-		t.Fatalf("prefetch counters %+v for %d raw samples", snap, r2.Samples)
-	}
+	loaderGrid(t, cfg, nil, n)
 }
 
 func lookaheadCluster(t testing.TB, n, shards int, plan *chaos.Plan) (*cluster.Cluster, Config) {
@@ -146,10 +195,9 @@ func lookaheadCluster(t testing.TB, n, shards int, plan *chaos.Plan) (*cluster.C
 	return c, cfg
 }
 
-// TestLookaheadShardedMatchesReactive drives both fetch modes over the same
-// 3-shard tier with an offloading plan: per-shard issue queues must deliver
-// exactly the reactive pipeline's training outcome (same samples, offload
-// count, and wire bytes — artifact sizes are deterministic).
+// TestLookaheadShardedMatchesReactive: per-shard issue queues over a 3-shard
+// tier with an offloading plan deliver the same training outcome at every
+// depth and classifier.
 func TestLookaheadShardedMatchesReactive(t *testing.T) {
 	const n = 48
 	_, cfg := lookaheadCluster(t, n, 3, nil)
@@ -157,48 +205,7 @@ func TestLookaheadShardedMatchesReactive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	reactive, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reactive.Close()
-	r1, err := reactive.RunEpoch(1, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfgLA := cfg
-	cfgLA.Lookahead = 4
-	la, err := New(cfgLA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer la.Close()
-	r2, err := la.RunEpoch(1, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Samples != n || r2.Samples != n {
-		t.Fatalf("samples %d/%d, want %d", r1.Samples, r2.Samples, n)
-	}
-	if r2.Offloaded != r1.Offloaded {
-		t.Fatalf("lookahead offloaded %d != reactive %d", r2.Offloaded, r1.Offloaded)
-	}
-	// Same artifacts, but per-shard sub-batches amortize response-frame
-	// overhead over full batches where the reactive fan-out splits each
-	// global chunk into shard fragments — lookahead must never ship MORE
-	// bytes, and the payload difference stays within the per-trip overhead.
-	if r2.BytesFetched > r1.BytesFetched {
-		t.Fatalf("lookahead shipped %d bytes > reactive %d", r2.BytesFetched, r1.BytesFetched)
-	}
-	if r1.BytesFetched-r2.BytesFetched > int64(n)*64 {
-		t.Fatalf("byte gap %d too large for overhead alone", r1.BytesFetched-r2.BytesFetched)
-	}
-	snap := la.PrefetchMetrics().Snapshot()
-	if snap.Offloaded != int64(n) {
-		t.Fatalf("prefetch tier accounting %+v, want %d offloaded", snap, n)
-	}
+	loaderGrid(t, cfg, plan, n)
 }
 
 // TestLookaheadDegradedPartition: with one shard partitioned for the whole
@@ -209,15 +216,16 @@ func TestLookaheadDegradedPartition(t *testing.T) {
 	c, cfg := lookaheadCluster(t, n, 3, &chaos.Plan{Seed: 2})
 	cfg.Lookahead = 6
 	cfg.LookaheadHorizon = n // deep: the whole epoch is eligible
+	ledger, err := cache.NewStaging(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.StagingLedger = ledger
 	owned := len(c.ShardMap().Owned(n, 1))
 	if owned == 0 {
 		t.Fatal("shard 1 owns nothing; test is vacuous")
 	}
-	tr, err := New(cfg) // dial while healthy, then sever
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg) // dial while healthy, then sever
 	if err := c.PartitionShard(1, true); err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +257,7 @@ func TestLookaheadReplanRotatesCuts(t *testing.T) {
 	const n = 24
 	_, cfg := lookaheadCluster(t, n, 2, nil)
 	cfg.Lookahead = 3
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 
 	noOff, err := policy.NewUniformPlan("v1", n, 0)
 	if err != nil {

@@ -11,11 +11,7 @@ func TestTrainerFillsMetricsRegistry(t *testing.T) {
 	reg := metrics.NewRegistry()
 	cfg := h.config()
 	cfg.Metrics = reg
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 
 	if _, err := tr.RunEpoch(1, nil, nil); err != nil {
 		t.Fatal(err)
@@ -44,11 +40,7 @@ func TestTrainerMetricsWithBatchedFetch(t *testing.T) {
 	cfg := h.config()
 	cfg.Metrics = reg
 	cfg.FetchBatchSize = 4
-	tr, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg)
 	if _, err := tr.RunEpoch(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -25,10 +25,7 @@ func TestTwoJobsShareOneServer(t *testing.T) {
 			}
 			return storage.NewClient(conn, jobID)
 		}
-		tr, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := newTrainer(t, cfg)
 		t.Cleanup(tr.Close)
 		return tr
 	}

@@ -1,7 +1,6 @@
 package trainsim
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -10,132 +9,56 @@ import (
 	"repro/internal/prepsched"
 )
 
-// TestPrepschedConfigValidation extends the typed-config table to the
-// variance-aware knobs: every invalid pairing gets ErrPrepschedConfig, never
-// a silent fallback.
+// TestPrepschedConfigValidation: the prep-pool fields are independent. A
+// Classify function alone is enough to classify, a PrepMetrics alone
+// receives the pool's counters, and the inert VarianceAware flag changes
+// nothing without a Classify.
 func TestPrepschedConfigValidation(t *testing.T) {
-	h := newHarness(t, 4, 1)
-	classify := func(int) prepsched.Class { return prepsched.Light }
-	cases := []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"variance-aware without lookahead", func(c *Config) {
-			c.VarianceAware = true
-			c.Classify = classify
-		}},
-		{"variance-aware without classify", func(c *Config) {
-			c.Lookahead = 4
-			c.VarianceAware = true
-		}},
-		{"classify without variance-aware", func(c *Config) {
-			c.Lookahead = 4
-			c.Classify = classify
-		}},
-		{"prep metrics without variance-aware", func(c *Config) {
-			c.Lookahead = 4
-			c.PrepMetrics = &prepsched.Metrics{}
-		}},
-		{"classify alone reactive", func(c *Config) {
-			c.Classify = classify
-		}},
-	}
-	for _, tc := range cases {
-		cfg := h.config()
-		tc.mut(&cfg)
-		if _, err := New(cfg); !errors.Is(err, ErrPrepschedConfig) {
-			t.Errorf("%s: err = %v, want ErrPrepschedConfig", tc.name, err)
-		}
+	const n = 8
+	h := newHarness(t, n, 1)
+
+	cfg := h.config()
+	cfg.Classify = func(int) prepsched.Class { return prepsched.Heavy }
+	if r, err := newTrainer(t, cfg).RunEpoch(1, nil, nil); err != nil || r.Heavy != n {
+		t.Fatalf("Classify alone: heavy %d of %d, err %v", r.Heavy, n, err)
 	}
 
-	// The valid combination constructs, and a private Metrics is wired when
-	// none is supplied.
-	cfg := h.config()
-	cfg.Lookahead = 4
-	cfg.VarianceAware = true
-	cfg.Classify = classify
-	tr, err := New(cfg)
-	if err != nil {
+	cfg = h.config()
+	cfg.PrepMetrics = &prepsched.Metrics{}
+	tr := newTrainer(t, cfg)
+	if tr.PrepMetrics() != cfg.PrepMetrics {
+		t.Fatal("supplied PrepMetrics not wired")
+	}
+	if _, err := tr.RunEpoch(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer tr.Close()
+	if s := cfg.PrepMetrics.Snapshot(); s.Light != n || s.Heavy != 0 {
+		t.Fatalf("PrepMetrics alone: %+v, want %d light", s, n)
+	}
+
+	cfg = h.config()
+	cfg.VarianceAware = true
+	tr = newTrainer(t, cfg)
 	if tr.PrepMetrics() == nil {
 		t.Fatal("no private prepsched metrics wired")
 	}
+	if r, err := tr.RunEpoch(1, nil, nil); err != nil || r.Heavy != 0 || r.Samples != n {
+		t.Fatalf("VarianceAware without Classify: %+v, err %v", r, err)
+	}
 }
 
-// TestVarianceAwareMatchesFIFO is the bit-identity acceptance check: the
-// same seeded sharded epoch run under plain lookahead (FIFO handoff) and
-// under the variance-aware work-stealing pool must produce identical
-// training outcomes — same samples, offload count, and wire bytes (artifact
-// sizes are deterministic, so equal bytes means equal artifacts). Only
-// completion timing may differ.
+// TestVarianceAwareMatchesFIFO: classification moves only completion timing.
+// Per-sample fetches under a plan that alternates raw and offloaded samples,
+// so heavy and light entries of both kinds share every worker's deque.
 func TestVarianceAwareMatchesFIFO(t *testing.T) {
 	const n = 48
 	_, cfg := lookaheadCluster(t, n, 3, nil)
-	cfg.Lookahead = 4
-	plan, err := policy.NewUniformPlan("half", n, 2)
-	if err != nil {
-		t.Fatal(err)
+	cfg.FetchBatchSize = 0
+	plan := &policy.Plan{Name: "alternate", Splits: make([]uint8, n)}
+	for i := 1; i < n; i += 2 {
+		plan.Splits[i] = 2
 	}
-
-	fifo, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fifo.Close()
-	r1, err := fifo.RunEpoch(1, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Classify by sample index parity: a deterministic, input-independent
-	// stand-in for the profiled-cost classifier that still exercises both
-	// lanes on every worker.
-	cfgVA := cfg
-	cfgVA.VarianceAware = true
-	cfgVA.Classify = func(sample int) prepsched.Class {
-		if sample%5 == 0 {
-			return prepsched.Heavy
-		}
-		return prepsched.Light
-	}
-	va, err := New(cfgVA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer va.Close()
-	r2, err := va.RunEpoch(1, plan, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if r2.Samples != r1.Samples || r2.BytesFetched != r1.BytesFetched || r2.Offloaded != r1.Offloaded {
-		t.Fatalf("variance-aware epoch (samples %d, bytes %d, offloaded %d) != FIFO (samples %d, bytes %d, offloaded %d)",
-			r2.Samples, r2.BytesFetched, r2.Offloaded, r1.Samples, r1.BytesFetched, r1.Offloaded)
-	}
-	wantHeavy := 0
-	for i := 0; i < n; i++ {
-		if i%5 == 0 {
-			wantHeavy++
-		}
-	}
-	if r2.Heavy != wantHeavy {
-		t.Fatalf("Heavy = %d, want %d", r2.Heavy, wantHeavy)
-	}
-	if r1.Heavy != 0 {
-		t.Fatalf("FIFO run reported Heavy = %d", r1.Heavy)
-	}
-	s := va.PrepMetrics().Snapshot()
-	if s.Light+s.Heavy != int64(n) {
-		t.Fatalf("prepsched dispatched %d+%d, want %d", s.Light, s.Heavy, n)
-	}
-	if s.Heavy != int64(wantHeavy) {
-		t.Fatalf("prepsched heavy %d, want %d", s.Heavy, wantHeavy)
-	}
-	if s.OwnPops+s.Steals != int64(n) {
-		t.Fatalf("prepsched takes %d+%d, want %d", s.OwnPops, s.Steals, n)
-	}
+	loaderGrid(t, cfg, plan, n)
 }
 
 // TestVarianceAwareDeterministicRepeat runs the variance-aware epoch twice at
@@ -145,7 +68,6 @@ func TestVarianceAwareDeterministicRepeat(t *testing.T) {
 	const n = 32
 	_, cfg := lookaheadCluster(t, n, 2, nil)
 	cfg.Lookahead = 3
-	cfg.VarianceAware = true
 	cfg.Classify = func(sample int) prepsched.Class {
 		if sample%4 == 0 {
 			return prepsched.Heavy
@@ -153,11 +75,7 @@ func TestVarianceAwareDeterministicRepeat(t *testing.T) {
 		return prepsched.Light
 	}
 	run := func() EpochReport {
-		tr, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer tr.Close()
+		tr := newTrainer(t, cfg)
 		r, err := tr.RunEpoch(2, nil, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -183,7 +101,6 @@ func TestVarianceAwareDegradedPartition(t *testing.T) {
 	c, cfg := lookaheadCluster(t, n, 3, &chaos.Plan{Seed: 2})
 	cfg.Lookahead = 6
 	cfg.LookaheadHorizon = n
-	cfg.VarianceAware = true
 	cfg.Classify = func(sample int) prepsched.Class {
 		if sample%3 == 0 {
 			return prepsched.Heavy
@@ -194,11 +111,7 @@ func TestVarianceAwareDegradedPartition(t *testing.T) {
 	if owned == 0 {
 		t.Fatal("shard 1 owns nothing; test is vacuous")
 	}
-	tr, err := New(cfg) // dial while healthy, then sever
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
+	tr := newTrainer(t, cfg) // dial while healthy, then sever
 	if err := c.PartitionShard(1, true); err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 package trainsim
 
 import (
+	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/policy"
+	"repro/internal/storage"
 )
 
 // TestRunEpochSnapshotThreadsPlanVersion runs consecutive epochs under two
@@ -12,7 +15,7 @@ import (
 // ratchets because every fetch carried the stamp on the wire.
 func TestRunEpochSnapshotThreadsPlanVersion(t *testing.T) {
 	h := newHarness(t, 24, 4)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 
 	noOff, err := policy.NewUniformPlan("v1", 24, 0)
 	if err != nil {
@@ -67,5 +70,53 @@ func TestRunEpochSnapshotThreadsPlanVersion(t *testing.T) {
 
 	if _, err := tr.RunEpochSnapshot(4, nil, nil); err == nil {
 		t.Fatal("accepted nil snapshot")
+	}
+}
+
+// firstFetchHook runs hook once, just before the session's first fetch.
+type firstFetchHook struct {
+	StorageClient
+	once sync.Once
+	hook func()
+}
+
+func (c *firstFetchHook) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
+	c.once.Do(c.hook)
+	return c.StorageClient.Fetch(ctx, sample, split, epoch)
+}
+
+// TestApplySnapshotMidEpochDefaultConfig: cuts are read at issue time under
+// the zero loader config too. A snapshot applied while the epoch's first
+// fetch is on its way rotates every entry not yet issued — all but the at
+// most Lookahead (2×Workers) already claimed — although the epoch was
+// started with no plan at all.
+func TestApplySnapshotMidEpochDefaultConfig(t *testing.T) {
+	const n = 40
+	h := newHarness(t, n, 4)
+	offload, err := policy.NewUniformPlan("v2", n, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr *Trainer
+	cfg := h.config()
+	dial := cfg.DialClient
+	cfg.DialClient = func() (StorageClient, error) {
+		c, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return &firstFetchHook{StorageClient: c, hook: func() {
+			tr.ApplySnapshot(&policy.PlanSnapshot{Version: 2, Plan: offload, Epoch: 1, Reason: "mid-epoch"})
+		}}, nil
+	}
+	tr = newTrainer(t, cfg)
+	r, err := tr.RunEpoch(1, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	depth := 2 * cfg.Workers
+	if r.Samples != n || r.Offloaded >= n || r.Offloaded < n-depth {
+		t.Fatalf("offloaded %d of %d trained samples, want all but the 1..%d entries issued before the rotation",
+			r.Offloaded, r.Samples, depth)
 	}
 }

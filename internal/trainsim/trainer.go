@@ -47,52 +47,41 @@ type Config struct {
 	DialClient func() (StorageClient, error)
 	// Workers is the local preprocessing parallelism; 0 means 4.
 	Workers int
-	// PrefetchWindow bounds concurrently in-flight fetch requests on the
-	// session in the legacy reactive mode (Lookahead == 0); 0 keeps meaning
-	// 2×Workers there. It is a reactive-mode knob only: setting it together
-	// with Lookahead is rejected with ErrPrefetchConfig, because the
-	// clairvoyant scheduler replaces the globally-ordered window with
-	// per-shard depth targets and a window bound would silently mean
-	// nothing.
-	PrefetchWindow int
-	// Lookahead switches the fetch stage to the clairvoyant scheduler
-	// (internal/prefetch): the epoch's exact access stream is derived from
-	// the seeded shuffle, partitioned per shard, and fetched ahead of
-	// consumption with this many concurrent round trips per shard. 0 keeps
-	// the legacy reactive window.
+	// Lookahead is the number of fetch round trips the loader keeps in
+	// flight per storage shard (internal/prefetch): the epoch's exact access
+	// stream is derived from the seeded shuffle, partitioned per shard, and
+	// fetched ahead of consumption at this depth. 0 means 2×Workers.
 	Lookahead int
 	// LookaheadHorizon bounds how many stream positions ahead of
 	// consumption the scheduler may issue (the reorder-buffer depth);
-	// 0 means 8 × Lookahead × fetch-batch × shards. Lookahead-mode only.
+	// 0 means 8 × Lookahead × fetch-batch × shards.
 	LookaheadHorizon int
 	// StagingBytes budgets the artifacts fetched but not yet consumed;
 	// 0 means DefaultStagingBytes, negative means unbounded.
-	// Lookahead-mode only.
 	StagingBytes int64
 	// StagingLedger, when non-nil, additionally charges staged bytes to an
 	// external accountant (cache.Staging) — share one across trainers to
-	// bound their combined staging footprint. Lookahead-mode only.
+	// bound their combined staging footprint.
 	StagingLedger prefetch.Ledger
 	// PrefetchMetrics receives the scheduler's instrumentation (the
 	// monitor's sophon_prefetch_* block); nil means a private Metrics,
 	// still readable via Trainer.PrefetchMetrics.
 	PrefetchMetrics *prefetch.Metrics
-	// VarianceAware switches local preprocessing from FIFO worker handoff to
-	// the variance-aware scheduler (internal/prepsched): delivered stream
-	// entries are classified heavy/light by Classify and spread over
-	// per-worker work-stealing deques, so light samples flow around heavy
-	// ones instead of queueing behind them. Output artifacts stay
-	// bit-identical to FIFO scheduling — preprocessing is deterministic in
-	// (job, epoch, sample) per cut, so only completion timing changes.
-	// Requires Lookahead > 0 and a Classify function.
+	// VarianceAware is not read: a non-nil Classify is the condition. It
+	// stays declared only until benchmarks/ stops assigning it.
 	VarianceAware bool
 	// Classify maps a sample index to its preprocessing class, typically a
-	// prepsched.Classifier closure over the stage-2 cost trace.
-	// VarianceAware-mode only.
+	// prepsched.Classifier closure over the stage-2 cost trace: delivered
+	// stream entries are spread heavy/light over per-worker work-stealing
+	// deques (internal/prepsched), so light samples flow around heavy ones
+	// instead of queueing behind them. Nil means every sample is Light,
+	// which is FIFO handoff. Output artifacts do not depend on it —
+	// preprocessing is deterministic in (job, epoch, sample) per cut, so
+	// only completion timing changes.
 	Classify func(sample int) prepsched.Class
-	// PrepMetrics receives the variance-aware scheduler's instrumentation
-	// (the monitor's sophon_prepsched_* block); nil means a private Metrics,
-	// still readable via Trainer.PrepMetrics. VarianceAware-mode only.
+	// PrepMetrics receives the prep pool's instrumentation (the monitor's
+	// sophon_prepsched_* block); nil means a private Metrics, still readable
+	// via Trainer.PrepMetrics.
 	PrepMetrics *prepsched.Metrics
 	// ComputeCores bounds concurrent local preprocessing; 0 means Workers.
 	ComputeCores int
@@ -124,20 +113,9 @@ type Config struct {
 	DegradedMode bool
 }
 
-// DefaultStagingBytes is the lookahead staging budget when Config leaves
-// StagingBytes zero.
+// DefaultStagingBytes is the staging budget when Config leaves StagingBytes
+// zero.
 const DefaultStagingBytes = 64 << 20
-
-// ErrPrefetchConfig reports conflicting prefetch knobs: the legacy reactive
-// window and the clairvoyant lookahead are mutually exclusive modes, and
-// lookahead-only knobs require Lookahead > 0.
-var ErrPrefetchConfig = errors.New("trainsim: conflicting prefetch config")
-
-// ErrPrepschedConfig reports conflicting variance-aware scheduler knobs:
-// VarianceAware requires the lookahead stream (the dispatcher classifies
-// entries in stream order) and a Classify function, and the prepsched-only
-// knobs require VarianceAware.
-var ErrPrepschedConfig = errors.New("trainsim: conflicting prepsched config")
 
 // Trainer runs training epochs against a storage server.
 type Trainer struct {
@@ -146,11 +124,14 @@ type Trainer struct {
 	n      int
 	closed bool
 	mu     sync.Mutex
-	// snap is the live plan snapshot lookahead epochs read splits from; it
-	// can rotate mid-epoch via ApplySnapshot without restarting the stream.
+	// snap is the live plan snapshot epochs read splits from; it can rotate
+	// mid-epoch via ApplySnapshot without restarting the stream.
 	snap atomic.Pointer[policy.PlanSnapshot]
 	pf   *prefetch.Metrics
 	ps   *prepsched.Metrics
+	// pool is the latest epoch's prep pool, kept so a torn-down epoch can be
+	// checked for stranded samples.
+	pool *prepsched.Pool[prefetch.Item]
 }
 
 // EpochReport summarizes one epoch.
@@ -167,16 +148,17 @@ type EpochReport struct {
 	// Failed counts samples skipped in DegradedMode (fetches that kept
 	// failing after the retry layer gave up, e.g. on a dead shard).
 	Failed int
-	// Heavy counts successfully processed samples the variance-aware
-	// scheduler classified heavy (0 outside VarianceAware mode). The count
-	// is order-independent, so it is deterministic for a given seed.
+	// Heavy counts successfully processed samples Config.Classify labelled
+	// heavy (0 with a nil Classify). The count is order-independent, so it
+	// is deterministic for a given seed.
 	Heavy int
 	// PlanVersion is the control-plane version the epoch ran under (0 when
 	// the epoch was driven by RunEpoch with a bare plan).
 	PlanVersion policy.PlanVersion
 }
 
-// New validates the config and dials one client per worker.
+// New validates the config, resolves its defaults and dials the storage
+// session once.
 func New(cfg Config) (*Trainer, error) {
 	if cfg.DialClient == nil {
 		return nil, errors.New("trainsim: DialClient is required")
@@ -211,32 +193,17 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.FetchBatchSize < 0 {
 		return nil, fmt.Errorf("trainsim: fetch batch size %d", cfg.FetchBatchSize)
 	}
+	if cfg.FetchBatchSize == 0 {
+		cfg.FetchBatchSize = 1
+	}
 	if cfg.FetchBatchSize > wire.MaxBatchItems {
 		cfg.FetchBatchSize = wire.MaxBatchItems
-	}
-	if cfg.PrefetchWindow < 0 {
-		return nil, fmt.Errorf("trainsim: prefetch window %d", cfg.PrefetchWindow)
 	}
 	if cfg.Lookahead < 0 {
 		return nil, fmt.Errorf("trainsim: lookahead %d", cfg.Lookahead)
 	}
-	if cfg.Lookahead > 0 && cfg.PrefetchWindow > 0 {
-		return nil, fmt.Errorf("%w: PrefetchWindow %d with Lookahead %d (the reactive window and the clairvoyant scheduler are exclusive modes)",
-			ErrPrefetchConfig, cfg.PrefetchWindow, cfg.Lookahead)
-	}
 	if cfg.Lookahead == 0 {
-		switch {
-		case cfg.LookaheadHorizon != 0:
-			return nil, fmt.Errorf("%w: LookaheadHorizon %d without Lookahead", ErrPrefetchConfig, cfg.LookaheadHorizon)
-		case cfg.StagingBytes != 0:
-			return nil, fmt.Errorf("%w: StagingBytes %d without Lookahead", ErrPrefetchConfig, cfg.StagingBytes)
-		case cfg.StagingLedger != nil:
-			return nil, fmt.Errorf("%w: StagingLedger without Lookahead", ErrPrefetchConfig)
-		}
-		// Legacy reactive default, unchanged: 0 means 2×Workers.
-		if cfg.PrefetchWindow == 0 {
-			cfg.PrefetchWindow = 2 * cfg.Workers
-		}
+		cfg.Lookahead = 2 * cfg.Workers
 	}
 	if cfg.LookaheadHorizon < 0 {
 		return nil, fmt.Errorf("trainsim: lookahead horizon %d", cfg.LookaheadHorizon)
@@ -244,20 +211,8 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.StagingBytes == 0 {
 		cfg.StagingBytes = DefaultStagingBytes
 	}
-	if cfg.VarianceAware {
-		if cfg.Lookahead == 0 {
-			return nil, fmt.Errorf("%w: VarianceAware without Lookahead (the dispatcher classifies the clairvoyant stream)", ErrPrepschedConfig)
-		}
-		if cfg.Classify == nil {
-			return nil, fmt.Errorf("%w: VarianceAware without a Classify function", ErrPrepschedConfig)
-		}
-	} else {
-		switch {
-		case cfg.Classify != nil:
-			return nil, fmt.Errorf("%w: Classify without VarianceAware", ErrPrepschedConfig)
-		case cfg.PrepMetrics != nil:
-			return nil, fmt.Errorf("%w: PrepMetrics without VarianceAware", ErrPrepschedConfig)
-		}
+	if cfg.Classify == nil {
+		cfg.Classify = func(int) prepsched.Class { return prepsched.Light }
 	}
 	t := &Trainer{cfg: cfg, pf: cfg.PrefetchMetrics, ps: cfg.PrepMetrics}
 	if t.pf == nil {
@@ -295,30 +250,20 @@ func (t *Trainer) Close() {
 	}
 }
 
-// order returns the epoch's sample visit order — the one definition shared
-// with the clairvoyant scheduler, so the prefetched stream and the consumed
-// stream can never disagree.
-func (t *Trainer) order(epoch uint64) []int {
-	return prefetch.Order(t.cfg.JobID, epoch, t.n, t.cfg.Shuffle)
-}
-
-// PrefetchMetrics exposes the lookahead scheduler's counters (zero-valued
-// while running reactive).
+// PrefetchMetrics exposes the fetch scheduler's counters.
 func (t *Trainer) PrefetchMetrics() *prefetch.Metrics { return t.pf }
 
-// PrepMetrics exposes the variance-aware scheduler's counters (zero-valued
-// outside VarianceAware mode).
+// PrepMetrics exposes the prep pool's counters.
 func (t *Trainer) PrepMetrics() *prepsched.Metrics { return t.ps }
 
-// ApplySnapshot rotates the live plan mid-epoch: a lookahead epoch's
-// scheduler reads splits at issue time, so every stream entry not yet
-// issued is fetched under the new snapshot's cut depths while entries
-// already staged are kept — they were fetched at cuts that remain correct
-// (preprocessing is deterministic in (job, epoch, sample) for whichever cut
-// they carried), so nothing is flushed. The snapshot's version is stamped on
-// the session for all subsequent wire fetches. Wire this to
-// core.Controller.OnReplan for live replanning; it is a no-op for epochs
-// run with a bare plan until the next RunEpochSnapshot.
+// ApplySnapshot rotates the live plan mid-epoch: the epoch's scheduler reads
+// splits at issue time, so every stream entry not yet issued is fetched
+// under the new snapshot's cut depths while entries already staged are kept
+// — they were fetched at cuts that remain correct (preprocessing is
+// deterministic in (job, epoch, sample) for whichever cut they carried), so
+// nothing is flushed. The snapshot's version is stamped on the session for
+// all subsequent wire fetches. Wire this to core.Controller.OnReplan for
+// live replanning.
 func (t *Trainer) ApplySnapshot(snap *policy.PlanSnapshot) {
 	if snap == nil || snap.Plan == nil || snap.Plan.N() != t.n {
 		return
@@ -336,7 +281,7 @@ type sampleOutcome struct {
 	wireBytes int
 	localCPU  time.Duration
 	offloaded bool
-	heavy     bool // variance-aware class of the sample
+	heavy     bool // Config.Classify said Heavy
 	failed    bool // degraded-mode skip, not a fatal error
 	err       error
 }
@@ -346,12 +291,9 @@ type sampleOutcome struct {
 // is fetched raw and preprocessed locally with per-op measurement — the
 // paper's stage-2 "first epoch without offloading".
 //
-// The epoch runs as a two-stage pipeline over the shared storage session:
-// PrefetchWindow fetcher goroutines keep up to that many requests in flight
-// (the session demultiplexes responses), and Workers processor goroutines
-// finish preprocessing locally under the compute-core budget. A failure
-// cancels the epoch's context, which unblocks in-flight fetches promptly
-// without poisoning the session.
+// Every epoch runs the one loader (startLoader) over the shared storage
+// session. A failure cancels the epoch's context, which unblocks in-flight
+// fetches promptly without poisoning the session.
 func (t *Trainer) RunEpoch(epoch uint64, plan *policy.Plan, collector *profiler.Collector) (EpochReport, error) {
 	t.snap.Store(nil) // a bare plan supersedes any earlier snapshot
 	return t.runEpoch(epoch, plan, 0, collector)
@@ -386,18 +328,11 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	order := t.order(epoch)
-	results := make(chan sampleOutcome, t.cfg.BatchSize*2)
-	computeSem := make(chan struct{}, t.cfg.ComputeCores)
-	if t.cfg.Lookahead > 0 {
-		stop, err := t.startLookahead(ctx, cancel, epoch, order, plan, collector, results, computeSem)
-		if err != nil {
-			return EpochReport{}, err
-		}
-		defer stop()
-	} else {
-		t.startReactive(ctx, cancel, epoch, order, plan, collector, results, computeSem)
+	results, stop, err := t.startLoader(ctx, cancel, epoch, plan, collector)
+	if err != nil {
+		return EpochReport{}, err
 	}
+	defer stop()
 
 	report := EpochReport{Epoch: epoch, PlanVersion: version}
 	inBatch := 0
@@ -450,88 +385,88 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 	return report, nil
 }
 
-// startReactive runs the legacy two-stage pipeline: PrefetchWindow fetcher
-// goroutines pull globally-ordered chunks and Workers processors finish them
-// locally. The goroutines close results when the epoch drains.
-func (t *Trainer) startReactive(ctx context.Context, cancel context.CancelFunc, epoch uint64, order []int, plan *policy.Plan, collector *profiler.Collector, results chan<- sampleOutcome, computeSem chan struct{}) {
-	chunkSize := 1
-	if t.cfg.FetchBatchSize > 1 {
-		chunkSize = t.cfg.FetchBatchSize
+// startLoader starts the epoch's loader and returns the channel its
+// outcomes arrive on, closed once the epoch drains or aborts. Five stages:
+// prefetch.Order fixes the epoch's exact stream; a prefetch.Scheduler
+// partitions it by the client's placement map (storage.ShardRouter — one
+// link otherwise) and keeps Lookahead round trips in flight per shard;
+// fetched entries wait in its staging slots under the byte budget; one
+// dispatcher takes them in stream order, classifies each and spreads it over
+// the prepsched.Pool's per-worker deques (entry seq to deque seq%W, light
+// before heavy, idle workers steal); Workers goroutines finish them locally
+// under the compute-core budget. The pool's capacity bound keeps the
+// dispatcher from outrunning the workers and defeating the staging budget.
+//
+// stop tears the loader down in dependency order and is safe after a normal
+// drain: cancel the context (unblocks in-flight fetches), stop the pool
+// (unblocks the dispatcher's Dispatch), stop the scheduler (unblocks its
+// Next and returns unconsumed staged bytes to the ledger), then wait for the
+// issue goroutines and the dispatcher.
+func (t *Trainer) startLoader(ctx context.Context, cancel context.CancelFunc, epoch uint64, plan *policy.Plan, collector *profiler.Collector) (<-chan sampleOutcome, func(), error) {
+	pool, err := prepsched.NewPool[prefetch.Item](t.cfg.Workers, 2*max(t.cfg.Workers, t.cfg.BatchSize), t.ps)
+	if err != nil {
+		return nil, nil, fmt.Errorf("trainsim: prep pool: %w", err)
 	}
-	chunks := make(chan []int, len(order)/chunkSize+1)
-	for start := 0; start < len(order); start += chunkSize {
-		end := start + chunkSize
-		if end > len(order) {
-			end = len(order)
-		}
-		chunks <- order[start:end]
+	sched, err := t.newScheduler(ctx, epoch, plan, collector)
+	if err != nil {
+		return nil, nil, err
 	}
-	close(chunks)
+	t.pool = pool
 
-	// Stage 1: fetchers keep the link full. Each goroutine holds at most
-	// one chunk request in flight, so the window bounds session occupancy.
-	fetched := make(chan fetchedChunk, t.cfg.PrefetchWindow)
-	var fwg sync.WaitGroup
-	for f := 0; f < t.cfg.PrefetchWindow; f++ {
-		fwg.Add(1)
-		go func() {
-			defer fwg.Done()
-			for chunk := range chunks {
-				if ctx.Err() != nil {
-					return
-				}
-				fc := t.fetchChunk(ctx, epoch, chunk, plan, collector)
-				select {
-				case fetched <- fc:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
+	var dwg sync.WaitGroup
+	dwg.Add(1)
 	go func() {
-		fwg.Wait()
-		close(fetched)
+		defer dwg.Done()
+		defer pool.Close()
+		for seq := 0; ; seq++ {
+			it, ok := sched.Next()
+			if !ok || !pool.Dispatch(seq, it, t.cfg.Classify(it.Sample)) {
+				return
+			}
+		}
 	}()
 
-	// Stage 2: processors finish samples locally. After a cancel they keep
-	// draining `fetched` without working, so fetchers never block.
+	// Sized so a full GPU batch can finish while the previous one steps.
+	results := make(chan sampleOutcome, t.cfg.BatchSize*2)
+	computeSem := make(chan struct{}, t.cfg.ComputeCores)
 	var pwg sync.WaitGroup
 	for w := 0; w < t.cfg.Workers; w++ {
 		pwg.Add(1)
-		go func() {
+		go func(w int) {
 			defer pwg.Done()
-			for fc := range fetched {
-				if ctx.Err() != nil {
-					continue
+			for {
+				it, class, ok := pool.Take(w)
+				if !ok || ctx.Err() != nil {
+					return
 				}
-				for _, out := range t.processFetched(ctx, fc, epoch, collector, computeSem) {
-					select {
-					case results <- out:
-					case <-ctx.Done():
-					}
-					if out.err != nil {
-						cancel()
-						break
-					}
+				out := t.processItem(it, epoch, collector, computeSem)
+				out.heavy = class == prepsched.Heavy
+				select {
+				case results <- out:
+				case <-ctx.Done():
+				}
+				if out.err != nil {
+					cancel()
+					return
 				}
 			}
-		}()
+		}(w)
 	}
 	go func() {
 		pwg.Wait()
 		close(results)
 	}()
+	return results, func() {
+		cancel()
+		pool.Stop()
+		sched.Stop()
+		sched.Wait()
+		dwg.Wait()
+	}, nil
 }
 
-// startLookahead runs the clairvoyant fetch stage: a prefetch.Scheduler
-// materializes the epoch's exact stream, partitions it by the client's
-// placement map (storage.ShardRouter — single-link fallback otherwise), and
-// keeps Lookahead round trips in flight per shard. Workers consume in
-// stream order via Next. The returned stop function aborts the scheduler
-// and waits out its issue goroutines; it is safe to call after a normal
-// drain.
-func (t *Trainer) startLookahead(ctx context.Context, cancel context.CancelFunc, epoch uint64, order []int, plan *policy.Plan, collector *profiler.Collector, results chan<- sampleOutcome, computeSem chan struct{}) (func(), error) {
+// newScheduler builds the epoch's fetch scheduler over the shared session.
+func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.Plan, collector *profiler.Collector) (*prefetch.Scheduler, error) {
 	shards := 1
 	var shardOf func(uint32) int
 	router, _ := t.client.(storage.ShardRouter)
@@ -542,17 +477,9 @@ func (t *Trainer) startLookahead(ctx context.Context, cancel context.CancelFunc,
 			router = nil
 		}
 	}
-	batch := 1
-	if t.cfg.FetchBatchSize > 1 {
-		batch = t.cfg.FetchBatchSize
-	}
 	horizon := t.cfg.LookaheadHorizon
 	if horizon == 0 {
-		horizon = 8 * t.cfg.Lookahead * batch * shards
-	}
-	staging := t.cfg.StagingBytes
-	if staging < 0 {
-		staging = 0 // unbounded
+		horizon = 8 * t.cfg.Lookahead * t.cfg.FetchBatchSize * shards
 	}
 	split := func(sample int) int {
 		if collector != nil {
@@ -590,16 +517,16 @@ func (t *Trainer) startLookahead(ctx context.Context, cancel context.CancelFunc,
 			bytes += r.WireBytes
 		}
 		t.observeFetch(time.Since(fetchStart), len(res), bytes)
-		return res, err
+		return res, nil
 	}
 	sched, err := prefetch.NewScheduler(prefetch.Config{
-		Order:        order,
+		Order:        prefetch.Order(t.cfg.JobID, epoch, t.n, t.cfg.Shuffle),
 		Shards:       shards,
 		ShardOf:      shardOf,
 		Depth:        t.cfg.Lookahead,
-		BatchSize:    batch,
+		BatchSize:    t.cfg.FetchBatchSize,
 		Horizon:      horizon,
-		StagingBytes: staging,
+		StagingBytes: max(t.cfg.StagingBytes, 0), // negative: unbounded
 		Ledger:       t.cfg.StagingLedger,
 		Split:        split,
 		Fetch:        fetch,
@@ -608,127 +535,15 @@ func (t *Trainer) startLookahead(ctx context.Context, cancel context.CancelFunc,
 		Metrics:      t.pf,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("trainsim: lookahead: %w", err)
+		return nil, fmt.Errorf("trainsim: prefetch: %w", err)
 	}
-
-	if t.cfg.VarianceAware {
-		return t.startVarianceAware(ctx, cancel, sched, epoch, collector, results, computeSem), nil
-	}
-
-	var pwg sync.WaitGroup
-	for w := 0; w < t.cfg.Workers; w++ {
-		pwg.Add(1)
-		go func() {
-			defer pwg.Done()
-			for {
-				it, ok := sched.Next()
-				if !ok || ctx.Err() != nil {
-					return
-				}
-				out := t.processItem(it, epoch, collector, computeSem)
-				select {
-				case results <- out:
-				case <-ctx.Done():
-				}
-				if out.err != nil {
-					cancel()
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		pwg.Wait()
-		close(results)
-	}()
-	return func() {
-		cancel()
-		sched.Stop()
-		sched.Wait()
-	}, nil
+	return sched, nil
 }
 
-// startVarianceAware runs the local stage as a variance-aware work-stealing
-// pool instead of the FIFO Next loop: a single dispatcher consumes the
-// clairvoyant stream in order, classifies each entry heavy/light, and spreads
-// it over per-worker deques (sample seq to deque seq%W, the same static
-// assignment FIFO would use); workers drain their own deque light-first and
-// steal from neighbors when dry, so a heavy decode on one worker overlaps the
-// staged samples behind it instead of stalling them. The pool's capacity
-// bound keeps the dispatcher from outrunning the workers and defeating the
-// prefetcher's staging discipline. Scheduling moves only completion timing:
-// preprocessing stays deterministic per (job, epoch, sample), and the batch
-// accounting in runEpoch is order-independent, so reports and artifact bytes
-// are bit-identical to FIFO scheduling.
-func (t *Trainer) startVarianceAware(ctx context.Context, cancel context.CancelFunc, sched *prefetch.Scheduler, epoch uint64, collector *profiler.Collector, results chan<- sampleOutcome, computeSem chan struct{}) func() {
-	capacity := 2 * t.cfg.Workers
-	if c := 2 * t.cfg.BatchSize; c > capacity {
-		capacity = c
-	}
-	pool, perr := prepsched.NewPool[prefetch.Item](t.cfg.Workers, capacity, t.ps)
-	if perr != nil {
-		// Unreachable: Workers >= 1 and capacity >= 2*Workers by
-		// construction. Fall back to a minimal pool to keep the epoch alive.
-		pool, _ = prepsched.NewPool[prefetch.Item](1, 2, t.ps)
-	}
-
-	var dwg sync.WaitGroup
-	dwg.Add(1)
-	go func() {
-		defer dwg.Done()
-		defer pool.Close()
-		seq := 0
-		for {
-			it, ok := sched.Next()
-			if !ok {
-				return
-			}
-			if !pool.Dispatch(seq, it, t.cfg.Classify(it.Sample)) {
-				return
-			}
-			seq++
-		}
-	}()
-
-	var pwg sync.WaitGroup
-	for w := 0; w < t.cfg.Workers; w++ {
-		pwg.Add(1)
-		go func(w int) {
-			defer pwg.Done()
-			for {
-				it, class, ok := pool.Take(w)
-				if !ok || ctx.Err() != nil {
-					return
-				}
-				out := t.processItem(it, epoch, collector, computeSem)
-				out.heavy = class == prepsched.Heavy
-				select {
-				case results <- out:
-				case <-ctx.Done():
-				}
-				if out.err != nil {
-					cancel()
-					return
-				}
-			}
-		}(w)
-	}
-	go func() {
-		pwg.Wait()
-		close(results)
-	}()
-	return func() {
-		cancel()
-		pool.Stop()
-		sched.Stop()
-		sched.Wait()
-		dwg.Wait()
-	}
-}
-
-// processItem finishes one delivered stream entry locally, with the same
-// degraded-mode semantics as the reactive path: a failed fetch skips just
-// that sample when DegradedMode is on, and aborts the epoch otherwise.
+// processItem finishes one delivered stream entry locally: a failed fetch
+// (per-item, or its whole round trip, after the retry layer gave up) skips
+// just that sample when DegradedMode is on — so a dead shard costs exactly
+// its own samples, never the epoch — and aborts the epoch otherwise.
 func (t *Trainer) processItem(it prefetch.Item, epoch uint64, collector *profiler.Collector, computeSem chan struct{}) sampleOutcome {
 	if it.Err != nil {
 		if t.cfg.DegradedMode {
@@ -746,16 +561,6 @@ func (t *Trainer) gpuStep(report *EpochReport, size int) {
 	report.Batches++
 }
 
-// splitFor returns the fetch directive for sample i this epoch: the
-// server-side prefix length, with the plan's fidelity drop packed alongside
-// for raw samples (see storage.PackDirective).
-func (t *Trainer) splitFor(i int, plan *policy.Plan, collector *profiler.Collector) int {
-	if collector != nil || plan == nil {
-		return 0
-	}
-	return directiveFor(plan, i)
-}
-
 // directiveFor packs one sample's plan decision into a fetch directive.
 // Fidelity only exists on the raw object — offloaded cuts ship artifacts
 // with no scan structure, so their directive is the bare split.
@@ -765,91 +570,6 @@ func directiveFor(plan *policy.Plan, i int) int {
 		return s
 	}
 	return storage.PackDirective(0, plan.FidelityOf(i))
-}
-
-// fetchedChunk carries one chunk's fetch results from the fetch stage to
-// the preprocessing stage.
-type fetchedChunk struct {
-	chunk  []int
-	splits []int
-	items  []storage.FetchResult
-	err    error // transport-level failure for the whole chunk
-}
-
-// fetchChunk issues one round trip for the chunk (a single Fetch, or a
-// FetchBatch when batching is enabled) over the shared session.
-func (t *Trainer) fetchChunk(ctx context.Context, epoch uint64, chunk []int, plan *policy.Plan, collector *profiler.Collector) fetchedChunk {
-	fc := fetchedChunk{chunk: chunk, splits: make([]int, len(chunk))}
-	for k, i := range chunk {
-		fc.splits[k] = t.splitFor(i, plan, collector)
-	}
-	fetchStart := time.Now()
-	if len(chunk) == 1 {
-		res, err := t.client.Fetch(ctx, uint32(chunk[0]), fc.splits[0], epoch)
-		if err != nil {
-			fc.err = fmt.Errorf("trainsim: fetch sample %d: %w", chunk[0], err)
-			return fc
-		}
-		t.observeFetch(time.Since(fetchStart), 1, res.WireBytes)
-		fc.items = []storage.FetchResult{res}
-		return fc
-	}
-	samples := make([]uint32, len(chunk))
-	for k, i := range chunk {
-		samples[k] = uint32(i)
-	}
-	items, err := t.client.FetchBatch(ctx, samples, fc.splits, epoch)
-	if err != nil {
-		fc.err = fmt.Errorf("trainsim: batch fetch: %w", err)
-		return fc
-	}
-	var batchBytes int
-	for _, res := range items {
-		batchBytes += res.WireBytes
-	}
-	t.observeFetch(time.Since(fetchStart), len(items), batchBytes)
-	fc.items = items
-	return fc
-}
-
-// processFetched finishes each sample of a fetched chunk locally. A
-// per-item fetch error (surfaced in FetchResult.Err after the retry layer
-// gave up) fails that sample; processing stops at the first failure. In
-// DegradedMode failures instead skip just the affected samples — a chunk
-// whose whole round trip failed marks every one of its samples failed, and
-// a per-item error marks only that sample — so a dead shard costs exactly
-// its own samples, never the epoch.
-func (t *Trainer) processFetched(ctx context.Context, fc fetchedChunk, epoch uint64, collector *profiler.Collector, computeSem chan struct{}) []sampleOutcome {
-	if fc.err != nil {
-		if t.cfg.DegradedMode {
-			outs := make([]sampleOutcome, len(fc.chunk))
-			for k := range outs {
-				outs[k] = sampleOutcome{failed: true}
-			}
-			return outs
-		}
-		return []sampleOutcome{{err: fc.err}}
-	}
-	outs := make([]sampleOutcome, 0, len(fc.chunk))
-	for k, i := range fc.chunk {
-		if ctx.Err() != nil {
-			return outs
-		}
-		res := fc.items[k]
-		if res.Err != nil {
-			if t.cfg.DegradedMode {
-				outs = append(outs, sampleOutcome{failed: true})
-				continue
-			}
-			return append(outs, sampleOutcome{err: fmt.Errorf("trainsim: fetch sample %d: %w", i, res.Err)})
-		}
-		out := t.finishSample(res, epoch, i, fc.splits[k], collector, computeSem)
-		outs = append(outs, out)
-		if out.err != nil {
-			return outs
-		}
-	}
-	return outs
 }
 
 // observeFetch records fetch instrumentation when a registry is attached.

@@ -76,16 +76,6 @@ func (h *harness) config() Config {
 	}
 }
 
-func newTrainer(t testing.TB, h *harness) *Trainer {
-	t.Helper()
-	tr, err := New(h.config())
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(tr.Close)
-	return tr
-}
-
 func TestNewValidatesConfig(t *testing.T) {
 	h := newHarness(t, 4, 1)
 	good := h.config()
@@ -124,7 +114,7 @@ func TestNewValidatesConfig(t *testing.T) {
 
 func TestRunEpochNoOffload(t *testing.T) {
 	h := newHarness(t, 20, 0)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 	if tr.N() != 20 {
 		t.Fatalf("N = %d", tr.N())
 	}
@@ -151,7 +141,7 @@ func TestRunEpochNoOffload(t *testing.T) {
 
 func TestRunEpochWithOffloadPlanReducesTraffic(t *testing.T) {
 	h := newHarness(t, 24, 4)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 
 	baseline, err := tr.RunEpoch(1, nil, nil)
 	if err != nil {
@@ -207,7 +197,7 @@ func serverStats(t testing.TB, h *harness) (out struct {
 
 func TestRunEpochRejectsMismatchedPlan(t *testing.T) {
 	h := newHarness(t, 6, 1)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 	plan, _ := policy.NewUniformPlan("short", 3, 0)
 	if _, err := tr.RunEpoch(1, plan, nil); err == nil {
 		t.Fatal("accepted mismatched plan")
@@ -216,7 +206,7 @@ func TestRunEpochRejectsMismatchedPlan(t *testing.T) {
 
 func TestRunEpochOffloadWithoutCoresFails(t *testing.T) {
 	h := newHarness(t, 6, 0)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 	plan, _ := policy.NewUniformPlan("resize", 6, 2)
 	if _, err := tr.RunEpoch(1, plan, nil); err == nil {
 		t.Fatal("offload against 0-core server succeeded")
@@ -225,7 +215,7 @@ func TestRunEpochOffloadWithoutCoresFails(t *testing.T) {
 
 func TestProfilingEpochFillsCollector(t *testing.T) {
 	h := newHarness(t, 12, 2)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 	collector, err := profiler.NewCollector(12)
 	if err != nil {
 		t.Fatal(err)
@@ -278,7 +268,7 @@ func TestProfilingEpochOverProgressiveStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := newTrainer(t, newHarnessOver(t, store, 1))
+	tr := newTrainer(t, newHarnessOver(t, store, 1).config())
 	collector, err := profiler.NewCollector(len(objects))
 	if err != nil {
 		t.Fatal(err)
@@ -307,7 +297,7 @@ func TestProfilingEpochOverProgressiveStore(t *testing.T) {
 
 func TestStage1ProbesLive(t *testing.T) {
 	h := newHarness(t, 10, 1)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 	res, err := profiler.RunStage1(tr.Stage1Probes(), 2)
 	if err != nil {
 		t.Fatal(err)
@@ -319,7 +309,7 @@ func TestStage1ProbesLive(t *testing.T) {
 
 func TestStage1CPUProbeRequiresIOFirst(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 	probes := tr.Stage1Probes()
 	if _, _, err := probes.CPU(1); err == nil {
 		t.Fatal("cpu probe ran without cached data")
@@ -328,7 +318,7 @@ func TestStage1CPUProbeRequiresIOFirst(t *testing.T) {
 
 func TestEpochDeterministicSampleAccounting(t *testing.T) {
 	h := newHarness(t, 16, 2)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 	a, err := tr.RunEpoch(3, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -345,7 +335,7 @@ func TestEpochDeterministicSampleAccounting(t *testing.T) {
 
 func TestTrainerCloseIdempotent(t *testing.T) {
 	h := newHarness(t, 4, 1)
-	tr := newTrainer(t, h)
+	tr := newTrainer(t, h.config())
 	tr.Close()
 	tr.Close()
 }

@@ -38,7 +38,7 @@ func TestValidationPipelineEndToEnd(t *testing.T) {
 	go srv.Serve(l)
 	t.Cleanup(func() { srv.Close() })
 
-	tr, err := New(Config{
+	tr := newTrainer(t, Config{
 		DialClient: func() (StorageClient, error) {
 			conn, err := l.Dial()
 			if err != nil {
@@ -52,10 +52,6 @@ func TestValidationPipelineEndToEnd(t *testing.T) {
 		BatchSize: 5,
 		JobID:     1,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
 
 	// Offload the deterministic prefix (Decode + ResizeShorter +
 	// CenterCrop) for every sample.

@@ -19,7 +19,6 @@
 package sophon
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -345,9 +344,9 @@ type TrainerOptions struct {
 	// FetchBatchSize groups this many samples per storage round trip;
 	// 0 or 1 means per-sample fetches.
 	FetchBatchSize int
-	// PrefetchWindow bounds concurrently in-flight fetch requests on the
+	// Lookahead is the number of fetch round trips kept in flight on the
 	// shared storage session; zero means 2×Workers.
-	PrefetchWindow int
+	Lookahead int
 	// RequestTimeout bounds each storage round trip; zero means the
 	// client default (30s), negative disables the timeout.
 	RequestTimeout time.Duration
@@ -416,7 +415,7 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 			client = sc
 		}
 		if sharedCache != nil {
-			client = cachingClient{inner: client, cache: sharedCache}
+			client = cache.NewFetchingCache(client, sharedCache)
 		}
 		if opts.SharedCache != nil {
 			tf, err := cache.NewTenantFetcher(client, opts.SharedCache, opts.TenantName, opts.JobID)
@@ -438,77 +437,12 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 		JobID:          opts.JobID,
 		Shuffle:        opts.Shuffle,
 		FetchBatchSize: opts.FetchBatchSize,
-		PrefetchWindow: opts.PrefetchWindow,
+		Lookahead:      opts.Lookahead,
 	})
 	if err != nil {
 		return nil, err
 	}
 	return &Trainer{inner: inner, n: inner.N()}, nil
-}
-
-// cachingClient adapts cache.FetchingCache semantics over any
-// StorageClient (the cache package wraps the concrete *storage.Client, so
-// compose manually here to also cover retry-wrapped clients).
-type cachingClient struct {
-	inner trainsim.StorageClient
-	cache cache.Cache
-}
-
-func (c cachingClient) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
-	if split == 0 {
-		if data, ok := c.cache.Get(sample); ok {
-			return storage.FetchResult{Sample: sample, Artifact: pipeline.RawArtifact(data)}, nil
-		}
-	}
-	res, err := c.inner.Fetch(ctx, sample, split, epoch)
-	if err != nil {
-		return storage.FetchResult{}, err
-	}
-	if split == 0 && res.Artifact.Kind == pipeline.KindRaw {
-		c.cache.Put(sample, res.Artifact.Raw)
-	}
-	return res, nil
-}
-
-func (c cachingClient) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	out := make([]storage.FetchResult, len(samples))
-	var missS []uint32
-	var missSp []int
-	var missI []int
-	for i := range samples {
-		if splits[i] == 0 {
-			if data, ok := c.cache.Get(samples[i]); ok {
-				out[i] = storage.FetchResult{Sample: samples[i], Artifact: pipeline.RawArtifact(data)}
-				continue
-			}
-		}
-		missS = append(missS, samples[i])
-		missSp = append(missSp, splits[i])
-		missI = append(missI, i)
-	}
-	if len(missS) > 0 {
-		fetched, err := c.inner.FetchBatch(ctx, missS, missSp, epoch)
-		if err != nil {
-			return nil, err
-		}
-		for k, res := range fetched {
-			out[missI[k]] = res
-			if res.Err == nil && missSp[k] == 0 && res.Artifact.Kind == pipeline.KindRaw {
-				c.cache.Put(missS[k], res.Artifact.Raw)
-			}
-		}
-	}
-	return out, nil
-}
-
-func (c cachingClient) NumSamples() int { return c.inner.NumSamples() }
-func (c cachingClient) Close() error    { return c.inner.Close() }
-
-// SetPlanVersion forwards the control plane's stamp through the cache layer.
-func (c cachingClient) SetPlanVersion(v uint32) {
-	if pv, ok := c.inner.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(v)
-	}
 }
 
 // N returns the dataset size the server reported.
