@@ -12,12 +12,11 @@ package main
 //
 // The report records both replays plus the determinism check: the
 // coordinated replay runs twice and the digests must match bit-for-bit
-// (CI additionally re-runs the whole scenario and diffs the reports).
+// (CI additionally regenerates the report and requires BENCH_pr6.json's
+// bytes, TestCommittedRecords).
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"runtime"
 
 	"repro/internal/dataset"
@@ -187,11 +186,7 @@ func writeFleetJSON(path string, seed uint64) error {
 		CoordinatedSpeedup: indepRes.AggregateEpochTime.Seconds() / coordRes.AggregateEpochTime.Seconds(),
 		DeterminismOK:      coordRes.Digest == coordRes2.Digest,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, report); err != nil {
 		return err
 	}
 	if !report.DeterminismOK {

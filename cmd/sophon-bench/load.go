@@ -25,14 +25,16 @@ import (
 	"repro/internal/simclock"
 )
 
-// loadOptions collects the -load.* knobs.
-type loadOptions struct {
-	sessions int
-	duration time.Duration
-	shards   int
-	cores    int
-	mbps     float64
-}
+// The load scenario BENCH_pr7.json records: 2 400 open-loop sessions for
+// five simulated seconds against four shards of eight offload cores, the
+// paper's 500 Mbps storage link split evenly across them.
+const (
+	loadSessions = 2400
+	loadDuration = 5 * time.Second
+	loadShards   = 4
+	loadCores    = 8
+	loadMbps     = 500
+)
 
 // buildLoadJobs derives the mixed job profiles from fleet tenant specs: two
 // tenants (an OpenImages-profile job and an ImageNet-profile job) admitted
@@ -40,7 +42,7 @@ type loadOptions struct {
 // into loadgen specs. Roughly 2/3 of the sessions go to the heavier tenant.
 // Arrival rates are scaled so the offered link traffic is util × the tier's
 // capacity — util < 1 is a steady workload, util > 1 open-loop overload.
-func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpec, error) {
+func buildLoadJobs(seed uint64, util float64) ([]loadgen.JobSpec, error) {
 	trA, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(1200), seed)
 	if err != nil {
 		return nil, err
@@ -50,9 +52,9 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 		return nil, err
 	}
 	coord, err := sched.NewCoordinator(sched.FleetConfig{
-		Cores:     opt.shards * opt.cores,
-		Bandwidth: netsim.Mbps(opt.mbps),
-		Shards:    opt.shards,
+		Cores:     loadShards * loadCores,
+		Bandwidth: netsim.Mbps(loadMbps),
+		Shards:    loadShards,
 		Clock:     simclock.NewVirtual(time.Unix(0, 0)),
 	})
 	if err != nil {
@@ -60,7 +62,7 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 	}
 	env := policy.Env{
 		ComputeCores:    16,
-		Bandwidth:       netsim.Mbps(opt.mbps),
+		Bandwidth:       netsim.Mbps(loadMbps),
 		StorageSlowdown: 1,
 		GPU:             gpu.AlexNet,
 	}
@@ -74,10 +76,10 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 			return nil, fmt.Errorf("admit %s: %w", t.Name, err)
 		}
 		grant := coord.Grants()[t.Name]
-		sessions := opt.sessions * 2 / 3
+		sessions := loadSessions * 2 / 3
 		hitRate := 0.4
 		if i == 1 {
-			sessions = opt.sessions - sessions
+			sessions = loadSessions - sessions
 			hitRate = 0.3
 		}
 		// Provisional per-session rates (scaled to the link below): the
@@ -101,7 +103,7 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 	if offered <= 0 {
 		return nil, fmt.Errorf("load workload offers no link traffic")
 	}
-	scale := util * netsim.Mbps(opt.mbps) / offered
+	scale := util * netsim.Mbps(loadMbps) / offered
 	for i := range jobs {
 		jobs[i].Rate *= scale
 	}
@@ -109,18 +111,18 @@ func buildLoadJobs(seed uint64, opt loadOptions, util float64) ([]loadgen.JobSpe
 }
 
 // runLoadScenario runs one named workload through the DES harness.
-func runLoadScenario(name string, seed uint64, opt loadOptions, util float64, adm loadgen.AdmissionSpec) (perfbench.SLOScenario, *loadgen.Report, error) {
-	jobs, err := buildLoadJobs(seed, opt, util)
+func runLoadScenario(name string, seed uint64, util float64, adm loadgen.AdmissionSpec) (perfbench.SLOScenario, *loadgen.Report, error) {
+	jobs, err := buildLoadJobs(seed, util)
 	if err != nil {
 		return perfbench.SLOScenario{}, nil, err
 	}
 	rep, err := loadgen.Run(loadgen.Config{
 		Seed:            seed,
-		Duration:        opt.duration,
+		Duration:        loadDuration,
 		Jobs:            jobs,
-		Shards:          opt.shards,
-		CoresPerShard:   opt.cores,
-		LinkBytesPerSec: netsim.Mbps(opt.mbps) / float64(opt.shards),
+		Shards:          loadShards,
+		CoresPerShard:   loadCores,
+		LinkBytesPerSec: netsim.Mbps(loadMbps) / float64(loadShards),
 		Admission:       adm,
 	})
 	if err != nil {
@@ -133,12 +135,12 @@ func runLoadScenario(name string, seed uint64, opt loadOptions, util float64, ad
 // record. Steady offers ~65% of tier capacity; overload offers 2.6x
 // capacity against a tight admission budget, so the record shows both
 // nominal SLOs and shed-load behavior.
-func writeLoadJSON(path string, seed uint64, opt loadOptions) error {
-	steady, steadyRep, err := runLoadScenario("steady", seed, opt, 0.65, loadgen.AdmissionSpec{})
+func writeLoadJSON(path string, seed uint64) error {
+	steady, steadyRep, err := runLoadScenario("steady", seed, 0.65, loadgen.AdmissionSpec{})
 	if err != nil {
 		return err
 	}
-	overload, overloadRep, err := runLoadScenario("overload", seed, opt, 2.6, loadgen.AdmissionSpec{
+	overload, overloadRep, err := runLoadScenario("overload", seed, 2.6, loadgen.AdmissionSpec{
 		MaxInFlightBytes:  2 << 20,
 		MaxQueuePerTenant: 16,
 	})
@@ -152,11 +154,7 @@ func writeLoadJSON(path string, seed uint64, opt loadOptions) error {
 		Seed:      seed,
 		Scenarios: []perfbench.SLOScenario{steady, overload},
 	}
-	data, err := json.MarshalIndent(record, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, record); err != nil {
 		return err
 	}
 	for _, s := range []struct {
@@ -268,9 +266,5 @@ func writeConvertJSON(files, outPath string) error {
 	if len(traj.Entries) == 0 {
 		return fmt.Errorf("no records in -convert %q", files)
 	}
-	data, err := json.MarshalIndent(traj, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(outPath, append(data, '\n'), 0o644)
+	return writeJSON(outPath, traj)
 }

@@ -86,16 +86,22 @@ import (
 	"repro/internal/soak"
 )
 
+// writeJSON writes v to path in the form every committed record has:
+// two-space indented JSON and a trailing newline.
+func writeJSON(path string, v any) error {
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(data, '\n'), 0o644)
+}
+
 func writeBenchJSON(path string) error {
 	report, err := perfbench.NewBenchRecord()
 	if err != nil {
 		return err
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeJSON(path, report)
 }
 
 // adaptiveReport is the JSON shape of the adaptive control-plane scenario:
@@ -200,11 +206,7 @@ func writeAdaptiveJSON(path string, seed uint64) error {
 		AdaptiveVsOracle:   aSum / (n * oracle.EpochTime.Seconds()),
 		StaticVsAdaptive:   sSum / aSum,
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return writeJSON(path, report)
 }
 
 // runChaos soaks until the duration budget is spent (always at least once),
@@ -249,26 +251,10 @@ func main() {
 	chaosDuration := flag.Duration("chaos.duration", 0, "keep soaking with derived seeds until this much time has passed")
 	adaptiveOut := flag.String("adaptive", "", "run the adaptive control-plane scenario (500→250 Mbps reshape) and write the JSON report to this file (skips the evaluation)")
 	prefetchOut := flag.String("prefetch", "", "run the clairvoyant-vs-reactive prefetch comparison and write the JSON report to this file (skips the evaluation)")
-	prefetchSamples := flag.Int("prefetch.samples", 8000, "samples in the prefetch comparison epoch")
-	prefetchShards := flag.Int("prefetch.shards", 8, "storage shards in the prefetch comparison")
-	prefetchDepth := flag.Int("prefetch.depth", 16, "per-shard lookahead depth for the clairvoyant run")
 	prepschedOut := flag.String("prepsched", "", "run the work-stealing-vs-FIFO preprocessing scheduler comparison and write the JSON report to this file (skips the evaluation)")
-	prepschedSamples := flag.Int("prepsched.samples", 2000, "samples in the prepsched comparison epoch")
-	prepschedWorkers := flag.Int("prepsched.workers", 8, "preprocessing workers (and compute cores) in the prepsched comparison")
-	prepschedHeavyFrac := flag.Float64("prepsched.heavyfrac", 0.05, "fraction of samples made heavy in the skewed mix")
-	prepschedCostRatio := flag.Int("prepsched.costratio", 20, "preprocessing cost multiplier for heavy samples")
-	prepschedThreshold := flag.Float64("prepsched.threshold", 0, "heavy classification threshold as a multiple of the mean cost (0 = default)")
 	fleetOut := flag.String("fleet", "", "run the 100-job fleet scenario (coordinated vs independent planning on a shared tier) and write the JSON report to this file (skips the evaluation)")
 	fidelityOut := flag.String("fidelity", "", "run the progressive-fidelity evaluation (discrete vs fidelity-aware SOPHON plan, ladder calibrated from the live codec) and write the JSON report to this file (skips the evaluation)")
-	fidelitySamples := flag.Int("fidelity.samples", 8000, "samples in the fidelity comparison epoch")
-	fidelityFloor := flag.Float64("fidelity.floor", 0.95, "per-sample reconstruction quality floor")
-	fidelityMeanFloor := flag.Float64("fidelity.meanfloor", 0.97, "plan-wide mean reconstruction quality floor")
 	loadOut := flag.String("load", "", "run the heavy-traffic load harness (steady + overload scenarios) and write the SLO record to this file (skips the evaluation)")
-	loadSessions := flag.Int("load.sessions", 2400, "total concurrent sessions across the load tenants")
-	loadDuration := flag.Duration("load.duration", 5*time.Second, "simulated load window per scenario")
-	loadShards := flag.Int("load.shards", 4, "storage shards in the simulated tier")
-	loadCores := flag.Int("load.cores", 8, "offload cores per shard")
-	loadMbps := flag.Float64("load.mbps", 500, "total tier bandwidth (Mbit/s), split evenly across shards; the default matches the paper's 500 Mbps storage link")
 	gatePrev := flag.String("gate.prev", "", "perf-trajectory gate: committed baseline SLO record")
 	gateCur := flag.String("gate.cur", "", "perf-trajectory gate: freshly generated SLO record to check")
 	gateNoise := flag.Float64("gate.noise", 0, "gate noise threshold as a fraction (0 = default 0.10); SLO records only")
@@ -278,44 +264,30 @@ func main() {
 	cliutil.Parse("sophon-bench", "Regenerates the paper's evaluation tables, micro-benchmarks, and load/SLO records.")
 
 	logger := log.New(os.Stderr, "sophon-bench: ", 0)
-	cliutil.ValidateInts(logger,
-		map[string]bool{
-			"load.sessions": true, "load.shards": true, "load.cores": true,
-			"prefetch.samples": true, "prefetch.shards": true, "prefetch.depth": true,
-			"prepsched.samples": true, "prepsched.workers": true, "prepsched.costratio": true,
-			"fidelity.samples": true,
-		},
+	cliutil.ValidateInts(logger, nil,
 		map[string]bool{"openimages": true, "imagenet": true},
-		map[string]int{
-			"load.sessions": *loadSessions, "load.shards": *loadShards, "load.cores": *loadCores,
-			"openimages": *openImages, "imagenet": *imageNet,
-			"prefetch.samples": *prefetchSamples, "prefetch.shards": *prefetchShards, "prefetch.depth": *prefetchDepth,
-			"prepsched.samples": *prepschedSamples, "prepsched.workers": *prepschedWorkers, "prepsched.costratio": *prepschedCostRatio,
-			"fidelity.samples": *fidelitySamples,
-		})
-	if *prepschedHeavyFrac <= 0 || *prepschedHeavyFrac >= 1 {
-		logger.Fatalf("-prepsched.heavyfrac must be in (0, 1), got %g", *prepschedHeavyFrac)
-	}
-	if *prepschedThreshold < 0 {
-		logger.Fatalf("-prepsched.threshold must be non-negative, got %g", *prepschedThreshold)
-	}
-	if *fidelityFloor < 0 || *fidelityFloor > 1 || *fidelityMeanFloor < 0 || *fidelityMeanFloor > 1 {
-		logger.Fatalf("-fidelity.floor and -fidelity.meanfloor must be in [0, 1], got %g and %g", *fidelityFloor, *fidelityMeanFloor)
-	}
+		map[string]int{"openimages": *openImages, "imagenet": *imageNet})
 
-	if *loadOut != "" {
-		opt := loadOptions{
-			sessions: *loadSessions,
-			duration: *loadDuration,
-			shards:   *loadShards,
-			cores:    *loadCores,
-			mbps:     *loadMbps,
+	// The seeded simulator scenarios: each writes one JSON record to the path
+	// its flag names and skips the evaluation.
+	for _, sc := range []struct {
+		out, what string
+		write     func(path string, seed uint64) error
+	}{
+		{*loadOut, "SLO record", writeLoadJSON},
+		{*fidelityOut, "fidelity comparison", writeFidelityJSON},
+		{*fleetOut, "fleet scenario", writeFleetJSON},
+		{*prepschedOut, "prepsched comparison", writePrepschedJSON},
+		{*prefetchOut, "prefetch comparison", writePrefetchJSON},
+		{*adaptiveOut, "adaptive scenario", writeAdaptiveJSON},
+	} {
+		if sc.out == "" {
+			continue
 		}
-		if err := writeLoadJSON(*loadOut, *seed, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
+		if err := sc.write(sc.out, *seed); err != nil {
+			logger.Fatal(err)
 		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: SLO record written to %s\n", *loadOut)
+		logger.Printf("%s written to %s", sc.what, sc.out)
 		return
 	}
 
@@ -336,60 +308,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "sophon-bench: trajectory written to %s\n", *convertOut)
-		return
-	}
-
-	if *fidelityOut != "" {
-		opt := fidelityOptions{samples: *fidelitySamples, floor: *fidelityFloor, meanFloor: *fidelityMeanFloor}
-		if err := writeFidelityJSON(*fidelityOut, *seed, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: fidelity comparison written to %s\n", *fidelityOut)
-		return
-	}
-
-	if *fleetOut != "" {
-		if err := writeFleetJSON(*fleetOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: fleet scenario written to %s\n", *fleetOut)
-		return
-	}
-
-	if *prepschedOut != "" {
-		opt := prepschedOptions{
-			samples:   *prepschedSamples,
-			workers:   *prepschedWorkers,
-			heavyFrac: *prepschedHeavyFrac,
-			costRatio: *prepschedCostRatio,
-			threshold: *prepschedThreshold,
-		}
-		if err := writePrepschedJSON(*prepschedOut, *seed, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: prepsched comparison written to %s\n", *prepschedOut)
-		return
-	}
-
-	if *prefetchOut != "" {
-		opt := prefetchOptions{samples: *prefetchSamples, shards: *prefetchShards, depth: *prefetchDepth}
-		if err := writePrefetchJSON(*prefetchOut, *seed, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: prefetch comparison written to %s\n", *prefetchOut)
-		return
-	}
-
-	if *adaptiveOut != "" {
-		if err := writeAdaptiveJSON(*adaptiveOut, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: adaptive scenario written to %s\n", *adaptiveOut)
 		return
 	}
 

@@ -8,7 +8,6 @@ package main
 // time and per-link idle for both, and the speedup.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
@@ -21,12 +20,13 @@ import (
 	"repro/internal/policy"
 )
 
-// prefetchOptions collects the -prefetch.* knobs.
-type prefetchOptions struct {
-	samples int
-	shards  int
-	depth   int
-}
+// The comparison BENCH_pr8.json records: one 8 000-sample epoch over eight
+// shards, the clairvoyant run at a per-shard lookahead depth of 16.
+const (
+	prefetchSamples = 8000
+	prefetchShards  = 8
+	prefetchDepth   = 16
+)
 
 // prefetchMode is one loader model's measured epoch.
 type prefetchMode struct {
@@ -73,8 +73,8 @@ func modeOf(r engine.Result) prefetchMode {
 // default window (4× the GPU batch) — the point of the comparison is that a
 // fixed global window leaves links idle as the shard fan-out grows, while
 // per-shard lookahead depth keeps every link saturated at any fan-out.
-func writePrefetchJSON(path string, seed uint64, opt prefetchOptions) error {
-	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(opt.samples), seed)
+func writePrefetchJSON(path string, seed uint64) error {
+	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(prefetchSamples), seed)
 	if err != nil {
 		return err
 	}
@@ -92,7 +92,7 @@ func writePrefetchJSON(path string, seed uint64, opt prefetchOptions) error {
 		Trace:       tr,
 		Plan:        plan,
 		Env:         env,
-		Shards:      opt.shards,
+		Shards:      prefetchShards,
 		ShuffleSeed: seed,
 		BatchSize:   64,
 		RTT:         200 * time.Microsecond,
@@ -102,7 +102,7 @@ func writePrefetchJSON(path string, seed uint64, opt prefetchOptions) error {
 		return err
 	}
 	la := base
-	la.Lookahead = opt.depth
+	la.Lookahead = prefetchDepth
 	clair, err := engine.Run(la)
 	if err != nil {
 		return err
@@ -115,18 +115,14 @@ func writePrefetchJSON(path string, seed uint64, opt prefetchOptions) error {
 			"Regenerate with `sophon-bench -prefetch <file>`.",
 		GoVersion:       runtime.Version(),
 		Samples:         tr.N(),
-		Shards:          opt.shards,
+		Shards:          prefetchShards,
 		BatchSize:       base.BatchSize,
-		Depth:           opt.depth,
+		Depth:           prefetchDepth,
 		Reactive:        modeOf(reactive),
 		Clairvoyant:     modeOf(clair),
 		PrefetchSpeedup: reactive.EpochTime.Seconds() / clair.EpochTime.Seconds(),
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, report); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sophon-bench: prefetch: reactive %.2fs (%.1f%% link idle) vs clairvoyant %.2fs (%.2f%% link idle), %.3fx\n",

@@ -9,7 +9,6 @@ package main
 // fraction, and steal counts for both, and the speedup.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -23,14 +22,16 @@ import (
 	"repro/internal/policy"
 )
 
-// prepschedOptions collects the -prepsched.* knobs.
-type prepschedOptions struct {
-	samples   int
-	workers   int
-	heavyFrac float64
-	costRatio int
-	threshold float64 // heavy classification ratio (0 = prepsched default)
-}
+// The comparison BENCH_pr9.json records: 2 000 samples on eight workers (and
+// compute cores), 5 % of them 20× as expensive in every op, classified heavy
+// at prepsched's default threshold (a HeavyRatio of 0).
+const (
+	prepschedSamples   = 2000
+	prepschedWorkers   = 8
+	prepschedHeavyFrac = 0.05
+	prepschedCostRatio = 20
+	prepschedThreshold = 0.0
+)
 
 // prepschedMode is one dispatch model's measured epoch.
 type prepschedMode struct {
@@ -101,8 +102,8 @@ func skewedTrace(n int, heavyFrac float64, costRatio int, seed uint64) (*dataset
 // worker idles behind another's heavy sample is epoch time lost. FIFO pins
 // sample i to worker i mod W; steal lets an idle worker take the queued work
 // from the loaded one's tail.
-func writePrepschedJSON(path string, seed uint64, opt prepschedOptions) error {
-	tr, err := skewedTrace(opt.samples, opt.heavyFrac, opt.costRatio, seed)
+func writePrepschedJSON(path string, seed uint64) error {
+	tr, err := skewedTrace(prepschedSamples, prepschedHeavyFrac, prepschedCostRatio, seed)
 	if err != nil {
 		return err
 	}
@@ -112,7 +113,7 @@ func writePrepschedJSON(path string, seed uint64, opt prepschedOptions) error {
 	}
 	env := policy.Env{
 		Bandwidth:       netsim.Mbps(500) * 1000, // never the bottleneck
-		ComputeCores:    opt.workers,
+		ComputeCores:    prepschedWorkers,
 		StorageSlowdown: 1,
 		GPU:             gpu.AlexNet,
 	}
@@ -123,8 +124,8 @@ func writePrepschedJSON(path string, seed uint64, opt prepschedOptions) error {
 		ShuffleSeed: seed,
 		BatchSize:   64,
 		Lookahead:   8,
-		PrepWorkers: opt.workers,
-		HeavyRatio:  opt.threshold,
+		PrepWorkers: prepschedWorkers,
+		HeavyRatio:  prepschedThreshold,
 	}
 	fifoCfg := base
 	fifoCfg.PrepSched = engine.PrepSchedFIFO
@@ -150,20 +151,16 @@ func writePrepschedJSON(path string, seed uint64, opt prepschedOptions) error {
 			"AlexNet). Regenerate with `sophon-bench -prepsched <file>`.",
 		GoVersion:        runtime.Version(),
 		Samples:          tr.N(),
-		Workers:          opt.workers,
-		HeavyFrac:        opt.heavyFrac,
-		CostRatio:        opt.costRatio,
-		HeavyRatio:       opt.threshold,
+		Workers:          prepschedWorkers,
+		HeavyFrac:        prepschedHeavyFrac,
+		CostRatio:        prepschedCostRatio,
+		HeavyRatio:       prepschedThreshold,
 		HeavySamples:     steal.HeavySamples,
 		FIFO:             prepschedModeOf(fifo),
 		Steal:            prepschedModeOf(steal),
 		PrepschedSpeedup: fifo.EpochTime.Seconds() / steal.EpochTime.Seconds(),
 	}
-	data, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, report); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "sophon-bench: prepsched: fifo %.2fs (%.1f%% worker stall) vs steal %.2fs (%.1f%% worker stall, %d steals), %.3fx\n",

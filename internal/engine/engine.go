@@ -9,7 +9,6 @@
 package engine
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math/rand/v2"
@@ -183,42 +182,56 @@ type Result struct {
 	FidelityBytesSaved int64
 }
 
-// multiServer models a k-server FIFO resource by tracking per-server free
-// times in a min-heap.
-type multiServer struct {
-	free timeHeap
+// MultiServer models a k-server FIFO resource by list scheduling: each job
+// starts on the earliest-free server, no earlier than it arrives. It is the
+// one pool model of the simulated tier — storage cores, links (k = 1),
+// compute cores and accelerators here, and the load harness's per-shard
+// cores and link (internal/loadgen).
+type MultiServer struct {
+	free []time.Duration // when each server next falls idle; a min-heap
 	busy time.Duration
 	last time.Duration // latest completion scheduled so far
 }
 
-type timeHeap []time.Duration
+// NewMultiServer returns an idle pool of servers servers; a pool of none
+// accepts no work.
+func NewMultiServer(servers int) *MultiServer {
+	return &MultiServer{free: make([]time.Duration, servers)}
+}
 
-func (h timeHeap) Len() int            { return len(h) }
-func (h timeHeap) Less(i, j int) bool  { return h[i] < h[j] }
-func (h timeHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *timeHeap) Push(x interface{}) { *h = append(*h, x.(time.Duration)) }
-func (h *timeHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	*h = old[:n-1]
-	return v
+// Schedule runs a job arriving at arrival for dur on the earliest-free
+// server and returns its completion time. Arrivals must be offered in
+// queue order; the pool is FIFO only across calls.
+func (m *MultiServer) Schedule(arrival, dur time.Duration) time.Duration {
+	end := max(m.free[0], arrival) + dur
+	// The root was the earliest-free server; sift its new free time down.
+	f, i := m.free, 0
+	for c := 1; c < len(f); c = 2*i + 1 {
+		if c+1 < len(f) && f[c+1] < f[c] {
+			c++
+		}
+		if end <= f[c] {
+			break
+		}
+		f[i], i = f[c], c
+	}
+	f[i] = end
+	m.busy += dur
+	m.last = max(m.last, end)
+	return end
 }
 
 // prepWorkers models W single-core preprocessing workers individually —
-// unlike multiServer's earliest-free pool, each worker has its own queue, so
+// unlike MultiServer's earliest-free pool, each worker has its own queue, so
 // head-of-line blocking (FIFO) and its removal (steal) are visible per
 // worker.
 type prepWorkers struct {
-	free, busy, last []time.Duration
+	free, busy []time.Duration
+	last       time.Duration // latest completion scheduled on any worker
 }
 
 func newPrepWorkers(w int) *prepWorkers {
-	return &prepWorkers{
-		free: make([]time.Duration, w),
-		busy: make([]time.Duration, w),
-		last: make([]time.Duration, w),
-	}
+	return &prepWorkers{free: make([]time.Duration, w), busy: make([]time.Duration, w)}
 }
 
 // schedule runs stream position i's local suffix arriving at arrival. Under
@@ -251,356 +264,418 @@ func (p *prepWorkers) schedule(i int, arrival, dur time.Duration, steal bool) (t
 	end := start + dur
 	p.free[w] = end
 	p.busy[w] += dur
-	p.last[w] = end
+	p.last = max(p.last, end)
 	return end, w != home
 }
 
-func newMultiServer(servers int) *multiServer {
-	m := &multiServer{free: make(timeHeap, servers)}
-	heap.Init(&m.free)
-	return m
-}
-
-// schedule runs a job arriving at arrival for dur on the earliest-free
-// server and returns its completion time.
-func (m *multiServer) schedule(arrival, dur time.Duration) time.Duration {
-	start := m.free[0]
-	if arrival > start {
-		start = arrival
-	}
-	end := start + dur
-	m.free[0] = end
-	heap.Fix(&m.free, 0)
-	m.busy += dur
-	if end > m.last {
-		m.last = end
-	}
-	return end
-}
-
-// Run simulates the epoch.
-func Run(cfg Config) (Result, error) {
+// resolve is the one validation routine of the engine: it checks a job's
+// trace, plan, environment and loader knobs, and fills the defaults the
+// kernel reads (batch, window, framing overhead, shard count). Run resolves
+// its Config directly; RunFleet builds one Config per job and resolves each.
+func (cfg *Config) resolve() error {
 	if cfg.Trace == nil || cfg.Trace.N() == 0 {
-		return Result{}, errors.New("engine: empty trace")
+		return errors.New("engine: empty trace")
 	}
 	if cfg.Plan == nil {
-		return Result{}, errors.New("engine: nil plan")
+		return errors.New("engine: nil plan")
 	}
 	if err := cfg.Env.Validate(); err != nil {
-		return Result{}, err
+		return err
 	}
 	if cfg.Plan.N() != cfg.Trace.N() {
-		return Result{}, fmt.Errorf("engine: plan covers %d samples, trace has %d", cfg.Plan.N(), cfg.Trace.N())
+		return fmt.Errorf("engine: plan covers %d samples, trace has %d", cfg.Plan.N(), cfg.Trace.N())
+	}
+	if cfg.BatchSize == 0 {
+		cfg.BatchSize = 256
 	}
 	batch := cfg.BatchSize
-	if batch == 0 {
-		batch = 256
-	}
 	if batch < 1 {
-		return Result{}, fmt.Errorf("engine: batch size %d", batch)
+		return fmt.Errorf("engine: batch size %d", batch)
 	}
 	if cfg.Lookahead < 0 {
-		return Result{}, fmt.Errorf("engine: lookahead depth %d", cfg.Lookahead)
+		return fmt.Errorf("engine: lookahead depth %d", cfg.Lookahead)
 	}
 	if cfg.Lookahead > 0 && cfg.PrefetchWindow > 0 {
-		return Result{}, fmt.Errorf("%w: lookahead %d with reactive window %d", ErrLookaheadConfig, cfg.Lookahead, cfg.PrefetchWindow)
+		return fmt.Errorf("%w: lookahead %d with reactive window %d", ErrLookaheadConfig, cfg.Lookahead, cfg.PrefetchWindow)
 	}
 	if cfg.Lookahead == 0 && (cfg.LookaheadHorizon != 0 || cfg.StagingBudgetBytes != 0) {
-		return Result{}, fmt.Errorf("%w: horizon/staging budget set without lookahead", ErrLookaheadConfig)
+		return fmt.Errorf("%w: horizon/staging budget set without lookahead", ErrLookaheadConfig)
 	}
 	if cfg.LookaheadHorizon < 0 || cfg.StagingBudgetBytes < 0 {
-		return Result{}, fmt.Errorf("engine: negative lookahead horizon or staging budget")
+		return fmt.Errorf("engine: negative lookahead horizon or staging budget")
 	}
 	if cfg.LookaheadHorizon > 0 && cfg.LookaheadHorizon < batch {
-		return Result{}, fmt.Errorf("engine: lookahead horizon %d < batch %d", cfg.LookaheadHorizon, batch)
+		return fmt.Errorf("engine: lookahead horizon %d < batch %d", cfg.LookaheadHorizon, batch)
 	}
 	switch cfg.PrepSched {
 	case PrepSchedShared:
 		if cfg.PrepWorkers != 0 || cfg.HeavyRatio != 0 {
-			return Result{}, fmt.Errorf("%w: PrepWorkers %d / HeavyRatio %v under the shared pool", ErrPrepSchedConfig, cfg.PrepWorkers, cfg.HeavyRatio)
+			return fmt.Errorf("%w: PrepWorkers %d / HeavyRatio %v under the shared pool", ErrPrepSchedConfig, cfg.PrepWorkers, cfg.HeavyRatio)
 		}
 	case PrepSchedFIFO, PrepSchedSteal:
 		if cfg.PrepWorkers < 0 {
-			return Result{}, fmt.Errorf("engine: prep workers %d", cfg.PrepWorkers)
+			return fmt.Errorf("engine: prep workers %d", cfg.PrepWorkers)
 		}
 		if cfg.HeavyRatio < 0 {
-			return Result{}, fmt.Errorf("engine: heavy ratio %v", cfg.HeavyRatio)
+			return fmt.Errorf("engine: heavy ratio %v", cfg.HeavyRatio)
+		}
+		if cfg.PrepWorkers == 0 {
+			cfg.PrepWorkers = cfg.Env.ComputeCores
 		}
 	default:
-		return Result{}, fmt.Errorf("%w: unknown model %d", ErrPrepSchedConfig, int(cfg.PrepSched))
+		return fmt.Errorf("%w: unknown model %d", ErrPrepSchedConfig, int(cfg.PrepSched))
 	}
-	window := cfg.PrefetchWindow
 	if cfg.Lookahead == 0 {
-		if window == 0 {
-			window = 4 * batch
+		if cfg.PrefetchWindow == 0 {
+			cfg.PrefetchWindow = 4 * batch
 		}
-		if window < batch {
-			return Result{}, fmt.Errorf("engine: prefetch window %d < batch %d", window, batch)
+		if cfg.PrefetchWindow < batch {
+			return fmt.Errorf("engine: prefetch window %d < batch %d", cfg.PrefetchWindow, batch)
 		}
 	}
-	overhead := cfg.RequestOverheadBytes
-	if overhead == 0 {
-		overhead = DefaultRequestOverhead
+	if cfg.RequestOverheadBytes == 0 {
+		cfg.RequestOverheadBytes = DefaultRequestOverhead
 	}
 	if cfg.Fidelity != nil {
 		if err := cfg.Fidelity.Validate(); err != nil {
-			return Result{}, err
+			return err
 		}
 	}
-	// xferBytes prices one sample's transfer: stage-split artifact plus
-	// framing, with the raw container scaled to its fidelity prefix when the
-	// ladder is enabled — the same rule policy.Plan.TrafficWith applies.
-	xferBytes := func(rec *dataset.Record, id, split int) int64 {
-		size := rec.StageSizes[split]
-		if split == 0 && cfg.Fidelity != nil {
-			size = cfg.Fidelity.BytesAt(size, cfg.Plan.FidelityOf(id))
-		}
-		return size + int64(overhead)
+	if cfg.Env.StorageCores == 0 && cfg.Plan.OffloadedCount() > 0 {
+		return errors.New("engine: plan offloads but storage has 0 cores")
 	}
-
-	n := cfg.Trace.N()
-	offloaded := 0
-	for i := 0; i < n; i++ {
-		if cfg.Plan.Split(i) > 0 {
-			offloaded++
-		}
-	}
-	if offloaded > 0 && cfg.Env.StorageCores == 0 {
-		return Result{}, errors.New("engine: plan offloads but storage has 0 cores")
-	}
-
 	if cfg.Shards < 0 {
-		return Result{}, fmt.Errorf("engine: shard count %d", cfg.Shards)
+		return fmt.Errorf("engine: shard count %d", cfg.Shards)
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = 1
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
 	}
-	shardMap, err := cluster.NewShardMap(shards)
+	return nil
+}
+
+// tier is the storage side every job of a replay queues on: one storage-CPU
+// pool and one link PER SHARD — a sample queues only behind its own shard's
+// work, which is how the sharded tier multiplies both binding resources —
+// plus the optional cross-job artifact cache in front of them.
+type tier struct {
+	env      policy.Env // Bandwidth, StorageCores and StorageSlowdown are per shard
+	shardMap *cluster.ShardMap
+	// Empty pools on a tier without cores: resolve admits no offloading
+	// plan there, so nothing is scheduled on them.
+	storage  []*MultiServer
+	links    []*MultiServer
+	rtt      time.Duration
+	overhead int64
+
+	// Cross-job artifact cache (fleet.go), admit-until-full; cacheCap 0
+	// disables it.
+	cacheCap, cacheUsed int64
+	resident            map[cacheKey]bool
+}
+
+// cacheKey identifies one shared artifact inside a replay.
+type cacheKey struct {
+	dataset uint64
+	sample  uint32
+	cut     uint8
+}
+
+// newTier builds the shared side of a replay from a resolved Config.
+func newTier(cfg Config, cacheBytes int64) (*tier, error) {
+	shardMap, err := cluster.NewShardMap(cfg.Shards)
 	if err != nil {
-		return Result{}, err
+		return nil, err
 	}
-
-	// One storage pool and one link PER SHARD: a sample queues only behind
-	// its own shard's work, which is how the sharded tier multiplies both
-	// binding resources.
-	storagePools := make([]*multiServer, shards)
-	links := make([]*multiServer, shards)
-	for s := 0; s < shards; s++ {
-		if cfg.Env.StorageCores > 0 {
-			storagePools[s] = newMultiServer(cfg.Env.StorageCores)
-		}
-		links[s] = newMultiServer(1)
+	t := &tier{
+		env:      cfg.Env,
+		shardMap: shardMap,
+		storage:  make([]*MultiServer, cfg.Shards),
+		links:    make([]*MultiServer, cfg.Shards),
+		rtt:      cfg.RTT,
+		overhead: int64(cfg.RequestOverheadBytes),
+		cacheCap: cacheBytes,
+		resident: make(map[cacheKey]bool),
 	}
-	computePool := newMultiServer(cfg.Env.ComputeCores)
-	gpuPool := newMultiServer(cfg.Env.GPUs())
-
-	// Per-worker preprocessing model (FIFO or steal) plus a cost classifier
-	// for the heavy-sample accounting.
-	var prep *prepWorkers
-	var classifier *prepsched.Classifier
-	heavySamples, steals := 0, 0
-	if cfg.PrepSched != PrepSchedShared {
-		workers := cfg.PrepWorkers
-		if workers == 0 {
-			workers = cfg.Env.ComputeCores
-		}
-		prep = newPrepWorkers(workers)
-		classifier, err = prepsched.FromTrace(cfg.Trace, cfg.HeavyRatio)
-		if err != nil {
-			return Result{}, err
-		}
+	for s := range t.links {
+		t.storage[s] = NewMultiServer(cfg.Env.StorageCores)
+		t.links[s] = NewMultiServer(1)
 	}
+	return t, nil
+}
 
-	// consumed[i] is when sample i's batch left the GPU; the loader may
-	// only hold `window` samples in flight.
-	consumed := make([]time.Duration, n)
-	batchReady := time.Duration(0) // max ready time in the current batch
-	batchStart := 0
-	var traffic, fidelitySaved int64
-	samplesReduced := 0
-	var lastGPUEnd time.Duration
-	batches := 0
-
-	flushBatch := func(upto int) {
-		// Samples [batchStart, upto) form a batch; run it on the
-		// earliest-free accelerator.
-		size := upto - batchStart
-		if size <= 0 {
-			return
-		}
-		end := gpuPool.schedule(batchReady, cfg.Env.GPU.BatchTime(size))
-		for i := batchStart; i < upto; i++ {
-			consumed[i] = end
-		}
-		if end > lastGPUEnd {
-			lastGPUEnd = end
-		}
-		batchStart = upto
-		batchReady = 0
-		batches++
+// busy sums storage-core and link busy time over the shards.
+func (t *tier) busy() (storage, link time.Duration) {
+	for s := range t.links {
+		storage += t.storage[s].busy
+		link += t.links[s].busy
 	}
+	return storage, link
+}
 
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
+// job is one training job's side of a replay: its loader (visit order,
+// issue gates), its local preprocessing model, its batch accumulator and
+// accelerator, and its share of the accounting. Every job owns its compute
+// cores and GPUs; only the tier is shared.
+type job struct {
+	cfg     Config // resolved
+	tier    *tier
+	dataset uint64 // cache share key; 0 keeps the job's artifacts private
+
+	order    []int           // stream position → sample ID
+	next     int             // stream position issued next
+	consumed []time.Duration // when each position's batch left the GPU
+
+	// Clairvoyant issue state (Lookahead > 0): each shard's transfer-end
+	// history (the depth gate) and a prefix-sum byte ledger for the staging
+	// budget gate.
+	shardEnds   [][]time.Duration
+	bytesPrefix []int64
+	budgetLo    int
+
+	compute    *MultiServer // shared pool, or:
+	prep       *prepWorkers // per-worker model (FIFO or steal)
+	classifier *prepsched.Classifier
+	gpu        *MultiServer
+
+	batchStart int
+	batchReady time.Duration // max ready time in the current batch
+	lastGPUEnd time.Duration
+	batches    int
+
+	reduced, steals, heavy             int
+	traffic, fidelitySaved             int64
+	cacheHits, cacheMisses, cacheSaved int64
+}
+
+// newJob builds one job over t from a resolved Config.
+func newJob(cfg Config, t *tier, dataset uint64) (*job, error) {
+	n := cfg.Trace.N()
+	j := &job{
+		cfg:      cfg,
+		tier:     t,
+		dataset:  dataset,
+		order:    make([]int, n),
+		consumed: make([]time.Duration, n),
+		compute:  NewMultiServer(cfg.Env.ComputeCores),
+		gpu:      NewMultiServer(cfg.Env.GPUs()),
+	}
+	for i := range j.order {
+		j.order[i] = i
 	}
 	if cfg.ShuffleSeed != 0 {
 		rng := rand.New(rand.NewPCG(cfg.ShuffleSeed, cfg.ShuffleSeed^0xb533_1157))
-		rng.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		rng.Shuffle(n, func(a, b int) { j.order[a], j.order[b] = j.order[b], j.order[a] })
 	}
-
-	// Clairvoyant issue state: each shard's transfer-end history (the depth
-	// gate), and a prefix-sum byte ledger for the staging budget gate.
-	var shardEnds [][]time.Duration
-	var bytesPrefix []int64
-	budgetLo := 0
+	if cfg.PrepSched != PrepSchedShared {
+		var err error
+		if j.classifier, err = prepsched.FromTrace(cfg.Trace, cfg.HeavyRatio); err != nil {
+			return nil, err
+		}
+		j.prep = newPrepWorkers(cfg.PrepWorkers)
+	}
 	if cfg.Lookahead > 0 {
-		shardEnds = make([][]time.Duration, shards)
+		j.shardEnds = make([][]time.Duration, cfg.Shards)
 		if cfg.StagingBudgetBytes > 0 {
-			bytesPrefix = make([]int64, n+1)
-			for i := 0; i < n; i++ {
-				rec := &cfg.Trace.Records[order[i]]
-				split := cfg.Plan.Split(order[i])
-				bytesPrefix[i+1] = bytesPrefix[i] + xferBytes(rec, order[i], split)
+			j.bytesPrefix = make([]int64, n+1)
+			for i, id := range j.order {
+				j.bytesPrefix[i+1] = j.bytesPrefix[i] + j.xferBytes(id)
 			}
 		}
 	}
+	return j, nil
+}
 
-	for i := 0; i < n; i++ {
-		rec := &cfg.Trace.Records[order[i]]
-		split := cfg.Plan.Split(order[i])
-		shard := shardMap.ShardOf(uint32(order[i]))
+// xferBytes prices one sample's transfer: stage-split artifact plus
+// framing, with the raw container scaled to its fidelity prefix when the
+// ladder is enabled — the same rule policy.Plan.TrafficWith applies.
+func (j *job) xferBytes(id int) int64 {
+	split := j.cfg.Plan.Split(id)
+	size := j.cfg.Trace.Records[id].StageSizes[split]
+	if split == 0 && j.cfg.Fidelity != nil {
+		size = j.cfg.Fidelity.BytesAt(size, j.cfg.Plan.FidelityOf(id))
+	}
+	return size + j.tier.overhead
+}
 
-		var gate time.Duration
-		if cfg.Lookahead > 0 {
-			// Depth gate: this shard keeps at most Lookahead transfers in
-			// flight; issue j waits for delivery of the shard's own j−D.
-			if k := len(shardEnds[shard]); k >= cfg.Lookahead {
-				gate = shardEnds[shard][k-cfg.Lookahead]
-			}
-			// Horizon gate: no shard runs more than H stream positions
-			// ahead of the consumption cursor.
-			if h := cfg.LookaheadHorizon; h > 0 && i >= h {
-				if g := consumed[i-h]; g > gate {
-					gate = g
-				}
-			}
-			// Budget gate: positions [budgetLo, i] must fit in the staging
-			// budget; everything before budgetLo has to be consumed first.
-			// The cursor entry itself is always admitted (budgetLo ≤ i), and
-			// positions still inside the unflushed batch gate at 0 — the
-			// soft-budget overshoot bounded by in-flight work.
-			if bytesPrefix != nil {
-				for budgetLo < i && bytesPrefix[i+1]-bytesPrefix[budgetLo] > cfg.StagingBudgetBytes {
-					budgetLo++
-				}
-				if budgetLo > 0 {
-					if g := consumed[budgetLo-1]; g > gate {
-						gate = g
-					}
-				}
-			}
-		} else if i >= window {
-			gate = consumed[i-window]
+// shard is the storage server that owns stream position i's sample.
+func (j *job) shard(i int) int { return j.tier.shardMap.ShardOf(uint32(j.order[i])) }
+
+// gate returns when the loader may issue its next sample.
+func (j *job) gate() time.Duration {
+	i := j.next
+	if j.cfg.Lookahead == 0 {
+		// Reactive: at most PrefetchWindow samples in flight.
+		if i >= j.cfg.PrefetchWindow {
+			return j.consumed[i-j.cfg.PrefetchWindow]
 		}
+		return 0
+	}
+	var gate time.Duration
+	shard := j.shard(i)
+	// Depth gate: this shard keeps at most Lookahead transfers in flight;
+	// issue k waits for delivery of the shard's own k−D.
+	if k := len(j.shardEnds[shard]); k >= j.cfg.Lookahead {
+		gate = j.shardEnds[shard][k-j.cfg.Lookahead]
+	}
+	// Horizon gate: no shard runs more than H stream positions ahead of the
+	// consumption cursor.
+	if h := j.cfg.LookaheadHorizon; h > 0 && i >= h {
+		gate = max(gate, j.consumed[i-h])
+	}
+	// Budget gate: positions [budgetLo, i] must fit in the staging budget;
+	// everything before budgetLo has to be consumed first. The cursor entry
+	// itself is always admitted (budgetLo ≤ i), and positions still inside
+	// the unflushed batch gate at 0 — the soft-budget overshoot bounded by
+	// in-flight work.
+	if j.bytesPrefix != nil {
+		for j.budgetLo < i && j.bytesPrefix[i+1]-j.bytesPrefix[j.budgetLo] > j.cfg.StagingBudgetBytes {
+			j.budgetLo++
+		}
+		if j.budgetLo > 0 {
+			gate = max(gate, j.consumed[j.budgetLo-1])
+		}
+	}
+	return gate
+}
 
-		// Storage-side prefix under the owning shard's core budget.
-		t := gate
+// step carries the job's next sample through the pipeline: loader gate →
+// (shared cache |) owning shard's storage pool → owning shard's link →
+// local preprocessing → batch.
+func (j *job) step() {
+	t, i := j.tier, j.next
+	id := j.order[i]
+	rec := &j.cfg.Trace.Records[id]
+	split := j.cfg.Plan.Split(id)
+	shard := j.shard(i)
+	at := j.gate()
+
+	bytes := j.xferBytes(id)
+	full := rec.StageSizes[split] + t.overhead
+	key := cacheKey{dataset: j.dataset, sample: uint32(id), cut: uint8(split)}
+	shared := t.cacheCap > 0 && j.dataset != 0
+	if shared && t.resident[key] {
+		// Another tenant of the share group already pulled this artifact.
+		j.cacheHits++
+		j.cacheSaved += full
+	} else {
 		if split > 0 {
-			dur := time.Duration(float64(rec.PrefixTime(split)) * cfg.Env.StorageSlowdown)
-			t = storagePools[shard].schedule(t, dur)
+			dur := time.Duration(float64(rec.PrefixTime(split)) * t.env.StorageSlowdown)
+			at = t.storage[shard].Schedule(at, dur)
 		}
-
-		// Transfer over the owning shard's link, serialized at the
-		// configured bandwidth. The RTT delays the transfer's start but
-		// does not occupy the link.
-		bytes := xferBytes(rec, order[i], split)
-		if full := rec.StageSizes[split] + int64(overhead); bytes < full {
-			fidelitySaved += full - bytes
-			samplesReduced++
+		if bytes < full {
+			j.fidelitySaved += full - bytes
+			j.reduced++
 		}
-		traffic += bytes
-		xfer := time.Duration(float64(bytes) / cfg.Env.Bandwidth * float64(time.Second))
-		t = links[shard].schedule(t+cfg.RTT, xfer)
-		if shardEnds != nil {
-			shardEnds[shard] = append(shardEnds[shard], t)
+		j.traffic += bytes
+		// The link serializes transfers at the configured bandwidth. The RTT
+		// delays the transfer's start but does not occupy the link.
+		xfer := time.Duration(float64(bytes) / t.env.Bandwidth * float64(time.Second))
+		at = t.links[shard].Schedule(at+t.rtt, xfer)
+		if j.shardEnds != nil {
+			j.shardEnds[shard] = append(j.shardEnds[shard], at)
 		}
-
-		// Local suffix on the compute pool (or the per-worker model).
-		suffix := rec.TotalTime() - rec.PrefixTime(split)
-		if prep != nil {
-			if classifier.Class(rec.TotalTime()) == prepsched.Heavy {
-				heavySamples++
+		if shared {
+			j.cacheMisses++
+			if sz := rec.StageSizes[split]; t.cacheUsed+sz <= t.cacheCap {
+				t.resident[key] = true
+				t.cacheUsed += sz
 			}
-			if suffix > 0 {
-				var stole bool
-				t, stole = prep.schedule(i, t, suffix, cfg.PrepSched == PrepSchedSteal)
-				if stole {
-					steals++
-				}
-			}
-		} else if suffix > 0 {
-			t = computePool.schedule(t, suffix)
-		}
-
-		if t > batchReady {
-			batchReady = t
-		}
-		if i-batchStart+1 == batch {
-			flushBatch(i + 1)
 		}
 	}
-	flushBatch(n) // trailing partial batch
+
+	suffix := rec.TotalTime() - rec.PrefixTime(split)
+	if j.prep != nil {
+		if j.classifier.Class(rec.TotalTime()) == prepsched.Heavy {
+			j.heavy++
+		}
+		if suffix > 0 {
+			var stole bool
+			if at, stole = j.prep.schedule(i, at, suffix, j.cfg.PrepSched == PrepSchedSteal); stole {
+				j.steals++
+			}
+		}
+	} else if suffix > 0 {
+		at = j.compute.Schedule(at, suffix)
+	}
+
+	j.batchReady = max(j.batchReady, at)
+	j.next++
+	if j.next-j.batchStart == j.cfg.BatchSize || j.next == len(j.order) {
+		j.flushBatch()
+	}
+}
+
+// flushBatch runs positions [batchStart, next) as one batch on the
+// earliest-free accelerator; the last batch of an epoch may be partial.
+func (j *job) flushBatch() {
+	end := j.gpu.Schedule(j.batchReady, j.cfg.Env.GPU.BatchTime(j.next-j.batchStart))
+	for i := j.batchStart; i < j.next; i++ {
+		j.consumed[i] = end
+	}
+	j.lastGPUEnd = max(j.lastGPUEnd, end)
+	j.batchStart = j.next
+	j.batchReady = 0
+	j.batches++
+}
+
+// Run simulates the epoch: the kernel with one job, alone on its tier.
+func Run(cfg Config) (Result, error) {
+	if err := cfg.resolve(); err != nil {
+		return Result{}, err
+	}
+	t, err := newTier(cfg, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	j, err := newJob(cfg, t, 0)
+	if err != nil {
+		return Result{}, err
+	}
+	for j.next < len(j.order) {
+		j.step()
+	}
 
 	res := Result{
-		EpochTime:          lastGPUEnd,
-		TrafficBytes:       traffic,
-		ComputeBusy:        computePool.busy,
-		GPUBusy:            gpuPool.busy,
-		SamplesOffloaded:   offloaded,
-		Batches:            batches,
+		EpochTime:          j.lastGPUEnd,
+		TrafficBytes:       j.traffic,
+		ComputeBusy:        j.compute.busy,
+		GPUBusy:            j.gpu.busy,
+		SamplesOffloaded:   cfg.Plan.OffloadedCount(),
+		Batches:            j.batches,
 		MeanQuality:        1,
-		SamplesReduced:     samplesReduced,
-		FidelityBytesSaved: fidelitySaved,
+		SamplesReduced:     j.reduced,
+		FidelityBytesSaved: j.fidelitySaved,
+		PerLinkIdle:        make([]time.Duration, cfg.Shards),
 	}
 	if cfg.Fidelity != nil {
 		res.MeanQuality = cfg.Plan.MeanQuality(*cfg.Fidelity)
 	}
-	res.PerLinkIdle = make([]time.Duration, shards)
+	res.StorageBusy, res.LinkBusy = t.busy()
 	var idleSum time.Duration
-	for s := 0; s < shards; s++ {
-		res.LinkBusy += links[s].busy
-		res.PerLinkIdle[s] = links[s].last - links[s].busy
+	for s, l := range t.links {
+		res.PerLinkIdle[s] = l.last - l.busy
 		idleSum += res.PerLinkIdle[s]
-		if storagePools[s] != nil {
-			res.StorageBusy += storagePools[s].busy
-		}
 	}
-	if prep != nil {
-		res.PerWorkerIdle = make([]time.Duration, len(prep.free))
-		var makespan time.Duration
-		for w := range prep.free {
-			if prep.last[w] > makespan {
-				makespan = prep.last[w]
-			}
-		}
+	if prep := j.prep; prep != nil {
+		// Stall is measured against the preprocessing makespan, the last
+		// local completion on any worker.
+		res.PerWorkerIdle = make([]time.Duration, len(prep.busy))
 		var workerIdle time.Duration
 		res.ComputeBusy = 0
-		for w := range prep.free {
-			res.ComputeBusy += prep.busy[w]
-			res.PerWorkerIdle[w] = makespan - prep.busy[w]
+		for w, busy := range prep.busy {
+			res.ComputeBusy += busy
+			res.PerWorkerIdle[w] = prep.last - busy
 			workerIdle += res.PerWorkerIdle[w]
 		}
-		res.Steals = steals
-		res.HeavySamples = heavySamples
-		if makespan > 0 {
-			res.WorkerStallFrac = float64(workerIdle) / float64(len(prep.free)) / float64(makespan)
+		res.Steals = j.steals
+		res.HeavySamples = j.heavy
+		if prep.last > 0 {
+			res.WorkerStallFrac = float64(workerIdle) / float64(len(prep.busy)) / float64(prep.last)
 		}
 	}
 	if res.EpochTime > 0 {
 		res.GPUUtilization = float64(res.GPUBusy) / float64(res.EpochTime) / float64(cfg.Env.GPUs())
-		res.LinkIdleFrac = float64(idleSum) / float64(shards) / float64(res.EpochTime)
+		res.LinkIdleFrac = float64(idleSum) / float64(cfg.Shards) / float64(res.EpochTime)
 	}
 	return res, nil
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/rand/v2"
 	"reflect"
 	"testing"
 	"time"
@@ -430,5 +431,38 @@ func TestPrefetchWindowLimitsOverlap(t *testing.T) {
 	}
 	if shallow.EpochTime < deep.EpochTime {
 		t.Fatalf("shallow prefetch %v faster than deep %v", shallow.EpochTime, deep.EpochTime)
+	}
+}
+
+// MultiServer's heap against the definition: every job starts on whichever
+// server falls idle first, no earlier than it arrives.
+func TestMultiServerMatchesEarliestFree(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	for _, k := range []int{1, 2, 3, 7, 48} {
+		m := NewMultiServer(k)
+		free := make([]time.Duration, k)
+		var busy, last time.Duration
+		for i := 0; i < 2000; i++ {
+			// Arrivals wander backwards as well as forwards, as link
+			// completions from different shards do.
+			arrival := time.Duration(i)*time.Millisecond + time.Duration(rng.IntN(5000))*time.Microsecond
+			dur := time.Duration(rng.IntN(20000)) * time.Microsecond
+			s := 0
+			for j := range free {
+				if free[j] < free[s] {
+					s = j
+				}
+			}
+			want := max(free[s], arrival) + dur
+			free[s] = want
+			busy += dur
+			last = max(last, want)
+			if got := m.Schedule(arrival, dur); got != want {
+				t.Fatalf("k=%d job %d: completes at %v, want %v", k, i, got, want)
+			}
+		}
+		if m.busy != busy || m.last != last {
+			t.Fatalf("k=%d: busy %v last %v, want %v %v", k, m.busy, m.last, busy, last)
+		}
 	}
 }

@@ -4,21 +4,19 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"math/rand/v2"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/policy"
 )
 
-// Fleet replay: N concurrent training jobs over ONE shared storage tier.
-// Every job keeps its own compute pool and accelerator, but all jobs queue
-// on the same per-shard storage-CPU pools and links — the contention a
-// multi-tenant cluster actually exhibits, which the single-job Run above
-// cannot model. A deterministic round-robin interleave (jobs issue samples
-// in lockstep, ties broken by admission order) makes same-seed replays
-// bit-identical; FleetResult.Digest witnesses it.
+// Fleet replay: N concurrent training jobs over ONE shared storage tier —
+// the kernel Run drives with a single job, driven with many. Every job keeps
+// its own compute pool and accelerator, but all jobs queue on the same
+// per-shard storage-CPU pools and links — the contention a multi-tenant
+// cluster actually exhibits. A deterministic round-robin interleave (jobs
+// issue samples in lockstep, ties broken by admission order) makes same-seed
+// replays bit-identical; FleetResult.Digest witnesses it.
 //
 // The shared cross-job artifact cache is modeled at the compute tier: jobs
 // carrying the same non-zero Dataset key train on the same dataset, so once
@@ -100,62 +98,12 @@ func (r FleetResult) CacheHitRate() float64 {
 	return float64(r.CacheHits) / float64(total)
 }
 
-// fleetJobState is one job's in-flight simulation state.
-type fleetJobState struct {
-	cfg      FleetJob
-	order    []int
-	next     int
-	consumed []time.Duration
-	compute  *multiServer
-	gpu      *multiServer
-
-	batchReady time.Duration
-	batchStart int
-	lastGPUEnd time.Duration
-
-	res FleetJobResult
-}
-
-// gate returns when the job's loader may issue its next sample.
-func (j *fleetJobState) gate(window int) time.Duration {
-	if j.next >= window {
-		return j.consumed[j.next-window]
-	}
-	return 0
-}
-
-// fleetCacheKey identifies one shared artifact inside the replay.
-type fleetCacheKey struct {
-	dataset uint64
-	sample  uint32
-	cut     uint8
-}
-
-// RunFleet replays one epoch of every job over the shared tier.
+// RunFleet replays one epoch of every job over the shared tier: the kernel
+// with N jobs on the reactive window, every one queueing on the same
+// per-shard storage pools and links.
 func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if len(cfg.Jobs) == 0 {
 		return FleetResult{}, errors.New("engine: fleet needs jobs")
-	}
-	if err := cfg.Env.Validate(); err != nil {
-		return FleetResult{}, err
-	}
-	batch := cfg.BatchSize
-	if batch == 0 {
-		batch = 256
-	}
-	if batch < 1 {
-		return FleetResult{}, fmt.Errorf("engine: batch size %d", batch)
-	}
-	window := cfg.PrefetchWindow
-	if window == 0 {
-		window = 4 * batch
-	}
-	if window < batch {
-		return FleetResult{}, fmt.Errorf("engine: prefetch window %d < batch %d", window, batch)
-	}
-	overhead := cfg.RequestOverheadBytes
-	if overhead == 0 {
-		overhead = DefaultRequestOverhead
 	}
 	if cfg.CacheBytes < 0 {
 		return FleetResult{}, fmt.Errorf("engine: cache bytes %d", cfg.CacheBytes)
@@ -164,92 +112,38 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if shards == 0 {
 		shards = cfg.Env.ShardCount()
 	}
-	shardMap, err := cluster.NewShardMap(shards)
-	if err != nil {
-		return FleetResult{}, err
-	}
-
-	// Shared tier: one storage pool and one link per shard, queued on by
-	// EVERY job. Compute pools and GPUs are per job.
-	storagePools := make([]*multiServer, shards)
-	links := make([]*multiServer, shards)
-	for s := 0; s < shards; s++ {
-		if cfg.Env.StorageCores > 0 {
-			storagePools[s] = newMultiServer(cfg.Env.StorageCores)
-		}
-		links[s] = newMultiServer(1)
-	}
-
-	jobs := make([]*fleetJobState, len(cfg.Jobs))
+	var t *tier
+	jobs := make([]*job, len(cfg.Jobs))
 	seen := make(map[string]bool, len(cfg.Jobs))
 	remaining := 0
-	for i, jc := range cfg.Jobs {
-		if jc.Name == "" {
+	for i, fj := range cfg.Jobs {
+		if fj.Name == "" {
 			return FleetResult{}, fmt.Errorf("engine: fleet job %d has no name", i)
 		}
-		if seen[jc.Name] {
-			return FleetResult{}, fmt.Errorf("engine: duplicate fleet job %q", jc.Name)
+		if seen[fj.Name] {
+			return FleetResult{}, fmt.Errorf("engine: duplicate fleet job %q", fj.Name)
 		}
-		seen[jc.Name] = true
-		if jc.Trace == nil || jc.Trace.N() == 0 {
-			return FleetResult{}, fmt.Errorf("engine: fleet job %q has an empty trace", jc.Name)
-		}
-		if jc.Plan == nil {
-			return FleetResult{}, fmt.Errorf("engine: fleet job %q has no plan", jc.Name)
-		}
-		if jc.Plan.N() != jc.Trace.N() {
-			return FleetResult{}, fmt.Errorf("engine: fleet job %q: plan covers %d samples, trace has %d",
-				jc.Name, jc.Plan.N(), jc.Trace.N())
-		}
-		n := jc.Trace.N()
-		st := &fleetJobState{
-			cfg:      jc,
-			order:    make([]int, n),
-			consumed: make([]time.Duration, n),
-			compute:  newMultiServer(cfg.Env.ComputeCores),
-			gpu:      newMultiServer(cfg.Env.GPUs()),
-			res:      FleetJobResult{Name: jc.Name},
-		}
-		for k := range st.order {
-			st.order[k] = k
+		seen[fj.Name] = true
+		jc := Config{
+			Trace: fj.Trace, Plan: fj.Plan, Env: cfg.Env, Shards: shards, BatchSize: cfg.BatchSize,
+			PrefetchWindow: cfg.PrefetchWindow, RequestOverheadBytes: cfg.RequestOverheadBytes,
 		}
 		if cfg.ShuffleSeed != 0 {
 			// Independent per-job stream so jobs do not march in identical
 			// sample order (which would overstate cache locality).
-			s1 := cfg.ShuffleSeed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
-			rng := rand.New(rand.NewPCG(s1, s1^0xb533_1157))
-			rng.Shuffle(n, func(a, b int) { st.order[a], st.order[b] = st.order[b], st.order[a] })
+			jc.ShuffleSeed = cfg.ShuffleSeed ^ (uint64(i+1) * 0x9e3779b97f4a7c15)
 		}
-		for k := 0; k < n; k++ {
-			if jc.Plan.Split(k) > 0 {
-				st.res.SamplesOffloaded++
-			}
+		err := jc.resolve()
+		if err == nil && t == nil {
+			t, err = newTier(jc, cfg.CacheBytes)
 		}
-		if st.res.SamplesOffloaded > 0 && cfg.Env.StorageCores == 0 {
-			return FleetResult{}, fmt.Errorf("engine: fleet job %q offloads but the tier has 0 cores", jc.Name)
+		if err == nil {
+			jobs[i], err = newJob(jc, t, fj.Dataset)
 		}
-		jobs[i] = st
-		remaining += n
-	}
-
-	cacheOn := cfg.CacheBytes > 0
-	resident := make(map[fleetCacheKey]bool)
-	var cacheBytes int64
-
-	flushBatch := func(j *fleetJobState, upto int) {
-		size := upto - j.batchStart
-		if size <= 0 {
-			return
+		if err != nil {
+			return FleetResult{}, fmt.Errorf("engine: fleet job %q: %w", fj.Name, err)
 		}
-		end := j.gpu.schedule(j.batchReady, cfg.Env.GPU.BatchTime(size))
-		for k := j.batchStart; k < upto; k++ {
-			j.consumed[k] = end
-		}
-		if end > j.lastGPUEnd {
-			j.lastGPUEnd = end
-		}
-		j.batchStart = upto
-		j.batchReady = 0
+		remaining += fj.Trace.N()
 	}
 
 	// Deterministic interleave: each step issues the next sample of the job
@@ -257,92 +151,43 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	// the fewest issued samples goes first (round-robin), then admission
 	// order. With deep prefetch windows this opens as a strict round-robin
 	// across the fleet, exactly how concurrent loaders share a tier.
-	for remaining > 0 {
-		best := -1
+	for ; remaining > 0; remaining-- {
+		var best *job
 		var bestGate time.Duration
-		for i, j := range jobs {
+		for _, j := range jobs {
 			if j.next >= len(j.order) {
 				continue
 			}
-			g := j.gate(window)
-			if best < 0 || g < bestGate ||
-				(g == bestGate && j.next < jobs[best].next) {
-				best = i
-				bestGate = g
+			if g := j.gate(); best == nil || g < bestGate || (g == bestGate && j.next < best.next) {
+				best, bestGate = j, g
 			}
 		}
-		j := jobs[best]
-		id := j.order[j.next]
-		rec := &j.cfg.Trace.Records[id]
-		split := j.cfg.Plan.Split(id)
-		shard := shardMap.ShardOf(uint32(id))
-
-		t := bestGate
-		key := fleetCacheKey{dataset: j.cfg.Dataset, sample: uint32(id), cut: uint8(split)}
-		cached := cacheOn && j.cfg.Dataset != 0 && resident[key]
-		if cached {
-			// Shared-cache hit: another tenant of the share group already
-			// pulled this artifact. No storage CPU, no link transfer.
-			j.res.CacheHits++
-			j.res.BytesSaved += rec.StageSizes[split] + int64(overhead)
-		} else {
-			if split > 0 {
-				dur := time.Duration(float64(rec.PrefixTime(split)) * cfg.Env.StorageSlowdown)
-				t = storagePools[shard].schedule(t, dur)
-			}
-			bytes := rec.StageSizes[split] + int64(overhead)
-			j.res.TrafficBytes += bytes
-			xfer := time.Duration(float64(bytes) / cfg.Env.Bandwidth * float64(time.Second))
-			t = links[shard].schedule(t, xfer)
-			if cacheOn && j.cfg.Dataset != 0 {
-				j.res.CacheMisses++
-				sz := rec.StageSizes[split]
-				if cacheBytes+sz <= cfg.CacheBytes {
-					resident[key] = true
-					cacheBytes += sz
-				}
-			}
-		}
-
-		suffix := rec.TotalTime() - rec.PrefixTime(split)
-		if suffix > 0 {
-			t = j.compute.schedule(t, suffix)
-		}
-		if t > j.batchReady {
-			j.batchReady = t
-		}
-		j.next++
-		if j.next-j.batchStart == batch {
-			flushBatch(j, j.next)
-		}
-		if j.next == len(j.order) {
-			flushBatch(j, j.next) // trailing partial batch
-		}
-		remaining--
+		best.step()
 	}
 
 	out := FleetResult{Jobs: make([]FleetJobResult, len(jobs))}
 	h := fnv.New64a()
 	for i, j := range jobs {
-		j.res.EpochTime = j.lastGPUEnd
-		out.Jobs[i] = j.res
-		out.AggregateEpochTime += j.res.EpochTime
-		out.TrafficBytes += j.res.TrafficBytes
-		out.CacheHits += j.res.CacheHits
-		out.CacheMisses += j.res.CacheMisses
-		out.CacheBytesSaved += j.res.BytesSaved
-		if j.res.EpochTime > out.Makespan {
-			out.Makespan = j.res.EpochTime
+		r := FleetJobResult{
+			Name:             cfg.Jobs[i].Name,
+			EpochTime:        j.lastGPUEnd,
+			TrafficBytes:     j.traffic,
+			SamplesOffloaded: j.cfg.Plan.OffloadedCount(),
+			CacheHits:        j.cacheHits,
+			CacheMisses:      j.cacheMisses,
+			BytesSaved:       j.cacheSaved,
 		}
-		fmt.Fprintf(h, "%s|%d|%d|%d|%d\n", j.res.Name, j.res.EpochTime.Nanoseconds(),
-			j.res.TrafficBytes, j.res.CacheHits, j.res.BytesSaved)
+		out.Jobs[i] = r
+		out.AggregateEpochTime += r.EpochTime
+		out.TrafficBytes += r.TrafficBytes
+		out.CacheHits += r.CacheHits
+		out.CacheMisses += r.CacheMisses
+		out.CacheBytesSaved += r.BytesSaved
+		out.Makespan = max(out.Makespan, r.EpochTime)
+		fmt.Fprintf(h, "%s|%d|%d|%d|%d\n", r.Name, r.EpochTime.Nanoseconds(),
+			r.TrafficBytes, r.CacheHits, r.BytesSaved)
 	}
-	for s := 0; s < shards; s++ {
-		out.LinkBusy += links[s].busy
-		if storagePools[s] != nil {
-			out.StorageBusy += storagePools[s].busy
-		}
-	}
+	out.StorageBusy, out.LinkBusy = t.busy()
 	fmt.Fprintf(h, "agg|%d|%d\n", out.AggregateEpochTime.Nanoseconds(), out.TrafficBytes)
 	out.Digest = h.Sum64()
 	return out, nil

@@ -4,20 +4,23 @@
 // SLOs (p50/p90/p99/p999 for cache hits, offloaded fetches, and raw
 // fetches).
 //
-// The harness is a discrete-event simulation on virtual time, like
-// internal/engine's fleet DES: arrivals, storage-core completions, and
+// The harness is a discrete-event simulation on virtual time, and the repo's
+// only event-driven loop: arrivals, storage-core completions, and
 // link-transfer completions are events on a single heap, so a run with
 // 10,000 sessions over minutes of simulated load finishes in well under a
 // second of wall time and is bit-reproducible from its seed. Arrival
 // processes (Poisson or bursty) draw from per-session PCG streams using the
 // same seeding idiom as internal/chaos.
 //
-// The server model mirrors the real tier's admission control: a per-shard
-// in-flight byte budget with per-tenant weighted fair queues (internal/wfq,
-// the same scheduler the live storage server uses) and bounded queues that
-// shed load with retry-after rejections instead of queueing without bound.
-// Open-loop arrivals keep coming while the server sheds, which is exactly
-// what exposes the bounded-p99-vs-collapse tradeoff the SLO report records.
+// The server model is built from the tier's own parts. Admission is the
+// accounting the live storage server runs (wfq.Budget: an in-flight byte
+// budget, per-tenant weighted fair queues, and bounded queues that shed load
+// with retry-after rejections instead of queueing without bound), one
+// instance per shard where the live tier shares one; each shard's offload
+// cores and link are the epoch engine's k-server pool; latencies land in the
+// registry's histogram type. Open-loop arrivals keep coming while the server
+// sheds, which is exactly what exposes the bounded-p99-vs-collapse tradeoff
+// the SLO report records.
 package loadgen
 
 import (
@@ -27,6 +30,8 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/wfq"
 )
 
@@ -219,14 +224,12 @@ type request struct {
 	shard   int
 }
 
-// shardState models one storage server: its admission controller, core
+// shardState models one storage server: its admission accounting, core
 // pool, and outbound link.
 type shardState struct {
-	inFlightBytes int64
-	queue         *wfq.Queue // admission queue; Item.Value = *request
-	busyCores     int
-	coreQueue     []*request // admitted, waiting for a core
-	linkFree      time.Duration
+	admission *wfq.Budget // a queued Item.Value is the *request
+	cores     *engine.MultiServer
+	link      *engine.MultiServer
 }
 
 type session struct {
@@ -242,15 +245,11 @@ type sim struct {
 	events   eventHeap
 	shards   []*shardState
 	sessions []*session
-	hists    [classCount]*Hist
+	hists    [classCount]metrics.Histogram
 	offered  uint64
 	done     uint64
 	shed     [classCount]uint64
 	maxDepth int
-
-	budget   int64
-	maxQueue int
-	hitSvc   time.Duration
 }
 
 // Run executes the load scenario and returns its report. Identical
@@ -278,48 +277,42 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.CoresPerShard <= 0 {
 		cfg.CoresPerShard = 1
 	}
+	if cfg.Admission.MaxInFlightBytes <= 0 {
+		cfg.Admission.MaxInFlightBytes = DefaultMaxInFlightBytes
+	}
+	if cfg.Admission.MaxQueuePerTenant <= 0 {
+		cfg.Admission.MaxQueuePerTenant = DefaultMaxQueuePerTenant
+	}
+	if cfg.HitService <= 0 {
+		cfg.HitService = DefaultHitService
+	}
 
-	s := &sim{
-		cfg:      cfg,
-		budget:   cfg.Admission.MaxInFlightBytes,
-		maxQueue: cfg.Admission.MaxQueuePerTenant,
-		hitSvc:   cfg.HitService,
-	}
-	if s.budget <= 0 {
-		s.budget = DefaultMaxInFlightBytes
-	}
-	if s.maxQueue <= 0 {
-		s.maxQueue = DefaultMaxQueuePerTenant
-	}
-	if s.hitSvc <= 0 {
-		s.hitSvc = DefaultHitService
-	}
-	for i := range s.hists {
-		s.hists[i] = NewHist()
-	}
+	s := &sim{cfg: cfg}
 	s.shards = make([]*shardState, cfg.Shards)
 	for i := range s.shards {
-		s.shards[i] = &shardState{queue: wfq.New()}
+		s.shards[i] = &shardState{
+			admission: wfq.NewBudget(cfg.Admission.MaxInFlightBytes, cfg.Admission.MaxQueuePerTenant),
+			cores:     engine.NewMultiServer(cfg.CoresPerShard),
+			link:      engine.NewMultiServer(1),
+		}
 	}
 
 	// One PCG stream pair per session: stream 2k for arrivals, 2k+1 for
 	// classification — the chaos idiom (seed fixed, stream index varies).
-	idx := 0
 	for j := range cfg.Jobs {
 		job := &cfg.Jobs[j]
+		if job.Rate <= 0 {
+			continue
+		}
 		for k := 0; k < job.Sessions; k++ {
-			rate := job.Rate
-			if rate <= 0 {
-				continue
-			}
+			idx := len(s.sessions)
 			sess := &session{
-				proc: newArrivalProc(cfg.Seed, uint64(idx)*2, job.Arrival, rate, job.Burst),
+				proc: newArrivalProc(cfg.Seed, uint64(idx)*2, job.Arrival, job.Rate, job.Burst),
 				rng:  rand.New(rand.NewPCG(cfg.Seed, uint64(idx)*2+1)),
 				job:  j,
 			}
 			s.sessions = append(s.sessions, sess)
-			s.schedule(sess.proc.next(), evArrival, len(s.sessions)-1, nil)
-			idx++
+			s.schedule(sess.proc.next(), evArrival, idx, nil)
 		}
 	}
 	if len(s.sessions) == 0 {
@@ -342,7 +335,7 @@ func Run(cfg Config) (*Report, error) {
 		case evArrival:
 			s.onArrival(ev.session)
 		case evCoreDone:
-			s.onCoreDone(ev.req)
+			s.startXfer(s.shards[ev.req.shard], ev.req)
 		case evXferDone:
 			s.onXferDone(ev.req)
 		}
@@ -351,8 +344,9 @@ func Run(cfg Config) (*Report, error) {
 	return s.report(total), nil
 }
 
-func (s *sim) schedule(delay time.Duration, kind, sessionIdx int, req *request) {
-	ev := &event{at: s.now + delay, seq: s.seq, kind: kind, session: sessionIdx, req: req}
+// schedule queues an event for virtual time at.
+func (s *sim) schedule(at time.Duration, kind, sessionIdx int, req *request) {
+	ev := &event{at: at, seq: s.seq, kind: kind, session: sessionIdx, req: req}
 	s.seq++
 	heap.Push(&s.events, ev)
 }
@@ -379,7 +373,7 @@ func (s *sim) onArrival(sessionIdx int) {
 
 	// Next arrival first, so the open loop never stalls on a slow server.
 	if next := sess.proc.next(); s.now+next <= s.cfg.Duration {
-		s.schedule(next, evArrival, sessionIdx, nil)
+		s.schedule(s.now+next, evArrival, sessionIdx, nil)
 	}
 	if s.now > s.cfg.Duration {
 		return
@@ -390,7 +384,7 @@ func (s *sim) onArrival(sessionIdx int) {
 	if class == ClassHit {
 		// Served from the trainer-side shared cache; never touches the
 		// storage tier or its admission queues.
-		s.hists[ClassHit].Record(s.hitSvc)
+		s.hists[ClassHit].Observe(s.cfg.HitService)
 		s.done++
 		return
 	}
@@ -416,42 +410,31 @@ func (s *sim) onArrival(sessionIdx int) {
 		s.startService(sh, req)
 		return
 	}
-	// Admission: fast path when the budget fits and no one is queued;
-	// otherwise join the tenant's weighted queue, unless it is full —
-	// then the request is shed (the server answers retry-after).
-	if sh.inFlightBytes+req.bytes <= s.budget && sh.queue.Len() == 0 {
-		sh.inFlightBytes += req.bytes
+	// Admission: straight through when the budget fits and no one is
+	// queued; otherwise wait in the tenant's weighted queue, unless it is
+	// full — then the request is shed (the server answers retry-after).
+	switch verdict, item := sh.admission.Admit(uint64(req.job), job.Weight, req.bytes); verdict {
+	case wfq.Admitted:
 		s.startService(sh, req)
-		return
-	}
-	if sh.queue.TenantLen(uint64(req.job)) >= s.maxQueue {
+	case wfq.Shed:
 		s.shed[class]++
-		return
-	}
-	weight := job.Weight
-	if weight <= 0 {
-		weight = 1
-	}
-	sh.queue.Push(uint64(req.job), weight, float64(req.bytes), req)
-	depth := 0
-	for _, other := range s.shards {
-		depth += other.queue.Len()
-	}
-	if depth > s.maxDepth {
-		s.maxDepth = depth
+	case wfq.Queued:
+		item.Value = req
+		depth := 0
+		for _, other := range s.shards {
+			depth += other.admission.Queued()
+		}
+		s.maxDepth = max(s.maxDepth, depth)
 	}
 }
 
-// startService runs an admitted request: offloaded work claims a core
-// first, raw fetches go straight to the link.
+// startService runs an admitted request: offloaded work takes its turn on
+// the shard's cores first, raw fetches go straight to the link. Requests
+// are admitted in time order, so scheduling the core here is the FIFO core
+// queue.
 func (s *sim) startService(sh *shardState, req *request) {
 	if req.class == ClassOffloaded && req.cpu > 0 {
-		if sh.busyCores < s.cfg.CoresPerShard {
-			sh.busyCores++
-			s.schedule(req.cpu, evCoreDone, 0, req)
-		} else {
-			sh.coreQueue = append(sh.coreQueue, req)
-		}
+		s.schedule(sh.cores.Schedule(s.now, req.cpu), evCoreDone, 0, req)
 		return
 	}
 	s.startXfer(sh, req)
@@ -460,50 +443,16 @@ func (s *sim) startService(sh *shardState, req *request) {
 // startXfer puts the request's bytes on the shard's FIFO link.
 func (s *sim) startXfer(sh *shardState, req *request) {
 	xfer := time.Duration(float64(req.bytes) / s.cfg.LinkBytesPerSec * float64(time.Second))
-	start := sh.linkFree
-	if s.now > start {
-		start = s.now
-	}
-	sh.linkFree = start + xfer
-	s.schedule(sh.linkFree-s.now, evXferDone, 0, req)
-}
-
-func (s *sim) onCoreDone(req *request) {
-	sh := s.shards[req.shard]
-	// Hand the freed core to the next queued prefix, if any.
-	if len(sh.coreQueue) > 0 {
-		next := sh.coreQueue[0]
-		copy(sh.coreQueue, sh.coreQueue[1:])
-		sh.coreQueue[len(sh.coreQueue)-1] = nil
-		sh.coreQueue = sh.coreQueue[:len(sh.coreQueue)-1]
-		s.schedule(next.cpu, evCoreDone, 0, next)
-	} else {
-		sh.busyCores--
-	}
-	s.startXfer(sh, req)
+	s.schedule(sh.link.Schedule(s.now, xfer), evXferDone, 0, req)
 }
 
 func (s *sim) onXferDone(req *request) {
 	sh := s.shards[req.shard]
-	s.hists[req.class].Record(s.now - req.arrived)
+	s.hists[req.class].Observe(s.now - req.arrived)
 	s.done++
-	if s.cfg.Admission.Disabled {
-		return
-	}
-	sh.inFlightBytes -= req.bytes
-	// Admit queued requests in weighted-fair order while the budget fits.
-	for {
-		it := sh.queue.Peek()
-		if it == nil {
-			break
-		}
-		next := it.Value.(*request)
-		if sh.inFlightBytes+next.bytes > s.budget {
-			break
-		}
-		sh.queue.Pop()
-		sh.inFlightBytes += next.bytes
-		s.startService(sh, next)
+	if !s.cfg.Admission.Disabled {
+		// Admit queued requests in weighted-fair order while the budget fits.
+		sh.admission.Release(req.bytes, func(it *wfq.Item) { s.startService(sh, it.Value.(*request)) })
 	}
 }
 
@@ -529,7 +478,7 @@ func (s *sim) report(sessions int) *Report {
 		rep.ShedRate = float64(shedTotal) / float64(s.offered)
 	}
 	for c := Class(0); c < classCount; c++ {
-		h := s.hists[c]
+		h := &s.hists[c]
 		if h.Count() == 0 && s.shed[c] == 0 {
 			continue
 		}

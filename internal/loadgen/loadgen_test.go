@@ -184,6 +184,35 @@ func TestWeightedTenantShedding(t *testing.T) {
 	}
 }
 
+// TestOversizeRequestsRunSerially: a request larger than the whole byte
+// budget is admitted once the shard is idle, as the live controller's
+// Acquire documents, so a run made only of such requests completes every one
+// of them, one at a time — it used to admit none and complete nothing.
+func TestOversizeRequestsRunSerially(t *testing.T) {
+	rep, err := Run(Config{
+		Seed:            11,
+		Duration:        time.Second,
+		CoresPerShard:   8,
+		LinkBytesPerSec: 100e6,
+		Admission:       AdmissionSpec{MaxInFlightBytes: 64 << 10},
+		Jobs: []JobSpec{{
+			Name: "oversize", Sessions: 4, Rate: 50, Mix: [3]float64{0, 1, 1},
+			OffloadedBytes: 100 << 10, RawBytes: 100 << 10, OffloadCPU: 2 * time.Millisecond,
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Offered < 100 || rep.Completed != rep.Offered || rep.Shed != 0 {
+		t.Fatalf("offered %d, completed %d, shed %d; want every offered request completed", rep.Offered, rep.Completed, rep.Shed)
+	}
+	// Eight idle cores, yet arrivals waited: nothing ran beside an oversize
+	// request.
+	if rep.MaxQueueDepth == 0 {
+		t.Fatal("no request ever waited for the oversize one in flight")
+	}
+}
+
 func TestRunBadConfig(t *testing.T) {
 	if _, err := Run(Config{}); err == nil {
 		t.Fatal("zero config should fail")

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/storage"
@@ -38,7 +39,7 @@ func TestStatsJSON(t *testing.T) {
 	counters.SamplesServed.Add(5)
 	counters.BytesSent.Add(1024)
 	reg.Counter("fetches").Add(5)
-	reg.Histogram("latency").Observe(0.5)
+	reg.Histogram("latency").Observe(500 * time.Millisecond)
 
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
@@ -61,8 +62,14 @@ func TestStatsJSON(t *testing.T) {
 	if counters2["fetches"].(float64) != 5 {
 		t.Fatalf("registry counter missing: %v", counters2)
 	}
-	if _, ok := got["histograms"].(map[string]interface{})["latency"]; !ok {
+	// One 500 ms observation: /stats reports seconds, and every statistic of
+	// a single-valued histogram is that value exactly.
+	lat, ok := got["histograms"].(map[string]interface{})["latency"].(map[string]interface{})
+	if !ok {
 		t.Fatal("histogram missing")
+	}
+	if lat["count"].(float64) != 1 || lat["mean"].(float64) != 0.5 || lat["p50"].(float64) != 0.5 || lat["p99"].(float64) != 0.5 {
+		t.Fatalf("latency histogram = %v, want count 1 and 0.5 s throughout", lat)
 	}
 }
 

@@ -77,15 +77,18 @@ type AdmissionStats struct {
 // with retry-after rejections once a tenant's queue is full. Shedding keeps
 // tail latency bounded under open-loop overload: the alternative —
 // unbounded queueing — takes p99 to the queue length.
+//
+// The rule itself — what fits, who queues, who is shed, who is granted next
+// — is wfq.Budget, the same accounting the load harness's tier model runs
+// on virtual time; the controller adds the lock, the blocking and the
+// counters.
 type AdmissionController struct {
 	maxBytes   int64
-	maxQueue   int
 	retryAfter time.Duration
 	weight     func(uint64) float64
 
-	mu       sync.Mutex
-	inFlight int64
-	queue    *wfq.Queue // Item.Value = chan struct{} (closed on grant)
+	mu     sync.Mutex
+	budget *wfq.Budget // a queued Item.Value is a chan struct{}, closed on grant
 
 	admitted atomic.Uint64
 	queuedN  atomic.Uint64
@@ -103,20 +106,18 @@ func NewAdmissionController(cfg AdmissionConfig) (*AdmissionController, error) {
 	if cfg.RetryAfter < 0 {
 		return nil, errors.New("storage: negative retry-after hint")
 	}
-	c := &AdmissionController{
+	if cfg.MaxQueuePerTenant == 0 {
+		cfg.MaxQueuePerTenant = DefaultAdmissionQueue
+	}
+	if cfg.RetryAfter == 0 {
+		cfg.RetryAfter = DefaultRetryAfterHint
+	}
+	return &AdmissionController{
 		maxBytes:   cfg.MaxInFlightBytes,
-		maxQueue:   cfg.MaxQueuePerTenant,
 		retryAfter: cfg.RetryAfter,
 		weight:     cfg.Weight,
-		queue:      wfq.New(),
-	}
-	if c.maxQueue == 0 {
-		c.maxQueue = DefaultAdmissionQueue
-	}
-	if c.retryAfter == 0 {
-		c.retryAfter = DefaultRetryAfterHint
-	}
-	return c, nil
+		budget:     wfq.NewBudget(cfg.MaxInFlightBytes, cfg.MaxQueuePerTenant),
+	}, nil
 }
 
 // RetryAfterHint returns the backoff hint rejections carry.
@@ -136,27 +137,25 @@ func (c *AdmissionController) Acquire(tenant uint64, bytes int64, cancel <-chan 
 	if bytes < 1 {
 		bytes = 1
 	}
+	var w float64 // non-positive: the queue's default weight of 1
+	if c.weight != nil {
+		w = c.weight(tenant)
+	}
 	c.mu.Lock()
-	if c.fitsLocked(bytes) && c.queue.Len() == 0 {
-		c.inFlight += bytes
+	verdict, item := c.budget.Admit(tenant, w, bytes)
+	switch verdict {
+	case wfq.Admitted:
 		c.mu.Unlock()
 		c.admitted.Add(1)
 		return c.releaseFunc(bytes), nil
-	}
-	if c.queue.TenantLen(tenant) >= c.maxQueue {
-		depth := c.queue.Len()
+	case wfq.Shed:
+		depth := c.budget.Queued()
 		c.mu.Unlock()
 		c.shed.Add(1)
 		return nil, &RetryAfterError{Delay: c.retryAfter, Queued: depth}
 	}
-	w := 1.0
-	if c.weight != nil {
-		if got := c.weight(tenant); got > 0 {
-			w = got
-		}
-	}
 	grant := make(chan struct{})
-	item := c.queue.Push(tenant, w, float64(bytes), grant)
+	item.Value = grant
 	c.mu.Unlock()
 	c.queuedN.Add(1)
 
@@ -166,7 +165,7 @@ func (c *AdmissionController) Acquire(tenant uint64, bytes int64, cancel <-chan 
 		return c.releaseFunc(bytes), nil
 	case <-cancel:
 		c.mu.Lock()
-		removed := c.queue.Remove(item)
+		removed := c.budget.Cancel(item)
 		c.mu.Unlock()
 		if !removed {
 			// The grant raced the cancellation: the budget was already
@@ -178,36 +177,13 @@ func (c *AdmissionController) Acquire(tenant uint64, bytes int64, cancel <-chan 
 	}
 }
 
-// fitsLocked reports whether bytes fit the budget right now. An oversized
-// request fits only a fully idle controller.
-func (c *AdmissionController) fitsLocked(bytes int64) bool {
-	if c.inFlight == 0 {
-		return true
-	}
-	return c.inFlight+bytes <= c.maxBytes
-}
-
 // releaseFunc returns the (idempotent-unsafe, call-once) release closure
-// for an admitted request.
+// for an admitted request. Waiters it wakes were charged by the budget
+// before they resume, so a snapshot never undercounts in-flight bytes.
 func (c *AdmissionController) releaseFunc(bytes int64) func() {
 	return func() {
 		c.mu.Lock()
-		c.inFlight -= bytes
-		// Wake queued waiters in weighted-fair order while their bytes fit;
-		// the budget is charged here, before the waiter resumes, so a
-		// snapshot never undercounts in-flight bytes.
-		for {
-			it := c.queue.Peek()
-			if it == nil {
-				break
-			}
-			if !c.fitsLocked(int64(it.Cost)) {
-				break
-			}
-			c.queue.Pop()
-			c.inFlight += int64(it.Cost)
-			close(it.Value.(chan struct{}))
-		}
+		c.budget.Release(bytes, func(it *wfq.Item) { close(it.Value.(chan struct{})) })
 		c.mu.Unlock()
 	}
 }
@@ -215,8 +191,8 @@ func (c *AdmissionController) releaseFunc(bytes int64) func() {
 // Stats snapshots the controller's counters.
 func (c *AdmissionController) Stats() AdmissionStats {
 	c.mu.Lock()
-	inFlight := c.inFlight
-	depth := c.queue.Len()
+	inFlight := c.budget.InFlight()
+	depth := c.budget.Queued()
 	c.mu.Unlock()
 	return AdmissionStats{
 		MaxInFlightBytes: c.maxBytes,

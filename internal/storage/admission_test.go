@@ -202,6 +202,59 @@ func TestAdmissionOversizedRequestRunsAlone(t *testing.T) {
 	close(cancel)
 }
 
+// Every request is eventually admitted whatever its size, and the bytes in
+// flight never pass the budget — except by the one oversize request that is
+// running alone. The oversize row is the case internal/loadgen's model of
+// this controller pins as TestOversizeRequestsRunSerially; both run
+// wfq.Budget.
+func TestAdmissionCompletesEveryRequest(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		budget, bytes int64
+		requests      int
+		peak          int64 // most bytes ever in flight
+	}{
+		{"small requests share the budget", 100, 10, 16, 100},
+		{"a request of exactly the budget", 100, 100, 8, 100},
+		{"oversize requests run one at a time", 10, 1000, 8, 1000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewAdmissionController(AdmissionConfig{MaxInFlightBytes: tc.budget})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var peak atomic.Int64
+			var wg sync.WaitGroup
+			for i := 0; i < tc.requests; i++ {
+				wg.Add(1)
+				go func(tenant uint64) {
+					defer wg.Done()
+					release, err := c.Acquire(tenant, tc.bytes, nil)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for now := c.Stats().InFlightBytes; ; {
+						if old := peak.Load(); now <= old || peak.CompareAndSwap(old, now) {
+							break
+						}
+					}
+					time.Sleep(time.Millisecond)
+					release()
+				}(uint64(i % 3))
+			}
+			wg.Wait()
+			st := c.Stats()
+			if st.Admitted != uint64(tc.requests) || st.Shed != 0 || st.InFlightBytes != 0 || st.QueueDepth != 0 {
+				t.Fatalf("after %d requests: %+v", tc.requests, st)
+			}
+			if got := peak.Load(); got > tc.peak {
+				t.Fatalf("peak in flight %d bytes, want at most %d", got, tc.peak)
+			}
+		})
+	}
+}
+
 func TestAdmissionWeightedGrantOrder(t *testing.T) {
 	c, _ := NewAdmissionController(AdmissionConfig{
 		MaxInFlightBytes: 10,

@@ -578,7 +578,7 @@ func (t *Trainer) observeFetch(d time.Duration, samples, bytes int) {
 	if m == nil {
 		return
 	}
-	m.Histogram("trainer.fetch_seconds").Observe(d.Seconds())
+	m.Histogram("trainer.fetch_seconds").Observe(d)
 	m.Counter("trainer.samples").Add(int64(samples))
 	m.Counter("trainer.bytes_fetched").Add(int64(bytes))
 }
@@ -631,7 +631,7 @@ func (t *Trainer) finishSample(res storage.FetchResult, epoch uint64, i, split i
 	out.Release()
 	localCPU := time.Since(cpuStart)
 	if t.cfg.Metrics != nil {
-		t.cfg.Metrics.Histogram("trainer.preprocess_seconds").Observe(localCPU.Seconds())
+		t.cfg.Metrics.Histogram("trainer.preprocess_seconds").Observe(localCPU)
 	}
 	return sampleOutcome{
 		wireBytes: res.WireBytes,

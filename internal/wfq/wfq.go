@@ -28,11 +28,6 @@ type Item struct {
 	seq uint64
 }
 
-// VFT returns the item's stamped virtual finish time. Exposed for tests
-// and for discrete-event simulations that want to mirror the server's
-// scheduling decisions exactly.
-func (it *Item) VFT() float64 { return it.vft }
-
 type tenantQueue struct {
 	items   []*Item
 	lastVft float64
