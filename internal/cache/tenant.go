@@ -83,10 +83,11 @@ func hit(sample uint32, split int, data []byte) (storage.FetchResult, error) {
 
 // retain encodes a fetched artifact into a plain owned buffer for the shared
 // cache. The source artifact is only read, never retained or released. The
-// encoding goes through pooled scratch first: WireSize is the unpacked size,
-// about twice what an image encodes to, and the cache charges len, not cap.
+// encoding goes through pooled scratch first: EncodeBound is the most an
+// image can encode to, over twice what a photo does, and the cache charges
+// len, not cap.
 func (t *TenantFetcher) retain(key ArtifactKey, res storage.FetchResult) {
-	scratch := bufpool.GetBytes(res.Artifact.WireSize())
+	scratch := bufpool.GetBytes(res.Artifact.EncodeBound())
 	defer bufpool.PutBytes(scratch)
 	enc, err := res.Artifact.AppendEncode(scratch[:0])
 	if err != nil {

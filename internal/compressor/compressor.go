@@ -20,7 +20,7 @@ import (
 
 // Model estimates, per artifact kind, the achievable compression ratio
 // (compressed/original) and the CPU cost of compressing. This package's tests
-// hold ImageRatio against the live packed encoding, which does better (≈0.45
+// hold ImageRatio against the live packed encoding, which does better (≈0.41
 // on the benchmark's crops); the estimate stays where Ablation B's committed
 // table was computed.
 type Model struct {

@@ -94,7 +94,7 @@ func TestModelCalibration(t *testing.T) {
 		}
 	}
 	// The model must not promise more than the code that ships delivers, and
-	// should be in its regime: the live pack reads ≈0.45 here.
+	// should be in its regime: the live pack reads ≈0.41 here.
 	live := float64(shipped) / float64(unpacked)
 	if live > m.ImageRatio || live < m.ImageRatio/2 {
 		t.Fatalf("live packed image ratio %.3f, want within [%.2f, %.2f] of DefaultModel().ImageRatio", live, m.ImageRatio/2, m.ImageRatio)

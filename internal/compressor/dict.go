@@ -259,6 +259,9 @@ func UnmarshalDict(data []byte) (*Dict, error) {
 	p := len(dictMagic)
 	switch data[p] {
 	case 0:
+		if data[p+1] != 0 {
+			return nil, fmt.Errorf("%w: escape byte %#x without the escape flag", ErrDict, data[p+1])
+		}
 	case 1:
 		d.hasEscape = true
 		d.escape = data[p+1]

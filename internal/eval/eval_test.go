@@ -382,7 +382,7 @@ func TestValidateGenerator(t *testing.T) {
 	// The law holds on Sizes; what image stages ship is the packed form,
 	// well under it on photo-like content.
 	if res.ShippedOverLaw < 0.2 || res.ShippedOverLaw > 0.7 {
-		t.Fatalf("image stages ship %.3f of the law's bytes, want about half", res.ShippedOverLaw)
+		t.Fatalf("image stages ship %.3f of the law's bytes, want about 0.4", res.ShippedOverLaw)
 	}
 }
 

@@ -175,7 +175,7 @@ func Decode(data []byte) (*Image, error) {
 	}
 	planes := bufpool.GetBytes(total)
 	defer bufpool.PutBytes(planes)
-	if _, err := inflateInto(payload, planes); err != nil {
+	if err := inflateInto(payload, planes); err != nil {
 		return nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 	}
 

@@ -225,17 +225,14 @@ type inflater struct {
 var inflaterPool = sync.Pool{New: func() any { return new(inflater) }}
 
 // inflateInto decompresses the raw DEFLATE stream src into dst, which must
-// come out exactly full, and returns how many bytes of src the stream
-// occupies. Bytes after the final block are not an error here, as they are
-// not to compress/flate's reader; a caller that owns all of src compares used
-// with len(src). On error dst holds garbage.
-func inflateInto(src, dst []byte) (used int, err error) {
+// come out exactly full. Bytes after the final block are not an error, as
+// they are not to compress/flate's reader. On error dst holds garbage.
+func inflateInto(src, dst []byte) error {
 	d := inflaterPool.Get().(*inflater)
-	err = d.inflate(src, dst)
-	used = d.pos - d.nb>>3  // whole bytes still in the bit buffer were never part of the stream
+	err := d.inflate(src, dst)
 	d.src, d.dst = nil, nil // a pooled inflater must not pin the caller's buffers
 	inflaterPool.Put(d)
-	return used, err
+	return err
 }
 
 func (d *inflater) inflate(src, dst []byte) error {

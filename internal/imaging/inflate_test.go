@@ -11,15 +11,13 @@ import (
 )
 
 // assertInflateAgrees holds inflateInto to compress/flate's reader: the same
-// verdict on data as an n-byte stream, and on acceptance the same bytes. The
-// reader does not say where the stream ended, so the reported length is held
-// to its own meaning: exactly that prefix is a stream, one byte less is not.
-// It returns the shared verdict.
+// verdict on data as an n-byte stream, and on acceptance the same bytes. It
+// returns the shared verdict.
 func assertInflateAgrees(t *testing.T, data []byte, n int) (accepted bool) {
 	t.Helper()
 	want, got := make([]byte, n), make([]byte, n)
 	refErr := refInflate(data, want)
-	used, err := inflateInto(data, got)
+	err := inflateInto(data, got)
 	if (refErr == nil) != (err == nil) {
 		t.Fatalf("verdicts differ on %x as %d bytes: compress/flate says %v, inflateInto says %v", data, n, refErr, err)
 	}
@@ -28,15 +26,6 @@ func assertInflateAgrees(t *testing.T, data []byte, n int) (accepted bool) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("outputs differ on %x as %d bytes", data, n)
-	}
-	if used < 1 || used > len(data) {
-		t.Fatalf("stream of %x reported as %d of %d bytes", data, used, len(data))
-	}
-	if again, err := inflateInto(data[:used], got); err != nil || again != used {
-		t.Fatalf("the %d-byte stream in %x alone: used %d, err %v", used, data, again, err)
-	}
-	if _, err := inflateInto(data[:used-1], got); err == nil {
-		t.Fatalf("%x still inflates one byte short of its reported %d", data, used)
 	}
 	return true
 }
@@ -371,7 +360,7 @@ func TestInflateIntoDoesNotAllocate(t *testing.T) {
 	for _, c := range inflateCorpus(t, 20_000) {
 		dst := make([]byte, len(c.plain))
 		if allocs := testing.AllocsPerRun(10, func() {
-			if _, err := inflateInto(c.stream, dst); err != nil {
+			if err := inflateInto(c.stream, dst); err != nil {
 				t.Fatal(err)
 			}
 		}); allocs > 0 {

@@ -365,7 +365,7 @@ func decodeScans(data []byte, hd *sjprHeader, k int) (*Image, error) {
 		if j > 0 {
 			dst = scratch
 		}
-		if _, err := inflateInto(payload, dst); err != nil {
+		if err := inflateInto(payload, dst); err != nil {
 			return nil, fmt.Errorf("%w: scan %d: %v", ErrCorrupt, j, err)
 		}
 		if j == 0 {

@@ -105,10 +105,3 @@ func clamp255(v float64) uint8 {
 	}
 	return uint8(v + 0.5)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -74,7 +74,7 @@ func RawWireSize(n int) int { return 1 + n }
 // ImageWireSize returns the unpacked size of a w×h image artifact: header
 // plus pixel bytes. This is the artifact-size law (the paper's Figure 1a, the
 // trace generator, every model-tier table) and what the artifact occupies in
-// memory. What crosses the wire is the packed form, about half of it on
+// memory. What crosses the wire is the packed form, about 0.4 of it on
 // photo-like content; only AppendEncode knows that number.
 func ImageWireSize(w, h int) int { return imageHeader + w*h*imaging.Channels }
 
@@ -84,9 +84,8 @@ func TensorWireSize(c, h, w int) int { return 1 + tensor.MarshaledSize(c, h, w) 
 // WireSize returns, in O(1), the artifact's unpacked encoded size — the
 // quantity the paper's Figure 1a traces through the pipeline. For raw and
 // tensor artifacts it is exactly len(Encode()). For images it is
-// ImageWireSize: the in-memory charge and the capacity to encode into, which
-// the packed encoding stays under except on noise-like pixels, where stored
-// blocks put it 5 B per 65 535 B plus a constant over.
+// ImageWireSize, the in-memory charge; the packed encoding is about 0.4 of it
+// on photo-like pixels and never more than EncodeBound.
 func (a Artifact) WireSize() int {
 	switch a.Kind {
 	case KindRaw:
@@ -100,16 +99,26 @@ func (a Artifact) WireSize() int {
 	}
 }
 
+// EncodeBound returns, in O(1), the most bytes AppendEncode can append: the
+// capacity that is never regrown. It is WireSize, plus for an image the one
+// byte per plane that marks pixels no code can shrink as stored.
+func (a Artifact) EncodeBound() int {
+	if a.Kind == KindImage {
+		return a.WireSize() + imaging.Channels
+	}
+	return a.WireSize()
+}
+
 // Encode serializes the artifact: a kind byte followed by the payload
 // (raw bytes verbatim; images as W,H plus the pixels packed losslessly by
 // imaging.AppendPacked; tensors via tensor.Marshal). The result is freshly
 // allocated; use AppendEncode to encode into a pooled buffer instead.
 func (a Artifact) Encode() ([]byte, error) {
-	return a.AppendEncode(make([]byte, 0, a.WireSize()))
+	return a.AppendEncode(make([]byte, 0, a.EncodeBound()))
 }
 
 // AppendEncode appends the artifact encoding to dst and returns the extended
-// slice. When dst has WireSize() spare capacity the call performs no
+// slice. When dst has EncodeBound() spare capacity the call performs no
 // allocation, which is how the storage executor encodes into pooled buffers.
 func (a Artifact) AppendEncode(dst []byte) ([]byte, error) {
 	switch a.Kind {
@@ -122,7 +131,7 @@ func (a Artifact) AppendEncode(dst []byte) ([]byte, error) {
 		hdr[0] = byte(KindImage)
 		binary.LittleEndian.PutUint32(hdr[1:5], uint32(im.W))
 		binary.LittleEndian.PutUint32(hdr[5:9], uint32(im.H))
-		return imaging.AppendPacked(append(dst, hdr[:]...), im)
+		return imaging.AppendPacked(append(dst, hdr[:]...), im), nil
 	case KindTensor:
 		dst = append(dst, byte(KindTensor))
 		return a.Tensor.AppendMarshal(dst), nil

@@ -22,12 +22,12 @@ func FuzzDecodeArtifact(f *testing.F) {
 	}
 	f.Add(packed)
 	// The packed image truncated at every byte, with each header bit (kind,
-	// W, H and the DEFLATE block header behind them) flipped, and with
-	// trailing garbage.
+	// W, H, and behind them the first plane's count of code-length bytes and
+	// the code lengths themselves) flipped, and with trailing garbage.
 	for cut := 0; cut < len(packed); cut++ {
 		f.Add(packed[:cut])
 	}
-	for bit := 0; bit < 8*(imageHeader+2); bit++ {
+	for bit := 0; bit < 8*(imageHeader+1+int(packed[imageHeader])); bit++ {
 		d := append([]byte(nil), packed...)
 		d[bit/8] ^= 1 << (bit % 8)
 		f.Add(d)
@@ -69,10 +69,10 @@ func FuzzDecodeArtifact(f *testing.F) {
 			t.Fatal("artifact changed across round trip")
 		}
 		// WireSize is exact, except for images: the unpacked size, which the
-		// packed encoding exceeds only by stored-block framing.
+		// packed encoding exceeds only by a stored plane's marker byte.
 		if a.Kind == KindImage {
-			if len(enc) > imageEncodeBound(a) {
-				t.Fatalf("image encoded to %d bytes, bound %d", len(enc), imageEncodeBound(a))
+			if len(enc) > a.EncodeBound() {
+				t.Fatalf("image encoded to %d bytes, bound %d", len(enc), a.EncodeBound())
 			}
 		} else if len(enc) != a.WireSize() {
 			t.Fatalf("WireSize %d != encoded %d", a.WireSize(), len(enc))

@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/bufpool"
+	"repro/internal/imaging"
 	"repro/internal/tensor"
 )
 
@@ -203,7 +203,7 @@ func (t StageTrace) MinStage() int {
 // per-op wall times. It is the measurement kernel of the profiler's second
 // stage, so it deliberately runs every op sequentially — no
 // ToTensor+Normalize fusion — to measure each op's true cost. Image stages
-// are packed once each, outside the op timings, to learn what they ship.
+// are sized once each, outside the op timings, to learn what they ship.
 func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 	trace := StageTrace{
 		Sizes:   make([]int, len(p.ops)+1),
@@ -222,21 +222,17 @@ func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 		}
 		cur = next
 		trace.Sizes[i+1] = cur.WireSize()
-		if trace.Shipped[i+1], err = shippedSize(cur); err != nil {
-			return Artifact{}, StageTrace{}, fmt.Errorf("pipeline: trace stage %d: %w", i+1, err)
-		}
+		trace.Shipped[i+1] = shippedSize(cur)
 	}
 	return cur, trace, nil
 }
 
-// shippedSize returns len(a.Encode()) without keeping the encoding. Only the
-// image encoding depends on content; the others are their WireSize.
-func shippedSize(a Artifact) (int, error) {
+// shippedSize returns len(a.Encode()) without encoding. Only the image
+// encoding depends on content, and its size is known from the histograms of
+// what it would code; the others are their WireSize.
+func shippedSize(a Artifact) int {
 	if a.Kind != KindImage {
-		return a.WireSize(), nil
+		return a.WireSize()
 	}
-	buf := bufpool.GetBytes(a.WireSize())
-	defer bufpool.PutBytes(buf)
-	enc, err := a.AppendEncode(buf[:0])
-	return len(enc), err
+	return imageHeader + imaging.PackedSize(a.Image)
 }

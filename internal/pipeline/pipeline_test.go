@@ -3,6 +3,7 @@ package pipeline
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
@@ -98,7 +99,7 @@ func TestArtifactImageRoundTripProperty(t *testing.T) {
 			return false
 		}
 		defer got.Release()
-		return got.Equal(a) && len(enc) <= imageEncodeBound(a)
+		return got.Equal(a) && len(enc) <= a.EncodeBound()
 	}
 	for _, dims := range [][2]uint8{{0, 0}, {0, 8}, {8, 0}, {12, 6}} { // 1×1, 1×9, 9×1, 13×7
 		for class := uint8(0); class < 3; class++ {
@@ -112,28 +113,31 @@ func TestArtifactImageRoundTripProperty(t *testing.T) {
 	}
 }
 
-// imageEncodeBound is the most an image artifact can encode to: its unpacked
-// size plus DEFLATE's stored-block framing, 5 B per 65 535 B of pixels and a
-// 5 B final block.
-func imageEncodeBound(a Artifact) int {
-	n := a.Image.ByteSize()
-	return a.WireSize() + 5*((n+65534)/65535) + 5
-}
-
-// TestImageEncodeFitsItsPooledBuffer: the executor encodes into
-// bufpool.GetBytes(WireSize()); on the live tier's crops the packed form is
-// about half of that, and even noise, stored, stays inside the size class, so
-// AppendEncode never regrows the pooled buffer at steady state.
-func TestImageEncodeFitsItsPooledBuffer(t *testing.T) {
-	noise := imaging.MustNew(128, 128)
-	rng := rand.New(rand.NewPCG(3, 4))
+func noiseArtifact(w, h int, seed uint64) Artifact {
+	noise := imaging.MustNew(w, h)
+	rng := rand.New(rand.NewPCG(seed, 4))
 	for i := range noise.Pix {
 		noise.Pix[i] = uint8(rng.Uint32())
 	}
+	return ImageArtifact(noise)
+}
+
+// TestImageEncodeFitsItsPooledBuffer: the executor and the cache encode into
+// bufpool.GetBytes(EncodeBound()). On the live tier's crops the packed form
+// is about 0.4 of that; noise, stored, is exactly it, three bytes over
+// WireSize — so a buffer sized by WireSize fits only when its size class
+// happens to round up by as much. 134×163 is 65 535 B unpacked and 65 538 B
+// stored: a 64 KiB buffer would be regrown and dropped. One such geometry sits
+// under every class boundary; AppendEncode must regrow none of them.
+func TestImageEncodeFitsItsPooledBuffer(t *testing.T) {
 	photo, _ := imaging.Synthesize(imaging.SynthParams{W: 128, H: 128, Detail: 0.5, Seed: 2})
-	for name, im := range map[string]*imaging.Image{"photo": photo, "noise": noise} {
-		a := ImageArtifact(im)
-		buf := bufpool.GetBytes(a.WireSize())
+	cases := map[string]Artifact{"photo": ImageArtifact(photo), "noise 128x128": noiseArtifact(128, 128, 3)}
+	for _, d := range [][2]int{{3, 6}, {6, 227}, {61, 179}, {134, 163}, {79, 553}, {133, 163}, {135, 163}, {134, 162}} {
+		cases[fmt.Sprintf("noise %dx%d", d[0], d[1])] = noiseArtifact(d[0], d[1], uint64(d[0]))
+	}
+	underBoundary := 0
+	for name, a := range cases {
+		buf := bufpool.GetBytes(a.EncodeBound())
 		enc, err := a.AppendEncode(buf[:0])
 		if err != nil {
 			t.Fatal(err)
@@ -141,10 +145,22 @@ func TestImageEncodeFitsItsPooledBuffer(t *testing.T) {
 		if &enc[0] != &buf[0] {
 			t.Errorf("%s: %d encoded bytes regrew a pooled buffer of capacity %d", name, len(enc), cap(buf))
 		}
-		if name == "noise" && (len(enc) <= a.WireSize() || len(enc) > imageEncodeBound(a)) {
-			t.Errorf("noise encoded to %d bytes, want stored: over %d, at most %d", len(enc), a.WireSize(), imageEncodeBound(a))
+		if name == "photo" {
+			if len(enc) > a.WireSize()*3/5 {
+				t.Errorf("photo encoded to %d bytes of %d unpacked, want well under", len(enc), a.WireSize())
+			}
+		} else if len(enc) != a.EncodeBound() || len(enc) != a.WireSize()+imaging.Channels {
+			t.Errorf("%s encoded to %d bytes, want stored: WireSize %d and a byte a plane, which is EncodeBound %d", name, len(enc), a.WireSize(), a.EncodeBound())
 		}
 		bufpool.PutBytes(buf)
+		byLaw := bufpool.GetBytes(a.WireSize())
+		if len(enc) > cap(byLaw) {
+			underBoundary++
+		}
+		bufpool.PutBytes(byLaw)
+	}
+	if underBoundary < 5 {
+		t.Errorf("%d of the geometries outgrow a buffer sized by WireSize, want the 5 chosen to", underBoundary)
 	}
 }
 

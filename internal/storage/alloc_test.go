@@ -45,8 +45,8 @@ func TestPrefixServeSteadyStateAllocs(t *testing.T) {
 // TestRunPrefixEncodedCut2SteadyStateAllocs pins the offloaded hot path: a
 // cut-2 fetch decodes, crops and packs the crop into one pooled buffer. With
 // warm pools what allocates is the two Image headers (decoded, cropped) —
-// the same two as when crops shipped as raw pixels; the packer's DEFLATE
-// writer and plane scratch are pooled. The collector is off because only a
+// the same two as when crops shipped as raw pixels; the packer's code
+// tables and plane scratch are pooled. The collector is off because only a
 // collection empties the pools.
 func TestRunPrefixEncodedCut2SteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {

@@ -308,26 +308,31 @@ func (c *Client) roundTrip(ctx context.Context, id uint64, req wire.Message) (wi
 		return nil, c.sessionErr()
 	}
 
+	var msg wire.Message
 	select {
-	case msg := <-ch:
-		if er, ok := msg.(*wire.ErrorResp); ok {
-			return nil, fmt.Errorf("storage: server error %d: %s", er.Code, er.Message)
-		}
-		if ra, ok := msg.(*wire.RetryAfter); ok {
-			// Admission-control shed: the request was rejected but the
-			// session is healthy. Surface the typed error so a retry layer
-			// can back off by the server's hint without reconnecting.
-			return nil, &RetryAfterError{
-				Delay:  time.Duration(ra.Millis) * time.Millisecond,
-				Queued: int(ra.Queued),
-			}
-		}
-		return msg, nil
+	case msg = <-ch:
 	case <-ctx.Done():
 		return nil, c.ctxErr(ctx)
 	case <-c.done:
-		return nil, c.sessionErr()
+		select {
+		case msg = <-ch: // answered before the session ended: the answer stands
+		default:
+			return nil, c.sessionErr()
+		}
 	}
+	if er, ok := msg.(*wire.ErrorResp); ok {
+		return nil, fmt.Errorf("storage: server error %d: %s", er.Code, er.Message)
+	}
+	if ra, ok := msg.(*wire.RetryAfter); ok {
+		// Admission-control shed: the request was rejected but the
+		// session is healthy. Surface the typed error so a retry layer
+		// can back off by the server's hint without reconnecting.
+		return nil, &RetryAfterError{
+			Delay:  time.Duration(ra.Millis) * time.Millisecond,
+			Queued: int(ra.Queued),
+		}
+	}
+	return msg, nil
 }
 
 // ctxErr maps a context error to the session's error vocabulary: a

@@ -101,7 +101,7 @@ func (e *Executor) RunPrefixEncoded(raw []byte, split int, seed pipeline.Seed) (
 	if err != nil {
 		return nil, err
 	}
-	buf := bufpool.GetBytes(art.WireSize())[:0]
+	buf := bufpool.GetBytes(art.EncodeBound())[:0]
 	encoded, err := art.AppendEncode(buf)
 	art.Release()
 	if err != nil {
