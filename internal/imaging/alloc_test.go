@@ -3,6 +3,7 @@ package imaging
 import (
 	"errors"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/raceflag"
@@ -55,6 +56,44 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	}
 	if got := res.AllocsPerOp(); got > 2 {
 		t.Fatalf("Decode makes %d allocs/op at steady state, budget is 2 (the Image header is 1)", got)
+	}
+}
+
+// TestDecodeCropResizeSteadyStateAllocs: the fused prefix allocates the
+// crop's Image header and nothing else — planes, tap tables, compact buffer
+// and output pixels are all pooled. The collector is off because only a
+// collection empties the pools.
+func TestDecodeCropResizeSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	data, err := EncodeDefault(synthFor(t, 9, 320, 240, 0.5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := EncodeProgressive(synthFor(t, 9, 320, 240, 0.5), DefaultQuality, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, decode := range map[string]func(Rect) (*Image, error){
+		"DecodeCropResize":            func(r Rect) (*Image, error) { return DecodeCropResize(data, r, 128, 128) },
+		"DecodeProgressiveCropResize": func(r Rect) (*Image, error) { return DecodeProgressiveCropResize(prog, r, 128, 128) },
+	} {
+		// Sparse taps, every pixel reused, pure copy: the same pooled scratch.
+		rects := []Rect{{X: 10, Y: 5, W: 300, H: 230}, {X: 100, Y: 100, W: 40, H: 30}, {X: 7, Y: 9, W: 128, H: 128}}
+		var i int
+		allocs := testing.AllocsPerRun(30, func() {
+			out, err := decode(rects[i%len(rects)])
+			if err != nil {
+				t.Fatal(err)
+			}
+			out.Release()
+			i++
+		})
+		if allocs != 1 {
+			t.Errorf("%s allocates %.1f allocs/op at steady state, want 1 (the Image header)", name, allocs)
+		}
 	}
 }
 

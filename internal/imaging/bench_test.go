@@ -74,3 +74,36 @@ func BenchmarkCrop(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkCropResize128 and BenchmarkDecodeCropResize128 price the unfused
+// and the fused Decode→RandomResizedCrop prefix on a crop a little over twice
+// the output size, the common case for a 128² training crop.
+func BenchmarkCropResize128(b *testing.B) {
+	im := benchImage(b, 480, 360, 0.5)
+	rect := Rect{X: 90, Y: 30, W: 300, H: 290}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := CropResize(im, rect, 128, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Release()
+	}
+}
+
+func BenchmarkDecodeCropResize128(b *testing.B) {
+	data, err := EncodeDefault(benchImage(b, 480, 360, 0.5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rect := Rect{X: 90, Y: 30, W: 300, H: 290}
+	b.SetBytes(int64(len(data)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := DecodeCropResize(data, rect, 128, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Release()
+	}
+}

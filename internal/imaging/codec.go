@@ -161,32 +161,76 @@ func EncodeDefault(im *Image) ([]byte, error) { return Encode(im, DefaultQuality
 // the decode path allocation-free at steady state (skipping Release is safe,
 // merely slower).
 func Decode(data []byte) (*Image, error) {
-	w, h, quality, err := parseHeader(data)
+	p, err := decodePlanes(data)
 	if err != nil {
 		return nil, err
 	}
-	yShift, cShift := shifts(quality)
+	defer p.release()
+	return p.image()
+}
 
-	cw, chh := (w+1)/2, (h+1)/2
-	total := w*h + 2*cw*chh
+// DecodeCropResize is CropResize(Decode(data), rect, w, h) without the full
+// image in between: same pixels, same errors in the same order, but only the
+// source pixels the resample reads are dequantized (ycc.cropResize). The
+// result is pool-backed.
+func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
+	p, err := decodePlanes(data)
+	if err != nil {
+		return nil, err
+	}
+	defer p.release()
+	return p.cropResize(rect, w, h)
+}
+
+// ycc is an accepted stream between its two decode steps: the delta-decoded,
+// still quantized Y/Cb/Cr planes of a w×h image (chroma 2x2-subsampled) and
+// the shifts that dequantize them — for a progressive prefix the undelivered
+// refinement depth on top of the quality-derived shift. The planes are cut
+// from buf, a bufpool buffer the ycc owns until release.
+type ycc struct {
+	w, h           int
+	yShift, cShift uint
+	y, cb, cr      []uint8
+	buf            []uint8
+}
+
+// newYCC cuts the planes of a w×h image from the front of buf.
+func newYCC(w, h int, yShift, cShift uint, buf []uint8) ycc {
+	n, cn := w*h, ((w+1)/2)*((h+1)/2)
+	return ycc{w: w, h: h, yShift: yShift, cShift: cShift,
+		y: buf[:n], cb: buf[n : n+cn], cr: buf[n+cn : n+2*cn], buf: buf}
+}
+
+func (p *ycc) release() { bufpool.PutBytes(p.buf) }
+
+// deltaDecode undoes the row prediction of all three planes.
+func (p *ycc) deltaDecode() {
+	cw := (p.w + 1) / 2
+	deltaDecode(p.y, p.w)
+	deltaDecode(p.cb, cw)
+	deltaDecode(p.cr, cw)
+}
+
+// decodePlanes is the first step of every SJPG decode: header, the checks that
+// refuse a stream before any buffer is sized from it, inflate, delta decode.
+func decodePlanes(data []byte) (ycc, error) {
+	w, h, quality, err := parseHeader(data)
+	if err != nil {
+		return ycc{}, err
+	}
+	total := w*h + 2*((w+1)/2)*((h+1)/2)
 	payload := data[headerSize:]
 	if !canInflateTo(len(payload), total) {
-		return nil, fmt.Errorf("%w: %d-byte payload cannot hold %dx%d", ErrCorrupt, len(payload), w, h)
+		return ycc{}, fmt.Errorf("%w: %d-byte payload cannot hold %dx%d", ErrCorrupt, len(payload), w, h)
 	}
-	planes := bufpool.GetBytes(total)
-	defer bufpool.PutBytes(planes)
-	if err := inflateInto(payload, planes); err != nil {
-		return nil, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
+	yShift, cShift := shifts(quality)
+	p := newYCC(w, h, yShift, cShift, bufpool.GetBytes(total))
+	if err := inflateInto(payload, p.buf); err != nil {
+		p.release()
+		return ycc{}, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 	}
-
-	yPlane := planes[:w*h]
-	cbPlane := planes[w*h : w*h+cw*chh]
-	crPlane := planes[w*h+cw*chh:]
-	deltaDecode(yPlane, w)
-	deltaDecode(cbPlane, cw)
-	deltaDecode(crPlane, cw)
-
-	return planesToImage(w, h, yShift, cShift, yPlane, cbPlane, crPlane)
+	p.deltaDecode()
+	return p, nil
 }
 
 // canInflateTo reports whether a DEFLATE stream of n bytes can produce total
@@ -196,24 +240,17 @@ func canInflateTo(n, total int) bool {
 	return uint64(total) <= 1032*uint64(n)
 }
 
-// planesToImage dequantizes Y/Cb/Cr planes (already delta-decoded) back into
-// a pooled RGB image. The shifts are the effective quantization at decode
-// time — for a progressive prefix they include the undelivered refinement
-// depth on top of the quality-derived shift. The arithmetic is
-// color.YCbCrToRGB's, with its per-chroma-sample terms hoisted out of the
+// image dequantizes the planes back into a pooled RGB image. The arithmetic
+// is color.YCbCrToRGB's, with its per-chroma-sample terms hoisted out of the
 // (up to four) pixels that share them.
-func planesToImage(w, h int, yShift, cShift uint, yPlane, cbPlane, crPlane []uint8) (*Image, error) {
+func (p *ycc) image() (*Image, error) {
+	w, h := p.w, p.h
 	im, err := NewPooled(w, h)
 	if err != nil {
 		return nil, err
 	}
-	// Dequantized luma pre-multiplied into YCbCrToRGB's yy1, and dequantized
-	// chroma re-centred on zero.
 	var yy1, c1 [256]int32
-	for v := range yy1 {
-		yy1[v] = int32(dequant(uint8(v), yShift)) * 0x10101
-		c1[v] = int32(dequant(uint8(v), cShift)) - 128
-	}
+	p.dequantTables(&yy1, &c1)
 	cw := (w + 1) / 2
 	for y := 0; y < h; y += 2 {
 		// Under the last row of an odd-height image the second row aliases
@@ -223,8 +260,8 @@ func planesToImage(w, h int, yShift, cShift uint, yPlane, cbPlane, crPlane []uin
 			y1 = y
 		}
 		top, bot := im.Pix[y*w*Channels:(y+1)*w*Channels], im.Pix[y1*w*Channels:(y1+1)*w*Channels]
-		yTop, yBot := yPlane[y*w:(y+1)*w], yPlane[y1*w:(y1+1)*w]
-		cbRow, crRow := cbPlane[y/2*cw:(y/2+1)*cw], crPlane[y/2*cw:(y/2+1)*cw]
+		yTop, yBot := p.y[y*w:(y+1)*w], p.y[y1*w:(y1+1)*w]
+		cbRow, crRow := p.cb[y/2*cw:(y/2+1)*cw], p.cr[y/2*cw:(y/2+1)*cw]
 		for cx, cb := range cbRow {
 			cb1, cr1 := c1[cb], c1[crRow[cx]]
 			rAdd, gAdd, bAdd := 91881*cr1, -22554*cb1-46802*cr1, 116130*cb1
@@ -246,6 +283,70 @@ func planesToImage(w, h int, yShift, cShift uint, yPlane, cbPlane, crPlane []uin
 		}
 	}
 	return im, nil
+}
+
+// dequantTables fills the two lookups both dequantizers share: dequantized
+// luma pre-multiplied into YCbCrToRGB's yy1, and dequantized chroma
+// re-centred on zero.
+func (p *ycc) dequantTables(yy1, c1 *[256]int32) {
+	for v := range yy1 {
+		yy1[v] = int32(dequant(uint8(v), p.yShift)) * 0x10101
+		c1[v] = int32(dequant(uint8(v), p.cShift)) - 128
+	}
+}
+
+// cropResize dequantizes rect and resamples it to w×h: the pixels of
+// CropResize(p.image(), rect, w, h) without the image. The resample reads at
+// most two source rows per output row and two columns per output column, so
+// only those rows × columns are converted — every pixel of the rect when it
+// is no larger than the output, at most (2w)×(2h) otherwise — into a pooled
+// compact buffer that blend then reads through taps renumbered to it.
+// Conversion and blend are each the arithmetic of the unfused pair, so every
+// byte is the same. The output image is requested only once rect is accepted.
+func (p *ycc) cropResize(rect Rect, w, h int) (*Image, error) {
+	if err := checkCropResize(rect, p.w, p.h, w, h); err != nil {
+		return nil, err
+	}
+	dst, err := NewPooled(w, h)
+	if err != nil {
+		return nil, err
+	}
+	s := samplerPool.Get().(*sampler)
+	defer samplerPool.Put(s)
+	s.x.fill(rect.W, w)
+	s.y.fill(rect.H, h)
+	s.cols = s.x.compact(rect.X, s.cols)
+	s.rows = s.y.compact(rect.Y, s.rows)
+	if w == rect.W && h == rect.H {
+		// Pure crop: the taps name every pixel of rect with weight one.
+		p.convert(s.rows, s.cols, dst.Pix)
+		return dst, nil
+	}
+	compact := bufpool.GetBytes(len(s.rows) * len(s.cols) * Channels)
+	p.convert(s.rows, s.cols, compact)
+	blend(compact, len(s.cols), &s.x, &s.y, dst)
+	bufpool.PutBytes(compact)
+	return dst, nil
+}
+
+// convert dequantizes the pixels at rows × cols into out, row-major, with
+// image's tables and arithmetic.
+func (p *ycc) convert(rows, cols []int32, out []uint8) {
+	var yy1, c1 [256]int32
+	p.dequantTables(&yy1, &c1)
+	cw := (p.w + 1) / 2
+	for _, r := range rows {
+		yRow := p.y[int(r)*p.w : (int(r)+1)*p.w]
+		cbRow, crRow := p.cb[int(r>>1)*cw:(int(r>>1)+1)*cw], p.cr[int(r>>1)*cw:(int(r>>1)+1)*cw]
+		px := out[:len(cols)*Channels]
+		out = out[len(px):]
+		for _, c := range cols {
+			cb1, cr1 := c1[cbRow[c>>1]], c1[crRow[c>>1]]
+			l := yy1[yRow[c]]
+			px[0], px[1], px[2] = clamp8(l+91881*cr1), clamp8(l-22554*cb1-46802*cr1), clamp8(l+116130*cb1)
+			px = px[Channels:]
+		}
+	}
 }
 
 // clamp8 maps a 16.16 fixed-point channel to [0, 255].

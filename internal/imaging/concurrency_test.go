@@ -11,11 +11,15 @@ import (
 // decoded single-threaded before the storm starts: if a pooled plane or pixel
 // buffer were ever handed to two decodes at once, or returned to the pool
 // while still referenced, the comparison (or the race detector) catches it.
+// The fused decode→crop runs in the same storm against the unfused crop of
+// that reference: its tap tables and compact buffer are pooled too.
 func TestConcurrentCodecBitIdentical(t *testing.T) {
 	const nInputs = 4
 	type input struct {
 		data []byte
 		ref  *Image // plain (non-pooled) memory via Clone
+		rect Rect
+		crop *Image // CropResize(ref, rect, 48, 48), plain memory
 	}
 	inputs := make([]input, nInputs)
 	for k := 0; k < nInputs; k++ {
@@ -31,7 +35,13 @@ func TestConcurrentCodecBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs[k] = input{data: data, ref: dec.Clone()}
+		rect := Rect{X: 3 * k, Y: 2 * k, W: 50 + 20*k, H: 60 - 8*k}
+		crop, err := CropResize(dec, rect, 48, 48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs[k] = input{data: data, ref: dec.Clone(), rect: rect, crop: crop.Clone()}
+		crop.Release()
 		dec.Release()
 	}
 
@@ -58,6 +68,15 @@ func TestConcurrentCodecBitIdentical(t *testing.T) {
 					dec.Release()
 					return
 				}
+				crop, err := DecodeCropResize(in.data, in.rect, 48, 48)
+				if err != nil {
+					errs <- err
+					return
+				}
+				if !crop.Equal(in.crop) {
+					t.Errorf("worker %d iter %d: fused decode→crop differs from the unfused reference", w, i)
+				}
+				crop.Release()
 				// Re-encode the pooled image and decode again: exercises the
 				// pooled encoder scratch concurrently with other decoders.
 				reenc, err := EncodeDefault(dec)

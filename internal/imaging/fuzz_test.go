@@ -2,9 +2,10 @@ package imaging
 
 import "testing"
 
-// FuzzDecode: the SJPG decoder must never panic or over-allocate on
-// arbitrary input, and accepted images must re-encode/decode consistently.
-func FuzzDecode(f *testing.F) {
+// decodeCorpus is the seed corpus of the SJPG fuzzers: two real streams, a
+// bare magic and nothing.
+func decodeCorpus(f *testing.F) [][]byte {
+	corpus := [][]byte{[]byte("SJPG"), {}}
 	for _, seed := range []uint64{1, 2} {
 		im, err := Synthesize(SynthParams{W: 16, H: 12, Detail: 0.5, Seed: seed})
 		if err != nil {
@@ -14,10 +15,17 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
+		corpus = append(corpus, data)
+	}
+	return corpus
+}
+
+// FuzzDecode: the SJPG decoder must never panic or over-allocate on
+// arbitrary input, and accepted images must re-encode/decode consistently.
+func FuzzDecode(f *testing.F) {
+	for _, data := range decodeCorpus(f) {
 		f.Add(data)
 	}
-	f.Add([]byte("SJPG"))
-	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, err := Decode(data)
@@ -34,6 +42,44 @@ func FuzzDecode(f *testing.F) {
 		if _, err := Decode(re); err != nil {
 			t.Fatalf("re-encoded image failed to decode: %v", err)
 		}
+	})
+}
+
+// FuzzDecodeCropResize: on any bytes, rect and output size the fused entry
+// point never panics and is CropResize(Decode(data), rect, out, out) — the
+// same pixels, or the same error where either step refuses.
+func FuzzDecodeCropResize(f *testing.F) {
+	for _, data := range decodeCorpus(f) {
+		f.Add(data, 0, 0, 16, 12, 8) // whole image, sparse taps
+		f.Add(data, 3, 2, 8, 8, 8)   // pure copy
+		f.Add(data, 5, 5, 3, 2, 32)  // every source pixel reused
+		f.Add(data, 9, 0, 8, 12, 4)  // past the right edge
+		f.Add(data, 1<<62, 1, 1<<62, 1, 0)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, x, y, w, h, out int) {
+		if out > 256 {
+			return // the output is sized from out alone
+		}
+		rect := Rect{X: x, Y: y, W: w, H: h}
+		got, err := DecodeCropResize(data, rect, out, out)
+		var want *Image
+		full, wantErr := Decode(data)
+		if wantErr == nil {
+			want, wantErr = CropResize(full, rect, out, out)
+			full.Release()
+		}
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("fused err %v, unfused %v", err, wantErr)
+			}
+			return
+		}
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("crop %+v to %d: fused err %v, or pixels differ from CropResize(Decode)", rect, out, err)
+		}
+		got.Release()
+		want.Release()
 	})
 }
 

@@ -1,6 +1,9 @@
 package imaging
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Rect is an axis-aligned pixel rectangle with inclusive origin and
 // exclusive extent, i.e. it covers x in [X, X+W) and y in [Y, Y+H).
@@ -13,7 +16,8 @@ func (r Rect) Valid() bool { return r.W > 0 && r.H > 0 }
 
 // Within reports whether the rectangle lies fully inside a w×h image.
 func (r Rect) Within(w, h int) bool {
-	return r.Valid() && r.X >= 0 && r.Y >= 0 && r.X+r.W <= w && r.Y+r.H <= h
+	// Compared as differences: X+W may not fit an int.
+	return r.Valid() && r.X >= 0 && r.Y >= 0 && r.W <= w && r.H <= h && r.X <= w-r.W && r.Y <= h-r.H
 }
 
 // Crop returns a copy of the sub-image covered by rect.
@@ -36,48 +40,8 @@ func Resize(im *Image, w, h int) (*Image, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("%w: resize to %dx%d", ErrBadDimensions, w, h)
 	}
-	if w == im.W && h == im.H {
-		return im.Clone(), nil
-	}
 	out := MustNew(w, h)
-	xRatio := float64(im.W) / float64(w)
-	yRatio := float64(im.H) / float64(h)
-	for y := 0; y < h; y++ {
-		srcY := (float64(y)+0.5)*yRatio - 0.5
-		if srcY < 0 {
-			srcY = 0
-		}
-		y0 := int(srcY)
-		y1 := y0 + 1
-		if y1 >= im.H {
-			y1 = im.H - 1
-		}
-		fy := srcY - float64(y0)
-		for x := 0; x < w; x++ {
-			srcX := (float64(x)+0.5)*xRatio - 0.5
-			if srcX < 0 {
-				srcX = 0
-			}
-			x0 := int(srcX)
-			x1 := x0 + 1
-			if x1 >= im.W {
-				x1 = im.W - 1
-			}
-			fx := srcX - float64(x0)
-
-			o00 := im.offset(x0, y0)
-			o10 := im.offset(x1, y0)
-			o01 := im.offset(x0, y1)
-			o11 := im.offset(x1, y1)
-			dst := out.offset(x, y)
-			for c := 0; c < Channels; c++ {
-				top := float64(im.Pix[o00+c])*(1-fx) + float64(im.Pix[o10+c])*fx
-				bot := float64(im.Pix[o01+c])*(1-fx) + float64(im.Pix[o11+c])*fx
-				v := top*(1-fy) + bot*fy
-				out.Pix[dst+c] = uint8(v + 0.5)
-			}
-		}
-	}
+	cropResizeInto(im, Rect{W: im.W, H: im.H}, out)
 	return out, nil
 }
 
@@ -108,11 +72,8 @@ func FlipHorizontalInPlace(im *Image) {
 // CropResize crops rect and resizes the result to w×h in one call; it is the
 // kernel of RandomResizedCrop. The result is pool-backed (Release when done).
 func CropResize(im *Image, rect Rect, w, h int) (*Image, error) {
-	if !rect.Within(im.W, im.H) {
-		return nil, fmt.Errorf("%w: crop %+v of %dx%d", ErrBadDimensions, rect, im.W, im.H)
-	}
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("%w: resize to %dx%d", ErrBadDimensions, w, h)
+	if err := checkCropResize(rect, im.W, im.H, w, h); err != nil {
+		return nil, err
 	}
 	out, err := NewPooled(w, h)
 	if err != nil {
@@ -122,57 +83,132 @@ func CropResize(im *Image, rect Rect, w, h int) (*Image, error) {
 	return out, nil
 }
 
+// checkCropResize validates a crop of a srcW×srcH image resized to w×h.
+func checkCropResize(rect Rect, srcW, srcH, w, h int) error {
+	if !rect.Within(srcW, srcH) {
+		return fmt.Errorf("%w: crop %+v of %dx%d", ErrBadDimensions, rect, srcW, srcH)
+	}
+	if w <= 0 || h <= 0 {
+		return fmt.Errorf("%w: resize to %dx%d", ErrBadDimensions, w, h)
+	}
+	return nil
+}
+
 // cropResizeInto samples rect out of im directly into dst, fusing the crop
 // copy and the bilinear resize into one pass: no intermediate crop image is
 // ever materialized. The arithmetic is identical to Resize run over
 // Crop(im, rect), so outputs are bit-for-bit the same.
 func cropResizeInto(im *Image, rect Rect, dst *Image) {
-	w, h := dst.W, dst.H
-	if w == rect.W && h == rect.H {
+	origin := im.Pix[im.offset(rect.X, rect.Y):]
+	if dst.W == rect.W && dst.H == rect.H {
 		// Pure crop: row-wise copy, exactly what Crop does.
-		for y := 0; y < h; y++ {
-			srcOff := im.offset(rect.X, rect.Y+y)
-			dstOff := dst.offset(0, y)
-			copy(dst.Pix[dstOff:dstOff+w*Channels], im.Pix[srcOff:srcOff+w*Channels])
+		n := rect.W * Channels
+		for y := 0; y < rect.H; y++ {
+			copy(dst.Pix[y*n:(y+1)*n], origin[y*im.W*Channels:])
 		}
 		return
 	}
-	xRatio := float64(rect.W) / float64(w)
-	yRatio := float64(rect.H) / float64(h)
-	for y := 0; y < h; y++ {
-		srcY := (float64(y)+0.5)*yRatio - 0.5
-		if srcY < 0 {
-			srcY = 0
-		}
-		y0 := int(srcY)
-		y1 := y0 + 1
-		if y1 >= rect.H {
-			y1 = rect.H - 1
-		}
-		fy := srcY - float64(y0)
-		for x := 0; x < w; x++ {
-			srcX := (float64(x)+0.5)*xRatio - 0.5
-			if srcX < 0 {
-				srcX = 0
-			}
-			x0 := int(srcX)
-			x1 := x0 + 1
-			if x1 >= rect.W {
-				x1 = rect.W - 1
-			}
-			fx := srcX - float64(x0)
+	s := samplerPool.Get().(*sampler)
+	s.x.fill(rect.W, dst.W)
+	s.y.fill(rect.H, dst.H)
+	blend(origin, im.W, &s.x, &s.y, dst)
+	samplerPool.Put(s)
+}
 
-			o00 := im.offset(rect.X+x0, rect.Y+y0)
-			o10 := im.offset(rect.X+x1, rect.Y+y0)
-			o01 := im.offset(rect.X+x0, rect.Y+y1)
-			o11 := im.offset(rect.X+x1, rect.Y+y1)
-			d := dst.offset(x, y)
-			for c := 0; c < Channels; c++ {
-				top := float64(im.Pix[o00+c])*(1-fx) + float64(im.Pix[o10+c])*fx
-				bot := float64(im.Pix[o01+c])*(1-fx) + float64(im.Pix[o11+c])*fx
-				v := top*(1-fy) + bot*fy
-				dst.Pix[d+c] = uint8(v + 0.5)
+// axis is one dimension of a bilinear resample: output index i blends source
+// samples lo[i] and hi[i] with weights 1-f[i] and f[i].
+type axis struct {
+	lo, hi []int32
+	f      []float64
+}
+
+// sampler is the pooled scratch of one resample: a tap table per axis and,
+// for the fused decode (ycc.cropResize), the distinct source columns and rows
+// those taps name.
+type sampler struct {
+	x, y       axis
+	cols, rows []int32
+}
+
+var samplerPool = sync.Pool{New: func() any { return new(sampler) }}
+
+// fill computes the taps that resample n source samples to out, sampling at
+// pixel centres (align-corners=false) and clamping at both edges.
+func (a *axis) fill(n, out int) {
+	if cap(a.lo) < out {
+		a.lo, a.hi, a.f = make([]int32, out), make([]int32, out), make([]float64, out)
+	}
+	a.lo, a.hi, a.f = a.lo[:out], a.hi[:out], a.f[:out]
+	ratio := float64(n) / float64(out)
+	for i := range a.lo {
+		src := (float64(i)+0.5)*ratio - 0.5
+		if src < 0 {
+			src = 0
+		}
+		i0 := int(src)
+		i1 := i0 + 1
+		if i1 >= n {
+			i1 = n - 1
+		}
+		a.lo[i], a.hi[i], a.f[i] = int32(i0), int32(i1), src-float64(i0)
+	}
+}
+
+// compact rewrites the taps to index the distinct source samples they name
+// and returns those samples, offset by origin, in increasing order (in idx's
+// storage when it holds two per tap). Taps never step backwards by more than
+// one sample — lo does not decrease and hi is lo or lo+1 — so a sample
+// already listed is one of the last two.
+func (a *axis) compact(origin int, idx []int32) []int32 {
+	if cap(idx) < 2*len(a.lo) {
+		idx = make([]int32, 0, 2*len(a.lo))
+	}
+	idx = idx[:0]
+	place := func(v int32) int32 {
+		v += int32(origin)
+		n := int32(len(idx))
+		for back := int32(1); back <= 2 && back <= n; back++ {
+			if idx[n-back] == v {
+				return n - back
 			}
+		}
+		idx = append(idx, v)
+		return n
+	}
+	for i := range a.lo {
+		a.lo[i] = place(a.lo[i])
+		a.hi[i] = place(a.hi[i])
+	}
+	return idx
+}
+
+// blend is the one bilinear kernel: it fills dst from the pixels of src
+// (interleaved RGB, rows stride pixels apart) that the taps name.
+func blend(src []uint8, stride int, x, y *axis, dst *Image) {
+	n := dst.W * Channels
+	xlo, xhi := x.lo[:len(x.f)], x.hi[:len(x.f)]
+	for j := 0; j < dst.H; j++ {
+		top := src[int(y.lo[j])*stride*Channels:]
+		bot := src[int(y.hi[j])*stride*Channels:]
+		fy := y.f[j]
+		out := dst.Pix[j*n : (j+1)*n]
+		for i, fx := range x.f {
+			o0, o1 := int(xlo[i])*Channels, int(xhi[i])*Channels
+			t0, t1 := top[o0:o0+Channels:o0+Channels], top[o1:o1+Channels:o1+Channels]
+			b0, b1 := bot[o0:o0+Channels:o0+Channels], bot[o1:o1+Channels:o1+Channels]
+			px := out[i*Channels : i*Channels+Channels : i*Channels+Channels]
+			px[0] = bilerp(t0[0], t1[0], b0[0], b1[0], fx, fy)
+			px[1] = bilerp(t0[1], t1[1], b0[1], b1[1], fx, fy)
+			px[2] = bilerp(t0[2], t1[2], b0[2], b1[2], fx, fy)
 		}
 	}
+}
+
+// bilerp interpolates one channel along x in both tapped rows, then along y,
+// in float64, and rounds half up.
+func bilerp(t0, t1, b0, b1 uint8, fx, fy float64) uint8 {
+	top := float64(t0)*(1-fx) + float64(t1)*fx
+	bot := float64(b0)*(1-fx) + float64(b1)*fx
+	v := top*(1-fy) + bot*fy
+	return uint8(v + 0.5)
 }

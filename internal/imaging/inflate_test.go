@@ -268,9 +268,18 @@ func dynamicHeader(nlit, ndist uint, precode map[uint]uint) *bitWriter {
 	return w
 }
 
-// TestInflateRejections walks the list of streams compress/flate refuses;
-// each must be refused here too, and its accepted neighbour accepted.
-func TestInflateRejections(t *testing.T) {
+// inflateRejection is one hand-built stream: whether it inflates to exactly n
+// bytes.
+type inflateRejection struct {
+	name   string
+	stream []byte
+	n      int
+	accept bool
+}
+
+// inflateRejections lists the streams compress/flate refuses, each beside an
+// accepted neighbour.
+func inflateRejections() []inflateRejection {
 	// Fixed-code helpers: literal 'a' is 8 bits 0x30+'a'; symbols 256..279
 	// are 7 bits; 280..287 are 8 bits from 0xc0.
 	litA := func(w *bitWriter) *bitWriter { return w.code(0x30+'a', 8) }
@@ -300,12 +309,7 @@ func TestInflateRejections(t *testing.T) {
 		return w.code(3, 2).code(2, 2)                          // 256, then distance 0
 	}
 
-	for _, c := range []struct {
-		name   string
-		stream []byte
-		n      int
-		accept bool
-	}{
+	return []inflateRejection{
 		{"stored", final(0).align().bytes(2, 0, 0xfd, 0xff, 'h', 'i').out, 2, true},
 		{"empty stored blocks after the data",
 			new(bitWriter).bits(0, 3).align().bytes(1, 0, 0xfe, 0xff, 'x').
@@ -345,7 +349,13 @@ func TestInflateRejections(t *testing.T) {
 		{"lone distance code", lone().code(2, 2).code(0, 1).code(0, 1).code(3, 2).out, 4, true},
 		{"lone distance code, the other bit", lone().code(2, 2).code(0, 1).code(1, 1).code(3, 2).out, 4, false},
 		{"dynamic block cut short", lone().code(2, 2).code(0, 1).out, 4, false},
-	} {
+	}
+}
+
+// TestInflateRejections: each refused stream must be refused here too, and
+// its accepted neighbour accepted.
+func TestInflateRejections(t *testing.T) {
+	for _, c := range inflateRejections() {
 		if got := assertInflateAgrees(t, c.stream, c.n); got != c.accept {
 			t.Errorf("%s: accepted = %v, want %v", c.name, got, c.accept)
 		}

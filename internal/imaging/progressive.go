@@ -315,6 +315,26 @@ func DecodeProgressive(data []byte) (*Image, int, error) {
 	return im, k, err
 }
 
+// DecodeProgressiveCropResize is CropResize over DecodeProgressive's image
+// without that image in between, as DecodeCropResize is for SJPG: same pixels,
+// same errors in the same order.
+func DecodeProgressiveCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
+	hd, err := parseProgressive(data)
+	if err != nil {
+		return nil, err
+	}
+	k := hd.present(len(data))
+	if k < 1 {
+		return nil, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+	}
+	p, err := scanPlanes(data, &hd, k)
+	if err != nil {
+		return nil, err
+	}
+	defer p.release()
+	return p.cropResize(rect, w, h)
+}
+
 // DecodeAtFidelity decodes a full container (or a sufficiently deep prefix)
 // using only its first k scans, producing the same pixels as decoding
 // SlicePrefix(data, k) — the contract the cache's deep-hit path relies on.
@@ -335,54 +355,62 @@ func DecodeAtFidelity(data []byte, k int) (*Image, error) {
 	return decodeScans(data, &hd, k)
 }
 
-// decodeScans reconstructs the planes from the first k scans (payloads
-// verified against the index CRCs) and dequantizes at the effective shift.
+// decodeScans decodes the first k scans to a full image.
 func decodeScans(data []byte, hd *sjprHeader, k int) (*Image, error) {
+	p, err := scanPlanes(data, hd, k)
+	if err != nil {
+		return nil, err
+	}
+	defer p.release()
+	return p.image()
+}
+
+// scanPlanes is the first step of every SJPR decode: it reconstructs the
+// planes from the first k scans (payloads verified against the index CRCs),
+// to be dequantized at the effective shift.
+func scanPlanes(data []byte, hd *sjprHeader, k int) (ycc, error) {
 	yShift, cShift := shifts(hd.quality)
-	cw, ch := (hd.w+1)/2, (hd.h+1)/2
-	total := hd.w*hd.h + 2*cw*ch
+	total := hd.w*hd.h + 2*((hd.w+1)/2)*((hd.h+1)/2)
 
 	// Every scan inflates to a full set of planes; an index too short for
 	// that is refused before the planes are sized from the header.
 	for j := 0; j < k; j++ {
 		if !canInflateTo(hd.lens[j], total) {
-			return nil, fmt.Errorf("%w: %d-byte scan %d cannot hold %dx%d", ErrCorrupt, hd.lens[j], j, hd.w, hd.h)
+			return ycc{}, fmt.Errorf("%w: %d-byte scan %d cannot hold %dx%d", ErrCorrupt, hd.lens[j], j, hd.w, hd.h)
 		}
 	}
-	planes := bufpool.GetBytes(2 * total)
-	defer bufpool.PutBytes(planes)
-	scratch := planes[total:]
-	planes = planes[:total]
+	// The second half of the buffer is where refinement scans inflate.
+	extra := uint(hd.scans - k)
+	p := newYCC(hd.w, hd.h, yShift+extra, cShift+extra, bufpool.GetBytes(2*total))
+	planes, scratch := p.buf[:total], p.buf[total:]
 
 	off := hd.body
 	for j := 0; j < k; j++ {
 		payload := data[off : off+hd.lens[j]]
 		off += hd.lens[j]
 		if crc32.Checksum(payload, sjprCRC) != hd.crcs[j] {
-			return nil, fmt.Errorf("%w: scan %d CRC mismatch", ErrCorrupt, j)
+			p.release()
+			return ycc{}, fmt.Errorf("%w: scan %d CRC mismatch", ErrCorrupt, j)
 		}
 		dst := planes
 		if j > 0 {
 			dst = scratch
 		}
 		if err := inflateInto(payload, dst); err != nil {
-			return nil, fmt.Errorf("%w: scan %d: %v", ErrCorrupt, j, err)
+			p.release()
+			return ycc{}, fmt.Errorf("%w: scan %d: %v", ErrCorrupt, j, err)
 		}
 		if j == 0 {
-			deltaDecode(planes[:hd.w*hd.h], hd.w)
-			deltaDecode(planes[hd.w*hd.h:hd.w*hd.h+cw*ch], cw)
-			deltaDecode(planes[hd.w*hd.h+cw*ch:], cw)
+			p.deltaDecode()
 			continue
 		}
 		for i, b := range scratch {
 			if b > 1 {
-				return nil, fmt.Errorf("%w: scan %d refinement byte %d", ErrCorrupt, j, b)
+				p.release()
+				return ycc{}, fmt.Errorf("%w: scan %d refinement byte %d", ErrCorrupt, j, b)
 			}
 			planes[i] = planes[i]<<1 | b
 		}
 	}
-
-	extra := uint(hd.scans - k)
-	return planesToImage(hd.w, hd.h, yShift+extra, cShift+extra,
-		planes[:hd.w*hd.h], planes[hd.w*hd.h:hd.w*hd.h+cw*ch], planes[hd.w*hd.h+cw*ch:])
+	return p, nil
 }

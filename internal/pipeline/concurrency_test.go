@@ -63,12 +63,13 @@ func TestConcurrentFusedKernelBitIdentical(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentPipelineDeterministic runs the full pipeline (pooled decode,
-// in-place augmentations, pooled per-op rng, fused tensor tail) from many
-// goroutines and checks that each (raw, seed) pair yields a tensor
-// bit-identical to the one produced single-threaded. This pins two properties
-// at once: pooled rng re-seeding reproduces the exact rand.NewPCG stream, and
-// no pooled buffer is shared across concurrent samples.
+// TestConcurrentPipelineDeterministic runs the full pipeline (fused
+// decode→crop over pooled planes, tap tables and compact buffer, in-place
+// flip, pooled per-op rng, fused tensor tail) from many goroutines and checks
+// that each (raw, seed) pair yields a tensor bit-identical to the one Trace —
+// op by op, fresh rng per op — produced single-threaded. This pins two
+// properties at once: pooled rng re-seeding reproduces the exact rand.NewPCG
+// stream, and no pooled buffer is shared across concurrent samples.
 func TestConcurrentPipelineDeterministic(t *testing.T) {
 	im, err := imaging.Synthesize(imaging.SynthParams{W: 320, H: 240, Detail: 0.5, Seed: 7})
 	if err != nil {
@@ -83,7 +84,7 @@ func TestConcurrentPipelineDeterministic(t *testing.T) {
 	const nSeeds = 8
 	refs := make([]*tensor.Tensor, nSeeds)
 	for s := 0; s < nSeeds; s++ {
-		out, err := p.Run(raw, Seed{Job: 2, Epoch: 1, Sample: uint64(s)})
+		out, _, err := p.Trace(raw, Seed{Job: 2, Epoch: 1, Sample: uint64(s)})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -131,6 +131,34 @@ func (op randomResizedCropOp) Apply(a Artifact, rng *rand.Rand) (Artifact, error
 	return ImageArtifact(out), nil
 }
 
+// decodeCrop is decodeOp then op on the same raw sample, as one imaging kernel
+// that never builds the full image. The rect is sampled from the header's
+// dimensions — the ones the decoded image would have — with op's own rng
+// stream, so it is the rect Apply would have drawn. A failure is the stream's:
+// sampleRect only returns rects inside w×h.
+func (op randomResizedCropOp) decodeCrop(raw []byte, rng *rand.Rand) (*imaging.Image, error) {
+	if imaging.IsProgressive(raw) {
+		w, h, _, _, _, err := imaging.ProgressiveInfo(raw)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: decode progressive: %w", err)
+		}
+		im, err := imaging.DecodeProgressiveCropResize(raw, op.sampleRect(w, h, rng), op.Size, op.Size)
+		if err != nil {
+			return nil, fmt.Errorf("pipeline: decode progressive: %w", err)
+		}
+		return im, nil
+	}
+	w, h, err := imaging.DecodeDims(raw)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: decode: %w", err)
+	}
+	im, err := imaging.DecodeCropResize(raw, op.sampleRect(w, h, rng), op.Size, op.Size)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: decode: %w", err)
+	}
+	return im, nil
+}
+
 func (op randomResizedCropOp) sampleRect(w, h int, rng *rand.Rand) imaging.Rect {
 	area := float64(w * h)
 	logLo, logHi := math.Log(op.RatioLo), math.Log(op.RatioHi)

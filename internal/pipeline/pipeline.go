@@ -133,10 +133,11 @@ func (h *rngHolder) seedFor(seed Seed, opIndex int) *rand.Rand {
 // payloads are borrowed and left untouched). The returned artifact is owned
 // by the caller — Release it when done to keep the path allocation-free.
 //
-// An adjacent ToTensor+Normalize pair inside [from, to) is fused into a
-// single pass (tensor.FromImageNormalized); both ops ignore their rng and
-// the fused kernel is bit-identical to the sequential pair, so results are
-// unchanged.
+// Two adjacent pairs inside [from, to) run as one kernel each, bit-identical
+// to the sequential pair (Trace, which never fuses, is the reference):
+// Decode+RandomResizedCrop on a raw artifact dequantizes only the pixels the
+// crop samples (randomResizedCropOp.decodeCrop), and ToTensor+Normalize is a
+// single pass (tensor.FromImageNormalized; both ops ignore their rng).
 func (p *Pipeline) RunRange(a Artifact, from, to int, seed Seed) (Artifact, error) {
 	if from < 0 || to > len(p.ops) || from > to {
 		return Artifact{}, fmt.Errorf("%w: [%d, %d) of %d ops", ErrBadSplit, from, to, len(p.ops))
@@ -145,6 +146,17 @@ func (p *Pipeline) RunRange(a Artifact, from, to int, seed Seed) (Artifact, erro
 	defer rngPool.Put(h)
 	cur := a
 	for i := from; i < to; i++ {
+		if _, isDec := p.ops[i].(decodeOp); isDec && i+1 < to && cur.Kind == KindRaw {
+			if crop, isCrop := p.ops[i+1].(randomResizedCropOp); isCrop {
+				im, err := crop.decodeCrop(cur.Raw, h.seedFor(seed, i+1))
+				if err != nil {
+					return Artifact{}, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].Name(), err)
+				}
+				cur = ImageArtifact(im)
+				i++ // loop increment skips the fused crop as well
+				continue
+			}
+		}
 		if _, isTT := p.ops[i].(toTensorOp); isTT && i+1 < to && cur.Kind == KindImage {
 			if nz, isNZ := p.ops[i+1].(normalizeOp); isNZ {
 				t, err := tensor.FromImageNormalized(cur.Image, nz.Mean, nz.Std)

@@ -5,11 +5,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/bufpool"
 	"repro/internal/imaging"
+	"repro/internal/raceflag"
 	"repro/internal/tensor"
 )
 
@@ -387,6 +389,128 @@ func TestSplitEquivalenceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRunMatchesTrace holds the live path to its reference: RunRange fuses
+// Decode+RandomResizedCrop (and ToTensor+Normalize), Trace applies the five
+// ops one by one, and the final tensors are equal bit for bit — over
+// degenerate, odd and photo-sized sources, every training crop size, SJPG and
+// SJPR at full and at base fidelity. A prefix cut inside the fused pair (the
+// offloaded cut 2) is the same image the sequential ops produce.
+func TestRunMatchesTrace(t *testing.T) {
+	seeds, hurried := 40, testing.Short() || raceflag.Enabled
+	if hurried {
+		seeds = 4
+	}
+	for _, dim := range [][2]int{{1, 1}, {9, 1}, {1, 9}, {15, 17}, {333, 251}, {640, 480}} {
+		w, h := dim[0], dim[1]
+		if hurried && w*h > 333*251 {
+			continue
+		}
+		im, err := imaging.Synthesize(imaging.SynthParams{W: w, H: h, Detail: 0.6, Seed: uint64(w*1000 + h)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sjpg, err := imaging.EncodeDefault(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sjpr, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		base, err := imaging.SlicePrefix(sjpr, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, raw := range map[string][]byte{"sjpg": sjpg, "sjpr": sjpr, "sjpr-base": base} {
+			for _, size := range []int{32, 128, 224} {
+				p := Standard(StandardOptions{CropSize: size, FlipP: -1})
+				n := min(seeds, 4*w*h) // a 1×1 source has one rect
+				if w*h > 333*251 {
+					n = 8 // imaging's own grid runs 640×480 at every seed
+				}
+				for s := 0; s < n; s++ {
+					seed := Seed{Job: 5, Epoch: 1, Sample: uint64(s)}
+					want, _, err := p.Trace(raw, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := p.Run(raw, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("%dx%d %s crop %d seed %d: Run differs from Trace", w, h, name, size, s)
+					}
+					got.Release()
+					want.Release()
+					if s > 0 {
+						continue
+					}
+					decoded, err := p.ops[0].Apply(RawArtifact(raw), rngFor(seed, 0))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cropped, err := p.ops[1].Apply(decoded, rngFor(seed, 1))
+					if err != nil {
+						t.Fatal(err)
+					}
+					cut2, err := p.RunRange(RawArtifact(raw), 0, 2, seed)
+					if err != nil || !cut2.Equal(cropped) {
+						t.Fatalf("%dx%d %s crop %d: cut-2 prefix differs from Decode then RandomResizedCrop (err %v)", w, h, name, size, err)
+					}
+					cut2.Release()
+					cropped.Release()
+				}
+			}
+		}
+	}
+}
+
+// TestFusedPrefixRejectsWhatDecodeRejects: a stream the Decode op refuses is
+// refused by the fused prefix with the same cause, attributed to op 0.
+func TestFusedPrefixRejectsWhatDecodeRejects(t *testing.T) {
+	sjpg := encodeSample(t, 40, 30, 0.5, 2)
+	im, err := imaging.Decode(sjpg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sjpr, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := func(data []byte, at int) []byte {
+		out := append([]byte(nil), data...)
+		out[at] ^= 0x40
+		return out
+	}
+	p := DefaultStandard()
+	seed := Seed{Job: 1, Epoch: 1, Sample: 1}
+	for name, c := range map[string]struct {
+		raw  []byte
+		want error
+	}{
+		"empty":              {nil, imaging.ErrCorrupt},
+		"sjpg header cut":    {sjpg[:9], imaging.ErrCorrupt},
+		"sjpg version":       {flipped(sjpg, 4), imaging.ErrUnsupported},
+		"sjpg payload cut":   {sjpg[:len(sjpg)/2], imaging.ErrCorrupt},
+		"sjpr cut mid-scan":  {sjpr[:len(sjpr)-5], imaging.ErrTruncated},
+		"sjpr CRC mismatch":  {flipped(sjpr, len(sjpr)-5), imaging.ErrCorrupt},
+		"sjpr header cut":    {sjpr[:12], imaging.ErrCorrupt},
+		"sjpr nothing after": {sjpr[:4], imaging.ErrCorrupt},
+	} {
+		_, _, traceErr := p.Trace(c.raw, seed)
+		_, runErr := p.Run(c.raw, seed)
+		if !errors.Is(traceErr, c.want) || !errors.Is(runErr, c.want) {
+			t.Errorf("%s: Trace err %v, Run err %v, want both %v", name, traceErr, runErr, c.want)
+			continue
+		}
+		// Trace says "pipeline: trace op 0 (Decode): …", Run "pipeline: op 0 (Decode): …".
+		if want := "pipeline: " + strings.TrimPrefix(traceErr.Error(), "pipeline: trace "); runErr.Error() != want {
+			t.Errorf("%s: Run err %q, want Trace's: %q", name, runErr, want)
+		}
 	}
 }
 

@@ -44,10 +44,10 @@ func TestPrefixServeSteadyStateAllocs(t *testing.T) {
 
 // TestRunPrefixEncodedCut2SteadyStateAllocs pins the offloaded hot path: a
 // cut-2 fetch decodes, crops and packs the crop into one pooled buffer. With
-// warm pools what allocates is the two Image headers (decoded, cropped) —
-// the same two as when crops shipped as raw pixels; the packer's code
-// tables and plane scratch are pooled. The collector is off because only a
-// collection empties the pools.
+// warm pools what allocates is the cropped Image's header — the fused
+// decode→crop never builds the decoded image, and its tap tables and compact
+// buffer are pooled like the packer's code tables and plane scratch. The
+// collector is off because only a collection empties the pools.
 func TestRunPrefixEncodedCut2SteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
@@ -71,7 +71,7 @@ func TestRunPrefixEncodedCut2SteadyStateAllocs(t *testing.T) {
 		}
 		bufpool.PutBytes(enc)
 	})
-	if allocs != 2 {
-		t.Fatalf("cut-2 RunPrefixEncoded allocates %.1f allocs/op at steady state, want 2 (two Image headers)", allocs)
+	if allocs != 1 {
+		t.Fatalf("cut-2 RunPrefixEncoded allocates %.1f allocs/op at steady state, want 1 (the crop's Image header)", allocs)
 	}
 }

@@ -129,8 +129,16 @@ func TestExecutorRunPrefix(t *testing.T) {
 	if art.Image.W != 224 {
 		t.Fatalf("split 2 image width %d", art.Image.W)
 	}
+	// The prefix ran Decode+RandomResizedCrop as one kernel; it still counts
+	// the ops of the plan, not the kernels.
 	if counters.OpsExecuted.Load() != 2 {
 		t.Fatalf("ops executed = %d", counters.OpsExecuted.Load())
+	}
+	if art, err = e.RunPrefix(raw, p.Len(), seed); err != nil || art.Kind != pipeline.KindTensor {
+		t.Fatalf("split %d: %v kind=%v", p.Len(), err, art.Kind)
+	}
+	if got, want := counters.OpsExecuted.Load(), uint64(2+p.Len()); got != want {
+		t.Fatalf("ops executed = %d after a full prefix, want %d", got, want)
 	}
 	if counters.CPUNanos.Load() == 0 {
 		t.Fatal("no CPU time recorded")
