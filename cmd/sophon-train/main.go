@@ -127,7 +127,7 @@ func main() {
 	// Single-addr mode gets the same retry wrapper as the sharded fan-out:
 	// without it, an admission-control rejection (server shedding load)
 	// surfaces to the trainer instead of being retried after the hint.
-	dial := func() (trainsim.StorageClient, error) {
+	dial := func() (storage.Fetcher, error) {
 		return storage.NewReconnecting(func() (*storage.Client, error) {
 			return storage.DialWithOptions(*addr, opts)
 		}, *attempts, *backoff, nil)
@@ -142,7 +142,7 @@ func main() {
 			}
 		}
 		nShards = len(addrs)
-		dial = func() (trainsim.StorageClient, error) {
+		dial = func() (storage.Fetcher, error) {
 			return dialSharded(addrs, opts, *attempts, *backoff, *degraded)
 		}
 		logger.Printf("fan-out client over %d shards (degraded=%v)", nShards, *degraded)
@@ -336,7 +336,7 @@ func runAdaptive(logger *log.Logger, trainer *trainsim.Trainer, fw *core.Framewo
 
 // dialSharded builds the fan-out client: one reconnecting session per shard
 // address, routed by the canonical shard map.
-func dialSharded(addrs []string, opts storage.ClientOptions, attempts int, backoff time.Duration, degraded bool) (trainsim.StorageClient, error) {
+func dialSharded(addrs []string, opts storage.ClientOptions, attempts int, backoff time.Duration, degraded bool) (storage.Fetcher, error) {
 	m, err := cluster.NewShardMap(len(addrs))
 	if err != nil {
 		return nil, err

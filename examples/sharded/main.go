@@ -70,7 +70,7 @@ func main() {
 	// shard and fan out concurrently over one session per shard.
 	// DegradedMode makes a dead shard cost only its own samples.
 	trainer, err := trainsim.New(trainsim.Config{
-		DialClient: func() (trainsim.StorageClient, error) {
+		DialClient: func() (storage.Fetcher, error) {
 			return tier.NewShardedClient(storage.ClientOptions{JobID: 1},
 				2, 50*time.Millisecond, true)
 		},

@@ -59,7 +59,7 @@ type TenantFetcher = cache.TenantFetcher
 // NewTenantFetcher wraps a storage client for one tenant of a share group.
 // Every tenant of the group must have dialed with the group's dataset share
 // key as job ID so cached artifacts are bit-identical across tenants.
-func NewTenantFetcher(inner cache.Fetcher, shared *SharedArtifactCache, tenant string, dataset uint64) (*TenantFetcher, error) {
+func NewTenantFetcher(inner storage.Fetcher, shared *SharedArtifactCache, tenant string, dataset uint64) (*TenantFetcher, error) {
 	return cache.NewTenantFetcher(inner, shared, tenant, dataset)
 }
 

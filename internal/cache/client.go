@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/dataset"
+	"repro/internal/imaging"
 	"repro/internal/pipeline"
 	"repro/internal/storage"
 )
@@ -16,12 +17,12 @@ import (
 // paper's argument for keeping preprocessing online rather than storing
 // preprocessed datasets.
 type FetchingCache struct {
-	client Fetcher
+	client storage.Fetcher
 	cache  Cache
 }
 
 // NewFetchingCache wraps client with cache.
-func NewFetchingCache(client Fetcher, c Cache) *FetchingCache {
+func NewFetchingCache(client storage.Fetcher, c Cache) *FetchingCache {
 	return &FetchingCache{client: client, cache: c}
 }
 
@@ -29,21 +30,19 @@ func NewFetchingCache(client Fetcher, c Cache) *FetchingCache {
 // reduced-fidelity directive is served from the cached full object by
 // truncating its progressive container locally — bit-identical to the
 // prefix the server would slice.
-func (f *FetchingCache) hit(sample uint32, split int) (storage.FetchResult, bool) {
+func (f *FetchingCache) hit(sample uint32, split int) (storage.FetchResult, bool, error) {
 	cut, fid := storage.UnpackDirective(split)
 	if cut != 0 {
-		return storage.FetchResult{}, false
+		return storage.FetchResult{}, false, nil
 	}
 	raw, ok := f.cache.Get(sample)
 	if !ok {
-		return storage.FetchResult{}, false
+		return storage.FetchResult{}, false, nil
 	}
-	if fid > 0 {
-		if prefix, ok := truncateBodyToFidelity(raw, uint8(fid)); ok {
-			raw = prefix
-		}
+	if n, ok := imaging.FidelityPrefixSize(raw, fid); ok {
+		raw = raw[:n]
 	}
-	return storage.FetchResult{Sample: sample, Artifact: pipeline.RawArtifact(raw), Fidelity: fid}, true
+	return storage.FetchResult{Sample: sample, Artifact: pipeline.RawArtifact(raw), Fidelity: fid}, true, nil
 }
 
 // fill inserts a fetched raw object. split == 0 means cut 0 AND full
@@ -57,26 +56,31 @@ func (f *FetchingCache) fill(sample uint32, split int, res storage.FetchResult) 
 	}
 }
 
-// Fetch returns the sample's artifact. Raw fetches that hit the cache cost
-// zero wire bytes; raw misses populate the cache. Offloaded fetches bypass
-// the cache entirely.
+// Fetch implements storage.Fetcher.
 func (f *FetchingCache) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
-	if res, ok := f.hit(sample, split); ok {
-		return res, nil
-	}
-	res, err := f.client.Fetch(ctx, sample, split, epoch)
-	if err != nil {
-		return storage.FetchResult{}, err
-	}
-	f.fill(sample, split, res)
-	return res, nil
+	return storage.FetchOne(ctx, f, sample, split, epoch)
 }
 
-// FetchBatch serves cache hits locally and forwards the misses to the
-// server in a single batched round trip, preserving request order.
-// Per-item failures from the server scatter through to the matching
-// FetchResult.Err; only successfully fetched raw items populate the cache.
+// FetchBatch serves cache hits locally at zero wire bytes and forwards the
+// misses to the server in a single batched round trip (see through). Only
+// raw fetches are cacheable, so offloaded ones bypass the cache entirely.
 func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
+	return through(samples, splits, f.hit, func(samples []uint32, splits []int) ([]storage.FetchResult, error) {
+		return f.client.FetchBatch(ctx, samples, splits, epoch)
+	}, f.fill)
+}
+
+// through is a caching layer's one scatter/gather: every directive hit serves
+// keeps its slot, the misses go down in a single forward round trip (none
+// when everything hit), and each forwarded result is scattered back to its
+// slot in request order and offered to fill. Per-item failures scatter
+// through unchanged in FetchResult.Err — fill decides what is worth keeping;
+// an error from hit or forward fails the whole call.
+func through(samples []uint32, splits []int,
+	hit func(sample uint32, split int) (storage.FetchResult, bool, error),
+	forward func(samples []uint32, splits []int) ([]storage.FetchResult, error),
+	fill func(sample uint32, split int, res storage.FetchResult),
+) ([]storage.FetchResult, error) {
 	if len(samples) != len(splits) {
 		return nil, fmt.Errorf("cache: %d samples but %d splits", len(samples), len(splits))
 	}
@@ -85,7 +89,11 @@ func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits
 	var missSplits []int
 	var missIdx []int
 	for i := range samples {
-		if res, ok := f.hit(samples[i], splits[i]); ok {
+		res, ok, err := hit(samples[i], splits[i])
+		if err != nil {
+			return nil, err
+		}
+		if ok {
 			out[i] = res
 			continue
 		}
@@ -93,31 +101,25 @@ func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits
 		missSplits = append(missSplits, splits[i])
 		missIdx = append(missIdx, i)
 	}
-	if len(missSamples) > 0 {
-		fetched, err := f.client.FetchBatch(ctx, missSamples, missSplits, epoch)
-		if err != nil {
-			return nil, err
-		}
-		for k, res := range fetched {
-			out[missIdx[k]] = res
-			f.fill(missSamples[k], missSplits[k], res)
-		}
+	if len(missSamples) == 0 {
+		return out, nil
+	}
+	fetched, err := forward(missSamples, missSplits)
+	if err != nil {
+		return nil, err
+	}
+	if len(fetched) != len(missIdx) {
+		return nil, fmt.Errorf("cache: forwarded %d samples, got %d results", len(missIdx), len(fetched))
+	}
+	for k, res := range fetched {
+		out[missIdx[k]] = res
+		fill(missSamples[k], missSplits[k], res)
 	}
 	return out, nil
 }
 
 // NumSamples reports the dataset size from the wrapped client.
 func (f *FetchingCache) NumSamples() int { return f.client.NumSamples() }
-
-// SetPlanVersion implements storage.PlanVersioner by forwarding to the
-// wrapped client when it stamps versions — cache hits are local and carry no
-// stamp, but every fetch that does reach the wire carries the current plan
-// version.
-func (f *FetchingCache) SetPlanVersion(v uint32) {
-	if pv, ok := f.client.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(v)
-	}
-}
 
 // Stats exposes the underlying cache counters.
 func (f *FetchingCache) Stats() Stats { return f.cache.Stats() }

@@ -16,44 +16,9 @@ func truncateToFidelity(data []byte, drop uint8) ([]byte, bool) {
 	if len(data) < 1 || data[0] != byte(pipeline.KindRaw) {
 		return nil, false
 	}
-	n, ok := prefixLenAtFidelity(data[1:], drop)
+	n, ok := imaging.FidelityPrefixSize(data[1:], int(drop))
 	if !ok {
 		return nil, false
 	}
 	return data[:1+n], true
-}
-
-// truncateBodyToFidelity is truncateToFidelity over bare container bytes
-// (no artifact kind byte) — the form the per-job raw cache stores.
-func truncateBodyToFidelity(body []byte, drop uint8) ([]byte, bool) {
-	n, ok := prefixLenAtFidelity(body, drop)
-	if !ok {
-		return nil, false
-	}
-	return body[:n], true
-}
-
-// prefixLenAtFidelity returns the byte length of the progressive prefix a
-// fetch withholding drop scans would have shipped for this container body.
-func prefixLenAtFidelity(body []byte, drop uint8) (int, bool) {
-	if drop == 0 || !imaging.IsProgressive(body) {
-		return 0, false
-	}
-	_, _, _, scans, present, err := imaging.ProgressiveInfo(body)
-	if err != nil {
-		return 0, false
-	}
-	// Mirror the server's clamp: never drop the base scan.
-	keep := scans - int(drop)
-	if keep < 1 {
-		keep = 1
-	}
-	if present < keep {
-		return 0, false // shallower than the request; cannot invent scans
-	}
-	n, err := imaging.PrefixSize(body, keep)
-	if err != nil {
-		return 0, false
-	}
-	return n, true
 }

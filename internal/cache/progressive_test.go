@@ -160,8 +160,8 @@ func (p *progFetcher) Fetch(_ context.Context, sample uint32, split int, epoch u
 	cut, fid := storage.UnpackDirective(split)
 	raw := p.body
 	if cut == 0 && fid > 0 {
-		if prefix, ok := truncateBodyToFidelity(p.body, uint8(fid)); ok {
-			raw = prefix
+		if n, ok := imaging.FidelityPrefixSize(p.body, fid); ok {
+			raw = p.body[:n]
 		}
 	}
 	return storage.FetchResult{

@@ -148,16 +148,18 @@ type fakeFetcher struct {
 	n       int
 	fetches int
 	closed  bool
-	// lastVersion records SetPlanVersion passthroughs.
-	lastVersion uint32
+	// lastCtx is the context the latest fetch arrived with: what a wrapper
+	// must pass down untouched for the plan-version stamp to reach the wire.
+	lastCtx context.Context
 }
 
 func (f *fakeFetcher) payload(sample uint32, split int, epoch uint64) []byte {
 	return []byte(fmt.Sprintf("s%d/c%d/e%d", sample, split, epoch))
 }
 
-func (f *fakeFetcher) Fetch(_ context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
+func (f *fakeFetcher) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
 	f.fetches++
+	f.lastCtx = ctx
 	return storage.FetchResult{
 		Sample:    sample,
 		Artifact:  pipeline.RawArtifact(f.payload(sample, split, epoch)),
@@ -178,9 +180,8 @@ func (f *fakeFetcher) FetchBatch(ctx context.Context, samples []uint32, splits [
 	return out, nil
 }
 
-func (f *fakeFetcher) NumSamples() int         { return f.n }
-func (f *fakeFetcher) SetPlanVersion(v uint32) { f.lastVersion = v }
-func (f *fakeFetcher) Close() error            { f.closed = true; return nil }
+func (f *fakeFetcher) NumSamples() int { return f.n }
+func (f *fakeFetcher) Close() error    { f.closed = true; return nil }
 
 func TestTenantFetcherValidation(t *testing.T) {
 	shared, _ := NewShared(1 << 20)
@@ -315,9 +316,16 @@ func TestTenantFetcherPassthroughs(t *testing.T) {
 	if f.NumSamples() != 23 {
 		t.Fatalf("NumSamples %d", f.NumSamples())
 	}
-	f.SetPlanVersion(9)
-	if inner.lastVersion != 9 {
-		t.Fatalf("plan version not forwarded: %d", inner.lastVersion)
+	type stamp struct{}
+	ctx := context.WithValue(context.Background(), stamp{}, 9)
+	if _, err := f.Fetch(ctx, 1, 0, 1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.FetchShard(ctx, 0, []uint32{2}, []int{0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if inner.fetches != 2 || inner.lastCtx.Value(stamp{}) != 9 {
+		t.Fatalf("context not passed down (%d fetches)", inner.fetches)
 	}
 	if f.Shared() != shared {
 		t.Fatal("Shared() lost the cache")

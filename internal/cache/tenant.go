@@ -10,17 +10,6 @@ import (
 	"repro/internal/storage"
 )
 
-// Fetcher is the minimal fetch surface the tenant wrapper composes over. It
-// is satisfied by *storage.Client, *storage.ReconnectingClient,
-// *cluster.ShardedClient, and *FetchingCache, so the cross-job cache stacks
-// on any transport the fleet uses.
-type Fetcher interface {
-	Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error)
-	FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error)
-	NumSamples() int
-	Close() error
-}
-
 // TenantFetcher is one tenant's view of the fleet's shared artifact cache:
 // fetches are keyed by (dataset, sample, cut) — not by tenant — so artifacts
 // another tenant of the same share group already pulled are served from
@@ -34,7 +23,10 @@ type Fetcher interface {
 // fresh artifact from the immutable cached encoding, so tenants never alias
 // (and can never corrupt) each other's buffers.
 type TenantFetcher struct {
-	inner   Fetcher
+	inner storage.Fetcher
+	// router is inner's per-shard issue path, nil when the transport
+	// underneath has no shard structure.
+	router  storage.ShardRouter
 	shared  *SharedArtifactCache
 	tenant  string
 	dataset uint64
@@ -42,7 +34,7 @@ type TenantFetcher struct {
 
 // NewTenantFetcher wraps inner for one tenant of a share group. dataset is
 // the group's share key (the job ID the inner client dialed with).
-func NewTenantFetcher(inner Fetcher, shared *SharedArtifactCache, tenant string, dataset uint64) (*TenantFetcher, error) {
+func NewTenantFetcher(inner storage.Fetcher, shared *SharedArtifactCache, tenant string, dataset uint64) (*TenantFetcher, error) {
 	if inner == nil {
 		return nil, errors.New("cache: tenant fetcher needs a client")
 	}
@@ -52,7 +44,8 @@ func NewTenantFetcher(inner Fetcher, shared *SharedArtifactCache, tenant string,
 	if tenant == "" {
 		return nil, errors.New("cache: tenant fetcher needs a tenant name")
 	}
-	return &TenantFetcher{inner: inner, shared: shared, tenant: tenant, dataset: dataset}, nil
+	router, _ := inner.(storage.ShardRouter)
+	return &TenantFetcher{inner: inner, router: router, shared: shared, tenant: tenant, dataset: dataset}, nil
 }
 
 // key builds the fleet-wide artifact key for one fetch. Raw (cut-0)
@@ -68,17 +61,6 @@ func (t *TenantFetcher) key(sample uint32, split int, epoch uint64) ArtifactKey 
 		k.Epoch = epoch
 	}
 	return k
-}
-
-// hit decodes a cached encoding into a fresh, caller-owned artifact.
-func hit(sample uint32, split int, data []byte) (storage.FetchResult, error) {
-	art, err := pipeline.DecodeArtifact(data)
-	if err != nil {
-		// A corrupt cache entry would be a bug, not an I/O fault; surface it.
-		return storage.FetchResult{}, fmt.Errorf("cache: shared entry for sample %d: %w", sample, err)
-	}
-	cut, fid := storage.UnpackDirective(split)
-	return storage.FetchResult{Sample: sample, Artifact: art, Split: cut, Fidelity: fid, WireBytes: 0}, nil
 }
 
 // retain encodes a fetched artifact into a plain owned buffer for the shared
@@ -98,59 +80,45 @@ func (t *TenantFetcher) retain(key ArtifactKey, res storage.FetchResult) {
 	t.shared.Put(t.tenant, key, owned)
 }
 
-// Fetch serves the sample from the shared cache when any tenant of the share
-// group already fetched it, and forwards (then retains) otherwise.
+// Fetch implements storage.Fetcher.
 func (t *TenantFetcher) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
-	k := t.key(sample, split, epoch)
-	if data, ok := t.shared.Get(t.tenant, k); ok {
-		return hit(sample, split, data)
-	}
-	res, err := t.inner.Fetch(ctx, sample, split, epoch)
-	if err != nil {
-		return res, err
-	}
-	t.retain(k, res)
-	return res, nil
+	return storage.FetchOne(ctx, t, sample, split, epoch)
 }
 
-// FetchBatch serves cache hits locally and forwards only the misses,
-// preserving request order. Per-item failures scatter through unchanged;
-// only successful fetches populate the cache.
+// FetchBatch serves the samples any tenant of the share group already
+// fetched from the shared cache at zero wire bytes, forwards only the misses,
+// and retains what they bring back (see through).
 func (t *TenantFetcher) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	if len(samples) != len(splits) {
-		return nil, fmt.Errorf("cache: %d samples but %d splits", len(samples), len(splits))
-	}
-	out := make([]storage.FetchResult, len(samples))
-	var missSamples []uint32
-	var missSplits []int
-	var missIdx []int
-	for i := range samples {
-		k := t.key(samples[i], splits[i], epoch)
-		if data, ok := t.shared.Get(t.tenant, k); ok {
-			res, err := hit(samples[i], splits[i], data)
+	return t.fetch(samples, splits, epoch, func(samples []uint32, splits []int) ([]storage.FetchResult, error) {
+		return t.inner.FetchBatch(ctx, samples, splits, epoch)
+	})
+}
+
+// fetch is through over the shared cache, whichever way the misses go down:
+// a hit decodes the cached encoding into a fresh, caller-owned artifact, and
+// only successful fetches populate the cache.
+func (t *TenantFetcher) fetch(samples []uint32, splits []int, epoch uint64,
+	forward func(samples []uint32, splits []int) ([]storage.FetchResult, error)) ([]storage.FetchResult, error) {
+	return through(samples, splits,
+		func(sample uint32, split int) (storage.FetchResult, bool, error) {
+			data, ok := t.shared.Get(t.tenant, t.key(sample, split, epoch))
+			if !ok {
+				return storage.FetchResult{}, false, nil
+			}
+			art, err := pipeline.DecodeArtifact(data)
 			if err != nil {
-				return nil, err
+				// A corrupt cache entry would be a bug, not an I/O fault; surface it.
+				return storage.FetchResult{}, false, fmt.Errorf("cache: shared entry for sample %d: %w", sample, err)
 			}
-			out[i] = res
-			continue
-		}
-		missSamples = append(missSamples, samples[i])
-		missSplits = append(missSplits, splits[i])
-		missIdx = append(missIdx, i)
-	}
-	if len(missSamples) > 0 {
-		fetched, err := t.inner.FetchBatch(ctx, missSamples, missSplits, epoch)
-		if err != nil {
-			return nil, err
-		}
-		for j, res := range fetched {
-			out[missIdx[j]] = res
+			cut, fid := storage.UnpackDirective(split)
+			return storage.FetchResult{Sample: sample, Artifact: art, Split: cut, Fidelity: fid}, true, nil
+		},
+		forward,
+		func(sample uint32, split int, res storage.FetchResult) {
 			if res.Err == nil {
-				t.retain(t.key(missSamples[j], missSplits[j], epoch), res)
+				t.retain(t.key(sample, split, epoch), res)
 			}
-		}
-	}
-	return out, nil
+		})
 }
 
 // NumSamples reports the dataset size from the wrapped client.
@@ -161,8 +129,8 @@ func (t *TenantFetcher) NumSamples() int { return t.inner.NumSamples() }
 // which case lookahead falls back to single-link scheduling (through the
 // cache as usual).
 func (t *TenantFetcher) ShardInfo() (int, func(sample uint32) int, bool) {
-	if r, ok := t.inner.(storage.ShardRouter); ok {
-		return r.ShardInfo()
+	if t.router != nil {
+		return t.router.ShardInfo()
 	}
 	return 1, nil, false
 }
@@ -175,55 +143,12 @@ func (t *TenantFetcher) ShardInfo() (int, func(sample uint32) int, bool) {
 // the wrapped client has no FetchShard, misses forward through FetchBatch
 // (the single-shard fallback, where routing is a no-op).
 func (t *TenantFetcher) FetchShard(ctx context.Context, shard int, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	if len(samples) != len(splits) {
-		return nil, fmt.Errorf("cache: %d samples but %d splits", len(samples), len(splits))
+	if t.router == nil {
+		return t.FetchBatch(ctx, samples, splits, epoch)
 	}
-	out := make([]storage.FetchResult, len(samples))
-	var missSamples []uint32
-	var missSplits []int
-	var missIdx []int
-	for i := range samples {
-		k := t.key(samples[i], splits[i], epoch)
-		if data, ok := t.shared.Get(t.tenant, k); ok {
-			res, err := hit(samples[i], splits[i], data)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = res
-			continue
-		}
-		missSamples = append(missSamples, samples[i])
-		missSplits = append(missSplits, splits[i])
-		missIdx = append(missIdx, i)
-	}
-	if len(missSamples) > 0 {
-		var fetched []storage.FetchResult
-		var err error
-		if r, ok := t.inner.(storage.ShardRouter); ok {
-			fetched, err = r.FetchShard(ctx, shard, missSamples, missSplits, epoch)
-		} else {
-			fetched, err = t.inner.FetchBatch(ctx, missSamples, missSplits, epoch)
-		}
-		if err != nil {
-			return nil, err
-		}
-		for j, res := range fetched {
-			out[missIdx[j]] = res
-			if res.Err == nil {
-				t.retain(t.key(missSamples[j], missSplits[j], epoch), res)
-			}
-		}
-	}
-	return out, nil
-}
-
-// SetPlanVersion implements storage.PlanVersioner when the wrapped client
-// does: cache hits are local and carry no stamp, but every fetch that
-// reaches the wire carries the tenant's current plan version.
-func (t *TenantFetcher) SetPlanVersion(v uint32) {
-	if pv, ok := t.inner.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(v)
-	}
+	return t.fetch(samples, splits, epoch, func(samples []uint32, splits []int) ([]storage.FetchResult, error) {
+		return t.router.FetchShard(ctx, shard, samples, splits, epoch)
+	})
 }
 
 // Stats returns this tenant's slice of the shared cache accounting.

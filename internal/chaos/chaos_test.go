@@ -155,7 +155,7 @@ func TestConnCorruptionCaughtByChecksum(t *testing.T) {
 	client, server := pipePair()
 	defer server.Close()
 	c := WrapConn(client, Schedule{Events: []Event{{At: 10, Kind: KindCorrupt}}}, nil, nil, nil)
-	go wire.Write(c, &wire.Fetch{RequestID: 1, Sample: 2, Split: 3, Epoch: 4})
+	go wire.Write(c, &wire.FetchBatch{RequestID: 1, Epoch: 4, Items: []wire.FetchBatchItem{{Sample: 2, Split: 3}}})
 	if _, err := wire.Read(server); !errors.Is(err, wire.ErrChecksum) {
 		t.Fatalf("corrupted frame read err = %v, want wire.ErrChecksum", err)
 	}

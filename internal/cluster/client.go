@@ -14,11 +14,8 @@ import (
 // satisfied by *storage.Client and *storage.ReconnectingClient, so per-shard
 // resilience composes underneath the fan-out.
 type ShardClient interface {
-	Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error)
-	FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error)
+	storage.Fetcher
 	Stats(ctx context.Context) (wire.StatsResp, error)
-	NumSamples() int
-	Close() error
 }
 
 // ErrShardDown marks a per-item failure caused by an unreachable shard. In
@@ -77,35 +74,16 @@ func (c *ShardedClient) ShardMap() *ShardMap { return c.m }
 // Shard returns shard s's underlying session.
 func (c *ShardedClient) Shard(s int) ShardClient { return c.shards[s] }
 
-// SetPlanVersion implements storage.PlanVersioner by forwarding to every
-// shard session that supports stamping, so all shards of a cluster observe
-// the same control-plane version.
-func (c *ShardedClient) SetPlanVersion(v uint32) {
-	for _, sc := range c.shards {
-		if pv, ok := sc.(storage.PlanVersioner); ok {
-			pv.SetPlanVersion(v)
-		}
-	}
-}
-
 // downErr wraps a shard-level transport failure for one item.
 func downErr(shard int, err error) error {
 	return fmt.Errorf("%w: shard %d: %v", ErrShardDown, shard, err)
 }
 
-// Fetch routes the sample to its owning shard. In DegradedMode a transport
-// failure still returns an error (a single fetch has no healthy remainder
-// to salvage), but wrapped in ErrShardDown and mirrored into the result's
-// Err so batch and single paths classify failures identically.
+// Fetch implements storage.Fetcher. A shard transport failure reaches the
+// caller wrapped in ErrShardDown in or out of DegradedMode, so batch and
+// single paths classify failures identically.
 func (c *ShardedClient) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
-	s := c.m.ShardOf(sample)
-	res, err := c.shards[s].Fetch(ctx, sample, split, epoch)
-	if err != nil && !isItemError(err) && ctx.Err() == nil {
-		err = downErr(s, err)
-		res.Sample = sample
-		res.Err = err
-	}
-	return res, err
+	return storage.FetchOne(ctx, c, sample, split, epoch)
 }
 
 // isItemError reports whether err is an application-level per-item
@@ -122,14 +100,8 @@ func isItemError(err error) bool {
 // non-nil only for validation failures or — outside DegradedMode — a shard
 // transport failure.
 func (c *ShardedClient) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	if len(samples) == 0 {
-		return nil, errors.New("cluster: empty batch")
-	}
-	if len(samples) != len(splits) {
-		return nil, fmt.Errorf("cluster: %d samples but %d splits", len(samples), len(splits))
-	}
-	if len(samples) > wire.MaxBatchItems {
-		return nil, fmt.Errorf("cluster: batch of %d exceeds %d", len(samples), wire.MaxBatchItems)
+	if err := validateBatch(samples, splits); err != nil {
+		return nil, err
 	}
 	parts := c.m.Partition(samples)
 	out := make([]storage.FetchResult, len(samples))
@@ -170,6 +142,11 @@ func (c *ShardedClient) FetchBatch(ctx context.Context, samples []uint32, splits
 		}(s, idxs)
 	}
 	wg.Wait()
+	// A cancelled call is the caller's doing, not a shard's: report it as
+	// such before any sub-batch it broke is read as a dead shard.
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if !c.degraded {
 		for _, err := range errs {
 			if err != nil {
@@ -177,10 +154,21 @@ func (c *ShardedClient) FetchBatch(ctx context.Context, samples []uint32, splits
 			}
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
 	return out, nil
+}
+
+// validateBatch is the shape check FetchBatch and FetchShard share.
+func validateBatch(samples []uint32, splits []int) error {
+	if len(samples) == 0 {
+		return errors.New("cluster: empty batch")
+	}
+	if len(samples) != len(splits) {
+		return fmt.Errorf("cluster: %d samples but %d splits", len(samples), len(splits))
+	}
+	if len(samples) > wire.MaxBatchItems {
+		return fmt.Errorf("cluster: batch of %d exceeds %d", len(samples), wire.MaxBatchItems)
+	}
+	return nil
 }
 
 // ShardInfo implements storage.ShardRouter: it exposes the placement map so
@@ -203,14 +191,8 @@ func (c *ShardedClient) FetchShard(ctx context.Context, shard int, samples []uin
 	if shard < 0 || shard >= len(c.shards) {
 		return nil, fmt.Errorf("cluster: shard %d out of range [0,%d)", shard, len(c.shards))
 	}
-	if len(samples) == 0 {
-		return nil, errors.New("cluster: empty batch")
-	}
-	if len(samples) != len(splits) {
-		return nil, fmt.Errorf("cluster: %d samples but %d splits", len(samples), len(splits))
-	}
-	if len(samples) > wire.MaxBatchItems {
-		return nil, fmt.Errorf("cluster: batch of %d exceeds %d", len(samples), wire.MaxBatchItems)
+	if err := validateBatch(samples, splits); err != nil {
+		return nil, err
 	}
 	res, err := c.shards[shard].FetchBatch(ctx, samples, splits, epoch)
 	if err != nil && !isItemError(err) && ctx.Err() == nil {

@@ -299,7 +299,7 @@ func TestTrainerSurvivesDeadShard(t *testing.T) {
 
 	config := func(degraded bool) trainsim.Config {
 		return trainsim.Config{
-			DialClient: func() (trainsim.StorageClient, error) {
+			DialClient: func() (storage.Fetcher, error) {
 				return c.NewShardedClient(storage.ClientOptions{JobID: 9}, 2, time.Millisecond, degraded)
 			},
 			Workers:        2,

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/chaos"
@@ -56,6 +57,16 @@ func TestFetchShard(t *testing.T) {
 			}
 		}
 		served += len(res)
+
+		// The fan-out's answer to a batch that lives on one shard is that
+		// shard's answer: FetchBatch only partitions and reassembles.
+		viaBatch, err := sc.FetchBatch(ctx, samples, splits, 1)
+		if err != nil {
+			t.Fatalf("shard %d through FetchBatch: %v", s, err)
+		}
+		if !reflect.DeepEqual(viaBatch, res) {
+			t.Fatalf("shard %d: FetchBatch of a single-shard batch differs from FetchShard", s)
+		}
 	}
 	if served != n {
 		t.Fatalf("served %d samples across shards, want %d", served, n)
@@ -66,6 +77,13 @@ func TestFetchShard(t *testing.T) {
 	}
 	if _, err := sc.FetchShard(ctx, 0, []uint32{0}, []int{0, 1}, 1); err == nil {
 		t.Fatal("mismatched splits accepted")
+	}
+	if _, err := sc.FetchShard(ctx, 0, nil, nil, 1); err == nil {
+		t.Fatal("empty batch accepted")
+	}
+	big := make([]uint32, wire.MaxBatchItems+1)
+	if _, err := sc.FetchShard(ctx, 0, big, make([]int, len(big)), 1); err == nil {
+		t.Fatal("oversized batch accepted")
 	}
 }
 

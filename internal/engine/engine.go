@@ -128,9 +128,10 @@ var ErrPrepSchedConfig = errors.New("engine: prepsched knobs conflict")
 // knobs (horizon, staging budget) without Lookahead.
 var ErrLookaheadConfig = errors.New("engine: lookahead and reactive window knobs conflict")
 
-// DefaultRequestOverhead approximates the wire package's per-fetch framing
-// (request frame + response header; the v3 request carries a 4-byte
-// PlanVersion stamp).
+// DefaultRequestOverhead is the per-fetch framing the committed DES records
+// (BENCH_pr5–pr10) were generated with. It is a constant of those records,
+// not a measurement of the live wire: a one-sample round trip there frames
+// 42 B of request and 34 B around the artifact, and a batch amortises both.
 const DefaultRequestOverhead = 53
 
 // Result summarizes a simulated epoch.

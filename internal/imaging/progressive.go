@@ -297,6 +297,27 @@ func SlicePrefix(data []byte, k int) ([]byte, error) {
 	return data[:end], nil
 }
 
+// FidelityPrefixSize is the fidelity directive's one definition: the byte
+// length of the prefix of data a fetch withholding drop refinement scans
+// ships, which is the first scans − drop scans and never fewer than the base
+// scan. ok is false when there is nothing to slice: drop is not positive,
+// data is not a progressive container, or data (itself a prefix) holds fewer
+// scans than that.
+func FidelityPrefixSize(data []byte, drop int) (n int, ok bool) {
+	if drop <= 0 || !IsProgressive(data) {
+		return 0, false
+	}
+	hd, err := parseProgressive(data)
+	if err != nil {
+		return 0, false
+	}
+	keep := max(hd.scans-drop, 1)
+	if hd.present(len(data)) < keep {
+		return 0, false
+	}
+	return hd.prefixEnd(keep), true
+}
+
 // DecodeProgressive decodes however many complete scans data carries and
 // returns the image with the count. A blob not ending exactly on a scan
 // boundary returns ErrTruncated; a scan whose CRC32-C disagrees with the

@@ -102,7 +102,8 @@ func Run() ([]Result, error) {
 	}
 	p := pipeline.DefaultStandard()
 	respArtifact := make([]byte, 600<<10)
-	resp := &wire.FetchResp{RequestID: 7, Sample: 3, Split: 2, Status: wire.FetchOK, Artifact: respArtifact}
+	resp := &wire.FetchBatchResp{RequestID: 7, Items: []wire.FetchBatchRespItem{
+		{Sample: 3, Split: 2, Status: wire.FetchOK, Artifact: respArtifact}}}
 	prog, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, imaging.MaxScans)
 	if err != nil {
 		return nil, err

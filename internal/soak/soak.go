@@ -261,7 +261,7 @@ func identitySweep(rep *Report, cfg Config, n int, pipe *pipeline.Pipeline, faul
 // run the prep pool through a mid-training skew flip.
 func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 	tcfg := trainsim.Config{
-		DialClient: func() (trainsim.StorageClient, error) {
+		DialClient: func() (storage.Fetcher, error) {
 			return faulty.NewShardedClientWithPolicy(storage.ClientOptions{JobID: cfg.Seed}, retryPolicy, true)
 		},
 		Workers:        3,

@@ -25,10 +25,10 @@ func TestPrefixServeSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	req := &wire.Fetch{RequestID: 1, Sample: 0, Split: 0, Epoch: 1, Fidelity: 2}
+	req := &wire.FetchBatch{RequestID: 1, Epoch: 1, Items: []wire.FetchBatchItem{{Sample: 0, Fidelity: 2}}}
 	serve := func() {
-		resp := srv.handleFetch(7, req)
-		if resp.Status != wire.FetchOK || resp.Artifact == nil {
+		resp := srv.handleFetchBatch(7, req)
+		if resp.Items[0].Status != wire.FetchOK || resp.Items[0].Artifact == nil {
 			t.Fatalf("prefix serve failed: %+v", resp)
 		}
 		wire.Recycle(resp)

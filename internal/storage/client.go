@@ -6,25 +6,11 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/pipeline"
 	"repro/internal/wire"
 )
-
-// PlanVersioner is implemented by clients that stamp outgoing fetch
-// directives with the control plane's current plan version. Wrappers
-// (reconnecting clients, sharded fan-outs, caches) forward SetPlanVersion to
-// the sessions they own; callers discover support by type assertion so the
-// StorageClient interfaces stay stable.
-type PlanVersioner interface {
-	// SetPlanVersion updates the version stamped on subsequent fetches.
-	// Requests already in flight keep the version they were issued under —
-	// mixed-version traffic during a plan swap is legal because fetches are
-	// idempotent (augmentation seeds depend only on job, epoch, sample).
-	SetPlanVersion(v uint32)
-}
 
 // Client defaults; override via ClientOptions.
 const (
@@ -52,9 +38,6 @@ var (
 type ClientOptions struct {
 	// JobID identifies the training job in the handshake.
 	JobID uint64
-	// Version overrides the protocol version sent in Hello (0 → wire.Version).
-	// It exists so version negotiation can be exercised in tests.
-	Version uint16
 	// RequestTimeout bounds each request round trip (0 → DefaultRequestTimeout;
 	// negative → no timeout).
 	RequestTimeout time.Duration
@@ -72,10 +55,6 @@ type Client struct {
 	conn    net.Conn
 	ack     wire.HelloAck
 	timeout time.Duration
-
-	// planVersion is stamped onto every outgoing Fetch/FetchBatch; 0 means
-	// unversioned. Atomic so a controller can swap plans while workers fetch.
-	planVersion atomic.Uint32
 
 	writeCh  chan wire.Message
 	inflight chan struct{} // semaphore: MaxInFlight slots
@@ -95,20 +74,10 @@ func NewClient(conn net.Conn, jobID uint64) (*Client, error) {
 	return NewClientWithOptions(conn, ClientOptions{JobID: jobID})
 }
 
-// NewClientWithVersion is NewClient with an explicit protocol version; it
-// exists so version negotiation can be exercised.
-func NewClientWithVersion(conn net.Conn, jobID uint64, version uint16) (*Client, error) {
-	return NewClientWithOptions(conn, ClientOptions{JobID: jobID, Version: version})
-}
-
 // NewClientWithOptions performs the handshake and starts the session's
 // writer and reader goroutines. On error the connection is closed.
 func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
-	version := opts.Version
-	if version == 0 {
-		version = wire.Version
-	}
-	if err := wire.Write(conn, &wire.Hello{Version: version, JobID: opts.JobID}); err != nil {
+	if err := wire.Write(conn, &wire.Hello{Version: wire.Version, JobID: opts.JobID}); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("storage: hello: %w", err)
 	}
@@ -171,12 +140,6 @@ func (c *Client) DatasetName() string { return c.ack.DatasetName }
 // NumSamples returns the dataset size reported by the server.
 func (c *Client) NumSamples() int { return int(c.ack.NumSamples) }
 
-// SetPlanVersion implements PlanVersioner: subsequent fetches carry v.
-func (c *Client) SetPlanVersion(v uint32) { c.planVersion.Store(v) }
-
-// PlanVersion reports the version currently stamped on outgoing fetches.
-func (c *Client) PlanVersion() uint32 { return c.planVersion.Load() }
-
 // writeLoop is the single goroutine allowed to write frames after the
 // handshake; it serializes concurrent requests onto the connection.
 func (c *Client) writeLoop() {
@@ -206,8 +169,6 @@ func (c *Client) readLoop() {
 		}
 		var reqID uint64
 		switch m := msg.(type) {
-		case *wire.FetchResp:
-			reqID = m.RequestID
 		case *wire.FetchBatchResp:
 			reqID = m.RequestID
 		case *wire.StatsResp:
@@ -356,8 +317,8 @@ func (c *Client) reserveID() uint64 {
 	return id
 }
 
-// FetchResult carries one fetched sample plus its transfer accounting. In a
-// batch, Status/Err report per-item failures (Err wraps ErrSampleMissing,
+// FetchResult carries one fetched sample plus its transfer accounting.
+// Status/Err report the item's own failure (Err wraps ErrSampleMissing,
 // ErrBadSplitReq, or ErrFetchFailed); Artifact is only valid when Err is nil.
 type FetchResult struct {
 	Sample    uint32
@@ -383,59 +344,16 @@ func statusErr(status wire.FetchStatus, sample uint32, split int) error {
 	}
 }
 
-// Fetch requests sample id with the first split ops executed server-side,
-// returning the decoded artifact. split is a packed directive (see
-// PackDirective): a plain split value requests full fidelity, and a packed
-// fidelity asks the server to withhold that many progressive refinement
-// scans. Cancelling ctx unblocks the caller without disturbing other
-// in-flight requests on the session.
+// Fetch implements Fetcher.
 func (c *Client) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (FetchResult, error) {
-	split, fidelity := UnpackDirective(split)
-	if split < 0 || split > 255 {
-		return FetchResult{}, fmt.Errorf("storage: split %d out of range", split)
-	}
-	if fidelity < 0 || fidelity > 255 {
-		return FetchResult{}, fmt.Errorf("storage: fidelity %d out of range", fidelity)
-	}
-	id := c.reserveID()
-	req := &wire.Fetch{RequestID: id, Sample: sample, Split: uint8(split), Epoch: epoch,
-		PlanVersion: c.planVersion.Load(), Fidelity: uint8(fidelity)}
-	msg, err := c.roundTrip(ctx, id, req)
-	if err != nil {
-		return FetchResult{}, err
-	}
-	resp, ok := msg.(*wire.FetchResp)
-	if !ok {
-		wire.Recycle(msg)
-		return FetchResult{}, fmt.Errorf("storage: unexpected reply %s", msg.Type())
-	}
-	if err := statusErr(resp.Status, sample, split); err != nil {
-		wire.Recycle(resp)
-		return FetchResult{Sample: sample, Status: resp.Status, Err: err}, err
-	}
-	// Frame size must be read before Recycle clears the artifact bytes;
-	// DecodeArtifact copies the payload, so recycling afterwards is safe.
-	frame := wire.FrameSize(resp)
-	art, err := pipeline.DecodeArtifact(resp.Artifact)
-	wire.Recycle(resp)
-	if err != nil {
-		return FetchResult{}, fmt.Errorf("storage: decode artifact: %w", err)
-	}
-	return FetchResult{
-		Sample:    sample,
-		Artifact:  art,
-		Split:     int(resp.Split),
-		Fidelity:  fidelity,
-		WireBytes: frame,
-		Status:    wire.FetchOK,
-	}, nil
+	return FetchOne(ctx, c, sample, split, epoch)
 }
 
-// FetchBatch requests up to wire.MaxBatchItems samples in one round trip.
-// splits must be the same length as samples. Results come back in request
-// order. Per-item failures do NOT fail the call: each FetchResult carries its
-// own Status/Err so a retry layer can re-request only the failed samples. The
-// returned error is non-nil only for validation or transport-level failures.
+// FetchBatch implements Fetcher: one FetchBatch frame, stamped with ctx's
+// plan version (WithPlanVersion), answered by one FetchBatchResp. splits must
+// be the same length as samples; each is a packed directive (PackDirective):
+// a plain split value requests full fidelity, a packed fidelity asks the
+// server to withhold that many progressive refinement scans.
 func (c *Client) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]FetchResult, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("storage: empty batch")
@@ -459,7 +377,7 @@ func (c *Client) FetchBatch(ctx context.Context, samples []uint32, splits []int,
 	}
 
 	id := c.reserveID()
-	req := &wire.FetchBatch{RequestID: id, Epoch: epoch, PlanVersion: c.planVersion.Load(), Items: items}
+	req := &wire.FetchBatch{RequestID: id, Epoch: epoch, PlanVersion: planVersion(ctx), Items: items}
 	msg, err := c.roundTrip(ctx, id, req)
 	if err != nil {
 		return nil, err

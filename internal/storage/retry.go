@@ -140,13 +140,12 @@ type ReconnectingClient struct {
 	datasetName string
 	numSamples  int
 
-	mu          sync.Mutex
-	current     *Client // nil while broken, until the next acquire redials
-	gen         int64
-	closed      bool
-	retries     int64
-	rng         *rand.Rand // jitter draws, guarded by mu
-	planVersion uint32     // re-stamped onto every redialed session
+	mu      sync.Mutex
+	current *Client // nil while broken, until the next acquire redials
+	gen     int64
+	closed  bool
+	retries int64
+	rng     *rand.Rand // jitter draws, guarded by mu
 }
 
 // NewReconnecting dials eagerly and returns a client that survives
@@ -213,18 +212,6 @@ func (r *ReconnectingClient) DatasetName() string { return r.datasetName }
 // NumSamples returns the dataset size from the original handshake.
 func (r *ReconnectingClient) NumSamples() int { return r.numSamples }
 
-// SetPlanVersion implements PlanVersioner: the version is forwarded to the
-// live session and re-applied to every session dialed after a reconnect, so
-// a mid-run redial never silently reverts fetches to an older stamp.
-func (r *ReconnectingClient) SetPlanVersion(v uint32) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.planVersion = v
-	if r.current != nil {
-		r.current.SetPlanVersion(v)
-	}
-}
-
 // acquire returns the live session and its generation, redialing if the
 // previous one was invalidated. Dialing happens under the lock, so exactly
 // one caller redials while the rest wait for the result.
@@ -241,7 +228,6 @@ func (r *ReconnectingClient) acquire() (*Client, int64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	next.SetPlanVersion(r.planVersion)
 	r.current = next
 	r.retries++
 	return r.current, r.gen, nil
@@ -332,18 +318,9 @@ func isPermanent(err error) bool {
 		errors.Is(err, ErrFetchFailed)
 }
 
-// Fetch is Client.Fetch with reconnect-and-retry.
+// Fetch implements Fetcher.
 func (r *ReconnectingClient) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (FetchResult, error) {
-	var out FetchResult
-	err := r.withRetry(ctx, func(c *Client) error {
-		res, err := c.Fetch(ctx, sample, split, epoch)
-		if err != nil {
-			return err
-		}
-		out = res
-		return nil
-	})
-	return out, err
+	return FetchOne(ctx, r, sample, split, epoch)
 }
 
 // errItemsPending marks a batch round that succeeded at the transport level

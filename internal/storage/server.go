@@ -262,8 +262,8 @@ func (s *Server) handleConn(conn net.Conn) {
 	}()
 
 	// Read loop: dispatch each request to its own handler goroutine,
-	// bounded by maxInFlight. Fetch, batch, and stats requests are all
-	// handled uniformly so responses interleave by completion order.
+	// bounded by maxInFlight. Fetch and stats requests are handled
+	// uniformly so responses interleave by completion order.
 	sem := make(chan struct{}, s.maxInFlight)
 	var wg sync.WaitGroup
 	dispatch := func(handle func() wire.Message) {
@@ -294,8 +294,6 @@ readLoop:
 			break
 		}
 		switch req := msg.(type) {
-		case *wire.Fetch:
-			dispatch(func() wire.Message { return s.admitFetch(jobID, req) })
 		case *wire.FetchBatch:
 			dispatch(func() wire.Message { return s.admitFetchBatch(jobID, req) })
 		case *wire.StatsReq:
@@ -333,15 +331,19 @@ func (s *Server) estimateFetchBytes(sample uint32) int64 {
 	return int64(len(raw))
 }
 
-// admit runs fn under the admission controller, charging bytes against the
-// global in-flight budget for the duration of the handler (an approximation
-// of "until the frame is written": the response is handed to the writer
-// goroutine at release time, whose queue is bounded by maxInFlight). A shed
-// request answers with a RetryAfter frame carrying the controller's backoff
-// hint instead of a response.
-func (s *Server) admit(jobID, reqID uint64, bytes int64, fn func() wire.Message) wire.Message {
+// admitFetchBatch serves req under the admission controller, charging the
+// items' estimated bytes against the global in-flight budget for the duration
+// of the handler (an approximation of "until the frame is written": the
+// response is handed to the writer goroutine at release time, whose queue is
+// bounded by maxInFlight). A shed request answers with a RetryAfter frame
+// carrying the controller's backoff hint instead of a response.
+func (s *Server) admitFetchBatch(jobID uint64, req *wire.FetchBatch) wire.Message {
 	if s.admission == nil {
-		return fn()
+		return s.handleFetchBatch(jobID, req)
+	}
+	var bytes int64
+	for _, item := range req.Items {
+		bytes += s.estimateFetchBytes(item.Sample)
 	}
 	release, err := s.admission.Acquire(jobID, bytes, s.shutdown)
 	if err != nil {
@@ -349,76 +351,54 @@ func (s *Server) admit(jobID, reqID uint64, bytes int64, fn func() wire.Message)
 		if errors.As(err, &ra) {
 			s.counters.ShedLoad.Add(1)
 			return &wire.RetryAfter{
-				RequestID: reqID,
+				RequestID: req.RequestID,
 				Millis:    uint32(ra.Delay.Milliseconds()),
 				Queued:    uint32(ra.Queued),
 			}
 		}
 		// Shutdown while queued: the connection is going away with us.
-		return &wire.ErrorResp{RequestID: reqID, Code: wire.CodeInternal, Message: "server shutting down"}
+		return &wire.ErrorResp{RequestID: req.RequestID, Code: wire.CodeInternal, Message: "server shutting down"}
 	}
 	defer release()
-	return fn()
+	return s.handleFetchBatch(jobID, req)
 }
 
-func (s *Server) admitFetch(jobID uint64, req *wire.Fetch) wire.Message {
-	return s.admit(jobID, req.RequestID, s.estimateFetchBytes(req.Sample),
-		func() wire.Message { return s.handleFetch(jobID, req) })
-}
-
-func (s *Server) admitFetchBatch(jobID uint64, req *wire.FetchBatch) wire.Message {
-	var bytes int64
-	for _, item := range req.Items {
-		bytes += s.estimateFetchBytes(item.Sample)
-	}
-	return s.admit(jobID, req.RequestID, bytes,
-		func() wire.Message { return s.handleFetchBatch(jobID, req) })
-}
-
-// handleFetchBatch serves a batched fetch: items execute concurrently (the
-// executor's core budget still bounds actual CPU parallelism) and the
-// response preserves request order.
+// handleFetchBatch serves a fetch: the items of a batch execute concurrently
+// (the executor's core budget still bounds actual CPU parallelism), a lone
+// item on the handler's own goroutine, and the response preserves request
+// order.
 func (s *Server) handleFetchBatch(jobID uint64, req *wire.FetchBatch) *wire.FetchBatchResp {
-	// Observed once per batch; the per-item Fetch values synthesized below
-	// stay unversioned so the funnel in handleFetch does not double-count.
 	s.counters.ObservePlanVersion(req.PlanVersion)
 	resp := &wire.FetchBatchResp{
 		RequestID: req.RequestID,
 		Items:     make([]wire.FetchBatchRespItem, len(req.Items)),
+	}
+	if len(req.Items) == 1 {
+		resp.Items[0] = s.serveItem(jobID, req.Epoch, req.Items[0])
+		return resp
 	}
 	var wg sync.WaitGroup
 	for i, item := range req.Items {
 		wg.Add(1)
 		go func(i int, item wire.FetchBatchItem) {
 			defer wg.Done()
-			one := s.handleFetch(jobID, &wire.Fetch{
-				RequestID: req.RequestID,
-				Sample:    item.Sample,
-				Split:     item.Split,
-				Epoch:     req.Epoch,
-				Fidelity:  item.Fidelity,
-			})
-			resp.Items[i] = wire.FetchBatchRespItem{
-				Sample:   one.Sample,
-				Split:    one.Split,
-				Status:   one.Status,
-				Artifact: one.Artifact,
-			}
+			resp.Items[i] = s.serveItem(jobID, req.Epoch, item)
 		}(i, item)
 	}
 	wg.Wait()
 	return resp
 }
 
-func (s *Server) handleFetch(jobID uint64, req *wire.Fetch) *wire.FetchResp {
-	s.counters.ObservePlanVersion(req.PlanVersion)
-	resp := &wire.FetchResp{RequestID: req.RequestID, Sample: req.Sample, Split: req.Split}
-	raw, err := s.store.Get(req.Sample)
+// serveItem runs one directive: the stored object, its sliced progressive
+// prefix, or the artifact after the first item.Split ops.
+func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.FetchBatchRespItem {
+	resp := wire.FetchBatchRespItem{Sample: item.Sample, Split: item.Split}
+	raw, err := s.store.Get(item.Sample)
 	if err != nil {
 		resp.Status = wire.FetchNotFound
 		return resp
 	}
-	split := int(req.Split)
+	split := int(item.Split)
 	if split > s.pipe.Len() || (split > 0 && s.exec.Cores() == 0) {
 		resp.Status = wire.FetchBadSplit
 		return resp
@@ -428,7 +408,7 @@ func (s *Server) handleFetch(jobID uint64, req *wire.Fetch) *wire.FetchResp {
 		// SJPR container is answered by slicing the stored bytes — no
 		// decode, no re-encode, no executor core. A non-progressive object
 		// (or a zero drop) falls through to the normal raw path.
-		if enc, saved := s.sliceProgressive(raw, req.Fidelity); enc != nil {
+		if enc, saved := s.sliceProgressive(raw, item.Fidelity); enc != nil {
 			resp.Status = wire.FetchOK
 			resp.Artifact = enc
 			s.counters.SamplesServed.Add(1)
@@ -437,12 +417,12 @@ func (s *Server) handleFetch(jobID uint64, req *wire.Fetch) *wire.FetchResp {
 			return resp
 		}
 	}
-	seed := pipeline.Seed{Job: jobID, Epoch: req.Epoch, Sample: uint64(req.Sample)}
+	seed := pipeline.Seed{Job: jobID, Epoch: epoch, Sample: uint64(item.Sample)}
 	// RunPrefixEncoded encodes into a pooled buffer; the writer goroutine
 	// returns it to the arena (wire.Recycle) once the frame is sent.
 	encoded, err := s.exec.RunPrefixEncoded(raw, split, seed)
 	if err != nil {
-		s.logf("storage: prefix sample=%d split=%d: %v", req.Sample, split, err)
+		s.logf("storage: prefix sample=%d split=%d: %v", item.Sample, split, err)
 		resp.Status = wire.FetchFailed
 		return resp
 	}
@@ -452,31 +432,20 @@ func (s *Server) handleFetch(jobID uint64, req *wire.Fetch) *wire.FetchResp {
 	return resp
 }
 
-// sliceProgressive serves the first (scans − drop) scans of a stored
-// progressive container, keeping at least the base scan. It returns the
-// encoded raw artifact in a pooled buffer — the response's artifact bytes
+// sliceProgressive serves the prefix of a stored progressive container that
+// withholds drop refinement scans (imaging.FidelityPrefixSize). It returns
+// the encoded raw artifact in a pooled buffer — the response's artifact bytes
 // are recycled by the writer goroutine, so the stored container must never
 // be aliased — plus the refinement bytes withheld. A nil return means the
-// fast path does not apply (drop 0, non-progressive object, or a container
-// the slicer rejects) and the caller should serve the full object.
+// fast path does not apply (drop 0, non-progressive object, or nothing to
+// withhold) and the caller should serve the full object.
 func (s *Server) sliceProgressive(raw []byte, drop uint8) ([]byte, int) {
-	if drop == 0 || !imaging.IsProgressive(raw) {
+	n, ok := imaging.FidelityPrefixSize(raw, int(drop))
+	if !ok || n == len(raw) {
 		return nil, 0
 	}
-	_, _, _, scans, _, err := imaging.ProgressiveInfo(raw)
-	if err != nil {
-		return nil, 0
-	}
-	keep := scans - int(drop)
-	if keep < 1 {
-		keep = 1
-	}
-	prefix, err := imaging.SlicePrefix(raw, keep)
-	if err != nil || len(prefix) == len(raw) {
-		return nil, 0
-	}
-	enc := bufpool.GetBytes(1 + len(prefix))
+	enc := bufpool.GetBytes(1 + n)
 	enc[0] = byte(pipeline.KindRaw)
-	copy(enc[1:], prefix)
-	return enc, len(raw) - len(prefix)
+	copy(enc[1:], raw[:n])
+	return enc, len(raw) - n
 }

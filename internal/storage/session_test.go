@@ -40,37 +40,37 @@ func fakeServer(t *testing.T, handler func(conn net.Conn)) net.Conn {
 	return client
 }
 
-// readFetches reads n Fetch frames and returns them keyed by sample ID.
-func readFetches(t *testing.T, conn net.Conn, n int) map[uint32]*wire.Fetch {
+// readFetches reads n one-sample FetchBatch frames and returns them keyed by
+// sample ID.
+func readFetches(t *testing.T, conn net.Conn, n int) map[uint32]*wire.FetchBatch {
 	t.Helper()
-	out := make(map[uint32]*wire.Fetch, n)
+	out := make(map[uint32]*wire.FetchBatch, n)
 	for i := 0; i < n; i++ {
 		msg, err := wire.Read(conn)
 		if err != nil {
 			t.Errorf("fake server read %d: %v", i, err)
 			return out
 		}
-		f, ok := msg.(*wire.Fetch)
-		if !ok {
-			t.Errorf("fake server got %s, want Fetch", msg.Type())
+		f, ok := msg.(*wire.FetchBatch)
+		if !ok || len(f.Items) != 1 {
+			t.Errorf("fake server got %s, want a one-item FetchBatch", msg.Type())
 			return out
 		}
-		out[f.Sample] = f
+		out[f.Items[0].Sample] = f
 	}
 	return out
 }
 
-// rawRespFor encodes a FetchResp whose artifact is the raw payload.
-func rawRespFor(t *testing.T, req *wire.Fetch, payload []byte) *wire.FetchResp {
+// rawRespFor answers a one-sample request with the raw payload as artifact.
+func rawRespFor(t *testing.T, req *wire.FetchBatch, payload []byte) *wire.FetchBatchResp {
 	t.Helper()
 	enc, err := pipeline.RawArtifact(payload).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &wire.FetchResp{
-		RequestID: req.RequestID, Sample: req.Sample, Split: req.Split,
-		Status: wire.FetchOK, Artifact: enc,
-	}
+	return &wire.FetchBatchResp{RequestID: req.RequestID, Items: []wire.FetchBatchRespItem{{
+		Sample: req.Items[0].Sample, Split: req.Items[0].Split, Status: wire.FetchOK, Artifact: enc,
+	}}}
 }
 
 // TestSessionSustainsFourInFlight proves genuine pipelining: the fake server

@@ -3,7 +3,9 @@ package storage
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -353,6 +355,10 @@ func TestHandshakeRejectsNonHello(t *testing.T) {
 	}
 }
 
+// TestHandshakeRejectsBadVersion writes its own Hello: the client has no way
+// to speak another version. Any Hello.Version != wire.Version — a future one,
+// or the v3 of the two-verb protocol — is answered with the typed ErrorResp
+// on RequestID 0 and the connection closed.
 func TestHandshakeRejectsBadVersion(t *testing.T) {
 	st := testStore(t, 1)
 	srv, _ := NewServer(ServerConfig{Store: st, Pipeline: pipeline.DefaultStandard()})
@@ -360,12 +366,40 @@ func TestHandshakeRejectsBadVersion(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	conn, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
+	for _, version := range []uint16{99, 3, 0} {
+		conn, err := l.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.Write(conn, &wire.Hello{Version: version, JobID: 1}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := wire.Read(conn)
+		if err != nil {
+			t.Fatalf("version %d: %v", version, err)
+		}
+		er, ok := msg.(*wire.ErrorResp)
+		if !ok || er.RequestID != 0 || er.Code != wire.CodeBadRequest ||
+			er.Message != fmt.Sprintf("unsupported version %d", version) {
+			t.Fatalf("version %d: got %s %+v, want the unsupported-version ErrorResp", version, msg.Type(), msg)
+		}
+		if _, err := wire.Read(conn); err == nil {
+			t.Fatalf("version %d: connection left open after the rejection", version)
+		}
+		conn.Close()
 	}
-	if _, err := NewClientWithVersion(conn, 1, 99); err == nil {
-		t.Fatal("handshake with bad version succeeded")
+
+	// The client's side of the same exchange: a rejected Hello is an error
+	// from the constructor, naming the server's reason.
+	cconn, sconn := net.Pipe()
+	go func() {
+		defer sconn.Close()
+		if _, err := wire.Read(sconn); err == nil {
+			wire.Write(sconn, &wire.ErrorResp{Code: wire.CodeBadRequest, Message: "unsupported version 4"})
+		}
+	}()
+	if _, err := NewClient(cconn, 1); err == nil || !strings.Contains(err.Error(), "unsupported version 4") {
+		t.Fatalf("rejected handshake: err = %v", err)
 	}
 }
 

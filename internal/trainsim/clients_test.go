@@ -10,11 +10,11 @@ import (
 	"repro/internal/storage"
 )
 
-// Compile-time checks: every composition satisfies StorageClient.
+// Compile-time checks: every composition satisfies storage.Fetcher.
 var (
-	_ StorageClient = (*storage.Client)(nil)
-	_ StorageClient = (*storage.ReconnectingClient)(nil)
-	_ StorageClient = (*cache.FetchingCache)(nil)
+	_ storage.Fetcher = (*storage.Client)(nil)
+	_ storage.Fetcher = (*storage.ReconnectingClient)(nil)
+	_ storage.Fetcher = (*cache.FetchingCache)(nil)
 )
 
 // TestTrainerWithReconnectingClientSurvivesFlakyLinks runs a full epoch
@@ -23,7 +23,7 @@ var (
 func TestTrainerWithReconnectingClientSurvivesFlakyLinks(t *testing.T) {
 	h := newHarness(t, 16, 2)
 	cfg := h.config()
-	cfg.DialClient = func() (StorageClient, error) {
+	cfg.DialClient = func() (storage.Fetcher, error) {
 		dial := func() (*storage.Client, error) {
 			conn, err := h.listener.Dial()
 			if err != nil {
@@ -58,7 +58,7 @@ func TestTrainerWithCachingClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := h.config()
-	cfg.DialClient = func() (StorageClient, error) {
+	cfg.DialClient = func() (storage.Fetcher, error) {
 		rc, err := storage.NewReconnecting(func() (*storage.Client, error) {
 			conn, err := h.listener.Dial()
 			if err != nil {
@@ -122,7 +122,7 @@ func TestTrainerCachingWithBatchedFetches(t *testing.T) {
 	}
 	cfg := h.config()
 	cfg.FetchBatchSize = 4
-	cfg.DialClient = func() (StorageClient, error) {
+	cfg.DialClient = func() (storage.Fetcher, error) {
 		conn, err := h.listener.Dial()
 		if err != nil {
 			return nil, err

@@ -13,18 +13,14 @@ import (
 // selects — a dead shard seen through a degraded fan-out client, without a
 // cluster in the loop.
 type failingClient struct {
-	StorageClient
+	storage.Fetcher
 	fails func(sample uint32) bool
 }
 
 var errInjected = errors.New("injected shard failure")
 
 func (f *failingClient) Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
-	if f.fails(sample) {
-		res := storage.FetchResult{Sample: sample, Split: split, Err: errInjected}
-		return res, errInjected
-	}
-	return f.StorageClient.Fetch(ctx, sample, split, epoch)
+	return storage.FetchOne(ctx, f, sample, split, epoch)
 }
 
 func (f *failingClient) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
@@ -42,7 +38,7 @@ func (f *failingClient) FetchBatch(ctx context.Context, samples []uint32, splits
 		healthySplits = append(healthySplits, splits[i])
 	}
 	if len(healthySamples) > 0 {
-		res, err := f.StorageClient.FetchBatch(ctx, healthySamples, healthySplits, epoch)
+		res, err := f.Fetcher.FetchBatch(ctx, healthySamples, healthySplits, epoch)
 		if err != nil {
 			return nil, err
 		}
@@ -69,12 +65,12 @@ func TestDegradedModeSkipsFailedSamples(t *testing.T) {
 	for _, batched := range []int{0, 8} {
 		cfg := h.config()
 		inner := cfg.DialClient
-		cfg.DialClient = func() (StorageClient, error) {
+		cfg.DialClient = func() (storage.Fetcher, error) {
 			c, err := inner()
 			if err != nil {
 				return nil, err
 			}
-			return &failingClient{StorageClient: c, fails: fails}, nil
+			return &failingClient{Fetcher: c, fails: fails}, nil
 		}
 		cfg.DegradedMode = true
 		cfg.FetchBatchSize = batched
@@ -99,12 +95,12 @@ func TestDegradedModeAllFailedErrors(t *testing.T) {
 	h := newHarness(t, 16, 0)
 	cfg := h.config()
 	inner := cfg.DialClient
-	cfg.DialClient = func() (StorageClient, error) {
+	cfg.DialClient = func() (storage.Fetcher, error) {
 		c, err := inner()
 		if err != nil {
 			return nil, err
 		}
-		return &failingClient{StorageClient: c, fails: func(uint32) bool { return true }}, nil
+		return &failingClient{Fetcher: c, fails: func(uint32) bool { return true }}, nil
 	}
 	cfg.DegradedMode = true
 	tr := newTrainer(t, cfg)
@@ -125,12 +121,12 @@ func TestStrictModeAbortsOnFailure(t *testing.T) {
 	cfg := h.config()
 	cfg.StagingLedger = ledger
 	inner := cfg.DialClient
-	cfg.DialClient = func() (StorageClient, error) {
+	cfg.DialClient = func() (storage.Fetcher, error) {
 		c, err := inner()
 		if err != nil {
 			return nil, err
 		}
-		return &failingClient{StorageClient: c, fails: func(s uint32) bool { return s == 7 }}, nil
+		return &failingClient{Fetcher: c, fails: func(s uint32) bool { return s == 7 }}, nil
 	}
 	tr := newTrainer(t, cfg)
 	if _, err := tr.RunEpoch(1, nil, nil); err == nil {

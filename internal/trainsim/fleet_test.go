@@ -24,7 +24,7 @@ func TestFleetTenantsShareArtifacts(t *testing.T) {
 
 	tenantConfig := func(name string) Config {
 		return Config{
-			DialClient: func() (StorageClient, error) {
+			DialClient: func() (storage.Fetcher, error) {
 				conn, err := h.listener.Dial()
 				if err != nil {
 					return nil, err

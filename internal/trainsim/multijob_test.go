@@ -18,7 +18,7 @@ func TestTwoJobsShareOneServer(t *testing.T) {
 	mkTrainer := func(jobID uint64) *Trainer {
 		cfg := h.config()
 		cfg.JobID = jobID
-		cfg.DialClient = func() (StorageClient, error) {
+		cfg.DialClient = func() (storage.Fetcher, error) {
 			conn, err := h.listener.Dial()
 			if err != nil {
 				return nil, err

@@ -27,24 +27,15 @@ import (
 	"repro/internal/wire"
 )
 
-// StorageClient is the compute node's view of the storage service. It is
-// satisfied by *storage.Client, *storage.ReconnectingClient (transparent
-// retry), and *cache.FetchingCache (local raw-object cache), so resilience
-// and caching compose with the trainer without changes here. Implementations
-// must be safe for concurrent use: the trainer pipelines many in-flight
-// requests over one shared session.
-type StorageClient interface {
-	Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error)
-	FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error)
-	NumSamples() int
-	Close() error
-}
+// StorageClient is storage.Fetcher under the name benchmarks/ still compiles
+// against; it goes when the benchmark is unfrozen (ROADMAP item 1 Step A).
+type StorageClient = storage.Fetcher
 
 // Config describes a training client.
 type Config struct {
 	// DialClient opens the storage session; the trainer calls it exactly
 	// once and pipelines all requests over the shared session.
-	DialClient func() (StorageClient, error)
+	DialClient func() (storage.Fetcher, error)
 	// Workers is the local preprocessing parallelism; 0 means 4.
 	Workers int
 	// Lookahead is the number of fetch round trips the loader keeps in
@@ -120,7 +111,7 @@ const DefaultStagingBytes = 64 << 20
 // Trainer runs training epochs against a storage server.
 type Trainer struct {
 	cfg    Config
-	client StorageClient
+	client storage.Fetcher
 	n      int
 	closed bool
 	mu     sync.Mutex
@@ -261,17 +252,14 @@ func (t *Trainer) PrepMetrics() *prepsched.Metrics { return t.ps }
 // under the new snapshot's cut depths while entries already staged are kept
 // — they were fetched at cuts that remain correct (preprocessing is
 // deterministic in (job, epoch, sample) for whichever cut they carried), so
-// nothing is flushed. The snapshot's version is stamped on the session for
-// all subsequent wire fetches. Wire this to core.Controller.OnReplan for
-// live replanning.
+// nothing is flushed. Every round trip issued after the swap is stamped with
+// the snapshot's version; requests in flight keep the one they were issued
+// under. Wire this to core.Controller.OnReplan for live replanning.
 func (t *Trainer) ApplySnapshot(snap *policy.PlanSnapshot) {
 	if snap == nil || snap.Plan == nil || snap.Plan.N() != t.n {
 		return
 	}
 	old := t.snap.Swap(snap)
-	if pv, ok := t.client.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(uint32(snap.Version))
-	}
 	if old != nil && old.Version != snap.Version {
 		t.pf.NoteReplan()
 	}
@@ -300,9 +288,8 @@ func (t *Trainer) RunEpoch(epoch uint64, plan *policy.Plan, collector *profiler.
 }
 
 // RunEpochSnapshot trains one epoch under a versioned plan snapshot from the
-// control plane. The snapshot's version is stamped onto the storage session
-// (when the client supports storage.PlanVersioner) so every fetch the epoch
-// issues carries it on the wire, and recorded in the report. Swapping
+// control plane. The snapshot's version rides every fetch the epoch issues
+// (storage.WithPlanVersion) and is recorded in the report. Swapping
 // snapshots between epochs is always safe: preprocessing is deterministic in
 // (job, epoch, sample), so requests stamped with different versions — e.g.
 // in-flight fetches racing a swap — return identical artifacts for the same
@@ -312,9 +299,6 @@ func (t *Trainer) RunEpochSnapshot(epoch uint64, snap *policy.PlanSnapshot, coll
 		return EpochReport{}, errors.New("trainsim: nil plan snapshot")
 	}
 	t.snap.Store(snap)
-	if pv, ok := t.client.(storage.PlanVersioner); ok {
-		pv.SetPlanVersion(uint32(snap.Version))
-	}
 	return t.runEpoch(epoch, snap.Plan, snap.Version, collector)
 }
 
@@ -495,19 +479,16 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 	}
 	fetch := func(shard int, samples []uint32, splits []int) ([]storage.FetchResult, error) {
 		fetchStart := time.Now()
+		rctx := ctx
+		if s := t.snap.Load(); s != nil {
+			rctx = storage.WithPlanVersion(ctx, uint32(s.Version))
+		}
 		var res []storage.FetchResult
 		var err error
-		switch {
-		case router != nil:
-			res, err = router.FetchShard(ctx, shard, samples, splits, epoch)
-		case len(samples) == 1:
-			var r storage.FetchResult
-			r, err = t.client.Fetch(ctx, samples[0], splits[0], epoch)
-			if err == nil {
-				res = []storage.FetchResult{r}
-			}
-		default:
-			res, err = t.client.FetchBatch(ctx, samples, splits, epoch)
+		if router != nil {
+			res, err = router.FetchShard(rctx, shard, samples, splits, epoch)
+		} else {
+			res, err = t.client.FetchBatch(rctx, samples, splits, epoch)
 		}
 		if err != nil {
 			return nil, err

@@ -60,7 +60,7 @@ func newHarnessOver(t testing.TB, store *storage.Store, serverCores int) *harnes
 
 func (h *harness) config() Config {
 	return Config{
-		DialClient: func() (StorageClient, error) {
+		DialClient: func() (storage.Fetcher, error) {
 			conn, err := h.listener.Dial()
 			if err != nil {
 				return nil, err
@@ -106,7 +106,7 @@ func TestNewValidatesConfig(t *testing.T) {
 		t.Fatal("accepted negative batch")
 	}
 	bad = good
-	bad.DialClient = func() (StorageClient, error) { return nil, errors.New("refused") }
+	bad.DialClient = func() (storage.Fetcher, error) { return nil, errors.New("refused") }
 	if _, err := New(bad); err == nil {
 		t.Fatal("accepted failing dialer")
 	}

@@ -39,7 +39,7 @@ func TestValidationPipelineEndToEnd(t *testing.T) {
 	t.Cleanup(func() { srv.Close() })
 
 	tr := newTrainer(t, Config{
-		DialClient: func() (StorageClient, error) {
+		DialClient: func() (storage.Fetcher, error) {
 			conn, err := l.Dial()
 			if err != nil {
 				return nil, err

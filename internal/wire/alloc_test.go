@@ -15,7 +15,7 @@ func TestWriteSteadyStateAllocs(t *testing.T) {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
 	}
 	artifact := make([]byte, 600<<10)
-	m := &FetchResp{RequestID: 7, Sample: 3, Split: 2, Status: FetchOK, Artifact: artifact}
+	m := &FetchBatchResp{RequestID: 7, Items: []FetchBatchRespItem{{Sample: 3, Split: 2, Status: FetchOK, Artifact: artifact}}}
 	for i := 0; i < 8; i++ {
 		if err := Write(io.Discard, m); err != nil {
 			t.Fatal(err)
@@ -34,7 +34,7 @@ func TestWriteSteadyStateAllocs(t *testing.T) {
 // FrameSize must never allocate: the multiplexer calls it on every frame for
 // traffic accounting.
 func TestFrameSizeAllocFree(t *testing.T) {
-	m := &FetchResp{RequestID: 7, Artifact: make([]byte, 1024)}
+	m := &FetchBatchResp{RequestID: 7, Items: []FetchBatchRespItem{{Artifact: make([]byte, 1024)}}}
 	allocs := testing.AllocsPerRun(100, func() {
 		if FrameSize(m) <= 0 {
 			t.Fatal("bad frame size")

@@ -2,21 +2,12 @@ package wire
 
 import "encoding/binary"
 
-// Batched fetch: one round trip for many samples. The paper's loader issues
-// per-sample requests; batching amortizes framing and kernel crossings when
-// the link is fast and the per-request overhead starts to matter.
-
-// Additional message types (continuing the MsgType space).
-const (
-	TypeFetchBatch MsgType = iota + 8
-	TypeFetchBatchResp
-)
-
-// FetchBatchItem is one sample request within a batch. Fidelity carries the
-// progressive directive (refinement scans to withhold; 0 = full container,
-// see Fetch). A batch is encoded with per-item fidelity bytes only when at
-// least one item requests a reduction, so full-fidelity batches stay
-// byte-identical to the pre-progressive layout.
+// FetchBatchItem is one offload directive: ship Sample after executing its
+// first Split pipeline ops (0 ships the stored object), withholding Fidelity
+// progressive refinement scans when the stored object is a progressive
+// container (imaging.SJPR; 0 = the full container). Fidelity is meaningful
+// only at Split 0; servers ignore it on deeper cuts. On the wire an item is
+// always 6 bytes: sample (4), split, fidelity.
 type FetchBatchItem struct {
 	Sample   uint32
 	Split    uint8
@@ -25,7 +16,7 @@ type FetchBatchItem struct {
 
 // FetchBatch requests several samples in one frame, all for the same epoch
 // and issued under the same control-plane snapshot (PlanVersion 0 =
-// unversioned; see the Fetch doc comment for swap semantics).
+// unversioned; it never affects the artifacts produced).
 type FetchBatch struct {
 	RequestID   uint64
 	Epoch       uint64
@@ -54,49 +45,32 @@ const MaxBatchItems = 64
 func (*FetchBatch) Type() MsgType     { return TypeFetchBatch }
 func (*FetchBatchResp) Type() MsgType { return TypeFetchBatchResp }
 
-// hasFidelity reports whether any item carries a non-zero fidelity
-// directive, which selects the wide (6-byte) item encoding.
-func (m *FetchBatch) hasFidelity() bool {
-	for i := range m.Items {
-		if m.Items[i].Fidelity != 0 {
-			return true
-		}
-	}
-	return false
-}
+const (
+	batchHeader = 22 // request ID (8), epoch (8), plan version (4), item count (2)
+	batchItem   = 6
+)
 
-func (m *FetchBatch) payloadSize() int {
-	per := 5
-	if m.hasFidelity() {
-		per = 6
-	}
-	return 22 + per*len(m.Items)
-}
+func (m *FetchBatch) payloadSize() int { return batchHeader + batchItem*len(m.Items) }
 
 func (m *FetchBatch) appendPayload(p []byte) []byte {
-	var b [22]byte
+	var b [batchHeader]byte
 	binary.BigEndian.PutUint64(b[0:8], m.RequestID)
 	binary.BigEndian.PutUint64(b[8:16], m.Epoch)
 	binary.BigEndian.PutUint32(b[16:20], m.PlanVersion)
 	binary.BigEndian.PutUint16(b[20:22], uint16(len(m.Items)))
 	p = append(p, b[:]...)
-	wide := m.hasFidelity()
 	for _, it := range m.Items {
-		var e [6]byte
+		var e [batchItem]byte
 		binary.BigEndian.PutUint32(e[0:4], it.Sample)
 		e[4] = it.Split
-		if wide {
-			e[5] = it.Fidelity
-			p = append(p, e[:6]...)
-		} else {
-			p = append(p, e[:5]...)
-		}
+		e[5] = it.Fidelity
+		p = append(p, e[:]...)
 	}
 	return p
 }
 
 func (m *FetchBatch) decodePayload(p []byte) error {
-	if len(p) < 22 {
+	if len(p) < batchHeader {
 		return ErrTruncated
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
@@ -106,36 +80,13 @@ func (m *FetchBatch) decodePayload(p []byte) error {
 	if n > MaxBatchItems {
 		return ErrFrameTooBig
 	}
-	// The item count disambiguates the narrow (legacy, 5-byte) and wide
-	// (progressive, 6-byte) layouts by total length alone.
-	per := 0
-	switch len(p) {
-	case 22 + 5*n:
-		per = 5
-	case 22 + 6*n:
-		if n == 0 {
-			break // zero items: both layouts coincide
-		}
-		per = 6
-	default:
+	if len(p) != batchHeader+batchItem*n {
 		return ErrTruncated
 	}
 	m.Items = make([]FetchBatchItem, n)
-	off := 22
-	any := false
 	for i := range m.Items {
-		m.Items[i].Sample = binary.BigEndian.Uint32(p[off : off+4])
-		m.Items[i].Split = p[off+4]
-		if per == 6 {
-			m.Items[i].Fidelity = p[off+5]
-			any = any || p[off+5] != 0
-		}
-		off += per
-	}
-	if per == 6 && !any {
-		// Wide layout with all-zero fidelity would re-encode narrow; reject
-		// the non-canonical frame so encodings stay a byte fixed point.
-		return ErrTruncated
+		e := p[batchHeader+batchItem*i:]
+		m.Items[i] = FetchBatchItem{Sample: binary.BigEndian.Uint32(e[0:4]), Split: e[4], Fidelity: e[5]}
 	}
 	return nil
 }

@@ -69,14 +69,7 @@ func TestFetchBatchRejectsOversized(t *testing.T) {
 }
 
 func TestFetchBatchCorruptPayloads(t *testing.T) {
-	mk := func(mt MsgType, payload []byte) []byte {
-		b := make([]byte, 10+len(payload))
-		binary.BigEndian.PutUint32(b[0:4], Magic)
-		b[4] = uint8(mt)
-		binary.BigEndian.PutUint32(b[6:10], uint32(len(payload)))
-		copy(b[10:], payload)
-		return b
-	}
+	mk := rawFrame // valid checksum: the payload check is what rejects
 	declareN := func(size, n int) []byte {
 		p := make([]byte, size)
 		binary.BigEndian.PutUint16(p[20:22], uint16(n))
@@ -90,6 +83,9 @@ func TestFetchBatchCorruptPayloads(t *testing.T) {
 	cases := map[string][]byte{
 		"batch short header":    mk(TypeFetchBatch, make([]byte, 10)),
 		"batch wrong item size": mk(TypeFetchBatch, declareN(24, 3)),
+		"batch 5-byte items":    mk(TypeFetchBatch, declareN(22+5*3, 3)),
+		"batch trailing byte":   mk(TypeFetchBatch, declareN(22+6*3+1, 3)),
+		"batch over the cap":    mk(TypeFetchBatch, declareN(22+6*(MaxBatchItems+1), MaxBatchItems+1)),
 		"resp short header":     mk(TypeFetchBatchResp, make([]byte, 5)),
 		"resp truncated item":   mk(TypeFetchBatchResp, declareRespN(12, 1)),
 		"resp bad artifact len": mk(TypeFetchBatchResp, func() []byte {
@@ -114,7 +110,7 @@ func TestFetchBatchRoundTripProperty(t *testing.T) {
 		}
 		in := &FetchBatch{RequestID: req, Epoch: epoch}
 		for i, s := range samples {
-			in.Items = append(in.Items, FetchBatchItem{Sample: s, Split: uint8(i % 6)})
+			in.Items = append(in.Items, FetchBatchItem{Sample: s, Split: uint8(i % 6), Fidelity: uint8(s % 3)})
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, in); err != nil {

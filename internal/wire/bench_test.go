@@ -7,7 +7,7 @@ import (
 
 func BenchmarkWriteFetch(b *testing.B) {
 	var buf bytes.Buffer
-	m := &Fetch{RequestID: 1, Sample: 2, Split: 3, Epoch: 4}
+	m := &FetchBatch{RequestID: 1, Epoch: 4, Items: []FetchBatchItem{{Sample: 2, Split: 3}}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
@@ -19,7 +19,7 @@ func BenchmarkWriteFetch(b *testing.B) {
 
 func BenchmarkRoundTripFetchResp600KB(b *testing.B) {
 	artifact := make([]byte, 602134) // a 224² tensor artifact
-	m := &FetchResp{RequestID: 1, Sample: 2, Artifact: artifact}
+	m := &FetchBatchResp{RequestID: 1, Items: []FetchBatchRespItem{{Sample: 2, Artifact: artifact}}}
 	b.SetBytes(int64(len(artifact)))
 	var buf bytes.Buffer
 	b.ResetTimer()

@@ -32,7 +32,8 @@ func TestConcurrentFrameRoundTrip(t *testing.T) {
 				for j := range artifact {
 					artifact[j] = fill + byte(j)
 				}
-				req := &FetchResp{RequestID: uint64(w)<<32 | uint64(i), Sample: uint32(i), Split: uint8(w % 4), Status: FetchOK, Artifact: artifact}
+				req := &FetchBatchResp{RequestID: uint64(w)<<32 | uint64(i), Items: []FetchBatchRespItem{
+					{Sample: uint32(i), Split: uint8(w % 4), Status: FetchOK, Artifact: artifact}}}
 				conn.Reset()
 				if err := Write(&conn, req); err != nil {
 					t.Error(err)
@@ -43,12 +44,12 @@ func TestConcurrentFrameRoundTrip(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				resp, ok := msg.(*FetchResp)
-				if !ok {
-					t.Errorf("worker %d iter %d: decoded %T, want *FetchResp", w, i, msg)
+				resp, ok := msg.(*FetchBatchResp)
+				if !ok || len(resp.Items) != 1 {
+					t.Errorf("worker %d iter %d: decoded %T, want a one-item *FetchBatchResp", w, i, msg)
 					return
 				}
-				if resp.RequestID != req.RequestID || !bytes.Equal(resp.Artifact, artifact) {
+				if resp.RequestID != req.RequestID || !bytes.Equal(resp.Items[0].Artifact, artifact) {
 					t.Errorf("worker %d iter %d: round-tripped frame corrupted", w, i)
 					Recycle(msg)
 					return

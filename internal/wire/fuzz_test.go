@@ -12,8 +12,9 @@ import (
 // encoder with raw values, so the two meet in the middle.
 func FuzzRoundTrip(f *testing.F) {
 	f.Add(uint64(1), uint32(2), uint8(3), uint64(4), []byte("artifact"), uint8(2), "dataset")
-	f.Add(uint64(0), uint32(0), uint8(0), uint64(0), []byte{}, uint8(0), "")
-	f.Add(^uint64(0), ^uint32(0), uint8(255), ^uint64(0), bytes.Repeat([]byte{0xA5}, 300), uint8(64), "x")
+	f.Add(uint64(0), uint32(0), uint8(0), uint64(0), []byte{}, uint8(0), "") // zero-item batch
+	f.Add(^uint64(0), ^uint32(0), uint8(255), ^uint64(0), bytes.Repeat([]byte{0xA5}, 300), uint8(MaxBatchItems), "x")
+	f.Add(uint64(7), uint32(9), uint8(1), uint64(3), []byte{1, 2, 3}, uint8(1), "one") // the single-sample round trip
 
 	f.Fuzz(func(t *testing.T, reqID uint64, sample uint32, split uint8, epoch uint64, artifact []byte, items uint8, name string) {
 		check := func(m Message) Message {
@@ -45,50 +46,14 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 		}
 
-		{
-			in := &Fetch{RequestID: reqID, Sample: sample, Split: split, Epoch: epoch, PlanVersion: sample ^ uint32(epoch)}
-			got := check(in).(*Fetch)
-			if *got != *in {
-				t.Fatalf("Fetch %+v -> %+v", in, got)
-			}
-			// The progressive directive must round-trip too, and a
-			// full-fidelity fetch must stay on the legacy 25-byte payload.
-			in.Fidelity = split % 4
-			got = check(in).(*Fetch)
-			if *got != *in {
-				t.Fatalf("Fetch fidelity %+v -> %+v", in, got)
-			}
-			if in.Fidelity == 0 && in.payloadSize() != 25 {
-				t.Fatalf("full-fidelity Fetch grew to %d bytes", in.payloadSize())
-			}
-		}
-
-		{
-			in := &FetchResp{RequestID: reqID, Sample: sample, Split: split, Status: FetchStatus(split % 4), Artifact: artifact}
-			got := check(in).(*FetchResp)
-			if got == nil {
-				return
-			}
-			if got.RequestID != in.RequestID || got.Sample != in.Sample ||
-				got.Split != in.Split || got.Status != in.Status || !bytes.Equal(got.Artifact, in.Artifact) {
-				t.Fatalf("FetchResp %+v -> %+v", in, got)
-			}
-		}
-
 		// Batch request and response: n items sliced out of the artifact
 		// bytes so each item carries a distinct payload, exercising the
 		// reassembly offsets item by item.
-		n := int(items)%MaxBatchItems + 1
+		n := int(items) % (MaxBatchItems + 1)
 		req := &FetchBatch{RequestID: reqID, Epoch: epoch, PlanVersion: sample ^ uint32(reqID), Items: make([]FetchBatchItem, n)}
 		resp := &FetchBatchResp{RequestID: reqID, Items: make([]FetchBatchRespItem, n)}
 		for i := 0; i < n; i++ {
-			// Odd item counts exercise the wide (per-item fidelity) batch
-			// layout; even counts keep the legacy narrow layout.
-			var fid uint8
-			if n%2 == 1 {
-				fid = uint8(i)%3 + 1
-			}
-			req.Items[i] = FetchBatchItem{Sample: sample + uint32(i), Split: split + uint8(i), Fidelity: fid}
+			req.Items[i] = FetchBatchItem{Sample: sample + uint32(i), Split: split + uint8(i), Fidelity: (split + uint8(i)) % 4}
 			var part []byte
 			if len(artifact) > 0 {
 				lo := i * len(artifact) / n
@@ -126,6 +91,30 @@ func FuzzRoundTrip(f *testing.F) {
 	})
 }
 
+// seedBatches adds the batch sizes at the edges — none, one (the
+// single-sample round trip) and MaxBatchItems — and well-formed frames of the
+// unassigned types 3 and 4, which the parser must refuse as ErrUnknownType
+// (TestReadRejectsUnknownType) however plausible their payloads.
+func seedBatches(f *testing.F) {
+	for _, n := range []int{0, 1, MaxBatchItems} {
+		req := &FetchBatch{RequestID: 3, Epoch: 2, PlanVersion: 1, Items: make([]FetchBatchItem, n)}
+		resp := &FetchBatchResp{RequestID: 3, Items: make([]FetchBatchRespItem, n)}
+		for i := 0; i < n; i++ {
+			req.Items[i] = FetchBatchItem{Sample: uint32(i), Split: uint8(i % 6), Fidelity: uint8(i % 3)}
+			resp.Items[i] = FetchBatchRespItem{Sample: uint32(i), Split: uint8(i % 6), Artifact: []byte{byte(i)}}
+		}
+		for _, m := range []Message{req, resp} {
+			var buf bytes.Buffer
+			if err := Write(&buf, m); err != nil {
+				f.Fatal(err)
+			}
+			f.Add(buf.Bytes())
+		}
+	}
+	f.Add(rawFrame(3, make([]byte, 25)))
+	f.Add(rawFrame(4, make([]byte, 18)))
+}
+
 // FuzzRead throws arbitrary bytes at the frame parser: it must never panic,
 // and any frame it accepts must re-encode to the same bytes.
 func FuzzRead(f *testing.F) {
@@ -137,9 +126,6 @@ func FuzzRead(f *testing.F) {
 	}
 	seed(&Hello{Version: 1, JobID: 7})
 	seed(&HelloAck{Version: 1, DatasetName: "openimages", NumSamples: 40000})
-	seed(&Fetch{RequestID: 1, Sample: 2, Split: 3, Epoch: 4})
-	seed(&Fetch{RequestID: 1, Sample: 2, Epoch: 4, Fidelity: 2})
-	seed(&FetchResp{RequestID: 1, Sample: 2, Status: FetchOK, Artifact: []byte{1, 2, 3}})
 	seed(&StatsReq{RequestID: 5})
 	seed(&StatsResp{RequestID: 5, SamplesServed: 10, BytesSent: 20})
 	seed(&ErrorResp{RequestID: 6, Code: CodeBadRequest, Message: "no"})
@@ -147,6 +133,7 @@ func FuzzRead(f *testing.F) {
 	seed(&FetchBatch{RequestID: 1, Epoch: 2, Items: []FetchBatchItem{{Sample: 1}, {Sample: 2, Fidelity: 3}}})
 	seed(&FetchBatchResp{RequestID: 1, Items: []FetchBatchRespItem{{Sample: 1, Artifact: []byte{9}}}})
 	seed(&RetryAfter{RequestID: 7, Millis: 50, Queued: 12})
+	seedBatches(f)
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xFF}, 64))
 
@@ -183,9 +170,6 @@ func FuzzDecode(f *testing.F) {
 	}
 	seed(&Hello{Version: Version, JobID: 1})
 	seed(&HelloAck{Version: Version, DatasetName: "d", NumSamples: 3})
-	seed(&Fetch{RequestID: 9, Sample: 8, Split: 7, Epoch: 6})
-	seed(&Fetch{RequestID: 9, Sample: 8, Epoch: 6, Fidelity: 1})
-	seed(&FetchResp{RequestID: 9, Sample: 8, Status: FetchNotFound})
 	seed(&FetchBatch{RequestID: 2, Epoch: 1, Items: []FetchBatchItem{{Sample: 4}, {Sample: 5, Split: 1}}})
 	seed(&FetchBatch{RequestID: 2, Epoch: 1, Items: []FetchBatchItem{{Sample: 4, Fidelity: 2}, {Sample: 5, Split: 1}}})
 	seed(&FetchBatchResp{RequestID: 2, Items: []FetchBatchRespItem{{Sample: 4, Status: FetchOK, Artifact: []byte{1}}}})
@@ -193,6 +177,7 @@ func FuzzDecode(f *testing.F) {
 	seed(&StatsResp{RequestID: 3, OpsExecuted: 11, ServerCPUNanos: 12})
 	seed(&ErrorResp{Code: CodeInternal, Message: "boom"})
 	seed(&RetryAfter{RequestID: 4, Millis: 25, Queued: 3})
+	seedBatches(f)
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -2,21 +2,13 @@ package wire
 
 import "encoding/binary"
 
-// TypeRetryAfter is the admission-control rejection frame (types 8 and 9
-// are the batch fetch pair in batch.go).
-const TypeRetryAfter MsgType = 10
-
 // RetryAfter tells the client the server is shedding load: the request was
 // NOT queued and should be retried no sooner than Millis milliseconds from
 // now. It is an application-level rejection — the session stays healthy and
 // other in-flight requests are unaffected — so a retry layer must back off
 // without tearing the connection down.
 //
-// RetryAfter is a protocol extension within version 3: servers only emit it
-// when admission control is enabled, and such deployments are upgraded in
-// lockstep with their clients (a v3 client that somehow receives one while
-// unaware of the type fails the whole request with ErrUnknownType, which is
-// still safe — the artifact is simply refetched on a new session).
+// Servers only emit it when admission control is enabled.
 type RetryAfter struct {
 	RequestID uint64
 	// Millis is the server's backoff hint in milliseconds.

@@ -2,27 +2,29 @@
 // and the storage server (the paper used gRPC; this is a dependency-free
 // framed equivalent). Each frame is: 4-byte magic, 1-byte message type,
 // 1-byte flags, 4-byte big-endian payload length, 4-byte CRC32-C checksum
-// over the type, flags, length, and payload, then the payload. A Fetch
-// carries the offload directive — the number of pipeline ops the server
-// should execute before replying — plus the epoch so the server derives the
-// exact augmentation seeds the client would have used locally.
+// over the type, flags, length, and payload, then the payload.
 //
 // The checksum turns silent corruption on the link into ErrChecksum, a
 // typed transport-level error: a corrupted frame can tear the session down
 // and be retried, but can never decode into a wrong artifact.
 //
-// Protocol version 2 makes the connection a multiplexed session: every
-// request and response carries a RequestID, responses to distinct requests
-// MAY arrive in any order, and a client correlates them by RequestID alone.
-// A server is free to process requests from one connection concurrently and
-// write whichever response finishes first. RequestID 0 is reserved for
-// connection-level messages (the handshake and fatal ErrorResp frames that
-// are not tied to a specific request).
+// A connection is a multiplexed session: after the Hello / HelloAck
+// handshake every request and response carries a RequestID, responses to
+// distinct requests MAY arrive in any order, and a client correlates them by
+// RequestID alone. A server is free to process requests from one connection
+// concurrently and write whichever response finishes first. RequestID 0 is
+// reserved for connection-level messages (the handshake and fatal ErrorResp
+// frames that are not tied to a specific request).
 //
-// Protocol version 3 stamps every fetch directive with the PlanVersion it
-// was issued under, so a server can observe which control-plane snapshot a
-// request came from. During a plan swap a session legally carries
-// mixed-version requests in flight — fetches stay idempotent because
+// There is one fetch round trip: a FetchBatch of 1..MaxBatchItems offload
+// directives — sample, the number of pipeline ops the server should execute
+// before replying, and the progressive refinement scans to withhold — plus
+// the epoch, so the server derives the exact augmentation seeds the client
+// would have used locally, answered by one FetchBatchResp (or a RetryAfter
+// when admission control sheds it). The request is stamped with the
+// PlanVersion it was issued under, so a server can observe which
+// control-plane snapshot it came from. During a plan swap a session legally
+// carries mixed-version requests in flight — fetches stay idempotent because
 // augmentation seeds depend only on (job, epoch, sample), never on the plan
 // version — so the field is observability and validation, not routing.
 // PlanVersion 0 means "unversioned" (a bare plan outside any provider).
@@ -42,9 +44,9 @@ import (
 // Protocol constants.
 const (
 	Magic = 0x534F5048 // "SOPH"
-	// Version 3: fetch directives carry the PlanVersion they were issued
-	// under (version 2 made the session multiplexed).
-	Version      = 3
+	// Version is the only protocol generation a peer speaks; a Hello carrying
+	// any other is answered with an ErrorResp.
+	Version      = 4
 	frameHeader  = 14
 	MaxFrameSize = 64 << 20 // generous bound: a 224² tensor is ~600 KB
 	// HeaderSize is the exported on-wire frame-header length: magic (4),
@@ -64,15 +66,17 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // MsgType identifies a frame's payload structure.
 type MsgType uint8
 
-// Message types.
+// Message types. 3 and 4 are unassigned: Read rejects them like any other
+// unknown type.
 const (
-	TypeHello MsgType = iota + 1
-	TypeHelloAck
-	TypeFetch
-	TypeFetchResp
-	TypeStatsReq
-	TypeStatsResp
-	TypeError
+	TypeHello          MsgType = 1
+	TypeHelloAck       MsgType = 2
+	TypeStatsReq       MsgType = 5
+	TypeStatsResp      MsgType = 6
+	TypeError          MsgType = 7
+	TypeFetchBatch     MsgType = 8
+	TypeFetchBatchResp MsgType = 9
+	TypeRetryAfter     MsgType = 10
 )
 
 // String names the message type.
@@ -82,10 +86,6 @@ func (t MsgType) String() string {
 		return "Hello"
 	case TypeHelloAck:
 		return "HelloAck"
-	case TypeFetch:
-		return "Fetch"
-	case TypeFetchResp:
-		return "FetchResp"
 	case TypeStatsReq:
 		return "StatsReq"
 	case TypeStatsResp:
@@ -141,31 +141,7 @@ type HelloAck struct {
 	NumSamples  uint32
 }
 
-// Fetch requests one sample, asking the server to execute the first Split
-// pipeline ops before transmitting (Split 0 ships the raw object).
-//
-// Fidelity extends the directive with the progressive dimension: the number
-// of refinement scans the server should withhold when the stored object is a
-// progressive container (imaging.SJPR). It is encoded as a trailing payload
-// byte that is present only when non-zero, so full-fidelity traffic stays
-// byte-identical to pre-progressive version-3 peers, and a legacy decoder
-// rejects (rather than misreads) a reduced-fidelity directive. Fidelity is
-// meaningful only at Split 0; servers ignore it on deeper cuts.
-type Fetch struct {
-	RequestID uint64
-	Sample    uint32
-	Split     uint8
-	Epoch     uint64
-	// PlanVersion is the control-plane snapshot this directive came from
-	// (0 = unversioned). It lets the server validate which plan epoch a
-	// request belongs to; it never affects the artifact produced.
-	PlanVersion uint32
-	// Fidelity is the number of progressive refinement scans to withhold
-	// (0 = ship the full container).
-	Fidelity uint8
-}
-
-// FetchStatus reports the outcome of a Fetch.
+// FetchStatus reports the outcome of one item of a FetchBatch.
 type FetchStatus uint8
 
 // Fetch outcomes.
@@ -175,15 +151,6 @@ const (
 	FetchBadSplit
 	FetchFailed
 )
-
-// FetchResp returns the (possibly partially preprocessed) artifact.
-type FetchResp struct {
-	RequestID uint64
-	Sample    uint32
-	Split     uint8
-	Status    FetchStatus
-	Artifact  []byte
-}
 
 // StatsReq asks the server for its counters.
 type StatsReq struct {
@@ -219,8 +186,6 @@ type ErrorResp struct {
 
 func (*Hello) Type() MsgType     { return TypeHello }
 func (*HelloAck) Type() MsgType  { return TypeHelloAck }
-func (*Fetch) Type() MsgType     { return TypeFetch }
-func (*FetchResp) Type() MsgType { return TypeFetchResp }
 func (*StatsReq) Type() MsgType  { return TypeStatsReq }
 func (*StatsResp) Type() MsgType { return TypeStatsResp }
 func (*ErrorResp) Type() MsgType { return TypeError }
@@ -265,79 +230,6 @@ func (m *HelloAck) decodePayload(p []byte) error {
 		return ErrTruncated
 	}
 	m.DatasetName = string(p[8 : 8+n])
-	return nil
-}
-
-func (m *Fetch) payloadSize() int {
-	if m.Fidelity != 0 {
-		return 26
-	}
-	return 25
-}
-
-func (m *Fetch) appendPayload(p []byte) []byte {
-	var b [26]byte
-	binary.BigEndian.PutUint64(b[0:8], m.RequestID)
-	binary.BigEndian.PutUint32(b[8:12], m.Sample)
-	b[12] = m.Split
-	binary.BigEndian.PutUint64(b[13:21], m.Epoch)
-	binary.BigEndian.PutUint32(b[21:25], m.PlanVersion)
-	if m.Fidelity != 0 {
-		b[25] = m.Fidelity
-		return append(p, b[:26]...)
-	}
-	return append(p, b[:25]...)
-}
-
-func (m *Fetch) decodePayload(p []byte) error {
-	switch len(p) {
-	case 25:
-		m.Fidelity = 0
-	case 26:
-		// The trailing byte exists only to carry a non-zero fidelity; a
-		// zero there is a non-canonical frame and is rejected so encodings
-		// stay a byte fixed point.
-		if p[25] == 0 {
-			return ErrTruncated
-		}
-		m.Fidelity = p[25]
-	default:
-		return ErrTruncated
-	}
-	m.RequestID = binary.BigEndian.Uint64(p[0:8])
-	m.Sample = binary.BigEndian.Uint32(p[8:12])
-	m.Split = p[12]
-	m.Epoch = binary.BigEndian.Uint64(p[13:21])
-	m.PlanVersion = binary.BigEndian.Uint32(p[21:25])
-	return nil
-}
-
-func (m *FetchResp) payloadSize() int { return 18 + len(m.Artifact) }
-
-func (m *FetchResp) appendPayload(p []byte) []byte {
-	var b [18]byte
-	binary.BigEndian.PutUint64(b[0:8], m.RequestID)
-	binary.BigEndian.PutUint32(b[8:12], m.Sample)
-	b[12] = m.Split
-	b[13] = uint8(m.Status)
-	binary.BigEndian.PutUint32(b[14:18], uint32(len(m.Artifact)))
-	p = append(p, b[:]...)
-	return append(p, m.Artifact...)
-}
-
-func (m *FetchResp) decodePayload(p []byte) error {
-	if len(p) < 18 {
-		return ErrTruncated
-	}
-	m.RequestID = binary.BigEndian.Uint64(p[0:8])
-	m.Sample = binary.BigEndian.Uint32(p[8:12])
-	m.Split = p[12]
-	m.Status = FetchStatus(p[13])
-	n := int(binary.BigEndian.Uint32(p[14:18]))
-	if len(p) != 18+n {
-		return ErrTruncated
-	}
-	m.Artifact = copyArtifact(p[18 : 18+n])
 	return nil
 }
 
@@ -458,13 +350,7 @@ func FrameSize(m Message) int { return frameHeader + m.payloadSize() }
 // after a server finished writing the frame. Safe on every message type;
 // messages without pooled payloads are no-ops.
 func Recycle(m Message) {
-	switch t := m.(type) {
-	case *FetchResp:
-		if t.Artifact != nil {
-			bufpool.PutBytes(t.Artifact)
-			t.Artifact = nil
-		}
-	case *FetchBatchResp:
+	if t, ok := m.(*FetchBatchResp); ok {
 		for i := range t.Items {
 			if t.Items[i].Artifact != nil {
 				bufpool.PutBytes(t.Items[i].Artifact)
@@ -510,10 +396,6 @@ func Read(r io.Reader) (Message, error) {
 		m = &Hello{}
 	case TypeHelloAck:
 		m = &HelloAck{}
-	case TypeFetch:
-		m = &Fetch{}
-	case TypeFetchResp:
-		m = &FetchResp{}
 	case TypeStatsReq:
 		m = &StatsReq{}
 	case TypeStatsResp:

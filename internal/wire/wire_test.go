@@ -50,24 +50,34 @@ func TestHelloAckEmptyName(t *testing.T) {
 	}
 }
 
+// one and oneResp build the single-sample round trip: a batch of one.
+func one(reqID uint64, it FetchBatchItem, epoch uint64, planVersion uint32) *FetchBatch {
+	return &FetchBatch{RequestID: reqID, Epoch: epoch, PlanVersion: planVersion, Items: []FetchBatchItem{it}}
+}
+
+func oneResp(reqID uint64, it FetchBatchRespItem) *FetchBatchResp {
+	return &FetchBatchResp{RequestID: reqID, Items: []FetchBatchRespItem{it}}
+}
+
 func TestFetchRoundTrip(t *testing.T) {
-	got := roundTrip(t, &Fetch{RequestID: 7, Sample: 12345, Split: 2, Epoch: 9, PlanVersion: 3}).(*Fetch)
-	if got.RequestID != 7 || got.Sample != 12345 || got.Split != 2 || got.Epoch != 9 || got.PlanVersion != 3 {
+	in := one(7, FetchBatchItem{Sample: 12345, Split: 2, Fidelity: 1}, 9, 3)
+	got := roundTrip(t, in).(*FetchBatch)
+	if got.RequestID != 7 || got.Epoch != 9 || got.PlanVersion != 3 || len(got.Items) != 1 || got.Items[0] != in.Items[0] {
 		t.Fatalf("got %+v", got)
 	}
 }
 
 func TestFetchRespRoundTrip(t *testing.T) {
 	art := []byte{1, 2, 3, 4, 5}
-	got := roundTrip(t, &FetchResp{RequestID: 8, Sample: 3, Split: 4, Status: FetchOK, Artifact: art}).(*FetchResp)
-	if !bytes.Equal(got.Artifact, art) || got.Status != FetchOK || got.Split != 4 {
+	got := roundTrip(t, oneResp(8, FetchBatchRespItem{Sample: 3, Split: 4, Status: FetchOK, Artifact: art})).(*FetchBatchResp)
+	if it := got.Items[0]; got.RequestID != 8 || !bytes.Equal(it.Artifact, art) || it.Status != FetchOK || it.Split != 4 || it.Sample != 3 {
 		t.Fatalf("got %+v", got)
 	}
 }
 
 func TestFetchRespEmptyArtifact(t *testing.T) {
-	got := roundTrip(t, &FetchResp{RequestID: 1, Status: FetchNotFound}).(*FetchResp)
-	if len(got.Artifact) != 0 || got.Status != FetchNotFound {
+	got := roundTrip(t, oneResp(1, FetchBatchRespItem{Status: FetchNotFound})).(*FetchBatchResp)
+	if it := got.Items[0]; len(it.Artifact) != 0 || it.Status != FetchNotFound {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -94,7 +104,7 @@ func TestSequentialMessagesOnOneStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		&Hello{Version: 1, JobID: 2},
-		&Fetch{RequestID: 1, Sample: 2, Split: 3, Epoch: 4},
+		one(1, FetchBatchItem{Sample: 2, Split: 3}, 4, 0),
 		&StatsReq{},
 	}
 	for _, m := range msgs {
@@ -140,16 +150,20 @@ func TestReadRejectsBadMagic(t *testing.T) {
 
 func TestReadRejectsUnknownType(t *testing.T) {
 	// The checksum must be valid so the unknown-type check is what fires.
-	b := rawFrame(MsgType(200), make([]byte, 8))
-	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrUnknownType) {
-		t.Fatalf("err = %v", err)
+	// 3 and 4 carried a single-sample fetch pair before the batch became the
+	// only round trip; their old payload sizes must not decode as anything.
+	for mt, size := range map[MsgType]int{200: 8, 3: 25, 4: 18, 0: 0, 11: 16} {
+		b := rawFrame(mt, make([]byte, size))
+		if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrUnknownType) {
+			t.Fatalf("type %d: err = %v", mt, err)
+		}
 	}
 }
 
 func TestReadRejectsOversizedFrame(t *testing.T) {
 	b := make([]byte, HeaderSize)
 	binary.BigEndian.PutUint32(b[0:4], Magic)
-	b[4] = uint8(TypeFetch)
+	b[4] = uint8(TypeFetchBatch)
 	binary.BigEndian.PutUint32(b[6:10], MaxFrameSize+1)
 	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrFrameTooBig) {
 		t.Fatalf("err = %v", err)
@@ -162,7 +176,7 @@ func TestReadRejectsOversizedFrame(t *testing.T) {
 // always ErrChecksum — and never as a successfully decoded message.
 func TestReadRejectsCorruption(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &FetchResp{RequestID: 3, Sample: 9, Status: FetchOK, Artifact: []byte{1, 2, 3, 4}}); err != nil {
+	if err := Write(&buf, oneResp(3, FetchBatchRespItem{Sample: 9, Status: FetchOK, Artifact: []byte{1, 2, 3, 4}})); err != nil {
 		t.Fatal(err)
 	}
 	pristine := buf.Bytes()
@@ -189,7 +203,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 
 func TestReadTruncatedHeaderAndPayload(t *testing.T) {
 	var buf bytes.Buffer
-	Write(&buf, &Fetch{RequestID: 1})
+	Write(&buf, one(1, FetchBatchItem{}, 0, 0))
 	full := buf.Bytes()
 	if _, err := Read(bytes.NewReader(full[:5])); err == nil {
 		t.Fatal("accepted truncated header")
@@ -206,22 +220,29 @@ func TestDecodeRejectsWrongPayloadSizes(t *testing.T) {
 	// Craft frames whose declared type disagrees with payload length; the
 	// checksums are valid so the decode check is what rejects them.
 	mk := rawFrame
+	declareItems := func(size, n int) []byte {
+		p := make([]byte, size)
+		binary.BigEndian.PutUint16(p[20:22], uint16(n))
+		return p
+	}
 	cases := map[string][]byte{
 		"hello short":     mk(TypeHello, make([]byte, 3)),
-		"fetch long":      mk(TypeFetch, make([]byte, 30)),
+		"fetch long":      mk(TypeFetchBatch, declareItems(29, 1)),
+		"fetch short":     mk(TypeFetchBatch, declareItems(27, 1)),
 		"stats wrong":     mk(TypeStatsResp, make([]byte, 39)),
 		"statsreq extra":  mk(TypeStatsReq, make([]byte, 9)),
 		"helloack short":  mk(TypeHelloAck, make([]byte, 4)),
 		"error short":     mk(TypeError, make([]byte, 10)),
-		"fetchresp short": mk(TypeFetchResp, make([]byte, 10)),
+		"fetchresp short": mk(TypeFetchBatchResp, make([]byte, 9)),
 		"helloack bad len": mk(TypeHelloAck, func() []byte {
 			p := make([]byte, 9)
 			binary.BigEndian.PutUint16(p[6:8], 100) // claims 100-byte name
 			return p
 		}()),
-		"fetchresp bad len": mk(TypeFetchResp, func() []byte {
-			p := make([]byte, 19)
-			binary.BigEndian.PutUint32(p[14:18], 999)
+		"fetchresp bad len": mk(TypeFetchBatchResp, func() []byte {
+			p := make([]byte, 21)
+			binary.BigEndian.PutUint16(p[8:10], 1)
+			binary.BigEndian.PutUint32(p[16:20], 999)
 			return p
 		}()),
 	}
@@ -234,53 +255,55 @@ func TestDecodeRejectsWrongPayloadSizes(t *testing.T) {
 
 func TestFetchRespArtifactIsCopied(t *testing.T) {
 	var buf bytes.Buffer
-	Write(&buf, &FetchResp{RequestID: 1, Artifact: []byte{1, 2, 3}})
+	Write(&buf, oneResp(1, FetchBatchRespItem{Artifact: []byte{1, 2, 3}}))
 	raw := buf.Bytes()
 	got, err := Read(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp := got.(*FetchResp)
+	resp := got.(*FetchBatchResp)
 	raw[len(raw)-1] = 99 // mutate the backing buffer
-	if resp.Artifact[2] != 3 {
+	if resp.Items[0].Artifact[2] != 3 {
 		t.Fatal("decoded artifact aliases the read buffer")
 	}
 }
 
-// Property: every Fetch round-trips exactly.
+// Property: every single-sample directive round-trips exactly.
 func TestFetchRoundTripProperty(t *testing.T) {
-	f := func(req uint64, sample uint32, split uint8, epoch uint64) bool {
+	f := func(req uint64, sample uint32, split, fidelity uint8, epoch uint64, planVersion uint32) bool {
 		var buf bytes.Buffer
-		in := &Fetch{RequestID: req, Sample: sample, Split: split, Epoch: epoch}
-		if err := Write(&buf, in); err != nil {
+		in := one(req, FetchBatchItem{Sample: sample, Split: split, Fidelity: fidelity}, epoch, planVersion)
+		if err := Write(&buf, in); err != nil || buf.Len() != HeaderSize+28 {
 			return false
 		}
 		out, err := Read(&buf)
 		if err != nil {
 			return false
 		}
-		got, ok := out.(*Fetch)
-		return ok && *got == *in
+		got, ok := out.(*FetchBatch)
+		return ok && got.RequestID == req && got.Epoch == epoch && got.PlanVersion == planVersion &&
+			len(got.Items) == 1 && got.Items[0] == in.Items[0]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// Property: FetchResp round-trips arbitrary artifact bytes.
+// Property: a single-sample response round-trips arbitrary artifact bytes.
 func TestFetchRespRoundTripProperty(t *testing.T) {
 	f := func(req uint64, sample uint32, status uint8, artifact []byte) bool {
 		var buf bytes.Buffer
-		in := &FetchResp{RequestID: req, Sample: sample, Status: FetchStatus(status % 4), Artifact: artifact}
-		if err := Write(&buf, in); err != nil {
+		in := oneResp(req, FetchBatchRespItem{Sample: sample, Status: FetchStatus(status % 4), Artifact: artifact})
+		if err := Write(&buf, in); err != nil || buf.Len() != HeaderSize+20+len(artifact) {
 			return false
 		}
 		out, err := Read(&buf)
 		if err != nil {
 			return false
 		}
-		got, ok := out.(*FetchResp)
-		return ok && got.RequestID == req && got.Sample == sample && bytes.Equal(got.Artifact, artifact)
+		got, ok := out.(*FetchBatchResp)
+		return ok && got.RequestID == req && len(got.Items) == 1 && got.Items[0].Sample == sample &&
+			got.Items[0].Status == in.Items[0].Status && bytes.Equal(got.Items[0].Artifact, artifact)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -289,9 +312,10 @@ func TestFetchRespRoundTripProperty(t *testing.T) {
 
 func TestMsgTypeString(t *testing.T) {
 	for mt, want := range map[MsgType]string{
-		TypeHello: "Hello", TypeHelloAck: "HelloAck", TypeFetch: "Fetch",
-		TypeFetchResp: "FetchResp", TypeStatsReq: "StatsReq",
-		TypeStatsResp: "StatsResp", TypeError: "Error", MsgType(99): "MsgType(99)",
+		TypeHello: "Hello", TypeHelloAck: "HelloAck", TypeFetchBatch: "FetchBatch",
+		TypeFetchBatchResp: "FetchBatchResp", TypeStatsReq: "StatsReq",
+		TypeStatsResp: "StatsResp", TypeError: "Error", TypeRetryAfter: "RetryAfter",
+		MsgType(3): "MsgType(3)", MsgType(4): "MsgType(4)", MsgType(99): "MsgType(99)",
 	} {
 		if mt.String() != want {
 			t.Errorf("MsgType(%d).String() = %q", mt, mt.String())

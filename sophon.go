@@ -399,8 +399,8 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 			MaxInFlight:    opts.MaxInFlight,
 		})
 	}
-	dial := func() (trainsim.StorageClient, error) {
-		var client trainsim.StorageClient
+	dial := func() (storage.Fetcher, error) {
+		var client storage.Fetcher
 		if opts.RetryAttempts > 1 {
 			rc, err := storage.NewReconnecting(dialSession, opts.RetryAttempts, opts.RetryBackoff, nil)
 			if err != nil {
