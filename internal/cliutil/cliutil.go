@@ -44,17 +44,29 @@ func Setup(fs *flag.FlagSet, name, synopsis string) *bool {
 	return version
 }
 
-// Parse wires Setup into the default flag set and parses os.Args: the
-// standard main() entry point, replacing a bare flag.Parse(). Unknown
-// flags print the usage banner and exit 2; -version prints VersionLine
-// on stdout and exits 0.
+// Parse is ParseArgs on the default flag set and os.Args: the entry point of a
+// main() that is its own body. Unknown flags print the usage banner and exit
+// 2 (flag.CommandLine exits on error itself); -version exits 0.
 func Parse(name, synopsis string) {
-	version := Setup(flag.CommandLine, name, synopsis)
-	flag.Parse()
-	if *version {
-		fmt.Println(VersionLine(name))
+	if done, _ := ParseArgs(flag.CommandLine, os.Args[1:], name, synopsis); done {
 		os.Exit(0)
 	}
+}
+
+// ParseArgs wires Setup into fs and parses args. A binary whose body is a
+// run(fs, args) that tests call passes flag.CommandLine from main and a
+// ContinueOnError set from a test, where a parse error (flag.ErrHelp after
+// -help) comes back once the flag package has printed it and the usage banner
+// on fs.Output(). done reports that -version printed VersionLine on stdout.
+func ParseArgs(fs *flag.FlagSet, args []string, name, synopsis string) (done bool, err error) {
+	version := Setup(fs, name, synopsis)
+	if err := fs.Parse(args); err != nil {
+		return false, err
+	}
+	if *version {
+		fmt.Println(VersionLine(name))
+	}
+	return *version, nil
 }
 
 // CheckInts validates integer flag values and returns every violation,
@@ -84,13 +96,19 @@ func CheckInts(explicit, positive, zeroMeansDefault map[string]bool, values map[
 	return errs
 }
 
-// ValidateInts applies CheckInts to the default flag set after parsing
-// and fatals on the first violation. It is the drop-in replacement for
-// the validateFlags helpers the binaries used to define privately.
-func ValidateInts(logger *log.Logger, positive, zeroMeansDefault map[string]bool, values map[string]int) {
+// IntError is the first CheckInts violation among fs's parsed flags, or nil.
+func IntError(fs *flag.FlagSet, positive, zeroMeansDefault map[string]bool, values map[string]int) error {
 	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
+	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	if errs := CheckInts(explicit, positive, zeroMeansDefault, values); len(errs) > 0 {
-		logger.Fatal(errs[0])
+		return errs[0]
+	}
+	return nil
+}
+
+// ValidateInts is IntError on the default flag set, fatal on a violation.
+func ValidateInts(logger *log.Logger, positive, zeroMeansDefault map[string]bool, values map[string]int) {
+	if err := IntError(flag.CommandLine, positive, zeroMeansDefault, values); err != nil {
+		logger.Fatal(err)
 	}
 }

@@ -98,3 +98,42 @@ func TestCheckInts(t *testing.T) {
 		}
 	})
 }
+
+func TestParseArgsAndIntError(t *testing.T) {
+	newSet := func() (*flag.FlagSet, *int) {
+		fs := flag.NewFlagSet("x", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		return fs, fs.Int("depth", 0, "queue depth")
+	}
+	fs, depth := newSet()
+	if done, err := ParseArgs(fs, []string{"-depth", "3"}, "x", "does x"); done || err != nil || *depth != 3 {
+		t.Fatalf("done %v, err %v, depth %d", done, err, *depth)
+	}
+	zeroDef := map[string]bool{"depth": true}
+	if err := IntError(fs, nil, zeroDef, map[string]int{"depth": *depth}); err != nil {
+		t.Fatal(err)
+	}
+	fs, _ = newSet()
+	if done, err := ParseArgs(fs, []string{"-version", "-depth", "3"}, "x", ""); !done || err != nil {
+		t.Fatalf("-version: done %v, err %v", done, err)
+	}
+	fs, _ = newSet()
+	if done, err := ParseArgs(fs, []string{"-width", "3"}, "x", ""); done || err == nil {
+		t.Fatalf("unknown flag: done %v, err %v", done, err)
+	}
+	// Only the parsed set knows that -depth=0 was written out.
+	fs, depth = newSet()
+	if _, err := ParseArgs(fs, []string{"-depth=0"}, "x", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := IntError(fs, nil, zeroDef, map[string]int{"depth": *depth}); err == nil || !strings.Contains(err.Error(), "set explicitly") {
+		t.Fatalf("explicit zero: %v", err)
+	}
+	fs, depth = newSet()
+	if _, err := ParseArgs(fs, nil, "x", ""); err != nil {
+		t.Fatal(err)
+	}
+	if err := IntError(fs, nil, zeroDef, map[string]int{"depth": *depth}); err != nil {
+		t.Fatalf("implicit zero: %v", err)
+	}
+}

@@ -84,7 +84,7 @@ func Launch(cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{m: m, killed: make([]bool, cfg.Shards)}
 	for s := 0; s < cfg.Shards; s++ {
-		store, err := shardStore(cfg.Store, m, s)
+		store, err := ShardStore(cfg.Store, m, s)
 		if err != nil {
 			c.Close()
 			return nil, err
@@ -128,8 +128,9 @@ func Launch(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// shardStore builds shard s's partial store from the full dataset.
-func shardStore(full *storage.Store, m *ShardMap, s int) (*storage.Store, error) {
+// ShardStore builds shard s's partial store from the full dataset — what a
+// shard server holds, here and in sophon-server -shards.
+func ShardStore(full *storage.Store, m *ShardMap, s int) (*storage.Store, error) {
 	owned := m.Owned(full.N(), s)
 	if len(owned) == 0 {
 		return nil, fmt.Errorf("cluster: shard %d owns no samples", s)

@@ -28,19 +28,23 @@ func MaterializeProgressive(set *dataset.ImageSet, scans int) ([][]byte, *Dict, 
 		return nil, nil, fmt.Errorf("compressor: train sidecar dictionary: %w", err)
 	}
 	out := make([][]byte, set.N())
-	for i := range out {
+	err = dataset.ForEach(len(out), func(i int) error {
 		m, err := set.Meta(i)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		im, err := set.Image(i)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		out[i], err = imaging.EncodeProgressiveSidecar(im, m.Quality, scans, dict.Encode(labels[i]))
 		if err != nil {
-			return nil, nil, fmt.Errorf("compressor: materialize progressive sample %d: %w", i, err)
+			return fmt.Errorf("compressor: materialize progressive sample %d: %w", i, err)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return out, dict, nil
 }

@@ -2,7 +2,10 @@ package compressor
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/imaging"
@@ -99,5 +102,98 @@ func TestSidecarDictionaryCompresses(t *testing.T) {
 	}
 	if enc >= raw {
 		t.Fatalf("trained dictionary did not compress labels: %d >= %d", enc, raw)
+	}
+}
+
+// serialProgressive is the loop MaterializeProgressive was before
+// dataset.ForEach: dictionary over the whole label corpus first, then one
+// container after another.
+func serialProgressive(set *dataset.ImageSet, scans int) ([][]byte, *Dict, error) {
+	labels := make([][]byte, set.N())
+	for i := range labels {
+		l, err := set.Label(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		labels[i] = l
+	}
+	dict, err := TrainDict(labels, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	out := make([][]byte, set.N())
+	for i := range out {
+		m, err := set.Meta(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		im, err := set.Image(i)
+		if err != nil {
+			return nil, nil, err
+		}
+		out[i], err = imaging.EncodeProgressiveSidecar(im, m.Quality, scans, dict.Encode(labels[i]))
+		if err != nil {
+			return nil, nil, fmt.Errorf("compressor: materialize progressive sample %d: %w", i, err)
+		}
+	}
+	return out, dict, nil
+}
+
+// Containers and dictionary are the serial loop's bytes at any core count,
+// no worker outlives the call, and when every sample fails (a scan count the
+// codec refuses) the error is sample 0's.
+func TestMaterializeProgressiveMatchesSerialLoop(t *testing.T) {
+	set, err := dataset.NewSyntheticImageSet(dataset.SyntheticOptions{
+		Name: "par", N: 24, Seed: 21, MinDim: 24, MaxDim: 96,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantDict, err := serialProgressive(set, imaging.MaxScans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTable, err := wantDict.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, wantErr := serialProgressive(set, imaging.MaxScans+1)
+	if wantErr == nil {
+		t.Fatal("serial loop accepted MaxScans+1 scans")
+	}
+	for _, procs := range []int{1, 2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			base := runtime.NumGoroutine()
+			got, dict, err := MaterializeProgressive(set, imaging.MaxScans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			table, err := dict.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(table, wantTable) {
+				t.Fatal("dictionary differs from the serial loop's")
+			}
+			if len(got) != len(want) {
+				t.Fatalf("%d containers, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("sample %d: container differs from the serial loop's", i)
+				}
+			}
+			if _, _, err := MaterializeProgressive(set, imaging.MaxScans+1); err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("err = %v, want %v", err, wantErr)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines, %d before the calls", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -39,25 +39,28 @@ func WriteDir(s *ImageSet, dir string, seed uint64) (*Manifest, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("dataset: mkdir: %w", err)
 	}
-	m := &Manifest{Name: s.Name(), Seed: seed, N: s.N()}
-	for i := 0; i < s.N(); i++ {
+	m := &Manifest{Name: s.Name(), Seed: seed, N: s.N(), Samples: make([]ManifestEntry, s.N())}
+	err := ForEach(s.N(), func(i int) error {
 		raw, err := s.Raw(i)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		meta, err := s.Meta(i)
-		if err != nil {
-			return nil, err
-		}
+		meta := s.metas[i]
 		file := fmt.Sprintf("%06d.sjpg", i)
 		if err := os.WriteFile(filepath.Join(dir, file), raw, 0o644); err != nil {
-			return nil, fmt.Errorf("dataset: write sample %d: %w", i, err)
+			return fmt.Errorf("dataset: write sample %d: %w", i, err)
 		}
-		m.TotalBytes += int64(len(raw))
-		m.Samples = append(m.Samples, ManifestEntry{
+		m.Samples[i] = ManifestEntry{
 			ID: uint32(i), File: file, Width: meta.W, Height: meta.H,
 			Bytes: len(raw), Quality: meta.Quality,
-		})
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, e := range m.Samples {
+		m.TotalBytes += int64(e.Bytes)
 	}
 	blob, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
@@ -131,12 +134,12 @@ func (s *DirSet) Raw(i int) ([]byte, error) {
 // at startup, mirroring the paper's RAM-cached datasets.
 func (s *DirSet) Materialize() ([][]byte, error) {
 	out := make([][]byte, s.N())
-	for i := range out {
-		raw, err := s.Raw(i)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = raw
+	err := ForEach(len(out), func(i int) (err error) {
+		out[i], err = s.Raw(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -117,12 +117,14 @@ func (s *ImageSet) Raw(i int) ([]byte, error) {
 // Materialize renders every sample's stored bytes, keyed by sample index.
 func (s *ImageSet) Materialize() ([][]byte, error) {
 	out := make([][]byte, len(s.metas))
-	for i := range s.metas {
-		raw, err := s.Raw(i)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: materialize sample %d: %w", i, err)
+	err := ForEach(len(out), func(i int) (err error) {
+		if out[i], err = s.Raw(i); err != nil {
+			return fmt.Errorf("dataset: materialize sample %d: %w", i, err)
 		}
-		out[i] = raw
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

@@ -41,11 +41,11 @@ func ValidateGenerator(n int, seed uint64) (FidelityResult, Table, error) {
 	cropWire := pipeline.ImageWireSize(crop, crop)
 	tensorWire := pipeline.TensorWireSize(3, crop, crop)
 	var benefiting, shipped, law int
-	for i := 0; i < n; i++ {
-		raw, err := set.Raw(i)
-		if err != nil {
-			return FidelityResult{}, Table{}, err
-		}
+	raws, err := set.Materialize()
+	if err != nil {
+		return FidelityResult{}, Table{}, err
+	}
+	for i, raw := range raws {
 		meta, err := set.Meta(i)
 		if err != nil {
 			return FidelityResult{}, Table{}, err

@@ -123,8 +123,9 @@ func FromImage(im *imaging.Image) *Tensor {
 // the pixels computing (v/255 - mean[c]) / std[c] directly into a pooled
 // tensor, instead of a full [0,1] conversion pass followed by a full
 // normalization pass. The arithmetic is the exact float32 operation sequence
-// of FromImage followed by Normalize, so outputs are bit-identical to the
-// unfused pair. mean and std must have 3 entries and std must be non-zero.
+// of FromImage followed by Normalize, done once per byte value and channel,
+// so outputs are bit-identical to the unfused pair. mean and std must have 3
+// entries and std must be non-zero.
 func FromImageNormalized(im *imaging.Image, mean, std []float32) (*Tensor, error) {
 	if len(mean) != imaging.Channels || len(std) != imaging.Channels {
 		return nil, fmt.Errorf("%w: normalize wants %d-channel stats, got %d/%d",
@@ -139,22 +140,22 @@ func FromImageNormalized(im *imaging.Image, mean, std []float32) (*Tensor, error
 	if err != nil {
 		return nil, err
 	}
-	plane := im.H * im.W
-	mr, mg, mb := mean[0], mean[1], mean[2]
-	sr, sg, sb := std[0], std[1], std[2]
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			r, g, b := im.At(x, y)
-			i := y*im.W + x
-			// Two float32 steps per value, matching FromImage then
-			// Normalize exactly; do not algebraically rearrange.
-			vr := float32(r) / 255
-			vg := float32(g) / 255
-			vb := float32(b) / 255
-			t.Data[i] = (vr - mr) / sr
-			t.Data[plane+i] = (vg - mg) / sg
-			t.Data[2*plane+i] = (vb - mb) / sb
+	// One table per channel, each entry by FromImage's float32 step and then
+	// Normalize's; do not algebraically rearrange.
+	var lut [imaging.Channels][256]float32
+	for c := range lut {
+		for v := range lut[c] {
+			x := float32(v) / 255
+			lut[c][v] = (x - mean[c]) / std[c]
 		}
+	}
+	plane := im.H * im.W
+	pix := im.Pix[:3*plane]
+	dr, dg, db := t.Data[:plane], t.Data[plane:2*plane], t.Data[2*plane:3*plane]
+	for i := range dr {
+		dr[i] = lut[0][pix[3*i]]
+		dg[i] = lut[1][pix[3*i+1]]
+		db[i] = lut[2][pix[3*i+2]]
 	}
 	return t, nil
 }

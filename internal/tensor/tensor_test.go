@@ -208,3 +208,72 @@ func TestNormalizeInverseProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFromImageNormalizedMatchesUnfused holds the table kernel to FromImage
+// then Normalize on every byte value in every channel, bit for bit, for the
+// ImageNet statistics and for ones with a negative mean and a tiny std. The
+// 16×48 image puts each of the 256 values in each channel at three positions
+// (a different row and column each time), so a transposition cannot pass.
+func TestFromImageNormalizedMatchesUnfused(t *testing.T) {
+	im := imaging.MustNew(16, 48)
+	for i := 0; i < 16*48; i++ {
+		im.Set(i%16, i/16, uint8(i), uint8(i+85), uint8(255-i))
+	}
+	for _, st := range []struct{ mean, std []float32 }{
+		{ImageNetMean, ImageNetStd},
+		{[]float32{-0.3, 0, 1.7}, []float32{1e-3, 1, -4.5}},
+	} {
+		got, err := FromImageNormalized(im, st.mean, st.std)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := FromImage(im)
+		if err := want.Normalize(st.mean, st.std); err != nil {
+			t.Fatal(err)
+		}
+		if got.C != want.C || got.H != want.H || got.W != want.W {
+			t.Fatalf("shape %dx%dx%d, want %dx%dx%d", got.C, got.H, got.W, want.C, want.H, want.W)
+		}
+		seen := [imaging.Channels][256]bool{}
+		for c := 0; c < imaging.Channels; c++ {
+			for y := 0; y < im.H; y++ {
+				for x := 0; x < im.W; x++ {
+					r, g, b := im.At(x, y)
+					seen[c][[...]uint8{r, g, b}[c]] = true
+					if g, w := got.At(c, y, x), want.At(c, y, x); math.Float32bits(g) != math.Float32bits(w) {
+						t.Fatalf("mean %v std %v: (%d,%d,%d) = %v (%#x), unfused %v (%#x)",
+							st.mean, st.std, c, y, x, g, math.Float32bits(g), w, math.Float32bits(w))
+					}
+				}
+			}
+		}
+		for c := range seen {
+			for v, ok := range seen[c] {
+				if !ok {
+					t.Fatalf("test image never holds value %d in channel %d", v, c)
+				}
+			}
+		}
+	}
+	if _, err := FromImageNormalized(im, ImageNetMean[:2], ImageNetStd); err == nil {
+		t.Fatal("accepted short mean")
+	}
+	if _, err := FromImageNormalized(im, ImageNetMean, []float32{1, 0, 1}); err == nil {
+		t.Fatal("accepted zero std")
+	}
+}
+
+func BenchmarkFromImageNormalized128(b *testing.B) {
+	im := imaging.MustNew(128, 128)
+	for i := range im.Pix {
+		im.Pix[i] = uint8(i * 7)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		tt, err := FromImageNormalized(im, ImageNetMean, ImageNetStd)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tt.Release()
+	}
+}
