@@ -145,3 +145,29 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 		t.Fatalf("server counted %d plan regressions, want 0", got)
 	}
 }
+
+// TestAutoTrainAdaptiveProbeFollowsBatch: the between-epoch link probe is
+// four of the trainer's batches, the size cmd/sophon-train's adaptive loop
+// uses — 32 samples at BatchSize 8, not the 128 a default-batch trainer reads.
+func TestAutoTrainAdaptiveProbeFollowsBatch(t *testing.T) {
+	const n, batch, probeBatches = 64, 8, 1
+	cluster, err := StartCluster(ClusterConfig{NumSamples: n, Seed: 3, MinDim: 32, MaxDim: 64, CropSize: 24, StorageCores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	trainer, err := cluster.NewTrainer(TrainerOptions{Workers: 2, BatchSize: batch, JobID: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trainer.Close()
+	env := Env{Bandwidth: Mbps(500), ComputeCores: 2, StorageCores: 1, StorageSlowdown: 1, GPU: AlexNet}
+	if _, err := trainer.AutoTrainAdaptive(2, env, probeBatches, DriftConfig{}); err != nil {
+		t.Fatal(err)
+	}
+	// Stage 1's I/O probe, the profiling epoch, epoch 2, then one link probe.
+	want := uint64(probeBatches*batch + 2*n + 4*batch)
+	if got := cluster.serverCounters().SamplesServed.Load(); got != want {
+		t.Fatalf("server served %d samples, want %d: a link probe of %d", got, want, 4*batch)
+	}
+}

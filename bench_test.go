@@ -152,18 +152,6 @@ func BenchmarkAblation_StepGuard(b *testing.B) {
 	b.ReportMetric(delta, "guard_gain_at_1core_s")
 }
 
-func BenchmarkAblation_SelectiveCompression(b *testing.B) {
-	var extra float64
-	for i := 0; i < b.N; i++ {
-		res, _, err := eval.AblationCompression(benchOpts())
-		if err != nil {
-			b.Fatal(err)
-		}
-		extra = res.BaseTrafficGB / res.CompTrafficGB
-	}
-	b.ReportMetric(extra, "extra_traffic_reduction_x")
-}
-
 func BenchmarkAblation_HeterogeneousCPU(b *testing.B) {
 	var penalty float64
 	for i := 0; i < b.N; i++ {

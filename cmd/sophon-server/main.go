@@ -196,7 +196,7 @@ func run(ctx context.Context, fs *flag.FlagSet, args []string, now func() time.T
 	}
 
 	if *httpAddr != "" {
-		mon := monitor.NewMulti(nil, counters...)
+		mon := monitor.NewMulti(counters...)
 		if admission != nil {
 			mon.WatchAdmission(admission)
 		}

@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -61,62 +63,75 @@ func pickPolicy(name string) (policy.Policy, error) {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "storage server address")
-	jobID := flag.Uint64("job", 1, "job id (seeds augmentations)")
-	workers := flag.Int("workers", 4, "loader workers")
-	computeCores := flag.Int("compute-cores", 0, "local preprocessing cores (0 = workers)")
-	batch := flag.Int("batch", 32, "GPU batch size")
-	epochs := flag.Int("epochs", 3, "epochs to train (epoch 1 profiles)")
-	modelName := flag.String("model", "alexnet", "GPU model profile (alexnet|resnet18|resnet50)")
-	policyName := flag.String("policy", "sophon", "offload policy (sophon|sophon-guard|nooff|alloff|resizeoff|fastflow)")
-	crop := flag.Int("crop", 224, "RandomResizedCrop output side (must match server)")
-	mbps := flag.Float64("mbps", 500, "assumed link bandwidth for planning (Mbit/s)")
-	storageCores := flag.Int("storage-cores", 4, "assumed storage-node preprocessing cores for planning")
-	probeBatches := flag.Int("probe-batches", 50, "stage-1 probe batches")
-	planFile := flag.String("plan-file", "", "load a precomputed plan and skip profiling")
-	dumpTrace := flag.String("dump-trace", "", "write the measured stage-2 trace to this file")
-	fetchBatch := flag.Int("fetch-batch", 0, "samples per storage round trip (0 = one)")
-	lookahead := flag.Int("lookahead", 0, "fetch round trips kept in flight per shard (0 = 2x workers)")
-	lookaheadHorizon := flag.Int("lookahead-horizon", 0, "max stream positions fetched ahead of consumption (0 = 8 x lookahead x fetch-batch x shards)")
-	stagingBytes := flag.Int64("staging-bytes", 0, "soft byte budget for staged prefetched artifacts (0 = 64 MiB)")
-	maxInFlight := flag.Int("max-inflight", 0, "max concurrent requests the session admits (0 = default 64)")
-	reqTimeout := flag.Duration("request-timeout", 0, "per-request timeout (0 = default 30s, negative = none)")
-	shardAddrs := flag.String("shard-addrs", "", "comma-separated shard server addresses (overrides -addr; enables the fan-out client)")
-	attempts := flag.Int("attempts", 3, "per-operation tries on each shard session before giving up")
-	backoff := flag.Duration("backoff", 100*time.Millisecond, "pause before each shard redial")
-	degraded := flag.Bool("degraded", false, "degraded mode: skip samples of unreachable shards instead of aborting the epoch")
-	adaptive := flag.Bool("adaptive", false, "adaptive control plane: re-probe the link each epoch and replan on drift (sophon policies only)")
-	driftThreshold := flag.Float64("drift-threshold", 0, "relative change that counts as drift (0 = default 0.2)")
-	driftHysteresis := flag.Int("drift-hysteresis", 0, "consecutive drifted epochs before replanning (0 = default 2)")
-	heavyThreshold := flag.Float64("heavy-threshold", 0, "heavy classification threshold as a multiple of the mean per-sample preprocessing cost in the stage-2 profile (0 = default 4x)")
-	cliutil.Parse("sophon-train", "Profiles, plans, and trains against a running sophon-server under an offload policy.")
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
+		log.New(os.Stderr, "sophon-train: ", log.LstdFlags).Fatal(err)
+	}
+}
 
-	logger := log.New(os.Stderr, "sophon-train: ", log.LstdFlags)
-	cliutil.ValidateInts(logger,
+// run is the command: flags declared on fs (main's exits on a bad command
+// line, a test's returns the error), the log on fs.Output(), one line per
+// epoch on stdout. It returns once the trainer has closed its session.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	addr := fs.String("addr", "127.0.0.1:7070", "storage server address")
+	jobID := fs.Uint64("job", 1, "job id (seeds augmentations)")
+	workers := fs.Int("workers", 4, "loader workers")
+	computeCores := fs.Int("compute-cores", 0, "local preprocessing cores (0 = workers)")
+	batch := fs.Int("batch", 32, "GPU batch size")
+	epochs := fs.Int("epochs", 3, "epochs to train (epoch 1 profiles)")
+	modelName := fs.String("model", "alexnet", "GPU model profile (alexnet|resnet18|resnet50)")
+	policyName := fs.String("policy", "sophon", "offload policy (sophon|sophon-guard|nooff|alloff|resizeoff|fastflow)")
+	crop := fs.Int("crop", 224, "RandomResizedCrop output side (must match server)")
+	mbps := fs.Float64("mbps", 500, "assumed link bandwidth for planning (Mbit/s)")
+	storageCores := fs.Int("storage-cores", 4, "assumed storage-node preprocessing cores for planning")
+	probeBatches := fs.Int("probe-batches", 50, "stage-1 probe batches")
+	planFile := fs.String("plan-file", "", "load a precomputed plan and skip profiling")
+	dumpTrace := fs.String("dump-trace", "", "write the measured stage-2 trace to this file")
+	fetchBatch := fs.Int("fetch-batch", 0, "samples per storage round trip (0 = one)")
+	lookahead := fs.Int("lookahead", 0, "fetch round trips kept in flight per shard (0 = 2x workers)")
+	lookaheadHorizon := fs.Int("lookahead-horizon", 0, "max stream positions fetched ahead of consumption (0 = 8 x lookahead x fetch-batch x shards)")
+	stagingBytes := fs.Int64("staging-bytes", 0, "soft byte budget for staged prefetched artifacts (0 = 64 MiB)")
+	maxInFlight := fs.Int("max-inflight", 0, "max concurrent requests the session admits (0 = default 64)")
+	reqTimeout := fs.Duration("request-timeout", 0, "per-request timeout (0 = default 30s, negative = none)")
+	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard server addresses (overrides -addr; enables the fan-out client)")
+	attempts := fs.Int("attempts", 3, "per-operation tries on each shard session before giving up")
+	backoff := fs.Duration("backoff", 100*time.Millisecond, "pause before each shard redial")
+	degraded := fs.Bool("degraded", false, "degraded mode: skip samples of unreachable shards instead of aborting the epoch")
+	adaptive := fs.Bool("adaptive", false, "adaptive control plane: re-probe the link each epoch and replan on drift (sophon policies only)")
+	driftThreshold := fs.Float64("drift-threshold", 0, "relative change that counts as drift (0 = default 0.2)")
+	driftHysteresis := fs.Int("drift-hysteresis", 0, "consecutive drifted epochs before replanning (0 = default 2)")
+	heavyThreshold := fs.Float64("heavy-threshold", 0, "heavy classification threshold as a multiple of the mean per-sample preprocessing cost in the stage-2 profile (0 = default 4x)")
+	if done, err := cliutil.ParseArgs(fs, args, "sophon-train", "Profiles, plans, and trains against a running sophon-server under an offload policy."); done || err != nil {
+		return err
+	}
+
+	logger := log.New(fs.Output(), "sophon-train: ", log.LstdFlags)
+	if err := cliutil.IntError(fs,
 		map[string]bool{"workers": true, "batch": true, "epochs": true, "attempts": true},
 		map[string]bool{"max-inflight": true, "fetch-batch": true, "compute-cores": true, "lookahead": true, "lookahead-horizon": true},
 		map[string]int{
 			"workers": *workers, "batch": *batch, "epochs": *epochs, "attempts": *attempts,
 			"max-inflight": *maxInFlight, "fetch-batch": *fetchBatch, "compute-cores": *computeCores,
 			"lookahead": *lookahead, "lookahead-horizon": *lookaheadHorizon,
-		})
+		}); err != nil {
+		return err
+	}
 	if *stagingBytes < 0 {
-		logger.Fatalf("-staging-bytes must be >= 0, got %d", *stagingBytes)
+		return fmt.Errorf("-staging-bytes must be >= 0, got %d", *stagingBytes)
 	}
 	if *heavyThreshold < 0 {
-		logger.Fatalf("-heavy-threshold must be >= 0, got %g", *heavyThreshold)
+		return fmt.Errorf("-heavy-threshold must be >= 0, got %g", *heavyThreshold)
 	}
 	if *heavyThreshold > 0 && *planFile != "" {
-		logger.Fatal("-heavy-threshold needs the profiling path: classification comes from the stage-2 trace, which -plan-file skips")
+		return errors.New("-heavy-threshold needs the profiling path: classification comes from the stage-2 trace, which -plan-file skips")
 	}
 
 	model, err := gpu.ByName(*modelName)
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	pol, err := pickPolicy(*policyName)
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 
 	opts := storage.ClientOptions{
@@ -138,7 +153,7 @@ func main() {
 		for i := range addrs {
 			addrs[i] = strings.TrimSpace(addrs[i])
 			if addrs[i] == "" {
-				logger.Fatalf("-shard-addrs entry %d is empty", i)
+				return fmt.Errorf("-shard-addrs entry %d is empty", i)
 			}
 		}
 		nShards = len(addrs)
@@ -174,7 +189,7 @@ func main() {
 		Classify:         classify,
 	})
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	defer trainer.Close()
 	logger.Printf("connected: %d samples, training %s with %s", trainer.N(), model.Name, pol.Name())
@@ -183,10 +198,10 @@ func main() {
 	if *planFile != "" {
 		plan, meta, err := persist.LoadPlanVersioned(*planFile)
 		if err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		if plan.N() != trainer.N() {
-			logger.Fatalf("plan covers %d samples, dataset has %d", plan.N(), trainer.N())
+			return fmt.Errorf("plan covers %d samples, dataset has %d", plan.N(), trainer.N())
 		}
 		if meta.Version > 0 {
 			logger.Printf("loaded plan %q v%d (env fingerprint %016x): %d samples offloaded",
@@ -197,17 +212,17 @@ func main() {
 		for e := 1; e <= *epochs; e++ {
 			rep, err := trainer.RunEpoch(uint64(e), plan, nil)
 			if err != nil {
-				logger.Fatal(err)
+				return err
 			}
-			printEpoch(e, rep)
+			printEpoch(stdout, e, rep)
 		}
-		return
+		return nil
 	}
 
 	// Stage 1: throughput probes.
 	stage1, err := profiler.RunStage1(trainer.Stage1Probes(), *probeBatches)
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	logger.Printf("stage 1: gpu=%.0f io=%.0f cpu=%.0f samples/s → %s",
 		stage1.GPUThroughput, stage1.IOThroughput, stage1.CPUThroughput, stage1.Bottleneck())
@@ -215,26 +230,26 @@ func main() {
 	// Stage 2: profile during epoch 1.
 	collector, err := profiler.NewCollector(trainer.N())
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	rep, err := trainer.RunEpoch(1, nil, collector)
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
-	printEpoch(1, rep)
+	printEpoch(stdout, 1, rep)
 	trace, err := collector.Trace("measured")
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	if *dumpTrace != "" {
 		if err := persist.SaveTrace(*dumpTrace, trace); err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		logger.Printf("stage-2 trace written to %s", *dumpTrace)
 	}
 	cl, err := prepsched.FromTrace(trace, *heavyThreshold)
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	live.Store(&liveClassifier{cl: cl, tr: trace})
 	logger.Printf("prep classes: heavy above %v (%.1f%% of the profile)",
@@ -253,19 +268,18 @@ func main() {
 	if *adaptive {
 		s, ok := pol.(*policy.Sophon)
 		if !ok {
-			logger.Fatalf("-adaptive requires a sophon policy, got %s", pol.Name())
+			return fmt.Errorf("-adaptive requires a sophon policy, got %s", pol.Name())
 		}
-		runAdaptive(logger, trainer, &core.Framework{Engine: s}, trace, env, *epochs, *batch,
+		return runAdaptive(logger, stdout, trainer, &core.Framework{Engine: s}, trace, env, *epochs,
 			profiler.DriftConfig{RelThreshold: *driftThreshold, Hysteresis: *driftHysteresis},
 			*heavyThreshold)
-		return
 	}
 
 	var plan *policy.Plan
 	if s, ok := pol.(*policy.Sophon); ok {
 		d, err := (&core.Framework{Engine: s}).DecideWithStage1(trace, env, stage1)
 		if err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		plan = d.Plan
 		logger.Printf("decision: activated=%v offloaded=%d predicted speedup %.2fx",
@@ -273,7 +287,7 @@ func main() {
 	} else {
 		plan, err = pol.Plan(trace, env)
 		if err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		logger.Printf("%s plan offloads %d samples", pol.Name(), plan.OffloadedCount())
 	}
@@ -281,10 +295,11 @@ func main() {
 	for e := 2; e <= *epochs; e++ {
 		rep, err := trainer.RunEpoch(uint64(e), plan, nil)
 		if err != nil {
-			logger.Fatal(err)
+			return err
 		}
-		printEpoch(e, rep)
+		printEpoch(stdout, e, rep)
 	}
+	return nil
 }
 
 // runAdaptive closes the control loop on the live trainer: each epoch runs
@@ -292,37 +307,33 @@ func main() {
 // the link, and drift replans at the next boundary. The observed heavy/light
 // mix is folded in alongside the bandwidth, so a mid-training skew flip
 // replans too ("mix-drift").
-func runAdaptive(logger *log.Logger, trainer *trainsim.Trainer, fw *core.Framework,
-	trace *dataset.Trace, env policy.Env, epochs, batch int, drift profiler.DriftConfig,
-	heavyRatio float64) {
+func runAdaptive(logger *log.Logger, stdout io.Writer, trainer *trainsim.Trainer, fw *core.Framework,
+	trace *dataset.Trace, env policy.Env, epochs int, drift profiler.DriftConfig,
+	heavyRatio float64) error {
 	ctrl, err := core.NewController(core.ControllerConfig{
 		Framework: fw, Trace: trace, Env: env, Drift: drift, HeavyRatio: heavyRatio,
 	})
 	if err != nil {
-		logger.Fatal(err)
+		return err
 	}
 	first := ctrl.Current()
 	logger.Printf("adaptive: initial plan v%d offloads %d samples", first.Version, first.Plan.OffloadedCount())
-	probeSamples := 4 * batch
-	if probeSamples > trainer.N() {
-		probeSamples = trainer.N()
-	}
 	for e := 2; e <= epochs; e++ {
 		snap := ctrl.Current()
 		rep, err := trainer.RunEpochSnapshot(uint64(e), snap, nil)
 		if err != nil {
-			logger.Fatal(err)
+			return err
 		}
-		printEpoch(e, rep)
-		bw, err := trainer.MeasureBandwidth(probeSamples)
+		printEpoch(stdout, e, rep)
+		bw, err := trainer.MeasureBandwidth(trainer.ProbeSamples())
 		if err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		next, drifts, err := ctrl.ObserveEpoch(profiler.EpochSample{
 			Epoch: uint64(e), Bandwidth: bw, MixHeavy: rep.Heavy, MixTotal: rep.Samples,
 		})
 		if err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		if len(drifts) > 0 {
 			logger.Printf("replanned: %s (link %.1f MB/s, %d offloaded, effective epoch %d)",
@@ -332,6 +343,7 @@ func runAdaptive(logger *log.Logger, trainer *trainsim.Trainer, fw *core.Framewo
 	for _, ev := range ctrl.History() {
 		logger.Printf("history: %s", ev)
 	}
+	return nil
 }
 
 // dialSharded builds the fan-out client: one reconnecting session per shard
@@ -360,12 +372,12 @@ func dialSharded(addrs []string, opts storage.ClientOptions, attempts int, backo
 	return cluster.NewShardedClient(m, shards, degraded)
 }
 
-func printEpoch(e int, r trainsim.EpochReport) {
+func printEpoch(w io.Writer, e int, r trainsim.EpochReport) {
 	failed := ""
 	if r.Failed > 0 {
 		failed = fmt.Sprintf(", %d failed", r.Failed)
 	}
-	fmt.Printf("epoch %d: %d samples in %v, fetched %.1f MB, offloaded %d%s, gpu util %.1f%%\n",
+	fmt.Fprintf(w, "epoch %d: %d samples in %v, fetched %.1f MB, offloaded %d%s, gpu util %.1f%%\n",
 		e, r.Samples, r.Duration.Round(1e6), float64(r.BytesFetched)/1e6,
 		r.Offloaded, failed, 100*r.GPUUtilization)
 }

@@ -4,39 +4,14 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/compressor"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/storage"
 )
 
-// This file exposes the paper's future-work extensions: selective transfer
-// compression and multi-tenant storage-CPU scheduling.
-
-// CompressionModel estimates per-artifact-kind compression ratios and CPU
-// costs.
-type CompressionModel = compressor.Model
-
-// CompressionSelection flags which samples compress their transfer.
-type CompressionSelection = compressor.Selection
-
-// DefaultCompressionModel returns ratios calibrated against the real
-// DEFLATE path.
-func DefaultCompressionModel() CompressionModel { return compressor.DefaultModel() }
-
-// SelectCompression greedily flags samples whose transfer should be
-// compressed on top of an offload plan, while the epoch stays
-// network-bound.
-func SelectCompression(tr *Trace, plan *Plan, env Env, m CompressionModel) (*CompressionSelection, error) {
-	return compressor.Select(tr, plan, env, m)
-}
-
-// ApplyCompression folds a compression selection into a trace copy so the
-// standard simulator and cost model account for it.
-func ApplyCompression(tr *Trace, plan *Plan, sel *CompressionSelection, m CompressionModel) (*Trace, error) {
-	return compressor.ApplyToTrace(tr, plan, sel, m)
-}
+// This file exposes the paper's future-work extension of multi-tenant
+// storage-CPU scheduling, and the building blocks beside the two tiers.
 
 // TenantJob is one training job competing for storage-node CPU cores.
 type TenantJob = sched.Job

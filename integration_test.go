@@ -120,7 +120,7 @@ func TestFullStackIntegration(t *testing.T) {
 	if cluster.ServerCPUNanos() == 0 {
 		t.Fatal("no storage CPU recorded")
 	}
-	mon := monitor.New(nil, cluster.serverCounters())
+	mon := monitor.New(cluster.serverCounters())
 	addr, err := mon.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

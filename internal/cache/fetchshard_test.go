@@ -2,44 +2,11 @@ package cache_test
 
 import (
 	"context"
-	"errors"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/storage"
 )
-
-func TestStagingLedger(t *testing.T) {
-	if _, err := cache.NewStaging(0); !errors.Is(err, cache.ErrBadCapacity) {
-		t.Fatalf("NewStaging(0) = %v, want ErrBadCapacity", err)
-	}
-	s, err := cache.NewStaging(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Over() {
-		t.Fatal("empty ledger reports over budget")
-	}
-	s.Reserve(60)
-	if s.Over() {
-		t.Fatal("60/100 reports over budget")
-	}
-	s.Reserve(50)
-	if !s.Over() {
-		t.Fatal("110/100 not over budget")
-	}
-	s.Release(60)
-	if s.Over() {
-		t.Fatal("50/100 still over budget after release")
-	}
-	snap := s.Snapshot()
-	if snap.UsedBytes != 50 || snap.PeakBytes != 110 || snap.Capacity != 100 {
-		t.Fatalf("snapshot %+v, want used=50 peak=110 cap=100", snap)
-	}
-	if snap.Reserves != 2 || snap.Releases != 1 {
-		t.Fatalf("snapshot counts %+v, want 2 reserves / 1 release", snap)
-	}
-}
 
 // TestTenantFetchShardStacksCache: the per-shard issue path must serve
 // shared-cache hits locally (zero wire bytes) and retain its misses, exactly

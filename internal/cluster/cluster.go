@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"log"
 	"net"
 	"sync"
 	"time"
@@ -27,24 +26,12 @@ type Config struct {
 	// CoresPerShard is each server's offload-CPU budget (0 disables
 	// offloading on every shard).
 	CoresPerShard int
-	// Slowdown models weaker storage CPUs (0 → 1).
-	Slowdown float64
 	// LinkMbps, when positive, caps each shard's outbound link with its own
 	// token bucket — K shards means K independent links, which is the whole
 	// point of sharding the tier.
 	LinkMbps float64
-	// MaxInFlight bounds concurrently handled requests per connection on
-	// each server (0 → storage default).
-	MaxInFlight int
-	// Admission, when non-nil, gates every shard's fetch handlers through
-	// one shared in-flight byte budget with per-tenant weighted queues —
-	// global admission control across the tier, on top of the per-connection
-	// MaxInFlight semaphore. Nil disables admission (no gate at all).
-	Admission *storage.AdmissionController
 	// Clock drives the link shapers and chaos pauses; nil means real time.
 	Clock simclock.Clock
-	// Logger receives per-server connection errors; nil silences them.
-	Logger *log.Logger
 	// Chaos, when non-nil, wraps every shard's listener in a seeded fault
 	// injector: shard s's connections run the schedules of Chaos.Source(s),
 	// and the shard can be partitioned at runtime via PartitionShard. A nil
@@ -89,15 +76,7 @@ func Launch(cfg Config) (*Cluster, error) {
 			c.Close()
 			return nil, err
 		}
-		srv, err := storage.NewServer(storage.ServerConfig{
-			Store:       store,
-			Pipeline:    cfg.Pipeline,
-			Cores:       cfg.CoresPerShard,
-			Slowdown:    cfg.Slowdown,
-			MaxInFlight: cfg.MaxInFlight,
-			Admission:   cfg.Admission,
-			Logger:      cfg.Logger,
-		})
+		srv, err := storage.NewServer(storage.ServerConfig{Store: store, Pipeline: cfg.Pipeline, Cores: cfg.CoresPerShard})
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
@@ -177,27 +156,14 @@ func (c *Cluster) DialShard(s int, opts storage.ClientOptions) (*storage.Client,
 	return storage.NewClientWithOptions(conn, opts)
 }
 
-// NewShardedClient builds the fan-out client: one reconnecting session per
-// shard (attempts tries per operation with backoff between redials),
-// degraded per DegradedMode.
+// NewShardedClient is NewShardedClientWithPolicy under
+// storage.ConstantBackoff(attempts, backoff).
 func (c *Cluster) NewShardedClient(opts storage.ClientOptions, attempts int, backoff time.Duration, degraded bool) (*ShardedClient, error) {
-	shards := make([]ShardClient, len(c.servers))
-	for s := range c.servers {
-		s := s
-		rc, err := storage.NewReconnecting(func() (*storage.Client, error) {
-			return c.DialShard(s, opts)
-		}, attempts, backoff, nil)
-		if err != nil {
-			for _, prev := range shards[:s] {
-				if prev != nil {
-					prev.Close()
-				}
-			}
-			return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
-		shards[s] = rc
+	policy, err := storage.ConstantBackoff(attempts, backoff)
+	if err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
 	}
-	return NewShardedClient(c.m, shards, degraded)
+	return c.NewShardedClientWithPolicy(opts, policy, degraded)
 }
 
 // PartitionShard reversibly severs (on=true) or heals (on=false) shard s's
@@ -224,9 +190,8 @@ func (c *Cluster) ChaosStats(s int) chaos.StatsSnapshot {
 	return c.chaos[s].Source().Stats().Snapshot()
 }
 
-// NewShardedClientWithPolicy is NewShardedClient with a full retry policy —
-// jittered exponential backoff and a per-operation attempt budget — instead
-// of the constant-backoff legacy knobs.
+// NewShardedClientWithPolicy builds the fan-out client: one reconnecting
+// session per shard retrying under policy, degraded per DegradedMode.
 func (c *Cluster) NewShardedClientWithPolicy(opts storage.ClientOptions, policy storage.RetryPolicy, degraded bool) (*ShardedClient, error) {
 	shards := make([]ShardClient, len(c.servers))
 	for s := range c.servers {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
+	"repro/internal/netsim"
 	"repro/internal/pipeline"
 	"repro/internal/storage"
 	"repro/internal/trainsim"
@@ -362,12 +363,14 @@ func TestLaunchValidation(t *testing.T) {
 	}
 }
 
-// TestLaunchSharedAdmission threads one admission controller through every
-// shard: normal traffic is admitted and counted once per fetch, and with the
-// budget pinned full from outside, fetches to ANY shard shed with the typed
-// busy error — the gate is global, not per-shard.
-func TestLaunchSharedAdmission(t *testing.T) {
-	const n = 60
+// TestShardsShareOneAdmissionController assembles the tier the way
+// sophon-server -shards -admit-bytes does — one storage.Server per ShardStore
+// partition, all handed the same controller: normal traffic is admitted and
+// counted once per fetch, and with the budget pinned full from outside,
+// fetches to ANY shard shed with the typed busy error — the gate is global,
+// not per-shard.
+func TestShardsShareOneAdmissionController(t *testing.T) {
+	const n, shards = 60, 3
 	store := testStore(t, n)
 	adm, err := storage.NewAdmissionController(storage.AdmissionConfig{
 		MaxInFlightBytes:  store.TotalBytes(),
@@ -377,24 +380,37 @@ func TestLaunchSharedAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.Launch(cluster.Config{
-		Shards:        3,
-		Store:         store,
-		Pipeline:      testPipe(),
-		CoresPerShard: 1,
-		Admission:     adm,
-	})
+	m, err := cluster.NewShardMap(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	for s := 0; s < c.Shards(); s++ {
-		if c.Server(s).Admission() != adm {
-			t.Fatalf("shard %d does not share the controller", s)
+	sessions := make([]cluster.ShardClient, shards)
+	for s := range sessions {
+		part, err := cluster.ShardStore(store, m, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := storage.NewServer(storage.ServerConfig{Store: part, Pipeline: testPipe(), Cores: 1, Admission: adm})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := netsim.NewPipeListener()
+		go srv.Serve(l)
+		t.Cleanup(func() { l.Close(); srv.Close() })
+		conn, err := l.Dial()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sessions[s], err = storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: 42}); err != nil {
+			t.Fatal(err)
 		}
 	}
+	sc, err := cluster.NewShardedClient(m, sessions, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sc.Close() })
 
-	sc := shardedClient(t, c, false)
 	samples := make([]uint32, n)
 	for i := range samples {
 		samples[i] = uint32(i)

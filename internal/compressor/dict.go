@@ -1,3 +1,7 @@
+// Package compressor holds the byte-pair dictionary that compresses the label
+// sidecars of progressive (SJPR) stores, and the routine that materialises
+// such a store. Image artifacts on the wire are packed elsewhere, always
+// (pipeline.Artifact.AppendEncode, imaging.AppendPacked).
 package compressor
 
 import (

@@ -26,12 +26,11 @@ import (
 // through Observe calls, so same-seed runs under the virtual clock produce
 // identical replan histories.
 type Controller struct {
-	fw         *Framework
-	trace      *dataset.Trace
-	clock      simclock.Clock
-	tel        *profiler.Telemetry
-	feed       *policy.PlanFeed
-	maxHistory int
+	fw    *Framework
+	trace *dataset.Trace
+	clock simclock.Clock
+	tel   *profiler.Telemetry
+	feed  *policy.PlanFeed
 
 	mu       sync.Mutex
 	env      policy.Env // environment estimate the current plan assumes
@@ -60,9 +59,8 @@ func (e ReplanEvent) String() string {
 	return fmt.Sprintf("v%d@epoch%d %s (%.1f MB/s)", e.Version, e.Epoch, e.Reason, e.Bandwidth/1e6)
 }
 
-// DefaultMaxHistory bounds the replan history when ControllerConfig leaves
-// MaxHistory zero.
-const DefaultMaxHistory = 256
+// maxHistory bounds the replan history.
+const maxHistory = 256
 
 // ControllerConfig configures the adaptive controller.
 type ControllerConfig struct {
@@ -77,8 +75,6 @@ type ControllerConfig struct {
 	// Clock timestamps replan events (nil → wall clock; tests and the DES
 	// inject a virtual clock).
 	Clock simclock.Clock
-	// MaxHistory bounds the replan history (0 → DefaultMaxHistory).
-	MaxHistory int
 	// HeavyRatio is the variance-aware classifier's threshold as a multiple
 	// of the trace's mean preprocessing cost (0 → prepsched's default). The
 	// controller uses it to anchor the drift detector's mix track to the
@@ -103,10 +99,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if clock == nil {
 		clock = simclock.Real()
 	}
-	maxHistory := cfg.MaxHistory
-	if maxHistory <= 0 {
-		maxHistory = DefaultMaxHistory
-	}
 	tel, err := profiler.NewTelemetry(cfg.Drift)
 	if err != nil {
 		return nil, err
@@ -127,14 +119,13 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		fw:         fw,
-		trace:      cfg.Trace,
-		clock:      clock,
-		tel:        tel,
-		feed:       feed,
-		maxHistory: maxHistory,
-		env:        cfg.Env,
-		decision:   d,
+		fw:       fw,
+		trace:    cfg.Trace,
+		clock:    clock,
+		tel:      tel,
+		feed:     feed,
+		env:      cfg.Env,
+		decision: d,
 	}
 	c.rebaseLocked(d)
 	// Anchor the mix track to the profile's own heavy fraction: the plan was
@@ -177,9 +168,6 @@ func (c *Controller) Current() *policy.PlanSnapshot { return c.feed.Current() }
 
 // Subscribe implements policy.PlanProvider.
 func (c *Controller) Subscribe() <-chan *policy.PlanSnapshot { return c.feed.Subscribe() }
-
-// Telemetry exposes the drift detector (the monitor reads its gauges).
-func (c *Controller) Telemetry() *profiler.Telemetry { return c.tel }
 
 // Decision returns the latest planning outcome.
 func (c *Controller) Decision() Decision {
@@ -302,8 +290,8 @@ func (c *Controller) replanLocked(drifts []profiler.Drift, effective uint64) (*p
 		Version: snap.Version, Epoch: effective, Reason: reason,
 		Bandwidth: env.Bandwidth, At: c.clock.Now(),
 	})
-	if len(c.history) > c.maxHistory {
-		c.history = c.history[len(c.history)-c.maxHistory:]
+	if len(c.history) > maxHistory {
+		c.history = c.history[len(c.history)-maxHistory:]
 	}
 	cbs := make([]func(*policy.PlanSnapshot), len(c.onReplan))
 	copy(cbs, c.onReplan)

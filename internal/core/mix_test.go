@@ -24,7 +24,7 @@ func TestControllerReplansOnMixDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := c.Telemetry().Snapshot().MixBaseline
+	baseline := c.tel.Snapshot().MixBaseline
 	cl, err := prepsched.FromTrace(tr, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +53,7 @@ func TestControllerReplansOnMixDrift(t *testing.T) {
 		t.Fatalf("drifts %v", drifts)
 	}
 	// The controller adopted the shifted mix: the same skew is steady state.
-	if got := c.Telemetry().Snapshot().MixBaseline; got != 0.9 {
+	if got := c.tel.Snapshot().MixBaseline; got != 0.9 {
 		t.Fatalf("adopted mix baseline %v, want 0.9", got)
 	}
 	for e := uint64(4); e <= 7; e++ {
@@ -83,7 +83,7 @@ func TestControllerHeavyRatioValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.Telemetry().Snapshot().MixBaseline; got != cl.BaselineHeavyFrac() {
+	if got := c.tel.Snapshot().MixBaseline; got != cl.BaselineHeavyFrac() {
 		t.Fatalf("baseline %v at ratio 1, want %v", got, cl.BaselineHeavyFrac())
 	}
 }

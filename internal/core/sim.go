@@ -29,17 +29,13 @@ type SimConfig struct {
 	Env policy.Env
 	// Epochs to simulate (≥ 1).
 	Epochs int
-	// BatchSize for the DES (0 → engine default).
-	BatchSize int
-	// EnvAt gives each epoch's true environment (nil → Env throughout).
-	// Deterministic in epoch by contract.
-	EnvAt engine.EnvSchedule
+	// EnvAt gives each epoch's true environment, modeling mid-run reshapes
+	// (nil → Env throughout). Deterministic in epoch by contract.
+	EnvAt func(epoch uint64) policy.Env
 	// Adaptive false freezes the initial plan (the static baseline).
 	Adaptive bool
 	// Drift tunes detection (zero fields default).
 	Drift profiler.DriftConfig
-	// Framework plans (nil → paper-faithful engine).
-	Framework *Framework
 	// Clock drives controller timestamps; nil means a virtual clock at the
 	// zero instant, so simulations are deterministic BY DEFAULT.
 	Clock simclock.Clock
@@ -61,10 +57,6 @@ type SimEpoch struct {
 type SimResult struct {
 	Epochs  []SimEpoch
 	History []ReplanEvent
-	// Schedule maps the run's plan versions to epoch ranges; replaying it
-	// through engine.RunSchedule over the same EnvAt regenerates the exact
-	// epoch times with no controller in the loop.
-	Schedule *engine.PlanSchedule
 }
 
 // RunAdaptiveSim simulates cfg.Epochs epochs of the control loop.
@@ -84,35 +76,25 @@ func RunAdaptiveSim(cfg SimConfig) (SimResult, error) {
 		envAt = func(uint64) policy.Env { return cfg.Env }
 	}
 	ctrl, err := NewController(ControllerConfig{
-		Framework: cfg.Framework,
-		Trace:     cfg.Trace,
-		Env:       cfg.Env,
-		Drift:     cfg.Drift,
-		Clock:     clock,
+		Trace: cfg.Trace,
+		Env:   cfg.Env,
+		Drift: cfg.Drift,
+		Clock: clock,
 	})
 	if err != nil {
 		return SimResult{}, err
 	}
 
 	baseShards := cfg.Env.ShardCount()
-	var (
-		epochs   []SimEpoch
-		schedule []engine.PlanScheduleEntry
-	)
+	var epochs []SimEpoch
 	for e := uint64(1); e <= uint64(cfg.Epochs); e++ {
 		trueEnv := envAt(e)
 		snap := ctrl.Current()
-		if len(schedule) == 0 || schedule[len(schedule)-1].Version != uint32(snap.Version) {
-			schedule = append(schedule, engine.PlanScheduleEntry{
-				FromEpoch: e, Version: uint32(snap.Version), Plan: snap.Plan,
-			})
-		}
 		res, err := engine.Run(engine.Config{
-			Trace:     cfg.Trace,
-			Plan:      snap.Plan,
-			Env:       trueEnv,
-			BatchSize: cfg.BatchSize,
-			Shards:    trueEnv.ShardCount(),
+			Trace:  cfg.Trace,
+			Plan:   snap.Plan,
+			Env:    trueEnv,
+			Shards: trueEnv.ShardCount(),
 		})
 		if err != nil {
 			return SimResult{}, fmt.Errorf("core: epoch %d: %w", e, err)
@@ -154,9 +136,5 @@ func RunAdaptiveSim(cfg SimConfig) (SimResult, error) {
 		}
 	}
 
-	sched, err := engine.NewPlanSchedule(schedule)
-	if err != nil {
-		return SimResult{}, err
-	}
-	return SimResult{Epochs: epochs, History: ctrl.History(), Schedule: sched}, nil
+	return SimResult{Epochs: epochs, History: ctrl.History()}, nil
 }

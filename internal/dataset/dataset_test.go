@@ -260,9 +260,6 @@ func TestSyntheticImageSetValidates(t *testing.T) {
 	if _, err := NewSyntheticImageSet(SyntheticOptions{N: 1, MinDim: 100, MaxDim: 50}); err == nil {
 		t.Fatal("accepted inverted dims")
 	}
-	if _, err := NewSyntheticImageSet(SyntheticOptions{N: 1, Quality: 300}); err == nil {
-		t.Fatal("accepted bad quality")
-	}
 }
 
 func TestSyntheticImageSetDeterministicRaw(t *testing.T) {

@@ -28,12 +28,11 @@ type ImageSet struct {
 
 // SyntheticOptions configures NewSyntheticImageSet.
 type SyntheticOptions struct {
-	Name    string
-	N       int
-	Seed    uint64
-	MinDim  int // smallest image side; 0 means 80
-	MaxDim  int // largest image side; 0 means 480
-	Quality int // SJPG quality; 0 means imaging.DefaultQuality
+	Name   string
+	N      int
+	Seed   uint64
+	MinDim int // smallest image side; 0 means 80
+	MaxDim int // largest image side; 0 means 480
 }
 
 // NewSyntheticImageSet builds a deterministic image set: dimensions uniform
@@ -52,12 +51,6 @@ func NewSyntheticImageSet(opts SyntheticOptions) (*ImageSet, error) {
 	if opts.MinDim < 8 || opts.MaxDim < opts.MinDim {
 		return nil, fmt.Errorf("dataset: bad dim range [%d, %d]", opts.MinDim, opts.MaxDim)
 	}
-	if opts.Quality == 0 {
-		opts.Quality = imaging.DefaultQuality
-	}
-	if opts.Quality < 1 || opts.Quality > 100 {
-		return nil, fmt.Errorf("dataset: bad quality %d", opts.Quality)
-	}
 	if opts.Name == "" {
 		opts.Name = "synthetic"
 	}
@@ -71,7 +64,7 @@ func NewSyntheticImageSet(opts SyntheticOptions) (*ImageSet, error) {
 			H:       opts.MinDim + rng.IntN(span),
 			Detail:  rng.Float64(),
 			Seed:    rng.Uint64(),
-			Quality: opts.Quality,
+			Quality: imaging.DefaultQuality,
 		}
 	}
 	return &ImageSet{name: opts.Name, metas: metas}, nil

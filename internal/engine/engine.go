@@ -31,9 +31,6 @@ type Config struct {
 	// PrefetchWindow bounds in-flight samples (loader prefetch depth);
 	// 0 means 4×BatchSize. Must be ≥ BatchSize.
 	PrefetchWindow int
-	// RequestOverheadBytes is added per sample for protocol framing;
-	// 0 means DefaultRequestOverhead.
-	RequestOverheadBytes int
 	// RTT is the request/response round-trip latency added to each fetch
 	// before its transfer starts (propagation, not bandwidth). Deep
 	// prefetching hides it almost entirely, as in real loaders.
@@ -55,15 +52,6 @@ type Config struct {
 	// sits. 0 keeps the reactive window model. Mutually exclusive with a
 	// non-zero PrefetchWindow (ErrLookaheadConfig).
 	Lookahead int
-	// LookaheadHorizon bounds how many stream positions ahead of
-	// consumption any shard may issue (0 = unbounded). Must be ≥ the batch
-	// size when set, so the gating position's batch has always flushed.
-	LookaheadHorizon int
-	// StagingBudgetBytes softly bounds the bytes fetched but not yet
-	// consumed (0 = unbounded). Like the live scheduler's ledger it is
-	// checked at issue time, so overshoot is bounded by in-flight work;
-	// the consumption cursor's own fetch is always admitted.
-	StagingBudgetBytes int64
 
 	// PrepSched selects the local-preprocessing service model. The default,
 	// PrepSchedShared, is the historical earliest-free shared pool of
@@ -124,14 +112,14 @@ func (m PrepSchedModel) String() string {
 var ErrPrepSchedConfig = errors.New("engine: prepsched knobs conflict")
 
 // ErrLookaheadConfig marks contradictory loader knobs: a clairvoyant
-// lookahead combined with a reactive prefetch window, or lookahead-only
-// knobs (horizon, staging budget) without Lookahead.
+// lookahead combined with a reactive prefetch window.
 var ErrLookaheadConfig = errors.New("engine: lookahead and reactive window knobs conflict")
 
-// DefaultRequestOverhead is the per-fetch framing the committed DES records
-// (BENCH_pr5–pr10) were generated with. It is a constant of those records,
-// not a measurement of the live wire: a one-sample round trip there frames
-// 42 B of request and 34 B around the artifact, and a batch amortises both.
+// DefaultRequestOverhead is the per-fetch framing added to every sample's
+// transfer, the value the committed DES records (BENCH_pr5–pr10) were
+// generated with. It is a constant of those records, not a measurement of
+// the live wire: a one-sample round trip there frames 42 B of request and
+// 34 B around the artifact, and a batch amortises both.
 const DefaultRequestOverhead = 53
 
 // Result summarizes a simulated epoch.
@@ -271,7 +259,7 @@ func (p *prepWorkers) schedule(i int, arrival, dur time.Duration, steal bool) (t
 
 // resolve is the one validation routine of the engine: it checks a job's
 // trace, plan, environment and loader knobs, and fills the defaults the
-// kernel reads (batch, window, framing overhead, shard count). Run resolves
+// kernel reads (batch, window, shard count). Run resolves
 // its Config directly; RunFleet builds one Config per job and resolves each.
 func (cfg *Config) resolve() error {
 	if cfg.Trace == nil || cfg.Trace.N() == 0 {
@@ -299,15 +287,6 @@ func (cfg *Config) resolve() error {
 	if cfg.Lookahead > 0 && cfg.PrefetchWindow > 0 {
 		return fmt.Errorf("%w: lookahead %d with reactive window %d", ErrLookaheadConfig, cfg.Lookahead, cfg.PrefetchWindow)
 	}
-	if cfg.Lookahead == 0 && (cfg.LookaheadHorizon != 0 || cfg.StagingBudgetBytes != 0) {
-		return fmt.Errorf("%w: horizon/staging budget set without lookahead", ErrLookaheadConfig)
-	}
-	if cfg.LookaheadHorizon < 0 || cfg.StagingBudgetBytes < 0 {
-		return fmt.Errorf("engine: negative lookahead horizon or staging budget")
-	}
-	if cfg.LookaheadHorizon > 0 && cfg.LookaheadHorizon < batch {
-		return fmt.Errorf("engine: lookahead horizon %d < batch %d", cfg.LookaheadHorizon, batch)
-	}
 	switch cfg.PrepSched {
 	case PrepSchedShared:
 		if cfg.PrepWorkers != 0 || cfg.HeavyRatio != 0 {
@@ -333,9 +312,6 @@ func (cfg *Config) resolve() error {
 		if cfg.PrefetchWindow < batch {
 			return fmt.Errorf("engine: prefetch window %d < batch %d", cfg.PrefetchWindow, batch)
 		}
-	}
-	if cfg.RequestOverheadBytes == 0 {
-		cfg.RequestOverheadBytes = DefaultRequestOverhead
 	}
 	if cfg.Fidelity != nil {
 		if err := cfg.Fidelity.Validate(); err != nil {
@@ -363,10 +339,9 @@ type tier struct {
 	shardMap *cluster.ShardMap
 	// Empty pools on a tier without cores: resolve admits no offloading
 	// plan there, so nothing is scheduled on them.
-	storage  []*MultiServer
-	links    []*MultiServer
-	rtt      time.Duration
-	overhead int64
+	storage []*MultiServer
+	links   []*MultiServer
+	rtt     time.Duration
 
 	// Cross-job artifact cache (fleet.go), admit-until-full; cacheCap 0
 	// disables it.
@@ -393,7 +368,6 @@ func newTier(cfg Config, cacheBytes int64) (*tier, error) {
 		storage:  make([]*MultiServer, cfg.Shards),
 		links:    make([]*MultiServer, cfg.Shards),
 		rtt:      cfg.RTT,
-		overhead: int64(cfg.RequestOverheadBytes),
 		cacheCap: cacheBytes,
 		resident: make(map[cacheKey]bool),
 	}
@@ -427,11 +401,8 @@ type job struct {
 	consumed []time.Duration // when each position's batch left the GPU
 
 	// Clairvoyant issue state (Lookahead > 0): each shard's transfer-end
-	// history (the depth gate) and a prefix-sum byte ledger for the staging
-	// budget gate.
-	shardEnds   [][]time.Duration
-	bytesPrefix []int64
-	budgetLo    int
+	// history (the depth gate).
+	shardEnds [][]time.Duration
 
 	compute    *MultiServer // shared pool, or:
 	prep       *prepWorkers // per-worker model (FIFO or steal)
@@ -476,12 +447,6 @@ func newJob(cfg Config, t *tier, dataset uint64) (*job, error) {
 	}
 	if cfg.Lookahead > 0 {
 		j.shardEnds = make([][]time.Duration, cfg.Shards)
-		if cfg.StagingBudgetBytes > 0 {
-			j.bytesPrefix = make([]int64, n+1)
-			for i, id := range j.order {
-				j.bytesPrefix[i+1] = j.bytesPrefix[i] + j.xferBytes(id)
-			}
-		}
 	}
 	return j, nil
 }
@@ -495,7 +460,7 @@ func (j *job) xferBytes(id int) int64 {
 	if split == 0 && j.cfg.Fidelity != nil {
 		size = j.cfg.Fidelity.BytesAt(size, j.cfg.Plan.FidelityOf(id))
 	}
-	return size + j.tier.overhead
+	return size + DefaultRequestOverhead
 }
 
 // shard is the storage server that owns stream position i's sample.
@@ -511,32 +476,13 @@ func (j *job) gate() time.Duration {
 		}
 		return 0
 	}
-	var gate time.Duration
-	shard := j.shard(i)
 	// Depth gate: this shard keeps at most Lookahead transfers in flight;
 	// issue k waits for delivery of the shard's own k−D.
-	if k := len(j.shardEnds[shard]); k >= j.cfg.Lookahead {
-		gate = j.shardEnds[shard][k-j.cfg.Lookahead]
+	ends := j.shardEnds[j.shard(i)]
+	if k := len(ends); k >= j.cfg.Lookahead {
+		return ends[k-j.cfg.Lookahead]
 	}
-	// Horizon gate: no shard runs more than H stream positions ahead of the
-	// consumption cursor.
-	if h := j.cfg.LookaheadHorizon; h > 0 && i >= h {
-		gate = max(gate, j.consumed[i-h])
-	}
-	// Budget gate: positions [budgetLo, i] must fit in the staging budget;
-	// everything before budgetLo has to be consumed first. The cursor entry
-	// itself is always admitted (budgetLo ≤ i), and positions still inside
-	// the unflushed batch gate at 0 — the soft-budget overshoot bounded by
-	// in-flight work.
-	if j.bytesPrefix != nil {
-		for j.budgetLo < i && j.bytesPrefix[i+1]-j.bytesPrefix[j.budgetLo] > j.cfg.StagingBudgetBytes {
-			j.budgetLo++
-		}
-		if j.budgetLo > 0 {
-			gate = max(gate, j.consumed[j.budgetLo-1])
-		}
-	}
-	return gate
+	return 0
 }
 
 // step carries the job's next sample through the pipeline: loader gate →
@@ -551,7 +497,7 @@ func (j *job) step() {
 	at := j.gate()
 
 	bytes := j.xferBytes(id)
-	full := rec.StageSizes[split] + t.overhead
+	full := rec.StageSizes[split] + DefaultRequestOverhead
 	key := cacheKey{dataset: j.dataset, sample: uint32(id), cut: uint8(split)}
 	shared := t.cacheCap > 0 && j.dataset != 0
 	if shared && t.resident[key] {

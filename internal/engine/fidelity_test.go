@@ -80,7 +80,7 @@ func TestFidelityDeterministicUnderShuffleAndLookahead(t *testing.T) {
 	plan := fidelityPlan(t, tr.N(), 1)
 	cfg := Config{
 		Trace: tr, Plan: plan, Env: env(4), Fidelity: &fm,
-		ShuffleSeed: 7, Shards: 2, Lookahead: 8, StagingBudgetBytes: 64 << 20,
+		ShuffleSeed: 7, Shards: 2, Lookahead: 8,
 	}
 	a, err := Run(cfg)
 	if err != nil {

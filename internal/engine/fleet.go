@@ -43,14 +43,8 @@ type FleetConfig struct {
 	// per-shard budgets every job contends for. ComputeCores, GPU, and
 	// GPUCount are per-job resources (each job owns its own copy).
 	Env policy.Env
-	// Shards is the storage server count (0 → Env.ShardCount()).
-	Shards int
 	// BatchSize is the per-job GPU batch (0 → 256).
 	BatchSize int
-	// PrefetchWindow bounds each job's in-flight samples (0 → 4×BatchSize).
-	PrefetchWindow int
-	// RequestOverheadBytes is per-sample protocol framing (0 → default).
-	RequestOverheadBytes int
 	// CacheBytes is the shared cross-job artifact cache capacity; 0
 	// disables the cache entirely.
 	CacheBytes int64
@@ -108,10 +102,6 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	if cfg.CacheBytes < 0 {
 		return FleetResult{}, fmt.Errorf("engine: cache bytes %d", cfg.CacheBytes)
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = cfg.Env.ShardCount()
-	}
 	var t *tier
 	jobs := make([]*job, len(cfg.Jobs))
 	seen := make(map[string]bool, len(cfg.Jobs))
@@ -124,10 +114,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 			return FleetResult{}, fmt.Errorf("engine: duplicate fleet job %q", fj.Name)
 		}
 		seen[fj.Name] = true
-		jc := Config{
-			Trace: fj.Trace, Plan: fj.Plan, Env: cfg.Env, Shards: shards, BatchSize: cfg.BatchSize,
-			PrefetchWindow: cfg.PrefetchWindow, RequestOverheadBytes: cfg.RequestOverheadBytes,
-		}
+		jc := Config{Trace: fj.Trace, Plan: fj.Plan, Env: cfg.Env, Shards: cfg.Env.ShardCount(), BatchSize: cfg.BatchSize}
 		if cfg.ShuffleSeed != 0 {
 			// Independent per-job stream so jobs do not march in identical
 			// sample order (which would overstate cache locality).

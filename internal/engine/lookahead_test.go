@@ -15,9 +15,6 @@ func TestLookaheadValidation(t *testing.T) {
 	}{
 		{"negative depth", Config{Trace: tr, Plan: plan, Env: env(0), Lookahead: -1}},
 		{"depth+window", Config{Trace: tr, Plan: plan, Env: env(0), Lookahead: 4, PrefetchWindow: 64}},
-		{"horizon without depth", Config{Trace: tr, Plan: plan, Env: env(0), LookaheadHorizon: 64}},
-		{"budget without depth", Config{Trace: tr, Plan: plan, Env: env(0), StagingBudgetBytes: 1 << 20}},
-		{"horizon < batch", Config{Trace: tr, Plan: plan, Env: env(0), Lookahead: 4, BatchSize: 32, LookaheadHorizon: 16}},
 	}
 	for _, tc := range cases {
 		if _, err := Run(tc.cfg); err == nil {
@@ -89,39 +86,5 @@ func TestLookaheadDrivesLinkIdleDown(t *testing.T) {
 	}
 	if clair.EpochTime > reactive.EpochTime {
 		t.Fatalf("clairvoyant epoch %v slower than reactive %v", clair.EpochTime, reactive.EpochTime)
-	}
-}
-
-// TestLookaheadHorizonAndBudgetGate: tightening the horizon or the staging
-// budget must slow the clairvoyant epoch back toward the reactive one (the
-// gates really bind), while an unbounded run is the fastest.
-func TestLookaheadHorizonAndBudgetGate(t *testing.T) {
-	tr := openImages(t, 2000)
-	plan := noOffPlan(t, tr)
-	base := Config{Trace: tr, Plan: plan, Env: env(0), Shards: 4, ShuffleSeed: 3, BatchSize: 64, Lookahead: 16}
-	free, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tightH := base
-	tightH.LookaheadHorizon = 64 // = one batch: barely ahead of the cursor
-	hRes, err := Run(tightH)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hRes.EpochTime < free.EpochTime {
-		t.Fatalf("tight horizon epoch %v faster than unbounded %v", hRes.EpochTime, free.EpochTime)
-	}
-	tightB := base
-	tightB.StagingBudgetBytes = 1 << 20 // ~a handful of samples staged
-	bRes, err := Run(tightB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bRes.EpochTime < free.EpochTime {
-		t.Fatalf("tight budget epoch %v faster than unbounded %v", bRes.EpochTime, free.EpochTime)
-	}
-	if bRes.TrafficBytes != free.TrafficBytes || hRes.TrafficBytes != free.TrafficBytes {
-		t.Fatal("gates changed traffic")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/cache"
-	"repro/internal/compressor"
 	"repro/internal/dataset"
 	"repro/internal/engine"
 	"repro/internal/policy"
@@ -50,61 +49,6 @@ func AblationStepGuard(opts Options) ([]AblationGuardRow, Table, error) {
 		t.AddRow(fmt.Sprintf("%d", cores), fmtF(row.BaseSeconds, 1), fmtF(row.GuardedSeconds, 1))
 	}
 	return rows, t, nil
-}
-
-// AblationCompressionResult compares SOPHON with and without selective
-// transfer compression (future-work extension).
-type AblationCompressionResult struct {
-	BaseSeconds       float64
-	CompressedSeconds float64
-	BaseTrafficGB     float64
-	CompTrafficGB     float64
-	SamplesCompressed int
-}
-
-// AblationCompression runs Ablation B on OpenImages with ample cores.
-func AblationCompression(opts Options) (AblationCompressionResult, Table, error) {
-	tr, err := dataset.GenerateTrace(profileOI(opts), opts.seed())
-	if err != nil {
-		return AblationCompressionResult{}, Table{}, err
-	}
-	env := DefaultEnv(48)
-	plan, err := policy.NewSophon().Plan(tr, env)
-	if err != nil {
-		return AblationCompressionResult{}, Table{}, err
-	}
-	base, err := engine.Run(engine.Config{Trace: tr, Plan: plan, Env: env})
-	if err != nil {
-		return AblationCompressionResult{}, Table{}, err
-	}
-	model := compressor.DefaultModel()
-	sel, err := compressor.Select(tr, plan, env, model)
-	if err != nil {
-		return AblationCompressionResult{}, Table{}, err
-	}
-	adjusted, err := compressor.ApplyToTrace(tr, plan, sel, model)
-	if err != nil {
-		return AblationCompressionResult{}, Table{}, err
-	}
-	comp, err := engine.Run(engine.Config{Trace: adjusted, Plan: plan, Env: env})
-	if err != nil {
-		return AblationCompressionResult{}, Table{}, err
-	}
-	res := AblationCompressionResult{
-		BaseSeconds:       base.EpochTime.Seconds(),
-		CompressedSeconds: comp.EpochTime.Seconds(),
-		BaseTrafficGB:     gb(base.TrafficBytes),
-		CompTrafficGB:     gb(comp.TrafficBytes),
-		SamplesCompressed: sel.Count(),
-	}
-	t := Table{
-		Title:   "Ablation B: selective transfer compression on top of SOPHON (OpenImages, 48 cores)",
-		Columns: []string{"Variant", "Epoch (s)", "Traffic (GB)", "Compressed samples"},
-	}
-	t.AddRow("SOPHON", fmtF(res.BaseSeconds, 1), fmtF(res.BaseTrafficGB, 2), "0")
-	t.AddRow("SOPHON+compress", fmtF(res.CompressedSeconds, 1), fmtF(res.CompTrafficGB, 2),
-		fmt.Sprintf("%d", res.SamplesCompressed))
-	return res, t, nil
 }
 
 // AblationHeteroRow is one storage-CPU speed point.

@@ -264,17 +264,6 @@ func TestAblations(t *testing.T) {
 		}
 	}
 
-	comp, _, err := AblationCompression(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comp.CompTrafficGB >= comp.BaseTrafficGB {
-		t.Errorf("compression did not cut traffic: %.2f vs %.2f", comp.CompTrafficGB, comp.BaseTrafficGB)
-	}
-	if comp.SamplesCompressed == 0 {
-		t.Error("nothing compressed")
-	}
-
 	hetero, _, err := AblationHeterogeneous(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -479,7 +468,7 @@ func TestRunAllProducesFullReport(t *testing.T) {
 	for _, want := range []string{
 		"Table 1", "Figure 1a", "Figure 1b", "Figure 1c", "Figure 1d",
 		"Figure 3", "Figure 4", "Headline",
-		"Ablation A", "Ablation B", "Ablation C", "Ablation D", "Ablation E",
+		"Ablation A", "Ablation C", "Ablation D", "Ablation E",
 		"Discussion F", "Discussion G",
 	} {
 		if !strings.Contains(out, want) {

@@ -31,7 +31,6 @@ func Collect(opts Options) ([]NamedTable, error) {
 		{"figure4_limited_cpu", func() (Table, error) { _, t, err := Figure4(opts); return t, err }},
 		{"headline", func() (Table, error) { _, t, err := Headline(opts); return t, err }},
 		{"ablation_a_step_guard", func() (Table, error) { _, t, err := AblationStepGuard(opts); return t, err }},
-		{"ablation_b_compression", func() (Table, error) { _, t, err := AblationCompression(opts); return t, err }},
 		{"ablation_c_heterogeneous", func() (Table, error) { _, t, err := AblationHeterogeneous(opts); return t, err }},
 		{"ablation_d_multitenant", func() (Table, error) { _, t, err := AblationMultiTenant(opts); return t, err }},
 		{"ablation_e_local_cache", func() (Table, error) { _, t, err := AblationLocalCache(opts); return t, err }},

@@ -94,10 +94,6 @@ type JobSpec struct {
 
 // AdmissionSpec models the server-side admission controller.
 type AdmissionSpec struct {
-	// Disabled turns admission off: every request is accepted and queues
-	// without bound (the PR-6-and-earlier behavior, kept for comparison
-	// runs).
-	Disabled bool
 	// MaxInFlightBytes is the per-shard in-flight byte budget
 	// (0 → DefaultMaxInFlightBytes).
 	MaxInFlightBytes int64
@@ -110,8 +106,8 @@ type AdmissionSpec struct {
 const (
 	DefaultMaxInFlightBytes  = 64 << 20
 	DefaultMaxQueuePerTenant = 256
-	// DefaultHitService is the modeled local service time of a cache hit.
-	DefaultHitService = 30 * time.Microsecond
+	// HitService is the modeled local service time of a cache hit.
+	HitService = 30 * time.Microsecond
 )
 
 // Config configures one load-generation run.
@@ -119,7 +115,8 @@ type Config struct {
 	// Seed drives every PCG stream in the run; same seed, same report.
 	Seed uint64
 	// Duration is the simulated time during which sessions offer load.
-	// In-flight requests at the deadline are left to drain (up to Drain).
+	// In-flight requests at the deadline are left a second window of the
+	// same length to drain.
 	Duration time.Duration
 	// Jobs is the workload mix; at least one job with Sessions > 0.
 	Jobs []JobSpec
@@ -131,12 +128,6 @@ type Config struct {
 	LinkBytesPerSec float64
 	// Admission models the server-side admission controller.
 	Admission AdmissionSpec
-	// HitService overrides the local cache-hit service time
-	// (0 → DefaultHitService).
-	HitService time.Duration
-	// Drain bounds how long past Duration the simulation runs to let
-	// admitted requests finish (0 → Duration, i.e. a full extra window).
-	Drain time.Duration
 }
 
 // ErrBadConfig reports an invalid Config.
@@ -283,9 +274,6 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Admission.MaxQueuePerTenant <= 0 {
 		cfg.Admission.MaxQueuePerTenant = DefaultMaxQueuePerTenant
 	}
-	if cfg.HitService <= 0 {
-		cfg.HitService = DefaultHitService
-	}
 
 	s := &sim{cfg: cfg}
 	s.shards = make([]*shardState, cfg.Shards)
@@ -319,11 +307,7 @@ func Run(cfg Config) (*Report, error) {
 		return nil, fmt.Errorf("%w: no sessions with positive rate", ErrBadConfig)
 	}
 
-	drain := cfg.Drain
-	if drain <= 0 {
-		drain = cfg.Duration
-	}
-	horizon := cfg.Duration + drain
+	horizon := 2 * cfg.Duration
 
 	for len(s.events) > 0 {
 		ev := heap.Pop(&s.events).(*event)
@@ -384,7 +368,7 @@ func (s *sim) onArrival(sessionIdx int) {
 	if class == ClassHit {
 		// Served from the trainer-side shared cache; never touches the
 		// storage tier or its admission queues.
-		s.hists[ClassHit].Observe(s.cfg.HitService)
+		s.hists[ClassHit].Observe(HitService)
 		s.done++
 		return
 	}
@@ -406,10 +390,6 @@ func (s *sim) onArrival(sessionIdx int) {
 	}
 
 	sh := s.shards[req.shard]
-	if s.cfg.Admission.Disabled {
-		s.startService(sh, req)
-		return
-	}
 	// Admission: straight through when the budget fits and no one is
 	// queued; otherwise wait in the tenant's weighted queue, unless it is
 	// full — then the request is shed (the server answers retry-after).
@@ -450,10 +430,8 @@ func (s *sim) onXferDone(req *request) {
 	sh := s.shards[req.shard]
 	s.hists[req.class].Observe(s.now - req.arrived)
 	s.done++
-	if !s.cfg.Admission.Disabled {
-		// Admit queued requests in weighted-fair order while the budget fits.
-		sh.admission.Release(req.bytes, func(it *wfq.Item) { s.startService(sh, it.Value.(*request)) })
-	}
+	// Admit queued requests in weighted-fair order while the budget fits.
+	sh.admission.Release(req.bytes, func(it *wfq.Item) { s.startService(sh, it.Value.(*request)) })
 }
 
 func (s *sim) report(sessions int) *Report {

@@ -13,39 +13,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cache"
-	"repro/internal/core"
-	"repro/internal/metrics"
-	"repro/internal/policy"
-	"repro/internal/prefetch"
-	"repro/internal/prepsched"
-	"repro/internal/profiler"
-	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/storage"
 )
-
-// ControlPlane is the adaptive controller's observability surface: the live
-// plan snapshot, the replan history, and the drift detector's gauges. It is
-// satisfied by *core.Controller.
-type ControlPlane interface {
-	Current() *policy.PlanSnapshot
-	History() []core.ReplanEvent
-	Telemetry() *profiler.Telemetry
-}
-
-// FleetPlane is the fleet coordinator's observability surface: the live
-// tenant roster with grants and the admission/departure/drift event history.
-// It is satisfied by *sched.Coordinator.
-type FleetPlane interface {
-	Status() sched.FleetStatus
-}
-
-// SharedCacheView is the cross-job artifact cache's observability surface.
-// It is satisfied by *cache.SharedArtifactCache.
-type SharedCacheView interface {
-	Snapshot() cache.SharedSnapshot
-}
 
 // AdmissionView is the admission controller's observability surface: the
 // live byte budget, queue depth, and admitted/queued/shed counters. It is
@@ -54,25 +24,15 @@ type AdmissionView interface {
 	Stats() storage.AdmissionStats
 }
 
-// Server wires a metrics registry and storage counters into an HTTP mux. It
-// can watch several storage servers at once (one per shard of a sharded
-// deployment): /stats reports both the aggregate and a per-server
-// breakdown, including the live in-flight-request and open-connection
-// gauges. When a control plane is attached, /stats also reports the current
-// plan version, the replan history, and the drift gauges.
+// Server wires storage counters into an HTTP mux. It can watch several
+// storage servers at once (one per shard of a sharded deployment): /stats
+// reports both the aggregate and a per-server breakdown, including the live
+// in-flight-request and open-connection gauges.
 type Server struct {
-	registry *metrics.Registry
-	sources  []*storage.Counters
-	clock    simclock.Clock
-	start    time.Time
-	plane    ControlPlane
-
-	fleet     FleetPlane
-	shared    SharedCacheView
+	sources   []*storage.Counters
+	clock     simclock.Clock
+	start     time.Time
 	admission AdmissionView
-	prefetch  PrefetchView
-	staging   StagingView
-	prepsched PrepschedView
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -80,19 +40,19 @@ type Server struct {
 	closed   bool
 }
 
-// New builds a monitor over the given sources. Either may be nil.
-func New(registry *metrics.Registry, counters *storage.Counters) *Server {
+// New builds a monitor over one storage server's counters, which may be nil.
+func New(counters *storage.Counters) *Server {
 	if counters == nil {
-		return NewMulti(registry)
+		return NewMulti()
 	}
-	return NewMulti(registry, counters)
+	return NewMulti(counters)
 }
 
 // NewMulti builds a monitor over several storage servers' counters — one
 // entry per shard, in shard order.
-func NewMulti(registry *metrics.Registry, counters ...*storage.Counters) *Server {
+func NewMulti(counters ...*storage.Counters) *Server {
 	clock := simclock.Real()
-	return &Server{registry: registry, sources: counters, clock: clock, start: clock.Now()}
+	return &Server{sources: counters, clock: clock, start: clock.Now()}
 }
 
 // UseClock replaces the monitor's uptime clock (virtual-clock tests and
@@ -100,28 +60,6 @@ func NewMulti(registry *metrics.Registry, counters ...*storage.Counters) *Server
 func (s *Server) UseClock(c simclock.Clock) *Server {
 	s.clock = c
 	s.start = c.Now()
-	return s
-}
-
-// WatchControlPlane attaches the adaptive controller so /stats and /metrics
-// report plan version, replan history, and drift gauges; call before serving.
-func (s *Server) WatchControlPlane(p ControlPlane) *Server {
-	s.plane = p
-	return s
-}
-
-// WatchFleet attaches the fleet coordinator so /stats and /metrics report the
-// tenant roster, per-tenant grants, and fleet events; call before serving.
-func (s *Server) WatchFleet(f FleetPlane) *Server {
-	s.fleet = f
-	return s
-}
-
-// WatchSharedCache attaches the cross-job artifact cache so /stats and
-// /metrics report fleet-wide and per-tenant hit/byte accounting; call before
-// serving.
-func (s *Server) WatchSharedCache(c SharedCacheView) *Server {
-	s.shared = c
 	return s
 }
 
@@ -154,30 +92,10 @@ type statsSnapshot struct {
 	// PrefixServed / PrefixBytesSaved sum raw fetches answered from the
 	// progressive fast path (a stored-container prefix sliced in place of
 	// the full object) and the wire bytes that avoided.
-	PrefixServed     uint64                     `json:"prefix_served"`
-	PrefixBytesSaved uint64                     `json:"prefix_bytes_saved"`
-	Admission        *storage.AdmissionStats    `json:"admission,omitempty"`
-	Prefetch         *prefetch.MetricsSnapshot  `json:"prefetch,omitempty"`
-	Staging          *cache.StagingSnapshot     `json:"staging,omitempty"`
-	Prepsched        *prepsched.MetricsSnapshot `json:"prepsched,omitempty"`
-	ControlPlane     *controlPlaneSnapshot      `json:"control_plane,omitempty"`
-	Fleet            *sched.FleetStatus         `json:"fleet,omitempty"`
-	SharedCache      *cache.SharedSnapshot      `json:"shared_cache,omitempty"`
-	PerServer        []serverSnapshot           `json:"per_server,omitempty"`
-	Counters         map[string]int64           `json:"counters,omitempty"`
-	Gauges           map[string]int64           `json:"gauges,omitempty"`
-	Histograms       map[string]hStats          `json:"histograms,omitempty"`
-}
-
-// controlPlaneSnapshot is the adaptive controller's slice of /stats.
-type controlPlaneSnapshot struct {
-	// PlanVersion / EffectiveEpoch / Reason describe the live snapshot.
-	PlanVersion    policy.PlanVersion         `json:"plan_version"`
-	EffectiveEpoch uint64                     `json:"effective_epoch"`
-	Reason         string                     `json:"reason"`
-	Replans        int                        `json:"replans"`
-	History        []core.ReplanEvent         `json:"history"`
-	Drift          profiler.TelemetrySnapshot `json:"drift"`
+	PrefixServed     uint64                  `json:"prefix_served"`
+	PrefixBytesSaved uint64                  `json:"prefix_bytes_saved"`
+	Admission        *storage.AdmissionStats `json:"admission,omitempty"`
+	PerServer        []serverSnapshot        `json:"per_server,omitempty"`
 }
 
 // serverSnapshot is one storage server's slice of /stats.
@@ -194,13 +112,6 @@ type serverSnapshot struct {
 	ShedLoad         uint64 `json:"shed_load"`
 	PrefixServed     uint64 `json:"prefix_served"`
 	PrefixBytesSaved uint64 `json:"prefix_bytes_saved"`
-}
-
-type hStats struct {
-	Count int64   `json:"count"`
-	Mean  float64 `json:"mean"`
-	P50   float64 `json:"p50"`
-	P99   float64 `json:"p99"`
 }
 
 func (s *Server) snapshot() statsSnapshot {
@@ -239,50 +150,9 @@ func (s *Server) snapshot() statsSnapshot {
 			out.PerServer = append(out.PerServer, one)
 		}
 	}
-	if s.plane != nil {
-		snap := s.plane.Current()
-		hist := s.plane.History()
-		out.ControlPlane = &controlPlaneSnapshot{
-			PlanVersion:    snap.Version,
-			EffectiveEpoch: snap.Epoch,
-			Reason:         snap.Reason,
-			Replans:        len(hist) - 1, // the "initial" event is not a replan
-			History:        hist,
-			Drift:          s.plane.Telemetry().Snapshot(),
-		}
-	}
-	if s.fleet != nil {
-		st := s.fleet.Status()
-		out.Fleet = &st
-	}
-	if s.shared != nil {
-		sc := s.shared.Snapshot()
-		out.SharedCache = &sc
-	}
 	if s.admission != nil {
 		st := s.admission.Stats()
 		out.Admission = &st
-	}
-	if s.prefetch != nil {
-		pf := s.prefetch.Snapshot()
-		out.Prefetch = &pf
-	}
-	if s.staging != nil {
-		st := s.staging.Snapshot()
-		out.Staging = &st
-	}
-	if s.prepsched != nil {
-		ps := s.prepsched.Snapshot()
-		out.Prepsched = &ps
-	}
-	if s.registry != nil {
-		snap := s.registry.Snapshot()
-		out.Counters = snap.Counters
-		out.Gauges = snap.Gauges
-		out.Histograms = make(map[string]hStats, len(snap.Histograms))
-		for k, h := range snap.Histograms {
-			out.Histograms[k] = hStats{Count: h.Count, Mean: h.Mean, P50: h.P50, P99: h.P99}
-		}
 	}
 	return out
 }
@@ -330,43 +200,6 @@ func (s *Server) Handler() http.Handler {
 			fmt.Fprintf(w, "sophon_admission_admitted_total %d\n", ad.Admitted)
 			fmt.Fprintf(w, "sophon_admission_queued_total %d\n", ad.Queued)
 			fmt.Fprintf(w, "sophon_admission_shed_total %d\n", ad.Shed)
-		}
-		writePrefetchMetrics(w, snap.Prefetch, snap.Staging)
-		writePrepschedMetrics(w, snap.Prepsched)
-		if cp := snap.ControlPlane; cp != nil {
-			fmt.Fprintf(w, "sophon_control_plan_version %d\n", cp.PlanVersion)
-			fmt.Fprintf(w, "sophon_control_replans_total %d\n", cp.Replans)
-			fmt.Fprintf(w, "sophon_drift_bandwidth_bytes_per_sec %g\n", cp.Drift.Bandwidth)
-			fmt.Fprintf(w, "sophon_drift_bandwidth_baseline_bytes_per_sec %g\n", cp.Drift.BandwidthBaseline)
-			fmt.Fprintf(w, "sophon_drift_storage_occupancy %g\n", cp.Drift.StorageOccupancy)
-			fmt.Fprintf(w, "sophon_drift_shards_up %d\n", cp.Drift.ShardsUp)
-		}
-		if fl := snap.Fleet; fl != nil {
-			fmt.Fprintf(w, "sophon_fleet_generation %d\n", fl.Generation)
-			fmt.Fprintf(w, "sophon_fleet_tenants %d\n", len(fl.Tenants))
-			fmt.Fprintf(w, "sophon_fleet_cores_used %d\n", fl.CoresUsed)
-			fmt.Fprintf(w, "sophon_fleet_cores_total %d\n", fl.Cores)
-			fmt.Fprintf(w, "sophon_fleet_rejections_total %d\n", fl.Rejections)
-			for _, t := range fl.Tenants {
-				fmt.Fprintf(w, "sophon_tenant_cores{tenant=\"%s\"} %d\n", t.Name, t.Cores)
-				fmt.Fprintf(w, "sophon_tenant_bandwidth_mbps{tenant=\"%s\"} %g\n", t.Name, t.BandwidthMBps)
-				fmt.Fprintf(w, "sophon_tenant_offloaded{tenant=\"%s\"} %d\n", t.Name, t.Offloaded)
-			}
-		}
-		if sc := snap.SharedCache; sc != nil {
-			fmt.Fprintf(w, "sophon_shared_cache_items %d\n", sc.Items)
-			fmt.Fprintf(w, "sophon_shared_cache_bytes %d\n", sc.Bytes)
-			fmt.Fprintf(w, "sophon_shared_cache_hits %d\n", sc.Hits)
-			fmt.Fprintf(w, "sophon_shared_cache_misses %d\n", sc.Misses)
-			fmt.Fprintf(w, "sophon_shared_cache_evictions %d\n", sc.Evictions)
-			for _, name := range sc.TenantNames() {
-				ts := sc.Tenants[name]
-				fmt.Fprintf(w, "sophon_shared_cache_tenant_hits{tenant=\"%s\"} %d\n", name, ts.Hits)
-				fmt.Fprintf(w, "sophon_shared_cache_tenant_bytes_saved{tenant=\"%s\"} %d\n", name, ts.BytesSaved)
-			}
-		}
-		if s.registry != nil {
-			fmt.Fprint(w, s.registry.Snapshot().String())
 		}
 	})
 	return mux

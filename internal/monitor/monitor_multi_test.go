@@ -14,7 +14,7 @@ import (
 // TestStatsGauges: the live in-flight and open-connection gauges must show
 // up in /stats even for a single watched server.
 func TestStatsGauges(t *testing.T) {
-	m, counters, _ := testMonitor()
+	m, counters := testMonitor()
 	counters.InFlight.Add(3)
 	counters.Connections.Add(2)
 
@@ -50,7 +50,7 @@ func TestStatsMulti(t *testing.T) {
 	b.SamplesServed.Add(4)
 	b.BytesSent.Add(256)
 	b.InFlight.Add(2)
-	m := NewMulti(nil, a, b)
+	m := NewMulti(a, b)
 
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
@@ -82,7 +82,7 @@ func TestMetricsMulti(t *testing.T) {
 	a, b := &storage.Counters{}, &storage.Counters{}
 	a.SamplesServed.Add(6)
 	b.InFlight.Add(5)
-	m := NewMulti(nil, a, b)
+	m := NewMulti(a, b)
 
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()

@@ -7,20 +7,17 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/metrics"
 	"repro/internal/storage"
 )
 
-func testMonitor() (*Server, *storage.Counters, *metrics.Registry) {
-	reg := metrics.NewRegistry()
+func testMonitor() (*Server, *storage.Counters) {
 	counters := &storage.Counters{}
-	return New(reg, counters), counters, reg
+	return New(counters), counters
 }
 
 func TestHealthz(t *testing.T) {
-	m, _, _ := testMonitor()
+	m, _ := testMonitor()
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
@@ -35,11 +32,11 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestStatsJSON(t *testing.T) {
-	m, counters, reg := testMonitor()
+	m, counters := testMonitor()
 	counters.SamplesServed.Add(5)
 	counters.BytesSent.Add(1024)
-	reg.Counter("fetches").Add(5)
-	reg.Histogram("latency").Observe(500 * time.Millisecond)
+	counters.ObservePlanVersion(2)
+	counters.ObservePlanVersion(1) // stale stamp during a plan swap
 
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
@@ -58,25 +55,19 @@ func TestStatsJSON(t *testing.T) {
 	if got["bytes_sent"].(float64) != 1024 {
 		t.Fatalf("bytes_sent = %v", got["bytes_sent"])
 	}
-	counters2 := got["counters"].(map[string]interface{})
-	if counters2["fetches"].(float64) != 5 {
-		t.Fatalf("registry counter missing: %v", counters2)
+	// The wire-observed plan version ratchets; the older stamp is counted.
+	if got["plan_version"].(float64) != 2 || got["plan_regressions"].(float64) != 1 {
+		t.Fatalf("plan_version %v regressions %v, want 2 and 1", got["plan_version"], got["plan_regressions"])
 	}
-	// One 500 ms observation: /stats reports seconds, and every statistic of
-	// a single-valued histogram is that value exactly.
-	lat, ok := got["histograms"].(map[string]interface{})["latency"].(map[string]interface{})
-	if !ok {
-		t.Fatal("histogram missing")
-	}
-	if lat["count"].(float64) != 1 || lat["mean"].(float64) != 0.5 || lat["p50"].(float64) != 0.5 || lat["p99"].(float64) != 0.5 {
-		t.Fatalf("latency histogram = %v, want count 1 and 0.5 s throughout", lat)
+	if _, ok := got["admission"]; ok {
+		t.Fatal("admission block emitted with no controller watched")
 	}
 }
 
 func TestMetricsText(t *testing.T) {
-	m, counters, reg := testMonitor()
+	m, counters := testMonitor()
 	counters.OpsExecuted.Add(7)
-	reg.Gauge("inflight").Set(2)
+	counters.ObservePlanVersion(1)
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -86,7 +77,7 @@ func TestMetricsText(t *testing.T) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
-	for _, want := range []string{"sophon_ops_executed 7", "sophon_uptime_seconds", "gauge inflight = 2"} {
+	for _, want := range []string{"sophon_ops_executed 7", "sophon_uptime_seconds", "sophon_plan_version 1", "sophon_plan_regressions 0"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
 		}
@@ -94,7 +85,7 @@ func TestMetricsText(t *testing.T) {
 }
 
 func TestNilSources(t *testing.T) {
-	m := New(nil, nil)
+	m := New(nil)
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
@@ -108,7 +99,7 @@ func TestNilSources(t *testing.T) {
 }
 
 func TestListenAndServeLifecycle(t *testing.T) {
-	m, counters, _ := testMonitor()
+	m, counters := testMonitor()
 	counters.SamplesServed.Add(1)
 	addr, err := m.ListenAndServe("127.0.0.1:0")
 	if err != nil {

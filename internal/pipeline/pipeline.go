@@ -43,10 +43,8 @@ func New(ops ...Op) (*Pipeline, error) {
 
 // StandardOptions configures the standard image-classification pipeline.
 type StandardOptions struct {
-	CropSize int       // output side length; 0 means 224
-	FlipP    float64   // horizontal-flip probability; negative means 0.5
-	Mean     []float32 // normalization mean; nil means ImageNet stats
-	Std      []float32 // normalization std; nil means ImageNet stats
+	CropSize int     // output side length; 0 means 224
+	FlipP    float64 // horizontal-flip probability; negative means 0.5
 }
 
 // Standard builds the paper's five-op pipeline:
@@ -58,18 +56,12 @@ func Standard(opts StandardOptions) *Pipeline {
 	if opts.FlipP < 0 {
 		opts.FlipP = 0.5
 	}
-	if opts.Mean == nil {
-		opts.Mean = tensor.ImageNetMean
-	}
-	if opts.Std == nil {
-		opts.Std = tensor.ImageNetStd
-	}
 	p, err := New(
 		decodeOp{},
 		newRandomResizedCrop(opts.CropSize),
 		randomHorizontalFlipOp{P: opts.FlipP},
 		toTensorOp{},
-		normalizeOp{Mean: opts.Mean, Std: opts.Std},
+		normalizeOp{Mean: tensor.ImageNetMean, Std: tensor.ImageNetStd},
 	)
 	if err != nil {
 		// The standard pipeline is statically well-formed.

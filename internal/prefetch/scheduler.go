@@ -39,11 +39,6 @@ type Config struct {
 	// consumption cursor is always admitted regardless of budget, so the
 	// stream can never deadlock on it.
 	StagingBytes int64
-	// Ledger, when non-nil, is an external staging accountant (see
-	// cache.Staging) charged alongside the internal gauge and consulted by
-	// the budget gate in addition to StagingBytes. Sharing one ledger
-	// across schedulers bounds their combined staging footprint.
-	Ledger Ledger
 	// Split returns the pipeline cut to request for a sample. It is read
 	// at issue time, so a control-plane replan rotates cuts for not-yet-
 	// issued stream entries without flushing anything already staged
@@ -66,15 +61,6 @@ type Config struct {
 	// Metrics receives instrumentation; nil means a private, unobserved
 	// Metrics.
 	Metrics *Metrics
-}
-
-// Ledger is the external staging-accounting surface (cache.Staging
-// implements it). Reserve must never block: the gate consults Over before
-// issuing, but completions always land.
-type Ledger interface {
-	Reserve(n int64)
-	Release(n int64)
-	Over() bool
 }
 
 // Item is one delivered stream entry. Exactly one of Err and Res is
@@ -197,8 +183,7 @@ func (c *Scheduler) claim(s int, buf []int) ([]int, error) {
 			// dead shard's entries drain without occupying either gate.
 			break
 		}
-		if (c.cfg.StagingBytes > 0 && c.staged >= c.cfg.StagingBytes) ||
-			(c.cfg.Ledger != nil && c.cfg.Ledger.Over()) {
+		if c.cfg.StagingBytes > 0 && c.staged >= c.cfg.StagingBytes {
 			c.m.budgetStalls.Add(1)
 			c.cond.Wait()
 			continue
@@ -285,13 +270,10 @@ func (c *Scheduler) complete(s int, claim, splits []int, res []storage.FetchResu
 			if !c.stopped {
 				// After Stop no consumer will release these bytes; keep the
 				// result (harmless) but don't charge an abandoned epoch to
-				// the staging ledger.
+				// the staging gauge.
 				sl.bytes = int64(res[k].Artifact.WireSize())
 				c.staged += sl.bytes
 				c.m.addStaged(sl.bytes)
-				if c.cfg.Ledger != nil {
-					c.cfg.Ledger.Reserve(sl.bytes)
-				}
 			}
 			c.m.completed.Add(1)
 			switch {
@@ -337,9 +319,6 @@ func (c *Scheduler) Next() (Item, bool) {
 func (c *Scheduler) releaseLocked(sl *slot) {
 	c.staged -= sl.bytes
 	c.m.addStaged(-sl.bytes)
-	if c.cfg.Ledger != nil && sl.bytes > 0 {
-		c.cfg.Ledger.Release(sl.bytes)
-	}
 	sl.res = storage.FetchResult{}
 	sl.bytes = 0
 }
@@ -351,7 +330,7 @@ func (c *Scheduler) Stop() {
 	c.mu.Lock()
 	c.stopped = true
 	// Return the staged bytes of everything fetched but never consumed, so
-	// an aborted epoch leaves the (possibly shared) ledger balanced.
+	// an aborted epoch leaves the staged-bytes gauge at zero.
 	for pos := c.cursor; pos < len(c.slots); pos++ {
 		if c.slots[pos].bytes > 0 {
 			c.releaseLocked(&c.slots[pos])

@@ -209,7 +209,7 @@ func (m *metricTrack) observe(v float64, cfg DriftConfig) bool {
 }
 
 // TelemetrySnapshot is a point-in-time view of the smoothed metrics and
-// drift state, for the monitor's gauges.
+// drift state.
 type TelemetrySnapshot struct {
 	Epochs            uint64  `json:"epochs"`
 	Bandwidth         float64 `json:"bandwidth"`
@@ -427,7 +427,7 @@ func (t *Telemetry) Bandwidth() float64 {
 	return t.bandwidth.ewma.Value()
 }
 
-// Snapshot returns the current gauge view for the monitor.
+// Snapshot returns the current view of the detector's state.
 func (t *Telemetry) Snapshot() TelemetrySnapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()

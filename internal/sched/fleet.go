@@ -37,11 +37,6 @@ type Tenant struct {
 	// receives twice the bandwidth share of a weight-1 tenant and its
 	// marginal core gains count double in the water-filling loop.
 	Weight float64
-	// JobID is the tenant's wire identity — the JobID its trainers stamp on
-	// storage requests. When set (non-zero), AdmissionWeight resolves it to
-	// this tenant's Weight so the storage tier's admission queue drains in
-	// the same proportions the coordinator planned. 0 = not wired.
-	JobID uint64
 	// Trace is the tenant's stage-2 profile.
 	Trace *dataset.Trace
 	// Env carries the tenant's OWN resources (compute cores, GPU model,
@@ -108,29 +103,24 @@ type TenantStatus struct {
 	PredictedSeconds float64 `json:"predicted_seconds"`
 }
 
-// FleetStatus is the coordinator's slice of /stats.
+// FleetStatus is a snapshot of the fleet: roster, grants and event history.
 type FleetStatus struct {
-	Generation uint64  `json:"generation"`
-	Shards     int     `json:"shards"`
-	Cores      int     `json:"cores"`
-	CoresUsed  int     `json:"cores_used"`
-	Bandwidth  float64 `json:"bandwidth"`
-	// Rejections counts admissions refused with ErrFleetSaturated (always 0
-	// unless FleetConfig.RejectSaturated is set).
-	Rejections uint64         `json:"rejections"`
+	Generation uint64         `json:"generation"`
+	Shards     int            `json:"shards"`
+	Cores      int            `json:"cores"`
+	CoresUsed  int            `json:"cores_used"`
+	Bandwidth  float64        `json:"bandwidth"`
 	Tenants    []TenantStatus `json:"tenants"`
 	History    []FleetEvent   `json:"history"`
 }
 
-// DefaultFleetDrift is the relative bandwidth change that triggers a fleet
-// replan when FleetConfig.DriftThreshold is zero.
-const DefaultFleetDrift = 0.2
-
-// ErrFleetSaturated is the typed rejection RejectSaturated admissions
-// return: every shared core is granted, the candidate would be admitted at
-// the transfer-only floor (zero cores), and offloading would actually help
-// it. Callers match it with errors.Is and retry after the fleet drains.
-var ErrFleetSaturated = errors.New("sched: fleet saturated")
+const (
+	// fleetDrift is the relative bandwidth change that triggers a fleet
+	// replan in ObserveBandwidth.
+	fleetDrift = 0.2
+	// maxFleetHistory bounds the event history.
+	maxFleetHistory = 256
+)
 
 // FleetConfig configures a coordinator.
 type FleetConfig struct {
@@ -140,22 +130,8 @@ type FleetConfig struct {
 	Bandwidth float64
 	// Shards is the storage tier's server count (0 → 1).
 	Shards int
-	// Engine plans; nil means the paper-faithful SOPHON engine.
-	Engine *policy.Sophon
 	// Clock timestamps fleet events (nil → wall clock).
 	Clock simclock.Clock
-	// MaxHistory bounds the event history (0 → 256).
-	MaxHistory int
-	// DriftThreshold is the relative bandwidth deviation that triggers a
-	// replan via ObserveBandwidth (0 → DefaultFleetDrift).
-	DriftThreshold float64
-	// RejectSaturated makes Admit refuse — with ErrFleetSaturated — a
-	// tenant that would be granted zero cores while every shared core is
-	// taken AND a core would actually improve its epoch time. Off by
-	// default: the historical behavior admits every tenant, falling back to
-	// a transfer-only plan, which is right for closed fleets (benchmarks,
-	// replays) but queues unbounded work on an open serving tier.
-	RejectSaturated bool
 }
 
 // tenantState is one admitted tenant plus its live plan feed.
@@ -168,13 +144,10 @@ type tenantState struct {
 // Coordinator is the fleet control plane. All methods are safe for
 // concurrent use.
 type Coordinator struct {
-	cores      int
-	shards     int
-	engine     *policy.Sophon
-	clock      simclock.Clock
-	maxHistory int
-	drift      float64
-	rejectSat  bool
+	cores  int
+	shards int
+	engine *policy.Sophon // the paper-faithful SOPHON engine
+	clock  simclock.Clock
 
 	mu         sync.Mutex
 	bandwidth  float64 // current per-shard capacity estimate
@@ -182,7 +155,6 @@ type Coordinator struct {
 	tenants    map[string]*tenantState
 	order      []string // admission order, the deterministic planning order
 	history    []FleetEvent
-	rejections uint64
 }
 
 // NewCoordinator builds an empty fleet.
@@ -200,32 +172,17 @@ func NewCoordinator(cfg FleetConfig) (*Coordinator, error) {
 	if shards == 0 {
 		shards = 1
 	}
-	engine := cfg.Engine
-	if engine == nil {
-		engine = policy.NewSophon()
-	}
 	clock := cfg.Clock
 	if clock == nil {
 		clock = simclock.Real()
 	}
-	maxHistory := cfg.MaxHistory
-	if maxHistory <= 0 {
-		maxHistory = 256
-	}
-	drift := cfg.DriftThreshold
-	if drift <= 0 {
-		drift = DefaultFleetDrift
-	}
 	return &Coordinator{
-		cores:      cfg.Cores,
-		shards:     shards,
-		engine:     engine,
-		clock:      clock,
-		maxHistory: maxHistory,
-		drift:      drift,
-		rejectSat:  cfg.RejectSaturated,
-		bandwidth:  cfg.Bandwidth,
-		tenants:    make(map[string]*tenantState),
+		cores:     cfg.Cores,
+		shards:    shards,
+		engine:    policy.NewSophon(),
+		clock:     clock,
+		bandwidth: cfg.Bandwidth,
+		tenants:   make(map[string]*tenantState),
 	}, nil
 }
 
@@ -245,30 +202,12 @@ func (c *Coordinator) Admit(t Tenant) (policy.PlanProvider, error) {
 	if t.Trace == nil || t.Trace.N() == 0 {
 		return nil, fmt.Errorf("sched: tenant %q has an empty trace", t.Name)
 	}
-	if t.JobID != 0 {
-		for _, name := range c.order {
-			if c.tenants[name].JobID == t.JobID {
-				return nil, fmt.Errorf("sched: tenant %q: wire JobID %d already claimed by %q", t.Name, t.JobID, name)
-			}
-		}
-	}
 	env := t.Env
 	env.StorageCores = 0
 	env.Bandwidth = c.bandwidth
 	env.Shards = c.shards
 	if err := env.Validate(); err != nil {
 		return nil, fmt.Errorf("sched: tenant %q: %w", t.Name, err)
-	}
-	if c.rejectSat && c.cores > 0 {
-		starved, err := c.wouldStarveLocked(t)
-		if err != nil {
-			return nil, err
-		}
-		if starved {
-			c.rejections++
-			return nil, fmt.Errorf("sched: tenant %q: %w (%d/%d cores granted, transfer-only floor refused)",
-				t.Name, ErrFleetSaturated, c.cores, c.cores)
-		}
 	}
 	st := &tenantState{Tenant: t}
 	c.tenants[t.Name] = st
@@ -280,63 +219,6 @@ func (c *Coordinator) Admit(t Tenant) (policy.PlanProvider, error) {
 		return nil, err
 	}
 	return st.feed, nil
-}
-
-// wouldStarveLocked dry-runs the water-filling allocator with candidate t
-// included — no coordinator state is touched — and reports whether t would
-// land at zero cores with the budget exhausted while a core would actually
-// cut its epoch time. The dry run happens BEFORE Admit mutates anything
-// because replanLocked publishes snapshots to earlier tenants mid-loop and
-// cannot be rolled back. Called with c.mu held.
-func (c *Coordinator) wouldStarveLocked(t Tenant) (bool, error) {
-	totalWeight := t.weight()
-	for _, name := range c.order {
-		totalWeight += c.tenants[name].weight()
-	}
-	jobs := make([]Job, 0, len(c.order)+1)
-	weights := make([]float64, 0, len(c.order)+1)
-	for _, name := range c.order {
-		st := c.tenants[name]
-		env := st.Env
-		env.Bandwidth = c.bandwidth * st.weight() / totalWeight
-		env.Shards = c.shards
-		jobs = append(jobs, Job{Name: name, Trace: st.Trace, Env: env})
-		weights = append(weights, st.weight())
-	}
-	env := t.Env
-	env.StorageCores = 0
-	env.Bandwidth = c.bandwidth * t.weight() / totalWeight
-	env.Shards = c.shards
-	cand := Job{Name: t.Name, Trace: t.Trace, Env: env}
-	jobs = append(jobs, cand)
-	weights = append(weights, t.weight())
-
-	ev := newEvaluator(c.engine)
-	granted, _, err := waterFill(jobs, weights, c.cores, ev)
-	if err != nil {
-		return false, fmt.Errorf("sched: saturation probe for %q: %w", t.Name, err)
-	}
-	if granted[t.Name] > 0 {
-		return false, nil
-	}
-	used := 0
-	for _, g := range granted {
-		used += g
-	}
-	if used < c.cores {
-		// Cores are idle: the candidate landed at zero because offloading
-		// doesn't help it, not because the fleet is full. Admit it.
-		return false, nil
-	}
-	at0, err := ev.evaluate(cand, 0)
-	if err != nil {
-		return false, err
-	}
-	at1, err := ev.evaluate(cand, 1)
-	if err != nil {
-		return false, err
-	}
-	return at1.time < at0.time, nil
 }
 
 // Depart removes a tenant and replans the remaining fleet, which typically
@@ -367,7 +249,7 @@ func (c *Coordinator) ObserveBandwidth(measured float64) (bool, error) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if math.Abs(measured-c.bandwidth)/c.bandwidth < c.drift {
+	if math.Abs(measured-c.bandwidth)/c.bandwidth < fleetDrift {
 		return false, nil
 	}
 	c.bandwidth = measured
@@ -399,26 +281,6 @@ func (c *Coordinator) Grants() map[string]Grant {
 	return out
 }
 
-// AdmissionWeight resolves a wire JobID to the owning tenant's fair-share
-// weight — the bridge between the fleet's planned shares and the storage
-// tier's admission queue. Plug it into storage.AdmissionConfig.Weight so
-// requests drain in the same proportions the coordinator granted bandwidth.
-// Unknown or unset (0) JobIDs weigh 1, and departures fall back to 1
-// automatically. Safe for concurrent use from the serving hot path.
-func (c *Coordinator) AdmissionWeight(jobID uint64) float64 {
-	if jobID == 0 {
-		return 1
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, st := range c.tenants {
-		if st.JobID == jobID {
-			return st.weight()
-		}
-	}
-	return 1
-}
-
 // Generation returns the current fleet plan generation.
 func (c *Coordinator) Generation() uint64 {
 	c.mu.Lock()
@@ -444,7 +306,6 @@ func (c *Coordinator) Status() FleetStatus {
 		Shards:     c.shards,
 		Cores:      c.cores,
 		Bandwidth:  c.bandwidth,
-		Rejections: c.rejections,
 		Tenants:    make([]TenantStatus, 0, len(c.order)),
 		History:    append([]FleetEvent(nil), c.history...),
 	}
@@ -540,8 +401,8 @@ func (c *Coordinator) replanLocked(reason string) error {
 		Bandwidth:  c.bandwidth,
 		At:         c.clock.Now(),
 	})
-	if len(c.history) > c.maxHistory {
-		c.history = c.history[len(c.history)-c.maxHistory:]
+	if len(c.history) > maxFleetHistory {
+		c.history = c.history[len(c.history)-maxFleetHistory:]
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"testing"
 	"time"
 
@@ -314,108 +313,3 @@ func TestCoordinatorRespectsCoreBudget(t *testing.T) {
 }
 
 var _ policy.PlanProvider = (*policy.PlanFeed)(nil)
-
-// TestRejectSaturated: with one shared core and RejectSaturated on, the
-// second tenant — which would land at the transfer-only floor even though a
-// core would help it — is refused with the typed error, and the refusal
-// leaves no trace in the fleet beyond the rejection counter.
-func TestRejectSaturated(t *testing.T) {
-	cfg := FleetConfig{
-		Cores:           1,
-		Bandwidth:       netsim.Mbps(300),
-		Clock:           simclock.NewVirtual(time.Unix(0, 0)),
-		RejectSaturated: true,
-	}
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(fleetTenant(t, "a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Grants()["a"].Cores; got != 1 {
-		t.Fatalf("tenant a holds %d cores, want the whole budget (1) for a saturation test", got)
-	}
-	genBefore := c.Generation()
-
-	_, err = c.Admit(fleetTenant(t, "b", 2))
-	if !errors.Is(err, ErrFleetSaturated) {
-		t.Fatalf("saturated admission returned %v, want ErrFleetSaturated", err)
-	}
-	if g := c.Generation(); g != genBefore {
-		t.Fatalf("rejection bumped the generation %d → %d", genBefore, g)
-	}
-	if _, ok := c.Grants()["b"]; ok {
-		t.Fatal("rejected tenant left a grant behind")
-	}
-	st := c.Status()
-	if st.Rejections != 1 {
-		t.Fatalf("Rejections = %d, want 1", st.Rejections)
-	}
-	if len(st.Tenants) != 1 {
-		t.Fatalf("fleet has %d tenants after rejection, want 1", len(st.Tenants))
-	}
-
-	// After the incumbent departs, the same tenant is admitted.
-	if err := c.Depart("a"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(fleetTenant(t, "b", 2)); err != nil {
-		t.Fatalf("admission after drain: %v", err)
-	}
-}
-
-// TestRejectSaturatedDefaultOff: the historical behavior — admit at zero
-// cores with a transfer-only plan — is unchanged unless opted into.
-func TestRejectSaturatedDefaultOff(t *testing.T) {
-	cfg := FleetConfig{
-		Cores:     1,
-		Bandwidth: netsim.Mbps(300),
-		Clock:     simclock.NewVirtual(time.Unix(0, 0)),
-	}
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(fleetTenant(t, "a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(fleetTenant(t, "b", 2)); err != nil {
-		t.Fatalf("default config rejected a tenant: %v", err)
-	}
-	grants := c.Grants()
-	if grants["a"].Cores+grants["b"].Cores != 1 {
-		t.Fatalf("grants %v don't sum to the budget", grants)
-	}
-	if grants["b"].Plan == nil {
-		t.Fatal("zero-core tenant has no plan")
-	}
-	if c.Status().Rejections != 0 {
-		t.Fatalf("Rejections = %d without RejectSaturated", c.Status().Rejections)
-	}
-}
-
-// TestRejectSaturatedIdleCores: a candidate that would be granted zero cores
-// while cores sit idle (offloading doesn't help it) is still admitted — the
-// fleet isn't saturated, the tenant just doesn't want cores.
-func TestRejectSaturatedIdleCores(t *testing.T) {
-	cfg := FleetConfig{
-		Cores:           64, // far more than two tenants can use
-		Bandwidth:       netsim.Mbps(4000),
-		Clock:           simclock.NewVirtual(time.Unix(0, 0)),
-		RejectSaturated: true,
-	}
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(fleetTenant(t, "a", 1)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit(fleetTenant(t, "b", 2)); err != nil {
-		t.Fatalf("unsaturated fleet rejected a tenant: %v", err)
-	}
-	if c.Status().Rejections != 0 {
-		t.Fatalf("Rejections = %d on an unsaturated fleet", c.Status().Rejections)
-	}
-}

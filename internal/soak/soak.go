@@ -282,7 +282,6 @@ func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 		// though worker completion order is not.
 		var dispatched atomic.Int64
 		flipAt := int64(cfg.Samples + cfg.Samples/2)
-		tcfg.PrepMetrics = &prepsched.Metrics{}
 		tcfg.Classify = func(sample int) prepsched.Class {
 			salt, pct := uint64(0xA11CE), uint64(8)
 			if dispatched.Add(1) > flipAt {

@@ -53,9 +53,6 @@ type AdmissionConfig struct {
 	// RetryAfter is the backoff hint carried by rejections
 	// (0 → DefaultRetryAfterHint).
 	RetryAfter time.Duration
-	// Weight maps a tenant (wire JobID) to its fair-share weight in the
-	// admission queue; nil or non-positive results mean weight 1.
-	Weight func(tenant uint64) float64
 }
 
 // AdmissionStats is a point-in-time controller snapshot for /stats.
@@ -73,7 +70,7 @@ type AdmissionStats struct {
 // the per-connection MaxInFlight semaphore, it bounds the total bytes in
 // flight across ALL connections (and across every server sharing the
 // controller — cluster.Launch threads one controller through all shards),
-// queues excess requests per tenant in weighted fair order, and sheds load
+// queues excess requests per tenant in fair order, and sheds load
 // with retry-after rejections once a tenant's queue is full. Shedding keeps
 // tail latency bounded under open-loop overload: the alternative —
 // unbounded queueing — takes p99 to the queue length.
@@ -85,7 +82,6 @@ type AdmissionStats struct {
 type AdmissionController struct {
 	maxBytes   int64
 	retryAfter time.Duration
-	weight     func(uint64) float64
 
 	mu     sync.Mutex
 	budget *wfq.Budget // a queued Item.Value is a chan struct{}, closed on grant
@@ -115,7 +111,6 @@ func NewAdmissionController(cfg AdmissionConfig) (*AdmissionController, error) {
 	return &AdmissionController{
 		maxBytes:   cfg.MaxInFlightBytes,
 		retryAfter: cfg.RetryAfter,
-		weight:     cfg.Weight,
 		budget:     wfq.NewBudget(cfg.MaxInFlightBytes, cfg.MaxQueuePerTenant),
 	}, nil
 }
@@ -137,12 +132,8 @@ func (c *AdmissionController) Acquire(tenant uint64, bytes int64, cancel <-chan 
 	if bytes < 1 {
 		bytes = 1
 	}
-	var w float64 // non-positive: the queue's default weight of 1
-	if c.weight != nil {
-		w = c.weight(tenant)
-	}
 	c.mu.Lock()
-	verdict, item := c.budget.Admit(tenant, w, bytes)
+	verdict, item := c.budget.Admit(tenant, 1, bytes) // every tenant weighs the same
 	switch verdict {
 	case wfq.Admitted:
 		c.mu.Unlock()

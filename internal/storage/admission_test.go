@@ -255,33 +255,25 @@ func TestAdmissionCompletesEveryRequest(t *testing.T) {
 	}
 }
 
-func TestAdmissionWeightedGrantOrder(t *testing.T) {
-	c, _ := NewAdmissionController(AdmissionConfig{
-		MaxInFlightBytes: 10,
-		Weight: func(tenant uint64) float64 {
-			if tenant == 1 {
-				return 4
-			}
-			return 1
-		},
-	})
+// TestAdmissionFairGrantOrder: tenants queue separately and share the budget
+// equally, so a tenant arriving behind another's backlog is not served last
+// the way one FIFO would serve it.
+func TestAdmissionFairGrantOrder(t *testing.T) {
+	c, _ := NewAdmissionController(AdmissionConfig{MaxInFlightBytes: 10})
 	rel, err := c.Acquire(9, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Queue 4 requests for tenant 1 and 4 for tenant 2, then release one
-	// byte-budget at a time and observe the grant order: weight 4 should
-	// drain ~4x faster.
+	// Queue 6 budget-sized requests for tenant 1, then 2 for tenant 2, and
+	// release one budget at a time to observe the grant order.
 	var order []uint64
 	var mu sync.Mutex
 	var wg sync.WaitGroup
-	ready := make(chan struct{}, 8)
-	for i := 0; i < 4; i++ {
-		for _, tenant := range []uint64{1, 2} {
+	queue := func(tenant uint64, n, depth int) {
+		for i := 0; i < n; i++ {
 			wg.Add(1)
-			go func(tenant uint64) {
+			go func() {
 				defer wg.Done()
-				ready <- struct{}{}
 				r, err := c.Acquire(tenant, 10, nil)
 				if err != nil {
 					t.Error(err)
@@ -291,25 +283,22 @@ func TestAdmissionWeightedGrantOrder(t *testing.T) {
 				order = append(order, tenant)
 				mu.Unlock()
 				r()
-			}(tenant)
+			}()
 		}
+		waitFor(t, func() bool { return c.Stats().QueueDepth == depth })
 	}
-	for i := 0; i < 8; i++ {
-		<-ready
-	}
-	waitFor(t, func() bool { return c.Stats().QueueDepth == 8 })
+	queue(1, 6, 6)
+	queue(2, 2, 8)
 	rel()
 	wg.Wait()
-	// With weights 4:1 and equal costs, tenant 1's virtual finish times
-	// are 4x denser: the first half of grants should be mostly tenant 1.
-	t1First := 0
+	late := 0
 	for _, tenant := range order[:4] {
-		if tenant == 1 {
-			t1First++
+		if tenant == 2 {
+			late++
 		}
 	}
-	if t1First < 3 {
-		t.Fatalf("grant order %v: want tenant 1 to dominate the first half", order)
+	if late != 2 {
+		t.Fatalf("grant order %v: want both of tenant 2's requests among the first four", order)
 	}
 }
 

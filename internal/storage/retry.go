@@ -148,24 +148,33 @@ type ReconnectingClient struct {
 	rng     *rand.Rand // jitter draws, guarded by mu
 }
 
-// NewReconnecting dials eagerly and returns a client that survives
-// connection failures. attempts is the per-operation try count (≥ 1);
-// backoff is the constant pause before each redial (no growth, no jitter).
-// For jittered exponential backoff use NewReconnectingWithPolicy.
-func NewReconnecting(dial func() (*Client, error), attempts int, backoff time.Duration, clock simclock.Clock) (*ReconnectingClient, error) {
+// ConstantBackoff is the policy of attempts tries per operation (≥ 1) with
+// the same pause before each redial: no growth, no jitter.
+func ConstantBackoff(attempts int, backoff time.Duration) (RetryPolicy, error) {
 	if attempts < 1 {
-		return nil, fmt.Errorf("storage: attempts %d < 1", attempts)
+		return RetryPolicy{}, fmt.Errorf("storage: attempts %d < 1", attempts)
 	}
 	if backoff <= 0 {
 		backoff = -1 // explicit "no pause", not "use the default"
 	}
-	return NewReconnectingWithPolicy(dial, RetryPolicy{
+	return RetryPolicy{
 		Attempts:    attempts,
 		BaseBackoff: backoff,
 		MaxBackoff:  backoff,
 		Multiplier:  1,
 		Jitter:      -1,
-	}, clock)
+	}, nil
+}
+
+// NewReconnecting dials eagerly and returns a client that survives
+// connection failures, retrying under ConstantBackoff(attempts, backoff).
+// For jittered exponential backoff use NewReconnectingWithPolicy.
+func NewReconnecting(dial func() (*Client, error), attempts int, backoff time.Duration, clock simclock.Clock) (*ReconnectingClient, error) {
+	policy, err := ConstantBackoff(attempts, backoff)
+	if err != nil {
+		return nil, err
+	}
+	return NewReconnectingWithPolicy(dial, policy, clock)
 }
 
 // NewReconnectingWithPolicy dials eagerly and returns a client whose retry

@@ -116,10 +116,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 // Counters exposes the server's accounting (read with atomic loads).
 func (s *Server) Counters() *Counters { return s.counters }
 
-// Admission exposes the server's admission controller (nil when admission
-// control is disabled), so monitors can snapshot budget and shed counters.
-func (s *Server) Admission() *AdmissionController { return s.admission }
-
 // ErrServerClosed is returned by Serve after Close.
 var ErrServerClosed = errors.New("storage: server closed")
 

@@ -4,16 +4,13 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"repro/internal/cache"
 )
 
 // newTrainer builds a Trainer and, at test cleanup, closes it and checks the
 // loader left nothing behind — whichever way its last epoch ended (drained,
 // aborted on the first error, or degraded around a dead shard): no goroutine
-// beyond those running before New, no staged bytes on the scheduler's gauge
-// or on a cache.Staging ledger the config shared, no sample stranded in the
-// prep pool.
+// beyond those running before New, no staged bytes on the scheduler's gauge,
+// no sample stranded in the prep pool.
 func newTrainer(t testing.TB, cfg Config) *Trainer {
 	t.Helper()
 	// A server is still spawning the handlers of a session dialled just
@@ -35,11 +32,6 @@ func newTrainer(t testing.TB, cfg Config) *Trainer {
 		tr.Close()
 		if b := tr.PrefetchMetrics().Snapshot().StagedBytes; b != 0 {
 			t.Errorf("loader teardown: %d bytes still staged", b)
-		}
-		if l, ok := cfg.StagingLedger.(*cache.Staging); ok {
-			if b := l.Snapshot().UsedBytes; b != 0 {
-				t.Errorf("loader teardown: %d bytes still charged to the shared staging ledger", b)
-			}
 		}
 		if tr.pool != nil {
 			if n := tr.pool.Pending(); n != 0 {

@@ -4,14 +4,12 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cache"
 	"repro/internal/chaos"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/prefetch"
 	"repro/internal/prepsched"
 	"repro/internal/storage"
 )
@@ -32,10 +30,6 @@ func TestLookaheadConfigValidation(t *testing.T) {
 		t.Fatalf("staging default %d, want %d", tr.cfg.StagingBytes, DefaultStagingBytes)
 	}
 
-	ledger, err := cache.NewStaging(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, tc := range []struct {
 		name string
 		mut  func(*Config)
@@ -44,7 +38,6 @@ func TestLookaheadConfigValidation(t *testing.T) {
 		{"horizon alone", func(c *Config) { c.LookaheadHorizon = 2 }},
 		{"staging alone", func(c *Config) { c.StagingBytes = 1 << 10 }},
 		{"unbounded staging", func(c *Config) { c.StagingBytes = -1 }},
-		{"ledger alone", func(c *Config) { c.StagingLedger = ledger }},
 	} {
 		cfg := h.config()
 		tc.mut(&cfg)
@@ -54,9 +47,6 @@ func TestLookaheadConfigValidation(t *testing.T) {
 		} else if r.Samples != n {
 			t.Errorf("%s: trained %d of %d samples", tc.name, r.Samples, n)
 		}
-	}
-	if ledger.Snapshot().Reserves == 0 {
-		t.Error("a ledger set without an explicit depth was never charged")
 	}
 
 	for _, tc := range []struct {
@@ -216,11 +206,6 @@ func TestLookaheadDegradedPartition(t *testing.T) {
 	c, cfg := lookaheadCluster(t, n, 3, &chaos.Plan{Seed: 2})
 	cfg.Lookahead = 6
 	cfg.LookaheadHorizon = n // deep: the whole epoch is eligible
-	ledger, err := cache.NewStaging(1 << 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.StagingLedger = ledger
 	owned := len(c.ShardMap().Owned(n, 1))
 	if owned == 0 {
 		t.Fatal("shard 1 owns nothing; test is vacuous")
@@ -287,5 +272,4 @@ func TestLookaheadReplanRotatesCuts(t *testing.T) {
 	if got := tr.PrefetchMetrics().Snapshot().Replans; got != 1 {
 		t.Fatalf("replans counter %d, want 1", got)
 	}
-	var _ prefetch.Ledger = (*cache.Staging)(nil) // compile-time: ledger contract
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // TestPrepschedConfigValidation: the prep-pool fields are independent. A
-// Classify function alone is enough to classify, a PrepMetrics alone
-// receives the pool's counters, and the inert VarianceAware flag changes
-// nothing without a Classify.
+// Classify function alone is enough to classify, the trainer's own
+// PrepMetrics receive the pool's counters without one, and the inert
+// VarianceAware flag changes nothing without a Classify.
 func TestPrepschedConfigValidation(t *testing.T) {
 	const n = 8
 	h := newHarness(t, n, 1)
@@ -23,26 +23,17 @@ func TestPrepschedConfigValidation(t *testing.T) {
 		t.Fatalf("Classify alone: heavy %d of %d, err %v", r.Heavy, n, err)
 	}
 
-	cfg = h.config()
-	cfg.PrepMetrics = &prepsched.Metrics{}
-	tr := newTrainer(t, cfg)
-	if tr.PrepMetrics() != cfg.PrepMetrics {
-		t.Fatal("supplied PrepMetrics not wired")
-	}
+	tr := newTrainer(t, h.config())
 	if _, err := tr.RunEpoch(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if s := cfg.PrepMetrics.Snapshot(); s.Light != n || s.Heavy != 0 {
-		t.Fatalf("PrepMetrics alone: %+v, want %d light", s, n)
+	if s := tr.PrepMetrics().Snapshot(); s.Light != n || s.Heavy != 0 {
+		t.Fatalf("PrepMetrics without Classify: %+v, want %d light", s, n)
 	}
 
 	cfg = h.config()
 	cfg.VarianceAware = true
-	tr = newTrainer(t, cfg)
-	if tr.PrepMetrics() == nil {
-		t.Fatal("no private prepsched metrics wired")
-	}
-	if r, err := tr.RunEpoch(1, nil, nil); err != nil || r.Heavy != 0 || r.Samples != n {
+	if r, err := newTrainer(t, cfg).RunEpoch(1, nil, nil); err != nil || r.Heavy != 0 || r.Samples != n {
 		t.Fatalf("VarianceAware without Classify: %+v, err %v", r, err)
 	}
 }

@@ -24,6 +24,11 @@ func decodedDims(raw []byte) (w, h int, err error) {
 	return w, h, nil
 }
 
+// ProbeSamples is the size of the adaptive loop's between-epoch link probe:
+// a few batches of samples, enough wire traffic to amortize the shaper's
+// burst allowance without rereading the dataset.
+func (t *Trainer) ProbeSamples() int { return min(4*t.cfg.BatchSize, t.n) }
+
 // MeasureBandwidth estimates the storage link's current throughput in
 // bytes/second by fetching n raw samples serially over the shared session
 // and timing the wire bytes — the stage-1 I/O probe repurposed for the

@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
-	"repro/internal/metrics"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/prefetch"
@@ -50,14 +49,6 @@ type Config struct {
 	// StagingBytes budgets the artifacts fetched but not yet consumed;
 	// 0 means DefaultStagingBytes, negative means unbounded.
 	StagingBytes int64
-	// StagingLedger, when non-nil, additionally charges staged bytes to an
-	// external accountant (cache.Staging) — share one across trainers to
-	// bound their combined staging footprint.
-	StagingLedger prefetch.Ledger
-	// PrefetchMetrics receives the scheduler's instrumentation (the
-	// monitor's sophon_prefetch_* block); nil means a private Metrics,
-	// still readable via Trainer.PrefetchMetrics.
-	PrefetchMetrics *prefetch.Metrics
 	// VarianceAware is not read: a non-nil Classify is the condition. It
 	// stays declared only until benchmarks/ stops assigning it.
 	VarianceAware bool
@@ -70,10 +61,6 @@ type Config struct {
 	// preprocessing is deterministic in (job, epoch, sample) per cut, so
 	// only completion timing changes.
 	Classify func(sample int) prepsched.Class
-	// PrepMetrics receives the prep pool's instrumentation (the monitor's
-	// sophon_prepsched_* block); nil means a private Metrics, still readable
-	// via Trainer.PrepMetrics.
-	PrepMetrics *prepsched.Metrics
 	// ComputeCores bounds concurrent local preprocessing; 0 means Workers.
 	ComputeCores int
 	// Pipeline is the preprocessing pipeline (must match the server's).
@@ -92,11 +79,6 @@ type Config struct {
 	// FetchBatchSize groups this many samples per storage round trip
 	// (capped at wire.MaxBatchItems); 0 or 1 means per-sample fetches.
 	FetchBatchSize int
-	// Metrics, when non-nil, receives per-sample instrumentation:
-	// counters trainer.samples / trainer.bytes_fetched / trainer.epochs /
-	// trainer.samples_failed, histograms trainer.fetch_seconds /
-	// trainer.preprocess_seconds.
-	Metrics *metrics.Registry
 	// DegradedMode keeps an epoch alive through per-sample fetch failures
 	// (e.g. a dead shard of a sharded storage tier): failed samples are
 	// skipped and counted in EpochReport.Failed instead of aborting the
@@ -118,8 +100,8 @@ type Trainer struct {
 	// snap is the live plan snapshot epochs read splits from; it can rotate
 	// mid-epoch via ApplySnapshot without restarting the stream.
 	snap atomic.Pointer[policy.PlanSnapshot]
-	pf   *prefetch.Metrics
-	ps   *prepsched.Metrics
+	pf   prefetch.Metrics
+	ps   prepsched.Metrics
 	// pool is the latest epoch's prep pool, kept so a torn-down epoch can be
 	// checked for stranded samples.
 	pool *prepsched.Pool[prefetch.Item]
@@ -205,13 +187,7 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.Classify == nil {
 		cfg.Classify = func(int) prepsched.Class { return prepsched.Light }
 	}
-	t := &Trainer{cfg: cfg, pf: cfg.PrefetchMetrics, ps: cfg.PrepMetrics}
-	if t.pf == nil {
-		t.pf = &prefetch.Metrics{}
-	}
-	if t.ps == nil {
-		t.ps = &prepsched.Metrics{}
-	}
+	t := &Trainer{cfg: cfg}
 	c, err := cfg.DialClient()
 	if err != nil {
 		return nil, fmt.Errorf("trainsim: dial: %w", err)
@@ -242,10 +218,10 @@ func (t *Trainer) Close() {
 }
 
 // PrefetchMetrics exposes the fetch scheduler's counters.
-func (t *Trainer) PrefetchMetrics() *prefetch.Metrics { return t.pf }
+func (t *Trainer) PrefetchMetrics() *prefetch.Metrics { return &t.pf }
 
 // PrepMetrics exposes the prep pool's counters.
-func (t *Trainer) PrepMetrics() *prepsched.Metrics { return t.ps }
+func (t *Trainer) PrepMetrics() *prepsched.Metrics { return &t.ps }
 
 // ApplySnapshot rotates the live plan mid-epoch: the epoch's scheduler reads
 // splits at issue time, so every stream entry not yet issued is fetched
@@ -330,9 +306,6 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 		}
 		if out.failed {
 			report.Failed++
-			if t.cfg.Metrics != nil {
-				t.cfg.Metrics.Counter("trainer.samples_failed").Inc()
-			}
 			continue
 		}
 		report.Samples++
@@ -363,9 +336,6 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 	if report.Duration > 0 {
 		report.GPUUtilization = gpu.Utilization(report.GPUBusy, report.Duration)
 	}
-	if t.cfg.Metrics != nil {
-		t.cfg.Metrics.Counter("trainer.epochs").Inc()
-	}
 	return report, nil
 }
 
@@ -384,10 +354,10 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 // stop tears the loader down in dependency order and is safe after a normal
 // drain: cancel the context (unblocks in-flight fetches), stop the pool
 // (unblocks the dispatcher's Dispatch), stop the scheduler (unblocks its
-// Next and returns unconsumed staged bytes to the ledger), then wait for the
+// Next and zeroes the staged-bytes gauge), then wait for the
 // issue goroutines and the dispatcher.
 func (t *Trainer) startLoader(ctx context.Context, cancel context.CancelFunc, epoch uint64, plan *policy.Plan, collector *profiler.Collector) (<-chan sampleOutcome, func(), error) {
-	pool, err := prepsched.NewPool[prefetch.Item](t.cfg.Workers, 2*max(t.cfg.Workers, t.cfg.BatchSize), t.ps)
+	pool, err := prepsched.NewPool[prefetch.Item](t.cfg.Workers, 2*max(t.cfg.Workers, t.cfg.BatchSize), &t.ps)
 	if err != nil {
 		return nil, nil, fmt.Errorf("trainsim: prep pool: %w", err)
 	}
@@ -478,27 +448,14 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 		return directiveFor(plan, sample)
 	}
 	fetch := func(shard int, samples []uint32, splits []int) ([]storage.FetchResult, error) {
-		fetchStart := time.Now()
 		rctx := ctx
 		if s := t.snap.Load(); s != nil {
 			rctx = storage.WithPlanVersion(ctx, uint32(s.Version))
 		}
-		var res []storage.FetchResult
-		var err error
 		if router != nil {
-			res, err = router.FetchShard(rctx, shard, samples, splits, epoch)
-		} else {
-			res, err = t.client.FetchBatch(rctx, samples, splits, epoch)
+			return router.FetchShard(rctx, shard, samples, splits, epoch)
 		}
-		if err != nil {
-			return nil, err
-		}
-		var bytes int
-		for _, r := range res {
-			bytes += r.WireBytes
-		}
-		t.observeFetch(time.Since(fetchStart), len(res), bytes)
-		return res, nil
+		return t.client.FetchBatch(rctx, samples, splits, epoch)
 	}
 	sched, err := prefetch.NewScheduler(prefetch.Config{
 		Order:        prefetch.Order(t.cfg.JobID, epoch, t.n, t.cfg.Shuffle),
@@ -508,12 +465,11 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 		BatchSize:    t.cfg.FetchBatchSize,
 		Horizon:      horizon,
 		StagingBytes: max(t.cfg.StagingBytes, 0), // negative: unbounded
-		Ledger:       t.cfg.StagingLedger,
 		Split:        split,
 		Fetch:        fetch,
 		FailFast:     t.cfg.DegradedMode,
 		Down:         func(err error) bool { return errors.Is(err, cluster.ErrShardDown) },
-		Metrics:      t.pf,
+		Metrics:      &t.pf,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("trainsim: prefetch: %w", err)
@@ -551,17 +507,6 @@ func directiveFor(plan *policy.Plan, i int) int {
 		return s
 	}
 	return storage.PackDirective(0, plan.FidelityOf(i))
-}
-
-// observeFetch records fetch instrumentation when a registry is attached.
-func (t *Trainer) observeFetch(d time.Duration, samples, bytes int) {
-	m := t.cfg.Metrics
-	if m == nil {
-		return
-	}
-	m.Histogram("trainer.fetch_seconds").Observe(d)
-	m.Counter("trainer.samples").Add(int64(samples))
-	m.Counter("trainer.bytes_fetched").Add(int64(bytes))
 }
 
 // finishSample runs the local part of one sample's preprocessing (or the
@@ -610,13 +555,9 @@ func (t *Trainer) finishSample(res storage.FetchResult, epoch uint64, i, split i
 	// The simulated training step consumes the tensor by time, not by value;
 	// return its pooled buffer so steady-state training stops allocating.
 	out.Release()
-	localCPU := time.Since(cpuStart)
-	if t.cfg.Metrics != nil {
-		t.cfg.Metrics.Histogram("trainer.preprocess_seconds").Observe(localCPU)
-	}
 	return sampleOutcome{
 		wireBytes: res.WireBytes,
-		localCPU:  localCPU,
+		localCPU:  time.Since(cpuStart),
 		offloaded: split > 0,
 	}
 }

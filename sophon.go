@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"time"
 
 	"repro/internal/cache"
 	"repro/internal/core"
@@ -194,8 +193,6 @@ type ClusterConfig struct {
 	CropSize int
 	// StorageCores is the storage node's preprocessing core budget.
 	StorageCores int
-	// StorageSlowdown models weaker storage CPUs; zero means 1.
-	StorageSlowdown float64
 	// BandwidthMbps caps the storage→compute link; zero means unshaped.
 	BandwidthMbps float64
 	// ChaosConnBudget, when positive, kills every accepted connection
@@ -221,9 +218,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumSamples <= 0 {
 		return nil, errors.New("sophon: NumSamples must be positive")
 	}
-	if cfg.StorageSlowdown == 0 {
-		cfg.StorageSlowdown = 1
-	}
 	set, err := dataset.NewSyntheticImageSet(dataset.SyntheticOptions{
 		Name:   cfg.DatasetName,
 		N:      cfg.NumSamples,
@@ -239,12 +233,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	p := pipeline.Standard(pipeline.StandardOptions{CropSize: cfg.CropSize, FlipP: -1})
-	srv, err := storage.NewServer(storage.ServerConfig{
-		Store:    store,
-		Pipeline: p,
-		Cores:    cfg.StorageCores,
-		Slowdown: cfg.StorageSlowdown,
-	})
+	srv, err := storage.NewServer(storage.ServerConfig{Store: store, Pipeline: p, Cores: cfg.StorageCores})
 	if err != nil {
 		return nil, err
 	}
@@ -331,10 +320,6 @@ func (c *Cluster) Close() error { return c.server.Close() }
 type TrainerOptions struct {
 	// Workers is the loader parallelism; zero means 4.
 	Workers int
-	// ComputeCores bounds concurrent local preprocessing; zero = Workers.
-	ComputeCores int
-	// GPU selects the accelerator profile; the zero value means AlexNet.
-	GPU GPUModel
 	// BatchSize is the per-step batch; zero means 32.
 	BatchSize int
 	// JobID seeds augmentations.
@@ -344,20 +329,9 @@ type TrainerOptions struct {
 	// FetchBatchSize groups this many samples per storage round trip;
 	// 0 or 1 means per-sample fetches.
 	FetchBatchSize int
-	// Lookahead is the number of fetch round trips kept in flight on the
-	// shared storage session; zero means 2×Workers.
-	Lookahead int
-	// RequestTimeout bounds each storage round trip; zero means the
-	// client default (30s), negative disables the timeout.
-	RequestTimeout time.Duration
-	// MaxInFlight caps concurrent requests the session admits; zero means
-	// the client default (64).
-	MaxInFlight int
 	// RetryAttempts, when > 1, wraps the session with transparent
-	// reconnect-and-retry (surviving flaky links).
+	// reconnect-and-retry (surviving flaky links), redialing at once.
 	RetryAttempts int
-	// RetryBackoff is the pause before each redial.
-	RetryBackoff time.Duration
 	// CacheBytes, when positive, puts a no-evict local raw-object cache
 	// of that capacity in front of the storage client (shared across the
 	// trainer's workers).
@@ -380,10 +354,6 @@ type Trainer struct {
 
 // NewTrainer dials the cluster and builds a trainer.
 func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
-	g := opts.GPU
-	if !g.Valid() {
-		g = gpu.AlexNet
-	}
 	var sharedCache cache.Cache
 	if opts.CacheBytes > 0 {
 		var err error
@@ -392,17 +362,11 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 			return nil, err
 		}
 	}
-	dialSession := func() (*storage.Client, error) {
-		return storage.DialWithOptions(c.addr, storage.ClientOptions{
-			JobID:          opts.JobID,
-			RequestTimeout: opts.RequestTimeout,
-			MaxInFlight:    opts.MaxInFlight,
-		})
-	}
+	dialSession := func() (*storage.Client, error) { return c.Dial(opts.JobID) }
 	dial := func() (storage.Fetcher, error) {
 		var client storage.Fetcher
 		if opts.RetryAttempts > 1 {
-			rc, err := storage.NewReconnecting(dialSession, opts.RetryAttempts, opts.RetryBackoff, nil)
+			rc, err := storage.NewReconnecting(dialSession, opts.RetryAttempts, 0, nil)
 			if err != nil {
 				return nil, err
 			}
@@ -430,14 +394,12 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 	inner, err := trainsim.New(trainsim.Config{
 		DialClient:     dial,
 		Workers:        opts.Workers,
-		ComputeCores:   opts.ComputeCores,
 		Pipeline:       c.pipe,
-		GPU:            g,
+		GPU:            gpu.AlexNet,
 		BatchSize:      opts.BatchSize,
 		JobID:          opts.JobID,
 		Shuffle:        opts.Shuffle,
 		FetchBatchSize: opts.FetchBatchSize,
-		Lookahead:      opts.Lookahead,
 	})
 	if err != nil {
 		return nil, err
@@ -559,12 +521,6 @@ func (t *Trainer) AutoTrainAdaptive(epochs int, env Env, probeBatches int, drift
 	if err != nil {
 		return AdaptiveTrainResult{}, err
 	}
-	// The probe covers a few batches of samples: enough wire traffic to
-	// amortize the shaper's burst allowance without rereading the dataset.
-	probeSamples := 4 * 32
-	if probeSamples > t.n {
-		probeSamples = t.n
-	}
 	reports := []EpochReport{first}
 	for e := 2; e <= epochs; e++ {
 		snap := ctrl.Current()
@@ -573,7 +529,7 @@ func (t *Trainer) AutoTrainAdaptive(epochs int, env Env, probeBatches int, drift
 			return AdaptiveTrainResult{}, err
 		}
 		reports = append(reports, rep)
-		bw, err := t.MeasureBandwidth(probeSamples)
+		bw, err := t.MeasureBandwidth(t.inner.ProbeSamples())
 		if err != nil {
 			return AdaptiveTrainResult{}, err
 		}
