@@ -10,6 +10,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"log"
 	"os"
 	"runtime"
 	"strings"
@@ -171,77 +172,63 @@ func writeLoadJSON(path string, seed uint64) error {
 	return nil
 }
 
-// runGate diffs two committed perf records and prints every regression past
-// the thresholds; returns false (→ exit 1) when any is found. The record
-// shape is detected from the files: two SLO records gate latency and
-// throughput with CompareSLO, two alloc-suite BENCH records gate allocs/op
-// with CompareBench (allocSlack extra allocations tolerated per kernel).
-// Mixing shapes is a usage error.
-func runGate(prevPath, curPath string, noise float64, allocSlack int64) bool {
-	read := func(path string) ([]byte, bool) {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			return nil, false
-		}
-		return data, true
+// runGate diffs two committed perf records and logs every regression past
+// the thresholds; any is an error (→ exit 1). The record shape is detected
+// from the files: two SLO records gate latency and throughput with
+// CompareSLO, two alloc-suite BENCH records gate allocs/op with CompareBench
+// (allocSlack extra allocations tolerated per kernel). Mixing shapes is a
+// usage error.
+func runGate(logger *log.Logger, prevPath, curPath string, noise float64, allocSlack int64) error {
+	prevData, err := os.ReadFile(prevPath)
+	if err != nil {
+		return err
 	}
-	prevData, ok := read(prevPath)
-	if !ok {
-		return false
-	}
-	curData, ok := read(curPath)
-	if !ok {
-		return false
+	curData, err := os.ReadFile(curPath)
+	if err != nil {
+		return err
 	}
 	if perfbench.IsBenchSuite(prevData) != perfbench.IsBenchSuite(curData) {
-		fmt.Fprintf(os.Stderr, "sophon-bench: %s and %s are different record shapes; gate like against like\n", prevPath, curPath)
-		return false
+		return fmt.Errorf("%s and %s are different record shapes; gate like against like", prevPath, curPath)
 	}
 
 	var regs []string
 	if perfbench.IsBenchSuite(prevData) {
 		var prev, cur perfbench.BenchRecord
 		if err := json.Unmarshal(prevData, &prev); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %s: %v\n", prevPath, err)
-			return false
+			return fmt.Errorf("%s: %w", prevPath, err)
 		}
 		if err := json.Unmarshal(curData, &cur); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %s: %v\n", curPath, err)
-			return false
+			return fmt.Errorf("%s: %w", curPath, err)
 		}
 		regs = perfbench.CompareBench(prev, cur, allocSlack)
 	} else {
-		decode := func(path string, data []byte) (perfbench.SLORecord, bool) {
-			var rec perfbench.SLORecord
+		decode := func(path string, data []byte) (rec perfbench.SLORecord, err error) {
 			if err := json.Unmarshal(data, &rec); err != nil {
-				fmt.Fprintf(os.Stderr, "sophon-bench: %s: %v\n", path, err)
-				return rec, false
+				return rec, fmt.Errorf("%s: %w", path, err)
 			}
 			if rec.Kind != "SLO" {
-				fmt.Fprintf(os.Stderr, "sophon-bench: %s: kind %q, want SLO or an alloc-suite BENCH record\n", path, rec.Kind)
-				return rec, false
+				return rec, fmt.Errorf("%s: kind %q, want SLO or an alloc-suite BENCH record", path, rec.Kind)
 			}
-			return rec, true
+			return rec, nil
 		}
-		prev, ok := decode(prevPath, prevData)
-		if !ok {
-			return false
+		prev, err := decode(prevPath, prevData)
+		if err != nil {
+			return err
 		}
-		cur, ok := decode(curPath, curData)
-		if !ok {
-			return false
+		cur, err := decode(curPath, curData)
+		if err != nil {
+			return err
 		}
 		regs = perfbench.CompareSLO(prev, cur, noise)
 	}
 	if len(regs) == 0 {
-		fmt.Fprintf(os.Stderr, "sophon-bench: gate PASS (%s vs %s)\n", curPath, prevPath)
-		return true
+		logger.Printf("gate PASS (%s vs %s)", curPath, prevPath)
+		return nil
 	}
 	for _, r := range regs {
-		fmt.Fprintf(os.Stderr, "sophon-bench: gate FAIL: %s\n", r)
+		logger.Printf("gate FAIL: %s", r)
 	}
-	return false
+	return fmt.Errorf("gate: %d regressions in %s against %s", len(regs), curPath, prevPath)
 }
 
 // writeConvertJSON folds the comma-separated record files into one

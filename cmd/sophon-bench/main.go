@@ -66,11 +66,14 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"repro/internal/cliutil"
@@ -210,66 +213,99 @@ func writeAdaptiveJSON(path string, seed uint64) error {
 }
 
 // runChaos soaks until the duration budget is spent (always at least once),
-// printing one JSON report per run. Returns false if any soak failed.
-func runChaos(seed uint64, class string, duration time.Duration) bool {
-	cl, err := soak.ParseClass(class)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-		return false
-	}
-	enc := json.NewEncoder(os.Stdout)
+// printing one JSON report per run on stdout and one line per failed soak on
+// the log. It returns an error if any soak failed.
+func runChaos(stdout io.Writer, logger *log.Logger, seed uint64, class soak.Class, duration time.Duration) error {
+	enc := json.NewEncoder(stdout)
 	deadline := time.Now().Add(duration)
-	ok := true
-	for i := 0; ; i++ {
-		rep, err := soak.Run(soak.Config{Seed: seed, Class: cl})
+	failed := 0
+	for {
+		rep, err := soak.Run(soak.Config{Seed: seed, Class: class})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: soak seed=%d: %v\n", seed, err)
-			return false
+			return fmt.Errorf("soak seed=%d: %w", seed, err)
 		}
 		enc.Encode(rep)
 		if !rep.Ok() {
-			fmt.Fprintf(os.Stderr, "sophon-bench: soak seed=%d digest=%08x FAILED: %d mismatches, %d failed (want %d)\n",
+			logger.Printf("soak seed=%d digest=%08x FAILED: %d mismatches, %d failed (want %d)",
 				seed, rep.Digest, rep.Mismatches, rep.Failed, rep.WantFailed)
-			ok = false
+			failed++
 		}
 		if !time.Now().Before(deadline) {
-			return ok
+			break
 		}
 		seed = seed*0x9E3779B97F4A7C15 + 1 // same derivation as the soak test suite
 	}
+	if failed > 0 {
+		return fmt.Errorf("%d soaks failed", failed)
+	}
+	return nil
 }
 
 func main() {
-	seed := flag.Uint64("seed", 2024, "random seed for dataset generation")
-	openImages := flag.Int("openimages", 0, "OpenImages sample-count override (0 = paper scale, 40000)")
-	imageNet := flag.Int("imagenet", 0, "ImageNet sample-count override (0 = paper scale, 91000)")
-	out := flag.String("o", "", "write the report to this file instead of stdout")
-	csvDir := flag.String("csv", "", "also write one CSV per table into this directory")
-	jsonOut := flag.String("json", "", "run the data-plane micro-benchmarks and write BENCH records to this file (skips the evaluation)")
-	chaosSeed := flag.Uint64("chaos.seed", 0, "run the deterministic chaos soak with this fault seed instead of the evaluation")
-	chaosClass := flag.String("chaos.class", "mixed", "chaos soak fault class: none|delays|corrupt|mixed|partition")
-	chaosDuration := flag.Duration("chaos.duration", 0, "keep soaking with derived seeds until this much time has passed")
-	adaptiveOut := flag.String("adaptive", "", "run the adaptive control-plane scenario (500→250 Mbps reshape) and write the JSON report to this file (skips the evaluation)")
-	prefetchOut := flag.String("prefetch", "", "run the clairvoyant-vs-reactive prefetch comparison and write the JSON report to this file (skips the evaluation)")
-	prepschedOut := flag.String("prepsched", "", "run the work-stealing-vs-FIFO preprocessing scheduler comparison and write the JSON report to this file (skips the evaluation)")
-	fleetOut := flag.String("fleet", "", "run the 100-job fleet scenario (coordinated vs independent planning on a shared tier) and write the JSON report to this file (skips the evaluation)")
-	fidelityOut := flag.String("fidelity", "", "run the progressive-fidelity evaluation (discrete vs fidelity-aware SOPHON plan, ladder calibrated from the live codec) and write the JSON report to this file (skips the evaluation)")
-	loadOut := flag.String("load", "", "run the heavy-traffic load harness (steady + overload scenarios) and write the SLO record to this file (skips the evaluation)")
-	gatePrev := flag.String("gate.prev", "", "perf-trajectory gate: committed baseline SLO record")
-	gateCur := flag.String("gate.cur", "", "perf-trajectory gate: freshly generated SLO record to check")
-	gateNoise := flag.Float64("gate.noise", 0, "gate noise threshold as a fraction (0 = default 0.10); SLO records only")
-	gateAllocSlack := flag.Int64("gate.allocslack", 0, "extra allocs/op tolerated per kernel when gating alloc-suite BENCH records")
-	convertIn := flag.String("convert", "", "comma-separated BENCH/SLO record files to fold into one TRAJECTORY file")
-	convertOut := flag.String("convert.o", "TRAJECTORY.json", "output path for -convert")
-	cliutil.Parse("sophon-bench", "Regenerates the paper's evaluation tables, micro-benchmarks, and load/SLO records.")
+	if err := run(flag.CommandLine, os.Args[1:], os.Stdout); err != nil {
+		log.New(os.Stderr, "sophon-bench: ", 0).Fatal(err)
+	}
+}
 
-	logger := log.New(os.Stderr, "sophon-bench: ", 0)
-	cliutil.ValidateInts(logger, nil,
+// run is the command: flags declared on fs (main's exits on a bad command
+// line, a test's returns the error), the log on fs.Output(), the evaluation
+// report and the chaos reports on stdout. At most one mode flag may be set;
+// with none it runs the evaluation.
+func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
+	seed := fs.Uint64("seed", 2024, "random seed for dataset generation")
+	openImages := fs.Int("openimages", 0, "OpenImages sample-count override (0 = paper scale, 40000)")
+	imageNet := fs.Int("imagenet", 0, "ImageNet sample-count override (0 = paper scale, 91000)")
+	out := fs.String("o", "", "write the report to this file instead of stdout")
+	csvDir := fs.String("csv", "", "also write one CSV per table into this directory")
+	jsonOut := fs.String("json", "", "run the data-plane micro-benchmarks and write BENCH records to this file (skips the evaluation)")
+	chaosSeed := fs.Uint64("chaos.seed", 0, "run the deterministic chaos soak with this fault seed instead of the evaluation")
+	chaosClass := fs.String("chaos.class", "mixed", "chaos soak fault class: none|delays|corrupt|mixed|partition")
+	chaosDuration := fs.Duration("chaos.duration", 0, "keep soaking with derived seeds until this much time has passed")
+	adaptiveOut := fs.String("adaptive", "", "run the adaptive control-plane scenario (500→250 Mbps reshape) and write the JSON report to this file (skips the evaluation)")
+	prefetchOut := fs.String("prefetch", "", "run the clairvoyant-vs-reactive prefetch comparison and write the JSON report to this file (skips the evaluation)")
+	prepschedOut := fs.String("prepsched", "", "run the work-stealing-vs-FIFO preprocessing scheduler comparison and write the JSON report to this file (skips the evaluation)")
+	fleetOut := fs.String("fleet", "", "run the 100-job fleet scenario (coordinated vs independent planning on a shared tier) and write the JSON report to this file (skips the evaluation)")
+	fidelityOut := fs.String("fidelity", "", "run the progressive-fidelity evaluation (discrete vs fidelity-aware SOPHON plan, ladder calibrated from the live codec) and write the JSON report to this file (skips the evaluation)")
+	loadOut := fs.String("load", "", "run the heavy-traffic load harness (steady + overload scenarios) and write the SLO record to this file (skips the evaluation)")
+	gatePrev := fs.String("gate.prev", "", "perf-trajectory gate: committed baseline SLO record")
+	gateCur := fs.String("gate.cur", "", "perf-trajectory gate: freshly generated SLO record to check")
+	gateNoise := fs.Float64("gate.noise", 0, "gate noise threshold as a fraction (0 = default 0.10); SLO records only")
+	gateAllocSlack := fs.Int64("gate.allocslack", 0, "extra allocs/op tolerated per kernel when gating alloc-suite BENCH records")
+	convertIn := fs.String("convert", "", "comma-separated BENCH/SLO record files to fold into one TRAJECTORY file")
+	convertOut := fs.String("convert.o", "TRAJECTORY.json", "output path for -convert")
+	if done, err := cliutil.ParseArgs(fs, args, "sophon-bench", "Regenerates the paper's evaluation tables, micro-benchmarks, and load/SLO records."); done || err != nil {
+		return err
+	}
+
+	logger := log.New(fs.Output(), "sophon-bench: ", 0)
+	if err := cliutil.IntError(fs, nil,
 		map[string]bool{"openimages": true, "imagenet": true},
-		map[string]int{"openimages": *openImages, "imagenet": *imageNet})
+		map[string]int{"openimages": *openImages, "imagenet": *imageNet}); err != nil {
+		return err
+	}
+	if (*gatePrev == "") != (*gateCur == "") {
+		return errors.New("-gate.prev and -gate.cur must be set together")
+	}
+	class, err := soak.ParseClass(*chaosClass)
+	if err != nil {
+		return err
+	}
+
+	var modes []string
+	fs.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "adaptive", "chaos.seed", "convert", "fidelity", "fleet", "gate.prev", "json", "load", "prefetch", "prepsched":
+			if f.Value.String() != f.DefValue {
+				modes = append(modes, "-"+f.Name)
+			}
+		}
+	})
+	if len(modes) > 1 {
+		return fmt.Errorf("%s each replace the evaluation: one a run", strings.Join(modes, " and "))
+	}
 
 	// The seeded simulator scenarios: each writes one JSON record to the path
-	// its flag names and skips the evaluation.
+	// its flag names.
 	for _, sc := range []struct {
 		out, what string
 		write     func(path string, seed uint64) error
@@ -285,68 +321,47 @@ func main() {
 			continue
 		}
 		if err := sc.write(sc.out, *seed); err != nil {
-			logger.Fatal(err)
+			return err
 		}
 		logger.Printf("%s written to %s", sc.what, sc.out)
-		return
+		return nil
 	}
-
-	if *gateCur != "" || *gatePrev != "" {
-		if *gateCur == "" || *gatePrev == "" {
-			fmt.Fprintln(os.Stderr, "sophon-bench: -gate.prev and -gate.cur must be set together")
-			os.Exit(2)
-		}
-		if !runGate(*gatePrev, *gateCur, *gateNoise, *gateAllocSlack) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *convertIn != "" {
+	switch {
+	case *gatePrev != "":
+		return runGate(logger, *gatePrev, *gateCur, *gateNoise, *gateAllocSlack)
+	case *convertIn != "":
 		if err := writeConvertJSON(*convertIn, *convertOut); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: trajectory written to %s\n", *convertOut)
-		return
-	}
-
-	if *chaosSeed != 0 {
-		if !runChaos(*chaosSeed, *chaosClass, *chaosDuration) {
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *jsonOut != "" {
+		logger.Printf("trajectory written to %s", *convertOut)
+		return nil
+	case *chaosSeed != 0:
+		return runChaos(stdout, logger, *chaosSeed, class, *chaosDuration)
+	case *jsonOut != "":
 		if err := writeBenchJSON(*jsonOut); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: BENCH records written to %s\n", *jsonOut)
-		return
+		logger.Printf("BENCH records written to %s", *jsonOut)
+		return nil
 	}
 
-	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		defer f.Close()
-		w = f
+		stdout = f
 	}
 	opts := eval.Options{Seed: *seed, OpenImages: *openImages, ImageNet: *imageNet}
-	if err := eval.RunAll(opts, w); err != nil {
-		fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-		os.Exit(1)
+	if err := eval.RunAll(opts, stdout); err != nil {
+		return err
 	}
 	if *csvDir != "" {
 		if err := eval.WriteCSVDir(opts, *csvDir); err != nil {
-			fmt.Fprintf(os.Stderr, "sophon-bench: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "sophon-bench: CSVs written to %s\n", *csvDir)
+		logger.Printf("CSVs written to %s", *csvDir)
 	}
+	return nil
 }

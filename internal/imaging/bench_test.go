@@ -1,6 +1,11 @@
 package imaging
 
-import "testing"
+import (
+	"math"
+	"math/rand/v2"
+	"sync"
+	"testing"
+)
 
 func benchImage(b *testing.B, w, h int, detail float64) *Image {
 	b.Helper()
@@ -101,6 +106,83 @@ func BenchmarkDecodeCropResize128(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		out, err := DecodeCropResize(data, rect, 128, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Release()
+	}
+}
+
+// benchSet is 48 SJPG streams sized the way the live benchmark sizes its
+// inputs — each side uniform in 160–640, detail uniform in 0–1, default
+// quality — with the size of their planes and one RandomResizedCrop-shaped
+// rect apiece (8–100 % of the area, aspect 3/4–4/3). One stream is one sample
+// of cpu_local or storage_alloff, so the two Set benchmarks price the kernels
+// on the traffic they serve; BenchmarkDecode640x480 stays as the one-stream
+// number older records quote.
+type benchStream struct {
+	data   []byte
+	planes int
+	rect   Rect
+}
+
+var benchSet = sync.OnceValues(func() ([]benchStream, error) {
+	rng := rand.New(rand.NewPCG(0x5eed, 48))
+	set := make([]benchStream, 48)
+	for i := range set {
+		w, h := 160+rng.IntN(481), 160+rng.IntN(481)
+		im, err := Synthesize(SynthParams{W: w, H: h, Detail: rng.Float64(), Seed: rng.Uint64()})
+		if err != nil {
+			return nil, err
+		}
+		data, err := EncodeDefault(im)
+		if err != nil {
+			return nil, err
+		}
+		area := float64(w*h) * (0.08 + 0.92*rng.Float64())
+		ratio := math.Exp((2*rng.Float64() - 1) * math.Log(4.0/3.0))
+		rw := min(max(int(math.Sqrt(area*ratio)), 1), w)
+		rh := min(max(int(math.Sqrt(area/ratio)), 1), h)
+		set[i] = benchStream{data: data, planes: w*h + 2*((w+1)/2)*((h+1)/2),
+			rect: Rect{X: rng.IntN(w - rw + 1), Y: rng.IntN(h - rh + 1), W: rw, H: rh}}
+	}
+	return set, nil
+})
+
+// benchSetFor returns the set and the mean size of its planes, what both Set
+// benchmarks report throughput against.
+func benchSetFor(b *testing.B) []benchStream {
+	b.Helper()
+	set, err := benchSet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	total := 0
+	for _, s := range set {
+		total += s.planes
+	}
+	b.SetBytes(int64(total / len(set)))
+	return set
+}
+
+func BenchmarkInflateSet(b *testing.B) {
+	set := benchSetFor(b)
+	dst := make([]byte, 640*640*3/2)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := set[i%len(set)]
+		if err := inflateInto(s.data[headerSize:], dst[:s.planes]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkDecodeCropResizeSet(b *testing.B) {
+	set := benchSetFor(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := set[i%len(set)]
+		out, err := DecodeCropResize(s.data, s.rect, 128, 128)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -182,37 +182,58 @@ func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 	return p.cropResize(rect, w, h)
 }
 
-// ycc is an accepted stream between its two decode steps: the delta-decoded,
-// still quantized Y/Cb/Cr planes of a w×h image (chroma 2x2-subsampled) and
-// the shifts that dequantize them — for a progressive prefix the undelivered
-// refinement depth on top of the quality-derived shift. The planes are cut
-// from buf, a bufpool buffer the ycc owns until release.
+// ycc is an accepted stream between its two decode steps: the still quantized
+// Y/Cb/Cr planes of a w×h image (chroma 2x2-subsampled) and the shifts that
+// dequantize them — for a progressive prefix the undelivered refinement depth
+// on top of the quality-derived shift. The planes are cut from buf, a bufpool
+// buffer the ycc owns until release. While residual is set they are what the
+// stream inflated to, row-prediction residuals, and the one step that reads
+// them — image or cropResize — first undoes the prediction where it will
+// read; the rest stays residuals, so a ycc serves one such call.
 type ycc struct {
 	w, h           int
 	yShift, cShift uint
 	y, cb, cr      []uint8
 	buf            []uint8
+	residual       bool
 }
 
-// newYCC cuts the planes of a w×h image from the front of buf.
+// newYCC cuts the planes of a w×h image from the front of buf, which the
+// caller is about to inflate residuals into.
 func newYCC(w, h int, yShift, cShift uint, buf []uint8) ycc {
 	n, cn := w*h, ((w+1)/2)*((h+1)/2)
 	return ycc{w: w, h: h, yShift: yShift, cShift: cShift,
-		y: buf[:n], cb: buf[n : n+cn], cr: buf[n+cn : n+2*cn], buf: buf}
+		y: buf[:n], cb: buf[n : n+cn], cr: buf[n+cn : n+2*cn], buf: buf, residual: true}
 }
 
 func (p *ycc) release() { bufpool.PutBytes(p.buf) }
 
-// deltaDecode undoes the row prediction of all three planes.
-func (p *ycc) deltaDecode() {
+// undoPrediction turns residuals back into plane values on the luma rows that
+// rows lists, through luma column last, and on the chroma under them.
+func (p *ycc) undoPrediction(rows []int32, last int) {
+	if !p.residual {
+		return
+	}
+	p.residual = false
 	cw := (p.w + 1) / 2
-	deltaDecode(p.y, p.w)
-	deltaDecode(p.cb, cw)
-	deltaDecode(p.cr, cw)
+	undoPrediction(p.y, p.w, rows, 0, last)
+	undoPrediction(p.cb, cw, rows, 1, last>>1)
+	undoPrediction(p.cr, cw, rows, 1, last>>1)
+}
+
+// undoEveryPrediction is undoPrediction over the whole image.
+func (p *ycc) undoEveryPrediction() {
+	s := samplerPool.Get().(*sampler)
+	s.rows = s.rows[:0]
+	for r := 0; r < p.h; r++ {
+		s.rows = append(s.rows, int32(r))
+	}
+	p.undoPrediction(s.rows, p.w-1)
+	samplerPool.Put(s)
 }
 
 // decodePlanes is the first step of every SJPG decode: header, the checks that
-// refuse a stream before any buffer is sized from it, inflate, delta decode.
+// refuse a stream before any buffer is sized from it, inflate.
 func decodePlanes(data []byte) (ycc, error) {
 	w, h, quality, err := parseHeader(data)
 	if err != nil {
@@ -229,7 +250,6 @@ func decodePlanes(data []byte) (ycc, error) {
 		p.release()
 		return ycc{}, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 	}
-	p.deltaDecode()
 	return p, nil
 }
 
@@ -249,6 +269,7 @@ func (p *ycc) image() (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.undoEveryPrediction()
 	var yy1, c1 [256]int32
 	p.dequantTables(&yy1, &c1)
 	cw := (w + 1) / 2
@@ -317,6 +338,7 @@ func (p *ycc) cropResize(rect Rect, w, h int) (*Image, error) {
 	s.y.fill(rect.H, h)
 	s.cols = s.x.compact(rect.X, s.cols)
 	s.rows = s.y.compact(rect.Y, s.rows)
+	p.undoPrediction(s.rows, int(s.cols[len(s.cols)-1]))
 	if w == rect.W && h == rect.H {
 		// Pure crop: the taps name every pixel of rect with weight one.
 		p.convert(s.rows, s.cols, dst.Pix)
@@ -415,20 +437,38 @@ func deltaEncode(plane []uint8, stride int) {
 	}
 }
 
-// deltaDecode reverses deltaEncode in place.
-func deltaDecode(plane []uint8, stride int) {
-	if stride <= 0 {
-		return
+// undoPrediction reverses deltaEncode in place on the rows of plane that rows
+// lists and no further right than column last; every other value stays a
+// residual. Column 0 predicts from the row above, so its chain runs from the
+// top down to the last listed row; the other columns predict from their left
+// neighbour, a running sum along each listed row. rows ascends and lists rows
+// of a plane 1<<shift times as tall — luma rows, for a chroma plane — so it
+// may name a row of this one more than once.
+func undoPrediction(plane []uint8, stride int, rows []int32, shift uint, last int) {
+	bottom := int(rows[len(rows)-1]>>shift) * stride
+	for i := stride; i <= bottom; i += stride {
+		plane[i] += plane[i-stride]
 	}
-	for row := 0; row < len(plane); row += stride {
-		var acc uint8
-		if row > 0 {
-			acc = plane[row-stride]
+	done := -1
+	for _, r := range rows {
+		at := int(r>>shift) * stride
+		if at == done {
+			continue
 		}
-		r := plane[row : row+stride]
-		for i, v := range r {
-			acc += v
-			r[i] = acc
-		}
+		done = at
+		runningSum(plane[at : at+last+1])
+	}
+}
+
+// runningSum replaces each value of row with the sum of the values up to it.
+// It is kept out of line: inlined into undoPrediction's loop (Go 1.24) the
+// accumulator is spilled to the stack and the loop runs at half the speed.
+//
+//go:noinline
+func runningSum(row []uint8) {
+	var acc uint8
+	for i, v := range row {
+		acc += v
+		row[i] = acc
 	}
 }

@@ -152,7 +152,17 @@ type fusedStream struct {
 	sjpr    bool
 	shallow bool // a prefix short of every scan: the full container's planes under wider shifts
 	full    *Image
-	plane   ycc
+	plane   ycc // as the first decode step left them; crops read copies (planes)
+}
+
+// planes returns a copy of s.plane for one cropResize, which undoes the row
+// prediction only where it reads and so leaves the planes no use to the next.
+// The caller releases it.
+func (s *fusedStream) planes() ycc {
+	p := newYCC(s.plane.w, s.plane.h, s.plane.yShift, s.plane.cShift, bufpool.GetBytes(len(s.plane.buf)))
+	copy(p.buf, s.plane.buf)
+	p.residual = s.plane.residual
+	return p
 }
 
 // fusedStreams encodes im at quality q as SJPG and as every prefix of a
@@ -230,7 +240,9 @@ func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := s.plane.cropResize(rect, out, out)
+						plane := s.planes()
+						got, err := plane.cropResize(rect, out, out)
+						plane.release()
 						if err != nil {
 							t.Fatalf("%s: %+v to %d: %v", s.name, rect, out, err)
 						}
@@ -250,6 +262,54 @@ func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
 				}
 				s.release()
 			}
+		}
+	}
+}
+
+// TestDecodeCropResizeEdgeTaps: rects whose taps are only the first row, only
+// the last row of an odd height, only column 0, or reach the last column of
+// an odd width — where the column-0 chain and the running sums start and stop
+// — on SJPG and on SJPR at one scan (residual planes) and at MaxScans (planes
+// merged after every row is undone). Odd sides end in a chroma sample that
+// covers one pixel, not two.
+func TestDecodeCropResizeEdgeTaps(t *testing.T) {
+	for _, dim := range [][2]int{{15, 17}, {333, 251}, {1, 9}, {9, 1}} {
+		w, h := dim[0], dim[1]
+		im := synthFor(t, uint64(w*1000+h), w, h, 0.6)
+		rects := []Rect{
+			{W: w, H: 1},                     // row 0
+			{Y: h - 1, W: w, H: 1},           // the last row
+			{W: 1, H: h},                     // column 0
+			{X: w - 1, W: 1, H: h},           // the last column
+			{X: w / 2, W: w - w/2, H: 1},     // row 0, through the last column
+			{X: w - 1, Y: h - 1, W: 1, H: 1}, // the last pixel
+			{Y: h / 2, W: max(w/2, 1), H: 1}, // one inner row, short of the last column
+			{X: w / 3, Y: h / 3, W: 1, H: 1}, // one inner pixel
+			{W: w, H: h},                     // everything
+			{X: w - 1, W: 1, H: max(h/2, 1)}, // the last column, short of the last row
+			{Y: h - 1, W: max(w-1, 1), H: 1}, // the last row, short of the last column
+			{X: w / 2, Y: h / 2, W: w - w/2, H: h - h/2},
+		}
+		for _, s := range fusedStreams(t, im, 80) {
+			if s.sjpr && s.shallow && !s.plane.residual {
+				s.release()
+				continue // k = 1 and k = MaxScans cover both kinds of plane
+			}
+			for _, rect := range rects {
+				for _, out := range []int{1, 3, 32} {
+					want, err := CropResize(s.full, rect, out, out)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := decodeCropResize(s.data, s.sjpr, rect, out, out)
+					if err != nil || !got.Equal(want) {
+						t.Fatalf("%s: crop %+v to %d: err %v, equal %v", s.name, rect, out, err, err == nil && got.Equal(want))
+					}
+					got.Release()
+					want.Release()
+				}
+			}
+			s.release()
 		}
 	}
 }

@@ -385,15 +385,118 @@ func (d *inflater) readCodes() error {
 	return nil
 }
 
+// The fast loop's margins. Sixteen input bytes cover its two 8-byte refills
+// (each advances pos by at most seven); the output margin covers what one
+// pass can write: up to three literals, the longest match, and the overshoot
+// of that match's last 8-byte store.
+const (
+	fastIn  = 16
+	fastOut = 258 + 8 + 3
+)
+
 // huffmanBlock decodes symbols with d.lit and d.dist up to the end-of-block
-// code. One refill covers a whole length/distance pair (15+5+15+13 bits), so
-// reads past the end of the input are checked once per symbol through the
-// sign of nb: the phantom bits are zeros, and whatever they decode to is
-// rejected before it is used for anything but bounds-checked writes to dst.
+// code, in two loops over the same tables.
+//
+// The fast loop runs while fastIn input bytes and fastOut output bytes
+// remain, so nothing in it can run past either buffer and it checks neither:
+// a refill leaves at least 56 counted bits, three literals use at most 45 and
+// a length/distance pair 48 (15+5+15+13). A refill loads 64 bits, counted or
+// not, so after either at least 16 are left: each pass looks its first
+// symbol up in those before it refills, which keeps the refill's load off
+// the chain from one symbol to the next. It accepts nothing on its own: at
+// an end-of-block code, a reserved symbol or a distance reaching before the
+// output it stops with that symbol unread.
+//
+// The careful loop finishes every block and makes every rejection. One refill
+// covers a whole pair there too, so reads past the end of the input are
+// checked once per symbol through the sign of nb: the phantom bits are zeros,
+// and whatever they decode to is rejected before it is used for anything but
+// bounds-checked writes to dst.
 func (d *inflater) huffmanBlock() error {
 	src, dst := d.src, d.dst
 	pos, bb, nb, out := d.pos, d.bb, d.nb, d.out
 	lit, dist := &d.lit, &d.dist
+
+	if len(src)-pos >= fastIn {
+		bb |= binary.LittleEndian.Uint64(src[pos:]) << (uint(nb) & 63)
+		pos += (63 - nb) >> 3
+		nb |= 56
+	}
+	for len(src)-pos >= fastIn && len(dst)-out >= fastOut {
+		e := lit.lookup(bb)
+		bb |= binary.LittleEndian.Uint64(src[pos:]) << (uint(nb) & 63)
+		pos += (63 - nb) >> 3
+		nb |= 56
+
+		// A literal has no extra bits, so the low six bits of its entry are
+		// its code length: the shift needs no mask of its own.
+		w := dst[out : out+fastOut]
+		if e&entLit != 0 {
+			w[0] = byte(e >> 16)
+			out++
+			bb >>= e & 63
+			nb -= int(e & 63)
+			if e = lit.lookup(bb); e&entLit != 0 {
+				w[1] = byte(e >> 16)
+				out++
+				bb >>= e & 63
+				nb -= int(e & 63)
+				if e = lit.lookup(bb); e&entLit != 0 {
+					w[2] = byte(e >> 16)
+					out++
+					bb >>= e & 63
+					nb -= int(e & 63)
+					continue
+				}
+			}
+			// The entry in hand stays good: a refill only adds bits above nb.
+			bb |= binary.LittleEndian.Uint64(src[pos:]) << (uint(nb) & 63)
+			pos += (63 - nb) >> 3
+			nb |= 56
+		}
+		if e&(entEOB|entBad) != 0 {
+			break
+		}
+		// A length/distance pair, read from a copy of the buffer so that a
+		// pair the careful loop must refuse is still unread.
+		n := uint(e & 15)
+		b, used := bb>>n, n
+		n = uint(e>>4) & 15
+		length := int(e>>16) + int(uint32(b)&(1<<n-1))
+		b, used = b>>n, used+n
+		e = dist.lookup(b)
+		n = uint(e & 15)
+		b, used = b>>n, used+n
+		n = uint(e>>4) & 15
+		back := int(e>>16) + int(uint32(b)&(1<<n-1))
+		b, used = b>>n, used+n
+		if e&entBad != 0 || back > out {
+			break
+		}
+		bb, nb = b, nb-int(used)
+
+		// Whole 8-byte stores may run up to seven bytes past the match, inside
+		// fastOut: later symbols overwrite them, or the exact-length check at
+		// the end of the stream sees the real out.
+		end := out + length
+		switch {
+		case back >= 8:
+			for ; out < end; out += 8 {
+				binary.LittleEndian.PutUint64(dst[out:], binary.LittleEndian.Uint64(dst[out-back:]))
+			}
+		case back == 1:
+			v := uint64(dst[out-1]) * 0x0101010101010101
+			for ; out < end; out += 8 {
+				binary.LittleEndian.PutUint64(dst[out:], v)
+			}
+		default:
+			for ; out < end; out++ {
+				dst[out] = dst[out-back]
+			}
+		}
+		out = end
+	}
+
 	for {
 		if nb < 48 {
 			if len(src)-pos >= 8 {

@@ -388,6 +388,9 @@ func FuzzInflate(f *testing.F) {
 			f.Add(d, len(c.plain))
 		}
 	}
+	for _, c := range handoverStreams() {
+		f.Add(c.stream, c.n)
+	}
 	f.Fuzz(func(t *testing.T, data []byte, n int) {
 		if n < 0 || n > 1<<20 {
 			return

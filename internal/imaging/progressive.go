@@ -422,9 +422,10 @@ func scanPlanes(data []byte, hd *sjprHeader, k int) (ycc, error) {
 			return ycc{}, fmt.Errorf("%w: scan %d: %v", ErrCorrupt, j, err)
 		}
 		if j == 0 {
-			p.deltaDecode()
 			continue
 		}
+		// A refinement bit extends the plane value, not its residual.
+		p.undoEveryPrediction()
 		for i, b := range scratch {
 			if b > 1 {
 				p.release()

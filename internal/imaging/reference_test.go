@@ -210,8 +210,11 @@ func TestDecodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDeltaMatchesReference: the row-wise delta passes equal the per-byte
-// ones, and invert each other.
+// TestDeltaMatchesReference: deltaEncode equals the per-byte pass, and
+// undoPrediction inverts it — on every row through the last column, and on
+// any subset of rows through any column, where each listed value is the plane
+// value and each one right of the column or in a skipped row, column 0 aside,
+// is still the residual. A tall list (shift 1) names each row twice.
 func TestDeltaMatchesReference(t *testing.T) {
 	for _, dim := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {13, 7}, {64, 33}} {
 		stride, rows := dim[0], dim[1]
@@ -221,15 +224,54 @@ func TestDeltaMatchesReference(t *testing.T) {
 		}
 		want := append([]uint8(nil), orig...)
 		refDeltaEncode(want, stride)
-		got := append([]uint8(nil), orig...)
-		deltaEncode(got, stride)
-		if !bytes.Equal(got, want) {
+		resid := append([]uint8(nil), orig...)
+		deltaEncode(resid, stride)
+		if !bytes.Equal(resid, want) {
 			t.Errorf("deltaEncode %dx%d differs from the reference", stride, rows)
 		}
 		refDeltaDecode(want, stride)
-		deltaDecode(got, stride)
-		if !bytes.Equal(got, orig) || !bytes.Equal(want, orig) {
-			t.Errorf("deltaDecode %dx%d does not invert deltaEncode", stride, rows)
+		if !bytes.Equal(want, orig) {
+			t.Errorf("refDeltaDecode %dx%d does not invert deltaEncode", stride, rows)
+		}
+
+		every := make([]int32, rows)
+		for r := range every {
+			every[r] = int32(r)
+		}
+		lists := [][]int32{every, {0}, {int32(rows - 1)}, {int32(rows / 2)}}
+		if rows > 2 {
+			lists = append(lists, []int32{1, int32(rows - 2)}, every[rows/3:])
+		}
+		for _, list := range lists {
+			for _, shift := range []uint{0, 1} {
+				for _, last := range []int{0, stride / 2, stride - 1} {
+					tall := list
+					if shift == 1 { // rows 2r and 2r+1 of the taller plane
+						tall = nil
+						for _, r := range list {
+							tall = append(tall, 2*r, 2*r+1)
+						}
+					}
+					got := append([]uint8(nil), resid...)
+					undoPrediction(got, stride, tall, shift, last)
+					listed := map[int]bool{}
+					for _, r := range list {
+						listed[int(r)] = true
+					}
+					bottom := int(list[len(list)-1])
+					for i, v := range got {
+						r, c := i/stride, i%stride
+						want := resid[i]
+						if (listed[r] && c <= last) || (c == 0 && r <= bottom) {
+							want = orig[i]
+						}
+						if v != want {
+							t.Fatalf("undoPrediction %dx%d rows %v>>%d through column %d: (%d, %d) = %d, want %d",
+								stride, rows, tall, shift, last, c, r, v, want)
+						}
+					}
+				}
+			}
 		}
 	}
 }
