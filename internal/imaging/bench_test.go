@@ -119,8 +119,9 @@ func BenchmarkDecodeCropResize128(b *testing.B) {
 // rect apiece (8–100 % of the area, aspect 3/4–4/3). One stream is one sample
 // of cpu_local or storage_alloff, so the two Set benchmarks price the kernels
 // on the traffic they serve; BenchmarkDecode640x480 stays as the one-stream
-// number older records quote.
+// number older records quote. The image stays for the SJPR pair.
 type benchStream struct {
+	im     *Image
 	data   []byte
 	planes int
 	rect   Rect
@@ -143,7 +144,7 @@ var benchSet = sync.OnceValues(func() ([]benchStream, error) {
 		ratio := math.Exp((2*rng.Float64() - 1) * math.Log(4.0/3.0))
 		rw := min(max(int(math.Sqrt(area*ratio)), 1), w)
 		rh := min(max(int(math.Sqrt(area/ratio)), 1), h)
-		set[i] = benchStream{data: data, planes: w*h + 2*((w+1)/2)*((h+1)/2),
+		set[i] = benchStream{im: im, data: data, planes: w*h + 2*((w+1)/2)*((h+1)/2),
 			rect: Rect{X: rng.IntN(w - rw + 1), Y: rng.IntN(h - rh + 1), W: rw, H: rh}}
 	}
 	return set, nil
@@ -188,4 +189,54 @@ func BenchmarkDecodeCropResizeSet(b *testing.B) {
 		}
 		out.Release()
 	}
+}
+
+// benchProgressive is benchSet's images as MaxScans SJPR containers, one
+// sample of sharded_progressive each.
+var benchProgressive = sync.OnceValues(func() ([][]byte, error) {
+	set, err := benchSet()
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, len(set))
+	for i, s := range set {
+		if out[i], err = EncodeProgressive(s.im, DefaultQuality, MaxScans); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+})
+
+func BenchmarkEncodeProgressiveSet(b *testing.B) {
+	set := benchSetFor(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeProgressive(set[i%len(set)].im, DefaultQuality, MaxScans); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeProgressiveCropResizeSet is BenchmarkDecodeCropResizeSet on
+// the full containers, and reports what they cost to store beside SJPG.
+func BenchmarkDecodeProgressiveCropResizeSet(b *testing.B) {
+	set := benchSetFor(b)
+	prog, err := benchProgressive()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var sjpr, sjpg int
+	for i, s := range set {
+		sjpr, sjpg = sjpr+len(prog[i]), sjpg+len(s.data)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := DecodeProgressiveCropResize(prog[i%len(set)], set[i%len(set)].rect, 128, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Release()
+	}
+	b.ReportMetric(float64(sjpr)/float64(len(set)), "container-B")
+	b.ReportMetric(float64(sjpr)/float64(sjpg), "sjpr/sjpg")
 }

@@ -29,7 +29,7 @@ const (
 var (
 	ErrCorrupt     = errors.New("imaging: corrupt SJPG stream")
 	ErrBadQuality  = errors.New("imaging: quality must be in [1, 100]")
-	ErrUnsupported = errors.New("imaging: unsupported SJPG version")
+	ErrUnsupported = errors.New("imaging: unsupported format version")
 )
 
 // DefaultQuality is used by EncodeDefault and by the dataset generator.
@@ -402,7 +402,7 @@ func parseHeader(data []byte) (w, h, quality int, err error) {
 		return 0, 0, 0, ErrCorrupt
 	}
 	if data[4] != sjpgVersion {
-		return 0, 0, 0, fmt.Errorf("%w: %d", ErrUnsupported, data[4])
+		return 0, 0, 0, fmt.Errorf("%w: SJPG version %d, this build reads %d", ErrUnsupported, data[4], sjpgVersion)
 	}
 	quality = int(data[5])
 	if quality < 1 || quality > 100 {

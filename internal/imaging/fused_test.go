@@ -360,6 +360,12 @@ func sjprOver(w, h int, scans ...[]byte) []byte {
 	return append(out, bytes.Join(scans, nil)...)
 }
 
+// storedBlock is one stored DEFLATE block holding b, final (1) or not (0).
+func storedBlock(final byte, b ...byte) []byte {
+	n := uint16(len(b))
+	return append([]byte{final, byte(n), byte(n >> 8), byte(^n), byte(^n >> 8)}, b...)
+}
+
 // TestFusedRejectionParity: on the same bytes the fused entry points return
 // Decode's / DecodeProgressive's error, word for word, having drawn no more
 // from the buffer arena than they did — nothing for a header or an
@@ -429,12 +435,8 @@ func TestFusedRejectionParity(t *testing.T) {
 	add("sjpr/scan count", mutate(sjpr, 14, MaxScans+1), true, ErrCorrupt)
 	add("sjpg/payload bit", mutate(sjpg, len(sjpg)-1, sjpg[len(sjpg)-1]^0x40), false, ErrCorrupt)
 	add("sjpr/CRC mismatch", mutate(sjpr, len(sjpr)-1, sjpr[len(sjpr)-1]^0x40), true, ErrCorrupt)
-	stored := func(b ...byte) []byte { // one final stored block
-		n := uint16(len(b))
-		return append([]byte{1, byte(n), byte(n >> 8), byte(^n), byte(^n >> 8)}, b...)
-	}
-	add("sjpr/refinement byte 2", sjprOver(1, 1, stored(7, 7, 7), stored(0, 2, 0)), true, ErrCorrupt)
-	add("sjpr/refinement bits", sjprOver(1, 1, stored(7, 7, 7), stored(0, 1, 0)), true, nil)
+	add("sjpr/padding bits set", sjprOver(1, 1, storedBlock(1, 7, 7, 7), storedBlock(1, 0b1010)), true, ErrCorrupt)
+	add("sjpr/refinement bits", sjprOver(1, 1, storedBlock(1, 7, 7, 7), storedBlock(1, 0b010)), true, nil)
 	huge := mutate(sjpg, 7, 0x80) // 8 388 624 × 12: refused as dims
 	add("sjpg/dims over the cap", huge, false, ErrCorrupt)
 	implausible := bytes.Clone(sjpg)

@@ -23,7 +23,7 @@ import (
 // Container layout (big-endian):
 //
 //	0..3    magic "SJPR"
-//	4       version (1)
+//	4       version (2; version 1 spent a byte on each refinement bit)
 //	5       quality (1..100, the SJPG quality the full container decodes at)
 //	6..9    W
 //	10..13  H
@@ -37,12 +37,13 @@ import (
 //
 // Scan 0 carries the quantized planes right-shifted by L-1 extra bits
 // (delta-predicted like SJPG); scan j>0 carries the j-th refinement bit of
-// every plane value. Decoding k scans reconstructs the planes at
+// every plane value as a bit plane: value i in bit i&7 of byte i>>3, the pad
+// bits of the last byte zero. Decoding k scans reconstructs the planes at
 // quality-shift + (L-k) extra quantization; decoding all L scans is
 // pixel-identical to Decode(Encode(im, quality)).
 const (
 	sjprMagic       = "SJPR"
-	sjprVersion     = 1
+	sjprVersion     = 2
 	sjprFixedHeader = 4 + 1 + 1 + 4 + 4 + 1 + 2 // magic, ver, quality, W, H, L, sidecar len
 
 	// MaxScans bounds the scan count: each refinement scan adds one bit of
@@ -95,7 +96,7 @@ func EncodeProgressiveSidecar(im *Image, quality, scans int, sidecar []byte) ([]
 	cw, ch := (im.W+1)/2, (im.H+1)/2
 	total := im.W*im.H + 2*cw*ch
 	// planes holds the SJPG-quantized values; scratch is re-filled per scan
-	// with that scan's payload (shifted base or refinement bits).
+	// with that scan's payload (shifted base or packed refinement bits).
 	planes := bufpool.GetBytes(2 * total)
 	defer bufpool.PutBytes(planes)
 	scratch := planes[total:]
@@ -124,8 +125,10 @@ func EncodeProgressiveSidecar(im *Image, quality, scans int, sidecar []byte) ([]
 			deltaEncode(scratch[im.W*im.H+cw*ch:], cw)
 		} else {
 			bit := uint(scans - 1 - j)
+			scratch = scratch[:scanLen(total, j)]
+			clear(scratch)
 			for i, v := range planes {
-				scratch[i] = (v >> bit) & 1
+				scratch[i>>3] |= (v >> bit & 1) << (i & 7)
 			}
 		}
 		start := body.Len()
@@ -161,6 +164,7 @@ type sjprHeader struct {
 	w, h    int
 	quality int
 	scans   int    // L, the total scan count recorded in the header
+	total   int    // plane values: w*h luma, two quarter-size chroma planes
 	sidecar []byte // subslice of the input, may be empty
 	lens    [MaxScans]int
 	crcs    [MaxScans]uint32
@@ -201,7 +205,7 @@ func parseProgressive(data []byte) (sjprHeader, error) {
 		return h, ErrCorrupt
 	}
 	if data[4] != sjprVersion {
-		return h, fmt.Errorf("%w: SJPR %d", ErrUnsupported, data[4])
+		return h, fmt.Errorf("%w: SJPR version %d, this build reads %d", ErrUnsupported, data[4], sjprVersion)
 	}
 	h.quality = int(data[5])
 	if h.quality < 1 || h.quality > 100 {
@@ -223,14 +227,13 @@ func parseProgressive(data []byte) (sjprHeader, error) {
 		return h, fmt.Errorf("%w: %d bytes, header needs %d", ErrCorrupt, len(data), h.body)
 	}
 	h.sidecar = data[sjprFixedHeader:idx]
-	// A scan payload can never exceed the DEFLATE worst case for its
-	// uncompressed plane size; a loose per-scan cap rejects absurd indexes
-	// before any allocation.
-	maxScan := h.w*h.h*2 + 1<<16
+	// A scan payload can never exceed the DEFLATE worst case for its own
+	// plaintext; the cap rejects absurd indexes before any allocation.
+	h.total = h.w*h.h + 2*((h.w+1)/2)*((h.h+1)/2)
 	for j := 0; j < h.scans; j++ {
 		h.lens[j] = int(binary.BigEndian.Uint32(data[idx+8*j : idx+8*j+4]))
 		h.crcs[j] = binary.BigEndian.Uint32(data[idx+8*j+4 : idx+8*j+8])
-		if h.lens[j] <= 0 || h.lens[j] > maxScan {
+		if h.lens[j] <= 0 || h.lens[j] > maxDeflated(scanLen(h.total, j)) {
 			return h, fmt.Errorf("%w: scan %d length %d", ErrCorrupt, j, h.lens[j])
 		}
 	}
@@ -391,19 +394,19 @@ func decodeScans(data []byte, hd *sjprHeader, k int) (*Image, error) {
 // to be dequantized at the effective shift.
 func scanPlanes(data []byte, hd *sjprHeader, k int) (ycc, error) {
 	yShift, cShift := shifts(hd.quality)
-	total := hd.w*hd.h + 2*((hd.w+1)/2)*((hd.h+1)/2)
+	total := hd.total
 
-	// Every scan inflates to a full set of planes; an index too short for
-	// that is refused before the planes are sized from the header.
+	// An index too short for what its scan inflates to is refused before the
+	// planes are sized from the header.
 	for j := 0; j < k; j++ {
-		if !canInflateTo(hd.lens[j], total) {
+		if !canInflateTo(hd.lens[j], scanLen(total, j)) {
 			return ycc{}, fmt.Errorf("%w: %d-byte scan %d cannot hold %dx%d", ErrCorrupt, hd.lens[j], j, hd.w, hd.h)
 		}
 	}
-	// The second half of the buffer is where refinement scans inflate.
+	// The tail of the buffer is where refinement scans inflate.
 	extra := uint(hd.scans - k)
-	p := newYCC(hd.w, hd.h, yShift+extra, cShift+extra, bufpool.GetBytes(2*total))
-	planes, scratch := p.buf[:total], p.buf[total:]
+	p := newYCC(hd.w, hd.h, yShift+extra, cShift+extra, bufpool.GetBytes(total+scanLen(total, 1)))
+	planes, packed := p.buf[:total], p.buf[total:]
 
 	off := hd.body
 	for j := 0; j < k; j++ {
@@ -415,7 +418,7 @@ func scanPlanes(data []byte, hd *sjprHeader, k int) (ycc, error) {
 		}
 		dst := planes
 		if j > 0 {
-			dst = scratch
+			dst = packed
 		}
 		if err := inflateInto(payload, dst); err != nil {
 			p.release()
@@ -424,15 +427,53 @@ func scanPlanes(data []byte, hd *sjprHeader, k int) (ycc, error) {
 		if j == 0 {
 			continue
 		}
+		if pad := packed[len(packed)-1] >> uint((total-1)&7+1); pad != 0 {
+			p.release()
+			return ycc{}, fmt.Errorf("%w: scan %d pad bits %#x", ErrCorrupt, j, pad)
+		}
 		// A refinement bit extends the plane value, not its residual.
 		p.undoEveryPrediction()
-		for i, b := range scratch {
-			if b > 1 {
-				p.release()
-				return ycc{}, fmt.Errorf("%w: scan %d refinement byte %d", ErrCorrupt, j, b)
-			}
-			planes[i] = planes[i]<<1 | b
-		}
+		foldBits(planes, packed)
 	}
 	return p, nil
+}
+
+// scanLen is what scan j of a container with total plane values inflates to:
+// the values, or one bit of each.
+func scanLen(total, j int) int {
+	if j == 0 {
+		return total
+	}
+	return (total + 7) / 8
+}
+
+// maxDeflated bounds the DEFLATE stream of n bytes from a writer that stores
+// what it cannot shrink: compress/flate closes a block every 1<<14 literals and
+// a stored block costs five bytes; 64 more cover the last block, the empty one
+// that ends the stream and the code tables of a stream too short to repay them.
+func maxDeflated(n int) int { return n + 5*(n>>14) + 64 }
+
+// bitSpread[b] holds bit i of b in bit 0 of byte i.
+var bitSpread = func() (t [256]uint64) {
+	for b := range t {
+		for i := 0; i < 8; i++ {
+			t[b] |= uint64(b>>i&1) << (8 * i)
+		}
+	}
+	return t
+}()
+
+// foldBits appends a refinement bit to every plane value, planes[i] =
+// planes[i]<<1 | bit i of packed, eight values a step. The mask drops the bit
+// a value of 128 or more (a corrupt base scan) would push into its neighbour,
+// as the uint8 shift does.
+func foldBits(planes, packed []uint8) {
+	n := len(planes) &^ 7
+	for i := 0; i < n; i += 8 {
+		x := binary.LittleEndian.Uint64(planes[i:])
+		binary.LittleEndian.PutUint64(planes[i:], x<<1&0xfefefefefefefefe|bitSpread[packed[i>>3]])
+	}
+	for i := n; i < len(planes); i++ {
+		planes[i] = planes[i]<<1 | packed[i>>3]>>(i&7)&1
+	}
 }

@@ -7,6 +7,8 @@ import (
 	"math/rand/v2"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/bufpool"
 )
 
 func synthFor(t testing.TB, seed uint64, w, h int, detail float64) *Image {
@@ -301,5 +303,120 @@ func TestSlicePrefixZeroCopy(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("SlicePrefix allocates %.1f/op, want 0", allocs)
+	}
+}
+
+// TestFoldBitsMatchesPerValue: the word-at-a-time fold is the per-value
+// planes[i]<<1 | bit, on every length around a word and on base values of 128
+// and more, whose top bit the uint8 shift drops.
+func TestFoldBitsMatchesPerValue(t *testing.T) {
+	rng := rand.New(rand.NewPCG(8, 64))
+	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4099} {
+		for trial := 0; trial < 8; trial++ {
+			planes, packed := make([]uint8, n), make([]uint8, (n+7)/8)
+			for i := range planes {
+				planes[i] = uint8(rng.Uint32()) // half of them ≥ 128
+			}
+			for i := range packed {
+				packed[i] = uint8(rng.Uint32()) // pad bits set: the fold must not read them
+			}
+			want := make([]uint8, n)
+			for i, v := range planes {
+				want[i] = v<<1 | packed[i/8]>>(i%8)&1
+			}
+			foldBits(planes, packed)
+			if !bytes.Equal(planes, want) {
+				t.Fatalf("n = %d: foldBits differs from the per-value loop", n)
+			}
+		}
+	}
+}
+
+// TestScanBoundsFollowTheScan: each index entry is held to what its own scan
+// inflates to — the planes for the base scan, an eighth of them for a
+// refinement scan — from both sides.
+func TestScanBoundsFollowTheScan(t *testing.T) {
+	// Above: a refinement scan that is a valid DEFLATE stream of the right
+	// length with the right CRC and no pad bits, but longer (empty stored
+	// blocks) than any writer's worst case for its 576 bytes. The old cap,
+	// w*h*2 + 1<<16 whatever the scan, took it; it is refused from the index
+	// alone, by every entry point, before any buffer is requested.
+	const w, h = 64, 48
+	total := w*h + 2*(w/2)*(h/2)
+	base, shortest := storedBlock(1, make([]byte, total)...), storedBlock(1, make([]byte, scanLen(total, 1))...)
+	var padded []byte
+	for len(padded) <= maxDeflated(scanLen(total, 1)) {
+		padded = append(padded, storedBlock(0)...)
+	}
+	padded = append(padded, shortest...)
+	if len(padded) > w*h*2+1<<16 {
+		t.Fatalf("the %d-byte scan would not have passed the old cap", len(padded))
+	}
+	long := sjprOver(w, h, base, padded)
+	before := bufpool.ByteStats()
+	_, _, _, _, _, infoErr := ProgressiveInfo(long)
+	_, sizeErr := PrefixSize(long, 1)
+	_, _, decErr := DecodeProgressive(long)
+	_, fidErr := DecodeAtFidelity(long, 2)
+	_, cropErr := DecodeProgressiveCropResize(long, Rect{W: 8, H: 8}, 4, 4)
+	for _, err := range []error{infoErr, sizeErr, decErr, fidErr, cropErr} {
+		if !errors.Is(err, ErrCorrupt) {
+			t.Errorf("over-long refinement scan: err %v, want ErrCorrupt", err)
+		}
+	}
+	if _, ok := FidelityPrefixSize(long, 1); ok {
+		t.Error("FidelityPrefixSize sliced a container with an over-long refinement scan")
+	}
+	if after := bufpool.ByteStats(); after != before {
+		t.Errorf("refused after arena traffic: %+v, was %+v", after, before)
+	}
+	// The same container with the scan as short as it can be is accepted.
+	if im, k, err := DecodeProgressive(sjprOver(w, h, base, shortest)); err != nil || k != 2 {
+		t.Errorf("shortest stored refinement scan: %d scans, err %v", k, err)
+	} else {
+		im.Release()
+	}
+
+	// The writer's own worst case, noise DEFLATE can only store, fits the bound.
+	noise := MustNew(640, 480) // 57 600 B a refinement scan: four blocks
+	rng := rand.New(rand.NewPCG(2, 24))
+	for i := range noise.Pix {
+		noise.Pix[i] = uint8(rng.Uint32())
+	}
+	worst, err := EncodeProgressive(noise, 95, MaxScans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hd, err := parseProgressive(worst); err != nil || hd.lens[MaxScans-1] <= scanLen(hd.total, 1) {
+		t.Fatalf("noise: err %v, or its last scan (%d B) is not stored", err, hd.lens[MaxScans-1])
+	}
+
+	// Below: a flat image's refinement scans are a few dozen bytes for 57 600,
+	// which 1032:1 allows and would not for the 460 800 plane values.
+	flat := MustNew(640, 480)
+	data, err := EncodeProgressive(flat, DefaultQuality, MaxScans)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hd, err := parseProgressive(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if canInflateTo(hd.lens[1], hd.total) || !canInflateTo(hd.lens[1], scanLen(hd.total, 1)) {
+		t.Fatalf("a %d-byte scan does not separate the two floors", hd.lens[1])
+	}
+	im, _, err := DecodeProgressive(data)
+	if err != nil {
+		t.Fatalf("flat image: %v", err)
+	}
+	im.Release()
+	// An index entry under the floor of its own scan is refused before the planes.
+	tiny := sjprOver(640, 480, data[hd.body:hd.body+hd.lens[0]], []byte{3, 0}) // an empty fixed block
+	before = bufpool.ByteStats()
+	if _, _, err := DecodeProgressive(tiny); !errors.Is(err, ErrCorrupt) {
+		t.Errorf("2-byte refinement scan for 57 600 bytes: err %v, want ErrCorrupt", err)
+	}
+	if after := bufpool.ByteStats(); after != before {
+		t.Errorf("refused after arena traffic: %+v, was %+v", after, before)
 	}
 }

@@ -13,10 +13,10 @@ import (
 )
 
 // The reference decoder: compress/flate's reader, a modulo per byte in the
-// delta pass and one color.YCbCrToRGB + Image.Set per pixel — the decode path
-// as it stood before the row kernels and the slice-to-slice inflater. It
-// exists only so the production path has something other than itself to be
-// compared with.
+// delta pass, one refinement bit at a time and one color.YCbCrToRGB +
+// Image.Set per pixel — the decode path as it stood before the row kernels,
+// the slice-to-slice inflater and the word-at-a-time fold. It exists only so
+// the production path has something other than itself to be compared with.
 
 // refInflate is inflateInto's contract on compress/flate: src must yield
 // exactly len(dst) bytes.
@@ -112,7 +112,7 @@ func refDecode(data []byte, k int) (*Image, error) {
 		return nil, err
 	}
 	planes := make([]uint8, hd.w*hd.h+2*((hd.w+1)/2)*((hd.h+1)/2))
-	scratch := make([]uint8, len(planes))
+	packed := make([]uint8, (len(planes)+7)/8) // a refinement scan: one bit a value
 	off := hd.body
 	for j := 0; j < k; j++ {
 		payload := data[off : off+hd.lens[j]]
@@ -127,11 +127,16 @@ func refDecode(data []byte, k int) (*Image, error) {
 			refDeltaDecodePlanes(planes, hd.w, hd.h)
 			continue
 		}
-		if err := refInflate(payload, scratch); err != nil {
+		if err := refInflate(payload, packed); err != nil {
 			return nil, err
 		}
-		for i, b := range scratch {
-			planes[i] = planes[i]<<1 | b
+		for i := range planes {
+			planes[i] = planes[i]<<1 | packed[i/8]>>(i%8)&1
+		}
+		for i := len(planes); i < 8*len(packed); i++ {
+			if packed[i/8]>>(i%8)&1 != 0 {
+				return nil, fmt.Errorf("scan %d pad bit %d set", j, i)
+			}
 		}
 	}
 	yShift, cShift := shifts(hd.quality)
@@ -140,7 +145,9 @@ func refDecode(data []byte, k int) (*Image, error) {
 }
 
 var (
-	refDims      = [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {15, 17}, {160, 161}, {640, 480}}
+	// The plane totals of 1×1, 3×5, 7×7 and 161×163 are 3, 3, 1 and 7 mod 8:
+	// an SJPR refinement scan's last byte holds that many values.
+	refDims      = [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {7, 7}, {15, 17}, {160, 161}, {161, 163}, {640, 480}}
 	refQualities = []int{95, 80, 60, 30} // one per shifts() band
 )
 
@@ -286,8 +293,10 @@ func fnvHex(parts ...[]byte) string {
 
 // TestGoldenDigests pins the stored bytes and the decoded pixels of three
 // fixed images, so that a change to either — in this package or in the
-// compress/flate writer it encodes with — is noticed. The digests were taken
-// from the per-pixel encoder and the compress/flate-reader decoder.
+// compress/flate writer it encodes with — is noticed. The sjpg and pixels
+// digests were taken from the per-pixel encoder and the compress/flate-reader
+// decoder and are older than any change to SJPR's layout; the sjpr digests are
+// container version 2's.
 func TestGoldenDigests(t *testing.T) {
 	for _, c := range []struct {
 		seed          uint64
@@ -297,11 +306,11 @@ func TestGoldenDigests(t *testing.T) {
 		pixels        string // Decode, then DecodeAtFidelity k = 1..MaxScans
 	}{
 		{seed: 1, w: 160, h: 161, quality: 80, detail: 0.5,
-			sjpg: "b34d7f4eae437c54", sjpr: "52bafcce5630016c", pixels: "cca12a6e5f0185ec"},
+			sjpg: "b34d7f4eae437c54", sjpr: "00dbc392fa21fc7a", pixels: "cca12a6e5f0185ec"},
 		{seed: 2, w: 333, h: 250, quality: 95, detail: 0.9,
-			sjpg: "66c67f406ec9c7a7", sjpr: "b7a946fad0d51c24", pixels: "a03d1547a4ceb6ad"},
+			sjpg: "66c67f406ec9c7a7", sjpr: "733b196f26a51198", pixels: "a03d1547a4ceb6ad"},
 		{seed: 3, w: 640, h: 480, quality: 40, detail: 0.2,
-			sjpg: "f38947f85974b88b", sjpr: "a3b47c581021a09e", pixels: "4f8d8ca9b8699bfd"},
+			sjpg: "f38947f85974b88b", sjpr: "12afebb90d0fd995", pixels: "4f8d8ca9b8699bfd"},
 	} {
 		im := synthFor(t, c.seed, c.w, c.h, c.detail)
 		sjpg, err := Encode(im, c.quality)
