@@ -191,6 +191,23 @@ func BenchmarkDecodeCropResizeSet(b *testing.B) {
 	}
 }
 
+// BenchmarkEncodeSet is what set-up spends on each stored SJPG object, and
+// reports the mean object.
+func BenchmarkEncodeSet(b *testing.B) {
+	set := benchSetFor(b)
+	stored := 0
+	for _, s := range set {
+		stored += len(s.data)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := EncodeDefault(set[i%len(set)].im); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(stored)/float64(len(set)), "stored-B")
+}
+
 // benchProgressive is benchSet's images as MaxScans SJPR containers, one
 // sample of sharded_progressive each.
 var benchProgressive = sync.OnceValues(func() ([][]byte, error) {

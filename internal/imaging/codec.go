@@ -1,14 +1,10 @@
 package imaging
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"image/color"
-	"io"
-	"sync"
 
 	"repro/internal/bufpool"
 )
@@ -16,8 +12,8 @@ import (
 // SJPG is a real lossy image codec standing in for JPEG. The encoder
 // converts RGB to YCbCr, 2x2-subsamples the chroma planes, quantizes each
 // plane by a quality-derived shift, delta-predicts rows, and DEFLATEs the
-// residuals. Like JPEG, its output size depends strongly on image content:
-// smooth images compress an order of magnitude better than noisy ones.
+// residuals (deflate.go). Like JPEG, its output size depends strongly on image
+// content: smooth images compress an order of magnitude better than noisy ones.
 
 const (
 	sjpgMagic   = "SJPG"
@@ -52,63 +48,32 @@ func shifts(quality int) (yShift, cShift uint) {
 	}
 }
 
-// Scratch pools for the encode path: the DEFLATE writer carries large
-// internal state (tens of KB) and is reset between uses; the plane scratch
-// comes from the bufpool arena. Decode's pooled state is the inflater
-// (inflate.go).
-var (
-	flateWriterPool = sync.Pool{New: func() any {
-		zw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-		if err != nil {
-			panic(err) // DefaultCompression is always a valid level
-		}
-		return zw
-	}}
-	encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
-
 // Encode compresses im at the given quality (1..100) and returns the SJPG
-// byte stream. The returned slice is freshly allocated and owned by the
-// caller; all codec scratch is pooled internally.
+// byte stream. The returned slice is freshly allocated at its exact length and
+// owned by the caller; the plane scratch is pooled, the writer's on the stack.
 func Encode(im *Image, quality int) ([]byte, error) {
 	if quality < 1 || quality > 100 {
 		return nil, fmt.Errorf("%w: %d", ErrBadQuality, quality)
 	}
 	yShift, cShift := shifts(quality)
 
-	cw, ch := (im.W+1)/2, (im.H+1)/2
-	planes := bufpool.GetBytes(im.W*im.H + 2*cw*ch)
+	n, cw, ch := im.W*im.H, (im.W+1)/2, (im.H+1)/2
+	planes := bufpool.GetBytes(n + 2*cw*ch)
 	defer bufpool.PutBytes(planes)
-	yPlane := planes[:im.W*im.H]
-	cbPlane := planes[im.W*im.H : im.W*im.H+cw*ch]
-	crPlane := planes[im.W*im.H+cw*ch:]
+	ends := [3]int{n, n + cw*ch, n + 2*cw*ch}
+	yPlane, cbPlane, crPlane := planes[:ends[0]], planes[ends[0]:ends[1]], planes[ends[1]:]
 	fillPlanes(im, yShift, cShift, yPlane, cbPlane, crPlane)
 
 	deltaEncode(yPlane, im.W)
 	deltaEncode(cbPlane, cw)
 	deltaEncode(crPlane, cw)
 
-	buf := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(buf)
-	buf.Reset()
-	buf.WriteString(sjpgMagic)
-	buf.WriteByte(sjpgVersion)
-	buf.WriteByte(uint8(quality))
-	var dims [8]byte
-	binary.BigEndian.PutUint32(dims[0:4], uint32(im.W))
-	binary.BigEndian.PutUint32(dims[4:8], uint32(im.H))
-	buf.Write(dims[:])
-
-	zw := flateWriterPool.Get().(*flate.Writer)
-	defer flateWriterPool.Put(zw)
-	zw.Reset(buf)
-	if _, err := zw.Write(planes); err != nil {
-		return nil, fmt.Errorf("imaging: compress planes: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("imaging: finish compress: %w", err)
-	}
-	return append([]byte(nil), buf.Bytes()...), nil
+	var hdr [headerSize]byte
+	copy(hdr[:], sjpgMagic)
+	hdr[4], hdr[5] = sjpgVersion, uint8(quality)
+	binary.BigEndian.PutUint32(hdr[6:10], uint32(im.W))
+	binary.BigEndian.PutUint32(hdr[10:14], uint32(im.H))
+	return deflatePlanes(hdr[:], planes, ends), nil
 }
 
 // fillPlanes computes the SJPG-quantized Y/Cb/Cr planes for im: luma per

@@ -433,7 +433,35 @@ func TestFusedRejectionParity(t *testing.T) {
 	add("sjpr/version", mutate(sjpr, 4, 9), true, ErrUnsupported)
 	add("sjpg/quality", mutate(sjpg, 5, 0), false, ErrCorrupt)
 	add("sjpr/scan count", mutate(sjpr, 14, MaxScans+1), true, ErrCorrupt)
-	add("sjpg/payload bit", mutate(sjpg, len(sjpg)-1, sjpg[len(sjpg)-1]^0x40), false, ErrCorrupt)
+	add("sjpg/reserved block type", mutate(sjpg, headerSize, sjpg[headerSize]|0b110), false, ErrCorrupt)
+	// Padding, which both readers ignore: the top bit of the last byte of the
+	// first of these streams that ends short of a byte boundary.
+	for seed := uint64(5); ; seed++ {
+		pim := synthFor(t, seed, 16, 12, 0.5)
+		data, err := Encode(pim, 80)
+		if err != nil {
+			t.Fatal(err)
+		}
+		planes, ends := sjpgPlanes(pim, 80)
+		bits, start := 0, 0
+		for _, end := range ends {
+			bits += new(deflateBlock).plan(planes, start, end, bits)
+			start = end
+		}
+		if 8*(len(data)-headerSize) == bits {
+			continue
+		}
+		padded := mutate(data, len(data)-1, data[len(data)-1]|0x80)
+		add("sjpg/padding after the final block", padded, false, nil)
+		intact, err := Decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := Decode(padded); err != nil || !got.Equal(intact) {
+			t.Errorf("padding after the final block: %v, or the pixels differ from the intact stream's", err)
+		}
+		break
+	}
 	add("sjpr/CRC mismatch", mutate(sjpr, len(sjpr)-1, sjpr[len(sjpr)-1]^0x40), true, ErrCorrupt)
 	add("sjpr/padding bits set", sjprOver(1, 1, storedBlock(1, 7, 7, 7), storedBlock(1, 0b1010)), true, ErrCorrupt)
 	add("sjpr/refinement bits", sjprOver(1, 1, storedBlock(1, 7, 7, 7), storedBlock(1, 0b010)), true, nil)

@@ -13,8 +13,9 @@ import (
 // exact-size plane buffer: the output is its own 32 KiB window, there is no
 // io.Reader per symbol and no dictionary copy. It accepts and rejects exactly
 // the streams compress/flate's reader does (FuzzInflate holds the two
-// together); Encode still writes with compress/flate, so stored bytes are
-// untouched.
+// together). It reads what either writer stores: SJPG streams from
+// deflate.go's (literals and distance-1 runs, a block a plane) and SJPR scans
+// from compress/flate's.
 
 // Rejections. Callers wrap them in ErrCorrupt.
 var (

@@ -41,8 +41,6 @@ var zeroRow [Channels * maxDim]byte
 
 // packScratch is the pooled state of one AppendPacked, PackedSize or Unpack.
 type packScratch struct {
-	keys  [256]uint64             // used residuals, count<<8 | 255−z, sorted
-	depth [256]int                // code length by rank in keys
 	lens  [256]uint8              // code length by zig-zag position
 	enc   [256]uint32             // by residual: canonical code<<4 | length
 	table [1 << maxCodeLen]uint16 // by the next maxCodeLen bits: residual<<8 | length
@@ -83,27 +81,54 @@ func (s *packScratch) residuals(im *Image, res []byte) {
 // and returns the plane's header byte and its packed size, which is exact:
 // header plus ⌈Σ count × length / 8⌉.
 func (s *packScratch) plan(plane []byte) (hdr, size int) {
-	n := len(plane)
-	var h [4][256]uint32 // four counters a value, so that equal neighbours do not wait on one
-	for i, r := range plane {
-		h[i&3][r]++
-	}
-	keys := s.keys[:0]
-	for z := range h[0] {
-		r := zigzag(z)
-		if c := uint64(h[0][r]) + uint64(h[1][r]) + uint64(h[2][r]) + uint64(h[3][r]); c != 0 {
-			keys = append(keys, c<<8|uint64(255-z))
+	var h, byZ [256]int
+	countBytes(plane, &h)
+	last := 0
+	for z := range byZ {
+		if byZ[z] = h[zigzag(z)]; byZ[z] != 0 {
+			last = z
 		}
 	}
-	slices.Sort(keys) // rarest first; of equal counts, the later in zig-zag order first
-	m := len(keys)
-	a := s.depth[:m]
-	a[0] = 1 // the one-symbol plane; any other a[0] is overwritten below
+	bits := codeLengths(byZ[:], maxCodeLen, s.lens[:])
+	hdr = last/2 + 1
+	if size = 1 + hdr + (bits+7)/8; size > len(plane) {
+		return 0, 1 + len(plane)
+	}
+	return hdr, size
+}
+
+// countBytes adds the number of times each value occurs in b to h.
+func countBytes(b []byte, h *[256]int) {
+	var c [4][256]uint32 // four counters a value, so that equal neighbours do not wait on one
+	for i, v := range b {
+		c[i&3][v]++
+	}
+	for v := range h {
+		h[v] += int(c[0][v]) + int(c[1][v]) + int(c[2][v]) + int(c[3][v])
+	}
+}
+
+// codeLengths sets lens[s] to the length of symbol s's code in a
+// minimum-redundancy code of at most limit bits for the counts freq — at most
+// numLitLen symbols, at least one counted — or to 0 where freq[s] is, and
+// returns Σ freq × length. Of equal counts the earlier symbol codes shorter.
+func codeLengths(freq []int, limit int, lens []uint8) (bits int) {
+	var keyBuf [numLitLen]uint64 // count<<16 | 0xffff−s, sorted: rarest first, then the later symbol
+	var depth [numLitLen]int     // code length by rank in keys
+	keys := keyBuf[:0]
+	for s, c := range freq {
+		if c != 0 {
+			keys = append(keys, uint64(c)<<16|uint64(0xffff-s))
+		}
+	}
+	slices.Sort(keys)
+	m, a := len(keys), depth[:len(keys)]
+	a[0] = 1 // the one-symbol code; any other a[0] is overwritten below
 	if m > 1 {
 		// Moffat and Katajainen's in-place minimum-redundancy code lengths: the
 		// two-queue Huffman construction, a leaf before a tree of equal weight.
 		for i, k := range keys {
-			a[i] = int(k >> 8)
+			a[i] = int(k >> 16)
 		}
 		root, leaf, next := 0, 0, 0
 		pick := func() (w int) { // the lighter of the next leaf and the next tree
@@ -136,11 +161,11 @@ func (s *packScratch) plan(plane []byte) (hdr, size int) {
 	// Limit the lengths as JPEG's Annex K.3 does, on the count of codes of
 	// each length: of a too-deep pair one moves up a level, the other joins a
 	// shorter code pushed down one.
-	var count [256]int
+	var count [numLitLen]int
 	for _, l := range a {
 		count[l]++
 	}
-	for l := a[0]; l > maxCodeLen; l-- {
+	for l := a[0]; l > limit; l-- {
 		for count[l] > 0 {
 			j := l - 2
 			for count[j] == 0 {
@@ -152,23 +177,16 @@ func (s *packScratch) plan(plane []byte) (hdr, size int) {
 			count[j]--
 		}
 	}
-	s.lens = [256]uint8{}
-	bits, l, last := 0, 1, 0
-	for i := m - 1; i >= 0; i-- { // commonest first, shortest first
+	clear(lens)
+	for i, l := m-1, 1; i >= 0; i-- { // commonest first, shortest first
 		for count[l] == 0 {
 			l++
 		}
 		count[l]--
-		z := 255 - int(keys[i]&255)
-		s.lens[z] = uint8(l)
-		bits += int(keys[i]>>8) * l
-		last = max(last, z)
+		lens[0xffff-keys[i]&0xffff] = uint8(l)
+		bits += int(keys[i]>>16) * l
 	}
-	hdr = last/2 + 1
-	if size = 1 + hdr + (bits+7)/8; size > n {
-		return 0, 1 + n
-	}
-	return hdr, size
+	return bits
 }
 
 // canon assigns s.enc from s.lens and returns how many residuals have a code

@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"sync"
 
 	"repro/internal/bufpool"
 )
@@ -65,6 +67,19 @@ var (
 )
 
 var sjprCRC = crc32.MakeTable(crc32.Castagnoli)
+
+// The encoder's pooled scratch: a compress/flate writer, ≈650 KB of state
+// reset between scans, and the buffer the scans go to.
+var (
+	flateWriterPool = sync.Pool{New: func() any {
+		zw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
+		if err != nil {
+			panic(err) // DefaultCompression is always a valid level
+		}
+		return zw
+	}}
+	encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+)
 
 // IsProgressive reports whether data begins with the SJPR magic.
 func IsProgressive(data []byte) bool {

@@ -292,10 +292,10 @@ func fnvHex(parts ...[]byte) string {
 }
 
 // TestGoldenDigests pins the stored bytes and the decoded pixels of three
-// fixed images, so that a change to either — in this package or in the
-// compress/flate writer it encodes with — is noticed. The sjpg and pixels
+// fixed images, so that a change to either — in this package or, for sjpr, in
+// the compress/flate writer its scans go through — is noticed. The pixels
 // digests were taken from the per-pixel encoder and the compress/flate-reader
-// decoder and are older than any change to SJPR's layout; the sjpr digests are
+// decoder; the sjpg digests are deflate.go's writer's, the sjpr digests
 // container version 2's.
 func TestGoldenDigests(t *testing.T) {
 	for _, c := range []struct {
@@ -306,11 +306,11 @@ func TestGoldenDigests(t *testing.T) {
 		pixels        string // Decode, then DecodeAtFidelity k = 1..MaxScans
 	}{
 		{seed: 1, w: 160, h: 161, quality: 80, detail: 0.5,
-			sjpg: "b34d7f4eae437c54", sjpr: "00dbc392fa21fc7a", pixels: "cca12a6e5f0185ec"},
+			sjpg: "32f37975fd2aea0c", sjpr: "00dbc392fa21fc7a", pixels: "cca12a6e5f0185ec"},
 		{seed: 2, w: 333, h: 250, quality: 95, detail: 0.9,
-			sjpg: "66c67f406ec9c7a7", sjpr: "733b196f26a51198", pixels: "a03d1547a4ceb6ad"},
+			sjpg: "213653153566c326", sjpr: "733b196f26a51198", pixels: "a03d1547a4ceb6ad"},
 		{seed: 3, w: 640, h: 480, quality: 40, detail: 0.2,
-			sjpg: "f38947f85974b88b", sjpr: "12afebb90d0fd995", pixels: "4f8d8ca9b8699bfd"},
+			sjpg: "f7dbd484f980f47b", sjpr: "12afebb90d0fd995", pixels: "4f8d8ca9b8699bfd"},
 	} {
 		im := synthFor(t, c.seed, c.w, c.h, c.detail)
 		sjpg, err := Encode(im, c.quality)
