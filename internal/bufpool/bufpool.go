@@ -121,6 +121,7 @@ func (a *arena[T]) put(b []T) {
 
 var (
 	bytes    arena[byte]
+	uint16s  arena[uint16]
 	float32s arena[float32]
 )
 
@@ -129,6 +130,12 @@ func GetBytes(n int) []byte { return bytes.get(n) }
 
 // PutBytes returns b to the arena; the caller must drop all references.
 func PutBytes(b []byte) { bytes.put(b) }
+
+// GetUint16 returns a []uint16 of length n from the arena.
+func GetUint16(n int) []uint16 { return uint16s.get(n) }
+
+// PutUint16 returns u to the arena; the caller must drop all references.
+func PutUint16(u []uint16) { uint16s.put(u) }
 
 // GetFloat32 returns a []float32 of length n from the arena.
 func GetFloat32(n int) []float32 { return float32s.get(n) }

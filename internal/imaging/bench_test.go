@@ -191,6 +191,67 @@ func BenchmarkDecodeCropResizeSet(b *testing.B) {
 	}
 }
 
+// packSet is the cut-2 artifact of each benchSet stream: decoded and cropped
+// to 128×128 at its fixed rect, the crop an offloaded sample ships packed.
+var packSet = sync.OnceValues(func() ([]*Image, error) {
+	set, err := benchSet()
+	if err != nil {
+		return nil, err
+	}
+	crops := make([]*Image, len(set))
+	for i, s := range set {
+		if crops[i], err = DecodeCropResize(s.data, s.rect, 128, 128); err != nil {
+			return nil, err
+		}
+	}
+	return crops, nil
+})
+
+// packSetFor returns the crops and their mean packed size, and reports
+// throughput against their pixel bytes.
+func packSetFor(b *testing.B) ([]*Image, float64) {
+	b.Helper()
+	crops, err := packSet()
+	if err != nil {
+		b.Fatal(err)
+	}
+	packed := 0
+	for _, c := range crops {
+		packed += PackedSize(c)
+	}
+	b.SetBytes(int64(len(crops[0].Pix)))
+	return crops, float64(packed) / float64(len(crops))
+}
+
+// BenchmarkPackSet and BenchmarkUnpackSet price the packed form on the
+// traffic it carries, and report the mean packed crop.
+func BenchmarkPackSet(b *testing.B) {
+	crops, mean := packSetFor(b)
+	buf := make([]byte, 0, len(crops[0].Pix)+Channels)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = AppendPacked(buf[:0], crops[i%len(crops)])
+	}
+	b.ReportMetric(mean, "packed-B")
+}
+
+func BenchmarkUnpackSet(b *testing.B) {
+	crops, mean := packSetFor(b)
+	enc := make([][]byte, len(crops))
+	for i, c := range crops {
+		enc[i] = AppendPacked(nil, c)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := Unpack(enc[i%len(enc)], 128, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Release()
+	}
+	b.ReportMetric(mean, "packed-B")
+}
+
 // BenchmarkEncodeSet is what set-up spends on each stored SJPG object, and
 // reports the mean object.
 func BenchmarkEncodeSet(b *testing.B) {

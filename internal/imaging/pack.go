@@ -10,28 +10,46 @@ import (
 	"repro/internal/bufpool"
 )
 
-// The lossless packed form decoded pixels take on the wire. The interleaved
-// RGB bytes are three planes — G, R−G and B−G, the differences being far
-// flatter than the channels — each sample predicted by the LOCO-I median edge
-// detector from its left, upper and upper-left neighbours (G compared as
-// uint8, the differences as int8; a row of zeros stands above the first row,
-// and the first column takes the sample above as its left and upper-left).
-// The residuals, mod 256, are Huffman coded, each plane with its own code:
+// The lossless packed form decoded pixels take on the wire: the interleaved
+// RGB bytes as three planes, B−G, R−G and G in that order. Each sample is
+// predicted from a to its left, b above, c above-left and d above-right (a
+// row of zeros stands above the first row, the first column takes a = c = b,
+// the last d = b): the differences, compared as int8, by the LOCO-I median
+// edge detector; G, as uint8, by the median or, below the first row, by
+// ⌊(a+b+d)/3⌋, whichever packs the image smaller. The residuals, mod 256,
+// are Huffman coded:
 //
-//	1 byte   H, the bytes of code lengths that follow: 1..128, or 0
-//	H bytes  code lengths 0..12, two a byte, high nibble first, in the order
-//	         of the residuals 0, −1, +1, −2, …; the unused tail is not written
-//	         H > 0: the w·h codes, MSB first, zero-padded to a byte
-//	         H = 0: the w·h residuals as they are
+//	table  1 byte H, then H bytes of code lengths 0..12, two a byte, high
+//	       nibble first, in the order of the residuals 0, −1, +1, −2, …
+//	B−G    one table (H = 1..128) and the w·h codes, MSB first, zero-padded
+//	       to a byte; or H = 0 and the w·h residuals as they are
+//	R−G    seven tables, each sample coded with the one its pixel's B−G
+//	       residual picks (as int8, clamped to −3…+3; H = 0: no pixel has
+//	       it), and the codes; or 255 and the residuals
+//	G      as B−G, with one byte after a coded plane's table: 0 median, 1 mean
 //
-// Codes are canonical, by length and then by that order; a plane of one
+// Codes are canonical, by length and then by that order; a table of one
 // residual value codes it as the bit 0. A plane is stored when coding would
 // not shorten it, so an image packs to at most its pixel bytes plus one byte
-// per plane. Photo-like crops pack to ≈0.40 of them.
+// a plane. Photo-like crops pack to ≈0.37 of them.
 
-// maxCodeLen bounds a code so that decoding is one lookup in a table of
-// 1<<maxCodeLen entries, and a length fits the header's nibble.
-const maxCodeLen = 12
+const (
+	// maxCodeLen bounds a code so that decoding is one lookup in a table of
+	// 1<<maxCodeLen entries, and a length fits the header's nibble.
+	maxCodeLen = 12
+	ctxK       = 3 // R−G's tables are picked by the B−G residual clamped to ±ctxK
+	contexts   = 2*ctxK + 1
+	storedRG   = 0xff // a stored R−G plane's marker: no table has H > 128
+)
+
+// ctxSym is the table bits, table<<8, of an R−G symbol by its pixel's B−G
+// residual.
+var ctxSym = func() (t [256]uint16) {
+	for r := range t {
+		t[r] = uint16(min(max(int(int8(r)), -ctxK), ctxK)+ctxK) << 8
+	}
+	return t
+}()
 
 // zigzag returns the residual at position z of the header's order.
 func zigzag(z int) uint8 { return uint8(z>>1) ^ -uint8(z&1) }
@@ -40,10 +58,15 @@ func zigzag(z int) uint8 { return uint8(z>>1) ^ -uint8(z&1) }
 var zeroRow [Channels * maxDim]byte
 
 // packScratch is the pooled state of one AppendPacked, PackedSize or Unpack.
+// The encoder's symbols are table<<8 | residual, so that one count loop and
+// one bit loop serve a plane whatever its tables. Tables are planned into
+// slots: B−G's, R−G's seven, G's by each predictor.
 type packScratch struct {
-	lens  [256]uint8              // code length by zig-zag position
-	enc   [256]uint32             // by residual: canonical code<<4 | length
-	table [1 << maxCodeLen]uint16 // by the next maxCodeLen bits: residual<<8 | length
+	count [4][8 << 8]uint32        // by symbol, four counters so that equal neighbours do not wait on one
+	lens  [3 + contexts][256]uint8 // code length by zig-zag position, valid below 2·hdr
+	hdr   [3 + contexts]int        // H, a table's bytes of code lengths
+	enc   [8 << 8]uint32           // by symbol: canonical code<<4 | length
+	table [8 << maxCodeLen]uint16  // by table<<maxCodeLen | the next maxCodeLen bits: residual<<8 | length
 }
 
 var packPool = sync.Pool{New: func() any { return new(packScratch) }}
@@ -53,48 +76,106 @@ var packPool = sync.Pool{New: func() any { return new(packScratch) }}
 // indexes nothing, which is why residuals are counted in a pass of their own.
 func med(a, b, c int) int { return max(min(a, b), min(max(a, b), a+b-c)) }
 
-// residuals writes the prediction residuals of im's three planes to res, w·h
-// bytes each.
-func (s *packScratch) residuals(im *Image, res []byte) {
+// predict writes the symbols of im's residuals to syms, w·h a plane: B−G,
+// R−G, G by the median, G by the mean of three. A plane a loop keeps each
+// loop's values in registers.
+func predict(im *Image, syms []uint16) {
 	w, n := im.W, im.W*im.H
 	up := zeroRow[:w*Channels]
 	for y := 0; y < im.H; y++ {
-		row := im.Pix[y*w*Channels:][:w*Channels]
-		gRes, rRes, bRes := res[y*w:][:w], res[n+y*w:][:w], res[2*n+y*w:][:w]
-		ag, ar, ab := int(up[1]), int(int8(up[0]-up[1])), int(int8(up[2]-up[1]))
-		cg, cr, cb := ag, ar, ab
-		for x := range gRes {
-			px, ux := row[x*Channels:][:Channels], up[x*Channels:][:Channels]
-			g, r, b := int(px[1]), int(int8(px[0]-px[1])), int(int8(px[2]-px[1]))
-			ug, ur, ub := int(ux[1]), int(int8(ux[0]-ux[1])), int(int8(ux[2]-ux[1]))
-			dg := uint8(g - med(ag, ug, cg))
-			dr := uint8(r - med(ar, ur, cr))
-			db := uint8(b - med(ab, ub, cb))
-			gRes[x], rRes[x], bRes[x] = dg, dr, db
-			ag, ar, ab, cg, cr, cb = g, r, b, ug, ur, ub
+		row, bRes, gRes, mRes := im.Pix[y*w*Channels:][:w*Channels], syms[y*w:][:w], syms[2*n+y*w:][:w], syms[3*n+y*w:][:w]
+		diffResiduals(row, up, 2, bRes, nil)
+		diffResiduals(row, up, 0, syms[n+y*w:][:w], bRes)
+		up, gRes = up[:len(row)], gRes[:len(mRes)]
+		ag, ug := int(up[1]), int(up[1])
+		cg := ag
+		for x := range mRes {
+			i := x*Channels + 1
+			g, dg := int(row[i]), ug
+			if i+Channels < len(up) {
+				dg = int(up[i+Channels])
+			}
+			gRes[x], mRes[x] = uint16(uint8(g-med(ag, ug, cg))), uint16(uint8(g-(ag+ug+dg)*0x5556>>16)) // ⌊s/3⌋ for s < 2^15
+			ag, cg, ug = g, ug, dg
+		}
+		if y == 0 {
+			copy(mRes, gRes) // both predict the first row from the left
 		}
 		up = row
 	}
 }
 
-// plan builds the code of a plane of residuals from their counts into s.lens
-// and returns the plane's header byte and its packed size, which is exact:
-// header plus ⌈Σ count × length / 8⌉.
-func (s *packScratch) plan(plane []byte) (hdr, size int) {
-	var h, byZ [256]int
-	countBytes(plane, &h)
-	last := 0
-	for z := range byZ {
-		if byZ[z] = h[zigzag(z)]; byZ[z] != 0 {
-			last = z
+// diffResiduals writes the median residuals of channel ch − G, compared as
+// int8, along row to res, each in the table of its pixel's B−G residual if
+// bRes is given.
+func diffResiduals(row, up []byte, ch int, res, bRes []uint16) {
+	up = up[:len(row)]
+	a := int(int8(up[ch] - up[1]))
+	c := a
+	for x := range res {
+		i := x * Channels
+		v, u := int(int8(row[i+ch]-row[i+1])), int(int8(up[i+ch]-up[i+1]))
+		sym := uint16(uint8(v - med(a, u, c)))
+		if bRes != nil {
+			sym |= ctxSym[uint8(bRes[x])]
+		}
+		res[x] = sym
+		a, c = v, u
+	}
+}
+
+// plan builds the codes of the planes predict wrote to syms and returns the
+// three planes' packed sizes and g, the plane of syms G is packed from: 2
+// (median) or 3 (mean).
+func (s *packScratch) plan(syms []uint16, n int) (sizes [3]int, g int) {
+	sizes[0] = s.planPlane(syms[:n], 1, 0, 0)
+	sizes[1] = s.planPlane(syms[n:2*n], contexts, 1, 0)
+	sizes[2], g = s.planPlane(syms[2*n:3*n], 1, 1+contexts, 1), 2
+	if avg := s.planPlane(syms[3*n:], 1, 2+contexts, 1); avg < sizes[2] {
+		sizes[2], g = avg, 3
+	}
+	return sizes, g
+}
+
+// planPlane builds the codes of a plane's tables into the lens slots from
+// slot on and returns the plane's packed size, which is exact: extra header
+// bytes, the tables and ⌈Σ count × length / 8⌉ — or stored, 1 + w·h.
+func (s *packScratch) planPlane(plane []uint16, tables, slot, extra int) int {
+	c := &s.count
+	for k := range c {
+		clear(c[k][:tables<<8])
+	}
+	const m = len(c[0]) - 1
+	p := plane
+	for ; len(p) >= 4; p = p[4:] {
+		c[0][int(p[0])&m]++
+		c[1][int(p[1])&m]++
+		c[2][int(p[2])&m]++
+		c[3][int(p[3])&m]++
+	}
+	for _, v := range p {
+		c[0][int(v)&m]++
+	}
+	size, bits := extra, 0
+	for t := range tables {
+		var byZ [256]int
+		last := -1
+		for z := range byZ {
+			v := t<<8 | int(zigzag(z))
+			if byZ[z] = int(c[0][v]) + int(c[1][v]) + int(c[2][v]) + int(c[3][v]); byZ[z] != 0 {
+				last = z
+			}
+		}
+		h := (last + 2) / 2
+		s.hdr[slot+t], size = h, size+1+h
+		if h > 0 {
+			bits += codeLengths(byZ[:2*h], maxCodeLen, s.lens[slot+t][:2*h])
 		}
 	}
-	bits := codeLengths(byZ[:], maxCodeLen, s.lens[:])
-	hdr = last/2 + 1
-	if size = 1 + hdr + (bits+7)/8; size > len(plane) {
-		return 0, 1 + len(plane)
+	if size += (bits + 7) / 8; size > len(plane) {
+		return 1 + len(plane)
 	}
-	return hdr, size
+	return size
 }
 
 // countBytes adds the number of times each value occurs in b to h.
@@ -189,21 +270,21 @@ func codeLengths(freq []int, limit int, lens []uint8) (bits int) {
 	return bits
 }
 
-// canon assigns s.enc from s.lens and returns how many residuals have a code
-// and the codes' Kraft sum in units of 2^−maxCodeLen.
-func (s *packScratch) canon() (symbols, kraft int) {
+// canon assigns enc from lens and returns how many residuals have a code and
+// the codes' Kraft sum in units of 2^−maxCodeLen.
+func canon(lens []uint8, enc *[256]uint32) (symbols, kraft int) {
 	var count, next [maxCodeLen + 1]int
-	for _, l := range s.lens {
+	for _, l := range lens {
 		count[l]++
 	}
-	symbols, count[0] = len(s.lens)-count[0], 0
+	symbols, count[0] = len(lens)-count[0], 0
 	for l, code := 1, 0; l <= maxCodeLen; l++ {
 		code = (code + count[l-1]) << 1
 		next[l] = code
 		kraft += count[l] << (maxCodeLen - l)
 	}
-	for z, l := range s.lens {
-		s.enc[zigzag(z)] = uint32(next[l])<<4 | uint32(l)
+	for z, l := range lens {
+		enc[zigzag(z)] = uint32(next[l])<<4 | uint32(l)
 		next[l]++
 	}
 	return symbols, kraft
@@ -214,15 +295,11 @@ func PackedSize(im *Image) int {
 	n := im.W * im.H
 	s := packPool.Get().(*packScratch)
 	defer packPool.Put(s)
-	res := bufpool.GetBytes(Channels * n)
-	defer bufpool.PutBytes(res)
-	s.residuals(im, res)
-	total := 0
-	for p := 0; p < Channels; p++ {
-		_, size := s.plan(res[p*n : (p+1)*n])
-		total += size
-	}
-	return total
+	syms := bufpool.GetUint16(4 * n)
+	defer bufpool.PutUint16(syms)
+	predict(im, syms)
+	sizes, _ := s.plan(syms, n)
+	return sizes[0] + sizes[1] + sizes[2]
 }
 
 // AppendPacked appends the packed form of im's pixels to dst and returns the
@@ -233,41 +310,66 @@ func AppendPacked(dst []byte, im *Image) []byte {
 	n := im.W * im.H
 	s := packPool.Get().(*packScratch)
 	defer packPool.Put(s)
-	res := bufpool.GetBytes(Channels * n)
-	defer bufpool.PutBytes(res)
-	s.residuals(im, res)
-	for p := 0; p < Channels; p++ {
-		plane := res[p*n : (p+1)*n]
-		hdr, size := s.plan(plane)
-		dst = append(dst, make([]byte, size)...)
-		out := dst[len(dst)-size:]
-		out[0] = byte(hdr)
-		if hdr == 0 {
-			copy(out[1:], plane)
-			continue
+	syms := bufpool.GetUint16(4 * n)
+	defer bufpool.PutUint16(syms)
+	predict(im, syms)
+	sizes, g := s.plan(syms, n)
+	at := len(dst)
+	dst = append(dst, make([]byte, sizes[0]+sizes[1]+sizes[2])...)
+	out := dst[at:]
+	s.put(out[:sizes[0]], syms[:n], 1, 0, -1, 0)
+	s.put(out[sizes[0]:][:sizes[1]], syms[n:2*n], contexts, 1, -1, storedRG)
+	s.put(out[sizes[0]+sizes[1]:], syms[g*n:][:n], 1, g-1+contexts, g-2, 0)
+	return dst
+}
+
+// put writes a plane planned into the slots from slot on to out, its packed
+// size: stored behind marker, or its tables, the predictor byte pred unless
+// it is negative, and its codes.
+func (s *packScratch) put(out []byte, plane []uint16, tables, slot, pred int, marker byte) {
+	if len(out) == 1+len(plane) {
+		out[0] = marker
+		for i, v := range plane {
+			out[1+i] = byte(v)
 		}
-		for i := range out[1 : 1+hdr] {
-			out[1+i] = s.lens[2*i]<<4 | s.lens[2*i+1]
+		return
+	}
+	o := 0
+	for t := range tables {
+		hdr := s.hdr[slot+t]
+		lens := s.lens[slot+t][:2*hdr]
+		out[o] = byte(hdr)
+		for i := range out[o+1 : o+1+hdr] {
+			out[o+1+i] = lens[2*i]<<4 | lens[2*i+1]
 		}
-		s.canon()
-		out = out[1+hdr:]
-		var acc uint64 // the low nb bits are not yet written
-		nb, o := uint(0), 0
-		for _, r := range plane {
-			e := s.enc[r]
-			acc = acc<<(e&15) | uint64(e>>4)
-			if nb += uint(e & 15); nb >= 32 {
-				nb -= 32
-				binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
-				o += 4
-			}
-		}
-		for acc <<= 64 - nb; o < len(out); o++ {
-			out[o] = byte(acc >> 56)
-			acc <<= 8
+		o += 1 + hdr
+		canon(lens, (*[256]uint32)(s.enc[t<<8:]))
+	}
+	if pred >= 0 {
+		out[o] = byte(pred)
+		o++
+	}
+	putBits(&s.enc, plane, out[o:])
+}
+
+// putBits writes the codes of plane to out, which is their length. It is a
+// function of its own so that its loop's few values stay in registers.
+func putBits(enc *[8 << 8]uint32, plane []uint16, out []byte) {
+	var acc uint64 // the low nb bits are not yet written
+	nb, o := uint(0), 0
+	for _, v := range plane {
+		e := enc[int(v)&(len(enc)-1)]
+		acc = acc<<(e&15) | uint64(e>>4)
+		if nb += uint(e & 15); nb >= 32 {
+			nb -= 32
+			binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
+			o += 4
 		}
 	}
-	return dst
+	for acc <<= 64 - nb; o < len(out); o++ {
+		out[o] = byte(acc >> 56)
+		acc <<= 8
+	}
 }
 
 // Unpack rebuilds the w×h image AppendPacked wrote. data must be exactly one
@@ -287,9 +389,10 @@ func Unpack(data []byte, w, h int) (*Image, error) {
 	defer packPool.Put(s)
 	res := bufpool.GetBytes(Channels * n)
 	defer bufpool.PutBytes(res)
-	for p := 0; p < Channels; p++ {
+	var mean bool
+	for p, sel := range [Channels][]byte{nil, res[:n], nil} {
 		var err error
-		if data, err = s.readPlane(data, res[p*n:(p+1)*n]); err != nil {
+		if data, mean, err = s.readPlane(data, res[p*n:(p+1)*n], sel, p == 2); err != nil {
 			return nil, fmt.Errorf("%w: unpack %dx%d plane %d: %v", ErrCorrupt, w, h, p, err)
 		}
 	}
@@ -300,85 +403,150 @@ func Unpack(data []byte, w, h int) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	unpredict(im, res)
+	unpredict(im, res, mean)
 	return im, nil
 }
 
-// unpredict inverts residuals: it rebuilds im's pixels from the three planes
-// of residuals in res.
-func unpredict(im *Image, res []byte) {
+// unpredict inverts predict: it rebuilds im's pixels from the planes of
+// residuals in res, G's by the mean of three if mean is set. A row's G is
+// rebuilt first, in a loop of its own as predict's are.
+func unpredict(im *Image, res []byte, mean bool) {
 	w, n := im.W, im.W*im.H
 	up := zeroRow[:w*Channels]
 	for y := 0; y < im.H; y++ {
 		row := im.Pix[y*w*Channels:][:w*Channels]
-		gRes, rRes, bRes := res[y*w:][:w], res[n+y*w:][:w], res[2*n+y*w:][:w]
-		ag, ar, ab := int(up[1]), int(int8(up[0]-up[1])), int(int8(up[2]-up[1]))
-		cg, cr, cb := ag, ar, ab
-		for x, dg := range gRes {
-			px, ux := row[x*Channels:][:Channels], up[x*Channels:][:Channels]
-			ug, ur, ub := int(ux[1]), int(int8(ux[0]-ux[1])), int(int8(ux[2]-ux[1]))
-			g := uint8(int(dg) + med(ag, ug, cg))
-			r, b := uint8(int(rRes[x])+med(ar, ur, cr)), uint8(int(bRes[x])+med(ab, ub, cb))
-			px[0], px[1], px[2] = r+g, g, b+g
-			ag, ar, ab, cg, cr, cb = int(g), int(int8(r)), int(int8(b)), ug, ur, ub
-		}
+		undoG(row, up, res[2*n+y*w:][:w], mean && y > 0)
+		undoDiffs(row, up, res[y*w:][:w], res[n+y*w:][:w])
 		up = row
 	}
 }
 
-// readPlane decodes one plane from the front of data into plane and returns
-// what follows it.
-func (s *packScratch) readPlane(data, plane []byte) ([]byte, error) {
-	if len(data) == 0 {
-		return nil, errors.New("no plane header")
-	}
-	hdr, data := int(data[0]), data[1:]
-	if hdr == 0 {
-		if len(data) < len(plane) {
-			return nil, errors.New("stored plane cut short")
-		}
-		return data[copy(plane, data):], nil
-	}
-	if hdr > len(s.lens)/2 || hdr > len(data) {
-		return nil, fmt.Errorf("%d-byte code table in %d bytes", hdr, len(data))
-	}
-	s.lens = [256]uint8{}
-	for i, b := range data[:hdr] {
-		if b>>4 > maxCodeLen || b&15 > maxCodeLen {
-			return nil, fmt.Errorf("code length over %d", maxCodeLen)
-		}
-		s.lens[2*i], s.lens[2*i+1] = b>>4, b&15
-	}
-	data = data[hdr:]
-	symbols, kraft := s.canon()
-	if kraft != len(s.table) && (symbols != 1 || kraft != len(s.table)/2) { // a lone code is the bit 0
-		return nil, errors.New("code table not complete")
-	}
-	for i := range s.table[kraft:] {
-		s.table[kraft+i] = 0xff // a length no bit buffer has
-	}
-	for r, e := range s.enc {
-		if l := e & 15; l != 0 {
-			first, span := int(e>>4)<<(maxCodeLen-l), 1<<(maxCodeLen-l)
-			for i := range s.table[first:][:span] {
-				s.table[first+i] = uint16(r)<<8 | uint16(l)
+// undoG rebuilds G along a row from its residuals. Each sample waits on the
+// one before it, so a loop a predictor keeps that chain short.
+func undoG(row, up, res []byte, mean bool) {
+	up = up[:len(row)]
+	ag := int(up[1])
+	cg := ag
+	if mean {
+		for x, d := range res {
+			i := x*Channels + 1
+			ug, dg := int(up[i]), int(up[i])
+			if i+Channels < len(up) {
+				dg = int(up[i+Channels])
 			}
+			g := uint8(int(d) + (ag+(ug+dg))*0x5556>>16)
+			row[i], ag = g, int(g)
+		}
+		return
+	}
+	for x, d := range res {
+		i := x*Channels + 1
+		ug := int(up[i])
+		g := uint8(int(d) + med(ag, ug, cg))
+		row[i], ag, cg = g, int(g), ug
+	}
+}
+
+// undoDiffs rebuilds R and B along a row whose G is rebuilt from the
+// residuals of B−G and R−G.
+func undoDiffs(row, up, bRes, rRes []byte) {
+	up, rRes = up[:len(row)], rRes[:len(bRes)]
+	ar, ab := int(int8(up[0]-up[1])), int(int8(up[2]-up[1]))
+	cr, cb := ar, ab
+	for x, db := range bRes {
+		i := x * Channels
+		ur, ub := int(int8(up[i]-up[i+1])), int(int8(up[i+2]-up[i+1]))
+		r, b := uint8(int(rRes[x])+med(ar, ur, cr)), uint8(int(db)+med(ab, ub, cb))
+		row[i], row[i+2] = r+row[i+1], b+row[i+1]
+		ar, ab, cr, cb = int(int8(r)), int(int8(b)), ur, ub
+	}
+}
+
+// readPlane decodes one plane from the front of data into plane and returns
+// what follows it. With sel it reads R−G's seven tables, sample i's being
+// picked by sel[i]; for G, the predictor byte, and whether it names the mean.
+func (s *packScratch) readPlane(data, plane, sel []byte, g bool) (rest []byte, mean bool, err error) {
+	tables, marker := 1, byte(0)
+	if sel != nil {
+		tables, marker = contexts, storedRG
+	}
+	if len(data) == 0 {
+		return nil, false, errors.New("no plane header")
+	}
+	if data[0] == marker {
+		if len(data)-1 < len(plane) {
+			return nil, false, errors.New("stored plane cut short")
+		}
+		return data[1+copy(plane, data[1:]):], false, nil
+	}
+	for t := range tables {
+		if len(data) == 0 {
+			return nil, false, fmt.Errorf("no header for table %d", t)
+		}
+		hdr := int(data[0])
+		if data = data[1:]; hdr > len(s.lens[t])/2 || hdr > len(data) {
+			return nil, false, fmt.Errorf("%d-byte code table in %d bytes", hdr, len(data))
+		}
+		lens := s.lens[t][:2*hdr]
+		for i, b := range data[:hdr] {
+			if b>>4 > maxCodeLen || b&15 > maxCodeLen {
+				return nil, false, fmt.Errorf("code length over %d", maxCodeLen)
+			}
+			lens[2*i], lens[2*i+1] = b>>4, b&15
+		}
+		data = data[hdr:]
+		table, enc := (*[1 << maxCodeLen]uint16)(s.table[t<<maxCodeLen:]), (*[256]uint32)(s.enc[t<<8:])
+		symbols, kraft := canon(lens, enc)
+		if hdr > 0 && kraft != len(table) && (symbols != 1 || kraft != len(table)/2) { // a lone code is the bit 0
+			return nil, false, fmt.Errorf("code table %d not complete", t)
+		}
+		fill(table[kraft:], 0xff) // a length no bit buffer has; all of an empty table
+		for z, l := range lens {
+			if r := zigzag(z); l != 0 {
+				fill(table[int(enc[r]>>4)<<(maxCodeLen-l):][:1<<(maxCodeLen-l)], uint16(r)<<8|uint16(l))
+			}
+		}
+	}
+	if g {
+		if len(data) == 0 || data[0] > 1 {
+			return nil, false, errors.New("no predictor 0 or 1")
+		}
+		mean, data = data[0] == 1, data[1:]
+	}
+	// Until its residual replaces it, the plane holds each sample's table.
+	if sel == nil {
+		clear(plane)
+	} else {
+		for i, v := range sel[:len(plane)] {
+			plane[i] = byte(ctxSym[v] >> 8)
 		}
 	}
 	used, ok := decodeBits(&s.table, data, plane)
 	if !ok {
-		return nil, errors.New("residuals run past the payload, have no code, or leave padding bits set")
+		return nil, false, errors.New("residuals run past the payload, have no code, or leave padding bits set")
 	}
-	return data[used:], nil
+	return data[used:], mean, nil
 }
 
-// decodeBits decodes the bit stream at the front of data into plane and
-// returns the length of the stream, its zero-padded last byte included. It is
-// a function of its own so that its loop's few values stay in registers.
-func decodeBits(table *[1 << maxCodeLen]uint16, data, plane []byte) (used int, ok bool) {
+// fill sets every entry of span to v, doubling the run it has set.
+func fill(span []uint16, v uint16) {
+	if len(span) > 0 {
+		span[0] = v
+	}
+	for k := 1; k < len(span); k *= 2 {
+		copy(span[k:], span[:k])
+	}
+}
+
+// decodeBits decodes the bit stream at the front of data into plane, sample
+// i by the table plane[i] holds, and returns the length of the stream, its
+// zero-padded last byte included. It is a function of its own so that its
+// loop's few values stay in registers.
+func decodeBits(tables *[8 << maxCodeLen]uint16, data, plane []byte) (used int, ok bool) {
 	var bb uint64 // the next nb bits, from bit 63 down
 	nb, at := uint(0), 0
-	for i := range plane {
+	for i, t := range plane {
+		table := (*[1 << maxCodeLen]uint16)(tables[int(t)&7<<maxCodeLen:]) // found off the chain of bb
 		if nb < maxCodeLen {
 			for ; nb <= 56 && at < len(data); nb += 8 {
 				bb |= uint64(data[at]) << (56 - nb)

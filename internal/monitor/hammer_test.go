@@ -51,22 +51,24 @@ func TestHammerScrapeDuringAdmissionChurn(t *testing.T) {
 		}
 	}()
 
-	// Counter churn: the per-shard atomics the aggregate sums over.
+	// Counter churn: the per-shard atomics the aggregate sums over. It counts
+	// before it looks at stop: the admission churn can finish before this
+	// goroutine is first scheduled, and the final scrape wants its counts.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
 			c := counters[i%len(counters)]
 			c.SamplesServed.Add(1)
 			c.BytesSent.Add(4096)
 			c.InFlight.Add(1)
 			c.InFlight.Add(-1)
 			c.ShedLoad.Add(1)
+			select {
+			case <-stop:
+				return
+			default:
+			}
 		}
 	}()
 

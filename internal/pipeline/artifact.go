@@ -74,8 +74,8 @@ func RawWireSize(n int) int { return 1 + n }
 // ImageWireSize returns the unpacked size of a w×h image artifact: header
 // plus pixel bytes. This is the artifact-size law (the paper's Figure 1a, the
 // trace generator, every model-tier table) and what the artifact occupies in
-// memory. What crosses the wire is the packed form, about 0.4 of it on
-// photo-like content; only AppendEncode knows that number.
+// memory. What crosses the wire is the packed form, about 0.37 of it on
+// photo-like crops; only AppendEncode knows that number.
 func ImageWireSize(w, h int) int { return imageHeader + w*h*imaging.Channels }
 
 // TensorWireSize returns the encoded size of a c×h×w tensor artifact.
@@ -84,8 +84,8 @@ func TensorWireSize(c, h, w int) int { return 1 + tensor.MarshaledSize(c, h, w) 
 // WireSize returns, in O(1), the artifact's unpacked encoded size — the
 // quantity the paper's Figure 1a traces through the pipeline. For raw and
 // tensor artifacts it is exactly len(Encode()). For images it is
-// ImageWireSize, the in-memory charge; the packed encoding is about 0.4 of it
-// on photo-like pixels and never more than EncodeBound.
+// ImageWireSize, the in-memory charge; the packed encoding is about 0.37 of
+// it on photo-like crops and never more than EncodeBound.
 func (a Artifact) WireSize() int {
 	switch a.Kind {
 	case KindRaw:

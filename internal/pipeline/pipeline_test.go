@@ -126,7 +126,7 @@ func noiseArtifact(w, h int, seed uint64) Artifact {
 
 // TestImageEncodeFitsItsPooledBuffer: the executor and the cache encode into
 // bufpool.GetBytes(EncodeBound()). On the live tier's crops the packed form
-// is about 0.4 of that; noise, stored, is exactly it, three bytes over
+// is about 0.37 of that; noise, stored, is exactly it, three bytes over
 // WireSize — so a buffer sized by WireSize fits only when its size class
 // happens to round up by as much. 134×163 is 65 535 B unpacked and 65 538 B
 // stored: a 64 KiB buffer would be regrown and dropped. One such geometry sits

@@ -217,7 +217,8 @@ func Run(cfg Config) (Report, error) {
 	return rep, nil
 }
 
-// identitySweep fetches every sample — raw and fully offloaded — through
+// identitySweep fetches every sample — raw, cut after RandomResizedCrop (a
+// packed image artifact, the cut SOPHON ships) and fully offloaded — through
 // both fabrics and compares artifacts byte for byte. Augmentation seeds
 // depend only on (job, epoch, sample), so the two clusters must agree
 // exactly; any divergence is a fault that leaked past the checksum.
@@ -235,7 +236,7 @@ func identitySweep(rep *Report, cfg Config, n int, pipe *pipeline.Pipeline, faul
 	defer pc.Close()
 
 	ctx := context.Background()
-	for _, split := range []int{0, pipe.Len()} {
+	for _, split := range []int{0, 2, pipe.Len()} {
 		for id := 0; id < n; id++ {
 			got, err := fc.Fetch(ctx, uint32(id), split, 1)
 			if err != nil {
