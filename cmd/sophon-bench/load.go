@@ -1,11 +1,10 @@
 package main
 
-// The -load / -gate / -convert modes: the heavy-traffic serving harness's
-// CLI surface. -load runs the open-loop load generator against the simulated
-// sharded tier and writes a versioned SLO record; -gate.cur diffs a fresh
-// record against the committed baseline and exits non-zero on regression
-// (the CI perf-trajectory gate); -convert folds historical BENCH_pr*.json
-// records into one TRAJECTORY file.
+// The -load / -gate modes: the heavy-traffic serving harness's CLI surface.
+// -load runs the open-loop load generator against the simulated sharded tier
+// and writes a versioned SLO record; -gate.cur diffs a fresh record against
+// the committed baseline and exits non-zero on regression (the CI
+// perf-trajectory gate).
 
 import (
 	"encoding/json"
@@ -13,7 +12,6 @@ import (
 	"log"
 	"os"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/dataset"
@@ -229,29 +227,4 @@ func runGate(logger *log.Logger, prevPath, curPath string, noise float64, allocS
 		logger.Printf("gate FAIL: %s", r)
 	}
 	return fmt.Errorf("gate: %d regressions in %s against %s", len(regs), curPath, prevPath)
-}
-
-// writeConvertJSON folds the comma-separated record files into one
-// TRAJECTORY file, in the order given.
-func writeConvertJSON(files, outPath string) error {
-	traj := perfbench.Trajectory{Kind: "TRAJECTORY", Version: 1}
-	for _, f := range strings.Split(files, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return err
-		}
-		e, err := perfbench.ConvertBenchRecord(f, data)
-		if err != nil {
-			return err
-		}
-		traj.Entries = append(traj.Entries, e)
-	}
-	if len(traj.Entries) == 0 {
-		return fmt.Errorf("no records in -convert %q", files)
-	}
-	return writeJSON(outPath, traj)
 }

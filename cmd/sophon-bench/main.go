@@ -39,8 +39,7 @@
 // records and exit non-zero on any regression (the CI perf-trajectory gate):
 // two SLO records gate p99 and throughput past -gate.noise; two alloc-suite
 // BENCH records (from -json) gate allocs/op against the baseline plus
-// -gate.allocslack. -convert folds historical BENCH_pr*.json and SLO records
-// into one TRAJECTORY.json time series.
+// -gate.allocslack.
 //
 // With -prefetch the command instead runs the clairvoyant-vs-reactive loader
 // comparison on an I/O-bound sharded epoch — per-shard lookahead issue queues
@@ -271,8 +270,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	gateCur := fs.String("gate.cur", "", "perf-trajectory gate: freshly generated SLO record to check")
 	gateNoise := fs.Float64("gate.noise", 0, "gate noise threshold as a fraction (0 = default 0.10); SLO records only")
 	gateAllocSlack := fs.Int64("gate.allocslack", 0, "extra allocs/op tolerated per kernel when gating alloc-suite BENCH records")
-	convertIn := fs.String("convert", "", "comma-separated BENCH/SLO record files to fold into one TRAJECTORY file")
-	convertOut := fs.String("convert.o", "TRAJECTORY.json", "output path for -convert")
 	if done, err := cliutil.ParseArgs(fs, args, "sophon-bench", "Regenerates the paper's evaluation tables, micro-benchmarks, and load/SLO records."); done || err != nil {
 		return err
 	}
@@ -294,7 +291,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var modes []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "adaptive", "chaos.seed", "convert", "fidelity", "fleet", "gate.prev", "json", "load", "prefetch", "prepsched":
+		case "adaptive", "chaos.seed", "fidelity", "fleet", "gate.prev", "json", "load", "prefetch", "prepsched":
 			if f.Value.String() != f.DefValue {
 				modes = append(modes, "-"+f.Name)
 			}
@@ -329,12 +326,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	switch {
 	case *gatePrev != "":
 		return runGate(logger, *gatePrev, *gateCur, *gateNoise, *gateAllocSlack)
-	case *convertIn != "":
-		if err := writeConvertJSON(*convertIn, *convertOut); err != nil {
-			return err
-		}
-		logger.Printf("trajectory written to %s", *convertOut)
-		return nil
 	case *chaosSeed != 0:
 		return runChaos(stdout, logger, *chaosSeed, class, *chaosDuration)
 	case *jsonOut != "":

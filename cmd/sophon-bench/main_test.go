@@ -33,11 +33,11 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-gate.cur", "b.json"}, "-gate.prev and -gate.cur must be set together"},
 		{[]string{"-load", "a.json", "-fleet", "b.json"}, "-fleet and -load each replace the evaluation: one a run"},
 		{[]string{"-json", "a.json", "-chaos.seed", "7"}, "-chaos.seed and -json each replace the evaluation: one a run"},
-		{[]string{"-gate.prev", "a.json", "-gate.cur", "b.json", "-convert", "a.json"}, "-convert and -gate.prev each replace the evaluation: one a run"},
+		{[]string{"-gate.prev", "a.json", "-gate.cur", "b.json", "-json", "a.json"}, "-gate.prev and -json each replace the evaluation: one a run"},
 		{[]string{"-chaos.seed", "7", "-chaos.class", "gremlins"}, `soak: unknown chaos class "gremlins"`},
 		{[]string{"-chaos.class", "gremlins"}, `soak: unknown chaos class "gremlins"`},
 		{[]string{"-gate.prev", "no-such.json", "-gate.cur", "b.json"}, "open no-such.json:"},
-		{[]string{"-convert", " , "}, `no records in -convert " , "`},
+		{[]string{"-convert", "a.json"}, "flag provided but not defined: -convert"},
 	} {
 		fs, _ := testFlags()
 		var stdout bytes.Buffer
@@ -56,7 +56,7 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// The golden is also README's flag table: 21 flags and -version.
+// The golden is also README's flag table: 19 flags and -version.
 func TestHelpGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/help.golden")
 	if err != nil {
@@ -69,8 +69,8 @@ func TestHelpGolden(t *testing.T) {
 	if stderr.String() != string(want) {
 		t.Fatalf("-help prints\n%s\nwant\n%s", stderr.String(), want)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 22 {
-		t.Fatalf("%d flags listed, want 21 and -version", n)
+	if n := strings.Count(stderr.String(), "\n  -"); n != 20 {
+		t.Fatalf("%d flags listed, want 19 and -version", n)
 	}
 }
 

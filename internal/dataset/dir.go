@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+
+	"repro/internal/imaging"
 )
 
 // On-disk dataset layout: one SJPG file per sample plus manifest.json.
@@ -111,7 +113,11 @@ func (s *DirSet) N() int { return s.manifest.N }
 // TotalBytes returns the summed stored size from the manifest.
 func (s *DirSet) TotalBytes() int64 { return s.manifest.TotalBytes }
 
-// Raw reads sample i's stored bytes from disk.
+// Raw reads sample i's stored bytes from disk. A file whose SJPG header a
+// build cannot read (imaging.ErrUnsupported: a directory an older build
+// wrote) or whose dimensions are not the manifest's (imaging.ErrCorrupt) is
+// refused here, so that a server refuses the directory at start-up rather
+// than failing every fetch of it.
 func (s *DirSet) Raw(i int) ([]byte, error) {
 	if i < 0 || i >= s.manifest.N {
 		return nil, fmt.Errorf("dataset: sample %d out of range [0, %d)", i, s.manifest.N)
@@ -126,6 +132,13 @@ func (s *DirSet) Raw(i int) ([]byte, error) {
 	}
 	if len(data) == 0 {
 		return nil, errors.New("dataset: empty sample file")
+	}
+	w, h, err := imaging.DecodeDims(data)
+	if err != nil {
+		return nil, fmt.Errorf("dataset: sample %d: %w", i, err)
+	}
+	if w != entry.Width || h != entry.Height {
+		return nil, fmt.Errorf("dataset: sample %d is %dx%d, manifest says %dx%d: %w", i, w, h, entry.Width, entry.Height, imaging.ErrCorrupt)
 	}
 	return data, nil
 }

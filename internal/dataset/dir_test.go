@@ -3,9 +3,13 @@ package dataset
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/imaging"
 )
 
 func writeTestDir(t *testing.T) (string, *ImageSet) {
@@ -131,5 +135,53 @@ func TestDirSetDetectsTruncatedFiles(t *testing.T) {
 	}
 	if _, err := ds.Raw(1); err == nil {
 		t.Fatal("accepted truncated sample file")
+	}
+}
+
+// TestDirSetRefusesStaleAndMismatchedSamples: a sample file whose version
+// byte an older build wrote, and a manifest whose width disagrees with a
+// file's header, fail Materialize with an error naming the sample and
+// wrapping imaging.ErrUnsupported or imaging.ErrCorrupt.
+func TestDirSetRefusesStaleAndMismatchedSamples(t *testing.T) {
+	dir, _ := writeTestDir(t)
+	path := filepath.Join(dir, "000003.sjpg")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[4]-- // the version byte
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Materialize(); !errors.Is(err, imaging.ErrUnsupported) || !strings.Contains(err.Error(), "sample 3") {
+		t.Errorf("stale version byte: Materialize err %v, want ErrUnsupported naming sample 3", err)
+	}
+
+	dir, _ = writeTestDir(t)
+	manifestPath := filepath.Join(dir, ManifestFile)
+	blob, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Manifest
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	m.Samples[2].Width++
+	if blob, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(manifestPath, blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if ds, err = LoadDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Materialize(); !errors.Is(err, imaging.ErrCorrupt) || !strings.Contains(err.Error(), "sample 2") {
+		t.Errorf("manifest width edited: Materialize err %v, want ErrCorrupt naming sample 2", err)
 	}
 }

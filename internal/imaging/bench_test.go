@@ -172,7 +172,8 @@ func BenchmarkInflateSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := set[i%len(set)]
-		if err := inflateInto(s.data[headerSize:], dst[:s.planes]); err != nil {
+		n, cn := s.im.W*s.im.H, (s.planes-s.im.W*s.im.H)/2
+		if err := inflateInto(s.data[headerSize:], dst[:n], dst[n:n+cn], dst[n+cn:s.planes]); err != nil {
 			b.Fatal(err)
 		}
 	}

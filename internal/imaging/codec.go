@@ -11,13 +11,14 @@ import (
 
 // SJPG is a real lossy image codec standing in for JPEG. The encoder
 // converts RGB to YCbCr, 2x2-subsamples the chroma planes, quantizes each
-// plane by a quality-derived shift, delta-predicts rows, and DEFLATEs the
-// residuals (deflate.go). Like JPEG, its output size depends strongly on image
-// content: smooth images compress an order of magnitude better than noisy ones.
+// plane by a quality-derived shift, delta-predicts rows, and codes the three
+// planes of residuals one after another (planes.go). Like JPEG, its output
+// size depends strongly on image content: smooth images compress an order of
+// magnitude better than noisy ones.
 
 const (
 	sjpgMagic   = "SJPG"
-	sjpgVersion = 1
+	sjpgVersion = 2                 // version 1 stored its planes as DEFLATE blocks
 	headerSize  = 4 + 1 + 1 + 4 + 4 // magic, version, quality, W, H
 )
 
@@ -57,23 +58,24 @@ func Encode(im *Image, quality int) ([]byte, error) {
 	}
 	yShift, cShift := shifts(quality)
 
-	n, cw, ch := im.W*im.H, (im.W+1)/2, (im.H+1)/2
-	planes := bufpool.GetBytes(n + 2*cw*ch)
+	n, cn := im.W*im.H, ((im.W+1)/2)*((im.H+1)/2)
+	planes := bufpool.GetBytes(n + 2*cn)
 	defer bufpool.PutBytes(planes)
-	ends := [3]int{n, n + cw*ch, n + 2*cw*ch}
-	yPlane, cbPlane, crPlane := planes[:ends[0]], planes[ends[0]:ends[1]], planes[ends[1]:]
+	yPlane, cbPlane, crPlane := planes[:n], planes[n:n+cn], planes[n+cn:n+2*cn]
 	fillPlanes(im, yShift, cShift, yPlane, cbPlane, crPlane)
 
 	deltaEncode(yPlane, im.W)
-	deltaEncode(cbPlane, cw)
-	deltaEncode(crPlane, cw)
+	deltaEncode(cbPlane, (im.W+1)/2)
+	deltaEncode(crPlane, (im.W+1)/2)
 
-	var hdr [headerSize]byte
-	copy(hdr[:], sjpgMagic)
-	hdr[4], hdr[5] = sjpgVersion, uint8(quality)
-	binary.BigEndian.PutUint32(hdr[6:10], uint32(im.W))
-	binary.BigEndian.PutUint32(hdr[10:14], uint32(im.H))
-	return deflatePlanes(hdr[:], planes, ends), nil
+	var codes planeCodes
+	out := make([]byte, headerSize+codes.plan(yPlane, cbPlane, crPlane))
+	copy(out, sjpgMagic)
+	out[4], out[5] = sjpgVersion, uint8(quality)
+	binary.BigEndian.PutUint32(out[6:10], uint32(im.W))
+	binary.BigEndian.PutUint32(out[10:14], uint32(im.H))
+	codes.put(out[headerSize:], yPlane, cbPlane, crPlane)
+	return out, nil
 }
 
 // fillPlanes computes the SJPG-quantized Y/Cb/Cr planes for im: luma per
@@ -152,15 +154,17 @@ func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 // dequantize them — for a progressive prefix the undelivered refinement depth
 // on top of the quality-derived shift. The planes are cut from buf, a bufpool
 // buffer the ycc owns until release. While residual is set they are what the
-// stream inflated to, row-prediction residuals, and the one step that reads
+// stream decoded to, row-prediction residuals, and the one step that reads
 // them — image or cropResize — first undoes the prediction where it will
-// read; the rest stays residuals, so a ycc serves one such call.
+// read, and there folds in the bits of the refinement bit planes that follow
+// the planes in buf; the rest stays residuals, so a ycc serves one such call.
 type ycc struct {
 	w, h           int
 	yShift, cShift uint
 	y, cb, cr      []uint8
 	buf            []uint8
 	residual       bool
+	bits           int // refinement bit planes after the planes in buf
 }
 
 // newYCC cuts the planes of a w×h image from the front of buf, which the
@@ -180,10 +184,11 @@ func (p *ycc) undoPrediction(rows []int32, last int) {
 		return
 	}
 	p.residual = false
-	cw := (p.w + 1) / 2
-	undoPrediction(p.y, p.w, rows, 0, last)
-	undoPrediction(p.cb, cw, rows, 1, last>>1)
-	undoPrediction(p.cr, cw, rows, 1, last>>1)
+	cw, n, cn := (p.w+1)/2, len(p.y), len(p.cb)
+	packed := p.buf[n+2*cn:]
+	undoPrediction(p.y, p.w, rows, 0, last, refinement{packed, p.bits, 0})
+	undoPrediction(p.cb, cw, rows, 1, last>>1, refinement{packed, p.bits, n})
+	undoPrediction(p.cr, cw, rows, 1, last>>1, refinement{packed, p.bits, n + cn})
 }
 
 // undoEveryPrediction is undoPrediction over the whole image.
@@ -198,7 +203,7 @@ func (p *ycc) undoEveryPrediction() {
 }
 
 // decodePlanes is the first step of every SJPG decode: header, the checks that
-// refuse a stream before any buffer is sized from it, inflate.
+// refuse a stream before any buffer is sized from it, the three planes.
 func decodePlanes(data []byte) (ycc, error) {
 	w, h, quality, err := parseHeader(data)
 	if err != nil {
@@ -206,23 +211,16 @@ func decodePlanes(data []byte) (ycc, error) {
 	}
 	total := w*h + 2*((w+1)/2)*((h+1)/2)
 	payload := data[headerSize:]
-	if !canInflateTo(len(payload), total) {
+	if !canYield(len(payload), total) {
 		return ycc{}, fmt.Errorf("%w: %d-byte payload cannot hold %dx%d", ErrCorrupt, len(payload), w, h)
 	}
 	yShift, cShift := shifts(quality)
 	p := newYCC(w, h, yShift, cShift, bufpool.GetBytes(total))
-	if err := inflateInto(payload, p.buf); err != nil {
+	if err := inflateInto(payload, p.y, p.cb, p.cr); err != nil {
 		p.release()
 		return ycc{}, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
 	}
 	return p, nil
-}
-
-// canInflateTo reports whether a DEFLATE stream of n bytes can produce total
-// bytes. The densest symbol is a 258-byte match coded in two bits, 1032:1, so
-// a header claiming more is rejected before any buffer is sized from it.
-func canInflateTo(n, total int) bool {
-	return uint64(total) <= 1032*uint64(n)
 }
 
 // image dequantizes the planes back into a pooled RGB image. The arithmetic
@@ -383,7 +381,7 @@ func parseHeader(data []byte) (w, h, quality int, err error) {
 
 // deltaEncode replaces each value with its difference from the previous
 // value in the row (first column predicts from the row above), tightening
-// the residual distribution for DEFLATE. len(plane) is a multiple of stride.
+// the residual distribution for the coder. len(plane) is a multiple of stride.
 func deltaEncode(plane []uint8, stride int) {
 	if stride <= 0 {
 		return
@@ -408,8 +406,9 @@ func deltaEncode(plane []uint8, stride int) {
 // top down to the last listed row; the other columns predict from their left
 // neighbour, a running sum along each listed row. rows ascends and lists rows
 // of a plane 1<<shift times as tall — luma rows, for a chroma plane — so it
-// may name a row of this one more than once.
-func undoPrediction(plane []uint8, stride int, rows []int32, shift uint, last int) {
+// may name a row of this one more than once. A refinement bit extends a
+// value, not its residual: ref's are folded into the values restored.
+func undoPrediction(plane []uint8, stride int, rows []int32, shift uint, last int, ref refinement) {
 	bottom := int(rows[len(rows)-1]>>shift) * stride
 	for i := stride; i <= bottom; i += stride {
 		plane[i] += plane[i-stride]
@@ -422,6 +421,9 @@ func undoPrediction(plane []uint8, stride int, rows []int32, shift uint, last in
 		}
 		done = at
 		runningSum(plane[at : at+last+1])
+		if ref.planes > 0 {
+			ref.fold(plane[at:at+last+1], at)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -161,7 +162,7 @@ type fusedStream struct {
 func (s *fusedStream) planes() ycc {
 	p := newYCC(s.plane.w, s.plane.h, s.plane.yShift, s.plane.cShift, bufpool.GetBytes(len(s.plane.buf)))
 	copy(p.buf, s.plane.buf)
-	p.residual = s.plane.residual
+	p.residual, p.bits = s.plane.residual, s.plane.bits
 	return p
 }
 
@@ -269,9 +270,10 @@ func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
 // TestDecodeCropResizeEdgeTaps: rects whose taps are only the first row, only
 // the last row of an odd height, only column 0, or reach the last column of
 // an odd width — where the column-0 chain and the running sums start and stop
-// — on SJPG and on SJPR at one scan (residual planes) and at MaxScans (planes
-// merged after every row is undone). Odd sides end in a chroma sample that
-// covers one pixel, not two.
+// — on SJPG and on SJPR at one scan (no refinement bits) and at MaxScans
+// (bits folded into each value restored, from every alignment of a row to
+// the bytes of the bit planes). Odd sides end in a chroma sample that covers
+// one pixel, not two.
 func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 	for _, dim := range [][2]int{{15, 17}, {333, 251}, {1, 9}, {9, 1}} {
 		w, h := dim[0], dim[1]
@@ -291,7 +293,7 @@ func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 			{X: w / 2, Y: h / 2, W: w - w/2, H: h - h/2},
 		}
 		for _, s := range fusedStreams(t, im, 80) {
-			if s.sjpr && s.shallow && !s.plane.residual {
+			if s.shallow && s.plane.bits > 0 {
 				s.release()
 				continue // k = 1 and k = MaxScans cover both kinds of plane
 			}
@@ -338,7 +340,7 @@ func decodeThenCropResize(data []byte, sjpr bool, rect Rect, w, h int) (*Image, 
 	return CropResize(im, rect, w, h)
 }
 
-// sjpgOver frames a DEFLATE payload as an SJPG stream claiming w×h.
+// sjpgOver frames a payload of coded planes as an SJPG stream claiming w×h.
 func sjpgOver(w, h int, payload []byte) []byte {
 	out := append([]byte(sjpgMagic), sjpgVersion, DefaultQuality)
 	out = binary.BigEndian.AppendUint32(out, uint32(w))
@@ -346,8 +348,8 @@ func sjpgOver(w, h int, payload []byte) []byte {
 	return append(out, payload...)
 }
 
-// sjprOver frames DEFLATE payloads as the scans of an SJPR container claiming
-// w×h, each with the CRC the index wants.
+// sjprOver frames payloads of coded planes as the scans of an SJPR container
+// claiming w×h, each with the CRC the index wants.
 func sjprOver(w, h int, scans ...[]byte) []byte {
 	out := append([]byte(sjprMagic), sjprVersion, DefaultQuality)
 	out = binary.BigEndian.AppendUint32(out, uint32(w))
@@ -360,11 +362,8 @@ func sjprOver(w, h int, scans ...[]byte) []byte {
 	return append(out, bytes.Join(scans, nil)...)
 }
 
-// storedBlock is one stored DEFLATE block holding b, final (1) or not (0).
-func storedBlock(final byte, b ...byte) []byte {
-	n := uint16(len(b))
-	return append([]byte{final, byte(n), byte(n >> 8), byte(^n), byte(^n >> 8)}, b...)
-}
+// stored is one stored plane holding b.
+func stored(b ...byte) []byte { return append([]byte{0}, b...) }
 
 // TestFusedRejectionParity: on the same bytes the fused entry points return
 // Decode's / DecodeProgressive's error, word for word, having drawn no more
@@ -383,21 +382,21 @@ func TestFusedRejectionParity(t *testing.T) {
 		cases = append(cases, parityCase{name, data, sjpr, want})
 	}
 
-	// inflate_test.go's hand-built streams as an SJPG payload and as an SJPR
-	// base scan, under dimensions whose planes are the length the stream
-	// inflates to where such dimensions exist (w·h + 2·⌈w/2⌉·⌈h/2⌉).
-	dimsFor := map[int][2]int{4: {2, 1}, 259: {1, 129}}
+	// planes_test.go's hand-built planes as the Cr plane of an SJPG stream and
+	// of an SJPR base scan, under a 2n×1 image whose chroma planes are n
+	// bytes. A base scan longer than the writer's worst case, 4n + 3, is
+	// refused from the index.
 	for _, c := range inflateRejections() {
-		dim, fits := dimsFor[c.n]
-		if !fits {
-			dim = [2]int{1, 1}
-		}
-		var want error
-		if !(c.accept && fits) {
+		payload := slices.Concat(codePlanes(make([]byte, 2*c.n)), codePlanes(make([]byte, c.n)), c.stream)
+		var want, wantSJPR error
+		if !c.accept {
 			want = ErrCorrupt
 		}
-		add("sjpg/"+c.name, sjpgOver(dim[0], dim[1], c.stream), false, want)
-		add("sjpr/"+c.name, sjprOver(dim[0], dim[1], c.stream), true, want)
+		if wantSJPR = want; len(payload) > 4*c.n+3 {
+			wantSJPR = ErrCorrupt
+		}
+		add("sjpg/"+c.name, sjpgOver(2*c.n, 1, payload), false, want)
+		add("sjpr/"+c.name, sjprOver(2*c.n, 1, payload), true, wantSJPR)
 	}
 
 	// Real streams, damaged where each check looks.
@@ -433,38 +432,12 @@ func TestFusedRejectionParity(t *testing.T) {
 	add("sjpr/version", mutate(sjpr, 4, 9), true, ErrUnsupported)
 	add("sjpg/quality", mutate(sjpg, 5, 0), false, ErrCorrupt)
 	add("sjpr/scan count", mutate(sjpr, 14, MaxScans+1), true, ErrCorrupt)
-	add("sjpg/reserved block type", mutate(sjpg, headerSize, sjpg[headerSize]|0b110), false, ErrCorrupt)
-	// Padding, which both readers ignore: the top bit of the last byte of the
-	// first of these streams that ends short of a byte boundary.
-	for seed := uint64(5); ; seed++ {
-		pim := synthFor(t, seed, 16, 12, 0.5)
-		data, err := Encode(pim, 80)
-		if err != nil {
-			t.Fatal(err)
-		}
-		planes, ends := sjpgPlanes(pim, 80)
-		bits, start := 0, 0
-		for _, end := range ends {
-			bits += new(deflateBlock).plan(planes, start, end, bits)
-			start = end
-		}
-		if 8*(len(data)-headerSize) == bits {
-			continue
-		}
-		padded := mutate(data, len(data)-1, data[len(data)-1]|0x80)
-		add("sjpg/padding after the final block", padded, false, nil)
-		intact, err := Decode(data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, err := Decode(padded); err != nil || !got.Equal(intact) {
-			t.Errorf("padding after the final block: %v, or the pixels differ from the intact stream's", err)
-		}
-		break
-	}
+	add("sjpg/a first table over 128 bytes", mutate(sjpg, headerSize, 129), false, ErrCorrupt)
+	add("sjpg/a byte after the planes", append(bytes.Clone(sjpg), 0), false, ErrCorrupt)
 	add("sjpr/CRC mismatch", mutate(sjpr, len(sjpr)-1, sjpr[len(sjpr)-1]^0x40), true, ErrCorrupt)
-	add("sjpr/padding bits set", sjprOver(1, 1, storedBlock(1, 7, 7, 7), storedBlock(1, 0b1010)), true, ErrCorrupt)
-	add("sjpr/refinement bits", sjprOver(1, 1, storedBlock(1, 7, 7, 7), storedBlock(1, 0b010)), true, nil)
+	base := slices.Concat(stored(7), stored(7), stored(7))
+	add("sjpr/padding bits set", sjprOver(1, 1, base, stored(0b1010)), true, ErrCorrupt)
+	add("sjpr/refinement bits", sjprOver(1, 1, base, stored(0b010)), true, nil)
 	huge := mutate(sjpg, 7, 0x80) // 8 388 624 × 12: refused as dims
 	add("sjpg/dims over the cap", huge, false, ErrCorrupt)
 	implausible := bytes.Clone(sjpg)

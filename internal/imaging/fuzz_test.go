@@ -1,6 +1,11 @@
 package imaging
 
-import "testing"
+import (
+	"bytes"
+	"errors"
+	"math/rand/v2"
+	"testing"
+)
 
 // decodeCorpus is the seed corpus of the SJPG fuzzers: two real streams, a
 // bare magic and nothing.
@@ -20,15 +25,58 @@ func decodeCorpus(f *testing.F) [][]byte {
 	return corpus
 }
 
+// handmadeSeeds frames the hand-built planes of the coder's tests — the
+// rejection table and the streams around the fast loops' margins — as SJPG
+// streams and as SJPR containers whose three refinement scans decode in step.
+func handmadeSeeds() (sjpg, sjpr [][]byte) {
+	add := func(plane []byte, n int) {
+		g, _, _, r := planeStreams(plane, n)
+		sjpg, sjpr = append(sjpg, g), append(sjpr, r)
+	}
+	for _, c := range inflateRejections() {
+		add(c.stream, max(c.n, 1))
+	}
+	for _, c := range handoverStreams() {
+		if len(c.sizes) == 1 {
+			add(c.stream, c.sizes[0])
+		}
+	}
+	return sjpg, sjpr
+}
+
+// agreesWithReference holds a decode's verdict and image to the reference
+// decoder's, at k scans of an SJPR container, where data claims few enough
+// pixels for the reference, which sizes its planes from the header.
+func agreesWithReference(t *testing.T, data []byte, k int, im *Image, err error) {
+	t.Helper()
+	w, h, _, _, _, _ := ProgressiveInfo(data)
+	if !IsProgressive(data) {
+		w, h, _ = DecodeDims(data)
+	}
+	if w*h == 0 || w*h > 1<<16 {
+		return
+	}
+	want, refErr := refDecode(data, k)
+	if (err == nil) != (refErr == nil) || err == nil && !im.Equal(want) {
+		t.Fatalf("err %v, the reference's %v, or the images differ", err, refErr)
+	}
+}
+
 // FuzzDecode: the SJPG decoder must never panic or over-allocate on
-// arbitrary input, and accepted images must re-encode/decode consistently.
+// arbitrary input, agrees with the reference decoder, and accepted images
+// must re-encode/decode consistently.
 func FuzzDecode(f *testing.F) {
 	for _, data := range decodeCorpus(f) {
+		f.Add(data)
+	}
+	seeds, _ := handmadeSeeds()
+	for _, data := range seeds {
 		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, err := Decode(data)
+		agreesWithReference(t, data, 0, im, err)
 		if err != nil {
 			return
 		}
@@ -107,9 +155,17 @@ func FuzzDecodeProgressive(f *testing.F) {
 	}
 	f.Add([]byte("SJPR"))
 	f.Add([]byte{})
+	_, seeds := handmadeSeeds()
+	for _, data := range seeds {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, k, err := DecodeProgressive(data)
+		if err == nil || !errors.Is(err, ErrTruncated) {
+			_, _, _, _, present, _ := ProgressiveInfo(data)
+			agreesWithReference(t, data, present, im, err)
+		}
 		if err != nil {
 			return
 		}
@@ -128,5 +184,51 @@ func FuzzDecodeProgressive(f *testing.F) {
 		}
 		again.Release()
 		im.Release()
+	})
+}
+
+// fuzzImage turns fuzzer bytes into an image whose pixels repeat pix (zeros
+// when pix is empty). Sides are capped at 256, which keeps an exec in the
+// milliseconds; TestWriterDims has 640×480.
+func fuzzImage(w, h uint16, pix []byte) *Image {
+	im := MustNew(1+int(w)%256, 1+int(h)%256)
+	for i := range im.Pix {
+		if len(pix) > 0 {
+			im.Pix[i] = pix[i%len(pix)]
+		}
+	}
+	return im
+}
+
+// FuzzEncode: on any image and quality, both decoders give back exactly the
+// planes, and Decode is the reference decoder's image.
+func FuzzEncode(f *testing.F) {
+	for _, dim := range [][2]uint16{{0, 0}, {0, 8}, {8, 0}, {2, 4}, {6, 6}, {160, 162}, {255, 255}} {
+		f.Add(dim[0], dim[1], uint8(DefaultQuality), []byte{0})
+		f.Add(dim[0], dim[1], uint8(94), []byte{0x5a, 0x5a, 0x5a})
+		f.Add(dim[0], dim[1], uint8(39), []byte{0, 0, 0, 255, 255, 255})
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	noise := make([]byte, 4099)
+	for i := range noise {
+		noise[i] = byte(rng.Uint32())
+	}
+	f.Add(uint16(63), uint16(63), uint8(100), noise)
+	for _, n := range []int{3, 4, 5, 258, 259, 516, 517} {
+		f.Add(uint16(99), uint16(99), uint8(95), append(bytes.Repeat([]byte{9}, 3*n), 1, 2, 3))
+	}
+
+	f.Fuzz(func(t *testing.T, w, h uint16, q uint8, pix []byte) {
+		im, quality := fuzzImage(w, h, pix), 1+int(q)%100
+		data := assertEncodes(t, "fuzz", im, quality)
+		want, err := refDecode(data, 0)
+		if err != nil {
+			t.Fatalf("reference decoder: %v", err)
+		}
+		got, err := Decode(data)
+		if err != nil || !got.Equal(want) {
+			t.Fatalf("Decode: %v, or it differs from the reference", err)
+		}
+		got.Release()
 	})
 }

@@ -31,7 +31,9 @@ import (
 // Codes are canonical, by length and then by that order; a table of one
 // residual value codes it as the bit 0. A plane is stored when coding would
 // not shorten it, so an image packs to at most its pixel bytes plus one byte
-// a plane. Photo-like crops pack to ≈0.37 of them.
+// a plane. Photo-like crops pack to ≈0.37 of them. Stored SJPG and SJPR
+// planes share this entropy stage — code lengths, canonical codes, table
+// header, bit order and lookup — with a run symbol added (planes.go).
 
 const (
 	// maxCodeLen bounds a code so that decoding is one lookup in a table of
@@ -178,24 +180,13 @@ func (s *packScratch) planPlane(plane []uint16, tables, slot, extra int) int {
 	return size
 }
 
-// countBytes adds the number of times each value occurs in b to h.
-func countBytes(b []byte, h *[256]int) {
-	var c [4][256]uint32 // four counters a value, so that equal neighbours do not wait on one
-	for i, v := range b {
-		c[i&3][v]++
-	}
-	for v := range h {
-		h[v] += int(c[0][v]) + int(c[1][v]) + int(c[2][v]) + int(c[3][v])
-	}
-}
-
 // codeLengths sets lens[s] to the length of symbol s's code in a
 // minimum-redundancy code of at most limit bits for the counts freq — at most
-// numLitLen symbols, at least one counted — or to 0 where freq[s] is, and
+// planeSyms symbols, at least one counted — or to 0 where freq[s] is, and
 // returns Σ freq × length. Of equal counts the earlier symbol codes shorter.
 func codeLengths(freq []int, limit int, lens []uint8) (bits int) {
-	var keyBuf [numLitLen]uint64 // count<<16 | 0xffff−s, sorted: rarest first, then the later symbol
-	var depth [numLitLen]int     // code length by rank in keys
+	var keyBuf [planeSyms]uint64 // count<<16 | 0xffff−s, sorted: rarest first, then the later symbol
+	var depth [planeSyms]int     // code length by rank in keys
 	keys := keyBuf[:0]
 	for s, c := range freq {
 		if c != 0 {
@@ -242,7 +233,7 @@ func codeLengths(freq []int, limit int, lens []uint8) (bits int) {
 	// Limit the lengths as JPEG's Annex K.3 does, on the count of codes of
 	// each length: of a too-deep pair one moves up a level, the other joins a
 	// shorter code pushed down one.
-	var count [numLitLen]int
+	var count [planeSyms]int
 	for _, l := range a {
 		count[l]++
 	}
@@ -270,24 +261,82 @@ func codeLengths(freq []int, limit int, lens []uint8) (bits int) {
 	return bits
 }
 
-// canon assigns enc from lens and returns how many residuals have a code and
-// the codes' Kraft sum in units of 2^−maxCodeLen.
-func canon(lens []uint8, enc *[256]uint32) (symbols, kraft int) {
+// canon assigns enc, code<<4 | length by symbol (a residual, or 256 + a
+// run's), from lens, code lengths by position in the header's order.
+func canon(lens []uint8, enc []uint32) {
 	var count, next [maxCodeLen + 1]int
 	for _, l := range lens {
 		count[l]++
 	}
-	symbols, count[0] = len(lens)-count[0], 0
-	for l, code := 1, 0; l <= maxCodeLen; l++ {
-		code = (code + count[l-1]) << 1
-		next[l] = code
-		kraft += count[l] << (maxCodeLen - l)
+	count[0] = 0
+	for l := 1; l <= maxCodeLen; l++ {
+		next[l] = (next[l-1] + count[l-1]) << 1
 	}
 	for z, l := range lens {
-		enc[zigzag(z)] = uint32(next[l])<<4 | uint32(l)
+		sym := z
+		if z < 256 {
+			sym = int(zigzag(z))
+		}
+		enc[sym] = uint32(next[l])<<4 | uint32(l)
 		next[l]++
 	}
-	return symbols, kraft
+}
+
+// putLengths writes the table of the 2H code lengths lens to out and returns
+// its size, 1 + H.
+func putLengths(out []byte, lens []uint8) int {
+	out[0] = byte(len(lens) / 2)
+	for i := range out[1 : 1+len(lens)/2] {
+		out[1+i] = lens[2*i]<<4 | lens[2*i+1]
+	}
+	return 1 + len(lens)/2
+}
+
+// readLengths reads a table of code lengths from the front of data into
+// lens, at most len(lens) of them, and returns the 2H it read and what
+// follows the table.
+func readLengths(data, lens []uint8) (got, rest []byte, err error) {
+	if len(data) == 0 {
+		return nil, nil, errors.New("no code table")
+	}
+	hdr := int(data[0])
+	if data = data[1:]; 2*hdr > len(lens) || hdr > len(data) {
+		return nil, nil, fmt.Errorf("%d-byte code table in %d bytes", hdr, len(data))
+	}
+	for i, b := range data[:hdr] {
+		if b>>4 > maxCodeLen || b&15 > maxCodeLen {
+			return nil, nil, fmt.Errorf("code length over %d", maxCodeLen)
+		}
+		lens[2*i], lens[2*i+1] = b>>4, b&15
+	}
+	return lens[:2*hdr], data[hdr:], nil
+}
+
+// decodeTable fills table so that the next maxCodeLen bits of a stream look
+// up the code they begin with: symEntry | length, or 0xff where none begins.
+// Canonical codes are in order of length and then of position, so each
+// takes the next 2^(maxCodeLen−length) entries. A table that declares any
+// lengths must be a complete code, or one code, the bit 0.
+func decodeTable(lens []uint8, table *[1 << maxCodeLen]uint16) error {
+	var count, next [maxCodeLen + 1]int
+	for _, l := range lens {
+		count[l]++
+	}
+	kraft := 0
+	for l := 1; l <= maxCodeLen; l++ {
+		next[l], kraft = kraft, kraft+count[l]<<(maxCodeLen-l)
+	}
+	if symbols := len(lens) - count[0]; len(lens) > 0 && kraft != len(table) && (symbols != 1 || kraft != len(table)/2) {
+		return errors.New("code table not complete")
+	}
+	for z, l := range lens {
+		if l != 0 {
+			fill(table[next[l]:][:1<<(maxCodeLen-l)], symEntry[z]|uint16(l))
+			next[l] += 1 << (maxCodeLen - l)
+		}
+	}
+	fill(table[kraft:], 0xff) // a length no bit buffer has; all of an empty table
+	return nil
 }
 
 // PackedSize returns len(AppendPacked(nil, im)) without producing the bytes.
@@ -336,14 +385,9 @@ func (s *packScratch) put(out []byte, plane []uint16, tables, slot, pred int, ma
 	}
 	o := 0
 	for t := range tables {
-		hdr := s.hdr[slot+t]
-		lens := s.lens[slot+t][:2*hdr]
-		out[o] = byte(hdr)
-		for i := range out[o+1 : o+1+hdr] {
-			out[o+1+i] = lens[2*i]<<4 | lens[2*i+1]
-		}
-		o += 1 + hdr
-		canon(lens, (*[256]uint32)(s.enc[t<<8:]))
+		lens := s.lens[slot+t][:2*s.hdr[slot+t]]
+		o += putLengths(out[o:], lens)
+		canon(lens, s.enc[t<<8:][:256])
 	}
 	if pred >= 0 {
 		out[o] = byte(pred)
@@ -480,32 +524,14 @@ func (s *packScratch) readPlane(data, plane, sel []byte, g bool) (rest []byte, m
 		return data[1+copy(plane, data[1:]):], false, nil
 	}
 	for t := range tables {
-		if len(data) == 0 {
-			return nil, false, fmt.Errorf("no header for table %d", t)
+		lens, rest, err := readLengths(data, s.lens[t][:])
+		if err == nil {
+			err = decodeTable(lens, (*[1 << maxCodeLen]uint16)(s.table[t<<maxCodeLen:]))
 		}
-		hdr := int(data[0])
-		if data = data[1:]; hdr > len(s.lens[t])/2 || hdr > len(data) {
-			return nil, false, fmt.Errorf("%d-byte code table in %d bytes", hdr, len(data))
+		if err != nil {
+			return nil, false, fmt.Errorf("table %d: %v", t, err)
 		}
-		lens := s.lens[t][:2*hdr]
-		for i, b := range data[:hdr] {
-			if b>>4 > maxCodeLen || b&15 > maxCodeLen {
-				return nil, false, fmt.Errorf("code length over %d", maxCodeLen)
-			}
-			lens[2*i], lens[2*i+1] = b>>4, b&15
-		}
-		data = data[hdr:]
-		table, enc := (*[1 << maxCodeLen]uint16)(s.table[t<<maxCodeLen:]), (*[256]uint32)(s.enc[t<<8:])
-		symbols, kraft := canon(lens, enc)
-		if hdr > 0 && kraft != len(table) && (symbols != 1 || kraft != len(table)/2) { // a lone code is the bit 0
-			return nil, false, fmt.Errorf("code table %d not complete", t)
-		}
-		fill(table[kraft:], 0xff) // a length no bit buffer has; all of an empty table
-		for z, l := range lens {
-			if r := zigzag(z); l != 0 {
-				fill(table[int(enc[r]>>4)<<(maxCodeLen-l):][:1<<(maxCodeLen-l)], uint16(r)<<8|uint16(l))
-			}
-		}
+		data = rest
 	}
 	if g {
 		if len(data) == 0 || data[0] > 1 {
@@ -528,12 +554,14 @@ func (s *packScratch) readPlane(data, plane, sel []byte, g bool) (rest []byte, m
 	return data[used:], mean, nil
 }
 
-// fill sets every entry of span to v, doubling the run it has set.
+// fill sets every entry of span to v: the first 32 one at a time, then by
+// doubling the run it has set, so that the many short spans of a table of
+// long codes cost no copy calls.
 func fill(span []uint16, v uint16) {
-	if len(span) > 0 {
-		span[0] = v
+	for i := range span[:min(len(span), 32)] {
+		span[i] = v
 	}
-	for k := 1; k < len(span); k *= 2 {
+	for k := 32; k < len(span); k *= 2 {
 		copy(span[k:], span[:k])
 	}
 }

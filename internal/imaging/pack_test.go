@@ -205,10 +205,10 @@ func refLengths(hist [256]int) (lens [256]int) {
 	return lens
 }
 
-// refCodes returns the canonical code of every used zig-zag position as a
+// refCodes returns the canonical code of every used position as a
 // string of '0' and '1': codes in order of length, then position, each the
 // previous plus one, extended with zeros to its own length.
-func refCodes(lens [256]int) map[int]string {
+func refCodes(lens []int) map[int]string {
 	var used []int
 	for z, l := range lens {
 		if l > 0 {
@@ -270,7 +270,7 @@ func refCode(res []uint8, ctx []int, tables, pred int, marker byte) ([]byte, ref
 			continue
 		}
 		pl.lens[t] = refLengths(hist)
-		codes[t] = refCodes(pl.lens[t])
+		codes[t] = refCodes(pl.lens[t][:])
 		var nibbles []byte
 		for z := 0; z <= last|1; z += 2 {
 			nibbles = append(nibbles, byte(pl.lens[t][z]<<4|pl.lens[t][z+1]))
@@ -381,7 +381,7 @@ func refUnpack(data []byte, w, h int) (*Image, error) {
 				return nil, errors.New("code not complete")
 			}
 			symbol[t] = make(map[string]uint8)
-			for z, c := range refCodes(lens) {
+			for z, c := range refCodes(lens[:]) {
 				r := z / 2
 				if z%2 == 1 {
 					r = -(z + 1) / 2

@@ -1,14 +1,10 @@
 package imaging
 
 import (
-	"bytes"
-	"compress/flate"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"sync"
 
 	"repro/internal/bufpool"
 )
@@ -25,7 +21,7 @@ import (
 // Container layout (big-endian):
 //
 //	0..3    magic "SJPR"
-//	4       version (2; version 1 spent a byte on each refinement bit)
+//	4       version (3; 2 and 1 stored DEFLATE scans, 1 a byte a refinement bit)
 //	5       quality (1..100, the SJPG quality the full container decodes at)
 //	6..9    W
 //	10..13  H
@@ -35,17 +31,17 @@ import (
 //	        dictionary-compressed by internal/compressor; part of every
 //	        prefix so labels survive fidelity reduction)
 //	...     scan index: L x { payload length u32, CRC32-C u32 }
-//	...     L DEFLATE-compressed scan payloads, concatenated
+//	...     L scan payloads, concatenated, each its planes coded as SJPG's
 //
-// Scan 0 carries the quantized planes right-shifted by L-1 extra bits
+// Scan 0 carries the three quantized planes right-shifted by L-1 extra bits
 // (delta-predicted like SJPG); scan j>0 carries the j-th refinement bit of
-// every plane value as a bit plane: value i in bit i&7 of byte i>>3, the pad
-// bits of the last byte zero. Decoding k scans reconstructs the planes at
+// every plane value as one bit plane: value i in bit i&7 of byte i>>3, the
+// pad bits of the last byte zero. Decoding k scans reconstructs the planes at
 // quality-shift + (L-k) extra quantization; decoding all L scans is
 // pixel-identical to Decode(Encode(im, quality)).
 const (
 	sjprMagic       = "SJPR"
-	sjprVersion     = 2
+	sjprVersion     = 3
 	sjprFixedHeader = 4 + 1 + 1 + 4 + 4 + 1 + 2 // magic, ver, quality, W, H, L, sidecar len
 
 	// MaxScans bounds the scan count: each refinement scan adds one bit of
@@ -67,19 +63,6 @@ var (
 )
 
 var sjprCRC = crc32.MakeTable(crc32.Castagnoli)
-
-// The encoder's pooled scratch: a compress/flate writer, ≈650 KB of state
-// reset between scans, and the buffer the scans go to.
-var (
-	flateWriterPool = sync.Pool{New: func() any {
-		zw, err := flate.NewWriter(io.Discard, flate.DefaultCompression)
-		if err != nil {
-			panic(err) // DefaultCompression is always a valid level
-		}
-		return zw
-	}}
-	encBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-)
 
 // IsProgressive reports whether data begins with the SJPR magic.
 func IsProgressive(data []byte) bool {
@@ -108,57 +91,48 @@ func EncodeProgressiveSidecar(im *Image, quality, scans int, sidecar []byte) ([]
 	}
 	yShift, cShift := shifts(quality)
 
-	cw, ch := (im.W+1)/2, (im.H+1)/2
-	total := im.W*im.H + 2*cw*ch
+	n, cw, cn := im.W*im.H, (im.W+1)/2, ((im.W+1)/2)*((im.H+1)/2)
+	total := n + 2*cn
 	// planes holds the SJPG-quantized values; scratch is re-filled per scan
-	// with that scan's payload (shifted base or packed refinement bits).
-	planes := bufpool.GetBytes(2 * total)
-	defer bufpool.PutBytes(planes)
-	scratch := planes[total:]
-	planes = planes[:total]
-	yPlane := planes[:im.W*im.H]
-	cbPlane := planes[im.W*im.H : im.W*im.H+cw*ch]
-	crPlane := planes[im.W*im.H+cw*ch:]
-	fillPlanes(im, yShift, cShift, yPlane, cbPlane, crPlane)
+	// with that scan's planes (shifted base or packed refinement bits); body
+	// takes the coded scans, at most maxScan bytes each.
+	bound := 0
+	for j := range scans {
+		bound += maxScan(total, j)
+	}
+	buf := bufpool.GetBytes(2*total + bound)
+	defer bufpool.PutBytes(buf)
+	planes, scratch, body := buf[:total], buf[total:2*total], buf[2*total:2*total]
+	fillPlanes(im, yShift, cShift, planes[:n], planes[n:n+cn], planes[n+cn:])
 
-	body := encBufPool.Get().(*bytes.Buffer)
-	defer encBufPool.Put(body)
-	body.Reset()
-	zw := flateWriterPool.Get().(*flate.Writer)
-	defer flateWriterPool.Put(zw)
-
-	lens := make([]int, scans)
-	crcs := make([]uint32, scans)
-	for j := 0; j < scans; j++ {
+	var lens [MaxScans]int
+	var crcs [MaxScans]uint32
+	for j := range scans {
+		scan := [][]byte{scratch[:n], scratch[n : n+cn], scratch[n+cn:]}
 		if j == 0 {
 			extra := uint(scans - 1)
 			for i, v := range planes {
 				scratch[i] = v >> extra
 			}
-			deltaEncode(scratch[:im.W*im.H], im.W)
-			deltaEncode(scratch[im.W*im.H:im.W*im.H+cw*ch], cw)
-			deltaEncode(scratch[im.W*im.H+cw*ch:], cw)
+			deltaEncode(scan[0], im.W)
+			deltaEncode(scan[1], cw)
+			deltaEncode(scan[2], cw)
 		} else {
-			bit := uint(scans - 1 - j)
-			scratch = scratch[:scanLen(total, j)]
-			clear(scratch)
+			bit, packed := uint(scans-1-j), scratch[:scanLen(total, j)]
+			clear(packed)
 			for i, v := range planes {
-				scratch[i>>3] |= (v >> bit & 1) << (i & 7)
+				packed[i>>3] |= (v >> bit & 1) << (i & 7)
 			}
+			scan = [][]byte{packed}
 		}
-		start := body.Len()
-		zw.Reset(body)
-		if _, err := zw.Write(scratch); err != nil {
-			return nil, fmt.Errorf("imaging: compress scan %d: %w", j, err)
-		}
-		if err := zw.Close(); err != nil {
-			return nil, fmt.Errorf("imaging: finish scan %d: %w", j, err)
-		}
-		lens[j] = body.Len() - start
-		crcs[j] = crc32.Checksum(body.Bytes()[start:], sjprCRC)
+		var codes planeCodes
+		lens[j] = codes.plan(scan...)
+		codes.put(body[len(body):][:lens[j]], scan...)
+		body = body[:len(body)+lens[j]]
+		crcs[j] = crc32.Checksum(body[len(body)-lens[j]:], sjprCRC)
 	}
 
-	out := make([]byte, 0, sjprFixedHeader+len(sidecar)+8*scans+body.Len())
+	out := make([]byte, 0, sjprFixedHeader+len(sidecar)+8*scans+len(body))
 	out = append(out, sjprMagic...)
 	out = append(out, sjprVersion, uint8(quality))
 	out = binary.BigEndian.AppendUint32(out, uint32(im.W))
@@ -166,11 +140,11 @@ func EncodeProgressiveSidecar(im *Image, quality, scans int, sidecar []byte) ([]
 	out = append(out, uint8(scans))
 	out = binary.BigEndian.AppendUint16(out, uint16(len(sidecar)))
 	out = append(out, sidecar...)
-	for j := 0; j < scans; j++ {
+	for j := range scans {
 		out = binary.BigEndian.AppendUint32(out, uint32(lens[j]))
 		out = binary.BigEndian.AppendUint32(out, crcs[j])
 	}
-	return append(out, body.Bytes()...), nil
+	return append(out, body...), nil
 }
 
 // sjprHeader is the parsed fixed header + scan index of a container or
@@ -242,13 +216,13 @@ func parseProgressive(data []byte) (sjprHeader, error) {
 		return h, fmt.Errorf("%w: %d bytes, header needs %d", ErrCorrupt, len(data), h.body)
 	}
 	h.sidecar = data[sjprFixedHeader:idx]
-	// A scan payload can never exceed the DEFLATE worst case for its own
-	// plaintext; the cap rejects absurd indexes before any allocation.
+	// A scan payload can never exceed what the writer stores for its own
+	// planes; the cap rejects absurd indexes before any allocation.
 	h.total = h.w*h.h + 2*((h.w+1)/2)*((h.h+1)/2)
 	for j := 0; j < h.scans; j++ {
 		h.lens[j] = int(binary.BigEndian.Uint32(data[idx+8*j : idx+8*j+4]))
 		h.crcs[j] = binary.BigEndian.Uint32(data[idx+8*j+4 : idx+8*j+8])
-		if h.lens[j] <= 0 || h.lens[j] > maxDeflated(scanLen(h.total, j)) {
+		if h.lens[j] <= 0 || h.lens[j] > maxScan(h.total, j) {
 			return h, fmt.Errorf("%w: scan %d length %d", ErrCorrupt, j, h.lens[j])
 		}
 	}
@@ -411,49 +385,54 @@ func scanPlanes(data []byte, hd *sjprHeader, k int) (ycc, error) {
 	yShift, cShift := shifts(hd.quality)
 	total := hd.total
 
-	// An index too short for what its scan inflates to is refused before the
+	// An index too short for what its scan decodes to is refused before the
 	// planes are sized from the header.
 	for j := 0; j < k; j++ {
-		if !canInflateTo(hd.lens[j], scanLen(total, j)) {
+		if !canYield(hd.lens[j], scanLen(total, j)) {
 			return ycc{}, fmt.Errorf("%w: %d-byte scan %d cannot hold %dx%d", ErrCorrupt, hd.lens[j], j, hd.w, hd.h)
 		}
 	}
-	// The tail of the buffer is where refinement scans inflate.
-	extra := uint(hd.scans - k)
-	p := newYCC(hd.w, hd.h, yShift+extra, cShift+extra, bufpool.GetBytes(total+scanLen(total, 1)))
-	planes, packed := p.buf[:total], p.buf[total:]
+	// The refinement scans decode after the planes, one bit plane each, and
+	// are folded in where the prediction is undone.
+	extra, span := uint(hd.scans-k), scanLen(total, 1)
+	p := newYCC(hd.w, hd.h, yShift+extra, cShift+extra, bufpool.GetBytes(total+(k-1)*span))
+	p.bits = k - 1
 
+	// The base scan decodes alone, the refinement scans after it in step, a
+	// lane each.
+	var lanes [MaxScans]lane
 	off := hd.body
-	for j := 0; j < k; j++ {
+	for j := range k {
 		payload := data[off : off+hd.lens[j]]
 		off += hd.lens[j]
 		if crc32.Checksum(payload, sjprCRC) != hd.crcs[j] {
 			p.release()
 			return ycc{}, fmt.Errorf("%w: scan %d CRC mismatch", ErrCorrupt, j)
 		}
-		dst := planes
-		if j > 0 {
-			dst = packed
-		}
-		if err := inflateInto(payload, dst); err != nil {
-			p.release()
-			return ycc{}, fmt.Errorf("%w: scan %d: %v", ErrCorrupt, j, err)
-		}
 		if j == 0 {
-			continue
+			lanes[j] = lane{data: payload, planes: [3][]byte{p.y, p.cb, p.cr}, n: 3}
+		} else {
+			lanes[j] = lane{data: payload, planes: [3][]byte{p.buf[total+(j-1)*span:][:span]}, n: 1}
 		}
-		if pad := packed[len(packed)-1] >> uint((total-1)&7+1); pad != 0 {
-			p.release()
-			return ycc{}, fmt.Errorf("%w: scan %d pad bits %#x", ErrCorrupt, j, pad)
+	}
+	j, err := inflateLanes(lanes[:1])
+	if err == nil && k > 1 {
+		j, err = inflateLanes(lanes[1:k])
+		j++
+	}
+	for i := 1; err == nil && i < k; i++ {
+		if pad := p.buf[total+i*span-1] >> uint((total-1)&7+1); pad != 0 {
+			j, err = i, fmt.Errorf("pad bits %#x", pad)
 		}
-		// A refinement bit extends the plane value, not its residual.
-		p.undoEveryPrediction()
-		foldBits(planes, packed)
+	}
+	if err != nil {
+		p.release()
+		return ycc{}, fmt.Errorf("%w: scan %d: %v", ErrCorrupt, j, err)
 	}
 	return p, nil
 }
 
-// scanLen is what scan j of a container with total plane values inflates to:
+// scanLen is what scan j of a container with total plane values decodes to:
 // the values, or one bit of each.
 func scanLen(total, j int) int {
 	if j == 0 {
@@ -462,11 +441,14 @@ func scanLen(total, j int) int {
 	return (total + 7) / 8
 }
 
-// maxDeflated bounds the DEFLATE stream of n bytes from a writer that stores
-// what it cannot shrink: compress/flate closes a block every 1<<14 literals and
-// a stored block costs five bytes; 64 more cover the last block, the empty one
-// that ends the stream and the code tables of a stream too short to repay them.
-func maxDeflated(n int) int { return n + 5*(n>>14) + 64 }
+// maxScan is the longest scan j the writer produces: its planes — three in
+// the base scan, one after — each stored behind its marker byte.
+func maxScan(total, j int) int {
+	if j == 0 {
+		return total + 3
+	}
+	return scanLen(total, j) + 1
+}
 
 // bitSpread[b] holds bit i of b in bit 0 of byte i.
 var bitSpread = func() (t [256]uint64) {
@@ -478,17 +460,40 @@ var bitSpread = func() (t [256]uint64) {
 	return t
 }()
 
-// foldBits appends a refinement bit to every plane value, planes[i] =
-// planes[i]<<1 | bit i of packed, eight values a step. The mask drops the bit
-// a value of 128 or more (a corrupt base scan) would push into its neighbour,
-// as the uint8 shift does.
-func foldBits(planes, packed []uint8) {
-	n := len(planes) &^ 7
-	for i := 0; i < n; i += 8 {
-		x := binary.LittleEndian.Uint64(planes[i:])
-		binary.LittleEndian.PutUint64(planes[i:], x<<1&0xfefefefefefefefe|bitSpread[packed[i>>3]])
-	}
-	for i := n; i < len(planes); i++ {
-		planes[i] = planes[i]<<1 | packed[i>>3]>>(i&7)&1
+// refinement is where the refinement bits of a plane's values are: bit
+// planes, one per refinement scan and the first the highest bit, one after
+// another in packed, the plane's first value at index off of each.
+type refinement struct {
+	packed []uint8
+	planes int
+	off    int
+}
+
+// fold appends the refinement bits to the values vals, whose first is the
+// plane's value at: each value v becomes v<<1 | its bit, a bit plane at a
+// time, for the eight values of a byte of the bit planes at once — at the ends
+// of vals, in a copy that has the byte's eight. The mask drops the bit a value
+// of 128 or more (a corrupt base scan) would push into its neighbour, as the
+// uint8 shift does.
+func (r refinement) fold(vals []uint8, at int) {
+	span, k := len(r.packed)/r.planes, r.off+at
+	for i := 0; i < len(vals); {
+		g, s := (k+i)>>3, (k+i)&7
+		n := min(8-s, len(vals)-i)
+		var w [8]uint8
+		word := vals[i:]
+		if n < 8 {
+			word = w[:]
+			copy(w[s:], vals[i:i+n])
+		}
+		x := binary.LittleEndian.Uint64(word)
+		for j := g; j < len(r.packed); j += span {
+			x = x<<1&0xfefefefefefefefe | bitSpread[r.packed[j]]
+		}
+		binary.LittleEndian.PutUint64(word, x)
+		if n < 8 {
+			copy(vals[i:i+n], w[s:])
+		}
+		i += n
 	}
 }

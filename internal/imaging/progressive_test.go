@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/rand/v2"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -307,78 +309,105 @@ func TestSlicePrefixZeroCopy(t *testing.T) {
 }
 
 // TestFoldBitsMatchesPerValue: the word-at-a-time fold is the per-value
-// planes[i]<<1 | bit, on every length around a word and on base values of 128
-// and more, whose top bit the uint8 shift drops.
+// v<<1 | bit, a bit plane at a time, on one to three bit planes, on every
+// length around a word from every alignment, and on base values of 128 and
+// more, whose top bit the uint8 shift drops.
 func TestFoldBitsMatchesPerValue(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 64))
 	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4099} {
-		for trial := 0; trial < 8; trial++ {
-			planes, packed := make([]uint8, n), make([]uint8, (n+7)/8)
-			for i := range planes {
-				planes[i] = uint8(rng.Uint32()) // half of them ≥ 128
+		for trial := 0; trial < 24; trial++ {
+			m, off, at := 1+trial%3, rng.IntN(9), rng.IntN(9)
+			span := (off + at + n + 7) / 8
+			vals, packed := make([]uint8, n), make([]uint8, m*span)
+			for i := range vals {
+				vals[i] = uint8(rng.Uint32()) // half of them ≥ 128
 			}
 			for i := range packed {
-				packed[i] = uint8(rng.Uint32()) // pad bits set: the fold must not read them
+				packed[i] = uint8(rng.Uint32()) // bits of other values: the fold must not read them
 			}
 			want := make([]uint8, n)
-			for i, v := range planes {
-				want[i] = v<<1 | packed[i/8]>>(i%8)&1
+			for i, v := range vals {
+				k := off + at + i
+				for j := range m {
+					v = v<<1 | packed[j*span+k/8]>>(k%8)&1
+				}
+				want[i] = v
 			}
-			foldBits(planes, packed)
-			if !bytes.Equal(planes, want) {
-				t.Fatalf("n = %d: foldBits differs from the per-value loop", n)
+			refinement{packed, m, off}.fold(vals, at)
+			if !bytes.Equal(vals, want) {
+				t.Fatalf("n = %d, %d bit planes, value %d+%d: the fold differs from the per-value loop", n, m, off, at)
 			}
 		}
 	}
 }
 
-// TestScanBoundsFollowTheScan: each index entry is held to what its own scan
-// inflates to — the planes for the base scan, an eighth of them for a
-// refinement scan — from both sides.
-func TestScanBoundsFollowTheScan(t *testing.T) {
-	// Above: a refinement scan that is a valid DEFLATE stream of the right
-	// length with the right CRC and no pad bits, but longer (empty stored
-	// blocks) than any writer's worst case for its 576 bytes. The old cap,
-	// w*h*2 + 1<<16 whatever the scan, took it; it is refused from the index
-	// alone, by every entry point, before any buffer is requested.
-	const w, h = 64, 48
-	total := w*h + 2*(w/2)*(h/2)
-	base, shortest := storedBlock(1, make([]byte, total)...), storedBlock(1, make([]byte, scanLen(total, 1))...)
-	var padded []byte
-	for len(padded) <= maxDeflated(scanLen(total, 1)) {
-		padded = append(padded, storedBlock(0)...)
-	}
-	padded = append(padded, shortest...)
-	if len(padded) > w*h*2+1<<16 {
-		t.Fatalf("the %d-byte scan would not have passed the old cap", len(padded))
-	}
-	long := sjprOver(w, h, base, padded)
-	before := bufpool.ByteStats()
-	_, _, _, _, _, infoErr := ProgressiveInfo(long)
-	_, sizeErr := PrefixSize(long, 1)
-	_, _, decErr := DecodeProgressive(long)
-	_, fidErr := DecodeAtFidelity(long, 2)
-	_, cropErr := DecodeProgressiveCropResize(long, Rect{W: 8, H: 8}, 4, 4)
-	for _, err := range []error{infoErr, sizeErr, decErr, fidErr, cropErr} {
-		if !errors.Is(err, ErrCorrupt) {
-			t.Errorf("over-long refinement scan: err %v, want ErrCorrupt", err)
+// TestScanErrorsNameTheScan: the base scan decodes alone and the refinement
+// scans in step, yet a refusal names the scan it is in.
+func TestScanErrorsNameTheScan(t *testing.T) {
+	base, bits := slices.Concat(stored(7), stored(7), stored(7)), stored(0b010)
+	for want, data := range map[string][]byte{
+		"scan 0: plane 2": sjprOver(1, 1, slices.Concat(stored(7), stored(7)), bits, bits),
+		"scan 2: plane 0": sjprOver(1, 1, base, bits, []byte{0}, bits),
+		"scan 3: pad":     sjprOver(1, 1, base, bits, bits, stored(0b1010)),
+	} {
+		if _, _, err := DecodeProgressive(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("err %v, want ErrCorrupt naming %q", err, want)
 		}
 	}
-	if _, ok := FidelityPrefixSize(long, 1); ok {
-		t.Error("FidelityPrefixSize sliced a container with an over-long refinement scan")
+}
+
+// TestScanBoundsFollowTheScan: each index entry is held to what its own scan
+// decodes to — the planes for the base scan, an eighth of them for a
+// refinement scan — from both sides.
+func TestScanBoundsFollowTheScan(t *testing.T) {
+	// Above: scans of valid coded planes, of the right length, with the right
+	// CRC and no pad bits, but longer than the writer's worst case, each plane
+	// stored behind its marker: total + 3 bytes for the base scan, ⌈total/8⌉ + 1
+	// for a refinement scan. Coded under a table of every byte value in eight
+	// bits, a plane takes 130 bytes more than it holds. Both are refused from
+	// the index alone, by every entry point, before any buffer is requested.
+	const w, h = 64, 48
+	n, cn := w*h, (w/2)*(h/2)
+	total := n + 2*cn
+	eight := func(k int) []byte {
+		return slices.Concat([]byte{128}, bytes.Repeat([]byte{0x88}, 128), []byte{0}, make([]byte, k))
 	}
-	if after := bufpool.ByteStats(); after != before {
-		t.Errorf("refused after arena traffic: %+v, was %+v", after, before)
+	if err := inflateInto(eight(cn), make([]byte, cn)); err != nil {
+		t.Fatalf("the eight-bit table's plane: %v", err)
 	}
-	// The same container with the scan as short as it can be is accepted.
+	zeros := func(k int) []byte { return stored(make([]byte, k)...) }
+	base, shortest := slices.Concat(zeros(n), zeros(cn), zeros(cn)), zeros(scanLen(total, 1))
+	for name, long := range map[string][]byte{
+		"base":       sjprOver(w, h, slices.Concat(zeros(n), eight(cn), zeros(cn)), shortest),
+		"refinement": sjprOver(w, h, base, eight(scanLen(total, 1))),
+	} {
+		before := bufpool.ByteStats()
+		_, _, _, _, _, infoErr := ProgressiveInfo(long)
+		_, sizeErr := PrefixSize(long, 1)
+		_, _, decErr := DecodeProgressive(long)
+		_, fidErr := DecodeAtFidelity(long, 2)
+		_, cropErr := DecodeProgressiveCropResize(long, Rect{W: 8, H: 8}, 4, 4)
+		for _, err := range []error{infoErr, sizeErr, decErr, fidErr, cropErr} {
+			if !errors.Is(err, ErrCorrupt) {
+				t.Errorf("over-long %s scan: err %v, want ErrCorrupt", name, err)
+			}
+		}
+		if _, ok := FidelityPrefixSize(long, 1); ok {
+			t.Errorf("FidelityPrefixSize sliced a container with an over-long %s scan", name)
+		}
+		if after := bufpool.ByteStats(); after != before {
+			t.Errorf("over-long %s scan refused after arena traffic: %+v, was %+v", name, after, before)
+		}
+	}
+	// The same container with every plane stored is accepted.
 	if im, k, err := DecodeProgressive(sjprOver(w, h, base, shortest)); err != nil || k != 2 {
-		t.Errorf("shortest stored refinement scan: %d scans, err %v", k, err)
+		t.Errorf("stored scans: %d scans, err %v", k, err)
 	} else {
 		im.Release()
 	}
 
-	// The writer's own worst case, noise DEFLATE can only store, fits the bound.
-	noise := MustNew(640, 480) // 57 600 B a refinement scan: four blocks
+	// The writer's own worst case, noise it can only store, meets the bound.
+	noise := MustNew(640, 480) // 57 600 B a refinement scan
 	rng := rand.New(rand.NewPCG(2, 24))
 	for i := range noise.Pix {
 		noise.Pix[i] = uint8(rng.Uint32())
@@ -387,12 +416,12 @@ func TestScanBoundsFollowTheScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hd, err := parseProgressive(worst); err != nil || hd.lens[MaxScans-1] <= scanLen(hd.total, 1) {
+	if hd, err := parseProgressive(worst); err != nil || hd.lens[MaxScans-1] != scanLen(hd.total, 1)+1 {
 		t.Fatalf("noise: err %v, or its last scan (%d B) is not stored", err, hd.lens[MaxScans-1])
 	}
 
 	// Below: a flat image's refinement scans are a few dozen bytes for 57 600,
-	// which 1032:1 allows and would not for the 460 800 plane values.
+	// which 2064:1 allows and would not for the 460 800 plane values.
 	flat := MustNew(640, 480)
 	data, err := EncodeProgressive(flat, DefaultQuality, MaxScans)
 	if err != nil {
@@ -402,7 +431,7 @@ func TestScanBoundsFollowTheScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canInflateTo(hd.lens[1], hd.total) || !canInflateTo(hd.lens[1], scanLen(hd.total, 1)) {
+	if canYield(hd.lens[1], hd.total) || !canYield(hd.lens[1], scanLen(hd.total, 1)) {
 		t.Fatalf("a %d-byte scan does not separate the two floors", hd.lens[1])
 	}
 	im, _, err := DecodeProgressive(data)
@@ -411,8 +440,8 @@ func TestScanBoundsFollowTheScan(t *testing.T) {
 	}
 	im.Release()
 	// An index entry under the floor of its own scan is refused before the planes.
-	tiny := sjprOver(640, 480, data[hd.body:hd.body+hd.lens[0]], []byte{3, 0}) // an empty fixed block
-	before = bufpool.ByteStats()
+	tiny := sjprOver(640, 480, data[hd.body:hd.body+hd.lens[0]], []byte{1, 0x10})
+	before := bufpool.ByteStats()
 	if _, _, err := DecodeProgressive(tiny); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("2-byte refinement scan for 57 600 bytes: err %v, want ErrCorrupt", err)
 	}

@@ -2,38 +2,149 @@ package imaging
 
 import (
 	"bytes"
-	"compress/flate"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
 	"image/color"
-	"io"
+	"math"
+	"strconv"
 	"testing"
 )
 
-// The reference decoder: compress/flate's reader, a modulo per byte in the
-// delta pass, one refinement bit at a time and one color.YCbCrToRGB +
-// Image.Set per pixel — the decode path as it stood before the row kernels,
-// the slice-to-slice inflater and the word-at-a-time fold. It exists only so
-// the production path has something other than itself to be compared with.
+// The reference decoder: the plane format read the way planes.go's comment
+// describes it, a bit at a time through a map of codes (pack_test.go's
+// refCodes), a modulo per byte in the delta pass, one refinement bit at a time
+// and one color.YCbCrToRGB + Image.Set per pixel — the decode path as it
+// stood before the table decoder, the row kernels and the word-at-a-time
+// fold. It shares no code with the product and exists only so the production
+// path has something other than itself to be compared with.
 
-// refInflate is inflateInto's contract on compress/flate: src must yield
-// exactly len(dst) bytes.
-func refInflate(src, dst []byte) error {
-	zr := flate.NewReader(bytes.NewReader(src))
-	if _, err := io.ReadFull(zr, dst); err != nil {
-		return fmt.Errorf("decompress: %v", err)
+// refRunBase and refRunExtra are RFC 1951's length table (3.2.5), symbols
+// 257…285: the shortest run of each and its extra bits.
+var (
+	refRunBase  = [29]int{3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15, 17, 19, 23, 27, 31, 35, 43, 51, 59, 67, 83, 99, 115, 131, 163, 195, 227, 258}
+	refRunExtra = [29]int{0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 3, 4, 4, 4, 4, 5, 5, 5, 5, 0}
+)
+
+// refInflate decodes the coded planes at the front of src into planes, one
+// after another, and fails unless src holds exactly them.
+func refInflate(src []byte, planes ...[]byte) error {
+	for p, plane := range planes {
+		var err error
+		if src, err = refInflatePlane(src, plane); err != nil {
+			return fmt.Errorf("plane %d: %v", p, err)
+		}
 	}
-	var trail [1]byte
-	switch _, err := io.ReadFull(zr, trail[:]); err {
-	case io.EOF:
-	case nil:
-		return errors.New("trailing data")
-	default:
-		return fmt.Errorf("trailing garbage: %v", err)
+	if len(src) != 0 {
+		return errors.New("trailing bytes")
 	}
-	return zr.Close()
+	return nil
+}
+
+func refInflatePlane(src, plane []byte) ([]byte, error) {
+	if len(src) == 0 {
+		return nil, errors.New("no plane header")
+	}
+	if src[0] == 0 {
+		if len(src)-1 < len(plane) {
+			return nil, errors.New("stored plane cut short")
+		}
+		copy(plane, src[1:])
+		return src[1+len(plane):], nil
+	}
+	// Two tables: residuals in zig-zag order, then the 29 run symbols and a
+	// 30th slot that must stay empty.
+	var lens [256 + 30]int
+	for _, table := range [][]int{lens[:256], lens[256:]} {
+		if len(src) == 0 {
+			return nil, errors.New("no table header")
+		}
+		h := int(src[0])
+		if src = src[1:]; 2*h > len(table) || h > len(src) {
+			return nil, errors.New("code lengths cut short")
+		}
+		for i, b := range src[:h] {
+			table[2*i], table[2*i+1] = int(b>>4), int(b&15)
+		}
+		src = src[h:]
+	}
+	kraft, used := 0.0, 0
+	for _, l := range lens {
+		if l > maxCodeLen {
+			return nil, errors.New("code too long")
+		}
+		if l > 0 {
+			kraft += math.Ldexp(1, -l)
+			used++
+		}
+	}
+	if lens[len(lens)-1] != 0 || kraft != 1 && !(used == 1 && kraft == 0.5) {
+		return nil, errors.New("code not complete")
+	}
+	type code struct{ len, bits int }
+	symbol := map[code]int{}
+	for z, c := range refCodes(lens[:256+29]) {
+		v, err := strconv.ParseInt(c, 2, 64)
+		if err != nil {
+			return nil, err
+		}
+		symbol[code{len(c), int(v)}] = z
+	}
+	bit := 0
+	next := func() (int, error) {
+		if bit/8 >= len(src) {
+			return 0, errors.New("code stream cut short")
+		}
+		b := int(src[bit/8]>>(7-bit%8)) & 1
+		bit++
+		return b, nil
+	}
+	for out := 0; out < len(plane); {
+		var c code
+		z, ok := 0, false
+		for !ok {
+			b, err := next()
+			if err != nil {
+				return nil, err
+			}
+			c = code{c.len + 1, c.bits<<1 | b}
+			if z, ok = symbol[c]; !ok && c.len >= maxCodeLen {
+				return nil, errors.New("no such code")
+			}
+		}
+		if z < 256 { // the residual at zig-zag position z
+			r := z / 2
+			if z%2 == 1 {
+				r = -(z + 1) / 2
+			}
+			plane[out] = uint8(r)
+			out++
+			continue
+		}
+		n := refRunBase[z-256]
+		extra := 0
+		for e := 0; e < refRunExtra[z-256]; e++ {
+			b, err := next()
+			if err != nil {
+				return nil, err
+			}
+			extra = extra<<1 | b
+		}
+		if n += extra; out == 0 || out+n > len(plane) {
+			return nil, errors.New("a run with nothing to repeat or past the plane")
+		}
+		for i := 0; i < n; i++ {
+			plane[out+i] = plane[out-1]
+		}
+		out += n
+	}
+	for ; bit%8 != 0; bit++ {
+		if src[bit/8]>>(7-bit%8)&1 != 0 {
+			return nil, errors.New("padding bit set")
+		}
+	}
+	return src[bit/8:], nil
 }
 
 func refDeltaDecode(plane []uint8, stride int) {
@@ -84,6 +195,12 @@ func refPlanesToImage(w, h int, yShift, cShift uint, planes []uint8) *Image {
 	return im
 }
 
+// refSplit cuts the Y, Cb and Cr planes of a w×h image from planes.
+func refSplit(planes []uint8, w, h int) [][]uint8 {
+	n, cn := w*h, ((w+1)/2)*((h+1)/2)
+	return [][]uint8{planes[:n], planes[n : n+cn], planes[n+cn : n+2*cn]}
+}
+
 func refDeltaDecodePlanes(planes []uint8, w, h int) {
 	cw, ch := (w+1)/2, (h+1)/2
 	refDeltaDecode(planes[:w*h], w)
@@ -100,7 +217,7 @@ func refDecode(data []byte, k int) (*Image, error) {
 			return nil, err
 		}
 		planes := make([]uint8, w*h+2*((w+1)/2)*((h+1)/2))
-		if err := refInflate(data[headerSize:], planes); err != nil {
+		if err := refInflate(data[headerSize:], refSplit(planes, w, h)...); err != nil {
 			return nil, err
 		}
 		refDeltaDecodePlanes(planes, w, h)
@@ -121,7 +238,7 @@ func refDecode(data []byte, k int) (*Image, error) {
 			return nil, fmt.Errorf("scan %d CRC mismatch", j)
 		}
 		if j == 0 {
-			if err := refInflate(payload, planes); err != nil {
+			if err := refInflate(payload, refSplit(planes, hd.w, hd.h)...); err != nil {
 				return nil, err
 			}
 			refDeltaDecodePlanes(planes, hd.w, hd.h)
@@ -260,7 +377,7 @@ func TestDeltaMatchesReference(t *testing.T) {
 						}
 					}
 					got := append([]uint8(nil), resid...)
-					undoPrediction(got, stride, tall, shift, last)
+					undoPrediction(got, stride, tall, shift, last, refinement{})
 					listed := map[int]bool{}
 					for _, r := range list {
 						listed[int(r)] = true
@@ -292,11 +409,10 @@ func fnvHex(parts ...[]byte) string {
 }
 
 // TestGoldenDigests pins the stored bytes and the decoded pixels of three
-// fixed images, so that a change to either — in this package or, for sjpr, in
-// the compress/flate writer its scans go through — is noticed. The pixels
-// digests were taken from the per-pixel encoder and the compress/flate-reader
-// decoder; the sjpg digests are deflate.go's writer's, the sjpr digests
-// container version 2's.
+// fixed images, so that a change to either is noticed. The pixels digests
+// were taken from the per-pixel encoder and a DEFLATE-reading decoder, and
+// outlive every change of the stored form; the sjpg and sjpr digests are
+// those of SJPG version 2 and SJPR version 3, planes coded by planes.go.
 func TestGoldenDigests(t *testing.T) {
 	for _, c := range []struct {
 		seed          uint64
@@ -306,11 +422,11 @@ func TestGoldenDigests(t *testing.T) {
 		pixels        string // Decode, then DecodeAtFidelity k = 1..MaxScans
 	}{
 		{seed: 1, w: 160, h: 161, quality: 80, detail: 0.5,
-			sjpg: "32f37975fd2aea0c", sjpr: "00dbc392fa21fc7a", pixels: "cca12a6e5f0185ec"},
+			sjpg: "89d71f82f3aa34be", sjpr: "dea84387601bd193", pixels: "cca12a6e5f0185ec"},
 		{seed: 2, w: 333, h: 250, quality: 95, detail: 0.9,
-			sjpg: "213653153566c326", sjpr: "733b196f26a51198", pixels: "a03d1547a4ceb6ad"},
+			sjpg: "9fcb19c8e27c13ff", sjpr: "9bdfd9f9e6467a31", pixels: "a03d1547a4ceb6ad"},
 		{seed: 3, w: 640, h: 480, quality: 40, detail: 0.2,
-			sjpg: "f7dbd484f980f47b", sjpr: "12afebb90d0fd995", pixels: "4f8d8ca9b8699bfd"},
+			sjpg: "d5b1cf18754cdcb3", sjpr: "6e3ca17bc250849a", pixels: "4f8d8ca9b8699bfd"},
 	} {
 		im := synthFor(t, c.seed, c.w, c.h, c.detail)
 		sjpg, err := Encode(im, c.quality)

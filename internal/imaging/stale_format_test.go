@@ -1,11 +1,8 @@
 package imaging_test
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/binary"
+	"encoding/hex"
 	"errors"
-	"hash/crc32"
 	"strings"
 	"testing"
 
@@ -13,84 +10,76 @@ import (
 	"repro/internal/pipeline"
 )
 
-// sjprV1 hand-builds the container SJPR version 1 wrote for a 2×2 image at
-// two scans: six plane values, the base scan their DEFLATEd residuals, the
-// refinement scan one DEFLATEd *byte* per bit, index CRCs valid. Version 1's
-// reader decoded it to pixels.
-func sjprV1(t *testing.T, version byte) []byte {
+// A 3×2 image at DefaultQuality as the previous formats stored it: an SJPG
+// version 1 stream (planes in DEFLATE blocks) and a two-scan SJPR version 2
+// container (scans DEFLATE-compressed). Both decoded to pixels in the build
+// that wrote them.
+const (
+	sjpgV1Hex = "534a504701500000000300000002000600f9ff0f37de2629c6000200fdff1e02010200fdff1b0f"
+	sjprV2Hex = "534a5052025000000003000000020200000000001050316fb8000000088373cf086297792f2cfa989f919703100000ffffe26404040000ffff"
+)
+
+func staleStream(t *testing.T, h string) []byte {
 	t.Helper()
-	deflate := func(plain ...byte) []byte {
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-		if err != nil {
-			t.Fatal(err)
-		}
-		zw.Write(plain)
-		if err := zw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	scans := [][]byte{deflate(40, 1, 0, 1, 16, 16), deflate(0, 1, 1, 0, 1, 0)}
-	out := append([]byte("SJPR"), version, imaging.DefaultQuality)
-	out = binary.BigEndian.AppendUint32(out, 2)
-	out = binary.BigEndian.AppendUint32(out, 2)
-	out = append(out, uint8(len(scans)), 0, 0)
-	for _, s := range scans {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-		out = binary.BigEndian.AppendUint32(out, crc32.Checksum(s, crc32.MakeTable(crc32.Castagnoli)))
-	}
-	return append(out, bytes.Join(scans, nil)...)
-}
-
-// TestStaleFormatRefusedByName: a version-1 container gets ErrUnsupported,
-// naming the container and both versions, from everything that reads one —
-// never pixels, never a prefix. There is one reader; a stale store is rebuilt.
-func TestStaleFormatRefusedByName(t *testing.T) {
-	v1 := sjprV1(t, 1)
-	if !imaging.IsProgressive(v1) {
-		t.Fatal("the hand-built container lost its magic")
-	}
-	for name, call := range map[string]func() (any, error){
-		"ProgressiveInfo": func() (any, error) {
-			_, _, _, _, present, err := imaging.ProgressiveInfo(v1)
-			return present, err
-		},
-		"PrefixSize":        func() (any, error) { return imaging.PrefixSize(v1, 1) },
-		"SlicePrefix":       func() (any, error) { return imaging.SlicePrefix(v1, 1) },
-		"DecodeAtFidelity":  func() (any, error) { return imaging.DecodeAtFidelity(v1, 1) },
-		"DecodeProgressive": func() (any, error) { im, _, err := imaging.DecodeProgressive(v1); return im, err },
-		"DecodeProgressiveCropResize": func() (any, error) {
-			return imaging.DecodeProgressiveCropResize(v1, imaging.Rect{W: 1, H: 1}, 1, 1)
-		},
-		"Pipeline.Run": func() (any, error) {
-			a, err := pipeline.DefaultStandard().Run(v1, pipeline.Seed{Job: 1, Epoch: 1, Sample: 1})
-			return a.Kind, err
-		},
-	} {
-		got, err := call()
-		if !errors.Is(err, imaging.ErrUnsupported) || !strings.Contains(err.Error(), "SJPR version 1, this build reads 2") {
-			t.Errorf("%s: %v (err %v), want ErrUnsupported naming SJPR version 1 and 2", name, got, err)
-		}
-	}
-	if n, ok := imaging.FidelityPrefixSize(v1, 1); ok {
-		t.Errorf("FidelityPrefixSize sliced a version-1 container to %d bytes", n)
-	}
-
-	// The same scans under this build's version byte are not a container
-	// either: the refinement scan inflates to six bytes where one is due.
-	if im, _, err := imaging.DecodeProgressive(sjprV1(t, 2)); !errors.Is(err, imaging.ErrCorrupt) {
-		t.Errorf("byte-a-bit scans under version 2: image %v, err %v, want ErrCorrupt", im != nil, err)
-	}
-
-	// The text is the container's, not SJPG's, and SJPG's own names SJPG.
-	sjpg, err := imaging.EncodeDefault(imaging.MustNew(2, 2))
+	b, err := hex.DecodeString(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sjpg[4] = 7
-	if _, err := imaging.Decode(sjpg); !errors.Is(err, imaging.ErrUnsupported) || !strings.Contains(err.Error(), "SJPG version 7, this build reads 1") {
-		t.Errorf("SJPG version 7: err %v", err)
+	return b
+}
+
+// staleReaders calls everything that reads data, SJPG or SJPR as sjpr says,
+// and returns each one's error by name.
+func staleReaders(data []byte, sjpr bool) map[string]error {
+	rect := imaging.Rect{W: 1, H: 1}
+	errs := map[string]error{}
+	_, errs["Pipeline.Run"] = pipeline.DefaultStandard().Run(data, pipeline.Seed{Job: 1, Epoch: 1, Sample: 1})
+	if !sjpr {
+		_, errs["Decode"] = imaging.Decode(data)
+		_, errs["DecodeCropResize"] = imaging.DecodeCropResize(data, rect, 1, 1)
+		_, _, errs["DecodeDims"] = imaging.DecodeDims(data)
+		return errs
+	}
+	_, _, _, _, _, errs["ProgressiveInfo"] = imaging.ProgressiveInfo(data)
+	_, errs["PrefixSize"] = imaging.PrefixSize(data, 1)
+	_, errs["SlicePrefix"] = imaging.SlicePrefix(data, 1)
+	_, errs["DecodeAtFidelity"] = imaging.DecodeAtFidelity(data, 1)
+	_, _, errs["DecodeProgressive"] = imaging.DecodeProgressive(data)
+	_, errs["DecodeProgressiveCropResize"] = imaging.DecodeProgressiveCropResize(data, rect, 1, 1)
+	return errs
+}
+
+// TestStaleFormatRefusedByName: a stream of the previous SJPG version and a
+// container of the previous SJPR version get ErrUnsupported, naming the
+// format and both versions, from everything that reads one — never pixels,
+// never a prefix. There is no reader for an old version; a stale store is
+// rebuilt. The same bytes under this build's version byte are not streams of
+// this format: ErrCorrupt.
+func TestStaleFormatRefusedByName(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		data    []byte
+		sjpr    bool
+		stale   string
+		current byte
+	}{
+		{"SJPG", staleStream(t, sjpgV1Hex), false, "SJPG version 1, this build reads 2", 2},
+		{"SJPR", staleStream(t, sjprV2Hex), true, "SJPR version 2, this build reads 3", 3},
+	} {
+		for reader, err := range staleReaders(c.data, c.sjpr) {
+			if !errors.Is(err, imaging.ErrUnsupported) || !strings.Contains(err.Error(), c.stale) {
+				t.Errorf("%s %s: err %v, want ErrUnsupported naming %q", c.name, reader, err, c.stale)
+			}
+		}
+		c.data[4] = c.current
+		for reader, err := range staleReaders(c.data, c.sjpr) {
+			if reader != "DecodeDims" && !errors.Is(err, imaging.ErrCorrupt) {
+				t.Errorf("%s %s under version %d: err %v, want ErrCorrupt", c.name, reader, c.current, err)
+			}
+		}
+	}
+	if n, ok := imaging.FidelityPrefixSize(staleStream(t, sjprV2Hex), 1); ok {
+		t.Errorf("FidelityPrefixSize sliced a version-2 container to %d bytes", n)
 	}
 	if strings.Contains(imaging.ErrUnsupported.Error(), "SJPG") {
 		t.Errorf("ErrUnsupported still names one container: %q", imaging.ErrUnsupported)

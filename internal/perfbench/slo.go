@@ -2,14 +2,10 @@ package perfbench
 
 // SLO records and the perf-trajectory gate. The load generator
 // (internal/loadgen) measures per-fetch-class latency distributions; this
-// file freezes them into a versioned, diffable record (SLORecord), compares
-// two records with a noise threshold (CompareSLO — the CI gate), and folds
-// the repo's historical BENCH_pr*.json records plus SLO records into one
-// trajectory format (Trajectory, ConvertBenchRecord) so the perf history of
-// the codebase reads as a single time series.
+// file freezes them into a versioned, diffable record (SLORecord) and
+// compares two records with a noise threshold (CompareSLO — the CI gate).
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
@@ -153,136 +149,4 @@ func CompareSLO(prev, cur SLORecord, noise float64) []string {
 		}
 	}
 	return regs
-}
-
-// TrajectoryEntry is one historical perf record reduced to a flat metric
-// map; Source names the file it came from, PR the change that produced it
-// (0 when the record carries no PR number).
-type TrajectoryEntry struct {
-	Source  string             `json:"source"`
-	PR      int                `json:"pr,omitempty"`
-	Kind    string             `json:"kind"`
-	Metrics map[string]float64 `json:"metrics"`
-}
-
-// Trajectory is the repo's perf history in one file: every BENCH and SLO
-// record converted to a common shape, in the order given.
-type Trajectory struct {
-	Kind    string            `json:"kind"` // always "TRAJECTORY"
-	Version int               `json:"version"`
-	Entries []TrajectoryEntry `json:"entries"`
-}
-
-// ConvertBenchRecord folds one committed perf record — any of the BENCH_pr*
-// shapes this repo has accumulated, a `sophon-bench -json` suite report, or
-// an SLO record — into a trajectory entry. It detects the shape from the
-// fields present rather than trusting the pr number.
-func ConvertBenchRecord(source string, data []byte) (TrajectoryEntry, error) {
-	var probe struct {
-		Kind               string            `json:"kind"`
-		PR                 int               `json:"pr"`
-		Results            []Result          `json:"results"`
-		Benchmarks         []json.RawMessage `json:"benchmarks"`
-		AdaptiveVsOracle   *float64          `json:"adaptive_vs_oracle"`
-		StaticVsAdaptive   *float64          `json:"static_vs_adaptive"`
-		CoordinatedSpeedup *float64          `json:"coordinated_speedup"`
-		Coordinated        struct {
-			AggregateEpochSeconds float64 `json:"aggregate_epoch_seconds"`
-			CacheHitRate          float64 `json:"cache_hit_rate"`
-		} `json:"coordinated"`
-		PrefetchSpeedup *float64 `json:"prefetch_speedup"`
-		Reactive        struct {
-			EpochSeconds float64 `json:"epoch_seconds"`
-			LinkIdleFrac float64 `json:"link_idle_frac"`
-		} `json:"reactive"`
-		Clairvoyant struct {
-			EpochSeconds float64 `json:"epoch_seconds"`
-			LinkIdleFrac float64 `json:"link_idle_frac"`
-		} `json:"clairvoyant"`
-		TrafficReduction *float64 `json:"traffic_reduction"`
-		Discrete         struct {
-			TrafficMB    float64 `json:"traffic_mb"`
-			EpochSeconds float64 `json:"epoch_seconds"`
-		} `json:"discrete"`
-		Progressive struct {
-			TrafficMB    float64 `json:"traffic_mb"`
-			EpochSeconds float64 `json:"epoch_seconds"`
-			MeanQuality  float64 `json:"mean_quality"`
-		} `json:"progressive"`
-		PrepschedSpeedup *float64 `json:"prepsched_speedup"`
-		FIFO             struct {
-			EpochSeconds    float64 `json:"epoch_seconds"`
-			WorkerStallFrac float64 `json:"worker_stall_frac"`
-		} `json:"fifo"`
-		Steal struct {
-			EpochSeconds    float64 `json:"epoch_seconds"`
-			WorkerStallFrac float64 `json:"worker_stall_frac"`
-		} `json:"steal"`
-		Scenarios []SLOScenario `json:"scenarios"`
-	}
-	if err := json.Unmarshal(data, &probe); err != nil {
-		return TrajectoryEntry{}, fmt.Errorf("perfbench: convert %s: %w", source, err)
-	}
-	e := TrajectoryEntry{Source: source, PR: probe.PR, Kind: probe.Kind, Metrics: map[string]float64{}}
-	switch {
-	case probe.Kind == "SLO":
-		for _, s := range probe.Scenarios {
-			e.Metrics[s.Name+"/throughput_rps"] = s.ThroughputRPS
-			e.Metrics[s.Name+"/shed_rate"] = s.ShedRate
-			for class, c := range s.Classes {
-				e.Metrics[s.Name+"/"+class+"/p99_ms"] = c.P99Ms
-			}
-		}
-	case len(probe.Results) > 0: // sophon-bench -json suite report
-		for _, r := range probe.Results {
-			e.Metrics[r.Name+"/ns_per_op"] = r.NsPerOp
-			e.Metrics[r.Name+"/allocs_per_op"] = float64(r.AllocsPerOp)
-		}
-	case len(probe.Benchmarks) > 0: // BENCH_pr3: before/after alloc table
-		for _, raw := range probe.Benchmarks {
-			var b struct {
-				Name  string `json:"name"`
-				After struct {
-					NsPerOp     float64 `json:"ns_per_op"`
-					AllocsPerOp float64 `json:"allocs_per_op"`
-				} `json:"after"`
-			}
-			if err := json.Unmarshal(raw, &b); err != nil {
-				return TrajectoryEntry{}, fmt.Errorf("perfbench: convert %s: %w", source, err)
-			}
-			e.Metrics[b.Name+"/ns_per_op"] = b.After.NsPerOp
-			e.Metrics[b.Name+"/allocs_per_op"] = b.After.AllocsPerOp
-		}
-	case probe.AdaptiveVsOracle != nil: // BENCH_pr5: adaptive control plane
-		e.Metrics["adaptive_vs_oracle"] = *probe.AdaptiveVsOracle
-		if probe.StaticVsAdaptive != nil {
-			e.Metrics["static_vs_adaptive"] = *probe.StaticVsAdaptive
-		}
-	case probe.CoordinatedSpeedup != nil: // BENCH_pr6: fleet scenario
-		e.Metrics["coordinated_speedup"] = *probe.CoordinatedSpeedup
-		e.Metrics["coordinated/aggregate_epoch_seconds"] = probe.Coordinated.AggregateEpochSeconds
-		e.Metrics["coordinated/cache_hit_rate"] = probe.Coordinated.CacheHitRate
-	case probe.PrefetchSpeedup != nil: // BENCH_pr8: clairvoyant prefetching
-		e.Metrics["prefetch_speedup"] = *probe.PrefetchSpeedup
-		e.Metrics["reactive/epoch_seconds"] = probe.Reactive.EpochSeconds
-		e.Metrics["reactive/link_idle_frac"] = probe.Reactive.LinkIdleFrac
-		e.Metrics["clairvoyant/epoch_seconds"] = probe.Clairvoyant.EpochSeconds
-		e.Metrics["clairvoyant/link_idle_frac"] = probe.Clairvoyant.LinkIdleFrac
-	case probe.TrafficReduction != nil: // BENCH_pr10: progressive fidelity
-		e.Metrics["traffic_reduction"] = *probe.TrafficReduction
-		e.Metrics["discrete/traffic_mb"] = probe.Discrete.TrafficMB
-		e.Metrics["discrete/epoch_seconds"] = probe.Discrete.EpochSeconds
-		e.Metrics["progressive/traffic_mb"] = probe.Progressive.TrafficMB
-		e.Metrics["progressive/epoch_seconds"] = probe.Progressive.EpochSeconds
-		e.Metrics["progressive/mean_quality"] = probe.Progressive.MeanQuality
-	case probe.PrepschedSpeedup != nil: // BENCH_pr9: variance-aware prepsched
-		e.Metrics["prepsched_speedup"] = *probe.PrepschedSpeedup
-		e.Metrics["fifo/epoch_seconds"] = probe.FIFO.EpochSeconds
-		e.Metrics["fifo/worker_stall_frac"] = probe.FIFO.WorkerStallFrac
-		e.Metrics["steal/epoch_seconds"] = probe.Steal.EpochSeconds
-		e.Metrics["steal/worker_stall_frac"] = probe.Steal.WorkerStallFrac
-	default:
-		return TrajectoryEntry{}, fmt.Errorf("perfbench: convert %s: unrecognized record shape (kind %q)", source, probe.Kind)
-	}
-	return e, nil
 }

@@ -125,44 +125,6 @@ func TestScenarioFromReport(t *testing.T) {
 	}
 }
 
-// TestConvertBenchRecords converts the real committed BENCH records — every
-// historical shape must keep converting.
-func TestConvertBenchRecords(t *testing.T) {
-	cases := []struct {
-		file    string
-		pr      int
-		wantKey string
-	}{
-		{"../../BENCH_pr3.json", 3, "pipeline/BenchmarkFullPipeline640x480/ns_per_op"},
-		{"../../BENCH_pr5.json", 5, "adaptive_vs_oracle"},
-		{"../../BENCH_pr6.json", 6, "coordinated_speedup"},
-		{"../../BENCH_pr8.json", 8, "prefetch_speedup"},
-		{"../../BENCH_pr9.json", 9, "prepsched_speedup"},
-		{"../../BENCH_alloc.json", 0, "imaging/Decode640x480/ns_per_op"},
-	}
-	for _, tc := range cases {
-		data, err := os.ReadFile(tc.file)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.file, err)
-		}
-		e, err := ConvertBenchRecord(tc.file, data)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if e.PR != tc.pr {
-			t.Errorf("%s: pr = %d, want %d", tc.file, e.PR, tc.pr)
-		}
-		v, ok := e.Metrics[tc.wantKey]
-		if !ok || v <= 0 {
-			t.Errorf("%s: metric %q = %v (present %v)", tc.file, tc.wantKey, v, ok)
-		}
-	}
-
-	if _, err := ConvertBenchRecord("bogus", []byte(`{"kind":"???"}`)); err == nil {
-		t.Error("unrecognized shape converted without error")
-	}
-}
-
 // TestCompareBench: the alloc-suite gate catches alloc regressions and
 // vanished kernels, tolerates exactly the configured slack, and ignores
 // timing entirely.
