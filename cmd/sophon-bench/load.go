@@ -1,15 +1,11 @@
 package main
 
-// The -load / -gate modes: the heavy-traffic serving harness's CLI surface.
-// -load runs the open-loop load generator against the simulated sharded tier
-// and writes a versioned SLO record; -gate.cur diffs a fresh record against
-// the committed baseline and exits non-zero on regression (the CI
-// perf-trajectory gate).
+// The -load mode: the heavy-traffic serving harness's CLI surface. It runs
+// the open-loop load generator against the simulated sharded tier and writes
+// a versioned SLO record; TestCommittedRecords holds BENCH_pr7.json to it.
 
 import (
-	"encoding/json"
 	"fmt"
-	"log"
 	"os"
 	"runtime"
 	"time"
@@ -18,11 +14,79 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
-	"repro/internal/perfbench"
 	"repro/internal/policy"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 )
+
+// SLOClass is one fetch class's latency distribution in milliseconds —
+// fixed units so records from different runs diff cleanly.
+type SLOClass struct {
+	Count  uint64  `json:"count"`
+	Shed   uint64  `json:"shed"`
+	P50Ms  float64 `json:"p50_ms"`
+	P90Ms  float64 `json:"p90_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	P999Ms float64 `json:"p999_ms"`
+	MaxMs  float64 `json:"max_ms"`
+	MeanMs float64 `json:"mean_ms"`
+}
+
+// SLOScenario is one load-generator run: a named workload with its offered
+// and delivered rates and the per-class distributions.
+type SLOScenario struct {
+	Name          string              `json:"name"`
+	Sessions      int                 `json:"sessions"`
+	Offered       uint64              `json:"offered"`
+	Completed     uint64              `json:"completed"`
+	Shed          uint64              `json:"shed"`
+	OfferedRPS    float64             `json:"offered_rps"`
+	ThroughputRPS float64             `json:"throughput_rps"`
+	ShedRate      float64             `json:"shed_rate"`
+	MaxQueueDepth int                 `json:"max_queue_depth"`
+	Classes       map[string]SLOClass `json:"classes"`
+}
+
+// SLORecord is the output of `sophon-bench -load`: one record per run, one
+// scenario per workload. Version stays 1 while the shape does.
+type SLORecord struct {
+	Kind      string        `json:"kind"` // always "SLO"
+	Version   int           `json:"version"`
+	GoVersion string        `json:"go_version"`
+	Seed      uint64        `json:"seed"`
+	Scenarios []SLOScenario `json:"scenarios"`
+}
+
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
+
+// ScenarioFromReport freezes one loadgen report into an SLO scenario.
+func ScenarioFromReport(name string, r *loadgen.Report) SLOScenario {
+	s := SLOScenario{
+		Name:          name,
+		Sessions:      r.Sessions,
+		Offered:       r.Offered,
+		Completed:     r.Completed,
+		Shed:          r.Shed,
+		OfferedRPS:    r.OfferedRPS,
+		ThroughputRPS: r.ThroughputRPS,
+		ShedRate:      r.ShedRate,
+		MaxQueueDepth: r.MaxQueueDepth,
+		Classes:       make(map[string]SLOClass, len(r.Classes)),
+	}
+	for class, c := range r.Classes {
+		s.Classes[class] = SLOClass{
+			Count:  c.Count,
+			Shed:   c.Shed,
+			P50Ms:  ms(c.P50),
+			P90Ms:  ms(c.P90),
+			P99Ms:  ms(c.P99),
+			P999Ms: ms(c.P999),
+			MaxMs:  ms(c.Max),
+			MeanMs: ms(c.Mean),
+		}
+	}
+	return s
+}
 
 // The load scenario BENCH_pr7.json records: 2 400 open-loop sessions for
 // five simulated seconds against four shards of eight offload cores, the
@@ -110,10 +174,10 @@ func buildLoadJobs(seed uint64, util float64) ([]loadgen.JobSpec, error) {
 }
 
 // runLoadScenario runs one named workload through the DES harness.
-func runLoadScenario(name string, seed uint64, util float64, adm loadgen.AdmissionSpec) (perfbench.SLOScenario, *loadgen.Report, error) {
+func runLoadScenario(name string, seed uint64, util float64, adm loadgen.AdmissionSpec) (SLOScenario, *loadgen.Report, error) {
 	jobs, err := buildLoadJobs(seed, util)
 	if err != nil {
-		return perfbench.SLOScenario{}, nil, err
+		return SLOScenario{}, nil, err
 	}
 	rep, err := loadgen.Run(loadgen.Config{
 		Seed:            seed,
@@ -125,9 +189,9 @@ func runLoadScenario(name string, seed uint64, util float64, adm loadgen.Admissi
 		Admission:       adm,
 	})
 	if err != nil {
-		return perfbench.SLOScenario{}, nil, err
+		return SLOScenario{}, nil, err
 	}
-	return perfbench.ScenarioFromReport(name, rep), rep, nil
+	return ScenarioFromReport(name, rep), rep, nil
 }
 
 // writeLoadJSON runs the steady and overload scenarios and writes the SLO
@@ -146,12 +210,12 @@ func writeLoadJSON(path string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	record := perfbench.SLORecord{
+	record := SLORecord{
 		Kind:      "SLO",
-		Version:   perfbench.SLORecordVersion,
+		Version:   1,
 		GoVersion: runtime.Version(),
 		Seed:      seed,
-		Scenarios: []perfbench.SLOScenario{steady, overload},
+		Scenarios: []SLOScenario{steady, overload},
 	}
 	if err := writeJSON(path, record); err != nil {
 		return err
@@ -168,63 +232,4 @@ func writeLoadJSON(path string, seed uint64) error {
 		fmt.Fprintln(os.Stderr)
 	}
 	return nil
-}
-
-// runGate diffs two committed perf records and logs every regression past
-// the thresholds; any is an error (→ exit 1). The record shape is detected
-// from the files: two SLO records gate latency and throughput with
-// CompareSLO, two alloc-suite BENCH records gate allocs/op with CompareBench
-// (allocSlack extra allocations tolerated per kernel). Mixing shapes is a
-// usage error.
-func runGate(logger *log.Logger, prevPath, curPath string, noise float64, allocSlack int64) error {
-	prevData, err := os.ReadFile(prevPath)
-	if err != nil {
-		return err
-	}
-	curData, err := os.ReadFile(curPath)
-	if err != nil {
-		return err
-	}
-	if perfbench.IsBenchSuite(prevData) != perfbench.IsBenchSuite(curData) {
-		return fmt.Errorf("%s and %s are different record shapes; gate like against like", prevPath, curPath)
-	}
-
-	var regs []string
-	if perfbench.IsBenchSuite(prevData) {
-		var prev, cur perfbench.BenchRecord
-		if err := json.Unmarshal(prevData, &prev); err != nil {
-			return fmt.Errorf("%s: %w", prevPath, err)
-		}
-		if err := json.Unmarshal(curData, &cur); err != nil {
-			return fmt.Errorf("%s: %w", curPath, err)
-		}
-		regs = perfbench.CompareBench(prev, cur, allocSlack)
-	} else {
-		decode := func(path string, data []byte) (rec perfbench.SLORecord, err error) {
-			if err := json.Unmarshal(data, &rec); err != nil {
-				return rec, fmt.Errorf("%s: %w", path, err)
-			}
-			if rec.Kind != "SLO" {
-				return rec, fmt.Errorf("%s: kind %q, want SLO or an alloc-suite BENCH record", path, rec.Kind)
-			}
-			return rec, nil
-		}
-		prev, err := decode(prevPath, prevData)
-		if err != nil {
-			return err
-		}
-		cur, err := decode(curPath, curData)
-		if err != nil {
-			return err
-		}
-		regs = perfbench.CompareSLO(prev, cur, noise)
-	}
-	if len(regs) == 0 {
-		logger.Printf("gate PASS (%s vs %s)", curPath, prevPath)
-		return nil
-	}
-	for _, r := range regs {
-		logger.Printf("gate FAIL: %s", r)
-	}
-	return fmt.Errorf("gate: %d regressions in %s against %s", len(regs), curPath, prevPath)
 }

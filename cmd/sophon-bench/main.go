@@ -4,18 +4,11 @@
 // Usage:
 //
 //	sophon-bench [-seed N] [-openimages N] [-imagenet N] [-o report.txt]
-//	sophon-bench -json bench.json
 //
 // With no size overrides the datasets run at paper scale (40 000 OpenImages
 // samples, 91 000 ImageNet samples); the whole suite still completes in a
 // few seconds because the evaluation replays profiled traces through the
 // discrete-event engine.
-//
-// With -json the command instead runs the data-plane micro-benchmark suite
-// (codec, fused tensor kernel, pipeline, wire framing) and writes one BENCH
-// record per kernel — ns/op, B/op, allocs/op, MB/s — to the given file, then
-// exits without running the evaluation. These records are the input to the
-// allocation-regression tracking in BENCH_pr3.json.
 //
 // With -adaptive the command instead runs the adaptive control-plane
 // scenario — the storage link reshaped 500→250 Mbps mid-run, the controller
@@ -35,11 +28,7 @@
 // ~65% of link capacity and once at 2.6x capacity behind admission control.
 // The output is a versioned SLO record — p50/p90/p99/p999 per fetch class
 // (cache hit / offloaded / raw) plus throughput and shed rates — the
-// contents of BENCH_pr7.json. -gate.prev/-gate.cur diff two committed perf
-// records and exit non-zero on any regression (the CI perf-trajectory gate):
-// two SLO records gate p99 and throughput past -gate.noise; two alloc-suite
-// BENCH records (from -json) gate allocs/op against the baseline plus
-// -gate.allocslack.
+// contents of BENCH_pr7.json.
 //
 // With -prefetch the command instead runs the clairvoyant-vs-reactive loader
 // comparison on an I/O-bound sharded epoch — per-shard lookahead issue queues
@@ -65,7 +54,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -82,7 +70,6 @@ import (
 	"repro/internal/eval"
 	"repro/internal/gpu"
 	"repro/internal/netsim"
-	"repro/internal/perfbench"
 	"repro/internal/policy"
 	"repro/internal/profiler"
 	"repro/internal/soak"
@@ -96,14 +83,6 @@ func writeJSON(path string, v any) error {
 		return err
 	}
 	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-func writeBenchJSON(path string) error {
-	report, err := perfbench.NewBenchRecord()
-	if err != nil {
-		return err
-	}
-	return writeJSON(path, report)
 }
 
 // adaptiveReport is the JSON shape of the adaptive control-plane scenario:
@@ -256,7 +235,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	imageNet := fs.Int("imagenet", 0, "ImageNet sample-count override (0 = paper scale, 91000)")
 	out := fs.String("o", "", "write the report to this file instead of stdout")
 	csvDir := fs.String("csv", "", "also write one CSV per table into this directory")
-	jsonOut := fs.String("json", "", "run the data-plane micro-benchmarks and write BENCH records to this file (skips the evaluation)")
 	chaosSeed := fs.Uint64("chaos.seed", 0, "run the deterministic chaos soak with this fault seed instead of the evaluation")
 	chaosClass := fs.String("chaos.class", "mixed", "chaos soak fault class: none|delays|corrupt|mixed|partition")
 	chaosDuration := fs.Duration("chaos.duration", 0, "keep soaking with derived seeds until this much time has passed")
@@ -266,11 +244,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	fleetOut := fs.String("fleet", "", "run the 100-job fleet scenario (coordinated vs independent planning on a shared tier) and write the JSON report to this file (skips the evaluation)")
 	fidelityOut := fs.String("fidelity", "", "run the progressive-fidelity evaluation (discrete vs fidelity-aware SOPHON plan, ladder calibrated from the live codec) and write the JSON report to this file (skips the evaluation)")
 	loadOut := fs.String("load", "", "run the heavy-traffic load harness (steady + overload scenarios) and write the SLO record to this file (skips the evaluation)")
-	gatePrev := fs.String("gate.prev", "", "perf-trajectory gate: committed baseline SLO record")
-	gateCur := fs.String("gate.cur", "", "perf-trajectory gate: freshly generated SLO record to check")
-	gateNoise := fs.Float64("gate.noise", 0, "gate noise threshold as a fraction (0 = default 0.10); SLO records only")
-	gateAllocSlack := fs.Int64("gate.allocslack", 0, "extra allocs/op tolerated per kernel when gating alloc-suite BENCH records")
-	if done, err := cliutil.ParseArgs(fs, args, "sophon-bench", "Regenerates the paper's evaluation tables, micro-benchmarks, and load/SLO records."); done || err != nil {
+	if done, err := cliutil.ParseArgs(fs, args, "sophon-bench", "Regenerates the paper's evaluation tables and simulator records, or runs the chaos soak."); done || err != nil {
 		return err
 	}
 
@@ -280,9 +254,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		map[string]int{"openimages": *openImages, "imagenet": *imageNet}); err != nil {
 		return err
 	}
-	if (*gatePrev == "") != (*gateCur == "") {
-		return errors.New("-gate.prev and -gate.cur must be set together")
-	}
 	class, err := soak.ParseClass(*chaosClass)
 	if err != nil {
 		return err
@@ -291,7 +262,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	var modes []string
 	fs.Visit(func(f *flag.Flag) {
 		switch f.Name {
-		case "adaptive", "chaos.seed", "fidelity", "fleet", "gate.prev", "json", "load", "prefetch", "prepsched":
+		case "adaptive", "chaos.seed", "fidelity", "fleet", "load", "prefetch", "prepsched":
 			if f.Value.String() != f.DefValue {
 				modes = append(modes, "-"+f.Name)
 			}
@@ -323,17 +294,8 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		logger.Printf("%s written to %s", sc.what, sc.out)
 		return nil
 	}
-	switch {
-	case *gatePrev != "":
-		return runGate(logger, *gatePrev, *gateCur, *gateNoise, *gateAllocSlack)
-	case *chaosSeed != 0:
+	if *chaosSeed != 0 {
 		return runChaos(stdout, logger, *chaosSeed, class, *chaosDuration)
-	case *jsonOut != "":
-		if err := writeBenchJSON(*jsonOut); err != nil {
-			return err
-		}
-		logger.Printf("BENCH records written to %s", *jsonOut)
-		return nil
 	}
 
 	if *out != "" {

@@ -10,21 +10,20 @@ import (
 )
 
 // The codec is the data plane's hottest kernel, so its steady-state
-// allocation behavior is pinned. With warm pools, every buffer we control —
-// plane scratch, inflater tables, pixel output — is recycled; what remains
-// of a Decode is the returned Image header. The budgets below are therefore
-// a small byte ceiling plus an alloc-count ceiling one above that floor: a
-// regression that reintroduces per-call plane or pixel buffers (megabytes
-// per op) trips the byte budget immediately, one that reintroduces per-block
-// table allocations trips the count.
+// allocation count is pinned exactly: with warm pools every buffer we control
+// — plane scratch, code tables, pixel output — is recycled, and what remains
+// is the returned Image header (Decode) or the returned stream (Encode). The
+// collector is off because only a collection empties the pools, and
+// testing.AllocsPerRun measures on one P because pools cache per P. One
+// allocation more fails the count; a per-call plane or pixel buffer (megabytes
+// per op) would also fail Decode's byte budget.
 
 func TestDecodeSteadyStateAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation benchmark in -short mode")
-	}
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // warm the P AllocsPerRun measures on
 	im, err := Synthesize(SynthParams{W: 640, H: 480, Detail: 0.5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
@@ -33,29 +32,23 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Warm the inflater and plane/pixel pools.
-	for i := 0; i < 8; i++ {
+	decode := func() {
 		out, err := Decode(data)
 		if err != nil {
 			t.Fatal(err)
 		}
 		out.Release()
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			out, err := Decode(data)
-			if err != nil {
-				b.Fatal(err)
-			}
-			out.Release()
-		}
-	})
-	if got := res.AllocedBytesPerOp(); got > 64<<10 {
+	decode()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, decode)
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / 21; got > 64<<10 { // AllocsPerRun runs 1 + 20 times
 		t.Fatalf("Decode allocates %d B/op at steady state, budget is 64 KiB (pre-pooling: ~1.4 MB)", got)
 	}
-	if got := res.AllocsPerOp(); got > 2 {
-		t.Fatalf("Decode makes %d allocs/op at steady state, budget is 2 (the Image header is 1)", got)
+	if allocs != 1 {
+		t.Fatalf("Decode makes %.1f allocs/op at steady state, want 1 (the Image header)", allocs)
 	}
 }
 
@@ -101,22 +94,18 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	im, err := Synthesize(SynthParams{W: 640, H: 480, Detail: 0.5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if _, err := EncodeDefault(im); err != nil {
-			t.Fatal(err)
-		}
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		if _, err := EncodeDefault(im); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Fatalf("Encode allocates %.1f allocs/op at steady state, budget is 2", allocs)
+	if allocs != 1 {
+		t.Fatalf("Encode allocates %.1f allocs/op at steady state, want 1 (the returned stream)", allocs)
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
@@ -9,41 +10,39 @@ import (
 	"repro/internal/tensor"
 )
 
-// Steady-state allocation budgets for the per-sample preprocessing path.
-// Budgets are deliberately small but non-zero: the object headers (Image,
-// Tensor) still allocate, and a GC may clear a sync.Pool mid-run.
+// Steady-state allocation counts for the per-sample preprocessing path,
+// pinned exactly: with warm pools what allocates is the object headers
+// (Image, Tensor). The collector is off because only a collection empties
+// the pools, and testing.AllocsPerRun measures on one P because pools cache
+// per P.
 
 func TestFusedToTensorNormalizeAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	im, err := imaging.Synthesize(imaging.SynthParams{W: 224, H: 224, Detail: 0.5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := func() {
+	allocs := testing.AllocsPerRun(50, func() {
 		tt, err := tensor.FromImageNormalized(im, tensor.ImageNetMean, tensor.ImageNetStd)
 		if err != nil {
 			t.Fatal(err)
 		}
 		tt.Release()
-	}
-	for i := 0; i < 8; i++ {
-		warm()
-	}
-	allocs := testing.AllocsPerRun(50, warm)
-	if allocs > 2 {
-		t.Fatalf("fused ToTensor+Normalize allocates %.1f allocs/op at steady state, budget is 2", allocs)
+	})
+	if allocs != 1 {
+		t.Fatalf("fused ToTensor+Normalize allocates %.1f allocs/op at steady state, want 1 (the Tensor header)", allocs)
 	}
 }
 
 func TestFullPipelineSteadyStateAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("allocation benchmark in -short mode")
-	}
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // warm the P AllocsPerRun measures on
 	im, err := imaging.Synthesize(imaging.SynthParams{W: 320, H: 240, Detail: 0.5, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -53,32 +52,32 @@ func TestFullPipelineSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := DefaultStandard()
-	run := func(fatal func(...any), i int) {
-		out, err := p.Run(raw, Seed{Job: 3, Epoch: 1, Sample: uint64(i)})
+	// Four crops, each drawn once to warm: a crop size bufpool has not seen
+	// costs its first request a buffer and the size class's bookkeeping.
+	var i uint64
+	run := func() {
+		out, err := p.Run(raw, Seed{Job: 3, Epoch: 1, Sample: i % 4})
 		if err != nil {
-			fatal(err)
+			t.Fatal(err)
 		}
 		out.Release()
+		i++
 	}
-	for i := 0; i < 8; i++ {
-		run(t.Fatal, i)
+	for range 4 {
+		run()
 	}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			run(b.Fatal, i)
-		}
-	})
-	// With warm pools the per-sample path allocates two object headers
-	// (cropped image, tensor) and nothing else: the fused decode→crop builds
-	// no decoded image, and its tap tables and compact buffer are pooled.
-	// Pre-pooling it allocated ~3.4 MB/op; with compress/flate's reader, ~45
-	// tables.
-	if got := res.AllocedBytesPerOp(); got > 64<<10 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, run)
+	runtime.ReadMemStats(&after)
+	// The per-sample path allocates two object headers (cropped image,
+	// tensor) and nothing else: the fused decode→crop builds no decoded
+	// image, and its tap tables and compact buffer are pooled.
+	if got := (after.TotalAlloc - before.TotalAlloc) / 21; got > 64<<10 { // AllocsPerRun runs 1 + 20 times
 		t.Fatalf("full pipeline allocates %d B/op at steady state, budget is 64 KiB (pre-pooling: ~3.4 MB)", got)
 	}
-	if got := res.AllocsPerOp(); got > 4 {
-		t.Fatalf("full pipeline makes %d allocs/op at steady state, budget is 4", got)
+	if allocs != 2 {
+		t.Fatalf("full pipeline makes %.1f allocs/op at steady state, want 2 (crop and tensor headers)", allocs)
 	}
 }
 
@@ -89,7 +88,7 @@ func TestDecodeArtifactImageSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
 	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // only a collection empties the pools
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	im, err := imaging.Synthesize(imaging.SynthParams{W: 128, H: 128, Detail: 0.5, Seed: 4})
 	if err != nil {
 		t.Fatal(err)

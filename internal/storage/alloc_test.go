@@ -12,13 +12,14 @@ import (
 
 // TestPrefixServeSteadyStateAllocs pins the progressive fast path: answering
 // a reduced-fidelity raw fetch slices the stored container and copies it
-// into one pooled buffer — no decode, no re-encode. After warmup the whole
-// handler should cost at most the response-struct allocation; the budget of
-// 2 tolerates an occasional GC pool clear.
+// into one pooled buffer — no decode, no re-encode. With warm pools the
+// handler makes exactly two allocations, the response struct and its items
+// slice. The collector is off because only a collection empties the pools.
 func TestPrefixServeSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
 	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	st := progressiveStore(t, 1)
 	srv, err := NewServer(ServerConfig{Store: st, Pipeline: pipeline.DefaultStandard(), Cores: 0})
 	if err != nil {
@@ -33,12 +34,9 @@ func TestPrefixServeSteadyStateAllocs(t *testing.T) {
 		}
 		wire.Recycle(resp)
 	}
-	for i := 0; i < 16; i++ {
-		serve()
-	}
 	allocs := testing.AllocsPerRun(100, serve)
-	if allocs > 2 {
-		t.Fatalf("prefix serve allocates %.1f allocs/op at steady state, budget is 2", allocs)
+	if allocs != 2 {
+		t.Fatalf("prefix serve allocates %.1f allocs/op at steady state, want 2 (the response and its items)", allocs)
 	}
 }
 

@@ -530,10 +530,8 @@ func (t *Trainer) finishSample(res storage.FetchResult, epoch uint64, i, split i
 		if err != nil {
 			return sampleOutcome{err: fmt.Errorf("trainsim: profile sample %d: %w", i, err)}
 		}
-		// Decode dims come from the stage-1 artifact's size law; measure
-		// them by decoding once more is wasteful, so re-derive from the
-		// trace: stage 1 wire size = 9 + 3·W·H is not invertible to W×H,
-		// so decode the header instead.
+		// The trace records stage sizes but not W×H, so read the record's
+		// dimensions from the stored header.
 		w, h, err := decodedDims(res.Artifact.Raw)
 		if err != nil {
 			return sampleOutcome{err: err}
