@@ -10,6 +10,8 @@ import (
 	"errors"
 	"fmt"
 	"time"
+
+	"repro/internal/simclock"
 )
 
 // Model is a neural network's training-speed profile on the reference GPU.
@@ -59,6 +61,54 @@ func (m Model) EpochTime(n int) time.Duration {
 		return 0
 	}
 	return time.Duration(float64(n) / m.Throughput * float64(time.Second))
+}
+
+// Stream is the accelerator as one in-order device with at most one step
+// outstanding: Submit hands a batch over and returns while it steps, and the
+// next Submit first waits for that step to end. A trainer that owns one
+// stream for its whole life overlaps each step with the loading of the next
+// batch — across epoch boundaries too — as the epoch model's max(T_G, …)
+// assumes.
+type Stream struct {
+	model Model
+	clock simclock.Clock
+	// idle holds when the last step ends whenever no caller has the device.
+	// A caller takes it, waits on the clock for that instant and puts back
+	// the end of its own step, so callers are served one at a time.
+	idle chan time.Time
+}
+
+// NewStream returns an idle device running m, timed on clock.
+func NewStream(m Model, clock simclock.Clock) *Stream {
+	s := &Stream{model: m, clock: clock, idle: make(chan time.Time, 1)}
+	s.idle <- time.Time{}
+	return s
+}
+
+// Submit waits on the clock only until the previous step ends, marks the
+// device busy for BatchTime(size) from then, and returns that busy time
+// without waiting for it. A batch that costs nothing is not a step: Submit
+// returns 0 at once.
+func (s *Stream) Submit(size int) time.Duration {
+	d := s.model.BatchTime(size)
+	if d == 0 {
+		return 0
+	}
+	s.idle <- s.wait(<-s.idle).Add(d)
+	return d
+}
+
+// Drain waits for the last submitted step to end.
+func (s *Stream) Drain() { s.idle <- s.wait(<-s.idle) }
+
+// wait sleeps until the instant until and returns the clock's time then.
+func (s *Stream) wait(until time.Time) time.Time {
+	now := s.clock.Now()
+	if d := until.Sub(now); d > 0 {
+		s.clock.Sleep(d)
+		now = s.clock.Now()
+	}
+	return now
 }
 
 // Utilization is GPU busy time over total epoch time, clamped to [0, 1].

@@ -67,11 +67,15 @@ func (t *Trainer) Stage1Probes() profiler.Probes {
 	clock := t.cfg.Clock
 	batch := t.cfg.BatchSize
 
+	// The GPU probe times the trainer's own device, drained on both sides so
+	// that a step an epoch left running is not counted.
 	gpuProbe := func(batches int) (int, time.Duration, error) {
+		t.device.Drain()
 		start := clock.Now()
 		for b := 0; b < batches; b++ {
-			clock.Sleep(t.cfg.GPU.BatchTime(batch))
+			t.device.Submit(batch)
 		}
+		t.device.Drain()
 		return batches * batch, clock.Now().Sub(start), nil
 	}
 

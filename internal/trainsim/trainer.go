@@ -105,16 +105,26 @@ type Trainer struct {
 	// pool is the latest epoch's prep pool, kept so a torn-down epoch can be
 	// checked for stranded samples.
 	pool *prepsched.Pool[prefetch.Item]
+	// device is the simulated GPU for the trainer's whole life: an epoch
+	// returns once its last batch is handed over, and that step runs while
+	// the next epoch (or Close) begins.
+	device *gpu.Stream
 }
 
 // EpochReport summarizes one epoch.
 type EpochReport struct {
-	Epoch          uint64
-	Samples        int
-	Batches        int
-	Duration       time.Duration
-	BytesFetched   int64
-	GPUBusy        time.Duration
+	Epoch   uint64
+	Samples int
+	Batches int
+	// Duration runs from the epoch's start to the hand-off of its last batch
+	// to the GPU; that batch's step ends after it, overlapping what follows.
+	Duration     time.Duration
+	BytesFetched int64
+	// GPUBusy is the summed step time of the epoch's batches, whether or not
+	// the last step has ended when the epoch returns.
+	GPUBusy time.Duration
+	// GPUUtilization is GPUBusy over Duration, clamped to 1: the last step
+	// ends after Duration, so the raw ratio can exceed it.
 	GPUUtilization float64
 	Offloaded      int
 	LocalCPU       time.Duration // summed local preprocessing time
@@ -187,7 +197,7 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.Classify == nil {
 		cfg.Classify = func(int) prepsched.Class { return prepsched.Light }
 	}
-	t := &Trainer{cfg: cfg}
+	t := &Trainer{cfg: cfg, device: gpu.NewStream(cfg.GPU, cfg.Clock)}
 	c, err := cfg.DialClient()
 	if err != nil {
 		return nil, fmt.Errorf("trainsim: dial: %w", err)
@@ -204,8 +214,10 @@ func New(cfg Config) (*Trainer, error) {
 // N returns the dataset size reported by the server.
 func (t *Trainer) N() int { return t.n }
 
-// Close releases the storage session.
+// Close waits for the GPU's last step, so that epochs followed by Close
+// cover every step they submitted, and releases the storage session.
 func (t *Trainer) Close() {
+	t.device.Drain()
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.closed {
@@ -380,7 +392,8 @@ func (t *Trainer) startLoader(ctx context.Context, cancel context.CancelFunc, ep
 		}
 	}()
 
-	// Sized so a full GPU batch can finish while the previous one steps.
+	// Two batches of outcomes: workers keep finishing samples while runEpoch
+	// waits for the GPU to finish the previous step before taking the next.
 	results := make(chan sampleOutcome, t.cfg.BatchSize*2)
 	computeSem := make(chan struct{}, t.cfg.ComputeCores)
 	var pwg sync.WaitGroup
@@ -491,10 +504,9 @@ func (t *Trainer) processItem(it prefetch.Item, epoch uint64, collector *profile
 	return t.finishSample(it.Res, epoch, it.Sample, it.Split, collector, computeSem)
 }
 
+// gpuStep hands a batch to the GPU; it waits only for the previous step.
 func (t *Trainer) gpuStep(report *EpochReport, size int) {
-	d := t.cfg.GPU.BatchTime(size)
-	t.cfg.Clock.Sleep(d)
-	report.GPUBusy += d
+	report.GPUBusy += t.device.Submit(size)
 	report.Batches++
 }
 
