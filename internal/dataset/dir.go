@@ -144,12 +144,20 @@ func (s *DirSet) Raw(i int) ([]byte, error) {
 }
 
 // Materialize loads every sample into memory — what the storage server does
-// at startup, mirroring the paper's RAM-cached datasets.
+// at startup, mirroring the paper's RAM-cached datasets — and decodes each in
+// full, for a crop (imaging.DecodeCropResize) decodes only the bands it reads.
 func (s *DirSet) Materialize() ([][]byte, error) {
 	out := make([][]byte, s.N())
 	err := ForEach(len(out), func(i int) (err error) {
-		out[i], err = s.Raw(i)
-		return err
+		if out[i], err = s.Raw(i); err != nil {
+			return err
+		}
+		im, err := imaging.Decode(out[i])
+		if err != nil {
+			return fmt.Errorf("dataset: sample %d (%s): %w", i, s.manifest.Samples[i].File, err)
+		}
+		im.Release()
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -183,5 +184,56 @@ func TestDirSetRefusesStaleAndMismatchedSamples(t *testing.T) {
 	}
 	if _, err := ds.Materialize(); !errors.Is(err, imaging.ErrCorrupt) || !strings.Contains(err.Error(), "sample 2") {
 		t.Errorf("manifest width edited: Materialize err %v, want ErrCorrupt naming sample 2", err)
+	}
+}
+
+// TestDirSetDecodesEverySampleAtLoad: a flipped bit in the last band of one
+// sample — where a crop of the image's first rows never looks — fails
+// Materialize with an error naming that sample's file.
+func TestDirSetDecodesEverySampleAtLoad(t *testing.T) {
+	dir, set := writeTestDir(t)
+	i, w := -1, 0
+	for j := range set.N() {
+		if m, err := set.Meta(j); err == nil && m.H > 16 {
+			i, w = j, m.W
+			break
+		}
+	}
+	if i < 0 {
+		t.Fatal("no sample taller than one band")
+	}
+	path := filepath.Join(dir, fmt.Sprintf("%06d.sjpg", i))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := imaging.Rect{W: w, H: 16}
+	flipped := false
+	for bit := range 8 {
+		bad := bytes.Clone(data)
+		bad[len(bad)-1] ^= 0x80 >> bit
+		if _, err := imaging.Decode(bad); err == nil {
+			continue
+		}
+		crop, err := imaging.DecodeCropResize(bad, top, 8, 8)
+		if err != nil {
+			t.Fatalf("bit %d of the last byte: a crop of the first band refused: %v", bit, err)
+		}
+		crop.Release()
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		flipped = true
+		break
+	}
+	if !flipped {
+		t.Fatal("no bit of the last byte makes Decode refuse the sample")
+	}
+	ds, err := LoadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ds.Materialize(); !errors.Is(err, imaging.ErrCorrupt) || !strings.Contains(err.Error(), filepath.Base(path)) {
+		t.Errorf("Materialize err %v, want ErrCorrupt naming %s", err, filepath.Base(path))
 	}
 }

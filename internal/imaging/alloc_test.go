@@ -109,11 +109,11 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestDecodeSizesNothingFromAnImplausibleHeader: DEFLATE cannot expand past
-// 1032:1, so dimensions the payload cannot possibly fill are refused before
-// the planes (here 366 MB) are requested.
+// TestDecodeSizesNothingFromAnImplausibleHeader: a bit of codes yields at most
+// 258 bytes, so dimensions the payload cannot possibly fill are refused before
+// the planes (here 366 MB) are requested — for SJPG from its band index.
 func TestDecodeSizesNothingFromAnImplausibleHeader(t *testing.T) {
-	sjpg := []byte{'S', 'J', 'P', 'G', sjpgVersion, 80, 0, 0, 0x3e, 0x80, 0, 0, 0x3e, 0x80, 0x03, 0x00} // 16000x16000, empty final block
+	sjpg := []byte{'S', 'J', 'P', 'G', sjpgVersion, 80, 0, 0, 0x3e, 0x80, 0, 0, 0x3e, 0x80, 0x03, 0x00} // 16000x16000, a 3-byte index in 1
 	im := synthFor(t, 1, 16, 12, 0.5)
 	sjpr, err := EncodeProgressive(im, 80, 2)
 	if err != nil {

@@ -166,16 +166,25 @@ func benchSetFor(b *testing.B) []benchStream {
 	return set
 }
 
+// BenchmarkInflateSet times the band decoder over every band of every plane,
+// what Decode spends before undoing the prediction.
 func BenchmarkInflateSet(b *testing.B) {
 	set := benchSetFor(b)
-	dst := make([]byte, 640*640*3/2)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := set[i%len(set)]
-		n, cn := s.im.W*s.im.H, (s.planes-s.im.W*s.im.H)/2
-		if err := inflateInto(s.data[headerSize:], dst[:n], dst[n:n+cn], dst[n+cn:s.planes]); err != nil {
+	streams := make([]sjpgStream, len(set))
+	for i, s := range set {
+		var err error
+		if streams[i], err = parseSJPG(s.data); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := &streams[i%len(set)]
+		p, err := s.decode(0, (s.h+bandRows-1)/bandRows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.release()
 	}
 }
 

@@ -15,11 +15,23 @@ import (
 // planes of residuals one after another (planes.go). Like JPEG, its output
 // size depends strongly on image content: smooth images compress an order of
 // magnitude better than noisy ones.
+//
+// Each plane is cut into bands of bandRows luma rows (chroma: half as many),
+// so that a crop decodes only the bands its rows fall in: column 0 of a band's
+// first row predicts from the band before's first row, and the band index
+// says where each band's codes start:
+//
+//	0..13   header: magic, version, quality, W, H (big-endian)
+//	...     uvarint L, then L bytes of index: for each plane, its size in
+//	        bytes (tables and codes), then each band's length in bits
+//	...     the three planes, each its tables (or 0, stored) and then its
+//	        bands' codes, one after another, zero-padded to a byte
 
 const (
 	sjpgMagic   = "SJPG"
-	sjpgVersion = 2                 // version 1 stored its planes as DEFLATE blocks
+	sjpgVersion = 3                 // 2 coded planes without bands, 1 stored them as DEFLATE blocks
 	headerSize  = 4 + 1 + 1 + 4 + 4 // magic, version, quality, W, H
+	bandRows    = 16                // luma rows a band
 )
 
 // Codec errors.
@@ -58,23 +70,35 @@ func Encode(im *Image, quality int) ([]byte, error) {
 	}
 	yShift, cShift := shifts(quality)
 
-	n, cn := im.W*im.H, ((im.W+1)/2)*((im.H+1)/2)
-	planes := bufpool.GetBytes(n + 2*cn)
-	defer bufpool.PutBytes(planes)
-	yPlane, cbPlane, crPlane := planes[:n], planes[n:n+cn], planes[n+cn:n+2*cn]
-	fillPlanes(im, yShift, cShift, yPlane, cbPlane, crPlane)
+	n, cw, cn := im.W*im.H, (im.W+1)/2, ((im.W+1)/2)*((im.H+1)/2)
+	buf := bufpool.GetBytes(n + 2*cn)
+	defer bufpool.PutBytes(buf)
+	planes := [3][]byte{buf[:n], buf[n : n+cn], buf[n+cn : n+2*cn]}
+	fillPlanes(im, yShift, cShift, planes[0], planes[1], planes[2])
 
-	deltaEncode(yPlane, im.W)
-	deltaEncode(cbPlane, (im.W+1)/2)
-	deltaEncode(crPlane, (im.W+1)/2)
-
-	var codes planeCodes
-	out := make([]byte, headerSize+codes.plan(yPlane, cbPlane, crPlane))
+	var codes [3]planeCode
+	strides, bands := [3]int{im.W, cw, cw}, [3]int{bandRows * im.W, bandRows / 2 * cw, bandRows / 2 * cw}
+	size := 0
+	for i, p := range planes {
+		deltaEncode(p, strides[i], bandRows>>min(i, 1))
+		size += codes[i].plan(p, bands[i])
+	}
+	// The planes, then their index: a plane's size and band lengths take ≤ 5, 4 B.
+	scratch := bufpool.GetBytes(size + 3*(5+4*((im.H+bandRows-1)/bandRows)))
+	defer bufpool.PutBytes(scratch)
+	index, o := scratch[size:size], 0
+	for i, p := range planes {
+		index = binary.AppendUvarint(index, uint64(codes[i].size))
+		index = codes[i].put(scratch[o:o+codes[i].size], p, bands[i], index)
+		o += codes[i].size
+	}
+	out := make([]byte, headerSize+uvarintLen(len(index))+len(index)+size)
 	copy(out, sjpgMagic)
 	out[4], out[5] = sjpgVersion, uint8(quality)
 	binary.BigEndian.PutUint32(out[6:10], uint32(im.W))
 	binary.BigEndian.PutUint32(out[10:14], uint32(im.H))
-	codes.put(out[headerSize:], yPlane, cbPlane, crPlane)
+	o = headerSize + binary.PutUvarint(out[headerSize:], uint64(len(index)))
+	copy(out[o+copy(out[o:], index):], scratch[:size])
 	return out, nil
 }
 
@@ -123,12 +147,17 @@ func fillPlanes(im *Image, yShift, cShift uint, yPlane, cbPlane, crPlane []uint8
 // EncodeDefault is Encode at DefaultQuality.
 func EncodeDefault(im *Image) ([]byte, error) { return Encode(im, DefaultQuality) }
 
-// Decode reconstructs an image from an SJPG stream. The returned image is
+// Decode reconstructs an image from an SJPG stream, refusing it unless each
+// band's codes start where the band index says. The returned image is
 // pool-backed: the caller owns it and should call Release when done to keep
 // the decode path allocation-free at steady state (skipping Release is safe,
 // merely slower).
 func Decode(data []byte) (*Image, error) {
-	p, err := decodePlanes(data)
+	s, err := parseSJPG(data)
+	if err != nil {
+		return nil, err
+	}
+	p, err := s.decode(0, (s.h+bandRows-1)/bandRows)
 	if err != nil {
 		return nil, err
 	}
@@ -137,11 +166,22 @@ func Decode(data []byte) (*Image, error) {
 }
 
 // DecodeCropResize is CropResize(Decode(data), rect, w, h) without the full
-// image in between: same pixels, same errors in the same order, but only the
-// source pixels the resample reads are dequantized (ycc.cropResize). The
-// result is pool-backed.
+// image in between: it checks the header, the band index and the rect, then
+// decodes only the bands rect's rows fall in, with Decode's checks, and
+// dequantizes only the pixels the resample reads (ycc.cropResize). Where
+// Decode accepts, the pixels and errors are CropResize(Decode)'s; a fault in a
+// band it does not read it need not see — over every row it refuses as Decode
+// does — which is why a store decodes each object in full as it loads
+// (dataset.DirSet.Materialize). The result is pool-backed.
 func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
-	p, err := decodePlanes(data)
+	s, err := parseSJPG(data)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkCropResize(rect, s.w, s.h, w, h); err != nil {
+		return nil, err
+	}
+	p, err := s.decode(rect.Y/bandRows, (rect.Y+rect.H-1)/bandRows+1)
 	if err != nil {
 		return nil, err
 	}
@@ -165,14 +205,15 @@ type ycc struct {
 	buf            []uint8
 	residual       bool
 	bits           int // refinement bit planes after the planes in buf
+	band           int // rows, a power of two: see deltaEncode
 }
 
 // newYCC cuts the planes of a w×h image from the front of buf, which the
-// caller is about to inflate residuals into.
+// caller is about to inflate residuals into, predicted as one band.
 func newYCC(w, h int, yShift, cShift uint, buf []uint8) ycc {
 	n, cn := w*h, ((w+1)/2)*((h+1)/2)
 	return ycc{w: w, h: h, yShift: yShift, cShift: cShift,
-		y: buf[:n], cb: buf[n : n+cn], cr: buf[n+cn : n+2*cn], buf: buf, residual: true}
+		y: buf[:n], cb: buf[n : n+cn], cr: buf[n+cn : n+2*cn], buf: buf, residual: true, band: maxDim}
 }
 
 func (p *ycc) release() { bufpool.PutBytes(p.buf) }
@@ -186,9 +227,9 @@ func (p *ycc) undoPrediction(rows []int32, last int) {
 	p.residual = false
 	cw, n, cn := (p.w+1)/2, len(p.y), len(p.cb)
 	packed := p.buf[n+2*cn:]
-	undoPrediction(p.y, p.w, rows, 0, last, refinement{packed, p.bits, 0})
-	undoPrediction(p.cb, cw, rows, 1, last>>1, refinement{packed, p.bits, n})
-	undoPrediction(p.cr, cw, rows, 1, last>>1, refinement{packed, p.bits, n + cn})
+	undoPrediction(p.y, p.w, rows, 0, last, p.band, refinement{packed, p.bits, 0})
+	undoPrediction(p.cb, cw, rows, 1, last>>1, p.band>>1, refinement{packed, p.bits, n})
+	undoPrediction(p.cr, cw, rows, 1, last>>1, p.band>>1, refinement{packed, p.bits, n + cn})
 }
 
 // undoEveryPrediction is undoPrediction over the whole image.
@@ -202,25 +243,129 @@ func (p *ycc) undoEveryPrediction() {
 	samplerPool.Put(s)
 }
 
-// decodePlanes is the first step of every SJPG decode: header, the checks that
-// refuse a stream before any buffer is sized from it, the three planes.
-func decodePlanes(data []byte) (ycc, error) {
-	w, h, quality, err := parseHeader(data)
-	if err != nil {
-		return ycc{}, err
+// sjpgStream is an accepted SJPG header and band index: each plane's bytes,
+// its bands' lengths in bits (uvarints) and its bytes a band.
+type sjpgStream struct {
+	w, h, quality int
+	planes, index [3][]byte
+	band          [3]int
+}
+
+// parseSJPG checks the header and the band index before any buffer is sized:
+// the planes tile the payload, each plane's band lengths add up to its codes,
+// and each band's codes are long enough to yield its rows.
+func parseSJPG(data []byte) (s sjpgStream, err error) {
+	if s.w, s.h, s.quality, err = parseHeader(data); err != nil {
+		return s, err
 	}
-	total := w*h + 2*((w+1)/2)*((h+1)/2)
-	payload := data[headerSize:]
-	if !canYield(len(payload), total) {
-		return ycc{}, fmt.Errorf("%w: %d-byte payload cannot hold %dx%d", ErrCorrupt, len(payload), w, h)
+	index := data[headerSize:]
+	next := func() (uint64, bool) {
+		v, k := binary.Uvarint(index)
+		index = index[max(k, 0):]
+		return v, k > 0
 	}
-	yShift, cShift := shifts(quality)
-	p := newYCC(w, h, yShift, cShift, bufpool.GetBytes(total))
-	if err := inflateInto(payload, p.y, p.cb, p.cr); err != nil {
-		p.release()
-		return ycc{}, fmt.Errorf("%w: decompress: %v", ErrCorrupt, err)
+	bad := func(format string, a ...any) (sjpgStream, error) {
+		return s, fmt.Errorf("%w: band index: "+format, append([]any{ErrCorrupt}, a...)...)
+	}
+	size, ok := next()
+	if !ok || size > uint64(len(index)) {
+		return bad("truncated uvarint, or %d bytes of index in %d", size, len(index))
+	}
+	index, data = index[:size], index[size:]
+	for i := range s.planes {
+		size, ok := next()
+		if !ok || size > uint64(len(data)) {
+			return bad("plane %d: truncated uvarint, or %d bytes in %d", i, size, len(data))
+		}
+		plane, from := data[:size], index
+		s.planes[i], data = plane, data[size:]
+		// The codes follow the stored marker, or the tables: H, H bytes, R,
+		// R bytes.
+		codes := 1
+		if len(plane) == 0 {
+			codes = 2
+		} else if r := 1 + int(plane[0]); plane[0] != 0 {
+			codes = r + 1 + int(plane[min(r, len(plane)-1)])
+		}
+		if codes > len(plane) {
+			return bad("plane %d: %d bytes hold no codes", i, len(plane))
+		}
+		have, stride, rows := 8*uint64(len(plane)-codes), s.w, s.h
+		if i > 0 {
+			stride, rows = (s.w+1)/2, (s.h+1)/2
+		}
+		n := stride * rows
+		s.band[i] = bandRows >> min(i, 1) * stride
+		for lo, b := 0, 0; lo < n; lo, b = lo+s.band[i], b+1 {
+			bits, ok := next()
+			if rows := uint64(min(s.band[i], n-lo)); !ok || bits > have || bits*maxRun < rows || plane[0] == 0 && bits != 8*rows {
+				return bad("plane %d band %d: a truncated length, or %d bits of the plane's %d left for %d bytes", i, b, bits, have, rows)
+			}
+			have -= bits
+		}
+		if have >= 8 {
+			return bad("plane %d: bands end %d bits short of it", i, have)
+		}
+		s.index[i] = from[:len(from)-len(index)]
+	}
+	if len(index)+len(data) != 0 {
+		return bad("%d trailing index bytes, %d bytes after the planes", len(index), len(data))
+	}
+	return s, nil
+}
+
+// decode decodes bands [b0, b1) of each plane into pooled whole planes.
+func (s *sjpgStream) decode(b0, b1 int) (ycc, error) {
+	yShift, cShift := shifts(s.quality)
+	p := newYCC(s.w, s.h, yShift, cShift, bufpool.GetBytes(s.w*s.h+2*((s.w+1)/2)*((s.h+1)/2)))
+	p.band = bandRows
+	sc := packPool.Get().(*packScratch)
+	defer packPool.Put(sc)
+	for i, dst := range [3][]byte{p.y, p.cb, p.cr} {
+		if err := s.inflate(i, (*[2 << maxCodeLen]uint16)(sc.table[:]), dst, b0, b1); err != nil {
+			p.release()
+			return ycc{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
 	}
 	return p, nil
+}
+
+// inflate is the band decoder: it decodes bands [b0, b1) of plane i into dst,
+// the whole plane, refusing each unless it ends where the index says the next
+// starts (through the last, unless padding bits are set). A band start is a
+// symbol start, so the fast loop runs to within a pass of each. Of each band
+// above b0 it decodes only the first value, which the next band predicts from.
+func (s *sjpgStream) inflate(i int, t *[2 << maxCodeLen]uint16, dst []byte, b0, b1 int) error {
+	l := lane{t: t, data: s.planes[i], n: i + 1, next: i}
+	l.planes[i] = dst
+	if err := l.open(true); err != nil || l.dst == nil {
+		return err // or a stored plane, copied whole
+	}
+	index, band := s.index[i], s.band[i]
+	for b := 0; b < b1; b++ {
+		bits, k := binary.Uvarint(index)
+		index = index[k:]
+		end, at := l.pos+int(bits), dst[b*band:min((b+1)*band, len(dst))]
+		ok := true
+		if b < b0 {
+			_, ok = finishRuns(t, l.data, at[:1], l.pos, 0)
+		} else {
+			l.dst, l.out = at, 0
+			l.run()
+			var pos int
+			if pos, ok = finishRuns(t, l.data, at, l.pos, l.out); ok && pos != end {
+				return fmt.Errorf("plane %d band %d: codes end at bit %d, the index at %d", i, b, pos, end)
+			}
+		}
+		if !ok {
+			return fmt.Errorf("plane %d band %d: codes run past the plane or the band, have no symbol, or repeat nothing", i, b)
+		}
+		l.pos = end
+	}
+	if len(index) == 0 && padded(l.data, l.pos) {
+		return fmt.Errorf("plane %d: padding bits set", i)
+	}
+	return nil
 }
 
 // image dequantizes the planes back into a pooled RGB image. The arithmetic
@@ -315,21 +460,38 @@ func (p *ycc) cropResize(rect Rect, w, h int) (*Image, error) {
 }
 
 // convert dequantizes the pixels at rows × cols into out, row-major, with
-// image's tables and arithmetic.
+// image's tables and arithmetic. Two listed rows under one chroma row are
+// converted together, so that each tapped chroma sample's terms are computed
+// once for both.
 func (p *ycc) convert(rows, cols []int32, out []uint8) {
 	var yy1, c1 [256]int32
 	p.dequantTables(&yy1, &c1)
-	cw := (p.w + 1) / 2
-	for _, r := range rows {
-		yRow := p.y[int(r)*p.w : (int(r)+1)*p.w]
+	cw, n := (p.w+1)/2, len(cols)*Channels
+	for k := 0; k < len(rows); k++ {
+		r := rows[k]
+		y0 := p.y[int(r)*p.w : (int(r)+1)*p.w]
 		cbRow, crRow := p.cb[int(r>>1)*cw:(int(r>>1)+1)*cw], p.cr[int(r>>1)*cw:(int(r>>1)+1)*cw]
-		px := out[:len(cols)*Channels]
-		out = out[len(px):]
+		px0 := out[:n]
+		if r&1 == 0 && k+1 < len(rows) && rows[k+1] == r+1 {
+			k++
+			y1, px1 := p.y[int(r+1)*p.w:(int(r)+2)*p.w], out[n:2*n]
+			out = out[2*n:]
+			for _, c := range cols {
+				cb1, cr1 := c1[cbRow[c>>1]], c1[crRow[c>>1]]
+				rAdd, gAdd, bAdd := 91881*cr1, -22554*cb1-46802*cr1, 116130*cb1
+				l0, l1 := yy1[y0[c]], yy1[y1[c]]
+				px0[0], px0[1], px0[2] = clamp8(l0+rAdd), clamp8(l0+gAdd), clamp8(l0+bAdd)
+				px1[0], px1[1], px1[2] = clamp8(l1+rAdd), clamp8(l1+gAdd), clamp8(l1+bAdd)
+				px0, px1 = px0[Channels:], px1[Channels:]
+			}
+			continue
+		}
+		out = out[n:]
 		for _, c := range cols {
 			cb1, cr1 := c1[cbRow[c>>1]], c1[crRow[c>>1]]
-			l := yy1[yRow[c]]
-			px[0], px[1], px[2] = clamp8(l+91881*cr1), clamp8(l-22554*cb1-46802*cr1), clamp8(l+116130*cb1)
-			px = px[Channels:]
+			l := yy1[y0[c]]
+			px0[0], px0[1], px0[2] = clamp8(l+91881*cr1), clamp8(l-22554*cb1-46802*cr1), clamp8(l+116130*cb1)
+			px0 = px0[Channels:]
 		}
 	}
 }
@@ -380,17 +542,22 @@ func parseHeader(data []byte) (w, h, quality int, err error) {
 }
 
 // deltaEncode replaces each value with its difference from the previous
-// value in the row (first column predicts from the row above), tightening
-// the residual distribution for the coder. len(plane) is a multiple of stride.
-func deltaEncode(plane []uint8, stride int) {
+// value in the row, tightening the residual distribution for the coder. The
+// first column predicts from the row above, or on the first row of a band of
+// band rows (a power of two) from the band before's first row, so that of the
+// bands above one only their first values are needed. len(plane) is a
+// multiple of stride.
+func deltaEncode(plane []uint8, stride, band int) {
 	if stride <= 0 {
 		return
 	}
 	// Bottom-up, so the row above is still unencoded when it predicts.
 	for row := len(plane) - stride; row >= 0; row -= stride {
 		var prev uint8
-		if row > 0 {
+		if r := row / stride; r&(band-1) != 0 {
 			prev = plane[row-stride]
+		} else if r > 0 {
+			prev = plane[row-band*stride]
 		}
 		r := plane[row : row+stride]
 		for i, v := range r {
@@ -400,18 +567,23 @@ func deltaEncode(plane []uint8, stride int) {
 	}
 }
 
-// undoPrediction reverses deltaEncode in place on the rows of plane that rows
-// lists and no further right than column last; every other value stays a
-// residual. Column 0 predicts from the row above, so its chain runs from the
-// top down to the last listed row; the other columns predict from their left
-// neighbour, a running sum along each listed row. rows ascends and lists rows
-// of a plane 1<<shift times as tall — luma rows, for a chroma plane — so it
-// may name a row of this one more than once. A refinement bit extends a
-// value, not its residual: ref's are folded into the values restored.
-func undoPrediction(plane []uint8, stride int, rows []int32, shift uint, last int, ref refinement) {
-	bottom := int(rows[len(rows)-1]>>shift) * stride
-	for i := stride; i <= bottom; i += stride {
-		plane[i] += plane[i-stride]
+// undoPrediction reverses deltaEncode(plane, stride, band) in place on the
+// rows of plane that rows lists and no further right than column last; every
+// other value stays a residual. Column 0's chain runs down the bands' first
+// rows to the first listed row's band, then down every row to the last listed
+// row; the other columns predict from their left neighbour, a
+// running sum along each listed row. rows ascends and lists rows of a plane
+// 1<<shift times as tall — luma rows, for a chroma plane — so it may name a
+// row of this one more than once. A refinement bit extends a value, not its
+// residual: ref's are folded into the values restored.
+func undoPrediction(plane []uint8, stride int, rows []int32, shift uint, last, band int, ref refinement) {
+	top, bottom := int(rows[0]>>shift)&^(band-1), int(rows[len(rows)-1]>>shift)
+	for r := 1; r <= bottom; r++ {
+		if r&(band-1) == 0 {
+			plane[r*stride] += plane[(r-band)*stride]
+		} else if r > top {
+			plane[r*stride] += plane[(r-1)*stride]
+		}
 	}
 	done := -1
 	for _, r := range rows {

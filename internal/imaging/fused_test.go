@@ -63,10 +63,10 @@ func refCropResize(im *Image, rect Rect, w, h int) *Image {
 }
 
 // The grid the resample kernels are compared over: degenerate, odd and
-// photo-sized sources; the training crop sizes; and, per seed, one rect of
+// photo-sized sources, and heights around SJPG's bands of 16 rows; the training crop sizes; and, per seed, one rect of
 // each relation to the output size.
 var (
-	gridDims  = [][2]int{{1, 1}, {9, 1}, {1, 9}, {15, 17}, {333, 251}, {640, 480}}
+	gridDims  = [][2]int{{1, 1}, {9, 1}, {1, 9}, {12, 16}, {15, 17}, {13, 33}, {333, 251}, {640, 480}}
 	gridCrops = []int{32, 128, 224}
 )
 
@@ -145,6 +145,15 @@ func TestBlendMatchesReference(t *testing.T) {
 	}
 }
 
+// decodePlanes is Decode's first step: every band of an SJPG stream.
+func decodePlanes(data []byte) (ycc, error) {
+	s, err := parseSJPG(data)
+	if err != nil {
+		return ycc{}, err
+	}
+	return s.decode(0, (s.h+bandRows-1)/bandRows)
+}
+
 // fusedStream is one accepted stream with both of its decodes: the full image
 // (the unfused path's input) and the planes (the fused kernel's).
 type fusedStream struct {
@@ -162,7 +171,7 @@ type fusedStream struct {
 func (s *fusedStream) planes() ycc {
 	p := newYCC(s.plane.w, s.plane.h, s.plane.yShift, s.plane.cShift, bufpool.GetBytes(len(s.plane.buf)))
 	copy(p.buf, s.plane.buf)
-	p.residual, p.bits = s.plane.residual, s.plane.bits
+	p.residual, p.bits, p.band = s.plane.residual, s.plane.bits, s.plane.band
 	return p
 }
 
@@ -273,11 +282,13 @@ func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
 // — on SJPG and on SJPR at one scan (no refinement bits) and at MaxScans
 // (bits folded into each value restored, from every alignment of a row to
 // the bytes of the bit planes). Odd sides end in a chroma sample that covers
-// one pixel, not two.
+// one pixel, not two. On SJPG, rects also start and end on each band edge's
+// first and last rows and one row either side, or fill one band; heights run
+// under one band, one band, one row over, and two bands one row short and one
+// over, each also as noise, whose luma plane SJPG stores.
 func TestDecodeCropResizeEdgeTaps(t *testing.T) {
-	for _, dim := range [][2]int{{15, 17}, {333, 251}, {1, 9}, {9, 1}} {
+	for _, dim := range [][2]int{{15, 17}, {333, 251}, {1, 9}, {9, 1}, {12, 15}, {12, 16}, {11, 31}, {13, 33}} {
 		w, h := dim[0], dim[1]
-		im := synthFor(t, uint64(w*1000+h), w, h, 0.6)
 		rects := []Rect{
 			{W: w, H: 1},                     // row 0
 			{Y: h - 1, W: w, H: 1},           // the last row
@@ -292,26 +303,47 @@ func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 			{Y: h - 1, W: max(w-1, 1), H: 1}, // the last row, short of the last column
 			{X: w / 2, Y: h / 2, W: w - w/2, H: h - h/2},
 		}
-		for _, s := range fusedStreams(t, im, 80) {
-			if s.shallow && s.plane.bits > 0 {
-				s.release()
-				continue // k = 1 and k = MaxScans cover both kinds of plane
-			}
-			for _, rect := range rects {
-				for _, out := range []int{1, 3, 32} {
-					want, err := CropResize(s.full, rect, out, out)
-					if err != nil {
-						t.Fatal(err)
-					}
-					got, err := decodeCropResize(s.data, s.sjpr, rect, out, out)
-					if err != nil || !got.Equal(want) {
-						t.Fatalf("%s: crop %+v to %d: err %v, equal %v", s.name, rect, out, err, err == nil && got.Equal(want))
-					}
-					got.Release()
-					want.Release()
+		bands := slices.Clone(rects) // SJPG's: rects around each band edge too
+		for edge := bandRows; edge < h; edge += bandRows {
+			bands = append(bands, Rect{Y: edge, W: w, H: min(bandRows, h-edge)}) // one band
+			for d := -1; d <= 1; d++ {
+				if first, last := edge+d, edge-1+d; first < h {
+					bands = append(bands,
+						Rect{Y: first, W: w, H: min(3, h-first)},                     // first row at the edge
+						Rect{X: w / 2, Y: max(last-2, 0), W: 1, H: min(last, 2) + 1}) // last row at the edge
 				}
 			}
-			s.release()
+		}
+		images := []*Image{synthFor(t, uint64(w*1000+h), w, h, 0.6)}
+		if h >= 15 && w > 1 {
+			images = append(images, noiseImage(w, h, uint64(w*1000+h)))
+		}
+		for i, im := range images {
+			for _, s := range fusedStreams(t, im, 80) {
+				if s.shallow && s.plane.bits > 0 || s.sjpr && i > 0 {
+					s.release()
+					continue // k = 1 and k = MaxScans cover both kinds of plane; noise is for SJPG's stored planes
+				}
+				rects := rects
+				if !s.sjpr {
+					rects = bands
+				}
+				for _, rect := range rects {
+					for _, out := range []int{1, 3, 32} {
+						want, err := CropResize(s.full, rect, out, out)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := decodeCropResize(s.data, s.sjpr, rect, out, out)
+						if err != nil || !got.Equal(want) {
+							t.Fatalf("%s: crop %+v to %d: err %v, equal %v", s.name, rect, out, err, err == nil && got.Equal(want))
+						}
+						got.Release()
+						want.Release()
+					}
+				}
+				s.release()
+			}
 		}
 	}
 }
@@ -340,12 +372,47 @@ func decodeThenCropResize(data []byte, sjpr bool, rect Rect, w, h int) (*Image, 
 	return CropResize(im, rect, w, h)
 }
 
-// sjpgOver frames a payload of coded planes as an SJPG stream claiming w×h.
-func sjpgOver(w, h int, payload []byte) []byte {
+// sjpgOver frames three coded planes as an SJPG stream claiming w×h, behind
+// the band index that says where the reference decoder finds each band's
+// codes ending. A band it cannot decode is indexed as the rest of its plane's
+// codes.
+func sjpgOver(w, h int, planes ...[]byte) []byte {
+	var index []byte
+	cw := (w + 1) / 2
+	for p, n := range []int{w * h, cw * ((h + 1) / 2), cw * ((h + 1) / 2)} {
+		plane, band := planes[p], bandRows*w
+		if p > 0 {
+			band = bandRows / 2 * cw
+		}
+		index = binary.AppendUvarint(index, uint64(len(plane)))
+		symbol, codes, err := refTables(plane)
+		bit, dst := 0, make([]byte, band)
+		for lo := 0; lo < n; lo += band {
+			bits := 8 * min(band, n-lo)
+			if len(plane) == 0 || plane[0] != 0 {
+				end := 8 * len(codes)
+				if err == nil {
+					if end, err = refSymbols(symbol, codes, bit, dst[:min(band, n-lo)]); err != nil {
+						end = 8 * len(codes)
+					}
+				}
+				bits, bit = end-bit, end
+			}
+			index = binary.AppendUvarint(index, uint64(bits))
+		}
+	}
 	out := append([]byte(sjpgMagic), sjpgVersion, DefaultQuality)
 	out = binary.BigEndian.AppendUint32(out, uint32(w))
 	out = binary.BigEndian.AppendUint32(out, uint32(h))
-	return append(out, payload...)
+	out = binary.AppendUvarint(out, uint64(len(index)))
+	return append(append(out, index...), slices.Concat(planes...)...)
+}
+
+// sjpgPlanesAt returns where the planes of an SJPG stream start, after its
+// band index.
+func sjpgPlanesAt(data []byte) int {
+	n, k := binary.Uvarint(data[headerSize:])
+	return headerSize + k + int(n)
 }
 
 // sjprOver frames payloads of coded planes as the scans of an SJPR container
@@ -387,7 +454,8 @@ func TestFusedRejectionParity(t *testing.T) {
 	// bytes. A base scan longer than the writer's worst case, 4n + 3, is
 	// refused from the index.
 	for _, c := range inflateRejections() {
-		payload := slices.Concat(codePlanes(make([]byte, 2*c.n)), codePlanes(make([]byte, c.n)), c.stream)
+		planes := [][]byte{codePlanes(make([]byte, 2*c.n)), codePlanes(make([]byte, c.n)), c.stream}
+		payload := slices.Concat(planes...)
 		var want, wantSJPR error
 		if !c.accept {
 			want = ErrCorrupt
@@ -395,7 +463,7 @@ func TestFusedRejectionParity(t *testing.T) {
 		if wantSJPR = want; len(payload) > 4*c.n+3 {
 			wantSJPR = ErrCorrupt
 		}
-		add("sjpg/"+c.name, sjpgOver(2*c.n, 1, payload), false, want)
+		add("sjpg/"+c.name, sjpgOver(2*c.n, 1, planes...), false, want)
 		add("sjpr/"+c.name, sjprOver(2*c.n, 1, payload), true, wantSJPR)
 	}
 
@@ -432,7 +500,7 @@ func TestFusedRejectionParity(t *testing.T) {
 	add("sjpr/version", mutate(sjpr, 4, 9), true, ErrUnsupported)
 	add("sjpg/quality", mutate(sjpg, 5, 0), false, ErrCorrupt)
 	add("sjpr/scan count", mutate(sjpr, 14, MaxScans+1), true, ErrCorrupt)
-	add("sjpg/a first table over 128 bytes", mutate(sjpg, headerSize, 129), false, ErrCorrupt)
+	add("sjpg/a first table over 128 bytes", mutate(sjpg, sjpgPlanesAt(sjpg), 129), false, ErrCorrupt)
 	add("sjpg/a byte after the planes", append(bytes.Clone(sjpg), 0), false, ErrCorrupt)
 	add("sjpr/CRC mismatch", mutate(sjpr, len(sjpr)-1, sjpr[len(sjpr)-1]^0x40), true, ErrCorrupt)
 	base := slices.Concat(stored(7), stored(7), stored(7))
@@ -473,7 +541,8 @@ func TestFusedRejectionParity(t *testing.T) {
 	}
 
 	// An accepted stream under a rect or an output size no image would take:
-	// CropResize's own error, after the planes and before any output image.
+	// CropResize's own error before any output image — for SJPG before the
+	// planes too, which are sized only once the rect is accepted.
 	for _, c := range []struct {
 		rect Rect
 		w, h int
@@ -495,8 +564,12 @@ func TestFusedRejectionParity(t *testing.T) {
 			if got != nil || !errors.Is(gotErr, ErrBadDimensions) || gotErr.Error() != wantErr.Error() {
 				t.Errorf("%+v to %dx%d: fused err %v, unfused %v", c.rect, c.w, c.h, gotErr, wantErr)
 			}
-			if n != 1 {
-				t.Errorf("%+v to %dx%d: refused after %d arena requests, want 1 (the planes)", c.rect, c.w, c.h, n)
+			want := uint64(0)
+			if sjprStream {
+				want = 1 // the planes
+			}
+			if n != want {
+				t.Errorf("%+v to %dx%d: refused after %d arena requests, want %d", c.rect, c.w, c.h, n, want)
 			}
 		}
 	}

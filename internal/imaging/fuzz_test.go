@@ -7,6 +7,15 @@ import (
 	"testing"
 )
 
+// synthForFuzz is a synthetic w×h image for a fuzzer's seeds.
+func synthForFuzz(f *testing.F, w, h int) *Image {
+	im, err := Synthesize(SynthParams{W: w, H: h, Detail: 0.5, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	return im
+}
+
 // decodeCorpus is the seed corpus of the SJPG fuzzers: two real streams, a
 // bare magic and nothing.
 func decodeCorpus(f *testing.F) [][]byte {
@@ -94,15 +103,30 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzDecodeCropResize: on any bytes, rect and output size the fused entry
-// point never panics and is CropResize(Decode(data), rect, out, out) — the
-// same pixels, or the same error where either step refuses.
+// point never panics and keeps its contract with Decode. Where Decode
+// accepts, it is CropResize(Decode(data), rect, out, out) — the same pixels,
+// or CropResize's error. A header or band index Decode refuses, it refuses in
+// Decode's words, and a rect CropResize refuses in CropResize's. Where Decode
+// refuses a band, it may succeed or refuse, but widened to every row it
+// refuses in Decode's words.
 func FuzzDecodeCropResize(f *testing.F) {
-	for _, data := range decodeCorpus(f) {
+	corpus := decodeCorpus(f)
+	tall, err := EncodeDefault(synthForFuzz(f, 21, 40))
+	if err != nil {
+		f.Fatal(err)
+	}
+	flipped := bytes.Clone(tall)
+	flipped[len(flipped)-1] ^= 0x80 // the last band of the Cr plane
+	corpus = append(corpus, tall, flipped)
+	for _, data := range corpus {
 		f.Add(data, 0, 0, 16, 12, 8) // whole image, sparse taps
 		f.Add(data, 3, 2, 8, 8, 8)   // pure copy
 		f.Add(data, 5, 5, 3, 2, 32)  // every source pixel reused
 		f.Add(data, 9, 0, 8, 12, 4)  // past the right edge
 		f.Add(data, 1<<62, 1, 1<<62, 1, 0)
+		f.Add(data, 2, 15, 7, 2, 5)   // across the first band edge
+		f.Add(data, 0, 16, 21, 16, 4) // the second band
+		f.Add(data, 1, 33, 20, 7, 3)  // the last band
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte, x, y, w, h, out int) {
@@ -111,23 +135,38 @@ func FuzzDecodeCropResize(f *testing.F) {
 		}
 		rect := Rect{X: x, Y: y, W: w, H: h}
 		got, err := DecodeCropResize(data, rect, out, out)
-		var want *Image
-		full, wantErr := Decode(data)
-		if wantErr == nil {
-			want, wantErr = CropResize(full, rect, out, out)
-			full.Release()
-		}
-		if wantErr != nil {
-			if err == nil || err.Error() != wantErr.Error() {
-				t.Fatalf("fused err %v, unfused %v", err, wantErr)
+		defer got.Release()
+		s, parseErr := parseSJPG(data)
+		if parseErr != nil {
+			if err == nil || err.Error() != parseErr.Error() {
+				t.Fatalf("header or index refused as %v, the crop's err %v", parseErr, err)
 			}
 			return
 		}
-		if err != nil || !got.Equal(want) {
-			t.Fatalf("crop %+v to %d: fused err %v, or pixels differ from CropResize(Decode)", rect, out, err)
+		if rectErr := checkCropResize(rect, s.w, s.h, out, out); rectErr != nil {
+			if err == nil || err.Error() != rectErr.Error() {
+				t.Fatalf("rect refused as %v, the crop's err %v", rectErr, err)
+			}
+			return
 		}
-		got.Release()
-		want.Release()
+		full, decodeErr := Decode(data)
+		if decodeErr == nil {
+			defer full.Release()
+			want, wantErr := CropResize(full, rect, out, out)
+			if wantErr != nil || err != nil || !got.Equal(want) {
+				t.Fatalf("crop %+v to %d: fused err %v, unfused %v, or pixels differ from CropResize(Decode)", rect, out, err, wantErr)
+			}
+			want.Release()
+			return
+		}
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Decode refuses a band (%v), the crop %+v says %v", decodeErr, rect, err)
+		}
+		wide, wideErr := DecodeCropResize(data, Rect{X: x, W: w, H: s.h}, out, out)
+		if wideErr == nil || wideErr.Error() != decodeErr.Error() {
+			wide.Release()
+			t.Fatalf("crop %+v widened to every row: err %v, want Decode's %v", rect, wideErr, decodeErr)
+		}
 	})
 }
 

@@ -22,6 +22,9 @@ import (
 //
 // or H = 0 and the plane as it is, when coding would not shorten it. No run
 // starts a plane or passes its end. A plane of n bytes takes 1 + n at most.
+//
+// An SJPG plane's codes are those of its bands (codec.go), one after another
+// under the plane's one code, no run starting a band or passing its end.
 
 const (
 	minRun    = 4 // a run of three costs about what its three literals do
@@ -60,25 +63,6 @@ func lengthCode(n int) (sym int, extra, v uint) {
 // header claiming more is refused before any buffer is sized from it.
 func canYield(n, total int) bool { return uint64(total) <= 8*maxRun*uint64(n) }
 
-// planeCodes is the code of up to three planes, one after another.
-type planeCodes [3]planeCode
-
-// plan fixes the codes of planes and returns their size.
-func (c *planeCodes) plan(planes ...[]byte) (size int) {
-	for i, p := range planes {
-		size += c[i].plan(p)
-	}
-	return size
-}
-
-// put writes planes as plan fixed them to out, their size.
-func (c *planeCodes) put(out []byte, planes ...[]byte) {
-	for i, p := range planes {
-		c[i].put(out[:c[i].size], p)
-		out = out[c[i].size:]
-	}
-}
-
 // planeCode is one plane's code as plan fixed it: code lengths by position in
 // the header's order, the sizes of its two tables (h = 0: stored) and of the
 // whole.
@@ -87,28 +71,21 @@ type planeCode struct {
 	h, r, size int
 }
 
-// plan fixes the code of plane and returns its size, which is exact: the
-// tables and ⌈(Σ count × length + extra bits) / 8⌉, or 1 + len(plane).
-func (c *planeCode) plan(plane []byte) int {
-	var freq [256]int
+// plan fixes the code of plane, cut into bands of band bytes, and returns its
+// size, which is exact: the tables and ⌈(Σ count × length + extra bits) / 8⌉,
+// or 1 + len(plane).
+func (c *planeCode) plan(plane []byte, band int) int {
 	var byZ [planeSyms]int
-	countBytes(plane, &freq)
 	extra := 0
-	for at, n := nextRun(plane, 0); n > 0; at, n = nextRun(plane, at+n) {
-		sym, x, _ := lengthCode(n)
-		freq[plane[at]] -= n
-		byZ[256+sym]++
-		extra += int(x)
+	for lo := 0; lo < len(plane); lo += band {
+		extra += tally(plane[lo:min(lo+band, len(plane))], &byZ)
 	}
 	lastLit, lastRun := 0, -1
-	for z := range 256 {
-		if byZ[z] = freq[zigzag(z)]; byZ[z] != 0 {
+	for z, n := range byZ {
+		if n != 0 && z < 256 {
 			lastLit = z
-		}
-	}
-	for k, n := range byZ[256:] {
-		if n != 0 {
-			lastRun = k
+		} else if n != 0 {
+			lastRun = z - 256
 		}
 	}
 	bits := codeLengths(byZ[:], maxCodeLen, c.lens[:planeSyms]) + extra
@@ -119,18 +96,43 @@ func (c *planeCode) plan(plane []byte) int {
 	return c.size
 }
 
-// put writes plane as plan fixed it to out, its size.
-func (c *planeCode) put(out, plane []byte) {
+// tally adds the symbols band codes to, by position in the header's order,
+// to byZ and returns their extra bits.
+func tally(band []byte, byZ *[planeSyms]int) (extra int) {
+	var lits [256]int
+	countBytes(band, &lits)
+	for at, n := nextRun(band, 0); n > 0; at, n = nextRun(band, at+n) {
+		sym, x, _ := lengthCode(n)
+		lits[band[at]] -= n
+		byZ[256+sym]++
+		extra += int(x)
+	}
+	for v, n := range lits {
+		byZ[uint8(int8(v)<<1^int8(v)>>7)] += n // zigzag's inverse
+	}
+	return extra
+}
+
+// uvarintLen is the size of v as a uvarint.
+func uvarintLen(v int) int { return (bits.Len(uint(v)|1) + 6) / 7 }
+
+// put writes plane, cut into bands of band bytes, as plan fixed it to out, its
+// size. Unless index is nil, it appends the length in bits of each band's
+// codes to index and returns it.
+func (c *planeCode) put(out, plane []byte, band int, index []byte) []byte {
 	if c.h == 0 {
 		out[0] = 0
 		copy(out[1:], plane)
-		return
+		for lo := 0; index != nil && lo < len(plane); lo += band {
+			index = binary.AppendUvarint(index, uint64(8*min(band, len(plane)-lo)))
+		}
+		return index
 	}
 	o := putLengths(out, c.lens[:2*c.h])
 	o += putLengths(out[o:], c.lens[256:256+2*c.r])
 	var enc [planeSyms]uint32
 	canon(c.lens[:planeSyms], enc[:])
-	putRuns(&enc, plane, out[o:])
+	return putRuns(&enc, plane, band, out[o:], index)
 }
 
 // countBytes adds the number of times each value occurs in b to h.
@@ -168,54 +170,53 @@ func nextRun(plane []byte, i int) (at, n int) {
 	return len(plane), 0
 }
 
-// putRuns writes the codes of plane's literals and runs, enc's by symbol, to
-// out, which is their length. It is a function of its own so that its loop's
-// few values stay in registers.
-func putRuns(enc *[planeSyms]uint32, plane, out []byte) {
+// putRuns writes the codes of the literals and runs of plane's bands of band
+// bytes, enc's by symbol, to out, which is their length, and appends each
+// band's length in bits to index unless it is nil. It is a function of its own
+// so that its loop's few values stay in registers.
+func putRuns(enc *[planeSyms]uint32, plane []byte, band int, out, index []byte) []byte {
 	var acc uint64 // the low nb bits are not yet written
-	nb, o := uint(0), 0
-	for i := 0; i < len(plane); {
-		at, n := nextRun(plane, i)
-		for _, v := range plane[i:at] {
-			e := enc[v]
-			acc = acc<<(e&15) | uint64(e>>4)
-			if nb += uint(e & 15); nb >= 32 {
-				nb -= 32
-				binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
-				o += 4
+	nb, o, start := uint(0), 0, 0
+	for lo := 0; lo < len(plane); lo += band {
+		b := plane[lo:min(lo+band, len(plane))]
+		for i := 0; i < len(b); {
+			at, n := nextRun(b, i)
+			for _, v := range b[i:at] {
+				e := enc[v]
+				acc = acc<<(e&15) | uint64(e>>4)
+				if nb += uint(e & 15); nb >= 32 {
+					nb -= 32
+					binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
+					o += 4
+				}
 			}
-		}
-		if n > 0 {
-			sym, extra, v := lengthCode(n)
-			e := enc[256+sym]
-			l := uint(e&15) + extra
-			acc = acc<<l | uint64(e>>4)<<extra | uint64(v)
-			if nb += l; nb >= 32 {
-				nb -= 32
-				binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
-				o += 4
+			if n > 0 {
+				sym, extra, v := lengthCode(n)
+				e := enc[256+sym]
+				l := uint(e&15) + extra
+				acc = acc<<l | uint64(e>>4)<<extra | uint64(v)
+				if nb += l; nb >= 32 {
+					nb -= 32
+					binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
+					o += 4
+				}
 			}
+			i = at + n
 		}
-		i = at + n
+		if index != nil {
+			end := 8*o + int(nb)
+			index, start = binary.AppendUvarint(index, uint64(end-start)), end
+		}
 	}
 	for acc <<= 64 - nb; o < len(out); o++ {
 		out[o] = byte(acc >> 56)
 		acc <<= 8
 	}
+	return index
 }
 
-// inflateInto decodes the coded planes at the front of src into planes, at
-// most three, in order, and refuses src unless they end where it does. On
-// error the planes hold garbage.
-func inflateInto(src []byte, planes ...[]byte) error {
-	l := lane{data: src, n: len(planes)}
-	copy(l.planes[:], planes)
-	_, err := inflateLanes([]lane{l})
-	return err
-}
-
-// A lane is one stream of coded planes, an SJPG payload or an SJPR scan,
-// decoded into its planes in turn. Lanes decode in step, so that the lookups
+// A lane is one stream of coded planes, an SJPR scan or an SJPG plane's
+// bands, decoded into its planes in turn. Lanes decode in step, so that the lookups
 // of one fill the time another waits on its own: each lookup waits on the
 // one before it.
 type lane struct {
@@ -299,11 +300,13 @@ func (l *lane) open(alone bool) error {
 	return nil
 }
 
-// The fast loop's margins: the one 8-byte load of a pass, and what a pass can
-// write, two lookups of two literals and a run in whole 8-byte stores.
+// The fast loops' margins: the one 8-byte load of a pass; what a pass of
+// lanes in step can write, two lookups of two literals and a run in whole
+// 8-byte stores; what a lone lane's pass writes before its run.
 const (
 	fastIn  = 8
 	fastOut = 4 + (maxRun+7)&^7
+	runOut  = 8
 	pairs   = 1 << maxCodeLen // where the pair half of a plane's lookup starts
 )
 
@@ -327,9 +330,10 @@ func pairUp(t *[2 << maxCodeLen]uint16) {
 	}
 }
 
-// run makes up to passes passes of the fast loop over the plane in hand and
-// reports whether it made them all, so that more may follow. It runs while
-// fastIn bytes of data and fastOut of dst remain, and checks neither. Its
+// run is the fast loop of a lane alone: it decodes the plane in hand while
+// fastIn bytes of data and runOut of dst remain, and checks neither; it takes
+// a run only if the run's 8-byte stores end inside dst, so that it stops
+// within a pass of the end of a plane or a band. Its
 // refill leaves at least 56 counted bits; a pass uses at most 41 (two
 // literals and a run, 12+12+12+5), so one refill a pass covers it and the
 // next pass's first lookup, made before that pass refills, which keeps the
@@ -339,14 +343,14 @@ func pairUp(t *[2 << maxCodeLen]uint16) {
 func (l *lane) run() {
 	t, tp := (*[1 << maxCodeLen]uint16)(l.t[:]), (*[1 << maxCodeLen]uint16)(l.t[l.pair:])
 	data, dst, at, out := l.data, l.dst, l.pos>>3+7, l.out
-	if len(data)-at < 1 || len(dst)-out < fastOut {
+	if len(data)-at < 1 || len(dst)-out < runOut {
 		return
 	}
 	// The bits from pos on, those up to byte at counted.
 	bb, nb := binary.BigEndian.Uint64(data[at-7:])<<(l.pos&7), 56-uint(l.pos&7)
 	i := bb >> (64 - maxCodeLen)
 	e, p := t[i], tp[i]
-	for len(data)-at >= fastIn && len(dst)-out >= fastOut {
+	for len(data)-at >= fastIn && len(dst)-out >= runOut {
 		bb |= binary.BigEndian.Uint64(data[at:]) >> (nb & 63)
 		at += int(63-nb) >> 3
 		nb |= 56
@@ -371,10 +375,13 @@ func (l *lane) run() {
 		}
 		l := uint(e & 15)
 		end := out + int(e>>8) + 3 + int(bb<<l>>(64-x))
+		if end > len(dst)-7 {
+			break
+		}
 		bb <<= l + x
 		nb -= l + x
 		// Whole 8-byte stores may write up to seven bytes past the run, inside
-		// fastOut, where the symbols that follow write over them.
+		// dst, where the symbols that follow write over them.
 		v := uint64(dst[out-1]) * 0x0101010101010101
 		for ; out < end; out += 8 {
 			binary.LittleEndian.PutUint64(dst[out:], v)
@@ -389,23 +396,26 @@ func (l *lane) run() {
 // finish decodes the rest of the plane in hand with the careful loop and
 // opens the next.
 func (l *lane) finish(alone bool) error {
-	used, ok := finishRuns(l.t, l.data, l.dst, l.pos, l.out)
-	if !ok {
+	pos, ok := finishRuns(l.t, l.data, l.dst, l.pos, l.out)
+	if !ok || padded(l.data, pos) {
 		return fmt.Errorf("plane %d: codes run past the payload or the plane, have no symbol, repeat nothing, or leave padding bits set", l.next-1)
 	}
-	l.data = l.data[used:]
+	l.data = l.data[(pos+7)>>3:]
 	return l.open(alone)
 }
 
+// padded reports whether a bit of data's byte that bit pos falls in is set at
+// or after it.
+func padded(data []byte, pos int) bool { return pos&7 != 0 && data[pos>>3]<<(pos&7) != 0 }
+
 // finishRuns is the careful loop: from where the fast loop left a plane, it
-// decodes the rest of the codes at the front of data into dst and returns
-// their length, the zero-padded last byte included. ok is false if the codes
-// run past data or into a pattern with no code, if a run repeats nothing or
-// passes the end of dst, or if a pad bit is set. Past the end of data the bits
-// read are zeros; a code longer than the counted bits is a stream cut short.
-// It is a function of its own so that its loop's few values stay in
-// registers.
-func finishRuns(t *[2 << maxCodeLen]uint16, data, dst []byte, pos, out int) (used int, ok bool) {
+// decodes the rest of the codes at the front of data into dst and returns the
+// bit after them. ok is false if the codes run past data or into a pattern
+// with no code, or if a run repeats nothing or passes the end of dst. Past the
+// end of data the bits read are zeros; a code longer than the counted bits is
+// a stream cut short. It is a function of its own so that its loop's few
+// values stay in registers.
+func finishRuns(t *[2 << maxCodeLen]uint16, data, dst []byte, pos, out int) (end int, ok bool) {
 	var bb uint64 // the next bits of data from bit 63 down, nb of them counted
 	nb, at := uint(0), pos>>3
 	for ; nb <= 56 && at < len(data); nb += 8 {
@@ -451,8 +461,7 @@ func finishRuns(t *[2 << maxCodeLen]uint16, data, dst []byte, pos, out int) (use
 		}
 		out += n
 	}
-	pad := nb % 8 // whole bytes read ahead belong to what follows
-	return at - int(nb/8), pad == 0 || bb>>(64-pad) == 0
+	return 8*at - int(nb), true
 }
 
 // inStep runs the fast loop on the lanes with a plane in hand, busy of them,

@@ -32,6 +32,7 @@ import (
 //	        prefix so labels survive fidelity reduction)
 //	...     scan index: L x { payload length u32, CRC32-C u32 }
 //	...     L scan payloads, concatenated, each its planes coded as SJPG's
+//	        are, each plane one band
 //
 // Scan 0 carries the three quantized planes right-shifted by L-1 extra bits
 // (delta-predicted like SJPG); scan j>0 carries the j-th refinement bit of
@@ -114,9 +115,9 @@ func EncodeProgressiveSidecar(im *Image, quality, scans int, sidecar []byte) ([]
 			for i, v := range planes {
 				scratch[i] = v >> extra
 			}
-			deltaEncode(scan[0], im.W)
-			deltaEncode(scan[1], cw)
-			deltaEncode(scan[2], cw)
+			deltaEncode(scan[0], im.W, maxDim) // one band: no plane is taller
+			deltaEncode(scan[1], cw, maxDim)
+			deltaEncode(scan[2], cw, maxDim)
 		} else {
 			bit, packed := uint(scans-1-j), scratch[:scanLen(total, j)]
 			clear(packed)
@@ -125,11 +126,15 @@ func EncodeProgressiveSidecar(im *Image, quality, scans int, sidecar []byte) ([]
 			}
 			scan = [][]byte{packed}
 		}
-		var codes planeCodes
-		lens[j] = codes.plan(scan...)
-		codes.put(body[len(body):][:lens[j]], scan...)
-		body = body[:len(body)+lens[j]]
-		crcs[j] = crc32.Checksum(body[len(body)-lens[j]:], sjprCRC)
+		start := len(body)
+		for _, p := range scan { // each plane one band
+			var code planeCode
+			n := code.plan(p, len(p))
+			code.put(body[len(body):][:n], p, len(p), nil)
+			body = body[:len(body)+n]
+		}
+		lens[j] = len(body) - start
+		crcs[j] = crc32.Checksum(body[start:], sjprCRC)
 	}
 
 	out := make([]byte, 0, sjprFixedHeader+len(sidecar)+8*scans+len(body))

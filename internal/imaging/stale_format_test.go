@@ -2,20 +2,26 @@ package imaging_test
 
 import (
 	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/imaging"
 	"repro/internal/pipeline"
 )
 
-// A 3×2 image at DefaultQuality as the previous formats stored it: an SJPG
-// version 1 stream (planes in DEFLATE blocks) and a two-scan SJPR version 2
-// container (scans DEFLATE-compressed). Both decoded to pixels in the build
-// that wrote them.
+// 3×2 images at DefaultQuality as the previous formats stored them: SJPG
+// version 1 (planes in DEFLATE blocks) and version 2 (planes coded without
+// bands or a band index) streams, and a two-scan SJPR version 2 container
+// (scans DEFLATE-compressed). Each decoded to pixels in the build that wrote
+// it.
 const (
 	sjpgV1Hex = "534a504701500000000300000002000600f9ff0f37de2629c6000200fdff1e02010200fdff1b0f"
+	sjpgV2Hex = "534a504702500000000300000002000f37de2629c6001e02001b0f"
 	sjprV2Hex = "534a5052025000000003000000020200000000001050316fb8000000088373cf086297792f2cfa989f919703100000ffffe26404040000ffff"
 )
 
@@ -29,8 +35,9 @@ func staleStream(t *testing.T, h string) []byte {
 }
 
 // staleReaders calls everything that reads data, SJPG or SJPR as sjpr says,
-// and returns each one's error by name.
-func staleReaders(data []byte, sjpr bool) map[string]error {
+// and returns each one's error by name. LoadDir is a dataset directory holding
+// data as its one SJPG sample, loaded and materialised.
+func staleReaders(t *testing.T, data []byte, sjpr bool) map[string]error {
 	rect := imaging.Rect{W: 1, H: 1}
 	errs := map[string]error{}
 	_, errs["Pipeline.Run"] = pipeline.DefaultStandard().Run(data, pipeline.Seed{Job: 1, Epoch: 1, Sample: 1})
@@ -38,6 +45,7 @@ func staleReaders(data []byte, sjpr bool) map[string]error {
 		_, errs["Decode"] = imaging.Decode(data)
 		_, errs["DecodeCropResize"] = imaging.DecodeCropResize(data, rect, 1, 1)
 		_, _, errs["DecodeDims"] = imaging.DecodeDims(data)
+		errs["LoadDir"] = loadDirOf(t, data)
 		return errs
 	}
 	_, _, _, _, _, errs["ProgressiveInfo"] = imaging.ProgressiveInfo(data)
@@ -49,12 +57,35 @@ func staleReaders(data []byte, sjpr bool) map[string]error {
 	return errs
 }
 
-// TestStaleFormatRefusedByName: a stream of the previous SJPG version and a
+// loadDirOf writes data, a 3×2 SJPG stream, as the one sample of a dataset
+// directory and returns what loading it fails with.
+func loadDirOf(t *testing.T, data []byte) error {
+	dir := t.TempDir()
+	m := dataset.Manifest{Name: "stale", N: 1, TotalBytes: int64(len(data)), Samples: []dataset.ManifestEntry{
+		{File: "000000.sjpg", Width: 3, Height: 2, Bytes: len(data), Quality: imaging.DefaultQuality}}}
+	blob, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, dataset.ManifestFile), blob, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "000000.sjpg"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ds, err := dataset.LoadDir(dir)
+	if err == nil {
+		_, err = ds.Materialize()
+	}
+	return err
+}
+
+// TestStaleFormatRefusedByName: streams of the previous SJPG versions and a
 // container of the previous SJPR version get ErrUnsupported, naming the
 // format and both versions, from everything that reads one — never pixels,
-// never a prefix. There is no reader for an old version; a stale store is
-// rebuilt. The same bytes under this build's version byte are not streams of
-// this format: ErrCorrupt.
+// never a prefix, never a loaded directory. There is no reader for an old
+// version; a stale store is rebuilt. The same bytes under this build's
+// version byte are not streams of this format: ErrCorrupt.
 func TestStaleFormatRefusedByName(t *testing.T) {
 	for _, c := range []struct {
 		name    string
@@ -63,16 +94,17 @@ func TestStaleFormatRefusedByName(t *testing.T) {
 		stale   string
 		current byte
 	}{
-		{"SJPG", staleStream(t, sjpgV1Hex), false, "SJPG version 1, this build reads 2", 2},
+		{"SJPG v1", staleStream(t, sjpgV1Hex), false, "SJPG version 1, this build reads 3", 3},
+		{"SJPG v2", staleStream(t, sjpgV2Hex), false, "SJPG version 2, this build reads 3", 3},
 		{"SJPR", staleStream(t, sjprV2Hex), true, "SJPR version 2, this build reads 3", 3},
 	} {
-		for reader, err := range staleReaders(c.data, c.sjpr) {
+		for reader, err := range staleReaders(t, c.data, c.sjpr) {
 			if !errors.Is(err, imaging.ErrUnsupported) || !strings.Contains(err.Error(), c.stale) {
 				t.Errorf("%s %s: err %v, want ErrUnsupported naming %q", c.name, reader, err, c.stale)
 			}
 		}
 		c.data[4] = c.current
-		for reader, err := range staleReaders(c.data, c.sjpr) {
+		for reader, err := range staleReaders(t, c.data, c.sjpr) {
 			if reader != "DecodeDims" && !errors.Is(err, imaging.ErrCorrupt) {
 				t.Errorf("%s %s under version %d: err %v, want ErrCorrupt", c.name, reader, c.current, err)
 			}
