@@ -97,7 +97,7 @@ func calibrateFidelity(seed uint64) (policy.FidelityModel, error) {
 		if err != nil {
 			return fm, err
 		}
-		ref, _, err := imaging.DecodeProgressive(full)
+		ref, err := imaging.Decode(full)
 		if err != nil {
 			return fm, err
 		}
@@ -208,7 +208,7 @@ func runFidelityScenario(seed uint64) (fidelityReport, error) {
 		Description: "Progressive artifact fidelity: SOPHON's discrete greedy plan vs the same plan with the " +
 			"progressive second pass (refinement scans withheld at zero storage-CPU cost) on a " +
 			"storage-core-starved I/O-bound epoch, with the byte/quality ladder calibrated from the live " +
-			"SJPR codec. Regenerate with `sophon-bench -fidelity <file>`.",
+			"SJPG codec. Regenerate with `sophon-bench -fidelity <file>`.",
 		GoVersion:          runtime.Version(),
 		Samples:            tr.N(),
 		CalibratedByteFrac: fm.ByteFrac,

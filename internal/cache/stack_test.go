@@ -20,7 +20,7 @@ import (
 
 const stackSamples = 12
 
-// stackBlobs are the SJPR containers every stack tier serves, encoded once.
+// stackBlobs are the four-scan containers every stack tier serves, encoded once.
 var stackBlobs = sync.OnceValues(func() ([][]byte, error) {
 	blobs := make([][]byte, stackSamples)
 	for i := range blobs {
@@ -35,8 +35,8 @@ var stackBlobs = sync.OnceValues(func() ([][]byte, error) {
 	return blobs, nil
 })
 
-// launchProgressiveTier serves SJPR containers, so a fidelity directive has
-// scans to withhold.
+// launchProgressiveTier serves four-scan containers, so a fidelity directive
+// has scans to withhold.
 func launchProgressiveTier(t testing.TB, shards int) *cluster.Cluster {
 	t.Helper()
 	blobs, err := stackBlobs()

@@ -70,8 +70,8 @@ func TestDecodeCropResizeSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, decode := range map[string]func(Rect) (*Image, error){
-		"DecodeCropResize":            func(r Rect) (*Image, error) { return DecodeCropResize(data, r, 128, 128) },
-		"DecodeProgressiveCropResize": func(r Rect) (*Image, error) { return DecodeProgressiveCropResize(prog, r, 128, 128) },
+		"DecodeCropResize/L1": func(r Rect) (*Image, error) { return DecodeCropResize(data, r, 128, 128) },
+		"DecodeCropResize/L3": func(r Rect) (*Image, error) { return DecodeCropResize(prog, r, 128, 128) },
 	} {
 		// Sparse taps, every pixel reused, pure copy: the same pooled scratch.
 		rects := []Rect{{X: 10, Y: 5, W: 300, H: 230}, {X: 100, Y: 100, W: 40, H: 30}, {X: 7, Y: 9, W: 128, H: 128}}
@@ -111,19 +111,16 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 
 // TestDecodeSizesNothingFromAnImplausibleHeader: a bit of codes yields at most
 // 258 bytes, so dimensions the payload cannot possibly fill are refused before
-// the planes (here 366 MB) are requested — for SJPG from its band index.
+// the planes (here 366 MB) are requested — from the index.
 func TestDecodeSizesNothingFromAnImplausibleHeader(t *testing.T) {
-	sjpg := []byte{'S', 'J', 'P', 'G', sjpgVersion, 80, 0, 0, 0x3e, 0x80, 0, 0, 0x3e, 0x80, 0x03, 0x00} // 16000x16000, a 3-byte index in 1
-	im := synthFor(t, 1, 16, 12, 0.5)
-	sjpr, err := EncodeProgressive(im, 80, 2)
+	bare := []byte{'S', 'J', 'P', 'G', sjpgVersion, 80, 0, 0, 0x3e, 0x80, 0, 0, 0x3e, 0x80, 1, 0x03, 0x00} // 16000x16000, a 3-byte index in 1
+	deep, err := EncodeProgressive(synthFor(t, 1, 16, 12, 0.5), 80, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	copy(sjpr[6:14], sjpg[6:14]) // same claim; the scan CRCs still hold
-	for name, decode := range map[string]func() error{
-		"Decode":            func() error { _, err := Decode(sjpg); return err },
-		"DecodeProgressive": func() error { _, _, err := DecodeProgressive(sjpr); return err },
-	} {
+	copy(deep[6:14], bare[6:14]) // same claim; the scan CRCs still hold
+	for name, data := range map[string][]byte{"a bare header": bare, "a 16×12 container": deep} {
+		decode := func() error { _, err := Decode(data); return err }
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := decode()
@@ -132,7 +129,7 @@ func TestDecodeSizesNothingFromAnImplausibleHeader(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 		if got := after.TotalAlloc - before.TotalAlloc; got > 1<<20 {
-			t.Errorf("%s allocated %d bytes for a %d-byte input", name, got, len(sjpg))
+			t.Errorf("%s allocated %d bytes for a %d-byte input", name, got, len(data))
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"slices"
 	"strings"
 	"testing"
@@ -12,42 +13,55 @@ import (
 	"repro/internal/bufpool"
 )
 
-// The band index of SJPG version 3 (codec.go): what it refuses, before any
-// buffer is sized; how a misstated band start is caught; which faults a crop
-// reads; and what the index costs.
+// The index (codec.go): what it refuses, before any buffer is sized; how a
+// misstated band start is caught; which faults a crop reads; and what the
+// index costs.
 
-// bandIndex is an SJPG stream taken apart: its header, each plane's bytes and
-// the entries of its band index, each plane's size and then its bands'
-// lengths in bits.
+// bandIndex is a container taken apart: its header, each scan's planes and
+// the entries of its index, each plane's size and then its bands' lengths in
+// bits.
 type bandIndex struct {
 	header  []byte
-	planes  [3][]byte
-	entries [3][]uint64
+	planes  [][3][]byte
+	entries [][3][]uint64
 }
 
 func parseBandIndex(t *testing.T, data []byte) bandIndex {
 	t.Helper()
-	s, err := parseSJPG(data)
+	c, err := parse(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := bandIndex{header: data[:headerSize], planes: s.planes}
-	for i, index := range s.index {
-		b.entries[i] = []uint64{uint64(len(s.planes[i]))}
-		for len(index) > 0 {
-			v, k := binary.Uvarint(index)
-			b.entries[i], index = append(b.entries[i], v), index[k:]
+	b := bandIndex{header: data[:headerSize]}
+	for j := range c.scans {
+		var planes [3][]byte
+		var entries [3][]uint64
+		for i, o := 0, c.start[j]; i < 3; i, o = i+1, o+c.size[j][i] {
+			planes[i] = data[o : o+c.size[j][i]]
+			entries[i] = []uint64{uint64(c.size[j][i])}
+			if data[o] == 0 {
+				entries[i][0] = 0 // stored
+			}
+			for index := c.index[j][i]; len(index) > 0; {
+				v, k := binary.Uvarint(index)
+				entries[i], index = append(entries[i], v), index[k:]
+			}
 		}
+		b.planes, b.entries = append(b.planes, planes), append(b.entries, entries)
 	}
 	return b
 }
 
-// index returns b's index entries as uvarints.
+// index returns b's index: each scan's CRC, over its planes as they are, and
+// its entries as uvarints.
 func (b bandIndex) index() []byte {
 	var index []byte
-	for _, e := range b.entries {
-		for _, v := range e {
-			index = binary.AppendUvarint(index, v)
+	for j, scan := range b.entries {
+		index = binary.BigEndian.AppendUint32(index, crc32.Checksum(slices.Concat(b.planes[j][:]...), crcTable))
+		for _, e := range scan {
+			for _, v := range e {
+				index = binary.AppendUvarint(index, v)
+			}
 		}
 	}
 	return index
@@ -59,28 +73,35 @@ func (b bandIndex) stream(index []byte) []byte {
 		index = b.index()
 	}
 	out := binary.AppendUvarint(slices.Clone(b.header), uint64(len(index)))
-	return append(append(out, index...), slices.Concat(b.planes[:]...)...)
+	out = append(out, index...)
+	for _, scan := range b.planes {
+		out = append(out, slices.Concat(scan[:]...)...)
+	}
+	return out
 }
 
 func (b bandIndex) clone() bandIndex {
-	c := b
-	for i := range c.entries {
-		c.entries[i] = slices.Clone(b.entries[i])
+	c := bandIndex{header: b.header, planes: slices.Clone(b.planes), entries: slices.Clone(b.entries)}
+	for j := range c.entries {
+		for i := range c.entries[j] {
+			c.entries[j][i] = slices.Clone(b.entries[j][i])
+		}
 	}
 	return c
 }
 
-// codesAt returns where plane i's codes start in its bytes.
+// codesAt returns where plane i of scan 0's codes start in its bytes.
 func (b bandIndex) codesAt(i int) int {
-	p := b.planes[i]
+	p := b.planes[0][i]
 	if p[0] == 0 {
 		return 1
 	}
 	return 2 + int(p[0]) + int(p[1+int(p[0])])
 }
 
-// bandStreams is a 21×40 image — three bands, the last 8 rows — as an SJPG
-// stream with coded planes and, noise, as one whose luma plane is stored.
+// bandStreams is a 21×40 image — three bands, the last 8 rows — as a
+// one-scan container with coded planes and, noise, as one whose luma plane
+// is stored.
 func bandStreams(t *testing.T) (coded, stored []byte) {
 	t.Helper()
 	coded, err := Encode(synthFor(t, 11, 21, 40, 0.5), DefaultQuality)
@@ -90,12 +111,12 @@ func bandStreams(t *testing.T) (coded, stored []byte) {
 	if stored, err = Encode(noiseImage(21, 40, 11), DefaultQuality); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range parseBandIndex(t, coded).planes {
+	for i, p := range parseBandIndex(t, coded).planes[0] {
 		if p[0] == 0 {
 			t.Fatalf("coded stream: plane %d stored", i)
 		}
 	}
-	if parseBandIndex(t, stored).planes[0][0] != 0 {
+	if parseBandIndex(t, stored).planes[0][0][0] != 0 {
 		t.Fatal("stored stream: luma coded")
 	}
 	return coded, stored
@@ -120,10 +141,11 @@ func TestBandIndexRejections(t *testing.T) {
 		if got := b.stream(nil); !bytes.Equal(got, data) {
 			t.Fatalf("%s: the stream taken apart and written back differs", name)
 		}
-		codeBits := uint64(8 * (len(b.planes[0]) - b.codesAt(0)))
-		mutated := func(f func(e *[3][]uint64)) []byte {
+		codeBits := uint64(8 * (len(b.planes[0][0]) - b.codesAt(0)))
+		mutated := func(f func(e *[3][]uint64)) (out []byte) {
+			defer func() { recover() }() // a stored plane 0 has no band lengths: no stream
 			c := b.clone()
-			f(&c.entries)
+			f(&c.entries[0])
 			return c.stream(nil)
 		}
 		type indexCase struct {
@@ -131,26 +153,28 @@ func TestBandIndexRejections(t *testing.T) {
 			stream     []byte
 		}
 		cases := []indexCase{
-			{"a length that runs past the plane", "plane 0 band 0: a truncated length, or",
+			{"a length that runs past the plane", "scan 0 plane 0 band 0: a truncated length, or",
 				mutated(func(e *[3][]uint64) { e[0][1] = codeBits + 1 })},
-			{"lengths that do not sum to the plane", "plane 1: bands end",
+			{"lengths that do not sum to the plane", "scan 0 plane 1: bands end",
 				mutated(func(e *[3][]uint64) { e[1][len(e[1])-1] -= 8 })},
 			{"a band too short to yield its rows", "left for 336 bytes",
 				mutated(func(e *[3][]uint64) { e[0][1], e[0][2] = e[0][1]+e[0][2]-1, 1 })},
-			{"a truncated uvarint", "plane 2 band 2: a truncated length", b.stream(b.index()[:len(b.index())-1])},
-			{"trailing index bytes", "band index: 1 trailing index bytes", b.stream(append(b.index(), 0))},
+			{"a truncated uvarint", "scan 0 plane 2 band 2: a truncated length", b.stream(b.index()[:len(b.index())-1])},
+			{"trailing index bytes", "index: 1 trailing index bytes", b.stream(append(b.index(), 0))},
 			{"a truncated index length", "truncated uvarint", append(slices.Clone(b.header), 0x80)},
 			{"an index longer than the stream", "bytes of index in", binary.AppendUvarint(slices.Clone(b.header), uint64(len(data)))},
-			{"a band count one short", "plane 2 band 2: a truncated length", mutated(func(e *[3][]uint64) { e[2] = e[2][:len(e[2])-1] })},
-			{"a band count one over", "band index: 1 trailing index bytes", mutated(func(e *[3][]uint64) { e[2] = append(e[2], 8) })},
-			{"a plane size past the stream", "plane 2: truncated uvarint, or", mutated(func(e *[3][]uint64) { e[2][0]++ })},
-			{"a byte after the planes", "1 bytes after the planes", append(b.stream(nil), 0)},
-			{"a plane whose tables run past it", "plane 1: 1 bytes hold no codes",
+			{"no CRC", "scan 0: no CRC", b.stream(b.index()[:3])},
+			{"a band count one short", "scan 0 plane 2 band 2: a truncated length", mutated(func(e *[3][]uint64) { e[2] = e[2][:len(e[2])-1] })},
+			{"a band count one over", "index: 1 trailing index bytes", mutated(func(e *[3][]uint64) { e[2] = append(e[2], 8) })},
+			{"a plane size past the writer's", "scan 0 plane 2: truncated uvarint, or 222 bytes for 220", mutated(func(e *[3][]uint64) { e[2][0] = 222 })},
+			{"a byte after the scans", "1 bytes after the scans", append(b.stream(nil), 0)},
+			{"a plane whose tables run past it", "scan 0 plane 1: 1 bytes hold no codes",
 				mutated(func(e *[3][]uint64) { e[1][0], e[2][0] = 1, e[1][0]+e[2][0]-1 })},
 		}
-		if name == "stored" {
-			cases = append(cases, indexCase{"a stored band's length a bit over", "plane 0 band 0: ",
-				mutated(func(e *[3][]uint64) { e[0][1]++; e[0][2]-- })})
+		cases = slices.DeleteFunc(cases, func(c indexCase) bool { return c.stream == nil })
+		if name == "stored" { // plane 0 has no band lengths to damage, but its size must stay unsaid
+			cases = append(cases, indexCase{"a stored plane's size stated", "scan 0 plane 0: stored is false, its marker 0",
+				mutated(func(e *[3][]uint64) { e[0][0] = uint64(len(b.planes[0][0])) })})
 		}
 		if _, err := Decode(data); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -178,11 +202,14 @@ func TestMisstatedBandStart(t *testing.T) {
 	coded, stored := bandStreams(t)
 	for name, data := range map[string][]byte{"coded": coded, "stored": stored} {
 		b := parseBandIndex(t, data)
-		for p := range b.planes {
+		for p := range b.planes[0] {
+			if b.planes[0][p][0] == 0 {
+				continue // stored: its bands start where their bytes do
+			}
 			for _, d := range []int64{-1, 1} {
 				c := b.clone()
-				c.entries[p][1] = uint64(int64(c.entries[p][1]) + d)
-				c.entries[p][2] = uint64(int64(c.entries[p][2]) - d)
+				e := c.entries[0][p]
+				e[1], e[2] = uint64(int64(e[1])+d), uint64(int64(e[2])-d)
 				stream := c.stream(nil)
 				_, decodeErr := Decode(stream)
 				if !errors.Is(decodeErr, ErrCorrupt) {
@@ -207,14 +234,14 @@ func TestMisstatedBandStart(t *testing.T) {
 func TestCropParityPerBand(t *testing.T) {
 	coded, _ := bandStreams(t)
 	b := parseBandIndex(t, coded)
-	for p := range b.planes {
+	for p := range b.planes[0] {
 		bit := 8 * b.codesAt(p)
-		for band, bits := range b.entries[p][1:] {
+		for band, bits := range b.entries[0][p][1:] {
 			flipped := false
 			for at := bit; at < bit+int(bits) && !flipped; at += 3 {
 				c := b.clone()
-				c.planes[p] = bytes.Clone(c.planes[p])
-				c.planes[p][at/8] ^= 0x80 >> (at % 8)
+				c.planes[0][p] = bytes.Clone(c.planes[0][p])
+				c.planes[0][p][at/8] ^= 0x80 >> (at % 8)
 				stream := c.stream(nil)
 				wantGets, decodeErr := arenaGets(func() (*Image, error) { return Decode(stream) })
 				if decodeErr == nil {
@@ -240,21 +267,32 @@ func TestCropParityPerBand(t *testing.T) {
 	}
 }
 
-// TestBandIndexCost logs what the band index costs benchSet's objects, the
-// line CI prints beside the line count, and holds it under 0.5 %.
+// TestBandIndexCost logs what the index costs benchSet's objects at one scan
+// and at MaxScans, the lines CI prints beside the line count, and holds each
+// under 0.5 %.
 func TestBandIndexCost(t *testing.T) {
 	set, err := benchSet()
 	if err != nil {
 		t.Fatal(err)
 	}
-	index, total := 0, 0
-	for _, s := range set {
-		index += sjpgPlanesAt(s.data) - headerSize
-		total += len(s.data)
+	prog, err := benchProgressive()
+	if err != nil {
+		t.Fatal(err)
 	}
-	frac := float64(index) / float64(total)
-	t.Logf("SJPG band index: %d B of %d B mean object (%.2f %%)", index/len(set), total/len(set), 100*frac)
-	if frac > 0.005 {
-		t.Errorf("the band index is %.2f %% of benchSet's objects, over 0.5 %%", 100*frac)
+	for _, depth := range []struct {
+		scans   int
+		objects func(i int) []byte
+	}{{1, func(i int) []byte { return set[i].data }}, {MaxScans, func(i int) []byte { return prog[i] }}} {
+		index, total := 0, 0
+		for i := range set {
+			data := depth.objects(i)
+			index += scansAt(data) - headerSize
+			total += len(data)
+		}
+		frac := float64(index) / float64(total)
+		t.Logf("index at L = %d: %d B of %d B mean object (%.2f %%)", depth.scans, index/len(set), total/len(set), 100*frac)
+		if frac > 0.005 {
+			t.Errorf("the index is %.2f %% of benchSet's objects at L = %d, over 0.5 %%", 100*frac, depth.scans)
+		}
 	}
 }

@@ -113,13 +113,13 @@ func BenchmarkDecodeCropResize128(b *testing.B) {
 	}
 }
 
-// benchSet is 48 SJPG streams sized the way the live benchmark sizes its
+// benchSet is 48 one-scan objects sized the way the live benchmark sizes its
 // inputs — each side uniform in 160–640, detail uniform in 0–1, default
 // quality — with the size of their planes and one RandomResizedCrop-shaped
 // rect apiece (8–100 % of the area, aspect 3/4–4/3). One stream is one sample
 // of cpu_local or storage_alloff, so the two Set benchmarks price the kernels
 // on the traffic they serve; BenchmarkDecode640x480 stays as the one-stream
-// number older records quote. The image stays for the SJPR pair.
+// number older records quote. The image stays for the MaxScans pair.
 type benchStream struct {
 	im     *Image
 	data   []byte
@@ -166,21 +166,21 @@ func benchSetFor(b *testing.B) []benchStream {
 	return set
 }
 
-// BenchmarkInflateSet times the band decoder over every band of every plane,
-// what Decode spends before undoing the prediction.
+// BenchmarkInflateSet times the CRC and the band decoder over every band of
+// every plane, what Decode spends before undoing the prediction.
 func BenchmarkInflateSet(b *testing.B) {
 	set := benchSetFor(b)
-	streams := make([]sjpgStream, len(set))
+	streams := make([]container, len(set))
 	for i, s := range set {
 		var err error
-		if streams[i], err = parseSJPG(s.data); err != nil {
+		if streams[i], err = whole(s.data); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := &streams[i%len(set)]
-		p, err := s.decode(0, (s.h+bandRows-1)/bandRows)
+		p, err := s.decode(set[i%len(set)].data, 1, 0, (s.h+bandRows-1)/bandRows)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -262,8 +262,8 @@ func BenchmarkUnpackSet(b *testing.B) {
 	b.ReportMetric(mean, "packed-B")
 }
 
-// BenchmarkEncodeSet is what set-up spends on each stored SJPG object, and
-// reports the mean object.
+// BenchmarkEncodeSet is what set-up spends on each stored one-scan object,
+// and reports the mean object.
 func BenchmarkEncodeSet(b *testing.B) {
 	set := benchSetFor(b)
 	stored := 0
@@ -279,7 +279,7 @@ func BenchmarkEncodeSet(b *testing.B) {
 	b.ReportMetric(float64(stored)/float64(len(set)), "stored-B")
 }
 
-// benchProgressive is benchSet's images as MaxScans SJPR containers, one
+// benchProgressive is benchSet's images as MaxScans-deep containers, one
 // sample of sharded_progressive each.
 var benchProgressive = sync.OnceValues(func() ([][]byte, error) {
 	set, err := benchSet()
@@ -306,25 +306,26 @@ func BenchmarkEncodeProgressiveSet(b *testing.B) {
 }
 
 // BenchmarkDecodeProgressiveCropResizeSet is BenchmarkDecodeCropResizeSet on
-// the full containers, and reports what they cost to store beside SJPG.
+// the MaxScans-deep containers, and reports what they cost to store beside
+// one scan.
 func BenchmarkDecodeProgressiveCropResizeSet(b *testing.B) {
 	set := benchSetFor(b)
 	prog, err := benchProgressive()
 	if err != nil {
 		b.Fatal(err)
 	}
-	var sjpr, sjpg int
+	var deep, one int
 	for i, s := range set {
-		sjpr, sjpg = sjpr+len(prog[i]), sjpg+len(s.data)
+		deep, one = deep+len(prog[i]), one+len(s.data)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := DecodeProgressiveCropResize(prog[i%len(set)], set[i%len(set)].rect, 128, 128)
+		out, err := DecodeCropResize(prog[i%len(set)], set[i%len(set)].rect, 128, 128)
 		if err != nil {
 			b.Fatal(err)
 		}
 		out.Release()
 	}
-	b.ReportMetric(float64(sjpr)/float64(len(set)), "container-B")
-	b.ReportMetric(float64(sjpr)/float64(sjpg), "sjpr/sjpg")
+	b.ReportMetric(float64(deep)/float64(len(set)), "container-B")
+	b.ReportMetric(float64(deep)/float64(one), "deep/one")
 }

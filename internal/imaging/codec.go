@@ -4,49 +4,76 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"image/color"
 
 	"repro/internal/bufpool"
 )
 
-// SJPG is a real lossy image codec standing in for JPEG. The encoder
-// converts RGB to YCbCr, 2x2-subsamples the chroma planes, quantizes each
-// plane by a quality-derived shift, delta-predicts rows, and codes the three
-// planes of residuals one after another (planes.go). Like JPEG, its output
+// SJPG is a real lossy image codec standing in for JPEG, and the one stored
+// image format. The encoder converts RGB to YCbCr, 2x2-subsamples the chroma
+// planes, quantizes each plane by a quality-derived shift, delta-predicts rows,
+// and codes the planes one after another (planes.go). Like JPEG, its output
 // size depends strongly on image content: smooth images compress an order of
 // magnitude better than noisy ones.
 //
-// Each plane is cut into bands of bandRows luma rows (chroma: half as many),
-// so that a crop decodes only the bands its rows fall in: column 0 of a band's
-// first row predicts from the band before's first row, and the band index
-// says where each band's codes start:
+// A container holds L scans, 1 ≤ L ≤ MaxScans, and every prefix of whole scans
+// decodes to an image, so that a server slices a stored object to a fidelity
+// without re-encoding it — one progressive record per sample, as Progressive
+// Compressed Records keep. Scan 0 holds the three quantized planes
+// right-shifted by L−1 extra bits; scan j > 0 holds the j-th refinement bit of
+// every value as a bit plane a plane: value i in bit i&7 of byte i>>3, the pad
+// bits of the last byte zero. Decoding k scans reconstructs
+// the planes at the quality's shift plus L−k; decoding all L scans gives the
+// same pixels whatever L is.
 //
-//	0..13   header: magic, version, quality, W, H (big-endian)
-//	...     uvarint L, then L bytes of index: for each plane, its size in
-//	        bytes (tables and codes), then each band's length in bits
-//	...     the three planes, each its tables (or 0, stored) and then its
-//	        bands' codes, one after another, zero-padded to a byte
-
+// Each plane is cut into bands of bandRows luma rows (chroma: half as many),
+// which in a bit plane are 2W bytes (chroma: ⌈W/2⌉), so that a crop decodes only
+// the bands its rows fall in: column 0 of a band's first row predicts from the
+// band before's first row, and the index says where each band's codes start:
+//
+//	0..14   header: magic, version, quality, W, H (big-endian), L
+//	...     uvarint N, then N bytes of index: for each scan its CRC32-C (4
+//	        bytes, big-endian), then for each of its three planes its size in
+//	        bytes (tables and codes) and each band's length in bits, or 0 for
+//	        a stored plane, whose size and bands go without saying (uvarints)
+//	...     the L scans, each its three planes, each its tables (or 0, stored)
+//	        and then its bands' codes, one after another, zero-padded to a byte
+//
+// A scan's length is the sum of its planes' sizes, a stored plane's its
+// bytes and the marker.
 const (
 	sjpgMagic   = "SJPG"
-	sjpgVersion = 3                 // 2 coded planes without bands, 1 stored them as DEFLATE blocks
-	headerSize  = 4 + 1 + 1 + 4 + 4 // magic, version, quality, W, H
-	bandRows    = 16                // luma rows a band
+	sjprMagic   = "SJPR"                // versions 1–3 kept progressive scans in a container of their own
+	sjpgVersion = 4                     // 3 had no scans, 2 no bands, 1 stored planes as DEFLATE blocks
+	headerSize  = 4 + 1 + 1 + 4 + 4 + 1 // magic, version, quality, W, H, L
+	bandRows    = 16                    // luma rows a band
+
+	// MaxScans bounds the scan count: each refinement scan adds one bit of
+	// plane precision, and the quality-derived shifts leave at most ~5
+	// meaningful bits, so more than 4 scans would refine noise.
+	MaxScans = 4
 )
 
-// Codec errors.
+// Codec errors. ErrTruncated is the typed "prefix ends mid-scan" signal: a
+// well-formed prefix ends exactly on a scan boundary (SlicePrefix guarantees
+// this), so anything else is transport damage or a corrupt index.
 var (
 	ErrCorrupt     = errors.New("imaging: corrupt SJPG stream")
 	ErrBadQuality  = errors.New("imaging: quality must be in [1, 100]")
 	ErrUnsupported = errors.New("imaging: unsupported format version")
+	ErrTruncated   = errors.New("imaging: SJPG prefix truncated mid-scan")
+	ErrBadScans    = fmt.Errorf("imaging: scan count must be in [1, %d]", MaxScans)
 )
 
 // DefaultQuality is used by EncodeDefault and by the dataset generator.
 const DefaultQuality = 80
 
-// maxDim is the largest width or height any header (SJPG, SJPR, packed
-// artifact) may claim.
+// maxDim is the largest width or height any header (SJPG, packed artifact)
+// may claim.
 const maxDim = 1 << 16
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 func shifts(quality int) (yShift, cShift uint) {
 	switch {
@@ -61,44 +88,96 @@ func shifts(quality int) (yShift, cShift uint) {
 	}
 }
 
-// Encode compresses im at the given quality (1..100) and returns the SJPG
-// byte stream. The returned slice is freshly allocated at its exact length and
-// owned by the caller; the plane scratch is pooled, the writer's on the stack.
-func Encode(im *Image, quality int) ([]byte, error) {
+// planeBytes returns the bytes plane i of scan j of a w×h image takes and its
+// bands take, and its stride in values: its values, or from scan 1 on one bit
+// of each.
+func planeBytes(w, h, i, j int) (size, band, stride int) {
+	stride, rows := w, h
+	if i > 0 {
+		stride, rows = (w+1)/2, (h+1)/2
+	}
+	size, band = stride*rows, bandRows>>min(i, 1)*stride
+	if j > 0 {
+		size, band = (size+7)/8, band/8
+	}
+	return size, band, stride
+}
+
+// Encode compresses im at the given quality (1..100) into a container of one
+// scan.
+func Encode(im *Image, quality int) ([]byte, error) { return EncodeProgressive(im, quality, 1) }
+
+// EncodeDefault is Encode at DefaultQuality.
+func EncodeDefault(im *Image) ([]byte, error) { return Encode(im, DefaultQuality) }
+
+// EncodeProgressive compresses im at the given quality into a container of
+// scans scans (1..MaxScans). The returned slice is freshly allocated at its
+// exact length and owned by the caller; the scratch is pooled, the writer's
+// on the stack.
+func EncodeProgressive(im *Image, quality, scans int) ([]byte, error) {
 	if quality < 1 || quality > 100 {
 		return nil, fmt.Errorf("%w: %d", ErrBadQuality, quality)
 	}
+	if scans < 1 || scans > MaxScans {
+		return nil, fmt.Errorf("%w: %d", ErrBadScans, scans)
+	}
 	yShift, cShift := shifts(quality)
-
-	n, cw, cn := im.W*im.H, (im.W+1)/2, ((im.W+1)/2)*((im.H+1)/2)
-	buf := bufpool.GetBytes(n + 2*cn)
+	n, cn := im.W*im.H, ((im.W+1)/2)*((im.H+1)/2)
+	total := n + 2*cn
+	// The values, one scan's planes, the coded scans — a plane takes at most
+	// its bytes and a marker — and then the index: a CRC, a plane's size and a
+	// band's length take ≤ 4, 5, 4 B.
+	coded := 0
+	for j := range scans {
+		for i := range 3 {
+			size, _, _ := planeBytes(im.W, im.H, i, j)
+			coded += 1 + size
+		}
+	}
+	buf := bufpool.GetBytes(2*total + coded + scans*(4+3*(5+4*((im.H+bandRows-1)/bandRows))))
 	defer bufpool.PutBytes(buf)
-	planes := [3][]byte{buf[:n], buf[n : n+cn], buf[n+cn : n+2*cn]}
-	fillPlanes(im, yShift, cShift, planes[0], planes[1], planes[2])
+	values, scratch, body, index := buf[:total], buf[total:2*total], buf[2*total:2*total], buf[2*total+coded:2*total+coded]
+	fillPlanes(im, yShift, cShift, values[:n], values[n:n+cn], values[n+cn:])
 
-	var codes [3]planeCode
-	strides, bands := [3]int{im.W, cw, cw}, [3]int{bandRows * im.W, bandRows / 2 * cw, bandRows / 2 * cw}
-	size := 0
-	for i, p := range planes {
-		deltaEncode(p, strides[i], bandRows>>min(i, 1))
-		size += codes[i].plan(p, bands[i])
+	for j := range scans {
+		at, start := len(index), len(body)
+		index = append(index, 0, 0, 0, 0) // the scan's CRC, once it is coded
+		for i, v := range [3][]byte{values[:n], values[n : n+cn], values[n+cn:]} {
+			size, band, stride := planeBytes(im.W, im.H, i, j)
+			p := scratch[:size]
+			if j == 0 {
+				// The byte loop of a variable shift costs ≈ 50× the copy, a
+				// tenth of a one-scan encode: one scan takes the copy alone.
+				copy(p, v)
+				if scans > 1 {
+					for k := range p {
+						p[k] >>= scans - 1
+					}
+				}
+				deltaEncode(p, stride, bandRows>>min(i, 1))
+			} else {
+				clear(p)
+				bit := uint(scans - 1 - j)
+				for k, x := range v {
+					p[k>>3] |= (x >> bit & 1) << (k & 7)
+				}
+			}
+			var code planeCode
+			size = code.plan(p, band)
+			index = binary.AppendUvarint(index, uint64(size*min(code.h, 1))) // 0: stored
+			index = code.put(body[len(body):][:size], p, band, index)
+			body = body[:len(body)+size]
+		}
+		binary.BigEndian.PutUint32(index[at:], crc32.Checksum(body[start:], crcTable))
 	}
-	// The planes, then their index: a plane's size and band lengths take ≤ 5, 4 B.
-	scratch := bufpool.GetBytes(size + 3*(5+4*((im.H+bandRows-1)/bandRows)))
-	defer bufpool.PutBytes(scratch)
-	index, o := scratch[size:size], 0
-	for i, p := range planes {
-		index = binary.AppendUvarint(index, uint64(codes[i].size))
-		index = codes[i].put(scratch[o:o+codes[i].size], p, bands[i], index)
-		o += codes[i].size
-	}
-	out := make([]byte, headerSize+uvarintLen(len(index))+len(index)+size)
+	out := make([]byte, headerSize+uvarintLen(len(index))+len(index)+len(body))
 	copy(out, sjpgMagic)
 	out[4], out[5] = sjpgVersion, uint8(quality)
 	binary.BigEndian.PutUint32(out[6:10], uint32(im.W))
 	binary.BigEndian.PutUint32(out[10:14], uint32(im.H))
-	o = headerSize + binary.PutUvarint(out[headerSize:], uint64(len(index)))
-	copy(out[o+copy(out[o:], index):], scratch[:size])
+	out[14] = uint8(scans)
+	o := headerSize + binary.PutUvarint(out[headerSize:], uint64(len(index)))
+	copy(out[o+copy(out[o:], index):], body)
 	return out, nil
 }
 
@@ -144,20 +223,18 @@ func fillPlanes(im *Image, yShift, cShift uint, yPlane, cbPlane, crPlane []uint8
 	}
 }
 
-// EncodeDefault is Encode at DefaultQuality.
-func EncodeDefault(im *Image) ([]byte, error) { return Encode(im, DefaultQuality) }
-
-// Decode reconstructs an image from an SJPG stream, refusing it unless each
-// band's codes start where the band index says. The returned image is
-// pool-backed: the caller owns it and should call Release when done to keep
+// Decode reconstructs an image from a container or a prefix of whole scans,
+// at the fidelity of the scans it holds, refusing it unless each scan matches
+// its CRC and each band's codes start where the index says. The returned image
+// is pool-backed: the caller owns it and should call Release when done to keep
 // the decode path allocation-free at steady state (skipping Release is safe,
 // merely slower).
 func Decode(data []byte) (*Image, error) {
-	s, err := parseSJPG(data)
+	c, err := whole(data)
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.decode(0, (s.h+bandRows-1)/bandRows)
+	p, err := c.decode(data, c.present, 0, (c.h+bandRows-1)/bandRows)
 	if err != nil {
 		return nil, err
 	}
@@ -166,22 +243,23 @@ func Decode(data []byte) (*Image, error) {
 }
 
 // DecodeCropResize is CropResize(Decode(data), rect, w, h) without the full
-// image in between: it checks the header, the band index and the rect, then
-// decodes only the bands rect's rows fall in, with Decode's checks, and
-// dequantizes only the pixels the resample reads (ycc.cropResize). Where
-// Decode accepts, the pixels and errors are CropResize(Decode)'s; a fault in a
-// band it does not read it need not see — over every row it refuses as Decode
-// does — which is why a store decodes each object in full as it loads
+// image in between: it checks the header, the index and the rect, then
+// decodes only the bands rect's rows fall in, in every scan, with Decode's
+// checks, and dequantizes only the pixels the resample reads (ycc.cropResize).
+// Where Decode accepts, the pixels and errors are CropResize(Decode)'s. A
+// fault in a band it does not read it need not see, nor one only a scan's CRC
+// shows unless it reads every band — over every row it refuses as Decode does
+// — which is why a store decodes each object in full as it loads
 // (dataset.DirSet.Materialize). The result is pool-backed.
 func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
-	s, err := parseSJPG(data)
+	c, err := whole(data)
 	if err != nil {
 		return nil, err
 	}
-	if err := checkCropResize(rect, s.w, s.h, w, h); err != nil {
+	if err := checkCropResize(rect, c.w, c.h, w, h); err != nil {
 		return nil, err
 	}
-	p, err := s.decode(rect.Y/bandRows, (rect.Y+rect.H-1)/bandRows+1)
+	p, err := c.decode(data, c.present, rect.Y/bandRows, (rect.Y+rect.H-1)/bandRows+1)
 	if err != nil {
 		return nil, err
 	}
@@ -191,29 +269,46 @@ func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 
 // ycc is an accepted stream between its two decode steps: the still quantized
 // Y/Cb/Cr planes of a w×h image (chroma 2x2-subsampled) and the shifts that
-// dequantize them — for a progressive prefix the undelivered refinement depth
-// on top of the quality-derived shift. The planes are cut from buf, a bufpool
-// buffer the ycc owns until release. While residual is set they are what the
-// stream decoded to, row-prediction residuals, and the one step that reads
-// them — image or cropResize — first undoes the prediction where it will
-// read, and there folds in the bits of the refinement bit planes that follow
-// the planes in buf; the rest stays residuals, so a ycc serves one such call.
+// dequantize them — for a prefix the undelivered refinement depth on top of
+// the quality-derived shift. The planes are cut from buf, a bufpool buffer the
+// ycc owns until release, and after them each plane's refinement bit planes.
+// While residual is set the planes are what the stream decoded to,
+// row-prediction residuals, and the one step that reads them — image or
+// cropResize — first undoes the prediction where it will read, and there
+// folds in the refinement bits; the rest stays residuals, so a ycc serves one
+// such call.
 type ycc struct {
 	w, h           int
 	yShift, cShift uint
 	y, cb, cr      []uint8
+	ref            [3]refinement
 	buf            []uint8
 	residual       bool
-	bits           int // refinement bit planes after the planes in buf
-	band           int // rows, a power of two: see deltaEncode
 }
 
-// newYCC cuts the planes of a w×h image from the front of buf, which the
-// caller is about to inflate residuals into, predicted as one band.
-func newYCC(w, h int, yShift, cShift uint, buf []uint8) ycc {
+// newYCC draws the buffer of a w×h image's planes at quality from k of scans
+// scans: the values, then each plane's k−1 bit planes.
+func newYCC(w, h, quality, scans, k int) ycc {
+	yShift, cShift := shifts(quality)
 	n, cn := w*h, ((w+1)/2)*((h+1)/2)
-	return ycc{w: w, h: h, yShift: yShift, cShift: cShift,
-		y: buf[:n], cb: buf[n : n+cn], cr: buf[n+cn : n+2*cn], buf: buf, residual: true, band: maxDim}
+	bits := [3]int{(n + 7) / 8, (cn + 7) / 8, (cn + 7) / 8}
+	buf := bufpool.GetBytes(n + 2*cn + (k-1)*(bits[0]+2*bits[1]))
+	p := ycc{w: w, h: h, yShift: yShift + uint(scans-k), cShift: cShift + uint(scans-k),
+		y: buf[:n], cb: buf[n : n+cn], cr: buf[n+cn : n+2*cn], buf: buf, residual: true}
+	for i, o := 0, n+2*cn; i < 3; i, o = i+1, o+(k-1)*bits[i] {
+		p.ref[i] = refinement{buf[o : o+(k-1)*bits[i]], k - 1}
+	}
+	return p
+}
+
+// plane returns where plane i of scan j decodes to.
+func (p *ycc) plane(i, j int) []byte {
+	if j == 0 {
+		return [3][]byte{p.y, p.cb, p.cr}[i]
+	}
+	r := p.ref[i]
+	span := len(r.packed) / r.planes
+	return r.packed[(j-1)*span : j*span]
 }
 
 func (p *ycc) release() { bufpool.PutBytes(p.buf) }
@@ -225,11 +320,10 @@ func (p *ycc) undoPrediction(rows []int32, last int) {
 		return
 	}
 	p.residual = false
-	cw, n, cn := (p.w+1)/2, len(p.y), len(p.cb)
-	packed := p.buf[n+2*cn:]
-	undoPrediction(p.y, p.w, rows, 0, last, p.band, refinement{packed, p.bits, 0})
-	undoPrediction(p.cb, cw, rows, 1, last>>1, p.band>>1, refinement{packed, p.bits, n})
-	undoPrediction(p.cr, cw, rows, 1, last>>1, p.band>>1, refinement{packed, p.bits, n + cn})
+	cw := (p.w + 1) / 2
+	undoPrediction(p.y, p.w, rows, 0, last, bandRows, p.ref[0])
+	undoPrediction(p.cb, cw, rows, 1, last>>1, bandRows/2, p.ref[1])
+	undoPrediction(p.cr, cw, rows, 1, last>>1, bandRows/2, p.ref[2])
 }
 
 // undoEveryPrediction is undoPrediction over the whole image.
@@ -243,20 +337,27 @@ func (p *ycc) undoEveryPrediction() {
 	samplerPool.Put(s)
 }
 
-// sjpgStream is an accepted SJPG header and band index: each plane's bytes,
-// its bands' lengths in bits (uvarints) and its bytes a band.
-type sjpgStream struct {
-	w, h, quality int
-	planes, index [3][]byte
-	band          [3]int
+// container is an accepted header and index: where each scan starts (and,
+// at scans, where the last ends), its CRC, and each of its planes' size and
+// bands' lengths in bits (uvarints), and how many whole scans data holds.
+type container struct {
+	w, h, quality, scans int
+	present              int // whole scans; −1 when data ends inside one
+	start                [MaxScans + 1]int
+	crc                  [MaxScans]uint32
+	size                 [MaxScans][3]int
+	index                [MaxScans][3][]byte
 }
 
-// parseSJPG checks the header and the band index before any buffer is sized:
-// the planes tile the payload, each plane's band lengths add up to its codes,
-// and each band's codes are long enough to yield its rows.
-func parseSJPG(data []byte) (s sjpgStream, err error) {
-	if s.w, s.h, s.quality, err = parseHeader(data); err != nil {
-		return s, err
+// parse checks the header and the index before any buffer is sized: each
+// plane's size is at most its bytes and a marker, the planes tile the scans,
+// each band's codes are long enough to yield its bytes, and data ends at or
+// before the last scan's end. Of a plane data holds, it also checks that the
+// index and its marker agree on whether it is stored, and that its bands'
+// lengths add up to its codes.
+func parse(data []byte) (c container, err error) {
+	if c.w, c.h, c.quality, c.scans, err = parseHeader(data); err != nil {
+		return c, err
 	}
 	index := data[headerSize:]
 	next := func() (uint64, bool) {
@@ -264,108 +365,116 @@ func parseSJPG(data []byte) (s sjpgStream, err error) {
 		index = index[max(k, 0):]
 		return v, k > 0
 	}
-	bad := func(format string, a ...any) (sjpgStream, error) {
-		return s, fmt.Errorf("%w: band index: "+format, append([]any{ErrCorrupt}, a...)...)
+	bad := func(format string, a ...any) (container, error) {
+		return c, fmt.Errorf("%w: index: "+format, append([]any{ErrCorrupt}, a...)...)
 	}
 	size, ok := next()
 	if !ok || size > uint64(len(index)) {
 		return bad("truncated uvarint, or %d bytes of index in %d", size, len(index))
 	}
-	index, data = index[:size], index[size:]
-	for i := range s.planes {
-		size, ok := next()
-		if !ok || size > uint64(len(data)) {
-			return bad("plane %d: truncated uvarint, or %d bytes in %d", i, size, len(data))
+	index, o := index[:size], len(data)-len(index)+int(size)
+	for j := range c.scans {
+		if len(index) < 4 {
+			return bad("scan %d: no CRC", j)
 		}
-		plane, from := data[:size], index
-		s.planes[i], data = plane, data[size:]
-		// The codes follow the stored marker, or the tables: H, H bytes, R,
-		// R bytes.
-		codes := 1
-		if len(plane) == 0 {
-			codes = 2
-		} else if r := 1 + int(plane[0]); plane[0] != 0 {
-			codes = r + 1 + int(plane[min(r, len(plane)-1)])
-		}
-		if codes > len(plane) {
-			return bad("plane %d: %d bytes hold no codes", i, len(plane))
-		}
-		have, stride, rows := 8*uint64(len(plane)-codes), s.w, s.h
-		if i > 0 {
-			stride, rows = (s.w+1)/2, (s.h+1)/2
-		}
-		n := stride * rows
-		s.band[i] = bandRows >> min(i, 1) * stride
-		for lo, b := 0, 0; lo < n; lo, b = lo+s.band[i], b+1 {
-			bits, ok := next()
-			if rows := uint64(min(s.band[i], n-lo)); !ok || bits > have || bits*maxRun < rows || plane[0] == 0 && bits != 8*rows {
-				return bad("plane %d band %d: a truncated length, or %d bits of the plane's %d left for %d bytes", i, b, bits, have, rows)
+		c.crc[j], index, c.start[j] = binary.BigEndian.Uint32(index), index[4:], o
+		for i := range 3 {
+			n, band, _ := planeBytes(c.w, c.h, i, j)
+			size, ok := next()
+			stored := ok && size == 0
+			if stored {
+				size = uint64(n) + 1
 			}
-			have -= bits
+			if !ok || size > uint64(n)+1 {
+				return bad("scan %d plane %d: truncated uvarint, or %d bytes for %d", j, i, size, n)
+			}
+			// The codes follow the tables: H, H bytes, R, R bytes. Of a plane
+			// data does not hold, only its size bounds them.
+			have, held := 8*(int(size)-1), o+int(size) <= len(data)
+			if held && (data[o] == 0) != stored {
+				return bad("scan %d plane %d: stored is %v, its marker %d", j, i, stored, data[o])
+			}
+			if held && !stored {
+				plane, r := data[o:o+int(size)], 1+int(data[o])
+				codes := r + 1 + int(plane[min(r, len(plane)-1)])
+				if codes > len(plane) {
+					return bad("scan %d plane %d: %d bytes hold no codes", j, i, len(plane))
+				}
+				have = 8 * (len(plane) - codes)
+			}
+			from := index
+			for lo, b := 0, 0; !stored && lo < n; lo, b = lo+band, b+1 {
+				bits, ok := next()
+				if rows := uint64(min(band, n-lo)); !ok || bits > uint64(have) || bits*maxRun < rows {
+					return bad("scan %d plane %d band %d: a truncated length, or %d bits of the plane's %d left for %d bytes", j, i, b, bits, have, rows)
+				}
+				have -= int(bits)
+			}
+			if held && !stored && have >= 8 {
+				return bad("scan %d plane %d: bands end %d bits short of it", j, i, have)
+			}
+			c.size[j][i], c.index[j][i] = int(size), from[:len(from)-len(index)]
+			o += int(size)
 		}
-		if have >= 8 {
-			return bad("plane %d: bands end %d bits short of it", i, have)
+	}
+	c.start[c.scans] = o
+	if len(index) != 0 {
+		return bad("%d trailing index bytes", len(index))
+	}
+	if len(data) > o {
+		return bad("%d bytes after the scans", len(data)-o)
+	}
+	c.present = -1
+	for k := 0; k <= c.scans; k++ {
+		if len(data) == c.start[k] {
+			c.present = k
 		}
-		s.index[i] = from[:len(from)-len(index)]
 	}
-	if len(index)+len(data) != 0 {
-		return bad("%d trailing index bytes, %d bytes after the planes", len(index), len(data))
-	}
-	return s, nil
+	return c, nil
 }
 
-// decode decodes bands [b0, b1) of each plane into pooled whole planes.
-func (s *sjpgStream) decode(b0, b1 int) (ycc, error) {
-	yShift, cShift := shifts(s.quality)
-	p := newYCC(s.w, s.h, yShift, cShift, bufpool.GetBytes(s.w*s.h+2*((s.w+1)/2)*((s.h+1)/2)))
-	p.band = bandRows
+// whole is parse, refusing data unless it holds one whole scan or more and
+// ends on a scan boundary.
+func whole(data []byte) (container, error) {
+	c, err := parse(data)
+	if err == nil && c.present < 1 {
+		err = fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+	}
+	return c, err
+}
+
+// decode decodes bands [b0, b1) of each plane of the first k scans: scan 0's
+// into the planes of a pooled ycc, each refinement scan's into a bit plane of
+// each after them. Where that is every band, it first checks each scan
+// against its CRC, and then the pad bits of each bit plane's last byte; a
+// crop of some bands reads no more of a scan than them.
+func (c *container) decode(data []byte, k, b0, b1 int) (ycc, error) {
+	every := b0 == 0 && b1 == (c.h+bandRows-1)/bandRows
+	for j := 0; every && j < k; j++ {
+		if crc32.Checksum(data[c.start[j]:c.start[j+1]], crcTable) != c.crc[j] {
+			return ycc{}, fmt.Errorf("%w: scan %d CRC mismatch", ErrCorrupt, j)
+		}
+	}
+	p := newYCC(c.w, c.h, c.quality, c.scans, k)
 	sc := packPool.Get().(*packScratch)
 	defer packPool.Put(sc)
-	for i, dst := range [3][]byte{p.y, p.cb, p.cr} {
-		if err := s.inflate(i, (*[2 << maxCodeLen]uint16)(sc.table[:]), dst, b0, b1); err != nil {
-			p.release()
-			return ycc{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	for j := range k {
+		o := c.start[j]
+		for i := range 3 {
+			_, band, _ := planeBytes(c.w, c.h, i, j)
+			plane, dst := data[o:o+c.size[j][i]], p.plane(i, j)
+			o += len(plane)
+			err := inflate((*[2 << maxCodeLen]uint16)(sc.table[:]), plane, c.index[j][i], dst, band, b0, b1, j == 0)
+			if n, _, _ := planeBytes(c.w, c.h, i, 0); err == nil && j > 0 && every && dst[len(dst)-1]>>((n-1)&7+1) != 0 {
+				err = errors.New("bits set past the last value")
+			}
+			if err != nil {
+				p.release()
+				return ycc{}, fmt.Errorf("%w: scan %d plane %d: %v", ErrCorrupt, j, i, err)
+			}
 		}
 	}
 	return p, nil
-}
-
-// inflate is the band decoder: it decodes bands [b0, b1) of plane i into dst,
-// the whole plane, refusing each unless it ends where the index says the next
-// starts (through the last, unless padding bits are set). A band start is a
-// symbol start, so the fast loop runs to within a pass of each. Of each band
-// above b0 it decodes only the first value, which the next band predicts from.
-func (s *sjpgStream) inflate(i int, t *[2 << maxCodeLen]uint16, dst []byte, b0, b1 int) error {
-	l := lane{t: t, data: s.planes[i], n: i + 1, next: i}
-	l.planes[i] = dst
-	if err := l.open(true); err != nil || l.dst == nil {
-		return err // or a stored plane, copied whole
-	}
-	index, band := s.index[i], s.band[i]
-	for b := 0; b < b1; b++ {
-		bits, k := binary.Uvarint(index)
-		index = index[k:]
-		end, at := l.pos+int(bits), dst[b*band:min((b+1)*band, len(dst))]
-		ok := true
-		if b < b0 {
-			_, ok = finishRuns(t, l.data, at[:1], l.pos, 0)
-		} else {
-			l.dst, l.out = at, 0
-			l.run()
-			var pos int
-			if pos, ok = finishRuns(t, l.data, at, l.pos, l.out); ok && pos != end {
-				return fmt.Errorf("plane %d band %d: codes end at bit %d, the index at %d", i, b, pos, end)
-			}
-		}
-		if !ok {
-			return fmt.Errorf("plane %d band %d: codes run past the plane or the band, have no symbol, or repeat nothing", i, b)
-		}
-		l.pos = end
-	}
-	if len(index) == 0 && padded(l.data, l.pos) {
-		return fmt.Errorf("plane %d: padding bits set", i)
-	}
-	return nil
 }
 
 // image dequantizes the planes back into a pooled RGB image. The arithmetic
@@ -515,30 +624,37 @@ func dequant(v uint8, shift uint) uint8 {
 	return uint8(out)
 }
 
-// DecodeDims returns the pixel dimensions recorded in an SJPG header without
-// decompressing the payload.
+// DecodeDims returns the pixel dimensions recorded in a container's header
+// without decompressing the payload.
 func DecodeDims(data []byte) (w, h int, err error) {
-	w, h, _, err = parseHeader(data)
+	w, h, _, _, err = parseHeader(data)
 	return w, h, err
 }
 
-func parseHeader(data []byte) (w, h, quality int, err error) {
-	if len(data) < headerSize || string(data[:4]) != sjpgMagic {
-		return 0, 0, 0, ErrCorrupt
+// parseHeader checks the header. A stream of an earlier version — SJPG, or
+// the SJPR container earlier builds kept progressive scans in — is refused by
+// name: ErrUnsupported, not ErrCorrupt.
+func parseHeader(data []byte) (w, h, quality, scans int, err error) {
+	if len(data) < headerSize || string(data[:4]) != sjpgMagic && string(data[:4]) != sjprMagic {
+		return 0, 0, 0, 0, ErrCorrupt
 	}
 	if data[4] != sjpgVersion {
-		return 0, 0, 0, fmt.Errorf("%w: SJPG version %d, this build reads %d", ErrUnsupported, data[4], sjpgVersion)
+		return 0, 0, 0, 0, fmt.Errorf("%w: %s version %d, this build reads %d", ErrUnsupported, data[:4], data[4], sjpgVersion)
 	}
-	quality = int(data[5])
-	if quality < 1 || quality > 100 {
-		return 0, 0, 0, fmt.Errorf("%w: quality %d", ErrCorrupt, quality)
-	}
+	quality, scans = int(data[5]), int(data[14])
 	w = int(binary.BigEndian.Uint32(data[6:10]))
 	h = int(binary.BigEndian.Uint32(data[10:14]))
-	if w <= 0 || h <= 0 || w > maxDim || h > maxDim {
-		return 0, 0, 0, fmt.Errorf("%w: dims %dx%d", ErrCorrupt, w, h)
+	switch {
+	case string(data[:4]) != sjpgMagic:
+		return 0, 0, 0, 0, fmt.Errorf("%w: %s under version %d", ErrCorrupt, data[:4], sjpgVersion)
+	case quality < 1 || quality > 100:
+		return 0, 0, 0, 0, fmt.Errorf("%w: quality %d", ErrCorrupt, quality)
+	case w <= 0 || h <= 0 || w > maxDim || h > maxDim:
+		return 0, 0, 0, 0, fmt.Errorf("%w: dims %dx%d", ErrCorrupt, w, h)
+	case scans < 1 || scans > MaxScans:
+		return 0, 0, 0, 0, fmt.Errorf("%w: scan count %d", ErrCorrupt, scans)
 	}
-	return w, h, quality, nil
+	return w, h, quality, scans, nil
 }
 
 // deltaEncode replaces each value with its difference from the previous

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand/v2"
-	"slices"
 	"testing"
 
 	"repro/internal/bufpool"
@@ -145,13 +144,13 @@ func TestBlendMatchesReference(t *testing.T) {
 	}
 }
 
-// decodePlanes is Decode's first step: every band of an SJPG stream.
+// decodePlanes is Decode's first step: every band of every scan data holds.
 func decodePlanes(data []byte) (ycc, error) {
-	s, err := parseSJPG(data)
+	c, err := whole(data)
 	if err != nil {
 		return ycc{}, err
 	}
-	return s.decode(0, (s.h+bandRows-1)/bandRows)
+	return c.decode(data, c.present, 0, (c.h+bandRows-1)/bandRows)
 }
 
 // fusedStream is one accepted stream with both of its decodes: the full image
@@ -159,8 +158,8 @@ func decodePlanes(data []byte) (ycc, error) {
 type fusedStream struct {
 	name    string
 	data    []byte // what the entry point under test is handed
-	sjpr    bool
-	shallow bool // a prefix short of every scan: the full container's planes under wider shifts
+	scans   int    // L: 1, or MaxScans for the prefixes of a deep container
+	shallow bool   // a prefix short of every scan: the full container's planes under wider shifts
 	full    *Image
 	plane   ycc // as the first decode step left them; crops read copies (planes)
 }
@@ -169,52 +168,53 @@ type fusedStream struct {
 // prediction only where it reads and so leaves the planes no use to the next.
 // The caller releases it.
 func (s *fusedStream) planes() ycc {
-	p := newYCC(s.plane.w, s.plane.h, s.plane.yShift, s.plane.cShift, bufpool.GetBytes(len(s.plane.buf)))
+	p := s.plane
+	p.buf = bufpool.GetBytes(len(s.plane.buf))
 	copy(p.buf, s.plane.buf)
-	p.residual, p.bits, p.band = s.plane.residual, s.plane.bits, s.plane.band
+	at := func(b []byte) []byte { o := cap(s.plane.buf) - cap(b); return p.buf[o : o+len(b)] }
+	p.y, p.cb, p.cr = at(p.y), at(p.cb), at(p.cr)
+	for i := range p.ref {
+		p.ref[i].packed = at(p.ref[i].packed)
+	}
 	return p
 }
 
-// fusedStreams encodes im at quality q as SJPG and as every prefix of a
-// MaxScans-deep SJPR container.
+// fusedStreams encodes im at quality q in one scan and as every prefix of a
+// MaxScans-deep container.
 func fusedStreams(t *testing.T, im *Image, q int) []fusedStream {
 	t.Helper()
 	name := fmt.Sprintf("%dx%d/q%d", im.W, im.H, q)
-	sjpg, err := Encode(im, q)
+	one, err := Encode(im, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Decode(sjpg)
+	full, err := Decode(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	plane, err := decodePlanes(sjpg)
+	plane, err := decodePlanes(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := []fusedStream{{name: name + "/sjpg", data: sjpg, full: full, plane: plane}}
-	prog, err := EncodeProgressive(im, q, MaxScans)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hd, err := parseProgressive(prog)
+	out := []fusedStream{{name: name + "/L1", data: one, scans: 1, full: full, plane: plane}}
+	deep, err := EncodeProgressive(im, q, MaxScans)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for k := 1; k <= MaxScans; k++ {
-		prefix, err := SlicePrefix(prog, k)
+		prefix, err := SlicePrefix(deep, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := DecodeAtFidelity(prog, k)
+		full, err := Decode(prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plane, err := scanPlanes(prog, &hd, k)
+		plane, err := decodePlanes(prefix)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, fusedStream{name: fmt.Sprintf("%s/sjpr-k%d", name, k), data: prefix, sjpr: true, shallow: k < MaxScans, full: full, plane: plane})
+		out = append(out, fusedStream{name: fmt.Sprintf("%s/L%d-k%d", name, MaxScans, k), data: prefix, scans: MaxScans, shallow: k < MaxScans, full: full, plane: plane})
 	}
 	return out
 }
@@ -260,7 +260,7 @@ func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
 							t.Fatalf("%s: fused crop %+v to %d differs from CropResize(Decode)", s.name, rect, out)
 						}
 						if seed == 3 { // once per crop size through the exported entry point
-							entry, err := decodeCropResize(s.data, s.sjpr, rect, out, out)
+							entry, err := DecodeCropResize(s.data, rect, out, out)
 							if err != nil || !entry.Equal(want) {
 								t.Fatalf("%s: entry point: err %v, equal %v", s.name, err, err == nil && entry.Equal(want))
 							}
@@ -279,13 +279,14 @@ func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
 // TestDecodeCropResizeEdgeTaps: rects whose taps are only the first row, only
 // the last row of an odd height, only column 0, or reach the last column of
 // an odd width — where the column-0 chain and the running sums start and stop
-// — on SJPG and on SJPR at one scan (no refinement bits) and at MaxScans
-// (bits folded into each value restored, from every alignment of a row to
-// the bytes of the bit planes). Odd sides end in a chroma sample that covers
-// one pixel, not two. On SJPG, rects also start and end on each band edge's
-// first and last rows and one row either side, or fill one band; heights run
-// under one band, one band, one row over, and two bands one row short and one
-// over, each also as noise, whose luma plane SJPG stores.
+// — at one scan, and of a MaxScans-deep container at one scan (no refinement
+// bits) and at MaxScans (bits folded into each value restored, from every
+// alignment of a row to the bytes of the bit planes). Odd sides end in a
+// chroma sample that covers one pixel, not two. Rects also start and end on
+// each band edge's first and last rows and one row either side, or fill one
+// band; heights run under one band, one band, one row over, and two bands one
+// row short and one over, the one-scan ones each also as noise, whose luma
+// plane is stored.
 func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 	for _, dim := range [][2]int{{15, 17}, {333, 251}, {1, 9}, {9, 1}, {12, 15}, {12, 16}, {11, 31}, {13, 33}} {
 		w, h := dim[0], dim[1]
@@ -303,12 +304,11 @@ func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 			{Y: h - 1, W: max(w-1, 1), H: 1}, // the last row, short of the last column
 			{X: w / 2, Y: h / 2, W: w - w/2, H: h - h/2},
 		}
-		bands := slices.Clone(rects) // SJPG's: rects around each band edge too
 		for edge := bandRows; edge < h; edge += bandRows {
-			bands = append(bands, Rect{Y: edge, W: w, H: min(bandRows, h-edge)}) // one band
+			rects = append(rects, Rect{Y: edge, W: w, H: min(bandRows, h-edge)}) // one band
 			for d := -1; d <= 1; d++ {
 				if first, last := edge+d, edge-1+d; first < h {
-					bands = append(bands,
+					rects = append(rects,
 						Rect{Y: first, W: w, H: min(3, h-first)},                     // first row at the edge
 						Rect{X: w / 2, Y: max(last-2, 0), W: 1, H: min(last, 2) + 1}) // last row at the edge
 				}
@@ -320,13 +320,9 @@ func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 		}
 		for i, im := range images {
 			for _, s := range fusedStreams(t, im, 80) {
-				if s.shallow && s.plane.bits > 0 || s.sjpr && i > 0 {
+				if s.shallow && s.plane.ref[0].planes > 0 || s.scans > 1 && i > 0 {
 					s.release()
-					continue // k = 1 and k = MaxScans cover both kinds of plane; noise is for SJPG's stored planes
-				}
-				rects := rects
-				if !s.sjpr {
-					rects = bands
+					continue // k = 1 and k = MaxScans cover both kinds of plane; noise is for stored planes
 				}
 				for _, rect := range rects {
 					for _, out := range []int{1, 3, 32} {
@@ -334,7 +330,7 @@ func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						got, err := decodeCropResize(s.data, s.sjpr, rect, out, out)
+						got, err := DecodeCropResize(s.data, rect, out, out)
 						if err != nil || !got.Equal(want) {
 							t.Fatalf("%s: crop %+v to %d: err %v, equal %v", s.name, rect, out, err, err == nil && got.Equal(want))
 						}
@@ -348,23 +344,9 @@ func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 	}
 }
 
-// decodeCropResize and decodeThenCropResize are the fused and the unfused
-// path over either container.
-func decodeCropResize(data []byte, sjpr bool, rect Rect, w, h int) (*Image, error) {
-	if sjpr {
-		return DecodeProgressiveCropResize(data, rect, w, h)
-	}
-	return DecodeCropResize(data, rect, w, h)
-}
-
-func decodeThenCropResize(data []byte, sjpr bool, rect Rect, w, h int) (*Image, error) {
-	var im *Image
-	var err error
-	if sjpr {
-		im, _, err = DecodeProgressive(data)
-	} else {
-		im, err = Decode(data)
-	}
+// decodeThenCropResize is the unfused path.
+func decodeThenCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
+	im, err := Decode(data)
 	if err != nil {
 		return nil, err
 	}
@@ -372,148 +354,123 @@ func decodeThenCropResize(data []byte, sjpr bool, rect Rect, w, h int) (*Image, 
 	return CropResize(im, rect, w, h)
 }
 
-// sjpgOver frames three coded planes as an SJPG stream claiming w×h, behind
-// the band index that says where the reference decoder finds each band's
-// codes ending. A band it cannot decode is indexed as the rest of its plane's
+// over frames scans of three coded planes each as a container claiming w×h,
+// behind the index the reference decoder reads: each scan's CRC, each plane's
+// size, and where the reference finds each band's codes ending, or 0 for a
+// stored plane. A band it cannot decode is indexed as the rest of its plane's
 // codes.
-func sjpgOver(w, h int, planes ...[]byte) []byte {
-	var index []byte
-	cw := (w + 1) / 2
-	for p, n := range []int{w * h, cw * ((h + 1) / 2), cw * ((h + 1) / 2)} {
-		plane, band := planes[p], bandRows*w
-		if p > 0 {
-			band = bandRows / 2 * cw
-		}
-		index = binary.AppendUvarint(index, uint64(len(plane)))
-		symbol, codes, err := refTables(plane)
-		bit, dst := 0, make([]byte, band)
-		for lo := 0; lo < n; lo += band {
-			bits := 8 * min(band, n-lo)
-			if len(plane) == 0 || plane[0] != 0 {
+func over(w, h int, scans ...[3][]byte) []byte {
+	var index, body []byte
+	for j, scan := range scans {
+		at, start := len(index), len(body)
+		index = append(index, 0, 0, 0, 0)
+		for i, plane := range scan {
+			n, band := refPlaneBytes(w, h, i, j)
+			if len(plane) > 0 && plane[0] == 0 {
+				index = append(index, 0) // stored
+				body = append(body, plane...)
+				continue
+			}
+			index = binary.AppendUvarint(index, uint64(len(plane)))
+			symbol, codes, err := refTables(plane)
+			bit, dst := 0, make([]byte, band)
+			for lo := 0; lo < n; lo += band {
 				end := 8 * len(codes)
 				if err == nil {
 					if end, err = refSymbols(symbol, codes, bit, dst[:min(band, n-lo)]); err != nil {
 						end = 8 * len(codes)
 					}
 				}
-				bits, bit = end-bit, end
+				index, bit = binary.AppendUvarint(index, uint64(end-bit)), end
 			}
-			index = binary.AppendUvarint(index, uint64(bits))
+			body = append(body, plane...)
 		}
+		binary.BigEndian.PutUint32(index[at:], crc32.Checksum(body[start:], crcTable))
 	}
 	out := append([]byte(sjpgMagic), sjpgVersion, DefaultQuality)
 	out = binary.BigEndian.AppendUint32(out, uint32(w))
 	out = binary.BigEndian.AppendUint32(out, uint32(h))
-	out = binary.AppendUvarint(out, uint64(len(index)))
-	return append(append(out, index...), slices.Concat(planes...)...)
+	out = binary.AppendUvarint(append(out, byte(len(scans))), uint64(len(index)))
+	return append(append(out, index...), body...)
 }
 
-// sjpgPlanesAt returns where the planes of an SJPG stream start, after its
-// band index.
-func sjpgPlanesAt(data []byte) int {
+// scansAt returns where the scans of a container start, after its index.
+func scansAt(data []byte) int {
 	n, k := binary.Uvarint(data[headerSize:])
 	return headerSize + k + int(n)
-}
-
-// sjprOver frames payloads of coded planes as the scans of an SJPR container
-// claiming w×h, each with the CRC the index wants.
-func sjprOver(w, h int, scans ...[]byte) []byte {
-	out := append([]byte(sjprMagic), sjprVersion, DefaultQuality)
-	out = binary.BigEndian.AppendUint32(out, uint32(w))
-	out = binary.BigEndian.AppendUint32(out, uint32(h))
-	out = append(out, uint8(len(scans)), 0, 0)
-	for _, s := range scans {
-		out = binary.BigEndian.AppendUint32(out, uint32(len(s)))
-		out = binary.BigEndian.AppendUint32(out, crc32.Checksum(s, sjprCRC))
-	}
-	return append(out, bytes.Join(scans, nil)...)
 }
 
 // stored is one stored plane holding b.
 func stored(b ...byte) []byte { return append([]byte{0}, b...) }
 
-// TestFusedRejectionParity: on the same bytes the fused entry points return
-// Decode's / DecodeProgressive's error, word for word, having drawn no more
-// from the buffer arena than they did — nothing for a header or an
-// implausible size, the planes alone for a bad payload — and on an accepted
-// stream with a bad rect, CropResize's error without an output image.
+// TestFusedRejectionParity: on the same bytes DecodeCropResize returns
+// Decode's error, word for word, having drawn no more from the buffer arena
+// than it did — nothing for a header, an index or a CRC, the planes alone for
+// a bad plane — and on an accepted stream with a bad rect, CropResize's error
+// before any buffer.
 func TestFusedRejectionParity(t *testing.T) {
 	type parityCase struct {
 		name string
 		data []byte
-		sjpr bool
 		want error // nil: accepted
 	}
 	var cases []parityCase
-	add := func(name string, data []byte, sjpr bool, want error) {
-		cases = append(cases, parityCase{name, data, sjpr, want})
-	}
+	add := func(name string, data []byte, want error) { cases = append(cases, parityCase{name, data, want}) }
 
-	// planes_test.go's hand-built planes as the Cr plane of an SJPG stream and
-	// of an SJPR base scan, under a 2n×1 image whose chroma planes are n
-	// bytes. A base scan longer than the writer's worst case, 4n + 3, is
-	// refused from the index.
+	// planes_test.go's hand-built planes as the Cr plane of a one-scan
+	// container and as the Cr bit plane of a refinement scan, under images
+	// whose chroma planes are n bytes, values or bits. A plane longer than the
+	// writer's worst case, n + 1, is refused from the index; a stored one cut
+	// short ends the stream short of the size its marker implies.
 	for _, c := range inflateRejections() {
-		planes := [][]byte{codePlanes(make([]byte, 2*c.n)), codePlanes(make([]byte, c.n)), c.stream}
-		payload := slices.Concat(planes...)
-		var want, wantSJPR error
-		if !c.accept {
+		var want error
+		switch {
+		case len(c.stream) > 0 && c.stream[0] == 0 && len(c.stream) < c.n+1:
+			want = ErrTruncated
+		case !c.accept || len(c.stream) > c.n+1:
 			want = ErrCorrupt
 		}
-		if wantSJPR = want; len(payload) > 4*c.n+3 {
-			wantSJPR = ErrCorrupt
-		}
-		add("sjpg/"+c.name, sjpgOver(2*c.n, 1, planes...), false, want)
-		add("sjpr/"+c.name, sjprOver(2*c.n, 1, payload), true, wantSJPR)
+		zeros := func(k int) []byte { return codePlanes(make([]byte, k)) }
+		add("base/"+c.name, over(2*c.n, 1, [3][]byte{zeros(2 * c.n), zeros(c.n), c.stream}), want)
+		add("refinement/"+c.name, over(16*c.n, 1, [3][]byte{zeros(16 * c.n), zeros(8 * c.n), zeros(8 * c.n)}, [3][]byte{zeros(2 * c.n), zeros(c.n), c.stream}), want)
 	}
 
 	// Real streams, damaged where each check looks.
 	im := synthFor(t, 5, 16, 12, 0.5)
-	sjpg, err := Encode(im, 80)
+	one, err := Encode(im, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sjpr, err := EncodeProgressiveSidecar(im, 80, 3, []byte("label"))
+	deep, err := EncodeProgressive(im, 80, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd, err := parseProgressive(sjpr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	add("sjpg/intact", sjpg, false, nil)
-	add("sjpr/intact", sjpr, true, nil)
-	for n := 0; n <= headerSize; n++ {
-		add(fmt.Sprintf("sjpg/cut at header byte %d", n), sjpg[:n], false, ErrCorrupt)
-	}
-	for n := 0; n < hd.body; n++ {
-		add(fmt.Sprintf("sjpr/cut at header byte %d", n), sjpr[:n], true, ErrCorrupt)
-	}
-	add("sjpr/cut at the body", sjpr[:hd.body], true, ErrTruncated)
-	add("sjpr/cut mid-scan", sjpr[:len(sjpr)-3], true, ErrTruncated)
 	mutate := func(data []byte, at int, v byte) []byte {
 		out := bytes.Clone(data)
 		out[at] = v
 		return out
 	}
-	add("sjpg/version", mutate(sjpg, 4, 9), false, ErrUnsupported)
-	add("sjpr/version", mutate(sjpr, 4, 9), true, ErrUnsupported)
-	add("sjpg/quality", mutate(sjpg, 5, 0), false, ErrCorrupt)
-	add("sjpr/scan count", mutate(sjpr, 14, MaxScans+1), true, ErrCorrupt)
-	add("sjpg/a first table over 128 bytes", mutate(sjpg, sjpgPlanesAt(sjpg), 129), false, ErrCorrupt)
-	add("sjpg/a byte after the planes", append(bytes.Clone(sjpg), 0), false, ErrCorrupt)
-	add("sjpr/CRC mismatch", mutate(sjpr, len(sjpr)-1, sjpr[len(sjpr)-1]^0x40), true, ErrCorrupt)
-	base := slices.Concat(stored(7), stored(7), stored(7))
-	add("sjpr/padding bits set", sjprOver(1, 1, base, stored(0b1010)), true, ErrCorrupt)
-	add("sjpr/refinement bits", sjprOver(1, 1, base, stored(0b010)), true, nil)
-	huge := mutate(sjpg, 7, 0x80) // 8 388 624 × 12: refused as dims
-	add("sjpg/dims over the cap", huge, false, ErrCorrupt)
-	implausible := bytes.Clone(sjpg)
-	copy(implausible[6:14], []byte{0, 0, 0x3e, 0x80, 0, 0, 0x3e, 0x80}) // 16000²
-	add("sjpg/implausible dims", implausible, false, ErrCorrupt)
-	implausible = bytes.Clone(sjpr)
-	copy(implausible[6:14], []byte{0, 0, 0x3e, 0x80, 0, 0, 0x3e, 0x80})
-	add("sjpr/implausible dims", implausible, true, ErrCorrupt)
+	for name, data := range map[string][]byte{"L1": one, "L3": deep} {
+		add(name+"/intact", data, nil)
+		for n := 0; n < scansAt(data); n++ {
+			add(fmt.Sprintf("%s/cut at header or index byte %d", name, n), data[:n], ErrCorrupt)
+		}
+		add(name+"/cut at the scans", data[:scansAt(data)], ErrTruncated)
+		add(name+"/cut mid-scan", data[:len(data)-3], ErrTruncated)
+		add(name+"/version", mutate(data, 4, 9), ErrUnsupported)
+		add(name+"/quality", mutate(data, 5, 0), ErrCorrupt)
+		add(name+"/scan count", mutate(data, 14, MaxScans+1), ErrCorrupt)
+		add(name+"/a first table over 128 bytes", mutate(data, scansAt(data), 129), ErrCorrupt)
+		add(name+"/a byte after the scans", append(bytes.Clone(data), 0), ErrCorrupt)
+		add(name+"/CRC mismatch", mutate(data, len(data)-1, data[len(data)-1]^0x40), ErrCorrupt)
+		add(name+"/dims over the cap", mutate(data, 7, 0x80), ErrCorrupt) // 8 388 624 × 12
+		implausible := bytes.Clone(data)
+		copy(implausible[6:14], []byte{0, 0, 0x3e, 0x80, 0, 0, 0x3e, 0x80}) // 16000²
+		add(name+"/implausible dims", implausible, ErrCorrupt)
+	}
+	base, bits := [3][]byte{stored(7), stored(7), stored(7)}, [3][]byte{stored(0b001), stored(0b001), stored(0b001)}
+	add("refinement bits", over(1, 1, base, bits), nil)
+	add("refinement pad bits set", over(1, 1, base, [3][]byte{stored(0b011), stored(0b001), stored(0b001)}), ErrCorrupt)
 
 	gets := func(f func() (*Image, error)) (*Image, error, uint64) {
 		before := bufpool.ByteStats().Gets
@@ -522,8 +479,8 @@ func TestFusedRejectionParity(t *testing.T) {
 	}
 	rect := Rect{W: 1, H: 1}
 	for _, c := range cases {
-		want, wantErr, wantGets := gets(func() (*Image, error) { return decodeThenCropResize(c.data, c.sjpr, rect, 2, 2) })
-		got, gotErr, gotGets := gets(func() (*Image, error) { return decodeCropResize(c.data, c.sjpr, rect, 2, 2) })
+		want, wantErr, wantGets := gets(func() (*Image, error) { return decodeThenCropResize(c.data, rect, 2, 2) })
+		got, gotErr, gotGets := gets(func() (*Image, error) { return DecodeCropResize(c.data, rect, 2, 2) })
 		switch {
 		case !errors.Is(wantErr, c.want):
 			t.Errorf("%s: the unfused path returns %v, the case expects %v", c.name, wantErr, c.want)
@@ -541,8 +498,8 @@ func TestFusedRejectionParity(t *testing.T) {
 	}
 
 	// An accepted stream under a rect or an output size no image would take:
-	// CropResize's own error before any output image — for SJPG before the
-	// planes too, which are sized only once the rect is accepted.
+	// CropResize's own error before any output image and before the planes,
+	// which are sized only once the rect is accepted.
 	for _, c := range []struct {
 		rect Rect
 		w, h int
@@ -554,22 +511,11 @@ func TestFusedRejectionParity(t *testing.T) {
 		{Rect{W: 4, H: 4}, 0, 4},
 		{Rect{W: 4, H: 4}, 4, -1},
 	} {
-		for _, sjprStream := range []bool{false, true} {
-			data := sjpg
-			if sjprStream {
-				data = sjpr
-			}
-			_, wantErr := decodeThenCropResize(data, sjprStream, c.rect, c.w, c.h)
-			got, gotErr, n := gets(func() (*Image, error) { return decodeCropResize(data, sjprStream, c.rect, c.w, c.h) })
-			if got != nil || !errors.Is(gotErr, ErrBadDimensions) || gotErr.Error() != wantErr.Error() {
-				t.Errorf("%+v to %dx%d: fused err %v, unfused %v", c.rect, c.w, c.h, gotErr, wantErr)
-			}
-			want := uint64(0)
-			if sjprStream {
-				want = 1 // the planes
-			}
-			if n != want {
-				t.Errorf("%+v to %dx%d: refused after %d arena requests, want %d", c.rect, c.w, c.h, n, want)
+		for _, data := range [][]byte{one, deep} {
+			_, wantErr := decodeThenCropResize(data, c.rect, c.w, c.h)
+			got, gotErr, n := gets(func() (*Image, error) { return DecodeCropResize(data, c.rect, c.w, c.h) })
+			if got != nil || !errors.Is(gotErr, ErrBadDimensions) || gotErr.Error() != wantErr.Error() || n != 0 {
+				t.Errorf("%+v to %dx%d: fused err %v after %d arena requests, unfused %v", c.rect, c.w, c.h, gotErr, n, wantErr)
 			}
 		}
 	}

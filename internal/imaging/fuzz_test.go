@@ -16,31 +16,42 @@ func synthForFuzz(f *testing.F, w, h int) *Image {
 	return im
 }
 
-// decodeCorpus is the seed corpus of the SJPG fuzzers: two real streams, a
-// bare magic and nothing.
+// decodeCorpus is the seed corpus of the decode fuzzers: containers of one
+// to MaxScans scans of two images, each whole-scan prefix of them and each cut
+// short of its last byte, a bare magic and nothing. 16×12 fills its bit
+// planes' last bytes; 15×11 leaves pad bits in them.
 func decodeCorpus(f *testing.F) [][]byte {
 	corpus := [][]byte{[]byte("SJPG"), {}}
-	for _, seed := range []uint64{1, 2} {
-		im, err := Synthesize(SynthParams{W: 16, H: 12, Detail: 0.5, Seed: seed})
+	for seed, dim := range [][2]int{{16, 12}, {15, 11}} {
+		im, err := Synthesize(SynthParams{W: dim[0], H: dim[1], Detail: 0.5, Seed: uint64(seed + 1)})
 		if err != nil {
 			f.Fatal(err)
 		}
-		data, err := EncodeDefault(im)
-		if err != nil {
-			f.Fatal(err)
+		for scans := 1; scans <= MaxScans; scans++ {
+			data, err := EncodeProgressive(im, DefaultQuality, scans)
+			if err != nil {
+				f.Fatal(err)
+			}
+			for k := 1; k <= scans; k++ {
+				prefix, err := SlicePrefix(data, k)
+				if err != nil {
+					f.Fatal(err)
+				}
+				corpus = append(corpus, prefix)
+			}
+			corpus = append(corpus, data[:len(data)-1])
 		}
-		corpus = append(corpus, data)
 	}
 	return corpus
 }
 
 // handmadeSeeds frames the hand-built planes of the coder's tests — the
-// rejection table and the streams around the fast loops' margins — as SJPG
-// streams and as SJPR containers whose three refinement scans decode in step.
-func handmadeSeeds() (sjpg, sjpr [][]byte) {
+// rejection table and the streams around the fast loop's margins — as the Cr
+// plane of a base scan and of a refinement scan (planeStreams).
+func handmadeSeeds() (seeds [][]byte) {
 	add := func(plane []byte, n int) {
-		g, _, _, r := planeStreams(plane, n)
-		sjpg, sjpr = append(sjpg, g), append(sjpr, r)
+		base, refine := planeStreams(plane, n)
+		seeds = append(seeds, base, refine)
 	}
 	for _, c := range inflateRejections() {
 		add(c.stream, max(c.n, 1))
@@ -50,48 +61,55 @@ func handmadeSeeds() (sjpg, sjpr [][]byte) {
 			add(c.stream, c.sizes[0])
 		}
 	}
-	return sjpg, sjpr
+	return seeds
 }
 
-// agreesWithReference holds a decode's verdict and image to the reference
-// decoder's, at k scans of an SJPR container, where data claims few enough
-// pixels for the reference, which sizes its planes from the header.
-func agreesWithReference(t *testing.T, data []byte, k int, im *Image, err error) {
+// agreesWithReference holds Decode's verdict and image on data to the
+// reference decoder's, where data claims few enough pixels for the
+// reference, which sizes its planes from the header.
+func agreesWithReference(t *testing.T, data []byte, im *Image, err error) {
 	t.Helper()
-	w, h, _, _, _, _ := ProgressiveInfo(data)
-	if !IsProgressive(data) {
-		w, h, _ = DecodeDims(data)
-	}
-	if w*h == 0 || w*h > 1<<16 {
+	if w, h, _ := DecodeDims(data); w*h == 0 || w*h > 1<<16 {
 		return
 	}
-	want, refErr := refDecode(data, k)
+	want, refErr := refDecode(data, 0)
 	if (err == nil) != (refErr == nil) || err == nil && !im.Equal(want) {
 		t.Fatalf("err %v, the reference's %v, or the images differ", err, refErr)
 	}
 }
 
-// FuzzDecode: the SJPG decoder must never panic or over-allocate on
-// arbitrary input, agrees with the reference decoder, and accepted images
-// must re-encode/decode consistently.
+// FuzzDecode: the decoder must never panic or over-allocate on arbitrary
+// input and agrees with the reference decoder; truncated or corrupted
+// containers surface as errors. An accepted image re-encodes and decodes, and
+// the scans it came from decode to it from the whole container too
+// (DecodeAtFidelity).
 func FuzzDecode(f *testing.F) {
 	for _, data := range decodeCorpus(f) {
 		f.Add(data)
 	}
-	seeds, _ := handmadeSeeds()
-	for _, data := range seeds {
+	for _, data := range handmadeSeeds() {
 		f.Add(data)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		im, err := Decode(data)
-		agreesWithReference(t, data, 0, im, err)
+		agreesWithReference(t, data, im, err)
 		if err != nil {
 			return
 		}
+		defer im.Release()
 		if im.W <= 0 || im.H <= 0 || len(im.Pix) != im.W*im.H*Channels {
 			t.Fatalf("accepted image has inconsistent geometry: %dx%d, %d bytes", im.W, im.H, len(im.Pix))
 		}
+		c, err := whole(data)
+		if err != nil {
+			t.Fatalf("accepted container refused by its parse: %v", err)
+		}
+		again, err := DecodeAtFidelity(data, c.present)
+		if err != nil || !im.Equal(again) {
+			t.Fatalf("DecodeAtFidelity at its %d scans: %v, or it differs from Decode", c.present, err)
+		}
+		again.Release()
 		re, err := Encode(im, 80)
 		if err != nil {
 			t.Fatalf("accepted image failed to re-encode: %v", err)
@@ -105,19 +123,21 @@ func FuzzDecode(f *testing.F) {
 // FuzzDecodeCropResize: on any bytes, rect and output size the fused entry
 // point never panics and keeps its contract with Decode. Where Decode
 // accepts, it is CropResize(Decode(data), rect, out, out) — the same pixels,
-// or CropResize's error. A header or band index Decode refuses, it refuses in
-// Decode's words, and a rect CropResize refuses in CropResize's. Where Decode
-// refuses a band, it may succeed or refuse, but widened to every row it
-// refuses in Decode's words.
+// or CropResize's error. A header, an index or a cut Decode refuses, it
+// refuses in Decode's words, and a rect CropResize refuses in CropResize's.
+// Where Decode refuses a scan or a band, it may succeed or refuse, but widened
+// to every row it refuses in Decode's words.
 func FuzzDecodeCropResize(f *testing.F) {
 	corpus := decodeCorpus(f)
-	tall, err := EncodeDefault(synthForFuzz(f, 21, 40))
-	if err != nil {
-		f.Fatal(err)
+	for _, scans := range []int{1, MaxScans} {
+		tall, err := EncodeProgressive(synthForFuzz(f, 21, 40), DefaultQuality, scans)
+		if err != nil {
+			f.Fatal(err)
+		}
+		flipped := bytes.Clone(tall)
+		flipped[len(flipped)-1] ^= 0x80 // the last band of the last Cr plane
+		corpus = append(corpus, tall, flipped)
 	}
-	flipped := bytes.Clone(tall)
-	flipped[len(flipped)-1] ^= 0x80 // the last band of the Cr plane
-	corpus = append(corpus, tall, flipped)
 	for _, data := range corpus {
 		f.Add(data, 0, 0, 16, 12, 8) // whole image, sparse taps
 		f.Add(data, 3, 2, 8, 8, 8)   // pure copy
@@ -136,7 +156,7 @@ func FuzzDecodeCropResize(f *testing.F) {
 		rect := Rect{X: x, Y: y, W: w, H: h}
 		got, err := DecodeCropResize(data, rect, out, out)
 		defer got.Release()
-		s, parseErr := parseSJPG(data)
+		s, parseErr := whole(data)
 		if parseErr != nil {
 			if err == nil || err.Error() != parseErr.Error() {
 				t.Fatalf("header or index refused as %v, the crop's err %v", parseErr, err)
@@ -167,62 +187,6 @@ func FuzzDecodeCropResize(f *testing.F) {
 			wide.Release()
 			t.Fatalf("crop %+v widened to every row: err %v, want Decode's %v", rect, wideErr, decodeErr)
 		}
-	})
-}
-
-// FuzzDecodeProgressive: the SJPR decoder must never panic, over-allocate,
-// or return a wrong image on arbitrary input — truncated or corrupted
-// containers surface as errors, and whatever it accepts must satisfy the
-// prefix contract (slice of k scans decodes identically to decoding the
-// blob at fidelity k).
-func FuzzDecodeProgressive(f *testing.F) {
-	// 16×12 fills its refinement scans' last byte; 15×11 leaves three pad bits.
-	for seed, dim := range [][2]int{{16, 12}, {15, 11}} {
-		im, err := Synthesize(SynthParams{W: dim[0], H: dim[1], Detail: 0.5, Seed: uint64(seed + 1)})
-		if err != nil {
-			f.Fatal(err)
-		}
-		data, err := EncodeProgressiveSidecar(im, 80, 3, []byte("label"))
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(data)
-		if prefix, err := SlicePrefix(data, 2); err == nil {
-			f.Add(prefix)
-		}
-		f.Add(data[:len(data)-3]) // mid-scan truncation
-	}
-	f.Add([]byte("SJPR"))
-	f.Add([]byte{})
-	_, seeds := handmadeSeeds()
-	for _, data := range seeds {
-		f.Add(data)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		im, k, err := DecodeProgressive(data)
-		if err == nil || !errors.Is(err, ErrTruncated) {
-			_, _, _, _, present, _ := ProgressiveInfo(data)
-			agreesWithReference(t, data, present, im, err)
-		}
-		if err != nil {
-			return
-		}
-		if im.W <= 0 || im.H <= 0 || len(im.Pix) != im.W*im.H*Channels {
-			t.Fatalf("accepted image has inconsistent geometry: %dx%d, %d bytes", im.W, im.H, len(im.Pix))
-		}
-		if k < 1 || k > MaxScans {
-			t.Fatalf("accepted container reports %d scans", k)
-		}
-		again, err := DecodeAtFidelity(data, k)
-		if err != nil {
-			t.Fatalf("accepted container failed at-fidelity decode: %v", err)
-		}
-		if !im.Equal(again) {
-			t.Fatal("DecodeProgressive and DecodeAtFidelity disagree on the same blob")
-		}
-		again.Release()
-		im.Release()
 	})
 }
 

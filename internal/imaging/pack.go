@@ -31,7 +31,7 @@ import (
 // Codes are canonical, by length and then by that order; a table of one
 // residual value codes it as the bit 0. A plane is stored when coding would
 // not shorten it, so an image packs to at most its pixel bytes plus one byte
-// a plane. Photo-like crops pack to ≈0.37 of them. Stored SJPG and SJPR
+// a plane. Photo-like crops pack to ≈0.37 of them. Stored SJPG
 // planes share this entropy stage — code lengths, canonical codes, table
 // header, bit order and lookup — with a run symbol added (planes.go).
 

@@ -7,9 +7,9 @@ import (
 	"math/bits"
 )
 
-// The coder of stored planes: each SJPG plane, each plane of an SJPR base
-// scan and each SJPR refinement bit plane is coded on its own, byte-aligned,
-// by pack.go's entropy stage with one symbol added, a run of the byte before:
+// The coder of stored planes: each plane of each scan (codec.go) is coded on
+// its own, byte-aligned, by pack.go's entropy stage with one symbol added, a
+// run of the byte before:
 //
 //	literals  1 byte H (1..128), then H bytes of code lengths 0..12, two a
 //	          byte, high nibble first, for the byte values 0, −1, +1, −2, …
@@ -20,11 +20,10 @@ import (
 //	          first, zero-padded to a byte: a literal's code is its byte; a
 //	          run's code and extra bits repeat the byte before it 3–258 times
 //
-// or H = 0 and the plane as it is, when coding would not shorten it. No run
-// starts a plane or passes its end. A plane of n bytes takes 1 + n at most.
-//
-// An SJPG plane's codes are those of its bands (codec.go), one after another
-// under the plane's one code, no run starting a band or passing its end.
+// or H = 0 and the plane as it is, when coding would not shorten it. A plane
+// of n bytes takes 1 + n at most. Its codes are those of its bands, one after
+// another under the plane's one code, no run starting a band or passing its
+// end.
 
 const (
 	minRun    = 4 // a run of three costs about what its three literals do
@@ -57,11 +56,6 @@ func lengthCode(n int) (sym int, extra, v uint) {
 	extra = uint(max(bits.Len(uint(n-3))-3, 0))
 	return 4*int(extra) + (n-3)>>extra, extra, uint(n-3) & (1<<extra - 1)
 }
-
-// canYield reports whether n bytes of coded planes can hold total bytes. A
-// run's code takes a bit at least, so a byte yields at most 8·maxRun, and a
-// header claiming more is refused before any buffer is sized from it.
-func canYield(n, total int) bool { return uint64(total) <= 8*maxRun*uint64(n) }
 
 // planeCode is one plane's code as plan fixed it: code lengths by position in
 // the header's order, the sizes of its two tables (h = 0: stored) and of the
@@ -117,15 +111,12 @@ func tally(band []byte, byZ *[planeSyms]int) (extra int) {
 func uvarintLen(v int) int { return (bits.Len(uint(v)|1) + 6) / 7 }
 
 // put writes plane, cut into bands of band bytes, as plan fixed it to out, its
-// size. Unless index is nil, it appends the length in bits of each band's
-// codes to index and returns it.
+// size. Unless index is nil or the plane is stored, it appends the length in
+// bits of each band's codes to index; it returns index.
 func (c *planeCode) put(out, plane []byte, band int, index []byte) []byte {
 	if c.h == 0 {
 		out[0] = 0
 		copy(out[1:], plane)
-		for lo := 0; index != nil && lo < len(plane); lo += band {
-			index = binary.AppendUvarint(index, uint64(8*min(band, len(plane)-lo)))
-		}
 		return index
 	}
 	o := putLengths(out, c.lens[:2*c.h])
@@ -215,99 +206,87 @@ func putRuns(enc *[planeSyms]uint32, plane []byte, band int, out, index []byte) 
 	return index
 }
 
-// A lane is one stream of coded planes, an SJPR scan or an SJPG plane's
-// bands, decoded into its planes in turn. Lanes decode in step, so that the lookups
-// of one fill the time another waits on its own: each lookup waits on the
-// one before it.
+// A lane is the decoder of one coded plane: its lookup, with the pair half,
+// its codes, and the band in hand.
 type lane struct {
-	t       *[2 << maxCodeLen]uint16 // the lookup of the plane in hand
-	data    []byte                   // the stream from the plane in hand's codes on
-	dst     []byte                   // the plane in hand; nil once none is left
-	planes  [3][]byte
-	n, next int    // planes in all, and the index of the one after dst
-	pair    uint64 // pairs when the lookup has its pair half, else 0
-	pos     int    // the bits of data read
-	out     int    // the bytes of dst written
+	t    *[2 << maxCodeLen]uint16
+	data []byte // the plane's codes, after its tables
+	dst  []byte // the band in hand
+	pos  int    // the bits of data read
+	out  int    // the bytes of dst written
 }
 
-// inflateLanes decodes the lanes in step, refusing each unless its planes
-// end where its stream does, and returns the lane an error is in.
-func inflateLanes(ls []lane) (int, error) {
-	s := packPool.Get().(*packScratch)
-	defer packPool.Put(s)
-	for i := range ls {
-		ls[i].t = (*[2 << maxCodeLen]uint16)(s.table[i<<(maxCodeLen+1):])
-		if err := ls[i].open(len(ls) == 1); err != nil {
-			return i, err
-		}
-	}
-	for {
-		i, busy := inStep(ls)
-		if busy == 0 {
-			break
-		}
-		if err := ls[i].finish(busy == 1); err != nil {
-			return i, err
-		}
-	}
-	for i := range ls {
-		if len(ls[i].data) != 0 {
-			return i, fmt.Errorf("%d bytes after the planes", len(ls[i].data))
-		}
-	}
-	return 0, nil
-}
-
-// open takes up the lane's next plane. A stored plane it copies whole and goes
-// on; a coded one it leaves in hand, its lookup built and its first bits
-// loaded; with none left, dst is nil. A lane alone gets its lookup's pair half:
-// lanes in step would crowd each other's lookups out of the cache with them.
-func (l *lane) open(alone bool) error {
-	for l.dst = nil; l.next < l.n; {
-		plane, data := l.planes[l.next], l.data
-		l.next++
-		if len(data) == 0 {
-			return fmt.Errorf("plane %d: no header", l.next-1)
-		}
-		if data[0] == 0 {
-			if len(data)-1 < len(plane) {
-				return fmt.Errorf("plane %d: stored plane cut short", l.next-1)
-			}
-			l.data = data[1+copy(plane, data[1:]):]
-			continue
-		}
-		var lens [planeSyms + 1]uint8
-		_, data, err := readLengths(data, lens[:256])
-		if err == nil {
-			_, data, err = readLengths(data, lens[256:])
-		}
-		if err == nil && lens[planeSyms] != 0 {
-			err = errors.New("a code length for no run symbol")
-		}
-		if err == nil {
-			err = decodeTable(lens[:planeSyms], (*[1 << maxCodeLen]uint16)(l.t[:]))
-		}
-		if err != nil {
-			return fmt.Errorf("plane %d: %v", l.next-1, err)
-		}
-		if l.pair = 0; alone {
-			l.pair = pairs
-			pairUp(l.t)
-		}
-		l.data, l.dst, l.pos, l.out = data, plane, 0, 0
+// inflate is the band decoder: it decodes bands [b0, b1) of plane, cut into
+// bands of band bytes, into dst, the whole plane, refusing each unless it ends
+// where index — the bands' lengths in bits, which parse has checked — says the
+// next starts (through the last, unless padding bits are set). A band start is
+// a symbol start, so the fast loop runs to within a pass of each. Of each band
+// above b0 it decodes only the first value, which the next band predicts from,
+// if firsts, and else nothing. A stored plane it copies whole.
+func inflate(t *[2 << maxCodeLen]uint16, plane, index, dst []byte, band, b0, b1 int, firsts bool) error {
+	if plane[0] == 0 {
+		copy(dst, plane[1:])
 		return nil
+	}
+	l := lane{t: t}
+	if err := l.open(plane); err != nil {
+		return err
+	}
+	for b := 0; b < b1; b++ {
+		bits, k := binary.Uvarint(index)
+		index = index[k:]
+		end, at := l.pos+int(bits), dst[b*band:min((b+1)*band, len(dst))]
+		ok := true
+		switch {
+		case b >= b0:
+			l.dst, l.out = at, 0
+			l.run()
+			var pos int
+			if pos, ok = finishRuns(t, l.data, at, l.pos, l.out); ok && pos != end {
+				return fmt.Errorf("band %d: codes end at bit %d, the index at %d", b, pos, end)
+			}
+		case firsts:
+			_, ok = finishRuns(t, l.data, at[:1], l.pos, 0)
+		}
+		if !ok {
+			return fmt.Errorf("band %d: codes run past the plane or the band, have no symbol, or repeat nothing", b)
+		}
+		l.pos = end
+	}
+	if len(index) == 0 && padded(l.data, l.pos) {
+		return errors.New("padding bits set")
 	}
 	return nil
 }
 
-// The fast loops' margins: the one 8-byte load of a pass; what a pass of
-// lanes in step can write, two lookups of two literals and a run in whole
-// 8-byte stores; what a lone lane's pass writes before its run.
+// open reads the tables at the front of plane, a coded one, builds its lookup
+// and the lookup's pair half, and leaves its codes in hand.
+func (l *lane) open(plane []byte) error {
+	var lens [planeSyms + 1]uint8
+	_, data, err := readLengths(plane, lens[:256])
+	if err == nil {
+		_, data, err = readLengths(data, lens[256:])
+	}
+	if err == nil && lens[planeSyms] != 0 {
+		err = errors.New("a code length for no run symbol")
+	}
+	if err == nil {
+		err = decodeTable(lens[:planeSyms], (*[1 << maxCodeLen]uint16)(l.t[:]))
+	}
+	if err != nil {
+		return err
+	}
+	pairUp(l.t)
+	l.data, l.pos = data, 0
+	return nil
+}
+
+// The fast loop's margins: the one 8-byte load of a pass, and what a pass
+// writes before its run.
 const (
-	fastIn  = 8
-	fastOut = 4 + (maxRun+7)&^7
-	runOut  = 8
-	pairs   = 1 << maxCodeLen // where the pair half of a plane's lookup starts
+	fastIn = 8
+	runOut = 8
+	pairs  = 1 << maxCodeLen // where the pair half of a plane's lookup starts
 )
 
 // pairUp fills the pair half of t: at each index whose code is a literal,
@@ -330,18 +309,17 @@ func pairUp(t *[2 << maxCodeLen]uint16) {
 	}
 }
 
-// run is the fast loop of a lane alone: it decodes the plane in hand while
-// fastIn bytes of data and runOut of dst remain, and checks neither; it takes
-// a run only if the run's 8-byte stores end inside dst, so that it stops
-// within a pass of the end of a plane or a band. Its
-// refill leaves at least 56 counted bits; a pass uses at most 41 (two
+// run is the fast loop: it decodes the band in hand while fastIn bytes of
+// data and runOut of dst remain, and checks neither; it takes a run only if
+// the run's 8-byte stores end inside dst, so that it stops within a pass of
+// the end of the band. Its refill leaves at least 56 counted bits; a pass uses at most 41 (two
 // literals and a run, 12+12+12+5), so one refill a pass covers it and the
 // next pass's first lookup, made before that pass refills, which keeps the
 // load off the chain from one symbol to the next. It refuses nothing itself:
 // at a run that would repeat nothing, or a pattern with no code, it stops
 // with that symbol unread.
 func (l *lane) run() {
-	t, tp := (*[1 << maxCodeLen]uint16)(l.t[:]), (*[1 << maxCodeLen]uint16)(l.t[l.pair:])
+	t, tp := (*[1 << maxCodeLen]uint16)(l.t[:]), (*[1 << maxCodeLen]uint16)(l.t[pairs:])
 	data, dst, at, out := l.data, l.dst, l.pos>>3+7, l.out
 	if len(data)-at < 1 || len(dst)-out < runOut {
 		return
@@ -391,17 +369,6 @@ func (l *lane) run() {
 		e, p = t[i], tp[i]
 	}
 	l.pos, l.out = 8*at-int(nb), out
-}
-
-// finish decodes the rest of the plane in hand with the careful loop and
-// opens the next.
-func (l *lane) finish(alone bool) error {
-	pos, ok := finishRuns(l.t, l.data, l.dst, l.pos, l.out)
-	if !ok || padded(l.data, pos) {
-		return fmt.Errorf("plane %d: codes run past the payload or the plane, have no symbol, repeat nothing, or leave padding bits set", l.next-1)
-	}
-	l.data = l.data[(pos+7)>>3:]
-	return l.open(alone)
 }
 
 // padded reports whether a bit of data's byte that bit pos falls in is set at
@@ -462,64 +429,4 @@ func finishRuns(t *[2 << maxCodeLen]uint16, data, dst []byte, pos, out int) (end
 		out += n
 	}
 	return 8*at - int(nb), true
-}
-
-// inStep runs the fast loop on the lanes with a plane in hand, busy of them,
-// until it can take lane i's no further: a lane alone as far as it goes, two
-// or more a pass each in turn. A pass of a lane in step loads 8 bytes at its
-// bit position and takes up to four symbols from them, a run the last — 53
-// bits at most — and keeps no bit buffer, only the position, which leaves the
-// registers to the lookups. It stops, as run does, at what it must not take.
-func inStep(ls []lane) (i, busy int) {
-	for j := range ls {
-		if ls[j].dst != nil {
-			i, busy = j, busy+1
-		}
-	}
-	if busy < 2 {
-		if busy == 1 {
-			ls[i].run()
-		}
-		return i, busy
-	}
-	for {
-		for i := range ls {
-			l := &ls[i]
-			if l.dst == nil {
-				continue
-			}
-			t, data, dst, pos, out := (*[1 << maxCodeLen]uint16)(l.t[:]), l.data, l.dst, l.pos, l.out
-			if len(data)-pos>>3 < fastIn || len(dst)-out < fastOut {
-				return i, busy
-			}
-			// At least 57 bits: four symbols' worth, a run the last.
-			bb := binary.BigEndian.Uint64(data[pos>>3:]) << (pos & 7)
-			for range 4 {
-				e := t[bb>>(64-maxCodeLen)]
-				if e&0xf0 == 0 {
-					dst[out] = byte(e >> 8)
-					out++
-					pos += int(e & 15)
-					bb <<= e & 63
-					continue
-				}
-				x := uint(e>>4) & 7
-				if x > 5 || out == 0 {
-					l.pos, l.out = pos, out
-					return i, busy
-				}
-				n := uint(e & 15)
-				end := out + int(e>>8) + 3 + int(bb<<n>>(64-x))
-				bb <<= n + x
-				pos += int(n + x)
-				v := uint64(dst[out-1]) * 0x0101010101010101
-				for ; out < end; out += 8 {
-					binary.LittleEndian.PutUint64(dst[out:], v)
-				}
-				out = end
-				break // fastOut has room for one run a pass
-			}
-			l.pos, l.out = pos, out
-		}
-	}
 }

@@ -130,14 +130,38 @@ func longCodes() *handPlane {
 	return handCode(lits, map[int]int{27: maxCodeLen})
 }
 
-// inflateInto decodes the coded planes at the front of src into planes, at
-// most three, in order, and refuses src unless they end where it does. On
-// error the planes hold garbage.
+// inflateInto decodes the coded planes at the front of src into planes, in
+// order, each as one band through the lane's fast and careful loops, and
+// refuses src unless they end where it does. On error the planes hold
+// garbage.
 func inflateInto(src []byte, planes ...[]byte) error {
-	l := lane{data: src, n: len(planes)}
-	copy(l.planes[:], planes)
-	_, err := inflateLanes([]lane{l})
-	return err
+	s := packPool.Get().(*packScratch)
+	defer packPool.Put(s)
+	for i, plane := range planes {
+		switch {
+		case len(src) == 0:
+			return fmt.Errorf("plane %d: no header", i)
+		case src[0] == 0 && len(src)-1 < len(plane):
+			return fmt.Errorf("plane %d: stored plane cut short", i)
+		case src[0] == 0:
+			src = src[1+copy(plane, src[1:]):]
+			continue
+		}
+		l := lane{t: (*[2 << maxCodeLen]uint16)(s.table[:]), dst: plane}
+		if err := l.open(src); err != nil {
+			return fmt.Errorf("plane %d: %v", i, err)
+		}
+		l.run()
+		pos, ok := finishRuns(l.t, l.data, plane, l.pos, l.out)
+		if !ok || padded(l.data, pos) {
+			return fmt.Errorf("plane %d: codes run past the payload or the plane, have no symbol, repeat nothing, or leave padding bits set", i)
+		}
+		src = l.data[(pos+7)>>3:]
+	}
+	if len(src) != 0 {
+		return fmt.Errorf("%d bytes after the planes", len(src))
+	}
+	return nil
 }
 
 // codePlanes is the writer's stream of planes.
@@ -154,9 +178,7 @@ func codePlanes(planes ...[]byte) []byte {
 
 // assertInflateAgrees holds inflateInto to the reference decoder: the same
 // verdict on src as planes of the given sizes and, on acceptance, the same
-// bytes. A single plane is held to it a second time as two of three lanes
-// decoded in step, beside a plane whose codes are shorter, so that the lanes
-// reach the fast loop's margins apart. It returns the verdict.
+// bytes. It returns the verdict.
 func assertInflateAgrees(t testing.TB, src []byte, sizes ...int) (accepted bool) {
 	t.Helper()
 	got, want := make([][]byte, len(sizes)), make([][]byte, len(sizes))
@@ -166,19 +188,6 @@ func assertInflateAgrees(t testing.TB, src []byte, sizes ...int) (accepted bool)
 	err, refErr := inflateInto(src, got...), refInflate(src, want...)
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("verdicts differ on %x as planes of %v: inflateInto says %v, the reference %v", src, sizes, err, refErr)
-	}
-	if len(sizes) == 1 && sizes[0] > 0 {
-		var ls [3]lane
-		for i, data := range [][]byte{codePlanes(bytes.Repeat([]byte{1, 2, 3, 5}, sizes[0]/4+1)[:sizes[0]]), src, src} {
-			ls[i] = lane{data: data, n: 1}
-			ls[i].planes[0] = make([]byte, sizes[0])
-		}
-		if _, stepErr := inflateLanes(ls[:]); (stepErr == nil) != (refErr == nil) {
-			t.Fatalf("verdicts differ on %x as a plane of %d decoded in step: %v, the reference %v", src, sizes[0], stepErr, refErr)
-		}
-		if refErr == nil && (!bytes.Equal(ls[1].planes[0], want[0]) || !bytes.Equal(ls[2].planes[0], want[0])) {
-			t.Fatalf("%x decoded in step differs from the reference's", src)
-		}
 	}
 	if err != nil {
 		return false
@@ -374,47 +383,47 @@ func inflateRejections() []inflateRejection {
 	}
 }
 
-// planeStreams frames plane, coded to n bytes, as the Cr plane of an SJPG
-// stream and of an SJPR base scan (a 2n×1 image), and as the refinement scans
-// of a 4n×1 image's containers: one scan, and three decoded in step. The
-// other planes are coded by the writer.
-func planeStreams(plane []byte, n int) (sjpg, base, refine, inStep []byte) {
+// planeStreams frames plane, coded to n bytes, as the Cr plane of a
+// one-scan container of a 2n×1 image, and as the Cr bit plane of the
+// refinement scan of a two-scan container of a 16n×1 one, whose chroma planes
+// hold 8n values. The other planes are coded by the writer.
+func planeStreams(plane []byte, n int) (base, refine []byte) {
 	zeros := func(k int) []byte { return codePlanes(make([]byte, k)) }
-	payload, wide := slices.Concat(zeros(2*n), zeros(n), plane), slices.Concat(zeros(4*n), zeros(2*n), zeros(2*n))
-	return sjpgOver(2*n, 1, zeros(2*n), zeros(n), plane), sjprOver(2*n, 1, payload), sjprOver(4*n, 1, wide, plane), sjprOver(4*n, 1, wide, plane, plane, plane)
+	return over(2*n, 1, [3][]byte{zeros(2 * n), zeros(n), plane}),
+		over(16*n, 1, [3][]byte{zeros(16 * n), zeros(8 * n), zeros(8 * n)}, [3][]byte{zeros(2 * n), zeros(n), plane})
 }
 
 // entryPoints decodes plane, coded to n bytes, through every entry point in
-// each of planeStreams's frames. A scan longer than the writer's worst case —
-// 4n + 3 bytes for the base scan of a 2n×1 image, n + 1 for the refinement
-// scan of a 4n×1 one — is refused from the index; accept says whether the
-// plane is.
+// each of planeStreams's frames. A plane longer than the writer's worst case,
+// n + 1 bytes, is refused from the index; accept says whether the plane is.
+// A stored plane cut short ends the stream short of the size its marker
+// implies.
 func entryPoints(t *testing.T, plane []byte, n int, accept bool) {
 	t.Helper()
-	sjpg, base, refine, inStep := planeStreams(plane, n)
-	baseFits := len(sjpg)-sjpgPlanesAt(sjpg) <= 4*n+3
-	refineFits := len(plane) <= n+1
+	base, refine := planeStreams(plane, n)
+	accept = accept && len(plane) <= n+1
+	refused := ErrCorrupt
+	if len(plane) > 0 && plane[0] == 0 && len(plane) < n+1 {
+		refused = ErrTruncated
+	}
 	rect := Rect{W: 1, H: 1}
 	for _, c := range []struct {
 		name   string
-		accept bool
 		decode func() (*Image, error)
 	}{
-		{"Decode", accept, func() (*Image, error) { return Decode(sjpg) }},
-		{"DecodeCropResize", accept, func() (*Image, error) { return DecodeCropResize(sjpg, rect, 1, 1) }},
-		{"DecodeProgressive", accept && baseFits, func() (*Image, error) { im, _, err := DecodeProgressive(base); return im, err }},
-		{"DecodeAtFidelity", accept && baseFits, func() (*Image, error) { return DecodeAtFidelity(base, 1) }},
-		{"DecodeProgressiveCropResize", accept && baseFits, func() (*Image, error) { return DecodeProgressiveCropResize(base, rect, 1, 1) }},
-		{"DecodeProgressive/refinement", accept && refineFits, func() (*Image, error) { im, _, err := DecodeProgressive(refine); return im, err }},
-		{"DecodeAtFidelity/refinement", accept && refineFits, func() (*Image, error) { return DecodeAtFidelity(refine, 2) }},
-		{"DecodeProgressiveCropResize/in step", accept && refineFits, func() (*Image, error) { return DecodeProgressiveCropResize(inStep, rect, 1, 1) }},
+		{"Decode", func() (*Image, error) { return Decode(base) }},
+		{"DecodeCropResize", func() (*Image, error) { return DecodeCropResize(base, rect, 1, 1) }},
+		{"DecodeAtFidelity", func() (*Image, error) { return DecodeAtFidelity(base, 1) }},
+		{"Decode/refinement", func() (*Image, error) { return Decode(refine) }},
+		{"DecodeCropResize/refinement", func() (*Image, error) { return DecodeCropResize(refine, rect, 1, 1) }},
+		{"DecodeAtFidelity/refinement", func() (*Image, error) { return DecodeAtFidelity(refine, 2) }},
 	} {
 		im, err := c.decode()
 		switch {
-		case c.accept && err != nil:
+		case accept && err != nil:
 			t.Errorf("%s: %v", c.name, err)
-		case !c.accept && !errors.Is(err, ErrCorrupt):
-			t.Errorf("%s: err %v, want ErrCorrupt", c.name, err)
+		case !accept && !errors.Is(err, refused):
+			t.Errorf("%s: err %v, want %v", c.name, err, refused)
 		}
 		if err == nil {
 			im.Release()
@@ -450,19 +459,22 @@ type handoverStream struct {
 	sizes  []int
 }
 
+// passOut is what one pass of literals and a run can write in whole 8-byte
+// stores: two lookups of two literals, then a run of 258.
+const passOut = 4 + (maxRun+7)&^7
+
 // handoverStreams lists streams built around the places the fast loop hands
 // over to the careful one; every one is accepted.
 func handoverStreams() []handoverStream {
 	var out []handoverStream
-	// The output margins. A lane alone takes a run in its fast loop only if
-	// the run ends seven bytes or more short of the plane: t literals follow
-	// the run, and t of 6 or 7 put it on either side of that edge, t of 0…8
-	// and the literals after it in and out of the last runOut bytes. Lanes in
-	// step stop a pass fastOut bytes short: a run whose pass starts fastOut +
-	// d bytes before the plane's end after lead literals is their fast loop's
-	// last at d = 0, where a run of 258 after two literals stores up to the
-	// plane's last byte, and the careful loop's first at d = −1. Under
-	// longCodes the run's pass takes 41 bits, the most any pass can.
+	// The output margins. The fast loop takes a run only if the run ends
+	// seven bytes or more short of the plane: t literals follow the run, and
+	// t of 6 or 7 put it on either side of that edge, t of 0…8 and the
+	// literals after it in and out of the last runOut bytes. A run whose pass
+	// starts passOut + d bytes before the plane's end after lead literals
+	// stores, at d = 0, up to the plane's last byte when it is 258 after two
+	// literals. Under longCodes the run's pass takes 41 bits, the most any
+	// pass can.
 	for _, code := range []struct {
 		name  string
 		new   func() *handPlane
@@ -476,7 +488,7 @@ func handoverStreams() []handoverStream {
 			for lead := range 3 {
 				tails := []int{0, 1, 7, 8}
 				for _, d := range []int{-1, 0, 1, 7, 8} {
-					if tail := fastOut - r - lead + d; tail >= 0 {
+					if tail := passOut - r - lead + d; tail >= 0 {
 						tails = append(tails, tail)
 					}
 				}
@@ -493,9 +505,8 @@ func handoverStreams() []handoverStream {
 			}
 		}
 	}
-	// The longest passes of lanes in step: four 12-bit literals, or three and
-	// a 17-bit run, from each of the eight alignments to a byte the 1-bit
-	// literals ahead of them leave.
+	// Long passes: four 12-bit literals, or three and a 17-bit run, from each
+	// of the eight alignments to a byte the 1-bit literals ahead of them leave.
 	for align := range 8 {
 		p := longCodes().lits(1)
 		for range align {
@@ -695,38 +706,50 @@ func assertEncodes(t *testing.T, name string, im *Image, quality int) []byte {
 		t.Fatal(err)
 	}
 	planes := sjpgPlanes(im, quality)
-	got := make([]byte, len(planes))
-	if err := refSJPGPlanes(data, im.W, im.H, refSplit(got, im.W, im.H)); err != nil || !bytes.Equal(got, planes) {
-		t.Fatalf("%s: the reference decoder: %v, or the planes differ", name, err)
+	w, h, _, scans, _, err := refParse(data)
+	if err != nil || len(scans) != 1 {
+		t.Fatalf("%s: the reference parser: %v, or %d scans", name, err, len(scans))
+	}
+	var got []byte
+	for p := range 3 {
+		n, band := refPlaneBytes(w, h, p, 0)
+		plane, err := refBands(scans[0].planes[p], scans[0].bits[p], n, band)
+		if err != nil {
+			t.Fatalf("%s: the reference decoder: %v", name, err)
+		}
+		got = append(got, plane...)
+	}
+	if !bytes.Equal(got, planes) {
+		t.Fatalf("%s: the reference decoder's planes differ", name)
 	}
 	p, err := decodePlanes(data)
 	if err != nil || !bytes.Equal(p.buf[:len(planes)], planes) {
 		t.Fatalf("%s: %v, or the planes differ", name, err)
 	}
 	p.release()
-	if at := sjpgPlanesAt(data); len(data)-at > len(planes)+3 {
+	if at := scansAt(data); len(data)-at > len(planes)+3 {
 		t.Errorf("%s: %d bytes of planes for %d bytes of values", name, len(data)-at, len(planes))
 	}
 	return data
 }
 
-// parentSJPG is what SJPG version 2 (planes coded without bands) stored for
-// benchSet, and parentSJPR what SJPR version 2 (scans through compress/flate
-// at level 6) stored.
+// parentSJPG is what SJPG version 3 (no scans) stored for benchSet, and
+// parentSJPR what SJPR version 3 (MaxScans scans behind a sidecar and a scan
+// index, each plane one band) stored.
 var (
 	parentSJPG = [48]int{
-		86353, 190201, 196655, 144432, 118147, 101091, 157546, 81513, 123676, 43714, 69665, 53881,
-		78375, 211880, 117209, 114010, 135854, 92958, 18059, 92733, 210429, 93633, 74855, 51100,
-		26145, 163660, 85478, 15547, 123039, 245644, 35052, 17982, 89188, 94418, 228665, 51256,
-		19787, 78401, 119423, 53926, 44677, 68798, 227917, 63655, 38177, 109968, 119220, 38727,
+		86552, 190419, 196954, 144668, 118552, 101204, 157842, 81824, 123954, 43827, 69786, 53974,
+		78546, 212197, 117427, 114159, 136160, 93099, 18160, 92954, 210736, 93865, 75129, 51203,
+		26303, 163983, 85670, 15667, 123225, 246052, 35286, 18101, 89485, 94641, 228937, 51527,
+		19884, 78616, 119679, 54165, 44769, 69105, 228215, 63801, 38265, 110222, 119498, 38881,
 	}
-	parentSJPR = 5411407
+	parentSJPR = 5496430
 )
 
 // TestWriterBenchSetAndGoldens: the golden three and benchSet's 48 images read
-// back through both decoders; benchSet's SJPG objects are at most 0.3 % larger
-// in all than without bands, and its SJPR containers at most 2 % larger than
-// compress/flate's.
+// back through both decoders; benchSet's one-scan objects are each at most
+// 0.1 % larger than SJPG version 3's, and the MaxScans ones are logged beside
+// SJPR version 3's.
 func TestWriterBenchSetAndGoldens(t *testing.T) {
 	for _, g := range []struct {
 		seed          uint64
@@ -743,18 +766,15 @@ func TestWriterBenchSetAndGoldens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sjpg, old, sjpr int
+	var one, old, deep int
 	for i, s := range set {
 		data := assertEncodes(t, fmt.Sprintf("benchSet %d (%dx%d)", i, s.im.W, s.im.H), s.im, DefaultQuality)
-		sjpg, old, sjpr = sjpg+len(data), old+parentSJPG[i], sjpr+len(prog[i])
+		if float64(len(data)) > 1.001*float64(parentSJPG[i]) {
+			t.Errorf("benchSet %d: %d bytes, %.4f of version 3's %d", i, len(data), float64(len(data))/float64(parentSJPG[i]), parentSJPG[i])
+		}
+		one, old, deep = one+len(data), old+parentSJPG[i], deep+len(prog[i])
 	}
-	t.Logf("SJPG %.4f of version 2's bytes, SJPR %.4f of compress/flate's", float64(sjpg)/float64(old), float64(sjpr)/float64(parentSJPR))
-	if float64(sjpg) > 1.003*float64(old) {
-		t.Errorf("benchSet's SJPG objects are %d bytes, %.4f of version 2's %d", sjpg, float64(sjpg)/float64(old), old)
-	}
-	if float64(sjpr) > 1.02*float64(parentSJPR) {
-		t.Errorf("benchSet's containers are %d bytes, %.4f of compress/flate's %d", sjpr, float64(sjpr)/float64(parentSJPR), parentSJPR)
-	}
+	t.Logf("L = 1: %.4f of SJPG version 3's bytes; L = %d: %.4f of SJPR version 3's", float64(one)/float64(old), MaxScans, float64(deep)/float64(parentSJPR))
 }
 
 // TestWriterDims: Encode over odd and degenerate geometries.

@@ -2,7 +2,6 @@ package imaging
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"math/rand/v2"
 	"slices"
@@ -22,9 +21,8 @@ func synthFor(t testing.TB, seed uint64, w, h int, detail float64) *Image {
 	return im
 }
 
-// Full-depth progressive decode must be pixel-identical to the SJPG path at
-// the same quality: the scans are a re-serialization of the same quantized
-// planes, not a different codec.
+// A full-depth decode is pixel-identical at every scan count: the scans are a
+// re-serialization of the same quantized planes, not a different codec.
 func TestProgressiveFullMatchesSJPG(t *testing.T) {
 	for _, q := range []int{30, 60, 80, 95} {
 		for scans := 1; scans <= MaxScans; scans++ {
@@ -41,16 +39,13 @@ func TestProgressiveFullMatchesSJPG(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, n, err := DecodeProgressive(prog)
+			got, err := Decode(prog)
 			if err != nil {
 				t.Fatalf("q=%d scans=%d: %v", q, scans, err)
 			}
-			if n != scans {
-				t.Fatalf("q=%d scans=%d: decoded %d scans", q, scans, n)
-			}
 			if !got.Equal(want) {
 				d, _ := got.MaxAbsDiff(want)
-				t.Fatalf("q=%d scans=%d: full progressive decode differs from SJPG (max diff %d)", q, scans, d)
+				t.Fatalf("q=%d scans=%d: full decode differs from one scan's (max diff %d)", q, scans, d)
 			}
 			got.Release()
 			want.Release()
@@ -94,13 +89,13 @@ func TestProgressivePrefixProperties(t *testing.T) {
 				t.Logf("slice k=%d: %v", k, err)
 				return false
 			}
-			fromPrefix, n, err := DecodeProgressive(prefix)
+			fromPrefix, err := Decode(prefix)
 			if err != nil {
 				t.Logf("decode prefix k=%d: %v", k, err)
 				return false
 			}
-			if n != k {
-				t.Logf("prefix k=%d decoded %d scans", k, n)
+			if c, _ := whole(prefix); c.present != k {
+				t.Logf("prefix k=%d holds %d scans", k, c.present)
 				return false
 			}
 			atFidelity, err := DecodeAtFidelity(full, k)
@@ -166,7 +161,7 @@ func TestProgressiveFidelityLadder(t *testing.T) {
 // never as a quietly wrong image.
 func TestProgressiveTruncationAndCorruption(t *testing.T) {
 	im := synthFor(t, 11, 32, 24, 0.5)
-	full, err := EncodeProgressiveSidecar(im, 80, 3, []byte("labels:42"))
+	full, err := EncodeProgressive(im, 80, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +183,7 @@ func TestProgressiveTruncationAndCorruption(t *testing.T) {
 		if boundaries[n] {
 			continue
 		}
-		if im2, _, err := DecodeProgressive(full[:n]); err == nil {
+		if im2, err := Decode(full[:n]); err == nil {
 			im2.Release()
 			t.Fatalf("mid-scan truncation to %d bytes decoded without error", n)
 		} else if !errors.Is(err, ErrTruncated) && !errors.Is(err, ErrCorrupt) {
@@ -199,22 +194,17 @@ func TestProgressiveTruncationAndCorruption(t *testing.T) {
 	// Corrupt a scan payload byte: the index CRC must catch it.
 	corrupt := append([]byte(nil), full...)
 	corrupt[len(corrupt)-1] ^= 0xFF
-	if im2, _, err := DecodeProgressive(corrupt); err == nil {
+	if im2, err := Decode(corrupt); err == nil {
 		im2.Release()
 		t.Fatal("corrupted scan payload decoded without error")
 	} else if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted payload: got %v, want ErrCorrupt", err)
 	}
 
-	// Corrupt the scan index itself (first scan length field).
+	// Corrupt the index itself (the first plane's size).
 	corrupt = append(corrupt[:0], full...)
-	side, err := ProgressiveSidecar(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := sjprFixedHeader + len(side)
-	binary.BigEndian.PutUint32(corrupt[idx:idx+4], 1<<30)
-	if im2, _, err := DecodeProgressive(corrupt); err == nil {
+	corrupt[headerSize+1+4] = 0x7f
+	if im2, err := Decode(corrupt); err == nil {
 		im2.Release()
 		t.Fatal("corrupted scan index decoded without error")
 	} else if !errors.Is(err, ErrCorrupt) && !errors.Is(err, ErrTruncated) {
@@ -222,35 +212,8 @@ func TestProgressiveTruncationAndCorruption(t *testing.T) {
 	}
 }
 
-// The sidecar rides in the header region, so every fidelity prefix carries
-// it verbatim.
-func TestProgressiveSidecarSurvivesSlicing(t *testing.T) {
-	im := synthFor(t, 13, 20, 20, 0.3)
-	meta := []byte("class=7;bbox=1,2,3,4")
-	full, err := EncodeProgressiveSidecar(im, 80, MaxScans, meta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= MaxScans; k++ {
-		prefix, err := SlicePrefix(full, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := ProgressiveSidecar(prefix)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, meta) {
-			t.Fatalf("k=%d: sidecar %q, want %q", k, got, meta)
-		}
-	}
-	if _, err := EncodeProgressiveSidecar(im, 80, 2, make([]byte, MaxSidecar+1)); err == nil {
-		t.Fatal("oversized sidecar accepted")
-	}
-}
-
 // ProgressiveInfo reports scans present for both full containers and
-// prefixes; IsProgressive distinguishes the two codecs by magic.
+// prefixes; IsProgressive tells a container of one scan from a deeper one.
 func TestProgressiveInfo(t *testing.T) {
 	im := synthFor(t, 17, 24, 16, 0.4)
 	full, err := EncodeProgressive(im, 60, 3)
@@ -316,8 +279,8 @@ func TestFoldBitsMatchesPerValue(t *testing.T) {
 	rng := rand.New(rand.NewPCG(8, 64))
 	for _, n := range []int{1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 4099} {
 		for trial := 0; trial < 24; trial++ {
-			m, off, at := 1+trial%3, rng.IntN(9), rng.IntN(9)
-			span := (off + at + n + 7) / 8
+			m, at := 1+trial%3, rng.IntN(17)
+			span := (at + n + 7) / 8
 			vals, packed := make([]uint8, n), make([]uint8, m*span)
 			for i := range vals {
 				vals[i] = uint8(rng.Uint32()) // half of them ≥ 128
@@ -327,48 +290,50 @@ func TestFoldBitsMatchesPerValue(t *testing.T) {
 			}
 			want := make([]uint8, n)
 			for i, v := range vals {
-				k := off + at + i
+				k := at + i
 				for j := range m {
 					v = v<<1 | packed[j*span+k/8]>>(k%8)&1
 				}
 				want[i] = v
 			}
-			refinement{packed, m, off}.fold(vals, at)
+			refinement{packed, m}.fold(vals, at)
 			if !bytes.Equal(vals, want) {
-				t.Fatalf("n = %d, %d bit planes, value %d+%d: the fold differs from the per-value loop", n, m, off, at)
+				t.Fatalf("n = %d, %d bit planes, value %d: the fold differs from the per-value loop", n, m, at)
 			}
 		}
 	}
 }
 
-// TestScanErrorsNameTheScan: the base scan decodes alone and the refinement
-// scans in step, yet a refusal names the scan it is in.
+// TestScanErrorsNameTheScan: a refusal names the scan and the plane it is
+// in, whether the index or the decoder refuses.
 func TestScanErrorsNameTheScan(t *testing.T) {
-	base, bits := slices.Concat(stored(7), stored(7), stored(7)), stored(0b010)
+	base := [3][]byte{stored(7), stored(7), stored(7)}
+	bits := [3][]byte{stored(0b001), stored(0b001), stored(0b001)}
+	wide := [3][]byte{stored(make([]byte, 64)...), stored(make([]byte, 32)...), stored(make([]byte, 32)...)}
+	lone := handCode(map[byte]int{5: 1}, nil).out // one byte value, its code one bit, 0
 	for want, data := range map[string][]byte{
-		"scan 0: plane 2": sjprOver(1, 1, slices.Concat(stored(7), stored(7)), bits, bits),
-		"scan 2: plane 0": sjprOver(1, 1, base, bits, []byte{0}, bits),
-		"scan 3: pad":     sjprOver(1, 1, base, bits, bits, stored(0b1010)),
+		"scan 0 plane 2: 1 bytes hold no codes":               over(1, 1, [3][]byte{stored(7), stored(7), {5}}, bits),
+		"scan 2 plane 0: truncated uvarint, or 3 bytes for 1": over(1, 1, base, bits, [3][]byte{{1, 0x10, 0}, bits[1], bits[2]}, bits),
+		"scan 1 plane 0: bits set past the last value":        over(1, 1, base, [3][]byte{stored(0b011), bits[1], bits[2]}),
+		"scan 1 plane 0: band 0: codes run":                   over(64, 1, wide, [3][]byte{append(slices.Clone(lone), 0x80), stored(0, 0, 0, 0), stored(0, 0, 0, 0)}),
 	} {
-		if _, _, err := DecodeProgressive(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("err %v, want ErrCorrupt naming %q", err, want)
 		}
 	}
 }
 
-// TestScanBoundsFollowTheScan: each index entry is held to what its own scan
-// decodes to — the planes for the base scan, an eighth of them for a
-// refinement scan — from both sides.
+// TestScanBoundsFollowTheScan: each plane's index entries are held to what
+// that plane of its own scan decodes to — values in the base scan, one bit of
+// each in a refinement scan — from both sides.
 func TestScanBoundsFollowTheScan(t *testing.T) {
-	// Above: scans of valid coded planes, of the right length, with the right
-	// CRC and no pad bits, but longer than the writer's worst case, each plane
-	// stored behind its marker: total + 3 bytes for the base scan, ⌈total/8⌉ + 1
-	// for a refinement scan. Coded under a table of every byte value in eight
-	// bits, a plane takes 130 bytes more than it holds. Both are refused from
-	// the index alone, by every entry point, before any buffer is requested.
+	// Above: planes of valid codes, with the right CRC, but longer than the
+	// writer's worst case, the plane stored behind its marker. Coded under a
+	// table of every byte value in eight bits, a plane takes 130 bytes more
+	// than it holds. Both are refused from the index alone, by every entry
+	// point, before any buffer is requested.
 	const w, h = 64, 48
 	n, cn := w*h, (w/2)*(h/2)
-	total := n + 2*cn
 	eight := func(k int) []byte {
 		return slices.Concat([]byte{128}, bytes.Repeat([]byte{0x88}, 128), []byte{0}, make([]byte, k))
 	}
@@ -376,38 +341,37 @@ func TestScanBoundsFollowTheScan(t *testing.T) {
 		t.Fatalf("the eight-bit table's plane: %v", err)
 	}
 	zeros := func(k int) []byte { return stored(make([]byte, k)...) }
-	base, shortest := slices.Concat(zeros(n), zeros(cn), zeros(cn)), zeros(scanLen(total, 1))
+	base, shortest := [3][]byte{zeros(n), zeros(cn), zeros(cn)}, [3][]byte{zeros(n / 8), zeros(cn / 8), zeros(cn / 8)}
 	for name, long := range map[string][]byte{
-		"base":       sjprOver(w, h, slices.Concat(zeros(n), eight(cn), zeros(cn)), shortest),
-		"refinement": sjprOver(w, h, base, eight(scanLen(total, 1))),
+		"base":       over(w, h, [3][]byte{zeros(n), eight(cn), zeros(cn)}, shortest),
+		"refinement": over(w, h, base, [3][]byte{zeros(n / 8), eight(cn / 8), zeros(cn / 8)}),
 	} {
 		before := bufpool.ByteStats()
-		_, _, _, _, _, infoErr := ProgressiveInfo(long)
 		_, sizeErr := PrefixSize(long, 1)
-		_, _, decErr := DecodeProgressive(long)
+		_, decErr := Decode(long)
 		_, fidErr := DecodeAtFidelity(long, 2)
-		_, cropErr := DecodeProgressiveCropResize(long, Rect{W: 8, H: 8}, 4, 4)
-		for _, err := range []error{infoErr, sizeErr, decErr, fidErr, cropErr} {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Errorf("over-long %s scan: err %v, want ErrCorrupt", name, err)
+		_, cropErr := DecodeCropResize(long, Rect{W: 8, H: 8}, 4, 4)
+		for _, err := range []error{sizeErr, decErr, fidErr, cropErr} {
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "plane 1: truncated uvarint, or") {
+				t.Errorf("over-long %s plane: err %v, want ErrCorrupt from the index", name, err)
 			}
 		}
 		if _, ok := FidelityPrefixSize(long, 1); ok {
-			t.Errorf("FidelityPrefixSize sliced a container with an over-long %s scan", name)
+			t.Errorf("FidelityPrefixSize sliced a container with an over-long %s plane", name)
 		}
 		if after := bufpool.ByteStats(); after != before {
-			t.Errorf("over-long %s scan refused after arena traffic: %+v, was %+v", name, after, before)
+			t.Errorf("over-long %s plane refused after arena traffic: %+v, was %+v", name, after, before)
 		}
 	}
 	// The same container with every plane stored is accepted.
-	if im, k, err := DecodeProgressive(sjprOver(w, h, base, shortest)); err != nil || k != 2 {
-		t.Errorf("stored scans: %d scans, err %v", k, err)
+	if im, err := Decode(over(w, h, base, shortest)); err != nil {
+		t.Errorf("stored scans: %v", err)
 	} else {
 		im.Release()
 	}
 
 	// The writer's own worst case, noise it can only store, meets the bound.
-	noise := MustNew(640, 480) // 57 600 B a refinement scan
+	noise := MustNew(640, 480) // 38 400 B a luma bit plane
 	rng := rand.New(rand.NewPCG(2, 24))
 	for i := range noise.Pix {
 		noise.Pix[i] = uint8(rng.Uint32())
@@ -416,36 +380,39 @@ func TestScanBoundsFollowTheScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hd, err := parseProgressive(worst); err != nil || hd.lens[MaxScans-1] != scanLen(hd.total, 1)+1 {
-		t.Fatalf("noise: err %v, or its last scan (%d B) is not stored", err, hd.lens[MaxScans-1])
+	if c, err := parse(worst); err != nil || c.size[MaxScans-1][0] != 640*480/8+1 {
+		t.Fatalf("noise: err %v, or its last luma bit plane (%d B) is not stored", err, c.size[MaxScans-1][0])
 	}
 
-	// Below: a flat image's refinement scans are a few dozen bytes for 57 600,
-	// which 2064:1 allows and would not for the 460 800 plane values.
+	// Below: a flat image's bit planes take a few bytes a band of 1 280.
 	flat := MustNew(640, 480)
 	data, err := EncodeProgressive(flat, DefaultQuality, MaxScans)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hd, err := parseProgressive(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if canYield(hd.lens[1], hd.total) || !canYield(hd.lens[1], scanLen(hd.total, 1)) {
-		t.Fatalf("a %d-byte scan does not separate the two floors", hd.lens[1])
-	}
-	im, _, err := DecodeProgressive(data)
+	im, err := Decode(data)
 	if err != nil {
 		t.Fatalf("flat image: %v", err)
 	}
 	im.Release()
-	// An index entry under the floor of its own scan is refused before the planes.
-	tiny := sjprOver(640, 480, data[hd.body:hd.body+hd.lens[0]], []byte{1, 0x10})
+	// A band's length under the floor of its own plane is refused before the
+	// planes.
+	c, err := parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A byte of codes under a one-bit code can yield the 1 280 bytes of band
+	// 0, and none are left for band 1.
+	const big, bigC = 640 * 480, 320 * 240
+	tiny := over(640, 480, [3][]byte{zeros(big), zeros(bigC), zeros(bigC)}, [3][]byte{{1, 0x10, 0, 0}, zeros(bigC / 8), zeros(bigC / 8)})
 	before := bufpool.ByteStats()
-	if _, _, err := DecodeProgressive(tiny); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("2-byte refinement scan for 57 600 bytes: err %v, want ErrCorrupt", err)
+	if _, err := Decode(tiny); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "scan 1 plane 0 band 1: a truncated length, or 0 bits") {
+		t.Errorf("a byte of codes for a luma bit plane of 38 400 bytes: err %v, want ErrCorrupt", err)
 	}
 	if after := bufpool.ByteStats(); after != before {
 		t.Errorf("refused after arena traffic: %+v, was %+v", after, before)
+	}
+	if c.size[1][0] > 128 {
+		t.Errorf("a flat image's luma bit plane takes %d bytes", c.size[1][0])
 	}
 }

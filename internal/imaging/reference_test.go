@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"image/color"
 	"math"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -176,15 +177,44 @@ func refPadding(src []byte, bit int) error {
 	return nil
 }
 
-// refSJPGPlanes decodes the three planes of an SJPG stream of a w×h image
-// into planes as codec.go's comment lays the stream out: the band index, then
-// each plane's tables and its bands' codes, each band decoded on its own from
-// where the index says it starts.
-func refSJPGPlanes(data []byte, w, h int, planes [][]byte) error {
+// refScan is one scan of a container as the index describes it: its CRC,
+// each plane's bytes (nil where data ends before them) and size, and each of
+// its bands' lengths in bits.
+type refScan struct {
+	crc    uint32
+	planes [3][]byte
+	sizes  [3]int
+	bits   [3][]int
+}
+
+// refPlaneBytes is the size of plane p of scan j of a w×h image and of its
+// bands: values, or one bit each after scan 0.
+func refPlaneBytes(w, h, p, j int) (n, band int) {
+	cw, ch := (w+1)/2, (h+1)/2
+	n, band = w*h, 16*w
+	if p > 0 {
+		n, band = cw*ch, 8*cw
+	}
+	if j > 0 {
+		n, band = (n+7)/8, band/8
+	}
+	return n, band
+}
+
+// refParse reads a container the way codec.go's comment lays it out and
+// returns its scans and how many of them data holds whole (−1: it ends inside
+// one). Every coded plane's bands must be able to yield their bytes, a run a
+// bit at least, and fit its codes; the bands of a plane data holds must end
+// in its last byte, and its marker say stored where its size does.
+func refParse(data []byte) (w, h, quality int, scans []refScan, present int, err error) {
+	w, h, quality, l, err := parseHeader(data)
+	if err != nil {
+		return 0, 0, 0, nil, 0, err
+	}
 	payload := data[headerSize:]
 	size, k := binary.Uvarint(payload)
 	if k <= 0 || size > uint64(len(payload)-k) {
-		return errors.New("no index")
+		return 0, 0, 0, nil, 0, errors.New("no index")
 	}
 	index, body := payload[k:k+int(size)], payload[k+int(size):]
 	var bad error
@@ -197,62 +227,93 @@ func refSJPGPlanes(data []byte, w, h int, planes [][]byte) error {
 		index = index[k:]
 		return int(v)
 	}
-	cw := (w + 1) / 2
-	for p, stride := range []int{w, cw, cw} {
-		plane, band := planes[p], 16*stride
-		if p > 0 {
-			band = 8 * stride
+	fail := func(e error) (int, int, int, []refScan, int, error) { return 0, 0, 0, nil, 0, e }
+	ends := []int{0}
+	for j := 0; j < l; j++ {
+		if len(index) < 4 {
+			return fail(errors.New("no CRC"))
 		}
-		size := next()
-		if bad != nil || size > len(body) || size == 0 {
-			return fmt.Errorf("plane %d: no plane", p)
-		}
-		data := body[:size]
-		body = body[size:]
-		var bits []int
-		for lo := 0; lo < len(plane); lo += band {
-			bits = append(bits, next())
-		}
-		if bad != nil {
-			return bad
-		}
-		if data[0] == 0 {
-			if len(data)-1 != len(plane) {
-				return fmt.Errorf("plane %d: stored plane of %d bytes", p, len(data)-1)
+		s := refScan{crc: binary.BigEndian.Uint32(index)}
+		index = index[4:]
+		for p := range 3 {
+			n, band := refPlaneBytes(w, h, p, j)
+			s.sizes[p] = next()
+			stored := bad == nil && s.sizes[p] == 0 // its size and bands go without saying
+			if stored {
+				s.sizes[p] = n + 1
 			}
-			for b, n := range bits {
-				if n != 8*min(band, len(plane)-b*band) {
-					return fmt.Errorf("plane %d band %d: %d bits stored", p, b, n)
+			if bad != nil || s.sizes[p] > n+1 {
+				return fail(fmt.Errorf("scan %d plane %d: no plane", j, p))
+			}
+			start := ends[len(ends)-1] + sumSizes(s.sizes[:p])
+			codes := 8 * (s.sizes[p] - 1)
+			if start+s.sizes[p] <= len(body) {
+				plane := body[start : start+s.sizes[p]]
+				if stored != (plane[0] == 0) {
+					return fail(fmt.Errorf("scan %d plane %d: stored %v, marker %d", j, p, stored, plane[0]))
 				}
+				if hl := int(plane[0]); hl != 0 {
+					if 1+hl >= len(plane) || 2+hl+int(plane[1+hl]) > len(plane) {
+						return fail(fmt.Errorf("scan %d plane %d: tables run past the plane", j, p))
+					}
+					codes = 8 * (len(plane) - 2 - hl - int(plane[1+hl]))
+				}
+				s.planes[p] = plane
 			}
-			copy(plane, data[1:])
-			continue
-		}
-		symbol, codes, err := refTables(data)
-		if err != nil {
-			return fmt.Errorf("plane %d: %v", p, err)
-		}
-		bit := 0
-		for b, n := range bits {
-			end := bit + n
-			if bit, err = refSymbols(symbol, codes, bit, plane[b*band:min((b+1)*band, len(plane))]); err != nil {
-				return fmt.Errorf("plane %d band %d: %v", p, b, err)
+			if stored {
+				continue
 			}
-			if bit != end {
-				return fmt.Errorf("plane %d band %d ends at bit %d, not %d", p, b, bit, end)
+			total := 0
+			for lo := 0; lo < n; lo += band {
+				b := next()
+				if rows := min(band, n-lo); b*258 < rows {
+					return fail(fmt.Errorf("scan %d plane %d: %d bits cannot yield %d bytes", j, p, b, rows))
+				}
+				s.bits[p], total = append(s.bits[p], b), total+b
+			}
+			if bad != nil || total > codes || s.planes[p] != nil && codes-total >= 8 {
+				return fail(fmt.Errorf("scan %d plane %d: %d bits of bands in %d of codes", j, p, total, codes))
 			}
 		}
-		if (bit+7)/8 != len(codes) {
-			return fmt.Errorf("plane %d: %d bits of codes in %d bytes", p, bit, len(codes))
+		scans = append(scans, s)
+		ends = append(ends, ends[len(ends)-1]+sumSizes(s.sizes[:]))
+	}
+	if len(index) != 0 || len(body) > ends[l] {
+		return fail(errors.New("trailing bytes"))
+	}
+	return w, h, quality, scans, slices.Index(ends, len(body)), nil
+}
+
+func sumSizes(sizes []int) (n int) {
+	for _, s := range sizes {
+		n += s
+	}
+	return n
+}
+
+// refBands decodes a plane of n bytes, each of its bands on its own from
+// where bits, the bands' lengths, say it starts.
+func refBands(plane []byte, bits []int, n, band int) ([]byte, error) {
+	out := make([]byte, n)
+	if plane[0] == 0 {
+		copy(out, plane[1:])
+		return out, nil
+	}
+	symbol, codes, err := refTables(plane)
+	if err != nil {
+		return nil, err
+	}
+	bit := 0
+	for b, k := range bits {
+		end := bit + k
+		if bit, err = refSymbols(symbol, codes, bit, out[b*band:min((b+1)*band, n)]); err != nil {
+			return nil, fmt.Errorf("band %d: %v", b, err)
 		}
-		if err := refPadding(codes, bit); err != nil {
-			return err
+		if bit != end {
+			return nil, fmt.Errorf("band %d ends at bit %d, not %d", b, bit, end)
 		}
 	}
-	if len(index) != 0 || len(body) != 0 {
-		return errors.New("trailing bytes")
-	}
-	return nil
+	return out, refPadding(codes, bit)
 }
 
 // refDeltaDecode undoes refDeltaEncode: column 0 of a row predicts from the
@@ -318,74 +379,56 @@ func refSplit(planes []uint8, w, h int) [][]uint8 {
 	return [][]uint8{planes[:n], planes[n : n+cn], planes[n+cn : n+2*cn]}
 }
 
-// refDeltaDecodePlanes undoes the row prediction of the three planes, in
-// bands of 16 luma rows (SJPG) or in one band (band 0: SJPR).
-func refDeltaDecodePlanes(planes []uint8, w, h, band int) {
-	cw, ch := (w+1)/2, (h+1)/2
-	if band == 0 {
-		band = 2 * h
-	}
-	refDeltaDecode(planes[:w*h], w, band)
-	refDeltaDecode(planes[w*h:w*h+cw*ch], cw, band/2)
-	refDeltaDecode(planes[w*h+cw*ch:], cw, band/2)
-}
-
-// refDecode decodes an SJPG stream, or the first k scans of an SJPR
-// container (k is ignored for SJPG).
+// refDecode decodes the first k scans of a container, every scan data
+// holds for k = 0: the base scan's planes, delta-coded in bands of 16 luma
+// rows, then a bit of each value from each refinement scan.
 func refDecode(data []byte, k int) (*Image, error) {
-	if !IsProgressive(data) {
-		w, h, quality, err := parseHeader(data)
-		if err != nil {
-			return nil, err
-		}
-		planes := make([]uint8, w*h+2*((w+1)/2)*((h+1)/2))
-		if err := refSJPGPlanes(data, w, h, refSplit(planes, w, h)); err != nil {
-			return nil, err
-		}
-		refDeltaDecodePlanes(planes, w, h, 16)
-		yShift, cShift := shifts(quality)
-		return refPlanesToImage(w, h, yShift, cShift, planes), nil
-	}
-	hd, err := parseProgressive(data)
+	w, h, quality, scans, present, err := refParse(data)
 	if err != nil {
 		return nil, err
 	}
-	planes := make([]uint8, hd.w*hd.h+2*((hd.w+1)/2)*((hd.h+1)/2))
-	packed := make([]uint8, (len(planes)+7)/8) // a refinement scan: one bit a value
-	off := hd.body
-	for j := 0; j < k; j++ {
-		payload := data[off : off+hd.lens[j]]
-		off += hd.lens[j]
-		if crc32.Checksum(payload, sjprCRC) != hd.crcs[j] {
+	if k == 0 {
+		k = present
+	}
+	if k < 1 || k > len(scans) || scans[k-1].planes[2] == nil {
+		return nil, fmt.Errorf("%d of %d scans", present, len(scans))
+	}
+	planes := make([]uint8, w*h+2*((w+1)/2)*((h+1)/2))
+	split := refSplit(planes, w, h)
+	for j, s := range scans[:k] {
+		if crc32.Checksum(slices.Concat(s.planes[:]...), crcTable) != s.crc {
 			return nil, fmt.Errorf("scan %d CRC mismatch", j)
 		}
-		if j == 0 {
-			if err := refInflate(payload, refSplit(planes, hd.w, hd.h)...); err != nil {
-				return nil, err
+		for p, values := range split {
+			n, band := refPlaneBytes(w, h, p, j)
+			got, err := refBands(s.planes[p], s.bits[p], n, band)
+			if err != nil {
+				return nil, fmt.Errorf("scan %d plane %d: %v", j, p, err)
 			}
-			refDeltaDecodePlanes(planes, hd.w, hd.h, 0)
-			continue
-		}
-		if err := refInflate(payload, packed); err != nil {
-			return nil, err
-		}
-		for i := range planes {
-			planes[i] = planes[i]<<1 | packed[i/8]>>(i%8)&1
-		}
-		for i := len(planes); i < 8*len(packed); i++ {
-			if packed[i/8]>>(i%8)&1 != 0 {
-				return nil, fmt.Errorf("scan %d pad bit %d set", j, i)
+			if j == 0 {
+				copy(values, got)
+				refDeltaDecode(values, []int{w, (w + 1) / 2, (w + 1) / 2}[p], []int{16, 8, 8}[p])
+				continue
+			}
+			for i := range values {
+				values[i] = values[i]<<1 | got[i/8]>>(i%8)&1
+			}
+			for i := len(values); i < 8*len(got); i++ {
+				if got[i/8]>>(i%8)&1 != 0 {
+					return nil, fmt.Errorf("scan %d plane %d: pad bit %d set", j, p, i)
+				}
 			}
 		}
 	}
-	yShift, cShift := shifts(hd.quality)
-	extra := uint(hd.scans - k)
-	return refPlanesToImage(hd.w, hd.h, yShift+extra, cShift+extra, planes), nil
+	yShift, cShift := shifts(quality)
+	extra := uint(len(scans) - k)
+	return refPlanesToImage(w, h, yShift+extra, cShift+extra, planes), nil
 }
 
 var (
-	// The plane totals of 1×1, 3×5, 7×7 and 161×163 are 3, 3, 1 and 7 mod 8:
-	// an SJPR refinement scan's last byte holds that many values.
+	// The luma planes of 1×1, 3×5, 7×7 and 161×163 hold 1, 7, 1 and 3 values
+	// mod 8, their chroma planes 1, 6, 0 and 2: what a bit plane's last byte
+	// holds.
 	refDims      = [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {7, 7}, {15, 17}, {160, 161}, {161, 163}, {640, 480}}
 	refQualities = []int{95, 80, 60, 30} // one per shifts() band
 )
@@ -401,31 +444,13 @@ func TestDecodeMatchesReference(t *testing.T) {
 		}
 		im := synthFor(t, uint64(w*1000+h), w, h, 0.6)
 		for _, q := range refQualities {
-			name := fmt.Sprintf("%dx%d/q%d", w, h, q)
-			data, err := Encode(im, q)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			want, err := refDecode(data, 0)
-			if err != nil {
-				t.Fatalf("%s: reference: %v", name, err)
-			}
-			got, err := Decode(data)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if !got.Equal(want) {
-				t.Errorf("%s: Decode differs from the reference", name)
-			}
-			got.Release()
-
 			for scans := 1; scans <= MaxScans; scans++ {
 				prog, err := EncodeProgressive(im, q, scans)
 				if err != nil {
-					t.Fatalf("%s/L%d: %v", name, scans, err)
+					t.Fatalf("%dx%d/q%d/L%d: %v", w, h, q, scans, err)
 				}
 				for k := 1; k <= scans; k++ {
-					name := fmt.Sprintf("%s/L%d/k%d", name, scans, k)
+					name := fmt.Sprintf("%dx%d/q%d/L%d/k%d", w, h, q, scans, k)
 					want, err := refDecode(prog, k)
 					if err != nil {
 						t.Fatalf("%s: reference: %v", name, err)
@@ -442,12 +467,8 @@ func TestDecodeMatchesReference(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					got, n, err := DecodeProgressive(prefix)
-					if err != nil || n != k {
-						t.Fatalf("%s: DecodeProgressive = %d scans, %v", name, n, err)
-					}
-					if !got.Equal(want) {
-						t.Errorf("%s: DecodeProgressive differs from the reference", name)
+					if got, err = Decode(prefix); err != nil || !got.Equal(want) {
+						t.Fatalf("%s: Decode of the prefix: %v, or it differs from the reference", name, err)
 					}
 					got.Release()
 				}
@@ -542,48 +563,47 @@ func fnvHex(parts ...[]byte) string {
 // TestGoldenDigests pins the stored bytes and the decoded pixels of three
 // fixed images, so that a change to either is noticed. The pixels digests
 // were taken from the per-pixel encoder and a DEFLATE-reading decoder, and
-// outlive every change of the stored form; the sjpg and sjpr digests are
-// those of SJPG version 3 (planes in bands) and SJPR version 3, planes coded
-// by planes.go.
+// outlive every change of the stored form; the stored digests are those of
+// SJPG version 4 at one scan and at MaxScans.
 func TestGoldenDigests(t *testing.T) {
 	for _, c := range []struct {
 		seed          uint64
 		w, h, quality int
 		detail        float64
-		sjpg, sjpr    string // encoded bytes
+		one, deep     string // encoded bytes at L = 1 and L = MaxScans
 		pixels        string // Decode, then DecodeAtFidelity k = 1..MaxScans
 	}{
 		{seed: 1, w: 160, h: 161, quality: 80, detail: 0.5,
-			sjpg: "2544fb69acd707fe", sjpr: "dea84387601bd193", pixels: "cca12a6e5f0185ec"},
+			one: "547ddd765fc2ab06", deep: "bf695bad823ef010", pixels: "cca12a6e5f0185ec"},
 		{seed: 2, w: 333, h: 250, quality: 95, detail: 0.9,
-			sjpg: "7468338085093197", sjpr: "9bdfd9f9e6467a31", pixels: "a03d1547a4ceb6ad"},
+			one: "3e3350071489fd91", deep: "ecd70685e491467c", pixels: "a03d1547a4ceb6ad"},
 		{seed: 3, w: 640, h: 480, quality: 40, detail: 0.2,
-			sjpg: "4822377e9e52d7bd", sjpr: "6e3ca17bc250849a", pixels: "4f8d8ca9b8699bfd"},
+			one: "ad194c394c90f001", deep: "f73f294e84372bf8", pixels: "4f8d8ca9b8699bfd"},
 	} {
 		im := synthFor(t, c.seed, c.w, c.h, c.detail)
-		sjpg, err := Encode(im, c.quality)
+		one, err := Encode(im, c.quality)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sjpr, err := EncodeProgressiveSidecar(im, c.quality, MaxScans, []byte("label"))
+		deep, err := EncodeProgressive(im, c.quality, MaxScans)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := Decode(sjpg)
+		dec, err := Decode(one)
 		if err != nil {
 			t.Fatal(err)
 		}
 		pix := [][]byte{dec.Pix}
 		for k := 1; k <= MaxScans; k++ {
-			d, err := DecodeAtFidelity(sjpr, k)
+			d, err := DecodeAtFidelity(deep, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			pix = append(pix, d.Pix)
 		}
-		got := [3]string{fnvHex(sjpg), fnvHex(sjpr), fnvHex(pix...)}
-		if want := [3]string{c.sjpg, c.sjpr, c.pixels}; got != want {
-			t.Errorf("seed %d: digests (sjpg, sjpr, pixels) = %q, want %q", c.seed, got, want)
+		got := [3]string{fnvHex(one), fnvHex(deep), fnvHex(pix...)}
+		if want := [3]string{c.one, c.deep, c.pixels}; got != want {
+			t.Errorf("seed %d: digests (one, deep, pixels) = %q, want %q", c.seed, got, want)
 		}
 	}
 }

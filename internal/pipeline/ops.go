@@ -62,10 +62,10 @@ type Op interface {
 	Apply(a Artifact, rng *rand.Rand) (Artifact, error)
 }
 
-// decodeOp turns stored SJPG or progressive SJPR bytes into a pixel image.
-// Progressive containers decode from however many scans are present, so a
-// prefix a reduced-fidelity fetch shipped flows through the same pipeline as
-// a full object — at lower fidelity, not as an error.
+// decodeOp turns a stored SJPG container into a pixel image. A container
+// decodes from however many scans are present, so a prefix a
+// reduced-fidelity fetch shipped flows through the same pipeline as a full
+// object — at lower fidelity, not as an error.
 type decodeOp struct{}
 
 func (decodeOp) ID() OpID      { return OpDecode }
@@ -76,13 +76,6 @@ func (decodeOp) OutKind() Kind { return KindImage }
 func (decodeOp) Apply(a Artifact, _ *rand.Rand) (Artifact, error) {
 	if a.Kind != KindRaw {
 		return Artifact{}, fmt.Errorf("%w: Decode wants raw, got %s", ErrKindMismatch, a.Kind)
-	}
-	if imaging.IsProgressive(a.Raw) {
-		im, _, err := imaging.DecodeProgressive(a.Raw)
-		if err != nil {
-			return Artifact{}, fmt.Errorf("pipeline: decode progressive: %w", err)
-		}
-		return ImageArtifact(im), nil
 	}
 	im, err := imaging.Decode(a.Raw)
 	if err != nil {
@@ -137,17 +130,6 @@ func (op randomResizedCropOp) Apply(a Artifact, rng *rand.Rand) (Artifact, error
 // stream, so it is the rect Apply would have drawn. A failure is the stream's:
 // sampleRect only returns rects inside w×h.
 func (op randomResizedCropOp) decodeCrop(raw []byte, rng *rand.Rand) (*imaging.Image, error) {
-	if imaging.IsProgressive(raw) {
-		w, h, _, _, _, err := imaging.ProgressiveInfo(raw)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: decode progressive: %w", err)
-		}
-		im, err := imaging.DecodeProgressiveCropResize(raw, op.sampleRect(w, h, rng), op.Size, op.Size)
-		if err != nil {
-			return nil, fmt.Errorf("pipeline: decode progressive: %w", err)
-		}
-		return im, nil
-	}
 	w, h, err := imaging.DecodeDims(raw)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: decode: %w", err)

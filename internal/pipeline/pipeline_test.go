@@ -395,9 +395,10 @@ func TestSplitEquivalenceProperty(t *testing.T) {
 // TestRunMatchesTrace holds the live path to its reference: RunRange fuses
 // Decode+RandomResizedCrop (and ToTensor+Normalize), Trace applies the five
 // ops one by one, and the final tensors are equal bit for bit — over
-// degenerate, odd and photo-sized sources, every training crop size, SJPG and
-// SJPR at full and at base fidelity. A prefix cut inside the fused pair (the
-// offloaded cut 2) is the same image the sequential ops produce.
+// degenerate, odd and photo-sized sources, every training crop size,
+// containers of one scan and of three at full and at base fidelity. A prefix
+// cut inside the fused pair (the offloaded cut 2) is the same image the
+// sequential ops produce.
 func TestRunMatchesTrace(t *testing.T) {
 	seeds, hurried := 40, testing.Short() || raceflag.Enabled
 	if hurried {
@@ -412,19 +413,19 @@ func TestRunMatchesTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sjpg, err := imaging.EncodeDefault(im)
+		one, err := imaging.EncodeDefault(im)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sjpr, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, 3)
+		deep, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := imaging.SlicePrefix(sjpr, 1)
+		base, err := imaging.SlicePrefix(deep, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, raw := range map[string][]byte{"sjpg": sjpg, "sjpr": sjpr, "sjpr-base": base} {
+		for name, raw := range map[string][]byte{"L1": one, "L3": deep, "L3-base": base} {
 			for _, size := range []int{32, 128, 224} {
 				p := Standard(StandardOptions{CropSize: size, FlipP: -1})
 				n := min(seeds, 4*w*h) // a 1×1 source has one rect
@@ -472,12 +473,12 @@ func TestRunMatchesTrace(t *testing.T) {
 // TestFusedPrefixRejectsWhatDecodeRejects: a stream the Decode op refuses is
 // refused by the fused prefix with the same cause, attributed to op 0.
 func TestFusedPrefixRejectsWhatDecodeRejects(t *testing.T) {
-	sjpg := encodeSample(t, 40, 30, 0.5, 2)
-	im, err := imaging.Decode(sjpg)
+	one := encodeSample(t, 40, 30, 0.5, 2)
+	im, err := imaging.Decode(one)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sjpr, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, 3)
+	deep, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,14 +493,15 @@ func TestFusedPrefixRejectsWhatDecodeRejects(t *testing.T) {
 		raw  []byte
 		want error
 	}{
-		"empty":              {nil, imaging.ErrCorrupt},
-		"sjpg header cut":    {sjpg[:9], imaging.ErrCorrupt},
-		"sjpg version":       {flipped(sjpg, 4), imaging.ErrUnsupported},
-		"sjpg payload cut":   {sjpg[:len(sjpg)/2], imaging.ErrCorrupt},
-		"sjpr cut mid-scan":  {sjpr[:len(sjpr)-5], imaging.ErrTruncated},
-		"sjpr CRC mismatch":  {flipped(sjpr, len(sjpr)-5), imaging.ErrCorrupt},
-		"sjpr header cut":    {sjpr[:12], imaging.ErrCorrupt},
-		"sjpr nothing after": {sjpr[:4], imaging.ErrCorrupt},
+		"empty":            {nil, imaging.ErrCorrupt},
+		"L1 header cut":    {one[:9], imaging.ErrCorrupt},
+		"L1 version":       {flipped(one, 4), imaging.ErrUnsupported},
+		"L1 payload cut":   {one[:len(one)/2], imaging.ErrTruncated},
+		"L1 CRC mismatch":  {flipped(one, len(one)/2), imaging.ErrCorrupt},
+		"L3 cut mid-scan":  {deep[:len(deep)-5], imaging.ErrTruncated},
+		"L3 CRC mismatch":  {flipped(deep, len(deep)-5), imaging.ErrCorrupt},
+		"L3 header cut":    {deep[:12], imaging.ErrCorrupt},
+		"L3 nothing after": {deep[:4], imaging.ErrCorrupt},
 	} {
 		_, _, traceErr := p.Trace(c.raw, seed)
 		_, runErr := p.Run(c.raw, seed)

@@ -14,7 +14,7 @@ import (
 // ladder: with Levels scans, serving the first k scans costs
 // ByteFrac[k-1] of the full container and reconstructs at Quality[k-1].
 // The planner consumes this instead of per-sample scan tables — the
-// fractions are calibrated once against the real codec (imaging.SJPR) on
+// fractions are calibrated once against the real codec (imaging.SJPG's scans) on
 // representative images, the same way the dataset's cost model calibrates
 // op times.
 type FidelityModel struct {
@@ -51,7 +51,7 @@ func (m FidelityModel) Validate() error {
 	return nil
 }
 
-// DefaultFidelityModel is a 4-scan ladder calibrated against imaging.SJPR
+// DefaultFidelityModel is a 4-scan ladder calibrated against imaging.SJPG's scans
 // on synthetic photos at DefaultQuality (see the calibration test in
 // internal/eval and the sophon-bench -fidelity harness, which re-measures
 // it from the live codec rather than trusting these constants).

@@ -19,7 +19,7 @@ import (
 //
 // Fidelity is the progressive second dimension: for split-0 samples stored
 // as progressive containers, Fidelity[i] refinement scans are withheld in
-// transfer (the server slices the stored container; see imaging.SJPR). A
+// transfer (the server slices the stored container; see imaging.SlicePrefix). A
 // nil or all-zero Fidelity means full fidelity everywhere — a discrete
 // plan is exactly that case. Fidelity is advisory for split > 0: deeper
 // cuts ship decoded artifacts with no scan structure.

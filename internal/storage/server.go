@@ -401,9 +401,9 @@ func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.F
 	}
 	if split == 0 {
 		// Progressive fast path: a reduced-fidelity raw fetch of a stored
-		// SJPR container is answered by slicing the stored bytes — no
-		// decode, no re-encode, no executor core. A non-progressive object
-		// (or a zero drop) falls through to the normal raw path.
+		// container of several scans is answered by slicing the stored
+		// bytes — no decode, no re-encode, no executor core. An object of
+		// one scan (or a zero drop) falls through to the normal raw path.
 		if enc, saved := s.sliceProgressive(raw, item.Fidelity); enc != nil {
 			resp.Status = wire.FetchOK
 			resp.Artifact = enc
@@ -433,11 +433,11 @@ func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.F
 // the encoded raw artifact in a pooled buffer — the response's artifact bytes
 // are recycled by the writer goroutine, so the stored container must never
 // be aliased — plus the refinement bytes withheld. A nil return means the
-// fast path does not apply (drop 0, non-progressive object, or nothing to
+// fast path does not apply (drop 0, or an object of one scan: nothing to
 // withhold) and the caller should serve the full object.
 func (s *Server) sliceProgressive(raw []byte, drop uint8) ([]byte, int) {
 	n, ok := imaging.FidelityPrefixSize(raw, int(drop))
-	if !ok || n == len(raw) {
+	if !ok {
 		return nil, 0
 	}
 	enc := bufpool.GetBytes(1 + n)

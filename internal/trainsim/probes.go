@@ -5,24 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/imaging"
 	"repro/internal/pipeline"
 	"repro/internal/profiler"
 )
-
-// decodedDims reads the stored image's dimensions from its SJPG or SJPR
-// header without a full decode.
-func decodedDims(raw []byte) (w, h int, err error) {
-	if imaging.IsProgressive(raw) {
-		w, h, _, _, _, err = imaging.ProgressiveInfo(raw)
-	} else {
-		w, h, err = imaging.DecodeDims(raw)
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("trainsim: decode dims: %w", err)
-	}
-	return w, h, nil
-}
 
 // ProbeSamples is the size of the adaptive loop's between-epoch link probe:
 // a few batches of samples, enough wire traffic to amortize the shaper's

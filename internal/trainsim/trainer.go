@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/gpu"
+	"repro/internal/imaging"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/prefetch"
@@ -544,9 +545,9 @@ func (t *Trainer) finishSample(res storage.FetchResult, epoch uint64, i, split i
 		}
 		// The trace records stage sizes but not W×H, so read the record's
 		// dimensions from the stored header.
-		w, h, err := decodedDims(res.Artifact.Raw)
+		w, h, err := imaging.DecodeDims(res.Artifact.Raw)
 		if err != nil {
-			return sampleOutcome{err: err}
+			return sampleOutcome{err: fmt.Errorf("trainsim: decode dims: %w", err)}
 		}
 		if err := collector.Observe(uint32(i), st, w, h); err != nil {
 			return sampleOutcome{err: err}

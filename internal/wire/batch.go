@@ -4,8 +4,8 @@ import "encoding/binary"
 
 // FetchBatchItem is one offload directive: ship Sample after executing its
 // first Split pipeline ops (0 ships the stored object), withholding Fidelity
-// progressive refinement scans when the stored object is a progressive
-// container (imaging.SJPR; 0 = the full container). Fidelity is meaningful
+// progressive refinement scans when the stored object has them
+// (imaging.FidelityPrefixSize; 0 = the full container). Fidelity is meaningful
 // only at Split 0; servers ignore it on deeper cuts. On the wire an item is
 // always 6 bytes: sample (4), split, fidelity.
 type FetchBatchItem struct {
