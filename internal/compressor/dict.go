@@ -1,7 +1,3 @@
-// Package compressor holds the byte-pair dictionary that compresses the label
-// sidecars of progressive (SJPR) stores, and the routine that materialises
-// such a store. Image artifacts on the wire are packed elsewhere, always
-// (pipeline.Artifact.AppendEncode, imaging.AppendPacked).
 package compressor
 
 import (
@@ -21,10 +17,10 @@ import (
 // round-trip via escaping, merely without gain.
 //
 // Dictionaries are trained once per stream family and shared out-of-band
-// (MarshalBinary); encoded blobs carry only token bytes, which is what
-// makes this worthwhile for the progressive container's per-sample sidecar
-// — the dictionary amortizes across the dataset instead of riding in every
-// record like a DEFLATE header would.
+// (MarshalBinary); encoded blobs carry only token bytes, so the dictionary
+// amortizes across a dataset instead of riding in every record like a
+// DEFLATE header would. No stored format uses it: the image container has
+// no label sidecar.
 type Dict struct {
 	escape    byte
 	hasEscape bool
@@ -306,8 +302,7 @@ func UnmarshalDict(data []byte) (*Dict, error) {
 	return d, nil
 }
 
-// DictStats summarizes a dictionary's yield on a corpus, used by the bench
-// harness to report sidecar compression honestly.
+// DictStats summarizes a dictionary's yield on a corpus.
 type DictStats struct {
 	Entries    int
 	RawBytes   int

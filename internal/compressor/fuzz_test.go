@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"testing"
-
-	"repro/internal/imaging"
 )
 
-// The three parsers of the sidecar path, fuzzed to the rule the artifact and
-// plan parsers are held to: a typed error, or exactly the right bytes — never
-// a panic, never a wrong label.
+// The dictionary's two parsers, fuzzed to the rule the artifact and plan
+// parsers are held to: a typed error, or exactly the right bytes — never a
+// panic, never a wrong text.
 
 // fuzzDict is a dictionary trained on the label corpus, with its blob.
 func fuzzDict(f *testing.F) (*Dict, []byte) {
@@ -110,61 +108,6 @@ func FuzzDictDecode(f *testing.F) {
 		back, err = d.Decode(d.Encode(plain))
 		if err != nil || !bytes.Equal(back, plain) {
 			t.Fatalf("decoded text %x does not survive a round trip (err %v)", plain, err)
-		}
-	})
-}
-
-// FuzzSidecarLabel: a container yields its label or a typed error, and every
-// prefix of a container that yields a label yields the same one — the
-// sidecar precedes every scan.
-func FuzzSidecarLabel(f *testing.F) {
-	d, _ := fuzzDict(f)
-	im, err := imaging.Synthesize(imaging.SynthParams{W: 16, H: 12, Detail: 0.5, Seed: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, label := range [][]byte{{}, []byte("x"), bytes.Repeat([]byte("x"), 40), allBytes(), labelCorpus(1, 7)[0]} {
-		c, err := imaging.EncodeProgressiveSidecar(im, 80, imaging.MaxScans, d.Encode(label))
-		if err != nil {
-			f.Fatal(err)
-		}
-		got, err := SidecarLabel(c, d)
-		if err != nil || !bytes.Equal(got, label) {
-			f.Fatalf("label %x came back as %x (err %v)", label, got, err)
-		}
-		f.Add(c)
-		f.Add(c[:len(c)/2])
-		if d.hasEscape { // a sidecar ending in a dangling escape
-			bad, err := imaging.EncodeProgressiveSidecar(im, 80, 2, append(d.Encode(label), d.escape))
-			if err != nil {
-				f.Fatal(err)
-			}
-			f.Add(bad)
-		}
-	}
-	f.Add([]byte{})
-	f.Add([]byte("SJPR"))
-	f.Add([]byte("SJPR0000000000000")) // a version this build does not read
-	f.Add(allBytes())
-
-	f.Fuzz(func(t *testing.T, container []byte) {
-		label, err := SidecarLabel(container, d)
-		if err != nil {
-			if !errors.Is(err, imaging.ErrCorrupt) && !errors.Is(err, imaging.ErrTruncated) &&
-				!errors.Is(err, imaging.ErrUnsupported) && !errors.Is(err, ErrDict) {
-				t.Fatalf("rejection is neither one of imaging's nor ErrDict: %v", err)
-			}
-			return
-		}
-		for k := 1; k <= imaging.MaxScans; k++ {
-			prefix, err := imaging.SlicePrefix(container, k)
-			if err != nil {
-				continue // the container itself is a prefix shorter than k scans
-			}
-			again, err := SidecarLabel(prefix, d)
-			if err != nil || !bytes.Equal(again, label) {
-				t.Fatalf("the %d-scan prefix carries label %x (err %v), the container %x", k, again, err, label)
-			}
 		}
 	})
 }

@@ -1,5 +1,8 @@
-// Package compressor materialises a progressive store. It remains for the
-// benchmark module, which still compiles against MaterializeProgressive.
+// Package compressor holds a byte-pair dictionary coder (Dict) and the
+// routine that materialises a progressive store, which remains for the
+// benchmark module, still compiled against MaterializeProgressive. Image
+// artifacts on the wire are packed elsewhere (pipeline.Artifact.AppendEncode,
+// imaging.AppendPacked).
 package compressor
 
 import (

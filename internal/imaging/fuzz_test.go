@@ -190,6 +190,53 @@ func FuzzDecodeCropResize(f *testing.F) {
 	})
 }
 
+// FuzzDecodeProgressive: whatever DecodeProgressive accepts holds the prefix
+// contract at every depth it carries — the k-scan prefix decodes to what
+// DecodeAtFidelity reads from the whole input at k — and its full depth is
+// Decode's image. Seeded with the decode corpus and the hand-made planes as a
+// refinement scan's Cr plane.
+func FuzzDecodeProgressive(f *testing.F) {
+	for _, data := range decodeCorpus(f) {
+		f.Add(data)
+	}
+	for i, data := range handmadeSeeds() {
+		if i%2 == 1 {
+			f.Add(data)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		im, k, err := DecodeProgressive(data)
+		agreesWithReference(t, data, im, err)
+		if err != nil {
+			return
+		}
+		defer im.Release()
+		if _, _, _, scans, present, _ := ProgressiveInfo(data); k != present || k < 1 || k > scans || scans > MaxScans {
+			t.Fatalf("accepted input reports %d scans decoded, %d present of %d", k, present, scans)
+		}
+		for j := 1; j <= k; j++ {
+			prefix, err := SlicePrefix(data, j)
+			if err != nil {
+				t.Fatalf("the %d-scan prefix of an accepted input: %v", j, err)
+			}
+			got, err := Decode(prefix)
+			if err != nil {
+				t.Fatalf("the %d-scan prefix refused: %v", j, err)
+			}
+			want, err := DecodeAtFidelity(data, j)
+			if err != nil || !got.Equal(want) {
+				t.Fatalf("DecodeAtFidelity at %d scans: %v, or it differs from the prefix's image", j, err)
+			}
+			if j == k && !got.Equal(im) {
+				t.Fatalf("the %d-scan prefix differs from DecodeProgressive's image", j)
+			}
+			got.Release()
+			want.Release()
+		}
+	})
+}
+
 // fuzzImage turns fuzzer bytes into an image whose pixels repeat pix (zeros
 // when pix is empty). Sides are capped at 256, which keeps an exec in the
 // milliseconds; TestWriterDims has 640×480.
