@@ -144,7 +144,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "\ntrace written to %s\n", *dumpTrace)
 	}
 	if *dumpPlan != "" {
-		if err := persist.SavePlan(*dumpPlan, plan); err != nil {
+		if err := persist.SavePlan(*dumpPlan, plan, persist.PlanMeta{}); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "plan written to %s\n", *dumpPlan)

@@ -83,11 +83,15 @@ func TestPreviewAndDumps(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", want, stdout.String())
 		}
 	}
-	plan, _, err := persist.LoadPlanVersioned(planPath)
+	plan, _, err := persist.LoadPlan(planPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := persist.LoadTrace(tracePath)
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := persist.ReadTrace(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}

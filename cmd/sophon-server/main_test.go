@@ -147,7 +147,7 @@ func TestServeOneFetchAndShutDown(t *testing.T) {
 		t.Errorf("log lacks %q:\n%s", ready, stderr.String())
 	}
 
-	client, err := storage.Dial(addr, 1)
+	client, err := storage.DialWithOptions(addr, storage.ClientOptions{JobID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,7 +196,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 
 	// Precomputed plan: skip profiling entirely.
 	if *planFile != "" {
-		plan, meta, err := persist.LoadPlanVersioned(*planFile)
+		plan, meta, err := persist.LoadPlan(*planFile)
 		if err != nil {
 			return err
 		}

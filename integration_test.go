@@ -7,8 +7,10 @@ package sophon
 // one scenario.
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
+	"os"
 	"testing"
 
 	"repro/internal/monitor"
@@ -62,7 +64,11 @@ func TestFullStackIntegration(t *testing.T) {
 	if err := persist.SaveTrace(tracePath, trace); err != nil {
 		t.Fatal(err)
 	}
-	reloaded, err := persist.LoadTrace(tracePath)
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reloaded, err := persist.ReadTrace(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +126,7 @@ func TestFullStackIntegration(t *testing.T) {
 	if cluster.ServerCPUNanos() == 0 {
 		t.Fatal("no storage CPU recorded")
 	}
-	mon := monitor.New(cluster.serverCounters())
+	mon := monitor.NewMulti(cluster.serverCounters())
 	addr, err := mon.ListenAndServe("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -166,18 +166,6 @@ func TestNoEvictBeatsLRUOnCyclicScan(t *testing.T) {
 	}
 }
 
-func TestExpectedHitFraction(t *testing.T) {
-	if got := ExpectedHitFraction(25, 100); got != 0.25 {
-		t.Fatalf("fraction = %v", got)
-	}
-	if ExpectedHitFraction(200, 100) != 1 {
-		t.Fatal("fraction not clamped")
-	}
-	if ExpectedHitFraction(0, 100) != 0 || ExpectedHitFraction(10, 0) != 0 {
-		t.Fatal("degenerate inputs")
-	}
-}
-
 func TestApplyToTrace(t *testing.T) {
 	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(500), 5)
 	if err != nil {
@@ -239,7 +227,7 @@ func TestFetchingCacheLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := storage.NewClient(conn, 1)
+	client, err := storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,14 +240,14 @@ func TestFetchingCacheLive(t *testing.T) {
 
 	// First raw fetch misses and populates; second hits with zero wire
 	// bytes and identical content.
-	first, err := fc.Fetch(context.Background(), 0, 0, 1)
+	first, err := storage.FetchOne(context.Background(), fc, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if first.WireBytes == 0 {
 		t.Fatal("first fetch reported zero wire bytes")
 	}
-	second, err := fc.Fetch(context.Background(), 0, 0, 2)
+	second, err := storage.FetchOne(context.Background(), fc, 0, 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +259,7 @@ func TestFetchingCacheLive(t *testing.T) {
 	}
 
 	// Offloaded fetches bypass the cache.
-	off, err := fc.Fetch(context.Background(), 0, 2, 3)
+	off, err := storage.FetchOne(context.Background(), fc, 0, 2, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

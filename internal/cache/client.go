@@ -127,20 +127,6 @@ func (f *FetchingCache) Stats() Stats { return f.cache.Stats() }
 // Close closes the wrapped client.
 func (f *FetchingCache) Close() error { return f.client.Close() }
 
-// ExpectedHitFraction estimates the steady-state hit rate of a
-// uniform-eviction cache of capacityBytes over repeated full scans of a
-// dataset totaling totalBytes: the resident fraction.
-func ExpectedHitFraction(capacityBytes, totalBytes int64) float64 {
-	if totalBytes <= 0 || capacityBytes <= 0 {
-		return 0
-	}
-	f := float64(capacityBytes) / float64(totalBytes)
-	if f > 1 {
-		return 1
-	}
-	return f
-}
-
 // ApplyToTrace folds a steady-state cache into a trace copy: a
 // deterministic pseudo-random subset of samples totaling ~capacityBytes is
 // marked resident, and resident samples' raw (stage-0) wire size drops to

@@ -95,7 +95,7 @@ func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 	wireA := make([][]byte, n)
 	var wireBytes int64
 	for s := uint32(0); s < n; s++ {
-		res, err := a.Fetch(ctx, s, split(s), 1)
+		res, err := storage.FetchOne(ctx, a, s, split(s), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,7 +118,7 @@ func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 
 	// Tenant b overlaps on every sample; all fetches must hit.
 	for s := uint32(0); s < n; s++ {
-		res, err := b.Fetch(ctx, s, split(s), 1)
+		res, err := storage.FetchOne(ctx, b, s, split(s), 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	res, err := fresh.Fetch(ctx, 3, 3, 1)
+	res, err := storage.FetchOne(ctx, fresh, 3, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	res, err = other.Fetch(ctx, 3, 3, 1)
+	res, err = storage.FetchOne(ctx, other, 3, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestCrossJobEvictionIsolation(t *testing.T) {
 	defer ref.Close()
 	want := make([][]byte, n)
 	for s := uint32(0); s < n; s++ {
-		res, err := ref.Fetch(ctx, s, 3, 1)
+		res, err := storage.FetchOne(ctx, ref, s, 3, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +201,7 @@ func TestCrossJobEvictionIsolation(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for s := uint32(0); s < n; s++ {
-					res, err := tf.Fetch(ctx, s, 3, 1)
+					res, err := storage.FetchOne(ctx, tf, s, 3, 1)
 					if err != nil {
 						t.Errorf("sample %d: %v", s, err)
 						return

@@ -207,7 +207,7 @@ func TestFetchingCacheServesTruncatedPrefix(t *testing.T) {
 	lru.Put(0, body)
 
 	fid := storage.PackDirective(0, 1)
-	res, err := fc.Fetch(context.Background(), 0, fid, 1)
+	res, err := storage.FetchOne(context.Background(), fc, 0, fid, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestFetchingCacheServesTruncatedPrefix(t *testing.T) {
 		t.Fatal("batch truncation differs from SlicePrefix")
 	}
 	// The full object is still intact in the cache.
-	full, err := fc.Fetch(context.Background(), 0, 0, 1)
+	full, err := storage.FetchOne(context.Background(), fc, 0, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,10 +260,10 @@ func TestTenantFetcherProgressivePrefixHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, err := a.Fetch(ctx, 0, 0, 1); err != nil {
+	if _, err := storage.FetchOne(ctx, a, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	res, err := b.Fetch(ctx, 0, storage.PackDirective(0, 2), 1)
+	res, err := storage.FetchOne(ctx, b, 0, storage.PackDirective(0, 2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

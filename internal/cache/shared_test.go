@@ -210,11 +210,11 @@ func TestTenantFetcherServesPeersFromCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	resA, err := a.Fetch(ctx, 3, 2, 1)
+	resA, err := storage.FetchOne(ctx, a, 3, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resB, err := b.Fetch(ctx, 3, 2, 1)
+	resB, err := storage.FetchOne(ctx, b, 3, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +244,10 @@ func TestTenantFetcherEpochKeying(t *testing.T) {
 	ctx := context.Background()
 
 	// Raw (cut-0) artifacts are epoch-invariant: epoch 2 hits epoch 1's entry.
-	if _, err := f.Fetch(ctx, 1, 0, 1); err != nil {
+	if _, err := storage.FetchOne(ctx, f, 1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Fetch(ctx, 1, 0, 2); err != nil {
+	if _, err := storage.FetchOne(ctx, f, 1, 0, 2); err != nil {
 		t.Fatal(err)
 	}
 	if inner.fetches != 1 {
@@ -255,10 +255,10 @@ func TestTenantFetcherEpochKeying(t *testing.T) {
 	}
 
 	// Augmented (cut>0) artifacts embed per-epoch randomness: epoch 2 misses.
-	if _, err := f.Fetch(ctx, 1, 3, 1); err != nil {
+	if _, err := storage.FetchOne(ctx, f, 1, 3, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Fetch(ctx, 1, 3, 2); err != nil {
+	if _, err := storage.FetchOne(ctx, f, 1, 3, 2); err != nil {
 		t.Fatal(err)
 	}
 	if inner.fetches != 3 {
@@ -318,7 +318,7 @@ func TestTenantFetcherPassthroughs(t *testing.T) {
 	}
 	type stamp struct{}
 	ctx := context.WithValue(context.Background(), stamp{}, 9)
-	if _, err := f.Fetch(ctx, 1, 0, 1); err != nil {
+	if _, err := storage.FetchOne(ctx, f, 1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.FetchShard(ctx, 0, []uint32{2}, []int{0}, 1); err != nil {

@@ -177,10 +177,10 @@ var stackLayers = []struct {
 // agree on each.
 var sentinels = []error{storage.ErrSampleMissing, storage.ErrBadSplitReq, storage.ErrFetchFailed, cluster.ErrShardDown}
 
-// TestFetchIsFetchBatchOfOne asserts Fetch(s) ≡ FetchBatch([s])[0] on two
-// cold instances of each layer: same artifact bytes, directive echo, status,
-// wire accounting and error class, with Fetch folding a failed round trip
-// into a result that carries the sample and the error.
+// TestFetchIsFetchBatchOfOne asserts FetchOne(s) ≡ FetchBatch([s])[0] on
+// two cold instances of each layer: same artifact bytes, directive echo,
+// status, wire accounting and error class, with FetchOne folding a failed
+// round trip into a result that carries the sample and the error.
 func TestFetchIsFetchBatchOfOne(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -215,7 +215,7 @@ func TestFetchIsFetchBatchOfOne(t *testing.T) {
 					}
 				}
 				batch, berr := forBatch.FetchBatch(ctx, []uint32{c.sample}, []int{c.directive}, 4)
-				one, oerr := forOne.Fetch(ctx, c.sample, c.directive, 4)
+				one, oerr := storage.FetchOne(ctx, forOne, c.sample, c.directive, 4)
 
 				want := storage.FetchResult{Sample: c.sample, Err: berr}
 				if berr == nil {
@@ -286,7 +286,7 @@ func TestPlanVersionThroughStack(t *testing.T) {
 	ctr := tier.Server(0).Counters()
 	ctx := storage.WithPlanVersion(context.Background(), 7)
 
-	if _, err := tf.Fetch(ctx, 1, 0, 1); err != nil {
+	if _, err := storage.FetchOne(ctx, tf, 1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v := ctr.PlanVersion.Load(); v != 7 {
@@ -297,7 +297,7 @@ func TestPlanVersionThroughStack(t *testing.T) {
 	// one nothing.
 	ctr.ObservePlanVersion(9)
 	served := ctr.SamplesServed.Load()
-	if res, err := tf.Fetch(ctx, 1, 0, 2); err != nil || res.WireBytes != 0 {
+	if res, err := storage.FetchOne(ctx, tf, 1, 0, 2); err != nil || res.WireBytes != 0 {
 		t.Fatalf("repeat fetch: %d wire bytes, err %v, want a cache hit", res.WireBytes, err)
 	}
 	if ctr.SamplesServed.Load() != served || ctr.PlanRegressions.Load() != 0 {

@@ -1,9 +1,10 @@
-// Package chaos is a deterministic, seed-driven fault-injection subsystem
-// for the storage fabric. It generalizes netsim.FlakyConn's single
-// byte-budget fault into a composable fault plan: per-connection delay,
-// stall, byte-drop, payload corruption, and abrupt close, plus per-shard
-// partition and slow-shard profiles, all scheduled from a single seeded RNG
-// so any failing run reproduces exactly from its seed.
+// Package chaos is the repository's one fault-injection subsystem for the
+// storage fabric: a deterministic, seed-driven fault plan of per-connection
+// delay, stall, byte-drop, payload corruption, and abrupt close, plus
+// per-shard partition and slow-shard profiles, all scheduled from a single
+// seeded RNG so any failing run reproduces exactly from its seed. The
+// simplest plan is one event, CloseAfter: a link that dies after a byte
+// budget.
 //
 // The determinism contract is layered:
 //

@@ -6,6 +6,8 @@ import (
 	"io"
 	"net"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -179,6 +181,126 @@ func TestConnCloseSeversLink(t *testing.T) {
 	}
 	if got := stats.Snapshot().Closes; got != 1 {
 		t.Fatalf("Closes = %d, want 1", got)
+	}
+}
+
+// TestCloseAfterBudget: CloseAfter lets its budget through, fails the
+// operation that crosses it with ErrInjected, and every later operation too.
+func TestCloseAfterBudget(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	c := WrapConn(a, CloseAfter(4), nil, nil, nil)
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		buf := make([]byte, 16)
+		for {
+			if _, err := b.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+
+	if _, err := c.Write([]byte{1, 2}); err != nil {
+		t.Fatalf("write inside budget: %v", err)
+	}
+	if _, err := c.Write([]byte{3, 4}); err != nil {
+		t.Fatalf("write up to the budget: %v", err)
+	}
+	if _, err := c.Write([]byte{5}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write past budget: %v, want ErrInjected", err)
+	}
+	if _, err := c.Write([]byte{6}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write after failure: %v", err)
+	}
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("read after failure: %v", err)
+	}
+	<-done // peer saw the close
+}
+
+// TestCloseAfterConcurrent hammers one CloseAfter connection from concurrent
+// readers and writers (run under -race in CI): the budget must trip, and
+// every operation after the trip must fail.
+func TestCloseAfterConcurrent(t *testing.T) {
+	a, b := net.Pipe()
+	defer b.Close()
+	c := WrapConn(a, CloseAfter(1<<12), nil, nil, nil)
+	defer c.Close()
+
+	// The peer echoes everything back so the wrapped side has bytes to read.
+	go func() {
+		io.Copy(b, b)
+	}()
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	var injected atomic.Int64
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			buf := make([]byte, 64)
+			for i := 0; i < 200; i++ {
+				var err error
+				if g%2 == 0 {
+					_, err = c.Write(buf)
+				} else {
+					_, err = c.Read(buf)
+				}
+				if err != nil {
+					if errors.Is(err, ErrInjected) {
+						injected.Add(1)
+					}
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+
+	if injected.Load() == 0 {
+		t.Fatal("budget never tripped despite writing far past it")
+	}
+	if _, err := c.Write([]byte{1}); !errors.Is(err, ErrInjected) {
+		t.Fatalf("write after concurrent trip: %v", err)
+	}
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("read after concurrent trip: %v", err)
+	}
+}
+
+// TestCloseAfterOverPipeListener: the same budget on a connection dialed
+// from a netsim.PipeListener, the transport the storage tests run on.
+func TestCloseAfterOverPipeListener(t *testing.T) {
+	l := netsim.NewPipeListener()
+	defer l.Close()
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		buf := make([]byte, 1024)
+		for {
+			if _, err := conn.Read(buf); err != nil {
+				return
+			}
+		}
+	}()
+	conn, err := l.Dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := WrapConn(conn, CloseAfter(100), nil, nil, nil)
+	if _, err := c.Write(make([]byte, 60)); err != nil {
+		t.Fatalf("first write within budget failed: %v", err)
+	}
+	if _, err := c.Write(make([]byte, 60)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("over-budget write err = %v", err)
+	}
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("read after failure err = %v", err)
 	}
 }
 

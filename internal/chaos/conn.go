@@ -59,6 +59,14 @@ func WrapConn(conn net.Conn, sched Schedule, clock simclock.Clock, stats *Stats,
 	return &Conn{Conn: conn, clock: clock, stats: stats, onClose: onClose, events: events}
 }
 
+// CloseAfter is the one-event schedule that lets budget bytes of traffic
+// (reads plus writes) through and severs the connection on the operation
+// that would carry it past them: that operation and every later one fail
+// with ErrInjected.
+func CloseAfter(budget int64) Schedule {
+	return Schedule{Events: []Event{{At: budget + 1, Kind: KindClose}}}
+}
+
 // advance charges n bytes of traffic and pops every event the charge
 // crosses, in offset order.
 func (c *Conn) advance(n int) []Event {

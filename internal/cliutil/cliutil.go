@@ -9,8 +9,6 @@ package cliutil
 import (
 	"flag"
 	"fmt"
-	"log"
-	"os"
 	"runtime"
 	"sort"
 )
@@ -42,15 +40,6 @@ func Setup(fs *flag.FlagSet, name, synopsis string) *bool {
 		fs.PrintDefaults()
 	}
 	return version
-}
-
-// Parse is ParseArgs on the default flag set and os.Args: the entry point of a
-// main() that is its own body. Unknown flags print the usage banner and exit
-// 2 (flag.CommandLine exits on error itself); -version exits 0.
-func Parse(name, synopsis string) {
-	if done, _ := ParseArgs(flag.CommandLine, os.Args[1:], name, synopsis); done {
-		os.Exit(0)
-	}
 }
 
 // ParseArgs wires Setup into fs and parses args. A binary whose body is a
@@ -104,11 +93,4 @@ func IntError(fs *flag.FlagSet, positive, zeroMeansDefault map[string]bool, valu
 		return errs[0]
 	}
 	return nil
-}
-
-// ValidateInts is IntError on the default flag set, fatal on a violation.
-func ValidateInts(logger *log.Logger, positive, zeroMeansDefault map[string]bool, values map[string]int) {
-	if err := IntError(flag.CommandLine, positive, zeroMeansDefault, values); err != nil {
-		logger.Fatal(err)
-	}
 }

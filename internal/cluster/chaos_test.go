@@ -49,7 +49,7 @@ func TestChaosCorruptionRetriedToCorrectBytes(t *testing.T) {
 	defer sc.Close()
 
 	for k := 0; k < n; k++ {
-		res, err := sc.Fetch(context.Background(), uint32(k), 0, 1)
+		res, err := storage.FetchOne(context.Background(), sc, uint32(k), 0, 1)
 		if err != nil {
 			t.Fatalf("fetch %d under corruption: %v", k, err)
 		}
@@ -91,7 +91,7 @@ func TestPartitionShardDegradedAndHeal(t *testing.T) {
 	}
 	// A single fetch has no healthy remainder to salvage: the call errors,
 	// typed ErrShardDown and mirrored into the result.
-	res, err := sc.Fetch(context.Background(), owned0[0], 0, 1)
+	res, err := storage.FetchOne(context.Background(), sc, owned0[0], 0, 1)
 	if !errors.Is(err, cluster.ErrShardDown) {
 		t.Fatalf("partitioned shard's fetch err = %v, want ErrShardDown", err)
 	}
@@ -112,7 +112,7 @@ func TestPartitionShardDegradedAndHeal(t *testing.T) {
 		t.Fatalf("healthy items failed: %v / %v", bres[1].Err, bres[2].Err)
 	}
 	for _, id := range owned1[:3] {
-		if res, err := sc.Fetch(context.Background(), id, 0, 1); err != nil || res.Err != nil {
+		if res, err := storage.FetchOne(context.Background(), sc, id, 0, 1); err != nil || res.Err != nil {
 			t.Fatalf("healthy shard's key %d failed under the other's partition: %v / %v", id, err, res.Err)
 		}
 	}
@@ -120,7 +120,7 @@ func TestPartitionShardDegradedAndHeal(t *testing.T) {
 	if err := c.PartitionShard(0, false); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := sc.Fetch(context.Background(), owned0[0], 0, 1); err != nil || res.Err != nil {
+	if res, err := storage.FetchOne(context.Background(), sc, owned0[0], 0, 1); err != nil || res.Err != nil {
 		t.Fatalf("fetch after heal: %v / %v", err, res.Err)
 	}
 }
@@ -156,7 +156,7 @@ func TestChaosSlowShardStillCorrect(t *testing.T) {
 	}
 	defer sc.Close()
 	for k := 0; k < n; k++ {
-		res, err := sc.Fetch(context.Background(), uint32(k), 0, 1)
+		res, err := storage.FetchOne(context.Background(), sc, uint32(k), 0, 1)
 		if err != nil {
 			t.Fatalf("fetch %d on slow shard: %v", k, err)
 		}

@@ -121,7 +121,7 @@ func TestShardedFetchOffloaded(t *testing.T) {
 	c := launch(t, store, 2, 1)
 	sc := shardedClient(t, c, false)
 
-	res, err := sc.Fetch(context.Background(), 3, 1, 1)
+	res, err := storage.FetchOne(context.Background(), sc, 3, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,7 +431,7 @@ func TestShardsShareOneAdmissionController(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := sc.Fetch(context.Background(), 0, 0, 1)
+		_, err := storage.FetchOne(context.Background(), sc, 0, 0, 1)
 		done <- err
 	}()
 	// The fetch is parked in the admission queue, not failed.

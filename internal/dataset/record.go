@@ -10,7 +10,6 @@
 package dataset
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -72,9 +71,6 @@ type Trace struct {
 	Name    string
 	Records []Record
 }
-
-// ErrNoRecords reports an empty trace where samples were required.
-var ErrNoRecords = errors.New("dataset: trace has no records")
 
 // N returns the number of samples.
 func (t *Trace) N() int { return len(t.Records) }

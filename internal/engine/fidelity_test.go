@@ -7,6 +7,16 @@ import (
 	"repro/internal/policy"
 )
 
+// testLadder is a 4-scan byte/quality ladder of the shape sophon-bench
+// -fidelity calibrates from the live codec.
+func testLadder() policy.FidelityModel {
+	return policy.FidelityModel{
+		Levels:   4,
+		ByteFrac: []float64{0.20, 0.42, 0.68, 1},
+		Quality:  []float64{0.86, 0.94, 0.98, 1},
+	}
+}
+
 // fidelityPlan marks every sample raw with drop scans withheld.
 func fidelityPlan(t testing.TB, n, drop int) *policy.Plan {
 	t.Helper()
@@ -26,7 +36,7 @@ func fidelityPlan(t testing.TB, n, drop int) *policy.Plan {
 // the ladder the traffic must match policy.TrafficWith exactly.
 func TestFidelityByteAccounting(t *testing.T) {
 	tr := openImages(t, 400)
-	fm := policy.DefaultFidelityModel()
+	fm := testLadder()
 	plan := fidelityPlan(t, tr.N(), 2)
 
 	off, err := Run(Config{Trace: tr, Plan: plan, Env: env(0)})
@@ -76,7 +86,7 @@ func TestFidelityByteAccounting(t *testing.T) {
 
 func TestFidelityDeterministicUnderShuffleAndLookahead(t *testing.T) {
 	tr := openImages(t, 500)
-	fm := policy.DefaultFidelityModel()
+	fm := testLadder()
 	plan := fidelityPlan(t, tr.N(), 1)
 	cfg := Config{
 		Trace: tr, Plan: plan, Env: env(4), Fidelity: &fm,

@@ -14,7 +14,7 @@ import (
 // monitor inside a simulation reports virtual time.
 func TestMonitorVirtualClockUptime(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
-	m := New(nil).UseClock(clock)
+	m := NewMulti().UseClock(clock)
 	clock.Advance(90 * time.Second)
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()

@@ -40,14 +40,6 @@ type Server struct {
 	closed   bool
 }
 
-// New builds a monitor over one storage server's counters, which may be nil.
-func New(counters *storage.Counters) *Server {
-	if counters == nil {
-		return NewMulti()
-	}
-	return NewMulti(counters)
-}
-
 // NewMulti builds a monitor over several storage servers' counters — one
 // entry per shard, in shard order.
 func NewMulti(counters ...*storage.Counters) *Server {

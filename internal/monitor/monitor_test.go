@@ -13,7 +13,7 @@ import (
 
 func testMonitor() (*Server, *storage.Counters) {
 	counters := &storage.Counters{}
-	return New(counters), counters
+	return NewMulti(counters), counters
 }
 
 func TestHealthz(t *testing.T) {
@@ -85,7 +85,7 @@ func TestMetricsText(t *testing.T) {
 }
 
 func TestNilSources(t *testing.T) {
-	m := New(nil)
+	m := NewMulti()
 	srv := httptest.NewServer(m.Handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")

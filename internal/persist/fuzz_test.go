@@ -14,11 +14,12 @@ import (
 // round-trips or with ErrCorrupt — never a panic, another error, or a plan
 // whose vectors disagree with its N. Seeds: a valid file truncated at every
 // byte, with each header bit flipped, under both retired magics, with a zero
-// and an oversized sample count, and with the fidelity vector one short.
+// and an oversized sample count, with the fidelity vector one short, and a
+// header that claims 2^24 samples and carries none.
 func FuzzReadPlan(f *testing.F) {
 	plan := &policy.Plan{Name: "fz", Splits: []uint8{0, 2, 0}, Fidelity: []uint8{2, 0, 1}}
 	var buf bytes.Buffer
-	if err := WritePlanVersioned(&buf, plan, PlanMeta{Version: 4, EnvFingerprint: 7}); err != nil {
+	if err := WritePlan(&buf, plan, PlanMeta{Version: 4, EnvFingerprint: 7}); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -41,9 +42,10 @@ func FuzzReadPlan(f *testing.F) {
 		f.Add(bad)
 	}
 	f.Add(valid[:len(valid)-1])
+	f.Add(claimedPlan())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, meta, err := ReadPlanVersioned(bytes.NewReader(data))
+		p, meta, err := ReadPlan(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("rejected with an untyped error: %v", err)
@@ -54,7 +56,7 @@ func FuzzReadPlan(f *testing.F) {
 			t.Fatalf("accepted a plan of N %d with %d splits, %d fidelity entries", p.N(), len(p.Splits), len(p.Fidelity))
 		}
 		var out bytes.Buffer
-		if err := WritePlanVersioned(&out, p, meta); err != nil {
+		if err := WritePlan(&out, p, meta); err != nil {
 			t.Fatalf("accepted plan failed to write: %v", err)
 		}
 		if !bytes.Equal(out.Bytes(), data) {
@@ -63,7 +65,8 @@ func FuzzReadPlan(f *testing.F) {
 	})
 }
 
-// FuzzReadTrace: the trace parser must never panic on arbitrary bytes.
+// FuzzReadTrace: the trace parser must never panic on arbitrary bytes. Seeds:
+// a valid trace, nothing, and a header that claims 2^24 records.
 func FuzzReadTrace(f *testing.F) {
 	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(3), 1)
 	if err != nil {
@@ -75,6 +78,7 @@ func FuzzReadTrace(f *testing.F) {
 	}
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
+	f.Add(claimedTrace())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadTrace(bytes.NewReader(data))

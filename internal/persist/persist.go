@@ -1,7 +1,8 @@
 // Package persist serializes profiled traces and offload plans so the
 // profiling pass (expensive: a full epoch) can run once and its outputs be
-// reused across training runs and tools — sophon-profile writes a trace,
-// sophon-train loads it and/or a precomputed plan.
+// reused across training runs and tools — sophon-profile writes a trace and
+// a plan (-dump-trace, -dump-plan), sophon-train loads the plan
+// (-plan-file) and writes the trace it measured (-dump-trace).
 package persist
 
 import (
@@ -105,8 +106,11 @@ func ReadTrace(r io.Reader) (*dataset.Trace, error) {
 	if n == 0 || n > maxRecords {
 		return nil, fmt.Errorf("%w: %d records", ErrCorrupt, n)
 	}
-	tr := &dataset.Trace{Name: name, Records: make([]dataset.Record, n)}
-	for i := range tr.Records {
+	// The records grow as they arrive: a count the stream claims costs no
+	// memory until its bytes are there.
+	tr := &dataset.Trace{Name: name}
+	for i := 0; i < int(n); i++ {
+		tr.Records = append(tr.Records, dataset.Record{})
 		rec := &tr.Records[i]
 		var w32, h32 int32
 		for _, dst := range []interface{}{&rec.ID, &rec.RawSize, &w32, &h32} {
@@ -135,25 +139,9 @@ func ReadTrace(r io.Reader) (*dataset.Trace, error) {
 	return tr, nil
 }
 
-// WritePlan serializes a plan with a zero control-plane header.
-func WritePlan(w io.Writer, p *policy.Plan) error {
-	return WritePlanVersioned(w, p, PlanMeta{})
-}
-
-// WritePlanSnapshot serializes a control-plane snapshot's plan, deriving the
-// header from the snapshot itself.
-func WritePlanSnapshot(w io.Writer, snap *policy.PlanSnapshot) error {
-	if snap == nil {
-		return errors.New("persist: nil snapshot")
-	}
-	return WritePlanVersioned(w, snap.Plan, PlanMeta{
-		Version:        snap.Version,
-		EnvFingerprint: snap.Env.Fingerprint(),
-	})
-}
-
-// WritePlanVersioned serializes a plan with its control-plane header.
-func WritePlanVersioned(w io.Writer, p *policy.Plan, meta PlanMeta) error {
+// WritePlan serializes a plan with its control-plane header; a plan written
+// outside the control plane passes the zero PlanMeta.
+func WritePlan(w io.Writer, p *policy.Plan, meta PlanMeta) error {
 	if p == nil {
 		return errors.New("persist: nil plan")
 	}
@@ -192,15 +180,9 @@ func WritePlanVersioned(w io.Writer, p *policy.Plan, meta PlanMeta) error {
 	return bw.Flush()
 }
 
-// ReadPlan deserializes a plan, discarding its header.
-func ReadPlan(r io.Reader) (*policy.Plan, error) {
-	p, _, err := ReadPlanVersioned(r)
-	return p, err
-}
-
-// ReadPlanVersioned deserializes a plan and its header. Anything but a
-// well-formed SOPHPLN3 stream is ErrCorrupt.
-func ReadPlanVersioned(r io.Reader) (*policy.Plan, PlanMeta, error) {
+// ReadPlan deserializes a plan and its header. Anything but a well-formed
+// SOPHPLN3 stream is ErrCorrupt.
+func ReadPlan(r io.Reader) (*policy.Plan, PlanMeta, error) {
 	var meta PlanMeta
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(planMagic))
@@ -229,8 +211,8 @@ func ReadPlanVersioned(r io.Reader) (*policy.Plan, PlanMeta, error) {
 	if n == 0 || n > maxRecords {
 		return nil, meta, fmt.Errorf("%w: %d splits", ErrCorrupt, n)
 	}
-	splits := make([]uint8, n)
-	if _, err := io.ReadFull(br, splits); err != nil {
+	splits, err := readN(br, n)
+	if err != nil {
 		return nil, meta, fmt.Errorf("%w: splits: %v", ErrCorrupt, err)
 	}
 	for i, s := range splits {
@@ -238,8 +220,8 @@ func ReadPlanVersioned(r io.Reader) (*policy.Plan, PlanMeta, error) {
 			return nil, meta, fmt.Errorf("%w: split %d of sample %d out of range", ErrCorrupt, s, i)
 		}
 	}
-	fidelity := make([]uint8, n)
-	if _, err := io.ReadFull(br, fidelity); err != nil {
+	fidelity, err := readN(br, n)
+	if err != nil {
 		return nil, meta, fmt.Errorf("%w: fidelity: %v", ErrCorrupt, err)
 	}
 	for i, f := range fidelity {
@@ -258,44 +240,19 @@ func SaveTrace(path string, tr *dataset.Trace) error {
 	return saveFile(path, func(w io.Writer) error { return WriteTrace(w, tr) })
 }
 
-// LoadTrace reads a trace from path.
-func LoadTrace(path string) (*dataset.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadTrace(f)
+// SavePlan writes a plan with its control-plane header to path.
+func SavePlan(path string, p *policy.Plan, meta PlanMeta) error {
+	return saveFile(path, func(w io.Writer) error { return WritePlan(w, p, meta) })
 }
 
-// SavePlan writes a plan to path.
-func SavePlan(path string, p *policy.Plan) error {
-	return saveFile(path, func(w io.Writer) error { return WritePlan(w, p) })
-}
-
-// LoadPlan reads a plan from path.
-func LoadPlan(path string) (*policy.Plan, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadPlan(f)
-}
-
-// SavePlanVersioned writes a plan with its control-plane header to path.
-func SavePlanVersioned(path string, p *policy.Plan, meta PlanMeta) error {
-	return saveFile(path, func(w io.Writer) error { return WritePlanVersioned(w, p, meta) })
-}
-
-// LoadPlanVersioned reads a plan and its header from path.
-func LoadPlanVersioned(path string) (*policy.Plan, PlanMeta, error) {
+// LoadPlan reads a plan and its header from path.
+func LoadPlan(path string) (*policy.Plan, PlanMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, PlanMeta{}, err
 	}
 	defer f.Close()
-	return ReadPlanVersioned(f)
+	return ReadPlan(f)
 }
 
 func saveFile(path string, write func(io.Writer) error) error {
@@ -309,6 +266,15 @@ func saveFile(path string, write func(io.Writer) error) error {
 		return err
 	}
 	return f.Close()
+}
+
+// readN reads exactly n bytes into a buffer that grows as they arrive.
+func readN(r io.Reader, n uint32) ([]byte, error) {
+	buf, err := io.ReadAll(io.LimitReader(r, int64(n)))
+	if err == nil && len(buf) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	return buf, err
 }
 
 func writeString(w io.Writer, s string) error {

@@ -2,7 +2,11 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -49,10 +53,10 @@ func TestPlanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, plan); err != nil {
+	if err := WritePlan(&buf, plan, PlanMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPlan(&buf)
+	got, _, err := ReadPlan(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +75,7 @@ func TestNilInputs(t *testing.T) {
 	if err := WriteTrace(&buf, nil); err == nil {
 		t.Fatal("accepted nil trace")
 	}
-	if err := WritePlan(&buf, nil); err == nil {
+	if err := WritePlan(&buf, nil, PlanMeta{}); err == nil {
 		t.Fatal("accepted nil plan")
 	}
 }
@@ -86,7 +90,7 @@ func TestReadRejectsCorrupt(t *testing.T) {
 
 	plan, _ := policy.NewUniformPlan("p", 5, 2)
 	var pbuf bytes.Buffer
-	if err := WritePlan(&pbuf, plan); err != nil {
+	if err := WritePlan(&pbuf, plan, PlanMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	planBytes := pbuf.Bytes()
@@ -117,8 +121,41 @@ func TestReadRejectsCorrupt(t *testing.T) {
 		}(),
 	}
 	for name, b := range planCases {
-		if _, err := ReadPlan(bytes.NewReader(b)); err == nil {
+		if _, _, err := ReadPlan(bytes.NewReader(b)); err == nil {
 			t.Errorf("ReadPlan accepted %s", name)
+		}
+	}
+}
+
+// claimedTrace and claimedPlan are headers that claim 2^24 samples and carry
+// none of them.
+func claimedTrace() []byte {
+	b := append([]byte(traceMagic), 0, 0) // empty name
+	return binary.LittleEndian.AppendUint32(b, 1<<24)
+}
+
+func claimedPlan() []byte {
+	b := append([]byte(planMagic), make([]byte, 4+8+2)...) // zero header, empty name
+	return binary.LittleEndian.AppendUint32(b, 1<<24)
+}
+
+// TestClaimedCountCostsNothing: a header that claims 2^24 samples and ends
+// there is ErrCorrupt, and the readers allocate for the bytes that arrived,
+// not for the count the stream claims.
+func TestClaimedCountCostsNothing(t *testing.T) {
+	for name, read := range map[string]func() error{
+		"trace": func() error { _, err := ReadTrace(bytes.NewReader(claimedTrace())); return err },
+		"plan":  func() error { _, _, err := ReadPlan(bytes.NewReader(claimedPlan())); return err },
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := read()
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("%s: allocated %d B for a stream that claims 2^24 samples", name, alloc)
 		}
 	}
 }
@@ -130,7 +167,11 @@ func TestSaveLoadFiles(t *testing.T) {
 	if err := SaveTrace(tracePath, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := LoadTrace(tracePath)
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadTrace(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +181,10 @@ func TestSaveLoadFiles(t *testing.T) {
 
 	plan, _ := policy.NewUniformPlan("resize", 50, 2)
 	planPath := filepath.Join(dir, "plan.bin")
-	if err := SavePlan(planPath, plan); err != nil {
+	if err := SavePlan(planPath, plan, PlanMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	lp, err := LoadPlan(planPath)
+	lp, _, err := LoadPlan(planPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +192,7 @@ func TestSaveLoadFiles(t *testing.T) {
 		t.Fatalf("loaded plan offloads %d", lp.OffloadedCount())
 	}
 
-	if _, err := LoadTrace(filepath.Join(dir, "missing.bin")); err == nil {
+	if _, _, err := LoadPlan(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Fatal("loaded missing file")
 	}
 }
@@ -171,10 +212,10 @@ func TestPlanRoundTripProperty(t *testing.T) {
 		}
 		in := &policy.Plan{Name: name, Splits: splits}
 		var buf bytes.Buffer
-		if err := WritePlan(&buf, in); err != nil {
+		if err := WritePlan(&buf, in, PlanMeta{}); err != nil {
 			return false
 		}
-		out, err := ReadPlan(&buf)
+		out, _, err := ReadPlan(&buf)
 		if err != nil || out.Name != in.Name || out.N() != in.N() {
 			return false
 		}

@@ -15,17 +15,17 @@ var goldenFidelityPlan = &policy.Plan{
 	Fidelity: []uint8{1, 0, 3, 0, 2, 0, 0, 1},
 }
 
-// A plan carrying a fidelity vector round-trips with both the versioned and
-// plain readers; a fidelity-free plan — nil or all-zero vector — takes the
+// A plan carrying a fidelity vector round-trips with its header; a
+// fidelity-free plan — nil or all-zero vector — takes the
 // same format and reads back as full fidelity.
 func TestPlanV3RoundTrip(t *testing.T) {
 	meta := PlanMeta{Version: 9, EnvFingerprint: 0xabad1dea}
 	var buf bytes.Buffer
-	if err := WritePlanVersioned(&buf, goldenFidelityPlan, meta); err != nil {
+	if err := WritePlan(&buf, goldenFidelityPlan, meta); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	p, got, err := ReadPlanVersioned(bytes.NewReader(raw))
+	p, got, err := ReadPlan(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,19 +36,16 @@ func TestPlanV3RoundTrip(t *testing.T) {
 		!bytes.Equal(p.Fidelity, goldenFidelityPlan.Fidelity) {
 		t.Fatalf("plan %+v", p)
 	}
-	if p2, err := ReadPlan(bytes.NewReader(raw)); err != nil || !p2.HasFidelity() {
-		t.Fatalf("ReadPlan: %v", err)
-	}
 
 	var files [][]byte
 	for _, fid := range [][]uint8{nil, {0, 0, 0}} {
 		flat := &policy.Plan{Name: "flat", Splits: []uint8{0, 1, 2}, Fidelity: fid}
 		buf.Reset()
-		if err := WritePlanVersioned(&buf, flat, meta); err != nil {
+		if err := WritePlan(&buf, flat, meta); err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, append([]byte(nil), buf.Bytes()...))
-		back, _, err := ReadPlanVersioned(&buf)
+		back, _, err := ReadPlan(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,14 +58,14 @@ func TestPlanV3RoundTrip(t *testing.T) {
 	}
 }
 
-// WritePlan is WritePlanVersioned with a zero header: it keeps the fidelity
-// vector rather than flattening the plan.
+// WritePlan with a zero header keeps the fidelity vector rather than
+// flattening the plan.
 func TestWritePlanKeepsFidelity(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, goldenFidelityPlan); err != nil {
+	if err := WritePlan(&buf, goldenFidelityPlan, PlanMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	p, meta, err := ReadPlanVersioned(bytes.NewReader(buf.Bytes()))
+	p, meta, err := ReadPlan(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +84,7 @@ func TestPlanV3Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantMeta := PlanMeta{Version: 11, EnvFingerprint: 0x0badc0de05060708}
-	p, meta, err := ReadPlanVersioned(bytes.NewReader(v3))
+	p, meta, err := ReadPlan(bytes.NewReader(v3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +95,7 @@ func TestPlanV3Golden(t *testing.T) {
 		t.Fatalf("v3 golden plan %+v", p)
 	}
 	var out bytes.Buffer
-	if err := WritePlanVersioned(&out, p, meta); err != nil {
+	if err := WritePlan(&out, p, meta); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), v3) {
@@ -108,28 +105,28 @@ func TestPlanV3Golden(t *testing.T) {
 
 func TestPlanV3Corrupt(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePlanVersioned(&buf, goldenFidelityPlan, PlanMeta{}); err != nil {
+	if err := WritePlan(&buf, goldenFidelityPlan, PlanMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
 	// Truncated fidelity vector.
-	if _, _, err := ReadPlanVersioned(bytes.NewReader(raw[:len(raw)-2])); err == nil {
+	if _, _, err := ReadPlan(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Fatal("accepted truncated fidelity vector")
 	}
 	// Out-of-range fidelity (>= imaging.MaxScans).
 	bad := append([]byte(nil), raw...)
 	bad[len(bad)-1] = 200
-	if _, _, err := ReadPlanVersioned(bytes.NewReader(bad)); err == nil {
+	if _, _, err := ReadPlan(bytes.NewReader(bad)); err == nil {
 		t.Fatal("accepted out-of-range fidelity")
 	}
 	// Trailing garbage after the vector.
-	if _, _, err := ReadPlanVersioned(bytes.NewReader(append(append([]byte(nil), raw...), 0))); err == nil {
+	if _, _, err := ReadPlan(bytes.NewReader(append(append([]byte(nil), raw...), 0))); err == nil {
 		t.Fatal("accepted trailing data")
 	}
 	// A mis-sized in-memory fidelity vector must refuse to serialize.
 	broken := &policy.Plan{Name: "b", Splits: []uint8{0, 0, 0}, Fidelity: []uint8{1}}
-	if err := WritePlanVersioned(&buf, broken, PlanMeta{}); err == nil {
+	if err := WritePlan(&buf, broken, PlanMeta{}); err == nil {
 		t.Fatal("accepted mis-sized fidelity vector")
 	}
 }

@@ -7,24 +7,21 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/gpu"
-	"repro/internal/netsim"
 	"repro/internal/policy"
 )
 
 var goldenPlan = &policy.Plan{Name: "golden", Splits: []uint8{0, 3, 1, 2, 0, 4, 2, 0}}
 
-// TestPlanVersionedRoundTrip: the header survives a write/read cycle, and
-// the header-discarding reader accepts the same bytes.
+// TestPlanVersionedRoundTrip: the header survives a write/read cycle.
 func TestPlanVersionedRoundTrip(t *testing.T) {
 	meta := PlanMeta{Version: 12, EnvFingerprint: 0xdeadbeef}
 	var buf bytes.Buffer
-	if err := WritePlanVersioned(&buf, goldenPlan, meta); err != nil {
+	if err := WritePlan(&buf, goldenPlan, meta); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
-	p, got, err := ReadPlanVersioned(bytes.NewReader(raw))
+	p, got, err := ReadPlan(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,32 +30,6 @@ func TestPlanVersionedRoundTrip(t *testing.T) {
 	}
 	if p.Name != goldenPlan.Name || !bytes.Equal(p.Splits, goldenPlan.Splits) {
 		t.Fatalf("plan %+v", p)
-	}
-	if p2, err := ReadPlan(bytes.NewReader(raw)); err != nil || p2.N() != goldenPlan.N() {
-		t.Fatalf("ReadPlan: %v", err)
-	}
-}
-
-// TestWritePlanSnapshot derives the header from the snapshot's env.
-func TestWritePlanSnapshot(t *testing.T) {
-	env := policy.Env{
-		Bandwidth: netsim.Mbps(500), ComputeCores: 8, StorageCores: 4,
-		StorageSlowdown: 1, GPU: gpu.AlexNet,
-	}
-	snap := &policy.PlanSnapshot{Version: 3, Plan: goldenPlan, Env: env}
-	var buf bytes.Buffer
-	if err := WritePlanSnapshot(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	_, meta, err := ReadPlanVersioned(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if meta.Version != 3 || meta.EnvFingerprint != env.Fingerprint() {
-		t.Fatalf("snapshot meta %+v", meta)
-	}
-	if err := WritePlanSnapshot(&buf, nil); err == nil {
-		t.Fatal("accepted nil snapshot")
 	}
 }
 
@@ -72,7 +43,7 @@ func TestPlanGoldenFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ReadPlanVersioned(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := ReadPlan(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -84,7 +55,7 @@ func TestPlanGoldenFiles(t *testing.T) {
 	want := append([]byte(planMagic), v2[len(planMagic):]...)
 	want = append(want, make([]byte, goldenPlan.N())...)
 	var out bytes.Buffer
-	if err := WritePlanVersioned(&out, goldenPlan, PlanMeta{Version: 7, EnvFingerprint: 0xfeedface01020304}); err != nil {
+	if err := WritePlan(&out, goldenPlan, PlanMeta{Version: 7, EnvFingerprint: 0xfeedface01020304}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), want) {
@@ -96,31 +67,27 @@ func TestPlanGoldenFiles(t *testing.T) {
 func TestPlanVersionedFileHelpers(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "plan.sophon")
 	meta := PlanMeta{Version: 2, EnvFingerprint: 42}
-	if err := SavePlanVersioned(path, goldenPlan, meta); err != nil {
+	if err := SavePlan(path, goldenPlan, meta); err != nil {
 		t.Fatal(err)
 	}
-	p, got, err := LoadPlanVersioned(path)
+	p, got, err := LoadPlan(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got != meta || p.N() != goldenPlan.N() {
 		t.Fatalf("loaded %+v %+v", p, got)
 	}
-	// LoadPlan reads the same file without the header.
-	if p2, err := LoadPlan(path); err != nil || p2.N() != goldenPlan.N() {
-		t.Fatalf("LoadPlan: %v", err)
-	}
 }
 
 // TestReadPlanVersionedCorrupt covers truncated headers.
 func TestReadPlanVersionedCorrupt(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePlanVersioned(&buf, goldenPlan, PlanMeta{Version: 1}); err != nil {
+	if err := WritePlan(&buf, goldenPlan, PlanMeta{Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{len(planMagic) + 2, len(planMagic) + 9} {
-		if _, _, err := ReadPlanVersioned(bytes.NewReader(raw[:cut])); err == nil {
+		if _, _, err := ReadPlan(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("accepted header truncated at %d", cut)
 		}
 	}

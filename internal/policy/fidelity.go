@@ -51,18 +51,6 @@ func (m FidelityModel) Validate() error {
 	return nil
 }
 
-// DefaultFidelityModel is a 4-scan ladder calibrated against imaging.SJPG's scans
-// on synthetic photos at DefaultQuality (see the calibration test in
-// internal/eval and the sophon-bench -fidelity harness, which re-measures
-// it from the live codec rather than trusting these constants).
-func DefaultFidelityModel() FidelityModel {
-	return FidelityModel{
-		Levels:   4,
-		ByteFrac: []float64{0.20, 0.42, 0.68, 1},
-		Quality:  []float64{0.86, 0.94, 0.98, 1},
-	}
-}
-
 // MaxDrop returns the deepest scan drop the ladder supports.
 func (m FidelityModel) MaxDrop() int { return m.Levels - 1 }
 
@@ -183,64 +171,6 @@ func (p *Plan) TrafficWith(tr *dataset.Trace, fm FidelityModel) (int64, error) {
 		sum += p.sampleBytes(&tr.Records[i], i, fm)
 	}
 	return sum, nil
-}
-
-// ShardLoadsWith is ShardLoads with fidelity-aware byte accounting.
-// Prefix serving burns no storage CPU — the server slices the stored
-// container — so the CPU track is identical to ShardLoads.
-func (p *Plan) ShardLoadsWith(tr *dataset.Trace, shards int, fm FidelityModel) ([]int64, []time.Duration, error) {
-	if err := fm.Validate(); err != nil {
-		return nil, nil, err
-	}
-	if len(p.Splits) != tr.N() {
-		return nil, nil, fmt.Errorf("%w: plan %d vs trace %d", ErrPlanMismatch, len(p.Splits), tr.N())
-	}
-	m, err := cluster.NewShardMap(shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	traffic := make([]int64, shards)
-	storageCPU := make([]time.Duration, shards)
-	for i := range tr.Records {
-		s := m.ShardOf(uint32(i))
-		traffic[s] += p.sampleBytes(&tr.Records[i], i, fm)
-		storageCPU[s] += tr.Records[i].PrefixTime(int(p.Splits[i]))
-	}
-	return traffic, storageCPU, nil
-}
-
-// ModelForWith is ModelFor with fidelity-aware byte accounting.
-func ModelForWith(tr *dataset.Trace, p *Plan, env Env, fm FidelityModel) (EpochModel, error) {
-	if err := env.Validate(); err != nil {
-		return EpochModel{}, err
-	}
-	computeCPU, err := p.ComputeCPU(tr)
-	if err != nil {
-		return EpochModel{}, err
-	}
-	m := EpochModel{
-		TG:  env.GPU.EpochTime(tr.N()) / time.Duration(env.GPUs()),
-		TCC: computeCPU / time.Duration(env.ComputeCores),
-	}
-	traffic, storageCPU, err := p.ShardLoadsWith(tr, env.ShardCount(), fm)
-	if err != nil {
-		return EpochModel{}, err
-	}
-	for s := range traffic {
-		if t := time.Duration(float64(traffic[s]) / env.Bandwidth * float64(time.Second)); t > m.TNet {
-			m.TNet = t
-		}
-		if storageCPU[s] > 0 {
-			if env.StorageCores == 0 {
-				return EpochModel{}, errors.New("policy: plan offloads but storage has 0 cores")
-			}
-			scaled := time.Duration(float64(storageCPU[s]) * env.StorageSlowdown)
-			if t := scaled / time.Duration(env.StorageCores); t > m.TCS {
-				m.TCS = t
-			}
-		}
-	}
-	return m, nil
 }
 
 // FidelityPass configures SOPHON's progressive second pass: after the

@@ -2,13 +2,24 @@ package policy
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/netsim"
 )
 
+// testLadder is a 4-scan byte/quality ladder of the shape sophon-bench
+// -fidelity calibrates from the live codec.
+func testLadder() FidelityModel {
+	return FidelityModel{
+		Levels:   4,
+		ByteFrac: []float64{0.20, 0.42, 0.68, 1},
+		Quality:  []float64{0.86, 0.94, 0.98, 1},
+	}
+}
+
 func defaultPass() *FidelityPass {
 	return &FidelityPass{
-		Model:            DefaultFidelityModel(),
+		Model:            testLadder(),
 		MaxDrop:          1,
 		QualityFloor:     0.97,
 		MeanQualityFloor: 0.98,
@@ -16,13 +27,13 @@ func defaultPass() *FidelityPass {
 }
 
 func TestFidelityModelValidate(t *testing.T) {
-	if err := DefaultFidelityModel().Validate(); err != nil {
+	if err := testLadder().Validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := []FidelityModel{
 		{Levels: 0},
 		{Levels: 2, ByteFrac: []float64{0.5}, Quality: []float64{0.9, 1}},
-		{Levels: 2, ByteFrac: []float64{0.5, 1}, Quality: []float64{1, 0.9}},        // not monotone
+		{Levels: 2, ByteFrac: []float64{0.5, 1}, Quality: []float64{1, 0.9}},       // not monotone
 		{Levels: 2, ByteFrac: []float64{0.5, 0.9}, Quality: []float64{0.9, 1}},     // doesn't reach 1
 		{Levels: 2, ByteFrac: []float64{0, 1}, Quality: []float64{0.9, 1}},         // zero fraction
 		{Levels: 2, ByteFrac: []float64{0.5, 1}, Quality: []float64{1.1, 1}},       // above 1
@@ -54,7 +65,7 @@ func TestSophonFidelityPassReducesTraffic(t *testing.T) {
 	if !fid.HasFidelity() {
 		t.Fatal("fidelity pass reduced no samples under a saturated link")
 	}
-	fm := DefaultFidelityModel()
+	fm := testLadder()
 	discTraffic, err := discrete.TrafficWith(tr, fm)
 	if err != nil {
 		t.Fatal(err)
@@ -79,15 +90,22 @@ func TestSophonFidelityPassReducesTraffic(t *testing.T) {
 		}
 	}
 
-	// Epoch model must improve (or hold) with the extra dimension.
-	dm, err := ModelForWith(tr, discrete, env, fm)
+	// Epoch model must improve (or hold) with the extra dimension. ModelFor
+	// charges full-fidelity bytes; on one shard the link term is the
+	// plan's fidelity-aware traffic over the bandwidth, and the storage
+	// CPU term is the same (a prefix costs no CPU).
+	if env.ShardCount() != 1 {
+		t.Fatalf("%d shards: the link term below is the one-shard form", env.ShardCount())
+	}
+	dm, err := ModelFor(tr, discrete, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmod, err := ModelForWith(tr, fid, env, fm)
+	fmod, err := ModelFor(tr, fid, env)
 	if err != nil {
 		t.Fatal(err)
 	}
+	fmod.TNet = time.Duration(float64(fidTraffic) / env.Bandwidth * float64(time.Second))
 	if fmod.Predicted() > dm.Predicted() {
 		t.Fatalf("fidelity plan predicts %v, discrete predicts %v", fmod.Predicted(), dm.Predicted())
 	}
@@ -124,7 +142,7 @@ func TestSophonFidelityNotIOBound(t *testing.T) {
 	if plan.HasFidelity() {
 		t.Fatal("reduced fidelity on a compute-bound workload")
 	}
-	if q := plan.MeanQuality(DefaultFidelityModel()); q != 1 {
+	if q := plan.MeanQuality(testLadder()); q != 1 {
 		t.Fatalf("mean quality %.4f, want exactly 1", q)
 	}
 }
@@ -137,7 +155,7 @@ func TestFidelityAccountingBackwardCompatible(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := DefaultFidelityModel()
+	fm := testLadder()
 	classic, err := plan.Traffic(tr)
 	if err != nil {
 		t.Fatal(err)
@@ -149,17 +167,6 @@ func TestFidelityAccountingBackwardCompatible(t *testing.T) {
 	if classic != with {
 		t.Fatalf("TrafficWith %d != Traffic %d on a fidelity-free plan", with, classic)
 	}
-	m1, err := ModelFor(tr, plan, paperEnv(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := ModelForWith(tr, plan, paperEnv(16), fm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m1 != m2 {
-		t.Fatalf("ModelForWith %+v != ModelFor %+v on a fidelity-free plan", m2, m1)
-	}
 	if plan.FidelityOf(0) != 0 || plan.FidelityOf(-5) != 0 || plan.FidelityOf(10_000) != 0 {
 		t.Fatal("FidelityOf must be 0 for missing/out-of-range entries")
 	}
@@ -170,11 +177,11 @@ func TestFidelityPassValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := FidelityPass{Model: DefaultFidelityModel(), MaxDrop: 9}
+	bad := FidelityPass{Model: testLadder(), MaxDrop: 9}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accepted out-of-range MaxDrop")
 	}
-	bad = FidelityPass{Model: DefaultFidelityModel(), QualityFloor: 1.5}
+	bad = FidelityPass{Model: testLadder(), QualityFloor: 1.5}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accepted quality floor above 1")
 	}

@@ -47,13 +47,6 @@ func NewUniformPlan(name string, n, split int) (*Plan, error) {
 	return &Plan{Name: name, Splits: splits}, nil
 }
 
-// TransferOnly returns the plan that ships every sample raw — the valid
-// fallback for a tenant granted zero storage cores, which must still train
-// (transfer-only) rather than be dropped from an allocation.
-func TransferOnly(name string, n int) (*Plan, error) {
-	return NewUniformPlan(name, n, 0)
-}
-
 // N returns the number of samples covered.
 func (p *Plan) N() int { return len(p.Splits) }
 

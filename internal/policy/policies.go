@@ -7,10 +7,9 @@ import (
 // Capability is a tri-state feature level for the Table 1 comparison.
 type Capability uint8
 
-// Capability levels.
+// Capability levels above the zero Capability, which is "no".
 const (
-	No Capability = iota
-	Partial
+	Partial Capability = iota + 1
 	Yes
 )
 

@@ -556,7 +556,7 @@ func TestCapabilitiesTable(t *testing.T) {
 	if len(All()) != 5 {
 		t.Fatalf("All() has %d policies", len(All()))
 	}
-	if No.String() != "no" || Partial.String() != "partial" || Yes.String() != "yes" {
+	if Capability(0).String() != "no" || Partial.String() != "partial" || Yes.String() != "yes" {
 		t.Fatal("capability strings")
 	}
 }

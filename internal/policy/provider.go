@@ -49,39 +49,8 @@ type PlanProvider interface {
 	Current() *PlanSnapshot
 	// Subscribe returns a channel delivering each newly published snapshot.
 	// Delivery is latest-wins: a slow receiver may miss intermediate
-	// versions but always eventually observes the newest. Providers that
-	// never republish (static plans) return a channel that never fires.
+	// versions but always eventually observes the newest.
 	Subscribe() <-chan *PlanSnapshot
-}
-
-// StaticProvider adapts a fixed plan to the PlanProvider interface — the
-// trivial provider that makes every pre-existing "plan once, train forever"
-// call site a degenerate case of the adaptive control plane.
-type StaticProvider struct {
-	snap *PlanSnapshot
-}
-
-// NewStaticProvider wraps plan (computed against env) as a never-changing
-// provider at version 1.
-func NewStaticProvider(plan *Plan, env Env) (*StaticProvider, error) {
-	if plan == nil {
-		return nil, errors.New("policy: static provider needs a plan")
-	}
-	return &StaticProvider{snap: &PlanSnapshot{
-		Version: 1,
-		Plan:    plan,
-		Env:     env,
-		Epoch:   1,
-		Reason:  "static",
-	}}, nil
-}
-
-// Current implements PlanProvider.
-func (p *StaticProvider) Current() *PlanSnapshot { return p.snap }
-
-// Subscribe implements PlanProvider; the channel never fires.
-func (p *StaticProvider) Subscribe() <-chan *PlanSnapshot {
-	return make(chan *PlanSnapshot)
 }
 
 // PlanFeed is the publishing side of a live control plane: Publish installs

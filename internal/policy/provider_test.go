@@ -25,29 +25,6 @@ func mustUniform(t *testing.T, n, split int) *Plan {
 	return p
 }
 
-func TestStaticProvider(t *testing.T) {
-	plan := mustUniform(t, 10, 0)
-	p, err := NewStaticProvider(plan, testEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := p.Current()
-	if snap == nil || snap.Plan != plan {
-		t.Fatalf("Current() = %+v, want the wrapped plan", snap)
-	}
-	if snap.Version != 1 {
-		t.Fatalf("static snapshot version = %d, want 1", snap.Version)
-	}
-	select {
-	case s := <-p.Subscribe():
-		t.Fatalf("static provider published %v", s)
-	default:
-	}
-	if _, err := NewStaticProvider(nil, testEnv()); err == nil {
-		t.Fatal("NewStaticProvider(nil) accepted")
-	}
-}
-
 func TestPlanFeedPublishAndSubscribe(t *testing.T) {
 	env := testEnv()
 	feed, err := NewPlanFeed(&PlanSnapshot{Version: 1, Plan: mustUniform(t, 10, 0), Env: env, Epoch: 1, Reason: "initial"})

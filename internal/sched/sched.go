@@ -94,8 +94,9 @@ func newEvaluator(engine *policy.Sophon) *evaluator {
 }
 
 // evaluate returns the plan and predicted epoch for a job at c cores. The
-// plan is never nil: a job that cannot offload (zero cores, or a workload
-// that is not network-bound) gets the transfer-only plan.
+// plan is never nil: for a job that cannot offload (zero cores, or a
+// workload that is not network-bound) Sophon.Plan returns the transfer-only
+// plan.
 func (e *evaluator) evaluate(j Job, cores int) (outcome, error) {
 	key := fmt.Sprintf("%s/%d", j.Name, cores)
 	if o, ok := e.memo[key]; ok {
@@ -106,15 +107,6 @@ func (e *evaluator) evaluate(j Job, cores int) (outcome, error) {
 	plan, err := e.engine.Plan(j.Trace, env)
 	if err != nil {
 		return outcome{}, fmt.Errorf("sched: plan %q at %d cores: %w", j.Name, cores, err)
-	}
-	if plan == nil {
-		// Defensive: no engine path returns (nil, nil) today, but the
-		// allocation invariant — every job holds a usable plan — must not
-		// depend on that.
-		plan, err = policy.TransferOnly(j.Name, j.Trace.N())
-		if err != nil {
-			return outcome{}, err
-		}
 	}
 	m, err := policy.ModelFor(j.Trace, plan, env)
 	if err != nil {

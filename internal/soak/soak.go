@@ -238,11 +238,11 @@ func identitySweep(rep *Report, cfg Config, n int, pipe *pipeline.Pipeline, faul
 	ctx := context.Background()
 	for _, split := range []int{0, 2, pipe.Len()} {
 		for id := 0; id < n; id++ {
-			got, err := fc.Fetch(ctx, uint32(id), split, 1)
+			got, err := storage.FetchOne(ctx, fc, uint32(id), split, 1)
 			if err != nil {
 				return fmt.Errorf("soak: sample %d split %d through faults: %w", id, split, err)
 			}
-			want, err := pc.Fetch(ctx, uint32(id), split, 1)
+			want, err := storage.FetchOne(ctx, pc, uint32(id), split, 1)
 			if err != nil {
 				return fmt.Errorf("soak: sample %d split %d pristine: %w", id, split, err)
 			}

@@ -64,7 +64,7 @@ func TestIdentitySweepCountsMismatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fc.Close()
-	got, err := fc.Fetch(context.Background(), 0, 2, 1)
+	got, err := storage.FetchOne(context.Background(), fc, 0, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -350,7 +350,7 @@ func TestServerShedsUnderAdmissionPressure(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, err := c.Fetch(ctx, uint32(i%16), 0, 1)
+			_, err := FetchOne(ctx, c, uint32(i%16), 0, 1)
 			switch {
 			case err == nil:
 				ok.Add(1)
@@ -380,7 +380,7 @@ func TestServerShedsUnderAdmissionPressure(t *testing.T) {
 		t.Fatalf("server ShedLoad = %d, want 7", got)
 	}
 	// The session is still healthy: a subsequent serial fetch succeeds.
-	if _, err := c.Fetch(ctx, 3, 0, 2); err != nil {
+	if _, err := FetchOne(ctx, c, 3, 0, 2); err != nil {
 		t.Fatalf("post-shed fetch on same session: %v", err)
 	}
 }
@@ -432,7 +432,7 @@ func TestReconnectingClientHonorsRetryAfter(t *testing.T) {
 		release()
 	}()
 	start := time.Now()
-	if _, err := rc.Fetch(context.Background(), 1, 0, 1); err != nil {
+	if _, err := FetchOne(context.Background(), rc, 1, 0, 1); err != nil {
 		t.Fatalf("fetch through retry wrapper: %v", err)
 	}
 	if rc.Retries() != 0 {

@@ -30,7 +30,7 @@ func TestFetchBatchMatchesSingleFetches(t *testing.T) {
 		t.Fatalf("batch returned %d results", len(batch))
 	}
 	for i := range samples {
-		single, err := c.Fetch(context.Background(), samples[i], splits[i], epoch)
+		single, err := FetchOne(context.Background(), c, samples[i], splits[i], epoch)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestFetchBatchWireAccounting(t *testing.T) {
 	// three individual response frames would be.
 	var singles int
 	for i := uint32(0); i < 3; i++ {
-		r, err := c.Fetch(context.Background(), i, 0, 1)
+		r, err := FetchOne(context.Background(), c, i, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,7 +135,7 @@ func TestFetchBatchDeterministicAugmentation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	single, err := b.Fetch(context.Background(), 0, 3, 7)
+	single, err := FetchOne(context.Background(), b, 0, 3, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

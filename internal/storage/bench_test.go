@@ -16,7 +16,7 @@ func BenchmarkFetchRaw(b *testing.B) {
 	c := dial()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Fetch(context.Background(), uint32(i%8), 0, 1)
+		res, err := FetchOne(context.Background(), c, uint32(i%8), 0, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -30,7 +30,7 @@ func BenchmarkFetchOffloadedPrefix(b *testing.B) {
 	c := dial()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Fetch(context.Background(), uint32(i%8), 2, 1)
+		res, err := FetchOne(context.Background(), c, uint32(i%8), 2, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -88,7 +88,7 @@ func BenchmarkTransport_Pipelined(b *testing.B) {
 				gate <- struct{}{}
 				go func(i int) {
 					defer func() { <-gate }()
-					res, err := c.Fetch(context.Background(), uint32(i%16), 2, 1)
+					res, err := FetchOne(context.Background(), c, uint32(i%16), 2, 1)
 					if err != nil {
 						select {
 						case errCh <- err:

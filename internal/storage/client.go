@@ -69,11 +69,6 @@ type Client struct {
 	closeOnce sync.Once
 }
 
-// NewClient performs the handshake over an established connection.
-func NewClient(conn net.Conn, jobID uint64) (*Client, error) {
-	return NewClientWithOptions(conn, ClientOptions{JobID: jobID})
-}
-
 // NewClientWithOptions performs the handshake and starts the session's
 // writer and reader goroutines. On error the connection is closed.
 func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
@@ -118,11 +113,6 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
-}
-
-// Dial connects over TCP and handshakes.
-func Dial(addr string, jobID uint64) (*Client, error) {
-	return DialWithOptions(addr, ClientOptions{JobID: jobID})
 }
 
 // DialWithOptions connects over TCP and handshakes with explicit options.

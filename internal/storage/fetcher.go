@@ -11,7 +11,8 @@ import (
 // caches (*cache.FetchingCache, *cache.TenantFetcher) all implement it and
 // wrap it, so resilience, sharding and caching compose in any order.
 // Implementations must be safe for concurrent use: the trainer pipelines
-// many in-flight requests over one shared session.
+// many in-flight requests over one shared session. FetchBatch is the one
+// round trip; FetchOne is the single-sample path over it.
 type Fetcher interface {
 	// FetchBatch is the round trip: up to wire.MaxBatchItems samples, each
 	// with its packed directive (see PackDirective), results in request
@@ -22,13 +23,15 @@ type Fetcher interface {
 	// failures. Cancelling ctx unblocks the caller without disturbing other
 	// in-flight requests.
 	FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]FetchResult, error)
-	// Fetch is FetchOne: a batch of one.
+	// Fetch is FetchOne; every implementation forwards to it and nothing
+	// in this module calls it. It stays only because benchmarks/ compiles
+	// against it (its traced client wraps it; ROADMAP 1A(vi)).
 	Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (FetchResult, error)
 	NumSamples() int
 	Close() error
 }
 
-// FetchOne is every layer's Fetch: f.FetchBatch of one sample. The sample's
+// FetchOne is the single-sample path: f.FetchBatch of one sample. The sample's
 // own failure comes back as both the result's Err and the error; a failed
 // round trip as a result carrying only the sample and the error.
 func FetchOne(ctx context.Context, f Fetcher, sample uint32, split int, epoch uint64) (FetchResult, error) {

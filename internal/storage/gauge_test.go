@@ -29,12 +29,12 @@ func TestConnectionGauge(t *testing.T) {
 	}
 
 	c1 := dial()
-	if _, err := c1.Fetch(context.Background(), 0, 0, 1); err != nil {
+	if _, err := FetchOne(context.Background(), c1, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(1)
 	c2 := dial()
-	if _, err := c2.Fetch(context.Background(), 1, 0, 1); err != nil {
+	if _, err := FetchOne(context.Background(), c2, 1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(2)

@@ -38,13 +38,13 @@ func TestIdleTimeoutDropsSilentClients(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	silent, err := Dial(l.Addr().String(), 1)
+	silent, err := DialWithOptions(l.Addr().String(), ClientOptions{JobID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer silent.Close()
 
-	active, err := Dial(l.Addr().String(), 1)
+	active, err := DialWithOptions(l.Addr().String(), ClientOptions{JobID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +59,13 @@ func TestIdleTimeoutDropsSilentClients(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatalf("idle reaper never fired: %d connections open", ctr.Connections.Load())
 		}
-		if _, err := active.Fetch(context.Background(), 0, 0, 1); err != nil {
+		if _, err := FetchOne(context.Background(), active, 0, 0, 1); err != nil {
 			t.Fatalf("active client dropped: %v", err)
 		}
 	}
 
 	// The silent client's connection must be gone by now.
-	if _, err := silent.Fetch(context.Background(), 0, 0, 1); err == nil {
+	if _, err := FetchOne(context.Background(), silent, 0, 0, 1); err == nil {
 		t.Fatal("silent client survived the idle timeout")
 	}
 }

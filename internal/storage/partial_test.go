@@ -76,11 +76,11 @@ func TestServerOnPartialStore(t *testing.T) {
 		t.Fatalf("handshake NumSamples = %d, want the global 4", c.NumSamples())
 	}
 	ctx := context.Background()
-	res, err := c.Fetch(ctx, 3, 0, 1)
+	res, err := FetchOne(ctx, c, 3, 0, 1)
 	if err != nil || res.Status != wire.FetchOK {
 		t.Fatalf("owned fetch: %v, %v", res.Status, err)
 	}
-	if _, err := c.Fetch(ctx, 2, 0, 1); !errors.Is(err, ErrSampleMissing) {
+	if _, err := FetchOne(ctx, c, 2, 0, 1); !errors.Is(err, ErrSampleMissing) {
 		t.Fatalf("unowned fetch err = %v, want ErrSampleMissing", err)
 	}
 }

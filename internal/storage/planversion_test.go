@@ -23,14 +23,14 @@ func TestPlanVersionStamping(t *testing.T) {
 	ctx := context.Background()
 
 	// Unversioned traffic leaves the counters untouched.
-	if _, err := c.Fetch(ctx, 0, 0, 1); err != nil {
+	if _, err := FetchOne(ctx, c, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v := srv.Counters().PlanVersion.Load(); v != 0 {
 		t.Fatalf("unversioned fetch moved PlanVersion to %d", v)
 	}
 
-	if _, err := c.Fetch(WithPlanVersion(ctx, 3), 1, 1, 1); err != nil {
+	if _, err := FetchOne(WithPlanVersion(ctx, 3), c, 1, 1, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v := srv.Counters().PlanVersion.Load(); v != 3 {
@@ -51,11 +51,11 @@ func TestPlanVersionStamping(t *testing.T) {
 	// Mixed-version traffic during a swap: an older stamp still serves the
 	// fetch but counts as a regression. The stamp belongs to the request,
 	// not the session: the unversioned fetch after it observes nothing.
-	res, err := c.Fetch(WithPlanVersion(ctx, 4), 4, 0, 1)
+	res, err := FetchOne(WithPlanVersion(ctx, 4), c, 4, 0, 1)
 	if err != nil || res.Err != nil {
 		t.Fatalf("stale-version fetch failed: %v / %v", err, res.Err)
 	}
-	if _, err := c.Fetch(ctx, 5, 0, 1); err != nil {
+	if _, err := FetchOne(ctx, c, 5, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	if v := srv.Counters().PlanVersion.Load(); v != 5 {
@@ -84,13 +84,13 @@ func TestPlanVersionSurvivesRedial(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if _, err := rc.Fetch(WithPlanVersion(context.Background(), 9), 0, 0, 1); err != nil {
+	if _, err := FetchOne(WithPlanVersion(context.Background(), 9), rc, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 	ctx := WithPlanVersion(context.Background(), 7)
 	for k := 0; k < 40; k++ {
 		before := srv.Counters().PlanRegressions.Load()
-		if _, err := rc.Fetch(ctx, uint32(k%4), 0, 1); err != nil {
+		if _, err := FetchOne(ctx, rc, uint32(k%4), 0, 1); err != nil {
 			t.Fatalf("fetch %d: %v", k, err)
 		}
 		if after := srv.Counters().PlanRegressions.Load(); after == before {

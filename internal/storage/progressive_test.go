@@ -66,7 +66,7 @@ func TestServerServesProgressivePrefix(t *testing.T) {
 	}
 
 	// Full fidelity ships the whole container and stays off the fast path.
-	full, err := c.Fetch(context.Background(), 1, 0, 1)
+	full, err := FetchOne(context.Background(), c, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestServerServesProgressivePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Fetch(context.Background(), 1, PackDirective(0, drop), 1)
+	res, err := FetchOne(context.Background(), c, 1, PackDirective(0, drop), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestServerServesProgressivePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = c.Fetch(context.Background(), 1, PackDirective(0, 200), 1)
+	res, err = FetchOne(context.Background(), c, 1, PackDirective(0, 200), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFidelityOnLegacyObjectServesFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Fetch(context.Background(), 0, PackDirective(0, 2), 1)
+	res, err := FetchOne(context.Background(), c, 0, PackDirective(0, 2), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestFidelityDirectiveValidation(t *testing.T) {
 	st := progressiveStore(t, 1)
 	_, dial := startServer(t, ServerConfig{Store: st, Pipeline: pipeline.DefaultStandard(), Cores: 0})
 	c := dial()
-	if _, err := c.Fetch(context.Background(), 0, PackDirective(0, 300), 1); err == nil {
+	if _, err := FetchOne(context.Background(), c, 0, PackDirective(0, 300), 1); err == nil {
 		t.Fatal("accepted fidelity 300")
 	}
 	if _, err := c.FetchBatch(context.Background(), []uint32{0}, []int{PackDirective(0, 300)}, 1); err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 )
@@ -19,7 +20,7 @@ func flakyDialer(t testing.TB, l *netsim.PipeListener, budget int64) func() (*Cl
 		if err != nil {
 			return nil, err
 		}
-		return NewClient(netsim.Flaky(conn, budget), 3)
+		return NewClientWithOptions(chaos.WrapConn(conn, chaos.CloseAfter(budget), nil, nil, nil), ClientOptions{JobID: 3})
 	}
 }
 
@@ -63,7 +64,7 @@ func TestReconnectingSurvivesConnectionDeath(t *testing.T) {
 		t.Fatalf("handshake facts: %d %q", rc.NumSamples(), rc.DatasetName())
 	}
 	for k := 0; k < 40; k++ {
-		res, err := rc.Fetch(context.Background(), uint32(k%4), 0, 1)
+		res, err := FetchOne(context.Background(), rc, uint32(k%4), 0, 1)
 		if err != nil {
 			t.Fatalf("fetch %d: %v", k, err)
 		}
@@ -91,7 +92,7 @@ func TestReconnectingGivesUpEventually(t *testing.T) {
 		return
 	}
 	defer rc.Close()
-	if _, err := rc.Fetch(context.Background(), 0, 0, 1); err == nil {
+	if _, err := FetchOne(context.Background(), rc, 0, 0, 1); err == nil {
 		t.Fatal("fetch succeeded with an impossible byte budget")
 	}
 }
@@ -103,13 +104,13 @@ func TestReconnectingDoesNotRetryPermanentErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if _, err := rc.Fetch(context.Background(), 99, 0, 1); !errors.Is(err, ErrSampleMissing) {
+	if _, err := FetchOne(context.Background(), rc, 99, 0, 1); !errors.Is(err, ErrSampleMissing) {
 		t.Fatalf("missing sample err = %v", err)
 	}
 	if rc.Retries() != 0 {
 		t.Fatalf("%d retries for a permanent error", rc.Retries())
 	}
-	if _, err := rc.Fetch(context.Background(), 0, 6, 1); !errors.Is(err, ErrBadSplitReq) {
+	if _, err := FetchOne(context.Background(), rc, 0, 6, 1); !errors.Is(err, ErrBadSplitReq) {
 		t.Fatalf("bad split err = %v", err)
 	}
 }
@@ -126,7 +127,7 @@ func TestReconnectingClosedOperations(t *testing.T) {
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rc.Fetch(context.Background(), 0, 0, 1); !errors.Is(err, ErrClientClosed) {
+	if _, err := FetchOne(context.Background(), rc, 0, 0, 1); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("fetch after close = %v", err)
 	}
 }
@@ -146,36 +147,5 @@ func TestReconnectingBatchFetch(t *testing.T) {
 		if len(res) != 4 {
 			t.Fatalf("batch %d returned %d items", k, len(res))
 		}
-	}
-}
-
-func TestFlakyConnInjectsFailure(t *testing.T) {
-	l := netsim.NewPipeListener()
-	defer l.Close()
-	go func() {
-		conn, err := l.Accept()
-		if err != nil {
-			return
-		}
-		buf := make([]byte, 1024)
-		for {
-			if _, err := conn.Read(buf); err != nil {
-				return
-			}
-		}
-	}()
-	conn, err := l.Dial()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fc := netsim.Flaky(conn, 100)
-	if _, err := fc.Write(make([]byte, 60)); err != nil {
-		t.Fatalf("first write within budget failed: %v", err)
-	}
-	if _, err := fc.Write(make([]byte, 60)); !errors.Is(err, netsim.ErrInjectedFailure) {
-		t.Fatalf("over-budget write err = %v", err)
-	}
-	if _, err := fc.Read(make([]byte, 1)); !errors.Is(err, netsim.ErrInjectedFailure) {
-		t.Fatalf("read after failure err = %v", err)
 	}
 }

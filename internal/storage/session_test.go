@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 	"repro/internal/wire"
@@ -103,7 +104,7 @@ func TestSessionSustainsFourInFlight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			sample := uint32(i + 1)
-			res, err := c.Fetch(context.Background(), sample, 0, 1)
+			res, err := FetchOne(context.Background(), c, sample, 0, 1)
 			if err != nil {
 				errs[i] = err
 				return
@@ -158,12 +159,12 @@ func TestSessionCancelDoesNotPoison(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	fetch1Err := make(chan error, 1)
 	go func() {
-		_, err := c.Fetch(ctx1, 1, 0, 1)
+		_, err := FetchOne(ctx1, c, 1, 0, 1)
 		fetch1Err <- err
 	}()
 
 	// Sample 2 completes while sample 1 is stuck in flight.
-	res2, err := c.Fetch(context.Background(), 2, 0, 1)
+	res2, err := FetchOne(context.Background(), c, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +184,7 @@ func TestSessionCancelDoesNotPoison(t *testing.T) {
 	close(release)
 
 	// The session still works after the cancel and the dropped late response.
-	res3, err := c.Fetch(context.Background(), 3, 0, 1)
+	res3, err := FetchOne(context.Background(), c, 3, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func TestSessionRequestTimeout(t *testing.T) {
 	defer c.Close()
 
 	start := time.Now()
-	_, err = c.Fetch(context.Background(), 1, 0, 1)
+	_, err = FetchOne(context.Background(), c, 1, 0, 1)
 	if !errors.Is(err, ErrRequestTimeout) {
 		t.Fatalf("err = %v, want ErrRequestTimeout", err)
 	}
@@ -243,7 +244,7 @@ func TestSessionRequestTimeout(t *testing.T) {
 		<-sawFetch
 		cancel()
 	}()
-	if _, err := c2.Fetch(ctx, 1, 0, 1); !errors.Is(err, context.Canceled) {
+	if _, err := FetchOne(ctx, c2, 1, 0, 1); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -276,11 +277,11 @@ func TestSessionPerRequestError(t *testing.T) {
 	var err1, err2 error
 	go func() {
 		defer wg.Done()
-		_, err1 = c.Fetch(context.Background(), 1, 0, 1)
+		_, err1 = FetchOne(context.Background(), c, 1, 0, 1)
 	}()
 	go func() {
 		defer wg.Done()
-		_, err2 = c.Fetch(context.Background(), 2, 0, 1)
+		_, err2 = FetchOne(context.Background(), c, 2, 0, 1)
 	}()
 	wg.Wait()
 	if err1 == nil || errors.Is(err1, ErrClientClosed) {
@@ -312,7 +313,7 @@ func TestSessionConcurrentDemuxStress(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < perG; k++ {
 				id := uint32((g*perG + k) % samples)
-				res, err := c.Fetch(context.Background(), id, 0, 1)
+				res, err := FetchOne(context.Background(), c, id, 0, 1)
 				if err != nil {
 					t.Errorf("g%d fetch %d: %v", g, id, err)
 					return
@@ -356,7 +357,7 @@ func TestSessionConcurrentOverFlakyConn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := NewClientWithOptions(netsim.Flaky(conn, 96<<10), ClientOptions{
+	c, err := NewClientWithOptions(chaos.WrapConn(conn, chaos.CloseAfter(96<<10), nil, nil, nil), ClientOptions{
 		JobID: 42, RequestTimeout: 5 * time.Second,
 	})
 	if err != nil {
@@ -373,7 +374,7 @@ func TestSessionConcurrentOverFlakyConn(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 10; k++ {
 				id := uint32((g + k) % 4)
-				res, err := c.Fetch(context.Background(), id, 0, 1)
+				res, err := FetchOne(context.Background(), c, id, 0, 1)
 				mu.Lock()
 				if err != nil {
 					errCount++
@@ -420,7 +421,7 @@ func TestReconnectingConcurrentCallers(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return NewClientWithOptions(netsim.Flaky(conn, 48<<10), ClientOptions{
+		return NewClientWithOptions(chaos.WrapConn(conn, chaos.CloseAfter(48<<10), nil, nil, nil), ClientOptions{
 			JobID: 42, RequestTimeout: 5 * time.Second,
 		})
 	}, 30, 0, nil)
@@ -436,7 +437,7 @@ func TestReconnectingConcurrentCallers(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 10; k++ {
 				id := uint32((g + k) % 4)
-				res, err := rc.Fetch(context.Background(), id, 0, 1)
+				res, err := FetchOne(context.Background(), rc, id, 0, 1)
 				if err != nil {
 					t.Errorf("g%d fetch %d: %v", g, id, err)
 					return

@@ -52,7 +52,7 @@ func startServer(t testing.TB, cfg ServerConfig) (*Server, func() *Client) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := NewClient(conn, 42)
+		c, err := NewClientWithOptions(conn, ClientOptions{JobID: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestFetchAllSplitsMatchLocal(t *testing.T) {
 			t.Fatal(err)
 		}
 		for split := 0; split <= p.Len(); split++ {
-			res, err := c.Fetch(context.Background(), sample, split, epoch)
+			res, err := FetchOne(context.Background(), c, sample, split, epoch)
 			if err != nil {
 				t.Fatalf("fetch sample=%d split=%d: %v", sample, split, err)
 			}
@@ -246,13 +246,13 @@ func TestFetchErrors(t *testing.T) {
 	_, dial := startServer(t, ServerConfig{Store: st, Pipeline: pipeline.DefaultStandard(), Cores: 1})
 	c := dial()
 
-	if _, err := c.Fetch(context.Background(), 99, 0, 1); !errors.Is(err, ErrSampleMissing) {
+	if _, err := FetchOne(context.Background(), c, 99, 0, 1); !errors.Is(err, ErrSampleMissing) {
 		t.Fatalf("missing sample err = %v", err)
 	}
-	if _, err := c.Fetch(context.Background(), 0, 6, 1); !errors.Is(err, ErrBadSplitReq) {
+	if _, err := FetchOne(context.Background(), c, 0, 6, 1); !errors.Is(err, ErrBadSplitReq) {
 		t.Fatalf("oversized split err = %v", err)
 	}
-	if _, err := c.Fetch(context.Background(), 0, 300, 1); err == nil {
+	if _, err := FetchOne(context.Background(), c, 0, 300, 1); err == nil {
 		t.Fatal("accepted split > 255")
 	}
 }
@@ -261,10 +261,10 @@ func TestFetchOffloadDisabled(t *testing.T) {
 	st := testStore(t, 1)
 	_, dial := startServer(t, ServerConfig{Store: st, Pipeline: pipeline.DefaultStandard(), Cores: 0})
 	c := dial()
-	if _, err := c.Fetch(context.Background(), 0, 2, 1); !errors.Is(err, ErrBadSplitReq) {
+	if _, err := FetchOne(context.Background(), c, 0, 2, 1); !errors.Is(err, ErrBadSplitReq) {
 		t.Fatalf("offload with 0 cores err = %v", err)
 	}
-	if _, err := c.Fetch(context.Background(), 0, 0, 1); err != nil {
+	if _, err := FetchOne(context.Background(), c, 0, 0, 1); err != nil {
 		t.Fatalf("raw fetch with 0 cores: %v", err)
 	}
 }
@@ -274,10 +274,10 @@ func TestStatsAccounting(t *testing.T) {
 	srv, dial := startServer(t, ServerConfig{Store: st, Pipeline: pipeline.DefaultStandard(), Cores: 2})
 	c := dial()
 
-	if _, err := c.Fetch(context.Background(), 0, 0, 1); err != nil {
+	if _, err := FetchOne(context.Background(), c, 0, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fetch(context.Background(), 1, 2, 1); err != nil {
+	if _, err := FetchOne(context.Background(), c, 1, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	stats, err := c.Stats(context.Background())
@@ -311,7 +311,7 @@ func TestConcurrentClients(t *testing.T) {
 		go func(sample uint32) {
 			defer wg.Done()
 			c := dial()
-			res, err := c.Fetch(context.Background(), sample, 2, 1)
+			res, err := FetchOne(context.Background(), c, sample, 2, 1)
 			if err != nil {
 				errs <- err
 				return
@@ -398,7 +398,7 @@ func TestHandshakeRejectsBadVersion(t *testing.T) {
 			wire.Write(sconn, &wire.ErrorResp{Code: wire.CodeBadRequest, Message: "unsupported version 4"})
 		}
 	}()
-	if _, err := NewClient(cconn, 1); err == nil || !strings.Contains(err.Error(), "unsupported version 4") {
+	if _, err := NewClientWithOptions(cconn, ClientOptions{JobID: 1}); err == nil || !strings.Contains(err.Error(), "unsupported version 4") {
 		t.Fatalf("rejected handshake: err = %v", err)
 	}
 }
@@ -415,7 +415,7 @@ func TestServerCloseIdempotentAndRejectsServe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := NewClient(conn, 1)
+	probe, err := NewClientWithOptions(conn, ClientOptions{JobID: 1})
 	if err != nil {
 		t.Fatalf("server not serving: %v", err)
 	}
@@ -449,7 +449,7 @@ func TestClientClosedOperations(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Fetch(context.Background(), 0, 0, 1); !errors.Is(err, ErrClientClosed) {
+	if _, err := FetchOne(context.Background(), c, 0, 0, 1); !errors.Is(err, ErrClientClosed) {
 		t.Fatalf("Fetch after close = %v", err)
 	}
 	if _, err := c.Stats(context.Background()); !errors.Is(err, ErrClientClosed) {
@@ -471,12 +471,12 @@ func TestServerOverRealTCP(t *testing.T) {
 	go srv.Serve(l)
 	defer srv.Close()
 
-	c, err := Dial(l.Addr().String(), 7)
+	c, err := DialWithOptions(l.Addr().String(), ClientOptions{JobID: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	res, err := c.Fetch(context.Background(), 1, 5, 2)
+	res, err := FetchOne(context.Background(), c, 1, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -504,12 +504,12 @@ func TestServerOverShapedLink(t *testing.T) {
 	go srv.Serve(netsim.ShapeListener(inner, bucket))
 	defer srv.Close()
 
-	c, err := Dial(inner.Addr().String(), 7)
+	c, err := DialWithOptions(inner.Addr().String(), ClientOptions{JobID: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	res, err := c.Fetch(context.Background(), 0, 1, 1)
+	res, err := FetchOne(context.Background(), c, 0, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

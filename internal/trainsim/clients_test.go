@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
-	"repro/internal/netsim"
+	"repro/internal/chaos"
 	"repro/internal/policy"
 	"repro/internal/storage"
 )
@@ -31,7 +31,7 @@ func TestTrainerWithReconnectingClientSurvivesFlakyLinks(t *testing.T) {
 			}
 			// Each connection survives ~6 sample transfers (64² crops run
 			// ~12 KB each plus raws), then fails.
-			return storage.NewClient(netsim.Flaky(conn, 150<<10), 7)
+			return storage.NewClientWithOptions(chaos.WrapConn(conn, chaos.CloseAfter(150<<10), nil, nil, nil), storage.ClientOptions{JobID: 7})
 		}
 		return storage.NewReconnecting(dial, 8, time.Millisecond, nil)
 	}
@@ -64,7 +64,7 @@ func TestTrainerWithCachingClient(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return storage.NewClient(conn, 7)
+			return storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: 7})
 		}, 3, time.Millisecond, nil)
 		if err != nil {
 			return nil, err
@@ -127,7 +127,7 @@ func TestTrainerCachingWithBatchedFetches(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		c, err := storage.NewClient(conn, 7)
+		c, err := storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: 7})
 		if err != nil {
 			return nil, err
 		}

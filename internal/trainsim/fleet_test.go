@@ -31,7 +31,7 @@ func TestFleetTenantsShareArtifacts(t *testing.T) {
 				}
 				// Coordinated prep: every tenant of the group authenticates
 				// as the shared dataset key so augmentation seeds match.
-				c, err := storage.NewClient(conn, shareKey)
+				c, err := storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: shareKey})
 				if err != nil {
 					return nil, err
 				}

@@ -23,7 +23,7 @@ func TestTwoJobsShareOneServer(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return storage.NewClient(conn, jobID)
+			return storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: jobID})
 		}
 		tr := newTrainer(t, cfg)
 		t.Cleanup(tr.Close)
@@ -59,12 +59,12 @@ func TestJobIsolationOfAugmentations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := storage.NewClient(conn, jobID)
+		c, err := storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: jobID})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer c.Close()
-		res, err := c.Fetch(context.Background(), 0, 2, 5) // offloaded RandomResizedCrop
+		res, err := storage.FetchOne(context.Background(), c, 0, 2, 5) // offloaded RandomResizedCrop
 		if err != nil {
 			t.Fatal(err)
 		}

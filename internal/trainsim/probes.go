@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/profiler"
+	"repro/internal/storage"
 )
 
 // ProbeSamples is the size of the adaptive loop's between-epoch link probe:
@@ -28,7 +29,7 @@ func (t *Trainer) MeasureBandwidth(n int) (float64, error) {
 	var bytes int64
 	start := clock.Now()
 	for k := 0; k < n; k++ {
-		res, err := t.client.Fetch(context.Background(), uint32(k%t.n), 0, 0)
+		res, err := storage.FetchOne(context.Background(), t.client, uint32(k%t.n), 0, 0)
 		if err != nil {
 			return 0, fmt.Errorf("trainsim: bandwidth probe fetch %d: %w", k, err)
 		}
@@ -71,7 +72,7 @@ func (t *Trainer) Stage1Probes() profiler.Probes {
 		start := clock.Now()
 		for k := 0; k < total; k++ {
 			id := uint32(k % t.n)
-			res, err := client.Fetch(context.Background(), id, 0, 0)
+			res, err := storage.FetchOne(context.Background(), client, id, 0, 0)
 			if err != nil {
 				return 0, 0, fmt.Errorf("io probe fetch %d: %w", id, err)
 			}

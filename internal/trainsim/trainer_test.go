@@ -65,7 +65,7 @@ func (h *harness) config() Config {
 			if err != nil {
 				return nil, err
 			}
-			return storage.NewClient(conn, 7)
+			return storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: 7})
 		},
 		Workers:   3,
 		Pipeline:  h.pipe,
@@ -182,7 +182,7 @@ func serverStats(t testing.TB, h *harness) (out struct {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := storage.NewClient(conn, 1)
+	c, err := storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func TestValidationPipelineEndToEnd(t *testing.T) {
 			if err != nil {
 				return nil, err
 			}
-			return storage.NewClient(conn, 1)
+			return storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: 1})
 		},
 		Workers:   2,
 		Pipeline:  p,
@@ -73,16 +73,16 @@ func TestValidationPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := storage.NewClient(conn, 1)
+	c, err := storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	a, err := c.Fetch(context.Background(), 3, 3, 1)
+	a, err := storage.FetchOne(context.Background(), c, 3, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Fetch(context.Background(), 3, 3, 2)
+	b, err := storage.FetchOne(context.Background(), c, 3, 3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

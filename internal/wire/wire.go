@@ -46,12 +46,11 @@ const (
 	Magic = 0x534F5048 // "SOPH"
 	// Version is the only protocol generation a peer speaks; a Hello carrying
 	// any other is answered with an ErrorResp.
-	Version      = 4
+	Version = 4
+	// frameHeader is the on-wire frame-header length: magic (4), type (1),
+	// flags (1), payload length (4), CRC32-C (4).
 	frameHeader  = 14
 	MaxFrameSize = 64 << 20 // generous bound: a 224² tensor is ~600 KB
-	// HeaderSize is the exported on-wire frame-header length: magic (4),
-	// type (1), flags (1), payload length (4), CRC32-C (4).
-	HeaderSize = frameHeader
 	// FlagChecksum marks a frame whose header carries a CRC32-C over the
 	// type, flags, length, and payload. Every frame this package writes sets
 	// it; Read verifies the checksum unconditionally, so the flag is

@@ -126,12 +126,12 @@ func TestSequentialMessagesOnOneStream(t *testing.T) {
 // rawFrame assembles a frame by hand — including a valid checksum — so
 // decode-level rejections can be exercised without the real encoder.
 func rawFrame(mt MsgType, payload []byte) []byte {
-	b := make([]byte, HeaderSize+len(payload))
+	b := make([]byte, frameHeader+len(payload))
 	binary.BigEndian.PutUint32(b[0:4], Magic)
 	b[4] = uint8(mt)
 	b[5] = FlagChecksum
 	binary.BigEndian.PutUint32(b[6:10], uint32(len(payload)))
-	copy(b[HeaderSize:], payload)
+	copy(b[frameHeader:], payload)
 	crc := crc32.Update(0, crc32.MakeTable(crc32.Castagnoli), b[4:10])
 	crc = crc32.Update(crc, crc32.MakeTable(crc32.Castagnoli), payload)
 	binary.BigEndian.PutUint32(b[10:14], crc)
@@ -161,7 +161,7 @@ func TestReadRejectsUnknownType(t *testing.T) {
 }
 
 func TestReadRejectsOversizedFrame(t *testing.T) {
-	b := make([]byte, HeaderSize)
+	b := make([]byte, frameHeader)
 	binary.BigEndian.PutUint32(b[0:4], Magic)
 	b[4] = uint8(TypeFetchBatch)
 	binary.BigEndian.PutUint32(b[6:10], MaxFrameSize+1)
@@ -273,7 +273,7 @@ func TestFetchRoundTripProperty(t *testing.T) {
 	f := func(req uint64, sample uint32, split, fidelity uint8, epoch uint64, planVersion uint32) bool {
 		var buf bytes.Buffer
 		in := one(req, FetchBatchItem{Sample: sample, Split: split, Fidelity: fidelity}, epoch, planVersion)
-		if err := Write(&buf, in); err != nil || buf.Len() != HeaderSize+28 {
+		if err := Write(&buf, in); err != nil || buf.Len() != frameHeader+28 {
 			return false
 		}
 		out, err := Read(&buf)
@@ -294,7 +294,7 @@ func TestFetchRespRoundTripProperty(t *testing.T) {
 	f := func(req uint64, sample uint32, status uint8, artifact []byte) bool {
 		var buf bytes.Buffer
 		in := oneResp(req, FetchBatchRespItem{Sample: sample, Status: FetchStatus(status % 4), Artifact: artifact})
-		if err := Write(&buf, in); err != nil || buf.Len() != HeaderSize+20+len(artifact) {
+		if err := Write(&buf, in); err != nil || buf.Len() != frameHeader+20+len(artifact) {
 			return false
 		}
 		out, err := Read(&buf)

@@ -25,6 +25,7 @@ import (
 	"net"
 
 	"repro/internal/cache"
+	"repro/internal/chaos"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -258,8 +259,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	return &Cluster{server: srv, listener: l, pipe: p, set: set, addr: inner.Addr().String(), bucket: bucket}, nil
 }
 
-// chaosListener wraps accepted connections with a byte-budget fault
-// injector.
+// chaosListener severs every accepted connection after budget bytes.
 type chaosListener struct {
 	net.Listener
 	budget int64
@@ -270,7 +270,7 @@ func (l chaosListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return netsim.Flaky(conn, l.budget), nil
+	return chaos.WrapConn(conn, chaos.CloseAfter(l.budget), nil, nil, nil), nil
 }
 
 // Addr returns the server's TCP address.
@@ -284,7 +284,7 @@ func (c *Cluster) NumSamples() int { return c.set.N() }
 
 // Dial opens a storage client for the given training job.
 func (c *Cluster) Dial(jobID uint64) (*storage.Client, error) {
-	return storage.Dial(c.addr, jobID)
+	return storage.DialWithOptions(c.addr, storage.ClientOptions{JobID: jobID})
 }
 
 // SetBandwidth reshapes the storage→compute link to a new Mbps rate while
