@@ -40,7 +40,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	cores := fs.Int("cores", 48, "storage cores for the planning preview")
 	mbps := fs.Float64("mbps", 500, "link bandwidth (Mbit/s)")
 	modelName := fs.String("model", "alexnet", "GPU model profile")
-	dumpTrace := fs.String("dump-trace", "", "write the generated trace to this file (for sophon-train -trace-file)")
+	dumpTrace := fs.String("dump-trace", "", "write the generated trace to this file")
 	dumpPlan := fs.String("dump-plan", "", "write the SOPHON plan to this file (for sophon-train -plan-file)")
 	if done, err := cliutil.ParseArgs(fs, args, "sophon-profile", "Inspects a dataset profile and previews the SOPHON offload plan for an environment."); done || err != nil {
 		return err

@@ -42,6 +42,15 @@ func TestFlagValidation(t *testing.T) {
 			t.Errorf("%v: printed %q before failing", c.args, stdout.String())
 		}
 	}
+	// The planner's environment check refuses a non-finite link rate as it
+	// refuses a negative one (after the trace summary has printed).
+	for _, mbps := range []string{"NaN", "+Inf", "-5"} {
+		fs, _ := testFlags()
+		err := run(fs, []string{"-n", "10", "-mbps", mbps}, &bytes.Buffer{})
+		if err == nil || err.Error() != "policy: bandwidth must be positive and finite" {
+			t.Errorf("-mbps %s: err = %v", mbps, err)
+		}
+	}
 	fs, stderr := testFlags()
 	err := run(fs, []string{"-storage-cores", "4"}, &bytes.Buffer{})
 	if err == nil || err.Error() != "flag provided but not defined: -storage-cores" || !strings.Contains(stderr.String(), "Usage: sophon-profile [flags]") {

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"math"
 	"net"
 	"os"
 	"os/signal"
@@ -84,6 +85,9 @@ func run(ctx context.Context, fs *flag.FlagSet, args []string, now func() time.T
 	}
 	if *cores < 0 {
 		return fmt.Errorf("-cores must be non-negative, got %d", *cores)
+	}
+	if !(*mbps >= 0) || math.IsInf(*mbps, 0) {
+		return fmt.Errorf("-mbps must be a finite value >= 0, got %g", *mbps)
 	}
 
 	start := now()

@@ -65,6 +65,10 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-max-inflight", "-1"}, "-max-inflight must be non-negative, got -1"},
 		{[]string{"-max-inflight=0"}, "-max-inflight must be positive when set explicitly (omit it for the default)"},
 		{[]string{"-cores", "-1"}, "-cores must be non-negative, got -1"},
+		{[]string{"-mbps", "NaN"}, "-mbps must be a finite value >= 0, got NaN"},
+		{[]string{"-mbps", "+Inf"}, "-mbps must be a finite value >= 0, got +Inf"},
+		{[]string{"-n", "2", "-slowdown", "NaN"}, "storage: slowdown NaN is not a finite value >= 1"},
+		{[]string{"-n", "2", "-slowdown", "0.5"}, "storage: slowdown 0.50 is not a finite value >= 1"},
 		{[]string{"-n", "2", "-min-dim", "500"}, "dataset: bad dim range [500, 480]"},
 		{[]string{"-n", "2", "-addr", "localhost"}, `bad -addr "localhost": address localhost: missing port in address`},
 		{[]string{"-n", "2", "-admit-queue", "3"}, "-admit-queue/-retry-after need -admit-bytes > 0"},

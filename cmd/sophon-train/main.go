@@ -118,7 +118,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	if *stagingBytes < 0 {
 		return fmt.Errorf("-staging-bytes must be >= 0, got %d", *stagingBytes)
 	}
-	if *heavyThreshold < 0 {
+	if !(*heavyThreshold >= 0) { // NaN too
 		return fmt.Errorf("-heavy-threshold must be >= 0, got %g", *heavyThreshold)
 	}
 	if *heavyThreshold > 0 && *planFile != "" {

@@ -70,6 +70,7 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-lookahead-horizon", "-8"}, "-lookahead-horizon must be non-negative, got -8"},
 		{[]string{"-staging-bytes", "-1"}, "-staging-bytes must be >= 0, got -1"},
 		{[]string{"-heavy-threshold", "-1"}, "-heavy-threshold must be >= 0, got -1"},
+		{[]string{"-heavy-threshold", "NaN"}, "-heavy-threshold must be >= 0, got NaN"},
 		{[]string{"-heavy-threshold", "2", "-plan-file", "p"}, "-heavy-threshold needs the profiling path"},
 		{[]string{"-model", "vgg"}, `gpu: unknown model: "vgg"`},
 		{[]string{"-policy", "oracle"}, `unknown policy "oracle"`},

@@ -1,18 +1,18 @@
 // Package cache implements the compute-local caching alternative the paper
 // contrasts against (its §1: "existing approaches mainly focus on
 // selectively caching data in local storage or memory ... limited by the
-// capacities of local storage"). Two real byte-capacity caches are
-// provided — classic LRU and the admit-until-full, never-evict policy DL
-// caches (CoorDL's MinIO cache, Quiver) use for repeated full
-// scans — plus a client wrapper for the live trainer and a model-tier
-// adapter that folds a cache's steady-state behaviour into a profiled
-// trace. Caches hold raw (stage-0) artifacts only: augmented artifacts
-// differ every epoch, which is exactly why the paper keeps preprocessing
-// online.
+// capacities of local storage"): the admit-until-full, never-evict cache DL
+// systems (CoorDL's MinIO cache, Quiver) use for repeated full scans, a
+// client wrapper that puts it in front of the live trainer, and a model-tier
+// adapter that folds its steady-state behaviour into a profiled trace. That
+// cache holds raw (stage-0) artifacts only: augmented artifacts differ every
+// epoch, which is exactly why the paper keeps preprocessing online. The
+// fleet's cross-job artifact cache (SharedArtifactCache, read through one
+// TenantFetcher per tenant) is the exception: tenants of a share group
+// derive the same augmentations, so it keys artifacts by pipeline cut.
 package cache
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -22,111 +22,13 @@ import (
 type Cache interface {
 	// Get returns the cached bytes and whether they were present.
 	Get(id uint32) ([]byte, bool)
-	// Put inserts bytes, evicting as needed. Objects larger than the
-	// capacity are not cached.
+	// Put inserts bytes if they fit. Objects larger than the capacity are
+	// not cached.
 	Put(id uint32, data []byte)
-	// Stats returns a snapshot of the cache's counters.
-	Stats() Stats
-}
-
-// Stats summarizes cache behaviour.
-type Stats struct {
-	Hits      int64
-	Misses    int64
-	Evictions int64
-	Bytes     int64
-	Items     int
-	Capacity  int64
-}
-
-// HitRate returns hits / (hits + misses), or 0 with no lookups.
-func (s Stats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // ErrBadCapacity reports a non-positive capacity.
 var ErrBadCapacity = errors.New("cache: capacity must be positive")
-
-// lruCache is a classic least-recently-used byte cache.
-type lruCache struct {
-	mu       sync.Mutex
-	capacity int64
-	bytes    int64
-	ll       *list.List // front = most recent
-	items    map[uint32]*list.Element
-	stats    Stats
-}
-
-type lruEntry struct {
-	id   uint32
-	data []byte
-}
-
-// NewLRU builds an LRU cache with the given byte capacity.
-func NewLRU(capacity int64) (Cache, error) {
-	if capacity <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
-	}
-	return &lruCache{
-		capacity: capacity,
-		ll:       list.New(),
-		items:    make(map[uint32]*list.Element),
-	}, nil
-}
-
-func (c *lruCache) Get(id uint32) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[id]
-	if !ok {
-		c.stats.Misses++
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	c.stats.Hits++
-	return el.Value.(*lruEntry).data, true
-}
-
-func (c *lruCache) Put(id uint32, data []byte) {
-	if int64(len(data)) > c.capacity {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[id]; ok {
-		c.bytes += int64(len(data)) - int64(len(el.Value.(*lruEntry).data))
-		el.Value.(*lruEntry).data = data
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[id] = c.ll.PushFront(&lruEntry{id: id, data: data})
-		c.bytes += int64(len(data))
-	}
-	for c.bytes > c.capacity {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		e := back.Value.(*lruEntry)
-		c.ll.Remove(back)
-		delete(c.items, e.id)
-		c.bytes -= int64(len(e.data))
-		c.stats.Evictions++
-	}
-}
-
-func (c *lruCache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Bytes = c.bytes
-	s.Items = len(c.items)
-	s.Capacity = c.capacity
-	return s
-}
 
 // noEvictCache admits objects until full and never evicts — the policy DL
 // caches (CoorDL's MinIO cache, Quiver's substitutable cache) use, because
@@ -139,7 +41,6 @@ type noEvictCache struct {
 	capacity int64
 	bytes    int64
 	data     map[uint32][]byte
-	stats    Stats
 }
 
 // NewNoEvict builds an admit-until-full, never-evict cache.
@@ -157,12 +58,7 @@ func (c *noEvictCache) Get(id uint32) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d, ok := c.data[id]
-	if !ok {
-		c.stats.Misses++
-		return nil, false
-	}
-	c.stats.Hits++
-	return d, true
+	return d, ok
 }
 
 func (c *noEvictCache) Put(id uint32, data []byte) {
@@ -182,14 +78,4 @@ func (c *noEvictCache) Put(id uint32, data []byte) {
 	}
 	c.data[id] = data
 	c.bytes += int64(len(data))
-}
-
-func (c *noEvictCache) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	s := c.stats
-	s.Bytes = c.bytes
-	s.Items = len(c.data)
-	s.Capacity = c.capacity
-	return s
 }

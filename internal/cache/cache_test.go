@@ -13,118 +13,49 @@ import (
 )
 
 func TestNewValidation(t *testing.T) {
-	if _, err := NewLRU(0); err == nil {
-		t.Fatal("LRU accepted zero capacity")
+	if _, err := NewNoEvict(0); err == nil {
+		t.Fatal("no-evict accepted zero capacity")
 	}
 	if _, err := NewNoEvict(-1); err == nil {
 		t.Fatal("no-evict accepted negative capacity")
 	}
 }
 
-func TestLRUBasics(t *testing.T) {
-	c, err := NewLRU(100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := c.Get(1); ok {
-		t.Fatal("empty cache hit")
-	}
-	c.Put(1, bytes.Repeat([]byte{1}, 40))
-	c.Put(2, bytes.Repeat([]byte{2}, 40))
-	if d, ok := c.Get(1); !ok || d[0] != 1 {
-		t.Fatal("miss after put")
-	}
-	s := c.Stats()
-	if s.Hits != 1 || s.Misses != 1 || s.Items != 2 || s.Bytes != 80 || s.Capacity != 100 {
-		t.Fatalf("stats %+v", s)
-	}
-	if got := s.HitRate(); got != 0.5 {
-		t.Fatalf("hit rate %v", got)
-	}
-}
-
-func TestLRUEvictsLeastRecent(t *testing.T) {
-	c, _ := NewLRU(100)
-	c.Put(1, bytes.Repeat([]byte{1}, 40))
-	c.Put(2, bytes.Repeat([]byte{2}, 40))
-	c.Get(1) // 1 is now most recent
-	c.Put(3, bytes.Repeat([]byte{3}, 40))
-	if _, ok := c.Get(2); ok {
-		t.Fatal("LRU kept the least-recent entry")
-	}
-	if _, ok := c.Get(1); !ok {
-		t.Fatal("LRU evicted the most-recent entry")
-	}
-	if s := c.Stats(); s.Evictions != 1 {
-		t.Fatalf("evictions = %d", s.Evictions)
-	}
-}
-
-func TestLRUUpdateInPlace(t *testing.T) {
-	c, _ := NewLRU(100)
-	c.Put(1, bytes.Repeat([]byte{1}, 40))
-	c.Put(1, bytes.Repeat([]byte{9}, 60))
-	if s := c.Stats(); s.Bytes != 60 || s.Items != 1 {
-		t.Fatalf("stats after update: %+v", s)
-	}
-	d, ok := c.Get(1)
-	if !ok || len(d) != 60 || d[0] != 9 {
-		t.Fatal("update lost data")
-	}
-}
-
 func TestOversizedObjectNotCached(t *testing.T) {
-	for _, c := range mkCaches(t, 50) {
-		c.Put(1, make([]byte, 100))
-		if _, ok := c.Get(1); ok {
-			t.Fatal("cached an object larger than capacity")
-		}
-		if c.Stats().Bytes != 0 {
-			t.Fatal("oversized object consumed bytes")
-		}
-	}
-}
-
-func mkCaches(t testing.TB, capacity int64) []Cache {
-	t.Helper()
-	l, err := NewLRU(capacity)
+	c, err := NewNoEvict(50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	u, err := NewNoEvict(capacity)
-	if err != nil {
-		t.Fatal(err)
+	c.Put(1, make([]byte, 100))
+	if _, ok := c.Get(1); ok {
+		t.Fatal("cached an object larger than capacity")
 	}
-	return []Cache{l, u}
+	if c.(*noEvictCache).bytes != 0 {
+		t.Fatal("oversized object consumed bytes")
+	}
 }
 
-// Property: both caches never exceed capacity and Get returns exactly what
+// Property: the cache never exceeds capacity and Get returns exactly what
 // Put stored.
 func TestCapacityInvariantProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const capacity = 1 << 12
-		l, err := NewLRU(capacity)
+		c, err := NewNoEvict(capacity)
 		if err != nil {
 			return false
 		}
-		u, err := NewNoEvict(capacity)
-		if err != nil {
-			return false
-		}
-		for _, c := range []Cache{l, u} {
-			for _, op := range ops {
-				id := uint32(op % 64)
-				size := int(op%800) + 1
-				data := bytes.Repeat([]byte{byte(id)}, size)
-				c.Put(id, data)
-				if got, ok := c.Get(id); ok {
-					if len(got) == 0 || got[0] != byte(id) {
-						return false
-					}
-				}
-				if c.Stats().Bytes > capacity {
+		for _, op := range ops {
+			id := uint32(op % 64)
+			size := int(op%800) + 1
+			data := bytes.Repeat([]byte{byte(id)}, size)
+			c.Put(id, data)
+			if got, ok := c.Get(id); ok {
+				if len(got) == 0 || got[0] != byte(id) {
 					return false
 				}
+			}
+			if c.(*noEvictCache).bytes > capacity {
+				return false
 			}
 		}
 		return true
@@ -134,35 +65,27 @@ func TestCapacityInvariantProperty(t *testing.T) {
 	}
 }
 
-// TestNoEvictBeatsLRUOnCyclicScan demonstrates the DL-cache insight: under
-// repeated full scans larger than the cache, LRU gets ~zero hits while a
-// frozen resident set keeps a stable capacity-fraction hit rate.
-func TestNoEvictBeatsLRUOnCyclicScan(t *testing.T) {
+// TestNoEvictKeepsResidentFractionOnCyclicScan demonstrates the DL-cache
+// insight: under repeated full scans larger than the cache, a frozen
+// resident set keeps a stable capacity-fraction hit rate (a churn-based
+// policy such as LRU evicts every object right before its next use).
+func TestNoEvictKeepsResidentFractionOnCyclicScan(t *testing.T) {
 	const n, objSize, capacity = 200, 10, 500 // cache holds 1/4 of the set
-	l, _ := NewLRU(capacity)
-	u, _ := NewNoEvict(capacity)
-	scan := func(c Cache) float64 {
-		obj := bytes.Repeat([]byte{7}, objSize)
-		for epoch := 0; epoch < 10; epoch++ {
-			for id := uint32(0); id < n; id++ {
-				if _, ok := c.Get(id); !ok {
-					c.Put(id, obj)
-				}
+	c, _ := NewNoEvict(capacity)
+	obj := bytes.Repeat([]byte{7}, objSize)
+	hits := 0
+	for epoch := 0; epoch < 10; epoch++ {
+		for id := uint32(0); id < n; id++ {
+			if _, ok := c.Get(id); ok {
+				hits++
+			} else {
+				c.Put(id, obj)
 			}
 		}
-		return c.Stats().HitRate()
 	}
-	lru := scan(l)
-	noEvict := scan(u)
-	if lru > 0.05 {
-		t.Fatalf("LRU hit rate %.3f on cyclic scan, expected ~0", lru)
-	}
-	// 9 of 10 epochs hit the 25% resident set: ~0.225 overall.
-	if noEvict < 0.15 {
-		t.Fatalf("no-evict hit rate %.3f, expected near resident fraction ~0.22", noEvict)
-	}
-	if noEvict <= lru {
-		t.Fatalf("no-evict (%.3f) not better than LRU (%.3f)", noEvict, lru)
+	// 9 of 10 epochs hit the 25% resident set: 0.225 of lookups.
+	if hits != 9*capacity/objSize {
+		t.Fatalf("no-evict hit %d of %d lookups, want the resident fraction 0.225", hits, 10*n)
 	}
 }
 
@@ -231,7 +154,7 @@ func TestFetchingCacheLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inner, err := NewLRU(10 << 20)
+	inner, err := NewNoEvict(10 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +189,7 @@ func TestFetchingCacheLive(t *testing.T) {
 	if off.WireBytes == 0 || off.Artifact.Kind != pipeline.KindImage {
 		t.Fatal("offloaded fetch served from cache")
 	}
-	s := fc.Stats()
-	if s.Hits != 1 || s.Misses != 1 {
-		t.Fatalf("cache stats %+v", s)
+	if n := len(inner.(*noEvictCache).data); n != 1 {
+		t.Fatalf("cache holds %d objects, want the one raw fetch", n)
 	}
 }

@@ -121,9 +121,6 @@ func through(samples []uint32, splits []int,
 // NumSamples reports the dataset size from the wrapped client.
 func (f *FetchingCache) NumSamples() int { return f.client.NumSamples() }
 
-// Stats exposes the underlying cache counters.
-func (f *FetchingCache) Stats() Stats { return f.cache.Stats() }
-
 // Close closes the wrapped client.
 func (f *FetchingCache) Close() error { return f.client.Close() }
 

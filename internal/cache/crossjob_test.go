@@ -63,7 +63,7 @@ func tenantOver(t testing.TB, c *cluster.Cluster, shared *cache.SharedArtifactCa
 
 func encode(t testing.TB, res storage.FetchResult) []byte {
 	t.Helper()
-	enc, err := res.Artifact.Encode()
+	enc, err := res.Artifact.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 	}
 	// The cache holds exactly those encodings: charged by len, no slack
 	// capacity behind them.
-	if st := a.Stats(); st.BytesInserted != wireBytes {
+	if st := shared.Snapshot().Tenants["tenant-a"]; st.BytesInserted != wireBytes {
 		t.Fatalf("tenant a inserted %d bytes, its artifacts encode to %d", st.BytesInserted, wireBytes)
 	}
 	if data, ok := shared.Get("probe", cache.ArtifactKey{Dataset: shareKey, Sample: 3, Cut: 3, Epoch: 1}); !ok || cap(data) != len(data) || !bytes.Equal(data, wireA[3]) {
@@ -129,7 +129,7 @@ func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 			t.Fatalf("sample %d served over the wire despite the cache", s)
 		}
 	}
-	if st := b.Stats(); st.Hits != n || st.Misses != 0 {
+	if st := shared.Snapshot().Tenants["tenant-b"]; st.Hits != n || st.Misses != 0 {
 		t.Fatalf("tenant b stats %+v, want %d pure hits", st, n)
 	}
 
@@ -207,7 +207,7 @@ func TestCrossJobEvictionIsolation(t *testing.T) {
 						return
 					}
 					got := res.Artifact
-					enc, err := got.Encode()
+					enc, err := got.AppendEncode(nil)
 					if err != nil {
 						t.Errorf("sample %d: %v", s, err)
 						return

@@ -58,7 +58,7 @@ func TestTenantFetchShardStacksCache(t *testing.T) {
 			t.Fatalf("sample %d: cache hit differs from the wire artifact", r.Sample)
 		}
 	}
-	if hits := shared.TenantStats("tenant-b").Hits; hits != int64(len(owned)) {
+	if hits := shared.Snapshot().Tenants["tenant-b"].Hits; hits != int64(len(owned)) {
 		t.Fatalf("tenant-b hits = %d, want %d", hits, len(owned))
 	}
 	var _ storage.ShardRouter = a // compile-time: the cache stack routes

@@ -123,7 +123,7 @@ func TestSharedCachePrefixAwareHit(t *testing.T) {
 	if !bytes.Equal(got[1:], want) {
 		t.Fatal("prefix-aware hit differs from server-side SlicePrefix")
 	}
-	if s := c.TenantStats("b"); s.Hits != 1 || s.BytesSaved != int64(len(got)) {
+	if s := c.Snapshot().Tenants["b"]; s.Hits != 1 || s.BytesSaved != int64(len(got)) {
 		t.Fatalf("tenant b stats %+v (served %d bytes)", s, len(got))
 	}
 	// The reverse direction must miss: a shallow entry cannot invent scans
@@ -196,7 +196,7 @@ func TestFetchingCacheServesTruncatedPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lru, err := NewLRU(1 << 20)
+	lru, err := NewNoEvict(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}

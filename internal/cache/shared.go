@@ -8,7 +8,7 @@ import (
 )
 
 // This file implements the cross-job artifact cache of the fleet control
-// plane. Where the per-job caches above key by sample ID alone, the shared
+// plane. Where the per-job cache keys by sample ID alone, the shared
 // cache keys by (dataset, sample, pipeline-cut): tenants training on
 // overlapping datasets fetch each offloaded artifact once, and every tenant
 // after the first is served from compute-local memory — the CoorDL insight
@@ -55,15 +55,6 @@ type TenantCacheStats struct {
 	Inserts       int64 `json:"inserts"`
 	BytesSaved    int64 `json:"bytes_saved"`    // payload bytes served from cache instead of the wire
 	BytesInserted int64 `json:"bytes_inserted"` // payload bytes this tenant contributed
-}
-
-// HitRate returns hits / (hits + misses), or 0 with no lookups.
-func (s TenantCacheStats) HitRate() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
 }
 
 // SharedSnapshot is the monitor-facing view of the shared cache.
@@ -218,23 +209,6 @@ func (c *SharedArtifactCache) Put(tenant string, key ArtifactKey, data []byte) {
 		c.bytes -= int64(len(e.data))
 		c.evictions++
 	}
-}
-
-// Len returns the resident artifact count.
-func (c *SharedArtifactCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
-// TenantStats returns one tenant's counters (zero value for unknown tenants).
-func (c *SharedArtifactCache) TenantStats(tenant string) TenantCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if s, ok := c.tenants[tenant]; ok {
-		return *s
-	}
-	return TenantCacheStats{}
 }
 
 // Snapshot returns the full accounting picture for the monitor.

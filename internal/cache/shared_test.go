@@ -35,7 +35,7 @@ func TestSharedGetPutAccounting(t *testing.T) {
 	if !ok || len(data) != 100 || data[0] != 7 {
 		t.Fatal("tenant b missed tenant a's artifact")
 	}
-	a, b := c.TenantStats("a"), c.TenantStats("b")
+	a, b := c.Snapshot().Tenants["a"], c.Snapshot().Tenants["b"]
 	if a.Inserts != 1 || a.BytesInserted != 100 || a.Misses != 1 {
 		t.Fatalf("tenant a stats %+v", a)
 	}
@@ -63,11 +63,11 @@ func TestSharedFirstWriterWins(t *testing.T) {
 	if !ok || data[0] != 1 {
 		t.Fatal("duplicate insert replaced the original payload")
 	}
-	if s := c.TenantStats("b"); s.Inserts != 0 {
+	if s := c.Snapshot().Tenants["b"]; s.Inserts != 0 {
 		t.Fatalf("duplicate insert accounted: %+v", s)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("%d items after duplicate insert", c.Len())
+	if n := c.Snapshot().Items; n != 1 {
+		t.Fatalf("%d items after duplicate insert", n)
 	}
 }
 
@@ -103,7 +103,7 @@ func TestSharedEvictionKeepsReadersValid(t *testing.T) {
 func TestSharedOversizedNotCached(t *testing.T) {
 	c, _ := NewShared(50)
 	c.Put("a", ArtifactKey{Sample: 1}, make([]byte, 100))
-	if c.Len() != 0 {
+	if c.Snapshot().Items != 0 {
 		t.Fatal("cached an object larger than capacity")
 	}
 }
@@ -232,7 +232,7 @@ func TestTenantFetcherServesPeersFromCache(t *testing.T) {
 	if resA.Artifact.Raw[0] == resB.Artifact.Raw[0] {
 		t.Fatal("hit aliases the original artifact")
 	}
-	if s := b.Stats(); s.Hits != 1 || s.BytesSaved == 0 {
+	if s := b.shared.Snapshot().Tenants[b.tenant]; s.Hits != 1 || s.BytesSaved == 0 {
 		t.Fatalf("tenant b stats %+v", s)
 	}
 }
@@ -298,7 +298,7 @@ func TestTenantFetcherBatchPartialHits(t *testing.T) {
 			t.Fatalf("sample %d payload %q, want %q", res.Sample, res.Artifact.Raw, want)
 		}
 	}
-	if s := b.Stats(); s.Hits != 2 || s.Misses != 3 {
+	if s := b.shared.Snapshot().Tenants[b.tenant]; s.Hits != 2 || s.Misses != 3 {
 		t.Fatalf("tenant b stats %+v", s)
 	}
 	if len(samples) != 5 || len(splits) != 5 {
@@ -326,9 +326,6 @@ func TestTenantFetcherPassthroughs(t *testing.T) {
 	}
 	if inner.fetches != 2 || inner.lastCtx.Value(stamp{}) != 9 {
 		t.Fatalf("context not passed down (%d fetches)", inner.fetches)
-	}
-	if f.Shared() != shared {
-		t.Fatal("Shared() lost the cache")
 	}
 	if err := f.Close(); err != nil || !inner.closed {
 		t.Fatal("Close not forwarded")

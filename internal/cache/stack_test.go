@@ -91,7 +91,7 @@ func threeDeep(t testing.TB, tier *cluster.Cluster) (*cache.TenantFetcher, *stor
 	if err != nil {
 		t.Fatal(err)
 	}
-	lru, err := cache.NewLRU(1 << 20)
+	lru, err := cache.NewNoEvict(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ var stackLayers = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lru, err := cache.NewLRU(1 << 20)
+		lru, err := cache.NewNoEvict(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestFetchIsFetchBatchOfOne(t *testing.T) {
 func TestPlanVersionThroughStack(t *testing.T) {
 	tier := launchProgressiveTier(t, 1)
 	tf, rc, d := threeDeep(t, tier)
-	ctr := tier.Server(0).Counters()
+	ctr := tier.Counters()[0]
 	ctx := storage.WithPlanVersion(context.Background(), 7)
 
 	if _, err := storage.FetchOne(ctx, tf, 1, 0, 1); err != nil {

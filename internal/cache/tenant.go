@@ -151,11 +151,5 @@ func (t *TenantFetcher) FetchShard(ctx context.Context, shard int, samples []uin
 	})
 }
 
-// Stats returns this tenant's slice of the shared cache accounting.
-func (t *TenantFetcher) Stats() TenantCacheStats { return t.shared.TenantStats(t.tenant) }
-
-// Shared exposes the underlying fleet cache (monitor wiring).
-func (t *TenantFetcher) Shared() *SharedArtifactCache { return t.shared }
-
 // Close closes the wrapped client.
 func (t *TenantFetcher) Close() error { return t.inner.Close() }

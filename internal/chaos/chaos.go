@@ -138,11 +138,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	}
 }
 
-// Total sums every class.
-func (s StatsSnapshot) Total() int64 {
-	return s.Delays + s.Stalls + s.Drops + s.Corrupts + s.Closes
-}
-
 // count bumps the counter for kind.
 func (s *Stats) count(k Kind) {
 	if s == nil {
@@ -180,9 +175,6 @@ type Source struct {
 func NewSource(seed, stream uint64, p Profile) *Source {
 	return &Source{seed: seed, stream: stream, profile: p, stats: &Stats{}}
 }
-
-// Profile returns the source's fault mix.
-func (s *Source) Profile() Profile { return s.profile }
 
 // Stats returns the shared fault counters of every connection the source
 // has scheduled.

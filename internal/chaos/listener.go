@@ -81,10 +81,3 @@ func (l *Listener) Partition(on bool) {
 		c.Close()
 	}
 }
-
-// Partitioned reports the current partition state.
-func (l *Listener) Partitioned() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.partitioned
-}

@@ -68,9 +68,6 @@ func NewShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*Sharde
 // NumSamples returns the dataset size every shard agreed on.
 func (c *ShardedClient) NumSamples() int { return c.n }
 
-// ShardMap returns the placement map the client routes by.
-func (c *ShardedClient) ShardMap() *ShardMap { return c.m }
-
 // Shard returns shard s's underlying session.
 func (c *ShardedClient) Shard(s int) ShardClient { return c.shards[s] }
 

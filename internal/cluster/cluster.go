@@ -129,12 +129,6 @@ func ShardStore(full *storage.Store, m *ShardMap, s int) (*storage.Store, error)
 // ShardMap returns the cluster's placement map.
 func (c *Cluster) ShardMap() *ShardMap { return c.m }
 
-// Shards returns the server count.
-func (c *Cluster) Shards() int { return len(c.servers) }
-
-// Server returns shard s's server (for counters and direct inspection).
-func (c *Cluster) Server(s int) *storage.Server { return c.servers[s] }
-
 // Counters returns every shard's counters, indexed by shard.
 func (c *Cluster) Counters() []*storage.Counters {
 	out := make([]*storage.Counters, len(c.servers))

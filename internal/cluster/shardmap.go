@@ -42,9 +42,6 @@ func NewShardMap(shards int) (*ShardMap, error) {
 // Shards returns the shard count.
 func (m *ShardMap) Shards() int { return m.shards }
 
-// Version returns the placement-layout version baked into the hash.
-func (m *ShardMap) Version() uint32 { return m.version }
-
 // FNV-1a 64-bit constants.
 const (
 	fnvOffset = 0xcbf29ce484222325
@@ -116,13 +113,4 @@ func (m *ShardMap) Owned(n, shard int) []uint32 {
 		}
 	}
 	return out
-}
-
-// Counts histograms the first n sample IDs by shard.
-func (m *ShardMap) Counts(n int) []int {
-	counts := make([]int, m.shards)
-	for id := 0; id < n; id++ {
-		counts[m.ShardOf(uint32(id))]++
-	}
-	return counts
 }

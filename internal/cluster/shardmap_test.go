@@ -59,7 +59,7 @@ func TestBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		fair := float64(n) / float64(k)
-		for s, c := range m.Counts(n) {
+		for s, c := range counts(m, n) {
 			if ratio := float64(c) / fair; ratio < 0.8 || ratio > 1.2 {
 				t.Errorf("k=%d shard %d holds %d samples (%.2fx fair share)", k, s, c, ratio)
 			}
@@ -81,16 +81,16 @@ func TestPartitionOwnedCountsAgree(t *testing.T) {
 		samples[i] = uint32(i)
 	}
 	parts := m.Partition(samples)
-	counts := m.Counts(n)
+	want := counts(m, n)
 
 	total := 0
 	for s, idxs := range parts {
-		if len(idxs) != counts[s] {
-			t.Errorf("shard %d: Partition has %d, Counts says %d", s, len(idxs), counts[s])
+		if len(idxs) != want[s] {
+			t.Errorf("shard %d: Partition has %d, ShardOf says %d", s, len(idxs), want[s])
 		}
 		owned := m.Owned(n, s)
-		if len(owned) != counts[s] {
-			t.Errorf("shard %d: Owned has %d, Counts says %d", s, len(owned), counts[s])
+		if len(owned) != want[s] {
+			t.Errorf("shard %d: Owned has %d, ShardOf says %d", s, len(owned), want[s])
 		}
 		for j, i := range idxs {
 			if got := m.ShardOf(samples[i]); got != s {
@@ -158,4 +158,13 @@ func TestResizeMovesFewSamples(t *testing.T) {
 			t.Errorf("%d→%d shards moved %d samples; want ~%.0f (±50%%)", k, k+1, moved, ideal)
 		}
 	}
+}
+
+// counts histograms the first n sample IDs by shard.
+func counts(m *ShardMap, n int) []int {
+	out := make([]int, m.Shards())
+	for id := 0; id < n; id++ {
+		out[m.ShardOf(uint32(id))]++
+	}
+	return out
 }

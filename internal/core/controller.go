@@ -34,7 +34,6 @@ type Controller struct {
 
 	mu       sync.Mutex
 	env      policy.Env // environment estimate the current plan assumes
-	decision Decision   // latest planning outcome
 	history  []ReplanEvent
 	onReplan []func(*policy.PlanSnapshot)
 }
@@ -119,13 +118,12 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		fw:       fw,
-		trace:    cfg.Trace,
-		clock:    clock,
-		tel:      tel,
-		feed:     feed,
-		env:      cfg.Env,
-		decision: d,
+		fw:    fw,
+		trace: cfg.Trace,
+		clock: clock,
+		tel:   tel,
+		feed:  feed,
+		env:   cfg.Env,
 	}
 	c.rebaseLocked(d)
 	// Anchor the mix track to the profile's own heavy fraction: the plan was
@@ -169,13 +167,6 @@ func (c *Controller) Current() *policy.PlanSnapshot { return c.feed.Current() }
 // Subscribe implements policy.PlanProvider.
 func (c *Controller) Subscribe() <-chan *policy.PlanSnapshot { return c.feed.Subscribe() }
 
-// Decision returns the latest planning outcome.
-func (c *Controller) Decision() Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.decision
-}
-
 // History returns a copy of the replan history, oldest first.
 func (c *Controller) History() []ReplanEvent {
 	c.mu.Lock()
@@ -212,18 +203,6 @@ func (c *Controller) ObserveEpoch(s profiler.EpochSample) (*policy.PlanSnapshot,
 	}
 	snap, err := c.replan(drifts, s.Epoch+1)
 	return snap, drifts, err
-}
-
-// ObserveShardChange reports a degradation event landing mid-epoch (a shard
-// killed or partitioned). Unlike metric drift this replans immediately —
-// effective the CURRENT epoch — because a dead shard invalidates placement
-// now, not after hysteresis.
-func (c *Controller) ObserveShardChange(epoch uint64, shardsUp, shards int) (*policy.PlanSnapshot, error) {
-	d := c.tel.ObserveShardChange(epoch, shardsUp, shards)
-	if d == nil {
-		return c.feed.Current(), nil
-	}
-	return c.replan([]profiler.Drift{*d}, epoch)
 }
 
 // replan recomputes the plan against the measured environment, publishes it
@@ -284,7 +263,6 @@ func (c *Controller) replanLocked(drifts []profiler.Drift, effective uint64) (*p
 		return nil, nil, err
 	}
 	c.env = env
-	c.decision = d
 	c.rebaseLocked(d)
 	c.history = append(c.history, ReplanEvent{
 		Version: snap.Version, Epoch: effective, Reason: reason,

@@ -126,12 +126,17 @@ func TestControllerShardChangeReplansImmediately(t *testing.T) {
 	}); len(drifts) != 0 {
 		t.Fatalf("baseline drifted: %v", drifts)
 	}
-	// A shard dies mid-epoch 2: replan effective THIS epoch, no hysteresis.
-	snap, err := c.ObserveShardChange(2, 3, 4)
+	// A shard dies in epoch 2: replan at once, no hysteresis.
+	snap, drifts, err := c.ObserveEpoch(profiler.EpochSample{
+		Epoch: 2, Bandwidth: env.Bandwidth, ShardsUp: 3, Shards: 4,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 2 || snap.Epoch != 2 {
+	if len(drifts) != 1 || !drifts[0].Immediate {
+		t.Fatalf("shard loss drifts %v, want one immediate", drifts)
+	}
+	if snap.Version != 2 || snap.Epoch != 3 {
 		t.Fatalf("immediate replan snapshot %v", snap)
 	}
 	if snap.Reason != "shard-change" {
@@ -141,7 +146,9 @@ func TestControllerShardChangeReplansImmediately(t *testing.T) {
 		t.Fatalf("replanned env shards %d, want 3", snap.Env.Shards)
 	}
 	// Reporting the same topology again is a no-op.
-	again, err := c.ObserveShardChange(2, 3, 4)
+	again, _, err := c.ObserveEpoch(profiler.EpochSample{
+		Epoch: 3, Bandwidth: env.Bandwidth, ShardsUp: 3, Shards: 4,
+	})
 	if err != nil || again.Version != 2 {
 		t.Fatalf("no-change report replanned: %v %v", again, err)
 	}
@@ -206,10 +213,8 @@ func TestControllerOnReplan(t *testing.T) {
 	}
 	// A shard change replans immediately and must also reach the callback.
 	// (The first observation is the telemetry baseline, not a change.)
-	if _, err := c.ObserveShardChange(4, 2, 2); err != nil {
-		t.Fatal(err)
-	}
-	snap2, err := c.ObserveShardChange(4, 1, 2)
+	c.ObserveEpoch(profiler.EpochSample{Epoch: 4, Bandwidth: half, ShardsUp: 2, Shards: 2})
+	snap2, _, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 5, Bandwidth: half, ShardsUp: 1, Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,14 +24,11 @@ func TestControllerReplansOnMixDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := c.tel.Snapshot().MixBaseline
 	cl, err := prepsched.FromTrace(tr, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if baseline != cl.BaselineHeavyFrac() {
-		t.Fatalf("mix baseline %v, want the trace's %v", baseline, cl.BaselineHeavyFrac())
-	}
+	baseline := cl.BaselineHeavyFrac()
 
 	sample := func(e uint64, heavy int) profiler.EpochSample {
 		return profiler.EpochSample{Epoch: e, Bandwidth: env.Bandwidth, MixHeavy: heavy, MixTotal: 100}
@@ -52,10 +49,10 @@ func TestControllerReplansOnMixDrift(t *testing.T) {
 	if len(drifts) != 1 || drifts[0].Kind != profiler.DriftMix {
 		t.Fatalf("drifts %v", drifts)
 	}
-	// The controller adopted the shifted mix: the same skew is steady state.
-	if got := c.tel.Snapshot().MixBaseline; got != 0.9 {
-		t.Fatalf("adopted mix baseline %v, want 0.9", got)
+	if drifts[0].Baseline != baseline {
+		t.Fatalf("mix baseline %v, want the trace's %v", drifts[0].Baseline, baseline)
 	}
+	// The controller adopted the shifted mix: the same skew is steady state.
 	for e := uint64(4); e <= 7; e++ {
 		snap, drifts, err := c.ObserveEpoch(sample(e, 90))
 		if err != nil {
@@ -74,8 +71,13 @@ func TestControllerHeavyRatioValidation(t *testing.T) {
 	if _, err := NewController(ControllerConfig{Trace: tr, Env: paperEnv(48), HeavyRatio: -1}); err == nil {
 		t.Fatal("negative heavy ratio accepted")
 	}
-	// A custom positive ratio re-anchors the baseline.
-	c, err := NewController(ControllerConfig{Trace: tr, Env: paperEnv(48), HeavyRatio: 1})
+	// A custom positive ratio re-anchors the baseline: the drift a skewed
+	// epoch raises is measured from it.
+	env := paperEnv(48)
+	c, err := NewController(ControllerConfig{
+		Trace: tr, Env: env, HeavyRatio: 1,
+		Drift: profiler.DriftConfig{Alpha: 1, MixThreshold: 0.01, Hysteresis: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +85,15 @@ func TestControllerHeavyRatioValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := c.tel.Snapshot().MixBaseline; got != cl.BaselineHeavyFrac() {
-		t.Fatalf("baseline %v at ratio 1, want %v", got, cl.BaselineHeavyFrac())
+	heavy := 100
+	if cl.BaselineHeavyFrac() > 0.5 {
+		heavy = 0
+	}
+	_, drifts, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 1, Bandwidth: env.Bandwidth, MixHeavy: heavy, MixTotal: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(drifts) != 1 || drifts[0].Baseline != cl.BaselineHeavyFrac() {
+		t.Fatalf("drifts %v at ratio 1, want one from baseline %v", drifts, cl.BaselineHeavyFrac())
 	}
 }

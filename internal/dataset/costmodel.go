@@ -33,19 +33,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// Scaled returns the cost model with every constant multiplied by factor —
-// used to model heterogeneous (slower or faster) storage-node CPUs.
-func (m CostModel) Scaled(factor float64) CostModel {
-	m.DecodePerPixel *= factor
-	m.DecodePerByte *= factor
-	m.CropPerOutPixel *= factor
-	m.CropPerSrcPixel *= factor
-	m.FlipPerPixel *= factor
-	m.ToTensorPerPix *= factor
-	m.NormalizePerPix *= factor
-	return m
-}
-
 // OpTimes evaluates the cost law for a sample with the given raw byte size,
 // decoded pixel count, and crop-output pixel count. jitter multiplies every
 // op time (1 means none).

@@ -1,8 +1,6 @@
 package dataset
 
 import (
-	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -52,13 +50,6 @@ func TestTraceAggregates(t *testing.T) {
 	if got := tr.TotalRawBytes(); got != 30 {
 		t.Fatalf("TotalRawBytes = %d", got)
 	}
-	s, err := tr.TotalStageBytes(1)
-	if err != nil || s != 31 {
-		t.Fatalf("TotalStageBytes(1) = %d, %v", s, err)
-	}
-	if _, err := tr.TotalStageBytes(StageCount); err == nil {
-		t.Fatal("TotalStageBytes accepted out-of-range stage")
-	}
 	if got := tr.TotalPreprocessCPU(); got != 15 {
 		t.Fatalf("TotalPreprocessCPU = %v", got)
 	}
@@ -72,39 +63,6 @@ func TestTraceAggregates(t *testing.T) {
 	empty := &Trace{}
 	if empty.FractionBenefiting() != 0 {
 		t.Fatal("empty trace fraction != 0")
-	}
-}
-
-func TestTraceStats(t *testing.T) {
-	empty := &Trace{}
-	if s := empty.Stats(); s.N != 0 {
-		t.Fatalf("empty stats: %+v", s)
-	}
-	tr, err := GenerateTrace(OpenImages12G().ScaledTo(1000), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := tr.Stats()
-	// Stats sums stored object sizes; Trace.TotalRawBytes counts the wire
-	// form (one framing byte per sample).
-	if s.N != 1000 || s.TotalRawBytes != tr.TotalRawBytes()-int64(s.N) {
-		t.Fatalf("stats totals: %+v", s)
-	}
-	if s.MeanRawBytes < 250e3 || s.MeanRawBytes > 350e3 {
-		t.Fatalf("mean raw %v", s.MeanRawBytes)
-	}
-	// Lognormal: median below mean, max above both.
-	if !(float64(s.MedianRawBytes) < s.MeanRawBytes && s.MaxRawBytes > s.MedianRawBytes) {
-		t.Fatalf("ordering: median=%d mean=%.0f max=%d", s.MedianRawBytes, s.MeanRawBytes, s.MaxRawBytes)
-	}
-	if s.MeanPreprocess <= 0 {
-		t.Fatal("no preprocess time")
-	}
-	str := s.String()
-	for _, want := range []string{"n=1000", "benefiting"} {
-		if !strings.Contains(str, want) {
-			t.Fatalf("String() = %q missing %q", str, want)
-		}
 	}
 }
 
@@ -234,22 +192,6 @@ func TestTracePreprocessBudget(t *testing.T) {
 	ratio := float64(prefix) / float64(total)
 	if ratio < 0.7 || ratio > 0.98 {
 		t.Fatalf("decode+crop share = %.2f of total, want dominant", ratio)
-	}
-}
-
-func TestCostModelScaled(t *testing.T) {
-	m := DefaultCostModel()
-	s := m.Scaled(2)
-	if s.DecodePerPixel != 2*m.DecodePerPixel || s.NormalizePerPix != 2*m.NormalizePerPix {
-		t.Fatal("Scaled did not scale all constants")
-	}
-	a := m.OpTimes(1000, 10000, 50176, 1)
-	b := s.OpTimes(1000, 10000, 50176, 1)
-	for i := range a {
-		diff := math.Abs(float64(b[i]) - 2*float64(a[i]))
-		if diff > 2 { // rounding slack in ns
-			t.Fatalf("op %d: scaled %v vs base %v", i, b[i], a[i])
-		}
 	}
 }
 

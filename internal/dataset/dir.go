@@ -110,9 +110,6 @@ func (s *DirSet) Name() string { return s.manifest.Name }
 // N returns the number of samples.
 func (s *DirSet) N() int { return s.manifest.N }
 
-// TotalBytes returns the summed stored size from the manifest.
-func (s *DirSet) TotalBytes() int64 { return s.manifest.TotalBytes }
-
 // Raw reads sample i's stored bytes from disk. A file whose SJPG header a
 // build cannot read (imaging.ErrUnsupported: a directory an older build
 // wrote) or whose dimensions are not the manifest's (imaging.ErrCorrupt) is

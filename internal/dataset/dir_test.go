@@ -36,8 +36,8 @@ func TestWriteLoadDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.N() != 5 || ds.Name() != "disk" || ds.TotalBytes() == 0 {
-		t.Fatalf("loaded facts: %d %q %d", ds.N(), ds.Name(), ds.TotalBytes())
+	if ds.N() != 5 || ds.Name() != "disk" || ds.manifest.TotalBytes == 0 {
+		t.Fatalf("loaded facts: %d %q %d", ds.N(), ds.Name(), ds.manifest.TotalBytes)
 	}
 	for i := 0; i < 5; i++ {
 		fromDisk, err := ds.Raw(i)

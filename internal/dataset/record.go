@@ -10,8 +10,6 @@
 package dataset
 
 import (
-	"fmt"
-	"sort"
 	"time"
 )
 
@@ -85,19 +83,6 @@ func (t *Trace) TotalRawBytes() int64 {
 	return sum
 }
 
-// TotalStageBytes sums the stage-k wire sizes — the per-epoch traffic when
-// every sample ships its stage-k artifact.
-func (t *Trace) TotalStageBytes(k int) (int64, error) {
-	if k < 0 || k >= StageCount {
-		return 0, fmt.Errorf("dataset: stage %d out of range", k)
-	}
-	var sum int64
-	for i := range t.Records {
-		sum += t.Records[i].StageSizes[k]
-	}
-	return sum, nil
-}
-
 // TotalPreprocessCPU sums full preprocessing time across samples (one core).
 func (t *Trace) TotalPreprocessCPU() time.Duration {
 	var sum time.Duration
@@ -132,48 +117,4 @@ func (t *Trace) FractionBenefiting() float64 {
 		}
 	}
 	return float64(n) / float64(len(t.Records))
-}
-
-// TraceStats summarizes a trace for reports and tooling.
-type TraceStats struct {
-	N               int
-	TotalRawBytes   int64
-	MeanRawBytes    float64
-	MedianRawBytes  int64
-	MaxRawBytes     int64
-	Benefiting      float64
-	MeanPreprocess  time.Duration // per-sample single-core CPU
-	TotalPreprocess time.Duration
-}
-
-// Stats computes summary statistics over the trace.
-func (t *Trace) Stats() TraceStats {
-	s := TraceStats{N: t.N()}
-	if s.N == 0 {
-		return s
-	}
-	sizes := make([]int64, s.N)
-	for i := range t.Records {
-		r := &t.Records[i]
-		sizes[i] = r.RawSize
-		s.TotalRawBytes += r.RawSize
-		if r.RawSize > s.MaxRawBytes {
-			s.MaxRawBytes = r.RawSize
-		}
-		s.TotalPreprocess += r.TotalTime()
-	}
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	s.MedianRawBytes = sizes[s.N/2]
-	s.MeanRawBytes = float64(s.TotalRawBytes) / float64(s.N)
-	s.MeanPreprocess = s.TotalPreprocess / time.Duration(s.N)
-	s.Benefiting = t.FractionBenefiting()
-	return s
-}
-
-// String renders the stats on one line.
-func (s TraceStats) String() string {
-	return fmt.Sprintf("n=%d raw=%.2fGB mean=%.0fKB median=%.0fKB benefiting=%.1f%% preprocess=%.1fms/sample",
-		s.N, float64(s.TotalRawBytes)/1e9, s.MeanRawBytes/1e3,
-		float64(s.MedianRawBytes)/1e3, 100*s.Benefiting,
-		float64(s.MeanPreprocess.Microseconds())/1000)
 }

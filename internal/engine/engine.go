@@ -532,7 +532,7 @@ func (j *job) step() {
 
 	suffix := rec.TotalTime() - rec.PrefixTime(split)
 	if j.prep != nil {
-		if j.classifier.Class(rec.TotalTime()) == prepsched.Heavy {
+		if j.classifier.Classify(rec.TotalTime()) == prepsched.Heavy {
 			j.heavy++
 		}
 		if suffix > 0 {

@@ -40,7 +40,7 @@ func TestConcurrentCodecBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		inputs[k] = input{data: data, ref: dec.Clone(), rect: rect, crop: crop.Clone()}
+		inputs[k] = input{data: data, ref: clone(dec), rect: rect, crop: clone(crop)}
 		crop.Release()
 		dec.Release()
 	}

@@ -76,9 +76,6 @@ func FromPix(w, h int, pix []uint8) (*Image, error) {
 	return &Image{W: w, H: h, Pix: pix}, nil
 }
 
-// Pixels returns the number of pixels (W*H).
-func (im *Image) Pixels() int { return im.W * im.H }
-
 // ByteSize returns the in-memory size of the pixel buffer.
 func (im *Image) ByteSize() int { return len(im.Pix) }
 
@@ -99,13 +96,6 @@ func (im *Image) Set(x, y int, r, g, b uint8) {
 	im.Pix[o], im.Pix[o+1], im.Pix[o+2] = r, g, b
 }
 
-// Clone returns a deep copy.
-func (im *Image) Clone() *Image {
-	pix := make([]uint8, len(im.Pix))
-	copy(pix, im.Pix)
-	return &Image{W: im.W, H: im.H, Pix: pix}
-}
-
 // Equal reports whether two images have identical geometry and pixels.
 func (im *Image) Equal(other *Image) bool {
 	if other == nil || im.W != other.W || im.H != other.H {
@@ -117,25 +107,6 @@ func (im *Image) Equal(other *Image) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbsDiff returns the largest per-channel absolute difference between two
-// same-sized images, used to bound codec loss in tests.
-func (im *Image) MaxAbsDiff(other *Image) (int, error) {
-	if other == nil || im.W != other.W || im.H != other.H {
-		return 0, fmt.Errorf("%w: mismatched images", ErrBadDimensions)
-	}
-	max := 0
-	for i := range im.Pix {
-		d := int(im.Pix[i]) - int(other.Pix[i])
-		if d < 0 {
-			d = -d
-		}
-		if d > max {
-			max = d
-		}
-	}
-	return max, nil
 }
 
 // String summarizes the image for logs.

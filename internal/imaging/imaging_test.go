@@ -22,8 +22,8 @@ func TestFromPixValidatesLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if im.Pixels() != 4 || im.ByteSize() != 12 {
-		t.Fatalf("pixels=%d bytes=%d", im.Pixels(), im.ByteSize())
+	if im.W*im.H != 4 || im.ByteSize() != 12 {
+		t.Fatalf("pixels=%d bytes=%d", im.W*im.H, im.ByteSize())
 	}
 }
 
@@ -33,19 +33,6 @@ func TestSetAtRoundTrip(t *testing.T) {
 	r, g, b := im.At(2, 1)
 	if r != 10 || g != 20 || b != 30 {
 		t.Fatalf("At = (%d,%d,%d)", r, g, b)
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	im := MustNew(2, 2)
-	im.Set(0, 0, 1, 2, 3)
-	cp := im.Clone()
-	cp.Set(0, 0, 9, 9, 9)
-	if r, _, _ := im.At(0, 0); r != 1 {
-		t.Fatal("Clone shares pixel storage")
-	}
-	if !im.Equal(im.Clone()) {
-		t.Fatal("clone not Equal to original")
 	}
 }
 
@@ -59,11 +46,11 @@ func TestEqualAndMaxAbsDiff(t *testing.T) {
 	if a.Equal(b) {
 		t.Fatal("different images reported equal")
 	}
-	d, err := a.MaxAbsDiff(b)
+	d, err := maxAbsDiff(a, b)
 	if err != nil || d != 5 {
 		t.Fatalf("MaxAbsDiff = %d, %v", d, err)
 	}
-	if _, err := a.MaxAbsDiff(MustNew(3, 3)); err == nil {
+	if _, err := maxAbsDiff(a, MustNew(3, 3)); err == nil {
 		t.Fatal("MaxAbsDiff accepted mismatched sizes")
 	}
 	if a.Equal(nil) {
@@ -280,7 +267,7 @@ func TestCodecLossBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := im.MaxAbsDiff(got)
+	d, err := maxAbsDiff(im, got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,4 +410,26 @@ func TestFlipInvolutionProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// clone returns a deep copy of im.
+func clone(im *Image) *Image {
+	return &Image{W: im.W, H: im.H, Pix: append([]uint8(nil), im.Pix...)}
+}
+
+// maxAbsDiff returns the largest per-channel absolute difference between two
+// same-sized images, the bound the lossy-codec tests hold.
+func maxAbsDiff(a, b *Image) (int, error) {
+	if b == nil || a.W != b.W || a.H != b.H {
+		return 0, ErrBadDimensions
+	}
+	most := 0
+	for i := range a.Pix {
+		d := int(a.Pix[i]) - int(b.Pix[i])
+		if d < 0 {
+			d = -d
+		}
+		most = max(most, d)
+	}
+	return most, nil
 }

@@ -44,7 +44,7 @@ func TestProgressiveFullMatchesSJPG(t *testing.T) {
 				t.Fatalf("q=%d scans=%d: %v", q, scans, err)
 			}
 			if !got.Equal(want) {
-				d, _ := got.MaxAbsDiff(want)
+				d, _ := maxAbsDiff(got, want)
 				t.Fatalf("q=%d scans=%d: full decode differs from one scan's (max diff %d)", q, scans, d)
 			}
 			got.Release()
@@ -142,7 +142,7 @@ func TestProgressiveFidelityLadder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := im2.MaxAbsDiff(ref)
+		d, err := maxAbsDiff(im2, ref)
 		im2.Release()
 		if err != nil {
 			t.Fatal(err)

@@ -13,7 +13,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/simclock"
 	"repro/internal/storage"
 )
 
@@ -30,7 +29,6 @@ type AdmissionView interface {
 // in-flight-request and open-connection gauges.
 type Server struct {
 	sources   []*storage.Counters
-	clock     simclock.Clock
 	start     time.Time
 	admission AdmissionView
 
@@ -43,16 +41,7 @@ type Server struct {
 // NewMulti builds a monitor over several storage servers' counters — one
 // entry per shard, in shard order.
 func NewMulti(counters ...*storage.Counters) *Server {
-	clock := simclock.Real()
-	return &Server{sources: counters, clock: clock, start: clock.Now()}
-}
-
-// UseClock replaces the monitor's uptime clock (virtual-clock tests and
-// simulations); call before serving.
-func (s *Server) UseClock(c simclock.Clock) *Server {
-	s.clock = c
-	s.start = c.Now()
-	return s
+	return &Server{sources: counters, start: time.Now()}
 }
 
 // WatchAdmission attaches the shared admission controller so /stats and
@@ -107,7 +96,7 @@ type serverSnapshot struct {
 }
 
 func (s *Server) snapshot() statsSnapshot {
-	out := statsSnapshot{UptimeSeconds: s.clock.Now().Sub(s.start).Seconds()}
+	out := statsSnapshot{UptimeSeconds: time.Since(s.start).Seconds()}
 	for i, c := range s.sources {
 		one := serverSnapshot{
 			Server:           i,

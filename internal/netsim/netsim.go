@@ -7,6 +7,7 @@ package netsim
 
 import (
 	"errors"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -28,11 +29,17 @@ type TokenBucket struct {
 	clock  simclock.Clock
 }
 
+// validRate reports whether bytesPerSec is a usable link rate: positive and
+// finite (NaN fails every comparison, so it must be ruled out explicitly).
+func validRate(bytesPerSec float64) bool {
+	return bytesPerSec > 0 && !math.IsInf(bytesPerSec, 0)
+}
+
 // NewTokenBucket builds a limiter producing bytesPerSec tokens per second
 // with the given burst allowance. A nil clock means the real clock.
 func NewTokenBucket(bytesPerSec float64, burst int, clock simclock.Clock) (*TokenBucket, error) {
-	if bytesPerSec <= 0 {
-		return nil, errors.New("netsim: rate must be positive")
+	if !validRate(bytesPerSec) {
+		return nil, errors.New("netsim: rate must be positive and finite")
 	}
 	if burst < 0 {
 		return nil, errors.New("netsim: burst must be non-negative")
@@ -49,19 +56,12 @@ func NewTokenBucket(bytesPerSec float64, burst int, clock simclock.Clock) (*Toke
 	}, nil
 }
 
-// Rate returns the configured bytes/second.
-func (tb *TokenBucket) Rate() float64 {
-	tb.mu.Lock()
-	defer tb.mu.Unlock()
-	return tb.rate
-}
-
 // SetRate retunes the bucket to a new bytes/second rate — a live link
 // reshape. Accrual up to now is settled at the old rate; reservations made
 // after the call drain at the new one.
 func (tb *TokenBucket) SetRate(bytesPerSec float64) error {
-	if bytesPerSec <= 0 {
-		return errors.New("netsim: rate must be positive")
+	if !validRate(bytesPerSec) {
+		return errors.New("netsim: rate must be positive and finite")
 	}
 	tb.mu.Lock()
 	defer tb.mu.Unlock()

@@ -3,6 +3,7 @@ package netsim
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -20,12 +21,25 @@ func TestNewTokenBucketValidates(t *testing.T) {
 	if _, err := NewTokenBucket(100, -1, nil); err == nil {
 		t.Fatal("accepted negative burst")
 	}
+	for _, rate := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewTokenBucket(rate, 0, nil); err == nil {
+			t.Fatalf("accepted rate %v", rate)
+		}
+	}
 	tb, err := NewTokenBucket(100, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tb.Rate() != 100 {
-		t.Fatalf("Rate = %v", tb.Rate())
+	if tb.rate != 100 {
+		t.Fatalf("rate = %v", tb.rate)
+	}
+	for _, rate := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := tb.SetRate(rate); err == nil {
+			t.Fatalf("SetRate accepted %v", rate)
+		}
+	}
+	if tb.rate != 100 {
+		t.Fatalf("a refused SetRate moved the rate to %v", tb.rate)
 	}
 }
 

@@ -36,7 +36,8 @@ type PlanMeta struct {
 	// Version is the control-plane plan version the file captured (0 for a
 	// plan written outside the control plane).
 	Version policy.PlanVersion
-	// EnvFingerprint is policy.Env.Fingerprint() of the planning environment.
+	// EnvFingerprint identifies the planning environment; 0 when the
+	// writer records none, as every writer in this module does.
 	EnvFingerprint uint64
 }
 

@@ -93,7 +93,7 @@ func TestDecodeArtifactImageSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := ImageArtifact(im).Encode()
+	enc, err := ImageArtifact(im).AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 // Package pipeline implements the preprocessing-pipeline framework at the
 // heart of SOPHON's offloading model: typed intermediate artifacts with one
 // wire encoding each (so every stage has a measurable transfer size), the
-// five standard image-classification ops (Decode, RandomResizedCrop,
+// paper's five image-classification ops (Decode, RandomResizedCrop,
 // RandomHorizontalFlip, ToTensor, Normalize), deterministic per-op
 // augmentation seeding, and split execution — run a prefix of the ops on the
 // storage server and the suffix on the compute node with a byte-identical
@@ -83,7 +83,7 @@ func TensorWireSize(c, h, w int) int { return 1 + tensor.MarshaledSize(c, h, w) 
 
 // WireSize returns, in O(1), the artifact's unpacked encoded size — the
 // quantity the paper's Figure 1a traces through the pipeline. For raw and
-// tensor artifacts it is exactly len(Encode()). For images it is
+// tensor artifacts it is exactly len(AppendEncode(nil)). For images it is
 // ImageWireSize, the in-memory charge; the packed encoding is about 0.37 of
 // it on photo-like crops and never more than EncodeBound.
 func (a Artifact) WireSize() int {
@@ -109,17 +109,12 @@ func (a Artifact) EncodeBound() int {
 	return a.WireSize()
 }
 
-// Encode serializes the artifact: a kind byte followed by the payload
-// (raw bytes verbatim; images as W,H plus the pixels packed losslessly by
-// imaging.AppendPacked; tensors via tensor.Marshal). The result is freshly
-// allocated; use AppendEncode to encode into a pooled buffer instead.
-func (a Artifact) Encode() ([]byte, error) {
-	return a.AppendEncode(make([]byte, 0, a.EncodeBound()))
-}
-
-// AppendEncode appends the artifact encoding to dst and returns the extended
-// slice. When dst has EncodeBound() spare capacity the call performs no
-// allocation, which is how the storage executor encodes into pooled buffers.
+// AppendEncode appends the artifact's serialization to dst and returns the
+// extended slice: a kind byte followed by the payload (raw bytes verbatim;
+// images as W,H plus the pixels packed losslessly by imaging.AppendPacked;
+// tensors via tensor.Marshal). When dst has EncodeBound() spare capacity the
+// call performs no allocation, which is how the storage executor encodes
+// into pooled buffers.
 func (a Artifact) AppendEncode(dst []byte) ([]byte, error) {
 	switch a.Kind {
 	case KindRaw:

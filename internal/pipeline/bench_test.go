@@ -68,7 +68,7 @@ func BenchmarkArtifactEncodeImage224(b *testing.B) {
 	b.SetBytes(int64(a.WireSize()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := a.Encode(); err != nil {
+		if _, err := a.AppendEncode(nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +79,7 @@ func BenchmarkArtifactDecodeImage224(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enc, err := ImageArtifact(im).Encode()
+	enc, err := ImageArtifact(im).AppendEncode(nil)
 	if err != nil {
 		b.Fatal(err)
 	}

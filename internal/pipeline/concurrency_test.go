@@ -18,7 +18,7 @@ func TestConcurrentFusedKernelBitIdentical(t *testing.T) {
 	const nInputs = 4
 	type input struct {
 		im  *imaging.Image
-		ref *tensor.Tensor // plain memory via Clone
+		ref *tensor.Tensor // plain memory via cloneTensor
 	}
 	inputs := make([]input, nInputs)
 	for k := 0; k < nInputs; k++ {
@@ -30,7 +30,7 @@ func TestConcurrentFusedKernelBitIdentical(t *testing.T) {
 		if err := ref.Normalize(tensor.ImageNetMean, tensor.ImageNetStd); err != nil {
 			t.Fatal(err)
 		}
-		inputs[k] = input{im: im, ref: ref.Clone()}
+		inputs[k] = input{im: im, ref: cloneTensor(ref)}
 		ref.Release()
 	}
 
@@ -91,7 +91,7 @@ func TestConcurrentPipelineDeterministic(t *testing.T) {
 		if out.Kind != KindTensor {
 			t.Fatalf("pipeline output kind %v, want tensor", out.Kind)
 		}
-		refs[s] = out.Tensor.Clone()
+		refs[s] = cloneTensor(out.Tensor)
 		out.Release()
 	}
 

@@ -16,7 +16,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	packed, err := ImageArtifact(im).Encode()
+	packed, err := ImageArtifact(im).AppendEncode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -39,11 +39,11 @@ func FuzzDecodeArtifact(f *testing.F) {
 		all[i] = byte(i)
 	}
 	f.Add(append([]byte{byte(KindImage), 16, 0, 0, 0, 16, 0, 0, 0}, all...))
-	if enc, err := RawArtifact([]byte{1, 2, 3}).Encode(); err == nil {
+	if enc, err := RawArtifact([]byte{1, 2, 3}).AppendEncode(nil); err == nil {
 		f.Add(enc)
 	}
 	tt, _ := tensor.New(1, 2, 2)
-	if enc, err := TensorArtifact(tt).Encode(); err == nil {
+	if enc, err := TensorArtifact(tt).AppendEncode(nil); err == nil {
 		f.Add(enc)
 	}
 	f.Add([]byte{})
@@ -57,7 +57,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 			}
 			return
 		}
-		enc, err := a.Encode()
+		enc, err := a.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("accepted artifact failed to encode: %v", err)
 		}

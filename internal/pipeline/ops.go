@@ -36,9 +36,6 @@ func (id OpID) String() string {
 	case OpNormalize:
 		return "Normalize"
 	default:
-		if name, ok := extraOpName(id); ok {
-			return name
-		}
 		return fmt.Sprintf("Op(%d)", uint8(id))
 	}
 }
@@ -53,7 +50,6 @@ func (id OpID) String() string {
 // (they may alias the store or a cache) and must never be mutated or
 // released. See DESIGN.md "Buffer ownership".
 type Op interface {
-	ID() OpID
 	Name() string
 	// InKind and OutKind declare the artifact types the op consumes and
 	// produces; Pipeline validates adjacency at construction.
@@ -68,7 +64,6 @@ type Op interface {
 // object — at lower fidelity, not as an error.
 type decodeOp struct{}
 
-func (decodeOp) ID() OpID      { return OpDecode }
 func (decodeOp) Name() string  { return OpDecode.String() }
 func (decodeOp) InKind() Kind  { return KindRaw }
 func (decodeOp) OutKind() Kind { return KindImage }
@@ -105,7 +100,6 @@ func newRandomResizedCrop(size int) randomResizedCropOp {
 	}
 }
 
-func (randomResizedCropOp) ID() OpID      { return OpRandomResizedCrop }
 func (randomResizedCropOp) Name() string  { return OpRandomResizedCrop.String() }
 func (randomResizedCropOp) InKind() Kind  { return KindImage }
 func (randomResizedCropOp) OutKind() Kind { return KindImage }
@@ -182,7 +176,6 @@ type randomHorizontalFlipOp struct {
 	P float64
 }
 
-func (randomHorizontalFlipOp) ID() OpID      { return OpRandomHorizontalFlip }
 func (randomHorizontalFlipOp) Name() string  { return OpRandomHorizontalFlip.String() }
 func (randomHorizontalFlipOp) InKind() Kind  { return KindImage }
 func (randomHorizontalFlipOp) OutKind() Kind { return KindImage }
@@ -203,7 +196,6 @@ func (op randomHorizontalFlipOp) Apply(a Artifact, rng *rand.Rand) (Artifact, er
 // wire-size inflation the paper's Finding #2 hinges on.
 type toTensorOp struct{}
 
-func (toTensorOp) ID() OpID      { return OpToTensor }
 func (toTensorOp) Name() string  { return OpToTensor.String() }
 func (toTensorOp) InKind() Kind  { return KindImage }
 func (toTensorOp) OutKind() Kind { return KindTensor }
@@ -223,7 +215,6 @@ type normalizeOp struct {
 	Std  []float32
 }
 
-func (normalizeOp) ID() OpID      { return OpNormalize }
 func (normalizeOp) Name() string  { return OpNormalize.String() }
 func (normalizeOp) InKind() Kind  { return KindTensor }
 func (normalizeOp) OutKind() Kind { return KindTensor }

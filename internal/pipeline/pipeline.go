@@ -77,18 +77,6 @@ func DefaultStandard() *Pipeline { return Standard(StandardOptions{FlipP: -1}) }
 // Len returns the number of ops.
 func (p *Pipeline) Len() int { return len(p.ops) }
 
-// Ops returns the op list (callers must not mutate it).
-func (p *Pipeline) Ops() []Op { return p.ops }
-
-// OpIDs returns the ordered op identifiers.
-func (p *Pipeline) OpIDs() []OpID {
-	ids := make([]OpID, len(p.ops))
-	for i, op := range p.ops {
-		ids[i] = op.ID()
-	}
-	return ids
-}
-
 // rngFor builds the op's independent random stream. It is the reference for
 // rngHolder.seedFor, which produces the identical stream without allocating.
 func rngFor(seed Seed, opIndex int) *rand.Rand {
@@ -181,9 +169,9 @@ func (p *Pipeline) Run(raw []byte, seed Seed) (Artifact, error) {
 //
 // Sizes is the artifact-size law, WireSize(): a function of kind and
 // dimensions alone, which the paper's Figure 1a, the trace generator and the
-// model-tier tables are written in. Shipped is len(Encode()), the bytes a
-// fetch cut at that stage puts on the link; it differs from Sizes on image
-// stages, whose pixels travel packed, and is what a planner must price.
+// model-tier tables are written in. Shipped is len(AppendEncode(nil)), the
+// bytes a fetch cut at that stage puts on the link; it differs from Sizes on
+// image stages, whose pixels travel packed, and is what a planner must price.
 type StageTrace struct {
 	Sizes   []int
 	Shipped []int
@@ -231,7 +219,7 @@ func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 	return cur, trace, nil
 }
 
-// shippedSize returns len(a.Encode()) without encoding. Only the image
+// shippedSize returns len(a.AppendEncode(nil)) without encoding. Only the image
 // encoding depends on content, and its size is known from the histograms of
 // what it would code; the others are their WireSize.
 func shippedSize(a Artifact) int {

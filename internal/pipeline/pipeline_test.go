@@ -31,7 +31,7 @@ func encodeSample(t testing.TB, w, h int, detail float64, seed uint64) []byte {
 
 func TestArtifactEncodeDecodeRaw(t *testing.T) {
 	a := RawArtifact([]byte{1, 2, 3})
-	enc, err := a.Encode()
+	enc, err := a.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestArtifactEncodeDecodeRaw(t *testing.T) {
 func TestArtifactEncodeDecodeImage(t *testing.T) {
 	im, _ := imaging.Synthesize(imaging.SynthParams{W: 13, H: 7, Detail: 0.5, Seed: 1})
 	a := ImageArtifact(im)
-	enc, err := a.Encode()
+	enc, err := a.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestArtifactImageRoundTripProperty(t *testing.T) {
 			}
 		}
 		a := ImageArtifact(im)
-		enc, err := a.Encode()
+		enc, err := a.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
@@ -168,9 +168,9 @@ func TestImageEncodeFitsItsPooledBuffer(t *testing.T) {
 
 func TestArtifactEncodeDecodeTensor(t *testing.T) {
 	tt, _ := tensor.New(3, 4, 5)
-	tt.Set(1, 2, 3, -2.5)
+	tt.Data[(1*tt.H+2)*tt.W+3] = -2.5
 	a := TensorArtifact(tt)
-	enc, err := a.Encode()
+	enc, err := a.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestArtifactEncodeDecodeTensor(t *testing.T) {
 
 func TestDecodeArtifactRejectsCorrupt(t *testing.T) {
 	im, _ := imaging.Synthesize(imaging.SynthParams{W: 4, H: 4, Detail: 0, Seed: 1})
-	good, _ := ImageArtifact(im).Encode()
+	good, _ := ImageArtifact(im).AppendEncode(nil)
 	withDims := func(w, h uint32) []byte {
 		d := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint32(d[1:5], w)
@@ -256,10 +256,9 @@ func TestStandardPipelineShape(t *testing.T) {
 		t.Fatalf("standard pipeline has %d ops", p.Len())
 	}
 	want := []OpID{OpDecode, OpRandomResizedCrop, OpRandomHorizontalFlip, OpToTensor, OpNormalize}
-	got := p.OpIDs()
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("op %d = %s, want %s", i, got[i], want[i])
+		if got := p.ops[i].Name(); got != want[i].String() {
+			t.Fatalf("op %d = %s, want %s", i, got, want[i])
 		}
 	}
 }
@@ -334,7 +333,7 @@ func TestSplitEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("split %d prefix: %v", k, err)
 		}
-		wire, err := remote.Encode()
+		wire, err := remote.AppendEncode(nil)
 		if err != nil {
 			t.Fatalf("split %d encode: %v", k, err)
 		}
@@ -376,7 +375,7 @@ func TestSplitEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		enc, err := prefix.Encode()
+		enc, err := prefix.AppendEncode(nil)
 		if err != nil {
 			return false
 		}
@@ -572,7 +571,7 @@ func TestTraceSizesMatchPaperShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if enc, _ := cut2.Encode(); len(enc) != trace.Shipped[2] {
+	if enc, _ := cut2.AppendEncode(nil); len(enc) != trace.Shipped[2] {
 		t.Fatalf("a cut-2 fetch ships %d bytes, the trace said %d", len(enc), trace.Shipped[2])
 	}
 }
@@ -657,14 +656,14 @@ func TestFlipProbabilityZeroAndOne(t *testing.T) {
 	seed := Seed{Job: 9, Epoch: 9, Sample: 9}
 	// Apply consumes (and may mutate) its input, so each call gets a clone
 	// and im stays pristine for the comparisons.
-	a, err := never.Apply(ImageArtifact(im.Clone()), rngFor(seed, 2))
+	a, err := never.Apply(ImageArtifact(cloneImage(im)), rngFor(seed, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Image.Equal(im) {
 		t.Fatal("P=0 flipped the image")
 	}
-	b, err := always.Apply(ImageArtifact(im.Clone()), rngFor(seed, 2))
+	b, err := always.Apply(ImageArtifact(cloneImage(im)), rngFor(seed, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,4 +690,14 @@ func TestOpIDStrings(t *testing.T) {
 			t.Errorf("Kind(%d).String() = %q", k, k.String())
 		}
 	}
+}
+
+// cloneImage returns a deep copy of im.
+func cloneImage(im *imaging.Image) *imaging.Image {
+	return &imaging.Image{W: im.W, H: im.H, Pix: append([]uint8(nil), im.Pix...)}
+}
+
+// cloneTensor returns a deep copy of t in plain memory.
+func cloneTensor(t *tensor.Tensor) *tensor.Tensor {
+	return &tensor.Tensor{C: t.C, H: t.H, W: t.W, Data: append([]float32(nil), t.Data...)}
 }

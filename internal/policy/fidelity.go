@@ -92,10 +92,6 @@ func (m FidelityModel) BytesAt(size int64, drop int) int64 {
 	return scaled
 }
 
-// QualityAt returns the reconstruction quality when drop scans are withheld
-// (1 at full fidelity).
-func (m FidelityModel) QualityAt(drop int) float64 { return m.qualityFor(drop) }
-
 // FidelityOf returns how many refinement scans sample id's raw container
 // drops in transfer (0 = full fidelity; plans without a fidelity dimension
 // are full-fidelity everywhere).

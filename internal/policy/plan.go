@@ -7,6 +7,7 @@ package policy
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/cluster"
@@ -106,19 +107,6 @@ func (p *Plan) Traffic(tr *dataset.Trace) (int64, error) {
 	return sum, nil
 }
 
-// StorageCPU returns the total single-core CPU time of the offloaded
-// prefixes.
-func (p *Plan) StorageCPU(tr *dataset.Trace) (time.Duration, error) {
-	if len(p.Splits) != tr.N() {
-		return 0, fmt.Errorf("%w: plan %d vs trace %d", ErrPlanMismatch, len(p.Splits), tr.N())
-	}
-	var sum time.Duration
-	for i := range tr.Records {
-		sum += tr.Records[i].PrefixTime(int(p.Splits[i]))
-	}
-	return sum, nil
-}
-
 // ComputeCPU returns the total single-core CPU time of the local suffixes.
 func (p *Plan) ComputeCPU(tr *dataset.Trace) (time.Duration, error) {
 	if len(p.Splits) != tr.N() {
@@ -160,8 +148,8 @@ type Env struct {
 
 // Validate checks the environment is usable.
 func (e Env) Validate() error {
-	if e.Bandwidth <= 0 {
-		return errors.New("policy: bandwidth must be positive")
+	if !(e.Bandwidth > 0) || math.IsInf(e.Bandwidth, 0) {
+		return errors.New("policy: bandwidth must be positive and finite")
 	}
 	if e.ComputeCores <= 0 {
 		return errors.New("policy: compute cores must be positive")
@@ -169,8 +157,8 @@ func (e Env) Validate() error {
 	if e.StorageCores < 0 {
 		return errors.New("policy: storage cores must be non-negative")
 	}
-	if e.StorageSlowdown < 1 {
-		return errors.New("policy: storage slowdown must be >= 1")
+	if !(e.StorageSlowdown >= 1) || math.IsInf(e.StorageSlowdown, 0) {
+		return errors.New("policy: storage slowdown must be finite and >= 1")
 	}
 	if !e.GPU.Valid() {
 		return errors.New("policy: GPU model must have positive throughput")
@@ -242,7 +230,7 @@ func (m EpochModel) Dominant() string {
 
 // ShardLoads returns each shard's planned transfer volume and single-core
 // storage CPU under the canonical cluster placement. With shards == 1 the
-// sums equal Plan.Traffic / Plan.StorageCPU.
+// sums equal Plan.Traffic and the offloaded prefixes' summed CPU time.
 func (p *Plan) ShardLoads(tr *dataset.Trace, shards int) ([]int64, []time.Duration, error) {
 	if len(p.Splits) != tr.N() {
 		return nil, nil, fmt.Errorf("%w: plan %d vs trace %d", ErrPlanMismatch, len(p.Splits), tr.N())

@@ -36,7 +36,6 @@ type Capabilities struct {
 // Policy produces an offload plan for a profiled dataset in an environment.
 type Policy interface {
 	Name() string
-	Capabilities() Capabilities
 	Plan(tr *dataset.Trace, env Env) (*Plan, error)
 }
 
@@ -45,9 +44,6 @@ type NoOff struct{}
 
 // Name implements Policy.
 func (NoOff) Name() string { return "No-Off" }
-
-// Capabilities implements Policy.
-func (NoOff) Capabilities() Capabilities { return Capabilities{} }
 
 // Plan implements Policy.
 func (NoOff) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
@@ -63,11 +59,6 @@ type AllOff struct{}
 
 // Name implements Policy.
 func (AllOff) Name() string { return "All-Off" }
-
-// Capabilities implements Policy.
-func (AllOff) Capabilities() Capabilities {
-	return Capabilities{NearStorage: Yes}
-}
 
 // Plan implements Policy.
 func (AllOff) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
@@ -91,11 +82,6 @@ const ResizeSplit = 2
 // Name implements Policy.
 func (ResizeOff) Name() string { return "Resize-Off" }
 
-// Capabilities implements Policy.
-func (ResizeOff) Capabilities() Capabilities {
-	return Capabilities{OperationSelective: Yes, DataPartial: Yes, NearStorage: Yes}
-}
-
 // Plan implements Policy.
 func (ResizeOff) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 	if err := env.Validate(); err != nil {
@@ -117,7 +103,7 @@ type FastFlow struct{}
 // Name implements Policy.
 func (FastFlow) Name() string { return "FastFlow" }
 
-// Capabilities implements Policy.
+// Capabilities is FastFlow's row of Table 1.
 func (FastFlow) Capabilities() Capabilities {
 	return Capabilities{DataPartial: Partial}
 }
@@ -160,16 +146,6 @@ type Oracle struct{}
 
 // Name implements Policy.
 func (Oracle) Name() string { return "Oracle" }
-
-// Capabilities implements Policy.
-func (Oracle) Capabilities() Capabilities {
-	return Capabilities{
-		OperationSelective: Yes,
-		DataPartial:        Yes,
-		DataSelective:      Yes,
-		NearStorage:        Yes,
-	}
-}
 
 // Plan implements Policy.
 func (Oracle) Plan(tr *dataset.Trace, env Env) (*Plan, error) {

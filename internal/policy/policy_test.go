@@ -84,7 +84,7 @@ func TestPlanAccountingAgainstTrace(t *testing.T) {
 	if err != nil || traffic != tr.TotalRawBytes() {
 		t.Fatalf("no-off traffic %d vs %d, %v", traffic, tr.TotalRawBytes(), err)
 	}
-	sCPU, _ := noOff.StorageCPU(tr)
+	sCPU := storageCPU(noOff, tr)
 	if sCPU != 0 {
 		t.Fatal("no-off has storage CPU")
 	}
@@ -93,7 +93,7 @@ func TestPlanAccountingAgainstTrace(t *testing.T) {
 		t.Fatal("no-off compute CPU != total")
 	}
 
-	sCPU, _ = allOff.StorageCPU(tr)
+	sCPU = storageCPU(allOff, tr)
 	if sCPU != tr.TotalPreprocessCPU() {
 		t.Fatal("all-off storage CPU != total")
 	}
@@ -119,6 +119,10 @@ func TestEnvValidate(t *testing.T) {
 		{Bandwidth: 1, ComputeCores: 1, StorageCores: -1, StorageSlowdown: 1, GPU: gpu.AlexNet},
 		{Bandwidth: 1, ComputeCores: 1, StorageSlowdown: 0.5, GPU: gpu.AlexNet},
 		{Bandwidth: 1, ComputeCores: 1, StorageSlowdown: 1},
+		{Bandwidth: math.NaN(), ComputeCores: 1, StorageSlowdown: 1, GPU: gpu.AlexNet},
+		{Bandwidth: math.Inf(1), ComputeCores: 1, StorageSlowdown: 1, GPU: gpu.AlexNet},
+		{Bandwidth: 1, ComputeCores: 1, StorageSlowdown: math.NaN(), GPU: gpu.AlexNet},
+		{Bandwidth: 1, ComputeCores: 1, StorageSlowdown: math.Inf(1), GPU: gpu.AlexNet},
 	}
 	for i, e := range cases {
 		if err := e.Validate(); err == nil {
@@ -548,10 +552,8 @@ func TestCapabilitiesTable(t *testing.T) {
 	if c.OperationSelective != Yes || c.DataPartial != Yes || c.DataSelective != Yes || c.NearStorage != Yes {
 		t.Fatalf("SOPHON capabilities: %+v", c)
 	}
-	for _, p := range Baselines() {
-		if p.Capabilities().DataSelective == Yes {
-			t.Fatalf("%s claims data-selectivity", p.Name())
-		}
+	if (FastFlow{}).Capabilities().DataSelective == Yes {
+		t.Fatal("FastFlow claims data-selectivity")
 	}
 	if len(All()) != 5 {
 		t.Fatalf("All() has %d policies", len(All()))
@@ -568,4 +570,13 @@ func mustPlan(t testing.TB, p Policy, tr *dataset.Trace, env Env) *Plan {
 		t.Fatal(err)
 	}
 	return plan
+}
+
+// storageCPU is the single-core CPU time of p's offloaded prefixes.
+func storageCPU(p *Plan, tr *dataset.Trace) time.Duration {
+	var sum time.Duration
+	for i := range tr.Records {
+		sum += tr.Records[i].PrefixTime(int(p.Splits[i]))
+	}
+	return sum
 }

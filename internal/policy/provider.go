@@ -3,8 +3,6 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"math"
 	"sync"
 )
 
@@ -24,8 +22,7 @@ type PlanSnapshot struct {
 	Version PlanVersion
 	// Plan is the per-sample offload plan.
 	Plan *Plan
-	// Env is the environment the plan was computed against; its
-	// Fingerprint ties persisted plans back to their planning inputs.
+	// Env is the environment the plan was computed against.
 	Env Env
 	// Epoch is the first training epoch the snapshot applies to.
 	Epoch uint64
@@ -114,27 +111,4 @@ func (f *PlanFeed) Publish(snap *PlanSnapshot) error {
 		ch <- snap
 	}
 	return nil
-}
-
-// Fingerprint hashes the planning-relevant environment fields into a stable
-// 64-bit identity. Persisted plans carry it so a loaded plan can be checked
-// against the environment it is about to be used in; two Envs with equal
-// fingerprints were (up to float bit patterns) the same planning inputs.
-func (e Env) Fingerprint() uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	put := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			b[i] = byte(v >> (8 * i))
-		}
-		h.Write(b[:])
-	}
-	put(math.Float64bits(e.Bandwidth))
-	put(uint64(e.ComputeCores))
-	put(uint64(e.StorageCores))
-	put(math.Float64bits(e.StorageSlowdown))
-	put(math.Float64bits(e.GPU.Throughput))
-	put(uint64(e.GPUs()))
-	put(uint64(e.ShardCount()))
-	return h.Sum64()
 }

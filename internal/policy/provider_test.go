@@ -69,26 +69,3 @@ func TestPlanFeedPublishAndSubscribe(t *testing.T) {
 		t.Fatalf("coalesced subscriber got v%d, want v4", got.Version)
 	}
 }
-
-func TestEnvFingerprint(t *testing.T) {
-	a := testEnv()
-	b := testEnv()
-	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("equal envs fingerprint differently")
-	}
-	b.Bandwidth /= 2
-	if a.Fingerprint() == b.Fingerprint() {
-		t.Fatal("bandwidth change did not move the fingerprint")
-	}
-	c := testEnv()
-	c.StorageCores++
-	if a.Fingerprint() == c.Fingerprint() {
-		t.Fatal("core change did not move the fingerprint")
-	}
-	// GPUCount 0 and 1 are the same effective environment.
-	d := testEnv()
-	d.GPUCount = 1
-	if a.Fingerprint() != d.Fingerprint() {
-		t.Fatal("GPUCount 0 vs 1 should fingerprint identically")
-	}
-}

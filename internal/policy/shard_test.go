@@ -18,10 +18,7 @@ func TestShardLoadsSumToPlanTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCPU, err := plan.StorageCPU(tr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	wantCPU := storageCPU(plan, tr)
 	for _, shards := range []int{1, 2, 4} {
 		traffic, cpu, err := plan.ShardLoads(tr, shards)
 		if err != nil {

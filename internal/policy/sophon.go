@@ -43,8 +43,8 @@ func (s *Sophon) Name() string {
 	return name
 }
 
-// Capabilities implements Policy: SOPHON is the only system with all four
-// properties from Table 1.
+// Capabilities is SOPHON's row of Table 1: it is the only system with all
+// four properties.
 func (s *Sophon) Capabilities() Capabilities {
 	return Capabilities{
 		OperationSelective: Yes,

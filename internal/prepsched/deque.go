@@ -109,13 +109,6 @@ func (d *Deque[T]) Steal() (T, Class, bool) {
 	return v, Light, ok
 }
 
-// Len reports the queued values across both lanes.
-func (d *Deque[T]) Len() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lanes[0].len() + d.lanes[1].len()
-}
-
 func laneOf(c Class) int {
 	if c == Heavy {
 		return 1

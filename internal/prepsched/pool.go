@@ -47,9 +47,6 @@ func NewPool[T any](workers, capacity int, m *Metrics) (*Pool[T], error) {
 	return p, nil
 }
 
-// Workers returns the number of per-worker deques.
-func (p *Pool[T]) Workers() int { return len(p.deques) }
-
 // Dispatch queues v on deque seq%W, blocking while the pool is at capacity.
 // Returns false once the pool is closed or stopped — the value was not
 // queued and the dispatcher should quit.

@@ -21,7 +21,7 @@ package prepsched
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
+	"math"
 	"time"
 
 	"repro/internal/dataset"
@@ -51,14 +51,11 @@ func (c Class) String() string {
 const DefaultHeavyRatio = 4.0
 
 // Classifier maps per-sample preprocessing cost to a class against a fixed
-// threshold derived from the profiled cost distribution. Safe for concurrent
-// use: Classify is an atomic threshold read plus atomic class counters, so
-// loader workers and a monitor scraping HeavyFrac never race.
+// threshold derived from the profiled cost distribution. It is immutable, so
+// loader workers share one freely.
 type Classifier struct {
-	threshold atomic.Int64 // ns; cost >= threshold is heavy
-	baseline  float64      // heavy fraction of the profile it was built from
-	light     atomic.Int64
-	heavy     atomic.Int64
+	threshold time.Duration // cost >= threshold is heavy
+	baseline  float64       // heavy fraction of the profile it was built from
 }
 
 // NewClassifier derives the heavy threshold from a profiled per-sample cost
@@ -73,8 +70,8 @@ func NewClassifier(costs []time.Duration, ratio float64) (*Classifier, error) {
 	if ratio == 0 {
 		ratio = DefaultHeavyRatio
 	}
-	if ratio <= 0 {
-		return nil, fmt.Errorf("prepsched: heavy ratio %v must be positive", ratio)
+	if !(ratio > 0) || math.IsInf(ratio, 0) {
+		return nil, fmt.Errorf("prepsched: heavy ratio %v must be positive and finite", ratio)
 	}
 	var sum time.Duration
 	for _, c := range costs {
@@ -84,16 +81,14 @@ func NewClassifier(costs []time.Duration, ratio float64) (*Classifier, error) {
 		sum += c
 	}
 	mean := float64(sum) / float64(len(costs))
-	threshold := int64(ratio * mean)
+	threshold := time.Duration(ratio * mean)
 	heavy := 0
 	for _, c := range costs {
-		if int64(c) >= threshold && threshold > 0 {
+		if c >= threshold && threshold > 0 {
 			heavy++
 		}
 	}
-	cl := &Classifier{baseline: float64(heavy) / float64(len(costs))}
-	cl.threshold.Store(threshold)
-	return cl, nil
+	return &Classifier{threshold: threshold, baseline: float64(heavy) / float64(len(costs))}, nil
 }
 
 // FromTrace builds a classifier from a stage-2 trace, costing each sample at
@@ -110,53 +105,16 @@ func FromTrace(tr *dataset.Trace, ratio float64) (*Classifier, error) {
 }
 
 // Threshold returns the heavy cutoff.
-func (c *Classifier) Threshold() time.Duration {
-	return time.Duration(c.threshold.Load())
-}
-
-// SetThreshold replaces the heavy cutoff (an adaptive controller retuning
-// the classifier after a replan).
-func (c *Classifier) SetThreshold(d time.Duration) {
-	if d > 0 {
-		c.threshold.Store(int64(d))
-	}
-}
+func (c *Classifier) Threshold() time.Duration { return c.threshold }
 
 // BaselineHeavyFrac is the heavy fraction of the cost profile the classifier
 // was built from — the plan-time mix the drift detector treats as baseline.
 func (c *Classifier) BaselineHeavyFrac() float64 { return c.baseline }
 
-// Classify maps one sample's profiled cost to its class and counts the
-// observation into the live mix.
+// Classify maps one sample's profiled cost to its class.
 func (c *Classifier) Classify(cost time.Duration) Class {
-	cl := c.Class(cost)
-	if cl == Heavy {
-		c.heavy.Add(1)
-	} else {
-		c.light.Add(1)
-	}
-	return cl
-}
-
-// Class maps a cost to its class without recording an observation.
-func (c *Classifier) Class(cost time.Duration) Class {
-	if t := c.threshold.Load(); t > 0 && int64(cost) >= t {
+	if c.threshold > 0 && cost >= c.threshold {
 		return Heavy
 	}
 	return Light
-}
-
-// HeavyFrac returns the observed heavy fraction across all Classify calls
-// (0 before any observation).
-func (c *Classifier) HeavyFrac() float64 {
-	h, l := c.heavy.Load(), c.light.Load()
-	if h+l == 0 {
-		return 0
-	}
-	return float64(h) / float64(h+l)
-}
-
-// Observed returns the raw observed class counts (heavy, light).
-func (c *Classifier) Observed() (heavy, light int64) {
-	return c.heavy.Load(), c.light.Load()
 }

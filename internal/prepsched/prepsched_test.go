@@ -1,6 +1,7 @@
 package prepsched
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -34,13 +35,6 @@ func TestClassifierThresholdFromProfile(t *testing.T) {
 	if c := cl.Classify(850 * time.Microsecond); c != Heavy {
 		t.Fatalf("cost at the threshold classified %v, want heavy", c)
 	}
-	h, l := cl.Observed()
-	if h != 2 || l != 1 {
-		t.Fatalf("observed (heavy,light) = (%d,%d), want (2,1)", h, l)
-	}
-	if got, want := cl.HeavyFrac(), 2.0/3; got != want {
-		t.Fatalf("heavy frac = %v, want %v", got, want)
-	}
 }
 
 func TestClassifierErrors(t *testing.T) {
@@ -50,32 +44,16 @@ func TestClassifierErrors(t *testing.T) {
 	if _, err := NewClassifier([]time.Duration{time.Millisecond}, -1); err == nil {
 		t.Fatal("negative ratio accepted")
 	}
+	for _, ratio := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := NewClassifier([]time.Duration{time.Millisecond}, ratio); err == nil {
+			t.Fatalf("ratio %v accepted", ratio)
+		}
+	}
 	if _, err := NewClassifier([]time.Duration{-time.Millisecond}, 0); err == nil {
 		t.Fatal("negative cost accepted")
 	}
 	if _, err := FromTrace(nil, 0); err == nil {
 		t.Fatal("nil trace accepted")
-	}
-}
-
-func TestClassifierSetThreshold(t *testing.T) {
-	cl, err := NewClassifier([]time.Duration{time.Millisecond}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl.SetThreshold(2 * time.Millisecond)
-	if got := cl.Threshold(); got != 2*time.Millisecond {
-		t.Fatalf("threshold = %v after SetThreshold", got)
-	}
-	cl.SetThreshold(-1) // ignored
-	if got := cl.Threshold(); got != 2*time.Millisecond {
-		t.Fatalf("threshold = %v after invalid SetThreshold", got)
-	}
-	if c := cl.Class(3 * time.Millisecond); c != Heavy {
-		t.Fatalf("Class() = %v, want heavy", c)
-	}
-	if h, l := cl.Observed(); h != 0 || l != 0 {
-		t.Fatalf("Class() recorded an observation: (%d,%d)", h, l)
 	}
 }
 
@@ -93,7 +71,7 @@ func TestClassifierFromTrace(t *testing.T) {
 	}
 	heavy := 0
 	for i := range tr.Records {
-		if cl.Class(tr.Records[i].TotalTime()) == Heavy {
+		if cl.Classify(tr.Records[i].TotalTime()) == Heavy {
 			heavy++
 		}
 	}

@@ -86,7 +86,7 @@ func TestDequeMatchesShadowModel(t *testing.T) {
 				}
 			}
 		}
-		return d.Len() == s.len()
+		return d.lanes[0].len()+d.lanes[1].len() == s.len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)

@@ -58,8 +58,8 @@ func TestMixStreakResetsUnderThreshold(t *testing.T) {
 	tel.RebaseMix(0.1)
 	tel.ObserveEpoch(EpochSample{Epoch: 1, MixHeavy: 50, MixTotal: 100}) // streak 1
 	tel.ObserveEpoch(EpochSample{Epoch: 2, MixHeavy: 10, MixTotal: 100}) // back in band
-	if s := tel.Snapshot(); s.MixStreak != 0 {
-		t.Fatalf("streak %d after in-band epoch", s.MixStreak)
+	if tel.mixStreak != 0 {
+		t.Fatalf("streak %d after in-band epoch", tel.mixStreak)
 	}
 	// And a later excursion has to re-earn the hysteresis.
 	if drifts := tel.ObserveEpoch(EpochSample{Epoch: 3, MixHeavy: 50, MixTotal: 100}); len(drifts) != 0 {
@@ -77,8 +77,8 @@ func TestAdoptMixBaseline(t *testing.T) {
 		t.Fatalf("drifts = %v, want the flip detected", drifts)
 	}
 	tel.AdoptMixBaseline()
-	if s := tel.Snapshot(); s.MixBaseline != 0.7 || s.MixStreak != 0 {
-		t.Fatalf("adopted baseline %v streak %d", s.MixBaseline, s.MixStreak)
+	if tel.mixBaseline != 0.7 || tel.mixStreak != 0 {
+		t.Fatalf("adopted baseline %v streak %d", tel.mixBaseline, tel.mixStreak)
 	}
 	if drifts := tel.ObserveEpoch(EpochSample{Epoch: 2, MixHeavy: 70, MixTotal: 100}); len(drifts) != 0 {
 		t.Fatalf("persistent flip re-triggered after adoption: %v", drifts)
@@ -93,27 +93,27 @@ func TestMixObservationGuards(t *testing.T) {
 	tel.ObserveEpoch(EpochSample{Epoch: 2, MixHeavy: 5, MixTotal: 0})
 	tel.ObserveEpoch(EpochSample{Epoch: 3, MixHeavy: 9, MixTotal: 4})
 	tel.ObserveEpoch(EpochSample{Epoch: 4, MixHeavy: -1, MixTotal: 4})
-	if s := tel.Snapshot(); s.MixHeavyFrac != 0 || s.MixStreak != 0 {
-		t.Fatalf("malformed mixes moved the track: %+v", s)
+	if tel.mix.Value() != 0 || tel.mixStreak != 0 {
+		t.Fatalf("malformed mixes moved the track: heavy %v streak %d", tel.mix.Value(), tel.mixStreak)
 	}
 	// AdoptMixBaseline before any observation is a no-op on the baseline.
 	tel2 := mixTelemetry(t, DriftConfig{})
 	tel2.RebaseMix(0.3)
 	tel2.AdoptMixBaseline()
-	if s := tel2.Snapshot(); s.MixBaseline != 0.3 {
-		t.Fatalf("unready adoption overwrote baseline: %v", s.MixBaseline)
+	if tel2.mixBaseline != 0.3 {
+		t.Fatalf("unready adoption overwrote baseline: %v", tel2.mixBaseline)
 	}
 	// Negative rebase values are ignored; the streak still clears.
 	tel2.RebaseMix(-1)
-	if s := tel2.Snapshot(); s.MixBaseline != 0.3 {
-		t.Fatalf("negative rebase overwrote baseline: %v", s.MixBaseline)
+	if tel2.mixBaseline != 0.3 {
+		t.Fatalf("negative rebase overwrote baseline: %v", tel2.mixBaseline)
 	}
 	// Rebase (plan publish) clears the mix streak as well.
 	tel3 := mixTelemetry(t, DriftConfig{Alpha: 1, MixThreshold: 0.1, Hysteresis: 3})
 	tel3.RebaseMix(0)
 	tel3.ObserveEpoch(EpochSample{Epoch: 1, MixHeavy: 50, MixTotal: 100})
 	tel3.Rebase(0, 0, 0)
-	if s := tel3.Snapshot(); s.MixStreak != 0 {
-		t.Fatalf("Rebase left mix streak %d", s.MixStreak)
+	if tel3.mixStreak != 0 {
+		t.Fatalf("Rebase left mix streak %d", tel3.mixStreak)
 	}
 }

@@ -184,19 +184,6 @@ func (c *Collector) Observe(id uint32, st pipeline.StageTrace, width, height int
 	return nil
 }
 
-// Progress returns how many distinct samples have been observed.
-func (c *Collector) Progress() (observed, total int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.count, len(c.records)
-}
-
-// Complete reports whether every sample has been observed.
-func (c *Collector) Complete() bool {
-	observed, total := c.Progress()
-	return observed == total
-}
-
 // Trace materializes the collected records as a dataset trace. It fails if
 // any sample was never observed.
 func (c *Collector) Trace(name string) (*dataset.Trace, error) {

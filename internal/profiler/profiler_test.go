@@ -152,9 +152,6 @@ func TestCollectorLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Complete() {
-		t.Fatal("empty collector claims completeness")
-	}
 	if _, err := c.Trace("x"); err == nil {
 		t.Fatal("incomplete collector produced a trace")
 	}
@@ -178,9 +175,6 @@ func TestCollectorLifecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		shipped[id] = st.Shipped
-	}
-	if !c.Complete() {
-		t.Fatal("collector incomplete after observing all")
 	}
 	tr, err := c.Trace("measured")
 	if err != nil {
@@ -229,9 +223,8 @@ func TestCollectorRejectsBadObservations(t *testing.T) {
 	if err := c.Observe(0, good, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	observed, total := c.Progress()
-	if observed != 1 || total != 2 {
-		t.Fatalf("progress %d/%d", observed, total)
+	if c.count != 1 || len(c.records) != 2 {
+		t.Fatalf("progress %d/%d", c.count, len(c.records))
 	}
 }
 
@@ -255,9 +248,8 @@ func TestCollectorConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if !c.Complete() {
-		observed, total := c.Progress()
-		t.Fatalf("progress %d/%d after concurrent observes", observed, total)
+	if c.count != n {
+		t.Fatalf("progress %d/%d after concurrent observes", c.count, n)
 	}
 }
 

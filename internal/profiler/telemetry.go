@@ -160,14 +160,14 @@ func (c DriftConfig) Normalized() (DriftConfig, error) {
 	if c.Alpha == 0 {
 		c.Alpha = DefaultDriftAlpha
 	}
-	if c.Alpha < 0 || c.Alpha > 1 {
+	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return c, fmt.Errorf("profiler: drift alpha %v outside (0, 1]", c.Alpha)
 	}
 	if c.RelThreshold == 0 {
 		c.RelThreshold = DefaultDriftRelThreshold
 	}
-	if c.RelThreshold < 0 {
-		return c, fmt.Errorf("profiler: negative drift threshold %v", c.RelThreshold)
+	if !(c.RelThreshold > 0) || math.IsInf(c.RelThreshold, 0) {
+		return c, fmt.Errorf("profiler: drift threshold %v must be positive and finite", c.RelThreshold)
 	}
 	if c.Hysteresis == 0 {
 		c.Hysteresis = DefaultDriftHysteresis
@@ -178,7 +178,7 @@ func (c DriftConfig) Normalized() (DriftConfig, error) {
 	if c.MixThreshold == 0 {
 		c.MixThreshold = DefaultDriftMixThreshold
 	}
-	if c.MixThreshold < 0 || c.MixThreshold > 1 {
+	if !(c.MixThreshold > 0 && c.MixThreshold <= 1) {
 		return c, fmt.Errorf("profiler: mix threshold %v outside (0, 1]", c.MixThreshold)
 	}
 	return c, nil
@@ -208,26 +208,6 @@ func (m *metricTrack) observe(v float64, cfg DriftConfig) bool {
 	return m.streak >= cfg.Hysteresis
 }
 
-// TelemetrySnapshot is a point-in-time view of the smoothed metrics and
-// drift state.
-type TelemetrySnapshot struct {
-	Epochs            uint64  `json:"epochs"`
-	Bandwidth         float64 `json:"bandwidth"`
-	BandwidthBaseline float64 `json:"bandwidth_baseline"`
-	BandwidthStreak   int     `json:"bandwidth_streak"`
-	StorageOccupancy  float64 `json:"storage_occupancy"`
-	OccupancyBaseline float64 `json:"occupancy_baseline"`
-	OccupancyStreak   int     `json:"occupancy_streak"`
-	OpTimeSeconds     float64 `json:"op_time_seconds"`
-	OpTimeBaseline    float64 `json:"op_time_baseline"`
-	OpTimeStreak      int     `json:"op_time_streak"`
-	ShardsUp          int     `json:"shards_up"`
-	Shards            int     `json:"shards"`
-	MixHeavyFrac      float64 `json:"mix_heavy_frac"`
-	MixBaseline       float64 `json:"mix_baseline"`
-	MixStreak         int     `json:"mix_streak"`
-}
-
 // Telemetry accumulates the per-epoch measurement stream and detects drift
 // against the current plan's baseline. Safe for concurrent use.
 type Telemetry struct {
@@ -238,8 +218,6 @@ type Telemetry struct {
 	occupancy metricTrack
 	opTime    metricTrack
 	shardsUp  int // -1 until first measured
-	shards    int
-	epochs    uint64
 	// The heavy/light mix track. It cannot share metricTrack: its drift
 	// test is absolute (a 0 baseline is legitimate) and its baseline is set
 	// explicitly, not inferred from positivity.
@@ -338,7 +316,6 @@ func (t *Telemetry) AdoptMixBaseline() {
 func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.epochs++
 	var out []Drift
 	note := func(m *metricTrack, v float64) {
 		if v <= 0 {
@@ -387,36 +364,8 @@ func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 			})
 		}
 		t.shardsUp = s.ShardsUp
-		t.shards = s.Shards
 	}
 	return out
-}
-
-// ObserveShardChange reports a shard topology change observed between epoch
-// boundaries (a kill or partition event landing mid-epoch). It returns the
-// immediate drift to act on, or nil if the count did not change.
-func (t *Telemetry) ObserveShardChange(epoch uint64, shardsUp, shards int) *Drift {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if shards <= 0 {
-		return nil
-	}
-	prev := t.shardsUp
-	t.shards = shards
-	if prev == shardsUp {
-		return nil
-	}
-	t.shardsUp = shardsUp
-	if prev < 0 {
-		return nil // first measurement: a baseline, not a change
-	}
-	return &Drift{
-		Kind:      DriftShard,
-		Epoch:     epoch,
-		Baseline:  float64(prev),
-		Current:   float64(shardsUp),
-		Immediate: true,
-	}
 }
 
 // Bandwidth returns the smoothed link bandwidth (bytes/second; 0 before any
@@ -425,31 +374,4 @@ func (t *Telemetry) Bandwidth() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.bandwidth.ewma.Value()
-}
-
-// Snapshot returns the current view of the detector's state.
-func (t *Telemetry) Snapshot() TelemetrySnapshot {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	up := t.shardsUp
-	if up < 0 {
-		up = 0
-	}
-	return TelemetrySnapshot{
-		Epochs:            t.epochs,
-		Bandwidth:         t.bandwidth.ewma.Value(),
-		BandwidthBaseline: t.bandwidth.baseline,
-		BandwidthStreak:   t.bandwidth.streak,
-		StorageOccupancy:  t.occupancy.ewma.Value(),
-		OccupancyBaseline: t.occupancy.baseline,
-		OccupancyStreak:   t.occupancy.streak,
-		OpTimeSeconds:     t.opTime.ewma.Value(),
-		OpTimeBaseline:    t.opTime.baseline,
-		OpTimeStreak:      t.opTime.streak,
-		ShardsUp:          up,
-		Shards:            t.shards,
-		MixHeavyFrac:      t.mix.Value(),
-		MixBaseline:       t.mixBaseline,
-		MixStreak:         t.mixStreak,
-	}
 }

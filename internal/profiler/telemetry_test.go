@@ -1,8 +1,8 @@
 package profiler
 
 import (
+	"math"
 	"testing"
-	"time"
 )
 
 func newTestTelemetry(t *testing.T, cfg DriftConfig) *Telemetry {
@@ -147,23 +147,6 @@ func TestShardLossImmediate(t *testing.T) {
 	}
 }
 
-// TestObserveShardChangeMidEpoch covers the out-of-band path a degradation
-// event takes (not waiting for an epoch boundary).
-func TestObserveShardChangeMidEpoch(t *testing.T) {
-	tel := newTestTelemetry(t, DriftConfig{})
-	// First report seeds the baseline.
-	if d := tel.ObserveShardChange(1, 4, 4); d != nil {
-		t.Fatalf("baseline report drifted: %v", d)
-	}
-	if d := tel.ObserveShardChange(1, 4, 4); d != nil {
-		t.Fatalf("no-change report drifted: %v", d)
-	}
-	d := tel.ObserveShardChange(2, 2, 4)
-	if d == nil || !d.Immediate || d.Kind != DriftShard {
-		t.Fatalf("mid-epoch loss: %v", d)
-	}
-}
-
 // TestRebaseClearsStreaks: replanning resets detection against the new
 // environment, so the same degraded-but-replanned-for link stops drifting.
 func TestRebaseClearsStreaks(t *testing.T) {
@@ -184,26 +167,6 @@ func TestRebaseClearsStreaks(t *testing.T) {
 	}
 }
 
-// TestTelemetrySnapshot: the gauge view reflects the stream.
-func TestTelemetrySnapshot(t *testing.T) {
-	tel := newTestTelemetry(t, DriftConfig{Alpha: 1})
-	tel.Rebase(100, 0.5, 10*time.Millisecond)
-	tel.ObserveEpoch(EpochSample{
-		Epoch: 1, Bandwidth: 90, StorageOccupancy: 0.6,
-		OpTime: 12 * time.Millisecond, ShardsUp: 2, Shards: 2,
-	})
-	s := tel.Snapshot()
-	if s.Epochs != 1 || s.Bandwidth != 90 || s.BandwidthBaseline != 100 {
-		t.Fatalf("snapshot %+v", s)
-	}
-	if s.StorageOccupancy != 0.6 || s.OpTimeSeconds != 0.012 {
-		t.Fatalf("snapshot %+v", s)
-	}
-	if s.ShardsUp != 2 || s.Shards != 2 {
-		t.Fatalf("snapshot %+v", s)
-	}
-}
-
 func TestDriftConfigValidation(t *testing.T) {
 	if _, err := NewTelemetry(DriftConfig{Alpha: -1}); err == nil {
 		t.Fatal("negative alpha accepted")
@@ -213,6 +176,16 @@ func TestDriftConfigValidation(t *testing.T) {
 	}
 	if _, err := NewTelemetry(DriftConfig{Hysteresis: -2}); err == nil {
 		t.Fatal("negative hysteresis accepted")
+	}
+	for _, bad := range []DriftConfig{
+		{Alpha: math.NaN()},
+		{RelThreshold: math.NaN()},
+		{RelThreshold: math.Inf(1)},
+		{MixThreshold: math.NaN()},
+	} {
+		if _, err := bad.Normalized(); err == nil {
+			t.Fatalf("non-finite drift config accepted: %+v", bad)
+		}
 	}
 	cfg, err := DriftConfig{}.Normalized()
 	if err != nil {

@@ -3,7 +3,6 @@ package sched
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 	"time"
 
@@ -16,10 +15,10 @@ import (
 // training jobs against SHARED per-shard storage-CPU and link-bandwidth
 // budgets, grants each tenant a weighted fair share, re-runs SOPHON's
 // decision engine per tenant under its grant, and publishes every tenant's
-// plan through its own PlanFeed. Any change to the fleet mix — a job
-// arriving, a job departing, the tier's measured bandwidth drifting — bumps
-// the fleet generation and republishes every tenant's snapshot, so tenants
-// replan exactly the way a single job replans under the adaptive controller.
+// plan through its own PlanFeed. Every admission changes the fleet mix: it
+// bumps the fleet generation and republishes every tenant's snapshot, so
+// tenants replan exactly the way a single job replans under the adaptive
+// controller.
 //
 // Budget semantics follow policy.Env: with K shards, Cores and Bandwidth
 // are PER-SHARD quantities. Bandwidth is divided weighted-fair among
@@ -74,8 +73,7 @@ type FleetEvent struct {
 	// Generation is the fleet plan generation the event produced; it is the
 	// plan version stamped on every tenant snapshot published for it.
 	Generation uint64 `json:"generation"`
-	// Reason names the trigger: "admit:<name>", "depart:<name>", or
-	// "bandwidth-drift".
+	// Reason names the trigger, "admit:<name>".
 	Reason string `json:"reason"`
 	// Tenants is the fleet size after the transition.
 	Tenants int `json:"tenants"`
@@ -114,13 +112,8 @@ type FleetStatus struct {
 	History    []FleetEvent   `json:"history"`
 }
 
-const (
-	// fleetDrift is the relative bandwidth change that triggers a fleet
-	// replan in ObserveBandwidth.
-	fleetDrift = 0.2
-	// maxFleetHistory bounds the event history.
-	maxFleetHistory = 256
-)
+// maxFleetHistory bounds the event history.
+const maxFleetHistory = 256
 
 // FleetConfig configures a coordinator.
 type FleetConfig struct {
@@ -219,55 +212,6 @@ func (c *Coordinator) Admit(t Tenant) (policy.PlanProvider, error) {
 		return nil, err
 	}
 	return st.feed, nil
-}
-
-// Depart removes a tenant and replans the remaining fleet, which typically
-// widens everyone else's grants. The departed tenant's feed stops updating.
-func (c *Coordinator) Depart(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.tenants[name]; !ok {
-		return fmt.Errorf("sched: tenant %q not admitted", name)
-	}
-	delete(c.tenants, name)
-	for i, n := range c.order {
-		if n == name {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-	return c.replanLocked("depart:" + name)
-}
-
-// ObserveBandwidth folds a measured per-shard link capacity into the
-// coordinator. If it deviates from the planning estimate by more than the
-// drift threshold, the fleet replans against the measurement; otherwise the
-// observation is absorbed without a replan. Returns whether a replan ran.
-func (c *Coordinator) ObserveBandwidth(measured float64) (bool, error) {
-	if measured <= 0 {
-		return false, fmt.Errorf("sched: measured bandwidth %.1f", measured)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if math.Abs(measured-c.bandwidth)/c.bandwidth < fleetDrift {
-		return false, nil
-	}
-	c.bandwidth = measured
-	if err := c.replanLocked("bandwidth-drift"); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
-// Provider returns a tenant's live plan feed.
-func (c *Coordinator) Provider(name string) (policy.PlanProvider, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st, ok := c.tenants[name]
-	if !ok {
-		return nil, false
-	}
-	return st.feed, true
 }
 
 // Grants returns every tenant's current grant.
@@ -405,20 +349,4 @@ func (c *Coordinator) replanLocked(reason string) error {
 		c.history = c.history[len(c.history)-maxFleetHistory:]
 	}
 	return nil
-}
-
-// ShareGroups returns the tenants of each non-private dataset share key, in
-// admission order — the groups whose artifacts the cross-job cache
-// deduplicates.
-func (c *Coordinator) ShareGroups() map[uint64][]string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[uint64][]string)
-	for _, name := range c.order {
-		st := c.tenants[name]
-		if st.Dataset != 0 {
-			out[st.Dataset] = append(out[st.Dataset], name)
-		}
-	}
-	return out
 }

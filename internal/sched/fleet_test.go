@@ -47,12 +47,6 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, err := c.Admit(Tenant{Name: "t", Trace: &dataset.Trace{}, Env: jobEnv()}); err == nil {
 		t.Fatal("admitted empty trace")
 	}
-	if err := c.Depart("ghost"); err == nil {
-		t.Fatal("departed unknown tenant")
-	}
-	if _, err := c.ObserveBandwidth(-5); err == nil {
-		t.Fatal("accepted negative bandwidth measurement")
-	}
 	// A failed admission must not leak into the fleet.
 	if g := c.Generation(); g != 0 {
 		t.Fatalf("failed admissions bumped the generation to %d", g)
@@ -62,7 +56,7 @@ func TestCoordinatorValidation(t *testing.T) {
 	}
 }
 
-func TestCoordinatorAdmitDepartReplans(t *testing.T) {
+func TestCoordinatorAdmitReplans(t *testing.T) {
 	c, err := NewCoordinator(fleetConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -99,26 +93,9 @@ func TestCoordinatorAdmitDepartReplans(t *testing.T) {
 		t.Fatalf("tenant b admitted at version %d", provB.Current().Version)
 	}
 
-	// Departure widens the survivor's grant again.
-	subA2 := provA.Subscribe()
-	if err := c.Depart("b"); err != nil {
-		t.Fatal(err)
-	}
-	snapA3 := <-subA2
-	if snapA3.Version != 3 || snapA3.Reason != "depart:b" {
-		t.Fatalf("post-departure snapshot: version %d reason %q", snapA3.Version, snapA3.Reason)
-	}
-	if got := snapA3.Env.Bandwidth; got != netsim.Mbps(1000) {
-		t.Fatalf("tenant a's share after b departed: %.0f B/s", got)
-	}
-	// The departed tenant's feed froze at its last generation.
-	if provB.Current().Version != 2 {
-		t.Fatalf("departed tenant's feed moved to %d", provB.Current().Version)
-	}
-
 	hist := c.History()
-	if len(hist) != 3 {
-		t.Fatalf("history has %d events, want 3", len(hist))
+	if len(hist) != 2 {
+		t.Fatalf("history has %d events, want 2", len(hist))
 	}
 	for i, e := range hist {
 		if e.Generation != uint64(i+1) {
@@ -188,44 +165,6 @@ func TestCoordinatorZeroCoreTenantStillPlanned(t *testing.T) {
 	}
 }
 
-func TestCoordinatorBandwidthDrift(t *testing.T) {
-	c, err := NewCoordinator(fleetConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	prov, err := c.Admit(fleetTenant(t, "a", 20))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Within the 20% threshold: absorbed, no replan.
-	replanned, err := c.ObserveBandwidth(netsim.Mbps(900))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replanned {
-		t.Fatal("10% deviation triggered a replan")
-	}
-	if g := c.Generation(); g != 1 {
-		t.Fatalf("generation moved to %d without a replan", g)
-	}
-	// Past the threshold: the fleet replans against the measurement.
-	sub := prov.Subscribe()
-	replanned, err = c.ObserveBandwidth(netsim.Mbps(400))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !replanned {
-		t.Fatal("60% deviation absorbed silently")
-	}
-	snap := <-sub
-	if snap.Reason != "bandwidth-drift" || snap.Version != 2 {
-		t.Fatalf("drift snapshot: version %d reason %q", snap.Version, snap.Reason)
-	}
-	if snap.Env.Bandwidth != netsim.Mbps(400) {
-		t.Fatalf("replanned at %.0f B/s, want measured capacity", snap.Env.Bandwidth)
-	}
-}
-
 func TestCoordinatorStatusAndShareGroups(t *testing.T) {
 	c, err := NewCoordinator(fleetConfig())
 	if err != nil {
@@ -240,10 +179,6 @@ func TestCoordinatorStatusAndShareGroups(t *testing.T) {
 		if _, err := c.Admit(tn); err != nil {
 			t.Fatal(err)
 		}
-	}
-	groups := c.ShareGroups()
-	if len(groups) != 1 || len(groups[42]) != 2 {
-		t.Fatalf("share groups %v, want {42: [a b]}", groups)
 	}
 	st := c.Status()
 	if st.Generation != 3 || len(st.Tenants) != 3 {

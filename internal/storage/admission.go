@@ -10,13 +10,9 @@ import (
 	"repro/internal/wfq"
 )
 
-// ErrServerBusy is the sentinel every retry-after rejection matches via
-// errors.Is: the server is shedding load and the request should be retried
-// after the server's hint, on the same (healthy) session.
-var ErrServerBusy = errors.New("storage: server shedding load")
-
 // RetryAfterError is the typed client-side form of a wire.RetryAfter
-// rejection. It matches ErrServerBusy with errors.Is.
+// rejection: the server is shedding load and the request should be retried
+// after the server's hint, on the same (healthy) session.
 type RetryAfterError struct {
 	// Delay is the server's minimum backoff hint.
 	Delay time.Duration
@@ -27,9 +23,6 @@ type RetryAfterError struct {
 func (e *RetryAfterError) Error() string {
 	return fmt.Sprintf("storage: server shedding load (retry after %v, %d queued)", e.Delay, e.Queued)
 }
-
-// Is reports that a RetryAfterError is an ErrServerBusy.
-func (e *RetryAfterError) Is(target error) bool { return target == ErrServerBusy }
 
 // Admission defaults.
 const (
@@ -121,8 +114,8 @@ func (c *AdmissionController) RetryAfterHint() time.Duration { return c.retryAft
 // Acquire admits bytes of work for tenant, blocking in the tenant's
 // weighted queue while the global budget is exhausted. It returns a release
 // function the caller MUST run when the work completes. If the tenant's
-// queue is full the request is shed immediately with a *RetryAfterError
-// (matching ErrServerBusy); if cancel closes while queued, Acquire returns
+// queue is full the request is shed immediately with a *RetryAfterError;
+// if cancel closes while queued, Acquire returns
 // ErrClientClosed.
 //
 // A request larger than the whole budget is still admitted once the

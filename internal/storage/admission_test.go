@@ -121,9 +121,6 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	if !errors.As(err, &ra) {
 		t.Fatalf("err = %v, want RetryAfterError", err)
 	}
-	if !errors.Is(err, ErrServerBusy) {
-		t.Fatal("RetryAfterError must match ErrServerBusy")
-	}
 	if ra.Delay != 25*time.Millisecond || ra.Queued != 2 {
 		t.Fatalf("hint %+v, want 25ms / 2 queued", ra)
 	}
@@ -316,7 +313,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // TestServerShedsUnderAdmissionPressure drives a live server whose
 // admission budget is pinned full: of 8 pipelined fetches, exactly one may
 // wait in the tenant's queue (bound 1) and the other 7 must come back as
-// typed ErrServerBusy carrying the configured hint — while the session
+// typed RetryAfterError carrying the configured hint — while the session
 // survives and the queued fetch completes once the budget frees.
 func TestServerShedsUnderAdmissionPressure(t *testing.T) {
 	st := testStore(t, 16)
@@ -354,7 +351,7 @@ func TestServerShedsUnderAdmissionPressure(t *testing.T) {
 			switch {
 			case err == nil:
 				ok.Add(1)
-			case errors.Is(err, ErrServerBusy):
+			case errors.As(err, new(*RetryAfterError)):
 				busy.Add(1)
 				var ra *RetryAfterError
 				if errors.As(err, &ra) && ra.Delay == 35*time.Millisecond {

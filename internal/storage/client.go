@@ -124,9 +124,6 @@ func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 	return NewClientWithOptions(conn, opts)
 }
 
-// DatasetName returns the server's dataset name.
-func (c *Client) DatasetName() string { return c.ack.DatasetName }
-
 // NumSamples returns the dataset size reported by the server.
 func (c *Client) NumSamples() int { return int(c.ack.NumSamples) }
 

@@ -3,6 +3,7 @@ package storage
 import (
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/bufpool"
@@ -36,8 +37,8 @@ func NewExecutor(p *pipeline.Pipeline, cores int, slowdown float64, counters *Co
 	if cores < 0 {
 		return nil, fmt.Errorf("storage: negative core budget %d", cores)
 	}
-	if slowdown < 1 {
-		return nil, fmt.Errorf("storage: slowdown %.2f < 1", slowdown)
+	if !(slowdown >= 1) || math.IsInf(slowdown, 0) {
+		return nil, fmt.Errorf("storage: slowdown %.2f is not a finite value >= 1", slowdown)
 	}
 	if counters == nil {
 		counters = &Counters{}

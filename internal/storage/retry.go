@@ -135,10 +135,9 @@ type ReconnectingClient struct {
 	policy RetryPolicy // always normalized
 	clock  simclock.Clock
 
-	// Handshake facts cached at construction so they remain available
-	// while the session is down between retries.
-	datasetName string
-	numSamples  int
+	// The handshake's dataset size, cached at construction so it remains
+	// available while the session is down between retries.
+	numSamples int
 
 	mu      sync.Mutex
 	current *Client // nil while broken, until the next acquire redials
@@ -192,12 +191,11 @@ func NewReconnectingWithPolicy(dial func() (*Client, error), policy RetryPolicy,
 	}
 	p := policy.Normalized()
 	return &ReconnectingClient{
-		dial:        dial,
-		policy:      p,
-		clock:       clock,
-		datasetName: first.DatasetName(),
-		numSamples:  first.NumSamples(),
-		current:     first,
+		dial:       dial,
+		policy:     p,
+		clock:      clock,
+		numSamples: first.NumSamples(),
+		current:    first,
 		// The jitter stream is seeded from the policy shape only, so runs
 		// are reproducible given the same call sequence; jitter spreads
 		// concurrent retriers, it is not a correctness input.
@@ -205,18 +203,12 @@ func NewReconnectingWithPolicy(dial func() (*Client, error), policy RetryPolicy,
 	}, nil
 }
 
-// Policy returns the client's normalized retry policy.
-func (r *ReconnectingClient) Policy() RetryPolicy { return r.policy }
-
 // Retries reports how many reconnects have happened.
 func (r *ReconnectingClient) Retries() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.retries
 }
-
-// DatasetName returns the dataset name from the original handshake.
-func (r *ReconnectingClient) DatasetName() string { return r.datasetName }
 
 // NumSamples returns the dataset size from the original handshake.
 func (r *ReconnectingClient) NumSamples() int { return r.numSamples }
@@ -264,7 +256,7 @@ func (r *ReconnectingClient) invalidate(gen int64) {
 // corrupted frame never decodes into a wrong result, it tears the session
 // down and lands here as a retryable error.
 //
-// Admission-control rejections (ErrServerBusy / RetryAfterError) are the
+// Admission-control rejections (RetryAfterError) are the
 // third kind: retryable, but on a HEALTHY session. They never tear the
 // connection down — reconnect stampedes are exactly what a shedding server
 // doesn't need — and the next attempt waits at least the server's

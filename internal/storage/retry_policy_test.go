@@ -179,7 +179,7 @@ func TestLegacyConstructorPolicy(t *testing.T) {
 	}
 	defer rc.Close()
 	want := RetryPolicy{Attempts: 5, BaseBackoff: 7 * time.Millisecond, MaxBackoff: 7 * time.Millisecond, Multiplier: 1, Jitter: 0}
-	if got := rc.Policy(); got != want {
+	if got := rc.policy; got != want {
 		t.Fatalf("legacy policy = %+v, want %+v", got, want)
 	}
 	// Zero backoff means "no pause", not "default pause".
@@ -188,7 +188,7 @@ func TestLegacyConstructorPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc2.Close()
-	if got := rc2.Policy().BaseBackoff; got != 0 {
+	if got := rc2.policy.BaseBackoff; got != 0 {
 		t.Fatalf("legacy zero backoff resolved to %v", got)
 	}
 }

@@ -60,8 +60,8 @@ func TestReconnectingSurvivesConnectionDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if rc.NumSamples() != 4 || rc.DatasetName() == "" {
-		t.Fatalf("handshake facts: %d %q", rc.NumSamples(), rc.DatasetName())
+	if rc.NumSamples() != 4 {
+		t.Fatalf("handshake facts: %d samples", rc.NumSamples())
 	}
 	for k := 0; k < 40; k++ {
 		res, err := FetchOne(context.Background(), rc, uint32(k%4), 0, 1)

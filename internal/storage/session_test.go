@@ -65,7 +65,7 @@ func readFetches(t *testing.T, conn net.Conn, n int) map[uint32]*wire.FetchBatch
 // rawRespFor answers a one-sample request with the raw payload as artifact.
 func rawRespFor(t *testing.T, req *wire.FetchBatch, payload []byte) *wire.FetchBatchResp {
 	t.Helper()
-	enc, err := pipeline.RawArtifact(payload).Encode()
+	enc, err := pipeline.RawArtifact(payload).AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strings"
 	"sync"
@@ -93,8 +94,10 @@ func TestExecutorValidation(t *testing.T) {
 	if _, err := NewExecutor(p, -1, 1, nil); err == nil {
 		t.Fatal("accepted negative cores")
 	}
-	if _, err := NewExecutor(p, 1, 0.5, nil); err == nil {
-		t.Fatal("accepted slowdown < 1")
+	for _, slowdown := range []float64{0.5, math.NaN(), math.Inf(1)} {
+		if _, err := NewExecutor(p, 1, slowdown, nil); err == nil {
+			t.Fatalf("accepted slowdown %v", slowdown)
+		}
 	}
 	e, err := NewExecutor(p, 3, 1, nil)
 	if err != nil || e.Cores() != 3 {
@@ -210,8 +213,8 @@ func TestFetchAllSplitsMatchLocal(t *testing.T) {
 	_, dial := startServer(t, ServerConfig{Store: st, Pipeline: p, Cores: 4})
 	c := dial()
 
-	if c.DatasetName() != "test-set" || c.NumSamples() != 3 {
-		t.Fatalf("handshake facts: %q %d", c.DatasetName(), c.NumSamples())
+	if c.ack.DatasetName != "test-set" || c.NumSamples() != 3 {
+		t.Fatalf("handshake facts: %q %d", c.ack.DatasetName, c.NumSamples())
 	}
 
 	const epoch = 3

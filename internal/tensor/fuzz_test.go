@@ -6,7 +6,7 @@ import "testing"
 // round-trip exactly.
 func FuzzUnmarshal(f *testing.F) {
 	tt, _ := New(3, 2, 2)
-	tt.Set(0, 0, 0, 1.5)
+	set(tt, 0, 0, 0, 1.5)
 	f.Add(tt.Marshal())
 	f.Add([]byte{})
 	f.Add([]byte("STSR"))

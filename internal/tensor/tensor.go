@@ -67,26 +67,6 @@ func (t *Tensor) Release() {
 // Len returns the number of elements.
 func (t *Tensor) Len() int { return t.C * t.H * t.W }
 
-// ByteSize returns the in-memory payload size (4 bytes per element).
-func (t *Tensor) ByteSize() int { return 4 * t.Len() }
-
-// At returns element (c, y, x). Callers must pass in-bounds indices.
-func (t *Tensor) At(c, y, x int) float32 {
-	return t.Data[c*t.H*t.W+y*t.W+x]
-}
-
-// Set stores element (c, y, x). Callers must pass in-bounds indices.
-func (t *Tensor) Set(c, y, x int, v float32) {
-	t.Data[c*t.H*t.W+y*t.W+x] = v
-}
-
-// Clone returns a deep copy.
-func (t *Tensor) Clone() *Tensor {
-	data := make([]float32, len(t.Data))
-	copy(data, t.Data)
-	return &Tensor{C: t.C, H: t.H, W: t.W, Data: data}
-}
-
 // Equal reports exact equality of shape and elements. NaNs compare by bit
 // pattern so deterministic pipelines remain comparable.
 func (t *Tensor) Equal(o *Tensor) bool {

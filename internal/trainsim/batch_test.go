@@ -50,8 +50,11 @@ func TestBatchedProfilingEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Samples != 12 || !collector.Complete() {
-		t.Fatalf("batched profiling epoch: %d samples, complete=%v", rep.Samples, collector.Complete())
+	if rep.Samples != 12 {
+		t.Fatalf("batched profiling epoch: %d samples", rep.Samples)
+	}
+	if _, err := collector.Trace("batched"); err != nil {
+		t.Fatalf("batched profiling epoch: %v", err)
 	}
 }
 

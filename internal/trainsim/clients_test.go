@@ -87,9 +87,6 @@ func TestTrainerWithCachingClient(t *testing.T) {
 	if second.BytesFetched != 0 {
 		t.Fatalf("second epoch fetched %d bytes despite a warm cache", second.BytesFetched)
 	}
-	if inner.Stats().HitRate() <= 0 {
-		t.Fatal("cache recorded no hits")
-	}
 
 	reduced, err := policy.NewUniformPlan("prog", n, 0)
 	if err != nil {

@@ -70,7 +70,7 @@ func TestFleetTenantsShareArtifacts(t *testing.T) {
 
 	// Tenant b's epoch covers the same (sample, cut, epoch) keys tenant a
 	// already pulled — every fetch must have hit the shared cache.
-	statsB := shared.TenantStats("tenant-b")
+	statsB := shared.Snapshot().Tenants["tenant-b"]
 	if statsB.Hits == 0 {
 		t.Fatal("overlapping tenant saw no shared-cache hits")
 	}

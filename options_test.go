@@ -87,7 +87,7 @@ func (l *sourceLoader) Import(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
 	p, err := (&types.Config{Importer: l}).Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, err
@@ -224,101 +224,189 @@ func TestEveryOptionHasACaller(t *testing.T) {
 	t.Logf("%d exported option fields, %d kept by name, %d unlisted without a setter", len(fields), len(optionKeeps), len(unset))
 }
 
-// exportKeeps lists the exported top-level names of internal/ that no
-// non-test code references and stay anyway, each with the one reason it
-// stays. An entry whose name gains a caller, or goes away, fails the test as
-// stale.
-var exportKeeps = map[string]string{
-	// Reference implementations the fused kernels are tested against.
-	"repro/internal/imaging.Crop":           "reference for the fused crop (TestDecodeCropResizeMatches*)",
-	"repro/internal/imaging.Resize":         "reference for the fused bilinear resize",
-	"repro/internal/imaging.FlipHorizontal": "reference for the flip op",
-	"repro/internal/imaging.FromPix":        "reference decoder's image constructor (reference_test.go)",
+// keepReason is why an exported name with no live caller stays. The set is
+// closed: "only tests exercise this capability" is not a reason.
+type keepReason string
+
+const (
+	keepBench  keepReason = "benchmarks/ compiles against it (ROADMAP 1A(vi))"
+	keepOracle keepReason = "a reference or oracle tests compare against"
+	keepSeam   keepReason = "a test seam"
+	keepDict   keepReason = "compressor.Dict goes in a change of its own"
+)
+
+// exportKeeps lists the names TestEveryExportHasACaller covers that no live
+// code names and that stay anyway, keyed pkg.Name or pkg.Type.Method. An
+// entry whose name gains a caller, or goes away, fails the test as stale.
+var exportKeeps = map[string]keepReason{
+	// The fused kernels are tested against these.
+	"repro/internal/imaging.Crop":           keepOracle,
+	"repro/internal/imaging.Resize":         keepOracle,
+	"repro/internal/imaging.FlipHorizontal": keepOracle,
+	"repro/internal/imaging.FromPix":        keepOracle, // the reference decoder's image constructor
 
 	// benchmarks/ is its own module; its callers are invisible to this walk.
-	"repro/internal/bufpool.ByteStats":                 "benchmarks/ compiles against it (ROADMAP 1A(vi))",
-	"repro/internal/bufpool.Float32Stats":              "benchmarks/ compiles against it (ROADMAP 1A(vi))",
-	"repro/internal/compressor.MaterializeProgressive": "benchmarks/ compiles against it (ROADMAP 1A(vi))",
-	"repro/internal/imaging.DecodeProgressive":         "benchmarks/ compiles against it (ROADMAP 1A(vi))",
-	"repro/internal/imaging.IsProgressive":             "benchmarks/ compiles against it (ROADMAP 1A(vi))",
-	"repro/internal/imaging.ProgressiveInfo":           "benchmarks/ compiles against it (ROADMAP 1A(vi))",
-	"repro/internal/imaging.SlicePrefix":               "benchmarks/ compiles against it (ROADMAP 1A(vi))",
-	"repro/internal/raceflag.Enabled":                  "benchmarks/ compiles against it (ROADMAP 1A(vi)); race-gated tests read it",
-	"repro/internal/trainsim.StorageClient":            "benchmarks/ compiles against it (ROADMAP 1A(vi))",
+	"repro/internal/bufpool.ByteStats":                  keepBench,
+	"repro/internal/bufpool.Float32Stats":               keepBench,
+	"repro/internal/compressor.MaterializeProgressive":  keepBench,
+	"repro/internal/imaging.DecodeProgressive":          keepBench,
+	"repro/internal/imaging.IsProgressive":              keepBench,
+	"repro/internal/imaging.ProgressiveInfo":            keepBench,
+	"repro/internal/imaging.SlicePrefix":                keepBench,
+	"repro/internal/raceflag.Enabled":                   keepBench, // race-gated tests read it too
+	"repro/internal/trainsim.StorageClient":             keepBench,
+	"repro/internal/cluster.Cluster.Counters":           keepBench,
+	"repro/internal/cluster.ShardedClient.Shard":        keepBench,
+	"repro/internal/policy.Plan.TrafficWith":            keepBench,
+	"repro/internal/prefetch.Metrics.Snapshot":          keepBench,
+	"repro/internal/storage.Fetcher.Fetch":              keepBench, // and so its five implementations; FetchOne is the path that runs
+	"repro/internal/storage.ReconnectingClient.Retries": keepBench,
+	"repro/internal/tensor.Tensor.Marshal":              keepBench,
+	"repro/internal/trainsim.Trainer.PrefetchMetrics":   keepBench,
 
 	// The byte-pair dictionary: deleting it takes its tests off the suite at
 	// once, more than one change may remove (ROADMAP 1A(vi)).
-	"repro/internal/compressor.Dict":           "compressor.Dict goes in a change of its own",
-	"repro/internal/compressor.DictStats":      "compressor.Dict goes in a change of its own",
-	"repro/internal/compressor.ErrDict":        "compressor.Dict goes in a change of its own",
-	"repro/internal/compressor.MaxDictEntries": "compressor.Dict goes in a change of its own",
-	"repro/internal/compressor.TrainDict":      "compressor.Dict goes in a change of its own",
-	"repro/internal/compressor.UnmarshalDict":  "compressor.Dict goes in a change of its own",
+	"repro/internal/compressor.Dict":               keepDict,
+	"repro/internal/compressor.DictStats":          keepDict,
+	"repro/internal/compressor.ErrDict":            keepDict,
+	"repro/internal/compressor.MaxDictEntries":     keepDict,
+	"repro/internal/compressor.TrainDict":          keepDict,
+	"repro/internal/compressor.UnmarshalDict":      keepDict,
+	"repro/internal/compressor.Dict.Decode":        keepDict,
+	"repro/internal/compressor.Dict.Encode":        keepDict,
+	"repro/internal/compressor.Dict.Entries":       keepDict,
+	"repro/internal/compressor.Dict.MarshalBinary": keepDict,
+	"repro/internal/compressor.Dict.Stats":         keepDict,
+	"repro/internal/compressor.Dict.TopTokens":     keepDict,
 
-	// Test seams other packages' tests build with.
-	"repro/internal/persist.ReadTrace": "reads back the -dump-trace file the binaries write; FuzzReadTrace holds its parser",
-	"repro/internal/tensor.New":        "tensor and pipeline tests build zero tensors with it; its shape check is tested",
+	// Test seams: virtual-clock stepping, and what other packages' tests
+	// build with.
+	"repro/internal/simclock.Virtual.AdvanceToNext":  keepSeam,
+	"repro/internal/simclock.Virtual.PendingWaiters": keepSeam,
+	"repro/internal/prepsched.Pool.Pending":          keepSeam, // the loader leak test's drain probe
+	"repro/internal/persist.ReadTrace":               keepSeam, // reads back the -dump-trace file; FuzzReadTrace holds its parser
+	"repro/internal/tensor.New":                      keepSeam, // zero tensors for tensor and pipeline tests; its shape check is tested
 }
 
-// TestEveryExportHasACaller is ROADMAP 6(d)'s census made executable: an
-// exported top-level func, type, var or const of internal/ must be named by
-// non-test code (any package, its own included, but not its own declaration
-// or its own methods, and not a declaration that is itself dead), or be
-// listed in exportKeeps with its reason.
+// stdInterfaces are the standard-library interfaces whose methods the
+// standard library calls for the module: a method that satisfies one, on a
+// live type that implements it, is live.
+var stdInterfaces = []struct{ pkg, name string }{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"sort", "Interface"},
+	{"container/heap", "Interface"},
+	{"io", "Reader"},
+	{"io", "Writer"},
+	{"io", "Closer"},
+	{"net", "Conn"},
+	{"net", "Listener"},
+	{"encoding/json", "Marshaler"},
+}
+
+// TestEveryExportHasACaller is ROADMAP 6(d)'s census made executable. Its
+// scope is every exported top-level func, type, var and const of internal/,
+// every exported method declared on a named type of internal/ (interface
+// methods included), and the façade: every exported top-level name of
+// package sophon and every exported method of its own types. Each must be
+// reached from live code, or be listed in exportKeeps with its reason.
+//
+// Live code is every declaration outside the scope (a cmd/ or examples/
+// program, an unexported declaration, an Example function), a kept name,
+// and whatever live code names. A type's unexported methods live with it.
+// A method is also live when its receiver type is live and either it
+// implements an interface method that live code names, or it satisfies one
+// of stdInterfaces.
 func TestEveryExportHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
 	}
 	l := loadModule(t)
+	examples, err := l.checkExamples()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs := []*checked{examples}
+	for _, c := range l.pkgs {
+		pkgs = append(pkgs, c)
+	}
 
-	names := map[types.Object]string{}
-	for path, c := range l.pkgs {
-		if !strings.HasPrefix(path, "repro/internal/") {
-			continue
-		}
-		scope := c.pkg.Scope()
-		for _, name := range scope.Names() {
-			if obj := scope.Lookup(name); obj.Exported() {
-				names[obj] = path + "." + name
+	// The scope, keyed as exportKeeps keys it, and every named type of the
+	// module for the implements checks.
+	scope := map[types.Object]string{}
+	var named []*types.TypeName
+	for _, c := range pkgs {
+		path := c.pkg.Path()
+		covered := path == "repro" || strings.HasPrefix(path, "repro/internal/")
+		s := c.pkg.Scope()
+		for _, name := range s.Names() {
+			obj := s.Lookup(name)
+			tn, isType := obj.(*types.TypeName)
+			if isType && !tn.IsAlias() {
+				named = append(named, tn)
+			}
+			if !covered || !obj.Exported() {
+				continue
+			}
+			scope[obj] = path + "." + name
+			if isType && !tn.IsAlias() {
+				for _, m := range declaredMethods(tn) {
+					if m.Exported() {
+						scope[m] = path + "." + name + "." + m.Name()
+					}
+				}
 			}
 		}
 	}
 
-	// users[obj] holds the top-level declarations whose code names obj, each
-	// as the object it declares; a method is its receiver type's, and nil
-	// stands for a declaration that declares nothing (init, a blank var).
-	users := map[types.Object]map[types.Object]bool{}
-	for _, c := range l.pkgs {
-		scope := c.pkg.Scope()
+	// uses[owner] holds what the declaration of owner names: owner is the
+	// top-level object or method a declaration declares, nil for one that
+	// declares none (a blank var). A method's receiver is not a use.
+	// Interface methods are tracked out of scope too: live code that names
+	// one calls through it.
+	uses := map[types.Object][]types.Object{}
+	tracked := func(obj types.Object) bool {
+		if scope[obj] != "" {
+			return true
+		}
+		fn, ok := obj.(*types.Func)
+		return ok && isInterfaceMethod(fn)
+	}
+	for _, c := range pkgs {
 		record := func(owner types.Object, n ast.Node) {
+			if _, ok := uses[owner]; !ok {
+				uses[owner] = nil // a declaration outside the scope is live even if it names nothing
+			}
 			ast.Inspect(n, func(n ast.Node) bool {
 				if id, ok := n.(*ast.Ident); ok {
-					if obj := c.info.Uses[id]; obj != nil && obj != owner && names[obj] != "" {
-						if users[obj] == nil {
-							users[obj] = map[types.Object]bool{}
-						}
-						users[obj][owner] = true
+					obj := c.info.Uses[id]
+					if fn, ok := obj.(*types.Func); ok {
+						obj = fn.Origin() // a generic type's method, not one instance's
+					}
+					if obj != nil && obj != owner && tracked(obj) {
+						uses[owner] = append(uses[owner], obj)
 					}
 				}
 				return true
 			})
 		}
+		s := c.pkg.Scope()
 		for _, file := range c.files {
 			for _, decl := range file.Decls {
 				switch d := decl.(type) {
 				case *ast.FuncDecl:
-					owner := scope.Lookup(d.Name.Name)
-					if d.Recv != nil {
-						owner = scope.Lookup(receiverName(d.Recv.List[0].Type))
+					owner := c.info.Defs[d.Name]
+					record(owner, d.Type)
+					if d.Body != nil {
+						record(owner, d.Body)
 					}
-					record(owner, d)
 				case *ast.GenDecl:
 					for _, spec := range d.Specs {
-						switch s := spec.(type) {
+						switch sp := spec.(type) {
 						case *ast.TypeSpec:
-							record(scope.Lookup(s.Name.Name), s)
+							record(s.Lookup(sp.Name.Name), sp)
 						case *ast.ValueSpec:
-							record(scope.Lookup(s.Names[0].Name), s)
+							record(s.Lookup(sp.Names[0].Name), sp)
 						}
 					}
 				}
@@ -326,40 +414,138 @@ func TestEveryExportHasACaller(t *testing.T) {
 		}
 	}
 
-	// A name is dead when every declaration that names it is dead. Kept
-	// names count as live users, so what only they reach stays; a keep is
-	// stale when a live declaration outside the keep list names it.
-	dead := map[types.Object]bool{}
-	liveUser := func(obj types.Object, keepsCount bool) bool {
-		for owner := range users[obj] {
-			if _, kept := exportKeeps[names[owner]]; kept && !keepsCount {
-				continue
-			}
-			if owner == nil || !dead[owner] {
-				return true
+	// byType[T] holds the methods that live once T does: its methods outside
+	// the scope, the ones that satisfy a stdInterface, and each
+	// implementation of an interface method live code names, which waits for
+	// that interface method too.
+	type impl struct{ via, method types.Object }
+	byType := map[types.Object][]impl{}
+	byIface := map[types.Object][]impl{} // via is the implementing type here
+	for _, tn := range named {
+		for _, m := range declaredMethods(tn) {
+			if scope[m] == "" {
+				byType[tn] = append(byType[tn], impl{nil, m})
 			}
 		}
-		return false
 	}
-	for changed := true; changed; {
-		changed = false
-		for obj, name := range names {
-			if _, kept := exportKeeps[name]; !kept && !dead[obj] && !liveUser(obj, true) {
-				dead[obj], changed = true, true
+	implementers := map[*types.Interface][]*types.TypeName{}
+	implementersOf := func(iface *types.Interface) []*types.TypeName {
+		tns, seen := implementers[iface]
+		if !seen {
+			for _, tn := range named {
+				typ := tn.Type()
+				if _, isIface := typ.Underlying().(*types.Interface); isIface || typ.(*types.Named).TypeParams().Len() > 0 {
+					continue
+				}
+				if types.Implements(typ, iface) || types.Implements(types.NewPointer(typ), iface) {
+					tns = append(tns, tn)
+				}
 			}
+			implementers[iface] = tns
+		}
+		return tns
+	}
+	methodOf := func(tn *types.TypeName, m *types.Func) types.Object {
+		obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(tn.Type()), false, m.Pkg(), m.Name())
+		return obj
+	}
+	for _, ref := range stdInterfaces {
+		obj := types.Universe.Lookup(ref.name)
+		if ref.pkg != "" {
+			p, err := l.std.Import(ref.pkg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			obj = p.Scope().Lookup(ref.name)
+		}
+		iface := obj.Type().Underlying().(*types.Interface)
+		for _, tn := range implementersOf(iface) {
+			for i := 0; i < iface.NumMethods(); i++ {
+				if m := methodOf(tn, iface.Method(i)); scope[m] != "" {
+					byType[tn] = append(byType[tn], impl{nil, m})
+				}
+			}
+		}
+	}
+	// Every interface method live code can reach: the ones it names, and
+	// the ones in scope (a kept one reaches its implementations too).
+	seen := map[types.Object]bool{}
+	addImpls := func(obj types.Object) {
+		fn, ok := obj.(*types.Func)
+		if !ok || !isInterfaceMethod(fn) || seen[fn] {
+			return
+		}
+		seen[fn] = true
+		for _, tn := range implementersOf(fn.Type().(*types.Signature).Recv().Type().Underlying().(*types.Interface)) {
+			if m := methodOf(tn, fn); scope[m] != "" {
+				byType[tn] = append(byType[tn], impl{fn, m})
+				byIface[fn] = append(byIface[fn], impl{tn, m})
+			}
+		}
+	}
+	for obj := range scope {
+		addImpls(obj)
+	}
+	for _, objs := range uses {
+		for _, obj := range objs {
+			addImpls(obj)
 		}
 	}
 
+	// reachable is everything live code reaches from the declarations outside
+	// the scope, and from the kept names when withKeeps is set.
+	reachable := func(withKeeps bool) map[types.Object]bool {
+		live := map[types.Object]bool{}
+		var work []types.Object
+		reach := func(obj types.Object) {
+			if !live[obj] {
+				live[obj] = true
+				work = append(work, obj)
+			}
+		}
+		for owner := range uses {
+			if owner == nil || (scope[owner] == "" && !isMethod(owner)) {
+				reach(owner)
+			}
+		}
+		for obj, name := range scope {
+			if _, kept := exportKeeps[name]; kept && withKeeps {
+				reach(obj)
+			}
+		}
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, used := range uses[obj] {
+				reach(used)
+			}
+			for _, im := range byType[obj] {
+				if im.via == nil || live[im.via] {
+					reach(im.method)
+				}
+			}
+			for _, im := range byIface[obj] {
+				if live[im.via] {
+					reach(im.method)
+				}
+			}
+		}
+		return live
+	}
+	live, liveWithoutKeeps := reachable(true), reachable(false)
+
+	for name, reason := range exportKeeps {
+		switch reason {
+		case keepBench, keepOracle, keepSeam, keepDict:
+		default:
+			t.Errorf("keep %s: %q is not one of the four keep reasons", name, reason)
+		}
+	}
 	declared := map[string]bool{}
-	var unused []string
-	for obj, name := range names {
+	for obj, name := range scope {
 		declared[name] = true
-		reason, kept := exportKeeps[name]
-		switch {
-		case kept && liveUser(obj, false):
-			t.Errorf("stale keep: %s now has a non-test caller (reason was %q)", name, reason)
-		case dead[obj]:
-			unused = append(unused, name)
+		if _, kept := exportKeeps[name]; kept && liveWithoutKeeps[obj] {
+			t.Errorf("stale keep: %s now has a live caller (reason was %q)", name, exportKeeps[name])
 		}
 	}
 	for name := range exportKeeps {
@@ -367,37 +553,107 @@ func TestEveryExportHasACaller(t *testing.T) {
 			t.Errorf("stale keep: %s no longer exists", name)
 		}
 	}
+
+	// Report each dead name once: a dead type's methods go with it.
+	const (
+		topLevel = iota
+		method
+		facade
+	)
+	var total, kept, dead [3]int
+	var unused []string
+	for obj, name := range scope {
+		class := topLevel
+		if isMethod(obj) {
+			class = method
+		}
+		if obj.Pkg().Path() == "repro" {
+			class = facade
+		}
+		total[class]++
+		if _, ok := exportKeeps[name]; ok {
+			kept[class]++
+		}
+		if recv := receiverObj(obj); live[obj] || (recv != nil && !live[recv]) {
+			continue
+		}
+		dead[class]++
+		unused = append(unused, name)
+	}
 	sort.Strings(unused)
 	for _, name := range unused {
-		t.Errorf("%s: no non-test code names it — delete it, or list it in exportKeeps with its reason", name)
+		t.Errorf("%s: no live code names it — delete it, or list it in exportKeeps with its reason", name)
 	}
-	t.Logf("%d exported funcs, types, vars and consts, %d kept by name, %d without a caller", len(names), len(exportKeeps), len(unused))
+	t.Logf("%d exported funcs, types, vars and consts of internal/, %d kept by name, %d without a caller", total[topLevel], kept[topLevel], dead[topLevel])
+	t.Logf("%d exported methods of internal/ types, %d kept by name, %d without a caller", total[method], kept[method], dead[method])
+	t.Logf("%d façade names and methods, %d kept by name, %d without a caller", total[facade], kept[facade], dead[facade])
 
 	// storage.Fetcher keeps Fetch only because benchmarks/ compiles against
 	// it (ROADMAP 1A(vi)); storage.FetchOne is the single-sample path.
 	for _, c := range l.pkgs {
 		for id, obj := range c.info.Uses {
-			if fn, ok := obj.(*types.Func); ok && fn.Name() == "Fetch" && fn.Type().(*types.Signature).Recv() != nil {
+			if fn, ok := obj.(*types.Func); ok && fn.Name() == "Fetch" && isMethod(fn) {
 				t.Errorf("%s calls a Fetch method; call storage.FetchOne", l.fset.Position(id.Pos()))
 			}
 		}
 	}
 }
 
-// receiverName is the type name a method's receiver expression names.
-func receiverName(e ast.Expr) string {
-	for {
-		switch x := e.(type) {
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.IndexListExpr:
-			e = x.X
-		case *ast.Ident:
-			return x.Name
-		default:
-			return ""
+// checkExamples type-checks example_test.go: its Example functions are the
+// façade's documented callers.
+func (l *sourceLoader) checkExamples() (*checked, error) {
+	f, err := parser.ParseFile(l.fset, "example_test.go", nil, parser.SkipObjectResolution)
+	if err != nil {
+		return nil, err
+	}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	p, err := (&types.Config{Importer: l}).Check("repro_test", l.fset, []*ast.File{f}, info)
+	if err != nil {
+		return nil, err
+	}
+	return &checked{p, info, []*ast.File{f}}, nil
+}
+
+// declaredMethods are the methods declared on tn: a named type's own, or an
+// interface's explicit ones.
+func declaredMethods(tn *types.TypeName) []*types.Func {
+	var ms []*types.Func
+	if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
+		for i := 0; i < iface.NumExplicitMethods(); i++ {
+			ms = append(ms, iface.ExplicitMethod(i))
+		}
+		return ms
+	}
+	if n, ok := tn.Type().(*types.Named); ok {
+		for i := 0; i < n.NumMethods(); i++ {
+			ms = append(ms, n.Method(i))
 		}
 	}
+	return ms
+}
+
+func isMethod(obj types.Object) bool {
+	fn, ok := obj.(*types.Func)
+	return ok && fn.Type().(*types.Signature).Recv() != nil
+}
+
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
+}
+
+// receiverObj is the named type a method is declared on, nil for anything
+// else.
+func receiverObj(obj types.Object) types.Object {
+	if !isMethod(obj) {
+		return nil
+	}
+	typ := obj.Type().(*types.Signature).Recv().Type()
+	if p, ok := typ.(*types.Pointer); ok {
+		typ = p.Elem()
+	}
+	if n, ok := typ.(*types.Named); ok {
+		return n.Obj()
+	}
+	return nil
 }

@@ -14,14 +14,12 @@
 //
 // The model tier replays profiled traces through a discrete-event simulator
 // at full paper scale: GenerateTrace draws datasets matching the paper's
-// OpenImages/ImageNet statistics, SimulateEpoch evaluates a plan, and
-// Reproduce regenerates every table and figure in the evaluation.
+// OpenImages/ImageNet statistics, and SimulateEpoch evaluates a plan.
 package sophon
 
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 
 	"repro/internal/cache"
@@ -29,7 +27,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
-	"repro/internal/eval"
 	"repro/internal/gpu"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
@@ -63,37 +60,20 @@ type (
 	EpochReport = trainsim.EpochReport
 	// SimResult summarizes a simulated epoch.
 	SimResult = engine.Result
-	// GPUModel is a training model's speed profile.
-	GPUModel = gpu.Model
-	// ExperimentOptions scales the paper-reproduction experiments.
-	ExperimentOptions = eval.Options
-
-	// PlanVersion is the control plane's monotonic plan identity.
-	PlanVersion = policy.PlanVersion
 	// PlanSnapshot is an immutable versioned plan plus the environment it
 	// was computed against.
 	PlanSnapshot = policy.PlanSnapshot
-	// PlanProvider is the consumer-side view of the adaptive control plane.
-	PlanProvider = policy.PlanProvider
 	// DriftConfig tunes the profiler's drift detection (EWMA smoothing,
 	// relative-change threshold, hysteresis).
 	DriftConfig = profiler.DriftConfig
-	// ReplanEvent is one control-plane transition in the replan history.
-	ReplanEvent = core.ReplanEvent
 	// EpochSample is one epoch's measured environment, fed to the
 	// controller at epoch boundaries.
 	EpochSample = profiler.EpochSample
-	// Drift reports one metric that moved past its gate.
-	Drift = profiler.Drift
 	// Controller is the adaptive control plane: telemetry in, versioned
 	// plans out.
 	Controller = core.Controller
 	// ControllerConfig configures NewController.
 	ControllerConfig = core.ControllerConfig
-	// AdaptiveSimConfig configures RunAdaptiveSim at the model tier.
-	AdaptiveSimConfig = core.SimConfig
-	// AdaptiveSimResult is a full adaptive (or static) simulated run.
-	AdaptiveSimResult = core.SimResult
 )
 
 // NewController builds the adaptive control plane over a profiled trace: it
@@ -103,21 +83,8 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	return core.NewController(cfg)
 }
 
-// RunAdaptiveSim drives the controller loop through the discrete-event
-// engine: each epoch simulates the current plan against that epoch's true
-// environment and feeds the measured outcome back to the controller. Run it
-// twice — Adaptive true and false — over the same environment schedule to
-// compare adaptive against static replanning.
-func RunAdaptiveSim(cfg AdaptiveSimConfig) (AdaptiveSimResult, error) {
-	return core.RunAdaptiveSim(cfg)
-}
-
-// GPU model profiles.
-var (
-	AlexNet  = gpu.AlexNet
-	ResNet18 = gpu.ResNet18
-	ResNet50 = gpu.ResNet50
-)
+// AlexNet is the paper's GPU model profile.
+var AlexNet = gpu.AlexNet
 
 // Mbps converts megabits/second to the bytes/second used by Env.Bandwidth.
 func Mbps(v float64) float64 { return netsim.Mbps(v) }
@@ -125,9 +92,6 @@ func Mbps(v float64) float64 { return netsim.Mbps(v) }
 // Policies.
 func NewSophonPolicy() Policy { return policy.NewSophon() }
 func NoOffPolicy() Policy     { return policy.NoOff{} }
-func AllOffPolicy() Policy    { return policy.AllOff{} }
-func ResizeOffPolicy() Policy { return policy.ResizeOff{} }
-func FastFlowPolicy() Policy  { return policy.FastFlow{} }
 
 // AllPolicies returns every policy in the paper's figure order.
 func AllPolicies() []Policy { return policy.All() }
@@ -174,12 +138,6 @@ func SimulatePolicy(p Policy, tr *Trace, env Env) (SimResult, *Plan, error) {
 	return engine.RunPolicy(p, tr, env, 0)
 }
 
-// Reproduce regenerates every table and figure from the paper's evaluation,
-// writing the report to w. Zero-valued options mean paper scale.
-func Reproduce(opts ExperimentOptions, w io.Writer) error {
-	return eval.RunAll(opts, w)
-}
-
 // ClusterConfig configures an in-process two-node testbed.
 type ClusterConfig struct {
 	// DatasetName labels the synthetic dataset; empty means "synthetic".
@@ -208,7 +166,6 @@ type Cluster struct {
 	server   *storage.Server
 	listener net.Listener
 	pipe     *pipeline.Pipeline
-	set      *dataset.ImageSet
 	addr     string
 	bucket   *netsim.TokenBucket
 }
@@ -256,7 +213,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		l = chaosListener{Listener: l, budget: cfg.ChaosConnBudget}
 	}
 	go srv.Serve(l)
-	return &Cluster{server: srv, listener: l, pipe: p, set: set, addr: inner.Addr().String(), bucket: bucket}, nil
+	return &Cluster{server: srv, listener: l, pipe: p, addr: inner.Addr().String(), bucket: bucket}, nil
 }
 
 // chaosListener severs every accepted connection after budget bytes.
@@ -272,15 +229,6 @@ func (l chaosListener) Accept() (net.Conn, error) {
 	}
 	return chaos.WrapConn(conn, chaos.CloseAfter(l.budget), nil, nil, nil), nil
 }
-
-// Addr returns the server's TCP address.
-func (c *Cluster) Addr() string { return c.addr }
-
-// Pipeline returns the preprocessing pipeline both nodes run.
-func (c *Cluster) Pipeline() *pipeline.Pipeline { return c.pipe }
-
-// NumSamples returns the dataset size.
-func (c *Cluster) NumSamples() int { return c.set.N() }
 
 // Dial opens a storage client for the given training job.
 func (c *Cluster) Dial(jobID uint64) (*storage.Client, error) {
@@ -488,54 +436,4 @@ func (t *Trainer) AutoTrain(epochs int, env Env, probeBatches int) (Decision, []
 		reports = append(reports, rep)
 	}
 	return decision, reports, nil
-}
-
-// AdaptiveTrainResult is the outcome of an adaptive live training run.
-type AdaptiveTrainResult struct {
-	// Reports holds one entry per epoch, the profiling epoch included; each
-	// records the plan version it ran under.
-	Reports []EpochReport
-	// History is the controller's replan history, the "initial" plan first.
-	History []ReplanEvent
-	// Final is the planning outcome in force when training ended.
-	Final Decision
-}
-
-// AutoTrainAdaptive is AutoTrain with the control plane closed into a loop:
-// after the profiling epoch seeds the plan, every later epoch runs under the
-// controller's current snapshot, a serial fetch probe re-measures the link,
-// and the controller replans at the next epoch boundary when the measurement
-// drifts past the configured gates. The zero DriftConfig uses the default
-// thresholds. Bandwidth probing fetches raw samples, so runs with a local
-// cache attached (TrainerOptions.CacheBytes) will measure the cache, not
-// the link.
-func (t *Trainer) AutoTrainAdaptive(epochs int, env Env, probeBatches int, drift DriftConfig) (AdaptiveTrainResult, error) {
-	if epochs < 1 {
-		return AdaptiveTrainResult{}, errors.New("sophon: epochs must be >= 1")
-	}
-	trace, _, first, err := t.Profile(probeBatches)
-	if err != nil {
-		return AdaptiveTrainResult{}, err
-	}
-	ctrl, err := core.NewController(core.ControllerConfig{Trace: trace, Env: env, Drift: drift})
-	if err != nil {
-		return AdaptiveTrainResult{}, err
-	}
-	reports := []EpochReport{first}
-	for e := 2; e <= epochs; e++ {
-		snap := ctrl.Current()
-		rep, err := t.inner.RunEpochSnapshot(uint64(e), snap, nil)
-		if err != nil {
-			return AdaptiveTrainResult{}, err
-		}
-		reports = append(reports, rep)
-		bw, err := t.MeasureBandwidth(t.inner.ProbeSamples())
-		if err != nil {
-			return AdaptiveTrainResult{}, err
-		}
-		if _, _, err := ctrl.ObserveEpoch(profiler.EpochSample{Epoch: uint64(e), Bandwidth: bw}); err != nil {
-			return AdaptiveTrainResult{}, err
-		}
-	}
-	return AdaptiveTrainResult{Reports: reports, History: ctrl.History(), Final: ctrl.Decision()}, nil
 }
