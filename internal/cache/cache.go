@@ -18,25 +18,16 @@ import (
 	"sync"
 )
 
-// Cache is a byte-capacity key/value store over sample IDs.
-type Cache interface {
-	// Get returns the cached bytes and whether they were present.
-	Get(id uint32) ([]byte, bool)
-	// Put inserts bytes if they fit. Objects larger than the capacity are
-	// not cached.
-	Put(id uint32, data []byte)
-}
-
 // ErrBadCapacity reports a non-positive capacity.
 var ErrBadCapacity = errors.New("cache: capacity must be positive")
 
-// noEvictCache admits objects until full and never evicts — the policy DL
-// caches (CoorDL's MinIO cache, Quiver's substitutable cache) use, because
-// under repeated full-dataset scans any churn-based policy (LRU, random
-// replacement) evicts every object right before its next use and converges
-// to ~zero hits, while a frozen resident set yields a stable
-// capacity/datasetSize hit rate.
-type noEvictCache struct {
+// NoEvict is a byte-capacity store over sample IDs that admits objects until
+// full and never evicts — the policy DL caches (CoorDL's MinIO cache,
+// Quiver's substitutable cache) use, because under repeated full-dataset
+// scans any churn-based policy (LRU, random replacement) evicts every object
+// right before its next use and converges to ~zero hits, while a frozen
+// resident set yields a stable capacity/datasetSize hit rate.
+type NoEvict struct {
 	mu       sync.Mutex
 	capacity int64
 	bytes    int64
@@ -44,24 +35,27 @@ type noEvictCache struct {
 }
 
 // NewNoEvict builds an admit-until-full, never-evict cache.
-func NewNoEvict(capacity int64) (Cache, error) {
+func NewNoEvict(capacity int64) (*NoEvict, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
 	}
-	return &noEvictCache{
+	return &NoEvict{
 		capacity: capacity,
 		data:     make(map[uint32][]byte),
 	}, nil
 }
 
-func (c *noEvictCache) Get(id uint32) ([]byte, bool) {
+// Get returns the cached bytes and whether they were present.
+func (c *NoEvict) Get(id uint32) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d, ok := c.data[id]
 	return d, ok
 }
 
-func (c *noEvictCache) Put(id uint32, data []byte) {
+// Put inserts bytes if they fit. Objects larger than the capacity are not
+// cached.
+func (c *NoEvict) Put(id uint32, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.data[id]; ok {

@@ -30,7 +30,7 @@ func TestOversizedObjectNotCached(t *testing.T) {
 	if _, ok := c.Get(1); ok {
 		t.Fatal("cached an object larger than capacity")
 	}
-	if c.(*noEvictCache).bytes != 0 {
+	if c.bytes != 0 {
 		t.Fatal("oversized object consumed bytes")
 	}
 }
@@ -54,7 +54,7 @@ func TestCapacityInvariantProperty(t *testing.T) {
 					return false
 				}
 			}
-			if c.(*noEvictCache).bytes > capacity {
+			if c.bytes > capacity {
 				return false
 			}
 		}
@@ -189,7 +189,7 @@ func TestFetchingCacheLive(t *testing.T) {
 	if off.WireBytes == 0 || off.Artifact.Kind != pipeline.KindImage {
 		t.Fatal("offloaded fetch served from cache")
 	}
-	if n := len(inner.(*noEvictCache).data); n != 1 {
+	if n := len(inner.data); n != 1 {
 		t.Fatalf("cache holds %d objects, want the one raw fetch", n)
 	}
 }

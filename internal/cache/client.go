@@ -18,11 +18,11 @@ import (
 // preprocessed datasets.
 type FetchingCache struct {
 	client storage.Fetcher
-	cache  Cache
+	cache  *NoEvict
 }
 
 // NewFetchingCache wraps client with cache.
-func NewFetchingCache(client storage.Fetcher, c Cache) *FetchingCache {
+func NewFetchingCache(client storage.Fetcher, c *NoEvict) *FetchingCache {
 	return &FetchingCache{client: client, cache: c}
 }
 

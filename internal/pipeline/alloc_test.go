@@ -81,6 +81,42 @@ func TestFullPipelineSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestProfileAllocs: the profiling kernel allocates what Run does (crop and
+// tensor headers) plus the trace's three slices; the fused pairs build
+// neither the decoded image nor the un-normalised tensor, and sizing a packed
+// stage draws its scratch from the pools.
+func TestProfileAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // warm the P AllocsPerRun measures on
+	im, err := imaging.Synthesize(imaging.SynthParams{W: 320, H: 240, Detail: 0.5, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := imaging.EncodeDefault(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultStandard()
+	var i uint64
+	run := func() {
+		out, _, err := p.Profile(raw, Seed{Job: 3, Epoch: 1, Sample: i % 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out.Release()
+		i++
+	}
+	for range 4 {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(20, run); allocs != 5 {
+		t.Fatalf("Profile makes %.1f allocs/op at steady state, want 5 (crop and tensor headers, three trace slices)", allocs)
+	}
+}
+
 // TestDecodeArtifactImageSteadyStateAllocs: unpacking an image artifact
 // allocates the returned Image header and nothing else — the inflater, the
 // plane scratch and the pixels are pooled — as copying raw pixels did.

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -76,6 +77,64 @@ func FuzzDecodeArtifact(f *testing.F) {
 			}
 		} else if len(enc) != a.WireSize() {
 			t.Fatalf("WireSize %d != encoded %d", a.WireSize(), len(enc))
+		}
+	})
+}
+
+// FuzzProfileMatchesRun: the profiling kernel accepts exactly what Run
+// accepts, failing with Run's error, and returns Run's bytes, whose encoded
+// size is its last stage's Shipped.
+func FuzzProfileMatchesRun(f *testing.F) {
+	im, err := imaging.Synthesize(imaging.SynthParams{W: 40, H: 35, Detail: 0.5, Seed: 3})
+	if err != nil {
+		f.Fatal(err)
+	}
+	one, err := imaging.EncodeDefault(im)
+	if err != nil {
+		f.Fatal(err)
+	}
+	deep, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, imaging.MaxScans)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, raw := range [][]byte{one, deep} {
+		f.Add(raw, uint64(0))
+		for cut := 0; cut < len(raw); cut += 23 {
+			f.Add(raw[:cut], uint64(cut))
+		}
+		for bit := 0; bit < 8*len(raw); bit += 61 {
+			d := append([]byte(nil), raw...)
+			d[bit/8] ^= 1 << (bit % 8)
+			f.Add(d, uint64(bit))
+		}
+	}
+	f.Add([]byte{}, uint64(1))
+	p := Standard(StandardOptions{CropSize: 24, FlipP: -1})
+	f.Fuzz(func(t *testing.T, raw []byte, sample uint64) {
+		seed := Seed{Job: 2, Epoch: 1, Sample: sample}
+		want, runErr := p.Run(raw, seed)
+		got, st, err := p.Profile(raw, seed)
+		if (err == nil) != (runErr == nil) || err != nil && err.Error() != runErr.Error() {
+			t.Fatalf("Profile err %v, Run err %v", err, runErr)
+		}
+		if err != nil {
+			return
+		}
+		defer want.Release()
+		defer got.Release()
+		a, err := want.AppendEncode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := got.AppendEncode(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a, b) {
+			t.Fatal("Profile's artifact differs from Run's")
+		}
+		if st.Shipped[p.Len()] != len(b) {
+			t.Fatalf("last stage ships %d bytes, encodes to %d", st.Shipped[p.Len()], len(b))
 		}
 	})
 }

@@ -119,20 +119,21 @@ func (op randomResizedCropOp) Apply(a Artifact, rng *rand.Rand) (Artifact, error
 }
 
 // decodeCrop is decodeOp then op on the same raw sample, as one imaging kernel
-// that never builds the full image. The rect is sampled from the header's
-// dimensions — the ones the decoded image would have — with op's own rng
-// stream, so it is the rect Apply would have drawn. A failure is the stream's:
-// sampleRect only returns rects inside w×h.
-func (op randomResizedCropOp) decodeCrop(raw []byte, rng *rand.Rand) (*imaging.Image, error) {
+// that never builds the full image; decoded is the ImageWireSize that image
+// would have had. The rect is sampled from the header's dimensions — the ones
+// the decoded image would have — with op's own rng stream, so it is the rect
+// Apply would have drawn. A failure is the stream's: sampleRect only returns
+// rects inside w×h.
+func (op randomResizedCropOp) decodeCrop(raw []byte, rng *rand.Rand) (im *imaging.Image, decoded int, err error) {
 	w, h, err := imaging.DecodeDims(raw)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: decode: %w", err)
+		return nil, 0, fmt.Errorf("pipeline: decode: %w", err)
 	}
-	im, err := imaging.DecodeCropResize(raw, op.sampleRect(w, h, rng), op.Size, op.Size)
+	im, err = imaging.DecodeCropResize(raw, op.sampleRect(w, h, rng), op.Size, op.Size)
 	if err != nil {
-		return nil, fmt.Errorf("pipeline: decode: %w", err)
+		return nil, 0, fmt.Errorf("pipeline: decode: %w", err)
 	}
-	return im, nil
+	return im, ImageWireSize(w, h), nil
 }
 
 func (op randomResizedCropOp) sampleRect(w, h int, rng *rand.Rand) imaging.Rect {

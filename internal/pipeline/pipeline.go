@@ -113,11 +113,9 @@ func (h *rngHolder) seedFor(seed Seed, opIndex int) *rand.Rand {
 // payloads are borrowed and left untouched). The returned artifact is owned
 // by the caller — Release it when done to keep the path allocation-free.
 //
-// Two adjacent pairs inside [from, to) run as one kernel each, bit-identical
-// to the sequential pair (Trace, which never fuses, is the reference):
-// Decode+RandomResizedCrop on a raw artifact dequantizes only the pixels the
-// crop samples (randomResizedCropOp.decodeCrop), and ToTensor+Normalize is a
-// single pass (tensor.FromImageNormalized; both ops ignore their rng).
+// Two adjacent pairs inside [from, to) run as one kernel each (step),
+// bit-identical to the sequential pair (Trace, which never fuses, is the
+// reference).
 func (p *Pipeline) RunRange(a Artifact, from, to int, seed Seed) (Artifact, error) {
 	if from < 0 || to > len(p.ops) || from > to {
 		return Artifact{}, fmt.Errorf("%w: [%d, %d) of %d ops", ErrBadSplit, from, to, len(p.ops))
@@ -126,36 +124,52 @@ func (p *Pipeline) RunRange(a Artifact, from, to int, seed Seed) (Artifact, erro
 	defer rngPool.Put(h)
 	cur := a
 	for i := from; i < to; i++ {
-		if _, isDec := p.ops[i].(decodeOp); isDec && i+1 < to && cur.Kind == KindRaw {
-			if crop, isCrop := p.ops[i+1].(randomResizedCropOp); isCrop {
-				im, err := crop.decodeCrop(cur.Raw, h.seedFor(seed, i+1))
-				if err != nil {
-					return Artifact{}, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].Name(), err)
-				}
-				cur = ImageArtifact(im)
-				i++ // loop increment skips the fused crop as well
-				continue
-			}
-		}
-		if _, isTT := p.ops[i].(toTensorOp); isTT && i+1 < to && cur.Kind == KindImage {
-			if nz, isNZ := p.ops[i+1].(normalizeOp); isNZ {
-				t, err := tensor.FromImageNormalized(cur.Image, nz.Mean, nz.Std)
-				if err != nil {
-					return Artifact{}, fmt.Errorf("pipeline: op %d (%s): %w", i+1, p.ops[i+1].Name(), err)
-				}
-				cur.Image.Release()
-				cur = TensorArtifact(t)
-				i++ // loop increment skips the fused Normalize as well
-				continue
-			}
-		}
-		next, err := p.ops[i].Apply(cur, h.seedFor(seed, i))
+		next, skipped, err := p.step(cur, i, to, h, seed)
 		if err != nil {
-			return Artifact{}, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].Name(), err)
+			return Artifact{}, err
+		}
+		if skipped > 0 {
+			i++ // loop increment skips the pair's second op as well
 		}
 		cur = next
 	}
 	return cur, nil
+}
+
+// step applies op i to cur, or ops i and i+1 as one kernel when both lie
+// below to and form a fused pair: Decode+RandomResizedCrop on a raw artifact
+// dequantizes only the pixels the crop samples (randomResizedCropOp.decodeCrop),
+// and ToTensor+Normalize is a single pass (tensor.FromImageNormalized; both
+// ops ignore their rng). skipped is 0 when op i ran alone; after a pair it is
+// the law size of the stage the pair never built — the decoded image's
+// ImageWireSize, the un-normalised tensor's TensorWireSize.
+func (p *Pipeline) step(cur Artifact, i, to int, h *rngHolder, seed Seed) (next Artifact, skipped int, err error) {
+	if i+1 < to {
+		switch second := p.ops[i+1].(type) {
+		case randomResizedCropOp:
+			if _, isDec := p.ops[i].(decodeOp); isDec && cur.Kind == KindRaw {
+				im, decoded, err := second.decodeCrop(cur.Raw, h.seedFor(seed, i+1))
+				if err != nil {
+					return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].Name(), err)
+				}
+				return ImageArtifact(im), decoded, nil
+			}
+		case normalizeOp:
+			if _, isTT := p.ops[i].(toTensorOp); isTT && cur.Kind == KindImage {
+				t, err := tensor.FromImageNormalized(cur.Image, second.Mean, second.Std)
+				if err != nil {
+					return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i+1, second.Name(), err)
+				}
+				cur.Image.Release()
+				return TensorArtifact(t), TensorWireSize(t.C, t.H, t.W), nil
+			}
+		}
+	}
+	next, err = p.ops[i].Apply(cur, h.seedFor(seed, i))
+	if err != nil {
+		return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].Name(), err)
+	}
+	return next, 0, nil
 }
 
 // Run applies the full pipeline to raw sample bytes.
@@ -192,10 +206,10 @@ func (t StageTrace) MinStage() int {
 }
 
 // Trace runs the full pipeline over raw bytes, recording per-stage sizes and
-// per-op wall times. It is the measurement kernel of the profiler's second
-// stage, so it deliberately runs every op sequentially — no
-// ToTensor+Normalize fusion — to measure each op's true cost. Image stages
-// are sized once each, outside the op timings, to learn what they ship.
+// per-op wall times. It is the reference: it deliberately runs every op
+// sequentially — no fused pair — so every stage is built and each op's own
+// cost measured. Image stages are sized once each, outside the op timings, to
+// learn what they ship.
 func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 	trace := StageTrace{
 		Sizes:   make([]int, len(p.ops)+1),
@@ -215,6 +229,44 @@ func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 		cur = next
 		trace.Sizes[i+1] = cur.WireSize()
 		trace.Shipped[i+1] = shippedSize(cur)
+	}
+	return cur, trace, nil
+}
+
+// Profile is the measurement kernel of the profiler's second stage: it runs
+// the full pipeline over raw bytes as Run does, through step, timing each
+// step and recording the sizes after every stage it builds, as Trace sizes
+// them and outside the timings. A stage inside a fused pair is never built:
+// it gets its law size as both Sizes and Shipped — exact for the
+// un-normalised tensor, an unpacked upper price for the decoded image — and
+// the pair's time goes on its first op, its second reading 0. PrefixTime is
+// thus exact at every cut outside a pair.
+func (p *Pipeline) Profile(raw []byte, seed Seed) (Artifact, StageTrace, error) {
+	trace := StageTrace{
+		Sizes:   make([]int, len(p.ops)+1),
+		Shipped: make([]int, len(p.ops)+1),
+		OpTimes: make([]time.Duration, len(p.ops)),
+	}
+	h := rngPool.Get().(*rngHolder)
+	defer rngPool.Put(h)
+	cur := RawArtifact(raw)
+	trace.Sizes[0] = cur.WireSize()
+	trace.Shipped[0] = trace.Sizes[0]
+	for i := 0; i < len(p.ops); {
+		start := time.Now()
+		next, skipped, err := p.step(cur, i, len(p.ops), h, seed)
+		trace.OpTimes[i] = time.Since(start)
+		if err != nil {
+			return Artifact{}, StageTrace{}, err
+		}
+		i++
+		if skipped > 0 { // stage i, inside the pair, was never built
+			trace.Sizes[i], trace.Shipped[i] = skipped, skipped
+			i++
+		}
+		cur = next
+		trace.Sizes[i] = cur.WireSize()
+		trace.Shipped[i] = shippedSize(cur)
 	}
 	return cur, trace, nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -511,6 +512,130 @@ func TestFusedPrefixRejectsWhatDecodeRejects(t *testing.T) {
 		// Trace says "pipeline: trace op 0 (Decode): …", Run "pipeline: op 0 (Decode): …".
 		if want := "pipeline: " + strings.TrimPrefix(traceErr.Error(), "pipeline: trace "); runErr.Error() != want {
 			t.Errorf("%s: Run err %q, want Trace's: %q", name, runErr, want)
+		}
+	}
+}
+
+// TestProfileMatchesTrace: the profiling kernel runs the fused path, yet
+// returns Trace's artifact bit for bit and Trace's Sizes at every stage, over
+// benchSet-shaped containers of one scan and of MaxScans, the 128 and 224
+// crops, a pure-crop rect and a pipeline with no fusable pair. Outside a
+// fused pair it ships what Trace ships; inside one (stages 1 and 4 of the
+// standard pipeline) it ships the law size, which bounds Trace's packing, and
+// the pair's second op reads 0. A corrupt object fails both the same way.
+func TestProfileMatchesTrace(t *testing.T) {
+	objects, seeds := 4, 3
+	if testing.Short() || raceflag.Enabled {
+		objects, seeds = 2, 2
+	}
+	noPair, err := New(decodeOp{}, randomHorizontalFlipOp{P: 0.5}, newRandomResizedCrop(96), toTensorOp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(0x5eed, 48)) // imaging's benchSet: 160–640 a side, any detail
+	var corrupt []byte
+	for o := 0; o < objects; o++ {
+		w, h := 160+rng.IntN(481), 160+rng.IntN(481)
+		im, err := imaging.Synthesize(imaging.SynthParams{W: w, H: h, Detail: rng.Float64(), Seed: rng.Uint64()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		one, err := imaging.EncodeDefault(im)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deep, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, imaging.MaxScans)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt = deep
+		// A 128² rect of a square ratio: the resample reads every pixel once.
+		scale := float64(128*128) / float64(w*h)
+		pureCrop := randomResizedCropOp{Size: 128, ScaleLo: scale, ScaleHi: scale, RatioLo: 1, RatioHi: 1, Attempts: 10}
+		pure, err := New(decodeOp{}, pureCrop, randomHorizontalFlipOp{P: 0.5}, toTensorOp{},
+			normalizeOp{Mean: tensor.ImageNetMean, Std: tensor.ImageNetStd})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			name  string
+			p     *Pipeline
+			fused []int // stages inside a fused pair
+		}{
+			{"crop 128", Standard(StandardOptions{CropSize: 128, FlipP: -1}), []int{1, 4}},
+			{"crop 224", DefaultStandard(), []int{1, 4}},
+			{"pure crop", pure, []int{1, 4}},
+			{"no pair", noPair, nil},
+		} {
+			for name, raw := range map[string][]byte{"L1": one, fmt.Sprintf("L%d", imaging.MaxScans): deep} {
+				for s := 0; s < seeds; s++ {
+					at := fmt.Sprintf("%dx%d %s %s seed %d", w, h, name, c.name, s)
+					seed := Seed{Job: 9, Epoch: 1, Sample: uint64(s)}
+					if c.name == "pure crop" {
+						if r := pureCrop.sampleRect(w, h, rngFor(seed, 1)); r.W != 128 || r.H != 128 {
+							t.Fatalf("%s: rect %dx%d is not a pure crop", at, r.W, r.H)
+						}
+					}
+					want, wt, err := c.p.Trace(raw, seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, gt, err := c.p.Profile(raw, seed)
+					if err != nil {
+						t.Fatalf("%s: %v", at, err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("%s: Profile's artifact differs from Trace's", at)
+					}
+					got.Release()
+					want.Release()
+					if len(gt.Sizes) != c.p.Len()+1 || len(gt.Shipped) != c.p.Len()+1 || len(gt.OpTimes) != c.p.Len() {
+						t.Fatalf("%s: trace lengths %d/%d/%d", at, len(gt.Sizes), len(gt.Shipped), len(gt.OpTimes))
+					}
+					for k := range wt.Sizes {
+						if gt.Sizes[k] != wt.Sizes[k] {
+							t.Fatalf("%s: stage %d size %d, Trace's %d", at, k, gt.Sizes[k], wt.Sizes[k])
+						}
+						inPair := slices.Contains(c.fused, k)
+						switch {
+						case !inPair && gt.Shipped[k] != wt.Shipped[k]:
+							t.Fatalf("%s: stage %d ships %d, Trace's %d", at, k, gt.Shipped[k], wt.Shipped[k])
+						case inPair && (gt.Shipped[k] != gt.Sizes[k] || wt.Shipped[k] > gt.Sizes[k]+imaging.Channels):
+							t.Fatalf("%s: fused stage %d ships %d (law %d), Trace packs %d", at, k, gt.Shipped[k], gt.Sizes[k], wt.Shipped[k])
+						case inPair && gt.OpTimes[k] != 0:
+							t.Fatalf("%s: op %d inside a fused pair timed %v", at, k, gt.OpTimes[k])
+						}
+					}
+				}
+			}
+		}
+	}
+	flipped := func(at int) []byte {
+		out := append([]byte(nil), corrupt...)
+		out[at] ^= 0x40
+		return out
+	}
+	p := DefaultStandard()
+	seed := Seed{Job: 9, Epoch: 1, Sample: 1}
+	for name, raw := range map[string][]byte{
+		"empty":       nil,
+		"magic":       flipped(0),
+		"version":     flipped(4),
+		"header cut":  corrupt[:12],
+		"half":        corrupt[:len(corrupt)/2],
+		"mid-scan":    corrupt[:len(corrupt)-5],
+		"one byte on": append(append([]byte(nil), corrupt...), 0),
+	} {
+		_, _, traceErr := p.Trace(raw, seed)
+		_, _, profErr := p.Profile(raw, seed)
+		if traceErr == nil || profErr == nil {
+			t.Errorf("%s: Trace err %v, Profile err %v, want both to fail", name, traceErr, profErr)
+			continue
+		}
+		for _, class := range []error{imaging.ErrCorrupt, imaging.ErrUnsupported, imaging.ErrTruncated} {
+			if errors.Is(traceErr, class) != errors.Is(profErr, class) {
+				t.Errorf("%s: Trace err %v, Profile err %v: not one class", name, traceErr, profErr)
+			}
 		}
 	}
 }

@@ -523,7 +523,7 @@ func directiveFor(plan *policy.Plan, i int) int {
 }
 
 // finishSample runs the local part of one sample's preprocessing (or the
-// profiling trace) under the compute-core budget.
+// profiling kernel, pipeline.Profile) under the compute-core budget.
 func (t *Trainer) finishSample(res storage.FetchResult, epoch uint64, i, split int, collector *profiler.Collector, computeSem chan struct{}) sampleOutcome {
 	// The directive packs (cut, fidelity); only the cut matters locally —
 	// a reduced-fidelity container decodes transparently from fewer scans.
@@ -539,7 +539,7 @@ func (t *Trainer) finishSample(res storage.FetchResult, epoch uint64, i, split i
 		if res.Artifact.Kind != pipeline.KindRaw {
 			return sampleOutcome{err: fmt.Errorf("trainsim: profiling fetch of sample %d returned %s", i, res.Artifact.Kind)}
 		}
-		full, st, err := t.cfg.Pipeline.Trace(res.Artifact.Raw, seed)
+		full, st, err := t.cfg.Pipeline.Profile(res.Artifact.Raw, seed)
 		if err != nil {
 			return sampleOutcome{err: fmt.Errorf("trainsim: profile sample %d: %w", i, err)}
 		}

@@ -302,7 +302,7 @@ type Trainer struct {
 
 // NewTrainer dials the cluster and builds a trainer.
 func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
-	var sharedCache cache.Cache
+	var sharedCache *cache.NoEvict
 	if opts.CacheBytes > 0 {
 		var err error
 		sharedCache, err = cache.NewNoEvict(opts.CacheBytes)
