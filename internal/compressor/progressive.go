@@ -25,6 +25,7 @@ func MaterializeProgressive(set *dataset.ImageSet, scans int) ([][]byte, any, er
 		im, err := set.Image(i)
 		if err == nil {
 			out[i], err = imaging.EncodeProgressive(im, m.Quality, scans)
+			im.Release()
 		}
 		if err != nil {
 			return fmt.Errorf("compressor: materialize progressive sample %d: %w", i, err)

@@ -84,7 +84,8 @@ func (s *ImageSet) Meta(i int) (ImageMeta, error) {
 	return s.metas[i], nil
 }
 
-// Image renders sample i's pixels.
+// Image renders sample i's pixels into a pooled image (imaging.Synthesize);
+// the caller may Release it.
 func (s *ImageSet) Image(i int) (*imaging.Image, error) {
 	m, err := s.Meta(i)
 	if err != nil {
@@ -104,6 +105,7 @@ func (s *ImageSet) Raw(i int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	defer im.Release()
 	return imaging.Encode(im, m.Quality)
 }
 

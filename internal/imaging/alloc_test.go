@@ -109,6 +109,36 @@ func TestEncodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestSynthesizeAllocs: the pixels come from the pool, so what Synthesize
+// allocates is fixed and small: the Image header, the noise source, the three
+// lattices, the column table and the interpolated rows — seven, about a tenth
+// of the 900 KB pixel buffer at 640×480.
+func TestSynthesizeAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // warm the P AllocsPerRun measures on
+	synth := func() {
+		im, err := Synthesize(SynthParams{W: 640, H: 480, Detail: 0.5, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		im.Release()
+	}
+	synth()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(20, synth)
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / 21; got > 128<<10 {
+		t.Fatalf("Synthesize allocates %d B/op at warm pools, budget is 128 KiB (the pixels alone are 900 KiB)", got)
+	}
+	if allocs != 7 {
+		t.Fatalf("Synthesize makes %.1f allocs/op at warm pools, want 7", allocs)
+	}
+}
+
 // TestDecodeSizesNothingFromAnImplausibleHeader: a bit of codes yields at most
 // 258 bytes, so dimensions the payload cannot possibly fill are refused before
 // the planes (here 366 MB) are requested — from the index.

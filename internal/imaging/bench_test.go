@@ -119,8 +119,10 @@ func BenchmarkDecodeCropResize128(b *testing.B) {
 // rect apiece (8–100 % of the area, aspect 3/4–4/3). One stream is one sample
 // of cpu_local or storage_alloff, so the two Set benchmarks price the kernels
 // on the traffic they serve; BenchmarkDecode640x480 stays as the one-stream
-// number older records quote. The image stays for the MaxScans pair.
+// number older records quote. The image stays for the MaxScans pair, and its
+// parameters for SynthesizeSet.
 type benchStream struct {
+	p      SynthParams
 	im     *Image
 	data   []byte
 	planes int
@@ -132,7 +134,8 @@ var benchSet = sync.OnceValues(func() ([]benchStream, error) {
 	set := make([]benchStream, 48)
 	for i := range set {
 		w, h := 160+rng.IntN(481), 160+rng.IntN(481)
-		im, err := Synthesize(SynthParams{W: w, H: h, Detail: rng.Float64(), Seed: rng.Uint64()})
+		p := SynthParams{W: w, H: h, Detail: rng.Float64(), Seed: rng.Uint64()}
+		im, err := Synthesize(p)
 		if err != nil {
 			return nil, err
 		}
@@ -144,7 +147,7 @@ var benchSet = sync.OnceValues(func() ([]benchStream, error) {
 		ratio := math.Exp((2*rng.Float64() - 1) * math.Log(4.0/3.0))
 		rw := min(max(int(math.Sqrt(area*ratio)), 1), w)
 		rh := min(max(int(math.Sqrt(area/ratio)), 1), h)
-		set[i] = benchStream{im: im, data: data, planes: w*h + 2*((w+1)/2)*((h+1)/2),
+		set[i] = benchStream{p: p, im: im, data: data, planes: w*h + 2*((w+1)/2)*((h+1)/2),
 			rect: Rect{X: rng.IntN(w - rw + 1), Y: rng.IntN(h - rh + 1), W: rw, H: rh}}
 	}
 	return set, nil
@@ -262,8 +265,21 @@ func BenchmarkUnpackSet(b *testing.B) {
 	b.ReportMetric(mean, "packed-B")
 }
 
-// BenchmarkEncodeSet is what set-up spends on each stored one-scan object,
-// and reports the mean object.
+// BenchmarkSynthesizeSet and BenchmarkEncodeSet are what set-up spends on
+// each stored one-scan object: rendering it, then encoding it. EncodeSet
+// reports the mean object.
+func BenchmarkSynthesizeSet(b *testing.B) {
+	set := benchSetFor(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		im, err := Synthesize(set[i%len(set)].p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		im.Release()
+	}
+}
+
 func BenchmarkEncodeSet(b *testing.B) {
 	set := benchSetFor(b)
 	stored := 0

@@ -89,13 +89,6 @@ func (im *Image) At(x, y int) (r, g, b uint8) {
 	return im.Pix[o], im.Pix[o+1], im.Pix[o+2]
 }
 
-// Set stores the RGB triple at (x, y). Callers must pass in-bounds
-// coordinates.
-func (im *Image) Set(x, y int, r, g, b uint8) {
-	o := im.offset(x, y)
-	im.Pix[o], im.Pix[o+1], im.Pix[o+2] = r, g, b
-}
-
 // Equal reports whether two images have identical geometry and pixels.
 func (im *Image) Equal(other *Image) bool {
 	if other == nil || im.W != other.W || im.H != other.H {

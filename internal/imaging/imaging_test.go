@@ -29,7 +29,7 @@ func TestFromPixValidatesLength(t *testing.T) {
 
 func TestSetAtRoundTrip(t *testing.T) {
 	im := MustNew(3, 2)
-	im.Set(2, 1, 10, 20, 30)
+	setPixel(im, 2, 1, 10, 20, 30)
 	r, g, b := im.At(2, 1)
 	if r != 10 || g != 20 || b != 30 {
 		t.Fatalf("At = (%d,%d,%d)", r, g, b)
@@ -42,7 +42,7 @@ func TestEqualAndMaxAbsDiff(t *testing.T) {
 	if !a.Equal(b) {
 		t.Fatal("identical zero images not equal")
 	}
-	b.Set(1, 1, 0, 0, 5)
+	setPixel(b, 1, 1, 0, 0, 5)
 	if a.Equal(b) {
 		t.Fatal("different images reported equal")
 	}
@@ -62,7 +62,7 @@ func TestCropBasics(t *testing.T) {
 	im := MustNew(4, 4)
 	for y := 0; y < 4; y++ {
 		for x := 0; x < 4; x++ {
-			im.Set(x, y, uint8(x), uint8(y), 0)
+			setPixel(im, x, y, uint8(x), uint8(y), 0)
 		}
 	}
 	out, err := Crop(im, Rect{X: 1, Y: 2, W: 2, H: 2})
@@ -118,7 +118,7 @@ func TestResizeIdentity(t *testing.T) {
 	if !out.Equal(im) {
 		t.Fatal("same-size resize is not identity")
 	}
-	out.Set(0, 0, 99, 99, 99)
+	setPixel(out, 0, 0, 99, 99, 99)
 	if r, _, _ := im.At(0, 0); r == 99 {
 		t.Fatal("identity resize aliases source pixels")
 	}
@@ -145,8 +145,8 @@ func TestResizeConstantImageStaysConstant(t *testing.T) {
 func TestResizeKnownValues(t *testing.T) {
 	// 2x1 image, R channel = [0, 100]; upscale to 4x1.
 	im := MustNew(2, 1)
-	im.Set(0, 0, 0, 0, 0)
-	im.Set(1, 0, 100, 0, 0)
+	setPixel(im, 0, 0, 0, 0, 0)
+	setPixel(im, 1, 0, 100, 0, 0)
 	out, err := Resize(im, 4, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -162,10 +162,10 @@ func TestResizeKnownValues(t *testing.T) {
 
 	// Downscale 2x2 → 1x1 averages all four pixels.
 	sq := MustNew(2, 2)
-	sq.Set(0, 0, 10, 0, 0)
-	sq.Set(1, 0, 20, 0, 0)
-	sq.Set(0, 1, 30, 0, 0)
-	sq.Set(1, 1, 40, 0, 0)
+	setPixel(sq, 0, 0, 10, 0, 0)
+	setPixel(sq, 1, 0, 20, 0, 0)
+	setPixel(sq, 0, 1, 30, 0, 0)
+	setPixel(sq, 1, 1, 40, 0, 0)
 	one, err := Resize(sq, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -185,8 +185,8 @@ func TestFlipHorizontalInvolution(t *testing.T) {
 
 func TestFlipHorizontalMovesPixels(t *testing.T) {
 	im := MustNew(3, 1)
-	im.Set(0, 0, 1, 0, 0)
-	im.Set(2, 0, 2, 0, 0)
+	setPixel(im, 0, 0, 1, 0, 0)
+	setPixel(im, 2, 0, 2, 0, 0)
 	f := FlipHorizontal(im)
 	if r, _, _ := f.At(0, 0); r != 2 {
 		t.Fatalf("flip left pixel = %d", r)

@@ -367,7 +367,7 @@ func refPlanesToImage(w, h int, yShift, cShift uint, planes []uint8) *Image {
 				refDequant(yPlane[y*w+x], yShift),
 				refDequant(cbPlane[ci], cShift),
 				refDequant(crPlane[ci], cShift))
-			im.Set(x, y, r, g, b)
+			setPixel(im, x, y, r, g, b)
 		}
 	}
 	return im

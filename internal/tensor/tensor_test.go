@@ -51,8 +51,7 @@ func TestEqualComparesNaNByBits(t *testing.T) {
 
 func TestFromImageScalesAndTransposes(t *testing.T) {
 	im := imaging.MustNew(2, 1)
-	im.Set(0, 0, 255, 0, 51)
-	im.Set(1, 0, 0, 255, 102)
+	copy(im.Pix, []uint8{255, 0, 51, 0, 255, 102})
 	tt := FromImage(im)
 	if tt.C != 3 || tt.H != 1 || tt.W != 2 {
 		t.Fatalf("shape %dx%dx%d", tt.C, tt.H, tt.W)
@@ -206,7 +205,7 @@ func TestNormalizeInverseProperty(t *testing.T) {
 func TestFromImageNormalizedMatchesUnfused(t *testing.T) {
 	im := imaging.MustNew(16, 48)
 	for i := 0; i < 16*48; i++ {
-		im.Set(i%16, i/16, uint8(i), uint8(i+85), uint8(255-i))
+		im.Pix[3*i], im.Pix[3*i+1], im.Pix[3*i+2] = uint8(i), uint8(i+85), uint8(255-i)
 	}
 	for _, st := range []struct{ mean, std []float32 }{
 		{ImageNetMean, ImageNetStd},
