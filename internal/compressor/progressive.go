@@ -1,8 +1,7 @@
-// Package compressor holds a byte-pair dictionary coder (Dict) and the
-// routine that materialises a progressive store, which remains for the
-// benchmark module, still compiled against MaterializeProgressive. Image
-// artifacts on the wire are packed elsewhere (pipeline.Artifact.AppendEncode,
-// imaging.AppendPacked).
+// Package compressor holds only MaterializeProgressive, the routine that
+// materialises a progressive store, which the benchmark module still
+// compiles against. Image artifacts on the wire are packed elsewhere
+// (pipeline.Artifact.AppendEncode, imaging.AppendPacked).
 package compressor
 
 import (

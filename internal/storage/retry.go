@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"sync"
 	"time"
@@ -44,7 +45,10 @@ type RetryPolicy struct {
 }
 
 // Normalized resolves zero fields to defaults and clamps out-of-range
-// values. Backoff and the retry loop always operate on a normalized policy.
+// values. A disabled knob normalizes to -1, never to the 0 that means
+// "default", so Normalized is idempotent: the retry loop stores a normalized
+// policy and Backoff normalizes it again. A NaN Multiplier or Jitter takes
+// its default.
 func (p RetryPolicy) Normalized() RetryPolicy {
 	if p.Attempts <= 0 {
 		p.Attempts = DefaultRetryAttempts
@@ -53,28 +57,28 @@ func (p RetryPolicy) Normalized() RetryPolicy {
 	case p.BaseBackoff == 0:
 		p.BaseBackoff = DefaultRetryBase
 	case p.BaseBackoff < 0:
-		p.BaseBackoff = 0
+		p.BaseBackoff = -1
 	}
 	switch {
 	case p.MaxBackoff == 0:
 		p.MaxBackoff = DefaultRetryMax
 	case p.MaxBackoff < 0:
-		p.MaxBackoff = 0
+		p.MaxBackoff = -1
 	}
 	if p.MaxBackoff < p.BaseBackoff {
 		p.MaxBackoff = p.BaseBackoff
 	}
 	switch {
-	case p.Multiplier == 0:
+	case p.Multiplier == 0 || math.IsNaN(p.Multiplier):
 		p.Multiplier = DefaultRetryMult
 	case p.Multiplier < 1:
 		p.Multiplier = 1
 	}
 	switch {
-	case p.Jitter == 0:
+	case p.Jitter == 0 || math.IsNaN(p.Jitter):
 		p.Jitter = DefaultRetryJitter
 	case p.Jitter < 0:
-		p.Jitter = 0
+		p.Jitter = -1
 	case p.Jitter > 1:
 		p.Jitter = 1
 	}
@@ -84,23 +88,22 @@ func (p RetryPolicy) Normalized() RetryPolicy {
 // Backoff returns the pause before retry number retry (1-based: retry 1
 // follows the first failed attempt). u in [0,1) supplies the jitter draw, so
 // the function stays pure and table-testable; the result always lies within
-// ±Jitter of the unjittered exponential value, capped at MaxBackoff.
+// ±Jitter of the unjittered exponential value, capped at MaxBackoff, and a
+// pause past the largest Duration is that Duration.
 func (p RetryPolicy) Backoff(retry int, u float64) time.Duration {
 	p = p.Normalized()
-	if retry < 1 || p.BaseBackoff == 0 {
+	if retry < 1 || p.BaseBackoff < 0 {
 		return 0
 	}
-	d := float64(p.BaseBackoff)
-	max := float64(p.MaxBackoff)
-	for i := 1; i < retry && d < max; i++ {
-		d *= p.Multiplier
+	d := min(float64(p.BaseBackoff)*math.Pow(p.Multiplier, float64(retry-1)), float64(p.MaxBackoff))
+	if p.Jitter > 0 {
+		d *= 1 + p.Jitter*(2*u-1)
 	}
-	if d > max {
-		d = max
-	}
-	d *= 1 + p.Jitter*(2*u-1)
-	if d < 0 {
-		d = 0
+	switch {
+	case !(d > 0):
+		return 0
+	case d >= math.MaxInt64:
+		return math.MaxInt64
 	}
 	return time.Duration(d)
 }

@@ -232,7 +232,6 @@ const (
 	keepBench  keepReason = "benchmarks/ compiles against it (ROADMAP 1A(vi))"
 	keepOracle keepReason = "a reference or oracle tests compare against"
 	keepSeam   keepReason = "a test seam"
-	keepDict   keepReason = "compressor.Dict goes in a change of its own"
 )
 
 // exportKeeps lists the names TestEveryExportHasACaller covers that no live
@@ -263,21 +262,6 @@ var exportKeeps = map[string]keepReason{
 	"repro/internal/storage.ReconnectingClient.Retries": keepBench,
 	"repro/internal/tensor.Tensor.Marshal":              keepBench,
 	"repro/internal/trainsim.Trainer.PrefetchMetrics":   keepBench,
-
-	// The byte-pair dictionary: deleting it takes its tests off the suite at
-	// once, more than one change may remove (ROADMAP 1A(vi)).
-	"repro/internal/compressor.Dict":               keepDict,
-	"repro/internal/compressor.DictStats":          keepDict,
-	"repro/internal/compressor.ErrDict":            keepDict,
-	"repro/internal/compressor.MaxDictEntries":     keepDict,
-	"repro/internal/compressor.TrainDict":          keepDict,
-	"repro/internal/compressor.UnmarshalDict":      keepDict,
-	"repro/internal/compressor.Dict.Decode":        keepDict,
-	"repro/internal/compressor.Dict.Encode":        keepDict,
-	"repro/internal/compressor.Dict.Entries":       keepDict,
-	"repro/internal/compressor.Dict.MarshalBinary": keepDict,
-	"repro/internal/compressor.Dict.Stats":         keepDict,
-	"repro/internal/compressor.Dict.TopTokens":     keepDict,
 
 	// Test seams: virtual-clock stepping, and what other packages' tests
 	// build with.
@@ -536,9 +520,9 @@ func TestEveryExportHasACaller(t *testing.T) {
 
 	for name, reason := range exportKeeps {
 		switch reason {
-		case keepBench, keepOracle, keepSeam, keepDict:
+		case keepBench, keepOracle, keepSeam:
 		default:
-			t.Errorf("keep %s: %q is not one of the four keep reasons", name, reason)
+			t.Errorf("keep %s: %q is not one of the three keep reasons", name, reason)
 		}
 	}
 	declared := map[string]bool{}
