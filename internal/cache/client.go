@@ -29,7 +29,7 @@ func NewFetchingCache(client storage.Fetcher, c *NoEvict) *FetchingCache {
 // hit serves a raw directive from the cache at zero wire bytes. A
 // reduced-fidelity directive is served from the cached full object by
 // truncating its progressive container locally — bit-identical to the
-// prefix the server would slice.
+// prefix the server would slice — and a request for rows by the whole object.
 func (f *FetchingCache) hit(sample uint32, split int) (storage.FetchResult, bool, error) {
 	cut, fid := storage.UnpackDirective(split)
 	if cut != 0 {
@@ -72,8 +72,9 @@ func (f *FetchingCache) FetchBatch(ctx context.Context, samples []uint32, splits
 
 // through is a caching layer's one scatter/gather: every directive hit serves
 // keeps its slot, the misses go down in a single forward round trip (none
-// when everything hit), and each forwarded result is scattered back to its
-// slot in request order and offered to fill. Per-item failures scatter
+// when everything hit) without storage.Rows, as whole objects serve any crop,
+// and each forwarded result is scattered back to its slot in request order
+// and offered to fill. Per-item failures scatter
 // through unchanged in FetchResult.Err — fill decides what is worth keeping;
 // an error from hit or forward fails the whole call.
 func through(samples []uint32, splits []int,
@@ -98,7 +99,7 @@ func through(samples []uint32, splits []int,
 			continue
 		}
 		missSamples = append(missSamples, samples[i])
-		missSplits = append(missSplits, splits[i])
+		missSplits = append(missSplits, splits[i]&^storage.Rows)
 		missIdx = append(missIdx, i)
 	}
 	if len(missSamples) == 0 {

@@ -153,10 +153,14 @@ func TestSharedCachePrefixAwareHit(t *testing.T) {
 type progFetcher struct {
 	body    []byte
 	fetches int
+	rows    int // directives carrying storage.Rows
 }
 
 func (p *progFetcher) Fetch(_ context.Context, sample uint32, split int, epoch uint64) (storage.FetchResult, error) {
 	p.fetches++
+	if split&storage.Rows != 0 {
+		p.rows++
+	}
 	cut, fid := storage.UnpackDirective(split)
 	raw := p.body
 	if cut == 0 && fid > 0 {
@@ -279,5 +283,42 @@ func TestTenantFetcherProgressivePrefixHit(t *testing.T) {
 	}
 	if res.Fidelity != 2 || res.Split != 0 {
 		t.Fatalf("hit result split=%d fidelity=%d", res.Split, res.Fidelity)
+	}
+}
+
+// Both caching layers forward a raw miss without storage.Rows, so that they
+// keep the whole object, and answer a later request for rows from it.
+func TestCachesForwardRawMissesWhole(t *testing.T) {
+	body := progressiveContainer(t, 5)
+	local, err := NewNoEvict(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := NewShared(1 << 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fcInner, tfInner := &progFetcher{body: body}, &progFetcher{body: body}
+	tf, err := NewTenantFetcher(tfInner, shared, "a", 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		f     storage.Fetcher
+		inner *progFetcher
+	}{{"FetchingCache", NewFetchingCache(fcInner, local), fcInner}, {"TenantFetcher", tf, tfInner}} {
+		for range 2 {
+			res, err := storage.FetchOne(context.Background(), c.f, 0, storage.Rows, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(res.Artifact.Raw, body) {
+				t.Fatalf("%s: a request for rows got %d bytes, not the whole object", c.name, len(res.Artifact.Raw))
+			}
+		}
+		if c.inner.fetches != 1 || c.inner.rows != 0 {
+			t.Fatalf("%s: %d fetches went down, %d asking for rows; want 1 and 0", c.name, c.inner.fetches, c.inner.rows)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package imaging
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -46,6 +47,7 @@ const (
 	sjpgMagic   = "SJPG"
 	sjprMagic   = "SJPR"                // versions 1–3 kept progressive scans in a container of their own
 	sjpgVersion = 4                     // 3 had no scans, 2 no bands, 1 stored planes as DEFLATE blocks
+	rowsFlag    = 0x80                  // in the version byte: the row-sliced form (rows.go)
 	headerSize  = 4 + 1 + 1 + 4 + 4 + 1 // magic, version, quality, W, H, L
 	bandRows    = 16                    // luma rows a band
 
@@ -64,6 +66,9 @@ var (
 	ErrUnsupported = errors.New("imaging: unsupported format version")
 	ErrTruncated   = errors.New("imaging: SJPG prefix truncated mid-scan")
 	ErrBadScans    = fmt.Errorf("imaging: scan count must be in [1, %d]", MaxScans)
+	// ErrSliced refuses a row-sliced form (rows.go) to every reader but a crop
+	// of the bands it holds.
+	ErrSliced = errors.New("imaging: a row-sliced SJPG decodes only a crop of the bands it holds")
 )
 
 // DefaultQuality is used by EncodeDefault and by the dataset generator.
@@ -250,8 +255,17 @@ func Decode(data []byte) (*Image, error) {
 // fault in a band it does not read it need not see, nor one only a scan's CRC
 // shows unless it reads every band — over every row it refuses as Decode does
 // — which is why a store decodes each object in full as it loads
-// (dataset.DirSet.Materialize). The result is pool-backed.
+// (dataset.DirSet.Materialize). The result is pool-backed. It also reads the
+// row-sliced form (rows.go), refusing with ErrSliced a rect of other bands.
 func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
+	if len(data) > headerSize && data[4] == sjpgVersion|rowsFlag {
+		stored, err := unslice(data, rect)
+		if err != nil {
+			return nil, err
+		}
+		defer bufpool.PutBytes(stored)
+		data = stored
+	}
 	c, err := whole(data)
 	if err != nil {
 		return nil, err
@@ -259,7 +273,8 @@ func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 	if err := checkCropResize(rect, c.w, c.h, w, h); err != nil {
 		return nil, err
 	}
-	p, err := c.decode(data, c.present, rect.Y/bandRows, (rect.Y+rect.H-1)/bandRows+1)
+	b0, b1 := bandsOf(rect)
+	p, err := c.decode(data, c.present, b0, b1)
 	if err != nil {
 		return nil, err
 	}
@@ -347,6 +362,7 @@ type container struct {
 	crc                  [MaxScans]uint32
 	size                 [MaxScans][3]int
 	index                [MaxScans][3][]byte
+	rows, b0, b1         int // a row-sliced form's: where its held bytes start (else 0), its bands
 }
 
 // parse checks the header and the index before any buffer is sized: each
@@ -354,10 +370,15 @@ type container struct {
 // each band's codes are long enough to yield its bytes, and data ends at or
 // before the last scan's end. Of a plane data holds, it also checks that the
 // index and its marker agree on whether it is stored, and that its bands'
-// lengths add up to its codes.
+// lengths add up to its codes. Of a row-sliced form it checks the index alone
+// and then what follows it (readRows), and refuses it as ErrSliced.
 func parse(data []byte) (c container, err error) {
 	if c.w, c.h, c.quality, c.scans, err = parseHeader(data); err != nil {
 		return c, err
+	}
+	end := len(data) // where the planes data holds end: a row-sliced form holds none where the index says
+	if data[4] != sjpgVersion {
+		end = 0
 	}
 	index := data[headerSize:]
 	next := func() (uint64, bool) {
@@ -390,7 +411,7 @@ func parse(data []byte) (c container, err error) {
 			}
 			// The codes follow the tables: H, H bytes, R, R bytes. Of a plane
 			// data does not hold, only its size bounds them.
-			have, held := 8*(int(size)-1), o+int(size) <= len(data)
+			have, held := 8*(int(size)-1), o+int(size) <= end
 			if held && (data[o] == 0) != stored {
 				return bad("scan %d plane %d: stored is %v, its marker %d", j, i, stored, data[o])
 			}
@@ -420,6 +441,9 @@ func parse(data []byte) (c container, err error) {
 	c.start[c.scans] = o
 	if len(index) != 0 {
 		return bad("%d trailing index bytes", len(index))
+	}
+	if end == 0 { // read through, for unslice
+		return c, cmp.Or(c.readRows(data), ErrSliced)
 	}
 	if len(data) > o {
 		return bad("%d bytes after the scans", len(data)-o)
@@ -624,8 +648,8 @@ func dequant(v uint8, shift uint) uint8 {
 	return uint8(out)
 }
 
-// DecodeDims returns the pixel dimensions recorded in a container's header
-// without decompressing the payload.
+// DecodeDims returns the pixel dimensions recorded in a container's header,
+// or a row-sliced form's, without decompressing the payload.
 func DecodeDims(data []byte) (w, h int, err error) {
 	w, h, _, _, err = parseHeader(data)
 	return w, h, err
@@ -638,7 +662,7 @@ func parseHeader(data []byte) (w, h, quality, scans int, err error) {
 	if len(data) < headerSize || string(data[:4]) != sjpgMagic && string(data[:4]) != sjprMagic {
 		return 0, 0, 0, 0, ErrCorrupt
 	}
-	if data[4] != sjpgVersion {
+	if data[4]&^rowsFlag != sjpgVersion {
 		return 0, 0, 0, 0, fmt.Errorf("%w: %s version %d, this build reads %d", ErrUnsupported, data[:4], data[4], sjpgVersion)
 	}
 	quality, scans = int(data[5]), int(data[14])

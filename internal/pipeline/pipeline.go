@@ -172,6 +172,21 @@ func (p *Pipeline) step(cur Artifact, i, to int, h *rngHolder, seed Seed) (next 
 	return next, 0, nil
 }
 
+// CropRect returns the rect the fused Decode+RandomResizedCrop (step) draws
+// from raw's header and seed, for a server to ship only its rows
+// (imaging.Slice); ok only when ops 0–1 are that pair and the header parses.
+func (p *Pipeline) CropRect(raw []byte, seed Seed) (imaging.Rect, bool) {
+	crop, isCrop := p.ops[min(1, len(p.ops)-1)].(randomResizedCropOp)
+	_, isDec := p.ops[0].(decodeOp)
+	w, h, err := imaging.DecodeDims(raw)
+	if !isCrop || !isDec || err != nil {
+		return imaging.Rect{}, false
+	}
+	hold := rngPool.Get().(*rngHolder)
+	defer rngPool.Put(hold)
+	return crop.sampleRect(w, h, hold.seedFor(seed, 1)), true
+}
+
 // Run applies the full pipeline to raw sample bytes.
 func (p *Pipeline) Run(raw []byte, seed Seed) (Artifact, error) {
 	return p.RunRange(RawArtifact(raw), 0, len(p.ops), seed)

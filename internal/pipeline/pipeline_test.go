@@ -826,3 +826,81 @@ func cloneImage(im *imaging.Image) *imaging.Image {
 func cloneTensor(t *tensor.Tensor) *tensor.Tensor {
 	return &tensor.Tensor{C: t.C, H: t.H, W: t.W, Data: append([]float32(nil), t.Data...)}
 }
+
+// Property: over stored containers of 1–4 scans at every fidelity, what a
+// raw fetch ships under rows — imaging.Slice to the rect CropRect draws —
+// finishes through RunRange to the very tensor the prefix it was cut from
+// finishes to, images under one band included.
+func TestRowSlicedFetchFinishesLikeThePrefix(t *testing.T) {
+	p := Standard(StandardOptions{CropSize: 24, FlipP: -1})
+	sliced := 0
+	for d, dim := range [][2]int{{37, 53}, {64, 48}, {90, 70}, {20, 9}} {
+		im, err := imaging.Synthesize(imaging.SynthParams{W: dim[0], H: dim[1], Detail: 0.6, Seed: uint64(d + 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for scans := 1; scans <= imaging.MaxScans; scans++ {
+			data, err := imaging.EncodeProgressive(im, imaging.DefaultQuality, scans)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for drop := 0; drop < scans; drop++ {
+				prefix, err := imaging.SlicePrefix(data, scans-drop)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for s := range 8 {
+					seed := Seed{Job: 3, Epoch: uint64(s), Sample: uint64(d)}
+					rect, ok := p.CropRect(data, seed)
+					if !ok {
+						t.Fatal("the standard pipeline draws no crop")
+					}
+					form := make([]byte, len(data))
+					form = form[:imaging.Slice(form, data, drop, rect)]
+					if len(form) < len(prefix) {
+						sliced++
+					}
+					got, err := p.RunRange(RawArtifact(form), 0, p.Len(), seed)
+					if err != nil {
+						t.Fatalf("%v L=%d drop=%d seed %d: %v", dim, scans, drop, s, err)
+					}
+					want, err := p.RunRange(RawArtifact(prefix), 0, p.Len(), seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("%v L=%d drop=%d seed %d: the row-sliced fetch finishes to another tensor", dim, scans, drop, s)
+					}
+					got.Release()
+					want.Release()
+				}
+			}
+		}
+	}
+	if sliced == 0 {
+		t.Fatal("no fetch was row-sliced")
+	}
+	t.Logf("%d of %d fetches row-sliced", sliced, 8*4*10)
+}
+
+// CropRect answers only for a pipeline whose first two ops are the fused
+// Decode+RandomResizedCrop pair, and only for a header it can read.
+func TestCropRectNeedsTheFusedPair(t *testing.T) {
+	raw := encodeSample(t, 40, 50, 0.5, 1)
+	decodeOnly, err := New(decodeOp{}, toTensorOp{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := decodeOnly.CropRect(raw, Seed{}); ok {
+		t.Error("a pipeline without RandomResizedCrop drew a crop")
+	}
+	p := DefaultStandard()
+	if _, ok := p.CropRect(raw[:10], Seed{}); ok {
+		t.Error("a truncated header drew a crop")
+	}
+	seed := Seed{Job: 1, Epoch: 2, Sample: 3}
+	rect, ok := p.CropRect(raw, seed)
+	if want := p.ops[1].(randomResizedCropOp).sampleRect(40, 50, rngFor(seed, 1)); !ok || rect != want {
+		t.Errorf("CropRect = %+v, %v; RandomResizedCrop draws %+v", rect, ok, want)
+	}
+}

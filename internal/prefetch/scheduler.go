@@ -276,10 +276,10 @@ func (c *Scheduler) complete(s int, claim, splits []int, res []storage.FetchResu
 				c.m.addStaged(sl.bytes)
 			}
 			c.m.completed.Add(1)
-			switch {
+			switch cut, _ := storage.UnpackDirective(splits[k]); {
 			case res[k].WireBytes == 0:
 				c.m.cacheHits.Add(1)
-			case splits[k] > 0:
+			case cut > 0:
 				c.m.offloaded.Add(1)
 			default:
 				c.m.raw.Add(1)

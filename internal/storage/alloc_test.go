@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/bufpool"
+	"repro/internal/imaging"
 	"repro/internal/pipeline"
 	"repro/internal/raceflag"
 	"repro/internal/wire"
@@ -71,5 +72,51 @@ func TestRunPrefixEncodedCut2SteadyStateAllocs(t *testing.T) {
 	})
 	if allocs != 1 {
 		t.Fatalf("cut-2 RunPrefixEncoded allocates %.1f allocs/op at steady state, want 1 (the crop's Image header)", allocs)
+	}
+}
+
+// TestRowSliceServeSteadyStateAllocs pins a raw fetch under Rows at the
+// prefix serve's budget: drawing the crop (Pipeline.CropRect) and cutting
+// the bands it reads, at full fidelity and withholding a scan
+// (imaging.Slice), allocate nothing — two allocations, the response struct
+// and its items slice.
+func TestRowSliceServeSteadyStateAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	st := progressiveStore(t, 4)
+	srv, err := NewServer(ServerConfig{Store: st, Pipeline: pipeline.DefaultStandard(), Cores: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	raw, err := st.Get(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fid := range []uint8{0, 1} {
+		req := &wire.FetchBatch{RequestID: 1, Items: []wire.FetchBatchItem{{Sample: 3, Fidelity: fid, Rows: true}}}
+		// An epoch whose crop skips a band, so that the form ships less than
+		// the prefix.
+		prefix := imaging.Slice(make([]byte, len(raw)), raw, int(fid), imaging.Rect{})
+		for req.Epoch = 1; ; req.Epoch++ {
+			resp := srv.handleFetchBatch(7, req)
+			n := len(resp.Items[0].Artifact)
+			wire.Recycle(resp)
+			if n < 1+prefix {
+				break
+			}
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			resp := srv.handleFetchBatch(7, req)
+			if resp.Items[0].Status != wire.FetchOK {
+				t.Fatalf("row-sliced serve failed: %+v", resp)
+			}
+			wire.Recycle(resp)
+		})
+		if allocs != 2 {
+			t.Fatalf("row-sliced serve at fidelity %d allocates %.1f allocs/op at steady state, want 2 (the response and its items)", fid, allocs)
+		}
 	}
 }

@@ -340,7 +340,8 @@ func (c *Client) Fetch(ctx context.Context, sample uint32, split int, epoch uint
 // plan version (WithPlanVersion), answered by one FetchBatchResp. splits must
 // be the same length as samples; each is a packed directive (PackDirective):
 // a plain split value requests full fidelity, a packed fidelity asks the
-// server to withhold that many progressive refinement scans.
+// server to withhold that many progressive refinement scans (127 or more
+// withhold them all), and Rows asks for only the rows the epoch's crop reads.
 func (c *Client) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]FetchResult, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("storage: empty batch")
@@ -360,7 +361,7 @@ func (c *Client) FetchBatch(ctx context.Context, samples []uint32, splits []int,
 		if fidelity < 0 || fidelity > 255 {
 			return nil, fmt.Errorf("storage: fidelity %d out of range", fidelity)
 		}
-		items[i] = wire.FetchBatchItem{Sample: samples[i], Split: uint8(split), Fidelity: uint8(fidelity)}
+		items[i] = wire.FetchBatchItem{Sample: samples[i], Split: uint8(split), Fidelity: uint8(min(fidelity, 127)), Rows: splits[i]&Rows != 0}
 	}
 
 	id := c.reserveID()
@@ -389,7 +390,8 @@ func (c *Client) FetchBatch(ctx context.Context, samples []uint32, splits []int,
 	overhead := frame - payload
 	out := make([]FetchResult, len(resp.Items))
 	for i, it := range resp.Items {
-		out[i] = FetchResult{Sample: it.Sample, Split: int(it.Split), Fidelity: int(items[i].Fidelity), Status: it.Status}
+		_, fidelity := UnpackDirective(splits[i])
+		out[i] = FetchResult{Sample: it.Sample, Split: int(it.Split), Fidelity: fidelity, Status: it.Status}
 		if err := statusErr(it.Status, it.Sample, int(it.Split)); err != nil {
 			out[i].Err = err
 			continue

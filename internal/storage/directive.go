@@ -14,7 +14,13 @@ func PackDirective(split, fidelity int) int {
 	return split | fidelity<<8
 }
 
-// UnpackDirective splits a directive int back into (split, fidelity).
+// Rows, beside a packed directive, asks a raw fetch for only the rows the
+// epoch's crop reads (wire.FetchBatchItem.Rows). The trainer sets it outside
+// the profiling epoch; a cache clears it on the misses it forwards.
+const Rows = 1 << 30
+
+// UnpackDirective splits a directive int back into (split, fidelity), Rows aside.
 func UnpackDirective(d int) (split, fidelity int) {
+	d &^= Rows
 	return d & 0xFF, d >> 8
 }

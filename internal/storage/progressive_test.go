@@ -46,6 +46,10 @@ func TestPackDirective(t *testing.T) {
 	if PackDirective(4, 0) != 4 {
 		t.Fatal("PackDirective(4, 0) != 4")
 	}
+	// Rows rides beside the packed pair and unpacks to nothing.
+	if s, f := UnpackDirective(PackDirective(5, 3) | Rows); s != 5 || f != 3 {
+		t.Fatalf("PackDirective(5, 3)|Rows unpacks to (%d,%d)", s, f)
+	}
 }
 
 // The server must answer a reduced-fidelity raw fetch with a bit-identical
@@ -198,5 +202,64 @@ func TestFidelityDirectiveValidation(t *testing.T) {
 	}
 	if _, err := c.FetchBatch(context.Background(), []uint32{0}, []int{PackDirective(0, 300)}, 1); err == nil {
 		t.Fatal("batch accepted fidelity 300")
+	}
+}
+
+// A raw fetch under Rows ships imaging.Slice of the stored object to the
+// crop the server draws from (job, epoch, sample) — with zero executor cores
+// — which the client finishes to the tensor of the prefix it was cut from.
+// A fetch that withholds bytes counts in PrefixServed and PrefixBytesSaved.
+func TestRowsFetchShipsTheCropsBands(t *testing.T) {
+	st := progressiveStore(t, 4)
+	p := pipeline.DefaultStandard()
+	srv, dial := startServer(t, ServerConfig{Store: st, Pipeline: p, Cores: 0})
+	c := dial()
+	var served, saved uint64
+	for epoch := uint64(1); epoch <= 6; epoch++ {
+		for sample := uint32(0); sample < 4; sample++ {
+			fid := int(epoch % 3)
+			res, err := FetchOne(context.Background(), c, sample, PackDirective(0, fid)|Rows, epoch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored, err := st.Get(sample)
+			if err != nil {
+				t.Fatal(err)
+			}
+			seed := pipeline.Seed{Job: 42, Epoch: epoch, Sample: uint64(sample)}
+			rect, _ := p.CropRect(stored, seed)
+			want := make([]byte, len(stored))
+			want = want[:imaging.Slice(want, stored, fid, rect)]
+			if res.Fidelity != fid || res.Split != 0 || !bytes.Equal(res.Artifact.Raw, want) {
+				t.Fatalf("sample %d epoch %d: fidelity %d split %d, %d bytes; want fidelity %d, the %d bytes imaging.Slice cuts",
+					sample, epoch, res.Fidelity, res.Split, len(res.Artifact.Raw), fid, len(want))
+			}
+			if len(want) < len(stored) {
+				served, saved = served+1, saved+uint64(len(stored)-len(want))
+			}
+			prefix, err := imaging.SlicePrefix(stored, imaging.MaxScans-fid)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.Run(res.Artifact.Raw, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			local, err := p.Run(prefix, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(local) {
+				t.Fatalf("sample %d epoch %d: the fetched rows finish to another tensor", sample, epoch)
+			}
+			got.Release()
+			local.Release()
+		}
+	}
+	if got := srv.Counters().PrefixServed.Load(); got != served || served == 0 {
+		t.Fatalf("PrefixServed = %d, want %d (> 0)", got, served)
+	}
+	if got := srv.Counters().PrefixBytesSaved.Load(); got != saved {
+		t.Fatalf("PrefixBytesSaved = %d, want %d", got, saved)
 	}
 }

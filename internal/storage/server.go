@@ -385,8 +385,8 @@ func (s *Server) handleFetchBatch(jobID uint64, req *wire.FetchBatch) *wire.Fetc
 	return resp
 }
 
-// serveItem runs one directive: the stored object, its sliced progressive
-// prefix, or the artifact after the first item.Split ops.
+// serveItem runs one directive: the stored object or a slice of it, or the
+// artifact after the first item.Split ops.
 func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.FetchBatchRespItem {
 	resp := wire.FetchBatchRespItem{Sample: item.Sample, Split: item.Split}
 	raw, err := s.store.Get(item.Sample)
@@ -399,21 +399,13 @@ func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.F
 		resp.Status = wire.FetchBadSplit
 		return resp
 	}
-	if split == 0 {
-		// Progressive fast path: a reduced-fidelity raw fetch of a stored
-		// container of several scans is answered by slicing the stored
-		// bytes — no decode, no re-encode, no executor core. An object of
-		// one scan (or a zero drop) falls through to the normal raw path.
-		if enc, saved := s.sliceProgressive(raw, item.Fidelity); enc != nil {
-			resp.Status = wire.FetchOK
-			resp.Artifact = enc
-			s.counters.SamplesServed.Add(1)
-			s.counters.PrefixServed.Add(1)
-			s.counters.PrefixBytesSaved.Add(uint64(saved))
-			return resp
-		}
-	}
 	seed := pipeline.Seed{Job: jobID, Epoch: epoch, Sample: uint64(item.Sample)}
+	if split == 0 {
+		resp.Status = wire.FetchOK
+		resp.Artifact = s.sliceRaw(raw, item, seed)
+		s.counters.SamplesServed.Add(1)
+		return resp
+	}
 	// RunPrefixEncoded encodes into a pooled buffer; the writer goroutine
 	// returns it to the arena (wire.Recycle) once the frame is sent.
 	encoded, err := s.exec.RunPrefixEncoded(raw, split, seed)
@@ -428,20 +420,22 @@ func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.F
 	return resp
 }
 
-// sliceProgressive serves the prefix of a stored progressive container that
-// withholds drop refinement scans (imaging.FidelityPrefixSize). It returns
-// the encoded raw artifact in a pooled buffer — the response's artifact bytes
-// are recycled by the writer goroutine, so the stored container must never
-// be aliased — plus the refinement bytes withheld. A nil return means the
-// fast path does not apply (drop 0, or an object of one scan: nothing to
-// withhold) and the caller should serve the full object.
-func (s *Server) sliceProgressive(raw []byte, drop uint8) ([]byte, int) {
-	n, ok := imaging.FidelityPrefixSize(raw, int(drop))
-	if !ok {
-		return nil, 0
+// sliceRaw answers a raw fetch with no decode and no executor core:
+// imaging.Slice of the stored object to item.Fidelity and, under item.Rows,
+// to the bands of the crop the seed draws (Pipeline.CropRect), copied into a
+// pooled buffer the writer recycles. One that withholds bytes counts in
+// PrefixServed and PrefixBytesSaved.
+func (s *Server) sliceRaw(raw []byte, item wire.FetchBatchItem, seed pipeline.Seed) []byte {
+	var rows imaging.Rect
+	if item.Rows {
+		rows, _ = s.pipe.CropRect(raw, seed)
 	}
-	enc := bufpool.GetBytes(1 + n)
+	enc := bufpool.GetBytes(1 + len(raw))
 	enc[0] = byte(pipeline.KindRaw)
-	copy(enc[1:], raw[:n])
-	return enc, len(raw) - n
+	n := imaging.Slice(enc[1:], raw, int(item.Fidelity), rows)
+	if n < len(raw) {
+		s.counters.PrefixServed.Add(1)
+		s.counters.PrefixBytesSaved.Add(uint64(len(raw) - n))
+	}
+	return enc[:1+n]
 }

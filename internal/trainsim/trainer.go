@@ -451,13 +451,10 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 	}
 	split := func(sample int) int {
 		if collector != nil {
-			return 0
+			return 0 // the profiling epoch measures whole objects
 		}
 		if s := t.snap.Load(); s != nil && s.Plan != nil && s.Plan.N() == t.n {
 			return directiveFor(s.Plan, sample)
-		}
-		if plan == nil {
-			return 0
 		}
 		return directiveFor(plan, sample)
 	}
@@ -511,22 +508,25 @@ func (t *Trainer) gpuStep(report *EpochReport, size int) {
 	report.Batches++
 }
 
-// directiveFor packs one sample's plan decision into a fetch directive.
-// Fidelity only exists on the raw object — offloaded cuts ship artifacts
-// with no scan structure, so their directive is the bare split.
+// directiveFor packs one sample's plan decision (none: raw) into a fetch
+// directive. Only a raw fetch has a fidelity and asks for only the rows the
+// epoch's crop reads (storage.Rows); an offloaded cut is the bare split.
 func directiveFor(plan *policy.Plan, i int) int {
-	s := plan.Split(i)
-	if s != 0 {
+	if plan == nil {
+		return storage.Rows
+	}
+	if s := plan.Split(i); s != 0 {
 		return s
 	}
-	return storage.PackDirective(0, plan.FidelityOf(i))
+	return storage.PackDirective(0, plan.FidelityOf(i)) | storage.Rows
 }
 
 // finishSample runs the local part of one sample's preprocessing (or the
 // profiling kernel, pipeline.Profile) under the compute-core budget.
 func (t *Trainer) finishSample(res storage.FetchResult, epoch uint64, i, split int, collector *profiler.Collector, computeSem chan struct{}) sampleOutcome {
-	// The directive packs (cut, fidelity); only the cut matters locally —
-	// a reduced-fidelity container decodes transparently from fewer scans.
+	// The directive packs (cut, fidelity) and Rows; only the cut matters
+	// locally — a reduced-fidelity container decodes transparently from
+	// fewer scans, and a row-sliced one to the same crop.
 	split, _ = storage.UnpackDirective(split)
 	seed := pipeline.Seed{Job: t.cfg.JobID, Epoch: epoch, Sample: uint64(i)}
 

@@ -5,14 +5,19 @@ import "encoding/binary"
 // FetchBatchItem is one offload directive: ship Sample after executing its
 // first Split pipeline ops (0 ships the stored object), withholding Fidelity
 // progressive refinement scans when the stored object has them
-// (imaging.FidelityPrefixSize; 0 = the full container). Fidelity is meaningful
-// only at Split 0; servers ignore it on deeper cuts. On the wire an item is
-// always 6 bytes: sample (4), split, fidelity.
+// (imaging.FidelityPrefixSize; 0 = the full container), and under Rows only
+// the bands the epoch's crop of it reads (imaging.Slice). Fidelity and Rows
+// are meaningful only at Split 0; servers ignore them on deeper cuts. On the
+// wire an item is always 6 bytes: sample (4), split, and the fidelity byte —
+// Fidelity in its low 7 bits, Rows in its high bit.
 type FetchBatchItem struct {
 	Sample   uint32
 	Split    uint8
-	Fidelity uint8
+	Fidelity uint8 // < 128
+	Rows     bool
 }
+
+const rowsBit = 0x80 // Rows in the fidelity byte
 
 // FetchBatch requests several samples in one frame, all for the same epoch
 // and issued under the same control-plane snapshot (PlanVersion 0 =
@@ -63,7 +68,10 @@ func (m *FetchBatch) appendPayload(p []byte) []byte {
 		var e [batchItem]byte
 		binary.BigEndian.PutUint32(e[0:4], it.Sample)
 		e[4] = it.Split
-		e[5] = it.Fidelity
+		e[5] = it.Fidelity &^ rowsBit
+		if it.Rows {
+			e[5] |= rowsBit
+		}
 		p = append(p, e[:]...)
 	}
 	return p
@@ -86,7 +94,7 @@ func (m *FetchBatch) decodePayload(p []byte) error {
 	m.Items = make([]FetchBatchItem, n)
 	for i := range m.Items {
 		e := p[batchHeader+batchItem*i:]
-		m.Items[i] = FetchBatchItem{Sample: binary.BigEndian.Uint32(e[0:4]), Split: e[4], Fidelity: e[5]}
+		m.Items[i] = FetchBatchItem{Sample: binary.BigEndian.Uint32(e[0:4]), Split: e[4], Fidelity: e[5] &^ rowsBit, Rows: e[5]&rowsBit != 0}
 	}
 	return nil
 }

@@ -9,8 +9,9 @@ import (
 // The fetch round trip's layout, documented by its bytes. Frame header:
 // magic "SOPH", type, flags, payload length, CRC32-C (14 B). Request payload:
 // request ID (8), epoch (8), plan version (4), item count (2), then 6 B an
-// item — sample (4), split, fidelity — so a one-sample request is 28 B of
-// payload whether or not it withholds scans. Response payload: request ID
+// item — sample (4), split, fidelity, its high bit Rows — so a one-sample
+// request is 28 B of payload whether or not it withholds scans or asks for
+// rows. Response payload: request ID
 // (8), item count (2), then per item sample (4), split, status, artifact
 // length (4) and the artifact: 20 B plus the artifact for one sample.
 func TestGoldenFetchFrames(t *testing.T) {
@@ -30,6 +31,11 @@ func TestGoldenFetchFrames(t *testing.T) {
 			"534f5048" + "08" + "01" + "00000022" + "0100cf93" +
 				"0000000000000001" + "0000000000000002" + "00000003" + "0002" +
 				"0000000a" + "02" + "00" + "0000000b" + "00" + "03"},
+		{"rows-requesting request", &FetchBatch{RequestID: 2, Epoch: 3, PlanVersion: 1,
+			Items: []FetchBatchItem{{Sample: 12, Fidelity: 1, Rows: true}}}, 28,
+			"534f5048" + "08" + "01" + "0000001c" + "4684d725" +
+				"0000000000000002" + "0000000000000003" + "00000001" + "0001" +
+				"0000000c" + "00" + "81"},
 		{"one-item response", &FetchBatchResp{RequestID: 11,
 			Items: []FetchBatchRespItem{{Sample: 22, Split: 3, Status: FetchOK, Artifact: []byte{0xAA, 0xBB, 0xCC}}}}, 23,
 			"534f5048" + "09" + "01" + "00000017" + "1cf96e66" +

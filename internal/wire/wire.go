@@ -18,10 +18,11 @@
 //
 // There is one fetch round trip: a FetchBatch of 1..MaxBatchItems offload
 // directives — sample, the number of pipeline ops the server should execute
-// before replying, and the progressive refinement scans to withhold — plus
-// the epoch, so the server derives the exact augmentation seeds the client
-// would have used locally, answered by one FetchBatchResp (or a RetryAfter
-// when admission control sheds it). The request is stamped with the
+// before replying, the progressive refinement scans to withhold and, in the
+// same byte, whether to ship only the rows the epoch's crop reads — plus the
+// epoch, so the server derives the exact augmentation seeds (and crop) the
+// client would have used locally, answered by one FetchBatchResp (or a
+// RetryAfter when admission control sheds it). The request is stamped with the
 // PlanVersion it was issued under, so a server can observe which
 // control-plane snapshot it came from. During a plan swap a session legally
 // carries mixed-version requests in flight — fetches stay idempotent because
@@ -45,8 +46,8 @@ import (
 const (
 	Magic = 0x534F5048 // "SOPH"
 	// Version is the only protocol generation a peer speaks; a Hello carrying
-	// any other is answered with an ErrorResp.
-	Version = 4
+	// any other is answered with an ErrorResp. 4 had no Rows bit.
+	Version = 5
 	// frameHeader is the on-wire frame-header length: magic (4), type (1),
 	// flags (1), payload length (4), CRC32-C (4).
 	frameHeader  = 14

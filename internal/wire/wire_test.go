@@ -270,9 +270,9 @@ func TestFetchRespArtifactIsCopied(t *testing.T) {
 
 // Property: every single-sample directive round-trips exactly.
 func TestFetchRoundTripProperty(t *testing.T) {
-	f := func(req uint64, sample uint32, split, fidelity uint8, epoch uint64, planVersion uint32) bool {
+	f := func(req uint64, sample uint32, split, fidelity uint8, rows bool, epoch uint64, planVersion uint32) bool {
 		var buf bytes.Buffer
-		in := one(req, FetchBatchItem{Sample: sample, Split: split, Fidelity: fidelity}, epoch, planVersion)
+		in := one(req, FetchBatchItem{Sample: sample, Split: split, Fidelity: fidelity % 128, Rows: rows}, epoch, planVersion)
 		if err := Write(&buf, in); err != nil || buf.Len() != frameHeader+28 {
 			return false
 		}
