@@ -19,73 +19,14 @@ import (
 	"repro/internal/simclock"
 )
 
-// SLOClass is one fetch class's latency distribution in milliseconds —
-// fixed units so records from different runs diff cleanly.
-type SLOClass struct {
-	Count  uint64  `json:"count"`
-	Shed   uint64  `json:"shed"`
-	P50Ms  float64 `json:"p50_ms"`
-	P90Ms  float64 `json:"p90_ms"`
-	P99Ms  float64 `json:"p99_ms"`
-	P999Ms float64 `json:"p999_ms"`
-	MaxMs  float64 `json:"max_ms"`
-	MeanMs float64 `json:"mean_ms"`
-}
-
-// SLOScenario is one load-generator run: a named workload with its offered
-// and delivered rates and the per-class distributions.
-type SLOScenario struct {
-	Name          string              `json:"name"`
-	Sessions      int                 `json:"sessions"`
-	Offered       uint64              `json:"offered"`
-	Completed     uint64              `json:"completed"`
-	Shed          uint64              `json:"shed"`
-	OfferedRPS    float64             `json:"offered_rps"`
-	ThroughputRPS float64             `json:"throughput_rps"`
-	ShedRate      float64             `json:"shed_rate"`
-	MaxQueueDepth int                 `json:"max_queue_depth"`
-	Classes       map[string]SLOClass `json:"classes"`
-}
-
 // SLORecord is the output of `sophon-bench -load`: one record per run, one
-// scenario per workload. Version stays 1 while the shape does.
+// loadgen report per workload. Version stays 1 while the shape does.
 type SLORecord struct {
-	Kind      string        `json:"kind"` // always "SLO"
-	Version   int           `json:"version"`
-	GoVersion string        `json:"go_version"`
-	Seed      uint64        `json:"seed"`
-	Scenarios []SLOScenario `json:"scenarios"`
-}
-
-func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
-
-// ScenarioFromReport freezes one loadgen report into an SLO scenario.
-func ScenarioFromReport(name string, r *loadgen.Report) SLOScenario {
-	s := SLOScenario{
-		Name:          name,
-		Sessions:      r.Sessions,
-		Offered:       r.Offered,
-		Completed:     r.Completed,
-		Shed:          r.Shed,
-		OfferedRPS:    r.OfferedRPS,
-		ThroughputRPS: r.ThroughputRPS,
-		ShedRate:      r.ShedRate,
-		MaxQueueDepth: r.MaxQueueDepth,
-		Classes:       make(map[string]SLOClass, len(r.Classes)),
-	}
-	for class, c := range r.Classes {
-		s.Classes[class] = SLOClass{
-			Count:  c.Count,
-			Shed:   c.Shed,
-			P50Ms:  ms(c.P50),
-			P90Ms:  ms(c.P90),
-			P99Ms:  ms(c.P99),
-			P999Ms: ms(c.P999),
-			MaxMs:  ms(c.Max),
-			MeanMs: ms(c.Mean),
-		}
-	}
-	return s
+	Kind      string            `json:"kind"` // always "SLO"
+	Version   int               `json:"version"`
+	GoVersion string            `json:"go_version"`
+	Seed      uint64            `json:"seed"`
+	Scenarios []*loadgen.Report `json:"scenarios"`
 }
 
 // The load scenario BENCH_pr7.json records: 2 400 open-loop sessions for
@@ -174,10 +115,10 @@ func buildLoadJobs(seed uint64, util float64) ([]loadgen.JobSpec, error) {
 }
 
 // runLoadScenario runs one named workload through the DES harness.
-func runLoadScenario(name string, seed uint64, util float64, adm loadgen.AdmissionSpec) (SLOScenario, *loadgen.Report, error) {
+func runLoadScenario(name string, seed uint64, util float64, adm loadgen.AdmissionSpec) (*loadgen.Report, error) {
 	jobs, err := buildLoadJobs(seed, util)
 	if err != nil {
-		return SLOScenario{}, nil, err
+		return nil, err
 	}
 	rep, err := loadgen.Run(loadgen.Config{
 		Seed:            seed,
@@ -189,9 +130,10 @@ func runLoadScenario(name string, seed uint64, util float64, adm loadgen.Admissi
 		Admission:       adm,
 	})
 	if err != nil {
-		return SLOScenario{}, nil, err
+		return nil, err
 	}
-	return ScenarioFromReport(name, rep), rep, nil
+	rep.Name = name
+	return rep, nil
 }
 
 // writeLoadJSON runs the steady and overload scenarios and writes the SLO
@@ -199,11 +141,11 @@ func runLoadScenario(name string, seed uint64, util float64, adm loadgen.Admissi
 // capacity against a tight admission budget, so the record shows both
 // nominal SLOs and shed-load behavior.
 func writeLoadJSON(path string, seed uint64) error {
-	steady, steadyRep, err := runLoadScenario("steady", seed, 0.65, loadgen.AdmissionSpec{})
+	steady, err := runLoadScenario("steady", seed, 0.65, loadgen.AdmissionSpec{})
 	if err != nil {
 		return err
 	}
-	overload, overloadRep, err := runLoadScenario("overload", seed, 2.6, loadgen.AdmissionSpec{
+	overload, err := runLoadScenario("overload", seed, 2.6, loadgen.AdmissionSpec{
 		MaxInFlightBytes:  2 << 20,
 		MaxQueuePerTenant: 16,
 	})
@@ -215,19 +157,16 @@ func writeLoadJSON(path string, seed uint64) error {
 		Version:   1,
 		GoVersion: runtime.Version(),
 		Seed:      seed,
-		Scenarios: []SLOScenario{steady, overload},
+		Scenarios: []*loadgen.Report{steady, overload},
 	}
 	if err := writeJSON(path, record); err != nil {
 		return err
 	}
-	for _, s := range []struct {
-		name string
-		rep  *loadgen.Report
-	}{{"steady", steadyRep}, {"overload", overloadRep}} {
+	for _, s := range record.Scenarios {
 		fmt.Fprintf(os.Stderr, "sophon-bench: %-8s %d sessions, %.0f rps offered, %.0f rps served, %.2f%% shed",
-			s.name, s.rep.Sessions, s.rep.OfferedRPS, s.rep.ThroughputRPS, 100*s.rep.ShedRate)
-		if c := s.rep.Classes["raw"]; c != nil {
-			fmt.Fprintf(os.Stderr, ", raw p99 %.2f ms", float64(c.P99.Nanoseconds())/1e6)
+			s.Name, s.Sessions, s.OfferedRPS, s.ThroughputRPS, 100*s.ShedRate)
+		if c := s.Classes["raw"]; c != nil {
+			fmt.Fprintf(os.Stderr, ", raw p99 %.2f ms", c.P99Ms)
 		}
 		fmt.Fprintln(os.Stderr)
 	}

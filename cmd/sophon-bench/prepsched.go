@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"os"
 	"runtime"
@@ -20,6 +21,7 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/netsim"
 	"repro/internal/policy"
+	"repro/internal/prepsched"
 )
 
 // The comparison BENCH_pr9.json records: 2 000 samples on eight workers (and
@@ -55,11 +57,11 @@ type prepschedReport struct {
 	// HeavyRatio is the classifier threshold as a multiple of the mean
 	// per-sample cost (0 = prepsched's default).
 	HeavyRatio float64 `json:"heavy_threshold_ratio,omitempty"`
-	// HeavySamples is the classifier's heavy count — identical across modes
-	// by construction (classification is scheduling-independent).
-	HeavySamples int           `json:"heavy_samples"`
-	FIFO         prepschedMode `json:"fifo"`
-	Steal        prepschedMode `json:"steal"`
+	// Heavy is the classifier's heavy count over the trace;
+	// classification does not depend on the dispatch model.
+	Heavy int           `json:"heavy_samples"`
+	FIFO  prepschedMode `json:"fifo"`
+	Steal prepschedMode `json:"steal"`
 	// PrepschedSpeedup is FIFO epoch time / steal epoch time.
 	PrepschedSpeedup float64 `json:"prepsched_speedup"`
 }
@@ -125,7 +127,6 @@ func writePrepschedJSON(path string, seed uint64) error {
 		BatchSize:   64,
 		Lookahead:   8,
 		PrepWorkers: prepschedWorkers,
-		HeavyRatio:  prepschedThreshold,
 	}
 	fifoCfg := base
 	fifoCfg.PrepSched = engine.PrepSchedFIFO
@@ -139,9 +140,12 @@ func writePrepschedJSON(path string, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	if fifo.TrafficBytes != steal.TrafficBytes || fifo.HeavySamples != steal.HeavySamples {
-		return fmt.Errorf("prepsched: scheduling changed the workload: traffic %d/%d heavy %d/%d",
-			fifo.TrafficBytes, steal.TrafficBytes, fifo.HeavySamples, steal.HeavySamples)
+	if fifo.TrafficBytes != steal.TrafficBytes {
+		return fmt.Errorf("prepsched: scheduling changed the traffic: %d/%d", fifo.TrafficBytes, steal.TrafficBytes)
+	}
+	classifier, err := prepsched.FromTrace(tr, prepschedThreshold)
+	if err != nil {
+		return err
 	}
 	report := prepschedReport{
 		Kind: "BENCH",
@@ -155,7 +159,7 @@ func writePrepschedJSON(path string, seed uint64) error {
 		HeavyFrac:        prepschedHeavyFrac,
 		CostRatio:        prepschedCostRatio,
 		HeavyRatio:       prepschedThreshold,
-		HeavySamples:     steal.HeavySamples,
+		Heavy:            int(math.Round(classifier.BaselineHeavyFrac() * float64(tr.N()))),
 		FIFO:             prepschedModeOf(fifo),
 		Steal:            prepschedModeOf(steal),
 		PrepschedSpeedup: fifo.EpochTime.Seconds() / steal.EpochTime.Seconds(),

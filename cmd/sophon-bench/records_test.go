@@ -2,9 +2,12 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"testing"
 )
 
@@ -12,11 +15,16 @@ import (
 // rather than a simulated quantity.
 var goVersionLine = regexp.MustCompile(`(?m)^(\s*"go_version": )"[^"]*"`)
 
+// evaluationDigest is the sha256 of `sophon-bench -seed 2024`'s stdout, the
+// evaluation report every simulator change is held to.
+const evaluationDigest = "cad1874023055dba6c4a39a8a6c47f7b9b5ee6da231f9a5c3070032fa0a1419a"
+
 // TestCommittedRecords regenerates every simulator record at the seed the
-// committed files were written with and requires the same bytes. The records
-// come out of seeded discrete-event simulations, so equality with the
-// committed file is also run-to-run determinism, and any edit to the model
-// tier that moves a simulated number fails here, naming the record.
+// committed files were written with and requires the same bytes, and the
+// evaluation report its digest. The records come out of seeded
+// discrete-event simulations, so equality with the committed file is also
+// run-to-run determinism, and any edit to the model tier that moves a
+// simulated number fails here, naming the record.
 func TestCommittedRecords(t *testing.T) {
 	const seed = 2024
 	for _, rec := range []struct {
@@ -49,4 +57,17 @@ func TestCommittedRecords(t *testing.T) {
 			}
 		})
 	}
+	t.Run("evaluation", func(t *testing.T) {
+		if testing.Short() {
+			t.Skip("the full evaluation takes seconds")
+		}
+		fs, _ := testFlags()
+		var stdout bytes.Buffer
+		if err := run(fs, []string{"-seed", strconv.Itoa(seed)}, &stdout); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(stdout.Bytes())); got != evaluationDigest {
+			t.Fatalf("evaluation report at seed %d hashes to %s, want %s", seed, got, evaluationDigest)
+		}
+	})
 }

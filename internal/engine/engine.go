@@ -11,13 +11,13 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/policy"
-	"repro/internal/prepsched"
 )
 
 // Config describes one epoch simulation.
@@ -53,22 +53,13 @@ type Config struct {
 	// non-zero PrefetchWindow (ErrLookaheadConfig).
 	Lookahead int
 
-	// PrepSched selects the local-preprocessing service model. The default,
-	// PrepSchedShared, is the historical earliest-free shared pool of
-	// Env.ComputeCores. PrepSchedFIFO statically assigns stream position i to
-	// worker i%W (each worker a single-core FIFO queue — the head-of-line
-	// blocking a real per-worker loader exhibits); PrepSchedSteal is the
-	// work-conserving variance-aware model: a sample runs on its home worker
-	// unless another worker frees up earlier, which counts as a steal.
+	// PrepSched selects how local preprocessing is dispatched over
+	// PrepWorkers single-core workers, stream position i's home being
+	// worker i%W: the product's work-stealing pool by default.
 	PrepSched PrepSchedModel
-	// PrepWorkers is the per-worker model's worker count; 0 means
-	// Env.ComputeCores. PrepSched≠Shared only (ErrPrepSchedConfig).
+	// PrepWorkers is the local-prep pool's worker count; 0 means
+	// Env.ComputeCores.
 	PrepWorkers int
-	// HeavyRatio is the heavy-classification threshold as a multiple of the
-	// trace's mean preprocessing cost (prepsched.DefaultHeavyRatio when 0) —
-	// it only affects Result.HeavySamples accounting, not scheduling.
-	// PrepSched≠Shared only (ErrPrepSchedConfig).
-	HeavyRatio float64
 
 	// Fidelity, when non-nil, enables progressive byte accounting: a raw
 	// (split-0) sample whose plan entry withholds scans ships only the
@@ -83,33 +74,17 @@ type PrepSchedModel int
 
 // Local preprocessing service models.
 const (
-	// PrepSchedShared is the historical earliest-free shared core pool.
-	PrepSchedShared PrepSchedModel = iota
-	// PrepSchedFIFO pins stream position i to worker i%W, FIFO per worker.
-	PrepSchedFIFO
 	// PrepSchedSteal lets an idle worker take a queued sample from a busy
-	// one: each sample starts on whichever worker frees up first, its home
-	// worker preferred on ties.
-	PrepSchedSteal
+	// one: each sample starts on the earliest-free worker, staying home
+	// when home is one of them; running elsewhere counts as a steal.
+	PrepSchedSteal PrepSchedModel = iota
+	// PrepSchedFIFO queues each sample on its home worker however backed up
+	// it is: the head-of-line blocking of a static per-worker loader.
+	PrepSchedFIFO
 )
 
-// String names the model for reports.
-func (m PrepSchedModel) String() string {
-	switch m {
-	case PrepSchedShared:
-		return "shared"
-	case PrepSchedFIFO:
-		return "fifo"
-	case PrepSchedSteal:
-		return "steal"
-	default:
-		return fmt.Sprintf("prepsched(%d)", int(m))
-	}
-}
-
-// ErrPrepSchedConfig marks contradictory preprocessing-scheduler knobs:
-// an unknown PrepSched model, or per-worker knobs set under the shared pool.
-var ErrPrepSchedConfig = errors.New("engine: prepsched knobs conflict")
+// ErrPrepSchedConfig marks an unknown PrepSched model.
+var ErrPrepSchedConfig = errors.New("engine: unknown prepsched model")
 
 // ErrLookaheadConfig marks contradictory loader knobs: a clairvoyant
 // lookahead combined with a reactive prefetch window.
@@ -145,21 +120,18 @@ type Result struct {
 	// (Σ PerLinkIdle / K) / EpochTime.
 	LinkIdleFrac float64
 
-	// PerWorkerIdle is each preprocessing worker's stall time under the
-	// per-worker models (PrepSched ≠ Shared): prepMakespan − busy, where
-	// prepMakespan is the last local completion across all workers. A large
-	// value is a worker that ran dry while another worker's queue — heavy
-	// samples pinned behind the static assignment — still held the epoch
-	// open; the imbalance work-stealing removes.
+	// PerWorkerIdle is each preprocessing worker's stall time:
+	// prepMakespan − busy, where prepMakespan is the last local completion
+	// across all workers. A large value is a worker that ran dry while
+	// another worker's queue — heavy samples pinned behind the static
+	// assignment — still held the epoch open; the imbalance work-stealing
+	// removes.
 	PerWorkerIdle []time.Duration
 	// WorkerStallFrac is the mean per-worker stalled fraction of the
 	// preprocessing phase: (Σ PerWorkerIdle / W) / prepMakespan.
 	WorkerStallFrac float64
 	// Steals counts samples PrepSchedSteal ran away from their home worker.
 	Steals int
-	// HeavySamples counts trace records classified heavy at HeavyRatio ×
-	// mean cost (0 under PrepSchedShared).
-	HeavySamples int
 
 	// MeanQuality is the plan's mean per-sample reconstruction quality under
 	// the fidelity ladder (1 without a ladder or with no reduced samples).
@@ -171,95 +143,87 @@ type Result struct {
 	FidelityBytesSaved int64
 }
 
-// MultiServer models a k-server FIFO resource by list scheduling: each job
-// starts on the earliest-free server, no earlier than it arrives. It is the
-// one pool model of the simulated tier — storage cores, links (k = 1),
-// compute cores and accelerators here, and the load harness's per-shard
-// cores and link (internal/loadgen).
-type MultiServer struct {
-	free []time.Duration // when each server next falls idle; a min-heap
-	busy time.Duration
-	last time.Duration // latest completion scheduled so far
+// Pool models k identical servers by list scheduling. It is the one
+// resource model of the simulated tier: storage cores and links (k = 1)
+// here and in the load harness (internal/loadgen), and each job's prep
+// workers and accelerators. A job starts on the earliest-free server, no
+// earlier than it arrives, the lowest-numbered one on a tie.
+type Pool struct {
+	// tree is a tournament over the servers, padded to a power of two:
+	// leaf len(free)+s is server s, and each inner node names the
+	// earlier-free of its children's servers, the lower-numbered on a tie.
+	tree  []int32
+	free  []time.Duration // when each server next falls idle; padding never does
+	busy  []time.Duration // each server's summed service time
+	total time.Duration   // the servers' summed service time
+	last  time.Duration   // latest completion scheduled so far
 }
 
-// NewMultiServer returns an idle pool of servers servers; a pool of none
-// accepts no work.
-func NewMultiServer(servers int) *MultiServer {
-	return &MultiServer{free: make([]time.Duration, servers)}
+// NewPool returns an idle pool of servers servers; a pool of none accepts
+// no work.
+func NewPool(servers int) *Pool {
+	n := 1
+	for n < servers {
+		n *= 2
+	}
+	p := &Pool{tree: make([]int32, 2*n), free: make([]time.Duration, n), busy: make([]time.Duration, servers)}
+	for s := servers; s < n; s++ {
+		p.free[s] = math.MaxInt64
+	}
+	// Every server is idle at 0, so each inner node's winner is its left
+	// child's.
+	for i := 2*n - 1; i > 0; i-- {
+		p.tree[i] = int32(i - n)
+		if i < n {
+			p.tree[i] = p.tree[2*i]
+		}
+	}
+	return p
 }
 
 // Schedule runs a job arriving at arrival for dur on the earliest-free
 // server and returns its completion time. Arrivals must be offered in
 // queue order; the pool is FIFO only across calls.
-func (m *MultiServer) Schedule(arrival, dur time.Duration) time.Duration {
-	end := max(m.free[0], arrival) + dur
-	// The root was the earliest-free server; sift its new free time down.
-	f, i := m.free, 0
-	for c := 1; c < len(f); c = 2*i + 1 {
-		if c+1 < len(f) && f[c+1] < f[c] {
-			c++
-		}
-		if end <= f[c] {
-			break
-		}
-		f[i], i = f[c], c
-	}
-	f[i] = end
-	m.busy += dur
-	m.last = max(m.last, end)
-	return end
+func (p *Pool) Schedule(arrival, dur time.Duration) time.Duration {
+	return p.run(int(p.tree[1]), arrival, dur)
 }
 
-// prepWorkers models W single-core preprocessing workers individually —
-// unlike MultiServer's earliest-free pool, each worker has its own queue, so
-// head-of-line blocking (FIFO) and its removal (steal) are visible per
-// worker.
-type prepWorkers struct {
-	free, busy []time.Duration
-	last       time.Duration // latest completion scheduled on any worker
+// place runs a job whose home is server home and reports its completion
+// time and server: home when home is among the earliest-free, else where
+// Schedule would start it; pinned, on home however busy home is.
+func (p *Pool) place(home int, pinned bool, arrival, dur time.Duration) (time.Duration, int) {
+	s := home
+	if !pinned && p.free[home] != p.free[p.tree[1]] {
+		s = int(p.tree[1])
+	}
+	return p.run(s, arrival, dur), s
 }
 
-func newPrepWorkers(w int) *prepWorkers {
-	return &prepWorkers{free: make([]time.Duration, w), busy: make([]time.Duration, w)}
-}
-
-// schedule runs stream position i's local suffix arriving at arrival. Under
-// FIFO the sample queues on its home worker i%W no matter how backed up it
-// is; under steal it runs on whichever worker starts it earliest, the home
-// worker preferred on ties (so an idle home never counts as a steal).
-// Reports the completion time and whether the sample was stolen.
-func (p *prepWorkers) schedule(i int, arrival, dur time.Duration, steal bool) (time.Duration, bool) {
-	home := i % len(p.free)
-	w := home
-	if steal {
-		best := p.free[home]
-		if arrival > best {
-			best = arrival
+// run serves the job on server s and replays the matches on s's path to
+// the root.
+func (p *Pool) run(s int, arrival, dur time.Duration) time.Duration {
+	tree, free := p.tree, p.free
+	end := max(free[s], arrival) + dur
+	free[s] = end
+	w, fw := int32(s), end
+	for i := len(free) + s; i > 1; i >>= 1 {
+		// Rival o wins on an earlier free time, or on a tie as the left
+		// (lower-numbered) child: in whole nanoseconds f <= fw is f < fw+1.
+		o := tree[i^1]
+		if f := free[o]; f < fw+time.Duration(i&1) {
+			w, fw = o, f
 		}
-		for j := range p.free {
-			start := p.free[j]
-			if arrival > start {
-				start = arrival
-			}
-			if start < best {
-				best, w = start, j
-			}
-		}
+		tree[i>>1] = w
 	}
-	start := p.free[w]
-	if arrival > start {
-		start = arrival
-	}
-	end := start + dur
-	p.free[w] = end
-	p.busy[w] += dur
+	p.busy[s] += dur
+	p.total += dur
 	p.last = max(p.last, end)
-	return end, w != home
+	return end
 }
 
 // resolve is the one validation routine of the engine: it checks a job's
 // trace, plan, environment and loader knobs, and fills the defaults the
-// kernel reads (batch, window, shard count). Run resolves
+// kernel reads (batch, window, prep workers, shard count). Run resolves
 // its Config directly; RunFleet builds one Config per job and resolves each.
 func (cfg *Config) resolve() error {
 	if cfg.Trace == nil || cfg.Trace.N() == 0 {
@@ -287,23 +251,14 @@ func (cfg *Config) resolve() error {
 	if cfg.Lookahead > 0 && cfg.PrefetchWindow > 0 {
 		return fmt.Errorf("%w: lookahead %d with reactive window %d", ErrLookaheadConfig, cfg.Lookahead, cfg.PrefetchWindow)
 	}
-	switch cfg.PrepSched {
-	case PrepSchedShared:
-		if cfg.PrepWorkers != 0 || cfg.HeavyRatio != 0 {
-			return fmt.Errorf("%w: PrepWorkers %d / HeavyRatio %v under the shared pool", ErrPrepSchedConfig, cfg.PrepWorkers, cfg.HeavyRatio)
-		}
-	case PrepSchedFIFO, PrepSchedSteal:
-		if cfg.PrepWorkers < 0 {
-			return fmt.Errorf("engine: prep workers %d", cfg.PrepWorkers)
-		}
-		if cfg.HeavyRatio < 0 {
-			return fmt.Errorf("engine: heavy ratio %v", cfg.HeavyRatio)
-		}
-		if cfg.PrepWorkers == 0 {
-			cfg.PrepWorkers = cfg.Env.ComputeCores
-		}
-	default:
-		return fmt.Errorf("%w: unknown model %d", ErrPrepSchedConfig, int(cfg.PrepSched))
+	if cfg.PrepSched != PrepSchedSteal && cfg.PrepSched != PrepSchedFIFO {
+		return fmt.Errorf("%w %d", ErrPrepSchedConfig, int(cfg.PrepSched))
+	}
+	if cfg.PrepWorkers < 0 {
+		return fmt.Errorf("engine: prep workers %d", cfg.PrepWorkers)
+	}
+	if cfg.PrepWorkers == 0 {
+		cfg.PrepWorkers = cfg.Env.ComputeCores
 	}
 	if cfg.Lookahead == 0 {
 		if cfg.PrefetchWindow == 0 {
@@ -339,8 +294,8 @@ type tier struct {
 	shardMap *cluster.ShardMap
 	// Empty pools on a tier without cores: resolve admits no offloading
 	// plan there, so nothing is scheduled on them.
-	storage []*MultiServer
-	links   []*MultiServer
+	storage []*Pool
+	links   []*Pool
 	rtt     time.Duration
 
 	// Cross-job artifact cache (fleet.go), admit-until-full; cacheCap 0
@@ -365,15 +320,15 @@ func newTier(cfg Config, cacheBytes int64) (*tier, error) {
 	t := &tier{
 		env:      cfg.Env,
 		shardMap: shardMap,
-		storage:  make([]*MultiServer, cfg.Shards),
-		links:    make([]*MultiServer, cfg.Shards),
+		storage:  make([]*Pool, cfg.Shards),
+		links:    make([]*Pool, cfg.Shards),
 		rtt:      cfg.RTT,
 		cacheCap: cacheBytes,
 		resident: make(map[cacheKey]bool),
 	}
 	for s := range t.links {
-		t.storage[s] = NewMultiServer(cfg.Env.StorageCores)
-		t.links[s] = NewMultiServer(1)
+		t.storage[s] = NewPool(cfg.Env.StorageCores)
+		t.links[s] = NewPool(1)
 	}
 	return t, nil
 }
@@ -381,8 +336,8 @@ func newTier(cfg Config, cacheBytes int64) (*tier, error) {
 // busy sums storage-core and link busy time over the shards.
 func (t *tier) busy() (storage, link time.Duration) {
 	for s := range t.links {
-		storage += t.storage[s].busy
-		link += t.links[s].busy
+		storage += t.storage[s].total
+		link += t.links[s].total
 	}
 	return storage, link
 }
@@ -404,23 +359,20 @@ type job struct {
 	// history (the depth gate).
 	shardEnds [][]time.Duration
 
-	compute    *MultiServer // shared pool, or:
-	prep       *prepWorkers // per-worker model (FIFO or steal)
-	classifier *prepsched.Classifier
-	gpu        *MultiServer
+	prep *Pool // PrepWorkers workers
+	gpu  *Pool
 
 	batchStart int
 	batchReady time.Duration // max ready time in the current batch
-	lastGPUEnd time.Duration
 	batches    int
 
-	reduced, steals, heavy             int
+	reduced, steals                    int
 	traffic, fidelitySaved             int64
 	cacheHits, cacheMisses, cacheSaved int64
 }
 
 // newJob builds one job over t from a resolved Config.
-func newJob(cfg Config, t *tier, dataset uint64) (*job, error) {
+func newJob(cfg Config, t *tier, dataset uint64) *job {
 	n := cfg.Trace.N()
 	j := &job{
 		cfg:      cfg,
@@ -428,8 +380,8 @@ func newJob(cfg Config, t *tier, dataset uint64) (*job, error) {
 		dataset:  dataset,
 		order:    make([]int, n),
 		consumed: make([]time.Duration, n),
-		compute:  NewMultiServer(cfg.Env.ComputeCores),
-		gpu:      NewMultiServer(cfg.Env.GPUs()),
+		prep:     NewPool(cfg.PrepWorkers),
+		gpu:      NewPool(cfg.Env.GPUs()),
 	}
 	for i := range j.order {
 		j.order[i] = i
@@ -438,17 +390,10 @@ func newJob(cfg Config, t *tier, dataset uint64) (*job, error) {
 		rng := rand.New(rand.NewPCG(cfg.ShuffleSeed, cfg.ShuffleSeed^0xb533_1157))
 		rng.Shuffle(n, func(a, b int) { j.order[a], j.order[b] = j.order[b], j.order[a] })
 	}
-	if cfg.PrepSched != PrepSchedShared {
-		var err error
-		if j.classifier, err = prepsched.FromTrace(cfg.Trace, cfg.HeavyRatio); err != nil {
-			return nil, err
-		}
-		j.prep = newPrepWorkers(cfg.PrepWorkers)
-	}
 	if cfg.Lookahead > 0 {
 		j.shardEnds = make([][]time.Duration, cfg.Shards)
 	}
-	return j, nil
+	return j
 }
 
 // xferBytes prices one sample's transfer: stage-split artifact plus
@@ -530,19 +475,12 @@ func (j *job) step() {
 		}
 	}
 
-	suffix := rec.TotalTime() - rec.PrefixTime(split)
-	if j.prep != nil {
-		if j.classifier.Classify(rec.TotalTime()) == prepsched.Heavy {
-			j.heavy++
+	if suffix := rec.TotalTime() - rec.PrefixTime(split); suffix > 0 {
+		home := i % j.cfg.PrepWorkers
+		var w int
+		if at, w = j.prep.place(home, j.cfg.PrepSched == PrepSchedFIFO, at, suffix); w != home {
+			j.steals++
 		}
-		if suffix > 0 {
-			var stole bool
-			if at, stole = j.prep.schedule(i, at, suffix, j.cfg.PrepSched == PrepSchedSteal); stole {
-				j.steals++
-			}
-		}
-	} else if suffix > 0 {
-		at = j.compute.Schedule(at, suffix)
 	}
 
 	j.batchReady = max(j.batchReady, at)
@@ -559,7 +497,6 @@ func (j *job) flushBatch() {
 	for i := j.batchStart; i < j.next; i++ {
 		j.consumed[i] = end
 	}
-	j.lastGPUEnd = max(j.lastGPUEnd, end)
 	j.batchStart = j.next
 	j.batchReady = 0
 	j.batches++
@@ -574,51 +511,40 @@ func Run(cfg Config) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	j, err := newJob(cfg, t, 0)
-	if err != nil {
-		return Result{}, err
-	}
+	j := newJob(cfg, t, 0)
 	for j.next < len(j.order) {
 		j.step()
 	}
 
 	res := Result{
-		EpochTime:          j.lastGPUEnd,
+		EpochTime:          j.gpu.last,
 		TrafficBytes:       j.traffic,
-		ComputeBusy:        j.compute.busy,
-		GPUBusy:            j.gpu.busy,
+		ComputeBusy:        j.prep.total,
+		GPUBusy:            j.gpu.total,
+		Steals:             j.steals,
 		SamplesOffloaded:   cfg.Plan.OffloadedCount(),
 		Batches:            j.batches,
 		MeanQuality:        1,
 		SamplesReduced:     j.reduced,
 		FidelityBytesSaved: j.fidelitySaved,
-		PerLinkIdle:        make([]time.Duration, cfg.Shards),
 	}
 	if cfg.Fidelity != nil {
 		res.MeanQuality = cfg.Plan.MeanQuality(*cfg.Fidelity)
 	}
 	res.StorageBusy, res.LinkBusy = t.busy()
 	var idleSum time.Duration
-	for s, l := range t.links {
-		res.PerLinkIdle[s] = l.last - l.busy
-		idleSum += res.PerLinkIdle[s]
+	for _, l := range t.links {
+		res.PerLinkIdle = append(res.PerLinkIdle, l.last-l.total)
+		idleSum += l.last - l.total
 	}
-	if prep := j.prep; prep != nil {
-		// Stall is measured against the preprocessing makespan, the last
-		// local completion on any worker.
-		res.PerWorkerIdle = make([]time.Duration, len(prep.busy))
-		var workerIdle time.Duration
-		res.ComputeBusy = 0
-		for w, busy := range prep.busy {
-			res.ComputeBusy += busy
-			res.PerWorkerIdle[w] = prep.last - busy
-			workerIdle += res.PerWorkerIdle[w]
-		}
-		res.Steals = j.steals
-		res.HeavySamples = j.heavy
-		if prep.last > 0 {
-			res.WorkerStallFrac = float64(workerIdle) / float64(len(prep.busy)) / float64(prep.last)
-		}
+	// Stall is measured against the preprocessing makespan, the last local
+	// completion on any worker.
+	last, workers := j.prep.last, time.Duration(len(j.prep.busy))
+	for _, busy := range j.prep.busy {
+		res.PerWorkerIdle = append(res.PerWorkerIdle, last-busy)
+	}
+	if last > 0 {
+		res.WorkerStallFrac = float64(workers*last-res.ComputeBusy) / float64(workers) / float64(last)
 	}
 	if res.EpochTime > 0 {
 		res.GPUUtilization = float64(res.GPUBusy) / float64(res.EpochTime) / float64(cfg.Env.GPUs())

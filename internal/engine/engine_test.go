@@ -3,6 +3,7 @@ package engine
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -434,35 +435,52 @@ func TestPrefetchWindowLimitsOverlap(t *testing.T) {
 	}
 }
 
-// MultiServer's heap against the definition: every job starts on whichever
-// server falls idle first, no earlier than it arrives.
-func TestMultiServerMatchesEarliestFree(t *testing.T) {
+// Pool's tournament tree against the definition, a linear scan: every job
+// starts on the server that falls idle first, no earlier than it arrives, the
+// lowest-numbered one on a tie; a job with a home stays there when home is
+// among the earliest-free, and a pinned job queues on its home.
+func TestPoolMatchesEarliestFree(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	for _, k := range []int{1, 2, 3, 7, 48} {
-		m := NewMultiServer(k)
+		p := NewPool(k)
 		free := make([]time.Duration, k)
-		var busy, last time.Duration
+		busy := make([]time.Duration, k)
+		var total, last time.Duration
 		for i := 0; i < 2000; i++ {
 			// Arrivals wander backwards as well as forwards, as link
-			// completions from different shards do.
-			arrival := time.Duration(i)*time.Millisecond + time.Duration(rng.IntN(5000))*time.Microsecond
-			dur := time.Duration(rng.IntN(20000)) * time.Microsecond
+			// completions from different shards do; whole milliseconds
+			// make free times tie.
+			arrival := time.Duration(i*10/k+rng.IntN(5)) * time.Millisecond
+			dur := time.Duration(rng.IntN(20)) * time.Millisecond
+			home, mode := rng.IntN(k), rng.IntN(3) // mode: 0 no home, 1 home, 2 pinned
 			s := 0
 			for j := range free {
 				if free[j] < free[s] {
 					s = j
 				}
 			}
+			if mode == 2 || mode == 1 && free[home] == free[s] {
+				s = home
+			}
 			want := max(free[s], arrival) + dur
 			free[s] = want
-			busy += dur
+			busy[s] += dur
+			total += dur
 			last = max(last, want)
-			if got := m.Schedule(arrival, dur); got != want {
-				t.Fatalf("k=%d job %d: completes at %v, want %v", k, i, got, want)
+
+			got, server := time.Duration(0), s
+			if mode == 0 {
+				got = p.Schedule(arrival, dur)
+			} else {
+				got, server = p.place(home, mode == 2, arrival, dur)
+			}
+			if got != want || server != s {
+				t.Fatalf("k=%d job %d (mode %d, home %d): server %d completes at %v, want server %d at %v",
+					k, i, mode, home, server, got, s, want)
 			}
 		}
-		if m.busy != busy || m.last != last {
-			t.Fatalf("k=%d: busy %v last %v, want %v %v", k, m.busy, m.last, busy, last)
+		if !slices.Equal(p.busy, busy) || p.total != total || p.last != last {
+			t.Fatalf("k=%d: busy %v (total %v) last %v, want %v (%v) %v", k, p.busy, p.total, p.last, busy, total, last)
 		}
 	}
 }

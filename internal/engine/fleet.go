@@ -124,12 +124,10 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 		if err == nil && t == nil {
 			t, err = newTier(jc, cfg.CacheBytes)
 		}
-		if err == nil {
-			jobs[i], err = newJob(jc, t, fj.Dataset)
-		}
 		if err != nil {
 			return FleetResult{}, fmt.Errorf("engine: fleet job %q: %w", fj.Name, err)
 		}
+		jobs[i] = newJob(jc, t, fj.Dataset)
 		remaining += fj.Trace.N()
 	}
 
@@ -157,7 +155,7 @@ func RunFleet(cfg FleetConfig) (FleetResult, error) {
 	for i, j := range jobs {
 		r := FleetJobResult{
 			Name:             cfg.Jobs[i].Name,
-			EpochTime:        j.lastGPUEnd,
+			EpochTime:        j.gpu.last,
 			TrafficBytes:     j.traffic,
 			SamplesOffloaded: j.cfg.Plan.OffloadedCount(),
 			CacheHits:        j.cacheHits,

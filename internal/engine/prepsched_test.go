@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"time"
 
@@ -35,10 +36,8 @@ func TestPrepSchedValidation(t *testing.T) {
 		name string
 		mut  func(*Config)
 	}{
-		{"unknown model", func(c *Config) { c.PrepSched = PrepSchedSteal + 1 }},
+		{"unknown model", func(c *Config) { c.PrepSched = PrepSchedFIFO + 1 }},
 		{"negative model", func(c *Config) { c.PrepSched = -1 }},
-		{"workers under shared", func(c *Config) { c.PrepWorkers = 8 }},
-		{"heavy ratio under shared", func(c *Config) { c.HeavyRatio = 4 }},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -47,42 +46,11 @@ func TestPrepSchedValidation(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrPrepSchedConfig", tc.name, err)
 		}
 	}
-	// Plain negatives under a per-worker model are range errors, not a knob
-	// conflict.
+	// A negative worker count is a range error, not an unknown model.
 	cfg := base
-	cfg.PrepSched = PrepSchedFIFO
 	cfg.PrepWorkers = -1
 	if _, err := Run(cfg); err == nil || errors.Is(err, ErrPrepSchedConfig) {
 		t.Errorf("negative workers: err = %v", err)
-	}
-	cfg = base
-	cfg.PrepSched = PrepSchedSteal
-	cfg.HeavyRatio = -0.5
-	if _, err := Run(cfg); err == nil || errors.Is(err, ErrPrepSchedConfig) {
-		t.Errorf("negative heavy ratio: err = %v", err)
-	}
-}
-
-// TestPrepSchedSharedUnchanged: the default config must reproduce the
-// historical shared-pool result exactly — same epoch time, no per-worker
-// accounting.
-func TestPrepSchedSharedUnchanged(t *testing.T) {
-	tr := openImages(t, 200)
-	cfg := Config{Trace: tr, Plan: noOffPlan(t, tr), Env: env(0), BatchSize: 32}
-	a, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.PrepSched = PrepSchedShared // explicit zero value
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.EpochTime != b.EpochTime || a.TrafficBytes != b.TrafficBytes {
-		t.Fatalf("explicit shared model diverged: %v vs %v", a.EpochTime, b.EpochTime)
-	}
-	if a.PerWorkerIdle != nil || a.Steals != 0 || a.HeavySamples != 0 || a.WorkerStallFrac != 0 {
-		t.Fatalf("shared run carries per-worker accounting: %+v", a)
 	}
 }
 
@@ -122,12 +90,6 @@ func TestPrepSchedStealBeatsFIFO(t *testing.T) {
 	if fifo.TrafficBytes != steal.TrafficBytes {
 		t.Fatalf("scheduling changed traffic: %d vs %d", fifo.TrafficBytes, steal.TrafficBytes)
 	}
-	if fifo.HeavySamples != steal.HeavySamples {
-		t.Fatalf("heavy accounting diverged: %d vs %d", fifo.HeavySamples, steal.HeavySamples)
-	}
-	if fifo.HeavySamples == 0 || fifo.HeavySamples >= n/2 {
-		t.Fatalf("degenerate heavy count %d of %d", fifo.HeavySamples, n)
-	}
 	if fifo.Steals != 0 {
 		t.Fatalf("FIFO stole %d samples", fifo.Steals)
 	}
@@ -147,24 +109,27 @@ func TestPrepSchedStealBeatsFIFO(t *testing.T) {
 }
 
 // TestPrepSchedDeterministic: same seed, same result — the DES model has no
-// hidden randomness.
+// hidden randomness — and the default model is the stealing pool.
 func TestPrepSchedDeterministic(t *testing.T) {
 	tr := skewTrace(t, 300, 0.1, 10, 7)
 	cfg := Config{
 		Trace: tr, Plan: noOffPlan(t, tr), Env: env(0),
-		BatchSize: 32, ShuffleSeed: 9, Lookahead: 4,
-		PrepSched: PrepSchedSteal, PrepWorkers: 6, HeavyRatio: 4,
+		BatchSize: 32, ShuffleSeed: 9, Lookahead: 4, PrepWorkers: 6,
 	}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.PrepSched = PrepSchedSteal
 	b, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.EpochTime != b.EpochTime || a.Steals != b.Steals || a.WorkerStallFrac != b.WorkerStallFrac {
-		t.Fatalf("steal model nondeterministic: %+v vs %+v", a, b)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("default config diverged from an explicit steal run: %+v vs %+v", a, b)
+	}
+	if a.Steals == 0 {
+		t.Fatal("default model never stole")
 	}
 	if len(a.PerWorkerIdle) != 6 {
 		t.Fatalf("PrepWorkers override ignored: %d workers", len(a.PerWorkerIdle))

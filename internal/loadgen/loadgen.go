@@ -2,7 +2,8 @@
 // generator that drives thousands of concurrent pipelined sessions against
 // a model of the sharded storage tier and reports per-class fetch-latency
 // SLOs (p50/p90/p99/p999 for cache hits, offloaded fetches, and raw
-// fetches).
+// fetches). Its Report is one scenario of the SLO record that `sophon-bench
+// -load` writes (BENCH_pr7.json).
 //
 // The harness is a discrete-event simulation on virtual time, and the repo's
 // only event-driven loop: arrivals, storage-core completions, and
@@ -17,7 +18,7 @@
 // budget, per-tenant weighted fair queues, and bounded queues that shed load
 // with retry-after rejections instead of queueing without bound), one
 // instance per shard where the live tier shares one; each shard's offload
-// cores and link are the epoch engine's k-server pool; latencies land in the
+// cores and link are the epoch engine's engine.Pool; latencies land in the
 // registry's histogram type. Open-loop arrivals keep coming while the server
 // sheds, which is exactly what exposes the bounded-p99-vs-collapse tradeoff
 // the SLO report records.
@@ -27,6 +28,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"time"
 
@@ -74,15 +76,15 @@ type JobSpec struct {
 	Weight float64
 	// Sessions is the number of concurrent pipelined sessions.
 	Sessions int
-	// Rate is the per-session offered load in requests/second.
+	// Rate is the per-session offered load in requests/second (finite, ≥ 0).
 	Rate float64
 	// Arrival selects the arrival process (Poisson or Bursty).
 	Arrival ArrivalKind
 	// Burst is the mean burst size for Bursty arrivals (ignored for
-	// Poisson; values < 1 clamp to 1).
+	// Poisson; finite values < 1 clamp to 1).
 	Burst float64
 	// Mix is the fetch-class probability vector [hit, offloaded, raw];
-	// it is normalized internally, so any non-negative weights work.
+	// it is normalized internally, so any finite non-negative weights work.
 	Mix [3]float64
 	// OffloadedBytes and RawBytes are the mean artifact / raw sample sizes
 	// crossing the link for the respective classes.
@@ -124,7 +126,7 @@ type Config struct {
 	Shards int
 	// CoresPerShard is the storage-CPU count per shard (0 → 1).
 	CoresPerShard int
-	// LinkBytesPerSec is the per-shard link bandwidth (required > 0).
+	// LinkBytesPerSec is the per-shard link bandwidth (positive, finite).
 	LinkBytesPerSec float64
 	// Admission models the server-side admission controller.
 	Admission AdmissionSpec
@@ -133,11 +135,12 @@ type Config struct {
 // ErrBadConfig reports an invalid Config.
 var ErrBadConfig = errors.New("loadgen: bad config")
 
-// Report is the result of one run.
+// Report is the result of one run, shaped as one scenario of the SLO record:
+// latencies in milliseconds, so records from different runs diff cleanly.
 type Report struct {
-	Seed        uint64        `json:"seed"`
-	Sessions    int           `json:"sessions"`
-	SimDuration time.Duration `json:"sim_duration"`
+	// Name labels the scenario in the record; Run leaves it to the caller.
+	Name     string `json:"name"`
+	Sessions int    `json:"sessions"`
 	// Offered counts arrivals during the load window; Completed the
 	// requests that finished (including post-deadline drain); Shed the
 	// requests rejected by admission control.
@@ -160,15 +163,17 @@ type Report struct {
 
 // ClassReport is the latency distribution of one fetch class.
 type ClassReport struct {
-	Count uint64        `json:"count"`
-	Shed  uint64        `json:"shed"`
-	P50   time.Duration `json:"p50_ns"`
-	P90   time.Duration `json:"p90_ns"`
-	P99   time.Duration `json:"p99_ns"`
-	P999  time.Duration `json:"p999_ns"`
-	Max   time.Duration `json:"max_ns"`
-	Mean  time.Duration `json:"mean_ns"`
+	Count  uint64  `json:"count"`
+	Shed   uint64  `json:"shed"`
+	P50Ms  float64 `json:"p50_ms"`
+	P90Ms  float64 `json:"p90_ms"`
+	P99Ms  float64 `json:"p99_ms"`
+	P999Ms float64 `json:"p999_ms"`
+	MaxMs  float64 `json:"max_ms"`
+	MeanMs float64 `json:"mean_ms"`
 }
+
+func ms(d time.Duration) float64 { return float64(d.Nanoseconds()) / 1e6 }
 
 // event kinds.
 const (
@@ -219,8 +224,8 @@ type request struct {
 // pool, and outbound link.
 type shardState struct {
 	admission *wfq.Budget // a queued Item.Value is the *request
-	cores     *engine.MultiServer
-	link      *engine.MultiServer
+	cores     *engine.Pool
+	link      *engine.Pool
 }
 
 type session struct {
@@ -249,15 +254,17 @@ func Run(cfg Config) (*Report, error) {
 	if cfg.Duration <= 0 {
 		return nil, fmt.Errorf("%w: Duration must be > 0", ErrBadConfig)
 	}
-	if cfg.LinkBytesPerSec <= 0 {
-		return nil, fmt.Errorf("%w: LinkBytesPerSec must be > 0", ErrBadConfig)
+	if cfg.LinkBytesPerSec <= 0 || !finite(cfg.LinkBytesPerSec) {
+		return nil, fmt.Errorf("%w: LinkBytesPerSec must be positive and finite", ErrBadConfig)
 	}
 	total := 0
 	for i := range cfg.Jobs {
-		if cfg.Jobs[i].Sessions < 0 || cfg.Jobs[i].Rate < 0 {
-			return nil, fmt.Errorf("%w: job %q has negative sessions or rate", ErrBadConfig, cfg.Jobs[i].Name)
+		job := &cfg.Jobs[i]
+		if job.Sessions < 0 || job.Rate < 0 || !finite(job.Rate) ||
+			!finite(job.Burst) || !finite(job.Mix[0]) || !finite(job.Mix[1]) || !finite(job.Mix[2]) {
+			return nil, fmt.Errorf("%w: job %q needs non-negative sessions and rate, and a finite rate, burst and mix", ErrBadConfig, job.Name)
 		}
-		total += cfg.Jobs[i].Sessions
+		total += job.Sessions
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("%w: no sessions", ErrBadConfig)
@@ -280,8 +287,8 @@ func Run(cfg Config) (*Report, error) {
 	for i := range s.shards {
 		s.shards[i] = &shardState{
 			admission: wfq.NewBudget(cfg.Admission.MaxInFlightBytes, cfg.Admission.MaxQueuePerTenant),
-			cores:     engine.NewMultiServer(cfg.CoresPerShard),
-			link:      engine.NewMultiServer(1),
+			cores:     engine.NewPool(cfg.CoresPerShard),
+			link:      engine.NewPool(1),
 		}
 	}
 
@@ -327,6 +334,8 @@ func Run(cfg Config) (*Report, error) {
 
 	return s.report(total), nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // schedule queues an event for virtual time at.
 func (s *sim) schedule(at time.Duration, kind, sessionIdx int, req *request) {
@@ -440,9 +449,7 @@ func (s *sim) report(sessions int) *Report {
 		shedTotal += c
 	}
 	rep := &Report{
-		Seed:          s.cfg.Seed,
 		Sessions:      sessions,
-		SimDuration:   s.cfg.Duration,
 		Offered:       s.offered,
 		Completed:     s.done,
 		Shed:          shedTotal,
@@ -461,14 +468,14 @@ func (s *sim) report(sessions int) *Report {
 			continue
 		}
 		rep.Classes[c.String()] = &ClassReport{
-			Count: h.Count(),
-			Shed:  s.shed[c],
-			P50:   h.Quantile(0.50),
-			P90:   h.Quantile(0.90),
-			P99:   h.Quantile(0.99),
-			P999:  h.Quantile(0.999),
-			Max:   h.Max(),
-			Mean:  h.Mean(),
+			Count:  h.Count(),
+			Shed:   s.shed[c],
+			P50Ms:  ms(h.Quantile(0.50)),
+			P90Ms:  ms(h.Quantile(0.90)),
+			P99Ms:  ms(h.Quantile(0.99)),
+			P999Ms: ms(h.Quantile(0.999)),
+			MaxMs:  ms(h.Max()),
+			MeanMs: ms(h.Mean()),
 		}
 	}
 	return rep

@@ -2,6 +2,8 @@ package loadgen
 
 import (
 	"encoding/json"
+	"errors"
+	"math"
 	"testing"
 	"time"
 )
@@ -61,14 +63,14 @@ func TestRunSteadySLOs(t *testing.T) {
 		if cr == nil || cr.Count == 0 {
 			t.Fatalf("class %q missing from report: %+v", class, rep.Classes)
 		}
-		if cr.P50 <= 0 || cr.P99 < cr.P50 || cr.P999 < cr.P99 || cr.Max < cr.P999 {
+		if cr.P50Ms <= 0 || cr.P99Ms < cr.P50Ms || cr.P999Ms < cr.P99Ms || cr.MaxMs < cr.P999Ms {
 			t.Fatalf("class %q quantiles not monotone: %+v", class, cr)
 		}
 	}
 	// Cache hits never touch the tier; they must be orders of magnitude
 	// faster than raw fetches.
-	if rep.Classes["hit"].P99 >= rep.Classes["raw"].P50 {
-		t.Fatalf("hit p99 %v >= raw p50 %v", rep.Classes["hit"].P99, rep.Classes["raw"].P50)
+	if rep.Classes["hit"].P99Ms >= rep.Classes["raw"].P50Ms {
+		t.Fatalf("hit p99 %v ms >= raw p50 %v ms", rep.Classes["hit"].P99Ms, rep.Classes["raw"].P50Ms)
 	}
 }
 
@@ -136,12 +138,12 @@ func TestOverloadBoundedP99(t *testing.T) {
 	}
 
 	for _, class := range []string{"offloaded", "raw"} {
-		bounded := shed.Classes[class].P99
-		collapsed := unbounded.Classes[class].P99
+		bounded := shed.Classes[class].P99Ms
+		collapsed := unbounded.Classes[class].P99Ms
 		// The admission-controlled tail must stay far below the
 		// uncontrolled one (which queues toward the full sim horizon).
 		if bounded*10 > collapsed {
-			t.Errorf("class %q: admission p99 %v not ≪ unbounded p99 %v", class, bounded, collapsed)
+			t.Errorf("class %q: admission p99 %v ms not ≪ unbounded p99 %v ms", class, bounded, collapsed)
 		}
 	}
 	// Bounded queues: the depth high-water can never exceed
@@ -225,6 +227,50 @@ func TestRunBadConfig(t *testing.T) {
 		Jobs: []JobSpec{{Sessions: 1, Rate: -1}},
 	}); err == nil {
 		t.Fatal("negative rate should fail")
+	}
+}
+
+// TestRunRejectsNonFinite: a NaN or infinite rate, burst, link rate or mix
+// weight is a bad config. A non-finite rate used to spin Run's arrival loop
+// forever and a NaN link rate to report every percentile as 0, so each case
+// runs under a deadline and a regression fails instead of hanging.
+func TestRunRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"rate NaN", func(c *Config) { c.Jobs[0].Rate = nan }},
+		{"rate +Inf", func(c *Config) { c.Jobs[0].Rate = inf }},
+		{"rate -Inf", func(c *Config) { c.Jobs[0].Rate = -inf }},
+		{"burst NaN", func(c *Config) { c.Jobs[1].Burst = nan }},
+		{"burst +Inf", func(c *Config) { c.Jobs[1].Burst = inf }},
+		{"burst -Inf", func(c *Config) { c.Jobs[1].Burst = -inf }},
+		{"link NaN", func(c *Config) { c.LinkBytesPerSec = nan }},
+		{"link +Inf", func(c *Config) { c.LinkBytesPerSec = inf }},
+		{"link -Inf", func(c *Config) { c.LinkBytesPerSec = -inf }},
+		{"hit weight NaN", func(c *Config) { c.Jobs[0].Mix[0] = nan }},
+		{"offloaded weight +Inf", func(c *Config) { c.Jobs[0].Mix[1] = inf }},
+		{"raw weight -Inf", func(c *Config) { c.Jobs[1].Mix[2] = -inf }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := steadyConfig()
+			tc.mut(&cfg)
+			done := make(chan error, 1)
+			go func() {
+				_, err := Run(cfg)
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrBadConfig) {
+					t.Fatalf("err = %v, want ErrBadConfig", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("Run did not return within 5 s")
+			}
+		})
 	}
 }
 
