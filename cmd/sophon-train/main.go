@@ -157,8 +157,22 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 			}
 		}
 		nShards = len(addrs)
+		m, err := cluster.NewShardMap(nShards)
+		if err != nil {
+			return err
+		}
 		dial = func() (storage.Fetcher, error) {
-			return dialSharded(addrs, opts, *attempts, *backoff, *degraded)
+			sc, err := cluster.DialSharded(m, func(s int) (*storage.Client, error) {
+				c, err := storage.DialWithOptions(addrs[s], opts)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", addrs[s], err)
+				}
+				return c, nil
+			}, *attempts, *backoff, *degraded)
+			if err != nil {
+				return nil, err
+			}
+			return sc, nil
 		}
 		logger.Printf("fan-out client over %d shards (degraded=%v)", nShards, *degraded)
 	}
@@ -344,32 +358,6 @@ func runAdaptive(logger *log.Logger, stdout io.Writer, trainer *trainsim.Trainer
 		logger.Printf("history: %s", ev)
 	}
 	return nil
-}
-
-// dialSharded builds the fan-out client: one reconnecting session per shard
-// address, routed by the canonical shard map.
-func dialSharded(addrs []string, opts storage.ClientOptions, attempts int, backoff time.Duration, degraded bool) (storage.Fetcher, error) {
-	m, err := cluster.NewShardMap(len(addrs))
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]cluster.ShardClient, len(addrs))
-	for i, a := range addrs {
-		a := a
-		rc, err := storage.NewReconnecting(func() (*storage.Client, error) {
-			return storage.DialWithOptions(a, opts)
-		}, attempts, backoff, nil)
-		if err != nil {
-			for _, prev := range shards[:i] {
-				if prev != nil {
-					prev.Close()
-				}
-			}
-			return nil, fmt.Errorf("shard %d (%s): %w", i, a, err)
-		}
-		shards[i] = rc
-	}
-	return cluster.NewShardedClient(m, shards, degraded)
 }
 
 func printEpoch(w io.Writer, e int, r trainsim.EpochReport) {

@@ -153,3 +153,31 @@ func TestTrainTwoEpochsAndAdaptive(t *testing.T) {
 		}
 	}
 }
+
+// TestShardAddrs: -shard-addrs trains over one reconnecting session per
+// address, and an address that cannot be dialed fails the run naming its
+// shard and address.
+func TestShardAddrs(t *testing.T) {
+	a, b := serve(t), serve(t)
+	fs, stderr := testFlags()
+	var stdout bytes.Buffer
+	args := []string{"-crop", "24", "-workers", "2", "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "sophon"}
+	if err := run(fs, append([]string{"-shard-addrs", a + ", " + b}, args...), &stdout); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	if n := strings.Count(stdout.String(), "\n"); n != 2 || !strings.Contains(stderr.String(), "fan-out client over 2 shards") {
+		t.Fatalf("%d epoch lines:\n%s\n%s", n, stdout.String(), stderr.String())
+	}
+
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := l.Addr().String()
+	l.Close()
+	fs, _ = testFlags()
+	err = run(fs, append([]string{"-shard-addrs", a + "," + dead}, args...), &bytes.Buffer{})
+	if err == nil || !strings.Contains(err.Error(), "shard 1: "+dead) {
+		t.Fatalf("dead shard: err = %v, want it to name shard 1 at %s", err, dead)
+	}
+}

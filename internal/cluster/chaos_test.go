@@ -40,9 +40,9 @@ func TestChaosCorruptionRetriedToCorrectBytes(t *testing.T) {
 		{CorruptEvery: 8 << 10}, {CorruptEvery: 8 << 10},
 	}}
 	c := launchChaos(t, store, 2, plan)
-	sc, err := c.NewShardedClientWithPolicy(storage.ClientOptions{JobID: 7}, storage.RetryPolicy{
-		Attempts: 8, BaseBackoff: time.Millisecond, MaxBackoff: 8 * time.Millisecond, Multiplier: 2,
-	}, false)
+	// Corruption is injected by byte count, not by time, so a retry
+	// succeeds as well after 1 ms as after a longer pause.
+	sc, err := c.NewShardedClient(storage.ClientOptions{JobID: 7}, 8, time.Millisecond, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,9 +75,7 @@ func TestPartitionShardDegradedAndHeal(t *testing.T) {
 	store := testStore(t, n)
 	plan := &chaos.Plan{Seed: 1} // no per-conn faults; just partition support
 	c := launchChaos(t, store, 2, plan)
-	sc, err := c.NewShardedClientWithPolicy(storage.ClientOptions{JobID: 7}, storage.RetryPolicy{
-		Attempts: 2, BaseBackoff: -1, Jitter: -1,
-	}, true)
+	sc, err := c.NewShardedClient(storage.ClientOptions{JobID: 7}, 2, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +148,9 @@ func TestChaosSlowShardStillCorrect(t *testing.T) {
 		StallEvery: 64 << 10, Stall: time.Millisecond,
 	}}}
 	c := launchChaos(t, store, 2, plan)
-	sc, err := c.NewShardedClientWithPolicy(storage.ClientOptions{JobID: 7}, storage.RetryPolicy{}, false)
+	// Delays and stalls slow a fetch but never fail it, so the pause is
+	// only a fallback: 4 tries 10 ms apart.
+	sc, err := c.NewShardedClient(storage.ClientOptions{JobID: 7}, 4, 10*time.Millisecond, false)
 	if err != nil {
 		t.Fatal(err)
 	}

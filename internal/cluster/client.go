@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/storage"
 	"repro/internal/wire"
@@ -63,6 +64,35 @@ func NewShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*Sharde
 		}
 	}
 	return &ShardedClient{m: m, shards: shards, degraded: degraded, n: n}, nil
+}
+
+// DialSharded builds the retrying fan-out client over m: one reconnecting
+// session per shard, opened by dial(shard), with attempts tries per
+// operation and pause before each retry. When a shard cannot be reached,
+// the sessions already open are closed and the error names that shard.
+func DialSharded(m *ShardMap, dial func(shard int) (*storage.Client, error), attempts int, pause time.Duration, degraded bool) (*ShardedClient, error) {
+	shards := make([]ShardClient, m.Shards())
+	closeAll := func() {
+		for _, sc := range shards {
+			if sc != nil {
+				sc.Close()
+			}
+		}
+	}
+	for s := range shards {
+		rc, err := storage.NewReconnecting(func() (*storage.Client, error) { return dial(s) }, attempts, pause, nil)
+		if err != nil {
+			closeAll()
+			return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
+		}
+		shards[s] = rc
+	}
+	c, err := NewShardedClient(m, shards, degraded)
+	if err != nil {
+		closeAll()
+		return nil, err
+	}
+	return c, nil
 }
 
 // NumSamples returns the dataset size every shard agreed on.

@@ -150,14 +150,10 @@ func (c *Cluster) DialShard(s int, opts storage.ClientOptions) (*storage.Client,
 	return storage.NewClientWithOptions(conn, opts)
 }
 
-// NewShardedClient is NewShardedClientWithPolicy under
-// storage.ConstantBackoff(attempts, backoff).
-func (c *Cluster) NewShardedClient(opts storage.ClientOptions, attempts int, backoff time.Duration, degraded bool) (*ShardedClient, error) {
-	policy, err := storage.ConstantBackoff(attempts, backoff)
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
-	}
-	return c.NewShardedClientWithPolicy(opts, policy, degraded)
+// NewShardedClient builds the retrying fan-out client over the cluster's
+// in-memory shards (see DialSharded).
+func (c *Cluster) NewShardedClient(opts storage.ClientOptions, attempts int, pause time.Duration, degraded bool) (*ShardedClient, error) {
+	return DialSharded(c.m, func(s int) (*storage.Client, error) { return c.DialShard(s, opts) }, attempts, pause, degraded)
 }
 
 // PartitionShard reversibly severs (on=true) or heals (on=false) shard s's
@@ -182,28 +178,6 @@ func (c *Cluster) ChaosStats(s int) chaos.StatsSnapshot {
 		return chaos.StatsSnapshot{}
 	}
 	return c.chaos[s].Source().Stats().Snapshot()
-}
-
-// NewShardedClientWithPolicy builds the fan-out client: one reconnecting
-// session per shard retrying under policy, degraded per DegradedMode.
-func (c *Cluster) NewShardedClientWithPolicy(opts storage.ClientOptions, policy storage.RetryPolicy, degraded bool) (*ShardedClient, error) {
-	shards := make([]ShardClient, len(c.servers))
-	for s := range c.servers {
-		s := s
-		rc, err := storage.NewReconnectingWithPolicy(func() (*storage.Client, error) {
-			return c.DialShard(s, opts)
-		}, policy, nil)
-		if err != nil {
-			for _, prev := range shards[:s] {
-				if prev != nil {
-					prev.Close()
-				}
-			}
-			return nil, fmt.Errorf("cluster: shard %d: %w", s, err)
-		}
-		shards[s] = rc
-	}
-	return NewShardedClient(c.m, shards, degraded)
 }
 
 // KillShard abruptly stops shard s — server and listener — so fetches

@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -164,6 +166,61 @@ func TestNewShardedClientValidation(t *testing.T) {
 	if _, err := cluster.NewShardedClient(m, []cluster.ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4}}, false); err != nil {
 		t.Errorf("rejected a consistent cluster: %v", err)
 	}
+}
+
+// TestDialShardedClosesOnFailure: when shard k cannot be dialed, the k
+// sessions already open are closed and the error names shard k; when every
+// shard dials but one disagrees on the dataset size, all are closed.
+func TestDialShardedClosesOnFailure(t *testing.T) {
+	c := launch(t, testStore(t, 8), 3, 0)
+	other := launch(t, testStore(t, 5), 1, 0)
+	refused := errors.New("refused")
+	check := func(name string, opened []*storage.Client) {
+		t.Helper()
+		for s, sc := range opened {
+			if _, err := sc.Stats(context.Background()); !errors.Is(err, storage.ErrClientClosed) {
+				t.Errorf("%s: shard %d's session still open (Stats: %v)", name, s, err)
+			}
+		}
+	}
+	for k := 0; k < 3; k++ {
+		var opened []*storage.Client
+		dial := func(s int) (*storage.Client, error) {
+			if s == k {
+				return nil, refused
+			}
+			sc, err := c.DialShard(s, storage.ClientOptions{})
+			if err == nil {
+				opened = append(opened, sc)
+			}
+			return sc, err
+		}
+		_, err := cluster.DialSharded(c.ShardMap(), dial, 2, 0, false)
+		if !errors.Is(err, refused) || !strings.Contains(err.Error(), fmt.Sprintf("shard %d:", k)) {
+			t.Fatalf("shard %d refused: err = %v", k, err)
+		}
+		if len(opened) != k {
+			t.Fatalf("shard %d refused: %d sessions opened, want %d", k, len(opened), k)
+		}
+		check(fmt.Sprintf("shard %d refused", k), opened)
+	}
+
+	var opened []*storage.Client
+	dial := func(s int) (*storage.Client, error) {
+		from, shard := c, s
+		if s == 2 {
+			from, shard = other, 0
+		}
+		sc, err := from.DialShard(shard, storage.ClientOptions{})
+		if err == nil {
+			opened = append(opened, sc)
+		}
+		return sc, err
+	}
+	if _, err := cluster.DialSharded(c.ShardMap(), dial, 2, 0, false); err == nil || len(opened) != 3 {
+		t.Fatalf("sizes 8, 8, 5: err = %v with %d sessions opened", err, len(opened))
+	}
+	check("sizes 8, 8, 5", opened)
 }
 
 func TestShardedBatchValidation(t *testing.T) {

@@ -143,17 +143,13 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 
 // rebaseLocked anchors the drift detector to the environment the decision
 // assumes: bandwidth from the planning env, storage occupancy from the
-// model's predicted storage share, per-sample op time from the trace.
+// model's predicted storage share.
 func (c *Controller) rebaseLocked(d Decision) {
 	occ := 0.0
 	if p := d.Planned.Predicted(); p > 0 {
 		occ = float64(d.Planned.TCS) / float64(p)
 	}
-	var opTime time.Duration
-	if n := c.trace.N(); n > 0 {
-		opTime = c.trace.TotalPreprocessCPU() / time.Duration(n)
-	}
-	c.tel.Rebase(c.env.Bandwidth, occ, opTime)
+	c.tel.Rebase(c.env.Bandwidth, occ)
 	// The replanned plan was computed in full knowledge of the observed mix,
 	// so adopt it as the new baseline — a persistent skew flip replans once,
 	// not every epoch. A no-op before the first mix observation (the initial

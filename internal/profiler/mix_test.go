@@ -112,7 +112,7 @@ func TestMixObservationGuards(t *testing.T) {
 	tel3 := mixTelemetry(t, DriftConfig{Alpha: 1, MixThreshold: 0.1, Hysteresis: 3})
 	tel3.RebaseMix(0)
 	tel3.ObserveEpoch(EpochSample{Epoch: 1, MixHeavy: 50, MixTotal: 100})
-	tel3.Rebase(0, 0, 0)
+	tel3.Rebase(0, 0)
 	if tel3.mixStreak != 0 {
 		t.Fatalf("Rebase left mix streak %d", tel3.mixStreak)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 )
 
 // Streaming telemetry: SOPHON's stage-2 profiler measures the environment
@@ -66,8 +65,6 @@ type EpochSample struct {
 	// storage-CPU-seconds consumed per wall-second, normalized by the core
 	// budget, so 1.0 means the offload budget is saturated.
 	StorageOccupancy float64
-	// OpTime is the mean per-sample preprocessing CPU time.
-	OpTime time.Duration
 	// ShardsUp counts reachable shards out of Shards; Shards 0 means shard
 	// health was not measured this epoch.
 	ShardsUp, Shards int
@@ -86,7 +83,6 @@ type DriftKind int
 const (
 	DriftBandwidth DriftKind = iota
 	DriftStorageCPU
-	DriftOpTime
 	DriftShard
 	DriftMix
 )
@@ -98,8 +94,6 @@ func (k DriftKind) String() string {
 		return "bandwidth-drift"
 	case DriftStorageCPU:
 		return "storage-cpu-drift"
-	case DriftOpTime:
-		return "op-time-drift"
 	case DriftShard:
 		return "shard-change"
 	case DriftMix:
@@ -216,7 +210,6 @@ type Telemetry struct {
 	mu        sync.Mutex
 	bandwidth metricTrack
 	occupancy metricTrack
-	opTime    metricTrack
 	shardsUp  int // -1 until first measured
 	// The heavy/light mix track. It cannot share metricTrack: its drift
 	// test is absolute (a 0 baseline is legitimate) and its baseline is set
@@ -240,7 +233,6 @@ func NewTelemetry(cfg DriftConfig) (*Telemetry, error) {
 	}{
 		{&t.bandwidth, DriftBandwidth},
 		{&t.occupancy, DriftStorageCPU},
-		{&t.opTime, DriftOpTime},
 	} {
 		e, err := NewEWMA(cfg.Alpha)
 		if err != nil {
@@ -260,21 +252,17 @@ func NewTelemetry(cfg DriftConfig) (*Telemetry, error) {
 // every drift streak: subsequent drift is measured against these values.
 // Zero-valued fields keep the previous baseline for that metric. The
 // controller calls this whenever it publishes a plan.
-func (t *Telemetry) Rebase(bandwidth, occupancy float64, opTime time.Duration) {
+func (t *Telemetry) Rebase(bandwidth, occupancy float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, m := range []*metricTrack{&t.bandwidth, &t.occupancy, &t.opTime} {
-		m.streak = 0
-	}
+	t.bandwidth.streak = 0
+	t.occupancy.streak = 0
 	t.mixStreak = 0
 	if bandwidth > 0 {
 		t.bandwidth.baseline = bandwidth
 	}
 	if occupancy > 0 {
 		t.occupancy.baseline = occupancy
-	}
-	if opTime > 0 {
-		t.opTime.baseline = opTime.Seconds()
 	}
 }
 
@@ -332,7 +320,6 @@ func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 	}
 	note(&t.bandwidth, s.Bandwidth)
 	note(&t.occupancy, s.StorageOccupancy)
-	note(&t.opTime, s.OpTime.Seconds())
 
 	if s.MixTotal > 0 && s.MixHeavy >= 0 && s.MixHeavy <= s.MixTotal {
 		t.mix.Observe(float64(s.MixHeavy) / float64(s.MixTotal))

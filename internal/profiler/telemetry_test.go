@@ -104,7 +104,7 @@ func TestDriftHysteresis(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tel := newTestTelemetry(t, tc.cfg)
-			tel.Rebase(base, 0, 0)
+			tel.Rebase(base, 0)
 			fired := 0
 			for i, bw := range tc.bandwidth {
 				epoch := uint64(i + 1)
@@ -152,14 +152,14 @@ func TestShardLossImmediate(t *testing.T) {
 func TestRebaseClearsStreaks(t *testing.T) {
 	const base = 500e6 / 8
 	tel := newTestTelemetry(t, DriftConfig{Alpha: 1, RelThreshold: 0.2, Hysteresis: 2})
-	tel.Rebase(base, 0, 0)
+	tel.Rebase(base, 0)
 	tel.ObserveEpoch(EpochSample{Epoch: 1, Bandwidth: 0.5 * base})
 	d := tel.ObserveEpoch(EpochSample{Epoch: 2, Bandwidth: 0.5 * base})
 	if len(d) != 1 {
 		t.Fatalf("halving undetected: %v", d)
 	}
 	// Controller replans for the degraded link and rebases.
-	tel.Rebase(0.5*base, 0, 0)
+	tel.Rebase(0.5*base, 0)
 	for e := uint64(3); e <= 6; e++ {
 		if d := tel.ObserveEpoch(EpochSample{Epoch: e, Bandwidth: 0.5 * base}); len(d) != 0 {
 			t.Fatalf("epoch %d drifted after rebase: %v", e, d)

@@ -162,10 +162,9 @@ func (r Report) Ok() bool {
 	return r.Mismatches == 0 && r.Failed == r.WantFailed && len(r.Epochs) > 0
 }
 
-// retryPolicy is the soak's hardened client policy: a deep attempt budget
-// with no pauses, so recoverable faults are always outlasted and the soak
-// stays fast.
-var retryPolicy = storage.RetryPolicy{Attempts: 12, BaseBackoff: -1, Jitter: -1}
+// retryAttempts is the soak clients' deep attempt budget, retried with no
+// pause, so recoverable faults are always outlasted and the soak stays fast.
+const retryAttempts = 12
 
 // Run executes one soak: build the dataset, launch a chaos cluster and a
 // pristine reference cluster over it, sweep every sample for bit identity,
@@ -224,12 +223,12 @@ func Run(cfg Config) (Report, error) {
 // exactly; any divergence is a fault that leaked past the checksum.
 func identitySweep(rep *Report, cfg Config, n int, pipe *pipeline.Pipeline, faulty, pristine *cluster.Cluster) error {
 	opts := storage.ClientOptions{JobID: cfg.Seed}
-	fc, err := faulty.NewShardedClientWithPolicy(opts, retryPolicy, false)
+	fc, err := faulty.NewShardedClient(opts, retryAttempts, 0, false)
 	if err != nil {
 		return fmt.Errorf("soak: faulty client: %w", err)
 	}
 	defer fc.Close()
-	pc, err := pristine.NewShardedClientWithPolicy(opts, retryPolicy, false)
+	pc, err := pristine.NewShardedClient(opts, retryAttempts, 0, false)
 	if err != nil {
 		return fmt.Errorf("soak: pristine client: %w", err)
 	}
@@ -263,7 +262,7 @@ func identitySweep(rep *Report, cfg Config, n int, pipe *pipeline.Pipeline, faul
 func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 	tcfg := trainsim.Config{
 		DialClient: func() (storage.Fetcher, error) {
-			return faulty.NewShardedClientWithPolicy(storage.ClientOptions{JobID: cfg.Seed}, retryPolicy, true)
+			return faulty.NewShardedClient(storage.ClientOptions{JobID: cfg.Seed}, retryAttempts, 0, true)
 		},
 		Workers:        3,
 		Pipeline:       pipeline.Standard(pipeline.StandardOptions{CropSize: 24, FlipP: 0.5}),

@@ -59,7 +59,7 @@ func TestIdentitySweepCountsMismatches(t *testing.T) {
 	}
 
 	// The middle cut is the one a packed image artifact crosses the wire at.
-	fc, err := a.NewShardedClientWithPolicy(storage.ClientOptions{JobID: cfg.Seed}, retryPolicy, false)
+	fc, err := a.NewShardedClient(storage.ClientOptions{JobID: cfg.Seed}, retryAttempts, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}

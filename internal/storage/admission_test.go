@@ -417,9 +417,9 @@ func TestReconnectingClientHonorsRetryAfter(t *testing.T) {
 	}()
 	waitFor(t, func() bool { return adm.Stats().QueueDepth == 1 })
 
-	rc, err := NewReconnectingWithPolicy(func() (*Client, error) {
+	rc, err := NewReconnecting(func() (*Client, error) {
 		return base, nil
-	}, RetryPolicy{Attempts: 4, BaseBackoff: time.Millisecond, MaxBackoff: time.Millisecond, Multiplier: 1, Jitter: -1}, simclock.Real())
+	}, 4, time.Millisecond, simclock.Real())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"time"
 
@@ -72,31 +73,27 @@ type Client struct {
 // NewClientWithOptions performs the handshake and starts the session's
 // writer and reader goroutines. On error the connection is closed.
 func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
-	if err := wire.Write(conn, &wire.Hello{Version: wire.Version, JobID: opts.JobID}); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("storage: hello: %w", err)
-	}
-	msg, err := wire.Read(conn)
-	if err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("storage: hello ack: %w", err)
-	}
-	var ack wire.HelloAck
-	switch m := msg.(type) {
-	case *wire.HelloAck:
-		ack = *m
-	case *wire.ErrorResp:
-		conn.Close()
-		return nil, fmt.Errorf("storage: server rejected handshake: %s", m.Message)
-	default:
-		conn.Close()
-		return nil, fmt.Errorf("storage: unexpected handshake reply %s", msg.Type())
-	}
-
 	timeout := opts.RequestTimeout
 	if timeout == 0 {
 		timeout = DefaultRequestTimeout
 	}
+	// The handshake is a round trip like any other: a peer that never
+	// answers must not hold the caller (or a redial under its lock) forever.
+	if timeout > 0 {
+		conn.SetDeadline(time.Now().Add(timeout))
+	}
+	ack, err := handshake(conn, opts.JobID)
+	if err != nil {
+		conn.Close()
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			return nil, fmt.Errorf("%w after %v: %w", ErrRequestTimeout, timeout, err)
+		}
+		return nil, fmt.Errorf("storage: %w", err)
+	}
+	if timeout > 0 {
+		conn.SetDeadline(time.Time{})
+	}
+
 	maxInFlight := opts.MaxInFlight
 	if maxInFlight <= 0 {
 		maxInFlight = DefaultMaxInFlight
@@ -113,6 +110,25 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 	go c.writeLoop()
 	go c.readLoop()
 	return c, nil
+}
+
+// handshake sends Hello and reads the server's HelloAck.
+func handshake(conn net.Conn, jobID uint64) (wire.HelloAck, error) {
+	if err := wire.Write(conn, &wire.Hello{Version: wire.Version, JobID: jobID}); err != nil {
+		return wire.HelloAck{}, fmt.Errorf("hello: %w", err)
+	}
+	msg, err := wire.Read(conn)
+	if err != nil {
+		return wire.HelloAck{}, fmt.Errorf("hello ack: %w", err)
+	}
+	switch m := msg.(type) {
+	case *wire.HelloAck:
+		return *m, nil
+	case *wire.ErrorResp:
+		return wire.HelloAck{}, fmt.Errorf("server rejected handshake: %s", m.Message)
+	default:
+		return wire.HelloAck{}, fmt.Errorf("unexpected handshake reply %s", msg.Type())
+	}
 }
 
 // DialWithOptions connects over TCP and handshakes with explicit options.

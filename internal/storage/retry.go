@@ -4,109 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
-	"math/rand/v2"
 	"sync"
 	"time"
 
 	"repro/internal/simclock"
 	"repro/internal/wire"
 )
-
-// Defaults for the zero-value RetryPolicy.
-const (
-	DefaultRetryAttempts = 4
-	DefaultRetryBase     = 10 * time.Millisecond
-	DefaultRetryMax      = 2 * time.Second
-	DefaultRetryMult     = 2.0
-	DefaultRetryJitter   = 0.2
-)
-
-// RetryPolicy is a per-request retry budget with jittered exponential
-// backoff. The zero value resolves to sane defaults (Normalized documents
-// them); a negative BaseBackoff, MaxBackoff, or Jitter explicitly disables
-// that knob, which is how "retry immediately, no jitter" is spelled.
-type RetryPolicy struct {
-	// Attempts is the per-operation try budget (0 → 4). The first try
-	// counts, so Attempts=1 means no retries.
-	Attempts int
-	// BaseBackoff is the pause before the first retry (0 → 10ms, <0 → none).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (0 → 2s, <0 → no pause cap
-	// beyond BaseBackoff).
-	MaxBackoff time.Duration
-	// Multiplier grows the pause between consecutive retries (0 → 2.0;
-	// values below 1 clamp to 1, i.e. constant backoff).
-	Multiplier float64
-	// Jitter spreads each pause uniformly across ±Jitter·pause to keep
-	// concurrent retriers from stampeding in lockstep (0 → 0.2, <0 → none,
-	// >1 clamps to 1).
-	Jitter float64
-}
-
-// Normalized resolves zero fields to defaults and clamps out-of-range
-// values. A disabled knob normalizes to -1, never to the 0 that means
-// "default", so Normalized is idempotent: the retry loop stores a normalized
-// policy and Backoff normalizes it again. A NaN Multiplier or Jitter takes
-// its default.
-func (p RetryPolicy) Normalized() RetryPolicy {
-	if p.Attempts <= 0 {
-		p.Attempts = DefaultRetryAttempts
-	}
-	switch {
-	case p.BaseBackoff == 0:
-		p.BaseBackoff = DefaultRetryBase
-	case p.BaseBackoff < 0:
-		p.BaseBackoff = -1
-	}
-	switch {
-	case p.MaxBackoff == 0:
-		p.MaxBackoff = DefaultRetryMax
-	case p.MaxBackoff < 0:
-		p.MaxBackoff = -1
-	}
-	if p.MaxBackoff < p.BaseBackoff {
-		p.MaxBackoff = p.BaseBackoff
-	}
-	switch {
-	case p.Multiplier == 0 || math.IsNaN(p.Multiplier):
-		p.Multiplier = DefaultRetryMult
-	case p.Multiplier < 1:
-		p.Multiplier = 1
-	}
-	switch {
-	case p.Jitter == 0 || math.IsNaN(p.Jitter):
-		p.Jitter = DefaultRetryJitter
-	case p.Jitter < 0:
-		p.Jitter = -1
-	case p.Jitter > 1:
-		p.Jitter = 1
-	}
-	return p
-}
-
-// Backoff returns the pause before retry number retry (1-based: retry 1
-// follows the first failed attempt). u in [0,1) supplies the jitter draw, so
-// the function stays pure and table-testable; the result always lies within
-// ±Jitter of the unjittered exponential value, capped at MaxBackoff, and a
-// pause past the largest Duration is that Duration.
-func (p RetryPolicy) Backoff(retry int, u float64) time.Duration {
-	p = p.Normalized()
-	if retry < 1 || p.BaseBackoff < 0 {
-		return 0
-	}
-	d := min(float64(p.BaseBackoff)*math.Pow(p.Multiplier, float64(retry-1)), float64(p.MaxBackoff))
-	if p.Jitter > 0 {
-		d *= 1 + p.Jitter*(2*u-1)
-	}
-	switch {
-	case !(d > 0):
-		return 0
-	case d >= math.MaxInt64:
-		return math.MaxInt64
-	}
-	return time.Duration(d)
-}
 
 // sleepCtx pauses for d on clock, aborting early with ctx's error if the
 // caller cancels mid-backoff.
@@ -124,9 +27,9 @@ func sleepCtx(ctx context.Context, clock simclock.Clock, d time.Duration) error 
 
 // ReconnectingClient wraps a dialer with transparent reconnect-and-retry:
 // when an operation fails on the current session, the session is torn down,
-// a fresh one is dialed (with backoff), and the operation retried. Fetches
-// are idempotent — augmentation seeds depend only on (job, epoch, sample) —
-// so retrying is always safe.
+// a fresh one is dialed, and the operation retried, up to attempts tries with
+// a fixed pause before each retry. Fetches are idempotent — augmentation
+// seeds depend only on (job, epoch, sample) — so retrying is always safe.
 //
 // The wrapper preserves the session's pipelining: no lock is held while an
 // operation is in flight, so concurrent callers share one multiplexed
@@ -134,9 +37,10 @@ func sleepCtx(ctx context.Context, clock simclock.Clock, d time.Duration) error 
 // several in-flight operations fail on the same broken session, only the
 // first tears it down and the rest simply retry on the replacement.
 type ReconnectingClient struct {
-	dial   func() (*Client, error)
-	policy RetryPolicy // always normalized
-	clock  simclock.Clock
+	dial     func() (*Client, error)
+	attempts int           // tries per operation, the first included
+	pause    time.Duration // before each retry; ≤ 0 means none
+	clock    simclock.Clock
 
 	// The handshake's dataset size, cached at construction so it remains
 	// available while the session is down between retries.
@@ -147,43 +51,17 @@ type ReconnectingClient struct {
 	gen     int64
 	closed  bool
 	retries int64
-	rng     *rand.Rand // jitter draws, guarded by mu
-}
-
-// ConstantBackoff is the policy of attempts tries per operation (≥ 1) with
-// the same pause before each redial: no growth, no jitter.
-func ConstantBackoff(attempts int, backoff time.Duration) (RetryPolicy, error) {
-	if attempts < 1 {
-		return RetryPolicy{}, fmt.Errorf("storage: attempts %d < 1", attempts)
-	}
-	if backoff <= 0 {
-		backoff = -1 // explicit "no pause", not "use the default"
-	}
-	return RetryPolicy{
-		Attempts:    attempts,
-		BaseBackoff: backoff,
-		MaxBackoff:  backoff,
-		Multiplier:  1,
-		Jitter:      -1,
-	}, nil
 }
 
 // NewReconnecting dials eagerly and returns a client that survives
-// connection failures, retrying under ConstantBackoff(attempts, backoff).
-// For jittered exponential backoff use NewReconnectingWithPolicy.
-func NewReconnecting(dial func() (*Client, error), attempts int, backoff time.Duration, clock simclock.Clock) (*ReconnectingClient, error) {
-	policy, err := ConstantBackoff(attempts, backoff)
-	if err != nil {
-		return nil, err
-	}
-	return NewReconnectingWithPolicy(dial, policy, clock)
-}
-
-// NewReconnectingWithPolicy dials eagerly and returns a client whose retry
-// loop follows policy (zero fields resolve to defaults, see RetryPolicy).
-func NewReconnectingWithPolicy(dial func() (*Client, error), policy RetryPolicy, clock simclock.Clock) (*ReconnectingClient, error) {
+// connection failures: each operation gets attempts tries (≥ 1), with pause
+// before each retry (≤ 0 means none).
+func NewReconnecting(dial func() (*Client, error), attempts int, pause time.Duration, clock simclock.Clock) (*ReconnectingClient, error) {
 	if dial == nil {
 		return nil, errors.New("storage: nil dialer")
+	}
+	if attempts < 1 {
+		return nil, fmt.Errorf("storage: attempts %d < 1", attempts)
 	}
 	if clock == nil {
 		clock = simclock.Real()
@@ -192,17 +70,13 @@ func NewReconnectingWithPolicy(dial func() (*Client, error), policy RetryPolicy,
 	if err != nil {
 		return nil, err
 	}
-	p := policy.Normalized()
 	return &ReconnectingClient{
 		dial:       dial,
-		policy:     p,
+		attempts:   attempts,
+		pause:      pause,
 		clock:      clock,
 		numSamples: first.NumSamples(),
 		current:    first,
-		// The jitter stream is seeded from the policy shape only, so runs
-		// are reproducible given the same call sequence; jitter spreads
-		// concurrent retriers, it is not a correctness input.
-		rng: rand.New(rand.NewPCG(uint64(p.Attempts)<<32^uint64(p.BaseBackoff), uint64(p.MaxBackoff))),
 	}, nil
 }
 
@@ -252,7 +126,7 @@ func (r *ReconnectingClient) invalidate(gen int64) {
 }
 
 // withRetry runs op against the current session, reconnecting between
-// attempts with jittered exponential backoff. Application-level rejections
+// attempts after the client's fixed pause. Application-level rejections
 // (missing sample, bad split) and caller cancellation are returned
 // immediately — only transport-level errors trigger a retry. Checksum
 // failures (wire.ErrChecksum) are transport-level by construction: a
@@ -263,16 +137,13 @@ func (r *ReconnectingClient) invalidate(gen int64) {
 // third kind: retryable, but on a HEALTHY session. They never tear the
 // connection down — reconnect stampedes are exactly what a shedding server
 // doesn't need — and the next attempt waits at least the server's
-// retry-after hint (the policy backoff still applies when larger).
+// retry-after hint (the client's own pause still applies when larger).
 func (r *ReconnectingClient) withRetry(ctx context.Context, op func(*Client) error) error {
 	var lastErr error
 	var hint time.Duration // server's retry-after ask, if any
-	for try := 0; try < r.policy.Attempts; try++ {
+	for try := 0; try < r.attempts; try++ {
 		if try > 0 {
-			pause := r.policy.Backoff(try, r.jitterDraw())
-			if hint > pause {
-				pause = hint
-			}
+			pause := max(r.pause, hint)
 			hint = 0
 			if err := sleepCtx(ctx, r.clock, pause); err != nil {
 				return fmt.Errorf("storage: %w during retry backoff (last error: %v)", err, lastErr)
@@ -304,14 +175,7 @@ func (r *ReconnectingClient) withRetry(ctx context.Context, op func(*Client) err
 		}
 		r.invalidate(gen)
 	}
-	return fmt.Errorf("storage: giving up after %d attempts: %w", r.policy.Attempts, lastErr)
-}
-
-// jitterDraw returns the next uniform draw in [0,1) for backoff jitter.
-func (r *ReconnectingClient) jitterDraw() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.rng.Float64()
+	return fmt.Errorf("storage: giving up after %d attempts: %w", r.attempts, lastErr)
 }
 
 // isPermanent reports whether the server rejected the request itself (no

@@ -193,6 +193,81 @@ func TestSessionCancelDoesNotPoison(t *testing.T) {
 	}
 }
 
+// silentPeer returns the client end of a pipe whose server end reads the
+// Hello frame, signals heard, and never answers.
+func silentPeer(t *testing.T, heard chan<- struct{}) net.Conn {
+	t.Helper()
+	client, server := net.Pipe()
+	t.Cleanup(func() { server.Close() })
+	go func() {
+		if _, err := wire.Read(server); err == nil {
+			select {
+			case heard <- struct{}{}:
+			default:
+			}
+		}
+	}()
+	return client
+}
+
+// TestHandshakeTimeout: RequestTimeout bounds the handshake too, so a peer
+// that never answers Hello fails it with ErrRequestTimeout instead of
+// blocking the caller forever.
+func TestHandshakeTimeout(t *testing.T) {
+	done := make(chan error, 1)
+	go func() {
+		c, err := NewClientWithOptions(silentPeer(t, nil), ClientOptions{RequestTimeout: 50 * time.Millisecond})
+		if err == nil {
+			c.Close()
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrRequestTimeout) {
+			t.Fatalf("err = %v, want ErrRequestTimeout", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("handshake still blocked 5 s into a 50 ms RequestTimeout")
+	}
+}
+
+// TestCloseDuringHungRedial: a redial that meets a silent peer holds the
+// reconnecting client's lock only until its handshake times out, so Close
+// returns instead of waiting on it forever.
+func TestCloseDuringHungRedial(t *testing.T) {
+	good := flakyDialer(t, startRetryServer(t, 1, 1), 1<<30)
+	heard := make(chan struct{}, 1)
+	first := true
+	rc, err := NewReconnecting(func() (*Client, error) {
+		if first {
+			first = false
+			return good()
+		}
+		return NewClientWithOptions(silentPeer(t, heard), ClientOptions{RequestTimeout: 50 * time.Millisecond})
+	}, 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc.invalidate(0) // drop the live session so the next operation redials
+	go rc.Stats(context.Background())
+	select {
+	case <-heard:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the operation never redialed")
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- rc.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close still blocked 5 s behind a redial with a 50 ms RequestTimeout")
+	}
+}
+
 // TestSessionRequestTimeout checks that a stalled server can no longer hang
 // a caller forever: the per-request timeout fires and surfaces as the
 // retryable ErrRequestTimeout.

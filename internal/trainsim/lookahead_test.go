@@ -170,8 +170,7 @@ func lookaheadCluster(t testing.TB, n, shards int, plan *chaos.Plan) (*cluster.C
 	t.Cleanup(func() { c.Close() })
 	cfg := Config{
 		DialClient: func() (storage.Fetcher, error) {
-			return c.NewShardedClientWithPolicy(storage.ClientOptions{JobID: 7},
-				storage.RetryPolicy{Attempts: 2, BaseBackoff: -1, Jitter: -1}, true)
+			return c.NewShardedClient(storage.ClientOptions{JobID: 7}, 2, 0, true)
 		},
 		Workers:        3,
 		Pipeline:       pipe,

@@ -30,8 +30,6 @@ var optionKeeps = map[string]string{
 	"repro/internal/engine.Config.PrefetchWindow":  "benchmarks/ compiles against it (ROADMAP 1A(vi))",
 
 	// Filled by the declaring package's own caller-facing constructor.
-	"repro/internal/storage.RetryPolicy.MaxBackoff": "storage.ConstantBackoff fills it",
-	"repro/internal/storage.RetryPolicy.Multiplier": "storage.ConstantBackoff fills it",
 	"repro/internal/loadgen.JobSpec.Name":           "loadgen.SpecFromTenant fills it",
 	"repro/internal/loadgen.JobSpec.Weight":         "loadgen.SpecFromTenant fills it",
 	"repro/internal/loadgen.JobSpec.Sessions":       "loadgen.SpecFromTenant fills it",
