@@ -85,7 +85,7 @@ func TestChaosSoakClasses(t *testing.T) {
 				rep := runSoak(t, soak.Config{Seed: 0xC0FFEE, Class: class, Samples: 24, Epochs: 3, Lookahead: depth})
 				injected := int64(0)
 				for _, s := range rep.Chaos {
-					injected += s.Delays + s.Stalls + s.Drops + s.Corrupts + s.Closes
+					injected += s.Delays + s.Stalls + s.Corrupts + s.Closes
 				}
 				if class != soak.ClassPartition && class != soak.ClassNone && injected == 0 {
 					t.Fatalf("class %s injected no faults — the soak exercised nothing", class)

@@ -321,10 +321,7 @@ func TestTenantFetcherPassthroughs(t *testing.T) {
 	if _, err := storage.FetchOne(ctx, f, 1, 0, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.FetchShard(ctx, 0, []uint32{2}, []int{0}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if inner.fetches != 2 || inner.lastCtx.Value(stamp{}) != 9 {
+	if inner.fetches != 1 || inner.lastCtx.Value(stamp{}) != 9 {
 		t.Fatalf("context not passed down (%d fetches)", inner.fetches)
 	}
 	if err := f.Close(); err != nil || !inner.closed {

@@ -23,10 +23,7 @@ import (
 // fresh artifact from the immutable cached encoding, so tenants never alias
 // (and can never corrupt) each other's buffers.
 type TenantFetcher struct {
-	inner storage.Fetcher
-	// router is inner's per-shard issue path, nil when the transport
-	// underneath has no shard structure.
-	router  storage.ShardRouter
+	inner   storage.Fetcher
 	shared  *SharedArtifactCache
 	tenant  string
 	dataset uint64
@@ -44,8 +41,7 @@ func NewTenantFetcher(inner storage.Fetcher, shared *SharedArtifactCache, tenant
 	if tenant == "" {
 		return nil, errors.New("cache: tenant fetcher needs a tenant name")
 	}
-	router, _ := inner.(storage.ShardRouter)
-	return &TenantFetcher{inner: inner, router: router, shared: shared, tenant: tenant, dataset: dataset}, nil
+	return &TenantFetcher{inner: inner, shared: shared, tenant: tenant, dataset: dataset}, nil
 }
 
 // key builds the fleet-wide artifact key for one fetch. Raw (cut-0)
@@ -87,18 +83,10 @@ func (t *TenantFetcher) Fetch(ctx context.Context, sample uint32, split int, epo
 
 // FetchBatch serves the samples any tenant of the share group already
 // fetched from the shared cache at zero wire bytes, forwards only the misses,
-// and retains what they bring back (see through).
+// and retains what they bring back (see through). A hit decodes the cached
+// encoding into a fresh, caller-owned artifact, and only successful fetches
+// populate the cache.
 func (t *TenantFetcher) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	return t.fetch(samples, splits, epoch, func(samples []uint32, splits []int) ([]storage.FetchResult, error) {
-		return t.inner.FetchBatch(ctx, samples, splits, epoch)
-	})
-}
-
-// fetch is through over the shared cache, whichever way the misses go down:
-// a hit decodes the cached encoding into a fresh, caller-owned artifact, and
-// only successful fetches populate the cache.
-func (t *TenantFetcher) fetch(samples []uint32, splits []int, epoch uint64,
-	forward func(samples []uint32, splits []int) ([]storage.FetchResult, error)) ([]storage.FetchResult, error) {
 	return through(samples, splits,
 		func(sample uint32, split int) (storage.FetchResult, bool, error) {
 			data, ok := t.shared.Get(t.tenant, t.key(sample, split, epoch))
@@ -113,7 +101,9 @@ func (t *TenantFetcher) fetch(samples []uint32, splits []int, epoch uint64,
 			cut, fid := storage.UnpackDirective(split)
 			return storage.FetchResult{Sample: sample, Artifact: art, Split: cut, Fidelity: fid}, true, nil
 		},
-		forward,
+		func(samples []uint32, splits []int) ([]storage.FetchResult, error) {
+			return t.inner.FetchBatch(ctx, samples, splits, epoch)
+		},
 		func(sample uint32, split int, res storage.FetchResult) {
 			if res.Err == nil {
 				t.retain(t.key(sample, split, epoch), res)
@@ -123,33 +113,6 @@ func (t *TenantFetcher) fetch(samples []uint32, splits []int, epoch uint64,
 
 // NumSamples reports the dataset size from the wrapped client.
 func (t *TenantFetcher) NumSamples() int { return t.inner.NumSamples() }
-
-// ShardInfo implements storage.ShardRouter by forwarding to the wrapped
-// client; ok=false when the transport underneath has no shard structure, in
-// which case lookahead falls back to single-link scheduling (through the
-// cache as usual).
-func (t *TenantFetcher) ShardInfo() (int, func(sample uint32) int, bool) {
-	if t.router != nil {
-		return t.router.ShardInfo()
-	}
-	return 1, nil, false
-}
-
-// FetchShard implements storage.ShardRouter with the same deepest-first
-// preference as FetchBatch: shared-cache hits are served from local memory
-// at zero wire bytes, and only the misses go to the shard's link. This is
-// what makes the prefetcher's per-shard issue queues cache-aware — a stream
-// entry another tenant already pulled never occupies the link at all. When
-// the wrapped client has no FetchShard, misses forward through FetchBatch
-// (the single-shard fallback, where routing is a no-op).
-func (t *TenantFetcher) FetchShard(ctx context.Context, shard int, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	if t.router == nil {
-		return t.FetchBatch(ctx, samples, splits, epoch)
-	}
-	return t.fetch(samples, splits, epoch, func(samples []uint32, splits []int) ([]storage.FetchResult, error) {
-		return t.router.FetchShard(ctx, shard, samples, splits, epoch)
-	})
-}
 
 // Close closes the wrapped client.
 func (t *TenantFetcher) Close() error { return t.inner.Close() }

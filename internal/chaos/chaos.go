@@ -1,6 +1,6 @@
 // Package chaos is the repository's one fault-injection subsystem for the
 // storage fabric: a deterministic, seed-driven fault plan of per-connection
-// delay, stall, byte-drop, payload corruption, and abrupt close, plus
+// delay, stall, payload corruption, and abrupt close, plus
 // per-shard partition and slow-shard profiles, all scheduled from a single
 // seeded RNG so any failing run reproduces exactly from its seed. The
 // simplest plan is one event, CloseAfter: a link that dies after a byte
@@ -33,14 +33,13 @@ import (
 type Kind uint8
 
 // Fault classes. Delay and Stall pause an operation and let it proceed;
-// Corrupt flips a byte so the wire checksum must catch it; Drop swallows a
-// write and severs the link (on a reliable byte stream a vanished frame
-// desyncs framing, so the honest model is a dead link); Close fails the
-// operation outright and severs the link.
+// Corrupt flips a byte so the wire checksum must catch it; Close fails the
+// operation outright and severs the link. The values are part of every
+// Plan.Digest (and break ties in a schedule), so they never move.
 const (
 	KindDelay Kind = iota + 1
 	KindStall
-	KindDrop
+	_ // 3 is retired
 	KindCorrupt
 	KindClose
 )
@@ -52,8 +51,6 @@ func (k Kind) String() string {
 		return "delay"
 	case KindStall:
 		return "stall"
-	case KindDrop:
-		return "drop"
 	case KindCorrupt:
 		return "corrupt"
 	case KindClose:
@@ -71,9 +68,9 @@ type Event struct {
 	Dur  time.Duration // pause length for Delay/Stall; ignored otherwise
 }
 
-// Schedule is a connection's fault script, sorted by byte offset. Events at
-// or beyond a Drop/Close are unreachable (the link is dead) and are pruned
-// at generation time.
+// Schedule is a connection's fault script, sorted by byte offset, at most
+// maxEvents long. Events beyond a Close are unreachable (the link is dead)
+// and are pruned at generation time.
 type Schedule struct {
 	Events []Event
 }
@@ -92,20 +89,18 @@ type Profile struct {
 	Stall      time.Duration
 	// CorruptEvery is the mean bytes between single-byte payload flips.
 	CorruptEvery int64
-	// DropEvery is the mean bytes until a write is swallowed and the link
-	// severed (at most one per connection — the link is gone afterwards).
-	DropEvery int64
 	// CloseAfter is the mean bytes until the link abruptly closes (at most
 	// one per connection).
 	CloseAfter int64
-	// MaxEvents bounds the per-connection script (0 → 64).
-	MaxEvents int
 }
+
+// maxEvents bounds a connection's script, and each class's draws within it.
+const maxEvents = 64
 
 // Zero reports whether the profile injects no faults at all.
 func (p Profile) Zero() bool {
 	return p.DelayEvery == 0 && p.StallEvery == 0 && p.CorruptEvery == 0 &&
-		p.DropEvery == 0 && p.CloseAfter == 0
+		p.CloseAfter == 0
 }
 
 // Stats counts injected faults by class, shared by every connection of a
@@ -113,7 +108,6 @@ func (p Profile) Zero() bool {
 type Stats struct {
 	Delays   atomic.Int64
 	Stalls   atomic.Int64
-	Drops    atomic.Int64
 	Corrupts atomic.Int64
 	Closes   atomic.Int64
 }
@@ -122,7 +116,6 @@ type Stats struct {
 type StatsSnapshot struct {
 	Delays   int64 `json:"delays"`
 	Stalls   int64 `json:"stalls"`
-	Drops    int64 `json:"drops"`
 	Corrupts int64 `json:"corrupts"`
 	Closes   int64 `json:"closes"`
 }
@@ -132,7 +125,6 @@ func (s *Stats) Snapshot() StatsSnapshot {
 	return StatsSnapshot{
 		Delays:   s.Delays.Load(),
 		Stalls:   s.Stalls.Load(),
-		Drops:    s.Drops.Load(),
 		Corrupts: s.Corrupts.Load(),
 		Closes:   s.Closes.Load(),
 	}
@@ -148,8 +140,6 @@ func (s *Stats) count(k Kind) {
 		s.Delays.Add(1)
 	case KindStall:
 		s.Stalls.Add(1)
-	case KindDrop:
-		s.Drops.Add(1)
 	case KindCorrupt:
 		s.Corrupts.Add(1)
 	case KindClose:
@@ -205,10 +195,6 @@ func expand(seed, stream, conn uint64, p Profile) Schedule {
 	if p.Zero() {
 		return Schedule{}
 	}
-	maxEvents := p.MaxEvents
-	if maxEvents <= 0 {
-		maxEvents = 64
-	}
 	rng := rand.New(rand.NewPCG(seed, stream<<32^conn))
 	var events []Event
 	gap := func(mean int64) int64 { return 1 + rng.Int64N(2*mean) }
@@ -231,7 +217,6 @@ func expand(seed, stream, conn uint64, p Profile) Schedule {
 	class(p.DelayEvery, KindDelay, p.Delay, true)
 	class(p.StallEvery, KindStall, p.Stall, true)
 	class(p.CorruptEvery, KindCorrupt, 0, true)
-	class(p.DropEvery, KindDrop, 0, false)
 	class(p.CloseAfter, KindClose, 0, false)
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].At != events[j].At {
@@ -240,7 +225,7 @@ func expand(seed, stream, conn uint64, p Profile) Schedule {
 		return events[i].Kind < events[j].Kind
 	})
 	for i, e := range events {
-		if e.Kind == KindDrop || e.Kind == KindClose {
+		if e.Kind == KindClose {
 			events = events[:i+1]
 			break
 		}

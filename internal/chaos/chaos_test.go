@@ -57,7 +57,6 @@ func TestScheduleShape(t *testing.T) {
 	src := NewSource(7, 0, Profile{
 		DelayEvery: 100, Delay: time.Millisecond,
 		CloseAfter: 500,
-		MaxEvents:  32,
 	})
 	for conn := uint64(0); conn < 16; conn++ {
 		s := src.ScheduleFor(conn)
@@ -67,7 +66,7 @@ func TestScheduleShape(t *testing.T) {
 			}
 		}
 		for i, e := range s.Events {
-			if (e.Kind == KindClose || e.Kind == KindDrop) && i != len(s.Events)-1 {
+			if e.Kind == KindClose && i != len(s.Events)-1 {
 				t.Fatalf("conn %d: events scheduled past a severed link: %v", conn, s.Events)
 			}
 		}
@@ -82,17 +81,16 @@ func TestScheduleShape(t *testing.T) {
 // the schedules of a small connection population, and the union cap holds.
 func TestScheduleMixedClassesAllRepresented(t *testing.T) {
 	src := NewSource(9, 0, Profile{
-		DelayEvery:   50, // dense: alone it would fill MaxEvents many times over
+		DelayEvery:   50, // dense: alone it would fill the cap many times over
 		Delay:        time.Millisecond,
 		CorruptEvery: 400,
 		CloseAfter:   2000,
-		MaxEvents:    32,
 	})
 	seen := map[Kind]bool{}
 	for conn := uint64(0); conn < 8; conn++ {
 		s := src.ScheduleFor(conn)
-		if len(s.Events) > 32 {
-			t.Fatalf("conn %d: %d events exceeds MaxEvents", conn, len(s.Events))
+		if len(s.Events) > maxEvents {
+			t.Fatalf("conn %d: %d events exceeds the %d-event cap", conn, len(s.Events), maxEvents)
 		}
 		for _, e := range s.Events {
 			seen[e.Kind] = true
@@ -301,21 +299,6 @@ func TestCloseAfterOverPipeListener(t *testing.T) {
 	}
 	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
 		t.Fatalf("read after failure err = %v", err)
-	}
-}
-
-// TestConnDropSwallowsWrite: the write reports success, the peer sees the
-// link die, and nothing of the frame arrives.
-func TestConnDropSwallowsWrite(t *testing.T) {
-	client, server := pipePair()
-	c := WrapConn(client, Schedule{Events: []Event{{At: 4, Kind: KindDrop}}}, nil, nil, nil)
-	if n, err := c.Write(make([]byte, 8)); err != nil || n != 8 {
-		t.Fatalf("dropped write: n=%d err=%v", n, err)
-	}
-	buf := make([]byte, 8)
-	server.SetReadDeadline(time.Now().Add(2 * time.Second))
-	if n, err := server.Read(buf); err == nil {
-		t.Fatalf("peer received %d bytes of a dropped write", n)
 	}
 }
 

@@ -28,8 +28,6 @@ func injectedErr(e Event) error {
 //   - Corrupt flips one byte of the data in flight (the last byte of the
 //     write, or of the bytes just read) — downstream the wire checksum must
 //     turn this into a typed error, never a wrong decode.
-//   - Drop swallows the write (reporting success) and severs the link: the
-//     peer sees EOF, the writer learns on its next operation.
 //   - Close severs the link and fails the operation immediately.
 //
 // Writers in this repository frame one message per Write call, so a
@@ -121,9 +119,6 @@ func (c *Conn) Write(p []byte) (int, error) {
 				corrupted[len(corrupted)-1] ^= 0x80
 				payload = corrupted
 			}
-		case KindDrop:
-			c.kill()
-			return len(p), nil // the bytes vanish; the peer sees EOF
 		case KindClose:
 			c.kill()
 			return 0, injectedErr(e)
@@ -149,7 +144,7 @@ func (c *Conn) Read(p []byte) (int, error) {
 			if n > 0 {
 				p[n-1] ^= 0x80
 			}
-		case KindDrop, KindClose:
+		case KindClose:
 			c.kill()
 			if err == nil {
 				err = injectedErr(e)

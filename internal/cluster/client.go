@@ -228,31 +228,6 @@ func (c *ShardedClient) FetchShard(ctx context.Context, shard int, samples []uin
 	return res, err
 }
 
-// Stats aggregates counters across the reachable shards (summing every
-// field). A down shard is skipped in DegradedMode; otherwise its error is
-// returned alongside the partial aggregate.
-func (c *ShardedClient) Stats(ctx context.Context) (wire.StatsResp, error) {
-	var agg wire.StatsResp
-	var firstErr error
-	for s, sc := range c.shards {
-		st, err := sc.Stats(ctx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = downErr(s, err)
-			}
-			continue
-		}
-		agg.SamplesServed += st.SamplesServed
-		agg.OpsExecuted += st.OpsExecuted
-		agg.BytesSent += st.BytesSent
-		agg.ServerCPUNanos += st.ServerCPUNanos
-	}
-	if c.degraded {
-		return agg, nil
-	}
-	return agg, firstErr
-}
-
 // ShardStat is one shard's stats snapshot, or the error that prevented it.
 type ShardStat struct {
 	Shard int

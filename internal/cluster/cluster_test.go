@@ -240,8 +240,9 @@ func TestShardedBatchValidation(t *testing.T) {
 	}
 }
 
-// TestStatsAggregation checks Stats sums across shards and ShardStats
-// breaks the same numbers out per shard.
+// TestStatsAggregation checks ShardStats breaks the tier's counters out per
+// shard: every shard served some of the batch, and the per-shard sums cover
+// exactly the samples served and at least the payload bytes shipped.
 func TestStatsAggregation(t *testing.T) {
 	const n = 40
 	store := testStore(t, n)
@@ -257,16 +258,6 @@ func TestStatsAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	agg, err := sc.Stats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.SamplesServed != uint64(n) {
-		t.Errorf("aggregate SamplesServed = %d, want %d", agg.SamplesServed, n)
-	}
-	if agg.BytesSent < uint64(store.TotalBytes()) {
-		t.Errorf("aggregate BytesSent = %d < %d payload bytes shipped", agg.BytesSent, store.TotalBytes())
-	}
 	var served, sent uint64
 	for _, ss := range sc.ShardStats(ctx) {
 		if ss.Err != nil {
@@ -278,13 +269,11 @@ func TestStatsAggregation(t *testing.T) {
 		served += ss.Stats.SamplesServed
 		sent += ss.Stats.BytesSent
 	}
-	if served != agg.SamplesServed {
-		t.Errorf("per-shard served sum %d disagrees with aggregate %d", served, agg.SamplesServed)
+	if served != uint64(n) {
+		t.Errorf("per-shard SamplesServed sum = %d, want %d", served, n)
 	}
-	// The per-shard snapshots were taken one RPC round later, so they may
-	// additionally cover the first round's stats frames — never less.
-	if sent < agg.BytesSent || sent > agg.BytesSent+4096 {
-		t.Errorf("per-shard bytes sum %d vs aggregate %d (want within one stats round)", sent, agg.BytesSent)
+	if sent < uint64(store.TotalBytes()) {
+		t.Errorf("per-shard BytesSent sum = %d < %d payload bytes shipped", sent, store.TotalBytes())
 	}
 }
 
@@ -331,12 +320,11 @@ func TestKillShardDegradedBatch(t *testing.T) {
 		t.Fatalf("strict FetchBatch err = %v, want ErrShardDown", err)
 	}
 
-	// Degraded Stats skips the dead shard instead of erroring.
-	if _, err := sc.Stats(context.Background()); err != nil {
-		t.Fatalf("degraded Stats: %v", err)
-	}
-	if _, err := strict.Stats(context.Background()); !errors.Is(err, cluster.ErrShardDown) {
-		t.Fatalf("strict Stats err = %v, want ErrShardDown", err)
+	// Per-shard stats isolate the dead shard: only it reports an error.
+	for _, ss := range sc.ShardStats(context.Background()) {
+		if (ss.Err != nil) != (ss.Shard == dead) {
+			t.Fatalf("shard %d stats err = %v (dead shard %d)", ss.Shard, ss.Err, dead)
+		}
 	}
 }
 

@@ -17,9 +17,9 @@ import (
 // Controller is the adaptive control plane: it owns the live plan feed,
 // folds per-epoch telemetry into the drift detector, and replans when the
 // measured environment no longer matches the one the current plan was
-// computed against. Replans land at epoch boundaries — except shard
-// topology changes, which replan immediately — and every transition is
-// recorded in a replan history with its reason.
+// computed against. Every replan takes effect at the next epoch boundary —
+// shard topology changes skip hysteresis, but not the boundary — and every
+// transition is recorded in a replan history with its reason.
 //
 // The controller never reads the wall clock directly: history timestamps
 // come from the injected simclock.Clock and all other state advances only
@@ -32,10 +32,9 @@ type Controller struct {
 	tel   *profiler.Telemetry
 	feed  *policy.PlanFeed
 
-	mu       sync.Mutex
-	env      policy.Env // environment estimate the current plan assumes
-	history  []ReplanEvent
-	onReplan []func(*policy.PlanSnapshot)
+	mu      sync.Mutex
+	env     policy.Env // environment estimate the current plan assumes
+	history []ReplanEvent
 }
 
 // ReplanEvent is one control-plane transition.
@@ -172,22 +171,6 @@ func (c *Controller) History() []ReplanEvent {
 	return out
 }
 
-// OnReplan registers a callback invoked synchronously — on the replanning
-// goroutine, after the snapshot is published to the feed — for every
-// subsequent replan. Unlike Subscribe's buffered channel this cannot drop
-// transitions, which is what live consumers of the plan (the trainer's
-// lookahead scheduler rotating cut depths mid-stream) need: by the time the
-// Observe* call that triggered the replan returns, every callback has seen
-// the new snapshot. Callbacks run outside the controller's lock.
-func (c *Controller) OnReplan(fn func(*policy.PlanSnapshot)) {
-	if fn == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.onReplan = append(c.onReplan, fn)
-}
-
 // ObserveEpoch folds one epoch's measurements in at the epoch boundary. If
 // drift crossed its hysteresis gate, the controller replans effective the
 // NEXT epoch and publishes the new snapshot; otherwise the current snapshot
@@ -201,21 +184,9 @@ func (c *Controller) ObserveEpoch(s profiler.EpochSample) (*policy.PlanSnapshot,
 	return snap, drifts, err
 }
 
-// replan recomputes the plan against the measured environment, publishes it
-// effective the given epoch, and then runs the OnReplan callbacks (outside
-// the lock, so callbacks may take their own locks freely).
+// replan recomputes the plan against the measured environment and
+// publishes it effective the given epoch.
 func (c *Controller) replan(drifts []profiler.Drift, effective uint64) (*policy.PlanSnapshot, error) {
-	snap, cbs, err := c.replanLocked(drifts, effective)
-	if err != nil {
-		return nil, err
-	}
-	for _, fn := range cbs {
-		fn(snap)
-	}
-	return snap, nil
-}
-
-func (c *Controller) replanLocked(drifts []profiler.Drift, effective uint64) (*policy.PlanSnapshot, []func(*policy.PlanSnapshot), error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
@@ -235,7 +206,7 @@ func (c *Controller) replanLocked(drifts []profiler.Drift, effective uint64) (*p
 
 	d, err := c.fw.Decide(c.trace, env)
 	if err != nil {
-		return nil, nil, fmt.Errorf("core: replan: %w", err)
+		return nil, fmt.Errorf("core: replan: %w", err)
 	}
 
 	kinds := make([]string, 0, len(drifts))
@@ -256,7 +227,7 @@ func (c *Controller) replanLocked(drifts []profiler.Drift, effective uint64) (*p
 		Reason:  reason,
 	}
 	if err := c.feed.Publish(snap); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	c.env = env
 	c.rebaseLocked(d)
@@ -267,7 +238,5 @@ func (c *Controller) replanLocked(drifts []profiler.Drift, effective uint64) (*p
 	if len(c.history) > maxHistory {
 		c.history = c.history[len(c.history)-maxHistory:]
 	}
-	cbs := make([]func(*policy.PlanSnapshot), len(c.onReplan))
-	copy(cbs, c.onReplan)
-	return snap, cbs, nil
+	return snap, nil
 }

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/netsim"
-	"repro/internal/policy"
 	"repro/internal/profiler"
 	"repro/internal/simclock"
 )
@@ -126,18 +125,19 @@ func TestControllerShardChangeReplansImmediately(t *testing.T) {
 	}); len(drifts) != 0 {
 		t.Fatalf("baseline drifted: %v", drifts)
 	}
-	// A shard dies in epoch 2: replan at once, no hysteresis.
+	// A shard dies in epoch 2: replan at once, no hysteresis, effective at
+	// the next boundary.
 	snap, drifts, err := c.ObserveEpoch(profiler.EpochSample{
 		Epoch: 2, Bandwidth: env.Bandwidth, ShardsUp: 3, Shards: 4,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(drifts) != 1 || !drifts[0].Immediate {
-		t.Fatalf("shard loss drifts %v, want one immediate", drifts)
+	if len(drifts) != 1 || drifts[0].Kind != profiler.DriftShard {
+		t.Fatalf("shard loss drifts %v, want one shard change", drifts)
 	}
 	if snap.Version != 2 || snap.Epoch != 3 {
-		t.Fatalf("immediate replan snapshot %v", snap)
+		t.Fatalf("shard-change replan snapshot %v", snap)
 	}
 	if snap.Reason != "shard-change" {
 		t.Fatalf("reason %q", snap.Reason)
@@ -175,50 +175,5 @@ func TestControllerSubscriberSeesReplan(t *testing.T) {
 		}
 	default:
 		t.Fatal("subscriber missed the replan")
-	}
-}
-
-// TestControllerOnReplan: callbacks fire synchronously on every replan —
-// including immediate shard-change replans — with the published snapshot,
-// before the triggering Observe call returns.
-func TestControllerOnReplan(t *testing.T) {
-	tr := openImages(t, 500)
-	env := paperEnv(48)
-	c, err := NewController(ControllerConfig{
-		Trace: tr, Env: env,
-		Drift: profiler.DriftConfig{Alpha: 1, RelThreshold: 0.2, Hysteresis: 2},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []*policy.PlanSnapshot
-	c.OnReplan(func(s *policy.PlanSnapshot) { seen = append(seen, s) })
-	c.OnReplan(nil) // must be ignored
-
-	half := env.Bandwidth / 2
-	c.ObserveEpoch(profiler.EpochSample{Epoch: 1, Bandwidth: env.Bandwidth})
-	c.ObserveEpoch(profiler.EpochSample{Epoch: 2, Bandwidth: half})
-	if len(seen) != 0 {
-		t.Fatalf("callback fired before hysteresis: %d", len(seen))
-	}
-	snap, _, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 3, Bandwidth: half})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 1 || seen[0] != snap {
-		t.Fatalf("callback saw %d snapshots, want exactly the published one", len(seen))
-	}
-	if seen[0].Version != 2 {
-		t.Fatalf("callback snapshot version %d, want 2", seen[0].Version)
-	}
-	// A shard change replans immediately and must also reach the callback.
-	// (The first observation is the telemetry baseline, not a change.)
-	c.ObserveEpoch(profiler.EpochSample{Epoch: 4, Bandwidth: half, ShardsUp: 2, Shards: 2})
-	snap2, _, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 5, Bandwidth: half, ShardsUp: 1, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 2 || seen[1] != snap2 || snap2.Version != 3 {
-		t.Fatalf("shard-change replan not delivered: %d callbacks, version %d", len(seen), snap2.Version)
 	}
 }

@@ -179,8 +179,6 @@ func (p *Plan) TrafficWith(tr *dataset.Trace, fm FidelityModel) (int64, error) {
 type FidelityPass struct {
 	// Model is the calibrated byte/quality ladder; required.
 	Model FidelityModel
-	// MaxDrop caps scans withheld per sample; 0 means the ladder's maximum.
-	MaxDrop int
 	// QualityFloor is the per-sample reconstruction quality floor; samples
 	// are never dropped below it. 0 means no per-sample floor.
 	QualityFloor float64
@@ -193,9 +191,6 @@ type FidelityPass struct {
 func (fp FidelityPass) Validate() error {
 	if err := fp.Model.Validate(); err != nil {
 		return err
-	}
-	if fp.MaxDrop < 0 || fp.MaxDrop > fp.Model.MaxDrop() {
-		return fmt.Errorf("%w: max drop %d with %d levels", ErrFidelityModel, fp.MaxDrop, fp.Model.Levels)
 	}
 	if fp.QualityFloor < 0 || fp.QualityFloor > 1 || fp.MeanQualityFloor < 0 || fp.MeanQualityFloor > 1 {
 		return fmt.Errorf("%w: quality floors out of [0, 1]", ErrFidelityModel)
@@ -211,10 +206,6 @@ func (fp FidelityPass) Validate() error {
 // condition is shared.
 func applyFidelityPass(plan *Plan, tr *dataset.Trace, env Env, fp FidelityPass,
 	shardMap *cluster.ShardMap, tg, tcc time.Duration, tnet, tcs []time.Duration) {
-	maxDrop := fp.MaxDrop
-	if maxDrop == 0 {
-		maxDrop = fp.Model.MaxDrop()
-	}
 	type fidCand struct {
 		id     int
 		drop   int
@@ -225,7 +216,7 @@ func applyFidelityPass(plan *Plan, tr *dataset.Trace, env Env, fp FidelityPass,
 		if plan.Splits[i] != 0 {
 			continue
 		}
-		drop := maxDrop
+		drop := fp.Model.MaxDrop()
 		for drop > 0 && fp.QualityFloor > 0 && fp.Model.qualityFor(drop) < fp.QualityFloor {
 			drop--
 		}

@@ -20,7 +20,6 @@ func testLadder() FidelityModel {
 func defaultPass() *FidelityPass {
 	return &FidelityPass{
 		Model:            testLadder(),
-		MaxDrop:          1,
 		QualityFloor:     0.97,
 		MeanQualityFloor: 0.98,
 	}
@@ -177,11 +176,7 @@ func TestFidelityPassValidate(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := FidelityPass{Model: testLadder(), MaxDrop: 9}
-	if err := bad.Validate(); err == nil {
-		t.Fatal("accepted out-of-range MaxDrop")
-	}
-	bad = FidelityPass{Model: testLadder(), QualityFloor: 1.5}
+	bad := FidelityPass{Model: testLadder(), QualityFloor: 1.5}
 	if err := bad.Validate(); err == nil {
 		t.Fatal("accepted quality floor above 1")
 	}

@@ -17,7 +17,6 @@ type Metrics struct {
 	stagedPeak    atomic.Int64
 	budgetStalls  atomic.Int64
 	horizonStalls atomic.Int64
-	replans       atomic.Int64
 }
 
 // MetricsSnapshot is a point-in-time copy of the counters, shaped for the
@@ -45,8 +44,6 @@ type MetricsSnapshot struct {
 	// byte budget and the stream-position horizon respectively.
 	BudgetStalls  int64 `json:"budget_stalls"`
 	HorizonStalls int64 `json:"horizon_stalls"`
-	// Replans counts control-plane plan rotations observed mid-stream.
-	Replans int64 `json:"replans"`
 }
 
 // Snapshot copies the counters. Safe on a nil receiver (returns zeros) so
@@ -66,14 +63,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		StagedPeakBytes: m.stagedPeak.Load(),
 		BudgetStalls:    m.budgetStalls.Load(),
 		HorizonStalls:   m.horizonStalls.Load(),
-		Replans:         m.replans.Load(),
-	}
-}
-
-// NoteReplan records one observed plan rotation.
-func (m *Metrics) NoteReplan() {
-	if m != nil {
-		m.replans.Add(1)
 	}
 }
 

@@ -39,12 +39,10 @@ type Config struct {
 	// consumption cursor is always admitted regardless of budget, so the
 	// stream can never deadlock on it.
 	StagingBytes int64
-	// Split returns the pipeline cut to request for a sample. It is read
-	// at issue time, so a control-plane replan rotates cuts for not-yet-
-	// issued stream entries without flushing anything already staged
-	// (staged artifacts stay correct: preprocessing is deterministic in
-	// (job, epoch, sample) for whatever cut they were fetched at). Nil
-	// means cut 0 for every sample.
+	// Split returns the pipeline cut to request for a sample, read at
+	// issue time; an entry already staged keeps the cut it was fetched at.
+	// The trainer's Split reads the epoch's plan. Nil means cut 0 for every
+	// sample.
 	Split func(sample int) int
 	// Fetch issues one round trip for a sub-batch that lives entirely on
 	// one shard. It must return either len(samples) results or an error

@@ -112,9 +112,6 @@ type Drift struct {
 	// values (for DriftShard: shard counts).
 	Baseline float64
 	Current  float64
-	// Immediate drifts (shard topology changes) warrant replanning without
-	// waiting for the next epoch boundary.
-	Immediate bool
 }
 
 // String renders the drift for logs and replan histories.
@@ -343,11 +340,10 @@ func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 	if s.Shards > 0 {
 		if t.shardsUp >= 0 && s.ShardsUp != t.shardsUp {
 			out = append(out, Drift{
-				Kind:      DriftShard,
-				Epoch:     s.Epoch,
-				Baseline:  float64(t.shardsUp),
-				Current:   float64(s.ShardsUp),
-				Immediate: true,
+				Kind:     DriftShard,
+				Epoch:    s.Epoch,
+				Baseline: float64(t.shardsUp),
+				Current:  float64(s.ShardsUp),
 			})
 		}
 		t.shardsUp = s.ShardsUp

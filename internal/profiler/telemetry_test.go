@@ -114,9 +114,6 @@ func TestDriftHysteresis(t *testing.T) {
 					if drifts[0].Kind != DriftBandwidth {
 						t.Fatalf("drift kind = %v", drifts[0].Kind)
 					}
-					if drifts[0].Immediate {
-						t.Fatal("bandwidth drift marked immediate")
-					}
 				}
 			}
 			if fired != tc.driftEpoch {
@@ -134,15 +131,15 @@ func TestShardLossImmediate(t *testing.T) {
 		t.Fatalf("baseline epoch drifted: %v", d)
 	}
 	d := tel.ObserveEpoch(EpochSample{Epoch: 2, ShardsUp: 3, Shards: 4})
-	if len(d) != 1 || d[0].Kind != DriftShard || !d[0].Immediate {
-		t.Fatalf("shard loss not immediate: %v", d)
+	if len(d) != 1 || d[0].Kind != DriftShard {
+		t.Fatalf("shard loss not flagged at once: %v", d)
 	}
 	if d[0].Baseline != 4 || d[0].Current != 3 {
 		t.Fatalf("shard drift %v", d[0])
 	}
 	// Recovery is a topology change too — the plan should widen back.
 	d = tel.ObserveEpoch(EpochSample{Epoch: 3, ShardsUp: 4, Shards: 4})
-	if len(d) != 1 || !d[0].Immediate {
+	if len(d) != 1 || d[0].Kind != DriftShard {
 		t.Fatalf("shard recovery not flagged: %v", d)
 	}
 }

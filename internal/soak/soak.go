@@ -330,8 +330,8 @@ func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 
 // mixFlipEpochs drives the classified epochs under an adaptive
 // controller: each epoch runs under the controller's current snapshot, the
-// observed heavy/light mix is folded back at the boundary, and replans land
-// on the live trainer through ApplySnapshot. The controller plans over a
+// observed heavy/light mix is folded back at the boundary, and a replan
+// governs the next epoch's snapshot. The controller plans over a
 // generated profile trace the same size as the soak dataset, so its plan
 // cut depths (0..5) are all servable by the cluster's standard pipeline.
 func mixFlipEpochs(rep *Report, cfg Config, tr *trainsim.Trainer) error {
@@ -354,7 +354,6 @@ func mixFlipEpochs(rep *Report, cfg Config, tr *trainsim.Trainer) error {
 	if err != nil {
 		return fmt.Errorf("soak: mix controller: %w", err)
 	}
-	ctrl.OnReplan(tr.ApplySnapshot)
 
 	for e := uint64(1); e <= uint64(cfg.Epochs); e++ {
 		er, err := tr.RunEpochSnapshot(e, ctrl.Current(), nil)

@@ -176,14 +176,21 @@ func TestExecutorSlowdownStretchesOccupancy(t *testing.T) {
 	ef, _ := NewExecutor(p, 1, 1, fast)
 	es, _ := NewExecutor(p, 1, 4, slow)
 	seed := pipeline.Seed{Job: 1, Epoch: 1, Sample: 0}
-	if _, err := ef.RunPrefix(raw, 2, seed); err != nil {
-		t.Fatal(err)
+	// One run on a loaded host can be stretched by preemption (or be the
+	// cold first one), so compare the fastest of interleaved runs on each.
+	run := func(e *Executor, c *Counters) uint64 {
+		before := c.CPUNanos.Load()
+		if _, err := e.RunPrefix(raw, 2, seed); err != nil {
+			t.Fatal(err)
+		}
+		return c.CPUNanos.Load() - before
 	}
-	if _, err := es.RunPrefix(raw, 2, seed); err != nil {
-		t.Fatal(err)
+	minFast, minSlow := run(ef, fast), run(es, slow)
+	for i := 1; i < 7; i++ {
+		minFast, minSlow = min(minFast, run(ef, fast)), min(minSlow, run(es, slow))
 	}
-	if slow.CPUNanos.Load() < 2*fast.CPUNanos.Load() {
-		t.Fatalf("slowdown 4x recorded %dns vs fast %dns", slow.CPUNanos.Load(), fast.CPUNanos.Load())
+	if minSlow < 2*minFast {
+		t.Fatalf("slowdown 4x recorded %dns at best vs fast %dns at best", minSlow, minFast)
 	}
 }
 

@@ -233,42 +233,3 @@ func TestLookaheadDegradedPartition(t *testing.T) {
 		t.Fatalf("degraded epoch took %v — fail-fast is not engaging", d)
 	}
 }
-
-// TestLookaheadReplanRotatesCuts: ApplySnapshot mid-training rotates the cut
-// source without restarting — the next lookahead epoch fetches under the new
-// snapshot's splits, and the rotation is counted.
-func TestLookaheadReplanRotatesCuts(t *testing.T) {
-	const n = 24
-	_, cfg := lookaheadCluster(t, n, 2, nil)
-	cfg.Lookahead = 3
-	tr := newTrainer(t, cfg)
-
-	noOff, err := policy.NewUniformPlan("v1", n, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	off, err := policy.NewUniformPlan("v2", n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := tr.RunEpochSnapshot(1, &policy.PlanSnapshot{Version: 1, Plan: noOff, Epoch: 1, Reason: "initial"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Offloaded != 0 {
-		t.Fatalf("epoch 1 offloaded %d under the no-offload plan", r1.Offloaded)
-	}
-	// The control plane replans: the trainer learns via ApplySnapshot (the
-	// OnReplan hook path), not by restarting.
-	tr.ApplySnapshot(&policy.PlanSnapshot{Version: 2, Plan: off, Epoch: 2, Reason: "bandwidth-drift"})
-	r2, err := tr.RunEpochSnapshot(2, &policy.PlanSnapshot{Version: 2, Plan: off, Epoch: 2, Reason: "bandwidth-drift"}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.Offloaded != n {
-		t.Fatalf("epoch 2 offloaded %d, want %d under the rotated plan", r2.Offloaded, n)
-	}
-	if got := tr.PrefetchMetrics().Snapshot().Replans; got != 1 {
-		t.Fatalf("replans counter %d, want 1", got)
-	}
-}

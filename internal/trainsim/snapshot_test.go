@@ -1,12 +1,9 @@
 package trainsim
 
 import (
-	"context"
-	"sync"
 	"testing"
 
 	"repro/internal/policy"
-	"repro/internal/storage"
 )
 
 // TestRunEpochSnapshotThreadsPlanVersion runs consecutive epochs under two
@@ -76,63 +73,5 @@ func TestRunEpochSnapshotThreadsPlanVersion(t *testing.T) {
 
 	if _, err := tr.RunEpochSnapshot(4, nil, nil); err == nil {
 		t.Fatal("accepted nil snapshot")
-	}
-}
-
-// firstFetchHook runs hook once, just before the session's first round trip
-// goes down (its context, and so its stamp, is already built).
-type firstFetchHook struct {
-	storage.Fetcher
-	once sync.Once
-	hook func()
-}
-
-func (c *firstFetchHook) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
-	c.once.Do(c.hook)
-	return c.Fetcher.FetchBatch(ctx, samples, splits, epoch)
-}
-
-// TestApplySnapshotMidEpochDefaultConfig: cuts are read at issue time under
-// the zero loader config too. A snapshot applied while the epoch's first
-// fetch is on its way rotates every entry not yet issued — all but the at
-// most Lookahead (2×Workers) already claimed — although the epoch was
-// started with no plan at all. The stamp rotates with the cuts: round trips
-// issued after the swap carry the new version, the ones before it none. The
-// server's mark starts above the snapshot's version so each stamped round
-// trip counts one regression.
-func TestApplySnapshotMidEpochDefaultConfig(t *testing.T) {
-	const n = 40
-	h := newHarness(t, n, 4)
-	offload, err := policy.NewUniformPlan("v2", n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var tr *Trainer
-	cfg := h.config()
-	dial := cfg.DialClient
-	cfg.DialClient = func() (storage.Fetcher, error) {
-		c, err := dial()
-		if err != nil {
-			return nil, err
-		}
-		return &firstFetchHook{Fetcher: c, hook: func() {
-			tr.ApplySnapshot(&policy.PlanSnapshot{Version: 2, Plan: offload, Epoch: 1, Reason: "mid-epoch"})
-		}}, nil
-	}
-	tr = newTrainer(t, cfg)
-	h.server.Counters().ObservePlanVersion(9)
-	r, err := tr.RunEpoch(1, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	depth := 2 * cfg.Workers
-	if r.Samples != n || r.Offloaded >= n || r.Offloaded < n-depth {
-		t.Fatalf("offloaded %d of %d trained samples, want all but the 1..%d entries issued before the rotation",
-			r.Offloaded, r.Samples, depth)
-	}
-	// One sample a round trip here. A round trip reads its stamp after its
-	// cuts, so every offloaded one is stamped; the first is not.
-	if stamped := int(h.server.Counters().PlanRegressions.Load()); stamped >= n || stamped < r.Offloaded {
-		t.Fatalf("%d of %d round trips carried the rotated version, %d were offloaded", stamped, n, r.Offloaded)
 	}
 }

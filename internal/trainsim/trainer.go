@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -98,11 +97,8 @@ type Trainer struct {
 	n      int
 	closed bool
 	mu     sync.Mutex
-	// snap is the live plan snapshot epochs read splits from; it can rotate
-	// mid-epoch via ApplySnapshot without restarting the stream.
-	snap atomic.Pointer[policy.PlanSnapshot]
-	pf   prefetch.Metrics
-	ps   prepsched.Metrics
+	pf     prefetch.Metrics
+	ps     prepsched.Metrics
 	// pool is the latest epoch's prep pool, kept so a torn-down epoch can be
 	// checked for stranded samples.
 	pool *prepsched.Pool[prefetch.Item]
@@ -236,24 +232,6 @@ func (t *Trainer) PrefetchMetrics() *prefetch.Metrics { return &t.pf }
 // PrepMetrics exposes the prep pool's counters.
 func (t *Trainer) PrepMetrics() *prepsched.Metrics { return &t.ps }
 
-// ApplySnapshot rotates the live plan mid-epoch: the epoch's scheduler reads
-// splits at issue time, so every stream entry not yet issued is fetched
-// under the new snapshot's cut depths while entries already staged are kept
-// — they were fetched at cuts that remain correct (preprocessing is
-// deterministic in (job, epoch, sample) for whichever cut they carried), so
-// nothing is flushed. Every round trip issued after the swap is stamped with
-// the snapshot's version; requests in flight keep the one they were issued
-// under. Wire this to core.Controller.OnReplan for live replanning.
-func (t *Trainer) ApplySnapshot(snap *policy.PlanSnapshot) {
-	if snap == nil || snap.Plan == nil || snap.Plan.N() != t.n {
-		return
-	}
-	old := t.snap.Swap(snap)
-	if old != nil && old.Version != snap.Version {
-		t.pf.NoteReplan()
-	}
-}
-
 type sampleOutcome struct {
 	wireBytes int
 	localCPU  time.Duration
@@ -272,7 +250,6 @@ type sampleOutcome struct {
 // session. A failure cancels the epoch's context, which unblocks in-flight
 // fetches promptly without poisoning the session.
 func (t *Trainer) RunEpoch(epoch uint64, plan *policy.Plan, collector *profiler.Collector) (EpochReport, error) {
-	t.snap.Store(nil) // a bare plan supersedes any earlier snapshot
 	return t.runEpoch(epoch, plan, 0, collector)
 }
 
@@ -280,14 +257,12 @@ func (t *Trainer) RunEpoch(epoch uint64, plan *policy.Plan, collector *profiler.
 // control plane. The snapshot's version rides every fetch the epoch issues
 // (storage.WithPlanVersion) and is recorded in the report. Swapping
 // snapshots between epochs is always safe: preprocessing is deterministic in
-// (job, epoch, sample), so requests stamped with different versions — e.g.
-// in-flight fetches racing a swap — return identical artifacts for the same
-// split.
+// (job, epoch, sample), so requests stamped with different versions return
+// identical artifacts for the same split.
 func (t *Trainer) RunEpochSnapshot(epoch uint64, snap *policy.PlanSnapshot, collector *profiler.Collector) (EpochReport, error) {
 	if snap == nil {
 		return EpochReport{}, errors.New("trainsim: nil plan snapshot")
 	}
-	t.snap.Store(snap)
 	return t.runEpoch(epoch, snap.Plan, snap.Version, collector)
 }
 
@@ -298,7 +273,8 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 	clock := t.cfg.Clock
 	start := clock.Now()
 
-	ctx, cancel := context.WithCancel(context.Background())
+	// Every round trip the epoch issues carries its plan version (0: none).
+	ctx, cancel := context.WithCancel(storage.WithPlanVersion(context.Background(), uint32(version)))
 	defer cancel()
 
 	results, stop, err := t.startLoader(ctx, cancel, epoch, plan, collector)
@@ -453,20 +429,13 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 		if collector != nil {
 			return 0 // the profiling epoch measures whole objects
 		}
-		if s := t.snap.Load(); s != nil && s.Plan != nil && s.Plan.N() == t.n {
-			return directiveFor(s.Plan, sample)
-		}
 		return directiveFor(plan, sample)
 	}
 	fetch := func(shard int, samples []uint32, splits []int) ([]storage.FetchResult, error) {
-		rctx := ctx
-		if s := t.snap.Load(); s != nil {
-			rctx = storage.WithPlanVersion(ctx, uint32(s.Version))
-		}
 		if router != nil {
-			return router.FetchShard(rctx, shard, samples, splits, epoch)
+			return router.FetchShard(ctx, shard, samples, splits, epoch)
 		}
-		return t.client.FetchBatch(rctx, samples, splits, epoch)
+		return t.client.FetchBatch(ctx, samples, splits, epoch)
 	}
 	sched, err := prefetch.NewScheduler(prefetch.Config{
 		Order:        prefetch.Order(t.cfg.JobID, epoch, t.n, t.cfg.Shuffle),

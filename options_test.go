@@ -85,7 +85,7 @@ func (l *sourceLoader) Import(path string) (*types.Package, error) {
 		}
 		files = append(files, f)
 	}
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}, Types: map[ast.Expr]types.TypeAndValue{}}
 	p, err := (&types.Config{Importer: l}).Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, err
@@ -220,6 +220,111 @@ func TestEveryOptionHasACaller(t *testing.T) {
 		t.Errorf("%s: no non-test code outside its package sets it — make it a constant or delete it with the path it selects", name)
 	}
 	t.Logf("%d exported option fields, %d kept by name, %d unlisted without a setter", len(fields), len(optionKeeps), len(unset))
+}
+
+// TestEveryReadFieldIsSet catches the knobs TestEveryOptionHasACaller's
+// struct-name filter misses: an exported field of any exported struct of the
+// module that non-test code reads must also be set by non-test code
+// somewhere (its own package included), or be listed in optionKeeps. A set
+// is a keyed composite-literal element, an element of an unkeyed literal, an
+// assignment, an inc/dec, a field whose address is taken, or a method call
+// on the field (an atomic counter's Add). A field that is read but never
+// set only ever holds its zero value outside tests, so the path it selects
+// is one only tests reach.
+func TestEveryReadFieldIsSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the module and the standard library from source")
+	}
+	l := loadModule(t)
+
+	names := map[*types.Var]string{}
+	for path, c := range l.pkgs {
+		scope := c.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || !tn.Exported() {
+				continue
+			}
+			st, ok := tn.Type().Underlying().(*types.Struct)
+			if !ok {
+				continue
+			}
+			for i := 0; i < st.NumFields(); i++ {
+				if f := st.Field(i); f.Exported() && !f.Embedded() {
+					names[f] = path + "." + name + "." + f.Name()
+				}
+			}
+		}
+	}
+
+	read, set := map[*types.Var]bool{}, map[*types.Var]bool{}
+	for _, c := range l.pkgs {
+		setIDs := map[*ast.Ident]bool{}
+		mark := func(e ast.Expr) {
+			switch e := ast.Unparen(e).(type) {
+			case *ast.Ident:
+				setIDs[e] = true
+			case *ast.SelectorExpr:
+				setIDs[e.Sel] = true
+			}
+		}
+		for _, file := range c.files {
+			ast.Inspect(file, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, isStruct := c.info.Types[n].Type.Underlying().(*types.Struct)
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							mark(kv.Key)
+						} else if isStruct && i < st.NumFields() {
+							set[st.Field(i).Origin()] = true
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						mark(lhs)
+					}
+				case *ast.IncDecStmt:
+					mark(n.X)
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						mark(n.X)
+					}
+				case *ast.CallExpr:
+					if m, ok := ast.Unparen(n.Fun).(*ast.SelectorExpr); ok {
+						mark(m.X)
+					}
+				}
+				return true
+			})
+		}
+		for id, obj := range c.info.Uses {
+			if v, ok := obj.(*types.Var); ok && v.IsField() {
+				if setIDs[id] {
+					set[v.Origin()] = true
+				} else {
+					read[v.Origin()] = true
+				}
+			}
+		}
+	}
+
+	var nread int
+	var unset []string
+	for v, name := range names {
+		if !read[v] {
+			continue
+		}
+		nread++
+		if _, kept := optionKeeps[name]; !set[v] && !kept {
+			unset = append(unset, name)
+		}
+	}
+	sort.Strings(unset)
+	for _, name := range unset {
+		t.Errorf("%s: non-test code reads it but only tests set it — make it a constant or delete it with the path it selects", name)
+	}
+	t.Logf("%d exported fields of exported structs, %d read by non-test code, %d of those unset", len(names), nread, len(unset))
 }
 
 // keepReason is why an exported name with no live caller stays. The set is
