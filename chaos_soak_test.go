@@ -14,7 +14,6 @@ import (
 	"flag"
 	"fmt"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -170,92 +169,6 @@ func TestChaosSoakLookaheadPartition(t *testing.T) {
 		t.Fatalf("lookahead %d lost %d samples, default depth lost %d — accounting diverged", cfg.Lookahead, a.Failed, shallow.Failed)
 	}
 	t.Logf("lookahead=%d digest=%08x compared=%d failed=%d", cfg.Lookahead, a.Digest, a.Compared, a.Failed)
-}
-
-// TestChaosSoakMixFlip: the classified work-stealing prep pool under
-// chaos plus a mid-training skew flip. Epochs run over a fault-injected
-// fabric with the seeded heavy set flipping from ~8% to ~60% halfway through
-// epoch 2; the soak must deliver bit-identical artifacts and exact failure
-// accounting (enforced by runSoak), the adaptive controller must replan with
-// reason "mix-drift" and thread the new plan version into later epochs, the
-// pool must conserve every dispatched sample, and the whole outcome —
-// including per-epoch heavy counts and the replan history — must replay
-// identically from the same seed.
-func TestChaosSoakMixFlip(t *testing.T) {
-	if testing.Short() {
-		t.Skip("chaos soak")
-	}
-	cfg := soak.Config{Seed: 0xF11BED, Class: soak.ClassMixed, Samples: 48, Epochs: 4, MixFlip: true}
-	a := runSoak(t, cfg)
-	if !a.MixFlip {
-		t.Fatalf("mix-flip soak not marked as one: %+v", a)
-	}
-	if a.Replans == 0 {
-		t.Fatalf("skew flip never replanned: %+v", a)
-	}
-	for _, reason := range a.ReplanReasons {
-		if !strings.Contains(reason, "mix-drift") {
-			t.Fatalf("replan reasons %v, want mix-drift", a.ReplanReasons)
-		}
-	}
-	if !a.Ok() {
-		t.Fatalf("report fails its own invariants: %+v", a)
-	}
-	// The flip is visible in the per-epoch mix and in the plan versions: the
-	// first epoch runs sparse under the initial plan, the last runs dominant
-	// under a replanned one.
-	first, last := a.Epochs[0], a.Epochs[len(a.Epochs)-1]
-	if first.Heavy >= last.Heavy {
-		t.Fatalf("heavy mix never flipped: first epoch %d heavy, last %d", first.Heavy, last.Heavy)
-	}
-	if first.PlanVersion != 1 || last.PlanVersion < 2 {
-		t.Fatalf("plan versions %d→%d, want the replan to land after epoch 1", first.PlanVersion, last.PlanVersion)
-	}
-	// Scheduler conservation end to end: every dispatched sample was taken
-	// exactly once (own pop or steal), across every epoch.
-	if a.Prepsched == nil {
-		t.Fatal("mix-flip report has no prepsched counters")
-	}
-	dispatched := int64(cfg.Samples * cfg.Epochs)
-	if a.Prepsched.Light+a.Prepsched.Heavy != dispatched {
-		t.Fatalf("classified %d+%d samples, want %d", a.Prepsched.Light, a.Prepsched.Heavy, dispatched)
-	}
-	if a.Prepsched.OwnPops+a.Prepsched.Steals != dispatched {
-		t.Fatalf("took %d+%d samples, want %d", a.Prepsched.OwnPops, a.Prepsched.Steals, dispatched)
-	}
-
-	b := runSoak(t, cfg)
-	if a.Digest != b.Digest {
-		t.Fatalf("same seed, different schedules: %08x vs %08x", a.Digest, b.Digest)
-	}
-	if a.Replans != b.Replans || !slicesEqual(a.ReplanReasons, b.ReplanReasons) {
-		t.Fatalf("same seed, different replan histories:\n a %d %v\n b %d %v",
-			a.Replans, a.ReplanReasons, b.Replans, b.ReplanReasons)
-	}
-	for i := range a.Epochs {
-		ae, be := a.Epochs[i], b.Epochs[i]
-		if ae.Samples != be.Samples || ae.Failed != be.Failed || ae.Heavy != be.Heavy || ae.PlanVersion != be.PlanVersion {
-			t.Fatalf("epoch %d diverged: %+v vs %+v", i, ae, be)
-		}
-	}
-	// Classification is deterministic; steal/stall counts are scheduling
-	// noise and deliberately not compared.
-	if a.Prepsched.Light != b.Prepsched.Light || a.Prepsched.Heavy != b.Prepsched.Heavy {
-		t.Fatalf("same seed, different classifications: %+v vs %+v", a.Prepsched, b.Prepsched)
-	}
-	t.Logf("mix flip: heavy %d→%d, replans %v, digest=%08x", first.Heavy, last.Heavy, a.ReplanReasons, a.Digest)
-}
-
-func slicesEqual(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestChaosSoakSeeded is the operator-driven entry point: skipped unless

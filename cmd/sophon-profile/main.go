@@ -40,7 +40,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	cores := fs.Int("cores", 48, "storage cores for the planning preview")
 	mbps := fs.Float64("mbps", 500, "link bandwidth (Mbit/s)")
 	modelName := fs.String("model", "alexnet", "GPU model profile")
-	dumpTrace := fs.String("dump-trace", "", "write the generated trace to this file")
 	dumpPlan := fs.String("dump-plan", "", "write the SOPHON plan to this file (for sophon-train -plan-file)")
 	if done, err := cliutil.ParseArgs(fs, args, "sophon-profile", "Inspects a dataset profile and previews the SOPHON offload plan for an environment."); done || err != nil {
 		return err
@@ -137,12 +136,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		m.TG.Seconds(), m.TCC.Seconds(), m.TCS.Seconds(), m.TNet.Seconds(),
 		m.Predicted().Seconds(), bm.Predicted().Seconds())
 
-	if *dumpTrace != "" {
-		if err := persist.SaveTrace(*dumpTrace, tr); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "\ntrace written to %s\n", *dumpTrace)
-	}
 	if *dumpPlan != "" {
 		if err := persist.SavePlan(*dumpPlan, plan, persist.PlanMeta{}); err != nil {
 			return err

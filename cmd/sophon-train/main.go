@@ -85,7 +85,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	storageCores := fs.Int("storage-cores", 4, "assumed storage-node preprocessing cores for planning")
 	probeBatches := fs.Int("probe-batches", 50, "stage-1 probe batches")
 	planFile := fs.String("plan-file", "", "load a precomputed plan and skip profiling")
-	dumpTrace := fs.String("dump-trace", "", "write the measured stage-2 trace to this file")
 	fetchBatch := fs.Int("fetch-batch", 0, "samples per storage round trip (0 = one)")
 	lookahead := fs.Int("lookahead", 0, "fetch round trips kept in flight per shard (0 = 2x workers)")
 	lookaheadHorizon := fs.Int("lookahead-horizon", 0, "max stream positions fetched ahead of consumption (0 = 8 x lookahead x fetch-batch x shards)")
@@ -254,12 +253,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	trace, err := collector.Trace("measured")
 	if err != nil {
 		return err
-	}
-	if *dumpTrace != "" {
-		if err := persist.SaveTrace(*dumpTrace, trace); err != nil {
-			return err
-		}
-		logger.Printf("stage-2 trace written to %s", *dumpTrace)
 	}
 	cl, err := prepsched.FromTrace(trace, *heavyThreshold)
 	if err != nil {

@@ -96,7 +96,7 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// The golden is also README's flag table: 28 flags and -version.
+// The golden is also README's flag table: 27 flags and -version.
 func TestHelpGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/help.golden")
 	if err != nil {
@@ -109,8 +109,8 @@ func TestHelpGolden(t *testing.T) {
 	if stderr.String() != string(want) {
 		t.Fatalf("-help prints\n%s\nwant\n%s", stderr.String(), want)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 29 {
-		t.Fatalf("%d flags listed, want 28 and -version", n)
+	if n := strings.Count(stderr.String(), "\n  -"); n != 28 {
+		t.Fatalf("%d flags listed, want 27 and -version", n)
 	}
 }
 

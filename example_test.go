@@ -8,7 +8,8 @@ import (
 
 // Example_modelTier plans and simulates a full paper-scale epoch without
 // touching the network: generate the OpenImages-like trace, let the SOPHON
-// framework decide, and replay the epoch through the discrete-event engine.
+// framework decide, and replay No-Off's and SOPHON's epochs through the
+// discrete-event engine.
 func Example_modelTier() {
 	trace, err := sophon.GenerateTrace(sophon.OpenImagesProfile(0), 2024)
 	if err != nil {
@@ -25,11 +26,12 @@ func Example_modelTier() {
 	if err != nil {
 		panic(err)
 	}
-	noOff, _, err := sophon.SimulatePolicy(sophon.NoOffPolicy(), trace, env)
+	// AllPolicies is in the paper's figure order: No-Off first.
+	noOff, _, err := sophon.SimulatePolicy(sophon.AllPolicies()[0], trace, env)
 	if err != nil {
 		panic(err)
 	}
-	withPlan, err := sophon.SimulateEpoch(trace, decision.Plan, env)
+	withPlan, _, err := sophon.SimulatePolicy(sophon.NewSophonPolicy(), trace, env)
 	if err != nil {
 		panic(err)
 	}
@@ -42,51 +44,4 @@ func Example_modelTier() {
 	// activated: true
 	// traffic: 12.09 GB -> 5.57 GB
 	// traffic reduction: 2.2x
-}
-
-// ExampleOffloadCandidates inspects the per-sample quantities behind the
-// paper's Figure 1c: how many samples benefit from offloading at all.
-func ExampleOffloadCandidates() {
-	trace, err := sophon.GenerateTrace(sophon.OpenImagesProfile(10000), 2024)
-	if err != nil {
-		panic(err)
-	}
-	beneficial := 0
-	for _, c := range sophon.OffloadCandidates(trace) {
-		if c.Saving > 0 {
-			beneficial++
-		}
-	}
-	fmt.Printf("beneficial: %d%%\n", beneficial*100/trace.N())
-	// Output:
-	// beneficial: 75%
-}
-
-// ExampleEpochModelFor evaluates the paper's four epoch cost metrics for a
-// uniform Resize-Off plan.
-func ExampleEpochModelFor() {
-	trace, err := sophon.GenerateTrace(sophon.OpenImagesProfile(0), 2024)
-	if err != nil {
-		panic(err)
-	}
-	plan, err := sophon.NewUniformPlan("Resize-Off", trace.N(), 2)
-	if err != nil {
-		panic(err)
-	}
-	env := sophon.Env{
-		Bandwidth:       sophon.Mbps(500),
-		ComputeCores:    48,
-		StorageCores:    2,
-		StorageSlowdown: 1,
-		GPU:             sophon.AlexNet,
-	}
-	m, err := sophon.EpochModelFor(trace, plan, env)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("dominant: %s\n", m.Dominant())
-	// With only 2 storage cores, offloading Decode+Crop for every sample
-	// makes the storage CPU the bottleneck — Figure 4's Resize-Off cliff.
-	// Output:
-	// dominant: TCS
 }

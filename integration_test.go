@@ -7,14 +7,12 @@ package sophon
 // one scenario.
 
 import (
-	"bytes"
 	"encoding/json"
 	"net/http"
-	"os"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/monitor"
-	"repro/internal/persist"
 )
 
 func TestFullStackIntegration(t *testing.T) {
@@ -59,23 +57,6 @@ func TestFullStackIntegration(t *testing.T) {
 		t.Fatalf("profiling epoch: %d samples, trace %d", epoch1.Samples, trace.N())
 	}
 
-	// Persist the trace and reload it — the profile-once workflow.
-	tracePath := t.TempDir() + "/trace.bin"
-	if err := persist.SaveTrace(tracePath, trace); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reloaded, err := persist.ReadTrace(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reloaded.N() != trace.N() || reloaded.TotalRawBytes() != trace.TotalRawBytes() {
-		t.Fatal("trace changed across persistence")
-	}
-
 	// Decide with the measured stage-1 verdict against the real env.
 	env := Env{
 		Bandwidth:       Mbps(16),
@@ -84,7 +65,7 @@ func TestFullStackIntegration(t *testing.T) {
 		StorageSlowdown: 1,
 		GPU:             AlexNet,
 	}
-	decision, err := DecideMeasured(reloaded, env, stage1)
+	decision, err := DecideMeasured(trace, env, stage1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +93,7 @@ func TestFullStackIntegration(t *testing.T) {
 
 	// The discrete-event engine, replaying the measured trace under the
 	// same plan, should agree with the live traffic within framing noise.
-	sim, err := SimulateEpoch(reloaded, decision.Plan, env)
+	sim, err := engine.Run(engine.Config{Trace: trace, Plan: decision.Plan, Env: env})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,52 +24,6 @@ func progressiveContainer(t testing.TB, seed uint64) []byte {
 	return data
 }
 
-// encodedRaw wraps container bytes in the raw-artifact encoding the shared
-// cache stores (kind byte + payload).
-func encodedRaw(body []byte) []byte {
-	return append([]byte{byte(pipeline.KindRaw)}, body...)
-}
-
-func TestTruncateToFidelity(t *testing.T) {
-	body := progressiveContainer(t, 1)
-	enc := encodedRaw(body)
-	_, _, _, scans, _, err := imaging.ProgressiveInfo(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for drop := 1; drop < scans; drop++ {
-		got, ok := truncateToFidelity(enc, uint8(drop))
-		if !ok {
-			t.Fatalf("drop %d: not truncatable", drop)
-		}
-		want, err := imaging.SlicePrefix(body, scans-drop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got[1:], want) || got[0] != byte(pipeline.KindRaw) {
-			t.Fatalf("drop %d: truncated bytes differ from SlicePrefix", drop)
-		}
-	}
-	// Over-deep drops clamp to the base scan, same as the server.
-	deep, ok := truncateToFidelity(enc, 200)
-	if !ok {
-		t.Fatal("over-deep drop not truncatable")
-	}
-	base, err := imaging.SlicePrefix(body, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(deep[1:], base) {
-		t.Fatal("over-deep drop did not clamp to base scan")
-	}
-	if _, ok := truncateToFidelity(enc, 0); ok {
-		t.Fatal("drop 0 should refuse (caller uses the full entry)")
-	}
-	if _, ok := truncateToFidelity(encodedRaw([]byte("not progressive")), 1); ok {
-		t.Fatal("non-progressive payload truncated")
-	}
-}
-
 // The regression at the heart of the bug sweep: a fidelity-carrying packed
 // directive must never collapse onto the full-fidelity key. The old code cast
 // the packed int straight to uint8, so PackDirective(0, 2) == 512 keyed as
@@ -94,57 +48,6 @@ func TestTenantKeyCarriesFidelity(t *testing.T) {
 	// Offloaded cuts keep their epoch scoping under packing.
 	if tf.key(3, storage.PackDirective(2, 1), 5).Epoch != 5 {
 		t.Fatal("offloaded packed key lost epoch")
-	}
-}
-
-// A deep cached entry must satisfy a shallower request bit-identically to the
-// prefix the storage server would have sliced, and the served length — not
-// the full entry length — is what lands in BytesSaved.
-func TestSharedCachePrefixAwareHit(t *testing.T) {
-	body := progressiveContainer(t, 2)
-	_, _, _, scans, _, err := imaging.ProgressiveInfo(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := NewShared(1 << 20)
-	fullKey := ArtifactKey{Dataset: 42, Sample: 0, Cut: 0, Fidelity: 0}
-	c.Put("a", fullKey, encodedRaw(body))
-
-	req := fullKey
-	req.Fidelity = 2
-	got, ok := c.Get("b", req)
-	if !ok {
-		t.Fatal("deep entry did not satisfy shallow request")
-	}
-	want, err := imaging.SlicePrefix(body, scans-2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[1:], want) {
-		t.Fatal("prefix-aware hit differs from server-side SlicePrefix")
-	}
-	if s := c.Snapshot().Tenants["b"]; s.Hits != 1 || s.BytesSaved != int64(len(got)) {
-		t.Fatalf("tenant b stats %+v (served %d bytes)", s, len(got))
-	}
-	// The reverse direction must miss: a shallow entry cannot invent scans
-	// for a deeper (higher-fidelity) request.
-	d, _ := NewShared(1 << 20)
-	shallowKey := fullKey
-	shallowKey.Fidelity = 2
-	prefix, _ := truncateToFidelity(encodedRaw(body), 2)
-	d.Put("a", shallowKey, prefix)
-	if _, ok := d.Get("a", fullKey); ok {
-		t.Fatal("shallow entry served a full-fidelity request")
-	}
-	if _, ok := d.Get("a", ArtifactKey{Dataset: 42, Fidelity: 1}); ok {
-		t.Fatal("drop-2 entry served a drop-1 request")
-	}
-	// Equal or deeper requests are served (exact, then truncated further).
-	if _, ok := d.Get("a", shallowKey); !ok {
-		t.Fatal("exact reduced-fidelity key missed")
-	}
-	if _, ok := d.Get("a", ArtifactKey{Dataset: 42, Fidelity: 3}); !ok {
-		t.Fatal("drop-2 entry did not serve a drop-3 request")
 	}
 }
 
@@ -240,49 +143,6 @@ func TestFetchingCacheServesTruncatedPrefix(t *testing.T) {
 	}
 	if !bytes.Equal(full.Artifact.Raw, body) {
 		t.Fatal("full-fidelity read no longer sees the full container")
-	}
-}
-
-// TenantFetcher end to end: the first tenant pulls the full object; a second
-// tenant's reduced-fidelity fetch is served by truncating the shared entry
-// instead of going to the wire.
-func TestTenantFetcherProgressivePrefixHit(t *testing.T) {
-	body := progressiveContainer(t, 4)
-	_, _, _, scans, _, err := imaging.ProgressiveInfo(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shared, _ := NewShared(1 << 20)
-	innerA := &progFetcher{body: body}
-	innerB := &progFetcher{body: body}
-	a, err := NewTenantFetcher(innerA, shared, "a", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewTenantFetcher(innerB, shared, "b", 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := storage.FetchOne(ctx, a, 0, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	res, err := storage.FetchOne(ctx, b, 0, storage.PackDirective(0, 2), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if innerB.fetches != 0 {
-		t.Fatalf("reduced-fidelity fetch went to the wire %d times despite a deeper cached entry", innerB.fetches)
-	}
-	want, err := imaging.SlicePrefix(body, scans-2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(res.Artifact.Raw, want) {
-		t.Fatal("tenant prefix hit differs from server-side SlicePrefix")
-	}
-	if res.Fidelity != 2 || res.Split != 0 {
-		t.Fatalf("hit result split=%d fidelity=%d", res.Split, res.Fidelity)
 	}
 }
 

@@ -34,9 +34,8 @@ type ArtifactKey struct {
 	Cut uint8
 	// Fidelity is the progressive dimension: the number of refinement scans
 	// withheld from a cut-0 progressive container (0 = the full object).
-	// Keys at different fidelities name different byte strings, but a
-	// deeper entry (smaller Fidelity) can satisfy a shallower request by
-	// truncation — see Get's prefix-aware probe.
+	// Keys at different fidelities name different byte strings, so a
+	// reduced-fidelity body never answers a full-fidelity read.
 	Fidelity uint8
 	// Epoch scopes augmented artifacts, which embed per-epoch randomness.
 	// Raw (cut-0) artifacts are epoch-invariant and use Epoch 0.
@@ -134,12 +133,6 @@ func (c *SharedArtifactCache) tenantLocked(tenant string) *TenantCacheStats {
 
 // Get returns the encoded artifact for key, charging the lookup to tenant.
 // The returned slice is read-only and remains valid after eviction.
-//
-// Keys are prefix-aware: when an exact entry for a reduced-fidelity cut-0
-// request is absent, a deeper entry of the same sample (fewer scans dropped,
-// including the full container) is truncated to the requested fidelity —
-// bit-identical to what the storage server would have sliced — and served as
-// a hit. Only the exact byte length served is charged to BytesSaved.
 func (c *SharedArtifactCache) Get(tenant string, key ArtifactKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -151,26 +144,6 @@ func (c *SharedArtifactCache) Get(tenant string, key ArtifactKey) ([]byte, bool)
 		ts.BytesSaved += int64(len(e.data))
 		c.hits++
 		return e.data, true
-	}
-	if key.Cut == 0 && key.Fidelity > 0 {
-		probe := key
-		for df := uint8(0); df < key.Fidelity; df++ {
-			probe.Fidelity = df
-			el, ok := c.items[probe]
-			if !ok {
-				continue
-			}
-			e := el.Value.(*sharedEntry)
-			prefix, ok := truncateToFidelity(e.data, key.Fidelity)
-			if !ok {
-				continue
-			}
-			c.ll.MoveToFront(el)
-			ts.Hits++
-			ts.BytesSaved += int64(len(prefix))
-			c.hits++
-			return prefix, true
-		}
 	}
 	ts.Misses++
 	c.misses++

@@ -156,11 +156,8 @@ func (c *Controller) rebaseLocked(d Decision) {
 	c.tel.AdoptMixBaseline()
 }
 
-// Current implements policy.PlanProvider.
+// Current returns the snapshot in force.
 func (c *Controller) Current() *policy.PlanSnapshot { return c.feed.Current() }
-
-// Subscribe implements policy.PlanProvider.
-func (c *Controller) Subscribe() <-chan *policy.PlanSnapshot { return c.feed.Subscribe() }
 
 // History returns a copy of the replan history, oldest first.
 func (c *Controller) History() []ReplanEvent {

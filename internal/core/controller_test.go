@@ -164,7 +164,9 @@ func TestControllerSubscriberSeesReplan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := c.Subscribe()
+	// The controller publishes through its feed; a subscriber of the feed
+	// sees each replan.
+	sub := c.feed.Subscribe()
 	if _, _, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 1, Bandwidth: netsim.Mbps(100)}); err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestControllerReplansOnMixDrift(t *testing.T) {
 	clock := simclock.NewVirtual(time.Unix(0, 0))
 	c, err := NewController(ControllerConfig{
 		Trace: tr, Env: env, Clock: clock,
-		Drift: profiler.DriftConfig{Alpha: 1, MixThreshold: 0.25, Hysteresis: 2},
+		Drift: profiler.DriftConfig{Alpha: 1, Hysteresis: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -76,7 +76,7 @@ func TestControllerHeavyRatioValidation(t *testing.T) {
 	env := paperEnv(48)
 	c, err := NewController(ControllerConfig{
 		Trace: tr, Env: env, HeavyRatio: 1,
-		Drift: profiler.DriftConfig{Alpha: 1, MixThreshold: 0.01, Hysteresis: 1},
+		Drift: profiler.DriftConfig{Alpha: 1, Hysteresis: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,31 +20,6 @@ func (r Rect) Within(w, h int) bool {
 	return r.Valid() && r.X >= 0 && r.Y >= 0 && r.W <= w && r.H <= h && r.X <= w-r.W && r.Y <= h-r.H
 }
 
-// Crop returns a copy of the sub-image covered by rect.
-func Crop(im *Image, rect Rect) (*Image, error) {
-	if !rect.Within(im.W, im.H) {
-		return nil, fmt.Errorf("%w: crop %+v of %dx%d", ErrBadDimensions, rect, im.W, im.H)
-	}
-	out := MustNew(rect.W, rect.H)
-	for y := 0; y < rect.H; y++ {
-		srcOff := im.offset(rect.X, rect.Y+y)
-		dstOff := out.offset(0, y)
-		copy(out.Pix[dstOff:dstOff+rect.W*Channels], im.Pix[srcOff:srcOff+rect.W*Channels])
-	}
-	return out, nil
-}
-
-// Resize scales the image to w×h using bilinear interpolation. It matches
-// the sampling used by common DL preprocessing (align-corners=false).
-func Resize(im *Image, w, h int) (*Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("%w: resize to %dx%d", ErrBadDimensions, w, h)
-	}
-	out := MustNew(w, h)
-	cropResizeInto(im, Rect{W: im.W, H: im.H}, out)
-	return out, nil
-}
-
 // FlipHorizontal mirrors the image around its vertical axis, returning a new
 // image.
 func FlipHorizontal(im *Image) *Image {

@@ -67,15 +67,6 @@ func (im *Image) Release() {
 	im.W, im.H = 0, 0
 }
 
-// FromPix wraps an existing pixel buffer. The buffer length must equal
-// w*h*3.
-func FromPix(w, h int, pix []uint8) (*Image, error) {
-	if w <= 0 || h <= 0 || len(pix) != w*h*Channels {
-		return nil, fmt.Errorf("%w: %dx%d with %d bytes", ErrBadDimensions, w, h, len(pix))
-	}
-	return &Image{W: w, H: h, Pix: pix}, nil
-}
-
 // ByteSize returns the in-memory size of the pixel buffer.
 func (im *Image) ByteSize() int { return len(im.Pix) }
 

@@ -2,6 +2,7 @@ package imaging
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -432,4 +433,41 @@ func maxAbsDiff(a, b *Image) (int, error) {
 		most = max(most, d)
 	}
 	return most, nil
+}
+
+// Crop and Resize are the unfused reference kernels the fused crop-resize
+// paths are tested against; no product code calls them.
+
+// Crop returns a copy of the sub-image covered by rect.
+func Crop(im *Image, rect Rect) (*Image, error) {
+	if !rect.Within(im.W, im.H) {
+		return nil, fmt.Errorf("%w: crop %+v of %dx%d", ErrBadDimensions, rect, im.W, im.H)
+	}
+	out := MustNew(rect.W, rect.H)
+	for y := 0; y < rect.H; y++ {
+		srcOff := im.offset(rect.X, rect.Y+y)
+		dstOff := out.offset(0, y)
+		copy(out.Pix[dstOff:dstOff+rect.W*Channels], im.Pix[srcOff:srcOff+rect.W*Channels])
+	}
+	return out, nil
+}
+
+// Resize scales the image to w×h using bilinear interpolation. It matches
+// the sampling used by common DL preprocessing (align-corners=false).
+func Resize(im *Image, w, h int) (*Image, error) {
+	if w <= 0 || h <= 0 {
+		return nil, fmt.Errorf("%w: resize to %dx%d", ErrBadDimensions, w, h)
+	}
+	out := MustNew(w, h)
+	cropResizeInto(im, Rect{W: im.W, H: im.H}, out)
+	return out, nil
+}
+
+// FromPix wraps an existing pixel buffer. The buffer length must equal
+// w*h*3. Only this package's tests build images this way.
+func FromPix(w, h int, pix []uint8) (*Image, error) {
+	if w <= 0 || h <= 0 || len(pix) != w*h*Channels {
+		return nil, fmt.Errorf("%w: %dx%d with %d bytes", ErrBadDimensions, w, h, len(pix))
+	}
+	return &Image{W: w, H: h, Pix: pix}, nil
 }

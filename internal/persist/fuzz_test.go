@@ -6,7 +6,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/dataset"
 	"repro/internal/policy"
 )
 
@@ -61,33 +60,6 @@ func FuzzReadPlan(f *testing.F) {
 		}
 		if !bytes.Equal(out.Bytes(), data) {
 			t.Fatal("accepted bytes are not what the writer produces for the plan they decode to")
-		}
-	})
-}
-
-// FuzzReadTrace: the trace parser must never panic on arbitrary bytes. Seeds:
-// a valid trace, nothing, and a header that claims 2^24 records.
-func FuzzReadTrace(f *testing.F) {
-	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(3), 1)
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.Bytes())
-	f.Add([]byte{})
-	f.Add(claimedTrace())
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := ReadTrace(bytes.NewReader(data))
-		if err != nil {
-			return
-		}
-		var out bytes.Buffer
-		if err := WriteTrace(&out, got); err != nil {
-			t.Fatalf("accepted trace failed to write: %v", err)
 		}
 	})
 }

@@ -1,8 +1,7 @@
-// Package persist serializes profiled traces and offload plans so the
-// profiling pass (expensive: a full epoch) can run once and its outputs be
-// reused across training runs and tools — sophon-profile writes a trace and
-// a plan (-dump-trace, -dump-plan), sophon-train loads the plan
-// (-plan-file) and writes the trace it measured (-dump-trace).
+// Package persist serializes offload plans so the profiling pass
+// (expensive: a full epoch) can run once and its plan be reused across
+// training runs: sophon-profile writes a plan (-dump-plan) and sophon-train
+// loads it (-plan-file).
 package persist
 
 import (
@@ -12,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"repro/internal/dataset"
 	"repro/internal/imaging"
@@ -25,7 +23,6 @@ import (
 // fidelity vector. A zero header and an all-zero fidelity vector are
 // ordinary values: an unversioned, full-fidelity plan.
 const (
-	traceMagic = "SOPHTRC1"
 	planMagic  = "SOPHPLN3"
 	maxName    = 1 << 10
 	maxRecords = 1 << 26
@@ -43,102 +40,6 @@ type PlanMeta struct {
 
 // ErrCorrupt reports a malformed stream.
 var ErrCorrupt = errors.New("persist: corrupt stream")
-
-// WriteTrace serializes a trace.
-func WriteTrace(w io.Writer, tr *dataset.Trace) error {
-	if tr == nil {
-		return errors.New("persist: nil trace")
-	}
-	if len(tr.Name) > maxName {
-		return fmt.Errorf("persist: trace name of %d bytes too long", len(tr.Name))
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(traceMagic); err != nil {
-		return err
-	}
-	if err := writeString(bw, tr.Name); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(tr.N())); err != nil {
-		return err
-	}
-	for i := range tr.Records {
-		r := &tr.Records[i]
-		fields := []interface{}{
-			r.ID, r.RawSize, int32(r.Width), int32(r.Height),
-		}
-		for _, f := range fields {
-			if err := binary.Write(bw, binary.LittleEndian, f); err != nil {
-				return err
-			}
-		}
-		for _, s := range r.StageSizes {
-			if err := binary.Write(bw, binary.LittleEndian, s); err != nil {
-				return err
-			}
-		}
-		for _, d := range r.OpTimes {
-			if err := binary.Write(bw, binary.LittleEndian, int64(d)); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}
-
-// ReadTrace deserializes a trace.
-func ReadTrace(r io.Reader) (*dataset.Trace, error) {
-	br := bufio.NewReader(r)
-	magic := make([]byte, len(traceMagic))
-	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, fmt.Errorf("%w: magic: %v", ErrCorrupt, err)
-	}
-	if string(magic) != traceMagic {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
-	}
-	name, err := readString(br)
-	if err != nil {
-		return nil, err
-	}
-	var n uint32
-	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, fmt.Errorf("%w: count: %v", ErrCorrupt, err)
-	}
-	if n == 0 || n > maxRecords {
-		return nil, fmt.Errorf("%w: %d records", ErrCorrupt, n)
-	}
-	// The records grow as they arrive: a count the stream claims costs no
-	// memory until its bytes are there.
-	tr := &dataset.Trace{Name: name}
-	for i := 0; i < int(n); i++ {
-		tr.Records = append(tr.Records, dataset.Record{})
-		rec := &tr.Records[i]
-		var w32, h32 int32
-		for _, dst := range []interface{}{&rec.ID, &rec.RawSize, &w32, &h32} {
-			if err := binary.Read(br, binary.LittleEndian, dst); err != nil {
-				return nil, fmt.Errorf("%w: record %d: %v", ErrCorrupt, i, err)
-			}
-		}
-		rec.Width, rec.Height = int(w32), int(h32)
-		for j := range rec.StageSizes {
-			if err := binary.Read(br, binary.LittleEndian, &rec.StageSizes[j]); err != nil {
-				return nil, fmt.Errorf("%w: record %d sizes: %v", ErrCorrupt, i, err)
-			}
-		}
-		for j := range rec.OpTimes {
-			var ns int64
-			if err := binary.Read(br, binary.LittleEndian, &ns); err != nil {
-				return nil, fmt.Errorf("%w: record %d times: %v", ErrCorrupt, i, err)
-			}
-			rec.OpTimes[j] = time.Duration(ns)
-		}
-	}
-	// A well-formed stream ends here.
-	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, fmt.Errorf("%w: trailing data", ErrCorrupt)
-	}
-	return tr, nil
-}
 
 // WritePlan serializes a plan with its control-plane header; a plan written
 // outside the control plane passes the zero PlanMeta.
@@ -234,11 +135,6 @@ func ReadPlan(r io.Reader) (*policy.Plan, PlanMeta, error) {
 		return nil, meta, fmt.Errorf("%w: trailing data", ErrCorrupt)
 	}
 	return &policy.Plan{Name: name, Splits: splits, Fidelity: fidelity}, meta, nil
-}
-
-// SaveTrace writes a trace to path.
-func SaveTrace(path string, tr *dataset.Trace) error {
-	return saveFile(path, func(w io.Writer) error { return WriteTrace(w, tr) })
 }
 
 // SavePlan writes a plan with its control-plane header to path.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -22,26 +21,6 @@ func sampleTrace(t testing.TB, n int) *dataset.Trace {
 		t.Fatal(err)
 	}
 	return tr
-}
-
-func TestTraceRoundTrip(t *testing.T) {
-	tr := sampleTrace(t, 200)
-	var buf bytes.Buffer
-	if err := WriteTrace(&buf, tr); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Name != tr.Name || got.N() != tr.N() {
-		t.Fatalf("header: %q/%d", got.Name, got.N())
-	}
-	for i := range tr.Records {
-		if got.Records[i] != tr.Records[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
 }
 
 func TestPlanRoundTrip(t *testing.T) {
@@ -72,22 +51,12 @@ func TestPlanRoundTrip(t *testing.T) {
 
 func TestNilInputs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteTrace(&buf, nil); err == nil {
-		t.Fatal("accepted nil trace")
-	}
 	if err := WritePlan(&buf, nil, PlanMeta{}); err == nil {
 		t.Fatal("accepted nil plan")
 	}
 }
 
 func TestReadRejectsCorrupt(t *testing.T) {
-	tr := sampleTrace(t, 5)
-	var tbuf bytes.Buffer
-	if err := WriteTrace(&tbuf, tr); err != nil {
-		t.Fatal(err)
-	}
-	traceBytes := tbuf.Bytes()
-
 	plan, _ := policy.NewUniformPlan("p", 5, 2)
 	var pbuf bytes.Buffer
 	if err := WritePlan(&pbuf, plan, PlanMeta{}); err != nil {
@@ -95,25 +64,11 @@ func TestReadRejectsCorrupt(t *testing.T) {
 	}
 	planBytes := pbuf.Bytes()
 
-	traceCases := map[string][]byte{
-		"empty":      {},
-		"bad magic":  append([]byte("XXXXXXXX"), traceBytes[8:]...),
-		"plan magic": planBytes, // wrong kind of file
-		"truncated":  traceBytes[:len(traceBytes)-3],
-		"trailing":   append(append([]byte(nil), traceBytes...), 0xFF),
-	}
-	for name, b := range traceCases {
-		if _, err := ReadTrace(bytes.NewReader(b)); err == nil {
-			t.Errorf("ReadTrace accepted %s", name)
-		}
-	}
-
 	planCases := map[string][]byte{
-		"empty":       {},
-		"bad magic":   append([]byte("YYYYYYYY"), planBytes[8:]...),
-		"trace magic": traceBytes,
-		"truncated":   planBytes[:len(planBytes)-1],
-		"trailing":    append(append([]byte(nil), planBytes...), 1),
+		"empty":     {},
+		"bad magic": append([]byte("YYYYYYYY"), planBytes[8:]...),
+		"truncated": planBytes[:len(planBytes)-1],
+		"trailing":  append(append([]byte(nil), planBytes...), 1),
 		"bad split": func() []byte {
 			b := append([]byte(nil), planBytes...)
 			b[len(b)-1-plan.N()] = 99 // last split, ahead of the fidelity vector
@@ -127,58 +82,30 @@ func TestReadRejectsCorrupt(t *testing.T) {
 	}
 }
 
-// claimedTrace and claimedPlan are headers that claim 2^24 samples and carry
-// none of them.
-func claimedTrace() []byte {
-	b := append([]byte(traceMagic), 0, 0) // empty name
-	return binary.LittleEndian.AppendUint32(b, 1<<24)
-}
-
+// claimedPlan is a header that claims 2^24 samples and carries none of them.
 func claimedPlan() []byte {
 	b := append([]byte(planMagic), make([]byte, 4+8+2)...) // zero header, empty name
 	return binary.LittleEndian.AppendUint32(b, 1<<24)
 }
 
 // TestClaimedCountCostsNothing: a header that claims 2^24 samples and ends
-// there is ErrCorrupt, and the readers allocate for the bytes that arrived,
+// there is ErrCorrupt, and the reader allocates for the bytes that arrived,
 // not for the count the stream claims.
 func TestClaimedCountCostsNothing(t *testing.T) {
-	for name, read := range map[string]func() error{
-		"trace": func() error { _, err := ReadTrace(bytes.NewReader(claimedTrace())); return err },
-		"plan":  func() error { _, _, err := ReadPlan(bytes.NewReader(claimedPlan())); return err },
-	} {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		err := read()
-		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
-		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
-			t.Fatalf("%s: allocated %d B for a stream that claims 2^24 samples", name, alloc)
-		}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := ReadPlan(bytes.NewReader(claimedPlan()))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("err = %v, want ErrCorrupt", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("allocated %d B for a stream that claims 2^24 samples", alloc)
 	}
 }
 
 func TestSaveLoadFiles(t *testing.T) {
 	dir := t.TempDir()
-	tr := sampleTrace(t, 50)
-	tracePath := filepath.Join(dir, "trace.bin")
-	if err := SaveTrace(tracePath, tr); err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadTrace(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.N() != 50 {
-		t.Fatalf("loaded %d records", got.N())
-	}
-
 	plan, _ := policy.NewUniformPlan("resize", 50, 2)
 	planPath := filepath.Join(dir, "plan.bin")
 	if err := SavePlan(planPath, plan, PlanMeta{}); err != nil {

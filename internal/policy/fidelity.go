@@ -102,16 +102,6 @@ func (p *Plan) FidelityOf(id int) int {
 	return int(p.Fidelity[id])
 }
 
-// HasFidelity reports whether any sample ships at reduced fidelity.
-func (p *Plan) HasFidelity() bool {
-	for _, f := range p.Fidelity {
-		if f > 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // ReducedCount returns how many samples ship at reduced fidelity.
 func (p *Plan) ReducedCount() int {
 	n := 0
@@ -141,20 +131,10 @@ func (p *Plan) MeanQuality(fm FidelityModel) float64 {
 	return sum / float64(p.N())
 }
 
-// sampleBytes returns sample i's planned transfer size: the stage-split
-// artifact, scaled by the fidelity prefix fraction when the sample ships
-// its raw progressive container at reduced depth. Fidelity only applies at
-// split 0 — deeper cuts ship decoded artifacts that have no scan
-// structure.
-func (p *Plan) sampleBytes(r *dataset.Record, i int, fm FidelityModel) int64 {
-	size := r.StageSizes[p.Splits[i]]
-	if p.Splits[i] != 0 {
-		return size
-	}
-	return fm.BytesAt(size, p.FidelityOf(i))
-}
-
-// TrafficWith is Traffic with fidelity-aware byte accounting.
+// TrafficWith is Traffic with fidelity-aware byte accounting: a sample that
+// ships its raw progressive container at reduced depth counts the fidelity
+// prefix of its stage-split artifact. Fidelity only applies at split 0 —
+// deeper cuts ship decoded artifacts that have no scan structure.
 func (p *Plan) TrafficWith(tr *dataset.Trace, fm FidelityModel) (int64, error) {
 	if err := fm.Validate(); err != nil {
 		return 0, err
@@ -164,7 +144,11 @@ func (p *Plan) TrafficWith(tr *dataset.Trace, fm FidelityModel) (int64, error) {
 	}
 	var sum int64
 	for i := range tr.Records {
-		sum += p.sampleBytes(&tr.Records[i], i, fm)
+		size := tr.Records[i].StageSizes[p.Splits[i]]
+		if p.Splits[i] == 0 {
+			size = fm.BytesAt(size, p.FidelityOf(i))
+		}
+		sum += size
 	}
 	return sum, nil
 }

@@ -86,9 +86,9 @@ func (p *Plan) SplitHistogram() [dataset.StageCount]int {
 // distribution.
 func (p *Plan) String() string {
 	h := p.SplitHistogram()
-	if p.HasFidelity() {
+	if reduced := p.ReducedCount(); reduced > 0 {
 		return fmt.Sprintf("Plan(%s: %d/%d offloaded, %d reduced-fidelity, splits %v)",
-			p.Name, p.OffloadedCount(), p.N(), p.ReducedCount(), h)
+			p.Name, p.OffloadedCount(), p.N(), reduced, h)
 	}
 	return fmt.Sprintf("Plan(%s: %d/%d offloaded, splits %v)",
 		p.Name, p.OffloadedCount(), p.N(), h)

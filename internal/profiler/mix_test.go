@@ -13,19 +13,20 @@ func mixTelemetry(t *testing.T, cfg DriftConfig) *Telemetry {
 	return tel
 }
 
+// TestMixThresholdNormalization: the mix threshold is the one constant
+// DefaultDriftMixThreshold, whatever the config: a shift just under it stays
+// in band and a shift just over it drifts.
 func TestMixThresholdNormalization(t *testing.T) {
-	cfg, err := DriftConfig{}.Normalized()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.MixThreshold != DefaultDriftMixThreshold {
-		t.Fatalf("default mix threshold %v", cfg.MixThreshold)
-	}
-	if _, err := (DriftConfig{MixThreshold: -0.1}).Normalized(); err == nil {
-		t.Fatal("negative mix threshold accepted")
-	}
-	if _, err := (DriftConfig{MixThreshold: 1.5}).Normalized(); err == nil {
-		t.Fatal("mix threshold > 1 accepted")
+	for _, c := range []struct {
+		heavy int
+		drift bool
+	}{{14, false}, {16, true}} {
+		tel := mixTelemetry(t, DriftConfig{Alpha: 1, Hysteresis: 1})
+		tel.RebaseMix(0)
+		drifts := tel.ObserveEpoch(EpochSample{Epoch: 1, MixHeavy: c.heavy, MixTotal: 100})
+		if got := len(drifts) == 1; got != c.drift {
+			t.Errorf("shift 0 → %d%% against threshold %v: drifts %v", c.heavy, DefaultDriftMixThreshold, drifts)
+		}
 	}
 }
 
@@ -33,7 +34,7 @@ func TestMixThresholdNormalization(t *testing.T) {
 // built on an all-light profile (baseline 0) must still detect a skew flip.
 // A relative threshold against 0 could never fire.
 func TestMixDriftFromZeroBaseline(t *testing.T) {
-	tel := mixTelemetry(t, DriftConfig{Alpha: 1, MixThreshold: 0.2, Hysteresis: 2})
+	tel := mixTelemetry(t, DriftConfig{Alpha: 1, Hysteresis: 2})
 	tel.RebaseMix(0)
 
 	// Epoch 1: heavy mix appears; over threshold but under hysteresis.
@@ -54,7 +55,7 @@ func TestMixDriftFromZeroBaseline(t *testing.T) {
 }
 
 func TestMixStreakResetsUnderThreshold(t *testing.T) {
-	tel := mixTelemetry(t, DriftConfig{Alpha: 1, MixThreshold: 0.2, Hysteresis: 2})
+	tel := mixTelemetry(t, DriftConfig{Alpha: 1, Hysteresis: 2})
 	tel.RebaseMix(0.1)
 	tel.ObserveEpoch(EpochSample{Epoch: 1, MixHeavy: 50, MixTotal: 100}) // streak 1
 	tel.ObserveEpoch(EpochSample{Epoch: 2, MixHeavy: 10, MixTotal: 100}) // back in band
@@ -70,7 +71,7 @@ func TestMixStreakResetsUnderThreshold(t *testing.T) {
 // TestAdoptMixBaseline: after a replan adopts the shifted mix, the same skew
 // no longer counts as drift — no replan storm under a persistent flip.
 func TestAdoptMixBaseline(t *testing.T) {
-	tel := mixTelemetry(t, DriftConfig{Alpha: 1, MixThreshold: 0.2, Hysteresis: 1})
+	tel := mixTelemetry(t, DriftConfig{Alpha: 1, Hysteresis: 1})
 	tel.RebaseMix(0)
 	drifts := tel.ObserveEpoch(EpochSample{Epoch: 1, MixHeavy: 70, MixTotal: 100})
 	if len(drifts) != 1 {
@@ -86,7 +87,7 @@ func TestAdoptMixBaseline(t *testing.T) {
 }
 
 func TestMixObservationGuards(t *testing.T) {
-	tel := mixTelemetry(t, DriftConfig{Alpha: 1, MixThreshold: 0.1, Hysteresis: 1})
+	tel := mixTelemetry(t, DriftConfig{Alpha: 1, Hysteresis: 1})
 	tel.RebaseMix(0)
 	// Unmeasured or malformed mixes leave the track untouched.
 	tel.ObserveEpoch(EpochSample{Epoch: 1})
@@ -109,7 +110,7 @@ func TestMixObservationGuards(t *testing.T) {
 		t.Fatalf("negative rebase overwrote baseline: %v", tel2.mixBaseline)
 	}
 	// Rebase (plan publish) clears the mix streak as well.
-	tel3 := mixTelemetry(t, DriftConfig{Alpha: 1, MixThreshold: 0.1, Hysteresis: 3})
+	tel3 := mixTelemetry(t, DriftConfig{Alpha: 1, Hysteresis: 3})
 	tel3.RebaseMix(0)
 	tel3.ObserveEpoch(EpochSample{Epoch: 1, MixHeavy: 50, MixTotal: 100})
 	tel3.Rebase(0, 0)

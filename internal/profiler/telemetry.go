@@ -130,12 +130,6 @@ type DriftConfig struct {
 	// must sustain before drift is signaled (0 → 2, 1 = signal on the
 	// first over-threshold epoch). Shard changes ignore hysteresis.
 	Hysteresis int
-	// MixThreshold is the ABSOLUTE heavy-fraction change versus baseline
-	// that counts as mix drift, e.g. 0.15 = fifteen percentage points
-	// (0 → DefaultDriftMixThreshold). Absolute, not relative, because the
-	// baseline mix is often 0 — a dataset with no heavy samples at plan
-	// time — and any relative measure against 0 is meaningless.
-	MixThreshold float64
 }
 
 // Defaults for DriftConfig zero fields.
@@ -143,8 +137,14 @@ const (
 	DefaultDriftAlpha        = 0.5
 	DefaultDriftRelThreshold = 0.2
 	DefaultDriftHysteresis   = 2
-	DefaultDriftMixThreshold = 0.15
 )
+
+// DefaultDriftMixThreshold is the ABSOLUTE heavy-fraction change versus
+// baseline that counts as mix drift: fifteen percentage points. Absolute,
+// not relative, because the baseline mix is often 0 — a dataset with no
+// heavy samples at plan time — and any relative measure against 0 is
+// meaningless.
+const DefaultDriftMixThreshold = 0.15
 
 // Normalized resolves zero fields to defaults.
 func (c DriftConfig) Normalized() (DriftConfig, error) {
@@ -165,12 +165,6 @@ func (c DriftConfig) Normalized() (DriftConfig, error) {
 	}
 	if c.Hysteresis < 1 {
 		return c, fmt.Errorf("profiler: hysteresis %d < 1", c.Hysteresis)
-	}
-	if c.MixThreshold == 0 {
-		c.MixThreshold = DefaultDriftMixThreshold
-	}
-	if !(c.MixThreshold > 0 && c.MixThreshold <= 1) {
-		return c, fmt.Errorf("profiler: mix threshold %v outside (0, 1]", c.MixThreshold)
 	}
 	return c, nil
 }
@@ -321,7 +315,7 @@ func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 	if s.MixTotal > 0 && s.MixHeavy >= 0 && s.MixHeavy <= s.MixTotal {
 		t.mix.Observe(float64(s.MixHeavy) / float64(s.MixTotal))
 		if t.mixBaselined {
-			if math.Abs(t.mix.Value()-t.mixBaseline) < t.cfg.MixThreshold {
+			if math.Abs(t.mix.Value()-t.mixBaseline) < DefaultDriftMixThreshold {
 				t.mixStreak = 0
 			} else {
 				t.mixStreak++

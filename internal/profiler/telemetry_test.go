@@ -178,7 +178,6 @@ func TestDriftConfigValidation(t *testing.T) {
 		{Alpha: math.NaN()},
 		{RelThreshold: math.NaN()},
 		{RelThreshold: math.Inf(1)},
-		{MixThreshold: math.NaN()},
 	} {
 		if _, err := bad.Normalized(); err == nil {
 			t.Fatalf("non-finite drift config accepted: %+v", bad)

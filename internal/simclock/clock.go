@@ -121,21 +121,6 @@ func (v *Virtual) Advance(d time.Duration) {
 	v.mu.Unlock()
 }
 
-// AdvanceToNext advances the clock to the earliest pending waiter, releasing
-// it, and reports whether a waiter existed.
-func (v *Virtual) AdvanceToNext() bool {
-	v.mu.Lock()
-	if v.waiters.Len() == 0 {
-		v.mu.Unlock()
-		return false
-	}
-	w := heap.Pop(&v.waiters).(*waiter)
-	v.now = w.at
-	w.ch <- v.now
-	v.mu.Unlock()
-	return true
-}
-
 // PendingWaiters reports how many sleepers are currently queued.
 func (v *Virtual) PendingWaiters() int {
 	v.mu.Lock()

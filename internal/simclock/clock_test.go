@@ -1,6 +1,7 @@
 package simclock
 
 import (
+	"container/heap"
 	"sync"
 	"testing"
 	"time"
@@ -174,4 +175,20 @@ func TestVirtualManyWaitersStress(t *testing.T) {
 	if v.PendingWaiters() != 0 {
 		t.Fatalf("%d waiters left after Advance", v.PendingWaiters())
 	}
+}
+
+// AdvanceToNext advances the clock to the earliest pending waiter, releasing
+// it, and reports whether a waiter existed. Only this package's tests step
+// the clock one waiter at a time.
+func (v *Virtual) AdvanceToNext() bool {
+	v.mu.Lock()
+	if v.waiters.Len() == 0 {
+		v.mu.Unlock()
+		return false
+	}
+	w := heap.Pop(&v.waiters).(*waiter)
+	v.now = w.at
+	w.ch <- v.now
+	v.mu.Unlock()
+	return true
 }

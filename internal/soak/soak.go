@@ -19,19 +19,14 @@ package soak
 import (
 	"context"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/prepsched"
-	"repro/internal/profiler"
-	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/trainsim"
 )
@@ -74,14 +69,6 @@ type Config struct {
 	// invariants hold while many speculative fetches are in flight against a
 	// faulty fabric.
 	Lookahead int
-	// MixFlip runs the epochs with a seeded heavy/light classification on
-	// the trainer's work-stealing prep pool, whose heavy set flips mid-epoch
-	// from sparse (~8% of samples) to dominant (~60%), while an adaptive
-	// controller watches the observed per-epoch mix. The soak then proves
-	// the scheduler invariants end to end: artifacts stay bit-identical to
-	// the fault-free reference, failure accounting stays exact, and the
-	// sustained skew flip triggers at least one "mix-drift" replan.
-	MixFlip bool
 }
 
 func (c Config) withDefaults() Config {
@@ -145,20 +132,10 @@ type Report struct {
 
 	Epochs []trainsim.EpochReport `json:"epochs"`
 	Chaos  []chaos.StatsSnapshot  `json:"chaos"` // injected faults per shard
-
-	// MixFlip soaks additionally record the control-plane outcome of the
-	// skew flip and the work-stealing pool's counters.
-	MixFlip       bool                       `json:"mix_flip,omitempty"`
-	Replans       int                        `json:"replans,omitempty"`        // replans beyond the initial plan
-	ReplanReasons []string                   `json:"replan_reasons,omitempty"` // one per replan, e.g. "mix-drift"
-	Prepsched     *prepsched.MetricsSnapshot `json:"prepsched,omitempty"`
 }
 
 // Ok reports whether the soak met every invariant.
 func (r Report) Ok() bool {
-	if r.MixFlip && r.Replans == 0 {
-		return false
-	}
 	return r.Mismatches == 0 && r.Failed == r.WantFailed && len(r.Epochs) > 0
 }
 
@@ -172,7 +149,7 @@ const retryAttempts = 12
 // middle epoch under the partition class) and account failures exactly.
 func Run(cfg Config) (Report, error) {
 	cfg = cfg.withDefaults()
-	rep := Report{Seed: cfg.Seed, Class: cfg.Class, Lookahead: cfg.Lookahead, MixFlip: cfg.MixFlip}
+	rep := Report{Seed: cfg.Seed, Class: cfg.Class, Lookahead: cfg.Lookahead}
 
 	set, err := dataset.NewSyntheticImageSet(dataset.SyntheticOptions{
 		Name: "soak", N: cfg.Samples, Seed: cfg.Seed ^ 0x5eed, MinDim: 32, MaxDim: 96,
@@ -257,8 +234,6 @@ func identitySweep(rep *Report, cfg Config, n int, pipe *pipeline.Pipeline, faul
 // trainEpochs runs the degraded-mode trainer over the faulty fabric. Under
 // the partition class, shard 0 is severed for the middle epoch and healed
 // after, so the expected failure count is exactly its owned-sample count.
-// MixFlip soaks swap the static uniform plan for an adaptive controller and
-// run the prep pool through a mid-training skew flip.
 func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 	tcfg := trainsim.Config{
 		DialClient: func() (storage.Fetcher, error) {
@@ -273,35 +248,11 @@ func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 		DegradedMode:   true,
 		Lookahead:      cfg.Lookahead,
 	}
-	if cfg.MixFlip {
-		// The classifier flips its heavy set halfway through epoch 2: the
-		// dispatcher classifies exactly once per dispatched sample in stream
-		// order, so counting dispatches pins the flip to the same stream
-		// position every run — classification (and therefore the per-epoch
-		// Heavy counts the controller observes) is fully reproducible even
-		// though worker completion order is not.
-		var dispatched atomic.Int64
-		flipAt := int64(cfg.Samples + cfg.Samples/2)
-		tcfg.Classify = func(sample int) prepsched.Class {
-			salt, pct := uint64(0xA11CE), uint64(8)
-			if dispatched.Add(1) > flipAt {
-				salt, pct = 0xB0B, 60
-			}
-			if heavyMember(cfg.Seed^salt, sample, pct) {
-				return prepsched.Heavy
-			}
-			return prepsched.Light
-		}
-	}
 	tr, err := trainsim.New(tcfg)
 	if err != nil {
 		return fmt.Errorf("soak: trainer: %w", err)
 	}
 	defer tr.Close()
-
-	if cfg.MixFlip {
-		return mixFlipEpochs(rep, cfg, tr)
-	}
 
 	plan, err := policy.NewUniformPlan("soak", tr.N(), 1)
 	if err != nil {
@@ -326,65 +277,4 @@ func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 		rep.Failed += er.Failed
 	}
 	return nil
-}
-
-// mixFlipEpochs drives the classified epochs under an adaptive
-// controller: each epoch runs under the controller's current snapshot, the
-// observed heavy/light mix is folded back at the boundary, and a replan
-// governs the next epoch's snapshot. The controller plans over a
-// generated profile trace the same size as the soak dataset, so its plan
-// cut depths (0..5) are all servable by the cluster's standard pipeline.
-func mixFlipEpochs(rep *Report, cfg Config, tr *trainsim.Trainer) error {
-	trace, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(cfg.Samples), cfg.Seed)
-	if err != nil {
-		return fmt.Errorf("soak: mix trace: %w", err)
-	}
-	ctrl, err := core.NewController(core.ControllerConfig{
-		Trace: trace,
-		Env: policy.Env{
-			Bandwidth: 1e9, ComputeCores: 4, StorageCores: cfg.Shards,
-			StorageSlowdown: 1, GPU: gpu.AlexNet, Shards: cfg.Shards,
-		},
-		Clock: simclock.NewVirtual(time.Unix(0, 0)),
-		// Alpha 1 / hysteresis 1: the boundary observation right after the
-		// flip becomes dominant replans immediately; 0.25 is wide enough
-		// that the pre-flip sparse mix never drifts from the trace baseline.
-		Drift: profiler.DriftConfig{Alpha: 1, MixThreshold: 0.25, Hysteresis: 1},
-	})
-	if err != nil {
-		return fmt.Errorf("soak: mix controller: %w", err)
-	}
-
-	for e := uint64(1); e <= uint64(cfg.Epochs); e++ {
-		er, err := tr.RunEpochSnapshot(e, ctrl.Current(), nil)
-		if err != nil {
-			return fmt.Errorf("soak: epoch %d: %w", e, err)
-		}
-		rep.Epochs = append(rep.Epochs, er)
-		rep.Failed += er.Failed
-		if _, _, err := ctrl.ObserveEpoch(profiler.EpochSample{
-			Epoch: e, Bandwidth: 1e9, MixHeavy: er.Heavy, MixTotal: er.Samples,
-		}); err != nil {
-			return fmt.Errorf("soak: epoch %d observe: %w", e, err)
-		}
-	}
-	for _, ev := range ctrl.History()[1:] { // [0] is the initial plan
-		rep.Replans++
-		rep.ReplanReasons = append(rep.ReplanReasons, ev.Reason)
-	}
-	snap := tr.PrepMetrics().Snapshot()
-	rep.Prepsched = &snap
-	return nil
-}
-
-// heavyMember deterministically assigns samples to a seeded heavy set
-// covering ~pct percent of the dataset (splitmix64 over the sample id).
-func heavyMember(seed uint64, sample int, pct uint64) bool {
-	x := seed + uint64(sample)*0x9E3779B97F4A7C15
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x%100 < pct
 }

@@ -21,8 +21,9 @@ import (
 // away, fails the test as stale.
 var optionKeeps = map[string]string{
 	// Clock injection: the seam every virtual-time test drives.
-	"repro/internal/cluster.Config.Clock": "test seam: virtual link clock",
-	"repro/internal/core.SimConfig.Clock": "test seam: virtual controller clock",
+	"repro/internal/cluster.Config.Clock":        "test seam: virtual link clock",
+	"repro/internal/core.ControllerConfig.Clock": "test seam: virtual replan-history clock",
+	"repro/internal/core.SimConfig.Clock":        "test seam: virtual controller clock",
 
 	// benchmarks/ is its own module; its setters are invisible to this walk.
 	"repro/internal/trainsim.Config.Clock":         "benchmarks/live sets it (traced phases)",
@@ -42,7 +43,6 @@ var optionKeeps = map[string]string{
 	// only the seed, class and duration.
 	"repro/internal/soak.Config.Epochs":    "chaos soak tests size the run",
 	"repro/internal/soak.Config.Lookahead": "chaos soak tests sweep the fetch depth",
-	"repro/internal/soak.Config.MixFlip":   "chaos soak tests turn the mid-run mix flip on",
 	"repro/internal/soak.Config.Samples":   "chaos soak tests size the run",
 	"repro/internal/soak.Config.Shards":    "chaos soak tests size the tier",
 }
@@ -341,11 +341,8 @@ const (
 // code names and that stay anyway, keyed pkg.Name or pkg.Type.Method. An
 // entry whose name gains a caller, or goes away, fails the test as stale.
 var exportKeeps = map[string]keepReason{
-	// The fused kernels are tested against these.
-	"repro/internal/imaging.Crop":           keepOracle,
-	"repro/internal/imaging.Resize":         keepOracle,
+	// The pipeline's in-place flip is tested against it.
 	"repro/internal/imaging.FlipHorizontal": keepOracle,
-	"repro/internal/imaging.FromPix":        keepOracle, // the reference decoder's image constructor
 
 	// benchmarks/ is its own module; its callers are invisible to this walk.
 	"repro/internal/bufpool.ByteStats":                  keepBench,
@@ -365,13 +362,14 @@ var exportKeeps = map[string]keepReason{
 	"repro/internal/storage.ReconnectingClient.Retries": keepBench,
 	"repro/internal/tensor.Tensor.Marshal":              keepBench,
 	"repro/internal/trainsim.Trainer.PrefetchMetrics":   keepBench,
+	"repro/internal/trainsim.Trainer.PrepMetrics":       keepBench,
+	"repro/internal/prepsched.Metrics.Snapshot":         keepBench,
+	"repro/internal/prepsched.MetricsSnapshot":          keepBench,
 
 	// Test seams: virtual-clock stepping, and what other packages' tests
 	// build with.
-	"repro/internal/simclock.Virtual.AdvanceToNext":  keepSeam,
 	"repro/internal/simclock.Virtual.PendingWaiters": keepSeam,
 	"repro/internal/prepsched.Pool.Pending":          keepSeam, // the loader leak test's drain probe
-	"repro/internal/persist.ReadTrace":               keepSeam, // reads back the -dump-trace file; FuzzReadTrace holds its parser
 	"repro/internal/tensor.New":                      keepSeam, // zero tensors for tensor and pipeline tests; its shape check is tested
 }
 

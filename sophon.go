@@ -14,7 +14,8 @@
 //
 // The model tier replays profiled traces through a discrete-event simulator
 // at full paper scale: GenerateTrace draws datasets matching the paper's
-// OpenImages/ImageNet statistics, and SimulateEpoch evaluates a plan.
+// OpenImages/ImageNet statistics, and SimulatePolicy plans with a policy
+// and evaluates the epoch.
 package sophon
 
 import (
@@ -46,8 +47,6 @@ type (
 	// Policy produces plans; implementations include the paper's
 	// baselines and the SOPHON decision engine.
 	Policy = policy.Policy
-	// EpochModel holds the paper's four epoch cost metrics.
-	EpochModel = policy.EpochModel
 	// Trace is a profiled dataset: per-sample stage sizes and op times.
 	Trace = dataset.Trace
 	// Profile statistically describes a dataset.
@@ -89,9 +88,8 @@ var AlexNet = gpu.AlexNet
 // Mbps converts megabits/second to the bytes/second used by Env.Bandwidth.
 func Mbps(v float64) float64 { return netsim.Mbps(v) }
 
-// Policies.
+// NewSophonPolicy returns the paper's decision engine as a Policy.
 func NewSophonPolicy() Policy { return policy.NewSophon() }
-func NoOffPolicy() Policy     { return policy.NoOff{} }
 
 // AllPolicies returns every policy in the paper's figure order.
 func AllPolicies() []Policy { return policy.All() }
@@ -125,12 +123,6 @@ func GenerateTrace(p Profile, seed uint64) (*Trace, error) {
 // profiled trace.
 func Decide(tr *Trace, env Env) (Decision, error) {
 	return core.New().Decide(tr, env)
-}
-
-// SimulateEpoch replays one epoch of a plan through the discrete-event
-// engine with the default batch size.
-func SimulateEpoch(tr *Trace, plan *Plan, env Env) (SimResult, error) {
-	return engine.Run(engine.Config{Trace: tr, Plan: plan, Env: env})
 }
 
 // SimulatePolicy plans with p and simulates the resulting epoch.
@@ -257,9 +249,6 @@ func (c *Cluster) ServerPlanVersion() uint32 {
 func (c *Cluster) ServerCPUNanos() uint64 {
 	return c.server.Counters().CPUNanos.Load()
 }
-
-// serverCounters exposes the raw counters to the monitor integration.
-func (c *Cluster) serverCounters() *storage.Counters { return c.server.Counters() }
 
 // Close shuts the server down.
 func (c *Cluster) Close() error { return c.server.Close() }

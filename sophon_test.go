@@ -2,6 +2,10 @@ package sophon
 
 import (
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/policy"
+	"repro/internal/storage"
 )
 
 func TestModelTierEndToEnd(t *testing.T) {
@@ -23,11 +27,11 @@ func TestModelTierEndToEnd(t *testing.T) {
 	if !d.Activated {
 		t.Fatal("paper setup did not activate offloading")
 	}
-	res, err := SimulateEpoch(tr, d.Plan, env)
+	res, err := engine.Run(engine.Config{Trace: tr, Plan: d.Plan, Env: env})
 	if err != nil {
 		t.Fatal(err)
 	}
-	noOff, _, err := SimulatePolicy(NoOffPolicy(), tr, env)
+	noOff, _, err := SimulatePolicy(policy.NoOff{}, tr, env)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,3 +227,6 @@ func TestGPUProfilesExported(t *testing.T) {
 		t.Fatal("profile scaling broken")
 	}
 }
+
+// serverCounters exposes the raw counters to the monitor integration.
+func (c *Cluster) serverCounters() *storage.Counters { return c.server.Counters() }
