@@ -77,7 +77,7 @@ func TestChaosSoakClasses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	for _, class := range []soak.Class{soak.ClassNone, soak.ClassDelays, soak.ClassCorrupt, soak.ClassMixed, soak.ClassPartition} {
+	for _, class := range []soak.Class{"none", "delays", "corrupt", "mixed", "partition"} {
 		for _, depth := range []int{0, 4} {
 			class, depth := class, depth
 			t.Run(fmt.Sprintf("%s/lookahead=%d", class, depth), func(t *testing.T) {
@@ -86,7 +86,7 @@ func TestChaosSoakClasses(t *testing.T) {
 				for _, s := range rep.Chaos {
 					injected += s.Delays + s.Stalls + s.Corrupts + s.Closes
 				}
-				if class != soak.ClassPartition && class != soak.ClassNone && injected == 0 {
+				if class != "partition" && class != "none" && injected == 0 {
 					t.Fatalf("class %s injected no faults — the soak exercised nothing", class)
 				}
 				for _, er := range rep.Epochs {
@@ -108,7 +108,7 @@ func TestChaosSoakReproducible(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	cfg := soak.Config{Seed: 77, Class: soak.ClassPartition, Samples: 24, Epochs: 3}
+	cfg := soak.Config{Seed: 77, Class: "partition", Samples: 24, Epochs: 3}
 	a := runSoak(t, cfg)
 	b := runSoak(t, cfg)
 	if a.Digest != b.Digest {
@@ -137,7 +137,7 @@ func TestChaosSoakLookaheadPartition(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak")
 	}
-	cfg := soak.Config{Seed: 0xD15C0, Class: soak.ClassPartition, Samples: 24, Epochs: 3, Lookahead: 8}
+	cfg := soak.Config{Seed: 0xD15C0, Class: "partition", Samples: 24, Epochs: 3, Lookahead: 8}
 	a := runSoak(t, cfg)
 	if a.WantFailed == 0 {
 		t.Fatal("partition soak expected no failures — the severed shard owned nothing")

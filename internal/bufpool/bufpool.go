@@ -30,12 +30,12 @@ import (
 // below the smallest class round up to it.
 const (
 	minClassBits = 6  // 64 B
-	maxClassBits = 26 // 64 MiB — covers wire.MaxFrameSize
+	maxClassBits = 26 // 64 MiB — covers wire.maxFrameSize
 	numClasses   = maxClassBits - minClassBits + 1
 )
 
-// Stats counts arena traffic with atomic counters; read them via Snapshot.
-type Stats struct {
+// stats counts arena traffic with atomic counters; read them via snapshot.
+type stats struct {
 	Gets     atomic.Uint64 // pooled-size requests served
 	Misses   atomic.Uint64 // pooled-size requests that had to allocate
 	Puts     atomic.Uint64 // buffers accepted back into the pool
@@ -47,8 +47,8 @@ type StatsSnapshot struct {
 	Gets, Misses, Puts, Rejected uint64
 }
 
-// Snapshot returns the current counter values.
-func (s *Stats) Snapshot() StatsSnapshot {
+// snapshot returns the current counter values.
+func (s *stats) snapshot() StatsSnapshot {
 	return StatsSnapshot{
 		Gets:     s.Gets.Load(),
 		Misses:   s.Misses.Load(),
@@ -63,7 +63,7 @@ func (s *Stats) Snapshot() StatsSnapshot {
 type arena[T any] struct {
 	classes [numClasses]sync.Pool // each holds *[]T with cap == classSize(i)
 	headers sync.Pool             // spare *[]T with nil payload
-	stats   Stats
+	stats   stats
 }
 
 // classFor returns the class index whose buffers can hold n elements, or -1
@@ -144,7 +144,7 @@ func GetFloat32(n int) []float32 { return float32s.get(n) }
 func PutFloat32(f []float32) { float32s.put(f) }
 
 // ByteStats returns the []byte arena counters.
-func ByteStats() StatsSnapshot { return bytes.stats.Snapshot() }
+func ByteStats() StatsSnapshot { return bytes.stats.snapshot() }
 
 // Float32Stats returns the []float32 arena counters.
-func Float32Stats() StatsSnapshot { return float32s.stats.Snapshot() }
+func Float32Stats() StatsSnapshot { return float32s.stats.snapshot() }

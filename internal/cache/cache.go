@@ -18,8 +18,8 @@ import (
 	"sync"
 )
 
-// ErrBadCapacity reports a non-positive capacity.
-var ErrBadCapacity = errors.New("cache: capacity must be positive")
+// errBadCapacity reports a non-positive capacity.
+var errBadCapacity = errors.New("cache: capacity must be positive")
 
 // NoEvict is a byte-capacity store over sample IDs that admits objects until
 // full and never evicts — the policy DL caches (CoorDL's MinIO cache,
@@ -37,7 +37,7 @@ type NoEvict struct {
 // NewNoEvict builds an admit-until-full, never-evict cache.
 func NewNoEvict(capacity int64) (*NoEvict, error) {
 	if capacity <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
+		return nil, fmt.Errorf("%w: %d", errBadCapacity, capacity)
 	}
 	return &NoEvict{
 		capacity: capacity,
@@ -45,17 +45,17 @@ func NewNoEvict(capacity int64) (*NoEvict, error) {
 	}, nil
 }
 
-// Get returns the cached bytes and whether they were present.
-func (c *NoEvict) Get(id uint32) ([]byte, bool) {
+// get returns the cached bytes and whether they were present.
+func (c *NoEvict) get(id uint32) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	d, ok := c.data[id]
 	return d, ok
 }
 
-// Put inserts bytes if they fit. Objects larger than the capacity are not
+// put inserts bytes if they fit. Objects larger than the capacity are not
 // cached.
-func (c *NoEvict) Put(id uint32, data []byte) {
+func (c *NoEvict) put(id uint32, data []byte) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if old, ok := c.data[id]; ok {

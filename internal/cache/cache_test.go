@@ -26,8 +26,8 @@ func TestOversizedObjectNotCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Put(1, make([]byte, 100))
-	if _, ok := c.Get(1); ok {
+	c.put(1, make([]byte, 100))
+	if _, ok := c.get(1); ok {
 		t.Fatal("cached an object larger than capacity")
 	}
 	if c.bytes != 0 {
@@ -35,8 +35,8 @@ func TestOversizedObjectNotCached(t *testing.T) {
 	}
 }
 
-// Property: the cache never exceeds capacity and Get returns exactly what
-// Put stored.
+// Property: the cache never exceeds capacity and get returns exactly what
+// put stored.
 func TestCapacityInvariantProperty(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const capacity = 1 << 12
@@ -48,8 +48,8 @@ func TestCapacityInvariantProperty(t *testing.T) {
 			id := uint32(op % 64)
 			size := int(op%800) + 1
 			data := bytes.Repeat([]byte{byte(id)}, size)
-			c.Put(id, data)
-			if got, ok := c.Get(id); ok {
+			c.put(id, data)
+			if got, ok := c.get(id); ok {
 				if len(got) == 0 || got[0] != byte(id) {
 					return false
 				}
@@ -76,10 +76,10 @@ func TestNoEvictKeepsResidentFractionOnCyclicScan(t *testing.T) {
 	hits := 0
 	for epoch := 0; epoch < 10; epoch++ {
 		for id := uint32(0); id < n; id++ {
-			if _, ok := c.Get(id); ok {
+			if _, ok := c.get(id); ok {
 				hits++
 			} else {
-				c.Put(id, obj)
+				c.put(id, obj)
 			}
 		}
 	}

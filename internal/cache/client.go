@@ -35,7 +35,7 @@ func (f *FetchingCache) hit(sample uint32, split int) (storage.FetchResult, bool
 	if cut != 0 {
 		return storage.FetchResult{}, false, nil
 	}
-	raw, ok := f.cache.Get(sample)
+	raw, ok := f.cache.get(sample)
 	if !ok {
 		return storage.FetchResult{}, false, nil
 	}
@@ -52,7 +52,7 @@ func (f *FetchingCache) hit(sample uint32, split int) (storage.FetchResult, bool
 // cannot alias memory the arena might hand out again.
 func (f *FetchingCache) fill(sample uint32, split int, res storage.FetchResult) {
 	if res.Err == nil && split == 0 && res.Artifact.Kind == pipeline.KindRaw {
-		f.cache.Put(sample, res.Artifact.Raw)
+		f.cache.put(sample, res.Artifact.Raw)
 	}
 }
 

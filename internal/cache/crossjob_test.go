@@ -1,4 +1,4 @@
-package cache_test
+package cache
 
 // Cross-job cache correctness over the real storage path: tenants of one
 // share group dial the sharded tier with the group's dataset key as job ID
@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
@@ -47,13 +46,13 @@ func launchTier(t testing.TB, n, shards int) *cluster.Cluster {
 	return c
 }
 
-func tenantOver(t testing.TB, c *cluster.Cluster, shared *cache.SharedArtifactCache, name string) *cache.TenantFetcher {
+func tenantOver(t testing.TB, c *cluster.Cluster, shared *SharedArtifactCache, name string) *TenantFetcher {
 	t.Helper()
 	sc, err := c.NewShardedClient(storage.ClientOptions{JobID: shareKey}, 1, 0, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf, err := cache.NewTenantFetcher(sc, shared, name, shareKey)
+	tf, err := NewTenantFetcher(sc, shared, name, shareKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +75,7 @@ func encode(t testing.TB, res storage.FetchResult) []byte {
 func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 	const n = 16
 	tier := launchTier(t, n, 2)
-	shared, err := cache.NewShared(64 << 20)
+	shared, err := NewShared(64 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +111,7 @@ func TestCrossJobArtifactsBitIdentical(t *testing.T) {
 	if st := shared.Snapshot().Tenants["tenant-a"]; st.BytesInserted != wireBytes {
 		t.Fatalf("tenant a inserted %d bytes, its artifacts encode to %d", st.BytesInserted, wireBytes)
 	}
-	if data, ok := shared.Get("probe", cache.ArtifactKey{Dataset: shareKey, Sample: 3, Cut: 3, Epoch: 1}); !ok || cap(data) != len(data) || !bytes.Equal(data, wireA[3]) {
+	if data, ok := shared.get("probe", artifactKey{Dataset: shareKey, Sample: 3, Cut: 3, Epoch: 1}); !ok || cap(data) != len(data) || !bytes.Equal(data, wireA[3]) {
 		t.Fatalf("cached entry for sample 3: present %v, len %d, cap %d, want the %d-byte encoding exactly", ok, len(data), cap(data), len(wireA[3]))
 	}
 
@@ -172,7 +171,7 @@ func TestCrossJobEvictionIsolation(t *testing.T) {
 	const n = 24
 	tier := launchTier(t, n, 1)
 	// Tiny cache: a few KiB forces constant eviction under 32×32 tensors.
-	shared, err := cache.NewShared(24 << 10)
+	shared, err := NewShared(24 << 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +196,7 @@ func TestCrossJobEvictionIsolation(t *testing.T) {
 	for w := 0; w < 4; w++ {
 		tf := tenantOver(t, tier, shared, "tenant-"+string(rune('a'+w)))
 		wg.Add(1)
-		go func(tf *cache.TenantFetcher) {
+		go func(tf *TenantFetcher) {
 			defer wg.Done()
 			for round := 0; round < 3; round++ {
 				for s := uint32(0); s < n; s++ {

@@ -111,7 +111,7 @@ func TestFetchingCacheServesTruncatedPrefix(t *testing.T) {
 	fc := &FetchingCache{cache: lru}
 
 	// Seed the cache the way a full fetch would.
-	lru.Put(0, body)
+	lru.put(0, body)
 
 	fid := storage.PackDirective(0, 1)
 	res, err := storage.FetchOne(context.Background(), fc, 0, fid, 1)

@@ -21,9 +21,9 @@ import (
 // (coordinated prep), so the server's prefix execution for a given
 // (sample, cut, epoch) is bit-identical regardless of which tenant asked.
 
-// ArtifactKey identifies one cacheable artifact fleet-wide. Keys carry no
+// artifactKey identifies one cacheable artifact fleet-wide. Keys carry no
 // tenant identity — that is the whole point.
-type ArtifactKey struct {
+type artifactKey struct {
 	// Dataset is the share-group key (conventionally the dataset
 	// fingerprint, used as the storage job ID by every tenant in the group).
 	Dataset uint64
@@ -43,7 +43,7 @@ type ArtifactKey struct {
 }
 
 // String renders the key for logs.
-func (k ArtifactKey) String() string {
+func (k artifactKey) String() string {
 	return fmt.Sprintf("ds=%x sample=%d cut=%d fid=%d epoch=%d", k.Dataset, k.Sample, k.Cut, k.Fidelity, k.Epoch)
 }
 
@@ -88,7 +88,7 @@ func (s SharedSnapshot) TenantNames() []string {
 
 // SharedArtifactCache is a byte-capacity LRU over encoded artifacts, shared
 // by every tenant of a fleet and safe for concurrent use. Payloads are
-// immutable once inserted: Get returns the stored slice (callers must treat
+// immutable once inserted: get returns the stored slice (callers must treat
 // it as read-only — decoding copies anyway), and eviction merely drops the
 // cache's reference, so artifacts decoded by one tenant are never corrupted
 // by another tenant's churn.
@@ -97,7 +97,7 @@ type SharedArtifactCache struct {
 	capacity  int64
 	bytes     int64
 	ll        *list.List // front = most recently used
-	items     map[ArtifactKey]*list.Element
+	items     map[artifactKey]*list.Element
 	tenants   map[string]*TenantCacheStats
 	evictions int64
 	hits      int64
@@ -105,19 +105,19 @@ type SharedArtifactCache struct {
 }
 
 type sharedEntry struct {
-	key  ArtifactKey
+	key  artifactKey
 	data []byte
 }
 
 // NewShared builds a shared artifact cache with the given byte capacity.
 func NewShared(capacity int64) (*SharedArtifactCache, error) {
 	if capacity <= 0 {
-		return nil, fmt.Errorf("%w: %d", ErrBadCapacity, capacity)
+		return nil, fmt.Errorf("%w: %d", errBadCapacity, capacity)
 	}
 	return &SharedArtifactCache{
 		capacity: capacity,
 		ll:       list.New(),
-		items:    make(map[ArtifactKey]*list.Element),
+		items:    make(map[artifactKey]*list.Element),
 		tenants:  make(map[string]*TenantCacheStats),
 	}, nil
 }
@@ -131,9 +131,9 @@ func (c *SharedArtifactCache) tenantLocked(tenant string) *TenantCacheStats {
 	return s
 }
 
-// Get returns the encoded artifact for key, charging the lookup to tenant.
+// get returns the encoded artifact for key, charging the lookup to tenant.
 // The returned slice is read-only and remains valid after eviction.
-func (c *SharedArtifactCache) Get(tenant string, key ArtifactKey) ([]byte, bool) {
+func (c *SharedArtifactCache) get(tenant string, key artifactKey) ([]byte, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	ts := c.tenantLocked(tenant)
@@ -150,11 +150,11 @@ func (c *SharedArtifactCache) Get(tenant string, key ArtifactKey) ([]byte, bool)
 	return nil, false
 }
 
-// Put inserts an encoded artifact under key, charging the insert to tenant.
+// put inserts an encoded artifact under key, charging the insert to tenant.
 // The cache takes ownership of data — callers must not mutate it afterwards.
 // Objects larger than the capacity are not cached; a key already present is
 // kept as-is (first writer wins, so concurrent same-key misses are benign).
-func (c *SharedArtifactCache) Put(tenant string, key ArtifactKey, data []byte) {
+func (c *SharedArtifactCache) put(tenant string, key artifactKey, data []byte) {
 	if int64(len(data)) > c.capacity {
 		return
 	}

@@ -25,13 +25,13 @@ func TestSharedGetPutAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := ArtifactKey{Dataset: 1, Sample: 5, Cut: 2, Epoch: 3}
-	if _, ok := c.Get("a", key); ok {
+	key := artifactKey{Dataset: 1, Sample: 5, Cut: 2, Epoch: 3}
+	if _, ok := c.get("a", key); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Put("a", key, bytes.Repeat([]byte{7}, 100))
+	c.put("a", key, bytes.Repeat([]byte{7}, 100))
 	// Tenant b hits what tenant a inserted — the cross-job point.
-	data, ok := c.Get("b", key)
+	data, ok := c.get("b", key)
 	if !ok || len(data) != 100 || data[0] != 7 {
 		t.Fatal("tenant b missed tenant a's artifact")
 	}
@@ -56,10 +56,10 @@ func TestSharedGetPutAccounting(t *testing.T) {
 
 func TestSharedFirstWriterWins(t *testing.T) {
 	c, _ := NewShared(1000)
-	key := ArtifactKey{Dataset: 1, Sample: 1}
-	c.Put("a", key, []byte{1, 1, 1})
-	c.Put("b", key, []byte{2, 2, 2}) // same key: refreshed, not replaced
-	data, ok := c.Get("a", key)
+	key := artifactKey{Dataset: 1, Sample: 1}
+	c.put("a", key, []byte{1, 1, 1})
+	c.put("b", key, []byte{2, 2, 2}) // same key: refreshed, not replaced
+	data, ok := c.get("a", key)
 	if !ok || data[0] != 1 {
 		t.Fatal("duplicate insert replaced the original payload")
 	}
@@ -73,26 +73,26 @@ func TestSharedFirstWriterWins(t *testing.T) {
 
 func TestSharedEvictionKeepsReadersValid(t *testing.T) {
 	c, _ := NewShared(250)
-	k1 := ArtifactKey{Dataset: 1, Sample: 1}
-	k2 := ArtifactKey{Dataset: 1, Sample: 2}
-	k3 := ArtifactKey{Dataset: 1, Sample: 3}
-	c.Put("a", k1, bytes.Repeat([]byte{1}, 100))
-	c.Put("a", k2, bytes.Repeat([]byte{2}, 100))
+	k1 := artifactKey{Dataset: 1, Sample: 1}
+	k2 := artifactKey{Dataset: 1, Sample: 2}
+	k3 := artifactKey{Dataset: 1, Sample: 3}
+	c.put("a", k1, bytes.Repeat([]byte{1}, 100))
+	c.put("a", k2, bytes.Repeat([]byte{2}, 100))
 	// Tenant b holds a reference to k1's payload across tenant a's churn.
-	held, ok := c.Get("b", k1)
+	held, ok := c.get("b", k1)
 	if !ok {
 		t.Fatal("missed k1")
 	}
-	c.Put("a", k3, bytes.Repeat([]byte{3}, 100)) // evicts k2 (k1 is recent)
-	if _, ok := c.Get("a", k2); ok {
+	c.put("a", k3, bytes.Repeat([]byte{3}, 100)) // evicts k2 (k1 is recent)
+	if _, ok := c.get("a", k2); ok {
 		t.Fatal("LRU kept the least-recent entry")
 	}
 	if snap := c.Snapshot(); snap.Evictions != 1 || snap.Bytes > 250 {
 		t.Fatalf("snapshot after eviction %+v", snap)
 	}
 	// Evict k1 too; the held slice must still read back intact.
-	c.Put("a", ArtifactKey{Dataset: 1, Sample: 4}, bytes.Repeat([]byte{4}, 100))
-	c.Put("a", ArtifactKey{Dataset: 1, Sample: 5}, bytes.Repeat([]byte{5}, 100))
+	c.put("a", artifactKey{Dataset: 1, Sample: 4}, bytes.Repeat([]byte{4}, 100))
+	c.put("a", artifactKey{Dataset: 1, Sample: 5}, bytes.Repeat([]byte{5}, 100))
 	for i, v := range held {
 		if v != 1 {
 			t.Fatalf("held[%d] = %d after eviction", i, v)
@@ -102,7 +102,7 @@ func TestSharedEvictionKeepsReadersValid(t *testing.T) {
 
 func TestSharedOversizedNotCached(t *testing.T) {
 	c, _ := NewShared(50)
-	c.Put("a", ArtifactKey{Sample: 1}, make([]byte, 100))
+	c.put("a", artifactKey{Sample: 1}, make([]byte, 100))
 	if c.Snapshot().Items != 0 {
 		t.Fatal("cached an object larger than capacity")
 	}
@@ -117,15 +117,15 @@ func TestSharedConcurrentTenants(t *testing.T) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%d", w)
 			for i := 0; i < 200; i++ {
-				key := ArtifactKey{Dataset: 1, Sample: uint32(i % 50), Cut: 2}
-				if data, ok := c.Get(tenant, key); ok {
+				key := artifactKey{Dataset: 1, Sample: uint32(i % 50), Cut: 2}
+				if data, ok := c.get(tenant, key); ok {
 					if len(data) != 64 {
 						t.Errorf("corrupt payload: %d bytes", len(data))
 						return
 					}
 					continue
 				}
-				c.Put(tenant, key, bytes.Repeat([]byte{byte(i % 50)}, 64))
+				c.put(tenant, key, bytes.Repeat([]byte{byte(i % 50)}, 64))
 			}
 		}(w)
 	}
@@ -136,8 +136,8 @@ func TestSharedConcurrentTenants(t *testing.T) {
 	}
 	// Every cached payload carries the value its key demands.
 	for i := 0; i < 50; i++ {
-		key := ArtifactKey{Dataset: 1, Sample: uint32(i), Cut: 2}
-		if data, ok := c.Get("check", key); ok && data[0] != byte(i) {
+		key := artifactKey{Dataset: 1, Sample: uint32(i), Cut: 2}
+		if data, ok := c.get("check", key); ok && data[0] != byte(i) {
 			t.Fatalf("key %v holds payload %d", key, data[0])
 		}
 	}

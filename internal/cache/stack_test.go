@@ -1,4 +1,4 @@
-package cache_test
+package cache
 
 // The fetch stack's one contract, layer by layer: every storage.Fetcher's
 // Fetch is its FetchBatch of one, and the plan version a context carries
@@ -11,7 +11,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/cluster"
 	"repro/internal/imaging"
 	"repro/internal/pipeline"
@@ -84,22 +83,22 @@ func (d *dialer) breakSession() {
 
 // threeDeep stacks TenantFetcher → FetchingCache → ReconnectingClient over
 // shard 0 of tier.
-func threeDeep(t testing.TB, tier *cluster.Cluster) (*cache.TenantFetcher, *storage.ReconnectingClient, *dialer) {
+func threeDeep(t testing.TB, tier *cluster.Cluster) (*TenantFetcher, *storage.ReconnectingClient, *dialer) {
 	t.Helper()
 	d := &dialer{tier: tier}
 	rc, err := storage.NewReconnecting(d.dial, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lru, err := cache.NewNoEvict(1 << 20)
+	lru, err := NewNoEvict(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shared, err := cache.NewShared(1 << 20)
+	shared, err := NewShared(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf, err := cache.NewTenantFetcher(cache.NewFetchingCache(rc, lru), shared, "t", shareKey)
+	tf, err := NewTenantFetcher(NewFetchingCache(rc, lru), shared, "t", shareKey)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +142,11 @@ var stackLayers = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lru, err := cache.NewNoEvict(1 << 20)
+		lru, err := NewNoEvict(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		fc := cache.NewFetchingCache(c, lru)
+		fc := NewFetchingCache(c, lru)
 		t.Cleanup(func() { fc.Close() })
 		return fc
 	}},
@@ -156,11 +155,11 @@ var stackLayers = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := cache.NewShared(1 << 20)
+		shared, err := NewShared(1 << 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tf, err := cache.NewTenantFetcher(sc, shared, "t", shareKey)
+		tf, err := NewTenantFetcher(sc, shared, "t", shareKey)
 		if err != nil {
 			t.Fatal(err)
 		}

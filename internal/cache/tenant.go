@@ -50,9 +50,9 @@ func NewTenantFetcher(inner storage.Fetcher, shared *SharedArtifactCache, tenant
 // half must land in its own key dimension — a bare uint8 cast of the packed
 // int would collapse a reduced-fidelity fetch onto the full-fidelity key
 // and serve truncated bytes to full-fidelity readers.
-func (t *TenantFetcher) key(sample uint32, split int, epoch uint64) ArtifactKey {
+func (t *TenantFetcher) key(sample uint32, split int, epoch uint64) artifactKey {
 	cut, fid := storage.UnpackDirective(split)
-	k := ArtifactKey{Dataset: t.dataset, Sample: sample, Cut: uint8(cut), Fidelity: uint8(fid)}
+	k := artifactKey{Dataset: t.dataset, Sample: sample, Cut: uint8(cut), Fidelity: uint8(fid)}
 	if cut > 0 {
 		k.Epoch = epoch
 	}
@@ -64,7 +64,7 @@ func (t *TenantFetcher) key(sample uint32, split int, epoch uint64) ArtifactKey 
 // encoding goes through pooled scratch first: EncodeBound is the most an
 // image can encode to, over twice what a photo does, and the cache charges
 // len, not cap.
-func (t *TenantFetcher) retain(key ArtifactKey, res storage.FetchResult) {
+func (t *TenantFetcher) retain(key artifactKey, res storage.FetchResult) {
 	scratch := bufpool.GetBytes(res.Artifact.EncodeBound())
 	defer bufpool.PutBytes(scratch)
 	enc, err := res.Artifact.AppendEncode(scratch[:0])
@@ -73,7 +73,7 @@ func (t *TenantFetcher) retain(key ArtifactKey, res storage.FetchResult) {
 	}
 	owned := make([]byte, len(enc))
 	copy(owned, enc)
-	t.shared.Put(t.tenant, key, owned)
+	t.shared.put(t.tenant, key, owned)
 }
 
 // Fetch implements storage.Fetcher.
@@ -89,7 +89,7 @@ func (t *TenantFetcher) Fetch(ctx context.Context, sample uint32, split int, epo
 func (t *TenantFetcher) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]storage.FetchResult, error) {
 	return through(samples, splits,
 		func(sample uint32, split int) (storage.FetchResult, bool, error) {
-			data, ok := t.shared.Get(t.tenant, t.key(sample, split, epoch))
+			data, ok := t.shared.get(t.tenant, t.key(sample, split, epoch))
 			if !ok {
 				return storage.FetchResult{}, false, nil
 			}

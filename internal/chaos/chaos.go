@@ -37,23 +37,23 @@ type Kind uint8
 // operation outright and severs the link. The values are part of every
 // Plan.Digest (and break ties in a schedule), so they never move.
 const (
-	KindDelay Kind = iota + 1
-	KindStall
+	kindDelay Kind = iota + 1
+	kindStall
 	_ // 3 is retired
-	KindCorrupt
-	KindClose
+	kindCorrupt
+	kindClose
 )
 
 // String names the fault class.
 func (k Kind) String() string {
 	switch k {
-	case KindDelay:
+	case kindDelay:
 		return "delay"
-	case KindStall:
+	case kindStall:
 		return "stall"
-	case KindCorrupt:
+	case kindCorrupt:
 		return "corrupt"
-	case KindClose:
+	case kindClose:
 		return "close"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
@@ -97,8 +97,8 @@ type Profile struct {
 // maxEvents bounds a connection's script, and each class's draws within it.
 const maxEvents = 64
 
-// Zero reports whether the profile injects no faults at all.
-func (p Profile) Zero() bool {
+// zero reports whether the profile injects no faults at all.
+func (p Profile) zero() bool {
 	return p.DelayEvery == 0 && p.StallEvery == 0 && p.CorruptEvery == 0 &&
 		p.CloseAfter == 0
 }
@@ -136,13 +136,13 @@ func (s *Stats) count(k Kind) {
 		return
 	}
 	switch k {
-	case KindDelay:
+	case kindDelay:
 		s.Delays.Add(1)
-	case KindStall:
+	case kindStall:
 		s.Stalls.Add(1)
-	case KindCorrupt:
+	case kindCorrupt:
 		s.Corrupts.Add(1)
-	case KindClose:
+	case kindClose:
 		s.Closes.Add(1)
 	}
 }
@@ -161,8 +161,8 @@ type Source struct {
 	conns uint64
 }
 
-// NewSource builds a schedule source for the given seed and stream index.
-func NewSource(seed, stream uint64, p Profile) *Source {
+// newSource builds a schedule source for the given seed and stream index.
+func newSource(seed, stream uint64, p Profile) *Source {
 	return &Source{seed: seed, stream: stream, profile: p, stats: &Stats{}}
 }
 
@@ -170,20 +170,20 @@ func NewSource(seed, stream uint64, p Profile) *Source {
 // has scheduled.
 func (s *Source) Stats() *Stats { return s.stats }
 
-// Next returns the schedule for the next accepted connection, advancing the
+// next returns the schedule for the next accepted connection, advancing the
 // connection counter.
-func (s *Source) Next() Schedule {
+func (s *Source) next() Schedule {
 	s.mu.Lock()
 	i := s.conns
 	s.conns++
 	s.mu.Unlock()
-	return s.ScheduleFor(i)
+	return s.scheduleFor(i)
 }
 
-// ScheduleFor expands connection conn's schedule without advancing the
-// counter — the pure function behind Next, exposed so reproduction tooling
+// scheduleFor expands connection conn's schedule without advancing the
+// counter — the pure function behind next, exposed so reproduction tooling
 // can print the exact script a failing connection ran.
-func (s *Source) ScheduleFor(conn uint64) Schedule {
+func (s *Source) scheduleFor(conn uint64) Schedule {
 	return expand(s.seed, s.stream, conn, s.profile)
 }
 
@@ -192,7 +192,7 @@ func (s *Source) ScheduleFor(conn uint64) Schedule {
 // union is sorted, ties break by class order, and everything after the
 // first link-severing event is pruned.
 func expand(seed, stream, conn uint64, p Profile) Schedule {
-	if p.Zero() {
+	if p.zero() {
 		return Schedule{}
 	}
 	rng := rand.New(rand.NewPCG(seed, stream<<32^conn))
@@ -214,10 +214,10 @@ func expand(seed, stream, conn uint64, p Profile) Schedule {
 			}
 		}
 	}
-	class(p.DelayEvery, KindDelay, p.Delay, true)
-	class(p.StallEvery, KindStall, p.Stall, true)
-	class(p.CorruptEvery, KindCorrupt, 0, true)
-	class(p.CloseAfter, KindClose, 0, false)
+	class(p.DelayEvery, kindDelay, p.Delay, true)
+	class(p.StallEvery, kindStall, p.Stall, true)
+	class(p.CorruptEvery, kindCorrupt, 0, true)
+	class(p.CloseAfter, kindClose, 0, false)
 	sort.SliceStable(events, func(i, j int) bool {
 		if events[i].At != events[j].At {
 			return events[i].At < events[j].At
@@ -225,7 +225,7 @@ func expand(seed, stream, conn uint64, p Profile) Schedule {
 		return events[i].Kind < events[j].Kind
 	})
 	for i, e := range events {
-		if e.Kind == KindClose {
+		if e.Kind == kindClose {
 			events = events[:i+1]
 			break
 		}
@@ -245,8 +245,8 @@ type Plan struct {
 	Shards []Profile
 }
 
-// Profile returns shard s's fault mix (zero when the plan doesn't cover s).
-func (p *Plan) Profile(s int) Profile {
+// profile returns shard s's fault mix (zero when the plan doesn't cover s).
+func (p *Plan) profile(s int) Profile {
 	if p == nil || s < 0 || s >= len(p.Shards) {
 		return Profile{}
 	}
@@ -255,7 +255,7 @@ func (p *Plan) Profile(s int) Profile {
 
 // Source builds shard s's schedule source.
 func (p *Plan) Source(s int) *Source {
-	return NewSource(p.Seed, uint64(s), p.Profile(s))
+	return newSource(p.Seed, uint64(s), p.profile(s))
 }
 
 // Digest fingerprints the plan's expanded fault schedule — the first conns
@@ -278,7 +278,7 @@ func (p *Plan) Digest(conns uint64) uint32 {
 	for s := range p.Shards {
 		src := p.Source(s)
 		for c := uint64(0); c < conns; c++ {
-			for _, e := range src.ScheduleFor(c).Events {
+			for _, e := range src.scheduleFor(c).Events {
 				crc = le(crc, uint64(e.At))
 				crc = le(crc, uint64(e.Kind))
 				crc = le(crc, uint64(e.Dur))

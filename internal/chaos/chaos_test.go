@@ -27,10 +27,10 @@ var testProfile = Profile{
 // TestScheduleDeterminism: a schedule is a pure function of
 // (seed, stream, conn) — the reproduce-from-seed contract.
 func TestScheduleDeterminism(t *testing.T) {
-	a := NewSource(42, 3, testProfile)
-	b := NewSource(42, 3, testProfile)
+	a := newSource(42, 3, testProfile)
+	b := newSource(42, 3, testProfile)
 	for conn := uint64(0); conn < 8; conn++ {
-		sa, sb := a.ScheduleFor(conn), b.ScheduleFor(conn)
+		sa, sb := a.scheduleFor(conn), b.scheduleFor(conn)
 		if !reflect.DeepEqual(sa, sb) {
 			t.Fatalf("conn %d: schedules diverged\n a %v\n b %v", conn, sa, sb)
 		}
@@ -38,15 +38,15 @@ func TestScheduleDeterminism(t *testing.T) {
 			t.Fatalf("conn %d: profile with every class enabled produced no events", conn)
 		}
 	}
-	// Next() must walk the same pure function.
-	if got, want := a.Next(), b.ScheduleFor(0); !reflect.DeepEqual(got, want) {
+	// next() must walk the same pure function.
+	if got, want := a.next(), b.scheduleFor(0); !reflect.DeepEqual(got, want) {
 		t.Fatalf("Next() != ScheduleFor(0)\n got %v\nwant %v", got, want)
 	}
 	// Different seeds and different streams must diverge.
-	if s := NewSource(43, 3, testProfile).ScheduleFor(0); reflect.DeepEqual(s, a.ScheduleFor(0)) {
+	if s := newSource(43, 3, testProfile).scheduleFor(0); reflect.DeepEqual(s, a.scheduleFor(0)) {
 		t.Fatal("different seeds produced identical schedules")
 	}
-	if s := NewSource(42, 4, testProfile).ScheduleFor(0); reflect.DeepEqual(s, a.ScheduleFor(0)) {
+	if s := newSource(42, 4, testProfile).scheduleFor(0); reflect.DeepEqual(s, a.scheduleFor(0)) {
 		t.Fatal("different streams produced identical schedules")
 	}
 }
@@ -54,24 +54,24 @@ func TestScheduleDeterminism(t *testing.T) {
 // TestScheduleShape: events are sorted by offset and nothing survives past a
 // link-severing fault.
 func TestScheduleShape(t *testing.T) {
-	src := NewSource(7, 0, Profile{
+	src := newSource(7, 0, Profile{
 		DelayEvery: 100, Delay: time.Millisecond,
 		CloseAfter: 500,
 	})
 	for conn := uint64(0); conn < 16; conn++ {
-		s := src.ScheduleFor(conn)
+		s := src.scheduleFor(conn)
 		for i := 1; i < len(s.Events); i++ {
 			if s.Events[i].At < s.Events[i-1].At {
 				t.Fatalf("conn %d: events out of order: %v", conn, s.Events)
 			}
 		}
 		for i, e := range s.Events {
-			if e.Kind == KindClose && i != len(s.Events)-1 {
+			if e.Kind == kindClose && i != len(s.Events)-1 {
 				t.Fatalf("conn %d: events scheduled past a severed link: %v", conn, s.Events)
 			}
 		}
 	}
-	if s := NewSource(7, 0, Profile{}).ScheduleFor(0); len(s.Events) != 0 {
+	if s := newSource(7, 0, Profile{}).scheduleFor(0); len(s.Events) != 0 {
 		t.Fatalf("zero profile produced events: %v", s.Events)
 	}
 }
@@ -80,7 +80,7 @@ func TestScheduleShape(t *testing.T) {
 // sparse one out of the schedule — every enabled class appears somewhere in
 // the schedules of a small connection population, and the union cap holds.
 func TestScheduleMixedClassesAllRepresented(t *testing.T) {
-	src := NewSource(9, 0, Profile{
+	src := newSource(9, 0, Profile{
 		DelayEvery:   50, // dense: alone it would fill the cap many times over
 		Delay:        time.Millisecond,
 		CorruptEvery: 400,
@@ -88,7 +88,7 @@ func TestScheduleMixedClassesAllRepresented(t *testing.T) {
 	})
 	seen := map[Kind]bool{}
 	for conn := uint64(0); conn < 8; conn++ {
-		s := src.ScheduleFor(conn)
+		s := src.scheduleFor(conn)
 		if len(s.Events) > maxEvents {
 			t.Fatalf("conn %d: %d events exceeds the %d-event cap", conn, len(s.Events), maxEvents)
 		}
@@ -96,7 +96,7 @@ func TestScheduleMixedClassesAllRepresented(t *testing.T) {
 			seen[e.Kind] = true
 		}
 	}
-	for _, k := range []Kind{KindDelay, KindCorrupt, KindClose} {
+	for _, k := range []Kind{kindDelay, kindCorrupt, kindClose} {
 		if !seen[k] {
 			t.Fatalf("class %v starved out of every schedule (saw %v)", k, seen)
 		}
@@ -115,7 +115,7 @@ func TestPlanDigest(t *testing.T) {
 	if p1.Digest(8) == p3.Digest(8) {
 		t.Fatal("different seeds, same digest")
 	}
-	if (&Plan{Seed: 11}).Profile(5).Zero() != true {
+	if (&Plan{Seed: 11}).profile(5).zero() != true {
 		t.Fatal("out-of-range shard should have a zero profile")
 	}
 }
@@ -129,7 +129,7 @@ func TestConnCorruptFlipsByte(t *testing.T) {
 	client, server := pipePair()
 	defer server.Close()
 	// Corrupt the very first byte span: one event at offset 1.
-	c := WrapConn(client, Schedule{Events: []Event{{At: 1, Kind: KindCorrupt}}}, nil, nil, nil)
+	c := WrapConn(client, Schedule{Events: []Event{{At: 1, Kind: kindCorrupt}}}, nil, nil, nil)
 	payload := []byte{1, 2, 3, 4}
 	go func() {
 		c.Write(payload)
@@ -154,7 +154,7 @@ func TestConnCorruptFlipsByte(t *testing.T) {
 func TestConnCorruptionCaughtByChecksum(t *testing.T) {
 	client, server := pipePair()
 	defer server.Close()
-	c := WrapConn(client, Schedule{Events: []Event{{At: 10, Kind: KindCorrupt}}}, nil, nil, nil)
+	c := WrapConn(client, Schedule{Events: []Event{{At: 10, Kind: kindCorrupt}}}, nil, nil, nil)
 	go wire.Write(c, &wire.FetchBatch{RequestID: 1, Epoch: 4, Items: []wire.FetchBatchItem{{Sample: 2, Split: 3}}})
 	if _, err := wire.Read(server); !errors.Is(err, wire.ErrChecksum) {
 		t.Fatalf("corrupted frame read err = %v, want wire.ErrChecksum", err)
@@ -167,14 +167,14 @@ func TestConnCloseSeversLink(t *testing.T) {
 	client, server := pipePair()
 	defer server.Close()
 	stats := &Stats{}
-	c := WrapConn(client, Schedule{Events: []Event{{At: 8, Kind: KindClose}}}, nil, stats, nil)
-	if n, err := c.Write(make([]byte, 16)); !errors.Is(err, ErrInjected) || n != 0 {
+	c := WrapConn(client, Schedule{Events: []Event{{At: 8, Kind: kindClose}}}, nil, stats, nil)
+	if n, err := c.Write(make([]byte, 16)); !errors.Is(err, errInjected) || n != 0 {
 		t.Fatalf("write across close event: n=%d err=%v", n, err)
 	}
-	if _, err := c.Write([]byte{1}); !errors.Is(err, ErrInjected) {
+	if _, err := c.Write([]byte{1}); !errors.Is(err, errInjected) {
 		t.Fatalf("write after severed link err = %v", err)
 	}
-	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, errInjected) {
 		t.Fatalf("read after severed link err = %v", err)
 	}
 	if got := stats.Snapshot().Closes; got != 1 {
@@ -183,7 +183,7 @@ func TestConnCloseSeversLink(t *testing.T) {
 }
 
 // TestCloseAfterBudget: CloseAfter lets its budget through, fails the
-// operation that crosses it with ErrInjected, and every later operation too.
+// operation that crosses it with errInjected, and every later operation too.
 func TestCloseAfterBudget(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
@@ -206,13 +206,13 @@ func TestCloseAfterBudget(t *testing.T) {
 	if _, err := c.Write([]byte{3, 4}); err != nil {
 		t.Fatalf("write up to the budget: %v", err)
 	}
-	if _, err := c.Write([]byte{5}); !errors.Is(err, ErrInjected) {
+	if _, err := c.Write([]byte{5}); !errors.Is(err, errInjected) {
 		t.Fatalf("write past budget: %v, want ErrInjected", err)
 	}
-	if _, err := c.Write([]byte{6}); !errors.Is(err, ErrInjected) {
+	if _, err := c.Write([]byte{6}); !errors.Is(err, errInjected) {
 		t.Fatalf("write after failure: %v", err)
 	}
-	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, errInjected) {
 		t.Fatalf("read after failure: %v", err)
 	}
 	<-done // peer saw the close
@@ -248,7 +248,7 @@ func TestCloseAfterConcurrent(t *testing.T) {
 					_, err = c.Read(buf)
 				}
 				if err != nil {
-					if errors.Is(err, ErrInjected) {
+					if errors.Is(err, errInjected) {
 						injected.Add(1)
 					}
 					return
@@ -261,10 +261,10 @@ func TestCloseAfterConcurrent(t *testing.T) {
 	if injected.Load() == 0 {
 		t.Fatal("budget never tripped despite writing far past it")
 	}
-	if _, err := c.Write([]byte{1}); !errors.Is(err, ErrInjected) {
+	if _, err := c.Write([]byte{1}); !errors.Is(err, errInjected) {
 		t.Fatalf("write after concurrent trip: %v", err)
 	}
-	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, errInjected) {
 		t.Fatalf("read after concurrent trip: %v", err)
 	}
 }
@@ -294,10 +294,10 @@ func TestCloseAfterOverPipeListener(t *testing.T) {
 	if _, err := c.Write(make([]byte, 60)); err != nil {
 		t.Fatalf("first write within budget failed: %v", err)
 	}
-	if _, err := c.Write(make([]byte, 60)); !errors.Is(err, ErrInjected) {
+	if _, err := c.Write(make([]byte, 60)); !errors.Is(err, errInjected) {
 		t.Fatalf("over-budget write err = %v", err)
 	}
-	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, ErrInjected) {
+	if _, err := c.Read(make([]byte, 1)); !errors.Is(err, errInjected) {
 		t.Fatalf("read after failure err = %v", err)
 	}
 }
@@ -308,8 +308,8 @@ func TestConnDelayCounts(t *testing.T) {
 	defer server.Close()
 	stats := &Stats{}
 	c := WrapConn(client, Schedule{Events: []Event{
-		{At: 1, Kind: KindDelay, Dur: time.Millisecond},
-		{At: 2, Kind: KindStall, Dur: 2 * time.Millisecond},
+		{At: 1, Kind: kindDelay, Dur: time.Millisecond},
+		{At: 2, Kind: kindStall, Dur: 2 * time.Millisecond},
 	}}, nil, stats, nil)
 	go func() {
 		c.Write([]byte{1, 2, 3})
@@ -330,7 +330,7 @@ func TestConnDelayCounts(t *testing.T) {
 func TestListenerPartition(t *testing.T) {
 	inner := netsim.NewPipeListener()
 	defer inner.Close()
-	l := WrapListener(inner, NewSource(1, 0, Profile{}), nil)
+	l := WrapListener(inner, newSource(1, 0, Profile{}), nil)
 
 	// Echo server over the chaos listener.
 	go func() {

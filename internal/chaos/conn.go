@@ -9,14 +9,14 @@ import (
 	"repro/internal/simclock"
 )
 
-// ErrInjected marks every fault this package introduces; errors.Is(err,
-// chaos.ErrInjected) distinguishes scripted chaos from organic failures in
+// errInjected marks every fault this package introduces; errors.Is(err,
+// chaos.errInjected) distinguishes scripted chaos from organic failures in
 // test assertions.
-var ErrInjected = errors.New("chaos: injected fault")
+var errInjected = errors.New("chaos: injected fault")
 
 // injectedErr ties a fired event to the typed sentinel.
 func injectedErr(e Event) error {
-	return fmt.Errorf("%w: %s at byte %d", ErrInjected, e.Kind, e.At)
+	return fmt.Errorf("%w: %s at byte %d", errInjected, e.Kind, e.At)
 }
 
 // Conn wraps a net.Conn with a scripted fault schedule. Faults fire as the
@@ -60,9 +60,9 @@ func WrapConn(conn net.Conn, sched Schedule, clock simclock.Clock, stats *Stats,
 // CloseAfter is the one-event schedule that lets budget bytes of traffic
 // (reads plus writes) through and severs the connection on the operation
 // that would carry it past them: that operation and every later one fail
-// with ErrInjected.
+// with errInjected.
 func CloseAfter(budget int64) Schedule {
-	return Schedule{Events: []Event{{At: budget + 1, Kind: KindClose}}}
+	return Schedule{Events: []Event{{At: budget + 1, Kind: kindClose}}}
 }
 
 // advance charges n bytes of traffic and pops every event the charge
@@ -104,22 +104,22 @@ func (c *Conn) isDead() bool {
 // Write applies scheduled faults to the outgoing bytes, then forwards.
 func (c *Conn) Write(p []byte) (int, error) {
 	if c.isDead() {
-		return 0, fmt.Errorf("%w: connection severed", ErrInjected)
+		return 0, fmt.Errorf("%w: connection severed", errInjected)
 	}
 	payload := p
 	for _, e := range c.advance(len(p)) {
 		c.stats.count(e.Kind)
 		switch e.Kind {
-		case KindDelay, KindStall:
+		case kindDelay, kindStall:
 			c.clock.Sleep(e.Dur)
-		case KindCorrupt:
+		case kindCorrupt:
 			if len(payload) > 0 {
 				// Copy before flipping: the caller's buffer is borrowed.
 				corrupted := append([]byte(nil), payload...)
 				corrupted[len(corrupted)-1] ^= 0x80
 				payload = corrupted
 			}
-		case KindClose:
+		case kindClose:
 			c.kill()
 			return 0, injectedErr(e)
 		}
@@ -132,19 +132,19 @@ func (c *Conn) Write(p []byte) (int, error) {
 // fire before the read; corruption flips the last byte actually read.
 func (c *Conn) Read(p []byte) (int, error) {
 	if c.isDead() {
-		return 0, fmt.Errorf("%w: connection severed", ErrInjected)
+		return 0, fmt.Errorf("%w: connection severed", errInjected)
 	}
 	n, err := c.Conn.Read(p)
 	for _, e := range c.advance(n) {
 		c.stats.count(e.Kind)
 		switch e.Kind {
-		case KindDelay, KindStall:
+		case kindDelay, kindStall:
 			c.clock.Sleep(e.Dur)
-		case KindCorrupt:
+		case kindCorrupt:
 			if n > 0 {
 				p[n-1] ^= 0x80
 			}
-		case KindClose:
+		case kindClose:
 			c.kill()
 			if err == nil {
 				err = injectedErr(e)

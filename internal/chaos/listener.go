@@ -50,7 +50,7 @@ func (l *Listener) Accept() (net.Conn, error) {
 		conn.Close()
 		return conn, nil // already dead; the server's handshake read fails fast
 	}
-	wrapped := WrapConn(conn, l.src.Next(), l.clock, l.src.Stats(), l.forget)
+	wrapped := WrapConn(conn, l.src.next(), l.clock, l.src.Stats(), l.forget)
 	l.conns[wrapped.Conn] = struct{}{}
 	l.mu.Unlock()
 	return wrapped, nil

@@ -13,22 +13,22 @@ import (
 	"sort"
 )
 
-// Version is the repo-wide version stamp every binary reports under
+// version is the repo-wide version stamp every binary reports under
 // -version. Bump it when cutting a tagged snapshot of the tree.
-const Version = "0.7.0"
+const version = "0.7.0"
 
-// VersionLine is the single line printed by -version:
+// versionLine is the single line printed by -version:
 //
 //	sophon-server 0.7.0 go1.24.0 linux/amd64
-func VersionLine(name string) string {
-	return fmt.Sprintf("%s %s %s %s/%s", name, Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
+func versionLine(name string) string {
+	return fmt.Sprintf("%s %s %s %s/%s", name, version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 }
 
-// Setup registers the shared -version flag on fs and installs a usage
+// setup registers the shared -version flag on fs and installs a usage
 // banner that leads with the binary name and synopsis. It must run after
 // the binary's own flags are registered and before fs is parsed. The
 // returned bool reports, post-parse, whether -version was requested.
-func Setup(fs *flag.FlagSet, name, synopsis string) *bool {
+func setup(fs *flag.FlagSet, name, synopsis string) *bool {
 	version := fs.Bool("version", false, "print version and exit")
 	fs.Usage = func() {
 		out := fs.Output()
@@ -42,29 +42,29 @@ func Setup(fs *flag.FlagSet, name, synopsis string) *bool {
 	return version
 }
 
-// ParseArgs wires Setup into fs and parses args. A binary whose body is a
+// ParseArgs wires setup into fs and parses args. A binary whose body is a
 // run(fs, args) that tests call passes flag.CommandLine from main and a
 // ContinueOnError set from a test, where a parse error (flag.ErrHelp after
 // -help) comes back once the flag package has printed it and the usage banner
-// on fs.Output(). done reports that -version printed VersionLine on stdout.
+// on fs.Output(). done reports that -version printed versionLine on stdout.
 func ParseArgs(fs *flag.FlagSet, args []string, name, synopsis string) (done bool, err error) {
-	version := Setup(fs, name, synopsis)
+	version := setup(fs, name, synopsis)
 	if err := fs.Parse(args); err != nil {
 		return false, err
 	}
 	if *version {
-		fmt.Println(VersionLine(name))
+		fmt.Println(versionLine(name))
 	}
 	return *version, nil
 }
 
-// CheckInts validates integer flag values and returns every violation,
+// checkInts validates integer flag values and returns every violation,
 // sorted by flag name. Flags in positive must be > 0. Flags in
 // zeroMeansDefault must be >= 0, and 0 is only allowed implicitly — a
 // user who writes -flag=0 explicitly gets an error instead of silently
 // falling back to the default. explicit holds the set of flag names the
 // user actually set (see flag.FlagSet.Visit).
-func CheckInts(explicit, positive, zeroMeansDefault map[string]bool, values map[string]int) []error {
+func checkInts(explicit, positive, zeroMeansDefault map[string]bool, values map[string]int) []error {
 	names := make([]string, 0, len(values))
 	for name := range values {
 		names = append(names, name)
@@ -85,11 +85,11 @@ func CheckInts(explicit, positive, zeroMeansDefault map[string]bool, values map[
 	return errs
 }
 
-// IntError is the first CheckInts violation among fs's parsed flags, or nil.
+// IntError is the first checkInts violation among fs's parsed flags, or nil.
 func IntError(fs *flag.FlagSet, positive, zeroMeansDefault map[string]bool, values map[string]int) error {
 	explicit := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	if errs := CheckInts(explicit, positive, zeroMeansDefault, values); len(errs) > 0 {
+	if errs := checkInts(explicit, positive, zeroMeansDefault, values); len(errs) > 0 {
 		return errs[0]
 	}
 	return nil

@@ -10,8 +10,8 @@ import (
 )
 
 func TestVersionLine(t *testing.T) {
-	line := VersionLine("sophon-x")
-	want := fmt.Sprintf("sophon-x %s %s %s/%s", Version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
+	line := versionLine("sophon-x")
+	want := fmt.Sprintf("sophon-x %s %s %s/%s", version, runtime.Version(), runtime.GOOS, runtime.GOARCH)
 	if line != want {
 		t.Fatalf("VersionLine = %q, want %q", line, want)
 	}
@@ -21,7 +21,7 @@ func TestSetupVersionFlag(t *testing.T) {
 	fs := flag.NewFlagSet("x", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
 	n := fs.Int("n", 1, "samples")
-	version := Setup(fs, "x", "does x")
+	version := setup(fs, "x", "does x")
 	if err := fs.Parse([]string{"-version", "-n", "3"}); err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestSetupUsageBanner(t *testing.T) {
 	var buf strings.Builder
 	fs.SetOutput(&buf)
 	fs.Int("n", 1, "samples")
-	Setup(fs, "sophon-x", "exercises the x subsystem")
+	setup(fs, "sophon-x", "exercises the x subsystem")
 	// Unknown flags must produce a non-nil error and the named banner —
 	// the behavior main() surfaces as usage + exit 2 under ExitOnError.
 	if err := fs.Parse([]string{"-no-such-flag"}); err == nil {
@@ -57,39 +57,39 @@ func TestCheckInts(t *testing.T) {
 	zeroDef := map[string]bool{"max-inflight": true}
 
 	t.Run("valid", func(t *testing.T) {
-		errs := CheckInts(nil, positive, zeroDef,
+		errs := checkInts(nil, positive, zeroDef,
 			map[string]int{"n": 10, "shards": 2, "max-inflight": 0})
 		if len(errs) != 0 {
 			t.Fatalf("unexpected errors: %v", errs)
 		}
 	})
 	t.Run("nonPositive", func(t *testing.T) {
-		errs := CheckInts(nil, positive, zeroDef, map[string]int{"n": 0})
+		errs := checkInts(nil, positive, zeroDef, map[string]int{"n": 0})
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "-n must be positive") {
 			t.Fatalf("errs = %v", errs)
 		}
 	})
 	t.Run("negativeZeroDefault", func(t *testing.T) {
-		errs := CheckInts(nil, positive, zeroDef, map[string]int{"max-inflight": -1})
+		errs := checkInts(nil, positive, zeroDef, map[string]int{"max-inflight": -1})
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "non-negative") {
 			t.Fatalf("errs = %v", errs)
 		}
 	})
 	t.Run("explicitZero", func(t *testing.T) {
 		explicit := map[string]bool{"max-inflight": true}
-		errs := CheckInts(explicit, positive, zeroDef, map[string]int{"max-inflight": 0})
+		errs := checkInts(explicit, positive, zeroDef, map[string]int{"max-inflight": 0})
 		if len(errs) != 1 || !strings.Contains(errs[0].Error(), "set explicitly") {
 			t.Fatalf("errs = %v", errs)
 		}
 	})
 	t.Run("implicitZeroOK", func(t *testing.T) {
-		errs := CheckInts(nil, positive, zeroDef, map[string]int{"max-inflight": 0})
+		errs := checkInts(nil, positive, zeroDef, map[string]int{"max-inflight": 0})
 		if len(errs) != 0 {
 			t.Fatalf("unexpected errors: %v", errs)
 		}
 	})
 	t.Run("sortedMultiple", func(t *testing.T) {
-		errs := CheckInts(nil, positive, zeroDef, map[string]int{"shards": -1, "n": 0})
+		errs := checkInts(nil, positive, zeroDef, map[string]int{"shards": -1, "n": 0})
 		if len(errs) != 2 {
 			t.Fatalf("errs = %v", errs)
 		}

@@ -1,11 +1,10 @@
-package cluster_test
+package cluster
 
 import (
 	"context"
 	"fmt"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -20,7 +19,7 @@ func BenchmarkShardedFetch(b *testing.B) {
 	store := testStore(b, n)
 	for shards := 1; shards <= 4; shards++ {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			c, err := cluster.Launch(cluster.Config{
+			c, err := Launch(Config{
 				Shards:   shards,
 				Store:    store,
 				Pipeline: testPipe(),

@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"bytes"
@@ -8,14 +8,13 @@ import (
 	"time"
 
 	"repro/internal/chaos"
-	"repro/internal/cluster"
 	"repro/internal/storage"
 )
 
 // launchChaos starts a cluster with a fault plan wired through Launch.
-func launchChaos(t testing.TB, store *storage.Store, shards int, plan *chaos.Plan) *cluster.Cluster {
+func launchChaos(t testing.TB, store *storage.Store, shards int, plan *chaos.Plan) *Cluster {
 	t.Helper()
-	c, err := cluster.Launch(cluster.Config{
+	c, err := Launch(Config{
 		Shards:        shards,
 		Store:         store,
 		Pipeline:      testPipe(),
@@ -90,10 +89,10 @@ func TestPartitionShardDegradedAndHeal(t *testing.T) {
 	// A single fetch has no healthy remainder to salvage: the call errors,
 	// typed ErrShardDown and mirrored into the result.
 	res, err := storage.FetchOne(context.Background(), sc, owned0[0], 0, 1)
-	if !errors.Is(err, cluster.ErrShardDown) {
+	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("partitioned shard's fetch err = %v, want ErrShardDown", err)
 	}
-	if !errors.Is(res.Err, cluster.ErrShardDown) {
+	if !errors.Is(res.Err, ErrShardDown) {
 		t.Fatalf("partitioned shard's result err = %v, want ErrShardDown", res.Err)
 	}
 	// A batch call in degraded mode salvages the healthy shard: nil call
@@ -103,7 +102,7 @@ func TestPartitionShardDegradedAndHeal(t *testing.T) {
 	if err != nil {
 		t.Fatalf("degraded batch should not fail the call: %v", err)
 	}
-	if !errors.Is(bres[0].Err, cluster.ErrShardDown) {
+	if !errors.Is(bres[0].Err, ErrShardDown) {
 		t.Fatalf("partitioned item err = %v, want ErrShardDown", bres[0].Err)
 	}
 	if bres[1].Err != nil || bres[2].Err != nil {

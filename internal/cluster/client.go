@@ -43,15 +43,15 @@ type ShardedClient struct {
 	n        int
 }
 
-// NewShardedClient wires shard sessions to a shard map. Every session must
+// newShardedClient wires shard sessions to a shard map. Every session must
 // agree on the dataset size — disagreeing shards mean a misconfigured
 // cluster, and silently fetching from it would corrupt placement.
-func NewShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*ShardedClient, error) {
+func newShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*ShardedClient, error) {
 	if m == nil {
 		return nil, errors.New("cluster: nil shard map")
 	}
-	if len(shards) != m.Shards() {
-		return nil, fmt.Errorf("cluster: %d sessions for %d shards", len(shards), m.Shards())
+	if len(shards) != m.shards {
+		return nil, fmt.Errorf("cluster: %d sessions for %d shards", len(shards), m.shards)
 	}
 	n := shards[0].NumSamples()
 	for s, c := range shards {
@@ -71,7 +71,7 @@ func NewShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*Sharde
 // operation and pause before each retry. When a shard cannot be reached,
 // the sessions already open are closed and the error names that shard.
 func DialSharded(m *ShardMap, dial func(shard int) (*storage.Client, error), attempts int, pause time.Duration, degraded bool) (*ShardedClient, error) {
-	shards := make([]ShardClient, m.Shards())
+	shards := make([]ShardClient, m.shards)
 	closeAll := func() {
 		for _, sc := range shards {
 			if sc != nil {
@@ -87,7 +87,7 @@ func DialSharded(m *ShardMap, dial func(shard int) (*storage.Client, error), att
 		}
 		shards[s] = rc
 	}
-	c, err := NewShardedClient(m, shards, degraded)
+	c, err := newShardedClient(m, shards, degraded)
 	if err != nil {
 		closeAll()
 		return nil, err
@@ -130,9 +130,9 @@ func (c *ShardedClient) FetchBatch(ctx context.Context, samples []uint32, splits
 	if err := validateBatch(samples, splits); err != nil {
 		return nil, err
 	}
-	parts := c.m.Partition(samples)
+	parts := c.m.partition(samples)
 	out := make([]storage.FetchResult, len(samples))
-	errs := make([]error, c.m.Shards())
+	errs := make([]error, c.m.shards)
 	var wg sync.WaitGroup
 	for s, idxs := range parts {
 		if len(idxs) == 0 {
@@ -202,7 +202,7 @@ func validateBatch(samples []uint32, splits []int) error {
 // a lookahead scheduler can partition the epoch's access stream per shard
 // with exactly the routing FetchBatch would use.
 func (c *ShardedClient) ShardInfo() (int, func(sample uint32) int, bool) {
-	return c.m.Shards(), c.m.ShardOf, true
+	return c.m.shards, c.m.ShardOf, true
 }
 
 // FetchShard implements storage.ShardRouter: one round trip against a single

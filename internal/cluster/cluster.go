@@ -122,7 +122,7 @@ func ShardStore(full *storage.Store, m *ShardMap, s int) (*storage.Store, error)
 		}
 		objects[id] = b
 	}
-	name := fmt.Sprintf("%s/shard-%d-of-%d", full.Name(), s, m.Shards())
+	name := fmt.Sprintf("%s/shard-%d-of-%d", full.Name(), s, m.shards)
 	return storage.NewPartialStore(name, full.N(), objects)
 }
 
@@ -150,7 +150,7 @@ func (c *Cluster) DialShard(s int, opts storage.ClientOptions) (*storage.Client,
 	return storage.NewClientWithOptions(conn, opts)
 }
 
-// NewShardedClient builds the retrying fan-out client over the cluster's
+// newShardedClient builds the retrying fan-out client over the cluster's
 // in-memory shards (see DialSharded).
 func (c *Cluster) NewShardedClient(opts storage.ClientOptions, attempts int, pause time.Duration, degraded bool) (*ShardedClient, error) {
 	return DialSharded(c.m, func(s int) (*storage.Client, error) { return c.DialShard(s, opts) }, attempts, pause, degraded)

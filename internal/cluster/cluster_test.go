@@ -1,8 +1,7 @@
-// Integration tests for the sharded tier. They live in an external test
-// package because the trainer (repro/internal/trainsim) imports the policy
-// layer, which imports cluster — the degradation test drives a real trainer
-// over a real cluster, so the import has to point this way.
-package cluster_test
+// Integration tests for the sharded tier over real storage servers. The
+// trainer's dead-shard scenario is in internal/trainsim, which imports this
+// package.
+package cluster
 
 import (
 	"bytes"
@@ -13,13 +12,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dataset"
-	"repro/internal/gpu"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
 	"repro/internal/storage"
-	"repro/internal/trainsim"
 	"repro/internal/wire"
 )
 
@@ -42,9 +38,9 @@ func testPipe() *pipeline.Pipeline {
 	return pipeline.Standard(pipeline.StandardOptions{CropSize: 24, FlipP: -1})
 }
 
-func launch(t testing.TB, store *storage.Store, shards, cores int) *cluster.Cluster {
+func launch(t testing.TB, store *storage.Store, shards, cores int) *Cluster {
 	t.Helper()
-	c, err := cluster.Launch(cluster.Config{
+	c, err := Launch(Config{
 		Shards:        shards,
 		Store:         store,
 		Pipeline:      testPipe(),
@@ -57,7 +53,7 @@ func launch(t testing.TB, store *storage.Store, shards, cores int) *cluster.Clus
 	return c
 }
 
-func shardedClient(t testing.TB, c *cluster.Cluster, degraded bool) *cluster.ShardedClient {
+func shardedClient(t testing.TB, c *Cluster, degraded bool) *ShardedClient {
 	t.Helper()
 	sc, err := c.NewShardedClient(storage.ClientOptions{JobID: 42}, 2, time.Millisecond, degraded)
 	if err != nil {
@@ -133,7 +129,7 @@ func TestShardedFetchOffloaded(t *testing.T) {
 }
 
 // fakeShard satisfies ShardClient with canned answers — just enough to probe
-// NewShardedClient's validation.
+// newShardedClient's validation.
 type fakeShard struct{ n int }
 
 func (f *fakeShard) Fetch(context.Context, uint32, int, uint64) (storage.FetchResult, error) {
@@ -147,23 +143,23 @@ func (f *fakeShard) NumSamples() int                               { return f.n 
 func (f *fakeShard) Close() error                                  { return nil }
 
 func TestNewShardedClientValidation(t *testing.T) {
-	m, err := cluster.NewShardMap(2)
+	m, err := NewShardMap(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.NewShardedClient(nil, []cluster.ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4}}, false); err == nil {
+	if _, err := newShardedClient(nil, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4}}, false); err == nil {
 		t.Error("accepted nil shard map")
 	}
-	if _, err := cluster.NewShardedClient(m, []cluster.ShardClient{&fakeShard{n: 4}}, false); err == nil {
+	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}}, false); err == nil {
 		t.Error("accepted 1 session for 2 shards")
 	}
-	if _, err := cluster.NewShardedClient(m, []cluster.ShardClient{&fakeShard{n: 4}, nil}, false); err == nil {
+	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}, nil}, false); err == nil {
 		t.Error("accepted nil session")
 	}
-	if _, err := cluster.NewShardedClient(m, []cluster.ShardClient{&fakeShard{n: 4}, &fakeShard{n: 5}}, false); err == nil {
+	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 5}}, false); err == nil {
 		t.Error("accepted shards disagreeing on dataset size")
 	}
-	if _, err := cluster.NewShardedClient(m, []cluster.ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4}}, false); err != nil {
+	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4}}, false); err != nil {
 		t.Errorf("rejected a consistent cluster: %v", err)
 	}
 }
@@ -195,7 +191,7 @@ func TestDialShardedClosesOnFailure(t *testing.T) {
 			}
 			return sc, err
 		}
-		_, err := cluster.DialSharded(c.ShardMap(), dial, 2, 0, false)
+		_, err := DialSharded(c.ShardMap(), dial, 2, 0, false)
 		if !errors.Is(err, refused) || !strings.Contains(err.Error(), fmt.Sprintf("shard %d:", k)) {
 			t.Fatalf("shard %d refused: err = %v", k, err)
 		}
@@ -217,7 +213,7 @@ func TestDialShardedClosesOnFailure(t *testing.T) {
 		}
 		return sc, err
 	}
-	if _, err := cluster.DialSharded(c.ShardMap(), dial, 2, 0, false); err == nil || len(opened) != 3 {
+	if _, err := DialSharded(c.ShardMap(), dial, 2, 0, false); err == nil || len(opened) != 3 {
 		t.Fatalf("sizes 8, 8, 5: err = %v with %d sessions opened", err, len(opened))
 	}
 	check("sizes 8, 8, 5", opened)
@@ -304,7 +300,7 @@ func TestKillShardDegradedBatch(t *testing.T) {
 	for i, r := range res {
 		onDead := c.ShardMap().ShardOf(samples[i]) == dead
 		if onDead {
-			if r.Err == nil || !errors.Is(r.Err, cluster.ErrShardDown) {
+			if r.Err == nil || !errors.Is(r.Err, ErrShardDown) {
 				t.Fatalf("sample %d on dead shard: err %v, want ErrShardDown", samples[i], r.Err)
 			}
 			if r.Status != wire.FetchFailed {
@@ -316,7 +312,7 @@ func TestKillShardDegradedBatch(t *testing.T) {
 	}
 
 	// Outside DegradedMode the same batch fails as a whole.
-	if _, err := strict.FetchBatch(context.Background(), samples, make([]int, n), 1); !errors.Is(err, cluster.ErrShardDown) {
+	if _, err := strict.FetchBatch(context.Background(), samples, make([]int, n), 1); !errors.Is(err, ErrShardDown) {
 		t.Fatalf("strict FetchBatch err = %v, want ErrShardDown", err)
 	}
 
@@ -328,82 +324,19 @@ func TestKillShardDegradedBatch(t *testing.T) {
 	}
 }
 
-// TestTrainerSurvivesDeadShard is the acceptance scenario: kill one shard of
-// three, and a trainer in DegradedMode still completes the epoch, reporting
-// exactly the dead shard's samples as failures. The same epoch without
-// DegradedMode aborts.
-func TestTrainerSurvivesDeadShard(t *testing.T) {
-	const n = 60
-	store := testStore(t, n)
-	c := launch(t, store, 3, 0)
-
-	const dead = 2
-	lost := len(c.ShardMap().Owned(n, dead))
-	if lost == 0 || lost == n {
-		t.Fatalf("degenerate placement: shard %d owns %d of %d", dead, lost, n)
-	}
-
-	config := func(degraded bool) trainsim.Config {
-		return trainsim.Config{
-			DialClient: func() (storage.Fetcher, error) {
-				return c.NewShardedClient(storage.ClientOptions{JobID: 9}, 2, time.Millisecond, degraded)
-			},
-			Workers:        2,
-			Pipeline:       testPipe(),
-			GPU:            gpu.AlexNet,
-			BatchSize:      8,
-			JobID:          9,
-			FetchBatchSize: 8,
-			DegradedMode:   degraded,
-		}
-	}
-
-	// Both trainers dial while every shard is up; the crash happens before
-	// their epochs start.
-	tr, err := trainsim.New(config(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tr.Close()
-	strict, err := trainsim.New(config(false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer strict.Close()
-
-	if err := c.KillShard(dead); err != nil {
-		t.Fatal(err)
-	}
-
-	rep, err := tr.RunEpoch(1, nil, nil)
-	if err != nil {
-		t.Fatalf("degraded epoch: %v", err)
-	}
-	if rep.Failed != lost {
-		t.Errorf("Failed = %d, want the dead shard's %d samples", rep.Failed, lost)
-	}
-	if rep.Samples != n-lost {
-		t.Errorf("Samples = %d, want %d", rep.Samples, n-lost)
-	}
-
-	if _, err := strict.RunEpoch(1, nil, nil); err == nil {
-		t.Error("non-degraded epoch completed despite a dead shard")
-	}
-}
-
 // TestLaunchValidation covers Launch's refusals.
 func TestLaunchValidation(t *testing.T) {
 	store := testStore(t, 8)
-	if _, err := cluster.Launch(cluster.Config{Shards: 1, Pipeline: testPipe()}); err == nil {
+	if _, err := Launch(Config{Shards: 1, Pipeline: testPipe()}); err == nil {
 		t.Error("accepted nil store")
 	}
-	if _, err := cluster.Launch(cluster.Config{Shards: 1, Store: store}); err == nil {
+	if _, err := Launch(Config{Shards: 1, Store: store}); err == nil {
 		t.Error("accepted nil pipeline")
 	}
-	if _, err := cluster.Launch(cluster.Config{Shards: 0, Store: store, Pipeline: testPipe()}); err == nil {
+	if _, err := Launch(Config{Shards: 0, Store: store, Pipeline: testPipe()}); err == nil {
 		t.Error("accepted 0 shards")
 	}
-	if _, err := cluster.Launch(cluster.Config{Shards: 9, Store: store, Pipeline: testPipe()}); err == nil {
+	if _, err := Launch(Config{Shards: 9, Store: store, Pipeline: testPipe()}); err == nil {
 		t.Error("accepted more shards than samples")
 	}
 }
@@ -425,13 +358,13 @@ func TestShardsShareOneAdmissionController(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := cluster.NewShardMap(shards)
+	m, err := NewShardMap(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sessions := make([]cluster.ShardClient, shards)
+	sessions := make([]ShardClient, shards)
 	for s := range sessions {
-		part, err := cluster.ShardStore(store, m, s)
+		part, err := ShardStore(store, m, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -450,7 +383,7 @@ func TestShardsShareOneAdmissionController(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	sc, err := cluster.NewShardedClient(m, sessions, false)
+	sc, err := newShardedClient(m, sessions, false)
 	if err != nil {
 		t.Fatal(err)
 	}

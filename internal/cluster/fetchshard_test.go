@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 import (
 	"bytes"
@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/chaos"
-	"repro/internal/cluster"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -110,7 +109,7 @@ func TestFetchShardPartitioned(t *testing.T) {
 	}
 	ctx := context.Background()
 	_, err := sc.FetchShard(ctx, 0, dead[:1], []int{0}, 1)
-	if !errors.Is(err, cluster.ErrShardDown) {
+	if !errors.Is(err, ErrShardDown) {
 		t.Fatalf("partitioned shard error = %v, want ErrShardDown", err)
 	}
 	res, err := sc.FetchShard(ctx, 1, live[:2], []int{0, 0}, 1)

@@ -13,17 +13,17 @@ import (
 	"fmt"
 )
 
-// LayoutVersion identifies the sample→shard placement function. It is part
+// layoutVersion identifies the sample→shard placement function. It is part
 // of the hash input, so changing how placement works requires bumping it
 // deliberately: a client and a cluster disagree about placement only if they
 // disagree about this constant.
-const LayoutVersion = 1
+const layoutVersion = 1
 
 // ShardMap deterministically assigns sample IDs to shards by rendezvous
 // (highest-random-weight) hashing: every (sample, shard) pair gets a stable
 // pseudo-random weight and the sample lives on the shard with the highest
 // one. The layout is stable across processes and releases (it depends only
-// on FNV-1a, a fixed avalanche finalizer, and LayoutVersion) and resizing
+// on FNV-1a, a fixed avalanche finalizer, and layoutVersion) and resizing
 // from N to N+1 shards moves only
 // ~1/(N+1) of the samples — the HRW property that makes rebalancing cheap.
 type ShardMap struct {
@@ -36,11 +36,8 @@ func NewShardMap(shards int) (*ShardMap, error) {
 	if shards < 1 {
 		return nil, fmt.Errorf("cluster: shard count %d < 1", shards)
 	}
-	return &ShardMap{shards: shards, version: LayoutVersion}, nil
+	return &ShardMap{shards: shards, version: layoutVersion}, nil
 }
-
-// Shards returns the shard count.
-func (m *ShardMap) Shards() int { return m.shards }
 
 // FNV-1a 64-bit constants.
 const (
@@ -91,11 +88,11 @@ func (m *ShardMap) ShardOf(sample uint32) int {
 	return best
 }
 
-// Partition groups the positions of samples by owning shard: element s of
+// partition groups the positions of samples by owning shard: element s of
 // the result lists the indices i (into samples) with ShardOf(samples[i]) ==
 // s, in input order. Reassembling a fanned-out batch is then a matter of
 // writing each shard's results back through its index list.
-func (m *ShardMap) Partition(samples []uint32) [][]int {
+func (m *ShardMap) partition(samples []uint32) [][]int {
 	out := make([][]int, m.shards)
 	for i, id := range samples {
 		s := m.ShardOf(id)

@@ -1,4 +1,4 @@
-package cluster_test
+package cluster
 
 // Property tests for the rendezvous shard map, driven by testing/quick:
 // randomized shard counts and sample populations must always satisfy the
@@ -9,8 +9,6 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/cluster"
 )
 
 // quickCfg bounds the random draws: shard counts stay small (that is the
@@ -22,11 +20,11 @@ var quickCfg = &quick.Config{MaxCount: 200}
 func TestQuickOneOwnerPerKey(t *testing.T) {
 	f := func(shardSeed uint8, sample uint32) bool {
 		shards := int(shardSeed)%16 + 1
-		m, err := cluster.NewShardMap(shards)
+		m, err := NewShardMap(shards)
 		if err != nil {
 			return false
 		}
-		m2, err := cluster.NewShardMap(shards)
+		m2, err := NewShardMap(shards)
 		if err != nil {
 			return false
 		}
@@ -38,17 +36,17 @@ func TestQuickOneOwnerPerKey(t *testing.T) {
 	}
 }
 
-// TestQuickPartitionIsExactCover: Partition's index lists form an exact
+// TestQuickPartitionIsExactCover: partition's index lists form an exact
 // cover of the input — every position appears once, under its owning shard,
 // in input order.
 func TestQuickPartitionIsExactCover(t *testing.T) {
 	f := func(shardSeed uint8, samples []uint32) bool {
 		shards := int(shardSeed)%8 + 1
-		m, err := cluster.NewShardMap(shards)
+		m, err := NewShardMap(shards)
 		if err != nil {
 			return false
 		}
-		parts := m.Partition(samples)
+		parts := m.partition(samples)
 		if len(parts) != shards {
 			return false
 		}
@@ -85,7 +83,7 @@ func TestQuickBalanceWithinTolerance(t *testing.T) {
 	f := func(shardSeed uint8) bool {
 		shards := int(shardSeed)%8 + 1
 		const n = 4096
-		m, err := cluster.NewShardMap(shards)
+		m, err := NewShardMap(shards)
 		if err != nil {
 			return false
 		}
@@ -114,11 +112,11 @@ func TestQuickResizeMovesOnlyToNewShard(t *testing.T) {
 	f := func(shardSeed uint8, base uint32) bool {
 		k := int(shardSeed)%6 + 1
 		const n = 2048
-		small, err := cluster.NewShardMap(k)
+		small, err := NewShardMap(k)
 		if err != nil {
 			return false
 		}
-		big, err := cluster.NewShardMap(k + 1)
+		big, err := NewShardMap(k + 1)
 		if err != nil {
 			return false
 		}
@@ -155,7 +153,7 @@ func TestQuickOwnedMatchesShardOf(t *testing.T) {
 	f := func(shardSeed uint8, nSeed uint16) bool {
 		shards := int(shardSeed)%8 + 1
 		n := int(nSeed)%512 + shards
-		m, err := cluster.NewShardMap(shards)
+		m, err := NewShardMap(shards)
 		if err != nil {
 			return false
 		}

@@ -6,7 +6,7 @@ import (
 )
 
 // TestShardOfGolden pins the layout-version-1 placement: these values must
-// never change without bumping LayoutVersion, or deployed clients and
+// never change without bumping layoutVersion, or deployed clients and
 // clusters would silently disagree about who owns what.
 func TestShardOfGolden(t *testing.T) {
 	golden := map[int][]int{
@@ -80,7 +80,7 @@ func TestPartitionOwnedCountsAgree(t *testing.T) {
 	for i := range samples {
 		samples[i] = uint32(i)
 	}
-	parts := m.Partition(samples)
+	parts := m.partition(samples)
 	want := counts(m, n)
 
 	total := 0
@@ -110,7 +110,7 @@ func TestPartitionOwnedCountsAgree(t *testing.T) {
 	}
 }
 
-// TestPartitionPreservesDuplicatesAndOrder: Partition is positional, so
+// TestPartitionPreservesDuplicatesAndOrder: partition is positional, so
 // duplicate IDs land on the same shard at distinct indices, in input order.
 func TestPartitionPreservesDuplicatesAndOrder(t *testing.T) {
 	m, err := NewShardMap(2)
@@ -118,7 +118,7 @@ func TestPartitionPreservesDuplicatesAndOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := []uint32{7, 7, 1, 7}
-	parts := m.Partition(in)
+	parts := m.partition(in)
 	seen := 0
 	for s, idxs := range parts {
 		for _, i := range idxs {
@@ -162,7 +162,7 @@ func TestResizeMovesFewSamples(t *testing.T) {
 
 // counts histograms the first n sample IDs by shard.
 func counts(m *ShardMap, n int) []int {
-	out := make([]int, m.Shards())
+	out := make([]int, m.shards)
 	for id := 0; id < n; id++ {
 		out[m.ShardOf(uint32(id))]++
 	}

@@ -46,7 +46,7 @@ func TestControllerReplansOnMixDrift(t *testing.T) {
 	if snap.Version != 2 || !strings.Contains(snap.Reason, "mix-drift") {
 		t.Fatalf("snapshot %v, want v2 with mix-drift reason", snap)
 	}
-	if len(drifts) != 1 || drifts[0].Kind != profiler.DriftMix {
+	if len(drifts) != 1 || drifts[0].Kind.String() != "mix-drift" {
 		t.Fatalf("drifts %v", drifts)
 	}
 	if drifts[0].Baseline != baseline {

@@ -20,8 +20,8 @@ type CostModel struct {
 	NormalizePerPix float64 // ns per pixel of Normalize
 }
 
-// DefaultCostModel is the calibrated cost law from DESIGN.md.
-func DefaultCostModel() CostModel {
+// defaultCostModel is the calibrated cost law from DESIGN.md.
+func defaultCostModel() CostModel {
 	return CostModel{
 		DecodePerPixel:  8,
 		DecodePerByte:   4,
@@ -33,10 +33,10 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// OpTimes evaluates the cost law for a sample with the given raw byte size,
+// opTimes evaluates the cost law for a sample with the given raw byte size,
 // decoded pixel count, and crop-output pixel count. jitter multiplies every
 // op time (1 means none).
-func (m CostModel) OpTimes(rawBytes, srcPixels, outPixels int64, jitter float64) [OpCount]time.Duration {
+func (m CostModel) opTimes(rawBytes, srcPixels, outPixels int64, jitter float64) [OpCount]time.Duration {
 	ns := func(v float64) time.Duration { return time.Duration(v * jitter) }
 	return [OpCount]time.Duration{
 		ns(m.DecodePerPixel*float64(srcPixels) + m.DecodePerByte*float64(rawBytes)),

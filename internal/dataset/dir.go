@@ -107,15 +107,15 @@ func LoadDir(dir string) (*DirSet, error) {
 // Name returns the dataset name.
 func (s *DirSet) Name() string { return s.manifest.Name }
 
-// N returns the number of samples.
-func (s *DirSet) N() int { return s.manifest.N }
+// n returns the number of samples.
+func (s *DirSet) n() int { return s.manifest.N }
 
-// Raw reads sample i's stored bytes from disk. A file whose SJPG header a
+// raw reads sample i's stored bytes from disk. A file whose SJPG header a
 // build cannot read (imaging.ErrUnsupported: a directory an older build
 // wrote) or whose dimensions are not the manifest's (imaging.ErrCorrupt) is
 // refused here, so that a server refuses the directory at start-up rather
 // than failing every fetch of it.
-func (s *DirSet) Raw(i int) ([]byte, error) {
+func (s *DirSet) raw(i int) ([]byte, error) {
 	if i < 0 || i >= s.manifest.N {
 		return nil, fmt.Errorf("dataset: sample %d out of range [0, %d)", i, s.manifest.N)
 	}
@@ -144,9 +144,9 @@ func (s *DirSet) Raw(i int) ([]byte, error) {
 // at startup, mirroring the paper's RAM-cached datasets — and decodes each in
 // full, for a crop (imaging.DecodeCropResize) decodes only the bands it reads.
 func (s *DirSet) Materialize() ([][]byte, error) {
-	out := make([][]byte, s.N())
+	out := make([][]byte, s.n())
 	err := ForEach(len(out), func(i int) (err error) {
-		if out[i], err = s.Raw(i); err != nil {
+		if out[i], err = s.raw(i); err != nil {
 			return err
 		}
 		im, err := imaging.Decode(out[i])

@@ -36,11 +36,11 @@ func TestWriteLoadDirRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ds.N() != 5 || ds.Name() != "disk" || ds.manifest.TotalBytes == 0 {
-		t.Fatalf("loaded facts: %d %q %d", ds.N(), ds.Name(), ds.manifest.TotalBytes)
+	if ds.n() != 5 || ds.Name() != "disk" || ds.manifest.TotalBytes == 0 {
+		t.Fatalf("loaded facts: %d %q %d", ds.n(), ds.Name(), ds.manifest.TotalBytes)
 	}
 	for i := 0; i < 5; i++ {
-		fromDisk, err := ds.Raw(i)
+		fromDisk, err := ds.raw(i)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,10 +64,10 @@ func TestDirSetBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Raw(-1); err == nil {
+	if _, err := ds.raw(-1); err == nil {
 		t.Fatal("Raw(-1) accepted")
 	}
-	if _, err := ds.Raw(5); err == nil {
+	if _, err := ds.raw(5); err == nil {
 		t.Fatal("Raw(N) accepted")
 	}
 }
@@ -125,7 +125,7 @@ func TestDirSetDetectsTruncatedFiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Truncate one sample file; Raw must notice the size mismatch.
+	// Truncate one sample file; raw must notice the size mismatch.
 	path := filepath.Join(dir, "000001.sjpg")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -134,7 +134,7 @@ func TestDirSetDetectsTruncatedFiles(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ds.Raw(1); err == nil {
+	if _, err := ds.raw(1); err == nil {
 		t.Fatal("accepted truncated sample file")
 	}
 }

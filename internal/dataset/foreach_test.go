@@ -303,7 +303,7 @@ func TestMaterializeReturnsLowestIndexError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, wantRead := ds.Raw(5)
+	_, wantRead := ds.raw(5)
 
 	atProcs(t, func(t *testing.T, _ int) {
 		if _, err := bad.Materialize(); err == nil || err.Error() != want.Error() {

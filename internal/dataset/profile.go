@@ -49,7 +49,7 @@ func OpenImages12G() Profile {
 		CompressMu: math.Log(12), CompressSigma: 0.20,
 		CropSize:        224,
 		TimeJitterSigma: 0.10,
-		Cost:            DefaultCostModel(),
+		Cost:            defaultCostModel(),
 	}
 }
 
@@ -64,7 +64,7 @@ func ImageNet11G() Profile {
 		CompressMu: math.Log(12), CompressSigma: 0.20,
 		CropSize:        224,
 		TimeJitterSigma: 0.10,
-		Cost:            DefaultCostModel(),
+		Cost:            defaultCostModel(),
 	}
 }
 
@@ -122,7 +122,7 @@ func GenerateTrace(p Profile, seed uint64) (*Trace, error) {
 			RawSize: raw,
 			Width:   w,
 			Height:  h,
-			OpTimes: p.Cost.OpTimes(raw, srcPixels, outPixels, jitter),
+			OpTimes: p.Cost.opTimes(raw, srcPixels, outPixels, jitter),
 		}
 		rec.StageSizes = [StageCount]int64{
 			int64(pipeline.RawWireSize(int(raw))),

@@ -50,7 +50,7 @@ type Config struct {
 	// positions in stream order, keeping up to Lookahead transfers in
 	// flight on its link regardless of where the global consumption cursor
 	// sits. 0 keeps the reactive window model. Mutually exclusive with a
-	// non-zero PrefetchWindow (ErrLookaheadConfig).
+	// non-zero PrefetchWindow (errLookaheadConfig).
 	Lookahead int
 
 	// PrepSched selects how local preprocessing is dispatched over
@@ -83,19 +83,19 @@ const (
 	PrepSchedFIFO
 )
 
-// ErrPrepSchedConfig marks an unknown PrepSched model.
-var ErrPrepSchedConfig = errors.New("engine: unknown prepsched model")
+// errPrepSchedConfig marks an unknown PrepSched model.
+var errPrepSchedConfig = errors.New("engine: unknown prepsched model")
 
-// ErrLookaheadConfig marks contradictory loader knobs: a clairvoyant
+// errLookaheadConfig marks contradictory loader knobs: a clairvoyant
 // lookahead combined with a reactive prefetch window.
-var ErrLookaheadConfig = errors.New("engine: lookahead and reactive window knobs conflict")
+var errLookaheadConfig = errors.New("engine: lookahead and reactive window knobs conflict")
 
-// DefaultRequestOverhead is the per-fetch framing added to every sample's
+// defaultRequestOverhead is the per-fetch framing added to every sample's
 // transfer, the value the committed DES records (BENCH_pr5–pr10) were
 // generated with. It is a constant of those records, not a measurement of
 // the live wire: a one-sample round trip there frames 42 B of request and
 // 34 B around the artifact, and a batch amortises both.
-const DefaultRequestOverhead = 53
+const defaultRequestOverhead = 53
 
 // Result summarizes a simulated epoch.
 type Result struct {
@@ -249,10 +249,10 @@ func (cfg *Config) resolve() error {
 		return fmt.Errorf("engine: lookahead depth %d", cfg.Lookahead)
 	}
 	if cfg.Lookahead > 0 && cfg.PrefetchWindow > 0 {
-		return fmt.Errorf("%w: lookahead %d with reactive window %d", ErrLookaheadConfig, cfg.Lookahead, cfg.PrefetchWindow)
+		return fmt.Errorf("%w: lookahead %d with reactive window %d", errLookaheadConfig, cfg.Lookahead, cfg.PrefetchWindow)
 	}
 	if cfg.PrepSched != PrepSchedSteal && cfg.PrepSched != PrepSchedFIFO {
-		return fmt.Errorf("%w %d", ErrPrepSchedConfig, int(cfg.PrepSched))
+		return fmt.Errorf("%w %d", errPrepSchedConfig, int(cfg.PrepSched))
 	}
 	if cfg.PrepWorkers < 0 {
 		return fmt.Errorf("engine: prep workers %d", cfg.PrepWorkers)
@@ -405,7 +405,7 @@ func (j *job) xferBytes(id int) int64 {
 	if split == 0 && j.cfg.Fidelity != nil {
 		size = j.cfg.Fidelity.BytesAt(size, j.cfg.Plan.FidelityOf(id))
 	}
-	return size + DefaultRequestOverhead
+	return size + defaultRequestOverhead
 }
 
 // shard is the storage server that owns stream position i's sample.
@@ -442,7 +442,7 @@ func (j *job) step() {
 	at := j.gate()
 
 	bytes := j.xferBytes(id)
-	full := rec.StageSizes[split] + DefaultRequestOverhead
+	full := rec.StageSizes[split] + defaultRequestOverhead
 	key := cacheKey{dataset: j.dataset, sample: uint32(id), cut: uint8(split)}
 	shared := t.cacheCap > 0 && j.dataset != 0
 	if shared && t.resident[key] {

@@ -94,7 +94,7 @@ func TestTrafficConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := tr.TotalRawBytes() + int64(tr.N()*DefaultRequestOverhead)
+	want := tr.TotalRawBytes() + int64(tr.N()*defaultRequestOverhead)
 	if res.TrafficBytes != want {
 		t.Fatalf("traffic %d, want %d", res.TrafficBytes, want)
 	}
@@ -230,7 +230,7 @@ func TestSophonBestAcrossCoreCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, p := range policy.Baselines() {
+		for _, p := range policy.All() { // SOPHON against itself included
 			res, _, err := RunPolicy(p, tr, e, 256)
 			if err != nil {
 				t.Fatal(err)

@@ -62,7 +62,7 @@ func TestFidelityByteAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := wantPayload + int64(tr.N()*DefaultRequestOverhead)
+	want := wantPayload + int64(tr.N()*defaultRequestOverhead)
 	if on.TrafficBytes != want {
 		t.Fatalf("priced traffic %d, want %d (policy.TrafficWith)", on.TrafficBytes, want)
 	}

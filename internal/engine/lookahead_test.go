@@ -22,7 +22,7 @@ func TestLookaheadValidation(t *testing.T) {
 		}
 	}
 	bad := Config{Trace: tr, Plan: plan, Env: env(0), Lookahead: 2, PrefetchWindow: 8}
-	if _, err := Run(bad); !errors.Is(err, ErrLookaheadConfig) {
+	if _, err := Run(bad); !errors.Is(err, errLookaheadConfig) {
 		t.Fatalf("conflict error = %v, want ErrLookaheadConfig", err)
 	}
 }

@@ -42,14 +42,14 @@ func TestPrepSchedValidation(t *testing.T) {
 	for _, tc := range cases {
 		cfg := base
 		tc.mut(&cfg)
-		if _, err := Run(cfg); !errors.Is(err, ErrPrepSchedConfig) {
+		if _, err := Run(cfg); !errors.Is(err, errPrepSchedConfig) {
 			t.Errorf("%s: err = %v, want ErrPrepSchedConfig", tc.name, err)
 		}
 	}
 	// A negative worker count is a range error, not an unknown model.
 	cfg := base
 	cfg.PrepWorkers = -1
-	if _, err := Run(cfg); err == nil || errors.Is(err, ErrPrepSchedConfig) {
+	if _, err := Run(cfg); err == nil || errors.Is(err, errPrepSchedConfig) {
 		t.Errorf("negative workers: err = %v", err)
 	}
 }

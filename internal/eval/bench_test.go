@@ -1,4 +1,4 @@
-package sophon
+package eval
 
 // Benchmark harness: one benchmark per table and figure in the paper's
 // evaluation (see DESIGN.md's per-experiment index). Each iteration
@@ -7,19 +7,15 @@ package sophon
 // `go test -bench=. -benchmem` both times the reproduction and prints the
 // numbers EXPERIMENTS.md records.
 
-import (
-	"testing"
-
-	"repro/internal/eval"
-)
+import "testing"
 
 // benchOpts runs experiments at paper scale (40k OpenImages / 91k ImageNet
 // samples) with the default seed.
-func benchOpts() eval.Options { return eval.Options{Seed: 2024} }
+func benchOpts() Options { return Options{Seed: 2024} }
 
 func BenchmarkTable1_CapabilityMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := eval.Table1()
+		t := table1()
 		if len(t.Rows) != 5 {
 			b.Fatalf("table 1 rows = %d", len(t.Rows))
 		}
@@ -29,11 +25,11 @@ func BenchmarkTable1_CapabilityMatrix(b *testing.B) {
 func BenchmarkFigure1a_SizeTrace(b *testing.B) {
 	var minA int
 	for i := 0; i < b.N; i++ {
-		res, _, err := eval.Figure1a(benchOpts())
+		res, _, err := figure1a(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
-		minA = res.MinStageA()
+		minA = res.minStageA()
 	}
 	b.ReportMetric(float64(minA), "sampleA_min_stage")
 }
@@ -41,7 +37,7 @@ func BenchmarkFigure1a_SizeTrace(b *testing.B) {
 func BenchmarkFigure1b_MinStageDistribution(b *testing.B) {
 	var oi, in float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := eval.Figure1b(benchOpts())
+		res, _, err := figure1b(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -55,7 +51,7 @@ func BenchmarkFigure1b_MinStageDistribution(b *testing.B) {
 func BenchmarkFigure1c_EfficiencyCDF(b *testing.B) {
 	var zero, p50 float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := eval.Figure1c(benchOpts())
+		res, _, err := figure1c(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +65,7 @@ func BenchmarkFigure1c_EfficiencyCDF(b *testing.B) {
 func BenchmarkFigure1d_GPUUtilization(b *testing.B) {
 	var alexnet, r18, r50 float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := eval.Figure1d(benchOpts())
+		res, _, err := figure1d(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -85,13 +81,13 @@ func BenchmarkFigure1d_GPUUtilization(b *testing.B) {
 func BenchmarkFigure3_AmpleCPU(b *testing.B) {
 	var oiReduction, inReduction float64
 	for i := 0; i < b.N; i++ {
-		results, _, err := eval.Figure3(benchOpts())
+		results, _, err := figure3(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
 		for _, res := range results {
-			noOff, _ := res.Run("No-Off")
-			sophon, _ := res.Run("SOPHON")
+			noOff, _ := res.run("No-Off")
+			sophon, _ := res.run("SOPHON")
 			reduction := noOff.TrafficGB / sophon.TrafficGB
 			if res.Dataset == "openimages-12g" {
 				oiReduction = reduction
@@ -107,7 +103,7 @@ func BenchmarkFigure3_AmpleCPU(b *testing.B) {
 func BenchmarkFigure4_LimitedCPU(b *testing.B) {
 	var firstGain, lastGain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := eval.Figure4(benchOpts())
+		res, _, err := figure4(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -122,7 +118,7 @@ func BenchmarkFigure4_LimitedCPU(b *testing.B) {
 func BenchmarkHeadline_Speedup(b *testing.B) {
 	var minSpeedup, maxReduction float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := eval.Headline(benchOpts())
+		rows, _, err := headline(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -143,7 +139,7 @@ func BenchmarkHeadline_Speedup(b *testing.B) {
 func BenchmarkAblation_StepGuard(b *testing.B) {
 	var delta float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := eval.AblationStepGuard(benchOpts())
+		rows, _, err := ablationStepGuard(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -155,7 +151,7 @@ func BenchmarkAblation_StepGuard(b *testing.B) {
 func BenchmarkAblation_HeterogeneousCPU(b *testing.B) {
 	var penalty float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := eval.AblationHeterogeneous(benchOpts())
+		rows, _, err := ablationHeterogeneous(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +163,7 @@ func BenchmarkAblation_HeterogeneousCPU(b *testing.B) {
 func BenchmarkAblation_LocalCache(b *testing.B) {
 	var sophonVsQuarterCache float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := eval.AblationLocalCache(benchOpts())
+		rows, _, err := ablationLocalCache(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +179,7 @@ func BenchmarkAblation_LocalCache(b *testing.B) {
 func BenchmarkAblation_OracleGap(b *testing.B) {
 	var gapAt1Core float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := eval.AblationOracle(benchOpts())
+		rows, _, err := ablationOracle(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -199,7 +195,7 @@ func BenchmarkAblation_OracleGap(b *testing.B) {
 func BenchmarkValidation_ModelVsDES(b *testing.B) {
 	var maxErr float64
 	for i := 0; i < b.N; i++ {
-		rows, _, err := eval.ValidateModel(benchOpts())
+		rows, _, err := validateModel(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -216,7 +212,7 @@ func BenchmarkValidation_ModelVsDES(b *testing.B) {
 func BenchmarkDiscussionF_BandwidthSweep(b *testing.B) {
 	var activations int
 	for i := 0; i < b.N; i++ {
-		rows, _, err := eval.DiscussionBandwidthSweep(benchOpts())
+		rows, _, err := discussionBandwidthSweep(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -233,7 +229,7 @@ func BenchmarkDiscussionF_BandwidthSweep(b *testing.B) {
 func BenchmarkDiscussionG_LLMWorkload(b *testing.B) {
 	var offloaded int
 	for i := 0; i < b.N; i++ {
-		res, _, err := eval.DiscussionLLM(benchOpts())
+		res, _, err := discussionLLM(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -245,7 +241,7 @@ func BenchmarkDiscussionG_LLMWorkload(b *testing.B) {
 func BenchmarkAblation_MultiTenant(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
-		res, _, err := eval.AblationMultiTenant(benchOpts())
+		res, _, err := ablationMultiTenant(benchOpts())
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -16,12 +16,12 @@ func testOpts() Options {
 }
 
 func TestTableRendering(t *testing.T) {
-	tbl := Table{
+	tbl := table{
 		Title:   "demo",
 		Columns: []string{"a", "bbbb"},
 		Notes:   []string{"hello"},
 	}
-	tbl.AddRow("x", "y")
+	tbl.addRow("x", "y")
 	out := tbl.String()
 	for _, want := range []string{"== demo ==", "a", "bbbb", "x", "y", "note: hello", "----"} {
 		if !strings.Contains(out, want) {
@@ -31,7 +31,7 @@ func TestTableRendering(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	tbl := Table1()
+	tbl := table1()
 	if len(tbl.Rows) != 5 {
 		t.Fatalf("Table 1 has %d rows", len(tbl.Rows))
 	}
@@ -56,15 +56,15 @@ func TestTable1Shape(t *testing.T) {
 // inflation; sample B's min is the raw form — the paper's two motivating
 // samples.
 func TestFigure1aShape(t *testing.T) {
-	res, tbl, err := Figure1a(testOpts())
+	res, tbl, err := figure1a(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.MinStageA(); got != 2 && got != 3 {
+	if got := res.minStageA(); got != 2 && got != 3 {
 		t.Fatalf("sample A min stage %d, want crop/flip", got)
 	}
-	if res.MinStageB() != 0 {
-		t.Fatalf("sample B min stage %d, want raw", res.MinStageB())
+	if res.minStageB() != 0 {
+		t.Fatalf("sample B min stage %d, want raw", res.minStageB())
 	}
 	// Sample A raw should be in the hundreds of KB like the paper's 462 KB.
 	if res.SampleA[0] < 200e3 || res.SampleA[0] > 900e3 {
@@ -80,7 +80,7 @@ func TestFigure1aShape(t *testing.T) {
 }
 
 func TestFigure1bMatchesPaperFractions(t *testing.T) {
-	res, _, err := Figure1b(testOpts())
+	res, _, err := figure1b(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestFigure1bMatchesPaperFractions(t *testing.T) {
 }
 
 func TestFigure1cShape(t *testing.T) {
-	res, _, err := Figure1c(testOpts())
+	res, _, err := figure1c(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestFigure1cShape(t *testing.T) {
 }
 
 func TestFigure1dShape(t *testing.T) {
-	res, _, err := Figure1d(testOpts())
+	res, _, err := figure1d(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestFigure1dShape(t *testing.T) {
 
 // TestFigure3MatchesPaperShape checks every qualitative claim of Figure 3.
 func TestFigure3MatchesPaperShape(t *testing.T) {
-	results, _, err := Figure3(testOpts())
+	results, _, err := figure3(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestFigure3MatchesPaperShape(t *testing.T) {
 		t.Fatalf("%d datasets", len(results))
 	}
 	for _, res := range results {
-		noOff, _ := res.Run("No-Off")
-		allOff, _ := res.Run("All-Off")
-		fastFlow, _ := res.Run("FastFlow")
-		resizeOff, _ := res.Run("Resize-Off")
-		sophon, _ := res.Run("SOPHON")
+		noOff, _ := res.run("No-Off")
+		allOff, _ := res.run("All-Off")
+		fastFlow, _ := res.run("FastFlow")
+		resizeOff, _ := res.run("Resize-Off")
+		sophon, _ := res.run("SOPHON")
 
 		if fastFlow.TrafficGB != noOff.TrafficGB {
 			t.Errorf("%s: FastFlow traffic %f != No-Off %f", res.Dataset, fastFlow.TrafficGB, noOff.TrafficGB)
@@ -194,7 +194,7 @@ func TestFigure3MatchesPaperShape(t *testing.T) {
 
 // TestFigure4MatchesPaperShape checks the limited-CPU claims.
 func TestFigure4MatchesPaperShape(t *testing.T) {
-	res, _, err := Figure4(testOpts())
+	res, _, err := figure4(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestFigure4MatchesPaperShape(t *testing.T) {
 
 // TestHeadlineClaim: the abstract's 1.2–2.2× range.
 func TestHeadlineClaim(t *testing.T) {
-	rows, _, err := Headline(testOpts())
+	rows, _, err := headline(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +254,7 @@ func TestHeadlineClaim(t *testing.T) {
 func TestAblations(t *testing.T) {
 	opts := testOpts()
 
-	guard, _, err := AblationStepGuard(opts)
+	guard, _, err := ablationStepGuard(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestAblations(t *testing.T) {
 		}
 	}
 
-	hetero, _, err := AblationHeterogeneous(opts)
+	hetero, _, err := ablationHeterogeneous(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestAblations(t *testing.T) {
 		t.Error("3x slower storage produced faster epochs")
 	}
 
-	mt, _, err := AblationMultiTenant(Options{Seed: 7, OpenImages: 1200, ImageNet: 1200})
+	mt, _, err := ablationMultiTenant(Options{Seed: 7, OpenImages: 1200, ImageNet: 1200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestAblations(t *testing.T) {
 		t.Errorf("scheduler %.1fs worse than even split %.1fs", mt.SmartTotalSeconds, mt.EvenTotalSeconds)
 	}
 
-	cacheRows, _, err := AblationLocalCache(opts)
+	cacheRows, _, err := ablationLocalCache(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +312,7 @@ func TestAblations(t *testing.T) {
 // with stays within ~12% of the discrete-event simulation everywhere the
 // evaluation uses it.
 func TestValidateModel(t *testing.T) {
-	rows, _, err := ValidateModel(testOpts())
+	rows, _, err := validateModel(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +330,11 @@ func TestValidateModel(t *testing.T) {
 // TestAblationOracle: SOPHON matches the CPU-oblivious Oracle with ample
 // cores and beats it under CPU constraints.
 func TestAblationOracle(t *testing.T) {
-	rows, _, err := AblationOracle(testOpts())
+	rows, _, err := ablationOracle(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	byCores := map[int]AblationOracleRow{}
+	byCores := map[int]ablationOracleRow{}
 	for _, r := range rows {
 		byCores[r.Cores] = r
 	}
@@ -355,7 +355,7 @@ func TestAblationOracle(t *testing.T) {
 // TestValidateGenerator: the real tier obeys the model tier's size law
 // exactly — the foundation of the dataset substitution.
 func TestValidateGenerator(t *testing.T) {
-	res, _, err := ValidateGenerator(48, 5)
+	res, _, err := validateGenerator(48, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,11 +379,11 @@ func TestValidateGenerator(t *testing.T) {
 // activates below the I/O crossover and declines above it, and the
 // crossover moves to higher bandwidth with more GPUs sharing the link.
 func TestDiscussionBandwidthSweep(t *testing.T) {
-	rows, _, err := DiscussionBandwidthSweep(testOpts())
+	rows, _, err := discussionBandwidthSweep(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	byKey := map[string]DiscussionFRow{}
+	byKey := map[string]discussionFRow{}
 	for _, r := range rows {
 		byKey[fmt.Sprintf("%.2f/%d", r.GbpsLink, r.GPUs)] = r
 	}
@@ -412,7 +412,7 @@ func TestDiscussionBandwidthSweep(t *testing.T) {
 
 // TestDiscussionLLM checks §5's LLM claim: zero candidates, plan ≡ No-Off.
 func TestDiscussionLLM(t *testing.T) {
-	res, _, err := DiscussionLLM(testOpts())
+	res, _, err := discussionLLM(testOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,11 +425,11 @@ func TestDiscussionLLM(t *testing.T) {
 }
 
 func TestTableCSV(t *testing.T) {
-	tbl := Table{
+	tbl := table{
 		Columns: []string{"a", "b"},
 	}
-	tbl.AddRow("1", "two, quoted \"x\"")
-	got := tbl.CSV()
+	tbl.addRow("1", "two, quoted \"x\"")
+	got := tbl.csv()
 	want := "a,b\n1,\"two, quoted \"\"x\"\"\"\n"
 	if got != want {
 		t.Fatalf("CSV = %q, want %q", got, want)

@@ -7,13 +7,13 @@ import (
 	"repro/internal/pipeline"
 )
 
-// FidelityResult checks the model tier against the real tier: samples
+// fidelityResult checks the model tier against the real tier: samples
 // measured by running the real codec and real ops must obey exactly the
 // artifact-size law the trace generator assumes, and their offload structure
 // (which stage is minimal) must follow from raw size vs crop-artifact size
 // the same way. The law is what StageTrace.Sizes reports; what the live tier
 // ships on image stages is smaller, by the measured ShippedOverLaw.
-type FidelityResult struct {
+type fidelityResult struct {
 	Samples          int
 	LawViolations    int     // measured stage sizes that break the artifact size law
 	MinStageMismatch int     // samples whose min stage isn't argmin(raw, decode, crop)
@@ -21,11 +21,11 @@ type FidelityResult struct {
 	ShippedOverLaw   float64 // packed bytes ÷ law bytes, summed over the image stages
 }
 
-// ValidateGenerator renders n real synthetic photos, measures them through
+// validateGenerator renders n real synthetic photos, measures them through
 // the real pipeline (the profiler's stage-2 kernel), and audits every stage
 // trace against the model tier's assumptions. DESIGN.md's substitution
 // argument rests on this correspondence.
-func ValidateGenerator(n int, seed uint64) (FidelityResult, Table, error) {
+func validateGenerator(n int, seed uint64) (fidelityResult, table, error) {
 	if n <= 0 {
 		n = 96
 	}
@@ -33,26 +33,26 @@ func ValidateGenerator(n int, seed uint64) (FidelityResult, Table, error) {
 		Name: "fidelity", N: n, Seed: seed, MinDim: 64, MaxDim: 420,
 	})
 	if err != nil {
-		return FidelityResult{}, Table{}, err
+		return fidelityResult{}, table{}, err
 	}
 	const crop = 128
 	p := pipeline.Standard(pipeline.StandardOptions{CropSize: crop, FlipP: -1})
-	res := FidelityResult{Samples: n}
+	res := fidelityResult{Samples: n}
 	cropWire := pipeline.ImageWireSize(crop, crop)
 	tensorWire := pipeline.TensorWireSize(3, crop, crop)
 	var benefiting, shipped, law int
 	raws, err := set.Materialize()
 	if err != nil {
-		return FidelityResult{}, Table{}, err
+		return fidelityResult{}, table{}, err
 	}
 	for i, raw := range raws {
 		meta, err := set.Meta(i)
 		if err != nil {
-			return FidelityResult{}, Table{}, err
+			return fidelityResult{}, table{}, err
 		}
 		out, st, err := p.Trace(raw, pipeline.Seed{Job: seed, Epoch: 1, Sample: uint64(i)})
 		if err != nil {
-			return FidelityResult{}, Table{}, err
+			return fidelityResult{}, table{}, err
 		}
 		out.Release()
 		// The artifact size law the trace generator assumes.
@@ -85,15 +85,15 @@ func ValidateGenerator(n int, seed uint64) (FidelityResult, Table, error) {
 	}
 	res.Benefiting = float64(benefiting) / float64(n)
 	res.ShippedOverLaw = float64(shipped) / float64(law)
-	t := Table{
+	t := table{
 		Title:   "Fidelity: real-tier measurements vs the model tier's assumptions",
 		Columns: []string{"Metric", "Value"},
 	}
-	t.AddRow("samples measured (real codec + real ops)", fmt.Sprintf("%d", res.Samples))
-	t.AddRow("artifact size-law violations", fmt.Sprintf("%d", res.LawViolations))
-	t.AddRow("min-stage mismatches", fmt.Sprintf("%d", res.MinStageMismatch))
-	t.AddRow("benefiting fraction (real tier)", fmtF(res.Benefiting, 3))
-	t.AddRow("image stages, shipped ÷ law bytes", fmtF(res.ShippedOverLaw, 3))
+	t.addRow("samples measured (real codec + real ops)", fmt.Sprintf("%d", res.Samples))
+	t.addRow("artifact size-law violations", fmt.Sprintf("%d", res.LawViolations))
+	t.addRow("min-stage mismatches", fmt.Sprintf("%d", res.MinStageMismatch))
+	t.addRow("benefiting fraction (real tier)", fmtF(res.Benefiting, 3))
+	t.addRow("image stages, shipped ÷ law bytes", fmtF(res.ShippedOverLaw, 3))
 	t.Notes = append(t.Notes,
 		"zero violations ⇒ the statistical trace generator and the real pipeline share one size law")
 	return res, t, nil

@@ -17,10 +17,10 @@ var stageNames = [dataset.StageCount]string{
 	"raw", "decode", "rrcrop", "flip", "totensor", "normalize",
 }
 
-// Table1 reproduces the paper's capability matrix: prior offloading systems
+// table1 reproduces the paper's capability matrix: prior offloading systems
 // versus SOPHON. The literature rows encode the published designs; the
 // SOPHON row comes from the decision engine's own metadata.
-func Table1() Table {
+func table1() table {
 	rows := []struct {
 		name string
 		c    policy.Capabilities
@@ -31,12 +31,12 @@ func Table1() Table {
 		{"cedar [35]", policy.Capabilities{OperationSelective: policy.Partial}},
 		{"SOPHON", policy.NewSophon().Capabilities()},
 	}
-	t := Table{
+	t := table{
 		Title:   "Table 1: Existing Offloading vs SOPHON",
 		Columns: []string{"System", "Operation Selective", "Data Partial", "Data Selective", "To Near Storage"},
 	}
 	for _, r := range rows {
-		t.AddRow(r.name,
+		t.addRow(r.name,
 			r.c.OperationSelective.String(),
 			r.c.DataPartial.String(),
 			r.c.DataSelective.String(),
@@ -45,19 +45,19 @@ func Table1() Table {
 	return t
 }
 
-// Fig1aResult holds per-stage wire sizes for the two representative
+// fig1aResult holds per-stage wire sizes for the two representative
 // samples: A (large photo, min size mid-pipeline) and B (small photo, min
 // size raw).
-type Fig1aResult struct {
+type fig1aResult struct {
 	SampleA [dataset.StageCount]int64
 	SampleB [dataset.StageCount]int64
 }
 
-// MinStageA returns sample A's smallest stage.
-func (r Fig1aResult) MinStageA() int { return minStage(r.SampleA) }
+// minStageA returns sample A's smallest stage.
+func (r fig1aResult) minStageA() int { return minStage(r.SampleA) }
 
-// MinStageB returns sample B's smallest stage.
-func (r Fig1aResult) MinStageB() int { return minStage(r.SampleB) }
+// minStageB returns sample B's smallest stage.
+func (r fig1aResult) minStageB() int { return minStage(r.SampleB) }
 
 func minStage(sizes [dataset.StageCount]int64) int {
 	best := 0
@@ -69,12 +69,12 @@ func minStage(sizes [dataset.StageCount]int64) int {
 	return best
 }
 
-// Figure1a traces two real synthetic photos through the real pipeline:
+// figure1a traces two real synthetic photos through the real pipeline:
 // Sample A is a detailed ~1-megapixel photo whose raw encoding (~460 KB)
 // shrinks to the ~150 KB crop artifact; Sample B is a small photo whose raw
 // form is already the minimum.
-func Figure1a(opts Options) (Fig1aResult, Table, error) {
-	var res Fig1aResult
+func figure1a(opts Options) (fig1aResult, table, error) {
+	var res fig1aResult
 	p := pipeline.DefaultStandard()
 
 	trace := func(w, h int, detail float64, seed uint64, sample uint64) ([dataset.StageCount]int64, error) {
@@ -101,52 +101,52 @@ func Figure1a(opts Options) (Fig1aResult, Table, error) {
 	// Sample A: a large, detailed photo (the paper's 462 KB JPEG).
 	res.SampleA, err = trace(1180, 885, 0.85, opts.seed()+1, 1)
 	if err != nil {
-		return res, Table{}, fmt.Errorf("eval: sample A: %w", err)
+		return res, table{}, fmt.Errorf("eval: sample A: %w", err)
 	}
 	// Sample B: a small photo already below the crop-artifact size.
 	res.SampleB, err = trace(210, 160, 0.35, opts.seed()+2, 2)
 	if err != nil {
-		return res, Table{}, fmt.Errorf("eval: sample B: %w", err)
+		return res, table{}, fmt.Errorf("eval: sample B: %w", err)
 	}
 
-	t := Table{
+	t := table{
 		Title:   "Figure 1a: artifact size through the preprocessing pipeline (KB)",
 		Columns: []string{"Stage", "Sample A", "Sample B"},
 	}
 	for i := 0; i < dataset.StageCount; i++ {
-		t.AddRow(stageNames[i],
+		t.addRow(stageNames[i],
 			fmtF(float64(res.SampleA[i])/1e3, 1),
 			fmtF(float64(res.SampleB[i])/1e3, 1))
 	}
 	t.Notes = append(t.Notes,
 		fmt.Sprintf("sample A min at stage %q; sample B min at stage %q",
-			stageNames[res.MinStageA()], stageNames[res.MinStageB()]))
+			stageNames[res.minStageA()], stageNames[res.minStageB()]))
 	return res, t, nil
 }
 
-// Fig1bResult holds min-stage distributions per dataset.
-type Fig1bResult struct {
+// fig1bResult holds min-stage distributions per dataset.
+type fig1bResult struct {
 	Datasets   []string
 	Hist       map[string][dataset.StageCount]float64 // fraction per stage
 	Benefiting map[string]float64                     // fraction with min after stage 0
 }
 
-// Figure1b computes, for both dataset profiles, the fraction of samples
+// figure1b computes, for both dataset profiles, the fraction of samples
 // whose minimum wire size occurs at each stage (the paper: 76 % of
 // OpenImages and 26 % of ImageNet benefit from some offloading).
-func Figure1b(opts Options) (Fig1bResult, Table, error) {
-	res := Fig1bResult{
+func figure1b(opts Options) (fig1bResult, table, error) {
+	res := fig1bResult{
 		Hist:       map[string][dataset.StageCount]float64{},
 		Benefiting: map[string]float64{},
 	}
-	t := Table{
+	t := table{
 		Title:   "Figure 1b: where each sample reaches its minimum size (fraction of dataset)",
 		Columns: append([]string{"Dataset"}, append(stageNames[:], "benefiting")...),
 	}
 	for _, pr := range []dataset.Profile{profileOI(opts), profileIN(opts)} {
 		tr, err := dataset.GenerateTrace(pr, opts.seed())
 		if err != nil {
-			return res, Table{}, err
+			return res, table{}, err
 		}
 		hist := tr.MinStageHistogram()
 		var frac [dataset.StageCount]float64
@@ -159,25 +159,25 @@ func Figure1b(opts Options) (Fig1bResult, Table, error) {
 		res.Hist[pr.Name] = frac
 		res.Benefiting[pr.Name] = tr.FractionBenefiting()
 		row = append(row, fmtF(res.Benefiting[pr.Name], 3))
-		t.AddRow(row...)
+		t.addRow(row...)
 	}
 	return res, t, nil
 }
 
-// Fig1cResult summarizes the offloading-efficiency distribution.
-type Fig1cResult struct {
+// fig1cResult summarizes the offloading-efficiency distribution.
+type fig1cResult struct {
 	FractionZero float64
 	// PercentileMBps maps percentile (e.g. 50) to efficiency in MB saved
 	// per CPU-second, over the whole dataset (zeros included).
 	PercentileMBps map[int]float64
 }
 
-// Figure1c computes the distribution of offloading efficiency (size
+// figure1c computes the distribution of offloading efficiency (size
 // reduction per CPU-second) across the OpenImages profile.
-func Figure1c(opts Options) (Fig1cResult, Table, error) {
+func figure1c(opts Options) (fig1cResult, table, error) {
 	tr, err := dataset.GenerateTrace(profileOI(opts), opts.seed())
 	if err != nil {
-		return Fig1cResult{}, Table{}, err
+		return fig1cResult{}, table{}, err
 	}
 	cands := policy.Candidates(tr)
 	effs := make([]float64, len(cands))
@@ -189,55 +189,55 @@ func Figure1c(opts Options) (Fig1cResult, Table, error) {
 		}
 	}
 	sort.Float64s(effs)
-	res := Fig1cResult{
+	res := fig1cResult{
 		FractionZero:   float64(zero) / float64(len(effs)),
 		PercentileMBps: map[int]float64{},
 	}
-	t := Table{
+	t := table{
 		Title:   "Figure 1c: offloading efficiency distribution, OpenImages (MB saved per CPU-second)",
 		Columns: []string{"Metric", "Value"},
 	}
-	t.AddRow("fraction at zero", fmtF(res.FractionZero, 3))
+	t.addRow("fraction at zero", fmtF(res.FractionZero, 3))
 	for _, pct := range []int{25, 50, 75, 90, 99} {
 		idx := pct * (len(effs) - 1) / 100
 		v := effs[idx] / 1e6
 		res.PercentileMBps[pct] = v
-		t.AddRow(fmt.Sprintf("p%d", pct), fmtF(v, 2))
+		t.addRow(fmt.Sprintf("p%d", pct), fmtF(v, 2))
 	}
 	return res, t, nil
 }
 
-// Fig1dResult maps model name to GPU utilization under the constrained
+// fig1dResult maps model name to GPU utilization under the constrained
 // link.
-type Fig1dResult struct {
+type fig1dResult struct {
 	Utilization map[string]float64
 }
 
-// Figure1d simulates a no-offloading epoch per model profile and reports
+// figure1d simulates a no-offloading epoch per model profile and reports
 // GPU utilization.
-func Figure1d(opts Options) (Fig1dResult, Table, error) {
+func figure1d(opts Options) (fig1dResult, table, error) {
 	tr, err := dataset.GenerateTrace(profileOI(opts), opts.seed())
 	if err != nil {
-		return Fig1dResult{}, Table{}, err
+		return fig1dResult{}, table{}, err
 	}
 	plan, err := policy.NewUniformPlan("No-Off", tr.N(), 0)
 	if err != nil {
-		return Fig1dResult{}, Table{}, err
+		return fig1dResult{}, table{}, err
 	}
-	res := Fig1dResult{Utilization: map[string]float64{}}
-	t := Table{
+	res := fig1dResult{Utilization: map[string]float64{}}
+	t := table{
 		Title:   "Figure 1d: GPU utilization under a 500 Mbps link (no offloading)",
 		Columns: []string{"Model", "GPU util", "Fetch-idle"},
 	}
 	for _, m := range gpu.Models() {
-		env := DefaultEnv(0)
+		env := defaultEnv(0)
 		env.GPU = m
 		r, err := engine.Run(engine.Config{Trace: tr, Plan: plan, Env: env})
 		if err != nil {
-			return Fig1dResult{}, Table{}, err
+			return fig1dResult{}, table{}, err
 		}
 		res.Utilization[m.Name] = r.GPUUtilization
-		t.AddRow(m.Name, fmtF(r.GPUUtilization, 3), fmtF(1-r.GPUUtilization, 3))
+		t.addRow(m.Name, fmtF(r.GPUUtilization, 3), fmtF(1-r.GPUUtilization, 3))
 	}
 	return res, t, nil
 }

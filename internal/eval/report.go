@@ -8,45 +8,45 @@ import (
 	"strings"
 )
 
-// NamedTable pairs a table with a file-name-safe slug.
-type NamedTable struct {
+// namedTable pairs a table with a file-name-safe slug.
+type namedTable struct {
 	Slug  string
-	Table Table
+	Table table
 }
 
-// Collect runs every experiment and returns the rendered tables in report
+// collect runs every experiment and returns the rendered tables in report
 // order.
-func Collect(opts Options) ([]NamedTable, error) {
+func collect(opts Options) ([]namedTable, error) {
 	type step struct {
 		slug string
-		run  func() (Table, error)
+		run  func() (table, error)
 	}
 	steps := []step{
-		{"table1_capabilities", func() (Table, error) { return Table1(), nil }},
-		{"figure1a_size_trace", func() (Table, error) { _, t, err := Figure1a(opts); return t, err }},
-		{"figure1b_min_stage", func() (Table, error) { _, t, err := Figure1b(opts); return t, err }},
-		{"figure1c_efficiency", func() (Table, error) { _, t, err := Figure1c(opts); return t, err }},
-		{"figure1d_gpu_util", func() (Table, error) { _, t, err := Figure1d(opts); return t, err }},
-		{"figure3_ample_cpu", func() (Table, error) { _, t, err := Figure3(opts); return t, err }},
-		{"figure4_limited_cpu", func() (Table, error) { _, t, err := Figure4(opts); return t, err }},
-		{"headline", func() (Table, error) { _, t, err := Headline(opts); return t, err }},
-		{"ablation_a_step_guard", func() (Table, error) { _, t, err := AblationStepGuard(opts); return t, err }},
-		{"ablation_c_heterogeneous", func() (Table, error) { _, t, err := AblationHeterogeneous(opts); return t, err }},
-		{"ablation_d_multitenant", func() (Table, error) { _, t, err := AblationMultiTenant(opts); return t, err }},
-		{"ablation_e_local_cache", func() (Table, error) { _, t, err := AblationLocalCache(opts); return t, err }},
-		{"ablation_h_oracle", func() (Table, error) { _, t, err := AblationOracle(opts); return t, err }},
-		{"validation_model_vs_des", func() (Table, error) { _, t, err := ValidateModel(opts); return t, err }},
-		{"validation_generator_fidelity", func() (Table, error) { _, t, err := ValidateGenerator(96, opts.seed()); return t, err }},
-		{"discussion_f_bandwidth", func() (Table, error) { _, t, err := DiscussionBandwidthSweep(opts); return t, err }},
-		{"discussion_g_llm", func() (Table, error) { _, t, err := DiscussionLLM(opts); return t, err }},
+		{"table1_capabilities", func() (table, error) { return table1(), nil }},
+		{"figure1a_size_trace", func() (table, error) { _, t, err := figure1a(opts); return t, err }},
+		{"figure1b_min_stage", func() (table, error) { _, t, err := figure1b(opts); return t, err }},
+		{"figure1c_efficiency", func() (table, error) { _, t, err := figure1c(opts); return t, err }},
+		{"figure1d_gpu_util", func() (table, error) { _, t, err := figure1d(opts); return t, err }},
+		{"figure3_ample_cpu", func() (table, error) { _, t, err := figure3(opts); return t, err }},
+		{"figure4_limited_cpu", func() (table, error) { _, t, err := figure4(opts); return t, err }},
+		{"headline", func() (table, error) { _, t, err := headline(opts); return t, err }},
+		{"ablation_a_step_guard", func() (table, error) { _, t, err := ablationStepGuard(opts); return t, err }},
+		{"ablation_c_heterogeneous", func() (table, error) { _, t, err := ablationHeterogeneous(opts); return t, err }},
+		{"ablation_d_multitenant", func() (table, error) { _, t, err := ablationMultiTenant(opts); return t, err }},
+		{"ablation_e_local_cache", func() (table, error) { _, t, err := ablationLocalCache(opts); return t, err }},
+		{"ablation_h_oracle", func() (table, error) { _, t, err := ablationOracle(opts); return t, err }},
+		{"validation_model_vs_des", func() (table, error) { _, t, err := validateModel(opts); return t, err }},
+		{"validation_generator_fidelity", func() (table, error) { _, t, err := validateGenerator(96, opts.seed()); return t, err }},
+		{"discussion_f_bandwidth", func() (table, error) { _, t, err := discussionBandwidthSweep(opts); return t, err }},
+		{"discussion_g_llm", func() (table, error) { _, t, err := discussionLLM(opts); return t, err }},
 	}
-	out := make([]NamedTable, 0, len(steps))
+	out := make([]namedTable, 0, len(steps))
 	for _, s := range steps {
 		t, err := s.run()
 		if err != nil {
 			return nil, fmt.Errorf("eval: %s: %w", s.slug, err)
 		}
-		out = append(out, NamedTable{Slug: s.slug, Table: t})
+		out = append(out, namedTable{Slug: s.slug, Table: t})
 	}
 	return out, nil
 }
@@ -54,7 +54,7 @@ func Collect(opts Options) ([]NamedTable, error) {
 // RunAll executes every experiment and writes the rendered tables to w —
 // the full paper reproduction in one call.
 func RunAll(opts Options, w io.Writer) error {
-	tables, err := Collect(opts)
+	tables, err := collect(opts)
 	if err != nil {
 		return err
 	}
@@ -66,9 +66,9 @@ func RunAll(opts Options, w io.Writer) error {
 	return nil
 }
 
-// CSV renders the table as RFC-4180-ish CSV (quotes around cells containing
+// csv renders the table as RFC-4180-ish csv (quotes around cells containing
 // commas or quotes), one header row plus data rows. Notes are omitted.
-func (t Table) CSV() string {
+func (t table) csv() string {
 	var b strings.Builder
 	writeRow := func(cells []string) {
 		for i, c := range cells {
@@ -95,7 +95,7 @@ func (t Table) CSV() string {
 // WriteCSVDir runs every experiment and writes one CSV file per table into
 // dir (created if needed) — plot-ready data for external tooling.
 func WriteCSVDir(opts Options, dir string) error {
-	tables, err := Collect(opts)
+	tables, err := collect(opts)
 	if err != nil {
 		return err
 	}
@@ -104,7 +104,7 @@ func WriteCSVDir(opts Options, dir string) error {
 	}
 	for _, nt := range tables {
 		path := filepath.Join(dir, nt.Slug+".csv")
-		if err := os.WriteFile(path, []byte(nt.Table.CSV()), 0o644); err != nil {
+		if err := os.WriteFile(path, []byte(nt.Table.csv()), 0o644); err != nil {
 			return fmt.Errorf("eval: write %s: %w", path, err)
 		}
 	}

@@ -13,21 +13,21 @@ import (
 	"repro/internal/policy"
 )
 
-// Table is a rendered experiment result.
-type Table struct {
+// table is a rendered experiment result.
+type table struct {
 	Title   string
 	Columns []string
 	Rows    [][]string
 	Notes   []string
 }
 
-// AddRow appends one row.
-func (t *Table) AddRow(cells ...string) {
+// addRow appends one row.
+func (t *table) addRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
 }
 
 // String renders the table as aligned text.
-func (t Table) String() string {
+func (t table) String() string {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
 		widths[i] = len(c)
@@ -67,9 +67,9 @@ func (t Table) String() string {
 	return b.String()
 }
 
-// DefaultEnv mirrors the paper's testbed: a 500 Mbps link, 48 compute
+// defaultEnv mirrors the paper's testbed: a 500 Mbps link, 48 compute
 // cores, identical CPUs, AlexNet as the trained model.
-func DefaultEnv(storageCores int) policy.Env {
+func defaultEnv(storageCores int) policy.Env {
 	return policy.Env{
 		Bandwidth:       netsim.Mbps(500),
 		ComputeCores:    48,

@@ -9,31 +9,31 @@ import (
 	"repro/internal/policy"
 )
 
-// ValidationRow compares SOPHON's analytic epoch model (the max of the four
+// validationRow compares SOPHON's analytic epoch model (the max of the four
 // metrics the decision engine reasons with) against the discrete-event
 // simulation of the same plan.
-type ValidationRow struct {
+type validationRow struct {
 	Scenario     string
 	PredictedSec float64
 	SimulatedSec float64
 	ErrorPct     float64
 }
 
-// ValidateModel runs the comparison across the policies and core counts the
+// validateModel runs the comparison across the policies and core counts the
 // evaluation uses. Small errors justify the paper's use of the max() model
 // inside the greedy loop.
-func ValidateModel(opts Options) ([]ValidationRow, Table, error) {
+func validateModel(opts Options) ([]validationRow, table, error) {
 	tr, err := dataset.GenerateTrace(profileOI(opts), opts.seed())
 	if err != nil {
-		return nil, Table{}, err
+		return nil, table{}, err
 	}
-	t := Table{
+	t := table{
 		Title:   "Validation: analytic epoch model vs discrete-event simulation (OpenImages)",
 		Columns: []string{"Scenario", "Model (s)", "DES (s)", "Error"},
 	}
-	var rows []ValidationRow
+	var rows []validationRow
 	add := func(name string, p policy.Policy, cores int) error {
-		env := DefaultEnv(cores)
+		env := defaultEnv(cores)
 		plan, err := p.Plan(tr, env)
 		if err != nil {
 			return err
@@ -46,33 +46,33 @@ func ValidateModel(opts Options) ([]ValidationRow, Table, error) {
 		if err != nil {
 			return err
 		}
-		row := ValidationRow{
+		row := validationRow{
 			Scenario:     fmt.Sprintf("%s @%dc", name, cores),
 			PredictedSec: m.Predicted().Seconds(),
 			SimulatedSec: sim.EpochTime.Seconds(),
 		}
 		row.ErrorPct = 100 * math.Abs(row.PredictedSec-row.SimulatedSec) / row.SimulatedSec
 		rows = append(rows, row)
-		t.AddRow(row.Scenario, fmtF(row.PredictedSec, 1), fmtF(row.SimulatedSec, 1),
+		t.addRow(row.Scenario, fmtF(row.PredictedSec, 1), fmtF(row.SimulatedSec, 1),
 			fmtF(row.ErrorPct, 1)+"%")
 		return nil
 	}
 	for _, p := range policy.All() {
 		if err := add(p.Name(), p, 48); err != nil {
-			return nil, Table{}, err
+			return nil, table{}, err
 		}
 	}
 	for _, cores := range []int{1, 2, 4} {
 		if err := add("SOPHON", policy.NewSophon(), cores); err != nil {
-			return nil, Table{}, err
+			return nil, table{}, err
 		}
 	}
 	return rows, t, nil
 }
 
-// AblationOracleRow compares SOPHON against the CPU-oblivious traffic
+// ablationOracleRow compares SOPHON against the CPU-oblivious traffic
 // lower bound at one core count.
-type AblationOracleRow struct {
+type ablationOracleRow struct {
 	Cores         int
 	OracleSec     float64
 	SophonSec     float64
@@ -80,30 +80,30 @@ type AblationOracleRow struct {
 	SophonTraffic float64 // GB
 }
 
-// AblationOracle runs Ablation H: how close does the efficiency-ordered
+// ablationOracle runs Ablation H: how close does the efficiency-ordered
 // greedy loop get to the per-sample optimum? With ample cores they should
 // coincide; under CPU constraints Oracle's traffic optimum backfires.
-func AblationOracle(opts Options) ([]AblationOracleRow, Table, error) {
+func ablationOracle(opts Options) ([]ablationOracleRow, table, error) {
 	tr, err := dataset.GenerateTrace(profileOI(opts), opts.seed())
 	if err != nil {
-		return nil, Table{}, err
+		return nil, table{}, err
 	}
-	t := Table{
+	t := table{
 		Title:   "Ablation H: SOPHON vs the CPU-oblivious Oracle (OpenImages)",
 		Columns: []string{"Cores", "Oracle (s)", "SOPHON (s)", "Oracle GB", "SOPHON GB"},
 	}
-	var rows []AblationOracleRow
+	var rows []ablationOracleRow
 	for _, cores := range []int{1, 2, 4, 48} {
-		env := DefaultEnv(cores)
+		env := defaultEnv(cores)
 		oracle, _, err := engine.RunPolicy(policy.Oracle{}, tr, env, 256)
 		if err != nil {
-			return nil, Table{}, err
+			return nil, table{}, err
 		}
 		sophon, _, err := engine.RunPolicy(policy.NewSophon(), tr, env, 256)
 		if err != nil {
-			return nil, Table{}, err
+			return nil, table{}, err
 		}
-		row := AblationOracleRow{
+		row := ablationOracleRow{
 			Cores:         cores,
 			OracleSec:     oracle.EpochTime.Seconds(),
 			SophonSec:     sophon.EpochTime.Seconds(),
@@ -111,7 +111,7 @@ func AblationOracle(opts Options) ([]AblationOracleRow, Table, error) {
 			SophonTraffic: gb(sophon.TrafficBytes),
 		}
 		rows = append(rows, row)
-		t.AddRow(fmt.Sprintf("%d", cores),
+		t.addRow(fmt.Sprintf("%d", cores),
 			fmtF(row.OracleSec, 1), fmtF(row.SophonSec, 1),
 			fmtF(row.OracleTraffic, 2), fmtF(row.SophonTraffic, 2))
 	}

@@ -23,15 +23,15 @@ type Model struct {
 // Calibrated profiles (images/second on the paper's class of GPU).
 var (
 	AlexNet  = Model{Name: "alexnet", Throughput: 3000}
-	ResNet18 = Model{Name: "resnet18", Throughput: 620}
+	resNet18 = Model{Name: "resnet18", Throughput: 620}
 	ResNet50 = Model{Name: "resnet50", Throughput: 210}
 )
 
 // Models lists the built-in profiles.
-func Models() []Model { return []Model{AlexNet, ResNet18, ResNet50} }
+func Models() []Model { return []Model{AlexNet, resNet18, ResNet50} }
 
-// ErrUnknownModel reports a name with no registered profile.
-var ErrUnknownModel = errors.New("gpu: unknown model")
+// errUnknownModel reports a name with no registered profile.
+var errUnknownModel = errors.New("gpu: unknown model")
 
 // ByName resolves a built-in profile.
 func ByName(name string) (Model, error) {
@@ -40,7 +40,7 @@ func ByName(name string) (Model, error) {
 			return m, nil
 		}
 	}
-	return Model{}, fmt.Errorf("%w: %q", ErrUnknownModel, name)
+	return Model{}, fmt.Errorf("%w: %q", errUnknownModel, name)
 }
 
 // Valid reports whether the model has a usable throughput.

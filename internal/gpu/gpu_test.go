@@ -19,9 +19,9 @@ func TestByName(t *testing.T) {
 
 func TestRelativeSpeeds(t *testing.T) {
 	// AlexNet is compute-light; ResNet50 is compute-heavy.
-	if !(AlexNet.Throughput > ResNet18.Throughput && ResNet18.Throughput > ResNet50.Throughput) {
+	if !(AlexNet.Throughput > resNet18.Throughput && resNet18.Throughput > ResNet50.Throughput) {
 		t.Fatalf("throughput ordering broken: %v %v %v",
-			AlexNet.Throughput, ResNet18.Throughput, ResNet50.Throughput)
+			AlexNet.Throughput, resNet18.Throughput, ResNet50.Throughput)
 	}
 }
 
@@ -75,7 +75,7 @@ func TestFigure1dRegime(t *testing.T) {
 	if u := util(ResNet50); u < 0.9 {
 		t.Fatalf("ResNet50 utilization %.2f, want ~1", u)
 	}
-	if u := util(ResNet18); u < 0.25 || u > 0.45 {
+	if u := util(resNet18); u < 0.25 || u > 0.45 {
 		t.Fatalf("ResNet18 utilization %.2f, want ~0.35", u)
 	}
 	if u := util(AlexNet); u > 0.15 {

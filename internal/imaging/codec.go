@@ -62,13 +62,13 @@ const (
 // this), so anything else is transport damage or a corrupt index.
 var (
 	ErrCorrupt     = errors.New("imaging: corrupt SJPG stream")
-	ErrBadQuality  = errors.New("imaging: quality must be in [1, 100]")
+	errBadQuality  = errors.New("imaging: quality must be in [1, 100]")
 	ErrUnsupported = errors.New("imaging: unsupported format version")
 	ErrTruncated   = errors.New("imaging: SJPG prefix truncated mid-scan")
-	ErrBadScans    = fmt.Errorf("imaging: scan count must be in [1, %d]", MaxScans)
-	// ErrSliced refuses a row-sliced form (rows.go) to every reader but a crop
+	errBadScans    = fmt.Errorf("imaging: scan count must be in [1, %d]", MaxScans)
+	// errSliced refuses a row-sliced form (rows.go) to every reader but a crop
 	// of the bands it holds.
-	ErrSliced = errors.New("imaging: a row-sliced SJPG decodes only a crop of the bands it holds")
+	errSliced = errors.New("imaging: a row-sliced SJPG decodes only a crop of the bands it holds")
 )
 
 // DefaultQuality is used by EncodeDefault and by the dataset generator.
@@ -121,10 +121,10 @@ func EncodeDefault(im *Image) ([]byte, error) { return Encode(im, DefaultQuality
 // on the stack.
 func EncodeProgressive(im *Image, quality, scans int) ([]byte, error) {
 	if quality < 1 || quality > 100 {
-		return nil, fmt.Errorf("%w: %d", ErrBadQuality, quality)
+		return nil, fmt.Errorf("%w: %d", errBadQuality, quality)
 	}
 	if scans < 1 || scans > MaxScans {
-		return nil, fmt.Errorf("%w: %d", ErrBadScans, scans)
+		return nil, fmt.Errorf("%w: %d", errBadScans, scans)
 	}
 	yShift, cShift := shifts(quality)
 	n, cn := im.W*im.H, ((im.W+1)/2)*((im.H+1)/2)
@@ -256,7 +256,7 @@ func Decode(data []byte) (*Image, error) {
 // shows unless it reads every band — over every row it refuses as Decode does
 // — which is why a store decodes each object in full as it loads
 // (dataset.DirSet.Materialize). The result is pool-backed. It also reads the
-// row-sliced form (rows.go), refusing with ErrSliced a rect of other bands.
+// row-sliced form (rows.go), refusing with errSliced a rect of other bands.
 func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 	if len(data) > headerSize && data[4] == sjpgVersion|rowsFlag {
 		stored, err := unslice(data, rect)
@@ -371,7 +371,7 @@ type container struct {
 // before the last scan's end. Of a plane data holds, it also checks that the
 // index and its marker agree on whether it is stored, and that its bands'
 // lengths add up to its codes. Of a row-sliced form it checks the index alone
-// and then what follows it (readRows), and refuses it as ErrSliced.
+// and then what follows it (readRows), and refuses it as errSliced.
 func parse(data []byte) (c container, err error) {
 	if c.w, c.h, c.quality, c.scans, err = parseHeader(data); err != nil {
 		return c, err
@@ -443,7 +443,7 @@ func parse(data []byte) (c container, err error) {
 		return bad("%d trailing index bytes", len(index))
 	}
 	if end == 0 { // read through, for unslice
-		return c, cmp.Or(c.readRows(data), ErrSliced)
+		return c, cmp.Or(c.readRows(data), errSliced)
 	}
 	if len(data) > o {
 		return bad("%d bytes after the scans", len(data)-o)
@@ -506,7 +506,7 @@ func (c *container) decode(data []byte, k, b0, b1 int) (ycc, error) {
 // (up to four) pixels that share them.
 func (p *ycc) image() (*Image, error) {
 	w, h := p.w, p.h
-	im, err := NewPooled(w, h)
+	im, err := newPooled(w, h)
 	if err != nil {
 		return nil, err
 	}
@@ -569,7 +569,7 @@ func (p *ycc) cropResize(rect Rect, w, h int) (*Image, error) {
 	if err := checkCropResize(rect, p.w, p.h, w, h); err != nil {
 		return nil, err
 	}
-	dst, err := NewPooled(w, h)
+	dst, err := newPooled(w, h)
 	if err != nil {
 		return nil, err
 	}

@@ -514,7 +514,7 @@ func TestFusedRejectionParity(t *testing.T) {
 		for _, data := range [][]byte{one, deep} {
 			_, wantErr := decodeThenCropResize(data, c.rect, c.w, c.h)
 			got, gotErr, n := gets(func() (*Image, error) { return DecodeCropResize(data, c.rect, c.w, c.h) })
-			if got != nil || !errors.Is(gotErr, ErrBadDimensions) || gotErr.Error() != wantErr.Error() || n != 0 {
+			if got != nil || !errors.Is(gotErr, errBadDimensions) || gotErr.Error() != wantErr.Error() || n != 0 {
 				t.Errorf("%+v to %dx%d: fused err %v after %d arena requests, unfused %v", c.rect, c.w, c.h, gotErr, n, wantErr)
 			}
 		}

@@ -11,13 +11,13 @@ type Rect struct {
 	X, Y, W, H int
 }
 
-// Valid reports whether the rectangle has positive area.
-func (r Rect) Valid() bool { return r.W > 0 && r.H > 0 }
+// valid reports whether the rectangle has positive area.
+func (r Rect) valid() bool { return r.W > 0 && r.H > 0 }
 
-// Within reports whether the rectangle lies fully inside a w×h image.
-func (r Rect) Within(w, h int) bool {
+// within reports whether the rectangle lies fully inside a w×h image.
+func (r Rect) within(w, h int) bool {
 	// Compared as differences: X+W may not fit an int.
-	return r.Valid() && r.X >= 0 && r.Y >= 0 && r.W <= w && r.H <= h && r.X <= w-r.W && r.Y <= h-r.H
+	return r.valid() && r.X >= 0 && r.Y >= 0 && r.W <= w && r.H <= h && r.X <= w-r.W && r.Y <= h-r.H
 }
 
 // FlipHorizontal mirrors the image around its vertical axis, returning a new
@@ -50,7 +50,7 @@ func CropResize(im *Image, rect Rect, w, h int) (*Image, error) {
 	if err := checkCropResize(rect, im.W, im.H, w, h); err != nil {
 		return nil, err
 	}
-	out, err := NewPooled(w, h)
+	out, err := newPooled(w, h)
 	if err != nil {
 		return nil, err
 	}
@@ -60,11 +60,11 @@ func CropResize(im *Image, rect Rect, w, h int) (*Image, error) {
 
 // checkCropResize validates a crop of a srcW×srcH image resized to w×h.
 func checkCropResize(rect Rect, srcW, srcH, w, h int) error {
-	if !rect.Within(srcW, srcH) {
-		return fmt.Errorf("%w: crop %+v of %dx%d", ErrBadDimensions, rect, srcW, srcH)
+	if !rect.within(srcW, srcH) {
+		return fmt.Errorf("%w: crop %+v of %dx%d", errBadDimensions, rect, srcW, srcH)
 	}
 	if w <= 0 || h <= 0 {
-		return fmt.Errorf("%w: resize to %dx%d", ErrBadDimensions, w, h)
+		return fmt.Errorf("%w: resize to %dx%d", errBadDimensions, w, h)
 	}
 	return nil
 }

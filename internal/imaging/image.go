@@ -23,40 +23,40 @@ type Image struct {
 // Channels is the number of interleaved channels per pixel.
 const Channels = 3
 
-// ErrBadDimensions reports a non-positive or inconsistent image geometry.
-var ErrBadDimensions = errors.New("imaging: bad dimensions")
+// errBadDimensions reports a non-positive or inconsistent image geometry.
+var errBadDimensions = errors.New("imaging: bad dimensions")
 
-// New allocates a zeroed (black) image of the given size.
-func New(w, h int) (*Image, error) {
+// newImage allocates a zeroed (black) image of the given size.
+func newImage(w, h int) (*Image, error) {
 	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("%w: %dx%d", ErrBadDimensions, w, h)
+		return nil, fmt.Errorf("%w: %dx%d", errBadDimensions, w, h)
 	}
 	return &Image{W: w, H: h, Pix: make([]uint8, w*h*Channels)}, nil
 }
 
-// MustNew is New for sizes known to be valid; it panics on error.
+// MustNew is newImage for sizes known to be valid; it panics on error.
 func MustNew(w, h int) *Image {
-	im, err := New(w, h)
+	im, err := newImage(w, h)
 	if err != nil {
 		panic(err)
 	}
 	return im
 }
 
-// NewPooled allocates an image whose pixel buffer comes from the bufpool
+// newPooled allocates an image whose pixel buffer comes from the bufpool
 // arena. The caller owns the image; calling Release when done returns the
 // buffer to the pool. The pixels are NOT zeroed — callers must overwrite
 // every byte (Decode and CropResizeInto both do).
-func NewPooled(w, h int) (*Image, error) {
+func newPooled(w, h int) (*Image, error) {
 	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("%w: %dx%d", ErrBadDimensions, w, h)
+		return nil, fmt.Errorf("%w: %dx%d", errBadDimensions, w, h)
 	}
 	return &Image{W: w, H: h, Pix: bufpool.GetBytes(w * h * Channels)}, nil
 }
 
 // Release returns the pixel buffer to the bufpool arena and clears the
 // image. It is safe on any image — buffers that did not come from the pool
-// (New, FromPix over foreign memory) are dropped, not recycled — but must be
+// (newImage, FromPix over foreign memory) are dropped, not recycled — but must be
 // called at most once, after which the image must not be used.
 func (im *Image) Release() {
 	if im == nil || im.Pix == nil {

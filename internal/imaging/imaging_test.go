@@ -9,7 +9,7 @@ import (
 
 func TestNewRejectsBadDims(t *testing.T) {
 	for _, c := range []struct{ w, h int }{{0, 1}, {1, 0}, {-3, 5}, {0, 0}} {
-		if _, err := New(c.w, c.h); err == nil {
+		if _, err := newImage(c.w, c.h); err == nil {
 			t.Errorf("New(%d, %d) accepted bad dims", c.w, c.h)
 		}
 	}
@@ -422,7 +422,7 @@ func clone(im *Image) *Image {
 // same-sized images, the bound the lossy-codec tests hold.
 func maxAbsDiff(a, b *Image) (int, error) {
 	if b == nil || a.W != b.W || a.H != b.H {
-		return 0, ErrBadDimensions
+		return 0, errBadDimensions
 	}
 	most := 0
 	for i := range a.Pix {
@@ -440,8 +440,8 @@ func maxAbsDiff(a, b *Image) (int, error) {
 
 // Crop returns a copy of the sub-image covered by rect.
 func Crop(im *Image, rect Rect) (*Image, error) {
-	if !rect.Within(im.W, im.H) {
-		return nil, fmt.Errorf("%w: crop %+v of %dx%d", ErrBadDimensions, rect, im.W, im.H)
+	if !rect.within(im.W, im.H) {
+		return nil, fmt.Errorf("%w: crop %+v of %dx%d", errBadDimensions, rect, im.W, im.H)
 	}
 	out := MustNew(rect.W, rect.H)
 	for y := 0; y < rect.H; y++ {
@@ -456,7 +456,7 @@ func Crop(im *Image, rect Rect) (*Image, error) {
 // the sampling used by common DL preprocessing (align-corners=false).
 func Resize(im *Image, w, h int) (*Image, error) {
 	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("%w: resize to %dx%d", ErrBadDimensions, w, h)
+		return nil, fmt.Errorf("%w: resize to %dx%d", errBadDimensions, w, h)
 	}
 	out := MustNew(w, h)
 	cropResizeInto(im, Rect{W: im.W, H: im.H}, out)
@@ -467,7 +467,7 @@ func Resize(im *Image, w, h int) (*Image, error) {
 // w*h*3. Only this package's tests build images this way.
 func FromPix(w, h int, pix []uint8) (*Image, error) {
 	if w <= 0 || h <= 0 || len(pix) != w*h*Channels {
-		return nil, fmt.Errorf("%w: %dx%d with %d bytes", ErrBadDimensions, w, h, len(pix))
+		return nil, fmt.Errorf("%w: %dx%d with %d bytes", errBadDimensions, w, h, len(pix))
 	}
 	return &Image{W: w, H: h, Pix: pix}, nil
 }

@@ -443,7 +443,7 @@ func Unpack(data []byte, w, h int) (*Image, error) {
 	if len(data) != 0 {
 		return nil, fmt.Errorf("%w: %d bytes after the packed image", ErrCorrupt, len(data))
 	}
-	im, err := NewPooled(w, h)
+	im, err := newPooled(w, h)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // shorter than k scans.
 func scansOf(data []byte, k int) (container, int, error) {
 	if k < 1 {
-		return container{}, 0, fmt.Errorf("%w: prefix of %d scans", ErrBadScans, k)
+		return container{}, 0, fmt.Errorf("%w: prefix of %d scans", errBadScans, k)
 	}
 	c, err := parse(data)
 	if err != nil {

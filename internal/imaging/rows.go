@@ -11,7 +11,7 @@ import (
 // fetch ships of a stored container when the crop it will decode is known,
 // never stored: the header with rowsFlag set, the index, uvarints k, b0 and
 // b1, and the bytes held names. Only a crop of bands [b0, b1) reads it; every
-// other reader refuses it with ErrSliced.
+// other reader refuses it with errSliced.
 
 // bandsOf returns the bands [b0, b1) rect's rows fall in.
 func bandsOf(rect Rect) (b0, b1 int) {
@@ -99,14 +99,14 @@ func (c *container) readRows(data []byte) error {
 // row-sliced form holding rect's bands was cut from, zero where it holds none.
 func unslice(data []byte, rect Rect) ([]byte, error) {
 	c, err := parse(data)
-	if err != ErrSliced { // what parse says of a form it has read through
+	if err != errSliced { // what parse says of a form it has read through
 		return nil, err
 	}
 	if err := checkCropResize(rect, c.w, c.h, 1, 1); err != nil { // the rect alone
 		return nil, err
 	}
 	if b0, b1 := bandsOf(rect); b0 < c.b0 || b1 > c.b1 {
-		return nil, fmt.Errorf("%w: rows %d–%d lie in bands %d–%d, it holds %d–%d", ErrSliced, rect.Y, rect.Y+rect.H, b0, b1, c.b0, c.b1)
+		return nil, fmt.Errorf("%w: rows %d–%d lie in bands %d–%d, it holds %d–%d", errSliced, rect.Y, rect.Y+rect.H, b0, b1, c.b0, c.b1)
 	}
 	out := bufpool.GetBytes(c.start[c.present])
 	clear(out)
@@ -129,7 +129,7 @@ func Slice(dst, data []byte, drop int, rows Rect) int {
 		return copy(dst, data)
 	}
 	k := min(c.present, max(c.scans-max(drop, 0), 1))
-	if b0, b1 := bandsOf(rows); rows.Within(c.w, c.h) && (b0 > 0 || b1 < (c.h+bandRows-1)/bandRows) {
+	if b0, b1 := bandsOf(rows); rows.within(c.w, c.h) && (b0 > 0 || b1 < (c.h+bandRows-1)/bandRows) {
 		var desc [3 * binary.MaxVarintLen32]byte
 		d := binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(desc[:0], uint64(k)), uint64(b0)), uint64(b1))
 		n := c.start[0] + len(d)

@@ -101,7 +101,7 @@ func TestRowSlicedFormRefusedByName(t *testing.T) {
 		t.Fatalf("DecodeDims = %d×%d, %v", w, h, err)
 	}
 	for _, q := range []Rect{{X: 0, Y: 0, W: 8, H: 8}, {X: 0, Y: 40, W: 8, H: 30}, {X: 0, Y: 0, W: 48, H: 80}} {
-		if _, err := DecodeCropResize(form, q, 8, 8); !errors.Is(err, ErrSliced) {
+		if _, err := DecodeCropResize(form, q, 8, 8); !errors.Is(err, errSliced) {
 			t.Errorf("crop %+v outside bands 1–3: %v, want ErrSliced", q, err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestRowSlicedFormRefusedByName(t *testing.T) {
 		"PrefixSize":       func() error { _, err := PrefixSize(form, 1); return err }(),
 		"ProgressiveInfo":  func() error { _, _, _, _, _, err := ProgressiveInfo(form); return err }(),
 	} {
-		if !errors.Is(err, ErrSliced) {
+		if !errors.Is(err, errSliced) {
 			t.Errorf("%s: %v, want ErrSliced", name, err)
 		}
 	}
@@ -135,7 +135,7 @@ func TestRowSlicedFormRefusedByName(t *testing.T) {
 // as a row-sliced form, they decode only a crop of the bands they say they
 // hold; read as a stored object, the form Slice cuts for rows decodes every
 // crop of the bands it holds exactly as the prefix it was cut from does, and
-// refuses every other crop with ErrSliced.
+// refuses every other crop with errSliced.
 func FuzzSliceRows(f *testing.F) {
 	// Narrow images: several bands in few bytes, for a quick minimizer.
 	for d, dim := range [][2]int{{6, 40}, {5, 53}, {8, 33}, {3, 9}} {
@@ -173,13 +173,13 @@ func FuzzSliceRows(f *testing.F) {
 			t.Fatalf("a row-sliced form of %d bytes for a %d-byte prefix", len(form), len(prefix))
 		}
 		c, err := parse(form)
-		if err != ErrSliced {
+		if err != errSliced {
 			t.Fatalf("Slice shipped a form parse does not read through: %v", err)
 		}
 		got, err := DecodeCropResize(form, q, 8, 8)
 		defer got.Release()
-		if b0, b1 := bandsOf(q); q.Within(w, h) && (b0 < c.b0 || b1 > c.b1) {
-			if !errors.Is(err, ErrSliced) {
+		if b0, b1 := bandsOf(q); q.within(w, h) && (b0 < c.b0 || b1 > c.b1) {
+			if !errors.Is(err, errSliced) {
 				t.Fatalf("crop %+v outside bands %d–%d: %v, want ErrSliced", q, c.b0, c.b1, err)
 			}
 			return

@@ -77,7 +77,7 @@ func (o *octave) row(v float64) {
 // a row or a lattice row. The float64 conversions round the products that
 // the per-pixel form leaves unfused where multiply-adds fuse (arm64).
 func Synthesize(p SynthParams) (*Image, error) {
-	im, err := NewPooled(p.W, p.H)
+	im, err := newPooled(p.W, p.H)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@ import (
 // differs from it as it stood, the NaN case Synthesize also fixes. The
 // hoisted renderer must match it bit for bit.
 func synthesizeRef(p SynthParams) (*Image, error) {
-	im, err := New(p.W, p.H)
+	im, err := newImage(p.W, p.H)
 	if err != nil {
 		return nil, err
 	}

@@ -10,12 +10,12 @@ import (
 type ArrivalKind int
 
 const (
-	// Poisson arrivals: independent exponential inter-arrival gaps with
+	// poisson arrivals: independent exponential inter-arrival gaps with
 	// mean 1/rate. The classic open-loop model — arrivals keep coming at
 	// the offered rate regardless of how slow the server is, which is what
 	// exposes queueing collapse (closed-loop generators self-throttle and
 	// hide it).
-	Poisson ArrivalKind = iota
+	poisson ArrivalKind = iota
 	// Bursty arrivals: geometrically-sized batches of back-to-back
 	// requests separated by exponential gaps, preserving the same mean
 	// rate but with much heavier short-term peaks. Models synchronized
@@ -25,7 +25,7 @@ const (
 
 func (k ArrivalKind) String() string {
 	switch k {
-	case Poisson:
+	case poisson:
 		return "poisson"
 	case Bursty:
 		return "bursty"

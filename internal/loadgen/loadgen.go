@@ -37,28 +37,28 @@ import (
 	"repro/internal/wfq"
 )
 
-// Class labels one of the three fetch paths a request can take.
-type Class int
+// class labels one of the three fetch paths a request can take.
+type class int
 
 const (
-	// ClassHit is a shared-artifact-cache hit: served from the trainer-side
+	// classHit is a shared-artifact-cache hit: served from the trainer-side
 	// cache without touching the storage tier.
-	ClassHit Class = iota
-	// ClassOffloaded is a fetch whose preprocessing prefix runs on a
+	classHit class = iota
+	// classOffloaded is a fetch whose preprocessing prefix runs on a
 	// storage core before the (smaller) artifact crosses the link.
-	ClassOffloaded
-	// ClassRaw is a fetch of untransformed bytes straight off the link.
-	ClassRaw
+	classOffloaded
+	// classRaw is a fetch of untransformed bytes straight off the link.
+	classRaw
 	classCount
 )
 
-func (c Class) String() string {
+func (c class) String() string {
 	switch c {
-	case ClassHit:
+	case classHit:
 		return "hit"
-	case ClassOffloaded:
+	case classOffloaded:
 		return "offloaded"
-	case ClassRaw:
+	case classRaw:
 		return "raw"
 	default:
 		return "unknown"
@@ -97,19 +97,19 @@ type JobSpec struct {
 // AdmissionSpec models the server-side admission controller.
 type AdmissionSpec struct {
 	// MaxInFlightBytes is the per-shard in-flight byte budget
-	// (0 → DefaultMaxInFlightBytes).
+	// (0 → defaultMaxInFlightBytes).
 	MaxInFlightBytes int64
 	// MaxQueuePerTenant bounds each tenant's admission queue per shard;
-	// pushes beyond the bound are shed (0 → DefaultMaxQueuePerTenant).
+	// pushes beyond the bound are shed (0 → defaultMaxQueuePerTenant).
 	MaxQueuePerTenant int
 }
 
 // Defaults for AdmissionSpec zero values.
 const (
-	DefaultMaxInFlightBytes  = 64 << 20
-	DefaultMaxQueuePerTenant = 256
-	// HitService is the modeled local service time of a cache hit.
-	HitService = 30 * time.Microsecond
+	defaultMaxInFlightBytes  = 64 << 20
+	defaultMaxQueuePerTenant = 256
+	// hitService is the modeled local service time of a cache hit.
+	hitService = 30 * time.Microsecond
 )
 
 // Config configures one load-generation run.
@@ -132,8 +132,8 @@ type Config struct {
 	Admission AdmissionSpec
 }
 
-// ErrBadConfig reports an invalid Config.
-var ErrBadConfig = errors.New("loadgen: bad config")
+// errBadConfig reports an invalid Config.
+var errBadConfig = errors.New("loadgen: bad config")
 
 // Report is the result of one run, shaped as one scenario of the SLO record:
 // latencies in milliseconds, so records from different runs diff cleanly.
@@ -213,7 +213,7 @@ func (h *eventHeap) Pop() any {
 
 type request struct {
 	arrived time.Duration
-	class   Class
+	class   class
 	job     int
 	bytes   int64
 	cpu     time.Duration
@@ -252,22 +252,22 @@ type sim struct {
 // configs yield identical reports.
 func Run(cfg Config) (*Report, error) {
 	if cfg.Duration <= 0 {
-		return nil, fmt.Errorf("%w: Duration must be > 0", ErrBadConfig)
+		return nil, fmt.Errorf("%w: Duration must be > 0", errBadConfig)
 	}
 	if cfg.LinkBytesPerSec <= 0 || !finite(cfg.LinkBytesPerSec) {
-		return nil, fmt.Errorf("%w: LinkBytesPerSec must be positive and finite", ErrBadConfig)
+		return nil, fmt.Errorf("%w: LinkBytesPerSec must be positive and finite", errBadConfig)
 	}
 	total := 0
 	for i := range cfg.Jobs {
 		job := &cfg.Jobs[i]
 		if job.Sessions < 0 || job.Rate < 0 || !finite(job.Rate) ||
 			!finite(job.Burst) || !finite(job.Mix[0]) || !finite(job.Mix[1]) || !finite(job.Mix[2]) {
-			return nil, fmt.Errorf("%w: job %q needs non-negative sessions and rate, and a finite rate, burst and mix", ErrBadConfig, job.Name)
+			return nil, fmt.Errorf("%w: job %q needs non-negative sessions and rate, and a finite rate, burst and mix", errBadConfig, job.Name)
 		}
 		total += job.Sessions
 	}
 	if total == 0 {
-		return nil, fmt.Errorf("%w: no sessions", ErrBadConfig)
+		return nil, fmt.Errorf("%w: no sessions", errBadConfig)
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -276,10 +276,10 @@ func Run(cfg Config) (*Report, error) {
 		cfg.CoresPerShard = 1
 	}
 	if cfg.Admission.MaxInFlightBytes <= 0 {
-		cfg.Admission.MaxInFlightBytes = DefaultMaxInFlightBytes
+		cfg.Admission.MaxInFlightBytes = defaultMaxInFlightBytes
 	}
 	if cfg.Admission.MaxQueuePerTenant <= 0 {
-		cfg.Admission.MaxQueuePerTenant = DefaultMaxQueuePerTenant
+		cfg.Admission.MaxQueuePerTenant = defaultMaxQueuePerTenant
 	}
 
 	s := &sim{cfg: cfg}
@@ -311,7 +311,7 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}
 	if len(s.sessions) == 0 {
-		return nil, fmt.Errorf("%w: no sessions with positive rate", ErrBadConfig)
+		return nil, fmt.Errorf("%w: no sessions with positive rate", errBadConfig)
 	}
 
 	horizon := 2 * cfg.Duration
@@ -345,19 +345,19 @@ func (s *sim) schedule(at time.Duration, kind, sessionIdx int, req *request) {
 }
 
 // classify draws the fetch class from the job's normalized mix.
-func classify(rng *rand.Rand, mix [3]float64) Class {
+func classify(rng *rand.Rand, mix [3]float64) class {
 	sum := mix[0] + mix[1] + mix[2]
 	if sum <= 0 {
-		return ClassRaw
+		return classRaw
 	}
 	r := rng.Float64() * sum
 	if r < mix[0] {
-		return ClassHit
+		return classHit
 	}
 	if r < mix[0]+mix[1] {
-		return ClassOffloaded
+		return classOffloaded
 	}
-	return ClassRaw
+	return classRaw
 }
 
 func (s *sim) onArrival(sessionIdx int) {
@@ -374,10 +374,10 @@ func (s *sim) onArrival(sessionIdx int) {
 	s.offered++
 
 	class := classify(sess.rng, job.Mix)
-	if class == ClassHit {
+	if class == classHit {
 		// Served from the trainer-side shared cache; never touches the
 		// storage tier or its admission queues.
-		s.hists[ClassHit].Observe(HitService)
+		s.hists[classHit].Observe(hitService)
 		s.done++
 		return
 	}
@@ -388,7 +388,7 @@ func (s *sim) onArrival(sessionIdx int) {
 		job:     sess.job,
 		shard:   sess.rng.IntN(s.cfg.Shards),
 	}
-	if class == ClassOffloaded {
+	if class == classOffloaded {
 		req.bytes = job.OffloadedBytes
 		req.cpu = job.OffloadCPU
 	} else {
@@ -422,7 +422,7 @@ func (s *sim) onArrival(sessionIdx int) {
 // are admitted in time order, so scheduling the core here is the FIFO core
 // queue.
 func (s *sim) startService(sh *shardState, req *request) {
-	if req.class == ClassOffloaded && req.cpu > 0 {
+	if req.class == classOffloaded && req.cpu > 0 {
 		s.schedule(sh.cores.Schedule(s.now, req.cpu), evCoreDone, 0, req)
 		return
 	}
@@ -462,7 +462,7 @@ func (s *sim) report(sessions int) *Report {
 	if s.offered > 0 {
 		rep.ShedRate = float64(shedTotal) / float64(s.offered)
 	}
-	for c := Class(0); c < classCount; c++ {
+	for c := class(0); c < classCount; c++ {
 		h := &s.hists[c]
 		if h.Count() == 0 && s.shed[c] == 0 {
 			continue

@@ -23,7 +23,7 @@ func steadyConfig() Config {
 		Jobs: []JobSpec{
 			{
 				Name: "openimages", Weight: 2, Sessions: 1600, Rate: 3,
-				Arrival: Poisson,
+				Arrival: poisson,
 				Mix:     [3]float64{0.4, 0.45, 0.15},
 				// ~90 KB artifacts, ~500 KB raw, 3ms prefix CPU.
 				OffloadedBytes: 90 << 10, RawBytes: 500 << 10,
@@ -264,7 +264,7 @@ func TestRunRejectsNonFinite(t *testing.T) {
 			}()
 			select {
 			case err := <-done:
-				if !errors.Is(err, ErrBadConfig) {
+				if !errors.Is(err, errBadConfig) {
 					t.Fatalf("err = %v, want ErrBadConfig", err)
 				}
 			case <-time.After(5 * time.Second):
@@ -276,7 +276,7 @@ func TestRunRejectsNonFinite(t *testing.T) {
 
 func TestArrivalRates(t *testing.T) {
 	// Mean inter-arrival of both processes must track 1/rate.
-	for _, kind := range []ArrivalKind{Poisson, Bursty} {
+	for _, kind := range []ArrivalKind{poisson, Bursty} {
 		proc := newArrivalProc(1, 2, kind, 100, 8)
 		var sum time.Duration
 		const n = 20000

@@ -28,7 +28,7 @@ func SpecFromTenant(t sched.Tenant, g sched.Grant, sessions int, rate, hitRate f
 		Weight:   t.Weight,
 		Sessions: sessions,
 		Rate:     rate,
-		Arrival:  Poisson,
+		Arrival:  poisson,
 	}
 
 	tr := t.Trace

@@ -29,7 +29,7 @@ func TestHammerScrapeDuringAdmissionChurn(t *testing.T) {
 	}
 	counters := []*storage.Counters{{}, {}}
 	m := NewMulti(counters...).WatchAdmission(adm)
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 
 	const churnCycles = 20000

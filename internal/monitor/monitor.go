@@ -16,13 +16,6 @@ import (
 	"repro/internal/storage"
 )
 
-// AdmissionView is the admission controller's observability surface: the
-// live byte budget, queue depth, and admitted/queued/shed counters. It is
-// satisfied by *storage.AdmissionController.
-type AdmissionView interface {
-	Stats() storage.AdmissionStats
-}
-
 // Server wires storage counters into an HTTP mux. It can watch several
 // storage servers at once (one per shard of a sharded deployment): /stats
 // reports both the aggregate and a per-server breakdown, including the live
@@ -30,7 +23,7 @@ type AdmissionView interface {
 type Server struct {
 	sources   []*storage.Counters
 	start     time.Time
-	admission AdmissionView
+	admission *storage.AdmissionController
 
 	mu       sync.Mutex
 	listener net.Listener
@@ -47,7 +40,7 @@ func NewMulti(counters ...*storage.Counters) *Server {
 // WatchAdmission attaches the shared admission controller so /stats and
 // /metrics report the in-flight byte budget, queue depth, and shed-load
 // counters; call before serving.
-func (s *Server) WatchAdmission(a AdmissionView) *Server {
+func (s *Server) WatchAdmission(a *storage.AdmissionController) *Server {
 	s.admission = a
 	return s
 }
@@ -138,8 +131,8 @@ func (s *Server) snapshot() statsSnapshot {
 	return out
 }
 
-// Handler returns the HTTP mux serving the three endpoints.
-func (s *Server) Handler() http.Handler {
+// handler returns the HTTP mux serving the three endpoints.
+func (s *Server) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
@@ -200,7 +193,7 @@ func (s *Server) ListenAndServe(addr string) (string, error) {
 		return "", errors.New("monitor: closed")
 	}
 	s.listener = l
-	s.httpSrv = &http.Server{Handler: s.Handler()}
+	s.httpSrv = &http.Server{Handler: s.handler()}
 	s.mu.Unlock()
 	go s.httpSrv.Serve(l)
 	return l.Addr().String(), nil

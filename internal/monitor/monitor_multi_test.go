@@ -18,7 +18,7 @@ func TestStatsGauges(t *testing.T) {
 	counters.InFlight.Add(3)
 	counters.Connections.Add(2)
 
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -52,7 +52,7 @@ func TestStatsMulti(t *testing.T) {
 	b.InFlight.Add(2)
 	m := NewMulti(a, b)
 
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -84,7 +84,7 @@ func TestMetricsMulti(t *testing.T) {
 	b.InFlight.Add(5)
 	m := NewMulti(a, b)
 
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {

@@ -18,7 +18,7 @@ func testMonitor() (*Server, *storage.Counters) {
 
 func TestHealthz(t *testing.T) {
 	m, _ := testMonitor()
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/healthz")
 	if err != nil {
@@ -38,7 +38,7 @@ func TestStatsJSON(t *testing.T) {
 	counters.ObservePlanVersion(2)
 	counters.ObservePlanVersion(1) // stale stamp during a plan swap
 
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {
@@ -68,7 +68,7 @@ func TestMetricsText(t *testing.T) {
 	m, counters := testMonitor()
 	counters.OpsExecuted.Add(7)
 	counters.ObservePlanVersion(1)
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
 	if err != nil {
@@ -86,7 +86,7 @@ func TestMetricsText(t *testing.T) {
 
 func TestNilSources(t *testing.T) {
 	m := NewMulti()
-	srv := httptest.NewServer(m.Handler())
+	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/stats")
 	if err != nil {

@@ -15,7 +15,7 @@ import (
 	"repro/internal/simclock"
 )
 
-// TokenBucket is a reservation-style rate limiter: WaitN always succeeds
+// TokenBucket is a reservation-style rate limiter: waitN always succeeds
 // immediately in bookkeeping terms and sleeps for however long the
 // reservation overdraws the bucket. A shared bucket serializes the
 // aggregate throughput of all its users, which is exactly how a capped
@@ -75,9 +75,9 @@ func (tb *TokenBucket) SetRate(bytesPerSec float64) error {
 	return nil
 }
 
-// WaitN reserves n tokens, sleeping for as long as the reservation
+// waitN reserves n tokens, sleeping for as long as the reservation
 // overdraws the bucket. n <= 0 returns immediately.
-func (tb *TokenBucket) WaitN(n int) {
+func (tb *TokenBucket) waitN(n int) {
 	if n <= 0 {
 		return
 	}
@@ -103,29 +103,29 @@ func (tb *TokenBucket) WaitN(n int) {
 // concurrent connections sharing one bucket interleave fairly.
 const shapeChunk = 32 << 10
 
-// ShapedConn wraps a net.Conn, charging every written byte against a token
+// shapedConn wraps a net.Conn, charging every written byte against a token
 // bucket. Reads are unshaped (the peer's writes are charged on its side, or
 // by the same shared bucket when both ends wrap it).
-type ShapedConn struct {
+type shapedConn struct {
 	net.Conn
 	bucket *TokenBucket
 }
 
-// Shape wraps conn so writes drain bucket.
-func Shape(conn net.Conn, bucket *TokenBucket) *ShapedConn {
-	return &ShapedConn{Conn: conn, bucket: bucket}
+// shape wraps conn so writes drain bucket.
+func shape(conn net.Conn, bucket *TokenBucket) *shapedConn {
+	return &shapedConn{Conn: conn, bucket: bucket}
 }
 
 // Write charges the bucket in chunks before forwarding to the underlying
 // connection.
-func (c *ShapedConn) Write(p []byte) (int, error) {
+func (c *shapedConn) Write(p []byte) (int, error) {
 	written := 0
 	for written < len(p) {
 		n := len(p) - written
 		if n > shapeChunk {
 			n = shapeChunk
 		}
-		c.bucket.WaitN(n)
+		c.bucket.waitN(n)
 		m, err := c.Conn.Write(p[written : written+n])
 		written += m
 		if err != nil {
@@ -153,7 +153,7 @@ func (l *ShapedListener) Accept() (net.Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return Shape(conn, l.bucket), nil
+	return shape(conn, l.bucket), nil
 }
 
 // PipeListener is an in-memory net.Listener: Dial creates a synchronous
@@ -169,8 +169,8 @@ func NewPipeListener() *PipeListener {
 	return &PipeListener{conns: make(chan net.Conn), done: make(chan struct{})}
 }
 
-// ErrListenerClosed is returned by Accept and Dial after Close.
-var ErrListenerClosed = errors.New("netsim: pipe listener closed")
+// errListenerClosed is returned by Accept and Dial after Close.
+var errListenerClosed = errors.New("netsim: pipe listener closed")
 
 // Accept waits for the next dialed connection.
 func (l *PipeListener) Accept() (net.Conn, error) {
@@ -178,7 +178,7 @@ func (l *PipeListener) Accept() (net.Conn, error) {
 	case c := <-l.conns:
 		return c, nil
 	case <-l.done:
-		return nil, ErrListenerClosed
+		return nil, errListenerClosed
 	}
 }
 
@@ -191,7 +191,7 @@ func (l *PipeListener) Dial() (net.Conn, error) {
 	case <-l.done:
 		client.Close()
 		server.Close()
-		return nil, ErrListenerClosed
+		return nil, errListenerClosed
 	}
 }
 

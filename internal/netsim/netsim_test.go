@@ -46,7 +46,7 @@ func TestNewTokenBucketValidates(t *testing.T) {
 func TestTokenBucketBurstIsFree(t *testing.T) {
 	tb, _ := NewTokenBucket(1, 1000, nil) // 1 B/s but big burst
 	start := time.Now()
-	tb.WaitN(1000)
+	tb.waitN(1000)
 	if time.Since(start) > 500*time.Millisecond {
 		t.Fatal("burst-sized reservation blocked")
 	}
@@ -57,7 +57,7 @@ func TestTokenBucketEnforcesRate(t *testing.T) {
 	tb, _ := NewTokenBucket(1e6, 0, nil)
 	start := time.Now()
 	for i := 0; i < 20; i++ {
-		tb.WaitN(10000)
+		tb.waitN(10000)
 	}
 	elapsed := time.Since(start)
 	if elapsed < 150*time.Millisecond {
@@ -72,8 +72,8 @@ func TestTokenBucketZeroAndNegativeN(t *testing.T) {
 	tb, _ := NewTokenBucket(1, 0, nil)
 	done := make(chan struct{})
 	go func() {
-		tb.WaitN(0)
-		tb.WaitN(-5)
+		tb.waitN(0)
+		tb.waitN(-5)
 		close(done)
 	}()
 	select {
@@ -95,7 +95,7 @@ func TestTokenBucketNeverOverDelivers(t *testing.T) {
 		}
 		start := time.Now()
 		for i := 0; i < chunks; i++ {
-			tb.WaitN(per)
+			tb.waitN(per)
 		}
 		minSec := (float64(chunks*per) - burst) / rate
 		// Allow 20% scheduling slack below the theoretical floor.
@@ -152,10 +152,10 @@ func TestPipeListenerClose(t *testing.T) {
 	l := NewPipeListener()
 	l.Close()
 	l.Close() // idempotent
-	if _, err := l.Accept(); err != ErrListenerClosed {
+	if _, err := l.Accept(); err != errListenerClosed {
 		t.Fatalf("Accept after close: %v", err)
 	}
-	if _, err := l.Dial(); err != ErrListenerClosed {
+	if _, err := l.Dial(); err != errListenerClosed {
 		t.Fatalf("Dial after close: %v", err)
 	}
 	if l.Addr().Network() != "pipe" {
@@ -178,7 +178,7 @@ func TestShapedConnDeliversBytesIntact(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		shaped := Shape(conn, tb)
+		shaped := shape(conn, tb)
 		defer shaped.Close()
 		if _, err := shaped.Write(payload); err != nil {
 			t.Error(err)
@@ -216,7 +216,7 @@ func TestShapedConnThrottles(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		shaped := Shape(conn, tb)
+		shaped := shape(conn, tb)
 		defer shaped.Close()
 		shaped.Write(payload)
 	}()
@@ -248,7 +248,7 @@ func TestShapedListenerWrapsAccepted(t *testing.T) {
 		if err != nil {
 			return
 		}
-		if _, ok := conn.(*ShapedConn); !ok {
+		if _, ok := conn.(*shapedConn); !ok {
 			t.Error("accepted conn is not shaped")
 		}
 		conn.Write([]byte("ok"))
@@ -284,7 +284,7 @@ func TestSharedBucketSerializesConnections(t *testing.T) {
 		if err != nil {
 			return
 		}
-		shaped := Shape(conn, tb)
+		shaped := shape(conn, tb)
 		defer shaped.Close()
 		shaped.Write(make([]byte, per))
 	}

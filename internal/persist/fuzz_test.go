@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzReadPlan: the one plan reader answers every input with a plan that
-// round-trips or with ErrCorrupt — never a panic, another error, or a plan
+// round-trips or with errCorrupt — never a panic, another error, or a plan
 // whose vectors disagree with its N. Seeds: a valid file truncated at every
 // byte, with each header bit flipped, under both retired magics, with a zero
 // and an oversized sample count, with the fidelity vector one short, and a
@@ -18,7 +18,7 @@ import (
 func FuzzReadPlan(f *testing.F) {
 	plan := &policy.Plan{Name: "fz", Splits: []uint8{0, 2, 0}, Fidelity: []uint8{2, 0, 1}}
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, plan, PlanMeta{Version: 4, EnvFingerprint: 7}); err != nil {
+	if err := writePlan(&buf, plan, PlanMeta{Version: 4, EnvFingerprint: 7}); err != nil {
 		f.Fatal(err)
 	}
 	valid := buf.Bytes()
@@ -44,9 +44,9 @@ func FuzzReadPlan(f *testing.F) {
 	f.Add(claimedPlan())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		p, meta, err := ReadPlan(bytes.NewReader(data))
+		p, meta, err := readPlan(bytes.NewReader(data))
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, errCorrupt) {
 				t.Fatalf("rejected with an untyped error: %v", err)
 			}
 			return
@@ -55,7 +55,7 @@ func FuzzReadPlan(f *testing.F) {
 			t.Fatalf("accepted a plan of N %d with %d splits, %d fidelity entries", p.N(), len(p.Splits), len(p.Fidelity))
 		}
 		var out bytes.Buffer
-		if err := WritePlan(&out, p, meta); err != nil {
+		if err := writePlan(&out, p, meta); err != nil {
 			t.Fatalf("accepted plan failed to write: %v", err)
 		}
 		if !bytes.Equal(out.Bytes(), data) {

@@ -38,12 +38,12 @@ type PlanMeta struct {
 	EnvFingerprint uint64
 }
 
-// ErrCorrupt reports a malformed stream.
-var ErrCorrupt = errors.New("persist: corrupt stream")
+// errCorrupt reports a malformed stream.
+var errCorrupt = errors.New("persist: corrupt stream")
 
-// WritePlan serializes a plan with its control-plane header; a plan written
+// writePlan serializes a plan with its control-plane header; a plan written
 // outside the control plane passes the zero PlanMeta.
-func WritePlan(w io.Writer, p *policy.Plan, meta PlanMeta) error {
+func writePlan(w io.Writer, p *policy.Plan, meta PlanMeta) error {
 	if p == nil {
 		return errors.New("persist: nil plan")
 	}
@@ -82,24 +82,24 @@ func WritePlan(w io.Writer, p *policy.Plan, meta PlanMeta) error {
 	return bw.Flush()
 }
 
-// ReadPlan deserializes a plan and its header. Anything but a well-formed
-// SOPHPLN3 stream is ErrCorrupt.
-func ReadPlan(r io.Reader) (*policy.Plan, PlanMeta, error) {
+// readPlan deserializes a plan and its header. Anything but a well-formed
+// SOPHPLN3 stream is errCorrupt.
+func readPlan(r io.Reader) (*policy.Plan, PlanMeta, error) {
 	var meta PlanMeta
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(planMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, meta, fmt.Errorf("%w: magic: %v", ErrCorrupt, err)
+		return nil, meta, fmt.Errorf("%w: magic: %v", errCorrupt, err)
 	}
 	if string(magic) != planMagic {
-		return nil, meta, fmt.Errorf("%w: bad magic %q", ErrCorrupt, magic)
+		return nil, meta, fmt.Errorf("%w: bad magic %q", errCorrupt, magic)
 	}
 	var v uint32
 	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-		return nil, meta, fmt.Errorf("%w: plan version: %v", ErrCorrupt, err)
+		return nil, meta, fmt.Errorf("%w: plan version: %v", errCorrupt, err)
 	}
 	if err := binary.Read(br, binary.LittleEndian, &meta.EnvFingerprint); err != nil {
-		return nil, meta, fmt.Errorf("%w: env fingerprint: %v", ErrCorrupt, err)
+		return nil, meta, fmt.Errorf("%w: env fingerprint: %v", errCorrupt, err)
 	}
 	meta.Version = policy.PlanVersion(v)
 	name, err := readString(br)
@@ -108,38 +108,38 @@ func ReadPlan(r io.Reader) (*policy.Plan, PlanMeta, error) {
 	}
 	var n uint32
 	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, meta, fmt.Errorf("%w: count: %v", ErrCorrupt, err)
+		return nil, meta, fmt.Errorf("%w: count: %v", errCorrupt, err)
 	}
 	if n == 0 || n > maxRecords {
-		return nil, meta, fmt.Errorf("%w: %d splits", ErrCorrupt, n)
+		return nil, meta, fmt.Errorf("%w: %d splits", errCorrupt, n)
 	}
 	splits, err := readN(br, n)
 	if err != nil {
-		return nil, meta, fmt.Errorf("%w: splits: %v", ErrCorrupt, err)
+		return nil, meta, fmt.Errorf("%w: splits: %v", errCorrupt, err)
 	}
 	for i, s := range splits {
 		if int(s) > dataset.OpCount {
-			return nil, meta, fmt.Errorf("%w: split %d of sample %d out of range", ErrCorrupt, s, i)
+			return nil, meta, fmt.Errorf("%w: split %d of sample %d out of range", errCorrupt, s, i)
 		}
 	}
 	fidelity, err := readN(br, n)
 	if err != nil {
-		return nil, meta, fmt.Errorf("%w: fidelity: %v", ErrCorrupt, err)
+		return nil, meta, fmt.Errorf("%w: fidelity: %v", errCorrupt, err)
 	}
 	for i, f := range fidelity {
 		if int(f) >= imaging.MaxScans {
-			return nil, meta, fmt.Errorf("%w: fidelity %d of sample %d out of range", ErrCorrupt, f, i)
+			return nil, meta, fmt.Errorf("%w: fidelity %d of sample %d out of range", errCorrupt, f, i)
 		}
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, meta, fmt.Errorf("%w: trailing data", ErrCorrupt)
+		return nil, meta, fmt.Errorf("%w: trailing data", errCorrupt)
 	}
 	return &policy.Plan{Name: name, Splits: splits, Fidelity: fidelity}, meta, nil
 }
 
 // SavePlan writes a plan with its control-plane header to path.
 func SavePlan(path string, p *policy.Plan, meta PlanMeta) error {
-	return saveFile(path, func(w io.Writer) error { return WritePlan(w, p, meta) })
+	return saveFile(path, func(w io.Writer) error { return writePlan(w, p, meta) })
 }
 
 // LoadPlan reads a plan and its header from path.
@@ -149,7 +149,7 @@ func LoadPlan(path string) (*policy.Plan, PlanMeta, error) {
 		return nil, PlanMeta{}, err
 	}
 	defer f.Close()
-	return ReadPlan(f)
+	return readPlan(f)
 }
 
 func saveFile(path string, write func(io.Writer) error) error {
@@ -185,14 +185,14 @@ func writeString(w io.Writer, s string) error {
 func readString(r io.Reader) (string, error) {
 	var n uint16
 	if err := binary.Read(r, binary.LittleEndian, &n); err != nil {
-		return "", fmt.Errorf("%w: string length: %v", ErrCorrupt, err)
+		return "", fmt.Errorf("%w: string length: %v", errCorrupt, err)
 	}
 	if int(n) > maxName {
-		return "", fmt.Errorf("%w: string of %d bytes", ErrCorrupt, n)
+		return "", fmt.Errorf("%w: string of %d bytes", errCorrupt, n)
 	}
 	buf := make([]byte, n)
 	if _, err := io.ReadFull(r, buf); err != nil {
-		return "", fmt.Errorf("%w: string body: %v", ErrCorrupt, err)
+		return "", fmt.Errorf("%w: string body: %v", errCorrupt, err)
 	}
 	return string(buf), nil
 }

@@ -32,10 +32,10 @@ func TestPlanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, plan, PlanMeta{}); err != nil {
+	if err := writePlan(&buf, plan, PlanMeta{}); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := ReadPlan(&buf)
+	got, _, err := readPlan(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPlanRoundTrip(t *testing.T) {
 
 func TestNilInputs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, nil, PlanMeta{}); err == nil {
+	if err := writePlan(&buf, nil, PlanMeta{}); err == nil {
 		t.Fatal("accepted nil plan")
 	}
 }
@@ -59,7 +59,7 @@ func TestNilInputs(t *testing.T) {
 func TestReadRejectsCorrupt(t *testing.T) {
 	plan, _ := policy.NewUniformPlan("p", 5, 2)
 	var pbuf bytes.Buffer
-	if err := WritePlan(&pbuf, plan, PlanMeta{}); err != nil {
+	if err := writePlan(&pbuf, plan, PlanMeta{}); err != nil {
 		t.Fatal(err)
 	}
 	planBytes := pbuf.Bytes()
@@ -76,7 +76,7 @@ func TestReadRejectsCorrupt(t *testing.T) {
 		}(),
 	}
 	for name, b := range planCases {
-		if _, _, err := ReadPlan(bytes.NewReader(b)); err == nil {
+		if _, _, err := readPlan(bytes.NewReader(b)); err == nil {
 			t.Errorf("ReadPlan accepted %s", name)
 		}
 	}
@@ -89,14 +89,14 @@ func claimedPlan() []byte {
 }
 
 // TestClaimedCountCostsNothing: a header that claims 2^24 samples and ends
-// there is ErrCorrupt, and the reader allocates for the bytes that arrived,
+// there is errCorrupt, and the reader allocates for the bytes that arrived,
 // not for the count the stream claims.
 func TestClaimedCountCostsNothing(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := ReadPlan(bytes.NewReader(claimedPlan()))
+	_, _, err := readPlan(bytes.NewReader(claimedPlan()))
 	runtime.ReadMemStats(&after)
-	if !errors.Is(err, ErrCorrupt) {
+	if !errors.Is(err, errCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
@@ -139,10 +139,10 @@ func TestPlanRoundTripProperty(t *testing.T) {
 		}
 		in := &policy.Plan{Name: name, Splits: splits}
 		var buf bytes.Buffer
-		if err := WritePlan(&buf, in, PlanMeta{}); err != nil {
+		if err := writePlan(&buf, in, PlanMeta{}); err != nil {
 			return false
 		}
-		out, _, err := ReadPlan(&buf)
+		out, _, err := readPlan(&buf)
 		if err != nil || out.Name != in.Name || out.N() != in.N() {
 			return false
 		}

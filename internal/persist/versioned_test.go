@@ -16,12 +16,12 @@ var goldenPlan = &policy.Plan{Name: "golden", Splits: []uint8{0, 3, 1, 2, 0, 4, 
 func TestPlanVersionedRoundTrip(t *testing.T) {
 	meta := PlanMeta{Version: 12, EnvFingerprint: 0xdeadbeef}
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, goldenPlan, meta); err != nil {
+	if err := writePlan(&buf, goldenPlan, meta); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
-	p, got, err := ReadPlan(bytes.NewReader(raw))
+	p, got, err := readPlan(bytes.NewReader(raw))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestPlanGoldenFiles(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := ReadPlan(bytes.NewReader(old)); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := readPlan(bytes.NewReader(old)); !errors.Is(err, errCorrupt) {
 			t.Fatalf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
@@ -55,7 +55,7 @@ func TestPlanGoldenFiles(t *testing.T) {
 	want := append([]byte(planMagic), v2[len(planMagic):]...)
 	want = append(want, make([]byte, goldenPlan.N())...)
 	var out bytes.Buffer
-	if err := WritePlan(&out, goldenPlan, PlanMeta{Version: 7, EnvFingerprint: 0xfeedface01020304}); err != nil {
+	if err := writePlan(&out, goldenPlan, PlanMeta{Version: 7, EnvFingerprint: 0xfeedface01020304}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(out.Bytes(), want) {
@@ -82,12 +82,12 @@ func TestPlanVersionedFileHelpers(t *testing.T) {
 // TestReadPlanVersionedCorrupt covers truncated headers.
 func TestReadPlanVersionedCorrupt(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WritePlan(&buf, goldenPlan, PlanMeta{Version: 1}); err != nil {
+	if err := writePlan(&buf, goldenPlan, PlanMeta{Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	for _, cut := range []int{len(planMagic) + 2, len(planMagic) + 9} {
-		if _, _, err := ReadPlan(bytes.NewReader(raw[:cut])); err == nil {
+		if _, _, err := readPlan(bytes.NewReader(raw[:cut])); err == nil {
 			t.Fatalf("accepted header truncated at %d", cut)
 		}
 	}

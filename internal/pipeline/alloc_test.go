@@ -129,7 +129,7 @@ func TestDecodeArtifactImageSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := ImageArtifact(im).AppendEncode(nil)
+	enc, err := imageArtifact(im).AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,18 +52,18 @@ type Artifact struct {
 
 // Package errors.
 var (
-	ErrKindMismatch = errors.New("pipeline: artifact kind mismatch")
-	ErrCorrupt      = errors.New("pipeline: corrupt artifact encoding")
+	errKindMismatch = errors.New("pipeline: artifact kind mismatch")
+	errCorrupt      = errors.New("pipeline: corrupt artifact encoding")
 )
 
 // RawArtifact wraps encoded bytes.
 func RawArtifact(data []byte) Artifact { return Artifact{Kind: KindRaw, Raw: data} }
 
-// ImageArtifact wraps a decoded image.
-func ImageArtifact(im *imaging.Image) Artifact { return Artifact{Kind: KindImage, Image: im} }
+// imageArtifact wraps a decoded image.
+func imageArtifact(im *imaging.Image) Artifact { return Artifact{Kind: KindImage, Image: im} }
 
-// TensorArtifact wraps a tensor.
-func TensorArtifact(t *tensor.Tensor) Artifact { return Artifact{Kind: KindTensor, Tensor: t} }
+// tensorArtifact wraps a tensor.
+func tensorArtifact(t *tensor.Tensor) Artifact { return Artifact{Kind: KindTensor, Tensor: t} }
 
 const imageHeader = 1 + 8 // kind byte + W,H uint32
 
@@ -131,7 +131,7 @@ func (a Artifact) AppendEncode(dst []byte) ([]byte, error) {
 		dst = append(dst, byte(KindTensor))
 		return a.Tensor.AppendMarshal(dst), nil
 	default:
-		return nil, fmt.Errorf("%w: kind %d", ErrCorrupt, a.Kind)
+		return nil, fmt.Errorf("%w: kind %d", errCorrupt, a.Kind)
 	}
 }
 
@@ -152,11 +152,11 @@ func (a Artifact) Release() {
 // unpacked or copied into pool-backed buffers — the caller owns the result
 // (Release when done) and data is never aliased. Raw payloads are copied into
 // plain memory since raw artifacts are borrowed-by-convention and never
-// released. Every rejection is ErrCorrupt, made before a buffer is sized from
+// released. Every rejection is errCorrupt, made before a buffer is sized from
 // anything the payload cannot back.
 func DecodeArtifact(data []byte) (Artifact, error) {
 	if len(data) < 1 {
-		return Artifact{}, fmt.Errorf("%w: empty", ErrCorrupt)
+		return Artifact{}, fmt.Errorf("%w: empty", errCorrupt)
 	}
 	switch Kind(data[0]) {
 	case KindRaw:
@@ -165,23 +165,23 @@ func DecodeArtifact(data []byte) (Artifact, error) {
 		return RawArtifact(raw), nil
 	case KindImage:
 		if len(data) < imageHeader {
-			return Artifact{}, fmt.Errorf("%w: short image header", ErrCorrupt)
+			return Artifact{}, fmt.Errorf("%w: short image header", errCorrupt)
 		}
 		w := int(binary.LittleEndian.Uint32(data[1:5]))
 		h := int(binary.LittleEndian.Uint32(data[5:9]))
 		im, err := imaging.Unpack(data[imageHeader:], w, h)
 		if err != nil {
-			return Artifact{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return Artifact{}, fmt.Errorf("%w: %v", errCorrupt, err)
 		}
-		return ImageArtifact(im), nil
+		return imageArtifact(im), nil
 	case KindTensor:
 		t, err := tensor.Unmarshal(data[1:])
 		if err != nil {
-			return Artifact{}, fmt.Errorf("%w: %v", ErrCorrupt, err)
+			return Artifact{}, fmt.Errorf("%w: %v", errCorrupt, err)
 		}
-		return TensorArtifact(t), nil
+		return tensorArtifact(t), nil
 	default:
-		return Artifact{}, fmt.Errorf("%w: kind %d", ErrCorrupt, data[0])
+		return Artifact{}, fmt.Errorf("%w: kind %d", errCorrupt, data[0])
 	}
 }
 

@@ -64,7 +64,7 @@ func BenchmarkArtifactEncodeImage224(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := ImageArtifact(im)
+	a := imageArtifact(im)
 	b.SetBytes(int64(a.WireSize()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -79,7 +79,7 @@ func BenchmarkArtifactDecodeImage224(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	enc, err := ImageArtifact(im).AppendEncode(nil)
+	enc, err := imageArtifact(im).AppendEncode(nil)
 	if err != nil {
 		b.Fatal(err)
 	}

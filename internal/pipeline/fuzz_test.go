@@ -10,14 +10,14 @@ import (
 )
 
 // FuzzDecodeArtifact: the artifact parser must never panic or size a buffer
-// from bytes that are not there, every rejection is ErrCorrupt, and accepted
+// from bytes that are not there, every rejection is errCorrupt, and accepted
 // artifacts must re-encode losslessly.
 func FuzzDecodeArtifact(f *testing.F) {
 	im, err := imaging.Synthesize(imaging.SynthParams{W: 8, H: 6, Detail: 0.4, Seed: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
-	packed, err := ImageArtifact(im).AppendEncode(nil)
+	packed, err := imageArtifact(im).AppendEncode(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 		f.Add(enc)
 	}
 	tt, _ := tensor.New(1, 2, 2)
-	if enc, err := TensorArtifact(tt).AppendEncode(nil); err == nil {
+	if enc, err := tensorArtifact(tt).AppendEncode(nil); err == nil {
 		f.Add(enc)
 	}
 	f.Add([]byte{})
@@ -53,7 +53,7 @@ func FuzzDecodeArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := DecodeArtifact(data)
 		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
+			if !errors.Is(err, errCorrupt) {
 				t.Fatalf("rejection is not ErrCorrupt: %v", err)
 			}
 			return

@@ -9,53 +9,53 @@ import (
 	"repro/internal/tensor"
 )
 
-// OpID is the stable identifier for a preprocessing operation, used in wire
+// opID is the stable identifier for a preprocessing operation, used in wire
 // messages and offload plans.
-type OpID uint8
+type opID uint8
 
 // Standard op identifiers, in pipeline order.
 const (
-	OpDecode OpID = iota + 1
-	OpRandomResizedCrop
-	OpRandomHorizontalFlip
-	OpToTensor
-	OpNormalize
+	opDecode opID = iota + 1
+	opRandomResizedCrop
+	opRandomHorizontalFlip
+	opToTensor
+	opNormalize
 )
 
 // String names the op.
-func (id OpID) String() string {
+func (id opID) String() string {
 	switch id {
-	case OpDecode:
+	case opDecode:
 		return "Decode"
-	case OpRandomResizedCrop:
+	case opRandomResizedCrop:
 		return "RandomResizedCrop"
-	case OpRandomHorizontalFlip:
+	case opRandomHorizontalFlip:
 		return "RandomHorizontalFlip"
-	case OpToTensor:
+	case opToTensor:
 		return "ToTensor"
-	case OpNormalize:
+	case opNormalize:
 		return "Normalize"
 	default:
 		return fmt.Sprintf("Op(%d)", uint8(id))
 	}
 }
 
-// Op is one preprocessing operation. Apply must be deterministic given the
+// op is one preprocessing operation. apply must be deterministic given the
 // artifact and the rng stream.
 //
-// Ownership: Apply CONSUMES its input artifact. Image and tensor payloads
+// Ownership: apply CONSUMES its input artifact. Image and tensor payloads
 // are owned by the pipeline — an op may mutate them in place or Release
 // them to the buffer pool; callers must not touch an artifact after passing
-// it to Apply. Raw payloads are the one exception: they are borrowed
+// it to apply. Raw payloads are the one exception: they are borrowed
 // (they may alias the store or a cache) and must never be mutated or
 // released. See DESIGN.md "Buffer ownership".
-type Op interface {
-	Name() string
-	// InKind and OutKind declare the artifact types the op consumes and
+type op interface {
+	name() string
+	// inKind and outKind declare the artifact types the op consumes and
 	// produces; Pipeline validates adjacency at construction.
-	InKind() Kind
-	OutKind() Kind
-	Apply(a Artifact, rng *rand.Rand) (Artifact, error)
+	inKind() Kind
+	outKind() Kind
+	apply(a Artifact, rng *rand.Rand) (Artifact, error)
 }
 
 // decodeOp turns a stored SJPG container into a pixel image. A container
@@ -64,19 +64,19 @@ type Op interface {
 // object — at lower fidelity, not as an error.
 type decodeOp struct{}
 
-func (decodeOp) Name() string  { return OpDecode.String() }
-func (decodeOp) InKind() Kind  { return KindRaw }
-func (decodeOp) OutKind() Kind { return KindImage }
+func (decodeOp) name() string  { return opDecode.String() }
+func (decodeOp) inKind() Kind  { return KindRaw }
+func (decodeOp) outKind() Kind { return KindImage }
 
-func (decodeOp) Apply(a Artifact, _ *rand.Rand) (Artifact, error) {
+func (decodeOp) apply(a Artifact, _ *rand.Rand) (Artifact, error) {
 	if a.Kind != KindRaw {
-		return Artifact{}, fmt.Errorf("%w: Decode wants raw, got %s", ErrKindMismatch, a.Kind)
+		return Artifact{}, fmt.Errorf("%w: Decode wants raw, got %s", errKindMismatch, a.Kind)
 	}
 	im, err := imaging.Decode(a.Raw)
 	if err != nil {
 		return Artifact{}, fmt.Errorf("pipeline: decode: %w", err)
 	}
-	return ImageArtifact(im), nil
+	return imageArtifact(im), nil
 }
 
 // randomResizedCropOp reproduces torchvision's RandomResizedCrop: sample a
@@ -100,13 +100,13 @@ func newRandomResizedCrop(size int) randomResizedCropOp {
 	}
 }
 
-func (randomResizedCropOp) Name() string  { return OpRandomResizedCrop.String() }
-func (randomResizedCropOp) InKind() Kind  { return KindImage }
-func (randomResizedCropOp) OutKind() Kind { return KindImage }
+func (randomResizedCropOp) name() string  { return opRandomResizedCrop.String() }
+func (randomResizedCropOp) inKind() Kind  { return KindImage }
+func (randomResizedCropOp) outKind() Kind { return KindImage }
 
-func (op randomResizedCropOp) Apply(a Artifact, rng *rand.Rand) (Artifact, error) {
+func (op randomResizedCropOp) apply(a Artifact, rng *rand.Rand) (Artifact, error) {
 	if a.Kind != KindImage {
-		return Artifact{}, fmt.Errorf("%w: RandomResizedCrop wants image, got %s", ErrKindMismatch, a.Kind)
+		return Artifact{}, fmt.Errorf("%w: RandomResizedCrop wants image, got %s", errKindMismatch, a.Kind)
 	}
 	im := a.Image
 	rect := op.sampleRect(im.W, im.H, rng)
@@ -115,14 +115,14 @@ func (op randomResizedCropOp) Apply(a Artifact, rng *rand.Rand) (Artifact, error
 		return Artifact{}, fmt.Errorf("pipeline: random resized crop: %w", err)
 	}
 	im.Release()
-	return ImageArtifact(out), nil
+	return imageArtifact(out), nil
 }
 
 // decodeCrop is decodeOp then op on the same raw sample, as one imaging kernel
 // that never builds the full image; decoded is the ImageWireSize that image
 // would have had. The rect is sampled from the header's dimensions — the ones
 // the decoded image would have — with op's own rng stream, so it is the rect
-// Apply would have drawn. A failure is the stream's: sampleRect only returns
+// apply would have drawn. A failure is the stream's: sampleRect only returns
 // rects inside w×h.
 func (op randomResizedCropOp) decodeCrop(raw []byte, rng *rand.Rand) (im *imaging.Image, decoded int, err error) {
 	w, h, err := imaging.DecodeDims(raw)
@@ -177,37 +177,37 @@ type randomHorizontalFlipOp struct {
 	P float64
 }
 
-func (randomHorizontalFlipOp) Name() string  { return OpRandomHorizontalFlip.String() }
-func (randomHorizontalFlipOp) InKind() Kind  { return KindImage }
-func (randomHorizontalFlipOp) OutKind() Kind { return KindImage }
+func (randomHorizontalFlipOp) name() string  { return opRandomHorizontalFlip.String() }
+func (randomHorizontalFlipOp) inKind() Kind  { return KindImage }
+func (randomHorizontalFlipOp) outKind() Kind { return KindImage }
 
-func (op randomHorizontalFlipOp) Apply(a Artifact, rng *rand.Rand) (Artifact, error) {
+func (op randomHorizontalFlipOp) apply(a Artifact, rng *rand.Rand) (Artifact, error) {
 	if a.Kind != KindImage {
-		return Artifact{}, fmt.Errorf("%w: RandomHorizontalFlip wants image, got %s", ErrKindMismatch, a.Kind)
+		return Artifact{}, fmt.Errorf("%w: RandomHorizontalFlip wants image, got %s", errKindMismatch, a.Kind)
 	}
 	// The op owns its input, so the flip happens in the image's own buffer:
 	// no copy on either branch.
 	if rng.Float64() < op.P {
 		imaging.FlipHorizontalInPlace(a.Image)
 	}
-	return ImageArtifact(a.Image), nil
+	return imageArtifact(a.Image), nil
 }
 
 // toTensorOp converts uint8 RGB to a float32 CHW tensor in [0, 1] — the 4×
 // wire-size inflation the paper's Finding #2 hinges on.
 type toTensorOp struct{}
 
-func (toTensorOp) Name() string  { return OpToTensor.String() }
-func (toTensorOp) InKind() Kind  { return KindImage }
-func (toTensorOp) OutKind() Kind { return KindTensor }
+func (toTensorOp) name() string  { return opToTensor.String() }
+func (toTensorOp) inKind() Kind  { return KindImage }
+func (toTensorOp) outKind() Kind { return KindTensor }
 
-func (toTensorOp) Apply(a Artifact, _ *rand.Rand) (Artifact, error) {
+func (toTensorOp) apply(a Artifact, _ *rand.Rand) (Artifact, error) {
 	if a.Kind != KindImage {
-		return Artifact{}, fmt.Errorf("%w: ToTensor wants image, got %s", ErrKindMismatch, a.Kind)
+		return Artifact{}, fmt.Errorf("%w: ToTensor wants image, got %s", errKindMismatch, a.Kind)
 	}
 	t := tensor.FromImage(a.Image)
 	a.Image.Release()
-	return TensorArtifact(t), nil
+	return tensorArtifact(t), nil
 }
 
 // normalizeOp standardizes the tensor with per-channel mean/std.
@@ -216,13 +216,13 @@ type normalizeOp struct {
 	Std  []float32
 }
 
-func (normalizeOp) Name() string  { return OpNormalize.String() }
-func (normalizeOp) InKind() Kind  { return KindTensor }
-func (normalizeOp) OutKind() Kind { return KindTensor }
+func (normalizeOp) name() string  { return opNormalize.String() }
+func (normalizeOp) inKind() Kind  { return KindTensor }
+func (normalizeOp) outKind() Kind { return KindTensor }
 
-func (op normalizeOp) Apply(a Artifact, _ *rand.Rand) (Artifact, error) {
+func (op normalizeOp) apply(a Artifact, _ *rand.Rand) (Artifact, error) {
 	if a.Kind != KindTensor {
-		return Artifact{}, fmt.Errorf("%w: Normalize wants tensor, got %s", ErrKindMismatch, a.Kind)
+		return Artifact{}, fmt.Errorf("%w: Normalize wants tensor, got %s", errKindMismatch, a.Kind)
 	}
 	// In place: the op owns its input tensor.
 	if err := a.Tensor.Normalize(op.Mean, op.Std); err != nil {

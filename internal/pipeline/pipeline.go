@@ -17,28 +17,28 @@ import (
 // len(Ops) is the fully preprocessed tensor. An offload plan with split k
 // runs ops [0, k) on the storage server and ops [k, len) locally.
 type Pipeline struct {
-	ops []Op
+	ops []op
 }
 
 // ErrBadSplit reports an out-of-range split point.
 var ErrBadSplit = errors.New("pipeline: split out of range")
 
-// New validates that each op consumes what its predecessor produces and that
-// the first op consumes raw bytes.
-func New(ops ...Op) (*Pipeline, error) {
+// newPipeline validates that each op consumes what its predecessor produces
+// and that the first op consumes raw bytes.
+func newPipeline(ops ...op) (*Pipeline, error) {
 	if len(ops) == 0 {
 		return nil, errors.New("pipeline: no ops")
 	}
-	if ops[0].InKind() != KindRaw {
-		return nil, fmt.Errorf("pipeline: first op %s must consume raw, consumes %s", ops[0].Name(), ops[0].InKind())
+	if ops[0].inKind() != KindRaw {
+		return nil, fmt.Errorf("pipeline: first op %s must consume raw, consumes %s", ops[0].name(), ops[0].inKind())
 	}
 	for i := 1; i < len(ops); i++ {
-		if ops[i].InKind() != ops[i-1].OutKind() {
+		if ops[i].inKind() != ops[i-1].outKind() {
 			return nil, fmt.Errorf("pipeline: %s produces %s but %s consumes %s",
-				ops[i-1].Name(), ops[i-1].OutKind(), ops[i].Name(), ops[i].InKind())
+				ops[i-1].name(), ops[i-1].outKind(), ops[i].name(), ops[i].inKind())
 		}
 	}
-	return &Pipeline{ops: append([]Op(nil), ops...)}, nil
+	return &Pipeline{ops: append([]op(nil), ops...)}, nil
 }
 
 // StandardOptions configures the standard image-classification pipeline.
@@ -56,7 +56,7 @@ func Standard(opts StandardOptions) *Pipeline {
 	if opts.FlipP < 0 {
 		opts.FlipP = 0.5
 	}
-	p, err := New(
+	p, err := newPipeline(
 		decodeOp{},
 		newRandomResizedCrop(opts.CropSize),
 		randomHorizontalFlipOp{P: opts.FlipP},
@@ -80,7 +80,7 @@ func (p *Pipeline) Len() int { return len(p.ops) }
 // rngFor builds the op's independent random stream. It is the reference for
 // rngHolder.seedFor, which produces the identical stream without allocating.
 func rngFor(seed Seed, opIndex int) *rand.Rand {
-	s := seed.ForOp(opIndex)
+	s := seed.forOp(opIndex)
 	return rand.New(rand.NewPCG(s, splitmix(s)))
 }
 
@@ -100,7 +100,7 @@ var rngPool = sync.Pool{New: func() any {
 // seedFor re-seeds the holder to op opIndex's independent stream, matching
 // rngFor bit for bit.
 func (h *rngHolder) seedFor(seed Seed, opIndex int) *rand.Rand {
-	s := seed.ForOp(opIndex)
+	s := seed.forOp(opIndex)
 	h.pcg.Seed(s, splitmix(s))
 	return h.rng
 }
@@ -108,7 +108,7 @@ func (h *rngHolder) seedFor(seed Seed, opIndex int) *rand.Rand {
 // RunRange applies ops [from, to) to a, deriving each op's rng from seed.
 // from==to returns a unchanged.
 //
-// Ownership follows the Op contract: the pipeline consumes a (image/tensor
+// Ownership follows the op contract: the pipeline consumes a (image/tensor
 // payloads may be mutated in place or released to the buffer pool; raw
 // payloads are borrowed and left untouched). The returned artifact is owned
 // by the caller — Release it when done to keep the path allocation-free.
@@ -150,24 +150,24 @@ func (p *Pipeline) step(cur Artifact, i, to int, h *rngHolder, seed Seed) (next 
 			if _, isDec := p.ops[i].(decodeOp); isDec && cur.Kind == KindRaw {
 				im, decoded, err := second.decodeCrop(cur.Raw, h.seedFor(seed, i+1))
 				if err != nil {
-					return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].Name(), err)
+					return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].name(), err)
 				}
-				return ImageArtifact(im), decoded, nil
+				return imageArtifact(im), decoded, nil
 			}
 		case normalizeOp:
 			if _, isTT := p.ops[i].(toTensorOp); isTT && cur.Kind == KindImage {
 				t, err := tensor.FromImageNormalized(cur.Image, second.Mean, second.Std)
 				if err != nil {
-					return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i+1, second.Name(), err)
+					return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i+1, second.name(), err)
 				}
 				cur.Image.Release()
-				return TensorArtifact(t), TensorWireSize(t.C, t.H, t.W), nil
+				return tensorArtifact(t), TensorWireSize(t.C, t.H, t.W), nil
 			}
 		}
 	}
-	next, err = p.ops[i].Apply(cur, h.seedFor(seed, i))
+	next, err = p.ops[i].apply(cur, h.seedFor(seed, i))
 	if err != nil {
-		return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].Name(), err)
+		return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].name(), err)
 	}
 	return next, 0, nil
 }
@@ -236,10 +236,10 @@ func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 	trace.Shipped[0] = trace.Sizes[0]
 	for i, op := range p.ops {
 		start := time.Now()
-		next, err := op.Apply(cur, rngFor(seed, i))
+		next, err := op.apply(cur, rngFor(seed, i))
 		trace.OpTimes[i] = time.Since(start)
 		if err != nil {
-			return Artifact{}, StageTrace{}, fmt.Errorf("pipeline: trace op %d (%s): %w", i, op.Name(), err)
+			return Artifact{}, StageTrace{}, fmt.Errorf("pipeline: trace op %d (%s): %w", i, op.name(), err)
 		}
 		cur = next
 		trace.Sizes[i+1] = cur.WireSize()

@@ -50,7 +50,7 @@ func TestArtifactEncodeDecodeRaw(t *testing.T) {
 
 func TestArtifactEncodeDecodeImage(t *testing.T) {
 	im, _ := imaging.Synthesize(imaging.SynthParams{W: 13, H: 7, Detail: 0.5, Seed: 1})
-	a := ImageArtifact(im)
+	a := imageArtifact(im)
 	enc, err := a.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -92,7 +92,7 @@ func TestArtifactImageRoundTripProperty(t *testing.T) {
 				im.Pix[i] = uint8(rng.Uint32())
 			}
 		}
-		a := ImageArtifact(im)
+		a := imageArtifact(im)
 		enc, err := a.AppendEncode(nil)
 		if err != nil {
 			return false
@@ -122,7 +122,7 @@ func noiseArtifact(w, h int, seed uint64) Artifact {
 	for i := range noise.Pix {
 		noise.Pix[i] = uint8(rng.Uint32())
 	}
-	return ImageArtifact(noise)
+	return imageArtifact(noise)
 }
 
 // TestImageEncodeFitsItsPooledBuffer: the executor and the cache encode into
@@ -134,7 +134,7 @@ func noiseArtifact(w, h int, seed uint64) Artifact {
 // under every class boundary; AppendEncode must regrow none of them.
 func TestImageEncodeFitsItsPooledBuffer(t *testing.T) {
 	photo, _ := imaging.Synthesize(imaging.SynthParams{W: 128, H: 128, Detail: 0.5, Seed: 2})
-	cases := map[string]Artifact{"photo": ImageArtifact(photo), "noise 128x128": noiseArtifact(128, 128, 3)}
+	cases := map[string]Artifact{"photo": imageArtifact(photo), "noise 128x128": noiseArtifact(128, 128, 3)}
 	for _, d := range [][2]int{{3, 6}, {6, 227}, {61, 179}, {134, 163}, {79, 553}, {133, 163}, {135, 163}, {134, 162}} {
 		cases[fmt.Sprintf("noise %dx%d", d[0], d[1])] = noiseArtifact(d[0], d[1], uint64(d[0]))
 	}
@@ -170,7 +170,7 @@ func TestImageEncodeFitsItsPooledBuffer(t *testing.T) {
 func TestArtifactEncodeDecodeTensor(t *testing.T) {
 	tt, _ := tensor.New(3, 4, 5)
 	tt.Data[(1*tt.H+2)*tt.W+3] = -2.5
-	a := TensorArtifact(tt)
+	a := tensorArtifact(tt)
 	enc, err := a.AppendEncode(nil)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +189,7 @@ func TestArtifactEncodeDecodeTensor(t *testing.T) {
 
 func TestDecodeArtifactRejectsCorrupt(t *testing.T) {
 	im, _ := imaging.Synthesize(imaging.SynthParams{W: 4, H: 4, Detail: 0, Seed: 1})
-	good, _ := ImageArtifact(im).AppendEncode(nil)
+	good, _ := imageArtifact(im).AppendEncode(nil)
 	withDims := func(w, h uint32) []byte {
 		d := append([]byte(nil), good...)
 		binary.LittleEndian.PutUint32(d[1:5], w)
@@ -210,16 +210,16 @@ func TestDecodeArtifactRejectsCorrupt(t *testing.T) {
 		"bad tensor":       {byte(KindTensor), 1, 2, 3},
 	}
 	for name, c := range cases {
-		if _, err := DecodeArtifact(c); !errors.Is(err, ErrCorrupt) {
+		if _, err := DecodeArtifact(c); !errors.Is(err, errCorrupt) {
 			t.Errorf("DecodeArtifact(%s) = %v, want ErrCorrupt", name, err)
 		}
 	}
 	// A 9-byte header may claim 65 536 × 65 536; nothing is sized from it.
 	before := bufpool.ByteStats()
-	if _, err := DecodeArtifact(withDims(1<<16, 1<<16)[:imageHeader]); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeArtifact(withDims(1<<16, 1<<16)[:imageHeader]); !errors.Is(err, errCorrupt) {
 		t.Errorf("bare 65536x65536 header: %v, want ErrCorrupt", err)
 	}
-	if _, err := DecodeArtifact(withDims(1<<16, 1<<16)); !errors.Is(err, ErrCorrupt) {
+	if _, err := DecodeArtifact(withDims(1<<16, 1<<16)); !errors.Is(err, errCorrupt) {
 		t.Errorf("65536x65536 over a 4x4 payload: %v, want ErrCorrupt", err)
 	}
 	if after := bufpool.ByteStats(); after != before {
@@ -228,7 +228,7 @@ func TestDecodeArtifactRejectsCorrupt(t *testing.T) {
 }
 
 func TestArtifactEqualAcrossKinds(t *testing.T) {
-	if RawArtifact([]byte{1}).Equal(ImageArtifact(imaging.MustNew(1, 1))) {
+	if RawArtifact([]byte{1}).Equal(imageArtifact(imaging.MustNew(1, 1))) {
 		t.Fatal("different kinds reported equal")
 	}
 	if !RawArtifact(nil).Equal(RawArtifact([]byte{})) {
@@ -237,16 +237,16 @@ func TestArtifactEqualAcrossKinds(t *testing.T) {
 }
 
 func TestNewValidatesChaining(t *testing.T) {
-	if _, err := New(); err == nil {
+	if _, err := newPipeline(); err == nil {
 		t.Fatal("empty pipeline accepted")
 	}
-	if _, err := New(toTensorOp{}); err == nil {
+	if _, err := newPipeline(toTensorOp{}); err == nil {
 		t.Fatal("pipeline starting with image-consumer accepted")
 	}
-	if _, err := New(decodeOp{}, decodeOp{}); err == nil {
+	if _, err := newPipeline(decodeOp{}, decodeOp{}); err == nil {
 		t.Fatal("kind-mismatched chain accepted")
 	}
-	if _, err := New(decodeOp{}, toTensorOp{}, normalizeOp{Mean: tensor.ImageNetMean, Std: tensor.ImageNetStd}); err != nil {
+	if _, err := newPipeline(decodeOp{}, toTensorOp{}, normalizeOp{Mean: tensor.ImageNetMean, Std: tensor.ImageNetStd}); err != nil {
 		t.Fatalf("valid chain rejected: %v", err)
 	}
 }
@@ -256,9 +256,9 @@ func TestStandardPipelineShape(t *testing.T) {
 	if p.Len() != 5 {
 		t.Fatalf("standard pipeline has %d ops", p.Len())
 	}
-	want := []OpID{OpDecode, OpRandomResizedCrop, OpRandomHorizontalFlip, OpToTensor, OpNormalize}
+	want := []opID{opDecode, opRandomResizedCrop, opRandomHorizontalFlip, opToTensor, opNormalize}
 	for i := range want {
-		if got := p.ops[i].Name(); got != want[i].String() {
+		if got := p.ops[i].name(); got != want[i].String() {
 			t.Fatalf("op %d = %s, want %s", i, got, want[i])
 		}
 	}
@@ -450,11 +450,11 @@ func TestRunMatchesTrace(t *testing.T) {
 					if s > 0 {
 						continue
 					}
-					decoded, err := p.ops[0].Apply(RawArtifact(raw), rngFor(seed, 0))
+					decoded, err := p.ops[0].apply(RawArtifact(raw), rngFor(seed, 0))
 					if err != nil {
 						t.Fatal(err)
 					}
-					cropped, err := p.ops[1].Apply(decoded, rngFor(seed, 1))
+					cropped, err := p.ops[1].apply(decoded, rngFor(seed, 1))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -528,7 +528,7 @@ func TestProfileMatchesTrace(t *testing.T) {
 	if testing.Short() || raceflag.Enabled {
 		objects, seeds = 2, 2
 	}
-	noPair, err := New(decodeOp{}, randomHorizontalFlipOp{P: 0.5}, newRandomResizedCrop(96), toTensorOp{})
+	noPair, err := newPipeline(decodeOp{}, randomHorizontalFlipOp{P: 0.5}, newRandomResizedCrop(96), toTensorOp{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +552,7 @@ func TestProfileMatchesTrace(t *testing.T) {
 		// A 128² rect of a square ratio: the resample reads every pixel once.
 		scale := float64(128*128) / float64(w*h)
 		pureCrop := randomResizedCropOp{Size: 128, ScaleLo: scale, ScaleHi: scale, RatioLo: 1, RatioHi: 1, Attempts: 10}
-		pure, err := New(decodeOp{}, pureCrop, randomHorizontalFlipOp{P: 0.5}, toTensorOp{},
+		pure, err := newPipeline(decodeOp{}, pureCrop, randomHorizontalFlipOp{P: 0.5}, toTensorOp{},
 			normalizeOp{Mean: tensor.ImageNetMean, Std: tensor.ImageNetStd})
 		if err != nil {
 			t.Fatal(err)
@@ -716,16 +716,16 @@ func TestSeedForOpIndependence(t *testing.T) {
 	s := Seed{Job: 1, Epoch: 2, Sample: 3}
 	seen := map[uint64]bool{}
 	for i := 0; i < 5; i++ {
-		v := s.ForOp(i)
+		v := s.forOp(i)
 		if seen[v] {
 			t.Fatalf("op %d reuses another op's stream seed", i)
 		}
 		seen[v] = true
 	}
-	if s.ForOp(0) != s.ForOp(0) {
+	if s.forOp(0) != s.forOp(0) {
 		t.Fatal("ForOp not deterministic")
 	}
-	if (Seed{Job: 1, Epoch: 2, Sample: 4}).ForOp(0) == s.ForOp(0) {
+	if (Seed{Job: 1, Epoch: 2, Sample: 4}).forOp(0) == s.forOp(0) {
 		t.Fatal("different samples share op seed")
 	}
 }
@@ -766,7 +766,7 @@ func TestOpsRejectWrongKinds(t *testing.T) {
 	p := DefaultStandard()
 	// Feed a tensor artifact to the image-stage suffix.
 	tt, _ := tensor.New(3, 2, 2)
-	if _, err := p.RunRange(TensorArtifact(tt), 1, 3, rngSeed); err == nil {
+	if _, err := p.RunRange(tensorArtifact(tt), 1, 3, rngSeed); err == nil {
 		t.Fatal("image ops accepted tensor input")
 	}
 	if _, err := p.RunRange(RawArtifact([]byte{1, 2}), 4, 5, rngSeed); err == nil {
@@ -779,16 +779,16 @@ func TestFlipProbabilityZeroAndOne(t *testing.T) {
 	never := randomHorizontalFlipOp{P: 0}
 	always := randomHorizontalFlipOp{P: 1}
 	seed := Seed{Job: 9, Epoch: 9, Sample: 9}
-	// Apply consumes (and may mutate) its input, so each call gets a clone
+	// apply consumes (and may mutate) its input, so each call gets a clone
 	// and im stays pristine for the comparisons.
-	a, err := never.Apply(ImageArtifact(cloneImage(im)), rngFor(seed, 2))
+	a, err := never.apply(imageArtifact(cloneImage(im)), rngFor(seed, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Image.Equal(im) {
 		t.Fatal("P=0 flipped the image")
 	}
-	b, err := always.Apply(ImageArtifact(cloneImage(im)), rngFor(seed, 2))
+	b, err := always.apply(imageArtifact(cloneImage(im)), rngFor(seed, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -798,13 +798,13 @@ func TestFlipProbabilityZeroAndOne(t *testing.T) {
 }
 
 func TestOpIDStrings(t *testing.T) {
-	for id, want := range map[OpID]string{
-		OpDecode:               "Decode",
-		OpRandomResizedCrop:    "RandomResizedCrop",
-		OpRandomHorizontalFlip: "RandomHorizontalFlip",
-		OpToTensor:             "ToTensor",
-		OpNormalize:            "Normalize",
-		OpID(77):               "Op(77)",
+	for id, want := range map[opID]string{
+		opDecode:               "Decode",
+		opRandomResizedCrop:    "RandomResizedCrop",
+		opRandomHorizontalFlip: "RandomHorizontalFlip",
+		opToTensor:             "ToTensor",
+		opNormalize:            "Normalize",
+		opID(77):               "Op(77)",
 	} {
 		if id.String() != want {
 			t.Errorf("OpID(%d).String() = %q", id, id.String())
@@ -887,7 +887,7 @@ func TestRowSlicedFetchFinishesLikeThePrefix(t *testing.T) {
 // Decode+RandomResizedCrop pair, and only for a header it can read.
 func TestCropRectNeedsTheFusedPair(t *testing.T) {
 	raw := encodeSample(t, 40, 50, 0.5, 1)
-	decodeOnly, err := New(decodeOp{}, toTensorOp{})
+	decodeOnly, err := newPipeline(decodeOp{}, toTensorOp{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ type Seed struct {
 	Sample uint64
 }
 
-// ForOp derives the 64-bit stream seed for the op at index opIndex.
-func (s Seed) ForOp(opIndex int) uint64 {
+// forOp derives the 64-bit stream seed for the op at index opIndex.
+func (s Seed) forOp(opIndex int) uint64 {
 	x := splitmix(s.Job ^ 0x243f6a8885a308d3)
 	x = splitmix(x ^ s.Epoch)
 	x = splitmix(x ^ s.Sample)

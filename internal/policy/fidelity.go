@@ -23,36 +23,36 @@ type FidelityModel struct {
 	Quality  []float64 // reconstruction quality in (0, 1]; Quality[Levels-1] == 1
 }
 
-// ErrFidelityModel reports an inconsistent ladder.
-var ErrFidelityModel = errors.New("policy: invalid fidelity model")
+// errFidelityModel reports an inconsistent ladder.
+var errFidelityModel = errors.New("policy: invalid fidelity model")
 
 // Validate checks ladder shape: both tracks cover every level, are
 // monotone non-decreasing, stay in (0, 1], and reach exactly 1 at full
 // depth.
 func (m FidelityModel) Validate() error {
 	if m.Levels < 1 {
-		return fmt.Errorf("%w: %d levels", ErrFidelityModel, m.Levels)
+		return fmt.Errorf("%w: %d levels", errFidelityModel, m.Levels)
 	}
 	if len(m.ByteFrac) != m.Levels || len(m.Quality) != m.Levels {
 		return fmt.Errorf("%w: %d levels with %d byte fractions, %d qualities",
-			ErrFidelityModel, m.Levels, len(m.ByteFrac), len(m.Quality))
+			errFidelityModel, m.Levels, len(m.ByteFrac), len(m.Quality))
 	}
 	for k := 0; k < m.Levels; k++ {
 		if m.ByteFrac[k] <= 0 || m.ByteFrac[k] > 1 || m.Quality[k] <= 0 || m.Quality[k] > 1 {
-			return fmt.Errorf("%w: level %d out of (0, 1]", ErrFidelityModel, k)
+			return fmt.Errorf("%w: level %d out of (0, 1]", errFidelityModel, k)
 		}
 		if k > 0 && (m.ByteFrac[k] < m.ByteFrac[k-1] || m.Quality[k] < m.Quality[k-1]) {
-			return fmt.Errorf("%w: level %d not monotone", ErrFidelityModel, k)
+			return fmt.Errorf("%w: level %d not monotone", errFidelityModel, k)
 		}
 	}
 	if m.ByteFrac[m.Levels-1] != 1 || m.Quality[m.Levels-1] != 1 {
-		return fmt.Errorf("%w: full depth must be exactly 1", ErrFidelityModel)
+		return fmt.Errorf("%w: full depth must be exactly 1", errFidelityModel)
 	}
 	return nil
 }
 
-// MaxDrop returns the deepest scan drop the ladder supports.
-func (m FidelityModel) MaxDrop() int { return m.Levels - 1 }
+// maxDrop returns the deepest scan drop the ladder supports.
+func (m FidelityModel) maxDrop() int { return m.Levels - 1 }
 
 // fracFor returns the byte fraction shipped when drop scans are withheld.
 func (m FidelityModel) fracFor(drop int) float64 {
@@ -140,7 +140,7 @@ func (p *Plan) TrafficWith(tr *dataset.Trace, fm FidelityModel) (int64, error) {
 		return 0, err
 	}
 	if len(p.Splits) != tr.N() {
-		return 0, fmt.Errorf("%w: plan %d vs trace %d", ErrPlanMismatch, len(p.Splits), tr.N())
+		return 0, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
 	}
 	var sum int64
 	for i := range tr.Records {
@@ -171,13 +171,13 @@ type FidelityPass struct {
 	MeanQualityFloor float64
 }
 
-// Validate checks the pass configuration.
-func (fp FidelityPass) Validate() error {
+// validate checks the pass configuration.
+func (fp FidelityPass) validate() error {
 	if err := fp.Model.Validate(); err != nil {
 		return err
 	}
 	if fp.QualityFloor < 0 || fp.QualityFloor > 1 || fp.MeanQualityFloor < 0 || fp.MeanQualityFloor > 1 {
-		return fmt.Errorf("%w: quality floors out of [0, 1]", ErrFidelityModel)
+		return fmt.Errorf("%w: quality floors out of [0, 1]", errFidelityModel)
 	}
 	return nil
 }
@@ -200,7 +200,7 @@ func applyFidelityPass(plan *Plan, tr *dataset.Trace, env Env, fp FidelityPass,
 		if plan.Splits[i] != 0 {
 			continue
 		}
-		drop := fp.Model.MaxDrop()
+		drop := fp.Model.maxDrop()
 		for drop > 0 && fp.QualityFloor > 0 && fp.Model.qualityFor(drop) < fp.QualityFloor {
 			drop--
 		}

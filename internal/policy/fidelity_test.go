@@ -173,11 +173,11 @@ func TestFidelityAccountingBackwardCompatible(t *testing.T) {
 
 func TestFidelityPassValidate(t *testing.T) {
 	good := defaultPass()
-	if err := good.Validate(); err != nil {
+	if err := good.validate(); err != nil {
 		t.Fatal(err)
 	}
 	bad := FidelityPass{Model: testLadder(), QualityFloor: 1.5}
-	if err := bad.Validate(); err == nil {
+	if err := bad.validate(); err == nil {
 		t.Fatal("accepted quality floor above 1")
 	}
 	if _, err := (&Sophon{Fidelity: &FidelityPass{}}).Plan(openImages(t, 10), paperEnv(4)); err == nil {

@@ -30,8 +30,8 @@ type Plan struct {
 	Fidelity []uint8 // scans dropped per sample; nil = full fidelity
 }
 
-// ErrPlanMismatch reports a plan sized for a different dataset.
-var ErrPlanMismatch = errors.New("policy: plan does not match trace")
+// errPlanMismatch reports a plan sized for a different dataset.
+var errPlanMismatch = errors.New("policy: plan does not match trace")
 
 // NewUniformPlan assigns the same split to every one of n samples.
 func NewUniformPlan(name string, n, split int) (*Plan, error) {
@@ -98,7 +98,7 @@ func (p *Plan) String() string {
 // sample ships its stage-split artifact.
 func (p *Plan) Traffic(tr *dataset.Trace) (int64, error) {
 	if len(p.Splits) != tr.N() {
-		return 0, fmt.Errorf("%w: plan %d vs trace %d", ErrPlanMismatch, len(p.Splits), tr.N())
+		return 0, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
 	}
 	var sum int64
 	for i := range tr.Records {
@@ -107,10 +107,10 @@ func (p *Plan) Traffic(tr *dataset.Trace) (int64, error) {
 	return sum, nil
 }
 
-// ComputeCPU returns the total single-core CPU time of the local suffixes.
-func (p *Plan) ComputeCPU(tr *dataset.Trace) (time.Duration, error) {
+// computeCPU returns the total single-core CPU time of the local suffixes.
+func (p *Plan) computeCPU(tr *dataset.Trace) (time.Duration, error) {
 	if len(p.Splits) != tr.N() {
-		return 0, fmt.Errorf("%w: plan %d vs trace %d", ErrPlanMismatch, len(p.Splits), tr.N())
+		return 0, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
 	}
 	var sum time.Duration
 	for i := range tr.Records {
@@ -207,9 +207,9 @@ func (m EpochModel) Predicted() time.Duration {
 	return max
 }
 
-// NetDominant reports whether T_Net is the strict maximum — the paper's
+// netDominant reports whether T_Net is the strict maximum — the paper's
 // condition for continuing to offload.
-func (m EpochModel) NetDominant() bool {
+func (m EpochModel) netDominant() bool {
 	return m.TNet > m.TG && m.TNet > m.TCC && m.TNet > m.TCS
 }
 
@@ -228,12 +228,12 @@ func (m EpochModel) Dominant() string {
 	return name
 }
 
-// ShardLoads returns each shard's planned transfer volume and single-core
+// shardLoads returns each shard's planned transfer volume and single-core
 // storage CPU under the canonical cluster placement. With shards == 1 the
 // sums equal Plan.Traffic and the offloaded prefixes' summed CPU time.
-func (p *Plan) ShardLoads(tr *dataset.Trace, shards int) ([]int64, []time.Duration, error) {
+func (p *Plan) shardLoads(tr *dataset.Trace, shards int) ([]int64, []time.Duration, error) {
 	if len(p.Splits) != tr.N() {
-		return nil, nil, fmt.Errorf("%w: plan %d vs trace %d", ErrPlanMismatch, len(p.Splits), tr.N())
+		return nil, nil, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
 	}
 	m, err := cluster.NewShardMap(shards)
 	if err != nil {
@@ -257,7 +257,7 @@ func ModelFor(tr *dataset.Trace, p *Plan, env Env) (EpochModel, error) {
 	if err := env.Validate(); err != nil {
 		return EpochModel{}, err
 	}
-	computeCPU, err := p.ComputeCPU(tr)
+	computeCPU, err := p.computeCPU(tr)
 	if err != nil {
 		return EpochModel{}, err
 	}
@@ -265,7 +265,7 @@ func ModelFor(tr *dataset.Trace, p *Plan, env Env) (EpochModel, error) {
 		TG:  env.GPU.EpochTime(tr.N()) / time.Duration(env.GPUs()),
 		TCC: computeCPU / time.Duration(env.ComputeCores),
 	}
-	traffic, storageCPU, err := p.ShardLoads(tr, env.ShardCount())
+	traffic, storageCPU, err := p.shardLoads(tr, env.ShardCount())
 	if err != nil {
 		return EpochModel{}, err
 	}

@@ -10,13 +10,13 @@ type Capability uint8
 // Capability levels above the zero Capability, which is "no".
 const (
 	Partial Capability = iota + 1
-	Yes
+	yes
 )
 
 // String renders the level the way the paper's table does.
 func (c Capability) String() string {
 	switch c {
-	case Yes:
+	case yes:
 		return "yes"
 	case Partial:
 		return "partial"
@@ -76,8 +76,8 @@ func (AllOff) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 // but loses on ImageNet and saturates weak storage CPUs.
 type ResizeOff struct{}
 
-// ResizeSplit is the prefix length of Decode+RandomResizedCrop.
-const ResizeSplit = 2
+// resizeSplit is the prefix length of Decode+RandomResizedCrop.
+const resizeSplit = 2
 
 // Name implements Policy.
 func (ResizeOff) Name() string { return "Resize-Off" }
@@ -90,7 +90,7 @@ func (ResizeOff) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 	if env.StorageCores == 0 {
 		return NewUniformPlan("Resize-Off", tr.N(), 0)
 	}
-	return NewUniformPlan("Resize-Off", tr.N(), ResizeSplit)
+	return NewUniformPlan("Resize-Off", tr.N(), resizeSplit)
 }
 
 // FastFlow models the published FastFlow decision rule: it treats the whole
@@ -168,12 +168,12 @@ func (Oracle) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 	return plan, nil
 }
 
-// Baselines returns the four comparison policies in the paper's order.
-func Baselines() []Policy {
+// baselines returns the four comparison policies in the paper's order.
+func baselines() []Policy {
 	return []Policy{NoOff{}, AllOff{}, FastFlow{}, ResizeOff{}}
 }
 
 // All returns every policy including SOPHON, in the paper's figure order.
 func All() []Policy {
-	return append(Baselines(), NewSophon())
+	return append(baselines(), NewSophon())
 }

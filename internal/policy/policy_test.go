@@ -88,7 +88,7 @@ func TestPlanAccountingAgainstTrace(t *testing.T) {
 	if sCPU != 0 {
 		t.Fatal("no-off has storage CPU")
 	}
-	cCPU, _ := noOff.ComputeCPU(tr)
+	cCPU, _ := noOff.computeCPU(tr)
 	if cCPU != tr.TotalPreprocessCPU() {
 		t.Fatal("no-off compute CPU != total")
 	}
@@ -97,7 +97,7 @@ func TestPlanAccountingAgainstTrace(t *testing.T) {
 	if sCPU != tr.TotalPreprocessCPU() {
 		t.Fatal("all-off storage CPU != total")
 	}
-	cCPU, _ = allOff.ComputeCPU(tr)
+	cCPU, _ = allOff.computeCPU(tr)
 	if cCPU != 0 {
 		t.Fatal("all-off has compute CPU")
 	}
@@ -133,15 +133,15 @@ func TestEnvValidate(t *testing.T) {
 
 func TestEpochModelPredictedAndDominant(t *testing.T) {
 	m := EpochModel{TG: 1, TCC: 2, TCS: 3, TNet: 4}
-	if m.Predicted() != 4 || m.Dominant() != "TNet" || !m.NetDominant() {
+	if m.Predicted() != 4 || m.Dominant() != "TNet" || !m.netDominant() {
 		t.Fatalf("model %+v: predicted=%v dominant=%s", m, m.Predicted(), m.Dominant())
 	}
 	m = EpochModel{TG: 9, TCC: 2, TCS: 3, TNet: 4}
-	if m.Predicted() != 9 || m.Dominant() != "TG" || m.NetDominant() {
+	if m.Predicted() != 9 || m.Dominant() != "TG" || m.netDominant() {
 		t.Fatalf("model %+v misreported", m)
 	}
 	tie := EpochModel{TG: 4, TNet: 4}
-	if tie.NetDominant() {
+	if tie.netDominant() {
 		t.Fatal("tie should not be strictly dominant")
 	}
 }
@@ -153,7 +153,7 @@ func TestModelForIOBoundBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.NetDominant() {
+	if !m.netDominant() {
 		t.Fatalf("paper setup should be I/O-bound: %+v", m)
 	}
 	if m.TCS != 0 {
@@ -212,7 +212,7 @@ func TestResizeOffPolicy(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < tr.N(); i++ {
-		if p.Split(i) != ResizeSplit {
+		if p.Split(i) != resizeSplit {
 			t.Fatalf("sample %d split %d", i, p.Split(i))
 		}
 	}
@@ -246,7 +246,7 @@ func TestAllOffInflatesTraffic(t *testing.T) {
 // increase).
 func TestResizeOffTrafficSplit(t *testing.T) {
 	oi := openImages(t, 3000)
-	rp, _ := NewUniformPlan("r", oi.N(), ResizeSplit)
+	rp, _ := NewUniformPlan("r", oi.N(), resizeSplit)
 	traffic, _ := rp.Traffic(oi)
 	ratio := float64(traffic) / float64(oi.TotalRawBytes())
 	if ratio < 0.40 || ratio > 0.60 {
@@ -254,7 +254,7 @@ func TestResizeOffTrafficSplit(t *testing.T) {
 	}
 
 	in := imageNet(t, 3000)
-	rp, _ = NewUniformPlan("r", in.N(), ResizeSplit)
+	rp, _ = NewUniformPlan("r", in.N(), resizeSplit)
 	traffic, _ = rp.Traffic(in)
 	ratio = float64(traffic) / float64(in.TotalRawBytes())
 	if ratio < 1.10 || ratio > 1.45 {
@@ -549,16 +549,16 @@ func TestSophonNeverWorseThanNoOffProperty(t *testing.T) {
 func TestCapabilitiesTable(t *testing.T) {
 	s := NewSophon()
 	c := s.Capabilities()
-	if c.OperationSelective != Yes || c.DataPartial != Yes || c.DataSelective != Yes || c.NearStorage != Yes {
+	if c.OperationSelective != yes || c.DataPartial != yes || c.DataSelective != yes || c.NearStorage != yes {
 		t.Fatalf("SOPHON capabilities: %+v", c)
 	}
-	if (FastFlow{}).Capabilities().DataSelective == Yes {
+	if (FastFlow{}).Capabilities().DataSelective == yes {
 		t.Fatal("FastFlow claims data-selectivity")
 	}
 	if len(All()) != 5 {
 		t.Fatalf("All() has %d policies", len(All()))
 	}
-	if Capability(0).String() != "no" || Partial.String() != "partial" || Yes.String() != "yes" {
+	if Capability(0).String() != "no" || Partial.String() != "partial" || yes.String() != "yes" {
 		t.Fatal("capability strings")
 	}
 }

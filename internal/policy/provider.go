@@ -37,23 +37,11 @@ func (s *PlanSnapshot) String() string {
 		s.Version, s.Epoch, s.Reason, s.Plan.OffloadedCount(), s.Plan.N())
 }
 
-// PlanProvider is the consumer-side view of the control plane: every layer
-// that used to hold a *Plan for the whole run holds a provider instead and
-// re-reads Current at each epoch boundary. Implementations must make both
-// methods safe for concurrent use.
-type PlanProvider interface {
-	// Current returns the latest snapshot; never nil.
-	Current() *PlanSnapshot
-	// Subscribe returns a channel delivering each newly published snapshot.
-	// Delivery is latest-wins: a slow receiver may miss intermediate
-	// versions but always eventually observes the newest.
-	Subscribe() <-chan *PlanSnapshot
-}
-
-// PlanFeed is the publishing side of a live control plane: Publish installs
-// a new snapshot (version must strictly increase) and notifies subscribers
+// PlanFeed is a live control plane's snapshot stream: Publish installs a
+// new snapshot (version must strictly increase) and notifies subscribers
 // with latest-wins coalescing, so a subscriber that cannot keep up never
-// blocks the publisher and never observes versions out of order.
+// blocks the publisher and never observes versions out of order. Every
+// method is safe for concurrent use.
 type PlanFeed struct {
 	mu   sync.Mutex
 	cur  *PlanSnapshot
@@ -71,15 +59,17 @@ func NewPlanFeed(initial *PlanSnapshot) (*PlanFeed, error) {
 	return &PlanFeed{cur: initial}, nil
 }
 
-// Current implements PlanProvider.
+// Current returns the latest snapshot; never nil.
 func (f *PlanFeed) Current() *PlanSnapshot {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.cur
 }
 
-// Subscribe implements PlanProvider. The returned channel has capacity 1;
-// Publish drains a stale pending snapshot before delivering the new one.
+// Subscribe returns a channel delivering each newly published snapshot,
+// latest-wins: a slow receiver may miss intermediate versions but always
+// observes the newest. The channel has capacity 1; Publish drains a stale
+// pending snapshot before delivering the new one.
 func (f *PlanFeed) Subscribe() <-chan *PlanSnapshot {
 	ch := make(chan *PlanSnapshot, 1)
 	f.mu.Lock()

@@ -20,7 +20,7 @@ func TestShardLoadsSumToPlanTotals(t *testing.T) {
 	}
 	wantCPU := storageCPU(plan, tr)
 	for _, shards := range []int{1, 2, 4} {
-		traffic, cpu, err := plan.ShardLoads(tr, shards)
+		traffic, cpu, err := plan.shardLoads(tr, shards)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,11 +43,11 @@ func TestShardLoadsSumToPlanTotals(t *testing.T) {
 func TestShardLoadsRejectsMismatch(t *testing.T) {
 	tr := openImages(t, 50)
 	short, _ := NewUniformPlan("s", 10, 0)
-	if _, _, err := short.ShardLoads(tr, 2); err == nil {
+	if _, _, err := short.shardLoads(tr, 2); err == nil {
 		t.Fatal("accepted plan/trace size mismatch")
 	}
 	full, _ := NewUniformPlan("f", tr.N(), 0)
-	if _, _, err := full.ShardLoads(tr, 0); err == nil {
+	if _, _, err := full.shardLoads(tr, 0); err == nil {
 		t.Fatal("accepted 0 shards")
 	}
 }
@@ -174,7 +174,7 @@ func TestSophonStopsPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traffic, cpu, err := plan.ShardLoads(tr, k)
+	traffic, cpu, err := plan.shardLoads(tr, k)
 	if err != nil {
 		t.Fatal(err)
 	}

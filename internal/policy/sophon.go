@@ -47,10 +47,10 @@ func (s *Sophon) Name() string {
 // four properties.
 func (s *Sophon) Capabilities() Capabilities {
 	return Capabilities{
-		OperationSelective: Yes,
-		DataPartial:        Yes,
-		DataSelective:      Yes,
-		NearStorage:        Yes,
+		OperationSelective: yes,
+		DataPartial:        yes,
+		DataSelective:      yes,
+		NearStorage:        yes,
 	}
 }
 
@@ -97,7 +97,7 @@ func (s *Sophon) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 		return nil, err
 	}
 	if s.Fidelity != nil {
-		if err := s.Fidelity.Validate(); err != nil {
+		if err := s.Fidelity.validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -120,7 +120,7 @@ func (s *Sophon) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !model.NetDominant() {
+	if !model.netDominant() {
 		// The workload is not I/O-bound: the profiler would not have
 		// activated offloading (stage-1 gate), and neither do we.
 		return plan, nil
@@ -152,7 +152,7 @@ func (s *Sophon) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	traffic, _, err := plan.ShardLoads(tr, shards)
+	traffic, _, err := plan.shardLoads(tr, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -228,7 +228,7 @@ func (s *Sophon) fidelityOnly(plan *Plan, tr *dataset.Trace, env Env) error {
 	if err != nil {
 		return err
 	}
-	if !model.NetDominant() {
+	if !model.netDominant() {
 		return nil
 	}
 	shards := env.ShardCount()
@@ -236,7 +236,7 @@ func (s *Sophon) fidelityOnly(plan *Plan, tr *dataset.Trace, env Env) error {
 	if err != nil {
 		return err
 	}
-	traffic, _, err := plan.ShardLoads(tr, shards)
+	traffic, _, err := plan.shardLoads(tr, shards)
 	if err != nil {
 		return err
 	}

@@ -48,13 +48,12 @@ type Config struct {
 	// one shard. It must return either len(samples) results or an error
 	// describing the whole round trip. Required.
 	Fetch func(shard int, samples []uint32, splits []int) ([]storage.FetchResult, error)
-	// FailFast marks a shard dead on its first Down-classified failure;
-	// the shard's remaining stream entries then complete immediately with
-	// that error instead of waiting out a retry storm each. Healthy shards
-	// keep streaming. Without FailFast every entry is attempted.
-	FailFast bool
 	// Down classifies an error as a shard-level outage (e.g.
-	// cluster.ErrShardDown) for FailFast. Nil means no error qualifies.
+	// cluster.ErrShardDown). A shard is marked dead on its first such
+	// failure: its remaining stream entries then complete immediately with
+	// that error instead of waiting out a retry storm each, while healthy
+	// shards keep streaming. Nil means no fail-fast: every entry is
+	// attempted.
 	Down func(error) bool
 	// Metrics receives instrumentation; nil means a private, unobserved
 	// Metrics.
@@ -108,7 +107,7 @@ type Scheduler struct {
 	qnext  []int   // next unclaimed index into shardQ[s]
 	cursor int     // next stream position Next will deliver
 	staged int64   // bytes fetched but not yet delivered
-	down   []error // first Down-classified error per shard (FailFast)
+	down   []error // first Down-classified error per shard
 
 	stopped bool
 	wg      sync.WaitGroup
@@ -247,7 +246,7 @@ func (c *Scheduler) issueLoop(s int) {
 func (c *Scheduler) complete(s int, claim, splits []int, res []storage.FetchResult, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if err != nil && c.cfg.FailFast && c.down[s] == nil && c.cfg.Down != nil && c.cfg.Down(err) {
+	if err != nil && c.down[s] == nil && c.cfg.Down != nil && c.cfg.Down(err) {
 		c.down[s] = err
 	}
 	for k, pos := range claim {
@@ -260,7 +259,7 @@ func (c *Scheduler) complete(s int, claim, splits []int, res []storage.FetchResu
 		case res[k].Err != nil:
 			sl.err = res[k].Err
 			c.m.failed.Add(1)
-			if c.cfg.FailFast && c.down[s] == nil && c.cfg.Down != nil && c.cfg.Down(res[k].Err) {
+			if c.down[s] == nil && c.cfg.Down != nil && c.cfg.Down(res[k].Err) {
 				c.down[s] = res[k].Err
 			}
 		default:

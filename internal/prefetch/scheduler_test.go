@@ -236,9 +236,8 @@ func TestSchedulerFailFast(t *testing.T) {
 			}
 			return out, nil
 		},
-		FailFast: true,
-		Down:     func(err error) bool { return errors.Is(err, errDown) },
-		Metrics:  m,
+		Down:    func(err error) bool { return errors.Is(err, errDown) },
+		Metrics: m,
 	})
 	if err != nil {
 		t.Fatal(err)

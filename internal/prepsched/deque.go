@@ -1,15 +1,13 @@
 package prepsched
 
-import "sync"
-
-// Deque is one worker's class-aware work-stealing deque. It keeps a FIFO
+// deque is one worker's class-aware work-stealing deque. It keeps a FIFO
 // lane per class so stream order survives inside each class, and exposes the
 // two ends asymmetrically:
 //
-//   - Pop (the owner) takes from the HEAD, light lane first: the owner chews
+//   - pop (the owner) takes from the HEAD, light lane first: the owner chews
 //     through light samples in push order and only falls back to its own
 //     heavy work when no light work remains — light flows around heavy.
-//   - Steal (an idle worker) takes from the TAIL, heavy lane first: a thief
+//   - steal (an idle worker) takes from the TAIL, heavy lane first: a thief
 //     relieves a backlogged owner of its most recently queued work, and
 //     prefers to absorb a heavy sample — the long pole — so the owner keeps
 //     draining its light lane in order.
@@ -17,21 +15,22 @@ import "sync"
 // Invariants (property-tested in quick_test.go under randomized push/pop/
 // steal interleavings):
 //
-//  1. Conservation: every pushed value is returned exactly once across Pop
-//     and Steal — nothing lost, nothing duplicated.
-//  2. Per-class order: the values the owner Pops from a given lane come out
+//  1. Conservation: every pushed value is returned exactly once across pop
+//     and steal — nothing lost, nothing duplicated.
+//  2. Per-class order: the values the owner pops from a given lane come out
 //     in push order (steals puncture a lane only at its tail, so they never
 //     reorder what the owner still sees).
-//  3. Tail-only steals: a successful Steal returns the value that was the
+//  3. Tail-only steals: a successful steal returns the value that was the
 //     most recently pushed of its lane at that moment.
 //
-// All methods are safe for concurrent use. The zero value is ready to use.
-type Deque[T any] struct {
-	mu    sync.Mutex
+// A deque has no lock of its own: Pool calls its methods only while holding
+// Pool.mu, and any other user must serialize them the same way. The zero
+// value is ready to use.
+type deque[T any] struct {
 	lanes [2]lane[T]
 }
 
-// lane is a slice-backed FIFO ring: head index advances on Pop, the slice
+// lane is a slice-backed FIFO ring: head index advances on pop, the slice
 // end is the tail. Compaction amortizes to O(1) per operation.
 type lane[T any] struct {
 	buf  []T
@@ -78,18 +77,14 @@ func (l *lane[T]) popTail() (T, bool) {
 	return v, true
 }
 
-// Push appends v to the tail of its class's lane.
-func (d *Deque[T]) Push(v T, c Class) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+// push appends v to the tail of its class's lane.
+func (d *deque[T]) push(v T, c Class) {
 	d.lanes[laneOf(c)].push(v)
 }
 
-// Pop is the owner's take: head of the light lane, else head of the heavy
+// pop is the owner's take: head of the light lane, else head of the heavy
 // lane. Returns false when the deque is empty.
-func (d *Deque[T]) Pop() (T, Class, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *deque[T]) pop() (T, Class, bool) {
 	if v, ok := d.lanes[0].popHead(); ok {
 		return v, Light, true
 	}
@@ -97,11 +92,9 @@ func (d *Deque[T]) Pop() (T, Class, bool) {
 	return v, Heavy, ok
 }
 
-// Steal is a thief's take: tail of the heavy lane, else tail of the light
+// steal is a thief's take: tail of the heavy lane, else tail of the light
 // lane. Returns false when the deque is empty.
-func (d *Deque[T]) Steal() (T, Class, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
+func (d *deque[T]) steal() (T, Class, bool) {
 	if v, ok := d.lanes[1].popTail(); ok {
 		return v, Heavy, true
 	}

@@ -21,7 +21,7 @@ import (
 type Pool[T any] struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
-	deques  []Deque[T]
+	deques  []deque[T]
 	pending int
 	cap     int
 	closed  bool
@@ -39,7 +39,7 @@ func NewPool[T any](workers, capacity int, m *Metrics) (*Pool[T], error) {
 		return nil, fmt.Errorf("prepsched: pool capacity %d below worker count %d", capacity, workers)
 	}
 	p := &Pool[T]{
-		deques:  make([]Deque[T], workers),
+		deques:  make([]deque[T], workers),
 		cap:     capacity,
 		metrics: m,
 	}
@@ -59,14 +59,14 @@ func (p *Pool[T]) Dispatch(seq int, v T, c Class) bool {
 	if p.stopped || p.closed {
 		return false
 	}
-	p.deques[seq%len(p.deques)].Push(v, c)
+	p.deques[seq%len(p.deques)].push(v, c)
 	p.pending++
 	p.metrics.noteDispatch(c)
 	p.cond.Broadcast()
 	return true
 }
 
-// Take serves worker owner: its own Pop first (per-class FIFO, light first),
+// Take serves worker owner: its own pop first (per-class FIFO, light first),
 // else a steal sweep over the other deques in ring order. Blocks when every
 // deque is empty but more work may still arrive; returns false when the pool
 // is stopped, or closed and fully drained.
@@ -79,14 +79,14 @@ func (p *Pool[T]) Take(owner int) (T, Class, bool) {
 			return zero, Light, false
 		}
 		if p.pending > 0 {
-			if v, c, ok := p.deques[owner%len(p.deques)].Pop(); ok {
+			if v, c, ok := p.deques[owner%len(p.deques)].pop(); ok {
 				p.pending--
 				p.metrics.noteOwnPop()
 				p.cond.Broadcast()
 				return v, c, true
 			}
 			for i := 1; i < len(p.deques); i++ {
-				if v, c, ok := p.deques[(owner+i)%len(p.deques)].Steal(); ok {
+				if v, c, ok := p.deques[(owner+i)%len(p.deques)].steal(); ok {
 					p.pending--
 					p.metrics.noteSteal()
 					p.cond.Broadcast()
@@ -118,7 +118,7 @@ func (p *Pool[T]) Close() {
 func (p *Pool[T]) Stop() {
 	p.mu.Lock()
 	p.stopped = true
-	p.deques = make([]Deque[T], len(p.deques))
+	p.deques = make([]deque[T], len(p.deques))
 	p.pending = 0
 	p.cond.Broadcast()
 	p.mu.Unlock()

@@ -45,10 +45,10 @@ func (c Class) String() string {
 	return "light"
 }
 
-// DefaultHeavyRatio is the classification threshold when a caller leaves the
+// defaultHeavyRatio is the classification threshold when a caller leaves the
 // ratio zero: a sample is heavy when its profiled preprocessing cost is at
 // least this multiple of the dataset's mean cost.
-const DefaultHeavyRatio = 4.0
+const defaultHeavyRatio = 4.0
 
 // Classifier maps per-sample preprocessing cost to a class against a fixed
 // threshold derived from the profiled cost distribution. It is immutable, so
@@ -58,17 +58,17 @@ type Classifier struct {
 	baseline  float64       // heavy fraction of the profile it was built from
 }
 
-// NewClassifier derives the heavy threshold from a profiled per-sample cost
+// newClassifier derives the heavy threshold from a profiled per-sample cost
 // distribution: threshold = ratio × mean(costs), ratio 0 meaning
-// DefaultHeavyRatio. The returned classifier also remembers the profile's
+// defaultHeavyRatio. The returned classifier also remembers the profile's
 // own heavy fraction (BaselineHeavyFrac) — the mix baseline the drift
 // detector anchors to.
-func NewClassifier(costs []time.Duration, ratio float64) (*Classifier, error) {
+func newClassifier(costs []time.Duration, ratio float64) (*Classifier, error) {
 	if len(costs) == 0 {
 		return nil, errors.New("prepsched: classifier needs a non-empty cost profile")
 	}
 	if ratio == 0 {
-		ratio = DefaultHeavyRatio
+		ratio = defaultHeavyRatio
 	}
 	if !(ratio > 0) || math.IsInf(ratio, 0) {
 		return nil, fmt.Errorf("prepsched: heavy ratio %v must be positive and finite", ratio)
@@ -101,7 +101,7 @@ func FromTrace(tr *dataset.Trace, ratio float64) (*Classifier, error) {
 	for i := range tr.Records {
 		costs[i] = tr.Records[i].TotalTime()
 	}
-	return NewClassifier(costs, ratio)
+	return newClassifier(costs, ratio)
 }
 
 // Threshold returns the heavy cutoff.

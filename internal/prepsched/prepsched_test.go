@@ -16,7 +16,7 @@ func TestClassifierThresholdFromProfile(t *testing.T) {
 		100 * time.Microsecond, 100 * time.Microsecond, 100 * time.Microsecond,
 		100 * time.Microsecond, 1 * time.Millisecond,
 	}
-	cl, err := NewClassifier(costs, 0)
+	cl, err := newClassifier(costs, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,18 +38,18 @@ func TestClassifierThresholdFromProfile(t *testing.T) {
 }
 
 func TestClassifierErrors(t *testing.T) {
-	if _, err := NewClassifier(nil, 0); err == nil {
+	if _, err := newClassifier(nil, 0); err == nil {
 		t.Fatal("empty profile accepted")
 	}
-	if _, err := NewClassifier([]time.Duration{time.Millisecond}, -1); err == nil {
+	if _, err := newClassifier([]time.Duration{time.Millisecond}, -1); err == nil {
 		t.Fatal("negative ratio accepted")
 	}
 	for _, ratio := range []float64{math.NaN(), math.Inf(1)} {
-		if _, err := NewClassifier([]time.Duration{time.Millisecond}, ratio); err == nil {
+		if _, err := newClassifier([]time.Duration{time.Millisecond}, ratio); err == nil {
 			t.Fatalf("ratio %v accepted", ratio)
 		}
 	}
-	if _, err := NewClassifier([]time.Duration{-time.Millisecond}, 0); err == nil {
+	if _, err := newClassifier([]time.Duration{-time.Millisecond}, 0); err == nil {
 		t.Fatal("negative cost accepted")
 	}
 	if _, err := FromTrace(nil, 0); err == nil {

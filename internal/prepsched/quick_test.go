@@ -58,7 +58,7 @@ func opKind(b byte) int { return int(b) % 4 }
 func TestDequeMatchesShadowModel(t *testing.T) {
 	next := 0
 	f := func(ops []byte) bool {
-		var d Deque[int]
+		var d deque[int]
 		var s shadowLanes
 		for _, b := range ops {
 			switch opKind(b) {
@@ -68,17 +68,17 @@ func TestDequeMatchesShadowModel(t *testing.T) {
 					c = Heavy
 				}
 				next++
-				d.Push(next, c)
+				d.push(next, c)
 				s.push(next, c)
 			case 2:
-				gv, gc, gok := d.Pop()
+				gv, gc, gok := d.pop()
 				wv, wc, wok := s.pop()
 				if gok != wok || gv != wv || (gok && gc != wc) {
 					t.Logf("pop mismatch: got (%d,%v,%v) want (%d,%v,%v)", gv, gc, gok, wv, wc, wok)
 					return false
 				}
 			case 3:
-				gv, gc, gok := d.Steal()
+				gv, gc, gok := d.steal()
 				wv, wc, wok := s.steal()
 				if gok != wok || gv != wv || (gok && gc != wc) {
 					t.Logf("steal mismatch: got (%d,%v,%v) want (%d,%v,%v)", gv, gc, gok, wv, wc, wok)
@@ -99,7 +99,7 @@ func TestDequeMatchesShadowModel(t *testing.T) {
 // none duplicated.
 func TestDequeConservation(t *testing.T) {
 	f := func(ops []byte) bool {
-		var d Deque[int]
+		var d deque[int]
 		pushed := 0
 		seen := map[int]int{}
 		take := func(v int, ok bool) {
@@ -115,17 +115,17 @@ func TestDequeConservation(t *testing.T) {
 				if opKind(b) == 1 {
 					c = Heavy
 				}
-				d.Push(pushed, c)
+				d.push(pushed, c)
 			case 2:
-				v, _, ok := d.Pop()
+				v, _, ok := d.pop()
 				take(v, ok)
 			case 3:
-				v, _, ok := d.Steal()
+				v, _, ok := d.steal()
 				take(v, ok)
 			}
 		}
 		for {
-			v, _, ok := d.Pop()
+			v, _, ok := d.pop()
 			if !ok {
 				break
 			}
@@ -152,7 +152,7 @@ func TestDequeConservation(t *testing.T) {
 // with steals punching holes at the tail.
 func TestDequePerClassOwnerOrder(t *testing.T) {
 	f := func(ops []byte) bool {
-		var d Deque[int]
+		var d deque[int]
 		nextID := 0
 		lastPopped := map[Class]int{}
 		for _, b := range ops {
@@ -163,16 +163,16 @@ func TestDequePerClassOwnerOrder(t *testing.T) {
 					c = Heavy
 				}
 				nextID++
-				d.Push(nextID, c)
+				d.push(nextID, c)
 			case 2:
-				if v, c, ok := d.Pop(); ok {
+				if v, c, ok := d.pop(); ok {
 					if v <= lastPopped[c] {
 						return false
 					}
 					lastPopped[c] = v
 				}
 			case 3:
-				d.Steal()
+				d.steal()
 			}
 		}
 		return true
@@ -187,7 +187,7 @@ func TestDequePerClassOwnerOrder(t *testing.T) {
 // recently pushed, not-yet-taken value of that class.
 func TestDequeStealsFromTail(t *testing.T) {
 	f := func(ops []byte) bool {
-		var d Deque[int]
+		var d deque[int]
 		var s shadowLanes
 		nextID := 0
 		for _, b := range ops {
@@ -198,14 +198,14 @@ func TestDequeStealsFromTail(t *testing.T) {
 					c = Heavy
 				}
 				nextID++
-				d.Push(nextID, c)
+				d.push(nextID, c)
 				s.push(nextID, c)
 			case 2:
-				if _, _, ok := d.Pop(); ok {
+				if _, _, ok := d.pop(); ok {
 					s.pop()
 				}
 			case 3:
-				v, c, ok := d.Steal()
+				v, c, ok := d.steal()
 				if !ok {
 					if s.len() != 0 {
 						return false

@@ -14,7 +14,7 @@ func mixTelemetry(t *testing.T, cfg DriftConfig) *Telemetry {
 }
 
 // TestMixThresholdNormalization: the mix threshold is the one constant
-// DefaultDriftMixThreshold, whatever the config: a shift just under it stays
+// defaultDriftMixThreshold, whatever the config: a shift just under it stays
 // in band and a shift just over it drifts.
 func TestMixThresholdNormalization(t *testing.T) {
 	for _, c := range []struct {
@@ -25,7 +25,7 @@ func TestMixThresholdNormalization(t *testing.T) {
 		tel.RebaseMix(0)
 		drifts := tel.ObserveEpoch(EpochSample{Epoch: 1, MixHeavy: c.heavy, MixTotal: 100})
 		if got := len(drifts) == 1; got != c.drift {
-			t.Errorf("shift 0 → %d%% against threshold %v: drifts %v", c.heavy, DefaultDriftMixThreshold, drifts)
+			t.Errorf("shift 0 → %d%% against threshold %v: drifts %v", c.heavy, defaultDriftMixThreshold, drifts)
 		}
 	}
 }
@@ -43,7 +43,7 @@ func TestMixDriftFromZeroBaseline(t *testing.T) {
 	}
 	// Epoch 2: sustained — the mix drift fires.
 	drifts := tel.ObserveEpoch(EpochSample{Epoch: 2, MixHeavy: 60, MixTotal: 100})
-	if len(drifts) != 1 || drifts[0].Kind != DriftMix {
+	if len(drifts) != 1 || drifts[0].Kind != driftMix {
 		t.Fatalf("drifts = %v, want one mix-drift", drifts)
 	}
 	if drifts[0].Baseline != 0 || drifts[0].Current != 0.6 {
@@ -94,8 +94,8 @@ func TestMixObservationGuards(t *testing.T) {
 	tel.ObserveEpoch(EpochSample{Epoch: 2, MixHeavy: 5, MixTotal: 0})
 	tel.ObserveEpoch(EpochSample{Epoch: 3, MixHeavy: 9, MixTotal: 4})
 	tel.ObserveEpoch(EpochSample{Epoch: 4, MixHeavy: -1, MixTotal: 4})
-	if tel.mix.Value() != 0 || tel.mixStreak != 0 {
-		t.Fatalf("malformed mixes moved the track: heavy %v streak %d", tel.mix.Value(), tel.mixStreak)
+	if tel.mix.value != 0 || tel.mixStreak != 0 {
+		t.Fatalf("malformed mixes moved the track: heavy %v streak %d", tel.mix.value, tel.mixStreak)
 	}
 	// AdoptMixBaseline before any observation is a no-op on the baseline.
 	tel2 := mixTelemetry(t, DriftConfig{})

@@ -17,28 +17,28 @@ import (
 	"repro/internal/policy"
 )
 
-// DefaultProbeBatches is the number of batches stage 1 measures per
+// defaultProbeBatches is the number of batches stage 1 measures per
 // setting.
-const DefaultProbeBatches = 50
+const defaultProbeBatches = 50
 
 // Bottleneck classifies the workload's limiting resource.
 type Bottleneck int
 
 // Bottleneck kinds.
 const (
-	IOBound Bottleneck = iota
-	CPUBound
-	GPUBound
+	ioBound Bottleneck = iota
+	cpuBound
+	gpuBound
 )
 
 // String names the bottleneck.
 func (b Bottleneck) String() string {
 	switch b {
-	case IOBound:
+	case ioBound:
 		return "io-bound"
-	case CPUBound:
+	case cpuBound:
 		return "cpu-bound"
-	case GPUBound:
+	case gpuBound:
 		return "gpu-bound"
 	default:
 		return fmt.Sprintf("bottleneck(%d)", int(b))
@@ -57,19 +57,19 @@ type Stage1Result struct {
 // treating the link as the constraint).
 func (r Stage1Result) Bottleneck() Bottleneck {
 	min := r.IOThroughput
-	b := IOBound
+	b := ioBound
 	if r.CPUThroughput < min {
 		min = r.CPUThroughput
-		b = CPUBound
+		b = cpuBound
 	}
 	if r.GPUThroughput < min {
-		b = GPUBound
+		b = gpuBound
 	}
 	return b
 }
 
-// IOBound reports whether stage 1 gates offloading on.
-func (r Stage1Result) IOBound() bool { return r.Bottleneck() == IOBound }
+// ioBound reports whether stage 1 gates offloading on.
+func (r Stage1Result) IOBound() bool { return r.Bottleneck() == ioBound }
 
 // Probe measures one setting: it processes the requested number of batches
 // and returns how many samples were handled and how long it took.
@@ -87,7 +87,7 @@ type Probes struct {
 // RunStage1 executes the three probes.
 func RunStage1(p Probes, batches int) (Stage1Result, error) {
 	if batches <= 0 {
-		batches = DefaultProbeBatches
+		batches = defaultProbeBatches
 	}
 	if p.GPU == nil || p.IO == nil || p.CPU == nil {
 		return Stage1Result{}, errors.New("profiler: all three probes are required")

@@ -30,10 +30,10 @@ func TestBottleneckClassification(t *testing.T) {
 		r    Stage1Result
 		want Bottleneck
 	}{
-		{Stage1Result{GPUThroughput: 3000, IOThroughput: 200, CPUThroughput: 900}, IOBound},
-		{Stage1Result{GPUThroughput: 3000, IOThroughput: 900, CPUThroughput: 200}, CPUBound},
-		{Stage1Result{GPUThroughput: 100, IOThroughput: 900, CPUThroughput: 800}, GPUBound},
-		{Stage1Result{GPUThroughput: 200, IOThroughput: 200, CPUThroughput: 900}, IOBound}, // tie → IO
+		{Stage1Result{GPUThroughput: 3000, IOThroughput: 200, CPUThroughput: 900}, ioBound},
+		{Stage1Result{GPUThroughput: 3000, IOThroughput: 900, CPUThroughput: 200}, cpuBound},
+		{Stage1Result{GPUThroughput: 100, IOThroughput: 900, CPUThroughput: 800}, gpuBound},
+		{Stage1Result{GPUThroughput: 200, IOThroughput: 200, CPUThroughput: 900}, ioBound}, // tie → IO
 	}
 	for i, c := range cases {
 		if got := c.r.Bottleneck(); got != c.want {
@@ -43,7 +43,7 @@ func TestBottleneckClassification(t *testing.T) {
 	if !(Stage1Result{GPUThroughput: 2, IOThroughput: 1, CPUThroughput: 3}).IOBound() {
 		t.Fatal("IOBound() false for io-limited probes")
 	}
-	for b, want := range map[Bottleneck]string{IOBound: "io-bound", CPUBound: "cpu-bound", GPUBound: "gpu-bound", Bottleneck(9): "bottleneck(9)"} {
+	for b, want := range map[Bottleneck]string{ioBound: "io-bound", cpuBound: "cpu-bound", gpuBound: "gpu-bound", Bottleneck(9): "bottleneck(9)"} {
 		if b.String() != want {
 			t.Errorf("%d.String() = %q", b, b.String())
 		}
@@ -61,7 +61,7 @@ func TestRunStage1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bottleneck() != IOBound {
+	if res.Bottleneck() != ioBound {
 		t.Fatalf("bottleneck = %s", res.Bottleneck())
 	}
 	approx := func(got, want float64) bool { return got > want*0.99 && got < want*1.01 }
@@ -109,25 +109,25 @@ func TestStage1FromTraceBottleneckShifts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpuBound := paperEnv()
-	cpuBound.ComputeCores = 1
-	cpuBound.Bandwidth = netsim.Mbps(50000)
-	res, err := Stage1FromTrace(tr, cpuBound)
+	cpuEnv := paperEnv()
+	cpuEnv.ComputeCores = 1
+	cpuEnv.Bandwidth = netsim.Mbps(50000)
+	res, err := Stage1FromTrace(tr, cpuEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bottleneck() != CPUBound {
+	if res.Bottleneck() != cpuBound {
 		t.Fatalf("1-core fat-link setup: %s", res.Bottleneck())
 	}
 
-	gpuBound := paperEnv()
-	gpuBound.Bandwidth = netsim.Mbps(50000)
-	gpuBound.GPU = gpu.ResNet50
-	res, err = Stage1FromTrace(tr, gpuBound)
+	gpuEnv := paperEnv()
+	gpuEnv.Bandwidth = netsim.Mbps(50000)
+	gpuEnv.GPU = gpu.ResNet50
+	res, err = Stage1FromTrace(tr, gpuEnv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Bottleneck() != GPUBound {
+	if res.Bottleneck() != gpuBound {
 		t.Fatalf("ResNet50 fat-link setup: %s", res.Bottleneck())
 	}
 }

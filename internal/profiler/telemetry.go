@@ -20,38 +20,32 @@ import (
 // advances only through ObserveEpoch, so the adaptive controller is
 // deterministic under the virtual clock.
 
-// EWMA is an exponentially weighted moving average. The zero value is
-// unusable; construct with NewEWMA. The first observation initializes the
+// ewma is an exponentially weighted moving average. The zero value is
+// unusable; construct with newEWMA. The first observation initializes the
 // average rather than decaying from zero.
-type EWMA struct {
+type ewma struct {
 	alpha float64
 	value float64
 	ready bool
 }
 
-// NewEWMA builds an average with smoothing factor alpha in (0, 1]: higher
+// newEWMA builds an average with smoothing factor alpha in (0, 1]: higher
 // alpha tracks changes faster, lower alpha smooths harder.
-func NewEWMA(alpha float64) (*EWMA, error) {
+func newEWMA(alpha float64) (*ewma, error) {
 	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
 		return nil, fmt.Errorf("profiler: EWMA alpha %v outside (0, 1]", alpha)
 	}
-	return &EWMA{alpha: alpha}, nil
+	return &ewma{alpha: alpha}, nil
 }
 
-// Observe folds one measurement into the average.
-func (e *EWMA) Observe(v float64) {
+// observe folds one measurement into the average.
+func (e *ewma) observe(v float64) {
 	if !e.ready {
 		e.value, e.ready = v, true
 		return
 	}
 	e.value = e.alpha*v + (1-e.alpha)*e.value
 }
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Ready reports whether at least one observation has been folded in.
-func (e *EWMA) Ready() bool { return e.ready }
 
 // EpochSample is one epoch's measured environment, produced by whichever
 // layer ran the epoch (the live trainer from EpochReport accounting, the DES
@@ -81,22 +75,22 @@ type DriftKind int
 
 // Drift kinds.
 const (
-	DriftBandwidth DriftKind = iota
-	DriftStorageCPU
+	driftBandwidth DriftKind = iota
+	driftStorageCPU
 	DriftShard
-	DriftMix
+	driftMix
 )
 
 // String names the drift kind; the controller uses it in replan reasons.
 func (k DriftKind) String() string {
 	switch k {
-	case DriftBandwidth:
+	case driftBandwidth:
 		return "bandwidth-drift"
-	case DriftStorageCPU:
+	case driftStorageCPU:
 		return "storage-cpu-drift"
 	case DriftShard:
 		return "shard-change"
-	case DriftMix:
+	case driftMix:
 		return "mix-drift"
 	default:
 		return fmt.Sprintf("drift(%d)", int(k))
@@ -134,34 +128,34 @@ type DriftConfig struct {
 
 // Defaults for DriftConfig zero fields.
 const (
-	DefaultDriftAlpha        = 0.5
-	DefaultDriftRelThreshold = 0.2
-	DefaultDriftHysteresis   = 2
+	defaultDriftAlpha        = 0.5
+	defaultDriftRelThreshold = 0.2
+	defaultDriftHysteresis   = 2
 )
 
-// DefaultDriftMixThreshold is the ABSOLUTE heavy-fraction change versus
+// defaultDriftMixThreshold is the ABSOLUTE heavy-fraction change versus
 // baseline that counts as mix drift: fifteen percentage points. Absolute,
 // not relative, because the baseline mix is often 0 — a dataset with no
 // heavy samples at plan time — and any relative measure against 0 is
 // meaningless.
-const DefaultDriftMixThreshold = 0.15
+const defaultDriftMixThreshold = 0.15
 
-// Normalized resolves zero fields to defaults.
-func (c DriftConfig) Normalized() (DriftConfig, error) {
+// normalized resolves zero fields to defaults.
+func (c DriftConfig) normalized() (DriftConfig, error) {
 	if c.Alpha == 0 {
-		c.Alpha = DefaultDriftAlpha
+		c.Alpha = defaultDriftAlpha
 	}
 	if !(c.Alpha > 0 && c.Alpha <= 1) {
 		return c, fmt.Errorf("profiler: drift alpha %v outside (0, 1]", c.Alpha)
 	}
 	if c.RelThreshold == 0 {
-		c.RelThreshold = DefaultDriftRelThreshold
+		c.RelThreshold = defaultDriftRelThreshold
 	}
 	if !(c.RelThreshold > 0) || math.IsInf(c.RelThreshold, 0) {
 		return c, fmt.Errorf("profiler: drift threshold %v must be positive and finite", c.RelThreshold)
 	}
 	if c.Hysteresis == 0 {
-		c.Hysteresis = DefaultDriftHysteresis
+		c.Hysteresis = defaultDriftHysteresis
 	}
 	if c.Hysteresis < 1 {
 		return c, fmt.Errorf("profiler: hysteresis %d < 1", c.Hysteresis)
@@ -172,7 +166,7 @@ func (c DriftConfig) Normalized() (DriftConfig, error) {
 // metricTrack is one metric's smoothed stream plus its drift state.
 type metricTrack struct {
 	kind     DriftKind
-	ewma     *EWMA
+	ewma     *ewma
 	baseline float64
 	streak   int // consecutive over-threshold epochs
 }
@@ -180,11 +174,11 @@ type metricTrack struct {
 // observe folds v in and reports whether the smoothed value has now been
 // over threshold for hysteresis consecutive epochs.
 func (m *metricTrack) observe(v float64, cfg DriftConfig) bool {
-	m.ewma.Observe(v)
+	m.ewma.observe(v)
 	if m.baseline <= 0 {
 		return false // no baseline yet: nothing to drift from
 	}
-	rel := math.Abs(m.ewma.Value()-m.baseline) / m.baseline
+	rel := math.Abs(m.ewma.value-m.baseline) / m.baseline
 	if rel < cfg.RelThreshold {
 		m.streak = 0
 		return false
@@ -205,7 +199,7 @@ type Telemetry struct {
 	// The heavy/light mix track. It cannot share metricTrack: its drift
 	// test is absolute (a 0 baseline is legitimate) and its baseline is set
 	// explicitly, not inferred from positivity.
-	mix          *EWMA
+	mix          *ewma
 	mixBaseline  float64
 	mixBaselined bool
 	mixStreak    int
@@ -213,7 +207,7 @@ type Telemetry struct {
 
 // NewTelemetry builds a telemetry stream with cfg (zero fields default).
 func NewTelemetry(cfg DriftConfig) (*Telemetry, error) {
-	cfg, err := cfg.Normalized()
+	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
 	}
@@ -222,16 +216,16 @@ func NewTelemetry(cfg DriftConfig) (*Telemetry, error) {
 		track *metricTrack
 		kind  DriftKind
 	}{
-		{&t.bandwidth, DriftBandwidth},
-		{&t.occupancy, DriftStorageCPU},
+		{&t.bandwidth, driftBandwidth},
+		{&t.occupancy, driftStorageCPU},
 	} {
-		e, err := NewEWMA(cfg.Alpha)
+		e, err := newEWMA(cfg.Alpha)
 		if err != nil {
 			return nil, err
 		}
 		*m.track = metricTrack{kind: m.kind, ewma: e}
 	}
-	mixEWMA, err := NewEWMA(cfg.Alpha)
+	mixEWMA, err := newEWMA(cfg.Alpha)
 	if err != nil {
 		return nil, err
 	}
@@ -281,8 +275,8 @@ func (t *Telemetry) AdoptMixBaseline() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.mixStreak = 0
-	if t.mix.Ready() {
-		t.mixBaseline = t.mix.Value()
+	if t.mix.ready {
+		t.mixBaseline = t.mix.value
 		t.mixBaselined = true
 	}
 }
@@ -305,7 +299,7 @@ func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 				Kind:     m.kind,
 				Epoch:    s.Epoch,
 				Baseline: m.baseline,
-				Current:  m.ewma.Value(),
+				Current:  m.ewma.value,
 			})
 		}
 	}
@@ -313,18 +307,18 @@ func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 	note(&t.occupancy, s.StorageOccupancy)
 
 	if s.MixTotal > 0 && s.MixHeavy >= 0 && s.MixHeavy <= s.MixTotal {
-		t.mix.Observe(float64(s.MixHeavy) / float64(s.MixTotal))
+		t.mix.observe(float64(s.MixHeavy) / float64(s.MixTotal))
 		if t.mixBaselined {
-			if math.Abs(t.mix.Value()-t.mixBaseline) < DefaultDriftMixThreshold {
+			if math.Abs(t.mix.value-t.mixBaseline) < defaultDriftMixThreshold {
 				t.mixStreak = 0
 			} else {
 				t.mixStreak++
 				if t.mixStreak >= t.cfg.Hysteresis {
 					out = append(out, Drift{
-						Kind:     DriftMix,
+						Kind:     driftMix,
 						Epoch:    s.Epoch,
 						Baseline: t.mixBaseline,
-						Current:  t.mix.Value(),
+						Current:  t.mix.value,
 					})
 				}
 			}
@@ -350,5 +344,5 @@ func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 func (t *Telemetry) Bandwidth() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.bandwidth.ewma.Value()
+	return t.bandwidth.ewma.value
 }

@@ -15,26 +15,26 @@ func newTestTelemetry(t *testing.T, cfg DriftConfig) *Telemetry {
 }
 
 func TestEWMA(t *testing.T) {
-	if _, err := NewEWMA(0); err == nil {
+	if _, err := newEWMA(0); err == nil {
 		t.Fatal("alpha 0 accepted")
 	}
-	if _, err := NewEWMA(1.5); err == nil {
+	if _, err := newEWMA(1.5); err == nil {
 		t.Fatal("alpha > 1 accepted")
 	}
-	e, err := NewEWMA(0.5)
+	e, err := newEWMA(0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Ready() {
+	if e.ready {
 		t.Fatal("ready before first observation")
 	}
-	e.Observe(100) // first observation initializes, not decays from 0
-	if e.Value() != 100 {
-		t.Fatalf("after init: %v", e.Value())
+	e.observe(100) // first observation initializes, not decays from 0
+	if e.value != 100 {
+		t.Fatalf("after init: %v", e.value)
 	}
-	e.Observe(50)
-	if e.Value() != 75 {
-		t.Fatalf("after 50: %v", e.Value())
+	e.observe(50)
+	if e.value != 75 {
+		t.Fatalf("after 50: %v", e.value)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestDriftHysteresis(t *testing.T) {
 				drifts := tel.ObserveEpoch(EpochSample{Epoch: epoch, Bandwidth: bw})
 				if len(drifts) > 0 && fired == 0 {
 					fired = i + 1
-					if drifts[0].Kind != DriftBandwidth {
+					if drifts[0].Kind != driftBandwidth {
 						t.Fatalf("drift kind = %v", drifts[0].Kind)
 					}
 				}
@@ -179,15 +179,15 @@ func TestDriftConfigValidation(t *testing.T) {
 		{RelThreshold: math.NaN()},
 		{RelThreshold: math.Inf(1)},
 	} {
-		if _, err := bad.Normalized(); err == nil {
+		if _, err := bad.normalized(); err == nil {
 			t.Fatalf("non-finite drift config accepted: %+v", bad)
 		}
 	}
-	cfg, err := DriftConfig{}.Normalized()
+	cfg, err := DriftConfig{}.normalized()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Alpha != DefaultDriftAlpha || cfg.RelThreshold != DefaultDriftRelThreshold || cfg.Hysteresis != DefaultDriftHysteresis {
+	if cfg.Alpha != defaultDriftAlpha || cfg.RelThreshold != defaultDriftRelThreshold || cfg.Hysteresis != defaultDriftHysteresis {
 		t.Fatalf("defaults %+v", cfg)
 	}
 }

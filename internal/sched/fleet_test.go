@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/netsim"
-	"repro/internal/policy"
 	"repro/internal/simclock"
 )
 
@@ -246,5 +245,3 @@ func TestCoordinatorRespectsCoreBudget(t *testing.T) {
 		t.Fatalf("shared cores did not improve the fleet: %v vs %v", total, zeroTotal)
 	}
 }
-
-var _ policy.PlanProvider = (*policy.PlanFeed)(nil)

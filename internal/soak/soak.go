@@ -38,20 +38,20 @@ type Class string
 // with zero failed samples; partition is the unrecoverable class whose
 // failures are exactly accounted.
 const (
-	ClassNone      Class = "none"
-	ClassDelays    Class = "delays"
-	ClassCorrupt   Class = "corrupt"
-	ClassMixed     Class = "mixed"
-	ClassPartition Class = "partition"
+	classNone      Class = "none"
+	classDelays    Class = "delays"
+	classCorrupt   Class = "corrupt"
+	classMixed     Class = "mixed"
+	classPartition Class = "partition"
 )
 
 // ParseClass validates a -chaos.class flag value.
 func ParseClass(s string) (Class, error) {
 	switch Class(s) {
-	case ClassNone, ClassDelays, ClassCorrupt, ClassMixed, ClassPartition:
+	case classNone, classDelays, classCorrupt, classMixed, classPartition:
 		return Class(s), nil
 	case "":
-		return ClassMixed, nil
+		return classMixed, nil
 	}
 	return "", fmt.Errorf("soak: unknown chaos class %q (want none|delays|corrupt|mixed|partition)", s)
 }
@@ -73,7 +73,7 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Class == "" {
-		c.Class = ClassMixed
+		c.Class = classMixed
 	}
 	if c.Samples <= 0 {
 		c.Samples = 48
@@ -94,20 +94,20 @@ func (c Config) Plan() *chaos.Plan {
 	c = c.withDefaults()
 	var p chaos.Profile
 	switch c.Class {
-	case ClassDelays:
+	case classDelays:
 		p = chaos.Profile{
 			DelayEvery: 8 << 10, Delay: 200 * time.Microsecond,
 			StallEvery: 128 << 10, Stall: 2 * time.Millisecond,
 		}
-	case ClassCorrupt:
+	case classCorrupt:
 		p = chaos.Profile{CorruptEvery: 16 << 10}
-	case ClassMixed:
+	case classMixed:
 		p = chaos.Profile{
 			DelayEvery: 16 << 10, Delay: 100 * time.Microsecond,
 			CorruptEvery: 32 << 10,
 			CloseAfter:   512 << 10,
 		}
-	case ClassNone, ClassPartition:
+	case classNone, classPartition:
 		// fault-free wire
 	}
 	shards := make([]chaos.Profile, c.Shards)
@@ -259,7 +259,7 @@ func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 		return err
 	}
 	partitionEpoch := uint64(0)
-	if cfg.Class == ClassPartition && cfg.Epochs >= 2 {
+	if cfg.Class == classPartition && cfg.Epochs >= 2 {
 		partitionEpoch = uint64(cfg.Epochs/2 + 1)
 		rep.WantFailed = len(faulty.ShardMap().Owned(tr.N(), 0))
 	}

@@ -96,7 +96,7 @@ func TestReportOk(t *testing.T) {
 // TestPlanDigest: a seed's fault schedule has one digest, whatever the run,
 // and different seeds have different ones.
 func TestPlanDigest(t *testing.T) {
-	for _, class := range []Class{ClassDelays, ClassCorrupt, ClassMixed} {
+	for _, class := range []Class{classDelays, classCorrupt, classMixed} {
 		a, b := Config{Seed: 5, Class: class}.Plan().Digest(16), Config{Seed: 5, Class: class}.Plan().Digest(16)
 		if a != b {
 			t.Errorf("%s: seed 5 digests %08x and %08x", class, a, b)
@@ -110,7 +110,7 @@ func TestPlanDigest(t *testing.T) {
 // TestRunSmall: one short fault-free soak reports its plan's digest, compares
 // 3·N artifacts and meets every invariant; a second run of the seed agrees.
 func TestRunSmall(t *testing.T) {
-	cfg := Config{Seed: 9, Class: ClassNone, Samples: 8, Epochs: 1}
+	cfg := Config{Seed: 9, Class: classNone, Samples: 8, Epochs: 1}
 	a, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -10,28 +10,28 @@ import (
 	"repro/internal/wfq"
 )
 
-// RetryAfterError is the typed client-side form of a wire.RetryAfter
+// retryAfterError is the typed client-side form of a wire.RetryAfter
 // rejection: the server is shedding load and the request should be retried
 // after the server's hint, on the same (healthy) session.
-type RetryAfterError struct {
+type retryAfterError struct {
 	// Delay is the server's minimum backoff hint.
 	Delay time.Duration
 	// Queued is the server-side admission-queue depth at rejection time.
 	Queued int
 }
 
-func (e *RetryAfterError) Error() string {
+func (e *retryAfterError) Error() string {
 	return fmt.Sprintf("storage: server shedding load (retry after %v, %d queued)", e.Delay, e.Queued)
 }
 
 // Admission defaults.
 const (
-	// DefaultAdmissionQueue bounds each tenant's admission queue when
+	// defaultAdmissionQueue bounds each tenant's admission queue when
 	// AdmissionConfig.MaxQueuePerTenant is zero.
-	DefaultAdmissionQueue = 256
-	// DefaultRetryAfterHint is the backoff hint sent with rejections when
+	defaultAdmissionQueue = 256
+	// defaultRetryAfterHint is the backoff hint sent with rejections when
 	// AdmissionConfig.RetryAfter is zero.
-	DefaultRetryAfterHint = 50 * time.Millisecond
+	defaultRetryAfterHint = 50 * time.Millisecond
 )
 
 // AdmissionConfig configures an AdmissionController.
@@ -41,10 +41,10 @@ type AdmissionConfig struct {
 	MaxInFlightBytes int64
 	// MaxQueuePerTenant bounds each tenant's admission queue; requests
 	// beyond the bound are rejected with a retry-after instead of queueing
-	// (0 → DefaultAdmissionQueue).
+	// (0 → defaultAdmissionQueue).
 	MaxQueuePerTenant int
 	// RetryAfter is the backoff hint carried by rejections
-	// (0 → DefaultRetryAfterHint).
+	// (0 → defaultRetryAfterHint).
 	RetryAfter time.Duration
 }
 
@@ -96,10 +96,10 @@ func NewAdmissionController(cfg AdmissionConfig) (*AdmissionController, error) {
 		return nil, errors.New("storage: negative retry-after hint")
 	}
 	if cfg.MaxQueuePerTenant == 0 {
-		cfg.MaxQueuePerTenant = DefaultAdmissionQueue
+		cfg.MaxQueuePerTenant = defaultAdmissionQueue
 	}
 	if cfg.RetryAfter == 0 {
-		cfg.RetryAfter = DefaultRetryAfterHint
+		cfg.RetryAfter = defaultRetryAfterHint
 	}
 	return &AdmissionController{
 		maxBytes:   cfg.MaxInFlightBytes,
@@ -114,7 +114,7 @@ func (c *AdmissionController) RetryAfterHint() time.Duration { return c.retryAft
 // Acquire admits bytes of work for tenant, blocking in the tenant's
 // weighted queue while the global budget is exhausted. It returns a release
 // function the caller MUST run when the work completes. If the tenant's
-// queue is full the request is shed immediately with a *RetryAfterError;
+// queue is full the request is shed immediately with a *retryAfterError;
 // if cancel closes while queued, Acquire returns
 // ErrClientClosed.
 //
@@ -136,7 +136,7 @@ func (c *AdmissionController) Acquire(tenant uint64, bytes int64, cancel <-chan 
 		depth := c.budget.Queued()
 		c.mu.Unlock()
 		c.shed.Add(1)
-		return nil, &RetryAfterError{Delay: c.retryAfter, Queued: depth}
+		return nil, &retryAfterError{Delay: c.retryAfter, Queued: depth}
 	}
 	grant := make(chan struct{})
 	item.Value = grant

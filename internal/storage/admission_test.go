@@ -27,7 +27,7 @@ func TestAdmissionValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := c.Stats()
-	if st.MaxInFlightBytes != 100 || st.RetryAfterMillis != DefaultRetryAfterHint.Milliseconds() {
+	if st.MaxInFlightBytes != 100 || st.RetryAfterMillis != defaultRetryAfterHint.Milliseconds() {
 		t.Fatalf("defaults not applied: %+v", st)
 	}
 }
@@ -117,7 +117,7 @@ func TestAdmissionShedsWhenQueueFull(t *testing.T) {
 	}
 	waitFor(t, func() bool { return c.Stats().QueueDepth == 2 })
 	_, err = c.Acquire(1, 5, nil)
-	var ra *RetryAfterError
+	var ra *retryAfterError
 	if !errors.As(err, &ra) {
 		t.Fatalf("err = %v, want RetryAfterError", err)
 	}
@@ -313,7 +313,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // TestServerShedsUnderAdmissionPressure drives a live server whose
 // admission budget is pinned full: of 8 pipelined fetches, exactly one may
 // wait in the tenant's queue (bound 1) and the other 7 must come back as
-// typed RetryAfterError carrying the configured hint — while the session
+// typed retryAfterError carrying the configured hint — while the session
 // survives and the queued fetch completes once the budget frees.
 func TestServerShedsUnderAdmissionPressure(t *testing.T) {
 	st := testStore(t, 16)
@@ -351,9 +351,9 @@ func TestServerShedsUnderAdmissionPressure(t *testing.T) {
 			switch {
 			case err == nil:
 				ok.Add(1)
-			case errors.As(err, new(*RetryAfterError)):
+			case errors.As(err, new(*retryAfterError)):
 				busy.Add(1)
-				var ra *RetryAfterError
+				var ra *retryAfterError
 				if errors.As(err, &ra) && ra.Delay == 35*time.Millisecond {
 					sawHint.Add(1)
 				}

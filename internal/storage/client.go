@@ -15,11 +15,11 @@ import (
 
 // Client defaults; override via ClientOptions.
 const (
-	// DefaultRequestTimeout bounds a single request round trip so a stalled
+	// defaultRequestTimeout bounds a single request round trip so a stalled
 	// server cannot hang a caller forever.
-	DefaultRequestTimeout = 30 * time.Second
-	// DefaultMaxInFlight caps concurrent requests pipelined on one session.
-	DefaultMaxInFlight = 64
+	defaultRequestTimeout = 30 * time.Second
+	// defaultMaxInFlight caps concurrent requests pipelined on one session.
+	defaultMaxInFlight = 64
 )
 
 // Client-side errors.
@@ -28,10 +28,10 @@ var (
 	ErrSampleMissing = errors.New("storage: sample not found")
 	ErrBadSplitReq   = errors.New("storage: server rejected split")
 	ErrClientClosed  = errors.New("storage: client closed")
-	// ErrRequestTimeout reports that the per-request deadline elapsed while
+	// errRequestTimeout reports that the per-request deadline elapsed while
 	// the caller's own context was still live. It is retryable: the session
 	// may be poisoned but the request itself is idempotent.
-	ErrRequestTimeout = errors.New("storage: request timed out")
+	errRequestTimeout = errors.New("storage: request timed out")
 )
 
 // ClientOptions configures a session; the zero value of each field selects a
@@ -39,11 +39,11 @@ var (
 type ClientOptions struct {
 	// JobID identifies the training job in the handshake.
 	JobID uint64
-	// RequestTimeout bounds each request round trip (0 → DefaultRequestTimeout;
+	// RequestTimeout bounds each request round trip (0 → defaultRequestTimeout;
 	// negative → no timeout).
 	RequestTimeout time.Duration
 	// MaxInFlight caps concurrent in-flight requests on the session
-	// (0 → DefaultMaxInFlight).
+	// (0 → defaultMaxInFlight).
 	MaxInFlight int
 }
 
@@ -75,7 +75,7 @@ type Client struct {
 func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 	timeout := opts.RequestTimeout
 	if timeout == 0 {
-		timeout = DefaultRequestTimeout
+		timeout = defaultRequestTimeout
 	}
 	// The handshake is a round trip like any other: a peer that never
 	// answers must not hold the caller (or a redial under its lock) forever.
@@ -86,7 +86,7 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 	if err != nil {
 		conn.Close()
 		if errors.Is(err, os.ErrDeadlineExceeded) {
-			return nil, fmt.Errorf("%w after %v: %w", ErrRequestTimeout, timeout, err)
+			return nil, fmt.Errorf("%w after %v: %w", errRequestTimeout, timeout, err)
 		}
 		return nil, fmt.Errorf("storage: %w", err)
 	}
@@ -96,7 +96,7 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 
 	maxInFlight := opts.MaxInFlight
 	if maxInFlight <= 0 {
-		maxInFlight = DefaultMaxInFlight
+		maxInFlight = defaultMaxInFlight
 	}
 	c := &Client{
 		conn:     conn,
@@ -291,7 +291,7 @@ func (c *Client) roundTrip(ctx context.Context, id uint64, req wire.Message) (wi
 		// Admission-control shed: the request was rejected but the
 		// session is healthy. Surface the typed error so a retry layer
 		// can back off by the server's hint without reconnecting.
-		return nil, &RetryAfterError{
+		return nil, &retryAfterError{
 			Delay:  time.Duration(ra.Millis) * time.Millisecond,
 			Queued: int(ra.Queued),
 		}
@@ -301,11 +301,11 @@ func (c *Client) roundTrip(ctx context.Context, id uint64, req wire.Message) (wi
 
 // ctxErr maps a context error to the session's error vocabulary: a
 // per-request timeout that fired while the caller's own context was still
-// live becomes ErrRequestTimeout (retryable).
+// live becomes errRequestTimeout (retryable).
 func (c *Client) ctxErr(ctx context.Context) error {
 	err := ctx.Err()
 	if errors.Is(err, context.DeadlineExceeded) {
-		return fmt.Errorf("%w after %v", ErrRequestTimeout, c.timeout)
+		return fmt.Errorf("%w after %v", errRequestTimeout, c.timeout)
 	}
 	return err
 }

@@ -23,9 +23,9 @@ type Executor struct {
 	counters *Counters
 }
 
-// ErrNoOffload is returned when a prefix execution is requested but the
+// errNoOffload is returned when a prefix execution is requested but the
 // executor has zero cores (offloading disabled).
-var ErrNoOffload = errors.New("storage: offloading disabled (0 cores)")
+var errNoOffload = errors.New("storage: offloading disabled (0 cores)")
 
 // NewExecutor builds an executor with the given core budget. cores == 0
 // disables offloading; slowdown < 1 is rejected (a faster storage node is
@@ -50,18 +50,18 @@ func NewExecutor(p *pipeline.Pipeline, cores int, slowdown float64, counters *Co
 	return e, nil
 }
 
-// Cores returns the configured core budget.
-func (e *Executor) Cores() int {
+// cores returns the configured core budget.
+func (e *Executor) cores() int {
 	if e.sem == nil {
 		return 0
 	}
 	return cap(e.sem)
 }
 
-// RunPrefix executes ops [0, split) on raw bytes, holding one core for the
+// runPrefix executes ops [0, split) on raw bytes, holding one core for the
 // duration. split == 0 returns the raw artifact without touching the core
 // budget.
-func (e *Executor) RunPrefix(raw []byte, split int, seed pipeline.Seed) (pipeline.Artifact, error) {
+func (e *Executor) runPrefix(raw []byte, split int, seed pipeline.Seed) (pipeline.Artifact, error) {
 	if split < 0 || split > e.pipe.Len() {
 		return pipeline.Artifact{}, fmt.Errorf("%w: split %d of %d ops", pipeline.ErrBadSplit, split, e.pipe.Len())
 	}
@@ -69,7 +69,7 @@ func (e *Executor) RunPrefix(raw []byte, split int, seed pipeline.Seed) (pipelin
 		return pipeline.RawArtifact(raw), nil
 	}
 	if e.sem == nil {
-		return pipeline.Artifact{}, ErrNoOffload
+		return pipeline.Artifact{}, errNoOffload
 	}
 	e.sem <- struct{}{}
 	defer func() { <-e.sem }()
@@ -98,7 +98,7 @@ func (e *Executor) RunPrefix(raw []byte, split int, seed pipeline.Seed) (pipelin
 // bufpool.PutBytes — the server's writer goroutine does so via wire.Recycle
 // once the frame is on the wire.
 func (e *Executor) RunPrefixEncoded(raw []byte, split int, seed pipeline.Seed) ([]byte, error) {
-	art, err := e.RunPrefix(raw, split, seed)
+	art, err := e.runPrefix(raw, split, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func TestPartialStoreFacts(t *testing.T) {
 		t.Errorf("Get(3) = %v, %v", b, err)
 	}
 	for _, id := range []uint32{0, 2, 4} {
-		if _, err := st.Get(id); !errors.Is(err, ErrNotFound) {
+		if _, err := st.Get(id); !errors.Is(err, errNotFound) {
 			t.Errorf("Get(%d) err = %v, want ErrNotFound", id, err)
 		}
 	}

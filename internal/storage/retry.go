@@ -133,7 +133,7 @@ func (r *ReconnectingClient) invalidate(gen int64) {
 // corrupted frame never decodes into a wrong result, it tears the session
 // down and lands here as a retryable error.
 //
-// Admission-control rejections (RetryAfterError) are the
+// Admission-control rejections (retryAfterError) are the
 // third kind: retryable, but on a HEALTHY session. They never tear the
 // connection down — reconnect stampedes are exactly what a shedding server
 // doesn't need — and the next attempt waits at least the server's
@@ -168,7 +168,7 @@ func (r *ReconnectingClient) withRetry(ctx context.Context, op func(*Client) err
 			return err
 		}
 		lastErr = err
-		var ra *RetryAfterError
+		var ra *retryAfterError
 		if errors.As(err, &ra) {
 			hint = ra.Delay
 			continue

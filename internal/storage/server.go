@@ -29,7 +29,7 @@ type ServerConfig struct {
 	// (0 = never). Applies between requests, not during handling.
 	IdleTimeout time.Duration
 	// MaxInFlight bounds concurrently handled requests per connection
-	// (0 → DefaultServerMaxInFlight). Requests beyond the bound queue in
+	// (0 → defaultServerMaxInFlight). Requests beyond the bound queue in
 	// the read loop, applying backpressure through the socket.
 	MaxInFlight int
 	// Admission is the global admission controller: an in-flight byte
@@ -43,9 +43,9 @@ type ServerConfig struct {
 	Logger *log.Logger
 }
 
-// DefaultServerMaxInFlight is the per-connection concurrent-request bound
+// defaultServerMaxInFlight is the per-connection concurrent-request bound
 // when ServerConfig.MaxInFlight is zero.
-const DefaultServerMaxInFlight = 32
+const defaultServerMaxInFlight = 32
 
 // Server answers wire-protocol requests: handshake, fetches with offload
 // directives, and stats. Each connection is a multiplexed session: a read
@@ -97,7 +97,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	maxInFlight := cfg.MaxInFlight
 	if maxInFlight == 0 {
-		maxInFlight = DefaultServerMaxInFlight
+		maxInFlight = defaultServerMaxInFlight
 	}
 	return &Server{
 		store:       cfg.Store,
@@ -343,7 +343,7 @@ func (s *Server) admitFetchBatch(jobID uint64, req *wire.FetchBatch) wire.Messag
 	}
 	release, err := s.admission.Acquire(jobID, bytes, s.shutdown)
 	if err != nil {
-		var ra *RetryAfterError
+		var ra *retryAfterError
 		if errors.As(err, &ra) {
 			s.counters.ShedLoad.Add(1)
 			return &wire.RetryAfter{
@@ -395,7 +395,7 @@ func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.F
 		return resp
 	}
 	split := int(item.Split)
-	if split > s.pipe.Len() || (split > 0 && s.exec.Cores() == 0) {
+	if split > s.pipe.Len() || (split > 0 && s.exec.cores() == 0) {
 		resp.Status = wire.FetchBadSplit
 		return resp
 	}

@@ -211,7 +211,7 @@ func silentPeer(t *testing.T, heard chan<- struct{}) net.Conn {
 }
 
 // TestHandshakeTimeout: RequestTimeout bounds the handshake too, so a peer
-// that never answers Hello fails it with ErrRequestTimeout instead of
+// that never answers Hello fails it with errRequestTimeout instead of
 // blocking the caller forever.
 func TestHandshakeTimeout(t *testing.T) {
 	done := make(chan error, 1)
@@ -224,7 +224,7 @@ func TestHandshakeTimeout(t *testing.T) {
 	}()
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrRequestTimeout) {
+		if !errors.Is(err, errRequestTimeout) {
 			t.Fatalf("err = %v, want ErrRequestTimeout", err)
 		}
 	case <-time.After(5 * time.Second):
@@ -270,7 +270,7 @@ func TestCloseDuringHungRedial(t *testing.T) {
 
 // TestSessionRequestTimeout checks that a stalled server can no longer hang
 // a caller forever: the per-request timeout fires and surfaces as the
-// retryable ErrRequestTimeout.
+// retryable errRequestTimeout.
 func TestSessionRequestTimeout(t *testing.T) {
 	conn := fakeServer(t, func(server net.Conn) {
 		for { // swallow requests, never answer
@@ -287,7 +287,7 @@ func TestSessionRequestTimeout(t *testing.T) {
 
 	start := time.Now()
 	_, err = FetchOne(context.Background(), c, 1, 0, 1)
-	if !errors.Is(err, ErrRequestTimeout) {
+	if !errors.Is(err, errRequestTimeout) {
 		t.Fatalf("err = %v, want ErrRequestTimeout", err)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {

@@ -77,7 +77,7 @@ func TestStoreValidation(t *testing.T) {
 	if st.N() != 2 || st.TotalBytes() != 3 || st.Name() != "x" {
 		t.Fatalf("store facts: N=%d total=%d name=%q", st.N(), st.TotalBytes(), st.Name())
 	}
-	if _, err := st.Get(2); !errors.Is(err, ErrNotFound) {
+	if _, err := st.Get(2); !errors.Is(err, errNotFound) {
 		t.Fatalf("Get(2) err = %v", err)
 	}
 	b, err := st.Get(1)
@@ -100,11 +100,11 @@ func TestExecutorValidation(t *testing.T) {
 		}
 	}
 	e, err := NewExecutor(p, 3, 1, nil)
-	if err != nil || e.Cores() != 3 {
-		t.Fatalf("executor cores = %d, %v", e.Cores(), err)
+	if err != nil || e.cores() != 3 {
+		t.Fatalf("executor cores = %d, %v", e.cores(), err)
 	}
 	z, _ := NewExecutor(p, 0, 1, nil)
-	if z.Cores() != 0 {
+	if z.cores() != 0 {
 		t.Fatal("zero-core executor reports cores")
 	}
 }
@@ -123,11 +123,11 @@ func TestExecutorRunPrefix(t *testing.T) {
 	}
 	seed := pipeline.Seed{Job: 1, Epoch: 1, Sample: 0}
 
-	art, err := e.RunPrefix(raw, 0, seed)
+	art, err := e.runPrefix(raw, 0, seed)
 	if err != nil || art.Kind != pipeline.KindRaw {
 		t.Fatalf("split 0: %v kind=%v", err, art.Kind)
 	}
-	art, err = e.RunPrefix(raw, 2, seed)
+	art, err = e.runPrefix(raw, 2, seed)
 	if err != nil || art.Kind != pipeline.KindImage {
 		t.Fatalf("split 2: %v kind=%v", err, art.Kind)
 	}
@@ -139,7 +139,7 @@ func TestExecutorRunPrefix(t *testing.T) {
 	if counters.OpsExecuted.Load() != 2 {
 		t.Fatalf("ops executed = %d", counters.OpsExecuted.Load())
 	}
-	if art, err = e.RunPrefix(raw, p.Len(), seed); err != nil || art.Kind != pipeline.KindTensor {
+	if art, err = e.runPrefix(raw, p.Len(), seed); err != nil || art.Kind != pipeline.KindTensor {
 		t.Fatalf("split %d: %v kind=%v", p.Len(), err, art.Kind)
 	}
 	if got, want := counters.OpsExecuted.Load(), uint64(2+p.Len()); got != want {
@@ -148,21 +148,21 @@ func TestExecutorRunPrefix(t *testing.T) {
 	if counters.CPUNanos.Load() == 0 {
 		t.Fatal("no CPU time recorded")
 	}
-	if _, err := e.RunPrefix(raw, 6, seed); err == nil {
+	if _, err := e.runPrefix(raw, 6, seed); err == nil {
 		t.Fatal("accepted split beyond pipeline")
 	}
-	if _, err := e.RunPrefix(raw, -1, seed); err == nil {
+	if _, err := e.runPrefix(raw, -1, seed); err == nil {
 		t.Fatal("accepted negative split")
 	}
 }
 
 func TestExecutorZeroCoresRejectsOffload(t *testing.T) {
 	e, _ := NewExecutor(pipeline.DefaultStandard(), 0, 1, nil)
-	if _, err := e.RunPrefix([]byte{1}, 1, pipeline.Seed{}); !errors.Is(err, ErrNoOffload) {
+	if _, err := e.runPrefix([]byte{1}, 1, pipeline.Seed{}); !errors.Is(err, errNoOffload) {
 		t.Fatalf("err = %v, want ErrNoOffload", err)
 	}
 	// Split 0 stays available.
-	if _, err := e.RunPrefix([]byte{1}, 0, pipeline.Seed{}); err != nil {
+	if _, err := e.runPrefix([]byte{1}, 0, pipeline.Seed{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -180,7 +180,7 @@ func TestExecutorSlowdownStretchesOccupancy(t *testing.T) {
 	// cold first one), so compare the fastest of interleaved runs on each.
 	run := func(e *Executor, c *Counters) uint64 {
 		before := c.CPUNanos.Load()
-		if _, err := e.RunPrefix(raw, 2, seed); err != nil {
+		if _, err := e.runPrefix(raw, 2, seed); err != nil {
 			t.Fatal(err)
 		}
 		return c.CPUNanos.Load() - before

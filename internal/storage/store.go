@@ -24,8 +24,8 @@ type Store struct {
 	totalBytes int64
 }
 
-// ErrNotFound reports a missing object.
-var ErrNotFound = errors.New("storage: object not found")
+// errNotFound reports a missing object.
+var errNotFound = errors.New("storage: object not found")
 
 // NewStore wraps pre-materialized objects. The slice is retained; callers
 // must not mutate it afterwards.
@@ -45,7 +45,7 @@ func NewStore(name string, objects [][]byte) (*Store, error) {
 
 // NewPartialStore builds a store spanning sample IDs [0, n) that owns only
 // the objects in own (ID → bytes). Lookups of unowned IDs return
-// ErrNotFound; N() still reports n so every shard of a cluster agrees on
+// errNotFound; N() still reports n so every shard of a cluster agrees on
 // the dataset size during the handshake.
 func NewPartialStore(name string, n int, own map[uint32][]byte) (*Store, error) {
 	if n <= 0 {
@@ -96,7 +96,7 @@ func (s *Store) TotalBytes() int64 { return s.totalBytes }
 // callers must not mutate it.
 func (s *Store) Get(id uint32) ([]byte, error) {
 	if int(id) >= len(s.objects) || s.objects[id] == nil {
-		return nil, fmt.Errorf("%w: sample %d of %d", ErrNotFound, id, len(s.objects))
+		return nil, fmt.Errorf("%w: sample %d of %d", errNotFound, id, len(s.objects))
 	}
 	return s.objects[id], nil
 }

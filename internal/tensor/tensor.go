@@ -30,24 +30,24 @@ const (
 
 // Errors returned by this package.
 var (
-	ErrBadShape = errors.New("tensor: bad shape")
-	ErrCorrupt  = errors.New("tensor: corrupt stream")
+	errBadShape = errors.New("tensor: bad shape")
+	errCorrupt  = errors.New("tensor: corrupt stream")
 )
 
 // New allocates a zero tensor with the given shape.
 func New(c, h, w int) (*Tensor, error) {
 	if c <= 0 || h <= 0 || w <= 0 {
-		return nil, fmt.Errorf("%w: %dx%dx%d", ErrBadShape, c, h, w)
+		return nil, fmt.Errorf("%w: %dx%dx%d", errBadShape, c, h, w)
 	}
 	return &Tensor{C: c, H: h, W: w, Data: make([]float32, c*h*w)}, nil
 }
 
-// NewPooled allocates a tensor whose element buffer comes from the bufpool
+// newPooled allocates a tensor whose element buffer comes from the bufpool
 // arena. The caller owns it; Release returns the buffer to the pool. The
 // elements are NOT zeroed — callers must overwrite every value.
-func NewPooled(c, h, w int) (*Tensor, error) {
+func newPooled(c, h, w int) (*Tensor, error) {
 	if c <= 0 || h <= 0 || w <= 0 {
-		return nil, fmt.Errorf("%w: %dx%dx%d", ErrBadShape, c, h, w)
+		return nil, fmt.Errorf("%w: %dx%dx%d", errBadShape, c, h, w)
 	}
 	return &Tensor{C: c, H: h, W: w, Data: bufpool.GetFloat32(c * h * w)}, nil
 }
@@ -64,8 +64,8 @@ func (t *Tensor) Release() {
 	t.C, t.H, t.W = 0, 0, 0
 }
 
-// Len returns the number of elements.
-func (t *Tensor) Len() int { return t.C * t.H * t.W }
+// elems returns the number of elements.
+func (t *Tensor) elems() int { return t.C * t.H * t.W }
 
 // Equal reports exact equality of shape and elements. NaNs compare by bit
 // pattern so deterministic pipelines remain comparable.
@@ -85,7 +85,7 @@ func (t *Tensor) Equal(o *Tensor) bool {
 // matching torchvision's ToTensor: channel-major output, v/255. The result
 // is pool-backed (Release when done).
 func FromImage(im *imaging.Image) *Tensor {
-	t, _ := NewPooled(imaging.Channels, im.H, im.W)
+	t, _ := newPooled(imaging.Channels, im.H, im.W)
 	plane := im.H * im.W
 	for y := 0; y < im.H; y++ {
 		for x := 0; x < im.W; x++ {
@@ -109,14 +109,14 @@ func FromImage(im *imaging.Image) *Tensor {
 func FromImageNormalized(im *imaging.Image, mean, std []float32) (*Tensor, error) {
 	if len(mean) != imaging.Channels || len(std) != imaging.Channels {
 		return nil, fmt.Errorf("%w: normalize wants %d-channel stats, got %d/%d",
-			ErrBadShape, imaging.Channels, len(mean), len(std))
+			errBadShape, imaging.Channels, len(mean), len(std))
 	}
 	for c := 0; c < imaging.Channels; c++ {
 		if std[c] == 0 {
-			return nil, fmt.Errorf("%w: zero std for channel %d", ErrBadShape, c)
+			return nil, fmt.Errorf("%w: zero std for channel %d", errBadShape, c)
 		}
 	}
-	t, err := NewPooled(imaging.Channels, im.H, im.W)
+	t, err := newPooled(imaging.Channels, im.H, im.W)
 	if err != nil {
 		return nil, err
 	}
@@ -145,11 +145,11 @@ func FromImageNormalized(im *imaging.Image, mean, std []float32) (*Tensor, error
 // non-zero.
 func (t *Tensor) Normalize(mean, std []float32) error {
 	if len(mean) != t.C || len(std) != t.C {
-		return fmt.Errorf("%w: normalize wants %d-channel stats, got %d/%d", ErrBadShape, t.C, len(mean), len(std))
+		return fmt.Errorf("%w: normalize wants %d-channel stats, got %d/%d", errBadShape, t.C, len(mean), len(std))
 	}
 	for c := 0; c < t.C; c++ {
 		if std[c] == 0 {
-			return fmt.Errorf("%w: zero std for channel %d", ErrBadShape, c)
+			return fmt.Errorf("%w: zero std for channel %d", errBadShape, c)
 		}
 	}
 	plane := t.H * t.W
@@ -173,14 +173,14 @@ var (
 // Marshal encodes the tensor to the STSR wire format: header plus
 // little-endian float32 payload.
 func (t *Tensor) Marshal() []byte {
-	return t.AppendMarshal(make([]byte, 0, headerSize+4*t.Len()))
+	return t.AppendMarshal(make([]byte, 0, headerSize+4*t.elems()))
 }
 
 // AppendMarshal appends the STSR encoding to dst and returns the extended
 // slice, letting callers marshal into pooled buffers without allocating.
 func (t *Tensor) AppendMarshal(dst []byte) []byte {
 	start := len(dst)
-	n := headerSize + 4*t.Len()
+	n := headerSize + 4*t.elems()
 	if cap(dst)-start >= n {
 		dst = dst[:start+n]
 	} else {
@@ -202,23 +202,23 @@ func (t *Tensor) AppendMarshal(dst []byte) []byte {
 // (Release when done); its data is copied out of data, never aliased.
 func Unmarshal(data []byte) (*Tensor, error) {
 	if len(data) < headerSize || string(data[:4]) != wireMagic {
-		return nil, ErrCorrupt
+		return nil, errCorrupt
 	}
 	if data[4] != wireVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrCorrupt, data[4])
+		return nil, fmt.Errorf("%w: version %d", errCorrupt, data[4])
 	}
 	c := int(binary.LittleEndian.Uint32(data[8:12]))
 	h := int(binary.LittleEndian.Uint32(data[12:16]))
 	w := int(binary.LittleEndian.Uint32(data[16:20]))
 	const maxElems = 1 << 28
 	if c <= 0 || h <= 0 || w <= 0 || c*h*w > maxElems {
-		return nil, fmt.Errorf("%w: shape %dx%dx%d", ErrCorrupt, c, h, w)
+		return nil, fmt.Errorf("%w: shape %dx%dx%d", errCorrupt, c, h, w)
 	}
 	want := headerSize + 4*c*h*w
 	if len(data) != want {
-		return nil, fmt.Errorf("%w: have %d bytes, want %d", ErrCorrupt, len(data), want)
+		return nil, fmt.Errorf("%w: have %d bytes, want %d", errCorrupt, len(data), want)
 	}
-	t, err := NewPooled(c, h, w)
+	t, err := newPooled(c, h, w)
 	if err != nil {
 		return nil, err
 	}

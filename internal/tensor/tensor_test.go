@@ -18,8 +18,8 @@ func TestNewRejectsBadShape(t *testing.T) {
 
 func TestCloneEqual(t *testing.T) {
 	a, _ := New(2, 2, 2)
-	if a.Len() != 8 {
-		t.Fatalf("Len = %d", a.Len())
+	if a.elems() != 8 {
+		t.Fatalf("Len = %d", a.elems())
 	}
 	set(a, 1, 1, 1, 3.25)
 	b := clone(a)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -128,5 +129,53 @@ func TestStrictModeAbortsOnFailure(t *testing.T) {
 	}
 	if tr.PrefetchMetrics().Snapshot().StagedPeakBytes == 0 {
 		t.Fatal("nothing was ever staged; the abort tore down an idle loader")
+	}
+}
+
+// TestTrainerSurvivesDeadShard is the acceptance scenario: kill one shard of
+// three, and a trainer in DegradedMode still completes the epoch, reporting
+// exactly the dead shard's samples as failures. The same epoch without
+// DegradedMode aborts.
+func TestTrainerSurvivesDeadShard(t *testing.T) {
+	const n = 60
+	c, base := lookaheadCluster(t, n, 3, nil)
+
+	const dead = 2
+	lost := len(c.ShardMap().Owned(n, dead))
+	if lost == 0 || lost == n {
+		t.Fatalf("degenerate placement: shard %d owns %d of %d", dead, lost, n)
+	}
+
+	config := func(degraded bool) Config {
+		cfg := base
+		cfg.DialClient = func() (storage.Fetcher, error) {
+			return c.NewShardedClient(storage.ClientOptions{JobID: cfg.JobID}, 2, time.Millisecond, degraded)
+		}
+		cfg.DegradedMode = degraded
+		return cfg
+	}
+
+	// Both trainers dial while every shard is up; the crash happens before
+	// their epochs start.
+	tr := newTrainer(t, config(true))
+	strict := newTrainer(t, config(false))
+
+	if err := c.KillShard(dead); err != nil {
+		t.Fatal(err)
+	}
+
+	rep, err := tr.RunEpoch(1, nil, nil)
+	if err != nil {
+		t.Fatalf("degraded epoch: %v", err)
+	}
+	if rep.Failed != lost {
+		t.Errorf("Failed = %d, want the dead shard's %d samples", rep.Failed, lost)
+	}
+	if rep.Samples != n-lost {
+		t.Errorf("Samples = %d, want %d", rep.Samples, n-lost)
+	}
+
+	if _, err := strict.RunEpoch(1, nil, nil); err == nil {
+		t.Error("non-degraded epoch completed despite a dead shard")
 	}
 }

@@ -26,8 +26,8 @@ func TestLookaheadConfigValidation(t *testing.T) {
 	if tr.cfg.Lookahead != 2*cfg.Workers {
 		t.Fatalf("default depth %d, want 2×Workers = %d", tr.cfg.Lookahead, 2*cfg.Workers)
 	}
-	if tr.cfg.StagingBytes != DefaultStagingBytes {
-		t.Fatalf("staging default %d, want %d", tr.cfg.StagingBytes, DefaultStagingBytes)
+	if tr.cfg.StagingBytes != defaultStagingBytes {
+		t.Fatalf("staging default %d, want %d", tr.cfg.StagingBytes, defaultStagingBytes)
 	}
 
 	for _, tc := range []struct {

@@ -25,24 +25,38 @@ func (t *Trainer) MeasureBandwidth(n int) (float64, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("trainsim: bandwidth probe of %d samples", n)
 	}
+	bytes, elapsed, err := t.rawFetches(n, nil)
+	if err != nil {
+		return 0, fmt.Errorf("trainsim: bandwidth probe %w", err)
+	}
+	if elapsed <= 0 {
+		return 0, fmt.Errorf("trainsim: bandwidth probe of %d bytes took no time", bytes)
+	}
+	return float64(bytes) / elapsed.Seconds(), nil
+}
+
+// rawFetches fetches n raw samples serially over the shared session and
+// times them, handing each object to keep if it is set: the loop behind
+// MeasureBandwidth and the stage-1 I/O probe. Serial fetches keep the link
+// the bottleneck.
+func (t *Trainer) rawFetches(n int, keep func(raw []byte)) (int64, time.Duration, error) {
 	clock := t.cfg.Clock
 	var bytes int64
 	start := clock.Now()
 	for k := 0; k < n; k++ {
 		res, err := storage.FetchOne(context.Background(), t.client, uint32(k%t.n), 0, 0)
 		if err != nil {
-			return 0, fmt.Errorf("trainsim: bandwidth probe fetch %d: %w", k, err)
+			return 0, 0, fmt.Errorf("fetch %d: %w", k%t.n, err)
 		}
-		if res.Err != nil {
-			return 0, fmt.Errorf("trainsim: bandwidth probe fetch %d: %w", k, res.Err)
+		if res.Artifact.Kind != pipeline.KindRaw {
+			return 0, 0, fmt.Errorf("fetch %d got %s artifact", k%t.n, res.Artifact.Kind)
 		}
 		bytes += int64(res.WireBytes)
+		if keep != nil {
+			keep(res.Artifact.Raw)
+		}
 	}
-	elapsed := clock.Now().Sub(start)
-	if elapsed <= 0 {
-		return 0, fmt.Errorf("trainsim: bandwidth probe of %d bytes took no time", bytes)
-	}
-	return float64(bytes) / elapsed.Seconds(), nil
+	return bytes, clock.Now().Sub(start), nil
 }
 
 // Stage1Probes builds the profiler's three throughput probes on top of this
@@ -67,23 +81,16 @@ func (t *Trainer) Stage1Probes() profiler.Probes {
 
 	var cached [][]byte
 	ioProbe := func(batches int) (int, time.Duration, error) {
-		client := t.client
 		total := batches * batch
-		start := clock.Now()
-		for k := 0; k < total; k++ {
-			id := uint32(k % t.n)
-			res, err := storage.FetchOne(context.Background(), client, id, 0, 0)
-			if err != nil {
-				return 0, 0, fmt.Errorf("io probe fetch %d: %w", id, err)
-			}
-			if res.Artifact.Kind != pipeline.KindRaw {
-				return 0, 0, fmt.Errorf("io probe got %s artifact", res.Artifact.Kind)
-			}
+		_, elapsed, err := t.rawFetches(total, func(raw []byte) {
 			if len(cached) < batch {
-				cached = append(cached, res.Artifact.Raw)
+				cached = append(cached, raw)
 			}
+		})
+		if err != nil {
+			return 0, 0, fmt.Errorf("io probe %w", err)
 		}
-		return total, clock.Now().Sub(start), nil
+		return total, elapsed, nil
 	}
 
 	cpuProbe := func(batches int) (int, time.Duration, error) {

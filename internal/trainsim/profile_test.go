@@ -107,7 +107,7 @@ func TestProfilingEpochPlansMatchTrace(t *testing.T) {
 		QualityFloor:     0.9,
 		MeanQualityFloor: 0.95,
 	}}
-	for _, pol := range append([]policy.Policy{policy.NewSophon(), fidelity}, policy.Baselines()...) {
+	for _, pol := range append([]policy.Policy{fidelity}, policy.All()...) {
 		pa, err := pol.Plan(a, env)
 		if err != nil {
 			t.Fatal(err)

@@ -47,7 +47,7 @@ type Config struct {
 	// 0 means 8 × Lookahead × fetch-batch × shards.
 	LookaheadHorizon int
 	// StagingBytes budgets the artifacts fetched but not yet consumed;
-	// 0 means DefaultStagingBytes, negative means unbounded.
+	// 0 means defaultStagingBytes, negative means unbounded.
 	StagingBytes int64
 	// VarianceAware is not read: a non-nil Classify is the condition. It
 	// stays declared only until benchmarks/ stops assigning it.
@@ -86,9 +86,9 @@ type Config struct {
 	DegradedMode bool
 }
 
-// DefaultStagingBytes is the staging budget when Config leaves StagingBytes
+// defaultStagingBytes is the staging budget when Config leaves StagingBytes
 // zero.
-const DefaultStagingBytes = 64 << 20
+const defaultStagingBytes = 64 << 20
 
 // Trainer runs training epochs against a storage server.
 type Trainer struct {
@@ -189,7 +189,7 @@ func New(cfg Config) (*Trainer, error) {
 		return nil, fmt.Errorf("trainsim: lookahead horizon %d", cfg.LookaheadHorizon)
 	}
 	if cfg.StagingBytes == 0 {
-		cfg.StagingBytes = DefaultStagingBytes
+		cfg.StagingBytes = defaultStagingBytes
 	}
 	if cfg.Classify == nil {
 		cfg.Classify = func(int) prepsched.Class { return prepsched.Light }
@@ -437,6 +437,10 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 		}
 		return t.client.FetchBatch(ctx, samples, splits, epoch)
 	}
+	var down func(error) bool // fail fast on a dead shard only when its loss is tolerated
+	if t.cfg.DegradedMode {
+		down = func(err error) bool { return errors.Is(err, cluster.ErrShardDown) }
+	}
 	sched, err := prefetch.NewScheduler(prefetch.Config{
 		Order:        prefetch.Order(t.cfg.JobID, epoch, t.n, t.cfg.Shuffle),
 		Shards:       shards,
@@ -447,8 +451,7 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 		StagingBytes: max(t.cfg.StagingBytes, 0), // negative: unbounded
 		Split:        split,
 		Fetch:        fetch,
-		FailFast:     t.cfg.DegradedMode,
-		Down:         func(err error) bool { return errors.Is(err, cluster.ErrShardDown) },
+		Down:         down,
 		Metrics:      &t.pf,
 	})
 	if err != nil {

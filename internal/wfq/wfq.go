@@ -6,7 +6,7 @@
 //
 //	vft = max(globalVirtualTime, tenantLastVft) + cost/weight
 //
-// and Pop always returns the queued item with the smallest virtual finish
+// and pop always returns the queued item with the smallest virtual finish
 // time, ties broken by tenant id then arrival order. Over any busy interval
 // each tenant therefore drains throughput proportional to its weight,
 // independent of how bursty its arrivals are — the property the storage
@@ -17,7 +17,7 @@
 package wfq
 
 // Item is a queued entry. The zero Item is not meaningful; items are
-// created by Push and handed back by Pop/Peek.
+// created by push and handed back by pop/peek.
 type Item struct {
 	Tenant uint64
 	Cost   float64
@@ -34,24 +34,21 @@ type tenantQueue struct {
 	weight  float64
 }
 
-// Queue is a weighted fair queue across tenants.
-type Queue struct {
+// queue is a weighted fair queue across tenants.
+type queue struct {
 	tenants map[uint64]*tenantQueue
 	vtime   float64
 	seq     uint64
 	length  int
 }
 
-// New returns an empty queue.
-func New() *Queue {
-	return &Queue{tenants: make(map[uint64]*tenantQueue)}
+// newQueue returns an empty queue.
+func newQueue() *queue {
+	return &queue{tenants: make(map[uint64]*tenantQueue)}
 }
 
-// Len reports the total number of queued items across all tenants.
-func (q *Queue) Len() int { return q.length }
-
-// TenantLen reports the number of queued items for one tenant.
-func (q *Queue) TenantLen(tenant uint64) int {
+// tenantLen reports the number of queued items for one tenant.
+func (q *queue) tenantLen(tenant uint64) int {
 	tq := q.tenants[tenant]
 	if tq == nil {
 		return 0
@@ -59,13 +56,13 @@ func (q *Queue) TenantLen(tenant uint64) int {
 	return len(tq.items)
 }
 
-// Push enqueues a value for tenant with the given weight and cost and
+// push enqueues a value for tenant with the given weight and cost and
 // returns the stamped item. Weight must be positive; zero or negative
 // weights are clamped to 1 so a misconfigured tenant degrades to unit
 // share instead of corrupting the virtual clock. Cost must be
 // non-negative; a zero-cost item still serializes behind the tenant's
 // earlier items.
-func (q *Queue) Push(tenant uint64, weight, cost float64, value any) *Item {
+func (q *queue) push(tenant uint64, weight, cost float64, value any) *Item {
 	if weight <= 0 {
 		weight = 1
 	}
@@ -99,7 +96,7 @@ func (q *Queue) Push(tenant uint64, weight, cost float64, value any) *Item {
 // head returns the tenant queue whose head item has the minimum virtual
 // finish time, or nil if the queue is empty. Ties break by (vft, seq) so
 // the order is fully deterministic.
-func (q *Queue) head() *tenantQueue {
+func (q *queue) head() *tenantQueue {
 	var best *tenantQueue
 	for _, tq := range q.tenants {
 		if len(tq.items) == 0 {
@@ -117,9 +114,9 @@ func (q *Queue) head() *tenantQueue {
 	return best
 }
 
-// Peek returns the item Pop would return next without removing it, or nil
+// peek returns the item pop would return next without removing it, or nil
 // if the queue is empty.
-func (q *Queue) Peek() *Item {
+func (q *queue) peek() *Item {
 	tq := q.head()
 	if tq == nil {
 		return nil
@@ -127,10 +124,10 @@ func (q *Queue) Peek() *Item {
 	return tq.items[0]
 }
 
-// Pop removes and returns the item with the smallest virtual finish time,
+// pop removes and returns the item with the smallest virtual finish time,
 // or nil if the queue is empty. The global virtual clock advances to the
 // popped item's finish time (it never moves backwards).
-func (q *Queue) Pop() *Item {
+func (q *queue) pop() *Item {
 	tq := q.head()
 	if tq == nil {
 		return nil
@@ -146,11 +143,11 @@ func (q *Queue) Pop() *Item {
 	return it
 }
 
-// Remove unlinks a specific item (identified by pointer) from its tenant
+// remove unlinks a specific item (identified by pointer) from its tenant
 // FIFO, returning true if it was found. Used to drop cancelled waiters
 // without disturbing the rest of the queue; the virtual clock is left
 // untouched so remaining stamps stay valid.
-func (q *Queue) Remove(it *Item) bool {
+func (q *queue) remove(it *Item) bool {
 	tq := q.tenants[it.Tenant]
 	if tq == nil {
 		return false

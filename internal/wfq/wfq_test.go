@@ -3,22 +3,22 @@ package wfq
 import "testing"
 
 func TestEmptyQueue(t *testing.T) {
-	q := New()
-	if q.Len() != 0 {
-		t.Fatalf("Len = %d, want 0", q.Len())
+	q := newQueue()
+	if q.length != 0 {
+		t.Fatalf("Len = %d, want 0", q.length)
 	}
-	if q.Pop() != nil || q.Peek() != nil {
+	if q.pop() != nil || q.peek() != nil {
 		t.Fatal("Pop/Peek on empty queue should return nil")
 	}
 }
 
 func TestFIFOWithinTenant(t *testing.T) {
-	q := New()
+	q := newQueue()
 	for i := 0; i < 5; i++ {
-		q.Push(1, 1, 100, i)
+		q.push(1, 1, 100, i)
 	}
 	for i := 0; i < 5; i++ {
-		it := q.Pop()
+		it := q.pop()
 		if it == nil || it.Value.(int) != i {
 			t.Fatalf("pop %d: got %v", i, it)
 		}
@@ -28,17 +28,17 @@ func TestFIFOWithinTenant(t *testing.T) {
 // TestWeightedShare drains a long busy period with two backlogged tenants
 // at weights 3:1 and checks the served-cost ratio tracks the weights.
 func TestWeightedShare(t *testing.T) {
-	q := New()
+	q := newQueue()
 	const items = 300
 	for i := 0; i < items; i++ {
-		q.Push(1, 3, 100, nil)
-		q.Push(2, 1, 100, nil)
+		q.push(1, 3, 100, nil)
+		q.push(2, 1, 100, nil)
 	}
 	served := map[uint64]float64{}
 	// Serve the first half of the backlog; both tenants stay backlogged
 	// throughout so the fair-share property applies cleanly.
 	for i := 0; i < items; i++ {
-		it := q.Pop()
+		it := q.pop()
 		served[it.Tenant] += it.Cost
 	}
 	ratio := served[1] / served[2]
@@ -50,16 +50,16 @@ func TestWeightedShare(t *testing.T) {
 // TestCostWeighting checks that a tenant sending big items gets the same
 // byte share as a tenant sending many small ones.
 func TestCostWeighting(t *testing.T) {
-	q := New()
+	q := newQueue()
 	for i := 0; i < 40; i++ {
-		q.Push(1, 1, 1000, nil) // few big
+		q.push(1, 1, 1000, nil) // few big
 	}
 	for i := 0; i < 400; i++ {
-		q.Push(2, 1, 100, nil) // many small
+		q.push(2, 1, 100, nil) // many small
 	}
 	served := map[uint64]float64{}
 	for i := 0; i < 220; i++ { // drain half the total cost
-		it := q.Pop()
+		it := q.pop()
 		served[it.Tenant] += it.Cost
 	}
 	ratio := served[1] / served[2]
@@ -71,19 +71,19 @@ func TestCostWeighting(t *testing.T) {
 // TestLateArrivalNotStarved: a tenant that goes idle and comes back must
 // not be penalized for its idle time (start = max(vtime, lastVft)).
 func TestLateArrivalNotStarved(t *testing.T) {
-	q := New()
+	q := newQueue()
 	for i := 0; i < 100; i++ {
-		q.Push(1, 1, 100, nil)
+		q.push(1, 1, 100, nil)
 	}
 	for i := 0; i < 50; i++ {
-		q.Pop()
+		q.pop()
 	}
 	// Tenant 2 arrives late; its first item should be served almost
 	// immediately, not after tenant 1's whole backlog.
-	q.Push(2, 1, 100, "late")
+	q.push(2, 1, 100, "late")
 	var pos int
 	for i := 0; ; i++ {
-		it := q.Pop()
+		it := q.pop()
 		if it == nil {
 			t.Fatal("queue drained without serving the late arrival")
 		}
@@ -98,21 +98,21 @@ func TestLateArrivalNotStarved(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	q := New()
-	a := q.Push(1, 1, 100, "a")
-	b := q.Push(1, 1, 100, "b")
-	q.Push(2, 1, 100, "c")
-	if !q.Remove(b) {
+	q := newQueue()
+	a := q.push(1, 1, 100, "a")
+	b := q.push(1, 1, 100, "b")
+	q.push(2, 1, 100, "c")
+	if !q.remove(b) {
 		t.Fatal("Remove(b) = false")
 	}
-	if q.Remove(b) {
+	if q.remove(b) {
 		t.Fatal("double Remove(b) = true")
 	}
-	if q.Len() != 2 || q.TenantLen(1) != 1 {
-		t.Fatalf("Len=%d TenantLen(1)=%d after remove", q.Len(), q.TenantLen(1))
+	if q.length != 2 || q.tenantLen(1) != 1 {
+		t.Fatalf("Len=%d TenantLen(1)=%d after remove", q.length, q.tenantLen(1))
 	}
 	seen := map[string]bool{}
-	for it := q.Pop(); it != nil; it = q.Pop() {
+	for it := q.pop(); it != nil; it = q.pop() {
 		seen[it.Value.(string)] = true
 	}
 	if !seen["a"] || !seen["c"] || seen["b"] {
@@ -122,9 +122,9 @@ func TestRemove(t *testing.T) {
 }
 
 func TestClampedWeightAndCost(t *testing.T) {
-	q := New()
-	q.Push(1, 0, -5, "x") // weight clamps to 1, cost to 0
-	it := q.Pop()
+	q := newQueue()
+	q.push(1, 0, -5, "x") // weight clamps to 1, cost to 0
+	it := q.pop()
 	if it == nil || it.Cost != 0 {
 		t.Fatalf("got %+v, want cost 0", it)
 	}
@@ -132,12 +132,12 @@ func TestClampedWeightAndCost(t *testing.T) {
 
 func TestDeterministicTieBreak(t *testing.T) {
 	run := func() []uint64 {
-		q := New()
+		q := newQueue()
 		for i := 0; i < 20; i++ {
-			q.Push(uint64(i%4), 1, 100, nil)
+			q.push(uint64(i%4), 1, 100, nil)
 		}
 		var order []uint64
-		for it := q.Pop(); it != nil; it = q.Pop() {
+		for it := q.pop(); it != nil; it = q.pop() {
 			order = append(order, it.Tenant)
 		}
 		return order

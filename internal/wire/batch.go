@@ -43,12 +43,12 @@ type FetchBatchResp struct {
 	Items     []FetchBatchRespItem
 }
 
-// MaxBatchItems bounds a batch so a response cannot exceed MaxFrameSize
+// MaxBatchItems bounds a batch so a response cannot exceed maxFrameSize
 // even when every item is a full tensor artifact.
 const MaxBatchItems = 64
 
-func (*FetchBatch) Type() MsgType     { return TypeFetchBatch }
-func (*FetchBatchResp) Type() MsgType { return TypeFetchBatchResp }
+func (*FetchBatch) Type() MsgType     { return typeFetchBatch }
+func (*FetchBatchResp) Type() MsgType { return typeFetchBatchResp }
 
 const (
 	batchHeader = 22 // request ID (8), epoch (8), plan version (4), item count (2)
@@ -79,17 +79,17 @@ func (m *FetchBatch) appendPayload(p []byte) []byte {
 
 func (m *FetchBatch) decodePayload(p []byte) error {
 	if len(p) < batchHeader {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
 	m.Epoch = binary.BigEndian.Uint64(p[8:16])
 	m.PlanVersion = binary.BigEndian.Uint32(p[16:20])
 	n := int(binary.BigEndian.Uint16(p[20:22]))
 	if n > MaxBatchItems {
-		return ErrFrameTooBig
+		return errFrameTooBig
 	}
 	if len(p) != batchHeader+batchItem*n {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.Items = make([]FetchBatchItem, n)
 	for i := range m.Items {
@@ -126,18 +126,18 @@ func (m *FetchBatchResp) appendPayload(p []byte) []byte {
 
 func (m *FetchBatchResp) decodePayload(p []byte) error {
 	if len(p) < 10 {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
 	n := int(binary.BigEndian.Uint16(p[8:10]))
 	if n > MaxBatchItems {
-		return ErrFrameTooBig
+		return errFrameTooBig
 	}
 	m.Items = make([]FetchBatchRespItem, 0, n)
 	off := 10
 	for i := 0; i < n; i++ {
 		if len(p) < off+10 {
-			return ErrTruncated
+			return errTruncated
 		}
 		it := FetchBatchRespItem{
 			Sample: binary.BigEndian.Uint32(p[off : off+4]),
@@ -146,14 +146,14 @@ func (m *FetchBatchResp) decodePayload(p []byte) error {
 		}
 		alen := int(binary.BigEndian.Uint32(p[off+6 : off+10]))
 		if len(p) < off+10+alen {
-			return ErrTruncated
+			return errTruncated
 		}
 		it.Artifact = copyArtifact(p[off+10 : off+10+alen])
 		m.Items = append(m.Items, it)
 		off += 10 + alen
 	}
 	if off != len(p) {
-		return ErrTruncated
+		return errTruncated
 	}
 	return nil
 }

@@ -81,19 +81,19 @@ func TestFetchBatchCorruptPayloads(t *testing.T) {
 		return p
 	}
 	cases := map[string][]byte{
-		"batch short header":    mk(TypeFetchBatch, make([]byte, 10)),
-		"batch wrong item size": mk(TypeFetchBatch, declareN(24, 3)),
-		"batch 5-byte items":    mk(TypeFetchBatch, declareN(22+5*3, 3)),
-		"batch trailing byte":   mk(TypeFetchBatch, declareN(22+6*3+1, 3)),
-		"batch over the cap":    mk(TypeFetchBatch, declareN(22+6*(MaxBatchItems+1), MaxBatchItems+1)),
-		"resp short header":     mk(TypeFetchBatchResp, make([]byte, 5)),
-		"resp truncated item":   mk(TypeFetchBatchResp, declareRespN(12, 1)),
-		"resp bad artifact len": mk(TypeFetchBatchResp, func() []byte {
+		"batch short header":    mk(typeFetchBatch, make([]byte, 10)),
+		"batch wrong item size": mk(typeFetchBatch, declareN(24, 3)),
+		"batch 5-byte items":    mk(typeFetchBatch, declareN(22+5*3, 3)),
+		"batch trailing byte":   mk(typeFetchBatch, declareN(22+6*3+1, 3)),
+		"batch over the cap":    mk(typeFetchBatch, declareN(22+6*(MaxBatchItems+1), MaxBatchItems+1)),
+		"resp short header":     mk(typeFetchBatchResp, make([]byte, 5)),
+		"resp truncated item":   mk(typeFetchBatchResp, declareRespN(12, 1)),
+		"resp bad artifact len": mk(typeFetchBatchResp, func() []byte {
 			p := declareRespN(20, 1)
 			binary.BigEndian.PutUint32(p[16:20], 500)
 			return p
 		}()),
-		"resp trailing junk": mk(TypeFetchBatchResp, declareRespN(25, 1)),
+		"resp trailing junk": mk(typeFetchBatchResp, declareRespN(25, 1)),
 	}
 	for name, frame := range cases {
 		if _, err := Read(bytes.NewReader(frame)); err == nil {

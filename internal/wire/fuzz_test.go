@@ -20,7 +20,7 @@ func FuzzRoundTrip(f *testing.F) {
 		check := func(m Message) Message {
 			var buf bytes.Buffer
 			if err := Write(&buf, m); err != nil {
-				if len(artifact) > MaxFrameSize/2 {
+				if len(artifact) > maxFrameSize/2 {
 					return nil // oversized frames may legitimately be refused
 				}
 				t.Fatalf("Write %T: %v", m, err)
@@ -93,7 +93,7 @@ func FuzzRoundTrip(f *testing.F) {
 
 // seedBatches adds the batch sizes at the edges — none, one (the
 // single-sample round trip) and MaxBatchItems — and well-formed frames of the
-// unassigned types 3 and 4, which the parser must refuse as ErrUnknownType
+// unassigned types 3 and 4, which the parser must refuse as errUnknownType
 // (TestReadRejectsUnknownType) however plausible their payloads.
 func seedBatches(f *testing.F) {
 	for _, n := range []int{0, 1, MaxBatchItems} {

@@ -19,7 +19,7 @@ type RetryAfter struct {
 }
 
 // Type implements Message.
-func (*RetryAfter) Type() MsgType { return TypeRetryAfter }
+func (*RetryAfter) Type() MsgType { return typeRetryAfter }
 
 func (m *RetryAfter) payloadSize() int { return 16 }
 
@@ -33,7 +33,7 @@ func (m *RetryAfter) appendPayload(p []byte) []byte {
 
 func (m *RetryAfter) decodePayload(p []byte) error {
 	if len(p) != 16 {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
 	m.Millis = binary.BigEndian.Uint32(p[8:12])

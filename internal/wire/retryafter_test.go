@@ -29,7 +29,7 @@ func TestRetryAfterRoundTrip(t *testing.T) {
 
 func TestRetryAfterWrongSizeRejected(t *testing.T) {
 	for _, n := range []int{0, 8, 15, 17} {
-		frame := rawFrame(TypeRetryAfter, make([]byte, n))
+		frame := rawFrame(typeRetryAfter, make([]byte, n))
 		if _, err := Read(bytes.NewReader(frame)); err == nil {
 			t.Errorf("accepted %d-byte RetryAfter payload", n)
 		}
@@ -37,7 +37,7 @@ func TestRetryAfterWrongSizeRejected(t *testing.T) {
 }
 
 func TestRetryAfterString(t *testing.T) {
-	if got := TypeRetryAfter.String(); got != "RetryAfter" {
+	if got := typeRetryAfter.String(); got != "RetryAfter" {
 		t.Fatalf("String() = %q", got)
 	}
 }

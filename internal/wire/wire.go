@@ -44,19 +44,19 @@ import (
 
 // Protocol constants.
 const (
-	Magic = 0x534F5048 // "SOPH"
+	magic = 0x534F5048 // "SOPH"
 	// Version is the only protocol generation a peer speaks; a Hello carrying
 	// any other is answered with an ErrorResp. 4 had no Rows bit.
 	Version = 5
 	// frameHeader is the on-wire frame-header length: magic (4), type (1),
 	// flags (1), payload length (4), CRC32-C (4).
 	frameHeader  = 14
-	MaxFrameSize = 64 << 20 // generous bound: a 224² tensor is ~600 KB
-	// FlagChecksum marks a frame whose header carries a CRC32-C over the
+	maxFrameSize = 64 << 20 // generous bound: a 224² tensor is ~600 KB
+	// flagChecksum marks a frame whose header carries a CRC32-C over the
 	// type, flags, length, and payload. Every frame this package writes sets
 	// it; Read verifies the checksum unconditionally, so the flag is
 	// self-description for wire sniffers, not an opt-out.
-	FlagChecksum = 0x01
+	flagChecksum = 0x01
 )
 
 // castagnoli is the CRC32-C table used for frame checksums (hardware
@@ -69,34 +69,34 @@ type MsgType uint8
 // Message types. 3 and 4 are unassigned: Read rejects them like any other
 // unknown type.
 const (
-	TypeHello          MsgType = 1
-	TypeHelloAck       MsgType = 2
-	TypeStatsReq       MsgType = 5
-	TypeStatsResp      MsgType = 6
-	TypeError          MsgType = 7
-	TypeFetchBatch     MsgType = 8
-	TypeFetchBatchResp MsgType = 9
-	TypeRetryAfter     MsgType = 10
+	typeHello          MsgType = 1
+	typeHelloAck       MsgType = 2
+	typeStatsReq       MsgType = 5
+	typeStatsResp      MsgType = 6
+	typeError          MsgType = 7
+	typeFetchBatch     MsgType = 8
+	typeFetchBatchResp MsgType = 9
+	typeRetryAfter     MsgType = 10
 )
 
 // String names the message type.
 func (t MsgType) String() string {
 	switch t {
-	case TypeHello:
+	case typeHello:
 		return "Hello"
-	case TypeHelloAck:
+	case typeHelloAck:
 		return "HelloAck"
-	case TypeStatsReq:
+	case typeStatsReq:
 		return "StatsReq"
-	case TypeStatsResp:
+	case typeStatsResp:
 		return "StatsResp"
-	case TypeError:
+	case typeError:
 		return "Error"
-	case TypeFetchBatch:
+	case typeFetchBatch:
 		return "FetchBatch"
-	case TypeFetchBatchResp:
+	case typeFetchBatchResp:
 		return "FetchBatchResp"
-	case TypeRetryAfter:
+	case typeRetryAfter:
 		return "RetryAfter"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
@@ -105,10 +105,10 @@ func (t MsgType) String() string {
 
 // Protocol errors.
 var (
-	ErrBadMagic    = errors.New("wire: bad magic")
-	ErrFrameTooBig = errors.New("wire: frame exceeds MaxFrameSize")
-	ErrTruncated   = errors.New("wire: truncated payload")
-	ErrUnknownType = errors.New("wire: unknown message type")
+	errBadMagic    = errors.New("wire: bad magic")
+	errFrameTooBig = errors.New("wire: frame exceeds MaxFrameSize")
+	errTruncated   = errors.New("wire: truncated payload")
+	errUnknownType = errors.New("wire: unknown message type")
 	// ErrChecksum reports a frame whose CRC32-C does not match its contents:
 	// the bytes were corrupted in flight. It is a transport-level error — the
 	// session is poisoned and the request retryable — never an application
@@ -184,11 +184,11 @@ type ErrorResp struct {
 	Message   string
 }
 
-func (*Hello) Type() MsgType     { return TypeHello }
-func (*HelloAck) Type() MsgType  { return TypeHelloAck }
-func (*StatsReq) Type() MsgType  { return TypeStatsReq }
-func (*StatsResp) Type() MsgType { return TypeStatsResp }
-func (*ErrorResp) Type() MsgType { return TypeError }
+func (*Hello) Type() MsgType     { return typeHello }
+func (*HelloAck) Type() MsgType  { return typeHelloAck }
+func (*StatsReq) Type() MsgType  { return typeStatsReq }
+func (*StatsResp) Type() MsgType { return typeStatsResp }
+func (*ErrorResp) Type() MsgType { return typeError }
 
 func (m *Hello) payloadSize() int { return 10 }
 
@@ -201,7 +201,7 @@ func (m *Hello) appendPayload(p []byte) []byte {
 
 func (m *Hello) decodePayload(p []byte) error {
 	if len(p) != 10 {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.Version = binary.BigEndian.Uint16(p[0:2])
 	m.JobID = binary.BigEndian.Uint64(p[2:10])
@@ -221,13 +221,13 @@ func (m *HelloAck) appendPayload(p []byte) []byte {
 
 func (m *HelloAck) decodePayload(p []byte) error {
 	if len(p) < 8 {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.Version = binary.BigEndian.Uint16(p[0:2])
 	m.NumSamples = binary.BigEndian.Uint32(p[2:6])
 	n := int(binary.BigEndian.Uint16(p[6:8]))
 	if len(p) != 8+n {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.DatasetName = string(p[8 : 8+n])
 	return nil
@@ -243,7 +243,7 @@ func (m *StatsReq) appendPayload(p []byte) []byte {
 
 func (m *StatsReq) decodePayload(p []byte) error {
 	if len(p) != 8 {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
 	return nil
@@ -263,7 +263,7 @@ func (m *StatsResp) appendPayload(p []byte) []byte {
 
 func (m *StatsResp) decodePayload(p []byte) error {
 	if len(p) != 40 {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
 	m.SamplesServed = binary.BigEndian.Uint64(p[8:16])
@@ -286,13 +286,13 @@ func (m *ErrorResp) appendPayload(p []byte) []byte {
 
 func (m *ErrorResp) decodePayload(p []byte) error {
 	if len(p) < 12 {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
 	m.Code = ErrCode(binary.BigEndian.Uint16(p[8:10]))
 	n := int(binary.BigEndian.Uint16(p[10:12]))
 	if len(p) != 12+n {
-		return ErrTruncated
+		return errTruncated
 	}
 	m.Message = string(p[12 : 12+n])
 	return nil
@@ -316,14 +316,14 @@ func copyArtifact(p []byte) []byte {
 // no allocation and one syscall per frame.
 func Write(w io.Writer, m Message) error {
 	n := m.payloadSize()
-	if n > MaxFrameSize {
-		return ErrFrameTooBig
+	if n > maxFrameSize {
+		return errFrameTooBig
 	}
 	buf := bufpool.GetBytes(frameHeader + n)[:0]
 	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[0:4], Magic)
+	binary.BigEndian.PutUint32(hdr[0:4], magic)
 	hdr[4] = uint8(m.Type())
-	hdr[5] = FlagChecksum
+	hdr[5] = flagChecksum
 	binary.BigEndian.PutUint32(hdr[6:10], uint32(n))
 	buf = append(buf, hdr[:]...)
 	buf = m.appendPayload(buf)
@@ -367,15 +367,15 @@ func Read(r io.Reader) (Message, error) {
 	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	if binary.BigEndian.Uint32(hdr[0:4]) != Magic {
-		return nil, ErrBadMagic
+	if binary.BigEndian.Uint32(hdr[0:4]) != magic {
+		return nil, errBadMagic
 	}
 	size := binary.BigEndian.Uint32(hdr[6:10])
-	if size > MaxFrameSize {
-		return nil, ErrFrameTooBig
+	if size > maxFrameSize {
+		return nil, errFrameTooBig
 	}
 	if size > math.MaxInt32 {
-		return nil, ErrFrameTooBig
+		return nil, errFrameTooBig
 	}
 	msgType := MsgType(hdr[4])
 	payload := bufpool.GetBytes(int(size))
@@ -392,24 +392,24 @@ func Read(r io.Reader) (Message, error) {
 	}
 	var m Message
 	switch msgType {
-	case TypeHello:
+	case typeHello:
 		m = &Hello{}
-	case TypeHelloAck:
+	case typeHelloAck:
 		m = &HelloAck{}
-	case TypeStatsReq:
+	case typeStatsReq:
 		m = &StatsReq{}
-	case TypeStatsResp:
+	case typeStatsResp:
 		m = &StatsResp{}
-	case TypeError:
+	case typeError:
 		m = &ErrorResp{}
-	case TypeFetchBatch:
+	case typeFetchBatch:
 		m = &FetchBatch{}
-	case TypeFetchBatchResp:
+	case typeFetchBatchResp:
 		m = &FetchBatchResp{}
-	case TypeRetryAfter:
+	case typeRetryAfter:
 		m = &RetryAfter{}
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrUnknownType, uint8(msgType))
+		return nil, fmt.Errorf("%w: %d", errUnknownType, uint8(msgType))
 	}
 	if err := m.decodePayload(payload); err != nil {
 		return nil, fmt.Errorf("wire: decode %s: %w", msgType, err)

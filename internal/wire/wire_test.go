@@ -127,9 +127,9 @@ func TestSequentialMessagesOnOneStream(t *testing.T) {
 // decode-level rejections can be exercised without the real encoder.
 func rawFrame(mt MsgType, payload []byte) []byte {
 	b := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(b[0:4], Magic)
+	binary.BigEndian.PutUint32(b[0:4], magic)
 	b[4] = uint8(mt)
-	b[5] = FlagChecksum
+	b[5] = flagChecksum
 	binary.BigEndian.PutUint32(b[6:10], uint32(len(payload)))
 	copy(b[frameHeader:], payload)
 	crc := crc32.Update(0, crc32.MakeTable(crc32.Castagnoli), b[4:10])
@@ -143,7 +143,7 @@ func TestReadRejectsBadMagic(t *testing.T) {
 	Write(&buf, &StatsReq{})
 	b := buf.Bytes()
 	b[0] = 'X'
-	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrBadMagic) {
+	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, errBadMagic) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -154,7 +154,7 @@ func TestReadRejectsUnknownType(t *testing.T) {
 	// only round trip; their old payload sizes must not decode as anything.
 	for mt, size := range map[MsgType]int{200: 8, 3: 25, 4: 18, 0: 0, 11: 16} {
 		b := rawFrame(mt, make([]byte, size))
-		if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrUnknownType) {
+		if _, err := Read(bytes.NewReader(b)); !errors.Is(err, errUnknownType) {
 			t.Fatalf("type %d: err = %v", mt, err)
 		}
 	}
@@ -162,16 +162,16 @@ func TestReadRejectsUnknownType(t *testing.T) {
 
 func TestReadRejectsOversizedFrame(t *testing.T) {
 	b := make([]byte, frameHeader)
-	binary.BigEndian.PutUint32(b[0:4], Magic)
-	b[4] = uint8(TypeFetchBatch)
-	binary.BigEndian.PutUint32(b[6:10], MaxFrameSize+1)
-	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, ErrFrameTooBig) {
+	binary.BigEndian.PutUint32(b[0:4], magic)
+	b[4] = uint8(typeFetchBatch)
+	binary.BigEndian.PutUint32(b[6:10], maxFrameSize+1)
+	if _, err := Read(bytes.NewReader(b)); !errors.Is(err, errFrameTooBig) {
 		t.Fatalf("err = %v", err)
 	}
 }
 
 // TestReadRejectsCorruption flips every byte of a frame in turn (except the
-// magic, whose corruption is reported as ErrBadMagic, and the length field,
+// magic, whose corruption is reported as errBadMagic, and the length field,
 // which desyncs framing): each flip must surface as a typed error — almost
 // always ErrChecksum — and never as a successfully decoded message.
 func TestReadRejectsCorruption(t *testing.T) {
@@ -226,20 +226,20 @@ func TestDecodeRejectsWrongPayloadSizes(t *testing.T) {
 		return p
 	}
 	cases := map[string][]byte{
-		"hello short":     mk(TypeHello, make([]byte, 3)),
-		"fetch long":      mk(TypeFetchBatch, declareItems(29, 1)),
-		"fetch short":     mk(TypeFetchBatch, declareItems(27, 1)),
-		"stats wrong":     mk(TypeStatsResp, make([]byte, 39)),
-		"statsreq extra":  mk(TypeStatsReq, make([]byte, 9)),
-		"helloack short":  mk(TypeHelloAck, make([]byte, 4)),
-		"error short":     mk(TypeError, make([]byte, 10)),
-		"fetchresp short": mk(TypeFetchBatchResp, make([]byte, 9)),
-		"helloack bad len": mk(TypeHelloAck, func() []byte {
+		"hello short":     mk(typeHello, make([]byte, 3)),
+		"fetch long":      mk(typeFetchBatch, declareItems(29, 1)),
+		"fetch short":     mk(typeFetchBatch, declareItems(27, 1)),
+		"stats wrong":     mk(typeStatsResp, make([]byte, 39)),
+		"statsreq extra":  mk(typeStatsReq, make([]byte, 9)),
+		"helloack short":  mk(typeHelloAck, make([]byte, 4)),
+		"error short":     mk(typeError, make([]byte, 10)),
+		"fetchresp short": mk(typeFetchBatchResp, make([]byte, 9)),
+		"helloack bad len": mk(typeHelloAck, func() []byte {
 			p := make([]byte, 9)
 			binary.BigEndian.PutUint16(p[6:8], 100) // claims 100-byte name
 			return p
 		}()),
-		"fetchresp bad len": mk(TypeFetchBatchResp, func() []byte {
+		"fetchresp bad len": mk(typeFetchBatchResp, func() []byte {
 			p := make([]byte, 21)
 			binary.BigEndian.PutUint16(p[8:10], 1)
 			binary.BigEndian.PutUint32(p[16:20], 999)
@@ -312,9 +312,9 @@ func TestFetchRespRoundTripProperty(t *testing.T) {
 
 func TestMsgTypeString(t *testing.T) {
 	for mt, want := range map[MsgType]string{
-		TypeHello: "Hello", TypeHelloAck: "HelloAck", TypeFetchBatch: "FetchBatch",
-		TypeFetchBatchResp: "FetchBatchResp", TypeStatsReq: "StatsReq",
-		TypeStatsResp: "StatsResp", TypeError: "Error", TypeRetryAfter: "RetryAfter",
+		typeHello: "Hello", typeHelloAck: "HelloAck", typeFetchBatch: "FetchBatch",
+		typeFetchBatchResp: "FetchBatchResp", typeStatsReq: "StatsReq",
+		typeStatsResp: "StatsResp", typeError: "Error", typeRetryAfter: "RetryAfter",
 		MsgType(3): "MsgType(3)", MsgType(4): "MsgType(4)", MsgType(99): "MsgType(99)",
 	} {
 		if mt.String() != want {

@@ -1,6 +1,7 @@
 package sophon_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
 	"go/importer"
@@ -24,11 +25,6 @@ var optionKeeps = map[string]string{
 	"repro/internal/cluster.Config.Clock":        "test seam: virtual link clock",
 	"repro/internal/core.ControllerConfig.Clock": "test seam: virtual replan-history clock",
 	"repro/internal/core.SimConfig.Clock":        "test seam: virtual controller clock",
-
-	// benchmarks/ is its own module; its setters are invisible to this walk.
-	"repro/internal/trainsim.Config.Clock":         "benchmarks/live sets it (traced phases)",
-	"repro/internal/trainsim.Config.VarianceAware": "benchmarks/ compiles against it (ROADMAP 1A(vi)); not read",
-	"repro/internal/engine.Config.PrefetchWindow":  "benchmarks/ compiles against it (ROADMAP 1A(vi))",
 
 	// Filled by the declaring package's own caller-facing constructor.
 	"repro/internal/loadgen.JobSpec.Name":           "loadgen.SpecFromTenant fills it",
@@ -94,8 +90,13 @@ func (l *sourceLoader) Import(path string) (*types.Package, error) {
 	return p, nil
 }
 
+// benchLive is the benchmark's command. benchmarks/ is a module of its own,
+// but it compiles against this one's internal packages from source, so the
+// census reads it, read-only, as one more caller.
+const benchLive = "repro/benchmarks/live"
+
 // loadModule type-checks every package of the module from its non-test
-// files. benchmarks/ is a module of its own and is not walked.
+// files, and benchLive.
 func loadModule(t *testing.T) *sourceLoader {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -113,6 +114,9 @@ func loadModule(t *testing.T) *sourceLoader {
 		_, err = l.Import(filepath.ToSlash(filepath.Join("repro", path)))
 		return err
 	})
+	if err == nil {
+		_, err = l.Import(benchLive)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,50 +331,54 @@ func TestEveryReadFieldIsSet(t *testing.T) {
 	t.Logf("%d exported fields of exported structs, %d read by non-test code, %d of those unset", len(names), nread, len(unset))
 }
 
-// keepReason is why an exported name with no live caller stays. The set is
-// closed: "only tests exercise this capability" is not a reason.
+// keepReason is why an exported name stays without a live caller, or
+// without a caller outside its package. The set is closed: "only tests
+// exercise this capability" is not a reason.
 type keepReason string
 
 const (
-	keepBench  keepReason = "benchmarks/ compiles against it (ROADMAP 1A(vi))"
-	keepOracle keepReason = "a reference or oracle tests compare against"
-	keepSeam   keepReason = "a test seam"
+	keepBench  keepReason = "a benchmarks/live test reads it"
+	keepOracle keepReason = "a reference or oracle another package's test compares against"
+	keepSeam   keepReason = "a test seam: another package's test builds with it, drives it or checks against it"
 )
 
-// exportKeeps lists the names TestEveryExportHasACaller covers that no live
-// code names and that stay anyway, keyed pkg.Name or pkg.Type.Method. An
-// entry whose name gains a caller, or goes away, fails the test as stale.
-var exportKeeps = map[string]keepReason{
-	// The pipeline's in-place flip is tested against it.
-	"repro/internal/imaging.FlipHorizontal": keepOracle,
+// keep is one exportKeeps entry: its reason, and the function or method of
+// another package's _test.go files that needs the name, as pkg.Func.
+type keep struct {
+	reason keepReason
+	test   string
+}
 
-	// benchmarks/ is its own module; its callers are invisible to this walk.
-	"repro/internal/bufpool.ByteStats":                  keepBench,
-	"repro/internal/bufpool.Float32Stats":               keepBench,
-	"repro/internal/compressor.MaterializeProgressive":  keepBench,
-	"repro/internal/imaging.DecodeProgressive":          keepBench,
-	"repro/internal/imaging.IsProgressive":              keepBench,
-	"repro/internal/imaging.ProgressiveInfo":            keepBench,
-	"repro/internal/imaging.SlicePrefix":                keepBench,
-	"repro/internal/raceflag.Enabled":                   keepBench, // race-gated tests read it too
-	"repro/internal/trainsim.StorageClient":             keepBench,
-	"repro/internal/cluster.Cluster.Counters":           keepBench,
-	"repro/internal/cluster.ShardedClient.Shard":        keepBench,
-	"repro/internal/policy.Plan.TrafficWith":            keepBench,
-	"repro/internal/prefetch.Metrics.Snapshot":          keepBench,
-	"repro/internal/storage.Fetcher.Fetch":              keepBench, // and so its five implementations; FetchOne is the path that runs
-	"repro/internal/storage.ReconnectingClient.Retries": keepBench,
-	"repro/internal/tensor.Tensor.Marshal":              keepBench,
-	"repro/internal/trainsim.Trainer.PrefetchMetrics":   keepBench,
-	"repro/internal/trainsim.Trainer.PrepMetrics":       keepBench,
-	"repro/internal/prepsched.Metrics.Snapshot":         keepBench,
-	"repro/internal/prepsched.MetricsSnapshot":          keepBench,
+// exportKeeps lists the names TestEveryExportHasACaller covers that stay
+// exported although no live code outside their package names them, keyed
+// pkg.Name or pkg.Type.Method. An entry whose name gains such a caller, or
+// goes away, or whose test no longer names it, fails the test as stale.
+var exportKeeps = map[string]keep{
+	"repro/internal/imaging.FlipHorizontal": {keepOracle, "repro/internal/pipeline.TestFlipProbabilityZeroAndOne"},
+	"repro/internal/raceflag.Enabled":       {keepBench, benchLive + ".TestSmoke"}, // other packages' race-gated tests read it too
 
-	// Test seams: virtual-clock stepping, and what other packages' tests
-	// build with.
-	"repro/internal/simclock.Virtual.PendingWaiters": keepSeam,
-	"repro/internal/prepsched.Pool.Pending":          keepSeam, // the loader leak test's drain probe
-	"repro/internal/tensor.New":                      keepSeam, // zero tensors for tensor and pipeline tests; its shape check is tested
+	// Constructors other packages' tests build with.
+	"repro/internal/imaging.MustNew":           {keepSeam, "repro/internal/tensor.TestFromImageScalesAndTransposes"},
+	"repro/internal/tensor.New":                {keepSeam, "repro/internal/pipeline.TestArtifactEncodeDecodeTensor"},
+	"repro/internal/cluster.Cluster.DialShard": {keepSeam, "repro/internal/cache.dial"},
+	"repro/internal/dataset.ManifestFile":      {keepSeam, "repro/internal/imaging.loadDirOf"},
+
+	// Probes and drivers: virtual-clock stepping, a drain count, the chaos
+	// plan of a seed, the raw object a served artifact is compared with, and
+	// the counters and budget a monitor scrape reads.
+	"repro/internal/simclock.Virtual.PendingWaiters":     {keepSeam, "repro/internal/storage.TestWithRetryCtxCancelMidBackoff"},
+	"repro/internal/prepsched.Pool.Pending":              {keepSeam, "repro/internal/trainsim.newTrainer"}, // the loader leak check's drain probe
+	"repro/internal/soak.Config.Plan":                    {keepSeam, "repro.TestChaosSoakReproducible"},
+	"repro/internal/dataset.ImageSet.Raw":                {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
+	"repro/internal/storage.Counters.ObservePlanVersion": {keepSeam, "repro/internal/monitor.TestStatsJSON"},
+	"repro/internal/storage.AdmissionController.Acquire": {keepSeam, "repro/internal/monitor.TestHammerScrapeDuringAdmissionChurn"},
+
+	// Outcomes other packages' tests check for by identity.
+	"repro/internal/imaging.ErrUnsupported":  {keepSeam, "repro/internal/pipeline.TestFusedPrefixRejectsWhatDecodeRejects"},
+	"repro/internal/imaging.ErrTruncated":    {keepSeam, "repro/internal/pipeline.TestFusedPrefixRejectsWhatDecodeRejects"},
+	"repro/internal/pipeline.KindImage":      {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
+	"repro/internal/storage.ErrClientClosed": {keepSeam, "repro/internal/cluster.TestDialShardedClosesOnFailure"},
+	"repro/internal/wire.ErrChecksum":        {keepSeam, "repro/internal/chaos.TestConnCorruptionCaughtByChecksum"},
 }
 
 // stdInterfaces are the standard-library interfaces whose methods the
@@ -397,11 +405,18 @@ var stdInterfaces = []struct{ pkg, name string }{
 // reached from live code, or be listed in exportKeeps with its reason.
 //
 // Live code is every declaration outside the scope (a cmd/ or examples/
-// program, an unexported declaration, an Example function), a kept name,
-// and whatever live code names. A type's unexported methods live with it.
-// A method is also live when its receiver type is live and either it
-// implements an interface method that live code names, or it satisfies one
-// of stdInterfaces.
+// program, benchLive, an unexported declaration, an Example function), a
+// kept name, and whatever live code names. A type's unexported methods live
+// with it. A method is also live when its receiver type is live and either
+// it implements an interface method that live code names, or it satisfies
+// one of stdInterfaces.
+//
+// A live name of internal/ must also need its capital (ROADMAP 6(d)'s
+// fourth rule): code outside its package names it, or it implements an
+// interface method such code calls through or one of stdInterfaces, or it
+// shows in the exported surface of a name that stays exported, or it is
+// kept with the other package's test that needs it. Everything else is
+// unexported.
 func TestEveryExportHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -450,6 +465,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 	// Interface methods are tracked out of scope too: live code that names
 	// one calls through it.
 	uses := map[types.Object][]types.Object{}
+	namedIn := map[types.Object]map[string]bool{} // the packages that name a tracked object
 	tracked := func(obj types.Object) bool {
 		if scope[obj] != "" {
 			return true
@@ -470,6 +486,10 @@ func TestEveryExportHasACaller(t *testing.T) {
 					}
 					if obj != nil && obj != owner && tracked(obj) {
 						uses[owner] = append(uses[owner], obj)
+						if namedIn[obj] == nil {
+							namedIn[obj] = map[string]bool{}
+						}
+						namedIn[obj][c.pkg.Path()] = true
 					}
 				}
 				return true
@@ -505,7 +525,9 @@ func TestEveryExportHasACaller(t *testing.T) {
 	// that interface method too.
 	type impl struct{ via, method types.Object }
 	byType := map[types.Object][]impl{}
-	byIface := map[types.Object][]impl{} // via is the implementing type here
+	byIface := map[types.Object][]impl{}       // via is the implementing type here
+	implOf := map[types.Object][]*types.Func{} // the interface methods a method implements
+	stdImpl := map[types.Object]bool{}
 	for _, tn := range named {
 		for _, m := range declaredMethods(tn) {
 			if scope[m] == "" {
@@ -548,6 +570,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 			for i := 0; i < iface.NumMethods(); i++ {
 				if m := methodOf(tn, iface.Method(i)); scope[m] != "" {
 					byType[tn] = append(byType[tn], impl{nil, m})
+					stdImpl[m] = true
 				}
 			}
 		}
@@ -565,6 +588,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 			if m := methodOf(tn, fn); scope[m] != "" {
 				byType[tn] = append(byType[tn], impl{fn, m})
 				byIface[fn] = append(byIface[fn], impl{tn, m})
+				implOf[m] = append(implOf[m], fn)
 			}
 		}
 	}
@@ -619,18 +643,69 @@ func TestEveryExportHasACaller(t *testing.T) {
 	}
 	live, liveWithoutKeeps := reachable(true), reachable(false)
 
-	for name, reason := range exportKeeps {
-		switch reason {
+	// The fourth rule: a live name of internal/ stays exported only when
+	// another package needs the capital. capital is what does: a name code
+	// outside its package names; a method that implements an interface
+	// method such code names, or one declared in another package, or a
+	// stdInterfaces method; an interface method a type of another package
+	// implements; with withKeeps, a kept name; and every named type in the
+	// signature, field or definition of a name that stays exported.
+	outside := func(obj types.Object, home string) bool {
+		for path := range namedIn[obj] {
+			if path != home {
+				return true
+			}
+		}
+		return false
+	}
+	capital := func(withKeeps bool) map[types.Object]bool {
+		stays := map[types.Object]bool{}
+		var work []types.Object
+		add := func(obj types.Object) {
+			if scope[obj] != "" && !stays[obj] {
+				stays[obj] = true
+				work = append(work, obj)
+			}
+		}
+		for obj, name := range scope {
+			home := obj.Pkg().Path()
+			needed := outside(obj, home) || stdImpl[obj]
+			for _, im := range implOf[obj] {
+				needed = needed || (live[im] && (im.Pkg().Path() != home || outside(im, home)))
+			}
+			for _, im := range byIface[obj] {
+				needed = needed || im.via.Pkg().Path() != home
+			}
+			if _, kept := exportKeeps[name]; needed || (kept && withKeeps) {
+				add(obj)
+			}
+		}
+		for len(work) > 0 {
+			obj := work[len(work)-1]
+			work = work[:len(work)-1]
+			for _, tn := range exposedTypes(obj) {
+				add(tn)
+			}
+		}
+		return stays
+	}
+	stays, staysWithoutKeeps := capital(true), capital(false)
+
+	for name, k := range exportKeeps {
+		switch k.reason {
 		case keepBench, keepOracle, keepSeam:
 		default:
-			t.Errorf("keep %s: %q is not one of the three keep reasons", name, reason)
+			t.Errorf("keep %s: %q is not one of the three keep reasons", name, k.reason)
+		}
+		if err := namesIn(name, k.test); err != nil {
+			t.Errorf("stale keep: %s: %v", name, err)
 		}
 	}
 	declared := map[string]bool{}
 	for obj, name := range scope {
 		declared[name] = true
-		if _, kept := exportKeeps[name]; kept && liveWithoutKeeps[obj] {
-			t.Errorf("stale keep: %s now has a live caller (reason was %q)", name, exportKeeps[name])
+		if k, kept := exportKeeps[name]; kept && liveWithoutKeeps[obj] && staysWithoutKeeps[obj] {
+			t.Errorf("stale keep: %s now has a live caller outside its package (reason was %q)", name, k.reason)
 		}
 	}
 	for name := range exportKeeps {
@@ -646,7 +721,8 @@ func TestEveryExportHasACaller(t *testing.T) {
 		facade
 	)
 	var total, kept, dead [3]int
-	var unused []string
+	var unused, lower []string
+	var byCaller, bySeam int
 	for obj, name := range scope {
 		class := topLevel
 		if isMethod(obj) {
@@ -659,11 +735,20 @@ func TestEveryExportHasACaller(t *testing.T) {
 		if _, ok := exportKeeps[name]; ok {
 			kept[class]++
 		}
-		if recv := receiverObj(obj); live[obj] || (recv != nil && !live[recv]) {
-			continue
+		recv := receiverObj(obj)
+		switch {
+		case recv != nil && !live[recv]:
+		case !live[obj]:
+			dead[class]++
+			unused = append(unused, name)
+		case class == facade:
+		case staysWithoutKeeps[obj]:
+			byCaller++
+		case stays[obj]:
+			bySeam++
+		default:
+			lower = append(lower, name)
 		}
-		dead[class]++
-		unused = append(unused, name)
 	}
 	sort.Strings(unused)
 	for _, name := range unused {
@@ -672,10 +757,18 @@ func TestEveryExportHasACaller(t *testing.T) {
 	t.Logf("%d exported funcs, types, vars and consts of internal/, %d kept by name, %d without a caller", total[topLevel], kept[topLevel], dead[topLevel])
 	t.Logf("%d exported methods of internal/ types, %d kept by name, %d without a caller", total[method], kept[method], dead[method])
 	t.Logf("%d façade names and methods, %d kept by name, %d without a caller", total[facade], kept[facade], dead[facade])
+	sort.Strings(lower)
+	for _, name := range lower {
+		t.Errorf("%s: no code outside its package names it — unexport it, or list it in exportKeeps with the other package's test that needs it", name)
+	}
+	t.Logf("live exported names of internal/: %d kept exported by an outside caller, %d by a keep, %d without either", byCaller, bySeam, len(lower))
 
-	// storage.Fetcher keeps Fetch only because benchmarks/ compiles against
-	// it (ROADMAP 1A(vi)); storage.FetchOne is the single-sample path.
-	for _, c := range l.pkgs {
+	// storage.Fetcher keeps Fetch only because benchmarks/ calls it (ROADMAP
+	// 1A(vi)); storage.FetchOne is the single-sample path of this module.
+	for path, c := range l.pkgs {
+		if path == benchLive {
+			continue
+		}
 		for id, obj := range c.info.Uses {
 			if fn, ok := obj.(*types.Func); ok && fn.Name() == "Fetch" && isMethod(fn) {
 				t.Errorf("%s calls a Fetch method; call storage.FetchOne", l.fset.Position(id.Pos()))
@@ -697,6 +790,109 @@ func (l *sourceLoader) checkExamples() (*checked, error) {
 		return nil, err
 	}
 	return &checked{p, info, []*ast.File{f}}, nil
+}
+
+// exposedTypes are the named types of the module that obj's exported surface
+// shows: a func's or method's signature, a var's or const's type, an
+// interface's exported methods, a struct's exported fields, or what any
+// other type is defined as.
+func exposedTypes(obj types.Object) []*types.TypeName {
+	var out []*types.TypeName
+	seen := map[types.Type]bool{}
+	var walk func(types.Type)
+	walk = func(typ types.Type) {
+		if typ == nil || seen[typ] {
+			return
+		}
+		seen[typ] = true
+		switch typ := typ.(type) {
+		case *types.Alias:
+			out = append(out, typ.Obj())
+			walk(types.Unalias(typ))
+		case *types.Named:
+			out = append(out, typ.Origin().Obj())
+			for i := 0; i < typ.TypeArgs().Len(); i++ {
+				walk(typ.TypeArgs().At(i))
+			}
+		case *types.Pointer:
+			walk(typ.Elem())
+		case *types.Slice:
+			walk(typ.Elem())
+		case *types.Array:
+			walk(typ.Elem())
+		case *types.Chan:
+			walk(typ.Elem())
+		case *types.Map:
+			walk(typ.Key())
+			walk(typ.Elem())
+		case *types.Tuple:
+			for i := 0; i < typ.Len(); i++ {
+				walk(typ.At(i).Type())
+			}
+		case *types.Signature:
+			walk(typ.Params())
+			walk(typ.Results())
+		case *types.Struct:
+			for i := 0; i < typ.NumFields(); i++ {
+				if f := typ.Field(i); f.Exported() {
+					walk(f.Type())
+				}
+			}
+		case *types.Interface:
+			for i := 0; i < typ.NumMethods(); i++ {
+				if m := typ.Method(i); m.Exported() {
+					walk(m.Type())
+				}
+			}
+		}
+	}
+	switch obj := obj.(type) {
+	case *types.TypeName:
+		walk(obj.Type().Underlying())
+	default:
+		walk(obj.Type())
+	}
+	return out
+}
+
+// namesIn checks a keep's test, pkg.Func: it must be declared in a _test.go
+// file of a package other than name's, and that file must name name's last
+// element.
+func namesIn(name, test string) error {
+	dot := strings.LastIndex(test, ".")
+	pkg, fn := test[:dot], test[dot+1:]
+	if strings.HasPrefix(name, pkg+".") {
+		return fmt.Errorf("%s is in the package the name is declared in", test)
+	}
+	sel := name[strings.LastIndex(name, ".")+1:]
+	dir := "." + strings.TrimPrefix(pkg, "repro")
+	files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+	if err != nil {
+		return err
+	}
+	for _, path := range files {
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		declares, names := false, false
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				declares = declares || n.Name.Name == fn
+			case *ast.SelectorExpr:
+				names = names || n.Sel.Name == sel
+			}
+			return true
+		})
+		if declares && !names {
+			return fmt.Errorf("%s's file no longer names %s", test, sel)
+		}
+		if declares {
+			return nil
+		}
+	}
+	return fmt.Errorf("no _test.go file of %s declares %s", pkg, fn)
 }
 
 // declaredMethods are the methods declared on tn: a named type's own, or an
