@@ -55,11 +55,11 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 	}
 
 	// The probe rereads the dataset twice over: enough wire traffic to
-	// amortize the shaper's 256 KB burst allowance.
+	// amortize the shaper's 256 KiB burst allowance.
 	const probeSamples = 64
 	// The plan assumes what the probe reads at the full rate, not the
 	// configured 100 Mbps: every later probe is held to this one, so what
-	// a serial probe loses to the host (race overhead, loopback latency,
+	// a serial probe loses to the host (race overhead, pipe hand-offs,
 	// server CPU) cancels out and only the reshape reads as drift. The link
 	// is slow enough that a fetch's fixed cost is a small share of its
 	// transfer, so half the rate reads as about half the bandwidth.
@@ -100,7 +100,7 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 	}
 
 	// Epoch 2 under v1 at the full rate: version threads through, no drift.
-	rep, err := trainer.TrainEpochSnapshot(2, ctrl.Current())
+	rep, err := trainer.RunEpochSnapshot(2, ctrl.Current(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 	if err := cluster.SetBandwidth(50); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trainer.TrainEpochSnapshot(3, ctrl.Current()); err != nil {
+	if _, err := trainer.RunEpochSnapshot(3, ctrl.Current(), nil); err != nil {
 		t.Fatal(err)
 	}
 	observe(3)
@@ -143,7 +143,7 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 	}
 
 	// Epoch 4 under v2: the bumped version threads through to the server.
-	rep, err = trainer.TrainEpochSnapshot(4, ctrl.Current())
+	rep, err = trainer.RunEpochSnapshot(4, ctrl.Current(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestProbeFollowsBatch(t *testing.T) {
 	if _, _, _, err := trainer.Profile(probeBatches); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trainer.MeasureBandwidth(trainer.inner.ProbeSamples()); err != nil {
+	if _, err := trainer.MeasureBandwidth(trainer.ProbeSamples()); err != nil {
 		t.Fatal(err)
 	}
 	// Stage 1's I/O probe, the profiling epoch, then one link probe.

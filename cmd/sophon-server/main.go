@@ -180,9 +180,10 @@ func run(ctx context.Context, fs *flag.FlagSet, args []string, now func() time.T
 		if err != nil {
 			return err
 		}
+		defer inner.Close() // a later shard's failure must not leave this port bound
 		var l net.Listener = inner
 		if *mbps > 0 {
-			bucket, err := netsim.NewTokenBucket(netsim.Mbps(*mbps), 256<<10, nil)
+			bucket, err := netsim.NewTokenBucket(netsim.Mbps(*mbps), netsim.LinkBurst, nil)
 			if err != nil {
 				return err
 			}

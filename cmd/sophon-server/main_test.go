@@ -7,9 +7,11 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"regexp"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -186,4 +188,45 @@ func TestServeOneFetchAndShutDown(t *testing.T) {
 			t.Fatalf("%d goroutines, %d before run\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
 		}
 	}
+}
+
+// A shard that cannot bind its port fails run, and the shards before it
+// give their ports back: with shard 1's port held elsewhere, run -shards 2
+// returns the bind error and shard 0's port can be bound again.
+func TestFailedShardReleasesEarlierPorts(t *testing.T) {
+	var held net.Listener
+	var base int
+	for try := 0; ; try++ {
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		base = l.Addr().(*net.TCPAddr).Port - 1
+		probe, err := net.Listen("tcp", "127.0.0.1:"+strconv.Itoa(base))
+		if err == nil {
+			probe.Close()
+			held = l
+			break
+		}
+		l.Close()
+		if try == 20 {
+			t.Fatalf("no free port below a held one in 20 tries: %v", err)
+		}
+	}
+	defer held.Close()
+
+	shard0 := "127.0.0.1:" + strconv.Itoa(base)
+	shard1 := "127.0.0.1:" + strconv.Itoa(base+1)
+	err := run(context.Background(), testFlags(io.Discard), []string{"-addr", shard0, "-shards", "2", "-n", "16", "-max-dim", "120", "-cores", "1"}, stepClock())
+	if err != nil && strings.Contains(err.Error(), shard0+": ") {
+		t.Skipf("another process took shard 0's port after the probe: %v", err)
+	}
+	if err == nil || !strings.Contains(err.Error(), shard1+": ") || !strings.Contains(err.Error(), "address already in use") {
+		t.Fatalf("run with shard 1's port held: %v, want shard 1's bind error", err)
+	}
+	l, err := net.Listen("tcp", shard0)
+	if err != nil {
+		t.Fatalf("shard 0's port is still bound after run returned: %v", err)
+	}
+	l.Close()
 }

@@ -232,28 +232,14 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		return nil
 	}
 
-	// Stage 1: throughput probes.
-	stage1, err := profiler.RunStage1(trainer.Stage1Probes(), *probeBatches)
+	// Stage 1 (throughput probes) and stage 2 (profile during epoch 1).
+	trace, stage1, rep, err := trainer.Profile(*probeBatches)
 	if err != nil {
 		return err
 	}
 	logger.Printf("stage 1: gpu=%.0f io=%.0f cpu=%.0f samples/s → %s",
 		stage1.GPUThroughput, stage1.IOThroughput, stage1.CPUThroughput, stage1.Bottleneck())
-
-	// Stage 2: profile during epoch 1.
-	collector, err := profiler.NewCollector(trainer.N())
-	if err != nil {
-		return err
-	}
-	rep, err := trainer.RunEpoch(1, nil, collector)
-	if err != nil {
-		return err
-	}
 	printEpoch(stdout, 1, rep)
-	trace, err := collector.Trace("measured")
-	if err != nil {
-		return err
-	}
 	cl, err := prepsched.FromTrace(trace, *heavyThreshold)
 	if err != nil {
 		return err
@@ -264,7 +250,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 
 	env := policy.Env{
 		Bandwidth:       netsim.Mbps(*mbps),
-		ComputeCores:    maxInt(*computeCores, *workers),
+		ComputeCores:    max(*computeCores, *workers),
 		StorageCores:    *storageCores,
 		StorageSlowdown: 1,
 		GPU:             model,
@@ -361,11 +347,4 @@ func printEpoch(w io.Writer, e int, r trainsim.EpochReport) {
 	fmt.Fprintf(w, "epoch %d: %d samples in %v, fetched %.1f MB, offloaded %d%s, gpu util %.1f%%\n",
 		e, r.Samples, r.Duration.Round(1e6), float64(r.BytesFetched)/1e6,
 		r.Offloaded, failed, 100*r.GPUUtilization)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -86,7 +86,7 @@ func main() {
 		// Train under the controller's current snapshot: every fetch this
 		// epoch is stamped with the snapshot's version.
 		snap := ctrl.Current()
-		report, err := trainer.TrainEpochSnapshot(e, snap)
+		report, err := trainer.RunEpochSnapshot(e, snap, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

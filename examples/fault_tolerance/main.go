@@ -49,7 +49,7 @@ func main() {
 		StorageSlowdown: 1,
 		GPU:             sophon.AlexNet,
 	}
-	decision, reports, err := trainer.AutoTrain(4, env, 2)
+	decision, reports, err := sophon.AutoTrain(trainer, 4, env, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,5 +59,5 @@ func main() {
 		fmt.Printf("epoch %d: %d samples, %.2f MB fetched, %d offloaded (despite 1 MB chaos budget per conn)\n",
 			r.Epoch, r.Samples, float64(r.BytesFetched)/1e6, r.Offloaded)
 	}
-	fmt.Println("training completed over a link that killed every connection after 1 MB")
+	fmt.Println("training completed over a link that killed every connection after ~1 MB")
 }

@@ -3,7 +3,7 @@
 // offloaded artifacts through the cross-job cache; a third tenant arrives
 // mid-run and the whole fleet replans — every tenant's plan feed publishes
 // a new generation with shrunken grants. The example trains real epochs
-// over sockets and prints the cache's per-tenant accounting.
+// over the wire protocol and prints the cache's per-tenant accounting.
 package main
 
 import (
@@ -108,11 +108,11 @@ func main() {
 	defer trainerA.Close()
 	defer trainerB.Close()
 
-	repA, err := trainerA.TrainEpochSnapshot(1, provA.Current())
+	repA, err := trainerA.RunEpochSnapshot(1, provA.Current(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repB, err := trainerB.TrainEpochSnapshot(1, provB.Current())
+	repB, err := trainerB.RunEpochSnapshot(1, provB.Current(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -137,18 +137,18 @@ func main() {
 	// Epoch 2 runs under the replanned generation. The share group's raw
 	// artifacts are still warm from epoch 1; augmented cuts are re-fetched
 	// once per epoch and shared again between a and b.
-	repA2, err := trainerA.TrainEpochSnapshot(2, replanned)
+	repA2, err := trainerA.RunEpochSnapshot(2, replanned, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repB2, err := trainerB.TrainEpochSnapshot(2, provB.Current())
+	repB2, err := trainerB.RunEpochSnapshot(2, provB.Current(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The newcomer is outside the share group: own job ID, no shared cache.
 	trainerC := newTrainer("imagenet-job", 99, nil)
 	defer trainerC.Close()
-	repC, err := trainerC.TrainEpochSnapshot(2, provC.Current())
+	repC, err := trainerC.RunEpochSnapshot(2, provC.Current(), nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func main() {
 	// "Storage node": in-memory object store + near-storage executor with
-	// 2 preprocessing cores, serving 48 synthetic photos over loopback TCP.
+	// 2 preprocessing cores, serving 48 synthetic photos in process.
 	cluster, err := sophon.StartCluster(sophon.ClusterConfig{
 		DatasetName:  "quickstart",
 		NumSamples:   48,
@@ -67,7 +67,7 @@ func main() {
 
 	// Train the remaining epochs under the plan.
 	for epoch := uint64(2); epoch <= 4; epoch++ {
-		report, err := trainer.TrainEpoch(epoch, decision.Plan)
+		report, err := trainer.RunEpoch(epoch, decision.Plan, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -80,7 +80,7 @@ func TestFullStackIntegration(t *testing.T) {
 	}
 
 	// Train under the plan; traffic must drop versus the profiling epoch.
-	epoch2, err := trainer.TrainEpoch(2, decision.Plan)
+	epoch2, err := trainer.RunEpoch(2, decision.Plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

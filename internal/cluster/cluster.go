@@ -46,7 +46,8 @@ type Cluster struct {
 	m         *ShardMap
 	servers   []*storage.Server
 	listeners []*netsim.PipeListener
-	chaos     []*chaos.Listener // nil entries when Config.Chaos was nil
+	buckets   []*netsim.TokenBucket // empty when Config.LinkMbps was 0
+	chaos     []*chaos.Listener     // nil entries when Config.Chaos was nil
 
 	mu     sync.Mutex
 	killed []bool
@@ -84,13 +85,14 @@ func Launch(cfg Config) (*Cluster, error) {
 		l := netsim.NewPipeListener()
 		var serveL net.Listener = l
 		if cfg.LinkMbps > 0 {
-			bucket, err := netsim.NewTokenBucket(netsim.Mbps(cfg.LinkMbps), 32<<10, cfg.Clock)
+			bucket, err := netsim.NewTokenBucket(netsim.Mbps(cfg.LinkMbps), netsim.LinkBurst, cfg.Clock)
 			if err != nil {
 				srv.Close()
 				c.Close()
 				return nil, err
 			}
 			serveL = netsim.ShapeListener(l, bucket)
+			c.buckets = append(c.buckets, bucket)
 		}
 		var cl *chaos.Listener
 		if cfg.Chaos != nil {
@@ -148,6 +150,21 @@ func (c *Cluster) DialShard(s int, opts storage.ClientOptions) (*storage.Client,
 		return nil, fmt.Errorf("cluster: dial shard %d: %w", s, err)
 	}
 	return storage.NewClientWithOptions(conn, opts)
+}
+
+// SetLinkMbps retunes every shard's link to mbps while the tier serves —
+// the live equivalent of a network degradation. It errors when the tier was
+// launched without LinkMbps (an unshaped link has nothing to retune).
+func (c *Cluster) SetLinkMbps(mbps float64) error {
+	if len(c.buckets) == 0 {
+		return errors.New("cluster: tier launched without LinkMbps")
+	}
+	for _, b := range c.buckets {
+		if err := b.SetRate(netsim.Mbps(mbps)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // newShardedClient builds the retrying fan-out client over the cluster's

@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/netsim"
 	"repro/internal/pipeline"
+	"repro/internal/simclock"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -423,5 +425,89 @@ func TestShardsShareOneAdmissionController(t *testing.T) {
 	release()
 	if err := <-done; err != nil {
 		t.Fatalf("queued fetch after release: %v", err)
+	}
+}
+
+// TestSetLinkMbps: an unshaped tier has no link to retune, and a shaped one
+// retunes every shard's bucket. Launched at 8 Gbit/s and retuned to 8 Mbit/s
+// (1 MB/s), each shard ships its owned samples, in batches of 64, on the
+// virtual clock in the time their bytes beyond the link burst take at 1 MB/s
+// — at the launch rate they would take under a millisecond.
+func TestSetLinkMbps(t *testing.T) {
+	const n, shards, rate = 480, 2, 1e6
+	store := testStore(t, n)
+	if err := launch(t, store, shards, 0).SetLinkMbps(8); err == nil {
+		t.Fatal("a tier launched without LinkMbps accepted SetLinkMbps")
+	}
+
+	clock := simclock.NewVirtual(time.Unix(0, 0))
+	c, err := Launch(Config{Shards: shards, Store: store, Pipeline: testPipe(), LinkMbps: 8000, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	if err := c.SetLinkMbps(0); err == nil {
+		t.Fatal("SetLinkMbps accepted a zero rate")
+	}
+	if err := c.SetLinkMbps(8); err != nil {
+		t.Fatal(err)
+	}
+
+	for s := 0; s < shards; s++ {
+		client, err := c.DialShard(s, storage.ClientOptions{JobID: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer client.Close()
+		owned := c.ShardMap().Owned(n, s)
+		type fetched struct {
+			frame int
+			err   error
+		}
+		done := make(chan fetched, 1)
+		go func() {
+			var got fetched
+			for len(owned) > 0 {
+				batch := owned[:min(len(owned), 64)]
+				owned = owned[len(batch):]
+				res, err := client.FetchBatch(context.Background(), batch, make([]int, len(batch)), 1)
+				if err != nil {
+					got.err = err
+					break
+				}
+				for _, r := range res {
+					got.frame += r.WireBytes
+				}
+			}
+			done <- got
+		}()
+		// Step the clock a millisecond whenever the shard's writer sleeps on
+		// it, until the response is in.
+		start := clock.Now()
+		var got fetched
+	wait:
+		for {
+			select {
+			case got = <-done:
+				break wait
+			default:
+			}
+			if clock.PendingWaiters() > 0 {
+				clock.Advance(time.Millisecond)
+			} else {
+				runtime.Gosched()
+			}
+		}
+		if got.err != nil {
+			t.Fatalf("shard %d: %v", s, got.err)
+		}
+		frame := got.frame
+		if frame < 2*netsim.LinkBurst {
+			t.Fatalf("shard %d shipped %d B: too few to drain the burst and time the rest", s, frame)
+		}
+		want := time.Duration(float64(frame-netsim.LinkBurst) / rate * float64(time.Second))
+		if elapsed := clock.Now().Sub(start); elapsed < want-time.Millisecond || elapsed > want+2*time.Millisecond {
+			t.Errorf("shard %d: %d B took %v on the virtual clock, want %v at 1 MB/s past the burst", s, frame, elapsed, want)
+		}
 	}
 }

@@ -15,6 +15,13 @@ import (
 	"repro/internal/simclock"
 )
 
+// LinkBurst is the token-bucket burst, in bytes, of every shaped storage
+// link (sophon-server's -mbps, cluster.Config.LinkMbps). A serial probe
+// fetch leaves the link idle for its fixed cost, and the bucket banks that
+// idle time only up to the burst: at 500 Mbps examples/adaptive's probe
+// reads ≈ 62 of 62.5 MB/s with 256 KiB, and 36–45 MB/s with 32 KiB.
+const LinkBurst = 256 << 10
+
 // TokenBucket is a reservation-style rate limiter: waitN always succeeds
 // immediately in bookkeeping terms and sleeps for however long the
 // reservation overdraws the bucket. A shared bucket serializes the

@@ -108,7 +108,7 @@ func TestDeviceProbeAfterEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.slept()
-	samples, elapsed, err := tr.Stage1Probes().GPU(3)
+	samples, elapsed, err := tr.stage1Probes().GPU(3)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/pipeline"
 	"repro/internal/profiler"
 	"repro/internal/storage"
@@ -59,11 +60,35 @@ func (t *Trainer) rawFetches(n int, keep func(raw []byte)) (int64, time.Duration
 	return bytes, clock.Now().Sub(start), nil
 }
 
-// Stage1Probes builds the profiler's three throughput probes on top of this
+// Profile runs the paper's two-stage profiler (Figure 2): stage 1 measures
+// GPU, I/O and CPU throughput over probeBatches batches; stage 2 is epoch 1,
+// run without offloading while a collector records every sample. It returns
+// the measured trace, the stage-1 verdict and the profiling epoch's report.
+func (t *Trainer) Profile(probeBatches int) (*dataset.Trace, profiler.Stage1Result, EpochReport, error) {
+	stage1, err := profiler.RunStage1(t.stage1Probes(), probeBatches)
+	if err != nil {
+		return nil, profiler.Stage1Result{}, EpochReport{}, err
+	}
+	collector, err := profiler.NewCollector(t.n)
+	if err != nil {
+		return nil, profiler.Stage1Result{}, EpochReport{}, err
+	}
+	report, err := t.RunEpoch(1, nil, collector)
+	if err != nil {
+		return nil, profiler.Stage1Result{}, EpochReport{}, err
+	}
+	tr, err := collector.Trace("measured")
+	if err != nil {
+		return nil, profiler.Stage1Result{}, EpochReport{}, err
+	}
+	return tr, stage1, report, nil
+}
+
+// stage1Probes builds the profiler's three throughput probes on top of this
 // trainer, matching the paper's measurement settings: (1) GPU-only steps on
 // synthetic batches, (2) raw fetches with no processing, (3) preprocessing
 // of data cached during the I/O probe.
-func (t *Trainer) Stage1Probes() profiler.Probes {
+func (t *Trainer) stage1Probes() profiler.Probes {
 	clock := t.cfg.Clock
 	batch := t.cfg.BatchSize
 

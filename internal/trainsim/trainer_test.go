@@ -294,7 +294,7 @@ func TestProfilingEpochOverProgressiveStore(t *testing.T) {
 func TestStage1ProbesLive(t *testing.T) {
 	h := newHarness(t, 10, 1)
 	tr := newTrainer(t, h.config())
-	res, err := profiler.RunStage1(tr.Stage1Probes(), 2)
+	res, err := profiler.RunStage1(tr.stage1Probes(), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +306,7 @@ func TestStage1ProbesLive(t *testing.T) {
 func TestStage1CPUProbeRequiresIOFirst(t *testing.T) {
 	h := newHarness(t, 4, 1)
 	tr := newTrainer(t, h.config())
-	probes := tr.Stage1Probes()
+	probes := tr.stage1Probes()
 	if _, _, err := probes.CPU(1); err == nil {
 		t.Fatal("cpu probe ran without cached data")
 	}

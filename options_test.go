@@ -358,10 +358,14 @@ var exportKeeps = map[string]keep{
 	"repro/internal/raceflag.Enabled":       {keepBench, benchLive + ".TestSmoke"}, // other packages' race-gated tests read it too
 
 	// Constructors other packages' tests build with.
-	"repro/internal/imaging.MustNew":           {keepSeam, "repro/internal/tensor.TestFromImageScalesAndTransposes"},
-	"repro/internal/tensor.New":                {keepSeam, "repro/internal/pipeline.TestArtifactEncodeDecodeTensor"},
-	"repro/internal/cluster.Cluster.DialShard": {keepSeam, "repro/internal/cache.dial"},
-	"repro/internal/dataset.ManifestFile":      {keepSeam, "repro/internal/imaging.loadDirOf"},
+	"repro/internal/imaging.MustNew":      {keepSeam, "repro/internal/tensor.TestFromImageScalesAndTransposes"},
+	"repro/internal/tensor.New":           {keepSeam, "repro/internal/pipeline.TestArtifactEncodeDecodeTensor"},
+	"repro/internal/dataset.ManifestFile": {keepSeam, "repro/internal/imaging.loadDirOf"},
+
+	// A client connection that dies after an exact byte budget: the retry
+	// tests of storage and trainsim wrap their dialed pipes with it.
+	"repro/internal/chaos.WrapConn":   {keepSeam, "repro/internal/storage.flakyDialer"},
+	"repro/internal/chaos.CloseAfter": {keepSeam, "repro/internal/storage.flakyDialer"},
 
 	// Probes and drivers: virtual-clock stepping, a drain count, the chaos
 	// plan of a seed, the raw object a served artifact is compared with, and

@@ -4,13 +4,15 @@
 //
 // The package exposes two tiers.
 //
-// The live tier runs the real system: StartCluster boots an in-process
-// storage server (in-memory object store, near-storage preprocessing
-// executor, optional token-bucket bandwidth cap) on a loopback TCP socket,
-// and NewTrainer attaches a training client whose loader workers fetch
-// samples with per-sample offload directives, finish preprocessing locally,
-// and feed a simulated GPU. Profile runs the paper's two-stage profiler and
-// Decide turns its output into an offload plan.
+// The live tier runs the real system: StartCluster boots a one-shard
+// in-process storage tier (in-memory object store, near-storage
+// preprocessing executor, optional token-bucket bandwidth cap) behind an
+// in-memory pipe listener, and NewTrainer attaches a training client whose
+// loader workers fetch samples with per-sample offload directives, finish
+// preprocessing locally, and feed a simulated GPU. Trainer.Profile runs the
+// paper's two-stage profiler and Decide turns its output into an offload
+// plan; AutoTrain runs the whole flow. The TCP deployment is the
+// sophon-server and sophon-train commands.
 //
 // The model tier replays profiled traces through a discrete-event simulator
 // at full paper scale: GenerateTrace draws datasets matching the paper's
@@ -20,11 +22,10 @@ package sophon
 
 import (
 	"errors"
-	"fmt"
-	"net"
 
 	"repro/internal/cache"
 	"repro/internal/chaos"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/engine"
@@ -55,13 +56,12 @@ type (
 	Decision = core.Decision
 	// Stage1Result holds the stage-1 profiler's throughput probes.
 	Stage1Result = profiler.Stage1Result
+	// Trainer is a live training client; Cluster.NewTrainer builds one.
+	Trainer = trainsim.Trainer
 	// EpochReport summarizes a live training epoch.
 	EpochReport = trainsim.EpochReport
 	// SimResult summarizes a simulated epoch.
 	SimResult = engine.Result
-	// PlanSnapshot is an immutable versioned plan plus the environment it
-	// was computed against.
-	PlanSnapshot = policy.PlanSnapshot
 	// DriftConfig tunes the profiler's drift detection (EWMA smoothing,
 	// relative-change threshold, hysteresis).
 	DriftConfig = profiler.DriftConfig
@@ -147,23 +147,24 @@ type ClusterConfig struct {
 	// BandwidthMbps caps the storage→compute link; zero means unshaped.
 	BandwidthMbps float64
 	// ChaosConnBudget, when positive, kills every accepted connection
-	// after that many transferred bytes — fault injection for exercising
-	// client retry (see TrainerOptions.RetryAttempts).
+	// after a byte count of traffic drawn anew for each connection from
+	// [1, 2·budget), so about the budget on average, to exercise client
+	// retry (see TrainerOptions.RetryAttempts). Seed seeds the draws. A
+	// short draw can close a connection inside its handshake; a retry
+	// dials a fresh connection with a fresh draw.
 	ChaosConnBudget int64
 }
 
-// Cluster is a running storage server plus the facts needed to train
-// against it.
+// Cluster is a running one-shard storage tier plus the pipeline trainers
+// finish samples with.
 type Cluster struct {
-	server   *storage.Server
-	listener net.Listener
-	pipe     *pipeline.Pipeline
-	addr     string
-	bucket   *netsim.TokenBucket
+	tier *cluster.Cluster
+	pipe *pipeline.Pipeline
 }
 
 // StartCluster materializes a synthetic dataset into an in-memory store and
-// serves it on a loopback TCP listener (bandwidth-shaped when configured).
+// serves it from a one-shard cluster tier (bandwidth-shaped when
+// configured).
 func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.NumSamples <= 0 {
 		return nil, errors.New("sophon: NumSamples must be positive")
@@ -183,75 +184,40 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 		return nil, err
 	}
 	p := pipeline.Standard(pipeline.StandardOptions{CropSize: cfg.CropSize, FlipP: -1})
-	srv, err := storage.NewServer(storage.ServerConfig{Store: store, Pipeline: p, Cores: cfg.StorageCores})
-	if err != nil {
-		return nil, err
-	}
-	inner, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, fmt.Errorf("sophon: listen: %w", err)
-	}
-	var l net.Listener = inner
-	var bucket *netsim.TokenBucket
-	if cfg.BandwidthMbps > 0 {
-		bucket, err = netsim.NewTokenBucket(netsim.Mbps(cfg.BandwidthMbps), 256<<10, nil)
-		if err != nil {
-			inner.Close()
-			return nil, err
-		}
-		l = netsim.ShapeListener(inner, bucket)
-	}
+	var plan *chaos.Plan
 	if cfg.ChaosConnBudget > 0 {
-		l = chaosListener{Listener: l, budget: cfg.ChaosConnBudget}
+		plan = &chaos.Plan{Seed: cfg.Seed, Shards: []chaos.Profile{{CloseAfter: cfg.ChaosConnBudget}}}
 	}
-	go srv.Serve(l)
-	return &Cluster{server: srv, listener: l, pipe: p, addr: inner.Addr().String(), bucket: bucket}, nil
-}
-
-// chaosListener severs every accepted connection after budget bytes.
-type chaosListener struct {
-	net.Listener
-	budget int64
-}
-
-func (l chaosListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
+	tier, err := cluster.Launch(cluster.Config{
+		Shards:        1,
+		Store:         store,
+		Pipeline:      p,
+		CoresPerShard: cfg.StorageCores,
+		LinkMbps:      cfg.BandwidthMbps,
+		Chaos:         plan,
+	})
 	if err != nil {
 		return nil, err
 	}
-	return chaos.WrapConn(conn, chaos.CloseAfter(l.budget), nil, nil, nil), nil
-}
-
-// Dial opens a storage client for the given training job.
-func (c *Cluster) Dial(jobID uint64) (*storage.Client, error) {
-	return storage.DialWithOptions(c.addr, storage.ClientOptions{JobID: jobID})
+	return &Cluster{tier: tier, pipe: p}, nil
 }
 
 // SetBandwidth reshapes the storage→compute link to a new Mbps rate while
 // the cluster is serving — the live equivalent of a network degradation.
 // The cluster must have been started with a BandwidthMbps cap (an unshaped
 // link has nothing to reshape).
-func (c *Cluster) SetBandwidth(mbps float64) error {
-	if c.bucket == nil {
-		return errors.New("sophon: cluster started without bandwidth shaping")
-	}
-	return c.bucket.SetRate(netsim.Mbps(mbps))
-}
+func (c *Cluster) SetBandwidth(mbps float64) error { return c.tier.SetLinkMbps(mbps) }
 
 // ServerPlanVersion returns the highest plan version the storage server has
 // observed on the wire (0 until versioned traffic arrives).
-func (c *Cluster) ServerPlanVersion() uint32 {
-	return c.server.Counters().PlanVersion.Load()
-}
+func (c *Cluster) ServerPlanVersion() uint32 { return c.tier.Counters()[0].PlanVersion.Load() }
 
 // ServerCPUNanos returns the storage node's accumulated preprocessing CPU
 // time in nanoseconds.
-func (c *Cluster) ServerCPUNanos() uint64 {
-	return c.server.Counters().CPUNanos.Load()
-}
+func (c *Cluster) ServerCPUNanos() uint64 { return c.tier.Counters()[0].CPUNanos.Load() }
 
-// Close shuts the server down.
-func (c *Cluster) Close() error { return c.server.Close() }
+// Close shuts the tier down.
+func (c *Cluster) Close() error { return c.tier.Close() }
 
 // TrainerOptions configures a live trainer attached to a cluster.
 type TrainerOptions struct {
@@ -283,12 +249,6 @@ type TrainerOptions struct {
 	TenantName string
 }
 
-// Trainer is a live training client.
-type Trainer struct {
-	inner *trainsim.Trainer
-	n     int
-}
-
 // NewTrainer dials the cluster and builds a trainer.
 func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 	var sharedCache *cache.NoEvict
@@ -299,7 +259,9 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 			return nil, err
 		}
 	}
-	dialSession := func() (*storage.Client, error) { return c.Dial(opts.JobID) }
+	dialSession := func() (*storage.Client, error) {
+		return c.tier.DialShard(0, storage.ClientOptions{JobID: opts.JobID})
+	}
 	dial := func() (storage.Fetcher, error) {
 		var client storage.Fetcher
 		if opts.RetryAttempts > 1 {
@@ -328,7 +290,7 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 		}
 		return client, nil
 	}
-	inner, err := trainsim.New(trainsim.Config{
+	return trainsim.New(trainsim.Config{
 		DialClient:     dial,
 		Workers:        opts.Workers,
 		Pipeline:       c.pipe,
@@ -338,59 +300,6 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 		Shuffle:        opts.Shuffle,
 		FetchBatchSize: opts.FetchBatchSize,
 	})
-	if err != nil {
-		return nil, err
-	}
-	return &Trainer{inner: inner, n: inner.N()}, nil
-}
-
-// N returns the dataset size the server reported.
-func (t *Trainer) N() int { return t.n }
-
-// Close releases the trainer's connections.
-func (t *Trainer) Close() { t.inner.Close() }
-
-// TrainEpoch runs one epoch under plan (nil means no offloading).
-func (t *Trainer) TrainEpoch(epoch uint64, plan *Plan) (EpochReport, error) {
-	return t.inner.RunEpoch(epoch, plan, nil)
-}
-
-// TrainEpochSnapshot runs one epoch under a versioned plan snapshot from the
-// control plane: every fetch is stamped with the snapshot's version and the
-// report records it.
-func (t *Trainer) TrainEpochSnapshot(epoch uint64, snap *PlanSnapshot) (EpochReport, error) {
-	return t.inner.RunEpochSnapshot(epoch, snap, nil)
-}
-
-// MeasureBandwidth probes the storage link's current throughput in
-// bytes/second with n serial raw fetches (the adaptive loop's between-epoch
-// re-profiling).
-func (t *Trainer) MeasureBandwidth(n int) (float64, error) {
-	return t.inner.MeasureBandwidth(n)
-}
-
-// Profile runs the paper's two-stage profiler: stage 1 measures GPU/IO/CPU
-// throughput over probeBatches batches; stage 2 is the first training epoch
-// executed without offloading while collecting per-sample metrics. It
-// returns the measured trace, the stage-1 verdict, and the epoch-1 report.
-func (t *Trainer) Profile(probeBatches int) (*Trace, Stage1Result, EpochReport, error) {
-	stage1, err := profiler.RunStage1(t.inner.Stage1Probes(), probeBatches)
-	if err != nil {
-		return nil, Stage1Result{}, EpochReport{}, err
-	}
-	collector, err := profiler.NewCollector(t.n)
-	if err != nil {
-		return nil, Stage1Result{}, EpochReport{}, err
-	}
-	report, err := t.inner.RunEpoch(1, nil, collector)
-	if err != nil {
-		return nil, Stage1Result{}, EpochReport{}, err
-	}
-	tr, err := collector.Trace("measured")
-	if err != nil {
-		return nil, Stage1Result{}, EpochReport{}, err
-	}
-	return tr, stage1, report, nil
 }
 
 // DecideMeasured combines a measured trace and stage-1 verdict into an
@@ -399,12 +308,12 @@ func DecideMeasured(tr *Trace, env Env, stage1 Stage1Result) (Decision, error) {
 	return core.New().DecideWithStage1(tr, env, stage1)
 }
 
-// AutoTrain runs the complete Figure 2 flow: stage-1 probes, a profiling
-// first epoch, the SOPHON decision against env (with the measured stage-1
-// verdict as the gate), then the remaining epochs under the plan. It
+// AutoTrain runs the complete Figure 2 flow on t: stage-1 probes, a
+// profiling first epoch, the SOPHON decision against env (with the measured
+// stage-1 verdict as the gate), then the remaining epochs under the plan. It
 // returns the decision and one report per epoch (including the profiling
 // epoch).
-func (t *Trainer) AutoTrain(epochs int, env Env, probeBatches int) (Decision, []EpochReport, error) {
+func AutoTrain(t *Trainer, epochs int, env Env, probeBatches int) (Decision, []EpochReport, error) {
 	if epochs < 1 {
 		return Decision{}, nil, errors.New("sophon: epochs must be >= 1")
 	}
@@ -418,7 +327,7 @@ func (t *Trainer) AutoTrain(epochs int, env Env, probeBatches int) (Decision, []
 		return Decision{}, nil, err
 	}
 	for e := 2; e <= epochs; e++ {
-		rep, err := t.TrainEpoch(uint64(e), decision.Plan)
+		rep, err := t.RunEpoch(uint64(e), decision.Plan, nil)
 		if err != nil {
 			return Decision{}, nil, err
 		}

@@ -93,7 +93,7 @@ func TestLiveClusterEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := trainer.TrainEpoch(2, d.Plan)
+	rep, err := trainer.RunEpoch(2, d.Plan, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestAutoTrainWithChaosRetryAndCache(t *testing.T) {
 		StorageSlowdown: 1,
 		GPU:             AlexNet,
 	}
-	decision, reports, err := trainer.AutoTrain(3, env, 2)
+	decision, reports, err := AutoTrain(trainer, 3, env, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,8 +190,61 @@ func TestAutoTrainWithChaosRetryAndCache(t *testing.T) {
 	if decision.Plan.OffloadedCount() == 0 && reports[2].BytesFetched != 0 {
 		t.Fatalf("warm no-offload epoch fetched %d bytes", reports[2].BytesFetched)
 	}
-	if _, _, err := trainer.AutoTrain(0, env, 1); err == nil {
+	if _, _, err := AutoTrain(trainer, 0, env, 1); err == nil {
 		t.Fatal("AutoTrain accepted 0 epochs")
+	}
+}
+
+// TestChaosConnBudgetRetriesOverSeeds: ChaosConnBudget draws each
+// connection's byte budget from [1, 2·budget) with the cluster's seed, so a
+// connection can close early, even inside its handshake. Over several seeds
+// the eight attempts TestAutoTrainWithChaosRetryAndCache gives its trainer
+// still carry every epoch to all its samples while links are being severed.
+func TestChaosConnBudgetRetriesOverSeeds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three live epochs per seed")
+	}
+	for seed := uint64(1); seed <= 4; seed++ {
+		cluster, err := StartCluster(ClusterConfig{
+			DatasetName:     "auto",
+			NumSamples:      24,
+			Seed:            seed,
+			MinDim:          96,
+			MaxDim:          280,
+			CropSize:        64,
+			StorageCores:    2,
+			ChaosConnBudget: 512 << 10,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		trainer, err := cluster.NewTrainer(TrainerOptions{
+			Workers:       3,
+			BatchSize:     8,
+			JobID:         4,
+			Shuffle:       true,
+			RetryAttempts: 8,
+		})
+		if err != nil {
+			cluster.Close()
+			t.Fatal(err)
+		}
+		for e := uint64(1); e <= 3; e++ {
+			rep, err := trainer.RunEpoch(e, nil, nil)
+			if err != nil {
+				t.Fatalf("seed %d epoch %d: %v", seed, e, err)
+			}
+			if rep.Samples != 24 {
+				t.Fatalf("seed %d epoch %d trained %d samples", seed, e, rep.Samples)
+			}
+		}
+		trainer.Close()
+		closes := cluster.tier.ChaosStats(0).Closes
+		cluster.Close()
+		if closes == 0 {
+			t.Fatalf("seed %d: no connection was severed", seed)
+		}
+		t.Logf("seed %d: %d connections severed", seed, closes)
 	}
 }
 
@@ -210,7 +263,7 @@ func TestBatchedTrainerViaPublicAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer trainer.Close()
-	rep, err := trainer.TrainEpoch(1, nil)
+	rep, err := trainer.RunEpoch(1, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,4 +282,4 @@ func TestGPUProfilesExported(t *testing.T) {
 }
 
 // serverCounters exposes the raw counters to the monitor integration.
-func (c *Cluster) serverCounters() *storage.Counters { return c.server.Counters() }
+func (c *Cluster) serverCounters() *storage.Counters { return c.tier.Counters()[0] }
