@@ -142,7 +142,7 @@ func (s *DirSet) raw(i int) ([]byte, error) {
 
 // Materialize loads every sample into memory — what the storage server does
 // at startup, mirroring the paper's RAM-cached datasets — and decodes each in
-// full, for a crop (imaging.DecodeCropResize) decodes only the bands it reads.
+// full, for a crop (imaging.DecodeCropResize) decodes only the units it reads.
 func (s *DirSet) Materialize() ([][]byte, error) {
 	out := make([][]byte, s.n())
 	err := ForEach(len(out), func(i int) (err error) {

@@ -14,16 +14,17 @@ import (
 )
 
 // The index (codec.go): what it refuses, before any buffer is sized; how a
-// misstated band start is caught; which faults a crop reads; and what the
+// misstated unit start is caught; which faults a crop reads; and what the
 // index costs.
 
-// bandIndex is a container taken apart: its header, each scan's planes and
-// the entries of its index, each plane's size and then its bands' lengths in
-// bits.
+// bandIndex is a container taken apart: its header, each scan's tables and
+// codes, and the entries of its index, the tables' size and then its units'
+// lengths in bits.
 type bandIndex struct {
-	header  []byte
-	planes  [][3][]byte
-	entries [][3][]uint64
+	header        []byte
+	tables, codes [][]byte
+	entries       [][]uint64
+	grid          grid
 }
 
 func parseBandIndex(t *testing.T, data []byte) bandIndex {
@@ -32,36 +33,29 @@ func parseBandIndex(t *testing.T, data []byte) bandIndex {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := bandIndex{header: data[:headerSize]}
+	b := bandIndex{header: data[:headerSize], grid: gridOf(c.w, c.h)}
 	for j := range c.scans {
-		var planes [3][]byte
-		var entries [3][]uint64
-		for i, o := 0, c.start[j]; i < 3; i, o = i+1, o+c.size[j][i] {
-			planes[i] = data[o : o+c.size[j][i]]
-			entries[i] = []uint64{uint64(c.size[j][i])}
-			if data[o] == 0 {
-				entries[i][0] = 0 // stored
-			}
-			for index := c.index[j][i]; len(index) > 0; {
-				v, k := binary.Uvarint(index)
-				entries[i], index = append(entries[i], v), index[k:]
-			}
+		at := c.start[j] + c.tables[j]
+		entries := []uint64{uint64(c.tables[j])}
+		for index := c.index[j]; len(index) > 0; {
+			v, k := binary.Uvarint(index)
+			entries, index = append(entries, v), index[k:]
 		}
-		b.planes, b.entries = append(b.planes, planes), append(b.entries, entries)
+		b.tables = append(b.tables, data[c.start[j]:at])
+		b.codes = append(b.codes, data[at:c.start[j+1]])
+		b.entries = append(b.entries, entries)
 	}
 	return b
 }
 
-// index returns b's index: each scan's CRC, over its planes as they are, and
+// index returns b's index: each scan's CRC, over its bytes as they are, and
 // its entries as uvarints.
 func (b bandIndex) index() []byte {
 	var index []byte
 	for j, scan := range b.entries {
-		index = binary.BigEndian.AppendUint32(index, crc32.Checksum(slices.Concat(b.planes[j][:]...), crcTable))
-		for _, e := range scan {
-			for _, v := range e {
-				index = binary.AppendUvarint(index, v)
-			}
+		index = binary.BigEndian.AppendUint32(index, crc32.Checksum(slices.Concat(b.tables[j], b.codes[j]), crcTable))
+		for _, v := range scan {
+			index = binary.AppendUvarint(index, v)
 		}
 	}
 	return index
@@ -74,49 +68,49 @@ func (b bandIndex) stream(index []byte) []byte {
 	}
 	out := binary.AppendUvarint(slices.Clone(b.header), uint64(len(index)))
 	out = append(out, index...)
-	for _, scan := range b.planes {
-		out = append(out, slices.Concat(scan[:]...)...)
+	for j := range b.tables {
+		out = append(append(out, b.tables[j]...), b.codes[j]...)
 	}
 	return out
 }
 
 func (b bandIndex) clone() bandIndex {
-	c := bandIndex{header: b.header, planes: slices.Clone(b.planes), entries: slices.Clone(b.entries)}
+	c := b
+	c.codes, c.entries = slices.Clone(b.codes), slices.Clone(b.entries)
 	for j := range c.entries {
-		for i := range c.entries[j] {
-			c.entries[j][i] = slices.Clone(b.entries[j][i])
-		}
+		c.entries[j] = slices.Clone(b.entries[j])
 	}
 	return c
 }
 
-// codesAt returns where plane i of scan 0's codes start in its bytes.
-func (b bandIndex) codesAt(i int) int {
-	p := b.planes[0][i]
-	if p[0] == 0 {
-		return 1
-	}
-	return 2 + int(p[0]) + int(p[1+int(p[0])])
+// unitRect is the rect of unit u of scan 0's pixels.
+func (b bandIndex) unitRect(u int) Rect {
+	band, strip := b.grid.unit(0, u)
+	r := Rect{X: strip * stripCols, Y: band * bandRows}
+	r.W, r.H = min(stripCols, b.grid.w-r.X), min(bandRows, b.grid.h-r.Y)
+	return r
 }
 
-// bandStreams is a 21×40 image — three bands, the last 8 rows — as a
-// one-scan container with coded planes and, noise, as one whose luma plane
-// is stored.
+// bandStreams is a 90×40 image — three bands, the last 8 rows, of two
+// strips, the last 26 columns — as a one-scan container with coded planes
+// and, noise at quality 95, as one whose luma plane is stored.
 func bandStreams(t *testing.T) (coded, stored []byte) {
 	t.Helper()
-	coded, err := Encode(synthFor(t, 11, 21, 40, 0.5), DefaultQuality)
+	coded, err := Encode(synthFor(t, 11, 90, 40, 0.5), DefaultQuality)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stored, err = Encode(noiseImage(21, 40, 11), DefaultQuality); err != nil {
+	if stored, err = Encode(noiseImage(90, 40, 11), 95); err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range parseBandIndex(t, coded).planes[0] {
-		if p[0] == 0 {
+	tables := parseBandIndex(t, coded).tables[0]
+	for i := range 3 {
+		if tables[0] == 0 {
 			t.Fatalf("coded stream: plane %d stored", i)
 		}
+		tables = tables[refTablesLen(tables):]
 	}
-	if parseBandIndex(t, stored).planes[0][0][0] != 0 {
+	if parseBandIndex(t, stored).tables[0][0] != 0 {
 		t.Fatal("stored stream: luma coded")
 	}
 	return coded, stored
@@ -136,45 +130,38 @@ func arenaGets(f func() (*Image, error)) (uint64, error) {
 // with Decode's words — before any buffer is drawn.
 func TestBandIndexRejections(t *testing.T) {
 	coded, stored := bandStreams(t)
+	const bound = 90*40 + 2*45*20 + 3 // scan 0's planes and a marker each
 	for name, data := range map[string][]byte{"coded": coded, "stored": stored} {
 		b := parseBandIndex(t, data)
 		if got := b.stream(nil); !bytes.Equal(got, data) {
 			t.Fatalf("%s: the stream taken apart and written back differs", name)
 		}
-		codeBits := uint64(8 * (len(b.planes[0][0]) - b.codesAt(0)))
-		mutated := func(f func(e *[3][]uint64)) (out []byte) {
-			defer func() { recover() }() // a stored plane 0 has no band lengths: no stream
+		mutated := func(f func(e []uint64) []uint64) []byte {
 			c := b.clone()
-			f(&c.entries[0])
+			c.entries[0] = f(c.entries[0])
 			return c.stream(nil)
 		}
-		type indexCase struct {
+		cases := []struct {
 			name, want string // want: words of Decode's error
 			stream     []byte
-		}
-		cases := []indexCase{
-			{"a length that runs past the plane", "scan 0 plane 0 band 0: a truncated length, or",
-				mutated(func(e *[3][]uint64) { e[0][1] = codeBits + 1 })},
-			{"lengths that do not sum to the plane", "scan 0 plane 1: bands end",
-				mutated(func(e *[3][]uint64) { e[1][len(e[1])-1] -= 8 })},
-			{"a band too short to yield its rows", "left for 336 bytes",
-				mutated(func(e *[3][]uint64) { e[0][1], e[0][2] = e[0][1]+e[0][2]-1, 1 })},
-			{"a truncated uvarint", "scan 0 plane 2 band 2: a truncated length", b.stream(b.index()[:len(b.index())-1])},
+		}{
+			{"a length past the scan's bound", "scan 0 band 0 strip 0: a truncated length, or 43225 bits for 1536 values",
+				mutated(func(e []uint64) []uint64 { e[1] = 8*bound + 1; return e })},
+			{"lengths that add up past the scan's bound", "over its planes' 5403",
+				mutated(func(e []uint64) []uint64 { e[1], e[2] = 8*bound-8, 8*bound-8; return e })},
+			{"a unit too short to yield its values", "scan 0 band 0 strip 0: a truncated length, or 1 bits for 1536 values",
+				mutated(func(e []uint64) []uint64 { e[1] = 1; return e })},
+			{"a truncated uvarint", "scan 0 band 2 strip 1: a truncated length", b.stream(b.index()[:len(b.index())-1])},
 			{"trailing index bytes", "index: 1 trailing index bytes", b.stream(append(b.index(), 0))},
 			{"a truncated index length", "truncated uvarint", append(slices.Clone(b.header), 0x80)},
 			{"an index longer than the stream", "bytes of index in", binary.AppendUvarint(slices.Clone(b.header), uint64(len(data)))},
 			{"no CRC", "scan 0: no CRC", b.stream(b.index()[:3])},
-			{"a band count one short", "scan 0 plane 2 band 2: a truncated length", mutated(func(e *[3][]uint64) { e[2] = e[2][:len(e[2])-1] })},
-			{"a band count one over", "index: 1 trailing index bytes", mutated(func(e *[3][]uint64) { e[2] = append(e[2], 8) })},
-			{"a plane size past the writer's", "scan 0 plane 2: truncated uvarint, or 222 bytes for 220", mutated(func(e *[3][]uint64) { e[2][0] = 222 })},
+			{"a unit count one short", "scan 0 band 2 strip 1: a truncated length", mutated(func(e []uint64) []uint64 { return e[:len(e)-1] })},
+			{"a unit count one over", "index: 1 trailing index bytes", mutated(func(e []uint64) []uint64 { return append(e, 8) })},
+			{"tables past the writer's", "scan 0: truncated uvarint, or 436 bytes of tables", mutated(func(e []uint64) []uint64 { e[0] = maxTables + 1; return e })},
+			{"tables a byte short", "scan 0: " + fmt.Sprint(b.entries[0][0]-1) + " bytes hold no three planes' tables",
+				mutated(func(e []uint64) []uint64 { e[0]--; return e })},
 			{"a byte after the scans", "1 bytes after the scans", append(b.stream(nil), 0)},
-			{"a plane whose tables run past it", "scan 0 plane 1: 1 bytes hold no codes",
-				mutated(func(e *[3][]uint64) { e[1][0], e[2][0] = 1, e[1][0]+e[2][0]-1 })},
-		}
-		cases = slices.DeleteFunc(cases, func(c indexCase) bool { return c.stream == nil })
-		if name == "stored" { // plane 0 has no band lengths to damage, but its size must stay unsaid
-			cases = append(cases, indexCase{"a stored plane's size stated", "scan 0 plane 0: stored is false, its marker 0",
-				mutated(func(e *[3][]uint64) { e[0][0] = uint64(len(b.planes[0][0])) })})
 		}
 		if _, err := Decode(data); err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -185,7 +172,7 @@ func TestBandIndexRejections(t *testing.T) {
 				t.Errorf("%s, %s: Decode err %v after %d arena requests, want ErrCorrupt naming %q after none", name, c.name, decodeErr, gets, c.want)
 				continue
 			}
-			for _, rect := range []Rect{{W: 21, H: 40}, {W: 5, H: 5}, {Y: 35, W: 21, H: 5}, {X: 100, W: 5, H: 5}} {
+			for _, rect := range []Rect{{W: 90, H: 40}, {W: 5, H: 5}, {Y: 35, W: 90, H: 5}, {X: 70, W: 5, H: 5}, {X: 100, W: 5, H: 5}} {
 				gets, err := arenaGets(func() (*Image, error) { return DecodeCropResize(c.stream, rect, 4, 4) })
 				if err == nil || err.Error() != decodeErr.Error() || gets != 0 {
 					t.Errorf("%s, %s: crop %+v err %v after %d arena requests, want Decode's %v after none", name, c.name, rect, err, gets, decodeErr)
@@ -195,31 +182,30 @@ func TestBandIndexRejections(t *testing.T) {
 	}
 }
 
-// TestMisstatedBandStart: an index that moves the start of band 1 of a plane
-// a bit later, its lengths still adding up, is refused by Decode and by every
-// crop that decodes band 0 — whose end is that start — with Decode's error.
+// TestMisstatedBandStart: an index that moves the start of a unit a bit
+// earlier or later, its lengths still adding up, is refused by Decode, naming
+// the unit before it — the lowest bad one — and by every crop that decodes
+// that unit, whose end is that start, with Decode's error.
 func TestMisstatedBandStart(t *testing.T) {
 	coded, stored := bandStreams(t)
 	for name, data := range map[string][]byte{"coded": coded, "stored": stored} {
 		b := parseBandIndex(t, data)
-		for p := range b.planes[0] {
-			if b.planes[0][p][0] == 0 {
-				continue // stored: its bands start where their bytes do
-			}
+		for u := range b.grid.units(0) - 1 {
 			for _, d := range []int64{-1, 1} {
 				c := b.clone()
-				e := c.entries[0][p]
-				e[1], e[2] = uint64(int64(e[1])+d), uint64(int64(e[2])-d)
+				e := c.entries[0]
+				e[1+u], e[2+u] = uint64(int64(e[1+u])+d), uint64(int64(e[2+u])-d)
 				stream := c.stream(nil)
 				_, decodeErr := Decode(stream)
-				if !errors.Is(decodeErr, ErrCorrupt) {
-					t.Errorf("%s plane %d, band 1 starting %+d bits off: Decode err %v, want ErrCorrupt", name, p, d, decodeErr)
+				if !errors.Is(decodeErr, ErrCorrupt) || !strings.Contains(decodeErr.Error(), b.grid.name(0, u)+":") {
+					t.Errorf("%s, unit %d starting %+d bits off: Decode err %v, want ErrCorrupt naming %s", name, u+1, d, decodeErr, b.grid.name(0, u))
 					continue
 				}
-				for _, rect := range []Rect{{W: 21, H: 40}, {W: 21, H: 1}, {Y: 15, W: 3, H: 2}, {Y: 3, W: 3, H: 20}} {
+				r := b.unitRect(u)
+				for _, rect := range []Rect{{W: 90, H: 40}, r, {X: r.X, Y: r.Y, W: 1, H: 1}, {X: r.X + r.W - 1, Y: r.Y, W: 90 - r.X - r.W + 1, H: 40 - r.Y}} {
 					_, err := DecodeCropResize(stream, rect, 4, 4)
 					if err == nil || err.Error() != decodeErr.Error() {
-						t.Errorf("%s plane %d, band 1 starting %+d bits off: crop %+v err %v, want Decode's %v", name, p, d, rect, err, decodeErr)
+						t.Errorf("%s, unit %d starting %+d bits off: crop %+v err %v, want Decode's %v", name, u+1, d, rect, err, decodeErr)
 					}
 				}
 			}
@@ -227,43 +213,42 @@ func TestMisstatedBandStart(t *testing.T) {
 	}
 }
 
-// TestCropParityPerBand: a bit flipped in one band of one plane, where Decode
-// refuses the stream for it, is refused with Decode's words by every crop
-// whose rows fall in that band, having drawn as many buffers; a crop of the
-// other bands is not asked to notice.
+// TestCropParityPerBand: a bit flipped in one unit, where Decode refuses the
+// stream for it, is refused with Decode's words by every crop that reads that
+// unit, having drawn as many buffers; a crop of the other units is not asked
+// to notice.
 func TestCropParityPerBand(t *testing.T) {
 	coded, _ := bandStreams(t)
 	b := parseBandIndex(t, coded)
-	for p := range b.planes[0] {
-		bit := 8 * b.codesAt(p)
-		for band, bits := range b.entries[0][p][1:] {
-			flipped := false
-			for at := bit; at < bit+int(bits) && !flipped; at += 3 {
-				c := b.clone()
-				c.planes[0][p] = bytes.Clone(c.planes[0][p])
-				c.planes[0][p][at/8] ^= 0x80 >> (at % 8)
-				stream := c.stream(nil)
-				wantGets, decodeErr := arenaGets(func() (*Image, error) { return Decode(stream) })
-				if decodeErr == nil {
-					continue
-				}
-				flipped = true
-				if want := fmt.Sprintf("band %d", band); !strings.Contains(decodeErr.Error(), want) {
-					t.Errorf("plane %d: a bit flipped in band %d: Decode err %v names another band", p, band, decodeErr)
-				}
-				for _, rect := range []Rect{{Y: 16 * band, W: 21, H: 1}, {X: 7, Y: 16 * band, W: 9, H: min(16, 40-16*band)}} {
-					gets, err := arenaGets(func() (*Image, error) { return DecodeCropResize(stream, rect, 3, 3) })
-					if err == nil || err.Error() != decodeErr.Error() || gets != wantGets {
-						t.Errorf("plane %d band %d: crop %+v err %v after %d arena requests, want Decode's %v after %d",
-							p, band, rect, err, gets, decodeErr, wantGets)
-					}
+	bit := 0
+	for u, bits := range b.entries[0][1:] {
+		flipped := false
+		for at := bit; at < bit+int(bits) && !flipped; at += 3 {
+			c := b.clone()
+			c.codes[0] = bytes.Clone(c.codes[0])
+			c.codes[0][at/8] ^= 0x80 >> (at % 8)
+			stream := c.stream(nil)
+			wantGets, decodeErr := arenaGets(func() (*Image, error) { return Decode(stream) })
+			if decodeErr == nil {
+				continue
+			}
+			flipped = true
+			if want := b.grid.name(0, u); !strings.Contains(decodeErr.Error(), want+" ") && !strings.Contains(decodeErr.Error(), want+":") {
+				t.Errorf("a bit flipped in unit %d: Decode err %v names another unit", u, decodeErr)
+			}
+			r := b.unitRect(u)
+			for _, rect := range []Rect{{X: r.X, Y: r.Y, W: 1, H: 1}, {X: r.X + 3, Y: r.Y, W: min(9, r.W-3), H: r.H}, r} {
+				gets, err := arenaGets(func() (*Image, error) { return DecodeCropResize(stream, rect, 3, 3) })
+				if err == nil || err.Error() != decodeErr.Error() || gets != wantGets {
+					t.Errorf("unit %d: crop %+v err %v after %d arena requests, want Decode's %v after %d",
+						u, rect, err, gets, decodeErr, wantGets)
 				}
 			}
-			if !flipped {
-				t.Errorf("plane %d band %d: no flipped bit makes Decode refuse", p, band)
-			}
-			bit += int(bits)
 		}
+		if !flipped {
+			t.Errorf("unit %d: no flipped bit makes Decode refuse", u)
+		}
+		bit += int(bits)
 	}
 }
 

@@ -183,7 +183,7 @@ func BenchmarkInflateSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := &streams[i%len(set)]
-		p, err := s.decode(set[i%len(set)].data, 1, 0, (s.h+bandRows-1)/bandRows)
+		p, err := s.decode(set[i%len(set)].data, 1, gridOf(s.w, s.h).all())
 		if err != nil {
 			b.Fatal(err)
 		}

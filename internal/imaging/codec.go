@@ -28,28 +28,34 @@ import (
 // the planes at the quality's shift plus L−k; decoding all L scans gives the
 // same pixels whatever L is.
 //
-// Each plane is cut into bands of bandRows luma rows (chroma: half as many),
-// which in a bit plane are 2W bytes (chroma: ⌈W/2⌉), so that a crop decodes only
-// the bands its rows fall in: column 0 of a band's first row predicts from the
-// band before's first row, and the index says where each band's codes start:
+// A scan's codes are cut into units, so that a crop decodes only the units it
+// reads. A unit of scan 0 is a strip-band: stripCols luma columns of bandRows
+// luma rows (chroma: half as many of each), its Y, Cb and Cr values in turn,
+// each plane's row by row. Within it a value predicts from its left
+// neighbour, the first of a row from the one above, and the first of all from
+// the middle of its plane's values (middles), so that it needs nothing from
+// outside itself. A unit of a refinement scan is a band across the whole
+// width: its bytes of each bit plane in turn, 2W (chroma: ⌈W/2⌉). The index
+// says where each unit's codes start:
 //
 //	0..14   header: magic, version, quality, W, H (big-endian), L
 //	...     uvarint N, then N bytes of index: for each scan its CRC32-C (4
-//	        bytes, big-endian), then for each of its three planes its size in
-//	        bytes (tables and codes) and each band's length in bits, or 0 for
-//	        a stored plane, whose size and bands go without saying (uvarints)
-//	...     the L scans, each its three planes, each its tables (or 0, stored)
-//	        and then its bands' codes, one after another, zero-padded to a byte
+//	        bytes, big-endian), the bytes of its three planes' tables, and
+//	        each of its units' length in bits (uvarints)
+//	...     the L scans, each its three planes' tables (0: stored) and then
+//	        its units' codes, one after another, zero-padded to a byte
 //
-// A scan's length is the sum of its planes' sizes, a stored plane's its
-// bytes and the marker.
+// A scan's length is its tables' and its units' bytes, a stored plane's part
+// of a unit its values, eight bits each.
 const (
 	sjpgMagic   = "SJPG"
 	sjprMagic   = "SJPR"                // versions 1–3 kept progressive scans in a container of their own
-	sjpgVersion = 4                     // 3 had no scans, 2 no bands, 1 stored planes as DEFLATE blocks
-	rowsFlag    = 0x80                  // in the version byte: the row-sliced form (rows.go)
+	sjpgVersion = 5                     // 4 had bands across the whole width, 3 no scans, 2 no bands, 1 DEFLATE blocks
+	rowsFlag    = 0x80                  // in the version byte: the sliced form (rows.go)
 	headerSize  = 4 + 1 + 1 + 4 + 4 + 1 // magic, version, quality, W, H, L
 	bandRows    = 16                    // luma rows a band
+	stripCols   = 64                    // luma columns a strip
+	maxTables   = 3 * (2 + 128 + 15)    // a scan's tables: each plane's H, R and their bytes
 
 	// MaxScans bounds the scan count: each refinement scan adds one bit of
 	// plane precision, and the quality-derived shifts leave at most ~5
@@ -66,9 +72,9 @@ var (
 	ErrUnsupported = errors.New("imaging: unsupported format version")
 	ErrTruncated   = errors.New("imaging: SJPG prefix truncated mid-scan")
 	errBadScans    = fmt.Errorf("imaging: scan count must be in [1, %d]", MaxScans)
-	// errSliced refuses a row-sliced form (rows.go) to every reader but a crop
-	// of the bands it holds.
-	errSliced = errors.New("imaging: a row-sliced SJPG decodes only a crop of the bands it holds")
+	// errSliced refuses a sliced form (rows.go) to every reader but a crop of
+	// the units it holds.
+	errSliced = errors.New("imaging: a sliced SJPG decodes only a crop of the units it holds")
 )
 
 // DefaultQuality is used by EncodeDefault and by the dataset generator.
@@ -108,6 +114,80 @@ func planeBytes(w, h, i, j int) (size, band, stride int) {
 	return size, band, stride
 }
 
+// grid is the unit geometry of a w×h image: its bands and its strips.
+type grid struct{ w, h, bands, strips int }
+
+func gridOf(w, h int) grid {
+	return grid{w, h, (h + bandRows - 1) / bandRows, (w + stripCols - 1) / stripCols}
+}
+
+// units returns how many units scan j is cut into.
+func (g grid) units(j int) int {
+	if j == 0 {
+		return g.bands * g.strips
+	}
+	return g.bands
+}
+
+// unit returns the band and strip of unit u of scan j; a refinement scan's
+// are strip 0.
+func (g grid) unit(j, u int) (b, s int) {
+	if j == 0 {
+		return u / g.strips, u % g.strips
+	}
+	return u, 0
+}
+
+// part returns where plane i's values in unit u of scan 0 lie: rows by cols
+// from row top and column left.
+func (g grid) part(i, u int) (top, left, rows, cols int) {
+	_, _, stride := planeBytes(g.w, g.h, i, 0)
+	b, s := g.unit(0, u)
+	br, sc := bandRows>>min(i, 1), stripCols>>min(i, 1)
+	top, left = b*br, s*sc
+	return top, left, min(br, (g.h+min(i, 1))>>min(i, 1)-top), min(sc, stride-left)
+}
+
+// partBytes returns the bytes of plane i in unit u of scan j.
+func (g grid) partBytes(i, j, u int) int {
+	if j == 0 {
+		_, _, rows, cols := g.part(i, u)
+		return rows * cols
+	}
+	size, band, _ := planeBytes(g.w, g.h, i, j)
+	return min(band, size-u*band)
+}
+
+// span is the units a crop reads: bands [b0, b1) and, of scan 0's, strips
+// [s0, s1).
+type span struct{ b0, b1, s0, s1 int }
+
+// spanOf returns the span of rect's rows and columns.
+func spanOf(rect Rect) span {
+	return span{rect.Y / bandRows, (rect.Y+rect.H-1)/bandRows + 1, rect.X / stripCols, (rect.X+rect.W-1)/stripCols + 1}
+}
+
+func (g grid) all() span { return span{0, g.bands, 0, g.strips} }
+
+// within reports whether sp lies inside o.
+func (sp span) within(o span) bool {
+	return o.b0 <= sp.b0 && sp.b1 <= o.b1 && o.s0 <= sp.s0 && sp.s1 <= o.s1
+}
+
+// holds reports whether sp holds unit u of scan j.
+func (sp span) holds(g grid, j, u int) bool {
+	b, s := g.unit(j, u)
+	return sp.b0 <= b && b < sp.b1 && (j > 0 || sp.s0 <= s && s < sp.s1)
+}
+
+// last returns the last unit of scan j sp holds.
+func (sp span) last(g grid, j int) int {
+	if j == 0 {
+		return (sp.b1-1)*g.strips + sp.s1 - 1
+	}
+	return sp.b1 - 1
+}
+
 // Encode compresses im at the given quality (1..100) into a container of one
 // scan.
 func Encode(im *Image, quality int) ([]byte, error) { return EncodeProgressive(im, quality, 1) }
@@ -127,11 +207,12 @@ func EncodeProgressive(im *Image, quality, scans int) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %d", errBadScans, scans)
 	}
 	yShift, cShift := shifts(quality)
+	g := gridOf(im.W, im.H)
 	n, cn := im.W*im.H, ((im.W+1)/2)*((im.H+1)/2)
 	total := n + 2*cn
-	// The values, one scan's planes, the coded scans — a plane takes at most
-	// its bytes and a marker — and then the index: a CRC, a plane's size and a
-	// band's length take ≤ 4, 5, 4 B.
+	// The values, one scan's planes in unit order, the coded scans — a plane
+	// takes at most its bytes and a marker — and then the index: a CRC, the
+	// tables' size and a unit's length take ≤ 4, 2, 4 B.
 	coded := 0
 	for j := range scans {
 		for i := range 3 {
@@ -139,27 +220,37 @@ func EncodeProgressive(im *Image, quality, scans int) ([]byte, error) {
 			coded += 1 + size
 		}
 	}
-	buf := bufpool.GetBytes(2*total + coded + scans*(4+3*(5+4*((im.H+bandRows-1)/bandRows))))
+	buf := bufpool.GetBytes(2*total + coded + scans*(6+4*g.units(0)))
 	defer bufpool.PutBytes(buf)
 	values, scratch, body, index := buf[:total], buf[total:2*total], buf[2*total:2*total], buf[2*total+coded:2*total+coded]
 	fillPlanes(im, yShift, cShift, values[:n], values[n:n+cn], values[n+cn:])
 
+	var code [3]planeCode
+	mids := middles(quality, scans)
 	for j := range scans {
-		at, start := len(index), len(body)
-		index = append(index, 0, 0, 0, 0) // the scan's CRC, once it is coded
+		at, start, off, bound := len(index), len(body), 0, 0 // bound: the scan's bytes at most
+		index = append(index, 0, 0, 0, 0)                    // the scan's CRC, once it is coded
+		var planes [3][]byte
 		for i, v := range [3][]byte{values[:n], values[n : n+cn], values[n+cn:]} {
-			size, band, stride := planeBytes(im.W, im.H, i, j)
-			p := scratch[:size]
+			size, _, stride := planeBytes(im.W, im.H, i, j)
+			p := scratch[off : off+size]
+			off, bound = off+size, bound+1+size
 			if j == 0 {
 				// The byte loop of a variable shift costs ≈ 50× the copy, a
 				// tenth of a one-scan encode: one scan takes the copy alone.
-				copy(p, v)
-				if scans > 1 {
-					for k := range p {
-						p[k] >>= scans - 1
+				for u, o := 0, 0; u < g.units(0); u++ {
+					top, left, rows, cols := g.part(i, u)
+					part := p[o : o+rows*cols]
+					for r := range rows {
+						o += copy(part[r*cols:], v[(top+r)*stride+left:][:cols])
 					}
+					if scans > 1 {
+						for k := range part {
+							part[k] >>= scans - 1
+						}
+					}
+					deltaEncode(part, cols, mids[i])
 				}
-				deltaEncode(p, stride, bandRows>>min(i, 1))
 			} else {
 				clear(p)
 				bit := uint(scans - 1 - j)
@@ -167,12 +258,34 @@ func EncodeProgressive(im *Image, quality, scans int) ([]byte, error) {
 					p[k>>3] |= (x >> bit & 1) << (k & 7)
 				}
 			}
-			var code planeCode
-			size = code.plan(p, band)
-			index = binary.AppendUvarint(index, uint64(size*min(code.h, 1))) // 0: stored
-			index = code.put(body[len(body):][:size], p, band, index)
-			body = body[:len(body)+size]
+			planes[i] = p
+			var byZ [planeSyms]int
+			var lits [256]int
+			extra := 0
+			for u, lo := 0, 0; u < g.units(j); u++ {
+				hi := lo + g.partBytes(i, j, u)
+				extra += tally(p[lo:hi], &byZ, &lits)
+				lo = hi
+			}
+			code[i].plan(p, &byZ, &lits, extra)
 		}
+		tables := 0
+		for i := range code {
+			tables += code[i].putTables(body[len(body)+tables : cap(body)])
+		}
+		index = binary.AppendUvarint(index, uint64(tables))
+		w := codeWriter{out: body[len(body)+tables : len(body)+bound]}
+		var lo [3]int
+		for u := range g.units(j) {
+			from := w.bits()
+			for i := range code {
+				hi := lo[i] + g.partBytes(i, j, u)
+				w.put(&code[i], planes[i][lo[i]:hi])
+				lo[i] = hi
+			}
+			index = binary.AppendUvarint(index, uint64(w.bits()-from))
+		}
+		body = body[:len(body)+tables+w.flush()]
 		binary.BigEndian.PutUint32(index[at:], crc32.Checksum(body[start:], crcTable))
 	}
 	out := make([]byte, headerSize+uvarintLen(len(index))+len(index)+len(body))
@@ -239,7 +352,7 @@ func Decode(data []byte) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := c.decode(data, c.present, 0, (c.h+bandRows-1)/bandRows)
+	p, err := c.decode(data, c.present, gridOf(c.w, c.h).all())
 	if err != nil {
 		return nil, err
 	}
@@ -249,14 +362,16 @@ func Decode(data []byte) (*Image, error) {
 
 // DecodeCropResize is CropResize(Decode(data), rect, w, h) without the full
 // image in between: it checks the header, the index and the rect, then
-// decodes only the bands rect's rows fall in, in every scan, with Decode's
-// checks, and dequantizes only the pixels the resample reads (ycc.cropResize).
-// Where Decode accepts, the pixels and errors are CropResize(Decode)'s. A
-// fault in a band it does not read it need not see, nor one only a scan's CRC
-// shows unless it reads every band — over every row it refuses as Decode does
-// — which is why a store decodes each object in full as it loads
-// (dataset.DirSet.Materialize). The result is pool-backed. It also reads the
-// row-sliced form (rows.go), refusing with errSliced a rect of other bands.
+// decodes only the units rect falls in — the strips of its columns in the
+// bands of its rows, and of a refinement scan those bands — with Decode's
+// checks, and dequantizes only the pixels the resample reads
+// (ycc.cropResize). Where Decode accepts, the pixels and errors are
+// CropResize(Decode)'s. A fault in a unit it does not read it need not see,
+// nor one only a scan's CRC shows unless it reads every unit — over the whole
+// image it refuses as Decode does — which is why a store decodes each object
+// in full as it loads (dataset.DirSet.Materialize). The result is
+// pool-backed. It also reads the sliced form (rows.go), refusing with
+// errSliced a rect of other units.
 func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 	if len(data) > headerSize && data[4] == sjpgVersion|rowsFlag {
 		stored, err := unslice(data, rect)
@@ -273,8 +388,7 @@ func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 	if err := checkCropResize(rect, c.w, c.h, w, h); err != nil {
 		return nil, err
 	}
-	b0, b1 := bandsOf(rect)
-	p, err := c.decode(data, c.present, b0, b1)
+	p, err := c.decode(data, c.present, spanOf(rect))
 	if err != nil {
 		return nil, err
 	}
@@ -329,16 +443,17 @@ func (p *ycc) plane(i, j int) []byte {
 func (p *ycc) release() { bufpool.PutBytes(p.buf) }
 
 // undoPrediction turns residuals back into plane values on the luma rows that
-// rows lists, through luma column last, and on the chroma under them.
-func (p *ycc) undoPrediction(rows []int32, last int) {
+// rows lists, from the strip of luma column first through column last, and
+// on the chroma under them.
+func (p *ycc) undoPrediction(rows []int32, first, last int) {
 	if !p.residual {
 		return
 	}
 	p.residual = false
-	cw := (p.w + 1) / 2
-	undoPrediction(p.y, p.w, rows, 0, last, bandRows, p.ref[0])
-	undoPrediction(p.cb, cw, rows, 1, last>>1, bandRows/2, p.ref[1])
-	undoPrediction(p.cr, cw, rows, 1, last>>1, bandRows/2, p.ref[2])
+	cw, first := (p.w+1)/2, first-first%stripCols
+	undoPrediction(p.y, p.w, rows, 0, first, last, bandRows, stripCols, p.ref[0])
+	undoPrediction(p.cb, cw, rows, 1, first>>1, last>>1, bandRows/2, stripCols/2, p.ref[1])
+	undoPrediction(p.cr, cw, rows, 1, first>>1, last>>1, bandRows/2, stripCols/2, p.ref[2])
 }
 
 // undoEveryPrediction is undoPrediction over the whole image.
@@ -348,35 +463,35 @@ func (p *ycc) undoEveryPrediction() {
 	for r := 0; r < p.h; r++ {
 		s.rows = append(s.rows, int32(r))
 	}
-	p.undoPrediction(s.rows, p.w-1)
+	p.undoPrediction(s.rows, 0, p.w-1)
 	samplerPool.Put(s)
 }
 
 // container is an accepted header and index: where each scan starts (and,
-// at scans, where the last ends), its CRC, and each of its planes' size and
-// bands' lengths in bits (uvarints), and how many whole scans data holds.
+// at scans, where the last ends), its CRC, its tables' bytes and its units'
+// lengths in bits (uvarints), and how many whole scans data holds.
 type container struct {
 	w, h, quality, scans int
 	present              int // whole scans; −1 when data ends inside one
 	start                [MaxScans + 1]int
 	crc                  [MaxScans]uint32
-	size                 [MaxScans][3]int
-	index                [MaxScans][3][]byte
-	rows, b0, b1         int // a row-sliced form's: where its held bytes start (else 0), its bands
+	tables               [MaxScans]int
+	index                [MaxScans][]byte
+	rows                 int  // a sliced form's: where its held bytes start (else 0)
+	cut                  span // and the units it holds
 }
 
-// parse checks the header and the index before any buffer is sized: each
-// plane's size is at most its bytes and a marker, the planes tile the scans,
-// each band's codes are long enough to yield its bytes, and data ends at or
-// before the last scan's end. Of a plane data holds, it also checks that the
-// index and its marker agree on whether it is stored, and that its bands'
-// lengths add up to its codes. Of a row-sliced form it checks the index alone
-// and then what follows it (readRows), and refuses it as errSliced.
+// parse checks the header and the index before any buffer is sized: a scan
+// takes at most its planes' bytes and a marker each, each unit's codes are
+// long enough to yield its values, and data ends at or before the last scan's
+// end. Of a scan whose tables data holds, it also checks that they take the
+// bytes the index says. Of a sliced form it checks the index alone and then
+// what follows it (readRows), and refuses it as errSliced.
 func parse(data []byte) (c container, err error) {
 	if c.w, c.h, c.quality, c.scans, err = parseHeader(data); err != nil {
 		return c, err
 	}
-	end := len(data) // where the planes data holds end: a row-sliced form holds none where the index says
+	end := len(data) // where the scans data holds end: a sliced form holds none where the index says
 	if data[4] != sjpgVersion {
 		end = 0
 	}
@@ -393,50 +508,54 @@ func parse(data []byte) (c container, err error) {
 	if !ok || size > uint64(len(index)) {
 		return bad("truncated uvarint, or %d bytes of index in %d", size, len(index))
 	}
+	g := gridOf(c.w, c.h)
 	index, o := index[:size], len(data)-len(index)+int(size)
 	for j := range c.scans {
 		if len(index) < 4 {
 			return bad("scan %d: no CRC", j)
 		}
 		c.crc[j], index, c.start[j] = binary.BigEndian.Uint32(index), index[4:], o
+		bound := 0
 		for i := range 3 {
-			n, band, _ := planeBytes(c.w, c.h, i, j)
-			size, ok := next()
-			stored := ok && size == 0
-			if stored {
-				size = uint64(n) + 1
-			}
-			if !ok || size > uint64(n)+1 {
-				return bad("scan %d plane %d: truncated uvarint, or %d bytes for %d", j, i, size, n)
-			}
-			// The codes follow the tables: H, H bytes, R, R bytes. Of a plane
-			// data does not hold, only its size bounds them.
-			have, held := 8*(int(size)-1), o+int(size) <= end
-			if held && (data[o] == 0) != stored {
-				return bad("scan %d plane %d: stored is %v, its marker %d", j, i, stored, data[o])
-			}
-			if held && !stored {
-				plane, r := data[o:o+int(size)], 1+int(data[o])
-				codes := r + 1 + int(plane[min(r, len(plane)-1)])
-				if codes > len(plane) {
-					return bad("scan %d plane %d: %d bytes hold no codes", j, i, len(plane))
-				}
-				have = 8 * (len(plane) - codes)
-			}
-			from := index
-			for lo, b := 0, 0; !stored && lo < n; lo, b = lo+band, b+1 {
-				bits, ok := next()
-				if rows := uint64(min(band, n-lo)); !ok || bits > uint64(have) || bits*maxRun < rows {
-					return bad("scan %d plane %d band %d: a truncated length, or %d bits of the plane's %d left for %d bytes", j, i, b, bits, have, rows)
-				}
-				have -= int(bits)
-			}
-			if held && !stored && have >= 8 {
-				return bad("scan %d plane %d: bands end %d bits short of it", j, i, have)
-			}
-			c.size[j][i], c.index[j][i] = int(size), from[:len(from)-len(index)]
-			o += int(size)
+			n, _, _ := planeBytes(c.w, c.h, i, j)
+			bound += 1 + n
 		}
+		tables, ok := next()
+		if !ok || tables < 3 || tables > maxTables {
+			return bad("scan %d: truncated uvarint, or %d bytes of tables", j, tables)
+		}
+		from, bits := index, uint64(0)
+		for u := range g.units(j) {
+			v, ok := next()
+			values := 0
+			for i := range 3 {
+				values += g.partBytes(i, j, u)
+			}
+			if bits += v; !ok || v > 8*uint64(bound) || v*maxRun < uint64(values) {
+				return bad("scan %d %s: a truncated length, or %d bits for %d values", j, g.name(j, u), v, values)
+			}
+		}
+		if n := tables + (bits+7)/8; n > uint64(bound) {
+			return bad("scan %d: %d bytes, over its planes' %d", j, n, bound)
+		}
+		if t := o + int(tables); t <= end {
+			at, planes := o, 0 // a plane's tables: H, H bytes, R, R bytes; or 0, stored
+			for ; planes < 3 && at < t; planes++ {
+				if data[at] == 0 {
+					at++
+					continue
+				}
+				if at += 1 + int(data[at]); at >= t {
+					break
+				}
+				at += 1 + int(data[at])
+			}
+			if planes != 3 || at != t {
+				return bad("scan %d: %d bytes hold no three planes' tables", j, tables)
+			}
+		}
+		c.tables[j], c.index[j] = int(tables), from[:len(from)-len(index)]
+		o += int(tables + (bits+7)/8)
 	}
 	c.start[c.scans] = o
 	if len(index) != 0 {
@@ -457,6 +576,15 @@ func parse(data []byte) (c container, err error) {
 	return c, nil
 }
 
+// name names unit u of scan j in an error.
+func (g grid) name(j, u int) string {
+	b, s := g.unit(j, u)
+	if j > 0 {
+		return fmt.Sprintf("band %d", b)
+	}
+	return fmt.Sprintf("band %d strip %d", b, s)
+}
+
 // whole is parse, refusing data unless it holds one whole scan or more and
 // ends on a scan boundary.
 func whole(data []byte) (container, error) {
@@ -467,35 +595,32 @@ func whole(data []byte) (container, error) {
 	return c, err
 }
 
-// decode decodes bands [b0, b1) of each plane of the first k scans: scan 0's
-// into the planes of a pooled ycc, each refinement scan's into a bit plane of
-// each after them. Where that is every band, it first checks each scan
-// against its CRC, and then the pad bits of each bit plane's last byte; a
-// crop of some bands reads no more of a scan than them.
-func (c *container) decode(data []byte, k, b0, b1 int) (ycc, error) {
-	every := b0 == 0 && b1 == (c.h+bandRows-1)/bandRows
+// decode decodes the units of the first k scans that sp holds: scan 0's into
+// the planes of a pooled ycc, each refinement scan's into a bit plane of each
+// after them. Where that is every unit, it first checks each scan against its
+// CRC, and then the pad bits of each bit plane's last byte; a crop of some
+// units reads no more of a scan than them.
+func (c *container) decode(data []byte, k int, sp span) (ycc, error) {
+	g := gridOf(c.w, c.h)
+	every := sp == g.all()
 	for j := 0; every && j < k; j++ {
 		if crc32.Checksum(data[c.start[j]:c.start[j+1]], crcTable) != c.crc[j] {
 			return ycc{}, fmt.Errorf("%w: scan %d CRC mismatch", ErrCorrupt, j)
 		}
 	}
-	p := newYCC(c.w, c.h, c.quality, c.scans, k)
+	p, mids := newYCC(c.w, c.h, c.quality, c.scans, k), middles(c.quality, c.scans)
 	sc := packPool.Get().(*packScratch)
 	defer packPool.Put(sc)
 	for j := range k {
-		o := c.start[j]
-		for i := range 3 {
-			_, band, _ := planeBytes(c.w, c.h, i, j)
-			plane, dst := data[o:o+c.size[j][i]], p.plane(i, j)
-			o += len(plane)
-			err := inflate((*[2 << maxCodeLen]uint16)(sc.table[:]), plane, c.index[j][i], dst, band, b0, b1, j == 0)
-			if n, _, _ := planeBytes(c.w, c.h, i, 0); err == nil && j > 0 && every && dst[len(dst)-1]>>((n-1)&7+1) != 0 {
-				err = errors.New("bits set past the last value")
+		err := inflate(sc, data[c.start[j]:c.start[j+1]], c.tables[j], c.index[j], g, j, sp, &p, mids)
+		for i := 0; err == nil && j > 0 && every && i < 3; i++ {
+			if n, _, _ := planeBytes(c.w, c.h, i, 0); p.plane(i, j)[(n-1)>>3]>>((n-1)&7+1) != 0 {
+				err = fmt.Errorf("plane %d: bits set past the last value", i)
 			}
-			if err != nil {
-				p.release()
-				return ycc{}, fmt.Errorf("%w: scan %d plane %d: %v", ErrCorrupt, j, i, err)
-			}
+		}
+		if err != nil {
+			p.release()
+			return ycc{}, fmt.Errorf("%w: scan %d %v", ErrCorrupt, j, err)
 		}
 	}
 	return p, nil
@@ -579,7 +704,7 @@ func (p *ycc) cropResize(rect Rect, w, h int) (*Image, error) {
 	s.y.fill(rect.H, h)
 	s.cols = s.x.compact(rect.X, s.cols)
 	s.rows = s.y.compact(rect.Y, s.rows)
-	p.undoPrediction(s.rows, int(s.cols[len(s.cols)-1]))
+	p.undoPrediction(s.rows, int(s.cols[0]), int(s.cols[len(s.cols)-1]))
 	if w == rect.W && h == rect.H {
 		// Pure crop: the taps name every pixel of rect with weight one.
 		p.convert(s.rows, s.cols, dst.Pix)
@@ -649,7 +774,7 @@ func dequant(v uint8, shift uint) uint8 {
 }
 
 // DecodeDims returns the pixel dimensions recorded in a container's header,
-// or a row-sliced form's, without decompressing the payload.
+// or a sliced form's, without decompressing the payload.
 func DecodeDims(data []byte) (w, h int, err error) {
 	w, h, _, _, err = parseHeader(data)
 	return w, h, err
@@ -662,8 +787,8 @@ func parseHeader(data []byte) (w, h, quality, scans int, err error) {
 	if len(data) < headerSize || string(data[:4]) != sjpgMagic && string(data[:4]) != sjprMagic {
 		return 0, 0, 0, 0, ErrCorrupt
 	}
-	if data[4]&^rowsFlag != sjpgVersion {
-		return 0, 0, 0, 0, fmt.Errorf("%w: %s version %d, this build reads %d", ErrUnsupported, data[:4], data[4], sjpgVersion)
+	if v := data[4] &^ rowsFlag; v != sjpgVersion {
+		return 0, 0, 0, 0, fmt.Errorf("%w: %s version %d, this build reads %d", ErrUnsupported, data[:4], v, sjpgVersion)
 	}
 	quality, scans = int(data[5]), int(data[14])
 	w = int(binary.BigEndian.Uint32(data[6:10]))
@@ -681,25 +806,28 @@ func parseHeader(data []byte) (w, h, quality, scans int, err error) {
 	return w, h, quality, scans, nil
 }
 
-// deltaEncode replaces each value with its difference from the previous
-// value in the row, tightening the residual distribution for the coder. The
-// first column predicts from the row above, or on the first row of a band of
-// band rows (a power of two) from the band before's first row, so that of the
-// bands above one only their first values are needed. len(plane) is a
-// multiple of stride.
-func deltaEncode(plane []uint8, stride, band int) {
-	if stride <= 0 {
-		return
-	}
+// middles returns the middle of the values scan 0 of a container of scans
+// scans at quality holds, a plane each: what the first value of each part
+// predicts from.
+func middles(quality, scans int) [3]uint8 {
+	yShift, cShift := shifts(quality)
+	s := uint(scans - 1)
+	return [3]uint8{128 >> (yShift + s), 128 >> (cShift + s), 128 >> (cShift + s)}
+}
+
+// deltaEncode replaces each value of part, rows of cols values, with its
+// difference from the value before it in its row, tightening the residual
+// distribution for the coder. The first value of a row predicts from the
+// first of the row above, and the first of the part from mid, so that a part
+// needs nothing from outside itself.
+func deltaEncode(part []uint8, cols int, mid uint8) {
 	// Bottom-up, so the row above is still unencoded when it predicts.
-	for row := len(plane) - stride; row >= 0; row -= stride {
-		var prev uint8
-		if r := row / stride; r&(band-1) != 0 {
-			prev = plane[row-stride]
-		} else if r > 0 {
-			prev = plane[row-band*stride]
+	for row := len(part) - cols; row >= 0; row -= cols {
+		prev := mid
+		if row > 0 {
+			prev = part[row-cols]
 		}
-		r := plane[row : row+stride]
+		r := part[row : row+cols]
 		for i, v := range r {
 			r[i] = v - prev
 			prev = v
@@ -707,41 +835,48 @@ func deltaEncode(plane []uint8, stride, band int) {
 	}
 }
 
-// undoPrediction reverses deltaEncode(plane, stride, band) in place on the
-// rows of plane that rows lists and no further right than column last; every
-// other value stays a residual. Column 0's chain runs down the bands' first
-// rows to the first listed row's band, then down every row to the last listed
-// row; the other columns predict from their left neighbour, a
-// running sum along each listed row. rows ascends and lists rows of a plane
-// 1<<shift times as tall — luma rows, for a chroma plane — so it may name a
-// row of this one more than once. A refinement bit extends a value, not its
-// residual: ref's are folded into the values restored.
-func undoPrediction(plane []uint8, stride int, rows []int32, shift uint, last, band int, ref refinement) {
-	top, bottom := int(rows[0]>>shift)&^(band-1), int(rows[len(rows)-1]>>shift)
-	for r := 1; r <= bottom; r++ {
-		if r&(band-1) == 0 {
-			plane[r*stride] += plane[(r-band)*stride]
-		} else if r > top {
-			plane[r*stride] += plane[(r-1)*stride]
+// undoPrediction reverses deltaEncode, over each part of plane, in place on
+// the rows of plane that rows lists, from column first, the first of a strip
+// of strip columns, through column last; every other value stays a residual.
+// A strip's first column is a chain down each band of band rows (a power of
+// two) from the band's first row to the listed row; the other columns predict
+// from their left neighbour, a running sum along each listed row within each
+// strip. rows ascends and lists rows of a plane 1<<shift times as tall — luma
+// rows, for a chroma plane — so it may name a row of this one more than once.
+// A refinement bit extends a value, not its residual: ref's are folded into
+// the values restored.
+func undoPrediction(plane []uint8, stride int, rows []int32, shift uint, first, last, band, strip int, ref refinement) {
+	chained := -1 // the last row whose strips' first columns are values, before any refinement bit
+	for _, r := range rows {
+		for chained = max(chained, int(r>>shift)&^(band-1)); chained < int(r>>shift); chained++ {
+			at := (chained + 1) * stride
+			for c := first; c <= last; c += strip {
+				plane[at+c] += plane[at-stride+c]
+			}
 		}
 	}
 	done := -1
 	for _, r := range rows {
-		at := int(r>>shift) * stride
-		if at == done {
+		row := int(r >> shift)
+		if row == done {
 			continue
 		}
-		done = at
-		runningSum(plane[at : at+last+1])
+		done = row
+		at := row * stride
+		for c := first; c <= last; c += strip {
+			runningSum(plane[at+c : at+min(c+strip, last+1)])
+		}
 		if ref.planes > 0 {
-			ref.fold(plane[at:at+last+1], at)
+			ref.fold(plane[at+first:at+last+1], at+first)
 		}
 	}
 }
 
 // runningSum replaces each value of row with the sum of the values up to it.
 // It is kept out of line: inlined into undoPrediction's loop (Go 1.24) the
-// accumulator is spilled to the stack and the loop runs at half the speed.
+// accumulator is spilled to the stack and the loop runs at half the speed, and
+// it takes a strip's row at a time: a loop over the strips around it spills
+// it too.
 //
 //go:noinline
 func runningSum(row []uint8) {

@@ -144,13 +144,13 @@ func TestBlendMatchesReference(t *testing.T) {
 	}
 }
 
-// decodePlanes is Decode's first step: every band of every scan data holds.
+// decodePlanes is Decode's first step: every unit of every scan data holds.
 func decodePlanes(data []byte) (ycc, error) {
 	c, err := whole(data)
 	if err != nil {
 		return ycc{}, err
 	}
-	return c.decode(data, c.present, 0, (c.h+bandRows-1)/bandRows)
+	return c.decode(data, c.present, gridOf(c.w, c.h).all())
 }
 
 // fusedStream is one accepted stream with both of its decodes: the full image
@@ -354,37 +354,53 @@ func decodeThenCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 	return CropResize(im, rect, w, h)
 }
 
-// over frames scans of three coded planes each as a container claiming w×h,
-// behind the index the reference decoder reads: each scan's CRC, each plane's
-// size, and where the reference finds each band's codes ending, or 0 for a
-// stored plane. A band it cannot decode is indexed as the rest of its plane's
-// codes.
+// over frames scans of three planes each, written as codePlanes writes a
+// plane alone — its tables, then its codes — as a container claiming w×h:
+// each scan's tables, then its units, each plane's part where the reference
+// decoder finds it ending in that plane's codes (a stored plane's, eight bits
+// a value later). A part it cannot decode takes the rest of its plane's
+// codes, and the last part of the last plane the rest after it, padding
+// included. The index holds each scan's CRC, its tables' bytes and each
+// unit's length in bits.
 func over(w, h int, scans ...[3][]byte) []byte {
 	var index, body []byte
 	for j, scan := range scans {
 		at, start := len(index), len(body)
 		index = append(index, 0, 0, 0, 0)
+		var codes [3][]byte
+		var symbols [3]map[refCodeword]int
+		tables := 0
 		for i, plane := range scan {
-			n, band := refPlaneBytes(w, h, i, j)
-			if len(plane) > 0 && plane[0] == 0 {
-				index = append(index, 0) // stored
-				body = append(body, plane...)
-				continue
+			n := min(refTablesLen(plane), len(plane))
+			body, tables, codes[i] = append(body, plane[:n]...), tables+n, plane[n:]
+			if len(plane) > 0 && plane[0] != 0 {
+				symbols[i], _, _ = refTables(plane) // nil: no code, so no part ends
 			}
-			index = binary.AppendUvarint(index, uint64(len(plane)))
-			symbol, codes, err := refTables(plane)
-			bit, dst := 0, make([]byte, band)
-			for lo := 0; lo < n; lo += band {
-				end := 8 * len(codes)
-				if err == nil {
-					if end, err = refSymbols(symbol, codes, bit, dst[:min(band, n-lo)]); err != nil {
-						end = 8 * len(codes)
+		}
+		index = binary.AppendUvarint(index, uint64(tables))
+		var out bitWriter
+		var bit [3]int
+		units := refUnits(w, h, j)
+		for k, u := range units {
+			from := 8*len(out.out) - (8-int(out.n))%8
+			for i, plane := range scan {
+				end := 8 * len(codes[i])
+				switch n := u.size(i, j); {
+				case k == len(units)-1 && i == 2:
+				case len(plane) > 0 && plane[0] == 0:
+					end = min(bit[i]+8*n, end)
+				case symbols[i] != nil:
+					if e, err := refSymbols(symbols[i], codes[i], bit[i], make([]byte, n)); err == nil {
+						end = e
 					}
 				}
-				index, bit = binary.AppendUvarint(index, uint64(end-bit)), end
+				for ; bit[i] < end; bit[i]++ {
+					out.bits(uint(codes[i][bit[i]/8]>>(7-bit[i]%8)&1), 1)
+				}
 			}
-			body = append(body, plane...)
+			index = binary.AppendUvarint(index, uint64(8*len(out.out)-(8-int(out.n))%8-from))
 		}
+		body = append(body, out.out...)
 		binary.BigEndian.PutUint32(index[at:], crc32.Checksum(body[start:], crcTable))
 	}
 	out := append([]byte(sjpgMagic), sjpgVersion, DefaultQuality)
@@ -418,21 +434,17 @@ func TestFusedRejectionParity(t *testing.T) {
 	add := func(name string, data []byte, want error) { cases = append(cases, parityCase{name, data, want}) }
 
 	// planes_test.go's hand-built planes as the Cr plane of a one-scan
-	// container and as the Cr bit plane of a refinement scan, under images
-	// whose chroma planes are n bytes, values or bits. A plane longer than the
-	// writer's worst case, n + 1, is refused from the index; a stored one cut
-	// short ends the stream short of the size its marker implies.
+	// container and as the Cr bit plane of a refinement scan (planeStreams),
+	// each with the reference decoder's verdict on it.
 	for _, c := range inflateRejections() {
-		var want error
-		switch {
-		case len(c.stream) > 0 && c.stream[0] == 0 && len(c.stream) < c.n+1:
-			want = ErrTruncated
-		case !c.accept || len(c.stream) > c.n+1:
-			want = ErrCorrupt
+		base, refine := planeStreams(c.stream, c.n)
+		for name, data := range map[string][]byte{"base/": base, "refinement/": refine} {
+			var want error
+			if _, err := refDecode(data, 0); err != nil {
+				want = ErrCorrupt
+			}
+			add(name+c.name, data, want)
 		}
-		zeros := func(k int) []byte { return codePlanes(make([]byte, k)) }
-		add("base/"+c.name, over(2*c.n, 1, [3][]byte{zeros(2 * c.n), zeros(c.n), c.stream}), want)
-		add("refinement/"+c.name, over(16*c.n, 1, [3][]byte{zeros(16 * c.n), zeros(8 * c.n), zeros(8 * c.n)}, [3][]byte{zeros(2 * c.n), zeros(c.n), c.stream}), want)
 	}
 
 	// Real streams, damaged where each check looks.

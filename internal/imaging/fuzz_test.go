@@ -154,7 +154,7 @@ func FuzzDecodeCropResize(f *testing.F) {
 			return // the output is sized from out alone
 		}
 		if len(data) > headerSize && data[4]&rowsFlag != 0 {
-			return // the row-sliced form, which FuzzSliceRows holds
+			return // the sliced form, which FuzzSliceRows holds
 		}
 		rect := Rect{X: x, Y: y, W: w, H: h}
 		got, err := DecodeCropResize(data, rect, out, out)

@@ -59,16 +59,18 @@ func zigzag(z int) uint8 { return uint8(z>>1) ^ -uint8(z&1) }
 // zeroRow stands above the first row of every image; it is only read.
 var zeroRow [Channels * maxDim]byte
 
-// packScratch is the pooled state of one AppendPacked, PackedSize or Unpack.
-// The encoder's symbols are table<<8 | residual, so that one count loop and
-// one bit loop serve a plane whatever its tables. Tables are planned into
-// slots: B−G's, R−G's seven, G's by each predictor.
+// packScratch is the pooled state of one AppendPacked, PackedSize or Unpack,
+// or of one SJPG decode (codec.go). The encoder's symbols are table<<8 |
+// residual, so that one count loop and one bit loop serve a plane whatever its
+// tables. Tables are planned into slots: B−G's, R−G's seven, G's by each
+// predictor.
 type packScratch struct {
-	count [4][8 << 8]uint32        // by symbol, four counters so that equal neighbours do not wait on one
-	lens  [3 + contexts][256]uint8 // code length by zig-zag position, valid below 2·hdr
-	hdr   [3 + contexts]int        // H, a table's bytes of code lengths
-	enc   [8 << 8]uint32           // by symbol: canonical code<<4 | length
-	table [8 << maxCodeLen]uint16  // by table<<maxCodeLen | the next maxCodeLen bits: residual<<8 | length
+	count [4][8 << 8]uint32                  // by symbol, four counters so that equal neighbours do not wait on one
+	lens  [3 + contexts][256]uint8           // code length by zig-zag position, valid below 2·hdr
+	hdr   [3 + contexts]int                  // H, a table's bytes of code lengths
+	enc   [8 << 8]uint32                     // by symbol: canonical code<<4 | length
+	table [8 << maxCodeLen]uint16            // by table<<maxCodeLen | the next maxCodeLen bits: residual<<8 | length
+	part  [bandRows * stripCols * 3 / 2]byte // an SJPG unit's three parts, as inflate decodes them
 }
 
 var packPool = sync.Pool{New: func() any { return new(packScratch) }}

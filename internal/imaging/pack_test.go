@@ -461,7 +461,7 @@ func flatePack(t testing.TB, im *Image) []byte {
 	planes := make([]byte, 0, Channels*n)
 	for _, p := range []int{2, 1, 0} {
 		plane := refPlanes(im)[p]
-		deltaEncode(plane, im.W, maxDim)
+		deltaEncode(plane, im.W, 0)
 		planes = append(planes, plane...)
 	}
 	var buf bytes.Buffer

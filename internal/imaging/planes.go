@@ -8,8 +8,8 @@ import (
 )
 
 // The coder of stored planes: each plane of each scan (codec.go) is coded on
-// its own, byte-aligned, by pack.go's entropy stage with one symbol added, a
-// run of the byte before:
+// its own by pack.go's entropy stage with one symbol added, a run of the byte
+// before:
 //
 //	literals  1 byte H (1..128), then H bytes of code lengths 0..12, two a
 //	          byte, high nibble first, for the byte values 0, −1, +1, −2, …
@@ -17,12 +17,13 @@ import (
 //	          lengths' symbols, DEFLATE's 257…285 (RFC 1951, 3.2.5); the
 //	          30th nibble is zero
 //	codes     one canonical code over both tables, literals first, MSB
-//	          first, zero-padded to a byte: a literal's code is its byte; a
-//	          run's code and extra bits repeat the byte before it 3–258 times
+//	          first: a literal's code is its byte; a run's code and extra
+//	          bits repeat the byte before it 3–258 times
 //
-// or H = 0 and the plane as it is, when coding would not shorten it. A plane
-// of n bytes takes 1 + n at most. Its codes are those of its bands, one after
-// another under the plane's one code, no run starting a band or passing its
+// or H = 0 and the plane as it is, eight bits a value, when coding would not
+// shorten it. A plane of n bytes takes 1 + n at most. A scan writes its three
+// planes' tables and then their codes unit by unit (codec.go), a plane's part
+// of a unit under the plane's one code, no run starting a part or passing its
 // end.
 
 const (
@@ -58,21 +59,29 @@ func lengthCode(n int) (sym int, extra, v uint) {
 }
 
 // planeCode is one plane's code as plan fixed it: code lengths by position in
-// the header's order, the sizes of its two tables (h = 0: stored) and of the
-// whole.
+// the header's order, the sizes of its two tables (h = 0: stored), and each
+// byte's or run symbol's code.
 type planeCode struct {
-	lens       [planeSyms + 1]uint8 // and the run table's last nibble
-	h, r, size int
+	lens [planeSyms + 1]uint8 // and the run table's last nibble
+	h, r int
+	enc  [planeSyms]uint32 // canonical code<<4 | length
 }
 
-// plan fixes the code of plane, cut into bands of band bytes, and returns its
-// size, which is exact: the tables and ⌈(Σ count × length + extra bits) / 8⌉,
-// or 1 + len(plane).
-func (c *planeCode) plan(plane []byte, band int) int {
-	var byZ [planeSyms]int
-	extra := 0
-	for lo := 0; lo < len(plane); lo += band {
-		extra += tally(plane[lo:min(lo+band, len(plane))], &byZ)
+// storedCode codes each byte as itself, in eight bits.
+var storedCode = func() (t [planeSyms]uint32) {
+	for v := range 256 {
+		t[v] = uint32(v)<<4 | 8
+	}
+	return t
+}()
+
+// plan fixes the code of plane, whose runs tally has counted part by part
+// into byZ and lits, and returns its size, which is exact: the tables and
+// ⌈(Σ count × length + extra bits) / 8⌉, or 1 + len(plane).
+func (c *planeCode) plan(plane []byte, byZ *[planeSyms]int, lits *[256]int, extra int) int {
+	countBytes(plane, lits)
+	for v, n := range lits {
+		byZ[uint8(int8(v)<<1^int8(v)>>7)] += n // zigzag's inverse
 	}
 	lastLit, lastRun := 0, -1
 	for z, n := range byZ {
@@ -84,25 +93,22 @@ func (c *planeCode) plan(plane []byte, band int) int {
 	}
 	bits := codeLengths(byZ[:], maxCodeLen, c.lens[:planeSyms]) + extra
 	c.h, c.r = lastLit/2+1, (lastRun+2)/2
-	if c.size = 2 + c.h + c.r + (bits+7)/8; c.size > len(plane) {
-		c.h, c.size = 0, 1+len(plane)
+	if size := 2 + c.h + c.r + (bits+7)/8; size <= len(plane) {
+		canon(c.lens[:planeSyms], c.enc[:])
+		return size
 	}
-	return c.size
+	c.h, c.enc = 0, storedCode
+	return 1 + len(plane)
 }
 
-// tally adds the symbols band codes to, by position in the header's order,
-// to byZ and returns their extra bits.
-func tally(band []byte, byZ *[planeSyms]int) (extra int) {
-	var lits [256]int
-	countBytes(band, &lits)
-	for at, n := nextRun(band, 0); n > 0; at, n = nextRun(band, at+n) {
+// tally adds the runs part codes to byZ, by position in the header's order,
+// takes the bytes they repeat off lits, and returns their extra bits.
+func tally(part []byte, byZ *[planeSyms]int, lits *[256]int) (extra int) {
+	for at, n := nextRun(part, 0); n > 0; at, n = nextRun(part, at+n) {
 		sym, x, _ := lengthCode(n)
-		lits[band[at]] -= n
+		lits[part[at]] -= n
 		byZ[256+sym]++
 		extra += int(x)
-	}
-	for v, n := range lits {
-		byZ[uint8(int8(v)<<1^int8(v)>>7)] += n // zigzag's inverse
 	}
 	return extra
 }
@@ -110,20 +116,42 @@ func tally(band []byte, byZ *[planeSyms]int) (extra int) {
 // uvarintLen is the size of v as a uvarint.
 func uvarintLen(v int) int { return (bits.Len(uint(v)|1) + 6) / 7 }
 
-// put writes plane, cut into bands of band bytes, as plan fixed it to out, its
-// size. Unless index is nil or the plane is stored, it appends the length in
-// bits of each band's codes to index; it returns index.
-func (c *planeCode) put(out, plane []byte, band int, index []byte) []byte {
+// putTables writes the code's tables, or a stored plane's marker, to out and
+// returns their length.
+func (c *planeCode) putTables(out []byte) int {
 	if c.h == 0 {
 		out[0] = 0
-		copy(out[1:], plane)
-		return index
+		return 1
 	}
 	o := putLengths(out, c.lens[:2*c.h])
-	o += putLengths(out[o:], c.lens[256:256+2*c.r])
-	var enc [planeSyms]uint32
-	canon(c.lens[:planeSyms], enc[:])
-	return putRuns(&enc, plane, band, out[o:], index)
+	return o + putLengths(out[o:], c.lens[256:256+2*c.r])
+}
+
+// codeWriter writes a scan's codes to out: o bytes of it, and the low nb bits
+// of acc not yet.
+type codeWriter struct {
+	out []byte
+	acc uint64
+	nb  uint
+	o   int
+}
+
+// bits returns how many bits w has taken.
+func (w *codeWriter) bits() int { return 8*w.o + int(w.nb) }
+
+// put writes part's codes under c.
+func (w *codeWriter) put(c *planeCode, part []byte) {
+	w.acc, w.nb, w.o = putRuns(&c.enc, part, w.out, w.acc, w.nb, w.o, c.h != 0)
+}
+
+// flush writes the bits w holds, zero-padded to a byte, and returns the
+// length of the codes.
+func (w *codeWriter) flush() int {
+	for acc := w.acc << (64 - w.nb); w.nb > 0; w.nb -= min(w.nb, 8) {
+		w.out[w.o] = byte(acc >> 56)
+		w.o, acc = w.o+1, acc<<8
+	}
+	return w.o
 }
 
 // countBytes adds the number of times each value occurs in b to h.
@@ -161,111 +189,151 @@ func nextRun(plane []byte, i int) (at, n int) {
 	return len(plane), 0
 }
 
-// putRuns writes the codes of the literals and runs of plane's bands of band
-// bytes, enc's by symbol, to out, which is their length, and appends each
-// band's length in bits to index unless it is nil. It is a function of its own
+// putRuns writes the codes of the literals and, if runs, the runs of part,
+// enc's by symbol, to out after o bytes and the low nb bits of acc, and
+// returns what it leaves unwritten as they were. It is a function of its own
 // so that its loop's few values stay in registers.
-func putRuns(enc *[planeSyms]uint32, plane []byte, band int, out, index []byte) []byte {
-	var acc uint64 // the low nb bits are not yet written
-	nb, o, start := uint(0), 0, 0
-	for lo := 0; lo < len(plane); lo += band {
-		b := plane[lo:min(lo+band, len(plane))]
-		for i := 0; i < len(b); {
-			at, n := nextRun(b, i)
-			for _, v := range b[i:at] {
-				e := enc[v]
-				acc = acc<<(e&15) | uint64(e>>4)
-				if nb += uint(e & 15); nb >= 32 {
-					nb -= 32
-					binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
-					o += 4
-				}
-			}
-			if n > 0 {
-				sym, extra, v := lengthCode(n)
-				e := enc[256+sym]
-				l := uint(e&15) + extra
-				acc = acc<<l | uint64(e>>4)<<extra | uint64(v)
-				if nb += l; nb >= 32 {
-					nb -= 32
-					binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
-					o += 4
-				}
-			}
-			i = at + n
+func putRuns(enc *[planeSyms]uint32, part, out []byte, acc uint64, nb uint, o int, runs bool) (uint64, uint, int) {
+	for i := 0; i < len(part); {
+		at, n := len(part), 0
+		if runs {
+			at, n = nextRun(part, i)
 		}
-		if index != nil {
-			end := 8*o + int(nb)
-			index, start = binary.AppendUvarint(index, uint64(end-start)), end
+		for _, v := range part[i:at] {
+			e := enc[v]
+			acc = acc<<(e&15) | uint64(e>>4)
+			if nb += uint(e & 15); nb >= 32 {
+				nb -= 32
+				binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
+				o += 4
+			}
 		}
+		if n > 0 {
+			sym, extra, v := lengthCode(n)
+			e := enc[256+sym]
+			l := uint(e&15) + extra
+			acc = acc<<l | uint64(e>>4)<<extra | uint64(v)
+			if nb += l; nb >= 32 {
+				nb -= 32
+				binary.BigEndian.PutUint32(out[o:], uint32(acc>>nb))
+				o += 4
+			}
+		}
+		i = at + n
 	}
-	for acc <<= 64 - nb; o < len(out); o++ {
-		out[o] = byte(acc >> 56)
-		acc <<= 8
-	}
-	return index
+	return acc, nb, o
 }
 
-// A lane is the decoder of one coded plane: its lookup, with the pair half,
-// its codes, and the band in hand.
+// A lane is the decoder of one plane of a scan: its lookup, with the pair
+// half (nil: stored), the scan's codes, and the part in hand.
 type lane struct {
 	t    *[2 << maxCodeLen]uint16
-	data []byte // the plane's codes, after its tables
-	dst  []byte // the band in hand
+	data []byte // the scan's codes, after its tables
+	dst  []byte // the part in hand
 	pos  int    // the bits of data read
 	out  int    // the bytes of dst written
 }
 
-// inflate is the band decoder: it decodes bands [b0, b1) of plane, cut into
-// bands of band bytes, into dst, the whole plane, refusing each unless it ends
-// where index — the bands' lengths in bits, which parse has checked — says the
-// next starts (through the last, unless padding bits are set). A band start is
-// a symbol start, so the fast loop runs to within a pass of each. Of each band
-// above b0 it decodes only the first value, which the next band predicts from,
-// if firsts, and else nothing. A stored plane it copies whole.
-func inflate(t *[2 << maxCodeLen]uint16, plane, index, dst []byte, band, b0, b1 int, firsts bool) error {
-	if plane[0] == 0 {
-		copy(dst, plane[1:])
-		return nil
+// inflate is the unit decoder: it decodes the units of scan, scan j of a
+// container whose tables take tables bytes and whose units' lengths in bits
+// index holds, that sp holds into p — in scan 0 each plane's part through
+// sc.part into the plane, its first value restored from mids, the middles of
+// the planes' values; in a refinement scan into its band of the bit plane —
+// refusing each unless it ends where index, which parse has checked,
+// says the next starts (through the last, unless padding bits are set). A
+// unit start is a symbol start, so the fast loop runs to within a pass of the
+// end of each part.
+func inflate(sc *packScratch, scan []byte, tables int, index []byte, g grid, j int, sp span, p *ycc, mids [3]uint8) error {
+	var lanes [3]lane
+	codes, rest := scan[tables:], scan[:tables]
+	for i := range lanes {
+		l := &lanes[i]
+		l.data = codes
+		if rest[0] == 0 {
+			rest = rest[1:]
+			continue
+		}
+		l.t = (*[2 << maxCodeLen]uint16)(sc.table[i*(2<<maxCodeLen):])
+		var err error
+		if rest, err = l.open(rest); err != nil {
+			return fmt.Errorf("plane %d: %v", i, err)
+		}
 	}
-	l := lane{t: t}
-	if err := l.open(plane); err != nil {
-		return err
-	}
-	for b := 0; b < b1; b++ {
+	pos := 0
+	for u := 0; u <= sp.last(g, j); u++ {
 		bits, k := binary.Uvarint(index)
+		end := pos + int(bits)
 		index = index[k:]
-		end, at := l.pos+int(bits), dst[b*band:min((b+1)*band, len(dst))]
-		ok := true
-		switch {
-		case b >= b0:
-			l.dst, l.out = at, 0
-			l.run()
-			var pos int
-			if pos, ok = finishRuns(t, l.data, at, l.pos, l.out); ok && pos != end {
-				return fmt.Errorf("band %d: codes end at bit %d, the index at %d", b, pos, end)
+		if sp.holds(g, j, u) {
+			var dst [3][]byte
+			var rect [3][4]int // in scan 0, each part's top, left, rows and columns
+			for i, o := 0, 0; i < 3; i++ {
+				if j == 0 {
+					top, left, rows, cols := g.part(i, u)
+					rect[i] = [4]int{top, left, rows, cols}
+					dst[i], o = sc.part[o:o+rows*cols], o+rows*cols
+				} else {
+					_, band, _ := planeBytes(g.w, g.h, i, j)
+					plane := p.plane(i, j)
+					dst[i] = plane[u*band : min((u+1)*band, len(plane))]
+				}
+				var ok bool
+				if pos, ok = lanes[i].part(dst[i], pos); !ok {
+					return fmt.Errorf("%s plane %d: codes run past the scan or the part, have no symbol, or repeat nothing", g.name(j, u), i)
+				}
 			}
-		case firsts:
-			_, ok = finishRuns(t, l.data, at[:1], l.pos, 0)
+			if pos != end {
+				return fmt.Errorf("%s: codes end at bit %d, the index at %d", g.name(j, u), pos, end)
+			}
+			for i := 0; j == 0 && i < 3; i++ {
+				plane, stride := p.y, p.w
+				if i > 0 {
+					plane, stride = p.plane(i, 0), (p.w+1)/2
+				}
+				top, left, rows, cols := rect[i][0], rect[i][1], rect[i][2], rect[i][3]
+				dst[i][0] += mids[i] // what deltaEncode's first value predicts from
+				for r := range rows {
+					copy(plane[(top+r)*stride+left:][:cols], dst[i][r*cols:])
+				}
+			}
 		}
-		if !ok {
-			return fmt.Errorf("band %d: codes run past the plane or the band, have no symbol, or repeat nothing", b)
-		}
-		l.pos = end
+		pos = end
 	}
-	if len(index) == 0 && padded(l.data, l.pos) {
+	if len(index) == 0 && padded(codes, pos) {
 		return errors.New("padding bits set")
 	}
 	return nil
 }
 
-// open reads the tables at the front of plane, a coded one, builds its lookup
-// and the lookup's pair half, and leaves its codes in hand.
-func (l *lane) open(plane []byte) error {
+// part decodes dst's bytes from bit pos on and returns the bit after them;
+// ok is false where finishRuns's would be, or a stored part runs past data.
+func (l *lane) part(dst []byte, pos int) (end int, ok bool) {
+	if l.t == nil {
+		end = pos + 8*len(dst)
+		if end > 8*len(l.data) {
+			return 0, false
+		}
+		if s, at := pos&7, pos>>3; s == 0 {
+			copy(dst, l.data[at:])
+		} else {
+			for k := range dst {
+				dst[k] = l.data[at+k]<<s | l.data[at+k+1]>>(8-s)
+			}
+		}
+		return end, true
+	}
+	l.dst, l.pos, l.out = dst, pos, 0
+	l.run()
+	return finishRuns(l.t, l.data, dst, l.pos, l.out)
+}
+
+// open reads the tables at the front of tables, a coded plane's, builds its
+// lookup and the lookup's pair half, and returns what follows them.
+func (l *lane) open(tables []byte) ([]byte, error) {
 	var lens [planeSyms + 1]uint8
-	_, data, err := readLengths(plane, lens[:256])
+	_, rest, err := readLengths(tables, lens[:256])
 	if err == nil {
-		_, data, err = readLengths(data, lens[256:])
+		_, rest, err = readLengths(rest, lens[256:])
 	}
 	if err == nil && lens[planeSyms] != 0 {
 		err = errors.New("a code length for no run symbol")
@@ -274,11 +342,10 @@ func (l *lane) open(plane []byte) error {
 		err = decodeTable(lens[:planeSyms], (*[1 << maxCodeLen]uint16)(l.t[:]))
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pairUp(l.t)
-	l.data, l.pos = data, 0
-	return nil
+	return rest, nil
 }
 
 // The fast loop's margins: the one 8-byte load of a pass, and what a pass
@@ -309,10 +376,10 @@ func pairUp(t *[2 << maxCodeLen]uint16) {
 	}
 }
 
-// run is the fast loop: it decodes the band in hand while fastIn bytes of
+// run is the fast loop: it decodes the part in hand while fastIn bytes of
 // data and runOut of dst remain, and checks neither; it takes a run only if
 // the run's 8-byte stores end inside dst, so that it stops within a pass of
-// the end of the band. Its refill leaves at least 56 counted bits; a pass uses at most 41 (two
+// the end of the part. Its refill leaves at least 56 counted bits; a pass uses at most 41 (two
 // literals and a run, 12+12+12+5), so one refill a pass covers it and the
 // next pass's first lookup, made before that pass refills, which keeps the
 // load off the chain from one symbol to the next. It refuses nothing itself:

@@ -77,7 +77,7 @@ func DecodeAtFidelity(data []byte, k int) (*Image, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := c.decode(data, k, 0, (c.h+bandRows-1)/bandRows)
+	p, err := c.decode(data, k, gridOf(c.w, c.h).all())
 	if err != nil {
 		return nil, err
 	}

@@ -304,18 +304,18 @@ func TestFoldBitsMatchesPerValue(t *testing.T) {
 	}
 }
 
-// TestScanErrorsNameTheScan: a refusal names the scan and the plane it is
-// in, whether the index or the decoder refuses.
+// TestScanErrorsNameTheScan: a refusal names the scan it is in and, where it
+// has them, the unit and the plane, whether the index or the decoder refuses.
 func TestScanErrorsNameTheScan(t *testing.T) {
 	base := [3][]byte{stored(7), stored(7), stored(7)}
 	bits := [3][]byte{stored(0b001), stored(0b001), stored(0b001)}
 	wide := [3][]byte{stored(make([]byte, 64)...), stored(make([]byte, 32)...), stored(make([]byte, 32)...)}
 	lone := handCode(map[byte]int{5: 1}, nil).out // one byte value, its code one bit, 0
 	for want, data := range map[string][]byte{
-		"scan 0 plane 2: 1 bytes hold no codes":               over(1, 1, [3][]byte{stored(7), stored(7), {5}}, bits),
-		"scan 2 plane 0: truncated uvarint, or 3 bytes for 1": over(1, 1, base, bits, [3][]byte{{1, 0x10, 0}, bits[1], bits[2]}, bits),
-		"scan 1 plane 0: bits set past the last value":        over(1, 1, base, [3][]byte{stored(0b011), bits[1], bits[2]}),
-		"scan 1 plane 0: band 0: codes run":                   over(64, 1, wide, [3][]byte{append(slices.Clone(lone), 0x80), stored(0, 0, 0, 0), stored(0, 0, 0, 0)}),
+		"scan 0: 3 bytes hold no three planes' tables": over(1, 1, [3][]byte{stored(7), stored(7), {5}}, bits),
+		"scan 2: 7 bytes, over its planes' 6":          over(1, 1, base, bits, [3][]byte{{1, 0x10, 0}, bits[1], bits[2]}, bits),
+		"scan 1 plane 0: bits set past the last value": over(1, 1, base, [3][]byte{stored(0b011), bits[1], bits[2]}),
+		"scan 1 band 0 plane 0: codes run":             over(64, 1, wide, [3][]byte{append(slices.Clone(lone), 0x80), stored(0, 0, 0, 0), stored(0, 0, 0, 0)}),
 	} {
 		if _, err := Decode(data); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("err %v, want ErrCorrupt naming %q", err, want)
@@ -323,9 +323,9 @@ func TestScanErrorsNameTheScan(t *testing.T) {
 	}
 }
 
-// TestScanBoundsFollowTheScan: each plane's index entries are held to what
-// that plane of its own scan decodes to — values in the base scan, one bit of
-// each in a refinement scan — from both sides.
+// TestScanBoundsFollowTheScan: each scan's index entries are held to what
+// its planes decode to — values in the base scan, one bit of each in a
+// refinement scan — from both sides.
 func TestScanBoundsFollowTheScan(t *testing.T) {
 	// Above: planes of valid codes, with the right CRC, but longer than the
 	// writer's worst case, the plane stored behind its marker. Coded under a
@@ -352,7 +352,7 @@ func TestScanBoundsFollowTheScan(t *testing.T) {
 		_, fidErr := DecodeAtFidelity(long, 2)
 		_, cropErr := DecodeCropResize(long, Rect{W: 8, H: 8}, 4, 4)
 		for _, err := range []error{sizeErr, decErr, fidErr, cropErr} {
-			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "plane 1: truncated uvarint, or") {
+			if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bytes, over its planes'") {
 				t.Errorf("over-long %s plane: err %v, want ErrCorrupt from the index", name, err)
 			}
 		}
@@ -380,8 +380,8 @@ func TestScanBoundsFollowTheScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c, err := parse(worst); err != nil || c.size[MaxScans-1][0] != 640*480/8+1 {
-		t.Fatalf("noise: err %v, or its last luma bit plane (%d B) is not stored", err, c.size[MaxScans-1][0])
+	if c, err := parse(worst); err != nil || worst[c.start[MaxScans-1]] != 0 {
+		t.Fatalf("noise: err %v, or its last luma bit plane is not stored", err)
 	}
 
 	// Below: a flat image's bit planes take a few bytes a band of 1 280.
@@ -401,18 +401,19 @@ func TestScanBoundsFollowTheScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A byte of codes under a one-bit code can yield the 1 280 bytes of band
-	// 0, and none are left for band 1.
+	// A byte of codes a plane under a one-bit code can yield 24 of the 1 920
+	// bytes of band 0, and none are left for band 1.
 	const big, bigC = 640 * 480, 320 * 240
-	tiny := over(640, 480, [3][]byte{zeros(big), zeros(bigC), zeros(bigC)}, [3][]byte{{1, 0x10, 0, 0}, zeros(bigC / 8), zeros(bigC / 8)})
+	byte1 := []byte{1, 0x10, 0, 0}
+	tiny := over(640, 480, [3][]byte{zeros(big), zeros(bigC), zeros(bigC)}, [3][]byte{byte1, byte1, byte1})
 	before := bufpool.ByteStats()
-	if _, err := Decode(tiny); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "scan 1 plane 0 band 1: a truncated length, or 0 bits") {
-		t.Errorf("a byte of codes for a luma bit plane of 38 400 bytes: err %v, want ErrCorrupt", err)
+	if _, err := Decode(tiny); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "scan 1 band 1: a truncated length, or 0 bits") {
+		t.Errorf("a byte of codes for each bit plane of 38 400 and 9 600 bytes: err %v, want ErrCorrupt", err)
 	}
 	if after := bufpool.ByteStats(); after != before {
 		t.Errorf("refused after arena traffic: %+v, was %+v", after, before)
 	}
-	if c.size[1][0] > 128 {
-		t.Errorf("a flat image's luma bit plane takes %d bytes", c.size[1][0])
+	if n := c.start[2] - c.start[1]; n > 3*128 {
+		t.Errorf("a flat image's bit planes take %d bytes", n)
 	}
 }

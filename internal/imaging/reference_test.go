@@ -19,7 +19,7 @@ import (
 // refCodes), a modulo per byte in the delta pass, one refinement bit at a time
 // and one color.YCbCrToRGB + Image.Set per pixel — the decode path as it
 // stood before the table decoder, the row kernels and the word-at-a-time
-// fold. It shares no code with the product and exists only so the production
+// fold, reading each unit's parts one plane at a time. It shares no code with the product and exists only so the production
 // path has something other than itself to be compared with.
 
 // refRunBase and refRunExtra are RFC 1951's length table (3.2.5), symbols
@@ -177,35 +177,84 @@ func refPadding(src []byte, bit int) error {
 	return nil
 }
 
-// refScan is one scan of a container as the index describes it: its CRC,
-// each plane's bytes (nil where data ends before them) and size, and each of
-// its bands' lengths in bits.
+// refScan is one scan of a container as the index describes it: its CRC, its
+// bytes (nil where data ends before them), its tables' size and each of its
+// units' length in bits.
 type refScan struct {
 	crc    uint32
-	planes [3][]byte
-	sizes  [3]int
-	bits   [3][]int
+	bytes  []byte
+	tables int
+	bits   []int
 }
 
-// refPlaneBytes is the size of plane p of scan j of a w×h image and of its
-// bands: values, or one bit each after scan 0.
-func refPlaneBytes(w, h, p, j int) (n, band int) {
-	cw, ch := (w+1)/2, (h+1)/2
-	n, band = w*h, 16*w
+// refGeometry is a w×h image's planes: plane p's values a row, rows, and
+// rows and columns a band and a strip.
+func refGeometry(w, h, p int) (stride, rows, band, strip int) {
 	if p > 0 {
-		n, band = cw*ch, 8*cw
+		return (w + 1) / 2, (h + 1) / 2, 8, 32
 	}
+	return w, h, 16, 64
+}
+
+// refUnit is one unit of a scan: each plane's part, the rect of its values in
+// scan 0 or its bytes of the bit plane in a refinement scan.
+type refUnit [3]struct{ top, left, rows, cols, lo, hi int }
+
+// refUnits lists the units of scan j of a w×h image in the order of its
+// codes: strip by strip in band by band, or in a refinement scan bands
+// across the width.
+func refUnits(w, h, j int) (units []refUnit) {
+	bands := (h + 15) / 16
+	strips := (w + 63) / 64
 	if j > 0 {
-		n, band = (n+7)/8, band/8
+		strips = 1
 	}
-	return n, band
+	for b := 0; b < bands; b++ {
+		for s := 0; s < strips; s++ {
+			var u refUnit
+			for p := range u {
+				stride, rows, band, strip := refGeometry(w, h, p)
+				part := &u[p]
+				part.top, part.left = b*band, s*strip
+				part.rows, part.cols = min(band, rows-part.top), min(strip, stride-part.left)
+				if j > 0 {
+					n := (stride*rows + 7) / 8
+					part.lo, part.hi = b*band*stride/8, min((b+1)*band*stride/8, n)
+				}
+			}
+			units = append(units, u)
+		}
+	}
+	return units
+}
+
+// size returns the bytes of the part: its values, or its bytes of the bit
+// plane.
+func (u refUnit) size(p, j int) int {
+	if j > 0 {
+		return u[p].hi - u[p].lo
+	}
+	return u[p].rows * u[p].cols
+}
+
+// refTablesLen is how many bytes a plane's tables take as their bytes say:
+// 0 for stored; H, H bytes, R, R bytes.
+func refTablesLen(src []byte) int {
+	if len(src) == 0 || src[0] == 0 {
+		return min(len(src), 1)
+	}
+	r := 1 + int(src[0])
+	if r >= len(src) {
+		return len(src) + 1
+	}
+	return r + 1 + int(src[r])
 }
 
 // refParse reads a container the way codec.go's comment lays it out and
 // returns its scans and how many of them data holds whole (−1: it ends inside
-// one). Every coded plane's bands must be able to yield their bytes, a run a
-// bit at least, and fit its codes; the bands of a plane data holds must end
-// in its last byte, and its marker say stored where its size does.
+// one). Every unit must be able to yield its values, a run a bit at least; a
+// scan may take at most its planes' bytes and a marker each, and the tables
+// of a scan data holds must take the bytes the index says.
 func refParse(data []byte) (w, h, quality int, scans []refScan, present int, err error) {
 	w, h, quality, l, err := parseHeader(data)
 	if err != nil {
@@ -235,48 +284,45 @@ func refParse(data []byte) (w, h, quality int, scans []refScan, present int, err
 		}
 		s := refScan{crc: binary.BigEndian.Uint32(index)}
 		index = index[4:]
+		bound := 0
 		for p := range 3 {
-			n, band := refPlaneBytes(w, h, p, j)
-			s.sizes[p] = next()
-			stored := bad == nil && s.sizes[p] == 0 // its size and bands go without saying
-			if stored {
-				s.sizes[p] = n + 1
+			stride, rows, _, _ := refGeometry(w, h, p)
+			n := stride * rows
+			if j > 0 {
+				n = (n + 7) / 8
 			}
-			if bad != nil || s.sizes[p] > n+1 {
-				return fail(fmt.Errorf("scan %d plane %d: no plane", j, p))
+			bound += n + 1
+		}
+		if s.tables = next(); bad != nil || s.tables < 3 || s.tables > 3*145 {
+			return fail(fmt.Errorf("scan %d: no tables", j))
+		}
+		total := 0
+		for _, u := range refUnits(w, h, j) {
+			b := next()
+			if n := u.size(0, j) + u.size(1, j) + u.size(2, j); bad != nil || b*258 < n {
+				return fail(fmt.Errorf("scan %d: %d bits cannot yield %d bytes", j, b, n))
 			}
-			start := ends[len(ends)-1] + sumSizes(s.sizes[:p])
-			codes := 8 * (s.sizes[p] - 1)
-			if start+s.sizes[p] <= len(body) {
-				plane := body[start : start+s.sizes[p]]
-				if stored != (plane[0] == 0) {
-					return fail(fmt.Errorf("scan %d plane %d: stored %v, marker %d", j, p, stored, plane[0]))
-				}
-				if hl := int(plane[0]); hl != 0 {
-					if 1+hl >= len(plane) || 2+hl+int(plane[1+hl]) > len(plane) {
-						return fail(fmt.Errorf("scan %d plane %d: tables run past the plane", j, p))
-					}
-					codes = 8 * (len(plane) - 2 - hl - int(plane[1+hl]))
-				}
-				s.planes[p] = plane
+			s.bits, total = append(s.bits, b), total+b
+		}
+		n := s.tables + (total+7)/8
+		if n > bound {
+			return fail(fmt.Errorf("scan %d: %d bytes, over %d", j, n, bound))
+		}
+		start := ends[len(ends)-1]
+		if start+s.tables <= len(body) {
+			t, p := 0, 0
+			for ; p < 3 && t < s.tables; p++ {
+				t += refTablesLen(body[start+t : start+s.tables])
 			}
-			if stored {
-				continue
-			}
-			total := 0
-			for lo := 0; lo < n; lo += band {
-				b := next()
-				if rows := min(band, n-lo); b*258 < rows {
-					return fail(fmt.Errorf("scan %d plane %d: %d bits cannot yield %d bytes", j, p, b, rows))
-				}
-				s.bits[p], total = append(s.bits[p], b), total+b
-			}
-			if bad != nil || total > codes || s.planes[p] != nil && codes-total >= 8 {
-				return fail(fmt.Errorf("scan %d plane %d: %d bits of bands in %d of codes", j, p, total, codes))
+			if p != 3 || t != s.tables {
+				return fail(fmt.Errorf("scan %d: tables of %d bytes, not %d", j, t, s.tables))
 			}
 		}
+		if start+n <= len(body) {
+			s.bytes = body[start : start+n]
+		}
 		scans = append(scans, s)
-		ends = append(ends, ends[len(ends)-1]+sumSizes(s.sizes[:]))
+		ends = append(ends, start+n)
 	}
 	if len(index) != 0 || len(body) > ends[l] {
 		return fail(errors.New("trailing bytes"))
@@ -284,65 +330,104 @@ func refParse(data []byte) (w, h, quality int, scans []refScan, present int, err
 	return w, h, quality, scans, slices.Index(ends, len(body)), nil
 }
 
-func sumSizes(sizes []int) (n int) {
-	for _, s := range sizes {
-		n += s
+// refScanParts decodes scan j of a w×h image: each unit's parts one after
+// another, a stored plane's eight bits a value, refusing each unit unless it
+// ends where the next starts, and the scan unless its padding is zero. It
+// returns each plane's parts in unit order.
+func refScanParts(s refScan, w, h, j int) ([3][]byte, error) {
+	var parts [3][]byte
+	var symbols [3]map[refCodeword]int
+	src := s.bytes[:s.tables]
+	for p := range symbols {
+		if src[0] == 0 {
+			src = src[1:]
+			continue
+		}
+		var err error
+		if symbols[p], src, err = refTables(src); err != nil {
+			return parts, fmt.Errorf("plane %d: %v", p, err)
+		}
 	}
-	return n
-}
-
-// refBands decodes a plane of n bytes, each of its bands on its own from
-// where bits, the bands' lengths, say it starts.
-func refBands(plane []byte, bits []int, n, band int) ([]byte, error) {
-	out := make([]byte, n)
-	if plane[0] == 0 {
-		copy(out, plane[1:])
-		return out, nil
-	}
-	symbol, codes, err := refTables(plane)
-	if err != nil {
-		return nil, err
-	}
-	bit := 0
-	for b, k := range bits {
-		end := bit + k
-		if bit, err = refSymbols(symbol, codes, bit, out[b*band:min((b+1)*band, n)]); err != nil {
-			return nil, fmt.Errorf("band %d: %v", b, err)
+	codes, bit := s.bytes[s.tables:], 0
+	for k, u := range refUnits(w, h, j) {
+		end := bit + s.bits[k]
+		for p := range parts {
+			part := make([]byte, u.size(p, j))
+			if symbols[p] == nil {
+				for i := range part {
+					for b := 0; b < 8; b, bit = b+1, bit+1 {
+						if bit/8 >= len(codes) {
+							return parts, fmt.Errorf("unit %d plane %d: stored part cut short", k, p)
+						}
+						part[i] = part[i]<<1 | codes[bit/8]>>(7-bit%8)&1
+					}
+				}
+			} else {
+				var err error
+				if bit, err = refSymbols(symbols[p], codes, bit, part); err != nil {
+					return parts, fmt.Errorf("unit %d plane %d: %v", k, p, err)
+				}
+			}
+			parts[p] = append(parts[p], part...)
 		}
 		if bit != end {
-			return nil, fmt.Errorf("band %d ends at bit %d, not %d", b, bit, end)
+			return parts, fmt.Errorf("unit %d ends at bit %d, not %d", k, bit, end)
 		}
 	}
-	return out, refPadding(codes, bit)
+	return parts, refPadding(codes, bit)
 }
 
-// refDeltaDecode undoes refDeltaEncode: column 0 of a row predicts from the
-// row above, or at the start of a band of band rows from the row band rows
-// up.
-func refDeltaDecode(plane []uint8, stride, band int) {
-	for i := 1; i < len(plane); i++ {
-		switch {
-		case i%stride != 0:
+// refScatter lays a plane's parts of scan 0, in unit order, out as the plane.
+func refScatter(parts []byte, w, h, p int) []byte {
+	stride, rows, _, _ := refGeometry(w, h, p)
+	plane := make([]byte, stride*rows)
+	for _, u := range refUnits(w, h, 0) {
+		for r := 0; r < u[p].rows; r++ {
+			for c := 0; c < u[p].cols; c++ {
+				plane[(u[p].top+r)*stride+u[p].left+c], parts = parts[0], parts[1:]
+			}
+		}
+	}
+	return plane
+}
+
+// refDeltaDecode undoes refDeltaEncode: in a part, the strip-band a value's
+// row and column fall in, a value predicts from its left neighbour, the
+// first of a row from the one above, and the first of the part from mid.
+func refDeltaDecode(plane []uint8, stride, band, strip int, mid uint8) {
+	for i := 0; i < len(plane); i++ {
+		switch r, c := i/stride, i%stride; {
+		case c%strip != 0:
 			plane[i] += plane[i-1]
-		case i/stride%band != 0:
+		case r%band != 0:
 			plane[i] += plane[i-stride]
 		default:
-			plane[i] += plane[i-band*stride]
+			plane[i] += mid
 		}
 	}
 }
 
-func refDeltaEncode(plane []uint8, stride, band int) {
-	for i := len(plane) - 1; i > 0; i-- {
-		switch {
-		case i%stride != 0:
+func refDeltaEncode(plane []uint8, stride, band, strip int, mid uint8) {
+	for i := len(plane) - 1; i >= 0; i-- {
+		switch r, c := i/stride, i%stride; {
+		case c%strip != 0:
 			plane[i] -= plane[i-1]
-		case i/stride%band != 0:
+		case r%band != 0:
 			plane[i] -= plane[i-stride]
 		default:
-			plane[i] -= plane[i-band*stride]
+			plane[i] -= mid
 		}
 	}
+}
+
+// refMiddle is the middle of the values plane p of scan 0 holds in a
+// container of scans scans at quality.
+func refMiddle(quality, scans, p int) uint8 {
+	yShift, cShift := shifts(quality)
+	if p > 0 {
+		yShift = cShift
+	}
+	return 128 >> (yShift + uint(scans-1))
 }
 
 func refDequant(v uint8, shift uint) uint8 {
@@ -380,8 +465,9 @@ func refSplit(planes []uint8, w, h int) [][]uint8 {
 }
 
 // refDecode decodes the first k scans of a container, every scan data
-// holds for k = 0: the base scan's planes, delta-coded in bands of 16 luma
-// rows, then a bit of each value from each refinement scan.
+// holds for k = 0: the base scan's planes, delta-coded in strip-bands of 64
+// luma columns and 16 luma rows from the middle of their values, then a bit of each value from each
+// refinement scan.
 func refDecode(data []byte, k int) (*Image, error) {
 	w, h, quality, scans, present, err := refParse(data)
 	if err != nil {
@@ -390,26 +476,27 @@ func refDecode(data []byte, k int) (*Image, error) {
 	if k == 0 {
 		k = present
 	}
-	if k < 1 || k > len(scans) || scans[k-1].planes[2] == nil {
+	if k < 1 || k > len(scans) || scans[k-1].bytes == nil {
 		return nil, fmt.Errorf("%d of %d scans", present, len(scans))
 	}
 	planes := make([]uint8, w*h+2*((w+1)/2)*((h+1)/2))
 	split := refSplit(planes, w, h)
 	for j, s := range scans[:k] {
-		if crc32.Checksum(slices.Concat(s.planes[:]...), crcTable) != s.crc {
+		if crc32.Checksum(s.bytes, crcTable) != s.crc {
 			return nil, fmt.Errorf("scan %d CRC mismatch", j)
 		}
+		parts, err := refScanParts(s, w, h, j)
+		if err != nil {
+			return nil, fmt.Errorf("scan %d: %v", j, err)
+		}
 		for p, values := range split {
-			n, band := refPlaneBytes(w, h, p, j)
-			got, err := refBands(s.planes[p], s.bits[p], n, band)
-			if err != nil {
-				return nil, fmt.Errorf("scan %d plane %d: %v", j, p, err)
-			}
 			if j == 0 {
-				copy(values, got)
-				refDeltaDecode(values, []int{w, (w + 1) / 2, (w + 1) / 2}[p], []int{16, 8, 8}[p])
+				copy(values, refScatter(parts[p], w, h, p))
+				stride, _, band, strip := refGeometry(w, h, p)
+				refDeltaDecode(values, stride, band, strip, refMiddle(quality, len(scans), p))
 				continue
 			}
+			got := parts[p]
 			for i := range values {
 				values[i] = values[i]<<1 | got[i/8]>>(i%8)&1
 			}
@@ -429,7 +516,7 @@ var (
 	// The luma planes of 1×1, 3×5, 7×7 and 161×163 hold 1, 7, 1 and 3 values
 	// mod 8, their chroma planes 1, 6, 0 and 2: what a bit plane's last byte
 	// holds.
-	refDims      = [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {7, 7}, {15, 17}, {160, 161}, {161, 163}, {640, 480}}
+	refDims      = [][2]int{{1, 1}, {1, 7}, {7, 1}, {2, 2}, {3, 5}, {7, 7}, {15, 17}, {65, 33}, {160, 161}, {161, 163}, {640, 480}}
 	refQualities = []int{95, 80, 60, 30} // one per shifts() band
 )
 
@@ -477,38 +564,52 @@ func TestDecodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestDeltaMatchesReference: deltaEncode equals the per-byte pass, and
-// undoPrediction inverts it — on every row through the last column, and on
-// any subset of rows through any column, where each listed value is the plane
-// value and each one right of the column or in a skipped row is still the
-// residual — column 0 aside, on the bands' first rows down to the first listed
-// row and on every row from its band's first to the last listed row. A tall
-// list (shift 1) names each row twice. Bands are one a row, a few rows, or
-// the whole plane.
+// TestDeltaMatchesReference: deltaEncode over each part of a plane equals
+// the per-byte pass, and undoPrediction inverts it — on every row through the
+// last column, and on any subset of rows from any strip's first column
+// through any column, where each listed value is the plane value and each one
+// outside them is still the residual — each strip's first column aside, on
+// every row from its band's first to a listed row below. A tall list (shift
+// 1) names each row twice. Bands and strips are one value, a few, or the
+// whole plane.
 func TestDeltaMatchesReference(t *testing.T) {
 	for _, dim := range [][2]int{{1, 1}, {1, 9}, {9, 1}, {2, 2}, {13, 7}, {64, 33}} {
 		for _, band := range []int{1, 4, maxDim} {
-			assertDeltaMatches(t, dim[0], dim[1], band)
+			for _, strip := range []int{1, 4, maxDim} {
+				assertDeltaMatches(t, dim[0], dim[1], band, strip)
+			}
 		}
 	}
 }
 
-func assertDeltaMatches(t *testing.T, stride, rows, band int) {
+func assertDeltaMatches(t *testing.T, stride, rows, band, strip int) {
 	t.Helper()
+	name := fmt.Sprintf("%dx%d in bands of %d and strips of %d", stride, rows, band, strip)
 	orig := make([]uint8, stride*rows)
 	for i := range orig {
 		orig[i] = uint8(i*131 + i>>3)
 	}
 	want := append([]uint8(nil), orig...)
-	refDeltaEncode(want, stride, band)
-	resid := append([]uint8(nil), orig...)
-	deltaEncode(resid, stride, band)
-	if !bytes.Equal(resid, want) {
-		t.Errorf("deltaEncode %dx%d in bands of %d differs from the reference", stride, rows, band)
+	refDeltaEncode(want, stride, band, strip, 0)
+	for top := 0; top < rows; top += band {
+		for left := 0; left < stride; left += strip {
+			h, w := min(band, rows-top), min(strip, stride-left)
+			part := make([]uint8, 0, h*w)
+			for r := top; r < top+h; r++ {
+				part = append(part, orig[r*stride+left:r*stride+left+w]...)
+			}
+			deltaEncode(part, w, 0)
+			for r := top; r < top+h; r++ {
+				if !bytes.Equal(part[(r-top)*w:(r-top+1)*w], want[r*stride+left:r*stride+left+w]) {
+					t.Fatalf("deltaEncode %s: the part at (%d, %d) differs from the reference", name, left, top)
+				}
+			}
+		}
 	}
-	refDeltaDecode(want, stride, band)
+	resid := append([]uint8(nil), want...)
+	refDeltaDecode(want, stride, band, strip, 0)
 	if !bytes.Equal(want, orig) {
-		t.Errorf("refDeltaDecode %dx%d does not invert deltaEncode", stride, rows)
+		t.Errorf("refDeltaDecode %s does not invert refDeltaEncode", name)
 	}
 
 	every := make([]int32, rows)
@@ -521,7 +622,8 @@ func assertDeltaMatches(t *testing.T, stride, rows, band int) {
 	}
 	for _, list := range lists {
 		for _, shift := range []uint{0, 1} {
-			for _, last := range []int{0, stride / 2, stride - 1} {
+			for _, cols := range [][2]int{{0, 0}, {0, stride / 2}, {0, stride - 1}, {(stride - 1) / strip * strip, stride - 1}, {stride / 2 / strip * strip, stride / 2}} {
+				first, last := cols[0], cols[1]
 				tall := list
 				if shift == 1 { // rows 2r and 2r+1 of the taller plane
 					tall = nil
@@ -530,21 +632,23 @@ func assertDeltaMatches(t *testing.T, stride, rows, band int) {
 					}
 				}
 				got := append([]uint8(nil), resid...)
-				undoPrediction(got, stride, tall, shift, last, band, refinement{})
-				listed := map[int]bool{}
+				undoPrediction(got, stride, tall, shift, first, last, band, strip, refinement{})
+				listed, chained := map[int]bool{}, map[int]bool{}
 				for _, r := range list {
 					listed[int(r)] = true
+					for c := int(r) / band * band; c <= int(r); c++ {
+						chained[c] = true
+					}
 				}
-				top, bottom := int(list[0])/band*band, int(list[len(list)-1])
 				for i, v := range got {
 					r, c := i/stride, i%stride
 					want := resid[i]
-					if (listed[r] && c <= last) || (c == 0 && (r%band == 0 && r <= top || top <= r && r <= bottom)) {
+					if first <= c && c <= last && (listed[r] || c%strip == 0 && chained[r]) {
 						want = orig[i]
 					}
 					if v != want {
-						t.Fatalf("undoPrediction %dx%d in bands of %d, rows %v>>%d through column %d: (%d, %d) = %d, want %d",
-							stride, rows, band, tall, shift, last, c, r, v, want)
+						t.Fatalf("undoPrediction %s, rows %v>>%d from column %d through %d: (%d, %d) = %d, want %d",
+							name, tall, shift, first, last, c, r, v, want)
 					}
 				}
 			}
@@ -564,7 +668,7 @@ func fnvHex(parts ...[]byte) string {
 // fixed images, so that a change to either is noticed. The pixels digests
 // were taken from the per-pixel encoder and a DEFLATE-reading decoder, and
 // outlive every change of the stored form; the stored digests are those of
-// SJPG version 4 at one scan and at MaxScans.
+// SJPG version 5 at one scan and at MaxScans.
 func TestGoldenDigests(t *testing.T) {
 	for _, c := range []struct {
 		seed          uint64
@@ -574,11 +678,11 @@ func TestGoldenDigests(t *testing.T) {
 		pixels        string // Decode, then DecodeAtFidelity k = 1..MaxScans
 	}{
 		{seed: 1, w: 160, h: 161, quality: 80, detail: 0.5,
-			one: "547ddd765fc2ab06", deep: "bf695bad823ef010", pixels: "cca12a6e5f0185ec"},
+			one: "f88939c345f29fee", deep: "419a7be1bdec769b", pixels: "cca12a6e5f0185ec"},
 		{seed: 2, w: 333, h: 250, quality: 95, detail: 0.9,
-			one: "3e3350071489fd91", deep: "ecd70685e491467c", pixels: "a03d1547a4ceb6ad"},
+			one: "88740dc1a13c0a2f", deep: "7878c4bfd1c36bba", pixels: "a03d1547a4ceb6ad"},
 		{seed: 3, w: 640, h: 480, quality: 40, detail: 0.2,
-			one: "ad194c394c90f001", deep: "f73f294e84372bf8", pixels: "4f8d8ca9b8699bfd"},
+			one: "eb086807b0b9550b", deep: "d225a6651d12178e", pixels: "4f8d8ca9b8699bfd"},
 	} {
 		im := synthFor(t, c.seed, c.w, c.h, c.detail)
 		one, err := Encode(im, c.quality)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/simclock"
@@ -83,16 +84,19 @@ func (tb *TokenBucket) SetRate(bytesPerSec float64) error {
 }
 
 // waitN reserves n tokens, sleeping for as long as the reservation
-// overdraws the bucket. n <= 0 returns immediately.
-func (tb *TokenBucket) waitN(n int) {
+// overdraws the bucket, and returns how late that sleep woke. late is how
+// late the writer's previous sleep woke: the bucket banks that time beyond
+// its burst, for it was the host's oversleep, not idle link time. n <= 0
+// returns immediately.
+func (tb *TokenBucket) waitN(n int, late time.Duration) time.Duration {
 	if n <= 0 {
-		return
+		return 0
 	}
 	tb.mu.Lock()
 	now := tb.clock.Now()
 	tb.tokens += now.Sub(tb.last).Seconds() * tb.rate
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
+	if limit := tb.burst + late.Seconds()*tb.rate; tb.tokens > limit {
+		tb.tokens = limit
 	}
 	tb.last = now
 	tb.tokens -= float64(n)
@@ -101,9 +105,11 @@ func (tb *TokenBucket) waitN(n int) {
 		wait = time.Duration(-tb.tokens / tb.rate * float64(time.Second))
 	}
 	tb.mu.Unlock()
-	if wait > 0 {
-		tb.clock.Sleep(wait)
+	if wait <= 0 {
+		return 0
 	}
+	tb.clock.Sleep(wait)
+	return max(tb.clock.Now().Sub(now)-wait, 0)
 }
 
 // shapeChunk bounds how many bytes a single reservation covers so
@@ -116,6 +122,7 @@ const shapeChunk = 32 << 10
 type shapedConn struct {
 	net.Conn
 	bucket *TokenBucket
+	late   atomic.Int64 // how late the last reservation's sleep woke, in ns
 }
 
 // shape wraps conn so writes drain bucket.
@@ -132,7 +139,7 @@ func (c *shapedConn) Write(p []byte) (int, error) {
 		if n > shapeChunk {
 			n = shapeChunk
 		}
-		c.bucket.waitN(n)
+		c.late.Store(int64(c.bucket.waitN(n, time.Duration(c.late.Load()))))
 		m, err := c.Conn.Write(p[written : written+n])
 		written += m
 		if err != nil {

@@ -46,7 +46,7 @@ func TestNewTokenBucketValidates(t *testing.T) {
 func TestTokenBucketBurstIsFree(t *testing.T) {
 	tb, _ := NewTokenBucket(1, 1000, nil) // 1 B/s but big burst
 	start := time.Now()
-	tb.waitN(1000)
+	tb.waitN(1000, 0)
 	if time.Since(start) > 500*time.Millisecond {
 		t.Fatal("burst-sized reservation blocked")
 	}
@@ -57,7 +57,7 @@ func TestTokenBucketEnforcesRate(t *testing.T) {
 	tb, _ := NewTokenBucket(1e6, 0, nil)
 	start := time.Now()
 	for i := 0; i < 20; i++ {
-		tb.waitN(10000)
+		tb.waitN(10000, 0)
 	}
 	elapsed := time.Since(start)
 	if elapsed < 150*time.Millisecond {
@@ -72,8 +72,8 @@ func TestTokenBucketZeroAndNegativeN(t *testing.T) {
 	tb, _ := NewTokenBucket(1, 0, nil)
 	done := make(chan struct{})
 	go func() {
-		tb.waitN(0)
-		tb.waitN(-5)
+		tb.waitN(0, 0)
+		tb.waitN(-5, 0)
 		close(done)
 	}()
 	select {
@@ -95,7 +95,7 @@ func TestTokenBucketNeverOverDelivers(t *testing.T) {
 		}
 		start := time.Now()
 		for i := 0; i < chunks; i++ {
-			tb.waitN(per)
+			tb.waitN(per, 0)
 		}
 		minSec := (float64(chunks*per) - burst) / rate
 		// Allow 20% scheduling slack below the theoretical floor.

@@ -97,7 +97,17 @@ func FuzzProfileMatchesRun(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, raw := range [][]byte{one, deep} {
+	// An image three strips wide, so that cuts and flips land in a scan-0
+	// band's later strips and the crop reads some strips and not others.
+	wideIm, err := imaging.Synthesize(imaging.SynthParams{W: 150, H: 35, Detail: 0.5, Seed: 4})
+	if err != nil {
+		f.Fatal(err)
+	}
+	wide, err := imaging.EncodeDefault(wideIm)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, raw := range [][]byte{one, deep, wide} {
 		f.Add(raw, uint64(0))
 		for cut := 0; cut < len(raw); cut += 23 {
 			f.Add(raw[:cut], uint64(cut))

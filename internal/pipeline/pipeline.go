@@ -173,7 +173,7 @@ func (p *Pipeline) step(cur Artifact, i, to int, h *rngHolder, seed Seed) (next 
 }
 
 // CropRect returns the rect the fused Decode+RandomResizedCrop (step) draws
-// from raw's header and seed, for a server to ship only its rows
+// from raw's header and seed, for a server to ship only the part it reads
 // (imaging.Slice); ok only when ops 0–1 are that pair and the header parses.
 func (p *Pipeline) CropRect(raw []byte, seed Seed) (imaging.Rect, bool) {
 	crop, isCrop := p.ops[min(1, len(p.ops)-1)].(randomResizedCropOp)

@@ -357,7 +357,7 @@ func (c *Client) Fetch(ctx context.Context, sample uint32, split int, epoch uint
 // be the same length as samples; each is a packed directive (PackDirective):
 // a plain split value requests full fidelity, a packed fidelity asks the
 // server to withhold that many progressive refinement scans (127 or more
-// withhold them all), and Rows asks for only the rows the epoch's crop reads.
+// withhold them all), and Rows asks for only the part the epoch's crop reads.
 func (c *Client) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]FetchResult, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("storage: empty batch")

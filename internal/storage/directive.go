@@ -14,8 +14,8 @@ func PackDirective(split, fidelity int) int {
 	return split | fidelity<<8
 }
 
-// Rows, beside a packed directive, asks a raw fetch for only the rows the
-// epoch's crop reads (wire.FetchBatchItem.Rows). The trainer sets it outside
+// Rows, beside a packed directive, asks a raw fetch for only the part — the
+// rows and columns — the epoch's crop reads (wire.FetchBatchItem.Rows). The trainer sets it outside
 // the profiling epoch; a cache clears it on the misses it forwards.
 const Rows = 1 << 30
 

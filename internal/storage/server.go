@@ -422,7 +422,7 @@ func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.F
 
 // sliceRaw answers a raw fetch with no decode and no executor core:
 // imaging.Slice of the stored object to item.Fidelity and, under item.Rows,
-// to the bands of the crop the seed draws (Pipeline.CropRect), copied into a
+// to the units of the crop the seed draws (Pipeline.CropRect), copied into a
 // pooled buffer the writer recycles. One that withholds bytes counts in
 // PrefixServed and PrefixBytesSaved.
 func (s *Server) sliceRaw(raw []byte, item wire.FetchBatchItem, seed pipeline.Seed) []byte {

@@ -76,13 +76,12 @@ func TestRunEpochFidelityPlanReducesTraffic(t *testing.T) {
 	if reduced.Offloaded != 0 {
 		t.Fatalf("fidelity plan counted %d offloaded samples", reduced.Offloaded)
 	}
-	// Every reduced-fidelity fetch is a prefix, and 11 of the 16
-	// full-fidelity fetches of epoch 1 are row slices (storage.Rows); the
-	// other 5 ship whole, their crops reading every band or their slices no
-	// shorter.
+	// Every reduced-fidelity fetch is a prefix, and 12 of the 16
+	// full-fidelity fetches of epoch 1 are sliced (storage.Rows); the other 4
+	// ship whole, their crops reading every unit or their slices no shorter.
 	c := h.server.Counters()
-	if got := c.PrefixServed.Load(); got != n+11 {
-		t.Fatalf("server prefix-served %d fetches, want %d", got, n+11)
+	if got := c.PrefixServed.Load(); got != n+12 {
+		t.Fatalf("server prefix-served %d fetches, want %d", got, n+12)
 	}
 	if c.PrefixBytesSaved.Load() == 0 {
 		t.Fatal("server saved no bytes")

@@ -498,7 +498,7 @@ func directiveFor(plan *policy.Plan, i int) int {
 func (t *Trainer) finishSample(res storage.FetchResult, epoch uint64, i, split int, collector *profiler.Collector, computeSem chan struct{}) sampleOutcome {
 	// The directive packs (cut, fidelity) and Rows; only the cut matters
 	// locally — a reduced-fidelity container decodes transparently from
-	// fewer scans, and a row-sliced one to the same crop.
+	// fewer scans, and a sliced one to the same crop.
 	split, _ = storage.UnpackDirective(split)
 	seed := pipeline.Seed{Job: t.cfg.JobID, Epoch: epoch, Sample: uint64(i)}
 

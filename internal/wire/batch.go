@@ -6,7 +6,8 @@ import "encoding/binary"
 // first Split pipeline ops (0 ships the stored object), withholding Fidelity
 // progressive refinement scans when the stored object has them
 // (imaging.FidelityPrefixSize; 0 = the full container), and under Rows only
-// the bands the epoch's crop of it reads (imaging.Slice). Fidelity and Rows
+// the units — rows and columns — the epoch's crop of it reads
+// (imaging.Slice). Fidelity and Rows
 // are meaningful only at Split 0; servers ignore them on deeper cuts. On the
 // wire an item is always 6 bytes: sample (4), split, and the fidelity byte —
 // Fidelity in its low 7 bits, Rows in its high bit.

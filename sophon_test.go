@@ -144,7 +144,7 @@ func TestAutoTrainWithChaosRetryAndCache(t *testing.T) {
 		MaxDim:          280,
 		CropSize:        64,
 		StorageCores:    2,
-		ChaosConnBudget: 512 << 10,
+		ChaosConnBudget: 384 << 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -213,7 +213,7 @@ func TestChaosConnBudgetRetriesOverSeeds(t *testing.T) {
 			MaxDim:          280,
 			CropSize:        64,
 			StorageCores:    2,
-			ChaosConnBudget: 512 << 10,
+			ChaosConnBudget: 384 << 10,
 		})
 		if err != nil {
 			t.Fatal(err)
