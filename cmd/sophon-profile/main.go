@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/netsim"
@@ -110,16 +111,11 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		StorageSlowdown: 1,
 		GPU:             model,
 	}
-	plan, err := policy.NewSophon().Plan(tr, env)
+	d, err := core.New().Decide(tr, env)
 	if err != nil {
 		return err
 	}
-	m, err := policy.ModelFor(tr, plan, env)
-	if err != nil {
-		return err
-	}
-	base, _ := policy.NewUniformPlan("No-Off", tr.N(), 0)
-	bm, _ := policy.ModelFor(tr, base, env)
+	plan, m := d.Plan, d.Planned
 	traffic, _ := plan.Traffic(tr)
 	fmt.Fprintf(stdout, "\nSOPHON plan at %d storage cores, %.0f Mbps, %s:\n", *cores, *mbps, model.Name)
 	fmt.Fprintf(stdout, "  offloaded %d/%d samples\n", plan.OffloadedCount(), tr.N())
@@ -134,7 +130,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		float64(tr.TotalRawBytes())/float64(traffic))
 	fmt.Fprintf(stdout, "  epoch     T_G=%.1fs T_CC=%.1fs T_CS=%.1fs T_Net=%.1fs → %.1fs (No-Off %.1fs)\n",
 		m.TG.Seconds(), m.TCC.Seconds(), m.TCS.Seconds(), m.TNet.Seconds(),
-		m.Predicted().Seconds(), bm.Predicted().Seconds())
+		m.Predicted().Seconds(), d.Baseline.Predicted().Seconds())
 
 	if *dumpPlan != "" {
 		if err := persist.SavePlan(*dumpPlan, plan, persist.PlanMeta{}); err != nil {

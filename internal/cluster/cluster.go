@@ -167,7 +167,7 @@ func (c *Cluster) SetLinkMbps(mbps float64) error {
 	return nil
 }
 
-// newShardedClient builds the retrying fan-out client over the cluster's
+// NewShardedClient builds the retrying fan-out client over the cluster's
 // in-memory shards (see DialSharded).
 func (c *Cluster) NewShardedClient(opts storage.ClientOptions, attempts int, pause time.Duration, degraded bool) (*ShardedClient, error) {
 	return DialSharded(c.m, func(s int) (*storage.Client, error) { return c.DialShard(s, opts) }, attempts, pause, degraded)

@@ -46,8 +46,8 @@ func (d Decision) PredictedSpeedup() float64 {
 	return float64(d.Baseline.Predicted()) / float64(p)
 }
 
-// Decide runs stage 1 analytically from the profiled trace, then — if the
-// workload is I/O-bound — runs the decision engine over the stage-2
+// Decide runs stage 1 analytically from the no-offload baseline, then — if
+// the workload is I/O-bound — runs the decision engine over the stage-2
 // records.
 func (f *Framework) Decide(tr *dataset.Trace, env policy.Env) (Decision, error) {
 	if tr == nil || tr.N() == 0 {
@@ -61,10 +61,6 @@ func (f *Framework) Decide(tr *dataset.Trace, env policy.Env) (Decision, error) 
 		engine = policy.NewSophon()
 	}
 
-	stage1, err := profiler.Stage1FromTrace(tr, env)
-	if err != nil {
-		return Decision{}, err
-	}
 	noOff, err := policy.NewUniformPlan(engine.Name(), tr.N(), 0)
 	if err != nil {
 		return Decision{}, err
@@ -72,6 +68,14 @@ func (f *Framework) Decide(tr *dataset.Trace, env policy.Env) (Decision, error) 
 	baseline, err := policy.ModelFor(tr, noOff, env)
 	if err != nil {
 		return Decision{}, err
+	}
+	// Each probe converges to the samples an epoch moves over the matching
+	// term, so stage 1 reads the baseline's own per-shard terms.
+	n := float64(tr.N())
+	stage1 := profiler.Stage1Result{
+		GPUThroughput: n / baseline.TG.Seconds(),
+		IOThroughput:  n / baseline.TNet.Seconds(),
+		CPUThroughput: n / baseline.TCC.Seconds(),
 	}
 	d := Decision{Stage1: stage1, Plan: noOff, Baseline: baseline, Planned: baseline}
 	if !stage1.IOBound() || env.StorageCores == 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/dataset"
@@ -42,6 +43,106 @@ func TestDecideValidation(t *testing.T) {
 	bad.ComputeCores = 0
 	if _, err := f.Decide(tr, bad); err == nil {
 		t.Fatal("accepted bad env")
+	}
+	bad = paperEnv(4)
+	bad.Bandwidth = 0
+	if _, err := f.Decide(tr, bad); err == nil {
+		t.Fatal("accepted zero bandwidth")
+	}
+}
+
+// TestDecideStage1PaperSetupIsIOBound: the paper's setup (500 Mbps, 48
+// compute cores, AlexNet) reads I/O-bound, at about 62.5 MB/s over ~300 KB
+// samples ≈ 208 samples/s.
+func TestDecideStage1PaperSetupIsIOBound(t *testing.T) {
+	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(2000), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := New().Decide(tr, paperEnv(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Stage1.IOBound() {
+		t.Fatalf("paper setup not I/O bound: %+v", d.Stage1)
+	}
+	if d.Stage1.IOThroughput < 150 || d.Stage1.IOThroughput > 280 {
+		t.Fatalf("IO throughput %v, want ≈208", d.Stage1.IOThroughput)
+	}
+}
+
+// TestDecideStage1BottleneckShifts: on a fat link, one compute core makes
+// stage 1 read CPU-bound and ResNet50 makes it read GPU-bound.
+func TestDecideStage1BottleneckShifts(t *testing.T) {
+	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(1000), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuEnv := paperEnv(48)
+	cpuEnv.ComputeCores = 1
+	cpuEnv.Bandwidth = netsim.Mbps(50000)
+	d, err := New().Decide(tr, cpuEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stage1.Bottleneck().String(); got != "cpu-bound" {
+		t.Fatalf("1-core fat-link setup: %s", got)
+	}
+
+	gpuEnv := paperEnv(48)
+	gpuEnv.Bandwidth = netsim.Mbps(50000)
+	gpuEnv.GPU = gpu.ResNet50
+	d, err = New().Decide(tr, gpuEnv)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.Stage1.Bottleneck().String(); got != "gpu-bound" {
+		t.Fatalf("ResNet50 fat-link setup: %s", got)
+	}
+}
+
+// TestDecideStage1ReadsEveryShardsLink: Env.Bandwidth is a per-shard link,
+// so stage 1's I/O rate grows with the shard count, and at 32 shards the
+// decision's stage 1 agrees with its own baseline that the GPU binds. A
+// stage 1 priced over one link for the whole tier reads 207.6 samples/s and
+// io-bound at every shard count.
+func TestDecideStage1ReadsEveryShardsLink(t *testing.T) {
+	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(4000), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		shards     int
+		io         string
+		bottleneck string
+		dominant   string
+	}{
+		{1, "207.6", "io-bound", "TNet"},
+		{4, "807.7", "io-bound", "TNet"},
+		{32, "5706", "gpu-bound", "TG"},
+	} {
+		env := paperEnv(4)
+		env.Shards = c.shards
+		d, err := New().Decide(tr, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io := fmt.Sprintf("%.1f", d.Stage1.IOThroughput)
+		if c.shards == 32 {
+			io = fmt.Sprintf("%.0f", d.Stage1.IOThroughput)
+		}
+		if io != c.io {
+			t.Errorf("shards=%d: stage-1 I/O %s samples/s, want %s", c.shards, io, c.io)
+		}
+		if got := d.Stage1.Bottleneck().String(); got != c.bottleneck {
+			t.Errorf("shards=%d: stage 1 reads %s, want %s", c.shards, got, c.bottleneck)
+		}
+		if got := d.Baseline.Dominant(); got != c.dominant {
+			t.Errorf("shards=%d: baseline dominated by %s, want %s", c.shards, got, c.dominant)
+		}
+		if d.Activated != (c.dominant == "TNet") {
+			t.Errorf("shards=%d: activated %v with %s dominant", c.shards, d.Activated, c.dominant)
+		}
 	}
 }
 

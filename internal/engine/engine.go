@@ -396,18 +396,6 @@ func newJob(cfg Config, t *tier, dataset uint64) *job {
 	return j
 }
 
-// xferBytes prices one sample's transfer: stage-split artifact plus
-// framing, with the raw container scaled to its fidelity prefix when the
-// ladder is enabled — the same rule policy.Plan.TrafficWith applies.
-func (j *job) xferBytes(id int) int64 {
-	split := j.cfg.Plan.Split(id)
-	size := j.cfg.Trace.Records[id].StageSizes[split]
-	if split == 0 && j.cfg.Fidelity != nil {
-		size = j.cfg.Fidelity.BytesAt(size, j.cfg.Plan.FidelityOf(id))
-	}
-	return size + defaultRequestOverhead
-}
-
 // shard is the storage server that owns stream position i's sample.
 func (j *job) shard(i int) int { return j.tier.shardMap.ShardOf(uint32(j.order[i])) }
 
@@ -441,8 +429,12 @@ func (j *job) step() {
 	shard := j.shard(i)
 	at := j.gate()
 
-	bytes := j.xferBytes(id)
-	full := rec.StageSizes[split] + defaultRequestOverhead
+	// The plan prices the sample (policy.Plan.ShippedBytes, the planner's
+	// own rule): artifact is its cut at full fidelity, bytes what the link
+	// carries, both with framing.
+	artifact := j.cfg.Plan.ShippedBytes(j.cfg.Trace, id, nil)
+	full := artifact + defaultRequestOverhead
+	bytes := j.cfg.Plan.ShippedBytes(j.cfg.Trace, id, j.cfg.Fidelity) + defaultRequestOverhead
 	key := cacheKey{dataset: j.dataset, sample: uint32(id), cut: uint8(split)}
 	shared := t.cacheCap > 0 && j.dataset != 0
 	if shared && t.resident[key] {
@@ -468,9 +460,9 @@ func (j *job) step() {
 		}
 		if shared {
 			j.cacheMisses++
-			if sz := rec.StageSizes[split]; t.cacheUsed+sz <= t.cacheCap {
+			if t.cacheUsed+artifact <= t.cacheCap {
 				t.resident[key] = true
-				t.cacheUsed += sz
+				t.cacheUsed += artifact
 			}
 		}
 	}

@@ -57,11 +57,11 @@ func SpecFromTenant(t sched.Tenant, g sched.Grant, sessions int, rate, hitRate f
 		k := g.Plan.Split(i)
 		if k > 0 {
 			offCount++
-			offBytes += tr.Records[i].StageSizes[k]
+			offBytes += g.Plan.ShippedBytes(tr, i, nil)
 			offCPU += tr.Records[i].PrefixTime(k)
 		} else {
 			rawCount++
-			rawBytes += tr.Records[i].StageSizes[0]
+			rawBytes += g.Plan.ShippedBytes(tr, i, nil)
 		}
 	}
 	offFrac := float64(offCount) / float64(n)

@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dataset"
 )
 
@@ -54,17 +52,6 @@ func (m FidelityModel) Validate() error {
 // maxDrop returns the deepest scan drop the ladder supports.
 func (m FidelityModel) maxDrop() int { return m.Levels - 1 }
 
-// fracFor returns the byte fraction shipped when drop scans are withheld.
-func (m FidelityModel) fracFor(drop int) float64 {
-	if drop <= 0 {
-		return 1
-	}
-	if drop > m.Levels-1 {
-		drop = m.Levels - 1
-	}
-	return m.ByteFrac[m.Levels-1-drop]
-}
-
 // qualityFor returns the reconstruction quality when drop scans are
 // withheld.
 func (m FidelityModel) qualityFor(drop int) float64 {
@@ -77,19 +64,15 @@ func (m FidelityModel) qualityFor(drop int) float64 {
 	return m.Quality[m.Levels-1-drop]
 }
 
-// BytesAt returns the transfer size when drop scans are withheld from a
+// bytesAt returns the transfer size when drop scans are withheld from a
 // full container of size bytes (never below 1 byte; drop 0 is the full
-// size). This is the single byte-accounting rule shared by the planner and
-// the discrete-event engine.
-func (m FidelityModel) BytesAt(size int64, drop int) int64 {
+// size).
+func (m FidelityModel) bytesAt(size int64, drop int) int64 {
 	if drop <= 0 {
 		return size
 	}
-	scaled := int64(float64(size) * m.fracFor(drop))
-	if scaled < 1 {
-		scaled = 1
-	}
-	return scaled
+	drop = min(drop, m.Levels-1)
+	return max(1, int64(float64(size)*m.ByteFrac[m.Levels-1-drop]))
 }
 
 // FidelityOf returns how many refinement scans sample id's raw container
@@ -139,18 +122,7 @@ func (p *Plan) TrafficWith(tr *dataset.Trace, fm FidelityModel) (int64, error) {
 	if err := fm.Validate(); err != nil {
 		return 0, err
 	}
-	if len(p.Splits) != tr.N() {
-		return 0, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
-	}
-	var sum int64
-	for i := range tr.Records {
-		size := tr.Records[i].StageSizes[p.Splits[i]]
-		if p.Splits[i] == 0 {
-			size = fm.BytesAt(size, p.FidelityOf(i))
-		}
-		sum += size
-	}
-	return sum, nil
+	return p.traffic(tr, &fm)
 }
 
 // FidelityPass configures SOPHON's progressive second pass: after the
@@ -182,14 +154,12 @@ func (fp FidelityPass) validate() error {
 	return nil
 }
 
-// applyFidelityPass runs the progressive greedy loop over a discrete plan
-// in place: rank split-0 samples by bytes saved at their deepest
-// floor-respecting drop, admit while the sample's shard keeps T_Net
-// strictly dominant and the plan-wide mean quality stays above the floor.
-// The tg/tcc/tnet/tcs state continues from the discrete loop so the stop
-// condition is shared.
-func applyFidelityPass(plan *Plan, tr *dataset.Trace, env Env, fp FidelityPass,
-	shardMap *cluster.ShardMap, tg, tcc time.Duration, tnet, tcs []time.Duration) {
+// apply runs the progressive greedy loop over a discrete plan in place:
+// rank split-0 samples by bytes saved at their deepest floor-respecting
+// drop, admit while the sample's shard keeps T_Net strictly dominant and the
+// plan-wide mean quality stays above the floor. The terms continue from the
+// discrete loop, so the stop condition is shared.
+func (fp FidelityPass) apply(plan *Plan, tr *dataset.Trace, t *terms) {
 	type fidCand struct {
 		id     int
 		drop   int
@@ -208,7 +178,7 @@ func applyFidelityPass(plan *Plan, tr *dataset.Trace, env Env, fp FidelityPass,
 			continue
 		}
 		raw := tr.Records[i].StageSizes[0]
-		saving := raw - int64(float64(raw)*fp.Model.fracFor(drop))
+		saving := raw - fp.Model.bytesAt(raw, drop)
 		if saving <= 0 {
 			continue
 		}
@@ -221,9 +191,6 @@ func applyFidelityPass(plan *Plan, tr *dataset.Trace, env Env, fp FidelityPass,
 		return cands[i].id < cands[j].id
 	})
 
-	netDominant := func(sh int) bool {
-		return tnet[sh] > tg && tnet[sh] > tcc && tnet[sh] > tcs[sh]
-	}
 	n := float64(plan.N())
 	qualityBudget := 0.0 // total quality mass the floor allows us to spend
 	if fp.MeanQualityFloor > 0 {
@@ -231,8 +198,8 @@ func applyFidelityPass(plan *Plan, tr *dataset.Trace, env Env, fp FidelityPass,
 	}
 	spent := 0.0
 	for _, c := range cands {
-		sh := shardMap.ShardOf(uint32(c.id))
-		if !netDominant(sh) {
+		sh := t.shards.ShardOf(uint32(c.id))
+		if !t.netDominant(sh) {
 			continue
 		}
 		cost := 1 - fp.Model.qualityFor(c.drop)
@@ -244,6 +211,6 @@ func applyFidelityPass(plan *Plan, tr *dataset.Trace, env Env, fp FidelityPass,
 		}
 		plan.Fidelity[c.id] = uint8(c.drop)
 		spent += cost
-		tnet[sh] -= time.Duration(float64(c.saving) / env.Bandwidth * float64(time.Second))
+		t.offload(sh, t.net(c.saving), 0, 0)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -96,27 +97,32 @@ func (p *Plan) String() string {
 
 // Traffic returns the planned per-epoch transfer volume in bytes: each
 // sample ships its stage-split artifact.
-func (p *Plan) Traffic(tr *dataset.Trace) (int64, error) {
+func (p *Plan) Traffic(tr *dataset.Trace) (int64, error) { return p.traffic(tr, nil) }
+
+// traffic sums ShippedBytes over the trace.
+func (p *Plan) traffic(tr *dataset.Trace, fm *FidelityModel) (int64, error) {
 	if len(p.Splits) != tr.N() {
 		return 0, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
 	}
 	var sum int64
 	for i := range tr.Records {
-		sum += tr.Records[i].StageSizes[p.Splits[i]]
+		sum += p.ShippedBytes(tr, i, fm)
 	}
 	return sum, nil
 }
 
-// computeCPU returns the total single-core CPU time of the local suffixes.
-func (p *Plan) computeCPU(tr *dataset.Trace) (time.Duration, error) {
-	if len(p.Splits) != tr.N() {
-		return 0, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
+// ShippedBytes prices sample id's transfer under the plan: its stage-split
+// artifact, or, at split 0 under a fidelity ladder fm, the raw container's
+// fidelity prefix. A nil fm is full fidelity everywhere. This is the one
+// byte rule: the planner's terms, Traffic, TrafficWith and the
+// discrete-event engine all price a sample with it.
+func (p *Plan) ShippedBytes(tr *dataset.Trace, id int, fm *FidelityModel) int64 {
+	split := p.Split(id)
+	size := tr.Records[id].StageSizes[split]
+	if split == 0 && fm != nil {
+		size = fm.bytesAt(size, p.FidelityOf(id))
 	}
-	var sum time.Duration
-	for i := range tr.Records {
-		sum += tr.Records[i].TotalTime() - tr.Records[i].PrefixTime(int(p.Splits[i]))
-	}
-	return sum, nil
+	return size
 }
 
 // Env describes the training environment's resources — everything the
@@ -207,12 +213,6 @@ func (m EpochModel) Predicted() time.Duration {
 	return max
 }
 
-// netDominant reports whether T_Net is the strict maximum — the paper's
-// condition for continuing to offload.
-func (m EpochModel) netDominant() bool {
-	return m.TNet > m.TG && m.TNet > m.TCC && m.TNet > m.TCS
-}
-
 // Dominant names the largest metric (ties broken in order TG, TCC, TCS,
 // TNet).
 func (m EpochModel) Dominant() string {
@@ -228,60 +228,107 @@ func (m EpochModel) Dominant() string {
 	return name
 }
 
-// shardLoads returns each shard's planned transfer volume and single-core
-// storage CPU under the canonical cluster placement. With shards == 1 the
-// sums equal Plan.Traffic and the offloaded prefixes' summed CPU time.
-func (p *Plan) shardLoads(tr *dataset.Trace, shards int) ([]int64, []time.Duration, error) {
-	if len(p.Splits) != tr.N() {
-		return nil, nil, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
-	}
-	m, err := cluster.NewShardMap(shards)
-	if err != nil {
-		return nil, nil, err
-	}
-	traffic := make([]int64, shards)
-	storageCPU := make([]time.Duration, shards)
-	for i := range tr.Records {
-		s := m.ShardOf(uint32(i))
-		traffic[s] += tr.Records[i].StageSizes[p.Splits[i]]
-		storageCPU[s] += tr.Records[i].PrefixTime(int(p.Splits[i]))
-	}
-	return traffic, storageCPU, nil
-}
-
 // ModelFor evaluates the four metrics for a plan under an environment. With
 // env.Shards > 1 the storage-side metrics are per-shard maxima: each shard
 // serves only its own samples over its own link with its own cores, so the
 // epoch is paced by the most loaded shard, not the pooled average.
 func ModelFor(tr *dataset.Trace, p *Plan, env Env) (EpochModel, error) {
+	t, err := newTerms(tr, p, env)
+	if err != nil {
+		return EpochModel{}, err
+	}
+	return t.model(), nil
+}
+
+// terms is the paper's four per-epoch terms for one plan, kept per shard:
+// T_G and T_CC are tier-wide, and each shard has its own T_Net and T_CS
+// because it serves only its own samples (placement follows
+// cluster.ShardMap) over its own link with its own cores. ModelFor reads
+// it; SOPHON's greedy passes update it one admitted sample at a time. With
+// one shard it is the paper's scalar model exactly.
+type terms struct {
+	env       Env
+	shards    *cluster.ShardMap
+	tg, tcc   time.Duration
+	tnet, tcs []time.Duration
+}
+
+// newTerms evaluates p's terms in one pass over the trace's records.
+func newTerms(tr *dataset.Trace, p *Plan, env Env) (*terms, error) {
 	if err := env.Validate(); err != nil {
-		return EpochModel{}, err
+		return nil, err
 	}
-	computeCPU, err := p.computeCPU(tr)
+	if len(p.Splits) != tr.N() {
+		return nil, fmt.Errorf("%w: plan %d vs trace %d", errPlanMismatch, len(p.Splits), tr.N())
+	}
+	k := env.ShardCount()
+	shards, err := cluster.NewShardMap(k)
 	if err != nil {
-		return EpochModel{}, err
+		return nil, err
 	}
-	m := EpochModel{
-		TG:  env.GPU.EpochTime(tr.N()) / time.Duration(env.GPUs()),
-		TCC: computeCPU / time.Duration(env.ComputeCores),
+	traffic := make([]int64, k)
+	storageCPU := make([]time.Duration, k)
+	var computeCPU time.Duration
+	for i := range tr.Records {
+		s := shards.ShardOf(uint32(i))
+		prefix := tr.Records[i].PrefixTime(p.Split(i))
+		traffic[s] += p.ShippedBytes(tr, i, nil)
+		storageCPU[s] += prefix
+		computeCPU += tr.Records[i].TotalTime() - prefix
 	}
-	traffic, storageCPU, err := p.shardLoads(tr, env.ShardCount())
-	if err != nil {
-		return EpochModel{}, err
+	t := &terms{
+		env:    env,
+		shards: shards,
+		tg:     env.GPU.EpochTime(tr.N()) / time.Duration(env.GPUs()),
+		tcc:    computeCPU / time.Duration(env.ComputeCores),
+		tnet:   make([]time.Duration, k),
+		tcs:    make([]time.Duration, k),
 	}
 	for s := range traffic {
-		if t := time.Duration(float64(traffic[s]) / env.Bandwidth * float64(time.Second)); t > m.TNet {
-			m.TNet = t
-		}
+		t.tnet[s] = t.net(traffic[s])
 		if storageCPU[s] > 0 {
 			if env.StorageCores == 0 {
-				return EpochModel{}, errors.New("policy: plan offloads but storage has 0 cores")
+				return nil, errors.New("policy: plan offloads but storage has 0 cores")
 			}
-			scaled := time.Duration(float64(storageCPU[s]) * env.StorageSlowdown)
-			if t := scaled / time.Duration(env.StorageCores); t > m.TCS {
-				m.TCS = t
-			}
+			t.tcs[s] = time.Duration(float64(storageCPU[s])*env.StorageSlowdown) / time.Duration(env.StorageCores)
 		}
 	}
-	return m, nil
+	return t, nil
+}
+
+// net is the link time of bytes on one shard's link: the one place bytes
+// become T_Net.
+func (t *terms) net(bytes int64) time.Duration {
+	return time.Duration(float64(bytes) / t.env.Bandwidth * float64(time.Second))
+}
+
+// netDominant reports whether shard s's T_Net is the strict maximum of its
+// terms: the paper's condition for offloading more of its samples.
+func (t *terms) netDominant(s int) bool {
+	return t.tnet[s] > t.tg && t.tnet[s] > t.tcc && t.tnet[s] > t.tcs[s]
+}
+
+// anyDominant reports whether some shard's T_Net is still strictly
+// dominant. At the no-offload start, where every T_CS is 0, it is the
+// stage-1 gate: the epoch is I/O-bound.
+func (t *terms) anyDominant() bool {
+	for s := range t.tnet {
+		if t.netDominant(s) {
+			return true
+		}
+	}
+	return false
+}
+
+// offload moves shard s's terms by one admission: dNet off its link, dCS
+// onto its cores, and dCC off the compute node.
+func (t *terms) offload(s int, dNet, dCS, dCC time.Duration) {
+	t.tnet[s] -= dNet
+	t.tcs[s] += dCS
+	t.tcc -= dCC
+}
+
+// model returns the epoch model: per-shard terms at their maxima.
+func (t *terms) model() EpochModel {
+	return EpochModel{TG: t.tg, TCC: t.tcc, TCS: slices.Max(t.tcs), TNet: slices.Max(t.tnet)}
 }

@@ -79,32 +79,37 @@ func TestPlanAccountingAgainstTrace(t *testing.T) {
 	tr := openImages(t, 300)
 	noOff, _ := NewUniformPlan("no", tr.N(), 0)
 	allOff, _ := NewUniformPlan("all", tr.N(), dataset.OpCount)
+	// One compute core and one storage core: T_CC and T_CS are the summed
+	// single-core CPU times themselves.
+	env := paperEnv(1)
+	env.ComputeCores = 1
 
 	traffic, err := noOff.Traffic(tr)
 	if err != nil || traffic != tr.TotalRawBytes() {
 		t.Fatalf("no-off traffic %d vs %d, %v", traffic, tr.TotalRawBytes(), err)
 	}
-	sCPU := storageCPU(noOff, tr)
-	if sCPU != 0 {
+	if storageCPU(noOff, tr) != 0 {
 		t.Fatal("no-off has storage CPU")
 	}
-	cCPU, _ := noOff.computeCPU(tr)
-	if cCPU != tr.TotalPreprocessCPU() {
-		t.Fatal("no-off compute CPU != total")
+	m, err := ModelFor(tr, noOff, env)
+	if err != nil || m.TCC != tr.TotalPreprocessCPU() || m.TCS != 0 {
+		t.Fatalf("no-off model %+v, want T_CC %v and no T_CS (%v)", m, tr.TotalPreprocessCPU(), err)
 	}
 
-	sCPU = storageCPU(allOff, tr)
-	if sCPU != tr.TotalPreprocessCPU() {
+	if storageCPU(allOff, tr) != tr.TotalPreprocessCPU() {
 		t.Fatal("all-off storage CPU != total")
 	}
-	cCPU, _ = allOff.computeCPU(tr)
-	if cCPU != 0 {
-		t.Fatal("all-off has compute CPU")
+	m, err = ModelFor(tr, allOff, env)
+	if err != nil || m.TCC != 0 || m.TCS != tr.TotalPreprocessCPU() {
+		t.Fatalf("all-off model %+v, want no T_CC and T_CS %v (%v)", m, tr.TotalPreprocessCPU(), err)
 	}
 	// Plan/trace size mismatch is rejected.
 	short, _ := NewUniformPlan("s", 10, 0)
 	if _, err := short.Traffic(tr); err == nil {
 		t.Fatal("mismatched plan accepted")
+	}
+	if _, err := ModelFor(tr, short, env); err == nil {
+		t.Fatal("mismatched plan modeled")
 	}
 }
 
@@ -133,16 +138,31 @@ func TestEnvValidate(t *testing.T) {
 
 func TestEpochModelPredictedAndDominant(t *testing.T) {
 	m := EpochModel{TG: 1, TCC: 2, TCS: 3, TNet: 4}
-	if m.Predicted() != 4 || m.Dominant() != "TNet" || !m.netDominant() {
+	if m.Predicted() != 4 || m.Dominant() != "TNet" {
 		t.Fatalf("model %+v: predicted=%v dominant=%s", m, m.Predicted(), m.Dominant())
 	}
 	m = EpochModel{TG: 9, TCC: 2, TCS: 3, TNet: 4}
-	if m.Predicted() != 9 || m.Dominant() != "TG" || m.netDominant() {
+	if m.Predicted() != 9 || m.Dominant() != "TG" {
 		t.Fatalf("model %+v misreported", m)
 	}
-	tie := EpochModel{TG: 4, TNet: 4}
-	if tie.netDominant() {
-		t.Fatal("tie should not be strictly dominant")
+	if tie := (EpochModel{TG: 4, TNet: 4}); tie.Dominant() != "TG" {
+		t.Fatal("a tie should not name TNet")
+	}
+}
+
+// TestTermsNetDominantIsStrict: the stop rule holds per shard and only
+// while that shard's T_Net strictly exceeds every other term.
+func TestTermsNetDominantIsStrict(t *testing.T) {
+	ts := &terms{tg: 1, tcc: 2, tnet: []time.Duration{4, 3}, tcs: []time.Duration{3, 3}}
+	if !ts.netDominant(0) || ts.netDominant(1) || !ts.anyDominant() {
+		t.Fatal("shard 0 leads every term, shard 1 only ties its T_CS")
+	}
+	if m := ts.model(); m != (EpochModel{TG: 1, TCC: 2, TCS: 3, TNet: 4}) {
+		t.Fatalf("model %+v, want the per-shard maxima", m)
+	}
+	ts.tg = 4
+	if ts.netDominant(0) || ts.anyDominant() {
+		t.Fatal("a tie with T_G is not dominance")
 	}
 }
 
@@ -153,7 +173,7 @@ func TestModelForIOBoundBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !m.netDominant() {
+	if m.Dominant() != "TNet" {
 		t.Fatalf("paper setup should be I/O-bound: %+v", m)
 	}
 	if m.TCS != 0 {

@@ -4,51 +4,48 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/netsim"
 )
 
-func TestShardLoadsSumToPlanTotals(t *testing.T) {
+// TestModelForShardedOffloadPlan: under an offloading plan, one shard's T_Net
+// and T_CS are the plan's whole traffic and storage CPU over one link and
+// one set of cores, and K shards' maxima lie between a perfectly balanced
+// 1/K of those and the whole.
+func TestModelForShardedOffloadPlan(t *testing.T) {
 	tr := openImages(t, 200)
-	plan, err := (&Sophon{}).Plan(tr, paperEnv(8))
+	env := paperEnv(8)
+	plan, err := (&Sophon{}).Plan(tr, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantTraffic, err := plan.Traffic(tr)
+	if plan.OffloadedCount() == 0 {
+		t.Fatal("plan offloads nothing")
+	}
+	traffic, err := plan.Traffic(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCPU := storageCPU(plan, tr)
-	for _, shards := range []int{1, 2, 4} {
-		traffic, cpu, err := plan.shardLoads(tr, shards)
+	whole, err := ModelFor(tr, plan, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := time.Duration(float64(traffic) / env.Bandwidth * float64(time.Second)); whole.TNet != want {
+		t.Fatalf("one shard: T_Net %v, want the plan's traffic over one link, %v", whole.TNet, want)
+	}
+	if want := storageCPU(plan, tr) / time.Duration(env.StorageCores); whole.TCS != want {
+		t.Fatalf("one shard: T_CS %v, want the plan's storage CPU over its cores, %v", whole.TCS, want)
+	}
+	for _, k := range []int{2, 4} {
+		env.Shards = k
+		m, err := ModelFor(tr, plan, env)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(traffic) != shards || len(cpu) != shards {
-			t.Fatalf("shards=%d: got %d traffic, %d cpu entries", shards, len(traffic), len(cpu))
+		d := time.Duration(k)
+		if m.TNet < whole.TNet/d || m.TNet > whole.TNet || m.TCS < whole.TCS/d || m.TCS > whole.TCS {
+			t.Errorf("shards=%d: T_Net %v, T_CS %v outside [1/%d, 1] of %v, %v",
+				k, m.TNet, m.TCS, k, whole.TNet, whole.TCS)
 		}
-		var sumT int64
-		var sumC time.Duration
-		for s := range traffic {
-			sumT += traffic[s]
-			sumC += cpu[s]
-		}
-		if sumT != wantTraffic || sumC != wantCPU {
-			t.Errorf("shards=%d: loads sum to (%d, %v), plan totals (%d, %v)",
-				shards, sumT, sumC, wantTraffic, wantCPU)
-		}
-	}
-}
-
-func TestShardLoadsRejectsMismatch(t *testing.T) {
-	tr := openImages(t, 50)
-	short, _ := NewUniformPlan("s", 10, 0)
-	if _, _, err := short.shardLoads(tr, 2); err == nil {
-		t.Fatal("accepted plan/trace size mismatch")
-	}
-	full, _ := NewUniformPlan("f", tr.N(), 0)
-	if _, _, err := full.shardLoads(tr, 0); err == nil {
-		t.Fatal("accepted 0 shards")
 	}
 }
 
@@ -170,31 +167,20 @@ func TestSophonStopsPerShard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := ModelFor(tr, plan, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traffic, cpu, err := plan.shardLoads(tr, k)
+	ts, err := newTerms(tr, plan, env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cands := Candidates(tr)
 	remaining := make([]int, k)
-	shardMap, err := cluster.NewShardMap(k)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range cands {
 		if c.Saving > 0 && plan.Split(c.ID) == 0 {
-			remaining[shardMap.ShardOf(uint32(c.ID))]++
+			remaining[ts.shards.ShardOf(uint32(c.ID))]++
 		}
 	}
 	for s := 0; s < k; s++ {
-		tnet := time.Duration(float64(traffic[s]) / env.Bandwidth * float64(time.Second))
-		tcs := time.Duration(float64(cpu[s])*env.StorageSlowdown) / time.Duration(env.StorageCores)
-		dominant := tnet > m.TG && tnet > m.TCC && tnet > tcs
-		if dominant && remaining[s] > 0 {
-			t.Errorf("shard %d still net-dominant (TNet %v) with %d candidates left", s, tnet, remaining[s])
+		if ts.netDominant(s) && remaining[s] > 0 {
+			t.Errorf("shard %d still net-dominant (TNet %v) with %d candidates left", s, ts.tnet[s], remaining[s])
 		}
 	}
 }

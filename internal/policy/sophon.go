@@ -5,7 +5,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/dataset"
 )
 
@@ -93,9 +92,6 @@ func Candidates(tr *dataset.Trace) []Candidate {
 
 // Plan implements Policy.
 func (s *Sophon) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
-	if err := env.Validate(); err != nil {
-		return nil, err
-	}
 	if s.Fidelity != nil {
 		if err := s.Fidelity.validate(); err != nil {
 			return nil, err
@@ -105,27 +101,37 @@ func (s *Sophon) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if env.StorageCores == 0 {
-		// Discrete offloading is impossible without storage cores — but a
-		// fidelity drop costs none (the server slices stored containers),
-		// so the progressive pass still applies when the link dominates.
-		if s.Fidelity != nil {
-			if err := s.fidelityOnly(plan, tr, env); err != nil {
-				return nil, err
-			}
-		}
-		return plan, nil
-	}
-	model, err := ModelFor(tr, plan, env)
+	t, err := newTerms(tr, plan, env)
 	if err != nil {
 		return nil, err
 	}
-	if !model.netDominant() {
+	if !t.anyDominant() {
 		// The workload is not I/O-bound: the profiler would not have
 		// activated offloading (stage-1 gate), and neither do we.
 		return plan, nil
 	}
+	// Discrete offloading is impossible without storage cores, but a
+	// fidelity drop costs none (the server slices stored containers), so
+	// the progressive pass still applies when the link dominates.
+	if env.StorageCores > 0 {
+		s.offloadGreedy(plan, tr, t)
+	}
+	if s.Fidelity != nil {
+		// Continue the greedy state into the progressive pass: shards whose
+		// T_Net the discrete loop could not bring down (typically because
+		// storage cores ran out first) shed further bytes by withholding
+		// refinement scans, which costs no storage CPU at all.
+		s.Fidelity.apply(plan, tr, t)
+	}
+	return plan, nil
+}
 
+// offloadGreedy is the discrete loop. It tracks the storage-side terms PER
+// SHARD: each candidate's admission relieves only its own shard's link and
+// burns only its own shard's cores, and a candidate is admitted only while
+// its shard's T_Net is still the strictly dominant cost. With one shard
+// this is the paper's scalar loop exactly.
+func (s *Sophon) offloadGreedy(plan *Plan, tr *dataset.Trace, t *terms) {
 	cands := Candidates(tr)
 	// Keep only samples with a real benefit, ranked by efficiency
 	// (deterministic tie-break on ID).
@@ -142,109 +148,29 @@ func (s *Sophon) Plan(tr *dataset.Trace, env Env) (*Plan, error) {
 		return ranked[i].ID < ranked[j].ID
 	})
 
-	// The greedy loop tracks the storage-side metrics PER SHARD: each
-	// candidate's admission relieves only its own shard's link and burns
-	// only its own shard's cores, and a candidate is admitted only while
-	// its shard's T_Net is still the strictly dominant cost. With one
-	// shard this collapses to the paper's scalar loop exactly.
-	shards := env.ShardCount()
-	shardMap, err := cluster.NewShardMap(shards)
-	if err != nil {
-		return nil, err
-	}
-	traffic, _, err := plan.shardLoads(tr, shards)
-	if err != nil {
-		return nil, err
-	}
-	tg, tcc := model.TG, model.TCC
-	tnet := make([]time.Duration, shards)
-	tcs := make([]time.Duration, shards)
-	for sh, b := range traffic {
-		tnet[sh] = time.Duration(float64(b) / env.Bandwidth * float64(time.Second))
-	}
-	maxOf := func(ds []time.Duration) time.Duration {
-		max := ds[0]
-		for _, d := range ds[1:] {
-			if d > max {
-				max = d
-			}
-		}
-		return max
-	}
-	netDominant := func(sh int) bool {
-		return tnet[sh] > tg && tnet[sh] > tcc && tnet[sh] > tcs[sh]
-	}
-	anyDominant := func() bool {
-		for sh := range tnet {
-			if netDominant(sh) {
-				return true
-			}
-		}
-		return false
-	}
-	storage := time.Duration(env.StorageCores)
-	compute := time.Duration(env.ComputeCores)
+	storage := time.Duration(t.env.StorageCores)
+	compute := time.Duration(t.env.ComputeCores)
 	for _, c := range ranked {
-		if !anyDominant() {
+		if !t.anyDominant() {
 			break // no shard's T_Net is the predominant metric anymore
 		}
-		sh := shardMap.ShardOf(uint32(c.ID))
-		if !netDominant(sh) {
+		sh := t.shards.ShardOf(uint32(c.ID))
+		if !t.netDominant(sh) {
 			continue // this sample's shard is already off the critical path
 		}
-		dNet := time.Duration(float64(c.Saving) / env.Bandwidth * float64(time.Second))
-		dCS := time.Duration(float64(c.PrefixCPU)*env.StorageSlowdown) / storage
+		dNet := t.net(c.Saving)
+		dCS := time.Duration(float64(c.PrefixCPU)*t.env.StorageSlowdown) / storage
 		dCC := c.PrefixCPU / compute
 		if s.StepGuard {
-			cur := EpochModel{TG: tg, TCC: tcc, TCS: maxOf(tcs), TNet: maxOf(tnet)}.Predicted()
-			tnet[sh] -= dNet
-			tcs[sh] += dCS
-			next := EpochModel{TG: tg, TCC: tcc - dCC, TCS: maxOf(tcs), TNet: maxOf(tnet)}.Predicted()
-			tnet[sh] += dNet
-			tcs[sh] -= dCS
+			cur := t.model().Predicted()
+			t.offload(sh, dNet, dCS, dCC)
+			next := t.model().Predicted()
+			t.offload(sh, -dNet, -dCS, -dCC)
 			if next > cur {
 				continue
 			}
 		}
 		plan.Splits[c.ID] = uint8(c.Split)
-		tnet[sh] -= dNet
-		tcs[sh] += dCS
-		tcc -= dCC
+		t.offload(sh, dNet, dCS, dCC)
 	}
-	if s.Fidelity != nil {
-		// Continue the greedy state into the progressive pass: shards whose
-		// T_Net the discrete loop could not bring down (typically because
-		// storage cores ran out first) shed further bytes by withholding
-		// refinement scans, which costs no storage CPU at all.
-		applyFidelityPass(plan, tr, env, *s.Fidelity, shardMap, tg, tcc, tnet, tcs)
-	}
-	return plan, nil
-}
-
-// fidelityOnly runs just the progressive pass over a no-offload plan, for
-// environments whose storage tier has zero preprocessing cores.
-func (s *Sophon) fidelityOnly(plan *Plan, tr *dataset.Trace, env Env) error {
-	model, err := ModelFor(tr, plan, env)
-	if err != nil {
-		return err
-	}
-	if !model.netDominant() {
-		return nil
-	}
-	shards := env.ShardCount()
-	shardMap, err := cluster.NewShardMap(shards)
-	if err != nil {
-		return err
-	}
-	traffic, _, err := plan.shardLoads(tr, shards)
-	if err != nil {
-		return err
-	}
-	tnet := make([]time.Duration, shards)
-	tcs := make([]time.Duration, shards)
-	for sh, b := range traffic {
-		tnet[sh] = time.Duration(float64(b) / env.Bandwidth * float64(time.Second))
-	}
-	applyFidelityPass(plan, tr, env, *s.Fidelity, shardMap, model.TG, model.TCC, tnet, tcs)
-	return nil
 }

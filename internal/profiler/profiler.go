@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
-	"repro/internal/policy"
 )
 
 // defaultProbeBatches is the number of batches stage 1 measures per
@@ -68,7 +67,7 @@ func (r Stage1Result) Bottleneck() Bottleneck {
 	return b
 }
 
-// ioBound reports whether stage 1 gates offloading on.
+// IOBound reports whether stage 1 gates offloading on.
 func (r Stage1Result) IOBound() bool { return r.Bottleneck() == ioBound }
 
 // Probe measures one setting: it processes the requested number of batches
@@ -112,26 +111,6 @@ func RunStage1(p Probes, batches int) (Stage1Result, error) {
 		*probe.dst = float64(n) / elapsed.Seconds()
 	}
 	return out, nil
-}
-
-// Stage1FromTrace evaluates the three probes analytically from a profiled
-// trace and environment — the model-tier equivalent of the live probes (the
-// same quantities a 50-batch measurement converges to).
-func Stage1FromTrace(tr *dataset.Trace, env policy.Env) (Stage1Result, error) {
-	if err := env.Validate(); err != nil {
-		return Stage1Result{}, err
-	}
-	if tr.N() == 0 {
-		return Stage1Result{}, errors.New("profiler: empty trace")
-	}
-	n := float64(tr.N())
-	meanBytes := float64(tr.TotalRawBytes()) / n
-	meanCPU := tr.TotalPreprocessCPU().Seconds() / n
-	return Stage1Result{
-		GPUThroughput: env.GPU.Throughput * float64(env.GPUs()),
-		IOThroughput:  env.Bandwidth / meanBytes,
-		CPUThroughput: float64(env.ComputeCores) / meanCPU,
-	}, nil
 }
 
 // Collector accumulates stage-2 per-sample observations during epoch 1.

@@ -86,64 +86,6 @@ func TestRunStage1Errors(t *testing.T) {
 	}
 }
 
-func TestStage1FromTracePaperSetupIsIOBound(t *testing.T) {
-	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(2000), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Stage1FromTrace(tr, paperEnv())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.IOBound() {
-		t.Fatalf("paper setup not I/O bound: %+v", res)
-	}
-	// ~62.5 MB/s over ~300 KB samples ≈ 208 samples/s.
-	if res.IOThroughput < 150 || res.IOThroughput > 280 {
-		t.Fatalf("IO throughput %v, want ≈208", res.IOThroughput)
-	}
-}
-
-func TestStage1FromTraceBottleneckShifts(t *testing.T) {
-	tr, err := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(1000), 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpuEnv := paperEnv()
-	cpuEnv.ComputeCores = 1
-	cpuEnv.Bandwidth = netsim.Mbps(50000)
-	res, err := Stage1FromTrace(tr, cpuEnv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bottleneck() != cpuBound {
-		t.Fatalf("1-core fat-link setup: %s", res.Bottleneck())
-	}
-
-	gpuEnv := paperEnv()
-	gpuEnv.Bandwidth = netsim.Mbps(50000)
-	gpuEnv.GPU = gpu.ResNet50
-	res, err = Stage1FromTrace(tr, gpuEnv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Bottleneck() != gpuBound {
-		t.Fatalf("ResNet50 fat-link setup: %s", res.Bottleneck())
-	}
-}
-
-func TestStage1FromTraceValidates(t *testing.T) {
-	if _, err := Stage1FromTrace(&dataset.Trace{}, paperEnv()); err == nil {
-		t.Fatal("accepted empty trace")
-	}
-	tr, _ := dataset.GenerateTrace(dataset.OpenImages12G().ScaledTo(10), 1)
-	bad := paperEnv()
-	bad.Bandwidth = 0
-	if _, err := Stage1FromTrace(tr, bad); err == nil {
-		t.Fatal("accepted bad env")
-	}
-}
-
 func TestCollectorLifecycle(t *testing.T) {
 	if _, err := NewCollector(0); err == nil {
 		t.Fatal("accepted n=0")
