@@ -44,7 +44,18 @@ func TestDecideValidation(t *testing.T) {
 	if _, err := f.Decide(tr, bad); err == nil {
 		t.Fatal("accepted bad env")
 	}
-	bad = paperEnv(4)
+}
+
+// TestDecideStage1Validates: stage 1 is derived from the trace and the
+// link, so an empty trace or a zero-bandwidth link is refused before any
+// probe is read.
+func TestDecideStage1Validates(t *testing.T) {
+	f := New()
+	if _, err := f.Decide(&dataset.Trace{}, paperEnv(4)); err == nil {
+		t.Fatal("accepted empty trace")
+	}
+	tr := openImages(t, 10)
+	bad := paperEnv(4)
 	bad.Bandwidth = 0
 	if _, err := f.Decide(tr, bad); err == nil {
 		t.Fatal("accepted zero bandwidth")
