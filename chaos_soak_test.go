@@ -89,11 +89,6 @@ func TestChaosSoakClasses(t *testing.T) {
 				if class != "partition" && class != "none" && injected == 0 {
 					t.Fatalf("class %s injected no faults — the soak exercised nothing", class)
 				}
-				for _, er := range rep.Epochs {
-					if er.Heavy != 0 {
-						t.Fatalf("epoch %d counted %d heavy samples with no classifier", er.Epoch, er.Heavy)
-					}
-				}
 				t.Logf("class=%s digest=%08x compared=%d injected=%d failed=%d",
 					class, rep.Digest, rep.Compared, injected, rep.Failed)
 			})

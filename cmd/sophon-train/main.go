@@ -264,8 +264,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 			return fmt.Errorf("-adaptive requires a sophon policy, got %s", pol.Name())
 		}
 		return runAdaptive(logger, stdout, trainer, &core.Framework{Engine: s}, trace, env, *epochs,
-			profiler.DriftConfig{RelThreshold: *driftThreshold, Hysteresis: *driftHysteresis},
-			*heavyThreshold)
+			profiler.DriftConfig{RelThreshold: *driftThreshold, Hysteresis: *driftHysteresis})
 	}
 
 	var plan *policy.Plan
@@ -297,14 +296,11 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 
 // runAdaptive closes the control loop on the live trainer: each epoch runs
 // under the controller's current snapshot, a serial fetch probe re-measures
-// the link, and drift replans at the next boundary. The observed heavy/light
-// mix is folded in alongside the bandwidth, so a mid-training skew flip
-// replans too ("mix-drift").
+// the link, and drift replans at the next boundary.
 func runAdaptive(logger *log.Logger, stdout io.Writer, trainer *trainsim.Trainer, fw *core.Framework,
-	trace *dataset.Trace, env policy.Env, epochs int, drift profiler.DriftConfig,
-	heavyRatio float64) error {
+	trace *dataset.Trace, env policy.Env, epochs int, drift profiler.DriftConfig) error {
 	ctrl, err := core.NewController(core.ControllerConfig{
-		Framework: fw, Trace: trace, Env: env, Drift: drift, HeavyRatio: heavyRatio,
+		Framework: fw, Trace: trace, Env: env, Drift: drift,
 	})
 	if err != nil {
 		return err
@@ -322,9 +318,7 @@ func runAdaptive(logger *log.Logger, stdout io.Writer, trainer *trainsim.Trainer
 		if err != nil {
 			return err
 		}
-		next, drifts, err := ctrl.ObserveEpoch(profiler.EpochSample{
-			Epoch: uint64(e), Bandwidth: bw, MixHeavy: rep.Heavy, MixTotal: rep.Samples,
-		})
+		next, drifts, err := ctrl.ObserveEpoch(profiler.EpochSample{Epoch: uint64(e), Bandwidth: bw})
 		if err != nil {
 			return err
 		}

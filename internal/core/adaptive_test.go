@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -60,10 +59,8 @@ func TestAdaptiveReplanOnReshape(t *testing.T) {
 	if len(adaptive.History) != 2 {
 		t.Fatalf("replan history: %v", adaptive.History)
 	}
-	// The halved link may drag storage occupancy over its gate at the same
-	// boundary, so the reason can be compound; bandwidth drift must lead it.
 	replan := adaptive.History[1]
-	if replan.Epoch != 4 || replan.Version != 2 || !strings.HasPrefix(replan.Reason, "bandwidth-drift") {
+	if replan.Epoch != 4 || replan.Version != 2 || replan.Reason != "bandwidth-drift" {
 		t.Fatalf("replan event %v", replan)
 	}
 	// Measured bandwidth is quantized by per-transfer durations, so allow

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/policy"
-	"repro/internal/prepsched"
 	"repro/internal/profiler"
 	"repro/internal/simclock"
 )
@@ -73,11 +72,6 @@ type ControllerConfig struct {
 	// Clock timestamps replan events (nil → wall clock; tests and the DES
 	// inject a virtual clock).
 	Clock simclock.Clock
-	// HeavyRatio is the variance-aware classifier's threshold as a multiple
-	// of the trace's mean preprocessing cost (0 → prepsched's default). The
-	// controller uses it to anchor the drift detector's mix track to the
-	// trace's plan-time heavy fraction.
-	HeavyRatio float64
 }
 
 // NewController computes the initial plan (version 1, reason "initial") and
@@ -124,36 +118,12 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 		feed:  feed,
 		env:   cfg.Env,
 	}
-	c.rebaseLocked(d)
-	// Anchor the mix track to the profile's own heavy fraction: the plan was
-	// computed over this trace, so its heavy/light mix is the plan-time
-	// baseline a mid-training skew flip drifts from.
-	if cl, err := prepsched.FromTrace(cfg.Trace, cfg.HeavyRatio); err == nil {
-		tel.RebaseMix(cl.BaselineHeavyFrac())
-	} else if cfg.HeavyRatio != 0 {
-		return nil, fmt.Errorf("core: heavy ratio: %w", err)
-	}
+	tel.Rebase(cfg.Env.Bandwidth)
 	c.history = append(c.history, ReplanEvent{
 		Version: 1, Epoch: 1, Reason: "initial",
 		Bandwidth: cfg.Env.Bandwidth, At: clock.Now(),
 	})
 	return c, nil
-}
-
-// rebaseLocked anchors the drift detector to the environment the decision
-// assumes: bandwidth from the planning env, storage occupancy from the
-// model's predicted storage share.
-func (c *Controller) rebaseLocked(d Decision) {
-	occ := 0.0
-	if p := d.Planned.Predicted(); p > 0 {
-		occ = float64(d.Planned.TCS) / float64(p)
-	}
-	c.tel.Rebase(c.env.Bandwidth, occ)
-	// The replanned plan was computed in full knowledge of the observed mix,
-	// so adopt it as the new baseline — a persistent skew flip replans once,
-	// not every epoch. A no-op before the first mix observation (the initial
-	// plan's baseline comes from RebaseMix over the trace instead).
-	c.tel.AdoptMixBaseline()
 }
 
 // Current returns the snapshot in force.
@@ -227,7 +197,7 @@ func (c *Controller) replan(drifts []profiler.Drift, effective uint64) (*policy.
 		return nil, err
 	}
 	c.env = env
-	c.rebaseLocked(d)
+	c.tel.Rebase(env.Bandwidth)
 	c.history = append(c.history, ReplanEvent{
 		Version: snap.Version, Epoch: effective, Reason: reason,
 		Bandwidth: env.Bandwidth, At: c.clock.Now(),

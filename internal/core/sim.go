@@ -14,8 +14,8 @@ import (
 
 // RunAdaptiveSim drives the controller loop at the model tier: each epoch
 // the DES simulates the CURRENT plan against that epoch's TRUE environment,
-// the measured outcome (bandwidth from traffic/link-busy, storage occupancy
-// from pool busy time) feeds the drift detector, and the controller replans
+// the measured outcome (bandwidth from traffic over link-busy time, and the
+// shard count) feeds the drift detector, and the controller replans
 // at the boundary when the gates trip. This is the adaptive-vs-static
 // evaluation harness: run once with Adaptive true and once false over the
 // same EnvAt schedule and compare epoch-time series.
@@ -36,9 +36,6 @@ type SimConfig struct {
 	Adaptive bool
 	// Drift tunes detection (zero fields default).
 	Drift profiler.DriftConfig
-	// Clock drives controller timestamps; nil means a virtual clock at the
-	// zero instant, so simulations are deterministic BY DEFAULT.
-	Clock simclock.Clock
 }
 
 // SimEpoch is one simulated epoch's outcome.
@@ -67,10 +64,10 @@ func RunAdaptiveSim(cfg SimConfig) (SimResult, error) {
 	if cfg.Trace == nil || cfg.Trace.N() == 0 {
 		return SimResult{}, errors.New("core: empty trace")
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simclock.NewVirtual(time.Unix(0, 0))
-	}
+	// The controller's timestamps come from a virtual clock at the Unix
+	// epoch that advances by each simulated epoch time, so a simulation's
+	// replan history is deterministic.
+	clock := simclock.NewVirtual(time.Unix(0, 0))
 	envAt := cfg.EnvAt
 	if envAt == nil {
 		envAt = func(uint64) policy.Env { return cfg.Env }
@@ -99,9 +96,7 @@ func RunAdaptiveSim(cfg SimConfig) (SimResult, error) {
 		if err != nil {
 			return SimResult{}, fmt.Errorf("core: epoch %d: %w", e, err)
 		}
-		if v, ok := clock.(*simclock.Virtual); ok {
-			v.Advance(res.EpochTime)
-		}
+		clock.Advance(res.EpochTime)
 
 		// Measured bandwidth emerges from the sim: each shard link
 		// serializes its traffic at the true rate, so bytes over busy time
@@ -109,11 +104,6 @@ func RunAdaptiveSim(cfg SimConfig) (SimResult, error) {
 		var measuredBW float64
 		if res.LinkBusy > 0 {
 			measuredBW = float64(res.TrafficBytes) / res.LinkBusy.Seconds()
-		}
-		var occ float64
-		if trueEnv.StorageCores > 0 && res.EpochTime > 0 {
-			capacity := res.EpochTime.Seconds() * float64(trueEnv.StorageCores*trueEnv.ShardCount())
-			occ = res.StorageBusy.Seconds() / capacity
 		}
 		epochs = append(epochs, SimEpoch{
 			Epoch:             e,
@@ -125,11 +115,10 @@ func RunAdaptiveSim(cfg SimConfig) (SimResult, error) {
 
 		if cfg.Adaptive {
 			if _, _, err := ctrl.ObserveEpoch(profiler.EpochSample{
-				Epoch:            e,
-				Bandwidth:        measuredBW,
-				StorageOccupancy: occ,
-				ShardsUp:         trueEnv.ShardCount(),
-				Shards:           baseShards,
+				Epoch:     e,
+				Bandwidth: measuredBW,
+				ShardsUp:  trueEnv.ShardCount(),
+				Shards:    baseShards,
 			}); err != nil {
 				return SimResult{}, err
 			}

@@ -70,33 +70,33 @@ func (p *Pool[T]) Dispatch(seq int, v T, c Class) bool {
 // else a steal sweep over the other deques in ring order. Blocks when every
 // deque is empty but more work may still arrive; returns false when the pool
 // is stopped, or closed and fully drained.
-func (p *Pool[T]) Take(owner int) (T, Class, bool) {
+func (p *Pool[T]) Take(owner int) (T, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
 		if p.stopped {
 			var zero T
-			return zero, Light, false
+			return zero, false
 		}
 		if p.pending > 0 {
-			if v, c, ok := p.deques[owner%len(p.deques)].pop(); ok {
+			if v, _, ok := p.deques[owner%len(p.deques)].pop(); ok {
 				p.pending--
 				p.metrics.noteOwnPop()
 				p.cond.Broadcast()
-				return v, c, true
+				return v, true
 			}
 			for i := 1; i < len(p.deques); i++ {
-				if v, c, ok := p.deques[(owner+i)%len(p.deques)].steal(); ok {
+				if v, _, ok := p.deques[(owner+i)%len(p.deques)].steal(); ok {
 					p.pending--
 					p.metrics.noteSteal()
 					p.cond.Broadcast()
-					return v, c, true
+					return v, true
 				}
 			}
 		}
 		if p.closed {
 			var zero T
-			return zero, Light, false
+			return zero, false
 		}
 		p.metrics.noteStall()
 		p.cond.Wait()

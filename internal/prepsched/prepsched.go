@@ -12,10 +12,9 @@
 // heavy decode overlaps the transfer and preprocessing of the staged samples
 // behind it instead of stalling them.
 //
-// The observed heavy/light mix feeds the adaptive control plane: the trainer
-// reports per-epoch class counts (EpochReport.Heavy) into the drift
-// detector's mix track (profiler.EpochSample.MixHeavy/MixTotal), so a
-// mid-training skew flip triggers a replan like any other environment drift.
+// Classification is a loader scheduling decision, not a planning input: the
+// class counts reach the monitor through Metrics (Trainer.PrepMetrics), and
+// no replan reads them.
 package prepsched
 
 import (
@@ -61,8 +60,7 @@ type Classifier struct {
 // newClassifier derives the heavy threshold from a profiled per-sample cost
 // distribution: threshold = ratio × mean(costs), ratio 0 meaning
 // defaultHeavyRatio. The returned classifier also remembers the profile's
-// own heavy fraction (BaselineHeavyFrac) — the mix baseline the drift
-// detector anchors to.
+// own heavy fraction (BaselineHeavyFrac).
 func newClassifier(costs []time.Duration, ratio float64) (*Classifier, error) {
 	if len(costs) == 0 {
 		return nil, errors.New("prepsched: classifier needs a non-empty cost profile")
@@ -108,7 +106,7 @@ func FromTrace(tr *dataset.Trace, ratio float64) (*Classifier, error) {
 func (c *Classifier) Threshold() time.Duration { return c.threshold }
 
 // BaselineHeavyFrac is the heavy fraction of the cost profile the classifier
-// was built from — the plan-time mix the drift detector treats as baseline.
+// was built from.
 func (c *Classifier) BaselineHeavyFrac() float64 { return c.baseline }
 
 // Classify maps one sample's profiled cost to its class.

@@ -8,66 +8,29 @@ import (
 
 // Streaming telemetry: SOPHON's stage-2 profiler measures the environment
 // once, during epoch 1, and the plan is frozen against that snapshot. The
-// Telemetry type extends stage 2 into a per-epoch stream — every epoch
-// contributes a measurement of link bandwidth, storage-CPU occupancy,
-// per-sample op time, and shard health, smoothed by EWMAs — and flags drift
-// against the environment the current plan was computed for. Relative-change
-// thresholds with hysteresis keep measurement noise from thrashing the plan;
-// shard topology changes bypass hysteresis because a lost shard invalidates
-// placement immediately, not after it has been dead for N epochs.
+// Telemetry type extends stage 2 into a per-epoch stream of the two inputs a
+// replan reads from it — the link bandwidth, smoothed by an EWMA, and the
+// shard count — and flags drift against the environment the current plan was
+// computed for. A relative-change threshold with hysteresis keeps
+// measurement noise from thrashing the plan; shard topology changes bypass
+// hysteresis because a lost shard invalidates placement immediately, not
+// after it has been dead for N epochs.
 //
 // Telemetry is epoch-indexed, never wall-clock-driven: all its state
 // advances only through ObserveEpoch, so the adaptive controller is
 // deterministic under the virtual clock.
 
-// ewma is an exponentially weighted moving average. The zero value is
-// unusable; construct with newEWMA. The first observation initializes the
-// average rather than decaying from zero.
-type ewma struct {
-	alpha float64
-	value float64
-	ready bool
-}
-
-// newEWMA builds an average with smoothing factor alpha in (0, 1]: higher
-// alpha tracks changes faster, lower alpha smooths harder.
-func newEWMA(alpha float64) (*ewma, error) {
-	if alpha <= 0 || alpha > 1 || math.IsNaN(alpha) {
-		return nil, fmt.Errorf("profiler: EWMA alpha %v outside (0, 1]", alpha)
-	}
-	return &ewma{alpha: alpha}, nil
-}
-
-// observe folds one measurement into the average.
-func (e *ewma) observe(v float64) {
-	if !e.ready {
-		e.value, e.ready = v, true
-		return
-	}
-	e.value = e.alpha*v + (1-e.alpha)*e.value
-}
-
 // EpochSample is one epoch's measured environment, produced by whichever
-// layer ran the epoch (the live trainer from EpochReport accounting, the DES
-// from its Result). Zero-valued metrics mean "not measured this epoch" and
-// leave the corresponding EWMA untouched.
+// layer ran the epoch (the live trainer's bandwidth probe, the DES from its
+// Result). Zero-valued metrics mean "not measured this epoch" and leave the
+// corresponding state untouched.
 type EpochSample struct {
 	Epoch uint64
 	// Bandwidth is the measured link throughput in bytes/second.
 	Bandwidth float64
-	// StorageOccupancy is the storage-tier CPU occupancy fraction:
-	// storage-CPU-seconds consumed per wall-second, normalized by the core
-	// budget, so 1.0 means the offload budget is saturated.
-	StorageOccupancy float64
 	// ShardsUp counts reachable shards out of Shards; Shards 0 means shard
 	// health was not measured this epoch.
 	ShardsUp, Shards int
-	// MixHeavy / MixTotal is the epoch's observed heavy/light preprocessing
-	// mix (the variance-aware scheduler's class counts — EpochReport.Heavy
-	// over Samples). MixTotal 0 means the mix was not measured this epoch.
-	// Unlike the other metrics, a measured heavy fraction of zero is a valid
-	// observation: an all-light epoch is exactly how a skew flip ends.
-	MixHeavy, MixTotal int
 }
 
 // DriftKind classifies what moved away from the plan's environment.
@@ -76,9 +39,7 @@ type DriftKind int
 // Drift kinds.
 const (
 	driftBandwidth DriftKind = iota
-	driftStorageCPU
 	DriftShard
-	driftMix
 )
 
 // String names the drift kind; the controller uses it in replan reasons.
@@ -86,12 +47,8 @@ func (k DriftKind) String() string {
 	switch k {
 	case driftBandwidth:
 		return "bandwidth-drift"
-	case driftStorageCPU:
-		return "storage-cpu-drift"
 	case DriftShard:
 		return "shard-change"
-	case driftMix:
-		return "mix-drift"
 	default:
 		return fmt.Sprintf("drift(%d)", int(k))
 	}
@@ -115,14 +72,15 @@ func (d Drift) String() string {
 
 // DriftConfig tunes detection. The zero value resolves to defaults.
 type DriftConfig struct {
-	// Alpha is the EWMA smoothing factor (0 → 0.5).
+	// Alpha is the EWMA smoothing factor in (0, 1]: higher alpha tracks
+	// changes faster, lower alpha smooths harder (0 → 0.5).
 	Alpha float64
 	// RelThreshold is the relative change versus baseline that counts as
 	// drift, e.g. 0.2 = 20% (0 → 0.2).
 	RelThreshold float64
-	// Hysteresis is how many consecutive over-threshold epochs a metric
-	// must sustain before drift is signaled (0 → 2, 1 = signal on the
-	// first over-threshold epoch). Shard changes ignore hysteresis.
+	// Hysteresis is how many consecutive over-threshold epochs the
+	// bandwidth must sustain before drift is signaled (0 → 2, 1 = signal on
+	// the first over-threshold epoch). Shard changes ignore hysteresis.
 	Hysteresis int
 }
 
@@ -132,13 +90,6 @@ const (
 	defaultDriftRelThreshold = 0.2
 	defaultDriftHysteresis   = 2
 )
-
-// defaultDriftMixThreshold is the ABSOLUTE heavy-fraction change versus
-// baseline that counts as mix drift: fifteen percentage points. Absolute,
-// not relative, because the baseline mix is often 0 — a dataset with no
-// heavy samples at plan time — and any relative measure against 0 is
-// meaningless.
-const defaultDriftMixThreshold = 0.15
 
 // normalized resolves zero fields to defaults.
 func (c DriftConfig) normalized() (DriftConfig, error) {
@@ -163,46 +114,18 @@ func (c DriftConfig) normalized() (DriftConfig, error) {
 	return c, nil
 }
 
-// metricTrack is one metric's smoothed stream plus its drift state.
-type metricTrack struct {
-	kind     DriftKind
-	ewma     *ewma
-	baseline float64
-	streak   int // consecutive over-threshold epochs
-}
-
-// observe folds v in and reports whether the smoothed value has now been
-// over threshold for hysteresis consecutive epochs.
-func (m *metricTrack) observe(v float64, cfg DriftConfig) bool {
-	m.ewma.observe(v)
-	if m.baseline <= 0 {
-		return false // no baseline yet: nothing to drift from
-	}
-	rel := math.Abs(m.ewma.value-m.baseline) / m.baseline
-	if rel < cfg.RelThreshold {
-		m.streak = 0
-		return false
-	}
-	m.streak++
-	return m.streak >= cfg.Hysteresis
-}
-
 // Telemetry accumulates the per-epoch measurement stream and detects drift
 // against the current plan's baseline. Safe for concurrent use.
 type Telemetry struct {
 	cfg DriftConfig
 
-	mu        sync.Mutex
-	bandwidth metricTrack
-	occupancy metricTrack
-	shardsUp  int // -1 until first measured
-	// The heavy/light mix track. It cannot share metricTrack: its drift
-	// test is absolute (a 0 baseline is legitimate) and its baseline is set
-	// explicitly, not inferred from positivity.
-	mix          *ewma
-	mixBaseline  float64
-	mixBaselined bool
-	mixStreak    int
+	mu sync.Mutex
+	// bandwidth is the EWMA of the measured link rate; the first
+	// measurement initializes it rather than decaying from zero.
+	bandwidth float64
+	baseline  float64 // the plan's bandwidth; 0 until the first Rebase
+	streak    int     // consecutive over-threshold epochs
+	shardsUp  int     // -1 until first measured
 }
 
 // NewTelemetry builds a telemetry stream with cfg (zero fields default).
@@ -211,116 +134,50 @@ func NewTelemetry(cfg DriftConfig) (*Telemetry, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Telemetry{cfg: cfg, shardsUp: -1}
-	for _, m := range []struct {
-		track *metricTrack
-		kind  DriftKind
-	}{
-		{&t.bandwidth, driftBandwidth},
-		{&t.occupancy, driftStorageCPU},
-	} {
-		e, err := newEWMA(cfg.Alpha)
-		if err != nil {
-			return nil, err
-		}
-		*m.track = metricTrack{kind: m.kind, ewma: e}
-	}
-	mixEWMA, err := newEWMA(cfg.Alpha)
-	if err != nil {
-		return nil, err
-	}
-	t.mix = mixEWMA
-	return t, nil
+	return &Telemetry{cfg: cfg, shardsUp: -1}, nil
 }
 
-// Rebase records the environment the (re)computed plan assumes, resetting
-// every drift streak: subsequent drift is measured against these values.
-// Zero-valued fields keep the previous baseline for that metric. The
-// controller calls this whenever it publishes a plan.
-func (t *Telemetry) Rebase(bandwidth, occupancy float64) {
+// Rebase records the bandwidth the (re)computed plan assumes and clears the
+// drift streak: subsequent drift is measured against it. A bandwidth of 0
+// keeps the previous baseline. The controller calls this whenever it
+// publishes a plan.
+func (t *Telemetry) Rebase(bandwidth float64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.bandwidth.streak = 0
-	t.occupancy.streak = 0
-	t.mixStreak = 0
+	t.streak = 0
 	if bandwidth > 0 {
-		t.bandwidth.baseline = bandwidth
-	}
-	if occupancy > 0 {
-		t.occupancy.baseline = occupancy
-	}
-}
-
-// RebaseMix anchors the mix drift track to an explicit plan-time heavy
-// fraction (the classifier's BaselineHeavyFrac), clearing the streak. A
-// fraction of 0 is a real baseline — a profile with no heavy samples —
-// so unlike Rebase only a negative value is ignored.
-func (t *Telemetry) RebaseMix(frac float64) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.mixStreak = 0
-	if frac < 0 || math.IsNaN(frac) {
-		return
-	}
-	t.mixBaseline = frac
-	t.mixBaselined = true
-}
-
-// AdoptMixBaseline rebases the mix track onto the currently observed
-// smoothed mix (no-op before any mix observation). The controller calls
-// this when it replans: the new plan was computed in full knowledge of the
-// shifted mix, so drift is measured against the mix as adopted — otherwise
-// a persistent skew flip would re-trigger a replan every epoch forever.
-func (t *Telemetry) AdoptMixBaseline() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.mixStreak = 0
-	if t.mix.ready {
-		t.mixBaseline = t.mix.value
-		t.mixBaselined = true
+		t.baseline = bandwidth
 	}
 }
 
 // ObserveEpoch folds one epoch's measurements into the stream and returns
-// the drifts that crossed their hysteresis gates this epoch (nil when the
-// environment still matches the plan). While a sustained drift persists
+// the drifts that crossed their gates this epoch (nil when the environment
+// still matches the plan). While a sustained bandwidth drift persists
 // un-replanned it is re-reported every epoch; the controller's Rebase after
-// replanning clears the streaks.
+// replanning clears the streak.
 func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var out []Drift
-	note := func(m *metricTrack, v float64) {
-		if v <= 0 {
-			return
+	if bw := s.Bandwidth; bw > 0 {
+		if t.bandwidth == 0 {
+			t.bandwidth = bw
+		} else {
+			t.bandwidth = t.cfg.Alpha*bw + (1-t.cfg.Alpha)*t.bandwidth
 		}
-		if m.observe(v, t.cfg) {
-			out = append(out, Drift{
-				Kind:     m.kind,
-				Epoch:    s.Epoch,
-				Baseline: m.baseline,
-				Current:  m.ewma.value,
-			})
-		}
-	}
-	note(&t.bandwidth, s.Bandwidth)
-	note(&t.occupancy, s.StorageOccupancy)
-
-	if s.MixTotal > 0 && s.MixHeavy >= 0 && s.MixHeavy <= s.MixTotal {
-		t.mix.observe(float64(s.MixHeavy) / float64(s.MixTotal))
-		if t.mixBaselined {
-			if math.Abs(t.mix.value-t.mixBaseline) < defaultDriftMixThreshold {
-				t.mixStreak = 0
-			} else {
-				t.mixStreak++
-				if t.mixStreak >= t.cfg.Hysteresis {
-					out = append(out, Drift{
-						Kind:     driftMix,
-						Epoch:    s.Epoch,
-						Baseline: t.mixBaseline,
-						Current:  t.mix.value,
-					})
-				}
+		switch {
+		case t.baseline <= 0: // no baseline yet: nothing to drift from
+		case math.Abs(t.bandwidth-t.baseline)/t.baseline < t.cfg.RelThreshold:
+			t.streak = 0
+		default:
+			t.streak++
+			if t.streak >= t.cfg.Hysteresis {
+				out = append(out, Drift{
+					Kind:     driftBandwidth,
+					Epoch:    s.Epoch,
+					Baseline: t.baseline,
+					Current:  t.bandwidth,
+				})
 			}
 		}
 	}
@@ -344,5 +201,5 @@ func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
 func (t *Telemetry) Bandwidth() float64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.bandwidth.ewma.value
+	return t.bandwidth
 }

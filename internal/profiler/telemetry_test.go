@@ -14,27 +14,22 @@ func newTestTelemetry(t *testing.T, cfg DriftConfig) *Telemetry {
 	return tel
 }
 
+// TestEWMA: the first measurement initializes the average rather than
+// decaying from zero, and an unmeasured (zero) epoch leaves it untouched.
 func TestEWMA(t *testing.T) {
-	if _, err := newEWMA(0); err == nil {
-		t.Fatal("alpha 0 accepted")
+	tel := newTestTelemetry(t, DriftConfig{Alpha: 0.5})
+	if got := tel.Bandwidth(); got != 0 {
+		t.Fatalf("before any measurement: %v", got)
 	}
-	if _, err := newEWMA(1.5); err == nil {
-		t.Fatal("alpha > 1 accepted")
-	}
-	e, err := newEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e.ready {
-		t.Fatal("ready before first observation")
-	}
-	e.observe(100) // first observation initializes, not decays from 0
-	if e.value != 100 {
-		t.Fatalf("after init: %v", e.value)
-	}
-	e.observe(50)
-	if e.value != 75 {
-		t.Fatalf("after 50: %v", e.value)
+	for i, c := range []struct{ bw, want float64 }{
+		{100, 100}, // first measurement initializes
+		{0, 100},   // not measured: untouched
+		{50, 75},
+	} {
+		tel.ObserveEpoch(EpochSample{Epoch: uint64(i + 1), Bandwidth: c.bw})
+		if got := tel.Bandwidth(); got != c.want {
+			t.Fatalf("after %v: %v, want %v", c.bw, got, c.want)
+		}
 	}
 }
 
@@ -104,7 +99,7 @@ func TestDriftHysteresis(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tel := newTestTelemetry(t, tc.cfg)
-			tel.Rebase(base, 0)
+			tel.Rebase(base)
 			fired := 0
 			for i, bw := range tc.bandwidth {
 				epoch := uint64(i + 1)
@@ -149,14 +144,14 @@ func TestShardLossImmediate(t *testing.T) {
 func TestRebaseClearsStreaks(t *testing.T) {
 	const base = 500e6 / 8
 	tel := newTestTelemetry(t, DriftConfig{Alpha: 1, RelThreshold: 0.2, Hysteresis: 2})
-	tel.Rebase(base, 0)
+	tel.Rebase(base)
 	tel.ObserveEpoch(EpochSample{Epoch: 1, Bandwidth: 0.5 * base})
 	d := tel.ObserveEpoch(EpochSample{Epoch: 2, Bandwidth: 0.5 * base})
 	if len(d) != 1 {
 		t.Fatalf("halving undetected: %v", d)
 	}
 	// Controller replans for the degraded link and rebases.
-	tel.Rebase(0.5*base, 0)
+	tel.Rebase(0.5 * base)
 	for e := uint64(3); e <= 6; e++ {
 		if d := tel.ObserveEpoch(EpochSample{Epoch: e, Bandwidth: 0.5 * base}); len(d) != 0 {
 			t.Fatalf("epoch %d drifted after rebase: %v", e, d)
@@ -175,12 +170,13 @@ func TestDriftConfigValidation(t *testing.T) {
 		t.Fatal("negative hysteresis accepted")
 	}
 	for _, bad := range []DriftConfig{
+		{Alpha: 1.5},
 		{Alpha: math.NaN()},
 		{RelThreshold: math.NaN()},
 		{RelThreshold: math.Inf(1)},
 	} {
 		if _, err := bad.normalized(); err == nil {
-			t.Fatalf("non-finite drift config accepted: %+v", bad)
+			t.Fatalf("drift config accepted: %+v", bad)
 		}
 	}
 	cfg, err := DriftConfig{}.normalized()

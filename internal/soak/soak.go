@@ -56,13 +56,15 @@ func ParseClass(s string) (Class, error) {
 	return "", fmt.Errorf("soak: unknown chaos class %q (want none|delays|corrupt|mixed|partition)", s)
 }
 
+// shards is the storage tier's shard count in every soak.
+const shards = 2
+
 // Config parameterizes one soak run. The zero value plus a seed is a valid
 // quick soak.
 type Config struct {
 	Seed    uint64
 	Class   Class // "" → mixed
 	Samples int   // dataset size (0 → 48)
-	Shards  int   // storage shards (0 → 2)
 	Epochs  int   // trainer epochs (0 → 3)
 	// Lookahead is the trainer's per-shard fetch depth (0 → the trainer's
 	// default, 2×Workers). Soaking with a deep lookahead proves the recovery
@@ -77,9 +79,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Samples <= 0 {
 		c.Samples = 48
-	}
-	if c.Shards <= 0 {
-		c.Shards = 2
 	}
 	if c.Epochs <= 0 {
 		c.Epochs = 3
@@ -110,11 +109,11 @@ func (c Config) Plan() *chaos.Plan {
 	case classNone, classPartition:
 		// fault-free wire
 	}
-	shards := make([]chaos.Profile, c.Shards)
-	for i := range shards {
-		shards[i] = p
+	profiles := make([]chaos.Profile, shards)
+	for i := range profiles {
+		profiles[i] = p
 	}
-	return &chaos.Plan{Seed: c.Seed, Shards: shards}
+	return &chaos.Plan{Seed: c.Seed, Shards: profiles}
 }
 
 // Report is the outcome of one soak run.
@@ -167,7 +166,7 @@ func Run(cfg Config) (Report, error) {
 
 	launch := func(p *chaos.Plan) (*cluster.Cluster, error) {
 		return cluster.Launch(cluster.Config{
-			Shards: cfg.Shards, Store: store, Pipeline: pipe, CoresPerShard: 1, Chaos: p,
+			Shards: shards, Store: store, Pipeline: pipe, CoresPerShard: 1, Chaos: p,
 		})
 	}
 	faulty, err := launch(plan)
@@ -187,7 +186,7 @@ func Run(cfg Config) (Report, error) {
 	if err := trainEpochs(&rep, cfg, faulty); err != nil {
 		return rep, err
 	}
-	for s := 0; s < cfg.Shards; s++ {
+	for s := 0; s < shards; s++ {
 		rep.Chaos = append(rep.Chaos, faulty.ChaosStats(s))
 	}
 	return rep, nil

@@ -67,10 +67,10 @@ func TestLookaheadConfigValidation(t *testing.T) {
 // loaderGrid runs one epoch per cell of {default depth, depth 1, deep depth}
 // × {nil Classify, all heavy, mixed} — what used to be the reactive,
 // lookahead and variance-aware modes — and holds every cell to the default
-// cell's outcome: same Samples, Offloaded and Failed, Heavy exactly the
-// classifier's share, wire bytes equal up to batch-frame headers (a shallow
-// depth can cut a round trip short at the horizon), and a prep pool that
-// took every sample it was handed exactly once. That the artifacts behind
+// cell's outcome: same Samples, Offloaded and Failed, wire bytes equal up to
+// batch-frame headers (a shallow depth can cut a round trip short at the
+// horizon), and a prep pool that took every sample it was handed exactly
+// once, the classifier's share of them heavy. That the artifacts behind
 // those counts are bit-identical to a fault-free reference is the chaos
 // soak's check (internal/soak identitySweep).
 func loaderGrid(t *testing.T, base Config, plan *policy.Plan, n int) {
@@ -111,9 +111,9 @@ func loaderGrid(t *testing.T, base Config, plan *policy.Plan, n int) {
 					wantHeavy++
 				}
 			}
-			if r.Samples != ref.Samples || r.Offloaded != ref.Offloaded || r.Failed != ref.Failed || r.Heavy != wantHeavy {
-				t.Errorf("depth %d classify %s: samples %d offloaded %d failed %d heavy %d, want %d %d %d %d",
-					depth, cl.name, r.Samples, r.Offloaded, r.Failed, r.Heavy, ref.Samples, ref.Offloaded, ref.Failed, wantHeavy)
+			if r.Samples != ref.Samples || r.Offloaded != ref.Offloaded || r.Failed != ref.Failed {
+				t.Errorf("depth %d classify %s: samples %d offloaded %d failed %d, want %d %d %d",
+					depth, cl.name, r.Samples, r.Offloaded, r.Failed, ref.Samples, ref.Offloaded, ref.Failed)
 			}
 			if d := r.BytesFetched - ref.BytesFetched; d > int64(n)*64 || d < -int64(n)*64 {
 				t.Errorf("depth %d classify %s: fetched %d bytes, reference %d — more than frame headers apart",

@@ -19,11 +19,15 @@ func TestPrepschedConfigValidation(t *testing.T) {
 
 	cfg := h.config()
 	cfg.Classify = func(int) prepsched.Class { return prepsched.Heavy }
-	if r, err := newTrainer(t, cfg).RunEpoch(1, nil, nil); err != nil || r.Heavy != n {
-		t.Fatalf("Classify alone: heavy %d of %d, err %v", r.Heavy, n, err)
+	tr := newTrainer(t, cfg)
+	if _, err := tr.RunEpoch(1, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := tr.PrepMetrics().Snapshot(); s.Heavy != n {
+		t.Fatalf("Classify alone: heavy %d of %d", s.Heavy, n)
 	}
 
-	tr := newTrainer(t, h.config())
+	tr = newTrainer(t, h.config())
 	if _, err := tr.RunEpoch(1, nil, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -33,8 +37,12 @@ func TestPrepschedConfigValidation(t *testing.T) {
 
 	cfg = h.config()
 	cfg.VarianceAware = true
-	if r, err := newTrainer(t, cfg).RunEpoch(1, nil, nil); err != nil || r.Heavy != 0 || r.Samples != n {
+	tr = newTrainer(t, cfg)
+	if r, err := tr.RunEpoch(1, nil, nil); err != nil || r.Samples != n {
 		t.Fatalf("VarianceAware without Classify: %+v, err %v", r, err)
+	}
+	if s := tr.PrepMetrics().Snapshot(); s.Heavy != 0 {
+		t.Fatalf("VarianceAware without Classify: heavy %d, want 0", s.Heavy)
 	}
 }
 

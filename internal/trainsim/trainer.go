@@ -128,10 +128,6 @@ type EpochReport struct {
 	// Failed counts samples skipped in DegradedMode (fetches that kept
 	// failing after the retry layer gave up, e.g. on a dead shard).
 	Failed int
-	// Heavy counts successfully processed samples Config.Classify labelled
-	// heavy (0 with a nil Classify). The count is order-independent, so it
-	// is deterministic for a given seed.
-	Heavy int
 	// PlanVersion is the control-plane version the epoch ran under (0 when
 	// the epoch was driven by RunEpoch with a bare plan).
 	PlanVersion policy.PlanVersion
@@ -236,7 +232,6 @@ type sampleOutcome struct {
 	wireBytes int
 	localCPU  time.Duration
 	offloaded bool
-	heavy     bool // Config.Classify said Heavy
 	failed    bool // degraded-mode skip, not a fatal error
 	err       error
 }
@@ -302,9 +297,6 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 		report.LocalCPU += out.localCPU
 		if out.offloaded {
 			report.Offloaded++
-		}
-		if out.heavy {
-			report.Heavy++
 		}
 		inBatch++
 		if inBatch == t.cfg.BatchSize {
@@ -379,12 +371,11 @@ func (t *Trainer) startLoader(ctx context.Context, cancel context.CancelFunc, ep
 		go func(w int) {
 			defer pwg.Done()
 			for {
-				it, class, ok := pool.Take(w)
+				it, ok := pool.Take(w)
 				if !ok || ctx.Err() != nil {
 					return
 				}
 				out := t.processItem(it, epoch, collector, computeSem)
-				out.heavy = class == prepsched.Heavy
 				select {
 				case results <- out:
 				case <-ctx.Done():

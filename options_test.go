@@ -16,31 +16,34 @@ import (
 	"testing"
 )
 
+// optionKeep is one optionKeeps entry: the one reason the field stays and,
+// for a test seam, the function of a _test.go file that sets it, as
+// pkg.Func (the field's own package allowed).
+type optionKeep struct{ reason, test string }
+
 // optionKeeps lists the exported option fields that have no setter in
-// non-test code outside their own package and stay anyway, each with the one
-// reason it stays. An entry whose field gains an outside setter, or goes
-// away, fails the test as stale.
-var optionKeeps = map[string]string{
+// non-test code outside their own package and stay anyway. An entry whose
+// field gains an outside setter, or goes away, or whose test no longer names
+// it, fails the test as stale.
+var optionKeeps = map[string]optionKeep{
 	// Clock injection: the seam every virtual-time test drives.
-	"repro/internal/cluster.Config.Clock":        "test seam: virtual link clock",
-	"repro/internal/core.ControllerConfig.Clock": "test seam: virtual replan-history clock",
-	"repro/internal/core.SimConfig.Clock":        "test seam: virtual controller clock",
+	"repro/internal/cluster.Config.Clock":        {"test seam: virtual link clock", "repro/internal/cluster.TestSetLinkMbps"},
+	"repro/internal/core.ControllerConfig.Clock": {"test seam: virtual replan-history clock", "repro/internal/core.TestControllerReplansOnSustainedBandwidthDrop"},
 
 	// Filled by the declaring package's own caller-facing constructor.
-	"repro/internal/loadgen.JobSpec.Name":           "loadgen.SpecFromTenant fills it",
-	"repro/internal/loadgen.JobSpec.Weight":         "loadgen.SpecFromTenant fills it",
-	"repro/internal/loadgen.JobSpec.Sessions":       "loadgen.SpecFromTenant fills it",
-	"repro/internal/loadgen.JobSpec.Mix":            "loadgen.SpecFromTenant fills it",
-	"repro/internal/loadgen.JobSpec.RawBytes":       "loadgen.SpecFromTenant fills it",
-	"repro/internal/loadgen.JobSpec.OffloadCPU":     "loadgen.SpecFromTenant fills it",
-	"repro/internal/loadgen.JobSpec.OffloadedBytes": "loadgen.SpecFromTenant fills it",
+	"repro/internal/loadgen.JobSpec.Name":           {reason: "loadgen.SpecFromTenant fills it"},
+	"repro/internal/loadgen.JobSpec.Weight":         {reason: "loadgen.SpecFromTenant fills it"},
+	"repro/internal/loadgen.JobSpec.Sessions":       {reason: "loadgen.SpecFromTenant fills it"},
+	"repro/internal/loadgen.JobSpec.Mix":            {reason: "loadgen.SpecFromTenant fills it"},
+	"repro/internal/loadgen.JobSpec.RawBytes":       {reason: "loadgen.SpecFromTenant fills it"},
+	"repro/internal/loadgen.JobSpec.OffloadCPU":     {reason: "loadgen.SpecFromTenant fills it"},
+	"repro/internal/loadgen.JobSpec.OffloadedBytes": {reason: "loadgen.SpecFromTenant fills it"},
 
 	// internal/soak is the harness the chaos tests drive; sophon-bench sets
 	// only the seed, class and duration.
-	"repro/internal/soak.Config.Epochs":    "chaos soak tests size the run",
-	"repro/internal/soak.Config.Lookahead": "chaos soak tests sweep the fetch depth",
-	"repro/internal/soak.Config.Samples":   "chaos soak tests size the run",
-	"repro/internal/soak.Config.Shards":    "chaos soak tests size the tier",
+	"repro/internal/soak.Config.Epochs":    {"test seam: chaos soak tests size the run", "repro.TestChaosSoakReproducible"},
+	"repro/internal/soak.Config.Lookahead": {"test seam: chaos soak tests sweep the fetch depth", "repro.TestChaosSoakClasses"},
+	"repro/internal/soak.Config.Samples":   {"test seam: chaos soak tests size the run", "repro.TestChaosSoakReproducible"},
 }
 
 var optionStruct = regexp.MustCompile(`(Config|Options|Policy|Spec)$`)
@@ -127,8 +130,9 @@ func loadModule(t *testing.T) *sourceLoader {
 // executable: an exported field of a struct named *Config, *Options, *Policy
 // or *Spec must be set somewhere in non-test code outside the package that
 // declares it (a cmd/ binary, an examples/ program, internal/soak, another
-// internal package), or be listed in optionKeeps with its reason. A field
-// only tests set is not a feature.
+// internal package), or be listed in optionKeeps with its reason; a test
+// seam also names the test that sets it. A field only tests set is not a
+// feature.
 func TestEveryOptionHasACaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and the standard library from source")
@@ -206,17 +210,24 @@ func TestEveryOptionHasACaller(t *testing.T) {
 
 	var unset []string
 	for pos, f := range fields {
-		reason, kept := optionKeeps[f.name]
+		k, kept := optionKeeps[f.name]
 		switch {
 		case set[pos] && kept:
-			t.Errorf("stale keep: %s now has a non-test setter outside its package (reason was %q)", f.name, reason)
+			t.Errorf("stale keep: %s now has a non-test setter outside its package (reason was %q)", f.name, k.reason)
 		case !set[pos] && !kept:
 			unset = append(unset, f.name)
 		}
 	}
-	for name := range optionKeeps {
+	for name, k := range optionKeeps {
 		if !declared[name] {
 			t.Errorf("stale keep: %s no longer exists", name)
+		}
+		if strings.HasPrefix(k.reason, "test seam") != (k.test != "") {
+			t.Errorf("keep %s: a test seam names the test that sets it, and only a test seam does", name)
+		} else if k.test != "" {
+			if err := namesIn(name, k.test, true); err != nil {
+				t.Errorf("stale keep: %s: %v", name, err)
+			}
 		}
 	}
 	sort.Strings(unset)
@@ -357,10 +368,12 @@ var exportKeeps = map[string]keep{
 	"repro/internal/imaging.FlipHorizontal": {keepOracle, "repro/internal/pipeline.TestFlipProbabilityZeroAndOne"},
 	"repro/internal/raceflag.Enabled":       {keepBench, benchLive + ".TestSmoke"}, // other packages' race-gated tests read it too
 
-	// Constructors other packages' tests build with.
+	// Constructors and values other packages' tests build with: a heavy
+	// class is what the trainer's tests hand the prep pool.
 	"repro/internal/imaging.MustNew":      {keepSeam, "repro/internal/tensor.TestFromImageScalesAndTransposes"},
 	"repro/internal/tensor.New":           {keepSeam, "repro/internal/pipeline.TestArtifactEncodeDecodeTensor"},
 	"repro/internal/dataset.ManifestFile": {keepSeam, "repro/internal/imaging.loadDirOf"},
+	"repro/internal/prepsched.Heavy":      {keepSeam, "repro/internal/trainsim.TestPrepschedConfigValidation"},
 
 	// A client connection that dies after an exact byte budget: the retry
 	// tests of storage and trainsim wrap their dialed pipes with it.
@@ -701,7 +714,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 		default:
 			t.Errorf("keep %s: %q is not one of the three keep reasons", name, k.reason)
 		}
-		if err := namesIn(name, k.test); err != nil {
+		if err := namesIn(name, k.test, false); err != nil {
 			t.Errorf("stale keep: %s: %v", name, err)
 		}
 	}
@@ -861,11 +874,12 @@ func exposedTypes(obj types.Object) []*types.TypeName {
 
 // namesIn checks a keep's test, pkg.Func: it must be declared in a _test.go
 // file of a package other than name's, and that file must name name's last
-// element.
-func namesIn(name, test string) error {
+// element. For an option field (field true) the field's own package may
+// hold the test, and a keyed literal element names the field too.
+func namesIn(name, test string, field bool) error {
 	dot := strings.LastIndex(test, ".")
 	pkg, fn := test[:dot], test[dot+1:]
-	if strings.HasPrefix(name, pkg+".") {
+	if !field && strings.HasPrefix(name, pkg+".") {
 		return fmt.Errorf("%s is in the package the name is declared in", test)
 	}
 	sel := name[strings.LastIndex(name, ".")+1:]
@@ -886,6 +900,10 @@ func namesIn(name, test string) error {
 				declares = declares || n.Name.Name == fn
 			case *ast.SelectorExpr:
 				names = names || n.Sel.Name == sel
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && field {
+					names = names || id.Name == sel
+				}
 			}
 			return true
 		})
