@@ -119,7 +119,7 @@ for p in sophon sophon-guard nooff alloff resizeoff fastflow; do
 done
 run train-flags "${train[@]}" -addr "$addr" -policy alloff -fetch-batch 4 -lookahead 3 \
 	-lookahead-horizon 32 -staging-bytes 1000000 -max-inflight 8 -compute-cores 1 \
-	-job 7 -model resnet50 -mbps 100 -storage-cores 2 -heavy-threshold 3
+	-job 7 -model resnet50 -mbps 100 -storage-cores 2
 run train-plan-file "${train[@]}" -addr "$addr" -plan-file "$out/plan.json"
 run train-adaptive "${train[@]}" -addr "$addr" -epochs 4 -adaptive -drift-threshold 0.3 -drift-hysteresis 1
 monitor 127.0.0.1:17179 shaped

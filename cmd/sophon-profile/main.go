@@ -133,7 +133,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		m.Predicted().Seconds(), d.Baseline.Predicted().Seconds())
 
 	if *dumpPlan != "" {
-		if err := persist.SavePlan(*dumpPlan, plan, persist.PlanMeta{}); err != nil {
+		if err := persist.SavePlan(*dumpPlan, plan); err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "plan written to %s\n", *dumpPlan)

@@ -92,7 +92,7 @@ func TestPreviewAndDumps(t *testing.T) {
 			t.Errorf("report lacks %q:\n%s", want, stdout.String())
 		}
 	}
-	plan, _, err := persist.LoadPlan(planPath)
+	plan, err := persist.LoadPlan(planPath)
 	if err != nil {
 		t.Fatal(err)
 	}

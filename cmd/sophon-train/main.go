@@ -9,14 +9,12 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"log"
 	"os"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cliutil"
@@ -28,20 +26,10 @@ import (
 	"repro/internal/persist"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/prepsched"
 	"repro/internal/profiler"
 	"repro/internal/storage"
 	"repro/internal/trainsim"
 )
-
-// liveClassifier is the late-bound heavy/light classifier: the trainer is
-// constructed before the stage-2 trace exists, so its Classify hook reads
-// this pointer — nil (everything light) through the profiling epoch and
-// under -plan-file, then the trace-derived classifier for the trained epochs.
-type liveClassifier struct {
-	cl *prepsched.Classifier
-	tr *dataset.Trace
-}
 
 func pickPolicy(name string) (policy.Policy, error) {
 	switch strings.ToLower(name) {
@@ -98,7 +86,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	adaptive := fs.Bool("adaptive", false, "adaptive control plane: re-probe the link each epoch and replan on drift (sophon policies only)")
 	driftThreshold := fs.Float64("drift-threshold", 0, "relative change that counts as drift (0 = default 0.2)")
 	driftHysteresis := fs.Int("drift-hysteresis", 0, "consecutive drifted epochs before replanning (0 = default 2)")
-	heavyThreshold := fs.Float64("heavy-threshold", 0, "heavy classification threshold as a multiple of the mean per-sample preprocessing cost in the stage-2 profile (0 = default 4x)")
 	if done, err := cliutil.ParseArgs(fs, args, "sophon-train", "Profiles, plans, and trains against a running sophon-server under an offload policy."); done || err != nil {
 		return err
 	}
@@ -116,12 +103,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	}
 	if *stagingBytes < 0 {
 		return fmt.Errorf("-staging-bytes must be >= 0, got %d", *stagingBytes)
-	}
-	if !(*heavyThreshold >= 0) { // NaN too
-		return fmt.Errorf("-heavy-threshold must be >= 0, got %g", *heavyThreshold)
-	}
-	if *heavyThreshold > 0 && *planFile != "" {
-		return errors.New("-heavy-threshold needs the profiling path: classification comes from the stage-2 trace, which -plan-file skips")
 	}
 
 	model, err := gpu.ByName(*modelName)
@@ -176,15 +157,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		logger.Printf("fan-out client over %d shards (degraded=%v)", nShards, *degraded)
 	}
 
-	var live atomic.Pointer[liveClassifier]
-	classify := func(sample int) prepsched.Class {
-		lc := live.Load()
-		if lc == nil || sample >= lc.tr.N() {
-			return prepsched.Light
-		}
-		return lc.cl.Classify(lc.tr.Records[sample].TotalTime())
-	}
-
 	trainer, err := trainsim.New(trainsim.Config{
 		DialClient:       dial,
 		Workers:          *workers,
@@ -199,7 +171,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		LookaheadHorizon: *lookaheadHorizon,
 		StagingBytes:     *stagingBytes,
 		DegradedMode:     *degraded,
-		Classify:         classify,
 	})
 	if err != nil {
 		return err
@@ -209,19 +180,14 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 
 	// Precomputed plan: skip profiling entirely.
 	if *planFile != "" {
-		plan, meta, err := persist.LoadPlan(*planFile)
+		plan, err := persist.LoadPlan(*planFile)
 		if err != nil {
 			return err
 		}
 		if plan.N() != trainer.N() {
 			return fmt.Errorf("plan covers %d samples, dataset has %d", plan.N(), trainer.N())
 		}
-		if meta.Version > 0 {
-			logger.Printf("loaded plan %q v%d (env fingerprint %016x): %d samples offloaded",
-				plan.Name, meta.Version, meta.EnvFingerprint, plan.OffloadedCount())
-		} else {
-			logger.Printf("loaded plan %q: %d samples offloaded", plan.Name, plan.OffloadedCount())
-		}
+		logger.Printf("loaded plan %q: %d samples offloaded", plan.Name, plan.OffloadedCount())
 		for e := 1; e <= *epochs; e++ {
 			rep, err := trainer.RunEpoch(uint64(e), plan, nil)
 			if err != nil {
@@ -240,13 +206,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	logger.Printf("stage 1: gpu=%.0f io=%.0f cpu=%.0f samples/s → %s",
 		stage1.GPUThroughput, stage1.IOThroughput, stage1.CPUThroughput, stage1.Bottleneck())
 	printEpoch(stdout, 1, rep)
-	cl, err := prepsched.FromTrace(trace, *heavyThreshold)
-	if err != nil {
-		return err
-	}
-	live.Store(&liveClassifier{cl: cl, tr: trace})
-	logger.Printf("prep classes: heavy above %v (%.1f%% of the profile)",
-		cl.Threshold().Round(time.Microsecond), 100*cl.BaselineHeavyFrac())
 
 	env := policy.Env{
 		Bandwidth:       netsim.Mbps(*mbps),

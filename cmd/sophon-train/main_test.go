@@ -69,9 +69,6 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-compute-cores", "-2"}, "-compute-cores must be non-negative, got -2"},
 		{[]string{"-lookahead-horizon", "-8"}, "-lookahead-horizon must be non-negative, got -8"},
 		{[]string{"-staging-bytes", "-1"}, "-staging-bytes must be >= 0, got -1"},
-		{[]string{"-heavy-threshold", "-1"}, "-heavy-threshold must be >= 0, got -1"},
-		{[]string{"-heavy-threshold", "NaN"}, "-heavy-threshold must be >= 0, got NaN"},
-		{[]string{"-heavy-threshold", "2", "-plan-file", "p"}, "-heavy-threshold needs the profiling path"},
 		{[]string{"-model", "vgg"}, `gpu: unknown model: "vgg"`},
 		{[]string{"-policy", "oracle"}, `unknown policy "oracle"`},
 		{[]string{"-shard-addrs", "127.0.0.1:1,,127.0.0.1:2"}, "-shard-addrs entry 1 is empty"},
@@ -96,7 +93,7 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// The golden is also README's flag table: 27 flags and -version.
+// The golden is also README's flag table: 26 flags and -version.
 func TestHelpGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/help.golden")
 	if err != nil {
@@ -109,8 +106,8 @@ func TestHelpGolden(t *testing.T) {
 	if stderr.String() != string(want) {
 		t.Fatalf("-help prints\n%s\nwant\n%s", stderr.String(), want)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 28 {
-		t.Fatalf("%d flags listed, want 27 and -version", n)
+	if n := strings.Count(stderr.String(), "\n  -"); n != 27 {
+		t.Fatalf("%d flags listed, want 26 and -version", n)
 	}
 }
 

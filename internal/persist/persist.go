@@ -17,33 +17,20 @@ import (
 	"repro/internal/policy"
 )
 
-// File format constants. A plan file is the magic, the control-plane header
-// (plan version + the fingerprint of the environment it was computed
-// against), the name, the sample count, the splits and the per-sample
-// fidelity vector. A zero header and an all-zero fidelity vector are
-// ordinary values: an unversioned, full-fidelity plan.
+// File format constants. A plan file is the magic, the name, the sample
+// count, the splits and the per-sample fidelity vector. An all-zero
+// fidelity vector is an ordinary value: a full-fidelity plan.
 const (
-	planMagic  = "SOPHPLN3"
+	planMagic  = "SOPHPLN4"
 	maxName    = 1 << 10
 	maxRecords = 1 << 26
 )
 
-// PlanMeta is the plan file's control-plane header.
-type PlanMeta struct {
-	// Version is the control-plane plan version the file captured (0 for a
-	// plan written outside the control plane).
-	Version policy.PlanVersion
-	// EnvFingerprint identifies the planning environment; 0 when the
-	// writer records none, as every writer in this module does.
-	EnvFingerprint uint64
-}
-
 // errCorrupt reports a malformed stream.
 var errCorrupt = errors.New("persist: corrupt stream")
 
-// writePlan serializes a plan with its control-plane header; a plan written
-// outside the control plane passes the zero PlanMeta.
-func writePlan(w io.Writer, p *policy.Plan, meta PlanMeta) error {
+// writePlan serializes a plan.
+func writePlan(w io.Writer, p *policy.Plan) error {
 	if p == nil {
 		return errors.New("persist: nil plan")
 	}
@@ -61,12 +48,6 @@ func writePlan(w io.Writer, p *policy.Plan, meta PlanMeta) error {
 	if _, err := bw.WriteString(planMagic); err != nil {
 		return err
 	}
-	if err := binary.Write(bw, binary.LittleEndian, uint32(meta.Version)); err != nil {
-		return err
-	}
-	if err := binary.Write(bw, binary.LittleEndian, meta.EnvFingerprint); err != nil {
-		return err
-	}
 	if err := writeString(bw, p.Name); err != nil {
 		return err
 	}
@@ -82,71 +63,62 @@ func writePlan(w io.Writer, p *policy.Plan, meta PlanMeta) error {
 	return bw.Flush()
 }
 
-// readPlan deserializes a plan and its header. Anything but a well-formed
-// SOPHPLN3 stream is errCorrupt.
-func readPlan(r io.Reader) (*policy.Plan, PlanMeta, error) {
-	var meta PlanMeta
+// readPlan deserializes a plan. Anything but a well-formed SOPHPLN4 stream
+// is errCorrupt.
+func readPlan(r io.Reader) (*policy.Plan, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(planMagic))
 	if _, err := io.ReadFull(br, magic); err != nil {
-		return nil, meta, fmt.Errorf("%w: magic: %v", errCorrupt, err)
+		return nil, fmt.Errorf("%w: magic: %v", errCorrupt, err)
 	}
 	if string(magic) != planMagic {
-		return nil, meta, fmt.Errorf("%w: bad magic %q", errCorrupt, magic)
+		return nil, fmt.Errorf("%w: bad magic %q", errCorrupt, magic)
 	}
-	var v uint32
-	if err := binary.Read(br, binary.LittleEndian, &v); err != nil {
-		return nil, meta, fmt.Errorf("%w: plan version: %v", errCorrupt, err)
-	}
-	if err := binary.Read(br, binary.LittleEndian, &meta.EnvFingerprint); err != nil {
-		return nil, meta, fmt.Errorf("%w: env fingerprint: %v", errCorrupt, err)
-	}
-	meta.Version = policy.PlanVersion(v)
 	name, err := readString(br)
 	if err != nil {
-		return nil, meta, err
+		return nil, err
 	}
 	var n uint32
 	if err := binary.Read(br, binary.LittleEndian, &n); err != nil {
-		return nil, meta, fmt.Errorf("%w: count: %v", errCorrupt, err)
+		return nil, fmt.Errorf("%w: count: %v", errCorrupt, err)
 	}
 	if n == 0 || n > maxRecords {
-		return nil, meta, fmt.Errorf("%w: %d splits", errCorrupt, n)
+		return nil, fmt.Errorf("%w: %d splits", errCorrupt, n)
 	}
 	splits, err := readN(br, n)
 	if err != nil {
-		return nil, meta, fmt.Errorf("%w: splits: %v", errCorrupt, err)
+		return nil, fmt.Errorf("%w: splits: %v", errCorrupt, err)
 	}
 	for i, s := range splits {
 		if int(s) > dataset.OpCount {
-			return nil, meta, fmt.Errorf("%w: split %d of sample %d out of range", errCorrupt, s, i)
+			return nil, fmt.Errorf("%w: split %d of sample %d out of range", errCorrupt, s, i)
 		}
 	}
 	fidelity, err := readN(br, n)
 	if err != nil {
-		return nil, meta, fmt.Errorf("%w: fidelity: %v", errCorrupt, err)
+		return nil, fmt.Errorf("%w: fidelity: %v", errCorrupt, err)
 	}
 	for i, f := range fidelity {
 		if int(f) >= imaging.MaxScans {
-			return nil, meta, fmt.Errorf("%w: fidelity %d of sample %d out of range", errCorrupt, f, i)
+			return nil, fmt.Errorf("%w: fidelity %d of sample %d out of range", errCorrupt, f, i)
 		}
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
-		return nil, meta, fmt.Errorf("%w: trailing data", errCorrupt)
+		return nil, fmt.Errorf("%w: trailing data", errCorrupt)
 	}
-	return &policy.Plan{Name: name, Splits: splits, Fidelity: fidelity}, meta, nil
+	return &policy.Plan{Name: name, Splits: splits, Fidelity: fidelity}, nil
 }
 
-// SavePlan writes a plan with its control-plane header to path.
-func SavePlan(path string, p *policy.Plan, meta PlanMeta) error {
-	return saveFile(path, func(w io.Writer) error { return writePlan(w, p, meta) })
+// SavePlan writes a plan to path.
+func SavePlan(path string, p *policy.Plan) error {
+	return saveFile(path, func(w io.Writer) error { return writePlan(w, p) })
 }
 
-// LoadPlan reads a plan and its header from path.
-func LoadPlan(path string) (*policy.Plan, PlanMeta, error) {
+// LoadPlan reads a plan from path.
+func LoadPlan(path string) (*policy.Plan, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, PlanMeta{}, err
+		return nil, err
 	}
 	defer f.Close()
 	return readPlan(f)

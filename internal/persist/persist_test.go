@@ -32,10 +32,10 @@ func TestPlanRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := writePlan(&buf, plan, PlanMeta{}); err != nil {
+	if err := writePlan(&buf, plan); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := readPlan(&buf)
+	got, err := readPlan(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestPlanRoundTrip(t *testing.T) {
 
 func TestNilInputs(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writePlan(&buf, nil, PlanMeta{}); err == nil {
+	if err := writePlan(&buf, nil); err == nil {
 		t.Fatal("accepted nil plan")
 	}
 }
@@ -59,7 +59,7 @@ func TestNilInputs(t *testing.T) {
 func TestReadRejectsCorrupt(t *testing.T) {
 	plan, _ := policy.NewUniformPlan("p", 5, 2)
 	var pbuf bytes.Buffer
-	if err := writePlan(&pbuf, plan, PlanMeta{}); err != nil {
+	if err := writePlan(&pbuf, plan); err != nil {
 		t.Fatal(err)
 	}
 	planBytes := pbuf.Bytes()
@@ -76,7 +76,7 @@ func TestReadRejectsCorrupt(t *testing.T) {
 		}(),
 	}
 	for name, b := range planCases {
-		if _, _, err := readPlan(bytes.NewReader(b)); err == nil {
+		if _, err := readPlan(bytes.NewReader(b)); err == nil {
 			t.Errorf("ReadPlan accepted %s", name)
 		}
 	}
@@ -84,7 +84,7 @@ func TestReadRejectsCorrupt(t *testing.T) {
 
 // claimedPlan is a header that claims 2^24 samples and carries none of them.
 func claimedPlan() []byte {
-	b := append([]byte(planMagic), make([]byte, 4+8+2)...) // zero header, empty name
+	b := append([]byte(planMagic), 0, 0) // empty name
 	return binary.LittleEndian.AppendUint32(b, 1<<24)
 }
 
@@ -94,7 +94,7 @@ func claimedPlan() []byte {
 func TestClaimedCountCostsNothing(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, _, err := readPlan(bytes.NewReader(claimedPlan()))
+	_, err := readPlan(bytes.NewReader(claimedPlan()))
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, errCorrupt) {
 		t.Fatalf("err = %v, want ErrCorrupt", err)
@@ -108,10 +108,10 @@ func TestSaveLoadFiles(t *testing.T) {
 	dir := t.TempDir()
 	plan, _ := policy.NewUniformPlan("resize", 50, 2)
 	planPath := filepath.Join(dir, "plan.bin")
-	if err := SavePlan(planPath, plan, PlanMeta{}); err != nil {
+	if err := SavePlan(planPath, plan); err != nil {
 		t.Fatal(err)
 	}
-	lp, _, err := LoadPlan(planPath)
+	lp, err := LoadPlan(planPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSaveLoadFiles(t *testing.T) {
 		t.Fatalf("loaded plan offloads %d", lp.OffloadedCount())
 	}
 
-	if _, _, err := LoadPlan(filepath.Join(dir, "missing.bin")); err == nil {
+	if _, err := LoadPlan(filepath.Join(dir, "missing.bin")); err == nil {
 		t.Fatal("loaded missing file")
 	}
 }
@@ -139,10 +139,10 @@ func TestPlanRoundTripProperty(t *testing.T) {
 		}
 		in := &policy.Plan{Name: name, Splits: splits}
 		var buf bytes.Buffer
-		if err := writePlan(&buf, in, PlanMeta{}); err != nil {
+		if err := writePlan(&buf, in); err != nil {
 			return false
 		}
-		out, _, err := readPlan(&buf)
+		out, err := readPlan(&buf)
 		if err != nil || out.Name != in.Name || out.N() != in.N() {
 			return false
 		}

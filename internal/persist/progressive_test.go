@@ -15,22 +15,17 @@ var goldenFidelityPlan = &policy.Plan{
 	Fidelity: []uint8{1, 0, 3, 0, 2, 0, 0, 1},
 }
 
-// A plan carrying a fidelity vector round-trips with its header; a
-// fidelity-free plan — nil or all-zero vector — takes the
-// same format and reads back as full fidelity.
+// TestPlanV3RoundTrip: a plan carrying a fidelity vector (the layout
+// version 3 introduced) round-trips; a fidelity-free plan — nil or all-zero
+// vector — takes the same format and reads back as full fidelity.
 func TestPlanV3RoundTrip(t *testing.T) {
-	meta := PlanMeta{Version: 9, EnvFingerprint: 0xabad1dea}
 	var buf bytes.Buffer
-	if err := writePlan(&buf, goldenFidelityPlan, meta); err != nil {
+	if err := writePlan(&buf, goldenFidelityPlan); err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	p, got, err := readPlan(bytes.NewReader(raw))
+	p, err := readPlan(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got != meta {
-		t.Fatalf("meta %+v, want %+v", got, meta)
 	}
 	if p.Name != goldenFidelityPlan.Name || !bytes.Equal(p.Splits, goldenFidelityPlan.Splits) ||
 		!bytes.Equal(p.Fidelity, goldenFidelityPlan.Fidelity) {
@@ -41,11 +36,11 @@ func TestPlanV3RoundTrip(t *testing.T) {
 	for _, fid := range [][]uint8{nil, {0, 0, 0}} {
 		flat := &policy.Plan{Name: "flat", Splits: []uint8{0, 1, 2}, Fidelity: fid}
 		buf.Reset()
-		if err := writePlan(&buf, flat, meta); err != nil {
+		if err := writePlan(&buf, flat); err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, append([]byte(nil), buf.Bytes()...))
-		back, _, err := readPlan(&buf)
+		back, err := readPlan(&buf)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,75 +53,69 @@ func TestPlanV3RoundTrip(t *testing.T) {
 	}
 }
 
-// writePlan with a zero header keeps the fidelity vector rather than
-// flattening the plan.
+// writePlan keeps the fidelity vector rather than flattening the plan.
 func TestWritePlanKeepsFidelity(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writePlan(&buf, goldenFidelityPlan, PlanMeta{}); err != nil {
+	if err := writePlan(&buf, goldenFidelityPlan); err != nil {
 		t.Fatal(err)
 	}
-	p, meta, err := readPlan(bytes.NewReader(buf.Bytes()))
+	p, err := readPlan(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if meta != (PlanMeta{}) {
-		t.Fatalf("WritePlan wrote meta %+v, want zero", meta)
 	}
 	if !bytes.Equal(p.Fidelity, goldenFidelityPlan.Fidelity) {
 		t.Fatalf("fidelity %v", p.Fidelity)
 	}
 }
 
-// TestPlanV3Golden pins the plan file format byte for byte.
+// TestPlanV3Golden pins the plan file format byte for byte: the fidelity
+// layout of version 3 under the current magic, testdata/plan_v4.golden.
 func TestPlanV3Golden(t *testing.T) {
-	v3, err := os.ReadFile(filepath.Join("testdata", "plan_v3.golden"))
+	golden, err := os.ReadFile(filepath.Join("testdata", "plan_v4.golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantMeta := PlanMeta{Version: 11, EnvFingerprint: 0x0badc0de05060708}
-	p, meta, err := readPlan(bytes.NewReader(v3))
+	p, err := readPlan(bytes.NewReader(golden))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if meta != wantMeta {
-		t.Fatalf("v3 golden meta %+v, want %+v", meta, wantMeta)
-	}
-	if p.Name != goldenFidelityPlan.Name || !bytes.Equal(p.Fidelity, goldenFidelityPlan.Fidelity) {
-		t.Fatalf("v3 golden plan %+v", p)
+	if p.Name != goldenFidelityPlan.Name || !bytes.Equal(p.Splits, goldenFidelityPlan.Splits) ||
+		!bytes.Equal(p.Fidelity, goldenFidelityPlan.Fidelity) {
+		t.Fatalf("golden plan %+v", p)
 	}
 	var out bytes.Buffer
-	if err := writePlan(&out, p, meta); err != nil {
+	if err := writePlan(&out, goldenFidelityPlan); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(out.Bytes(), v3) {
-		t.Fatal("v3 writer no longer reproduces the golden bytes")
+	if !bytes.Equal(out.Bytes(), golden) {
+		t.Fatal("the writer no longer reproduces the golden bytes")
 	}
 }
 
 func TestPlanV3Corrupt(t *testing.T) {
 	var buf bytes.Buffer
-	if err := writePlan(&buf, goldenFidelityPlan, PlanMeta{}); err != nil {
+	if err := writePlan(&buf, goldenFidelityPlan); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
 	// Truncated fidelity vector.
-	if _, _, err := readPlan(bytes.NewReader(raw[:len(raw)-2])); err == nil {
+	if _, err := readPlan(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Fatal("accepted truncated fidelity vector")
 	}
 	// Out-of-range fidelity (>= imaging.MaxScans).
 	bad := append([]byte(nil), raw...)
 	bad[len(bad)-1] = 200
-	if _, _, err := readPlan(bytes.NewReader(bad)); err == nil {
+	if _, err := readPlan(bytes.NewReader(bad)); err == nil {
 		t.Fatal("accepted out-of-range fidelity")
 	}
 	// Trailing garbage after the vector.
-	if _, _, err := readPlan(bytes.NewReader(append(append([]byte(nil), raw...), 0))); err == nil {
+	if _, err := readPlan(bytes.NewReader(append(append([]byte(nil), raw...), 0))); err == nil {
 		t.Fatal("accepted trailing data")
 	}
 	// A mis-sized in-memory fidelity vector must refuse to serialize.
 	broken := &policy.Plan{Name: "b", Splits: []uint8{0, 0, 0}, Fidelity: []uint8{1}}
-	if err := writePlan(&buf, broken, PlanMeta{}); err == nil {
+	if err := writePlan(&buf, broken); err == nil {
 		t.Fatal("accepted mis-sized fidelity vector")
 	}
 }

@@ -23,7 +23,7 @@ type Sophon struct {
 	// the discrete loop, split-0 samples may additionally withhold
 	// refinement scans of their progressive container (zero storage-CPU
 	// cost, bounded by the pass's quality floors). The resulting plan
-	// carries a Fidelity vector and persists as SOPHPLN3.
+	// carries a Fidelity vector and persists as SOPHPLN4.
 	Fidelity *FidelityPass
 }
 

@@ -1,80 +1,19 @@
 package prepsched
 
-import "sync/atomic"
+// Metrics is the prep stage's counter set, which the trainer no longer
+// fills: its workers take stream entries straight from the fetch
+// scheduler, so there is no dispatch, pop, steal or stall to count. It stays
+// only because benchmarks/live reads it (ROADMAP 1A(vi)).
+type Metrics struct{}
 
-// Metrics counts the scheduler's classification and scheduling activity with
-// lock-free atomics, the same discipline as prefetch.Metrics: loader workers
-// bump counters on their hot path and a monitor snapshots them concurrently.
-// All methods are nil-safe so instrumentation can be left unwired.
-type Metrics struct {
-	light   atomic.Int64
-	heavy   atomic.Int64
-	ownPops atomic.Int64
-	steals  atomic.Int64
-	stalls  atomic.Int64
-}
-
-// MetricsSnapshot is a point-in-time copy of the counters, JSON-shaped for
-// the monitor's /stats block.
+// MetricsSnapshot is the shape benchmarks/live reads; every field is 0.
 type MetricsSnapshot struct {
-	// Light and Heavy count samples dispatched per class.
-	Light int64 `json:"light"`
-	Heavy int64 `json:"heavy"`
-	// OwnPops counts takes a worker served from its own deque; Steals counts
-	// takes served from another worker's tail.
+	Light   int64 `json:"light"`
+	Heavy   int64 `json:"heavy"`
 	OwnPops int64 `json:"own_pops"`
 	Steals  int64 `json:"steals"`
-	// Stalls counts the times a worker found every deque empty and had to
-	// block waiting for more dispatched work.
-	Stalls int64 `json:"stalls"`
-	// HeavyFrac is Heavy / (Light + Heavy), 0 before any dispatch.
-	HeavyFrac float64 `json:"heavy_frac"`
+	Stalls  int64 `json:"stalls"`
 }
 
-func (m *Metrics) noteDispatch(c Class) {
-	if m == nil {
-		return
-	}
-	if c == Heavy {
-		m.heavy.Add(1)
-	} else {
-		m.light.Add(1)
-	}
-}
-
-func (m *Metrics) noteOwnPop() {
-	if m != nil {
-		m.ownPops.Add(1)
-	}
-}
-
-func (m *Metrics) noteSteal() {
-	if m != nil {
-		m.steals.Add(1)
-	}
-}
-
-func (m *Metrics) noteStall() {
-	if m != nil {
-		m.stalls.Add(1)
-	}
-}
-
-// Snapshot returns a consistent-enough copy for monitoring (each counter is
-// read atomically; the set is not a single linearized cut). Nil-safe.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	if m == nil {
-		return MetricsSnapshot{}
-	}
-	s := MetricsSnapshot{
-		Light:   m.light.Load(),
-		Heavy:   m.heavy.Load(),
-		OwnPops: m.ownPops.Load(),
-		Steals:  m.steals.Load(),
-		Stalls:  m.stalls.Load(),
-	}
-	if total := s.Light + s.Heavy; total > 0 {
-		s.HeavyFrac = float64(s.Heavy) / float64(total)
-	}
-	return s
-}
+// Snapshot returns the zero snapshot. Nil-safe.
+func (m *Metrics) Snapshot() MetricsSnapshot { return MetricsSnapshot{} }

@@ -1,20 +1,14 @@
-// Package prepsched is the variance-aware preprocessing scheduler: it
-// classifies samples heavy or light from their profiled per-sample
-// preprocessing cost (internal/profiler stage 2) and schedules local
-// preprocessing over per-worker work-stealing deques, so light samples flow
-// around heavy ones instead of queueing behind them — the head-of-line
-// blocking MinatoLoader identifies as a first-order loss in real loaders.
+// Package prepsched classifies samples heavy or light from their profiled
+// per-sample preprocessing cost (internal/profiler stage 2): a sample is
+// heavy when its cost is at least a ratio of the dataset's mean cost.
 //
-// The scheduler never changes WHAT is computed, only WHEN: preprocessing is
-// deterministic in (job, epoch, sample) for a given cut, so artifact bytes
-// are bit-identical to FIFO scheduling no matter which worker runs a sample
-// or in what order. Only completion timing moves, which is the point — a
-// heavy decode overlaps the transfer and preprocessing of the staged samples
-// behind it instead of stalling them.
-//
-// Classification is a loader scheduling decision, not a planning input: the
-// class counts reach the monitor through Metrics (Trainer.PrepMetrics), and
-// no replan reads them.
+// The live loader needs no classes. Its workers take stream entries from
+// the fetch scheduler one at a time as each frees up, and the trainer forms
+// batches in completion order, so a heavy sample delays only the worker
+// running it; no queue holds light samples behind it. What remains is the
+// classifier: sophon-bench -prepsched counts the heavy samples of the trace
+// BENCH_pr9 simulates, and benchmarks/live still builds one (ROADMAP
+// 1A(vi)).
 package prepsched
 
 import (
@@ -29,16 +23,15 @@ import (
 // Class labels one sample's preprocessing weight.
 type Class uint8
 
-// Sample classes. Light is the zero value so an unclassified sample never
-// queues behind the heavy lane by accident.
+// Sample classes; light is the zero value.
 const (
-	Light Class = iota
-	Heavy
+	light Class = iota
+	heavy
 )
 
 // String names the class for logs and metrics.
 func (c Class) String() string {
-	if c == Heavy {
+	if c == heavy {
 		return "heavy"
 	}
 	return "light"
@@ -50,8 +43,7 @@ func (c Class) String() string {
 const defaultHeavyRatio = 4.0
 
 // Classifier maps per-sample preprocessing cost to a class against a fixed
-// threshold derived from the profiled cost distribution. It is immutable, so
-// loader workers share one freely.
+// threshold derived from the profiled cost distribution. It is immutable.
 type Classifier struct {
 	threshold time.Duration // cost >= threshold is heavy
 	baseline  float64       // heavy fraction of the profile it was built from
@@ -102,9 +94,6 @@ func FromTrace(tr *dataset.Trace, ratio float64) (*Classifier, error) {
 	return newClassifier(costs, ratio)
 }
 
-// Threshold returns the heavy cutoff.
-func (c *Classifier) Threshold() time.Duration { return c.threshold }
-
 // BaselineHeavyFrac is the heavy fraction of the cost profile the classifier
 // was built from.
 func (c *Classifier) BaselineHeavyFrac() float64 { return c.baseline }
@@ -112,7 +101,7 @@ func (c *Classifier) BaselineHeavyFrac() float64 { return c.baseline }
 // Classify maps one sample's profiled cost to its class.
 func (c *Classifier) Classify(cost time.Duration) Class {
 	if c.threshold > 0 && cost >= c.threshold {
-		return Heavy
+		return heavy
 	}
-	return Light
+	return light
 }

@@ -20,20 +20,20 @@ func TestClassifierThresholdFromProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := cl.Threshold(), 850*time.Microsecond; got != want {
-		t.Fatalf("threshold = %v, want %v", got, want)
-	}
 	if got, want := cl.BaselineHeavyFrac(), 1.0/8; got != want {
 		t.Fatalf("baseline heavy frac = %v, want %v", got, want)
 	}
-	if c := cl.Classify(100 * time.Microsecond); c != Light {
+	if c := cl.Classify(100 * time.Microsecond); c != light {
 		t.Fatalf("100µs classified %v, want light", c)
 	}
-	if c := cl.Classify(1 * time.Millisecond); c != Heavy {
+	if c := cl.Classify(1 * time.Millisecond); c != heavy {
 		t.Fatalf("1ms classified %v, want heavy", c)
 	}
-	if c := cl.Classify(850 * time.Microsecond); c != Heavy {
+	if c := cl.Classify(850 * time.Microsecond); c != heavy {
 		t.Fatalf("cost at the threshold classified %v, want heavy", c)
+	}
+	if c := cl.Classify(850*time.Microsecond - 1); c != light {
+		t.Fatalf("cost just below the threshold classified %v, want light", c)
 	}
 }
 
@@ -66,36 +66,33 @@ func TestClassifierFromTrace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.Threshold() <= 0 {
-		t.Fatalf("threshold = %v, want > 0", cl.Threshold())
-	}
-	heavy := 0
+	n := 0
 	for i := range tr.Records {
-		if cl.Classify(tr.Records[i].TotalTime()) == Heavy {
-			heavy++
+		if cl.Classify(tr.Records[i].TotalTime()) == heavy {
+			n++
 		}
 	}
-	if heavy == 0 || heavy == tr.N() {
-		t.Fatalf("degenerate classification: %d/%d heavy at ratio 1", heavy, tr.N())
+	if n == 0 || n == tr.N() {
+		t.Fatalf("degenerate classification: %d/%d heavy at ratio 1", n, tr.N())
 	}
-	if got, want := cl.BaselineHeavyFrac(), float64(heavy)/float64(tr.N()); got != want {
+	if got, want := cl.BaselineHeavyFrac(), float64(n)/float64(tr.N()); got != want {
 		t.Fatalf("baseline %v disagrees with recount %v", got, want)
 	}
 }
 
+// TestMetricsNilSafe: a nil and a zero Metrics both snapshot to zero.
 func TestMetricsNilSafe(t *testing.T) {
 	var m *Metrics
-	m.noteDispatch(Heavy)
-	m.noteOwnPop()
-	m.noteSteal()
-	m.noteStall()
 	if s := m.Snapshot(); s != (MetricsSnapshot{}) {
 		t.Fatalf("nil snapshot = %+v", s)
+	}
+	if s := new(Metrics).Snapshot(); s != (MetricsSnapshot{}) {
+		t.Fatalf("zero snapshot = %+v", s)
 	}
 }
 
 func TestClassString(t *testing.T) {
-	if Light.String() != "light" || Heavy.String() != "heavy" {
-		t.Fatalf("class names: %q %q", Light, Heavy)
+	if light.String() != "light" || heavy.String() != "heavy" {
+		t.Fatalf("class names: %q %q", light, heavy)
 	}
 }

@@ -9,8 +9,9 @@ import (
 // newTrainer builds a Trainer and, at test cleanup, closes it and checks the
 // loader left nothing behind — whichever way its last epoch ended (drained,
 // aborted on the first error, or degraded around a dead shard): no goroutine
-// beyond those running before New, no staged bytes on the scheduler's gauge,
-// no sample stranded in the prep pool.
+// beyond those running before New — the loader's workers and the fetch
+// scheduler's issue goroutines included — and no staged bytes on the
+// scheduler's gauge.
 func newTrainer(t testing.TB, cfg Config) *Trainer {
 	t.Helper()
 	// A server is still spawning the handlers of a session dialled just
@@ -32,11 +33,6 @@ func newTrainer(t testing.TB, cfg Config) *Trainer {
 		tr.Close()
 		if b := tr.PrefetchMetrics().Snapshot().StagedBytes; b != 0 {
 			t.Errorf("loader teardown: %d bytes still staged", b)
-		}
-		if tr.pool != nil {
-			if n := tr.pool.Pending(); n != 0 {
-				t.Errorf("loader teardown: %d samples stranded in the prep pool", n)
-			}
 		}
 		// Session readers and the server's per-connection handlers exit
 		// asynchronously after Close.

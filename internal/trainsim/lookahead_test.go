@@ -10,7 +10,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/pipeline"
 	"repro/internal/policy"
-	"repro/internal/prepsched"
 	"repro/internal/storage"
 )
 
@@ -64,78 +63,48 @@ func TestLookaheadConfigValidation(t *testing.T) {
 	}
 }
 
-// loaderGrid runs one epoch per cell of {default depth, depth 1, deep depth}
-// × {nil Classify, all heavy, mixed} — what used to be the reactive,
-// lookahead and variance-aware modes — and holds every cell to the default
-// cell's outcome: same Samples, Offloaded and Failed, wire bytes equal up to
-// batch-frame headers (a shallow depth can cut a round trip short at the
-// horizon), and a prep pool that took every sample it was handed exactly
-// once, the classifier's share of them heavy. That the artifacts behind
-// those counts are bit-identical to a fault-free reference is the chaos
-// soak's check (internal/soak identitySweep).
+// loaderGrid runs one epoch at each of {default depth, depth 1, deep depth}
+// — what used to be the reactive and lookahead modes — and holds every
+// epoch to the default depth's outcome: same Samples, Offloaded and Failed,
+// wire bytes equal up to batch-frame headers (a shallow depth can cut a
+// round trip short at the horizon), and the scheduler's counters. That the
+// artifacts behind those counts are bit-identical to a fault-free reference
+// is the chaos soak's check (internal/soak identitySweep).
 func loaderGrid(t *testing.T, base Config, plan *policy.Plan, n int) {
 	t.Helper()
-	mixed := func(sample int) prepsched.Class {
-		if sample%5 == 0 {
-			return prepsched.Heavy
-		}
-		return prepsched.Light
-	}
-	classes := []struct {
-		name     string
-		classify func(int) prepsched.Class
-	}{
-		{"nil", nil},
-		{"heavy", func(int) prepsched.Class { return prepsched.Heavy }},
-		{"mixed", mixed},
-	}
 	var ref EpochReport
 	for _, depth := range []int{0, 1, 16} {
-		for _, cl := range classes {
-			cfg := base
-			cfg.Lookahead, cfg.Classify = depth, cl.classify
-			tr := newTrainer(t, cfg)
-			r, err := tr.RunEpoch(1, plan, nil)
-			if err != nil {
-				t.Fatalf("depth %d classify %s: %v", depth, cl.name, err)
+		cfg := base
+		cfg.Lookahead = depth
+		tr := newTrainer(t, cfg)
+		r, err := tr.RunEpoch(1, plan, nil)
+		if err != nil {
+			t.Fatalf("depth %d: %v", depth, err)
+		}
+		if depth == 0 {
+			ref = r
+			if r.Samples != n || r.Failed != 0 {
+				t.Fatalf("reference epoch trained %d of %d samples, %d failed", r.Samples, n, r.Failed)
 			}
-			if depth == 0 && cl.classify == nil {
-				ref = r
-				if r.Samples != n || r.Failed != 0 {
-					t.Fatalf("reference epoch trained %d of %d samples, %d failed", r.Samples, n, r.Failed)
-				}
-			}
-			wantHeavy := 0
-			for i := 0; i < n && cl.classify != nil; i++ {
-				if cl.classify(i) == prepsched.Heavy {
-					wantHeavy++
-				}
-			}
-			if r.Samples != ref.Samples || r.Offloaded != ref.Offloaded || r.Failed != ref.Failed {
-				t.Errorf("depth %d classify %s: samples %d offloaded %d failed %d, want %d %d %d",
-					depth, cl.name, r.Samples, r.Offloaded, r.Failed, ref.Samples, ref.Offloaded, ref.Failed)
-			}
-			if d := r.BytesFetched - ref.BytesFetched; d > int64(n)*64 || d < -int64(n)*64 {
-				t.Errorf("depth %d classify %s: fetched %d bytes, reference %d — more than frame headers apart",
-					depth, cl.name, r.BytesFetched, ref.BytesFetched)
-			}
-			ps := tr.PrepMetrics().Snapshot()
-			if ps.Light+ps.Heavy != int64(n) || ps.Heavy != int64(wantHeavy) || ps.OwnPops+ps.Steals != int64(n) {
-				t.Errorf("depth %d classify %s: prep pool %+v, want %d dispatched (%d heavy) and %d taken",
-					depth, cl.name, ps, n, wantHeavy, n)
-			}
-			pf := tr.PrefetchMetrics().Snapshot()
-			if pf.Completed != int64(n) || pf.Offloaded != int64(ref.Offloaded) {
-				t.Errorf("depth %d classify %s: prefetch counters %+v for %d samples (%d offloaded)",
-					depth, cl.name, pf, n, ref.Offloaded)
-			}
+		}
+		if r.Samples != ref.Samples || r.Offloaded != ref.Offloaded || r.Failed != ref.Failed {
+			t.Errorf("depth %d: samples %d offloaded %d failed %d, want %d %d %d",
+				depth, r.Samples, r.Offloaded, r.Failed, ref.Samples, ref.Offloaded, ref.Failed)
+		}
+		if d := r.BytesFetched - ref.BytesFetched; d > int64(n)*64 || d < -int64(n)*64 {
+			t.Errorf("depth %d: fetched %d bytes, reference %d — more than frame headers apart",
+				depth, r.BytesFetched, ref.BytesFetched)
+		}
+		pf := tr.PrefetchMetrics().Snapshot()
+		if pf.Completed != int64(n) || pf.Offloaded != int64(ref.Offloaded) {
+			t.Errorf("depth %d: prefetch counters %+v for %d samples (%d offloaded)",
+				depth, pf, n, ref.Offloaded)
 		}
 	}
 }
 
 // TestLookaheadEpochSingleServer: over a plain (non-sharded) client the
-// scheduler falls back to one link; every depth and classifier trains the
-// same raw epoch.
+// scheduler falls back to one link; every depth trains the same raw epoch.
 func TestLookaheadEpochSingleServer(t *testing.T) {
 	const n = 32
 	h := newHarness(t, n, 4)
@@ -186,7 +155,7 @@ func lookaheadCluster(t testing.TB, n, shards int, plan *chaos.Plan) (*cluster.C
 
 // TestLookaheadShardedMatchesReactive: per-shard issue queues over a 3-shard
 // tier with an offloading plan deliver the same training outcome at every
-// depth and classifier.
+// depth.
 func TestLookaheadShardedMatchesReactive(t *testing.T) {
 	const n = 48
 	_, cfg := lookaheadCluster(t, n, 3, nil)

@@ -1,9 +1,13 @@
-// Package trainsim is the live training loop: loader workers fetch samples
-// from the storage server over the wire protocol (each carrying the offload
-// split the plan assigned), finish the remaining preprocessing locally under
-// a compute-core budget, assemble batches, and occupy a simulated GPU for
-// each batch. It also hosts the profiler's stage-1 probes and stage-2
-// on-the-fly collection, mirroring Figure 2's flow end to end.
+// Package trainsim is the live training loop: a clairvoyant fetch scheduler
+// (internal/prefetch) fetches samples from the storage server over the wire
+// protocol (each carrying the offload split the plan assigned), loader
+// workers take them from it one at a time and finish the remaining
+// preprocessing locally under a compute-core budget, and batches, formed in
+// completion order, occupy a simulated GPU. Because completion order forms
+// the batches, a slow sample holds up only its own worker, and the workers
+// share the scheduler's one queue with no classes or per-worker queues. It
+// also hosts the profiler's stage-1 probes and stage-2 on-the-fly
+// collection, mirroring Figure 2's flow end to end.
 package trainsim
 
 import (
@@ -11,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -49,17 +54,13 @@ type Config struct {
 	// StagingBytes budgets the artifacts fetched but not yet consumed;
 	// 0 means defaultStagingBytes, negative means unbounded.
 	StagingBytes int64
-	// VarianceAware is not read: a non-nil Classify is the condition. It
-	// stays declared only until benchmarks/ stops assigning it.
+	// VarianceAware is not read. It stays declared only until benchmarks/
+	// stops assigning it.
 	VarianceAware bool
-	// Classify maps a sample index to its preprocessing class, typically a
-	// prepsched.Classifier closure over the stage-2 cost trace: delivered
-	// stream entries are spread heavy/light over per-worker work-stealing
-	// deques (internal/prepsched), so light samples flow around heavy ones
-	// instead of queueing behind them. Nil means every sample is Light,
-	// which is FIFO handoff. Output artifacts do not depend on it —
-	// preprocessing is deterministic in (job, epoch, sample) per cut, so
-	// only completion timing changes.
+	// Classify is not read: the loader's workers take stream entries from
+	// the fetch scheduler as each frees up, so there is no queue for a class
+	// to reorder. It stays declared only until benchmarks/ stops assigning
+	// it.
 	Classify func(sample int) prepsched.Class
 	// ComputeCores bounds concurrent local preprocessing; 0 means Workers.
 	ComputeCores int
@@ -98,10 +99,6 @@ type Trainer struct {
 	closed bool
 	mu     sync.Mutex
 	pf     prefetch.Metrics
-	ps     prepsched.Metrics
-	// pool is the latest epoch's prep pool, kept so a torn-down epoch can be
-	// checked for stranded samples.
-	pool *prepsched.Pool[prefetch.Item]
 	// device is the simulated GPU for the trainer's whole life: an epoch
 	// returns once its last batch is handed over, and that step runs while
 	// the next epoch (or Close) begins.
@@ -187,9 +184,6 @@ func New(cfg Config) (*Trainer, error) {
 	if cfg.StagingBytes == 0 {
 		cfg.StagingBytes = defaultStagingBytes
 	}
-	if cfg.Classify == nil {
-		cfg.Classify = func(int) prepsched.Class { return prepsched.Light }
-	}
 	t := &Trainer{cfg: cfg, device: gpu.NewStream(cfg.GPU, cfg.Clock)}
 	c, err := cfg.DialClient()
 	if err != nil {
@@ -225,8 +219,9 @@ func (t *Trainer) Close() {
 // PrefetchMetrics exposes the fetch scheduler's counters.
 func (t *Trainer) PrefetchMetrics() *prefetch.Metrics { return &t.pf }
 
-// PrepMetrics exposes the prep pool's counters.
-func (t *Trainer) PrepMetrics() *prepsched.Metrics { return &t.ps }
+// PrepMetrics returns counters that are always zero; it stays only until
+// benchmarks/ stops reading it.
+func (t *Trainer) PrepMetrics() *prepsched.Metrics { return &prepsched.Metrics{} }
 
 type sampleOutcome struct {
 	wireBytes int
@@ -321,57 +316,39 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 }
 
 // startLoader starts the epoch's loader and returns the channel its
-// outcomes arrive on, closed once the epoch drains or aborts. Five stages:
+// outcomes arrive on, closed once the epoch drains or aborts. Four stages:
 // prefetch.Order fixes the epoch's exact stream; a prefetch.Scheduler
 // partitions it by the client's placement map (storage.ShardRouter — one
 // link otherwise) and keeps Lookahead round trips in flight per shard;
-// fetched entries wait in its staging slots under the byte budget; one
-// dispatcher takes them in stream order, classifies each and spreads it over
-// the prepsched.Pool's per-worker deques (entry seq to deque seq%W, light
-// before heavy, idle workers steal); Workers goroutines finish them locally
-// under the compute-core budget. The pool's capacity bound keeps the
-// dispatcher from outrunning the workers and defeating the staging budget.
+// fetched entries wait in its staging slots under the byte budget; Workers
+// goroutines each take the next entry with Scheduler.Next as they free up
+// and finish it locally under the compute-core budget.
 //
-// stop tears the loader down in dependency order and is safe after a normal
-// drain: cancel the context (unblocks in-flight fetches), stop the pool
-// (unblocks the dispatcher's Dispatch), stop the scheduler (unblocks its
-// Next and zeroes the staged-bytes gauge), then wait for the
-// issue goroutines and the dispatcher.
+// stop tears the loader down and is safe after a normal drain: cancel the
+// context (unblocks in-flight fetches), stop the scheduler (unblocks its
+// Next and zeroes the staged-bytes gauge), then wait for the issue
+// goroutines.
 func (t *Trainer) startLoader(ctx context.Context, cancel context.CancelFunc, epoch uint64, plan *policy.Plan, collector *profiler.Collector) (<-chan sampleOutcome, func(), error) {
-	pool, err := prepsched.NewPool[prefetch.Item](t.cfg.Workers, 2*max(t.cfg.Workers, t.cfg.BatchSize), &t.ps)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trainsim: prep pool: %w", err)
-	}
 	sched, err := t.newScheduler(ctx, epoch, plan, collector)
 	if err != nil {
 		return nil, nil, err
 	}
-	t.pool = pool
-
-	var dwg sync.WaitGroup
-	dwg.Add(1)
-	go func() {
-		defer dwg.Done()
-		defer pool.Close()
-		for seq := 0; ; seq++ {
-			it, ok := sched.Next()
-			if !ok || !pool.Dispatch(seq, it, t.cfg.Classify(it.Sample)) {
-				return
-			}
-		}
-	}()
 
 	// Two batches of outcomes: workers keep finishing samples while runEpoch
 	// waits for the GPU to finish the previous step before taking the next.
 	results := make(chan sampleOutcome, t.cfg.BatchSize*2)
 	computeSem := make(chan struct{}, t.cfg.ComputeCores)
-	var pwg sync.WaitGroup
+	var running atomic.Int32
+	running.Store(int32(t.cfg.Workers))
 	for w := 0; w < t.cfg.Workers; w++ {
-		pwg.Add(1)
-		go func(w int) {
-			defer pwg.Done()
+		go func() {
+			defer func() {
+				if running.Add(-1) == 0 {
+					close(results)
+				}
+			}()
 			for {
-				it, ok := pool.Take(w)
+				it, ok := sched.Next()
 				if !ok || ctx.Err() != nil {
 					return
 				}
@@ -385,18 +362,12 @@ func (t *Trainer) startLoader(ctx context.Context, cancel context.CancelFunc, ep
 					return
 				}
 			}
-		}(w)
+		}()
 	}
-	go func() {
-		pwg.Wait()
-		close(results)
-	}()
 	return results, func() {
 		cancel()
-		pool.Stop()
 		sched.Stop()
 		sched.Wait()
-		dwg.Wait()
 	}, nil
 }
 

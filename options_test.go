@@ -368,23 +368,20 @@ var exportKeeps = map[string]keep{
 	"repro/internal/imaging.FlipHorizontal": {keepOracle, "repro/internal/pipeline.TestFlipProbabilityZeroAndOne"},
 	"repro/internal/raceflag.Enabled":       {keepBench, benchLive + ".TestSmoke"}, // other packages' race-gated tests read it too
 
-	// Constructors and values other packages' tests build with: a heavy
-	// class is what the trainer's tests hand the prep pool.
+	// Constructors and values other packages' tests build with.
 	"repro/internal/imaging.MustNew":      {keepSeam, "repro/internal/tensor.TestFromImageScalesAndTransposes"},
 	"repro/internal/tensor.New":           {keepSeam, "repro/internal/pipeline.TestArtifactEncodeDecodeTensor"},
 	"repro/internal/dataset.ManifestFile": {keepSeam, "repro/internal/imaging.loadDirOf"},
-	"repro/internal/prepsched.Heavy":      {keepSeam, "repro/internal/trainsim.TestPrepschedConfigValidation"},
 
 	// A client connection that dies after an exact byte budget: the retry
 	// tests of storage and trainsim wrap their dialed pipes with it.
 	"repro/internal/chaos.WrapConn":   {keepSeam, "repro/internal/storage.flakyDialer"},
 	"repro/internal/chaos.CloseAfter": {keepSeam, "repro/internal/storage.flakyDialer"},
 
-	// Probes and drivers: virtual-clock stepping, a drain count, the chaos
-	// plan of a seed, the raw object a served artifact is compared with, and
-	// the counters and budget a monitor scrape reads.
+	// Probes and drivers: virtual-clock stepping, the chaos plan of a seed,
+	// the raw object a served artifact is compared with, and the counters
+	// and budget a monitor scrape reads.
 	"repro/internal/simclock.Virtual.PendingWaiters":     {keepSeam, "repro/internal/storage.TestWithRetryCtxCancelMidBackoff"},
-	"repro/internal/prepsched.Pool.Pending":              {keepSeam, "repro/internal/trainsim.newTrainer"}, // the loader leak check's drain probe
 	"repro/internal/soak.Config.Plan":                    {keepSeam, "repro.TestChaosSoakReproducible"},
 	"repro/internal/dataset.ImageSet.Raw":                {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
 	"repro/internal/storage.Counters.ObservePlanVersion": {keepSeam, "repro/internal/monitor.TestStatsJSON"},
