@@ -118,8 +118,7 @@ for p in sophon sophon-guard nooff alloff resizeoff fastflow; do
 	run "train-$p" "${train[@]}" -addr "$addr" -policy "$p"
 done
 run train-flags "${train[@]}" -addr "$addr" -policy alloff -fetch-batch 4 -lookahead 3 \
-	-lookahead-horizon 32 -staging-bytes 1000000 -max-inflight 8 -compute-cores 1 \
-	-job 7 -model resnet50 -mbps 100 -storage-cores 2
+	-staging-bytes 1000000 -compute-cores 1 -job 7 -model resnet50 -mbps 100 -storage-cores 2
 run train-plan-file "${train[@]}" -addr "$addr" -plan-file "$out/plan.json"
 run train-adaptive "${train[@]}" -addr "$addr" -epochs 4 -adaptive -drift-threshold 0.3 -drift-hysteresis 1
 monitor 127.0.0.1:17179 shaped
@@ -128,7 +127,7 @@ stop_server
 # Two shards behind admission control, driven through the fan-out client.
 server server-sharded -addr 127.0.0.1:17180 -n "$n" -max-dim 160 -shards 2 -cores 1 \
 	-admit-bytes 4000000 -admit-queue 8 -retry-after 5ms -slowdown 2 -seed 4 -http 127.0.0.1:17189
-run train-sharded "${train[@]}" -shard-addrs 127.0.0.1:17180,127.0.0.1:17181 \
+run train-sharded "${train[@]}" -addr 127.0.0.1:17180,127.0.0.1:17181 \
 	-degraded -attempts 2 -backoff 10ms -policy alloff
 monitor 127.0.0.1:17189 sharded
 stop_server

@@ -4,11 +4,11 @@
 // server, optionally behind a token-bucket bandwidth cap (the paper's
 // 500 Mbps link).
 //
-// With -shards K > 1 it runs a sharded storage tier instead: K servers on
-// consecutive ports starting at -addr's port, each owning only the samples
-// the rendezvous-hashed shard map places on it, each with its own core
-// budget and (when -mbps is set) its own shaped link. Point sophon-train's
-// -shard-addrs at the K addresses.
+// It runs a tier of -shards K servers (one by default, the paper's storage
+// node) on consecutive ports starting at -addr's port, each owning only the
+// samples the rendezvous-hashed shard map places on it, each with its own
+// core budget and (when -mbps is set) its own shaped link. Point
+// sophon-train's -addr at the K addresses.
 //
 // Usage:
 //
@@ -156,11 +156,9 @@ func run(ctx context.Context, fs *flag.FlagSet, args []string, now func() time.T
 	listeners := make([]net.Listener, *shards)
 	counters := make([]*storage.Counters, *shards)
 	for s := 0; s < *shards; s++ {
-		shardStore := store
-		if *shards > 1 {
-			if shardStore, err = cluster.ShardStore(store, shardMap, s); err != nil {
-				return err
-			}
+		shardStore, err := cluster.ShardStore(store, shardMap, s)
+		if err != nil {
+			return err
 		}
 		srv, err := storage.NewServer(storage.ServerConfig{
 			Store:       shardStore,
@@ -192,9 +190,7 @@ func run(ctx context.Context, fs *flag.FlagSet, args []string, now func() time.T
 		servers[s] = srv
 		listeners[s] = l
 		counters[s] = srv.Counters()
-		if *shards > 1 {
-			logger.Printf("shard %d: %d/%d objects on %s", s, shardStore.Owned(), shardStore.N(), inner.Addr())
-		}
+		logger.Printf("shard %d: %d/%d objects on %s", s, shardStore.Owned(), shardStore.N(), inner.Addr())
 	}
 	if *mbps > 0 {
 		logger.Printf("each shard's link capped at %.0f Mbps", *mbps)

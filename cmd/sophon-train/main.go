@@ -1,11 +1,13 @@
 // Command sophon-train is the compute-node half: it connects to a running
-// sophon-server, runs the two-stage profiler (stage 1 throughput probes,
+// sophon-server (one address per shard, through one retrying fan-out
+// client), runs the two-stage profiler (stage 1 throughput probes,
 // stage 2 on-the-fly per-sample profiling during epoch 1), asks the chosen
 // policy for an offload plan, and trains the remaining epochs under it.
 //
 // Usage:
 //
 //	sophon-train -addr 127.0.0.1:7070 -epochs 3 -policy sophon -mbps 500
+//	sophon-train -addr 127.0.0.1:7070,127.0.0.1:7071 -degraded
 package main
 
 import (
@@ -60,7 +62,7 @@ func main() {
 // line, a test's returns the error), the log on fs.Output(), one line per
 // epoch on stdout. It returns once the trainer has closed its session.
 func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
-	addr := fs.String("addr", "127.0.0.1:7070", "storage server address")
+	addr := fs.String("addr", "127.0.0.1:7070", "comma-separated storage server addresses, one per shard")
 	jobID := fs.Uint64("job", 1, "job id (seeds augmentations)")
 	workers := fs.Int("workers", 4, "loader workers")
 	computeCores := fs.Int("compute-cores", 0, "local preprocessing cores (0 = workers)")
@@ -75,11 +77,8 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	planFile := fs.String("plan-file", "", "load a precomputed plan and skip profiling")
 	fetchBatch := fs.Int("fetch-batch", 0, "samples per storage round trip (0 = one)")
 	lookahead := fs.Int("lookahead", 0, "fetch round trips kept in flight per shard (0 = 2x workers)")
-	lookaheadHorizon := fs.Int("lookahead-horizon", 0, "max stream positions fetched ahead of consumption (0 = 8 x lookahead x fetch-batch x shards)")
 	stagingBytes := fs.Int64("staging-bytes", 0, "soft byte budget for staged prefetched artifacts (0 = 64 MiB)")
-	maxInFlight := fs.Int("max-inflight", 0, "max concurrent requests the session admits (0 = default 64)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request timeout (0 = default 30s, negative = none)")
-	shardAddrs := fs.String("shard-addrs", "", "comma-separated shard server addresses (overrides -addr; enables the fan-out client)")
 	attempts := fs.Int("attempts", 3, "per-operation tries on each shard session before giving up")
 	backoff := fs.Duration("backoff", 100*time.Millisecond, "pause before each shard redial")
 	degraded := fs.Bool("degraded", false, "degraded mode: skip samples of unreachable shards instead of aborting the epoch")
@@ -93,11 +92,10 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	logger := log.New(fs.Output(), "sophon-train: ", log.LstdFlags)
 	if err := cliutil.IntError(fs,
 		map[string]bool{"workers": true, "batch": true, "epochs": true, "attempts": true},
-		map[string]bool{"max-inflight": true, "fetch-batch": true, "compute-cores": true, "lookahead": true, "lookahead-horizon": true},
+		map[string]bool{"fetch-batch": true, "compute-cores": true, "lookahead": true},
 		map[string]int{
 			"workers": *workers, "batch": *batch, "epochs": *epochs, "attempts": *attempts,
-			"max-inflight": *maxInFlight, "fetch-batch": *fetchBatch, "compute-cores": *computeCores,
-			"lookahead": *lookahead, "lookahead-horizon": *lookaheadHorizon,
+			"fetch-batch": *fetchBatch, "compute-cores": *computeCores, "lookahead": *lookahead,
 		}); err != nil {
 		return err
 	}
@@ -114,63 +112,46 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		return err
 	}
 
-	opts := storage.ClientOptions{
-		JobID:          *jobID,
-		RequestTimeout: *reqTimeout,
-		MaxInFlight:    *maxInFlight,
+	addrs := strings.Split(*addr, ",")
+	for i := range addrs {
+		addrs[i] = strings.TrimSpace(addrs[i])
+		if addrs[i] == "" {
+			return fmt.Errorf("-addr entry %d is empty", i)
+		}
 	}
-	// Single-addr mode gets the same retry wrapper as the sharded fan-out:
-	// without it, an admission-control rejection (server shedding load)
-	// surfaces to the trainer instead of being retried after the hint.
+	m, err := cluster.NewShardMap(len(addrs))
+	if err != nil {
+		return err
+	}
+	opts := storage.ClientOptions{JobID: *jobID, RequestTimeout: *reqTimeout}
 	dial := func() (storage.Fetcher, error) {
-		return storage.NewReconnecting(func() (*storage.Client, error) {
-			return storage.DialWithOptions(*addr, opts)
-		}, *attempts, *backoff, nil)
-	}
-	nShards := 1
-	if *shardAddrs != "" {
-		addrs := strings.Split(*shardAddrs, ",")
-		for i := range addrs {
-			addrs[i] = strings.TrimSpace(addrs[i])
-			if addrs[i] == "" {
-				return fmt.Errorf("-shard-addrs entry %d is empty", i)
-			}
-		}
-		nShards = len(addrs)
-		m, err := cluster.NewShardMap(nShards)
-		if err != nil {
-			return err
-		}
-		dial = func() (storage.Fetcher, error) {
-			sc, err := cluster.DialSharded(m, func(s int) (*storage.Client, error) {
-				c, err := storage.DialWithOptions(addrs[s], opts)
-				if err != nil {
-					return nil, fmt.Errorf("%s: %w", addrs[s], err)
-				}
-				return c, nil
-			}, *attempts, *backoff, *degraded)
+		sc, err := cluster.DialSharded(m, func(s int) (*storage.Client, error) {
+			c, err := storage.DialWithOptions(addrs[s], opts)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s: %w", addrs[s], err)
 			}
-			return sc, nil
+			return c, nil
+		}, *attempts, *backoff, *degraded)
+		if err != nil {
+			return nil, err
 		}
-		logger.Printf("fan-out client over %d shards (degraded=%v)", nShards, *degraded)
+		return sc, nil
 	}
+	logger.Printf("fan-out client over %d shard(s) (degraded=%v)", len(addrs), *degraded)
 
 	trainer, err := trainsim.New(trainsim.Config{
-		DialClient:       dial,
-		Workers:          *workers,
-		ComputeCores:     *computeCores,
-		Pipeline:         pipeline.Standard(pipeline.StandardOptions{CropSize: *crop, FlipP: -1}),
-		GPU:              model,
-		BatchSize:        *batch,
-		JobID:            *jobID,
-		Shuffle:          true,
-		FetchBatchSize:   *fetchBatch,
-		Lookahead:        *lookahead,
-		LookaheadHorizon: *lookaheadHorizon,
-		StagingBytes:     *stagingBytes,
-		DegradedMode:     *degraded,
+		DialClient:     dial,
+		Workers:        *workers,
+		ComputeCores:   *computeCores,
+		Pipeline:       pipeline.Standard(pipeline.StandardOptions{CropSize: *crop, FlipP: -1}),
+		GPU:            model,
+		BatchSize:      *batch,
+		JobID:          *jobID,
+		Shuffle:        true,
+		FetchBatchSize: *fetchBatch,
+		Lookahead:      *lookahead,
+		StagingBytes:   *stagingBytes,
+		DegradedMode:   *degraded,
 	})
 	if err != nil {
 		return err
@@ -209,13 +190,13 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 
 	env := policy.Env{
 		Bandwidth:       netsim.Mbps(*mbps),
-		ComputeCores:    max(*computeCores, *workers),
+		ComputeCores:    loaderCores(*computeCores, *workers),
 		StorageCores:    *storageCores,
 		StorageSlowdown: 1,
 		GPU:             model,
 		// Per-shard planning: -mbps and -storage-cores describe ONE shard's
 		// link and cores; the engine budgets each shard independently.
-		Shards: nShards,
+		Shards: len(addrs),
 	}
 	if *adaptive {
 		s, ok := pol.(*policy.Sophon)
@@ -290,6 +271,16 @@ func runAdaptive(logger *log.Logger, stdout io.Writer, trainer *trainsim.Trainer
 		logger.Printf("history: %s", ev)
 	}
 	return nil
+}
+
+// loaderCores is how many samples the trainer preprocesses at once: each
+// loader worker takes one of -compute-cores slots, one per worker when the
+// flag is 0.
+func loaderCores(computeCores, workers int) int {
+	if computeCores == 0 {
+		return workers
+	}
+	return min(computeCores, workers)
 }
 
 func printEpoch(w io.Writer, e int, r trainsim.EpochReport) {

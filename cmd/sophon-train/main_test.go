@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"net"
 	"os"
 	"regexp"
@@ -62,16 +63,14 @@ func TestFlagValidation(t *testing.T) {
 		{[]string{"-batch", "-4"}, "-batch must be positive, got -4"},
 		{[]string{"-epochs", "0"}, "-epochs must be positive, got 0"},
 		{[]string{"-attempts", "0"}, "-attempts must be positive, got 0"},
-		{[]string{"-max-inflight", "-1"}, "-max-inflight must be non-negative, got -1"},
 		{[]string{"-lookahead", "-1"}, "-lookahead must be non-negative, got -1"},
 		{[]string{"-lookahead=0"}, "-lookahead must be positive when set explicitly (omit it for the default)"},
 		{[]string{"-fetch-batch=0"}, "-fetch-batch must be positive when set explicitly (omit it for the default)"},
 		{[]string{"-compute-cores", "-2"}, "-compute-cores must be non-negative, got -2"},
-		{[]string{"-lookahead-horizon", "-8"}, "-lookahead-horizon must be non-negative, got -8"},
 		{[]string{"-staging-bytes", "-1"}, "-staging-bytes must be >= 0, got -1"},
 		{[]string{"-model", "vgg"}, `gpu: unknown model: "vgg"`},
 		{[]string{"-policy", "oracle"}, `unknown policy "oracle"`},
-		{[]string{"-shard-addrs", "127.0.0.1:1,,127.0.0.1:2"}, "-shard-addrs entry 1 is empty"},
+		{[]string{"-addr", "127.0.0.1:1,,127.0.0.1:2"}, "-addr entry 1 is empty"},
 	} {
 		fs, _ := testFlags()
 		err := run(fs, c.args, &bytes.Buffer{})
@@ -93,7 +92,7 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// The golden is also README's flag table: 26 flags and -version.
+// The golden is also README's flag table: 23 flags and -version.
 func TestHelpGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/help.golden")
 	if err != nil {
@@ -106,8 +105,8 @@ func TestHelpGolden(t *testing.T) {
 	if stderr.String() != string(want) {
 		t.Fatalf("-help prints\n%s\nwant\n%s", stderr.String(), want)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 27 {
-		t.Fatalf("%d flags listed, want 26 and -version", n)
+	if n := strings.Count(stderr.String(), "\n  -"); n != 24 {
+		t.Fatalf("%d flags listed, want 23 and -version", n)
 	}
 }
 
@@ -151,19 +150,28 @@ func TestTrainTwoEpochsAndAdaptive(t *testing.T) {
 	}
 }
 
-// TestShardAddrs: -shard-addrs trains over one reconnecting session per
-// address, and an address that cannot be dialed fails the run naming its
-// shard and address.
+// TestShardAddrs: -addr trains over one reconnecting session per address,
+// one address or two, and an address that cannot be dialed fails the run
+// naming its shard and address.
 func TestShardAddrs(t *testing.T) {
 	a, b := serve(t), serve(t)
-	fs, stderr := testFlags()
-	var stdout bytes.Buffer
 	args := []string{"-crop", "24", "-workers", "2", "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "sophon"}
-	if err := run(fs, append([]string{"-shard-addrs", a + ", " + b}, args...), &stdout); err != nil {
-		t.Fatalf("%v\n%s", err, stderr.String())
-	}
-	if n := strings.Count(stdout.String(), "\n"); n != 2 || !strings.Contains(stderr.String(), "fan-out client over 2 shards") {
-		t.Fatalf("%d epoch lines:\n%s\n%s", n, stdout.String(), stderr.String())
+	for _, c := range []struct {
+		addr   string
+		shards int
+	}{
+		{a, 1},
+		{a + ", " + b, 2},
+	} {
+		fs, stderr := testFlags()
+		var stdout bytes.Buffer
+		if err := run(fs, append([]string{"-addr", c.addr}, args...), &stdout); err != nil {
+			t.Fatalf("-addr %s: %v\n%s", c.addr, err, stderr.String())
+		}
+		want := fmt.Sprintf("fan-out client over %d shard(s)", c.shards)
+		if n := strings.Count(stdout.String(), "\n"); n != 2 || !strings.Contains(stderr.String(), want) {
+			t.Fatalf("-addr %s: %d epoch lines:\n%s\n%s", c.addr, n, stdout.String(), stderr.String())
+		}
 	}
 
 	l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -172,9 +180,23 @@ func TestShardAddrs(t *testing.T) {
 	}
 	dead := l.Addr().String()
 	l.Close()
-	fs, _ = testFlags()
-	err = run(fs, append([]string{"-shard-addrs", a + "," + dead}, args...), &bytes.Buffer{})
+	fs, _ := testFlags()
+	err = run(fs, append([]string{"-addr", a + "," + dead}, args...), &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "shard 1: "+dead) {
 		t.Fatalf("dead shard: err = %v, want it to name shard 1 at %s", err, dead)
+	}
+}
+
+// TestLoaderCores: the planner's compute cores are the samples the loader
+// preprocesses at once, -compute-cores capped at -workers.
+func TestLoaderCores(t *testing.T) {
+	for _, c := range []struct{ computeCores, workers, want int }{
+		{0, 4, 4},
+		{3, 4, 3},
+		{6, 4, 4},
+	} {
+		if got := loaderCores(c.computeCores, c.workers); got != c.want {
+			t.Errorf("loaderCores(%d, %d) = %d, want %d", c.computeCores, c.workers, got, c.want)
+		}
 	}
 }

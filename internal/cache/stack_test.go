@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/imaging"
+	"repro/internal/netsim"
 	"repro/internal/pipeline"
 	"repro/internal/storage"
 )
@@ -34,9 +35,16 @@ var stackBlobs = sync.OnceValues(func() ([][]byte, error) {
 	return blobs, nil
 })
 
-// launchProgressiveTier serves four-scan containers, so a fidelity directive
-// has scans to withhold.
-func launchProgressiveTier(t testing.TB, shards int) *cluster.Cluster {
+// stackTier serves four-scan containers, so a fidelity directive has scans
+// to withhold: a two-shard cluster for the sharded layers, and for the
+// layers over one session a lone server they dial directly.
+type stackTier struct {
+	shards *cluster.Cluster // nil for the lone server
+	srv    *storage.Server
+	l      *netsim.PipeListener
+}
+
+func launchProgressiveTier(t testing.TB, sharded bool) *stackTier {
 	t.Helper()
 	blobs, err := stackBlobs()
 	if err != nil {
@@ -46,29 +54,52 @@ func launchProgressiveTier(t testing.TB, shards int) *cluster.Cluster {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := cluster.Launch(cluster.Config{
-		Shards:        shards,
-		Store:         store,
-		Pipeline:      pipeline.Standard(pipeline.StandardOptions{CropSize: 32, FlipP: 0.5}),
-		CoresPerShard: 2,
-	})
+	pipe := pipeline.Standard(pipeline.StandardOptions{CropSize: 32, FlipP: 0.5})
+	if sharded {
+		c, err := cluster.Launch(cluster.Config{Shards: 2, Store: store, Pipeline: pipe, CoresPerShard: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return &stackTier{shards: c}
+	}
+	srv, err := storage.NewServer(storage.ServerConfig{Store: store, Pipeline: pipe, Cores: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.Close() })
-	return c
+	l := netsim.NewPipeListener()
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	return &stackTier{srv: srv, l: l}
 }
 
-// dialer returns a ReconnectingClient dial function over shard 0 that
-// remembers the session it dialed last, so a test can break it.
+// kill stops the server that owns sample.
+func (s *stackTier) kill(sample uint32) error {
+	if s.shards != nil {
+		return s.shards.KillShard(s.shards.ShardMap().ShardOf(sample))
+	}
+	return s.srv.Close()
+}
+
+// dial opens a session to the lone server.
+func (s *stackTier) dial() (*storage.Client, error) {
+	conn, err := s.l.Dial()
+	if err != nil {
+		return nil, err
+	}
+	return storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: shareKey})
+}
+
+// dialer returns a ReconnectingClient dial function over the lone server
+// that remembers the session it dialed last, so a test can break it.
 type dialer struct {
-	tier *cluster.Cluster
+	tier *stackTier
 	mu   sync.Mutex
 	live *storage.Client
 }
 
 func (d *dialer) dial() (*storage.Client, error) {
-	c, err := d.tier.DialShard(0, storage.ClientOptions{JobID: shareKey})
+	c, err := d.tier.dial()
 	d.mu.Lock()
 	d.live = c
 	d.mu.Unlock()
@@ -82,8 +113,8 @@ func (d *dialer) breakSession() {
 }
 
 // threeDeep stacks TenantFetcher → FetchingCache → ReconnectingClient over
-// shard 0 of tier.
-func threeDeep(t testing.TB, tier *cluster.Cluster) (*TenantFetcher, *storage.ReconnectingClient, *dialer) {
+// the lone server of tier.
+func threeDeep(t testing.TB, tier *stackTier) (*TenantFetcher, *storage.ReconnectingClient, *dialer) {
 	t.Helper()
 	d := &dialer{tier: tier}
 	rc, err := storage.NewReconnecting(d.dial, 2, 0, nil)
@@ -111,17 +142,17 @@ func threeDeep(t testing.TB, tier *cluster.Cluster) (*TenantFetcher, *storage.Re
 var stackLayers = []struct {
 	name    string
 	sharded bool
-	build   func(t testing.TB, tier *cluster.Cluster, degraded bool) storage.Fetcher
+	build   func(t testing.TB, tier *stackTier, degraded bool) storage.Fetcher
 }{
-	{"Client", false, func(t testing.TB, tier *cluster.Cluster, _ bool) storage.Fetcher {
-		c, err := tier.DialShard(0, storage.ClientOptions{JobID: shareKey})
+	{"Client", false, func(t testing.TB, tier *stackTier, _ bool) storage.Fetcher {
+		c, err := tier.dial()
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { c.Close() })
 		return c
 	}},
-	{"ReconnectingClient", false, func(t testing.TB, tier *cluster.Cluster, _ bool) storage.Fetcher {
+	{"ReconnectingClient", false, func(t testing.TB, tier *stackTier, _ bool) storage.Fetcher {
 		rc, err := storage.NewReconnecting((&dialer{tier: tier}).dial, 2, 0, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -129,16 +160,16 @@ var stackLayers = []struct {
 		t.Cleanup(func() { rc.Close() })
 		return rc
 	}},
-	{"ShardedClient", true, func(t testing.TB, tier *cluster.Cluster, degraded bool) storage.Fetcher {
-		sc, err := tier.NewShardedClient(storage.ClientOptions{JobID: shareKey}, 2, 0, degraded)
+	{"ShardedClient", true, func(t testing.TB, tier *stackTier, degraded bool) storage.Fetcher {
+		sc, err := tier.shards.NewShardedClient(storage.ClientOptions{JobID: shareKey}, 2, 0, degraded)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { sc.Close() })
 		return sc
 	}},
-	{"FetchingCache", false, func(t testing.TB, tier *cluster.Cluster, _ bool) storage.Fetcher {
-		c, err := tier.DialShard(0, storage.ClientOptions{JobID: shareKey})
+	{"FetchingCache", false, func(t testing.TB, tier *stackTier, _ bool) storage.Fetcher {
+		c, err := tier.dial()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,8 +181,8 @@ var stackLayers = []struct {
 		t.Cleanup(func() { fc.Close() })
 		return fc
 	}},
-	{"TenantFetcher", true, func(t testing.TB, tier *cluster.Cluster, degraded bool) storage.Fetcher {
-		sc, err := tier.NewShardedClient(storage.ClientOptions{JobID: shareKey}, 2, 0, degraded)
+	{"TenantFetcher", true, func(t testing.TB, tier *stackTier, degraded bool) storage.Fetcher {
+		sc, err := tier.shards.NewShardedClient(storage.ClientOptions{JobID: shareKey}, 2, 0, degraded)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,7 +197,7 @@ var stackLayers = []struct {
 		t.Cleanup(func() { tf.Close() })
 		return tf
 	}},
-	{"TenantFetcher/FetchingCache/ReconnectingClient", false, func(t testing.TB, tier *cluster.Cluster, _ bool) storage.Fetcher {
+	{"TenantFetcher/FetchingCache/ReconnectingClient", false, func(t testing.TB, tier *stackTier, _ bool) storage.Fetcher {
 		tf, _, _ := threeDeep(t, tier)
 		return tf
 	}},
@@ -201,15 +232,11 @@ func TestFetchIsFetchBatchOfOne(t *testing.T) {
 	for _, layer := range stackLayers {
 		for _, c := range cases {
 			t.Run(layer.name+"/"+c.name, func(t *testing.T) {
-				shards := 1
-				if layer.sharded {
-					shards = 2
-				}
-				tier := launchProgressiveTier(t, shards)
+				tier := launchProgressiveTier(t, layer.sharded)
 				forOne := layer.build(t, tier, c.degraded)
 				forBatch := layer.build(t, tier, c.degraded)
 				if c.down {
-					if err := tier.KillShard(tier.ShardMap().ShardOf(c.sample)); err != nil {
+					if err := tier.kill(c.sample); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -280,9 +307,9 @@ func TestFetchIsFetchBatchOfOne(t *testing.T) {
 // ReconnectingClient, a cache hit sends nothing, and a redialed session
 // needs nothing re-applied.
 func TestPlanVersionThroughStack(t *testing.T) {
-	tier := launchProgressiveTier(t, 1)
+	tier := launchProgressiveTier(t, false)
 	tf, rc, d := threeDeep(t, tier)
-	ctr := tier.Counters()[0]
+	ctr := tier.srv.Counters()
 	ctx := storage.WithPlanVersion(context.Background(), 7)
 
 	if _, err := storage.FetchOne(ctx, tf, 1, 0, 1); err != nil {

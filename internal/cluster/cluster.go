@@ -140,8 +140,8 @@ func (c *Cluster) Counters() []*storage.Counters {
 	return out
 }
 
-// DialShard opens a session to shard s over its in-memory listener.
-func (c *Cluster) DialShard(s int, opts storage.ClientOptions) (*storage.Client, error) {
+// dialShard opens a session to shard s over its in-memory listener.
+func (c *Cluster) dialShard(s int, opts storage.ClientOptions) (*storage.Client, error) {
 	if s < 0 || s >= len(c.listeners) {
 		return nil, fmt.Errorf("cluster: shard %d out of range", s)
 	}
@@ -170,7 +170,7 @@ func (c *Cluster) SetLinkMbps(mbps float64) error {
 // NewShardedClient builds the retrying fan-out client over the cluster's
 // in-memory shards (see DialSharded).
 func (c *Cluster) NewShardedClient(opts storage.ClientOptions, attempts int, pause time.Duration, degraded bool) (*ShardedClient, error) {
-	return DialSharded(c.m, func(s int) (*storage.Client, error) { return c.DialShard(s, opts) }, attempts, pause, degraded)
+	return DialSharded(c.m, func(s int) (*storage.Client, error) { return c.dialShard(s, opts) }, attempts, pause, degraded)
 }
 
 // PartitionShard reversibly severs (on=true) or heals (on=false) shard s's

@@ -187,7 +187,7 @@ func TestDialShardedClosesOnFailure(t *testing.T) {
 			if s == k {
 				return nil, refused
 			}
-			sc, err := c.DialShard(s, storage.ClientOptions{})
+			sc, err := c.dialShard(s, storage.ClientOptions{})
 			if err == nil {
 				opened = append(opened, sc)
 			}
@@ -209,7 +209,7 @@ func TestDialShardedClosesOnFailure(t *testing.T) {
 		if s == 2 {
 			from, shard = other, 0
 		}
-		sc, err := from.DialShard(shard, storage.ClientOptions{})
+		sc, err := from.dialShard(shard, storage.ClientOptions{})
 		if err == nil {
 			opened = append(opened, sc)
 		}
@@ -454,7 +454,7 @@ func TestSetLinkMbps(t *testing.T) {
 	}
 
 	for s := 0; s < shards; s++ {
-		client, err := c.DialShard(s, storage.ClientOptions{JobID: 1})
+		client, err := c.dialShard(s, storage.ClientOptions{JobID: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

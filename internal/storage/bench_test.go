@@ -73,9 +73,7 @@ func BenchmarkTransport_Pipelined(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			c, err := NewClientWithOptions(conn, ClientOptions{
-				JobID: 1, MaxInFlight: window, RequestTimeout: time.Minute,
-			})
+			c, err := NewClientWithOptions(conn, ClientOptions{JobID: 1, RequestTimeout: time.Minute})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -13,14 +13,9 @@ import (
 	"repro/internal/wire"
 )
 
-// Client defaults; override via ClientOptions.
-const (
-	// defaultRequestTimeout bounds a single request round trip so a stalled
-	// server cannot hang a caller forever.
-	defaultRequestTimeout = 30 * time.Second
-	// defaultMaxInFlight caps concurrent requests pipelined on one session.
-	defaultMaxInFlight = 64
-)
+// defaultRequestTimeout bounds a single request round trip so a stalled
+// server cannot hang a caller forever; override via ClientOptions.
+const defaultRequestTimeout = 30 * time.Second
 
 // Client-side errors.
 var (
@@ -42,9 +37,6 @@ type ClientOptions struct {
 	// RequestTimeout bounds each request round trip (0 → defaultRequestTimeout;
 	// negative → no timeout).
 	RequestTimeout time.Duration
-	// MaxInFlight caps concurrent in-flight requests on the session
-	// (0 → defaultMaxInFlight).
-	MaxInFlight int
 }
 
 // Client is a compute-node session to the storage server. One Client
@@ -57,8 +49,7 @@ type Client struct {
 	ack     wire.HelloAck
 	timeout time.Duration
 
-	writeCh  chan wire.Message
-	inflight chan struct{} // semaphore: MaxInFlight slots
+	writeCh chan wire.Message
 
 	mu      sync.Mutex
 	nextReq uint64
@@ -94,18 +85,13 @@ func NewClientWithOptions(conn net.Conn, opts ClientOptions) (*Client, error) {
 		conn.SetDeadline(time.Time{})
 	}
 
-	maxInFlight := opts.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = defaultMaxInFlight
-	}
 	c := &Client{
-		conn:     conn,
-		ack:      ack,
-		timeout:  timeout,
-		writeCh:  make(chan wire.Message),
-		inflight: make(chan struct{}, maxInFlight),
-		pending:  make(map[uint64]chan wire.Message),
-		done:     make(chan struct{}),
+		conn:    conn,
+		ack:     ack,
+		timeout: timeout,
+		writeCh: make(chan wire.Message),
+		pending: make(map[uint64]chan wire.Message),
+		done:    make(chan struct{}),
 	}
 	go c.writeLoop()
 	go c.readLoop()
@@ -235,16 +221,6 @@ func (c *Client) roundTrip(ctx context.Context, id uint64, req wire.Message) (wi
 		ctx, cancel = context.WithTimeout(ctx, c.timeout)
 		defer cancel()
 	}
-
-	// Acquire an in-flight slot.
-	select {
-	case c.inflight <- struct{}{}:
-	case <-ctx.Done():
-		return nil, c.ctxErr(ctx)
-	case <-c.done:
-		return nil, c.sessionErr()
-	}
-	defer func() { <-c.inflight }()
 
 	ch := make(chan wire.Message, 1)
 	c.mu.Lock()

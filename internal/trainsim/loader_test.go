@@ -85,7 +85,6 @@ func TestVarianceAwareDegradedPartition(t *testing.T) {
 	c, cfg := lookaheadCluster(t, n, 3, &chaos.Plan{Seed: 2})
 	cfg.Workers, cfg.ComputeCores = 8, 2
 	cfg.Lookahead = 6
-	cfg.LookaheadHorizon = n
 	owned := len(c.ShardMap().Owned(n, 1))
 	if owned == 0 {
 		t.Fatal("shard 1 owns nothing; test is vacuous")

@@ -16,7 +16,7 @@ import (
 // TestLookaheadConfigValidation: the loader has one path, so every loader
 // field is legal on its own. The zero Config resolves to depth 2×Workers and
 // the default staging budget; each field set alone constructs and trains a
-// full epoch; only negative depths are rejected.
+// full epoch; only a negative depth is rejected.
 func TestLookaheadConfigValidation(t *testing.T) {
 	const n = 12
 	h := newHarness(t, n, 1)
@@ -34,7 +34,6 @@ func TestLookaheadConfigValidation(t *testing.T) {
 		mut  func(*Config)
 	}{
 		{"depth alone", func(c *Config) { c.Lookahead = 4 }},
-		{"horizon alone", func(c *Config) { c.LookaheadHorizon = 2 }},
 		{"staging alone", func(c *Config) { c.StagingBytes = 1 << 10 }},
 		{"unbounded staging", func(c *Config) { c.StagingBytes = -1 }},
 	} {
@@ -48,18 +47,10 @@ func TestLookaheadConfigValidation(t *testing.T) {
 		}
 	}
 
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"negative depth", func(c *Config) { c.Lookahead = -1 }},
-		{"negative horizon", func(c *Config) { c.LookaheadHorizon = -1 }},
-	} {
-		cfg := h.config()
-		tc.mut(&cfg)
-		if _, err := New(cfg); err == nil {
-			t.Errorf("%s accepted", tc.name)
-		}
+	cfg = h.config()
+	cfg.Lookahead = -1
+	if _, err := New(cfg); err == nil {
+		t.Error("negative depth accepted")
 	}
 }
 
@@ -173,7 +164,6 @@ func TestLookaheadDegradedPartition(t *testing.T) {
 	const n = 60
 	c, cfg := lookaheadCluster(t, n, 3, &chaos.Plan{Seed: 2})
 	cfg.Lookahead = 6
-	cfg.LookaheadHorizon = n // deep: the whole epoch is eligible
 	owned := len(c.ShardMap().Owned(n, 1))
 	if owned == 0 {
 		t.Fatal("shard 1 owns nothing; test is vacuous")

@@ -45,12 +45,10 @@ type Config struct {
 	// Lookahead is the number of fetch round trips the loader keeps in
 	// flight per storage shard (internal/prefetch): the epoch's exact access
 	// stream is derived from the seeded shuffle, partitioned per shard, and
-	// fetched ahead of consumption at this depth. 0 means 2×Workers.
+	// fetched ahead of consumption at this depth, never more than
+	// 8 × Lookahead × FetchBatchSize × shards stream positions ahead (the
+	// reorder-buffer depth). 0 means 2×Workers.
 	Lookahead int
-	// LookaheadHorizon bounds how many stream positions ahead of
-	// consumption the scheduler may issue (the reorder-buffer depth);
-	// 0 means 8 × Lookahead × fetch-batch × shards.
-	LookaheadHorizon int
 	// StagingBytes budgets the artifacts fetched but not yet consumed;
 	// 0 means defaultStagingBytes, negative means unbounded.
 	StagingBytes int64
@@ -177,9 +175,6 @@ func New(cfg Config) (*Trainer, error) {
 	}
 	if cfg.Lookahead == 0 {
 		cfg.Lookahead = 2 * cfg.Workers
-	}
-	if cfg.LookaheadHorizon < 0 {
-		return nil, fmt.Errorf("trainsim: lookahead horizon %d", cfg.LookaheadHorizon)
 	}
 	if cfg.StagingBytes == 0 {
 		cfg.StagingBytes = defaultStagingBytes
@@ -383,10 +378,6 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 			router = nil
 		}
 	}
-	horizon := t.cfg.LookaheadHorizon
-	if horizon == 0 {
-		horizon = 8 * t.cfg.Lookahead * t.cfg.FetchBatchSize * shards
-	}
 	split := func(sample int) int {
 		if collector != nil {
 			return 0 // the profiling epoch measures whole objects
@@ -409,7 +400,7 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 		ShardOf:      shardOf,
 		Depth:        t.cfg.Lookahead,
 		BatchSize:    t.cfg.FetchBatchSize,
-		Horizon:      horizon,
+		Horizon:      8 * t.cfg.Lookahead * t.cfg.FetchBatchSize * shards,
 		StagingBytes: max(t.cfg.StagingBytes, 0), // negative: unbounded
 		Split:        split,
 		Fetch:        fetch,

@@ -232,8 +232,9 @@ type TrainerOptions struct {
 	// FetchBatchSize groups this many samples per storage round trip;
 	// 0 or 1 means per-sample fetches.
 	FetchBatchSize int
-	// RetryAttempts, when > 1, wraps the session with transparent
-	// reconnect-and-retry (surviving flaky links), redialing at once.
+	// RetryAttempts is how many times each operation is tried, redialing
+	// at once after a broken session (surviving flaky links); 0 means one
+	// try.
 	RetryAttempts int
 	// CacheBytes, when positive, puts a no-evict local raw-object cache
 	// of that capacity in front of the storage client (shared across the
@@ -259,24 +260,12 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 			return nil, err
 		}
 	}
-	dialSession := func() (*storage.Client, error) {
-		return c.tier.DialShard(0, storage.ClientOptions{JobID: opts.JobID})
-	}
 	dial := func() (storage.Fetcher, error) {
-		var client storage.Fetcher
-		if opts.RetryAttempts > 1 {
-			rc, err := storage.NewReconnecting(dialSession, opts.RetryAttempts, 0, nil)
-			if err != nil {
-				return nil, err
-			}
-			client = rc
-		} else {
-			sc, err := dialSession()
-			if err != nil {
-				return nil, err
-			}
-			client = sc
+		sc, err := c.tier.NewShardedClient(storage.ClientOptions{JobID: opts.JobID}, max(opts.RetryAttempts, 1), 0, false)
+		if err != nil {
+			return nil, err
 		}
+		var client storage.Fetcher = sc
 		if sharedCache != nil {
 			client = cache.NewFetchingCache(client, sharedCache)
 		}
