@@ -118,7 +118,7 @@ for p in sophon sophon-guard nooff alloff resizeoff fastflow; do
 	run "train-$p" "${train[@]}" -addr "$addr" -policy "$p"
 done
 run train-flags "${train[@]}" -addr "$addr" -policy alloff -fetch-batch 4 -lookahead 3 \
-	-staging-bytes 1000000 -compute-cores 1 -job 7 -model resnet50 -mbps 100 -storage-cores 2
+	-staging-bytes 1000000 -compute-cores 1 -job 7 -model resnet50 -mbps 100
 run train-plan-file "${train[@]}" -addr "$addr" -plan-file "$out/plan.json"
 run train-adaptive "${train[@]}" -addr "$addr" -epochs 4 -adaptive -drift-threshold 0.3 -drift-hysteresis 1
 monitor 127.0.0.1:17179 shaped
@@ -134,7 +134,7 @@ stop_server
 
 # The datagen directory, served as written.
 server server-data-dir -addr 127.0.0.1:17190 -data-dir "$out/data" -crop 96
-run train-data-dir "${train[@]}" -addr 127.0.0.1:17190 -crop 96 -policy sophon
+run train-data-dir "${train[@]}" -addr 127.0.0.1:17190 -policy sophon
 stop_server
 
 # Advisory: the benchmark's four workloads, one short untraced run each.

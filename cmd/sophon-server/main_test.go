@@ -164,8 +164,9 @@ func TestServeOneFetchAndShutDown(t *testing.T) {
 	if a := res[0].Artifact; a.Kind != pipeline.KindRaw || !bytes.Equal(a.Raw, want[2]) {
 		t.Errorf("sample 2: kind %v, %d bytes; stored object has %d", a.Kind, len(a.Raw), len(want[2]))
 	}
-	if client.NumSamples() != 4 {
-		t.Errorf("server announces %d samples", client.NumSamples())
+	tier := storage.Tier{Samples: 4, Pipeline: pipeline.DefaultStandard().Fingerprint(), Cores: 1, Slowdown: 1, Shards: 1}
+	if client.Tier() != tier {
+		t.Errorf("server announces %+v, want %+v", client.Tier(), tier)
 	}
 	client.Close()
 

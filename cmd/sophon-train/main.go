@@ -26,7 +26,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/netsim"
 	"repro/internal/persist"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/profiler"
 	"repro/internal/storage"
@@ -70,9 +69,7 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	epochs := fs.Int("epochs", 3, "epochs to train (epoch 1 profiles)")
 	modelName := fs.String("model", "alexnet", "GPU model profile (alexnet|resnet18|resnet50)")
 	policyName := fs.String("policy", "sophon", "offload policy (sophon|sophon-guard|nooff|alloff|resizeoff|fastflow)")
-	crop := fs.Int("crop", 224, "RandomResizedCrop output side (must match server)")
 	mbps := fs.Float64("mbps", 500, "assumed link bandwidth for planning (Mbit/s)")
-	storageCores := fs.Int("storage-cores", 4, "assumed storage-node preprocessing cores for planning")
 	probeBatches := fs.Int("probe-batches", 50, "stage-1 probe batches")
 	planFile := fs.String("plan-file", "", "load a precomputed plan and skip profiling")
 	fetchBatch := fs.Int("fetch-batch", 0, "samples per storage round trip (0 = one)")
@@ -143,7 +140,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		DialClient:     dial,
 		Workers:        *workers,
 		ComputeCores:   *computeCores,
-		Pipeline:       pipeline.Standard(pipeline.StandardOptions{CropSize: *crop, FlipP: -1}),
 		GPU:            model,
 		BatchSize:      *batch,
 		JobID:          *jobID,
@@ -188,16 +184,11 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 		stage1.GPUThroughput, stage1.IOThroughput, stage1.CPUThroughput, stage1.Bottleneck())
 	printEpoch(stdout, 1, rep)
 
-	env := policy.Env{
-		Bandwidth:       netsim.Mbps(*mbps),
-		ComputeCores:    loaderCores(*computeCores, *workers),
-		StorageCores:    *storageCores,
-		StorageSlowdown: 1,
-		GPU:             model,
-		// Per-shard planning: -mbps and -storage-cores describe ONE shard's
-		// link and cores; the engine budgets each shard independently.
-		Shards: len(addrs),
-	}
+	// The tier stated its cores and slowdown at the handshake; the link rate
+	// is the one fact of the plan's environment it cannot state (-mbps).
+	env := trainer.Env(netsim.Mbps(*mbps))
+	logger.Printf("planning for %d shard(s) of %d storage cores at slowdown %g, %d compute cores",
+		env.Shards, env.StorageCores, env.StorageSlowdown, env.ComputeCores)
 	if *adaptive {
 		s, ok := pol.(*policy.Sophon)
 		if !ok {
@@ -271,16 +262,6 @@ func runAdaptive(logger *log.Logger, stdout io.Writer, trainer *trainsim.Trainer
 		logger.Printf("history: %s", ev)
 	}
 	return nil
-}
-
-// loaderCores is how many samples the trainer preprocesses at once: each
-// loader worker takes one of -compute-cores slots, one per worker when the
-// flag is 0.
-func loaderCores(computeCores, workers int) int {
-	if computeCores == 0 {
-		return workers
-	}
-	return min(computeCores, workers)
 }
 
 func printEpoch(w io.Writer, e int, r trainsim.EpochReport) {

@@ -31,6 +31,13 @@ func testFlags() (*flag.FlagSet, *bytes.Buffer) {
 // returns its address; the server is closed with the test.
 func serve(t *testing.T) string {
 	t.Helper()
+	return serveTier(t, 24, 1, 1)
+}
+
+// serveTier is serve for a server with the given crop, cores and slowdown,
+// as sophon-server's -crop, -cores and -slowdown set them.
+func serveTier(t *testing.T, crop, cores int, slowdown float64) string {
+	t.Helper()
 	set, err := dataset.NewSyntheticImageSet(dataset.SyntheticOptions{N: 16, Seed: 9, MinDim: 32, MaxDim: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -40,7 +47,8 @@ func serve(t *testing.T) string {
 		t.Fatal(err)
 	}
 	srv, err := storage.NewServer(storage.ServerConfig{
-		Store: store, Pipeline: pipeline.Standard(pipeline.StandardOptions{CropSize: 24, FlipP: -1}), Cores: 1,
+		Store: store, Pipeline: pipeline.Standard(pipeline.StandardOptions{CropSize: crop, FlipP: -1}),
+		Cores: cores, Slowdown: slowdown,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -86,13 +94,13 @@ func TestFlagValidation(t *testing.T) {
 
 	// Needs a server to say so: -adaptive under a policy that cannot replan.
 	fs, _ = testFlags()
-	err = run(fs, []string{"-addr", serve(t), "-crop", "24", "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "alloff", "-adaptive"}, &bytes.Buffer{})
+	err = run(fs, []string{"-addr", serve(t), "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "alloff", "-adaptive"}, &bytes.Buffer{})
 	if err == nil || err.Error() != "-adaptive requires a sophon policy, got All-Off" {
 		t.Errorf("-adaptive -policy alloff: err = %v", err)
 	}
 }
 
-// The golden is also README's flag table: 23 flags and -version.
+// The golden is also README's flag table: 21 flags and -version.
 func TestHelpGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/help.golden")
 	if err != nil {
@@ -105,8 +113,8 @@ func TestHelpGolden(t *testing.T) {
 	if stderr.String() != string(want) {
 		t.Fatalf("-help prints\n%s\nwant\n%s", stderr.String(), want)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 24 {
-		t.Fatalf("%d flags listed, want 23 and -version", n)
+	if n := strings.Count(stderr.String(), "\n  -"); n != 22 {
+		t.Fatalf("%d flags listed, want 21 and -version", n)
 	}
 }
 
@@ -115,7 +123,7 @@ func TestHelpGolden(t *testing.T) {
 // session closed and nothing left running.
 func TestTrainTwoEpochsAndAdaptive(t *testing.T) {
 	addr := serve(t)
-	common := []string{"-addr", addr, "-crop", "24", "-workers", "2", "-batch", "8", "-probe-batches", "1", "-policy", "sophon"}
+	common := []string{"-addr", addr, "-workers", "2", "-batch", "8", "-probe-batches", "1", "-policy", "sophon"}
 	epochLine := regexp.MustCompile(`(?m)^epoch \d+: 16 samples in \S+, fetched \d+\.\d MB, offloaded \d+, gpu util \d+\.\d%$`)
 	for _, c := range []struct {
 		args    []string
@@ -155,7 +163,7 @@ func TestTrainTwoEpochsAndAdaptive(t *testing.T) {
 // naming its shard and address.
 func TestShardAddrs(t *testing.T) {
 	a, b := serve(t), serve(t)
-	args := []string{"-crop", "24", "-workers", "2", "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "sophon"}
+	args := []string{"-workers", "2", "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "sophon"}
 	for _, c := range []struct {
 		addr   string
 		shards int
@@ -187,16 +195,25 @@ func TestShardAddrs(t *testing.T) {
 	}
 }
 
-// TestLoaderCores: the planner's compute cores are the samples the loader
-// preprocesses at once, -compute-cores capped at -workers.
-func TestLoaderCores(t *testing.T) {
-	for _, c := range []struct{ computeCores, workers, want int }{
-		{0, 4, 4},
-		{3, 4, 3},
-		{6, 4, 4},
-	} {
-		if got := loaderCores(c.computeCores, c.workers); got != c.want {
-			t.Errorf("loaderCores(%d, %d) = %d, want %d", c.computeCores, c.workers, got, c.want)
-		}
+// TestPlanFromTheTiersFacts: against a server run as sophon-server -crop 96
+// -cores 3 -slowdown 2, sophon-train trains on 96² crops and plans with
+// the server's cores and slowdown; its compute cores are the samples the
+// loader preprocesses at once, -compute-cores capped at -workers.
+func TestPlanFromTheTiersFacts(t *testing.T) {
+	addr := serveTier(t, 96, 3, 2)
+	fs, stderr := testFlags()
+	var stdout bytes.Buffer
+	args := []string{"-addr", addr, "-workers", "2", "-compute-cores", "6", "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "alloff"}
+	if err := run(fs, args, &stdout); err != nil {
+		t.Fatalf("%v\n%s", err, stderr.String())
+	}
+	if want := "planning for 1 shard(s) of 3 storage cores at slowdown 2, 2 compute cores"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("log lacks %q:\n%s", want, stderr.String())
+	}
+	// All-Off ships every sample as the server's finished tensor.
+	mb := 16 * float64(pipeline.TensorWireSize(3, 96, 96)) / 1e6
+	epoch2 := regexp.MustCompile(fmt.Sprintf(`(?m)^epoch 2: 16 samples in \S+, fetched %.1f MB, offloaded 16,`, mb))
+	if !epoch2.MatchString(stdout.String()) {
+		t.Errorf("epoch 2 did not fetch 16 96² tensors (%.1f MB):\n%s", mb, stdout.String())
 	}
 }

@@ -54,19 +54,12 @@ func main() {
 		log.Fatal(err)
 	}
 
-	env := sophon.Env{
-		Bandwidth:       sophon.Mbps(500),
-		ComputeCores:    4,
-		StorageCores:    2,
-		StorageSlowdown: 1,
-		GPU:             sophon.AlexNet,
-	}
 	// The controller computes plan v1 against the profiled environment and
 	// replans whenever a measurement drifts ≥35% from what the live plan
 	// assumes (hysteresis 1: a single drifted epoch is enough).
 	ctrl, err := sophon.NewController(sophon.ControllerConfig{
 		Trace: trace,
-		Env:   env,
+		Env:   trainer.Env(sophon.Mbps(500)),
 		Drift: sophon.DriftConfig{Alpha: 1, RelThreshold: 0.35, Hysteresis: 1},
 	})
 	if err != nil {

@@ -42,14 +42,7 @@ func main() {
 	}
 	defer trainer.Close()
 
-	env := sophon.Env{
-		Bandwidth:       sophon.Mbps(8),
-		ComputeCores:    4,
-		StorageCores:    2,
-		StorageSlowdown: 1,
-		GPU:             sophon.AlexNet,
-	}
-	decision, reports, err := sophon.AutoTrain(trainer, 4, env, 2)
+	decision, reports, err := sophon.AutoTrain(trainer, 4, trainer.Env(sophon.Mbps(8)), 2)
 	if err != nil {
 		log.Fatal(err)
 	}

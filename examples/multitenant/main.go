@@ -38,21 +38,41 @@ func main() {
 	}
 	defer cluster.Close()
 
-	// The fleet coordinator owns the tier's budgets: per-shard cores and
-	// link bandwidth, divided weighted-fair across admitted tenants.
-	coord, err := sophon.NewFleetCoordinator(sophon.FleetCoordinatorConfig{
-		Cores:     fleetCPUs,
-		Bandwidth: sophon.Mbps(linkMbps),
-	})
+	// The cross-job artifact cache every tenant of the share group stacks
+	// over its storage session.
+	shared, err := sophon.NewSharedArtifactCache(256 << 20)
 	if err != nil {
 		log.Fatal(err)
 	}
+	newTrainer := func(name string, jobID uint64, sharedCache *sophon.SharedArtifactCache) *sophon.Trainer {
+		t, err := cluster.NewTrainer(sophon.TrainerOptions{
+			Workers:     4,
+			BatchSize:   32,
+			JobID:       jobID,
+			SharedCache: sharedCache,
+			TenantName:  name,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return t
+	}
+	// Coordinated prep: both group tenants dial with the GROUP's share key.
+	trainerA := newTrainer("vision-team-a", shareKey, shared)
+	trainerB := newTrainer("vision-team-b", shareKey, shared)
+	defer trainerA.Close()
+	defer trainerB.Close()
 
-	env := sophon.Env{
-		Bandwidth:       sophon.Mbps(linkMbps), // overridden by the grant
-		ComputeCores:    8,
-		StorageSlowdown: 1,
-		GPU:             sophon.AlexNet,
+	// Every tenant's own resources: its loader, GPU and the tier's slowdown.
+	// The fleet coordinator owns the tier's budgets — the cores the tier
+	// stated and the link — and grants them weighted-fair to the tenants.
+	env := trainerA.Env(sophon.Mbps(linkMbps))
+	coord, err := sophon.NewFleetCoordinator(sophon.FleetCoordinatorConfig{
+		Cores:     env.StorageCores,
+		Bandwidth: env.Bandwidth,
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
 	trace := func(seed uint64) *sophon.Trace {
 		tr, err := sophon.GenerateTrace(sophon.OpenImagesProfile(samples), seed)
@@ -80,34 +100,8 @@ func main() {
 	fmt.Printf("fleet generation %d: 2 tenants admitted\n", coord.Generation())
 	printGrants(coord)
 
-	// The cross-job artifact cache every tenant of the share group stacks
-	// over its storage session.
-	shared, err := sophon.NewSharedArtifactCache(256 << 20)
-	if err != nil {
-		log.Fatal(err)
-	}
-	newTrainer := func(name string, jobID uint64, sharedCache *sophon.SharedArtifactCache) *sophon.Trainer {
-		t, err := cluster.NewTrainer(sophon.TrainerOptions{
-			Workers:     4,
-			BatchSize:   32,
-			JobID:       jobID,
-			SharedCache: sharedCache,
-			TenantName:  name,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return t
-	}
-
 	// Epoch 1: tenant a trains first (cold cache), tenant b second — its
 	// overlap with a is served from the shared cache at zero wire bytes.
-	// Coordinated prep: both group tenants dial with the GROUP's share key.
-	trainerA := newTrainer("vision-team-a", shareKey, shared)
-	trainerB := newTrainer("vision-team-b", shareKey, shared)
-	defer trainerA.Close()
-	defer trainerB.Close()
-
 	repA, err := trainerA.RunEpochSnapshot(1, provA.Current(), nil)
 	if err != nil {
 		log.Fatal(err)

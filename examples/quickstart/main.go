@@ -10,17 +10,22 @@ import (
 	sophon "repro"
 )
 
+// linkMbps is the storage link's rate, which the plan assumes too.
+const linkMbps = 16
+
 func main() {
 	// "Storage node": in-memory object store + near-storage executor with
-	// 2 preprocessing cores, serving 48 synthetic photos in process.
+	// 2 preprocessing cores, serving 48 synthetic photos in process over a
+	// shaped link.
 	cluster, err := sophon.StartCluster(sophon.ClusterConfig{
-		DatasetName:  "quickstart",
-		NumSamples:   48,
-		Seed:         42,
-		MinDim:       64,
-		MaxDim:       256,
-		CropSize:     96,
-		StorageCores: 2,
+		DatasetName:   "quickstart",
+		NumSamples:    48,
+		Seed:          42,
+		MinDim:        64,
+		MaxDim:        256,
+		CropSize:      96,
+		StorageCores:  2,
+		BandwidthMbps: linkMbps,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -49,16 +54,11 @@ func main() {
 	fmt.Printf("epoch 1 (profiling): %d samples, %.2f MB fetched, %v\n",
 		epoch1.Samples, float64(epoch1.BytesFetched)/1e6, epoch1.Duration.Round(1e6))
 
-	// Decide: plan against the environment we intend to train in. The
-	// tiny link makes this quickstart I/O-bound, like the paper's setup.
-	env := sophon.Env{
-		Bandwidth:       sophon.Mbps(4),
-		ComputeCores:    4,
-		StorageCores:    2,
-		StorageSlowdown: 1,
-		GPU:             sophon.AlexNet,
-	}
-	decision, err := sophon.Decide(trace, env)
+	// Decide: plan against the environment we train in — the trainer's
+	// loader and GPU, the storage cores the tier stated at the handshake,
+	// and the link it is shaped to. The tiny link makes this quickstart
+	// I/O-bound, like the paper's setup.
+	decision, err := sophon.Decide(trace, trainer.Env(sophon.Mbps(linkMbps)))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,9 +71,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("epoch %d: %d samples, %.2f MB fetched, %d offloaded, gpu util %.1f%%\n",
+		fmt.Printf("epoch %d: %d samples, %.2f MB fetched, %d offloaded, %v\n",
 			epoch, report.Samples, float64(report.BytesFetched)/1e6,
-			report.Offloaded, 100*report.GPUUtilization)
+			report.Offloaded, report.Duration.Round(1e6))
 	}
 	fmt.Printf("storage node burned %.2fs of CPU on offloaded prefixes\n",
 		float64(cluster.ServerCPUNanos())/1e9)

@@ -40,12 +40,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pipe := pipeline.Standard(pipeline.StandardOptions{CropSize: 96, FlipP: -1})
 
 	tier, err := cluster.Launch(cluster.Config{
 		Shards:        shards,
 		Store:         store,
-		Pipeline:      pipe,
+		Pipeline:      pipeline.Standard(pipeline.StandardOptions{CropSize: 96, FlipP: -1}),
 		CoresPerShard: 2,
 		LinkMbps:      500, // one 500 Mbps link PER SHARD — the tier's point
 	})
@@ -75,7 +74,6 @@ func main() {
 				2, 50*time.Millisecond, true)
 		},
 		Workers:        4,
-		Pipeline:       pipe,
 		GPU:            gpu.AlexNet,
 		BatchSize:      16,
 		JobID:          1,

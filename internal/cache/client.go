@@ -119,8 +119,8 @@ func through(samples []uint32, splits []int,
 	return out, nil
 }
 
-// NumSamples reports the dataset size from the wrapped client.
-func (f *FetchingCache) NumSamples() int { return f.client.NumSamples() }
+// Tier reports the wrapped client's tier.
+func (f *FetchingCache) Tier() storage.Tier { return f.client.Tier() }
 
 // Close closes the wrapped client.
 func (f *FetchingCache) Close() error { return f.client.Close() }

@@ -92,8 +92,8 @@ func (p *progFetcher) FetchBatch(ctx context.Context, samples []uint32, splits [
 	return out, nil
 }
 
-func (p *progFetcher) NumSamples() int { return 1 }
-func (p *progFetcher) Close() error    { return nil }
+func (p *progFetcher) Tier() storage.Tier { return storage.Tier{Samples: 1} }
+func (p *progFetcher) Close() error       { return nil }
 
 // The per-job raw cache must serve reduced-fidelity directives from a cached
 // full object at zero wire bytes, without ever inserting truncated bytes.

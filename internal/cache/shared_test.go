@@ -180,8 +180,8 @@ func (f *fakeFetcher) FetchBatch(ctx context.Context, samples []uint32, splits [
 	return out, nil
 }
 
-func (f *fakeFetcher) NumSamples() int { return f.n }
-func (f *fakeFetcher) Close() error    { f.closed = true; return nil }
+func (f *fakeFetcher) Tier() storage.Tier { return storage.Tier{Samples: f.n} }
+func (f *fakeFetcher) Close() error       { f.closed = true; return nil }
 
 func TestTenantFetcherValidation(t *testing.T) {
 	shared, _ := NewShared(1 << 20)
@@ -313,8 +313,8 @@ func TestTenantFetcherPassthroughs(t *testing.T) {
 	shared, _ := NewShared(1 << 20)
 	inner := &fakeFetcher{n: 23}
 	f, _ := NewTenantFetcher(inner, shared, "a", 1)
-	if f.NumSamples() != 23 {
-		t.Fatalf("NumSamples %d", f.NumSamples())
+	if f.Tier().Samples != 23 {
+		t.Fatalf("Tier %+v", f.Tier())
 	}
 	type stamp struct{}
 	ctx := context.WithValue(context.Background(), stamp{}, 9)

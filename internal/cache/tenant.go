@@ -111,8 +111,8 @@ func (t *TenantFetcher) FetchBatch(ctx context.Context, samples []uint32, splits
 		})
 }
 
-// NumSamples reports the dataset size from the wrapped client.
-func (t *TenantFetcher) NumSamples() int { return t.inner.NumSamples() }
+// Tier reports the wrapped client's tier.
+func (t *TenantFetcher) Tier() storage.Tier { return t.inner.Tier() }
 
 // Close closes the wrapped client.
 func (t *TenantFetcher) Close() error { return t.inner.Close() }

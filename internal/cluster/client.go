@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/pipeline"
 	"repro/internal/storage"
 	"repro/internal/wire"
 )
@@ -40,12 +41,13 @@ type ShardedClient struct {
 	m        *ShardMap
 	shards   []ShardClient
 	degraded bool
-	n        int
+	tier     storage.Tier
 }
 
 // newShardedClient wires shard sessions to a shard map. Every session must
-// agree on the dataset size — disagreeing shards mean a misconfigured
-// cluster, and silently fetching from it would corrupt placement.
+// state the same tier facts: shards that disagree on the dataset size would
+// corrupt placement, and on the pipeline would prepare one epoch's samples
+// two ways, so a misconfigured tier is refused here.
 func newShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*ShardedClient, error) {
 	if m == nil {
 		return nil, errors.New("cluster: nil shard map")
@@ -53,17 +55,22 @@ func newShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*Sharde
 	if len(shards) != m.shards {
 		return nil, fmt.Errorf("cluster: %d sessions for %d shards", len(shards), m.shards)
 	}
-	n := shards[0].NumSamples()
+	var tier storage.Tier
 	for s, c := range shards {
 		if c == nil {
 			return nil, fmt.Errorf("cluster: nil session for shard %d", s)
 		}
-		if c.NumSamples() != n {
-			return nil, fmt.Errorf("cluster: shard %d reports %d samples, shard 0 reports %d",
-				s, c.NumSamples(), n)
+		if t := c.Tier(); s == 0 {
+			tier = t
+		} else if t.Pipeline != tier.Pipeline {
+			return nil, &pipeline.MismatchError{Side: fmt.Sprintf("shard %d", s), Pipeline: t.Pipeline,
+				Other: "shard 0", OtherPipeline: tier.Pipeline}
+		} else if t != tier {
+			return nil, fmt.Errorf("cluster: shard %d states %+v, shard 0 states %+v", s, t, tier)
 		}
 	}
-	return &ShardedClient{m: m, shards: shards, degraded: degraded, n: n}, nil
+	tier.Shards = len(shards)
+	return &ShardedClient{m: m, shards: shards, degraded: degraded, tier: tier}, nil
 }
 
 // DialSharded builds the retrying fan-out client over m: one reconnecting
@@ -95,8 +102,8 @@ func DialSharded(m *ShardMap, dial func(shard int) (*storage.Client, error), att
 	return c, nil
 }
 
-// NumSamples returns the dataset size every shard agreed on.
-func (c *ShardedClient) NumSamples() int { return c.n }
+// Tier returns the facts every shard stated, with the tier's shard count.
+func (c *ShardedClient) Tier() storage.Tier { return c.tier }
 
 // Shard returns shard s's underlying session.
 func (c *ShardedClient) Shard(s int) ShardClient { return c.shards[s] }

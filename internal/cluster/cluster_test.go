@@ -74,8 +74,8 @@ func TestShardedFetchBatch(t *testing.T) {
 	c := launch(t, store, 3, 1)
 	sc := shardedClient(t, c, false)
 
-	if sc.NumSamples() != n {
-		t.Fatalf("NumSamples = %d, want %d", sc.NumSamples(), n)
+	if tier := sc.Tier(); tier.Samples != n || tier.Shards != 3 || tier.Pipeline != testPipe().Fingerprint() {
+		t.Fatalf("Tier = %+v, want %d samples over 3 shards running %v", tier, n, testPipe().Fingerprint())
 	}
 
 	samples := make([]uint32, n)
@@ -141,7 +141,7 @@ func (f *fakeShard) FetchBatch(context.Context, []uint32, []int, uint64) ([]stor
 	return nil, errors.New("fake")
 }
 func (f *fakeShard) Stats(context.Context) (wire.StatsResp, error) { return wire.StatsResp{}, nil }
-func (f *fakeShard) NumSamples() int                               { return f.n }
+func (f *fakeShard) Tier() storage.Tier                            { return storage.Tier{Samples: f.n} }
 func (f *fakeShard) Close() error                                  { return nil }
 
 func TestNewShardedClientValidation(t *testing.T) {
@@ -219,6 +219,45 @@ func TestDialShardedClosesOnFailure(t *testing.T) {
 		t.Fatalf("sizes 8, 8, 5: err = %v with %d sessions opened", err, len(opened))
 	}
 	check("sizes 8, 8, 5", opened)
+}
+
+// TestDialShardedRefusesShardsThatDisagree: a two-shard tier whose second
+// shard serves another crop is refused at connect, with a typed error naming
+// both shards' pipelines, and both sessions are closed.
+func TestDialShardedRefusesShardsThatDisagree(t *testing.T) {
+	store := testStore(t, 8)
+	c := launch(t, store, 2, 1)
+	other, err := Launch(Config{Shards: 2, Store: store, CoresPerShard: 1,
+		Pipeline: pipeline.Standard(pipeline.StandardOptions{CropSize: 96, FlipP: -1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { other.Close() })
+	var opened []*storage.Client
+	dial := func(s int) (*storage.Client, error) {
+		from := c
+		if s == 1 {
+			from = other
+		}
+		sc, err := from.dialShard(s, storage.ClientOptions{})
+		if err == nil {
+			opened = append(opened, sc)
+		}
+		return sc, err
+	}
+	_, err = DialSharded(c.ShardMap(), dial, 2, 0, false)
+	var mis *pipeline.MismatchError
+	if !errors.As(err, &mis) || mis.Side != "shard 1" || mis.Pipeline.Crop != 96 || mis.Other != "shard 0" || mis.OtherPipeline.Crop != 24 {
+		t.Fatalf("crops 24, 96: err = %v", err)
+	}
+	if !strings.Contains(err.Error(), "shard 1 runs {") || !strings.Contains(err.Error(), " Crop:96 FlipP:0.5}, shard 0 runs {") {
+		t.Errorf("error does not name both sides: %v", err)
+	}
+	for s, sc := range opened {
+		if _, err := sc.Stats(context.Background()); !errors.Is(err, storage.ErrClientClosed) {
+			t.Errorf("shard %d's session still open (Stats: %v)", s, err)
+		}
+	}
 }
 
 func TestShardedBatchValidation(t *testing.T) {

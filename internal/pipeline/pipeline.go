@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"strings"
 	"sync"
 	"time"
 
@@ -73,6 +74,42 @@ func Standard(opts StandardOptions) *Pipeline {
 // DefaultStandard is Standard with all defaults (224 crop, p=0.5 flip,
 // ImageNet normalization).
 func DefaultStandard() *Pipeline { return Standard(StandardOptions{FlipP: -1}) }
+
+// Fingerprint is what a pipeline does to a sample, as a server states it at
+// the handshake: the op names in order, comma-separated, the crop side and
+// the flip probability. Standard(Crop, FlipP) builds every pipeline there is.
+type Fingerprint struct {
+	Ops   string
+	Crop  int
+	FlipP float64
+}
+
+// Fingerprint returns p's fingerprint.
+func (p *Pipeline) Fingerprint() (f Fingerprint) {
+	names := make([]string, len(p.ops))
+	for i, o := range p.ops {
+		names[i] = o.name()
+		switch o := o.(type) {
+		case randomResizedCropOp:
+			f.Crop = o.Size
+		case randomHorizontalFlipOp:
+			f.FlipP = o.P
+		}
+	}
+	f.Ops = strings.Join(names, ",")
+	return f
+}
+
+// MismatchError reports two sides of one training session that prepare
+// samples differently: a trainer and its tier, or a shard and shard 0.
+type MismatchError struct {
+	Side, Other             string
+	Pipeline, OtherPipeline Fingerprint
+}
+
+func (e *MismatchError) Error() string {
+	return fmt.Sprintf("pipeline mismatch: %s runs %+v, %s runs %+v", e.Side, e.Pipeline, e.Other, e.OtherPipeline)
+}
 
 // Len returns the number of ops.
 func (p *Pipeline) Len() int { return len(p.ops) }
@@ -201,6 +238,9 @@ func (p *Pipeline) Run(raw []byte, seed Seed) (Artifact, error) {
 // model-tier tables are written in. Shipped is len(AppendEncode(nil)), the
 // bytes a fetch cut at that stage puts on the link; it differs from Sizes on
 // image stages, whose pixels travel packed, and is what a planner must price.
+// Stage 0 is the stored object in both: a live raw fetch that asks for the
+// crop's rows (storage.Rows) ships only the units the crop reads, ≈ 0.49 of
+// it on the benchmark's cpu_local store (ROADMAP item 15).
 type StageTrace struct {
 	Sizes   []int
 	Shipped []int

@@ -133,7 +133,10 @@ func NewCollector(n int) (*Collector, error) {
 // Observe records one sample's stage trace. Re-observations overwrite (the
 // last epoch-1 measurement wins). Width/height are the decoded dimensions.
 // The record's StageSizes are the trace's shipped bytes, not the size law:
-// the planner prices what a cut puts on the link.
+// the planner prices what a cut puts on the link. Stage 0 is the exception:
+// it is the stored object, of which a live raw fetch (storage.Rows) ships
+// only the crop's units, ≈ 0.49 of it on the benchmark's cpu_local store,
+// so raw is priced high (ROADMAP item 15).
 func (c *Collector) Observe(id uint32, st pipeline.StageTrace, width, height int) error {
 	if len(st.Shipped) != dataset.StageCount || len(st.OpTimes) != dataset.OpCount {
 		return fmt.Errorf("profiler: stage trace has %d shipped sizes / %d times", len(st.Shipped), len(st.OpTimes))

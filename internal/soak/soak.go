@@ -239,7 +239,6 @@ func trainEpochs(rep *Report, cfg Config, faulty *cluster.Cluster) error {
 			return faulty.NewShardedClient(storage.ClientOptions{JobID: cfg.Seed}, retryAttempts, 0, true)
 		},
 		Workers:        3,
-		Pipeline:       pipeline.Standard(pipeline.StandardOptions{CropSize: 24, FlipP: 0.5}),
 		GPU:            gpu.AlexNet,
 		BatchSize:      8,
 		FetchBatchSize: 8,

@@ -126,8 +126,17 @@ func DialWithOptions(addr string, opts ClientOptions) (*Client, error) {
 	return NewClientWithOptions(conn, opts)
 }
 
-// NumSamples returns the dataset size reported by the server.
-func (c *Client) NumSamples() int { return int(c.ack.NumSamples) }
+// Tier returns the facts the server's handshake stated.
+func (c *Client) Tier() Tier {
+	a := c.ack
+	return Tier{
+		Samples:  int(a.NumSamples),
+		Pipeline: pipeline.Fingerprint{Ops: a.Ops, Crop: int(a.Crop), FlipP: a.FlipP},
+		Cores:    int(a.Cores),
+		Slowdown: a.Slowdown,
+		Shards:   1,
+	}
+}
 
 // writeLoop is the single goroutine allowed to write frames after the
 // handshake; it serializes concurrent requests onto the connection.

@@ -3,6 +3,8 @@ package storage
 import (
 	"context"
 	"fmt"
+
+	"repro/internal/pipeline"
 )
 
 // Fetcher is the compute node's view of the storage service, and the one
@@ -27,8 +29,21 @@ type Fetcher interface {
 	// in this module calls it. It stays only because benchmarks/ compiles
 	// against it (its traced client wraps it; ROADMAP 1A(vi)).
 	Fetch(ctx context.Context, sample uint32, split int, epoch uint64) (FetchResult, error)
-	NumSamples() int
+	// Tier states the facts of the tier behind the session, as its
+	// handshake carried them.
+	Tier() Tier
 	Close() error
+}
+
+// Tier is what a storage tier states about itself at the handshake: the
+// dataset size, the pipeline its servers run, each shard's preprocessing
+// cores and CPU slowdown, and how many shards it has (1 for one server).
+type Tier struct {
+	Samples  int
+	Pipeline pipeline.Fingerprint
+	Cores    int
+	Slowdown float64
+	Shards   int
 }
 
 // FetchOne is the single-sample path: f.FetchBatch of one sample. The sample's

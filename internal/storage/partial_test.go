@@ -72,8 +72,8 @@ func TestServerOnPartialStore(t *testing.T) {
 		Pipeline: pipeline.Standard(pipeline.StandardOptions{CropSize: 24, FlipP: -1}),
 	})
 	c := dial()
-	if c.NumSamples() != 4 {
-		t.Fatalf("handshake NumSamples = %d, want the global 4", c.NumSamples())
+	if c.Tier().Samples != 4 {
+		t.Fatalf("handshake Samples = %d, want the global 4", c.Tier().Samples)
 	}
 	ctx := context.Background()
 	res, err := FetchOne(ctx, c, 3, 0, 1)

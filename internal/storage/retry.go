@@ -42,9 +42,9 @@ type ReconnectingClient struct {
 	pause    time.Duration // before each retry; ≤ 0 means none
 	clock    simclock.Clock
 
-	// The handshake's dataset size, cached at construction so it remains
-	// available while the session is down between retries.
-	numSamples int
+	// The first handshake's facts, cached so they remain available while the
+	// session is down between retries.
+	tier Tier
 
 	mu      sync.Mutex
 	current *Client // nil while broken, until the next acquire redials
@@ -71,12 +71,12 @@ func NewReconnecting(dial func() (*Client, error), attempts int, pause time.Dura
 		return nil, err
 	}
 	return &ReconnectingClient{
-		dial:       dial,
-		attempts:   attempts,
-		pause:      pause,
-		clock:      clock,
-		numSamples: first.NumSamples(),
-		current:    first,
+		dial:     dial,
+		attempts: attempts,
+		pause:    pause,
+		clock:    clock,
+		tier:     first.Tier(),
+		current:  first,
 	}, nil
 }
 
@@ -87,12 +87,14 @@ func (r *ReconnectingClient) Retries() int64 {
 	return r.retries
 }
 
-// NumSamples returns the dataset size from the original handshake.
-func (r *ReconnectingClient) NumSamples() int { return r.numSamples }
+// Tier returns the facts of the original handshake.
+func (r *ReconnectingClient) Tier() Tier { return r.tier }
 
 // acquire returns the live session and its generation, redialing if the
 // previous one was invalidated. Dialing happens under the lock, so exactly
-// one caller redials while the rest wait for the result.
+// one caller redials while the rest wait for the result. A redialed server
+// that states other tier facts than the first (restarted with another
+// -crop, say) is refused: its artifacts would not match the plan's.
 func (r *ReconnectingClient) acquire() (*Client, int64, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -105,6 +107,10 @@ func (r *ReconnectingClient) acquire() (*Client, int64, error) {
 	next, err := r.dial()
 	if err != nil {
 		return nil, 0, err
+	}
+	if t := next.Tier(); t != r.tier {
+		next.Close()
+		return nil, 0, fmt.Errorf("storage: redialed server states %+v, the first stated %+v", t, r.tier)
 	}
 	r.current = next
 	r.retries++

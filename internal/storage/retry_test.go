@@ -3,6 +3,7 @@ package storage
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,6 +38,40 @@ func startRetryServer(t testing.TB, n, cores int) *netsim.PipeListener {
 	return l
 }
 
+// TestRedialRefusesOtherTierFacts: a session redialed onto a server that
+// states other facts than the first (here another crop) is refused, and the
+// operation gives up naming both.
+func TestRedialRefusesOtherTierFacts(t *testing.T) {
+	first, other := startRetryServer(t, 4, 1), netsim.NewPipeListener()
+	srv, err := NewServer(ServerConfig{Store: testStore(t, 4), Pipeline: pipeline.Standard(pipeline.StandardOptions{CropSize: 96, FlipP: -1}), Cores: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(other)
+	t.Cleanup(func() { srv.Close() })
+	dials := 0
+	rc, err := NewReconnecting(func() (*Client, error) {
+		l := first
+		if dials++; dials > 1 {
+			l = other
+		}
+		conn, err := l.Dial()
+		if err != nil {
+			return nil, err
+		}
+		return NewClientWithOptions(conn, ClientOptions{JobID: 3})
+	}, 2, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	rc.invalidate(0) // the first session broke
+	_, err = FetchOne(context.Background(), rc, 1, 0, 1)
+	if err == nil || !strings.Contains(err.Error(), "redialed server states") || !strings.Contains(err.Error(), "Crop:96") || !strings.Contains(err.Error(), "Crop:224") {
+		t.Fatalf("redial onto a crop-96 server: err = %v", err)
+	}
+}
+
 func TestReconnectingValidation(t *testing.T) {
 	l := startRetryServer(t, 1, 1)
 	if _, err := NewReconnecting(nil, 3, 0, nil); err == nil {
@@ -60,8 +95,8 @@ func TestReconnectingSurvivesConnectionDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rc.Close()
-	if rc.NumSamples() != 4 {
-		t.Fatalf("handshake facts: %d samples", rc.NumSamples())
+	if rc.Tier().Samples != 4 {
+		t.Fatalf("handshake facts: %+v", rc.Tier())
 	}
 	for k := 0; k < 40; k++ {
 		res, err := FetchOne(context.Background(), rc, uint32(k%4), 0, 1)

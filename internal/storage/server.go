@@ -221,10 +221,16 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	jobID := hello.JobID
+	fp := s.pipe.Fingerprint()
 	if err := s.send(conn, &wire.HelloAck{
 		Version:     wire.Version,
 		DatasetName: s.store.Name(),
 		NumSamples:  uint32(s.store.N()),
+		Ops:         fp.Ops,
+		Crop:        uint16(fp.Crop),
+		FlipP:       fp.FlipP,
+		Cores:       uint16(s.exec.cores()),
+		Slowdown:    s.exec.slowdown,
 	}); err != nil {
 		s.logf("storage: handshake ack: %v", err)
 		return

@@ -220,8 +220,9 @@ func TestFetchAllSplitsMatchLocal(t *testing.T) {
 	_, dial := startServer(t, ServerConfig{Store: st, Pipeline: p, Cores: 4})
 	c := dial()
 
-	if c.ack.DatasetName != "test-set" || c.NumSamples() != 3 {
-		t.Fatalf("handshake facts: %q %d", c.ack.DatasetName, c.NumSamples())
+	want := Tier{Samples: 3, Pipeline: p.Fingerprint(), Cores: 4, Slowdown: 1, Shards: 1}
+	if c.ack.DatasetName != "test-set" || c.Tier() != want {
+		t.Fatalf("handshake facts: %q %+v, want %+v", c.ack.DatasetName, c.Tier(), want)
 	}
 
 	const epoch = 3

@@ -16,7 +16,7 @@ import (
 // ProbeSamples is the size of the adaptive loop's between-epoch link probe:
 // a few batches of samples, enough wire traffic to amortize the shaper's
 // burst allowance without rereading the dataset.
-func (t *Trainer) ProbeSamples() int { return min(4*t.cfg.BatchSize, t.n) }
+func (t *Trainer) ProbeSamples() int { return min(4*t.cfg.BatchSize, t.tier.Samples) }
 
 // probeDepth is how many fetch batches the bandwidth probe keeps in flight
 // over the shared session: with two, one batch's fixed cost — its request,
@@ -28,8 +28,10 @@ const probeDepth = 2
 // bytes/second by fetching n raw samples, probeDepth FetchBatch round trips of
 // FetchBatchSize at a time over the shared session, and timing the wire
 // bytes — the stage-1 I/O probe's fetches, repurposed for the adaptive
-// control plane's between-epoch re-profiling. Under a shaped link the
-// estimate converges on the shaper's rate, however small its burst.
+// control plane's between-epoch re-profiling. It counts each fetch's fixed
+// cost as link time, so it reads a shaped link's rate only behind a burst
+// that banks the idle time, netsim.LinkBurst: behind a 32 KiB burst it read
+// 36–45 MB/s of a 62.5 MB/s link (ROADMAP item 19).
 func (t *Trainer) MeasureBandwidth(n int) (float64, error) {
 	if n < 1 {
 		return 0, fmt.Errorf("trainsim: bandwidth probe of %d samples", n)
@@ -60,7 +62,7 @@ func (t *Trainer) MeasureBandwidth(n int) (float64, error) {
 				}
 				k := min(batch, n-lo)
 				for i := range k {
-					samples[i] = uint32((lo + i) % t.n)
+					samples[i] = uint32((lo + i) % t.tier.Samples)
 				}
 				res, err := t.client.FetchBatch(context.Background(), samples[:k], splits[:k], 0)
 				if err != nil {
@@ -100,7 +102,7 @@ func (t *Trainer) Profile(probeBatches int) (*dataset.Trace, profiler.Stage1Resu
 	if err != nil {
 		return nil, profiler.Stage1Result{}, EpochReport{}, err
 	}
-	collector, err := profiler.NewCollector(t.n)
+	collector, err := profiler.NewCollector(t.tier.Samples)
 	if err != nil {
 		return nil, profiler.Stage1Result{}, EpochReport{}, err
 	}
@@ -142,12 +144,12 @@ func (t *Trainer) stage1Probes() profiler.Probes {
 		total := batches * batch
 		start := clock.Now()
 		for k := 0; k < total; k++ {
-			res, err := storage.FetchOne(context.Background(), t.client, uint32(k%t.n), 0, 0)
+			res, err := storage.FetchOne(context.Background(), t.client, uint32(k%t.tier.Samples), 0, 0)
 			if err == nil && res.Artifact.Kind != pipeline.KindRaw {
 				err = fmt.Errorf("got %s artifact", res.Artifact.Kind)
 			}
 			if err != nil {
-				return 0, 0, fmt.Errorf("io probe fetch %d: %w", k%t.n, err)
+				return 0, 0, fmt.Errorf("io probe fetch %d: %w", k%t.tier.Samples, err)
 			}
 			if len(cached) < batch {
 				cached = append(cached, res.Artifact.Raw)

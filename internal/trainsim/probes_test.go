@@ -123,8 +123,10 @@ func (f *pairedFetcher) Fetch(ctx context.Context, sample uint32, split int, epo
 	return storage.FetchOne(ctx, f, sample, split, epoch)
 }
 
-func (f *pairedFetcher) NumSamples() int { return 64 }
-func (f *pairedFetcher) Close() error    { return nil }
+func (f *pairedFetcher) Tier() storage.Tier {
+	return storage.Tier{Samples: 64, Pipeline: pipeline.DefaultStandard().Fingerprint(), Shards: 1}
+}
+func (f *pairedFetcher) Close() error { return nil }
 
 // TestMeasureBandwidthKeepsTwoBatchesInFlight: the probe asks for each of
 // its samples once, in FetchBatch round trips of FetchBatchSize (one of them

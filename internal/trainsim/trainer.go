@@ -62,7 +62,8 @@ type Config struct {
 	Classify func(sample int) prepsched.Class
 	// ComputeCores bounds concurrent local preprocessing; 0 means Workers.
 	ComputeCores int
-	// Pipeline is the preprocessing pipeline (must match the server's).
+	// Pipeline is the preprocessing pipeline; nil means the tier's, and any
+	// other must match it.
 	Pipeline *pipeline.Pipeline
 	// GPU is the simulated accelerator profile.
 	GPU gpu.Model
@@ -93,7 +94,7 @@ const defaultStagingBytes = 64 << 20
 type Trainer struct {
 	cfg    Config
 	client storage.Fetcher
-	n      int
+	tier   storage.Tier
 	closed bool
 	mu     sync.Mutex
 	pf     prefetch.Metrics
@@ -129,13 +130,11 @@ type EpochReport struct {
 }
 
 // New validates the config, resolves its defaults and dials the storage
-// session once.
+// session once. A Pipeline that differs from the tier's is refused with a
+// *pipeline.MismatchError.
 func New(cfg Config) (*Trainer, error) {
 	if cfg.DialClient == nil {
 		return nil, errors.New("trainsim: DialClient is required")
-	}
-	if cfg.Pipeline == nil {
-		return nil, errors.New("trainsim: Pipeline is required")
 	}
 	if !cfg.GPU.Valid() {
 		return nil, errors.New("trainsim: GPU model must have positive throughput")
@@ -184,9 +183,15 @@ func New(cfg Config) (*Trainer, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trainsim: dial: %w", err)
 	}
-	t.client = c
-	t.n = c.NumSamples()
-	if t.n == 0 {
+	t.client, t.tier = c, c.Tier()
+	if t.cfg.Pipeline == nil {
+		t.cfg.Pipeline = pipeline.Standard(pipeline.StandardOptions{CropSize: t.tier.Pipeline.Crop, FlipP: t.tier.Pipeline.FlipP})
+	}
+	if fp := t.cfg.Pipeline.Fingerprint(); fp != t.tier.Pipeline {
+		t.Close()
+		return nil, &pipeline.MismatchError{Side: "trainer", Pipeline: fp, Other: "tier", OtherPipeline: t.tier.Pipeline}
+	}
+	if t.tier.Samples == 0 {
 		t.Close()
 		return nil, errors.New("trainsim: server reports empty dataset")
 	}
@@ -194,7 +199,21 @@ func New(cfg Config) (*Trainer, error) {
 }
 
 // N returns the dataset size reported by the server.
-func (t *Trainer) N() int { return t.n }
+func (t *Trainer) N() int { return t.tier.Samples }
+
+// Env is the planning environment of this trainer on its tier: the loader's
+// cores (ComputeCores capped at Workers) and the GPU, the cores, slowdown and
+// shard count the tier stated, and bandwidth, each shard's link in bytes/s.
+func (t *Trainer) Env(bandwidth float64) policy.Env {
+	return policy.Env{
+		Bandwidth:       bandwidth,
+		ComputeCores:    min(t.cfg.ComputeCores, t.cfg.Workers),
+		StorageCores:    t.tier.Cores,
+		StorageSlowdown: t.tier.Slowdown,
+		GPU:             t.cfg.GPU,
+		Shards:          t.tier.Shards,
+	}
+}
 
 // Close waits for the GPU's last step, so that epochs followed by Close
 // cover every step they submitted, and releases the storage session.
@@ -252,8 +271,8 @@ func (t *Trainer) RunEpochSnapshot(epoch uint64, snap *policy.PlanSnapshot, coll
 }
 
 func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanVersion, collector *profiler.Collector) (EpochReport, error) {
-	if plan != nil && plan.N() != t.n {
-		return EpochReport{}, fmt.Errorf("trainsim: plan covers %d samples, dataset has %d", plan.N(), t.n)
+	if plan != nil && plan.N() != t.tier.Samples {
+		return EpochReport{}, fmt.Errorf("trainsim: plan covers %d samples, dataset has %d", plan.N(), t.tier.Samples)
 	}
 	clock := t.cfg.Clock
 	start := clock.Now()
@@ -395,7 +414,7 @@ func (t *Trainer) newScheduler(ctx context.Context, epoch uint64, plan *policy.P
 		down = func(err error) bool { return errors.Is(err, cluster.ErrShardDown) }
 	}
 	sched, err := prefetch.NewScheduler(prefetch.Config{
-		Order:        prefetch.Order(t.cfg.JobID, epoch, t.n, t.cfg.Shuffle),
+		Order:        prefetch.Order(t.cfg.JobID, epoch, t.tier.Samples, t.cfg.Shuffle),
 		Shards:       shards,
 		ShardOf:      shardOf,
 		Depth:        t.cfg.Lookahead,

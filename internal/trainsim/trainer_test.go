@@ -86,9 +86,9 @@ func TestNewValidatesConfig(t *testing.T) {
 		t.Fatal("accepted nil dialer")
 	}
 	bad = good
-	bad.Pipeline = nil
+	bad.Pipeline = pipeline.Standard(pipeline.StandardOptions{CropSize: 32, FlipP: -1})
 	if _, err := New(bad); err == nil {
-		t.Fatal("accepted nil pipeline")
+		t.Fatal("accepted a pipeline the tier does not run")
 	}
 	bad = good
 	bad.GPU = gpu.Model{}
@@ -109,6 +109,62 @@ func TestNewValidatesConfig(t *testing.T) {
 	bad.DialClient = func() (storage.Fetcher, error) { return nil, errors.New("refused") }
 	if _, err := New(bad); err == nil {
 		t.Fatal("accepted failing dialer")
+	}
+}
+
+// TestNewTakesTheTiersPipeline: a trainer whose crop differs from the
+// server's is refused at New, with a typed error naming both sides; a nil
+// Pipeline runs the tier's.
+func TestNewTakesTheTiersPipeline(t *testing.T) {
+	h := newHarness(t, 4, 1)
+	cfg := h.config()
+	cfg.Pipeline = pipeline.Standard(pipeline.StandardOptions{CropSize: 32, FlipP: -1})
+	_, err := New(cfg)
+	var mis *pipeline.MismatchError
+	if !errors.As(err, &mis) || mis.Side != "trainer" || mis.Pipeline.Crop != 32 || mis.Other != "tier" || mis.OtherPipeline.Crop != 64 {
+		t.Fatalf("crop 32 against a crop-64 tier: err = %v", err)
+	}
+	const ops = "Decode,RandomResizedCrop,RandomHorizontalFlip,ToTensor,Normalize"
+	if want := "pipeline mismatch: trainer runs {Ops:" + ops + " Crop:32 FlipP:0.5}, tier runs {Ops:" + ops + " Crop:64 FlipP:0.5}"; err.Error() != want {
+		t.Errorf("err = %q, want %q", err, want)
+	}
+	cfg.Pipeline = nil
+	tr := newTrainer(t, cfg)
+	if got := tr.cfg.Pipeline.Fingerprint(); got != h.pipe.Fingerprint() {
+		t.Fatalf("nil Pipeline runs %v, the tier %v", got, h.pipe.Fingerprint())
+	}
+}
+
+// TestEnvFromConfigAndTier: the planning environment takes the samples the
+// loader preprocesses at once (ComputeCores capped at Workers) and the GPU
+// from the config, the cores, slowdown and shard count from the handshake,
+// and the bandwidth from the caller.
+func TestEnvFromConfigAndTier(t *testing.T) {
+	store, err := storage.FromImageSet(newImageSet(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := pipeline.Standard(pipeline.StandardOptions{CropSize: 64, FlipP: -1})
+	srv, err := storage.NewServer(storage.ServerConfig{Store: store, Pipeline: p, Cores: 3, Slowdown: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := netsim.NewPipeListener()
+	go srv.Serve(l)
+	t.Cleanup(func() { srv.Close() })
+	h := &harness{listener: l, server: srv, pipe: p, n: store.N()}
+	for _, c := range []struct{ computeCores, workers, want int }{
+		{0, 4, 4},
+		{3, 4, 3},
+		{6, 4, 4},
+	} {
+		cfg := h.config()
+		cfg.ComputeCores, cfg.Workers = c.computeCores, c.workers
+		tr := newTrainer(t, cfg)
+		want := policy.Env{Bandwidth: 5e6, ComputeCores: c.want, StorageCores: 3, StorageSlowdown: 2, GPU: gpu.AlexNet, Shards: 1}
+		if got := tr.Env(5e6); got != want {
+			t.Errorf("compute cores %d, workers %d: Env = %+v, want %+v", c.computeCores, c.workers, got, want)
+		}
 	}
 }
 

@@ -46,8 +46,9 @@ import (
 const (
 	magic = 0x534F5048 // "SOPH"
 	// Version is the only protocol generation a peer speaks; a Hello carrying
-	// any other is answered with an ErrorResp. 4 had no Rows bit.
-	Version = 5
+	// any other is answered with an ErrorResp. 5's HelloAck named only the
+	// dataset.
+	Version = 6
 	// frameHeader is the on-wire frame-header length: magic (4), type (1),
 	// flags (1), payload length (4), CRC32-C (4).
 	frameHeader  = 14
@@ -134,11 +135,19 @@ type Hello struct {
 	JobID   uint64
 }
 
-// HelloAck answers a Hello with dataset facts.
+// HelloAck answers a Hello with the facts of the server's tier: its
+// dataset, the pipeline it serves (Ops, Crop and FlipP, as
+// pipeline.Fingerprint states them), and its preprocessing cores and CPU
+// slowdown.
 type HelloAck struct {
 	Version     uint16
 	DatasetName string
 	NumSamples  uint32
+	Ops         string
+	Crop        uint16
+	FlipP       float64
+	Cores       uint16
+	Slowdown    float64
 }
 
 // FetchStatus reports the outcome of one item of a FetchBatch.
@@ -208,29 +217,49 @@ func (m *Hello) decodePayload(p []byte) error {
 	return nil
 }
 
-func (m *HelloAck) payloadSize() int { return 8 + len(m.DatasetName) }
+func (m *HelloAck) payloadSize() int { return 30 + len(m.DatasetName) + len(m.Ops) }
 
 func (m *HelloAck) appendPayload(p []byte) []byte {
-	var b [8]byte
-	binary.BigEndian.PutUint16(b[0:2], m.Version)
-	binary.BigEndian.PutUint32(b[2:6], m.NumSamples)
-	binary.BigEndian.PutUint16(b[6:8], uint16(len(m.DatasetName)))
-	p = append(p, b[:]...)
-	return append(p, m.DatasetName...)
+	p = binary.BigEndian.AppendUint16(p, m.Version)
+	p = binary.BigEndian.AppendUint32(p, m.NumSamples)
+	p = binary.BigEndian.AppendUint16(p, m.Crop)
+	p = binary.BigEndian.AppendUint64(p, math.Float64bits(m.FlipP))
+	p = binary.BigEndian.AppendUint16(p, m.Cores)
+	p = binary.BigEndian.AppendUint64(p, math.Float64bits(m.Slowdown))
+	p = appendString(p, m.DatasetName)
+	return appendString(p, m.Ops)
 }
 
 func (m *HelloAck) decodePayload(p []byte) error {
-	if len(p) < 8 {
+	if len(p) < 26 {
 		return errTruncated
 	}
 	m.Version = binary.BigEndian.Uint16(p[0:2])
 	m.NumSamples = binary.BigEndian.Uint32(p[2:6])
-	n := int(binary.BigEndian.Uint16(p[6:8]))
-	if len(p) != 8+n {
+	m.Crop = binary.BigEndian.Uint16(p[6:8])
+	m.FlipP = math.Float64frombits(binary.BigEndian.Uint64(p[8:16]))
+	m.Cores = binary.BigEndian.Uint16(p[16:18])
+	m.Slowdown = math.Float64frombits(binary.BigEndian.Uint64(p[18:26]))
+	m.DatasetName, p = cutString(p[26:])
+	if m.Ops, p = cutString(p); p == nil || len(p) != 0 {
 		return errTruncated
 	}
-	m.DatasetName = string(p[8 : 8+n])
 	return nil
+}
+
+// appendString appends s behind its 2-byte length.
+func appendString(p []byte, s string) []byte {
+	return append(binary.BigEndian.AppendUint16(p, uint16(len(s))), s...)
+}
+
+// cutString reads a string appendString wrote at the head of p and returns
+// the rest of p, or nil rest when p is too short.
+func cutString(p []byte) (string, []byte) {
+	if len(p) < 2 || len(p) < 2+int(binary.BigEndian.Uint16(p)) {
+		return "", nil
+	}
+	n := 2 + int(binary.BigEndian.Uint16(p))
+	return string(p[2:n]), p[n:]
 }
 
 func (m *StatsReq) payloadSize() int { return 8 }
@@ -276,25 +305,20 @@ func (m *StatsResp) decodePayload(p []byte) error {
 func (m *ErrorResp) payloadSize() int { return 12 + len(m.Message) }
 
 func (m *ErrorResp) appendPayload(p []byte) []byte {
-	var b [12]byte
-	binary.BigEndian.PutUint64(b[0:8], m.RequestID)
-	binary.BigEndian.PutUint16(b[8:10], uint16(m.Code))
-	binary.BigEndian.PutUint16(b[10:12], uint16(len(m.Message)))
-	p = append(p, b[:]...)
-	return append(p, m.Message...)
+	p = binary.BigEndian.AppendUint64(p, m.RequestID)
+	p = binary.BigEndian.AppendUint16(p, uint16(m.Code))
+	return appendString(p, m.Message)
 }
 
 func (m *ErrorResp) decodePayload(p []byte) error {
-	if len(p) < 12 {
+	if len(p) < 10 {
 		return errTruncated
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
 	m.Code = ErrCode(binary.BigEndian.Uint16(p[8:10]))
-	n := int(binary.BigEndian.Uint16(p[10:12]))
-	if len(p) != 12+n {
+	if m.Message, p = cutString(p[10:]); p == nil || len(p) != 0 {
 		return errTruncated
 	}
-	m.Message = string(p[12 : 12+n])
 	return nil
 }
 

@@ -37,9 +37,10 @@ func TestHelloRoundTrip(t *testing.T) {
 }
 
 func TestHelloAckRoundTrip(t *testing.T) {
-	got := roundTrip(t, &HelloAck{Version: 1, DatasetName: "openimages-12g", NumSamples: 40000}).(*HelloAck)
-	if got.DatasetName != "openimages-12g" || got.NumSamples != 40000 {
-		t.Fatalf("got %+v", got)
+	in := &HelloAck{Version: 1, DatasetName: "openimages-12g", NumSamples: 40000,
+		Ops: "Decode,RandomResizedCrop", Crop: 96, FlipP: 0.5, Cores: 3, Slowdown: 2.5}
+	if got := roundTrip(t, in).(*HelloAck); *got != *in {
+		t.Fatalf("got %+v, want %+v", got, in)
 	}
 }
 
@@ -232,11 +233,12 @@ func TestDecodeRejectsWrongPayloadSizes(t *testing.T) {
 		"stats wrong":     mk(typeStatsResp, make([]byte, 39)),
 		"statsreq extra":  mk(typeStatsReq, make([]byte, 9)),
 		"helloack short":  mk(typeHelloAck, make([]byte, 4)),
+		"helloack no ops": mk(typeHelloAck, make([]byte, 28)),
 		"error short":     mk(typeError, make([]byte, 10)),
 		"fetchresp short": mk(typeFetchBatchResp, make([]byte, 9)),
 		"helloack bad len": mk(typeHelloAck, func() []byte {
-			p := make([]byte, 9)
-			binary.BigEndian.PutUint16(p[6:8], 100) // claims 100-byte name
+			p := make([]byte, 29)
+			binary.BigEndian.PutUint16(p[26:28], 100) // claims 100-byte name
 			return p
 		}()),
 		"fetchresp bad len": mk(typeFetchBatchResp, func() []byte {

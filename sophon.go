@@ -155,11 +155,9 @@ type ClusterConfig struct {
 	ChaosConnBudget int64
 }
 
-// Cluster is a running one-shard storage tier plus the pipeline trainers
-// finish samples with.
+// Cluster is a running one-shard storage tier.
 type Cluster struct {
 	tier *cluster.Cluster
-	pipe *pipeline.Pipeline
 }
 
 // StartCluster materializes a synthetic dataset into an in-memory store and
@@ -183,7 +181,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := pipeline.Standard(pipeline.StandardOptions{CropSize: cfg.CropSize, FlipP: -1})
 	var plan *chaos.Plan
 	if cfg.ChaosConnBudget > 0 {
 		plan = &chaos.Plan{Seed: cfg.Seed, Shards: []chaos.Profile{{CloseAfter: cfg.ChaosConnBudget}}}
@@ -191,7 +188,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	tier, err := cluster.Launch(cluster.Config{
 		Shards:        1,
 		Store:         store,
-		Pipeline:      p,
+		Pipeline:      pipeline.Standard(pipeline.StandardOptions{CropSize: cfg.CropSize, FlipP: -1}),
 		CoresPerShard: cfg.StorageCores,
 		LinkMbps:      cfg.BandwidthMbps,
 		Chaos:         plan,
@@ -199,7 +196,7 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Cluster{tier: tier, pipe: p}, nil
+	return &Cluster{tier: tier}, nil
 }
 
 // SetBandwidth reshapes the storage→compute link to a new Mbps rate while
@@ -282,7 +279,6 @@ func (c *Cluster) NewTrainer(opts TrainerOptions) (*Trainer, error) {
 	return trainsim.New(trainsim.Config{
 		DialClient:     dial,
 		Workers:        opts.Workers,
-		Pipeline:       c.pipe,
 		GPU:            gpu.AlexNet,
 		BatchSize:      opts.BatchSize,
 		JobID:          opts.JobID,
