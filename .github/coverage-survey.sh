@@ -100,17 +100,17 @@ for e in adaptive fault_tolerance limited_cpu multitenant policy_comparison quic
 	run "example-$e" "$bin/$e"
 done
 
-# The offline tools: a plan for sophon-train, a dataset directory for
+# The offline tools: a profile preview, a dataset directory for
 # sophon-server.
 n=96
-run profile "$bin/sophon-profile" -n "$n" -mbps 100 -cores 4 -model resnet18 -dump-plan "$out/plan.json"
+run profile "$bin/sophon-profile" -n "$n" -mbps 100 -cores 4 -model resnet18
 run profile-imagenet "$bin/sophon-profile" -profile imagenet -n 200 -seed 3
 run datagen "$bin/datagen" -n "$n" -min-dim 64 -max-dim 160 -seed 2 -out "$out/data"
 
 train=("$bin/sophon-train" -epochs 2 -workers 2 -batch 8 -probe-batches 3 -request-timeout 20s)
 
-# One shaped server with monitoring: every policy, the flag families, a plan
-# file, the adaptive control plane.
+# One shaped server with monitoring: every policy, the flag families, the
+# adaptive control plane.
 addr=127.0.0.1:17170
 server server -addr "$addr" -n "$n" -max-dim 160 -cores 2 -mbps 200 \
 	-max-inflight 8 -idle-timeout 30s -http 127.0.0.1:17179
@@ -119,7 +119,6 @@ for p in sophon sophon-guard nooff alloff resizeoff fastflow; do
 done
 run train-flags "${train[@]}" -addr "$addr" -policy alloff -fetch-batch 4 -lookahead 3 \
 	-staging-bytes 1000000 -compute-cores 1 -job 7 -model resnet50 -mbps 100
-run train-plan-file "${train[@]}" -addr "$addr" -plan-file "$out/plan.json"
 run train-adaptive "${train[@]}" -addr "$addr" -epochs 4 -adaptive -drift-threshold 0.3 -drift-hysteresis 1
 monitor 127.0.0.1:17179 shaped
 stop_server

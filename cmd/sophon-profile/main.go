@@ -21,7 +21,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/netsim"
-	"repro/internal/persist"
 	"repro/internal/policy"
 )
 
@@ -41,7 +40,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	cores := fs.Int("cores", 48, "storage cores for the planning preview")
 	mbps := fs.Float64("mbps", 500, "link bandwidth (Mbit/s)")
 	modelName := fs.String("model", "alexnet", "GPU model profile")
-	dumpPlan := fs.String("dump-plan", "", "write the SOPHON plan to this file (for sophon-train -plan-file)")
 	if done, err := cliutil.ParseArgs(fs, args, "sophon-profile", "Inspects a dataset profile and previews the SOPHON offload plan for an environment."); done || err != nil {
 		return err
 	}
@@ -131,12 +129,5 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  epoch     T_G=%.1fs T_CC=%.1fs T_CS=%.1fs T_Net=%.1fs → %.1fs (No-Off %.1fs)\n",
 		m.TG.Seconds(), m.TCC.Seconds(), m.TCS.Seconds(), m.TNet.Seconds(),
 		m.Predicted().Seconds(), d.Baseline.Predicted().Seconds())
-
-	if *dumpPlan != "" {
-		if err := persist.SavePlan(*dumpPlan, plan); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "plan written to %s\n", *dumpPlan)
-	}
 	return nil
 }

@@ -5,11 +5,8 @@ import (
 	"errors"
 	"flag"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/persist"
 )
 
 // testFlags is the flag set a test hands run: a parse error comes back and
@@ -72,31 +69,21 @@ func TestHelpGolden(t *testing.T) {
 	}
 }
 
-// A 300-sample preview: the report names the plan it previews, and the plan
-// it dumps loads back at the size the report gives.
+// A 300-sample preview: the report it dumps states the trace and names the
+// plan it previews.
 func TestPreviewAndDumps(t *testing.T) {
-	dir := t.TempDir()
-	planPath := filepath.Join(dir, "plan")
 	fs, _ := testFlags()
 	var stdout bytes.Buffer
-	if err := run(fs, []string{"-n", "300", "-cores", "2", "-seed", "5", "-dump-plan", planPath}, &stdout); err != nil {
+	if err := run(fs, []string{"-n", "300", "-cores", "2", "-seed", "5"}, &stdout); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"dataset openimages-12g: 300 samples, 0.09 GB raw (mean 312 KB)\n",
 		"  rrcrop      78.67%  (236 samples)\n",
 		"SOPHON plan at 2 storage cores, 500 Mbps, alexnet:\n  offloaded 82/300 samples\n    split 2 (rrcrop prefix): 82 samples\n",
-		"plan written to " + planPath + "\n",
 	} {
 		if !strings.Contains(stdout.String(), want) {
 			t.Errorf("report lacks %q:\n%s", want, stdout.String())
 		}
-	}
-	plan, err := persist.LoadPlan(planPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.N() != 300 || plan.OffloadedCount() != 82 {
-		t.Errorf("dumped plan covers %d samples (%d offloaded); the report said 300 and 82", plan.N(), plan.OffloadedCount())
 	}
 }

@@ -25,7 +25,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/gpu"
 	"repro/internal/netsim"
-	"repro/internal/persist"
 	"repro/internal/policy"
 	"repro/internal/profiler"
 	"repro/internal/storage"
@@ -61,7 +60,7 @@ func main() {
 // line, a test's returns the error), the log on fs.Output(), one line per
 // epoch on stdout. It returns once the trainer has closed its session.
 func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
-	addr := fs.String("addr", "127.0.0.1:7070", "comma-separated storage server addresses, one per shard")
+	addr := fs.String("addr", "127.0.0.1:7070", "comma-separated storage server addresses, one per shard in shard order")
 	jobID := fs.Uint64("job", 1, "job id (seeds augmentations)")
 	workers := fs.Int("workers", 4, "loader workers")
 	computeCores := fs.Int("compute-cores", 0, "local preprocessing cores (0 = workers)")
@@ -71,7 +70,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	policyName := fs.String("policy", "sophon", "offload policy (sophon|sophon-guard|nooff|alloff|resizeoff|fastflow)")
 	mbps := fs.Float64("mbps", 500, "assumed link bandwidth for planning (Mbit/s)")
 	probeBatches := fs.Int("probe-batches", 50, "stage-1 probe batches")
-	planFile := fs.String("plan-file", "", "load a precomputed plan and skip profiling")
 	fetchBatch := fs.Int("fetch-batch", 0, "samples per storage round trip (0 = one)")
 	lookahead := fs.Int("lookahead", 0, "fetch round trips kept in flight per shard (0 = 2x workers)")
 	stagingBytes := fs.Int64("staging-bytes", 0, "soft byte budget for staged prefetched artifacts (0 = 64 MiB)")
@@ -154,26 +152,6 @@ func run(fs *flag.FlagSet, args []string, stdout io.Writer) error {
 	}
 	defer trainer.Close()
 	logger.Printf("connected: %d samples, training %s with %s", trainer.N(), model.Name, pol.Name())
-
-	// Precomputed plan: skip profiling entirely.
-	if *planFile != "" {
-		plan, err := persist.LoadPlan(*planFile)
-		if err != nil {
-			return err
-		}
-		if plan.N() != trainer.N() {
-			return fmt.Errorf("plan covers %d samples, dataset has %d", plan.N(), trainer.N())
-		}
-		logger.Printf("loaded plan %q: %d samples offloaded", plan.Name, plan.OffloadedCount())
-		for e := 1; e <= *epochs; e++ {
-			rep, err := trainer.RunEpoch(uint64(e), plan, nil)
-			if err != nil {
-				return err
-			}
-			printEpoch(stdout, e, rep)
-		}
-		return nil
-	}
 
 	// Stage 1 (throughput probes) and stage 2 (profile during epoch 1).
 	trace, stage1, rep, err := trainer.Profile(*probeBatches)

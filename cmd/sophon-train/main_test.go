@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/pipeline"
 	"repro/internal/storage"
@@ -31,12 +32,13 @@ func testFlags() (*flag.FlagSet, *bytes.Buffer) {
 // returns its address; the server is closed with the test.
 func serve(t *testing.T) string {
 	t.Helper()
-	return serveTier(t, 24, 1, 1)
+	return serveTier(t, 1, 24, 1, 1)[0]
 }
 
-// serveTier is serve for a server with the given crop, cores and slowdown,
-// as sophon-server's -crop, -cores and -slowdown set them.
-func serveTier(t *testing.T, crop, cores int, slowdown float64) string {
+// serveTier starts the tier sophon-server -shards, -crop, -cores and
+// -slowdown set up, one server per shard over its share of serve's dataset,
+// and returns the servers' addresses in shard order.
+func serveTier(t *testing.T, shards, crop, cores int, slowdown float64) []string {
 	t.Helper()
 	set, err := dataset.NewSyntheticImageSet(dataset.SyntheticOptions{N: 16, Seed: 9, MinDim: 32, MaxDim: 64})
 	if err != nil {
@@ -46,20 +48,32 @@ func serveTier(t *testing.T, crop, cores int, slowdown float64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := storage.NewServer(storage.ServerConfig{
-		Store: store, Pipeline: pipeline.Standard(pipeline.StandardOptions{CropSize: crop, FlipP: -1}),
-		Cores: cores, Slowdown: slowdown,
-	})
+	m, err := cluster.NewShardMap(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+	addrs := make([]string, shards)
+	for s := range addrs {
+		part, err := cluster.ShardStore(store, m, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := storage.NewServer(storage.ServerConfig{
+			Store: part, Pipeline: pipeline.Standard(pipeline.StandardOptions{CropSize: crop, FlipP: -1}),
+			Cores: cores, Slowdown: slowdown,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		go srv.Serve(l)
+		t.Cleanup(func() { srv.Close() })
+		addrs[s] = l.Addr().String()
 	}
-	go srv.Serve(l)
-	t.Cleanup(func() { srv.Close() })
-	return l.Addr().String()
+	return addrs
 }
 
 func TestFlagValidation(t *testing.T) {
@@ -100,7 +114,7 @@ func TestFlagValidation(t *testing.T) {
 	}
 }
 
-// The golden is also README's flag table: 21 flags and -version.
+// The golden is also README's flag table: 20 flags and -version.
 func TestHelpGolden(t *testing.T) {
 	want, err := os.ReadFile("testdata/help.golden")
 	if err != nil {
@@ -113,8 +127,8 @@ func TestHelpGolden(t *testing.T) {
 	if stderr.String() != string(want) {
 		t.Fatalf("-help prints\n%s\nwant\n%s", stderr.String(), want)
 	}
-	if n := strings.Count(stderr.String(), "\n  -"); n != 22 {
-		t.Fatalf("%d flags listed, want 21 and -version", n)
+	if n := strings.Count(stderr.String(), "\n  -"); n != 21 {
+		t.Fatalf("%d flags listed, want 20 and -version", n)
 	}
 }
 
@@ -159,17 +173,18 @@ func TestTrainTwoEpochsAndAdaptive(t *testing.T) {
 }
 
 // TestShardAddrs: -addr trains over one reconnecting session per address,
-// one address or two, and an address that cannot be dialed fails the run
-// naming its shard and address.
+// one address per shard in shard order. Addresses out of shard order, or
+// fewer than the tier's shards, fail at connect naming the shards, and an
+// address that cannot be dialed fails the run naming its shard and address.
 func TestShardAddrs(t *testing.T) {
-	a, b := serve(t), serve(t)
+	one, two := serve(t), serveTier(t, 2, 24, 1, 1)
 	args := []string{"-workers", "2", "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "sophon"}
 	for _, c := range []struct {
 		addr   string
 		shards int
 	}{
-		{a, 1},
-		{a + ", " + b, 2},
+		{one, 1},
+		{two[0] + ", " + two[1], 2},
 	} {
 		fs, stderr := testFlags()
 		var stdout bytes.Buffer
@@ -182,6 +197,18 @@ func TestShardAddrs(t *testing.T) {
 		}
 	}
 
+	for _, c := range []struct{ addr, want string }{
+		{two[1] + "," + two[0], "trainsim: dial: cluster: the server dialed as shard 0 of 2 states it is shard 1 of 2"},
+		{two[0], "trainsim: dial: cluster: the server dialed as shard 0 of 1 states it is shard 0 of 2"},
+	} {
+		fs, _ := testFlags()
+		var stdout bytes.Buffer
+		err := run(fs, append([]string{"-addr", c.addr}, args...), &stdout)
+		if err == nil || err.Error() != c.want || stdout.Len() != 0 {
+			t.Errorf("-addr %s: err = %v, stdout %q; want %s before any epoch", c.addr, err, stdout.String(), c.want)
+		}
+	}
+
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +216,7 @@ func TestShardAddrs(t *testing.T) {
 	dead := l.Addr().String()
 	l.Close()
 	fs, _ := testFlags()
-	err = run(fs, append([]string{"-addr", a + "," + dead}, args...), &bytes.Buffer{})
+	err = run(fs, append([]string{"-addr", two[0] + "," + dead}, args...), &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "shard 1: "+dead) {
 		t.Fatalf("dead shard: err = %v, want it to name shard 1 at %s", err, dead)
 	}
@@ -200,7 +227,7 @@ func TestShardAddrs(t *testing.T) {
 // the server's cores and slowdown; its compute cores are the samples the
 // loader preprocesses at once, -compute-cores capped at -workers.
 func TestPlanFromTheTiersFacts(t *testing.T) {
-	addr := serveTier(t, 96, 3, 2)
+	addr := serveTier(t, 1, 96, 3, 2)[0]
 	fs, stderr := testFlags()
 	var stdout bytes.Buffer
 	args := []string{"-addr", addr, "-workers", "2", "-compute-cores", "6", "-batch", "8", "-probe-batches", "1", "-epochs", "2", "-policy", "alloff"}

@@ -42,7 +42,7 @@ func main() {
 	}
 	defer trainer.Close()
 
-	decision, reports, err := sophon.AutoTrain(trainer, 4, trainer.Env(sophon.Mbps(8)), 2)
+	decision, reports, err := sophon.AutoTrain(trainer, 4, sophon.Mbps(8), 2)
 	if err != nil {
 		log.Fatal(err)
 	}

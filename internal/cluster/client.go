@@ -44,8 +44,10 @@ type ShardedClient struct {
 	tier     storage.Tier
 }
 
-// newShardedClient wires shard sessions to a shard map. Every session must
-// state the same tier facts: shards that disagree on the dataset size would
+// newShardedClient wires shard sessions to a shard map. Session s must
+// reach shard s of the map's shard count, and every session must state the
+// same tier facts: a session at another shard's place would be sent samples
+// its server does not hold, shards that disagree on the dataset size would
 // corrupt placement, and on the pipeline would prepare one epoch's samples
 // two ways, so a misconfigured tier is refused here.
 func newShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*ShardedClient, error) {
@@ -60,7 +62,13 @@ func newShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*Sharde
 		if c == nil {
 			return nil, fmt.Errorf("cluster: nil session for shard %d", s)
 		}
-		if t := c.Tier(); s == 0 {
+		t := c.Tier()
+		if t.Shard != s || t.Shards != m.shards {
+			return nil, fmt.Errorf("cluster: the server dialed as shard %d of %d states it is shard %d of %d",
+				s, m.shards, t.Shard, t.Shards)
+		}
+		t.Shard = 0 // the one fact the shards state differently
+		if s == 0 {
 			tier = t
 		} else if t.Pipeline != tier.Pipeline {
 			return nil, &pipeline.MismatchError{Side: fmt.Sprintf("shard %d", s), Pipeline: t.Pipeline,
@@ -69,7 +77,6 @@ func newShardedClient(m *ShardMap, shards []ShardClient, degraded bool) (*Sharde
 			return nil, fmt.Errorf("cluster: shard %d states %+v, shard 0 states %+v", s, t, tier)
 		}
 	}
-	tier.Shards = len(shards)
 	return &ShardedClient{m: m, shards: shards, degraded: degraded, tier: tier}, nil
 }
 

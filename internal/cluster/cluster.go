@@ -125,7 +125,7 @@ func ShardStore(full *storage.Store, m *ShardMap, s int) (*storage.Store, error)
 		objects[id] = b
 	}
 	name := fmt.Sprintf("%s/shard-%d-of-%d", full.Name(), s, m.shards)
-	return storage.NewPartialStore(name, full.N(), objects)
+	return storage.NewPartialStore(name, full.N(), s, m.shards, objects)
 }
 
 // ShardMap returns the cluster's placement map.

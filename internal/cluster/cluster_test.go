@@ -131,8 +131,8 @@ func TestShardedFetchOffloaded(t *testing.T) {
 }
 
 // fakeShard satisfies ShardClient with canned answers — just enough to probe
-// newShardedClient's validation.
-type fakeShard struct{ n int }
+// newShardedClient's validation. It states shard s of 2.
+type fakeShard struct{ n, s int }
 
 func (f *fakeShard) Fetch(context.Context, uint32, int, uint64) (storage.FetchResult, error) {
 	return storage.FetchResult{}, errors.New("fake")
@@ -141,15 +141,17 @@ func (f *fakeShard) FetchBatch(context.Context, []uint32, []int, uint64) ([]stor
 	return nil, errors.New("fake")
 }
 func (f *fakeShard) Stats(context.Context) (wire.StatsResp, error) { return wire.StatsResp{}, nil }
-func (f *fakeShard) Tier() storage.Tier                            { return storage.Tier{Samples: f.n} }
-func (f *fakeShard) Close() error                                  { return nil }
+func (f *fakeShard) Tier() storage.Tier {
+	return storage.Tier{Samples: f.n, Shard: f.s, Shards: 2}
+}
+func (f *fakeShard) Close() error { return nil }
 
 func TestNewShardedClientValidation(t *testing.T) {
 	m, err := NewShardMap(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := newShardedClient(nil, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4}}, false); err == nil {
+	if _, err := newShardedClient(nil, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4, s: 1}}, false); err == nil {
 		t.Error("accepted nil shard map")
 	}
 	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}}, false); err == nil {
@@ -158,11 +160,26 @@ func TestNewShardedClientValidation(t *testing.T) {
 	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}, nil}, false); err == nil {
 		t.Error("accepted nil session")
 	}
-	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 5}}, false); err == nil {
+	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 5, s: 1}}, false); err == nil {
 		t.Error("accepted shards disagreeing on dataset size")
 	}
-	if _, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4}}, false); err != nil {
+	_, err = newShardedClient(m, []ShardClient{&fakeShard{n: 4, s: 1}, &fakeShard{n: 4}}, false)
+	if want := "cluster: the server dialed as shard 0 of 2 states it is shard 1 of 2"; err == nil || err.Error() != want {
+		t.Errorf("swapped shards: err = %v, want %s", err, want)
+	}
+	one, err := NewShardMap(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = newShardedClient(one, []ShardClient{&fakeShard{n: 4}}, false)
+	if want := "cluster: the server dialed as shard 0 of 1 states it is shard 0 of 2"; err == nil || err.Error() != want {
+		t.Errorf("one session to a two-shard tier: err = %v, want %s", err, want)
+	}
+	sc, err := newShardedClient(m, []ShardClient{&fakeShard{n: 4}, &fakeShard{n: 4, s: 1}}, false)
+	if err != nil {
 		t.Errorf("rejected a consistent cluster: %v", err)
+	} else if tier := sc.Tier(); tier.Shard != 0 || tier.Shards != 2 {
+		t.Errorf("the fan-out states shard %d of %d, want 0 of 2", tier.Shard, tier.Shards)
 	}
 }
 

@@ -62,7 +62,7 @@ type AdmissionStats struct {
 // AdmissionController is the storage tier's global admission gate: beyond
 // the per-connection MaxInFlight semaphore, it bounds the total bytes in
 // flight across ALL connections (and across every server sharing the
-// controller — cluster.Launch threads one controller through all shards),
+// controller — sophon-server -shards hands one controller to every shard),
 // queues excess requests per tenant in fair order, and sheds load
 // with retry-after rejections once a tenant's queue is full. Shedding keeps
 // tail latency bounded under open-loop overload: the alternative —

@@ -134,7 +134,8 @@ func (c *Client) Tier() Tier {
 		Pipeline: pipeline.Fingerprint{Ops: a.Ops, Crop: int(a.Crop), FlipP: a.FlipP},
 		Cores:    int(a.Cores),
 		Slowdown: a.Slowdown,
-		Shards:   1,
+		Shard:    int(a.Shard),
+		Shards:   int(a.Shards),
 	}
 }
 

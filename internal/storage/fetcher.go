@@ -38,11 +38,14 @@ type Fetcher interface {
 // Tier is what a storage tier states about itself at the handshake: the
 // dataset size, the pipeline its servers run, each shard's preprocessing
 // cores and CPU slowdown, and how many shards it has (1 for one server).
+// Shard is which of them the session's server is; a fan-out client states
+// shard 0.
 type Tier struct {
 	Samples  int
 	Pipeline pipeline.Fingerprint
 	Cores    int
 	Slowdown float64
+	Shard    int
 	Shards   int
 }
 

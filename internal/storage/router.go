@@ -5,9 +5,9 @@ import "context"
 // ShardRouter is the optional client capability the clairvoyant prefetch
 // scheduler drives: a client that can expose its placement function and
 // accept sub-batches routed to one shard. *cluster.ShardedClient implements
-// it directly and *cache.TenantFetcher forwards it, so lookahead composes
-// with the shared-cache stack. A plain single-server client does not
-// implement it — the trainer then treats the whole tier as one shard.
+// it. A plain single-server client does not, and neither does
+// *cache.TenantFetcher, so a trainer behind the shared cache schedules a
+// sharded tier as one shard too.
 //
 // The interface lives here (not in cluster) because it is part of the
 // client contract every layer of the fetch stack speaks, and the packages

@@ -35,7 +35,8 @@ type ServerConfig struct {
 	// Admission is the global admission controller: an in-flight byte
 	// budget with per-tenant weighted queues and retry-after shedding,
 	// enforced across every connection. Several servers may share one
-	// controller (cluster.Launch does, making the budget tier-wide). Nil
+	// controller (sophon-server -shards does, making the budget tier-wide;
+	// cluster.Launch starts its shards without one). Nil
 	// disables admission control — the per-connection MaxInFlight
 	// semaphore is then the only bound.
 	Admission *AdmissionController
@@ -231,6 +232,8 @@ func (s *Server) handleConn(conn net.Conn) {
 		FlipP:       fp.FlipP,
 		Cores:       uint16(s.exec.cores()),
 		Slowdown:    s.exec.slowdown,
+		Shard:       uint16(s.store.shard),
+		Shards:      uint16(s.store.shards),
 	}); err != nil {
 		s.logf("storage: handshake ack: %v", err)
 		return

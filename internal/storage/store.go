@@ -22,6 +22,8 @@ type Store struct {
 	objects    [][]byte
 	owned      int
 	totalBytes int64
+	// The store is shard shard of shards; a whole store is shard 0 of 1.
+	shard, shards int
 }
 
 // errNotFound reports a missing object.
@@ -40,16 +42,19 @@ func NewStore(name string, objects [][]byte) (*Store, error) {
 		}
 		total += int64(len(o))
 	}
-	return &Store{name: name, objects: objects, owned: len(objects), totalBytes: total}, nil
+	return &Store{name: name, objects: objects, owned: len(objects), totalBytes: total, shards: 1}, nil
 }
 
-// NewPartialStore builds a store spanning sample IDs [0, n) that owns only
-// the objects in own (ID → bytes). Lookups of unowned IDs return
-// errNotFound; N() still reports n so every shard of a cluster agrees on
-// the dataset size during the handshake.
-func NewPartialStore(name string, n int, own map[uint32][]byte) (*Store, error) {
+// NewPartialStore builds shard shard of a shards-shard tier: a store
+// spanning sample IDs [0, n) that owns only the objects in own (ID →
+// bytes). Lookups of unowned IDs return errNotFound; N() still reports n so
+// every shard of a cluster agrees on the dataset size during the handshake.
+func NewPartialStore(name string, n, shard, shards int, own map[uint32][]byte) (*Store, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("storage: partial store needs n > 0, got %d", n)
+	}
+	if shard < 0 || shard >= shards {
+		return nil, fmt.Errorf("storage: shard %d of %d", shard, shards)
 	}
 	if len(own) == 0 {
 		return nil, errors.New("storage: partial store owns no objects")
@@ -66,7 +71,7 @@ func NewPartialStore(name string, n int, own map[uint32][]byte) (*Store, error) 
 		objects[id] = o
 		total += int64(len(o))
 	}
-	return &Store{name: name, objects: objects, owned: len(own), totalBytes: total}, nil
+	return &Store{name: name, objects: objects, owned: len(own), totalBytes: total, shard: shard, shards: shards}, nil
 }
 
 // FromImageSet materializes a synthetic image set into a store — the

@@ -40,7 +40,8 @@ func FuzzRoundTrip(f *testing.F) {
 
 		if len(name) <= 0xFFFF {
 			in := &HelloAck{Version: uint16(reqID), DatasetName: name, NumSamples: sample,
-				Ops: name, Crop: uint16(sample), FlipP: float64(epoch), Cores: uint16(reqID), Slowdown: float64(sample)}
+				Ops: name, Crop: uint16(sample), FlipP: float64(epoch), Cores: uint16(reqID), Slowdown: float64(sample),
+				Shard: uint16(epoch), Shards: uint16(sample)}
 			got := check(in).(*HelloAck)
 			if *got != *in {
 				t.Fatalf("HelloAck %+v -> %+v", in, got)
@@ -170,7 +171,7 @@ func FuzzDecode(f *testing.F) {
 		}
 	}
 	seed(&Hello{Version: Version, JobID: 1})
-	seed(&HelloAck{Version: Version, DatasetName: "d", NumSamples: 3, Ops: "Decode", Crop: 24, FlipP: 0.5, Cores: 1, Slowdown: 1})
+	seed(&HelloAck{Version: Version, DatasetName: "d", NumSamples: 3, Ops: "Decode", Crop: 24, FlipP: 0.5, Cores: 1, Slowdown: 1, Shards: 1})
 	seed(&FetchBatch{RequestID: 2, Epoch: 1, Items: []FetchBatchItem{{Sample: 4}, {Sample: 5, Split: 1}}})
 	seed(&FetchBatch{RequestID: 2, Epoch: 1, Items: []FetchBatchItem{{Sample: 4, Fidelity: 2}, {Sample: 5, Split: 1}}})
 	seed(&FetchBatchResp{RequestID: 2, Items: []FetchBatchRespItem{{Sample: 4, Status: FetchOK, Artifact: []byte{1}}}})

@@ -46,9 +46,9 @@ import (
 const (
 	magic = 0x534F5048 // "SOPH"
 	// Version is the only protocol generation a peer speaks; a Hello carrying
-	// any other is answered with an ErrorResp. 5's HelloAck named only the
-	// dataset.
-	Version = 6
+	// any other is answered with an ErrorResp. 6's HelloAck did not state
+	// the server's shard.
+	Version = 7
 	// frameHeader is the on-wire frame-header length: magic (4), type (1),
 	// flags (1), payload length (4), CRC32-C (4).
 	frameHeader  = 14
@@ -137,8 +137,8 @@ type Hello struct {
 
 // HelloAck answers a Hello with the facts of the server's tier: its
 // dataset, the pipeline it serves (Ops, Crop and FlipP, as
-// pipeline.Fingerprint states them), and its preprocessing cores and CPU
-// slowdown.
+// pipeline.Fingerprint states them), its preprocessing cores and CPU
+// slowdown, and which shard of how many shards it serves.
 type HelloAck struct {
 	Version     uint16
 	DatasetName string
@@ -148,6 +148,8 @@ type HelloAck struct {
 	FlipP       float64
 	Cores       uint16
 	Slowdown    float64
+	Shard       uint16
+	Shards      uint16
 }
 
 // FetchStatus reports the outcome of one item of a FetchBatch.
@@ -217,7 +219,7 @@ func (m *Hello) decodePayload(p []byte) error {
 	return nil
 }
 
-func (m *HelloAck) payloadSize() int { return 30 + len(m.DatasetName) + len(m.Ops) }
+func (m *HelloAck) payloadSize() int { return 34 + len(m.DatasetName) + len(m.Ops) }
 
 func (m *HelloAck) appendPayload(p []byte) []byte {
 	p = binary.BigEndian.AppendUint16(p, m.Version)
@@ -226,12 +228,14 @@ func (m *HelloAck) appendPayload(p []byte) []byte {
 	p = binary.BigEndian.AppendUint64(p, math.Float64bits(m.FlipP))
 	p = binary.BigEndian.AppendUint16(p, m.Cores)
 	p = binary.BigEndian.AppendUint64(p, math.Float64bits(m.Slowdown))
+	p = binary.BigEndian.AppendUint16(p, m.Shard)
+	p = binary.BigEndian.AppendUint16(p, m.Shards)
 	p = appendString(p, m.DatasetName)
 	return appendString(p, m.Ops)
 }
 
 func (m *HelloAck) decodePayload(p []byte) error {
-	if len(p) < 26 {
+	if len(p) < 30 {
 		return errTruncated
 	}
 	m.Version = binary.BigEndian.Uint16(p[0:2])
@@ -240,7 +244,9 @@ func (m *HelloAck) decodePayload(p []byte) error {
 	m.FlipP = math.Float64frombits(binary.BigEndian.Uint64(p[8:16]))
 	m.Cores = binary.BigEndian.Uint16(p[16:18])
 	m.Slowdown = math.Float64frombits(binary.BigEndian.Uint64(p[18:26]))
-	m.DatasetName, p = cutString(p[26:])
+	m.Shard = binary.BigEndian.Uint16(p[26:28])
+	m.Shards = binary.BigEndian.Uint16(p[28:30])
+	m.DatasetName, p = cutString(p[30:])
 	if m.Ops, p = cutString(p); p == nil || len(p) != 0 {
 		return errTruncated
 	}

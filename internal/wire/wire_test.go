@@ -38,7 +38,7 @@ func TestHelloRoundTrip(t *testing.T) {
 
 func TestHelloAckRoundTrip(t *testing.T) {
 	in := &HelloAck{Version: 1, DatasetName: "openimages-12g", NumSamples: 40000,
-		Ops: "Decode,RandomResizedCrop", Crop: 96, FlipP: 0.5, Cores: 3, Slowdown: 2.5}
+		Ops: "Decode,RandomResizedCrop", Crop: 96, FlipP: 0.5, Cores: 3, Slowdown: 2.5, Shard: 1, Shards: 2}
 	if got := roundTrip(t, in).(*HelloAck); *got != *in {
 		t.Fatalf("got %+v, want %+v", got, in)
 	}

@@ -294,11 +294,11 @@ func DecideMeasured(tr *Trace, env Env, stage1 Stage1Result) (Decision, error) {
 }
 
 // AutoTrain runs the complete Figure 2 flow on t: stage-1 probes, a
-// profiling first epoch, the SOPHON decision against env (with the measured
-// stage-1 verdict as the gate), then the remaining epochs under the plan. It
-// returns the decision and one report per epoch (including the profiling
-// epoch).
-func AutoTrain(t *Trainer, epochs int, env Env, probeBatches int) (Decision, []EpochReport, error) {
+// profiling first epoch, the SOPHON decision for t.Env(bandwidth) (with the
+// measured stage-1 verdict as the gate), then the remaining epochs under the
+// plan. It returns the decision and one report per epoch (including the
+// profiling epoch).
+func AutoTrain(t *Trainer, epochs int, bandwidth float64, probeBatches int) (Decision, []EpochReport, error) {
 	if epochs < 1 {
 		return Decision{}, nil, errors.New("sophon: epochs must be >= 1")
 	}
@@ -307,7 +307,7 @@ func AutoTrain(t *Trainer, epochs int, env Env, probeBatches int) (Decision, []E
 		return Decision{}, nil, err
 	}
 	reports := []EpochReport{first}
-	decision, err := DecideMeasured(trace, env, stage1)
+	decision, err := DecideMeasured(trace, t.Env(bandwidth), stage1)
 	if err != nil {
 		return Decision{}, nil, err
 	}

@@ -163,14 +163,7 @@ func TestAutoTrainWithChaosRetryAndCache(t *testing.T) {
 	}
 	defer trainer.Close()
 
-	env := Env{
-		Bandwidth:       Mbps(4),
-		ComputeCores:    3,
-		StorageCores:    2,
-		StorageSlowdown: 1,
-		GPU:             AlexNet,
-	}
-	decision, reports, err := AutoTrain(trainer, 3, env, 2)
+	decision, reports, err := AutoTrain(trainer, 3, Mbps(4), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +183,7 @@ func TestAutoTrainWithChaosRetryAndCache(t *testing.T) {
 	if decision.Plan.OffloadedCount() == 0 && reports[2].BytesFetched != 0 {
 		t.Fatalf("warm no-offload epoch fetched %d bytes", reports[2].BytesFetched)
 	}
-	if _, _, err := AutoTrain(trainer, 0, env, 1); err == nil {
+	if _, _, err := AutoTrain(trainer, 0, Mbps(4), 1); err == nil {
 		t.Fatal("AutoTrain accepted 0 epochs")
 	}
 }
