@@ -3,10 +3,9 @@ package sophon
 // Live adaptive control-plane smoke: a bandwidth-shaped cluster is profiled
 // and trained under the controller's versioned snapshots, the link is
 // reshaped 100→50 Mbps between epochs, and the controller must replan at
-// the next epoch boundary — with the new plan version visible end to end:
-// stamped on the wire, ratcheted by the server, and recorded in the epoch
-// report. Every bandwidth it asserts on is a ratio of two probes of the same
-// link, never a probe against the configured rate.
+// the next epoch boundary, each epoch running the plan of the controller's
+// current snapshot. Every bandwidth it asserts on is a ratio of two probes
+// of the same link, never a probe against the configured rate.
 
 import (
 	"strings"
@@ -44,14 +43,10 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 	}
 	defer trainer.Close()
 
-	// Epoch 1: the profiling epoch runs bare (no snapshot), so it reports
-	// plan version 0 and stamps nothing on the wire.
-	trace, _, first, err := trainer.Profile(2)
+	// Epoch 1 is the profiling epoch: every sample raw, no snapshot yet.
+	trace, _, _, err := trainer.Profile(2)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if first.PlanVersion != 0 {
-		t.Fatalf("profiling epoch reported plan version %d, want 0", first.PlanVersion)
 	}
 
 	// The probe rereads the dataset twice over: enough wire traffic to
@@ -98,18 +93,27 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 		}
 		t.Logf("epoch %d: measured %.1f MB/s", epoch, bw/1e6)
 	}
+	// train runs one epoch under the controller's current snapshot, which
+	// must be version want, and checks the epoch offloaded what its plan
+	// offloads.
+	train := func(epoch uint64, want int) {
+		t.Helper()
+		snap := ctrl.Current()
+		if int(snap.Version) != want {
+			t.Fatalf("epoch %d runs plan v%d, want v%d", epoch, snap.Version, want)
+		}
+		rep, err := trainer.RunEpoch(epoch, snap.Plan, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Samples != 32 || rep.Offloaded != snap.Plan.OffloadedCount() {
+			t.Fatalf("epoch %d offloaded %d of %d samples, plan v%d offloads %d of 32",
+				epoch, rep.Offloaded, rep.Samples, snap.Version, snap.Plan.OffloadedCount())
+		}
+	}
 
-	// Epoch 2 under v1 at the full rate: version threads through, no drift.
-	rep, err := trainer.RunEpochSnapshot(2, ctrl.Current(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PlanVersion != 1 {
-		t.Fatalf("epoch 2 plan version = %d, want 1", rep.PlanVersion)
-	}
-	if got := cluster.ServerPlanVersion(); got != 1 {
-		t.Fatalf("server observed plan version %d after epoch 2, want 1", got)
-	}
+	// Epoch 2 under v1 at the full rate: no drift.
+	train(2, 1)
 	observe(2)
 	if h := ctrl.History(); len(h) != 1 {
 		t.Fatalf("replan before any reshape: %v", h)
@@ -120,9 +124,7 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 	if err := cluster.SetBandwidth(50); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := trainer.RunEpochSnapshot(3, ctrl.Current(), nil); err != nil {
-		t.Fatal(err)
-	}
+	train(3, 1)
 	observe(3)
 
 	hist := ctrl.History()
@@ -142,20 +144,8 @@ func TestAdaptiveLiveReshape(t *testing.T) {
 		t.Fatalf("replanned bandwidth %.1f MB/s is %.2f of the full-rate probe's %.1f, not near half", ev.Bandwidth/1e6, r, base/1e6)
 	}
 
-	// Epoch 4 under v2: the bumped version threads through to the server.
-	rep, err = trainer.RunEpochSnapshot(4, ctrl.Current(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PlanVersion != 2 {
-		t.Fatalf("epoch 4 plan version = %d, want 2", rep.PlanVersion)
-	}
-	if got := cluster.ServerPlanVersion(); got != 2 {
-		t.Fatalf("server observed plan version %d after epoch 4, want 2", got)
-	}
-	if got := cluster.serverCounters().PlanRegressions.Load(); got != 0 {
-		t.Fatalf("server counted %d plan regressions, want 0", got)
-	}
+	// Epoch 4 runs the replanned v2.
+	train(4, 2)
 }
 
 // TestProbeFollowsBatch: the adaptive loop's between-epoch link probe is

@@ -218,7 +218,8 @@ func runAdaptive(logger *log.Logger, stdout io.Writer, trainer *trainsim.Trainer
 	logger.Printf("adaptive: initial plan v%d offloads %d samples", first.Version, first.Plan.OffloadedCount())
 	for e := 2; e <= epochs; e++ {
 		snap := ctrl.Current()
-		rep, err := trainer.RunEpochSnapshot(uint64(e), snap, nil)
+		logger.Printf("epoch %d runs plan v%d", e, snap.Version)
+		rep, err := trainer.RunEpoch(uint64(e), snap.Plan, nil)
 		if err != nil {
 			return err
 		}

@@ -133,8 +133,8 @@ func TestHelpGolden(t *testing.T) {
 }
 
 // Two runs against one in-process server: the planned run prints one line an
-// epoch, the adaptive run logs its replan history, and each returns with its
-// session closed and nothing left running.
+// epoch, the adaptive run logs each epoch's plan version and its replan
+// history, and each returns with its session closed and nothing left running.
 func TestTrainTwoEpochsAndAdaptive(t *testing.T) {
 	addr := serve(t)
 	common := []string{"-addr", addr, "-workers", "2", "-batch", "8", "-probe-batches", "1", "-policy", "sophon"}
@@ -161,6 +161,9 @@ func TestTrainTwoEpochsAndAdaptive(t *testing.T) {
 		}
 		if got := strings.Contains(stderr.String(), "history: v1@epoch1 initial"); got != c.history {
 			t.Errorf("%v: history line present = %v, want %v:\n%s", c.args, got, c.history, stderr.String())
+		}
+		if got := strings.Count(stderr.String(), " runs plan v"); c.history && got != c.epochs-1 {
+			t.Errorf("%v: %d plan-version lines, want %d:\n%s", c.args, got, c.epochs-1, stderr.String())
 		}
 		// The session's reader and the server's handler exit a moment after Close.
 		for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(5 * time.Millisecond) {

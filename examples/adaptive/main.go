@@ -1,8 +1,7 @@
 // Adaptive walkthrough: profile and train against a 500 Mbps link, then
 // reshape it to 250 Mbps mid-run and watch the control plane notice — the
 // between-epoch bandwidth probe drifts past its gate, the controller replans
-// at the next epoch boundary, and the new plan version is stamped on every
-// fetch so the storage server sees the transition too.
+// at the next epoch boundary, and each epoch prints the plan version it ran.
 //
 // Run with:
 //
@@ -76,15 +75,14 @@ func main() {
 			fmt.Println("\n*** link reshaped 500 → 250 Mbps ***")
 		}
 
-		// Train under the controller's current snapshot: every fetch this
-		// epoch is stamped with the snapshot's version.
+		// Train under the controller's current snapshot.
 		snap := ctrl.Current()
-		report, err := trainer.RunEpochSnapshot(e, snap, nil)
+		report, err := trainer.RunEpoch(e, snap.Plan, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("epoch %d under plan v%d: %d/%d offloaded, %.2f MB fetched\n",
-			e, report.PlanVersion, report.Offloaded, report.Samples,
+			e, snap.Version, report.Offloaded, report.Samples,
 			float64(report.BytesFetched)/1e6)
 
 		// Between epochs, re-measure the link with a serial fetch probe and
@@ -104,11 +102,9 @@ func main() {
 		fmt.Println()
 	}
 
-	// The replan history names every transition; the server-side ratchet
-	// confirms the version change reached the wire.
+	// The replan history names every transition.
 	fmt.Println("\nreplan history:")
 	for _, ev := range ctrl.History() {
 		fmt.Printf("  %s\n", ev)
 	}
-	fmt.Printf("highest plan version the server observed: v%d\n", cluster.ServerPlanVersion())
 }

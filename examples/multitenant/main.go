@@ -102,11 +102,11 @@ func main() {
 
 	// Epoch 1: tenant a trains first (cold cache), tenant b second — its
 	// overlap with a is served from the shared cache at zero wire bytes.
-	repA, err := trainerA.RunEpochSnapshot(1, provA.Current(), nil)
+	repA, err := trainerA.RunEpoch(1, provA.Current().Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repB, err := trainerB.RunEpochSnapshot(1, provB.Current(), nil)
+	repB, err := trainerB.RunEpoch(1, provB.Current().Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -115,15 +115,15 @@ func main() {
 	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-b", repB.Duration.Seconds(), float64(repB.BytesFetched)/1e6)
 
 	// A third tenant arrives mid-run. Admission replans the fleet: both
-	// existing feeds publish a higher generation with tighter grants.
-	subA := provA.Subscribe()
+	// existing feeds publish a higher generation with tighter grants before
+	// Admit returns.
 	provC, err := coord.Admit(sophon.FleetTenant{
 		Name: "imagenet-job", Trace: trace(3), Env: env,
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	replanned := <-subA
+	replanned := provA.Current()
 	fmt.Printf("\nmid-run arrival: %s → fleet generation %d (reason %q)\n",
 		"imagenet-job", replanned.Version, replanned.Reason)
 	printGrants(coord)
@@ -131,18 +131,18 @@ func main() {
 	// Epoch 2 runs under the replanned generation. The share group's raw
 	// artifacts are still warm from epoch 1; augmented cuts are re-fetched
 	// once per epoch and shared again between a and b.
-	repA2, err := trainerA.RunEpochSnapshot(2, replanned, nil)
+	repA2, err := trainerA.RunEpoch(2, replanned.Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repB2, err := trainerB.RunEpochSnapshot(2, provB.Current(), nil)
+	repB2, err := trainerB.RunEpoch(2, provB.Current().Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The newcomer is outside the share group: own job ID, no shared cache.
 	trainerC := newTrainer("imagenet-job", 99, nil)
 	defer trainerC.Close()
-	repC, err := trainerC.RunEpochSnapshot(2, provC.Current(), nil)
+	repC, err := trainerC.RunEpoch(2, provC.Current().Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,8 +1,7 @@
 package cache
 
 // The fetch stack's one contract, layer by layer: every storage.Fetcher's
-// Fetch is its FetchBatch of one, and the plan version a context carries
-// reaches the server through any stack of wrappers.
+// Fetch is its FetchBatch of one.
 
 import (
 	"bytes"
@@ -90,34 +89,11 @@ func (s *stackTier) dial() (*storage.Client, error) {
 	return storage.NewClientWithOptions(conn, storage.ClientOptions{JobID: shareKey})
 }
 
-// dialer returns a ReconnectingClient dial function over the lone server
-// that remembers the session it dialed last, so a test can break it.
-type dialer struct {
-	tier *stackTier
-	mu   sync.Mutex
-	live *storage.Client
-}
-
-func (d *dialer) dial() (*storage.Client, error) {
-	c, err := d.tier.dial()
-	d.mu.Lock()
-	d.live = c
-	d.mu.Unlock()
-	return c, err
-}
-
-func (d *dialer) breakSession() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.live.Close()
-}
-
 // threeDeep stacks TenantFetcher → FetchingCache → ReconnectingClient over
 // the lone server of tier.
-func threeDeep(t testing.TB, tier *stackTier) (*TenantFetcher, *storage.ReconnectingClient, *dialer) {
+func threeDeep(t testing.TB, tier *stackTier) *TenantFetcher {
 	t.Helper()
-	d := &dialer{tier: tier}
-	rc, err := storage.NewReconnecting(d.dial, 2, 0, nil)
+	rc, err := storage.NewReconnecting(tier.dial, 2, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +110,7 @@ func threeDeep(t testing.TB, tier *stackTier) (*TenantFetcher, *storage.Reconnec
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { tf.Close() })
-	return tf, rc, d
+	return tf
 }
 
 // stackLayers is every implementation of storage.Fetcher plus the three-deep
@@ -153,7 +129,7 @@ var stackLayers = []struct {
 		return c
 	}},
 	{"ReconnectingClient", false, func(t testing.TB, tier *stackTier, _ bool) storage.Fetcher {
-		rc, err := storage.NewReconnecting((&dialer{tier: tier}).dial, 2, 0, nil)
+		rc, err := storage.NewReconnecting(tier.dial, 2, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -198,7 +174,7 @@ var stackLayers = []struct {
 		return tf
 	}},
 	{"TenantFetcher/FetchingCache/ReconnectingClient", false, func(t testing.TB, tier *stackTier, _ bool) storage.Fetcher {
-		tf, _, _ := threeDeep(t, tier)
+		tf := threeDeep(t, tier)
 		return tf
 	}},
 }
@@ -299,45 +275,5 @@ func TestFetchIsFetchBatchOfOne(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestPlanVersionThroughStack: the version a context carries reaches the
-// server's counters through TenantFetcher → FetchingCache →
-// ReconnectingClient, a cache hit sends nothing, and a redialed session
-// needs nothing re-applied.
-func TestPlanVersionThroughStack(t *testing.T) {
-	tier := launchProgressiveTier(t, false)
-	tf, rc, d := threeDeep(t, tier)
-	ctr := tier.srv.Counters()
-	ctx := storage.WithPlanVersion(context.Background(), 7)
-
-	if _, err := storage.FetchOne(ctx, tf, 1, 0, 1); err != nil {
-		t.Fatal(err)
-	}
-	if v := ctr.PlanVersion.Load(); v != 7 {
-		t.Fatalf("server saw plan version %d through the stack, want 7", v)
-	}
-
-	// From here a stamped round trip counts one regression, an unstamped
-	// one nothing.
-	ctr.ObservePlanVersion(9)
-	served := ctr.SamplesServed.Load()
-	if res, err := storage.FetchOne(ctx, tf, 1, 0, 2); err != nil || res.WireBytes != 0 {
-		t.Fatalf("repeat fetch: %d wire bytes, err %v, want a cache hit", res.WireBytes, err)
-	}
-	if ctr.SamplesServed.Load() != served || ctr.PlanRegressions.Load() != 0 {
-		t.Fatal("a cache hit reached the server")
-	}
-
-	d.breakSession()
-	if _, err := tf.FetchBatch(ctx, []uint32{2, 3}, []int{0, 2}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if rc.Retries() != 1 {
-		t.Fatalf("%d redials, want 1", rc.Retries())
-	}
-	if r := ctr.PlanRegressions.Load(); r != 1 {
-		t.Fatalf("redialed session carried the stamp on %d round trips, want 1", r)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/netsim"
 	"repro/internal/profiler"
 	"repro/internal/simclock"
 )
@@ -103,9 +102,6 @@ func TestControllerReplansOnSustainedBandwidthDrop(t *testing.T) {
 	if len(h) != 2 || h[1].Version != 2 || h[1].At != clock.Now() {
 		t.Fatalf("history %v (now %v)", h, clock.Now())
 	}
-	// Subscribers saw the swap.
-	// (Subscribe after the fact only sees future publishes; Current is the
-	// contract for late joiners.)
 	if c.Current() != snap {
 		t.Fatal("Current() is not the replanned snapshot")
 	}
@@ -151,31 +147,5 @@ func TestControllerShardChangeReplansImmediately(t *testing.T) {
 	})
 	if err != nil || again.Version != 2 {
 		t.Fatalf("no-change report replanned: %v %v", again, err)
-	}
-}
-
-func TestControllerSubscriberSeesReplan(t *testing.T) {
-	tr := openImages(t, 200)
-	env := paperEnv(48)
-	c, err := NewController(ControllerConfig{
-		Trace: tr, Env: env,
-		Drift: profiler.DriftConfig{Alpha: 1, RelThreshold: 0.2, Hysteresis: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The controller publishes through its feed; a subscriber of the feed
-	// sees each replan.
-	sub := c.feed.Subscribe()
-	if _, _, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 1, Bandwidth: netsim.Mbps(100)}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case snap := <-sub:
-		if snap.Version != 2 {
-			t.Fatalf("subscriber got v%d", snap.Version)
-		}
-	default:
-		t.Fatal("subscriber missed the replan")
 	}
 }

@@ -130,7 +130,7 @@ func TestHammerScrapeDuringAdmissionChurn(t *testing.T) {
 		t.Fatalf("final counters: shed=%d served=%d, want both > 0", snap.ShedLoad, snap.SamplesServed)
 	}
 
-	// Everything a running server emits: 12 totals, 4 per-server gauges, 6
+	// Everything a running server emits: 10 totals, 3 per-server gauges, 6
 	// admission lines. A new family must retire one (ROADMAP item 3).
 	body, err = scrape("/metrics")
 	if err != nil {
@@ -138,7 +138,7 @@ func TestHammerScrapeDuringAdmissionChurn(t *testing.T) {
 	}
 	names := regexp.MustCompile(`(?m)^sophon_[a-z_]+`).FindAllString(string(body), -1)
 	slices.Sort(names)
-	if names = slices.Compact(names); len(names) != 22 {
-		t.Fatalf("/metrics emits %d sophon_* names, want 22: %v", len(names), names)
+	if names = slices.Compact(names); len(names) != 19 {
+		t.Fatalf("/metrics emits %d sophon_* names, want 19: %v", len(names), names)
 	}
 }

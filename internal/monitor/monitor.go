@@ -55,11 +55,6 @@ type statsSnapshot struct {
 	ServerCPUNanos   uint64  `json:"server_cpu_nanos"`
 	InFlightRequests int64   `json:"in_flight_requests"`
 	OpenConnections  int64   `json:"open_connections"`
-	// PlanVersion is the highest plan version any watched server observed on
-	// the wire; PlanRegressions sums older-than-mark stamps (mixed-version
-	// traffic during a swap).
-	PlanVersion     uint32 `json:"plan_version"`
-	PlanRegressions uint64 `json:"plan_regressions"`
 	// ShedLoad sums requests every watched server rejected with a
 	// retry-after because admission was saturated.
 	ShedLoad uint64 `json:"shed_load"`
@@ -81,8 +76,6 @@ type serverSnapshot struct {
 	ServerCPUNanos   uint64 `json:"server_cpu_nanos"`
 	InFlightRequests int64  `json:"in_flight_requests"`
 	OpenConnections  int64  `json:"open_connections"`
-	PlanVersion      uint32 `json:"plan_version"`
-	PlanRegressions  uint64 `json:"plan_regressions"`
 	ShedLoad         uint64 `json:"shed_load"`
 	PrefixServed     uint64 `json:"prefix_served"`
 	PrefixBytesSaved uint64 `json:"prefix_bytes_saved"`
@@ -99,8 +92,6 @@ func (s *Server) snapshot() statsSnapshot {
 			ServerCPUNanos:   c.CPUNanos.Load(),
 			InFlightRequests: c.InFlight.Load(),
 			OpenConnections:  c.Connections.Load(),
-			PlanVersion:      c.PlanVersion.Load(),
-			PlanRegressions:  c.PlanRegressions.Load(),
 			ShedLoad:         c.ShedLoad.Load(),
 			PrefixServed:     c.PrefixServed.Load(),
 			PrefixBytesSaved: c.PrefixBytesSaved.Load(),
@@ -111,12 +102,6 @@ func (s *Server) snapshot() statsSnapshot {
 		out.ServerCPUNanos += one.ServerCPUNanos
 		out.InFlightRequests += one.InFlightRequests
 		out.OpenConnections += one.OpenConnections
-		// The fleet's version is the highest any shard has seen: shards
-		// converge to it as stamped traffic arrives.
-		if one.PlanVersion > out.PlanVersion {
-			out.PlanVersion = one.PlanVersion
-		}
-		out.PlanRegressions += one.PlanRegressions
 		out.ShedLoad += one.ShedLoad
 		out.PrefixServed += one.PrefixServed
 		out.PrefixBytesSaved += one.PrefixBytesSaved
@@ -156,8 +141,6 @@ func (s *Server) handler() http.Handler {
 		fmt.Fprintf(w, "sophon_server_cpu_nanos %d\n", snap.ServerCPUNanos)
 		fmt.Fprintf(w, "sophon_in_flight_requests %d\n", snap.InFlightRequests)
 		fmt.Fprintf(w, "sophon_open_connections %d\n", snap.OpenConnections)
-		fmt.Fprintf(w, "sophon_plan_version %d\n", snap.PlanVersion)
-		fmt.Fprintf(w, "sophon_plan_regressions %d\n", snap.PlanRegressions)
 		fmt.Fprintf(w, "sophon_shed_load_total %d\n", snap.ShedLoad)
 		fmt.Fprintf(w, "sophon_prefix_served_total %d\n", snap.PrefixServed)
 		fmt.Fprintf(w, "sophon_prefix_bytes_saved_total %d\n", snap.PrefixBytesSaved)
@@ -165,7 +148,6 @@ func (s *Server) handler() http.Handler {
 			fmt.Fprintf(w, "sophon_server_samples_served{server=\"%d\"} %d\n", ps.Server, ps.SamplesServed)
 			fmt.Fprintf(w, "sophon_server_in_flight_requests{server=\"%d\"} %d\n", ps.Server, ps.InFlightRequests)
 			fmt.Fprintf(w, "sophon_server_open_connections{server=\"%d\"} %d\n", ps.Server, ps.OpenConnections)
-			fmt.Fprintf(w, "sophon_server_plan_version{server=\"%d\"} %d\n", ps.Server, ps.PlanVersion)
 		}
 		if ad := snap.Admission; ad != nil {
 			fmt.Fprintf(w, "sophon_admission_in_flight_bytes %d\n", ad.InFlightBytes)

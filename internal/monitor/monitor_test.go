@@ -35,8 +35,6 @@ func TestStatsJSON(t *testing.T) {
 	m, counters := testMonitor()
 	counters.SamplesServed.Add(5)
 	counters.BytesSent.Add(1024)
-	counters.ObservePlanVersion(2)
-	counters.ObservePlanVersion(1) // stale stamp during a plan swap
 
 	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
@@ -55,10 +53,6 @@ func TestStatsJSON(t *testing.T) {
 	if got["bytes_sent"].(float64) != 1024 {
 		t.Fatalf("bytes_sent = %v", got["bytes_sent"])
 	}
-	// The wire-observed plan version ratchets; the older stamp is counted.
-	if got["plan_version"].(float64) != 2 || got["plan_regressions"].(float64) != 1 {
-		t.Fatalf("plan_version %v regressions %v, want 2 and 1", got["plan_version"], got["plan_regressions"])
-	}
 	if _, ok := got["admission"]; ok {
 		t.Fatal("admission block emitted with no controller watched")
 	}
@@ -67,7 +61,6 @@ func TestStatsJSON(t *testing.T) {
 func TestMetricsText(t *testing.T) {
 	m, counters := testMonitor()
 	counters.OpsExecuted.Add(7)
-	counters.ObservePlanVersion(1)
 	srv := httptest.NewServer(m.handler())
 	defer srv.Close()
 	resp, err := http.Get(srv.URL + "/metrics")
@@ -77,7 +70,7 @@ func TestMetricsText(t *testing.T) {
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
-	for _, want := range []string{"sophon_ops_executed 7", "sophon_uptime_seconds", "sophon_plan_version 1", "sophon_plan_regressions 0"} {
+	for _, want := range []string{"sophon_ops_executed 7", "sophon_uptime_seconds"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, text)
 		}

@@ -114,6 +114,21 @@ func (e *MismatchError) Error() string {
 // Len returns the number of ops.
 func (p *Pipeline) Len() int { return len(p.ops) }
 
+// CutBound returns the EncodeBound of the artifact the first split ops make
+// of a stored w×h image, 0 < split ≤ Len(): the buffer a server holds to
+// ship that cut, known from the object's header before any op runs.
+func (p *Pipeline) CutBound(w, h, split int) int {
+	for _, o := range p.ops[:split] {
+		if c, ok := o.(randomResizedCropOp); ok {
+			w, h = c.Size, c.Size
+		}
+	}
+	if p.ops[split-1].outKind() == KindTensor {
+		return TensorWireSize(imaging.Channels, h, w)
+	}
+	return ImageWireSize(w, h) + imaging.Channels
+}
+
 // rngFor builds the op's independent random stream. It is the reference for
 // rngHolder.seedFor, which produces the identical stream without allocating.
 func rngFor(seed Seed, opIndex int) *rand.Rand {

@@ -167,6 +167,26 @@ func TestImageEncodeFitsItsPooledBuffer(t *testing.T) {
 	}
 }
 
+// TestCutBoundIsTheCutsEncodeBound: what CutBound reads off a header is the
+// EncodeBound of the artifact RunRange makes at every cut, for a crop
+// smaller and one larger than the image.
+func TestCutBoundIsTheCutsEncodeBound(t *testing.T) {
+	raw := encodeSample(t, 90, 60, 0.5, 4)
+	for _, crop := range []int{32, 128} {
+		p := Standard(StandardOptions{CropSize: crop})
+		for split := 1; split <= p.Len(); split++ {
+			a, err := p.RunRange(RawArtifact(raw), 0, split, Seed{Job: 1, Epoch: 2, Sample: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := p.CutBound(90, 60, split), a.EncodeBound(); got != want {
+				t.Errorf("crop %d, split %d: CutBound %d, the %s's EncodeBound %d", crop, split, got, a.Kind, want)
+			}
+			a.Release()
+		}
+	}
+}
+
 func TestArtifactEncodeDecodeTensor(t *testing.T) {
 	tt, _ := tensor.New(3, 4, 5)
 	tt.Data[(1*tt.H+2)*tt.W+3] = -2.5

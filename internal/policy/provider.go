@@ -7,8 +7,7 @@ import (
 )
 
 // PlanVersion identifies one immutable plan snapshot. Versions increase
-// monotonically within a run; version 0 is reserved for "unversioned" (a
-// bare plan handed to the trainer outside any provider).
+// monotonically within a feed, from 1; NewPlanFeed refuses 0.
 type PlanVersion uint32
 
 // PlanSnapshot is an immutable (plan, environment) pair: the plan the
@@ -37,15 +36,12 @@ func (s *PlanSnapshot) String() string {
 		s.Version, s.Epoch, s.Reason, s.Plan.OffloadedCount(), s.Plan.N())
 }
 
-// PlanFeed is a live control plane's snapshot stream: Publish installs a
-// new snapshot (version must strictly increase) and notifies subscribers
-// with latest-wins coalescing, so a subscriber that cannot keep up never
-// blocks the publisher and never observes versions out of order. Every
-// method is safe for concurrent use.
+// PlanFeed is a live control plane's current snapshot: Publish installs a
+// new one (its version must strictly increase) and Current reads it. Both
+// are safe for concurrent use.
 type PlanFeed struct {
-	mu   sync.Mutex
-	cur  *PlanSnapshot
-	subs []chan *PlanSnapshot
+	mu  sync.Mutex
+	cur *PlanSnapshot
 }
 
 // NewPlanFeed starts a feed at the given initial snapshot.
@@ -54,7 +50,7 @@ func NewPlanFeed(initial *PlanSnapshot) (*PlanFeed, error) {
 		return nil, errors.New("policy: plan feed needs an initial snapshot with a plan")
 	}
 	if initial.Version == 0 {
-		return nil, errors.New("policy: snapshot version 0 is reserved for unversioned plans")
+		return nil, errors.New("policy: snapshot versions start at 1")
 	}
 	return &PlanFeed{cur: initial}, nil
 }
@@ -66,21 +62,9 @@ func (f *PlanFeed) Current() *PlanSnapshot {
 	return f.cur
 }
 
-// Subscribe returns a channel delivering each newly published snapshot,
-// latest-wins: a slow receiver may miss intermediate versions but always
-// observes the newest. The channel has capacity 1; Publish drains a stale
-// pending snapshot before delivering the new one.
-func (f *PlanFeed) Subscribe() <-chan *PlanSnapshot {
-	ch := make(chan *PlanSnapshot, 1)
-	f.mu.Lock()
-	f.subs = append(f.subs, ch)
-	f.mu.Unlock()
-	return ch
-}
-
 // Publish installs snap as the current snapshot. It rejects nil plans and
-// non-increasing versions — the monotonicity every downstream layer (wire
-// stamping, server-side validation, replan histories) relies on.
+// non-increasing versions, the order replan histories and fleet
+// generations rely on.
 func (f *PlanFeed) Publish(snap *PlanSnapshot) error {
 	if snap == nil || snap.Plan == nil {
 		return errors.New("policy: publish needs a snapshot with a plan")
@@ -92,13 +76,5 @@ func (f *PlanFeed) Publish(snap *PlanSnapshot) error {
 			snap.Version, f.cur.Version)
 	}
 	f.cur = snap
-	for _, ch := range f.subs {
-		// Latest-wins: clear a stale undelivered snapshot, then deliver.
-		select {
-		case <-ch:
-		default:
-		}
-		ch <- snap
-	}
 	return nil
 }

@@ -25,13 +25,12 @@ func mustUniform(t *testing.T, n, split int) *Plan {
 	return p
 }
 
-func TestPlanFeedPublishAndSubscribe(t *testing.T) {
+func TestPlanFeedPublish(t *testing.T) {
 	env := testEnv()
 	feed, err := NewPlanFeed(&PlanSnapshot{Version: 1, Plan: mustUniform(t, 10, 0), Env: env, Epoch: 1, Reason: "initial"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := feed.Subscribe()
 
 	if err := feed.Publish(&PlanSnapshot{Version: 1, Plan: mustUniform(t, 10, 1), Env: env}); err == nil {
 		t.Fatal("equal version accepted")
@@ -46,26 +45,5 @@ func TestPlanFeedPublishAndSubscribe(t *testing.T) {
 	}
 	if got := feed.Current(); got != v2 {
 		t.Fatalf("Current() = %v, want v2", got)
-	}
-	select {
-	case got := <-sub:
-		if got != v2 {
-			t.Fatalf("subscriber got %v, want v2", got)
-		}
-	default:
-		t.Fatal("subscriber did not receive the published snapshot")
-	}
-
-	// Latest-wins coalescing: an undrained subscriber sees only the newest.
-	v3 := &PlanSnapshot{Version: 3, Plan: mustUniform(t, 10, 2), Env: env}
-	v4 := &PlanSnapshot{Version: 4, Plan: mustUniform(t, 10, 3), Env: env}
-	if err := feed.Publish(v3); err != nil {
-		t.Fatal(err)
-	}
-	if err := feed.Publish(v4); err != nil {
-		t.Fatal(err)
-	}
-	if got := <-sub; got != v4 {
-		t.Fatalf("coalesced subscriber got v%d, want v4", got.Version)
 	}
 }

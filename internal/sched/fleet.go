@@ -182,7 +182,8 @@ func NewCoordinator(cfg FleetConfig) (*Coordinator, error) {
 // Admit joins a tenant to the fleet, replans every tenant under the new
 // mix, and returns the tenant's live plan feed. The feed's first snapshot
 // is the admission-generation plan; later fleet transitions publish higher
-// generations on it.
+// generations on it, every tenant's before the call that caused them
+// returns.
 func (c *Coordinator) Admit(t Tenant) (*policy.PlanFeed, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

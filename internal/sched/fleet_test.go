@@ -74,14 +74,13 @@ func TestCoordinatorAdmitReplans(t *testing.T) {
 		t.Fatalf("solo tenant granted %.0f B/s of the link", grants["a"].Bandwidth)
 	}
 
-	subA := provA.Subscribe()
 	provB, err := c.Admit(fleetTenant(t, "b", 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// b's arrival republishes a's plan at the next generation with a halved
-	// link share.
-	snapA2 := <-subA
+	// b's arrival republishes a's plan, before Admit returns, at the next
+	// generation with a halved link share.
+	snapA2 := provA.Current()
 	if snapA2.Version != 2 || snapA2.Reason != "admit:b" {
 		t.Fatalf("replan snapshot: version %d reason %q", snapA2.Version, snapA2.Reason)
 	}

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/pipeline"
 	"repro/internal/simclock"
+	"repro/internal/wire"
 )
 
 func TestAdmissionValidation(t *testing.T) {
@@ -379,6 +380,25 @@ func TestServerShedsUnderAdmissionPressure(t *testing.T) {
 	// The session is still healthy: a subsequent serial fetch succeeds.
 	if _, err := FetchOne(ctx, c, 3, 0, 2); err != nil {
 		t.Fatalf("post-shed fetch on same session: %v", err)
+	}
+}
+
+// TestAdmissionChargesWhatAnItemShips: a raw fetch is charged the stored
+// object, a tensor cut the tensor it ships, however small the object.
+func TestAdmissionChargesWhatAnItemShips(t *testing.T) {
+	st := testStore(t, 2)
+	const crop = 224
+	srv, _ := startServer(t, ServerConfig{Store: st, Pipeline: pipeline.Standard(pipeline.StandardOptions{CropSize: crop}), Cores: 1})
+	raw, err := st.Get(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.estimateFetchBytes(wire.FetchBatchItem{Sample: 1, Fidelity: 1, Rows: true}); got != int64(len(raw)) {
+		t.Errorf("raw item charged %d B, want the stored %d", got, len(raw))
+	}
+	tensor := pipeline.TensorWireSize(3, crop, crop)
+	if got := srv.estimateFetchBytes(wire.FetchBatchItem{Sample: 1, Split: 4}); got != int64(tensor) || tensor <= len(raw) {
+		t.Errorf("tensor cut charged %d B, want %d (stored %d)", got, tensor, len(raw))
 	}
 }
 

@@ -338,12 +338,12 @@ func (c *Client) Fetch(ctx context.Context, sample uint32, split int, epoch uint
 	return FetchOne(ctx, c, sample, split, epoch)
 }
 
-// FetchBatch implements Fetcher: one FetchBatch frame, stamped with ctx's
-// plan version (WithPlanVersion), answered by one FetchBatchResp. splits must
-// be the same length as samples; each is a packed directive (PackDirective):
-// a plain split value requests full fidelity, a packed fidelity asks the
-// server to withhold that many progressive refinement scans (127 or more
-// withhold them all), and Rows asks for only the part the epoch's crop reads.
+// FetchBatch implements Fetcher: one FetchBatch frame answered by one
+// FetchBatchResp. splits must be the same length as samples; each is a
+// packed directive (PackDirective): a plain split value requests full
+// fidelity, a packed fidelity asks the server to withhold that many
+// progressive refinement scans (127 or more withhold them all), and Rows
+// asks for only the part the epoch's crop reads.
 func (c *Client) FetchBatch(ctx context.Context, samples []uint32, splits []int, epoch uint64) ([]FetchResult, error) {
 	if len(samples) == 0 {
 		return nil, errors.New("storage: empty batch")
@@ -367,7 +367,7 @@ func (c *Client) FetchBatch(ctx context.Context, samples []uint32, splits []int,
 	}
 
 	id := c.reserveID()
-	req := &wire.FetchBatch{RequestID: id, Epoch: epoch, PlanVersion: planVersion(ctx), Items: items}
+	req := &wire.FetchBatch{RequestID: id, Epoch: epoch, Items: items}
 	msg, err := c.roundTrip(ctx, id, req)
 	if err != nil {
 		return nil, err

@@ -62,20 +62,3 @@ func FetchOne(ctx context.Context, f Fetcher, sample uint32, split int, epoch ui
 	}
 	return res[0], res[0].Err
 }
-
-type planVersionKey struct{}
-
-// WithPlanVersion returns a context whose fetches are stamped with the
-// control plane's plan version v: Client.FetchBatch reads it when it builds
-// the request frame, so every wrapper that passes its ctx down forwards the
-// stamp, a redialed session needs nothing re-applied, and a request in
-// flight keeps the version it was issued under. A context without a stamp
-// fetches unversioned (0).
-func WithPlanVersion(ctx context.Context, v uint32) context.Context {
-	return context.WithValue(ctx, planVersionKey{}, v)
-}
-
-func planVersion(ctx context.Context) uint32 {
-	v, _ := ctx.Value(planVersionKey{}).(uint32)
-	return v
-}

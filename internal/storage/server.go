@@ -324,14 +324,21 @@ readLoop:
 	<-writerDone
 }
 
-// estimateFetchBytes predicts a fetch's in-flight footprint for admission:
-// the raw stored size of the sample (the server buffers at most that much —
-// offloaded artifacts are smaller). Unknown samples charge one byte; the
-// handler will answer FetchNotFound cheaply.
-func (s *Server) estimateFetchBytes(sample uint32) int64 {
-	raw, err := s.store.Get(sample)
+// estimateFetchBytes predicts what serving item holds in flight, for
+// admission: at split 0 the stored size (a raw fetch ships the object or a
+// slice of it), at a deeper cut the encode buffer of its artifact
+// (Pipeline.CutBound), which at a tensor cut is many times the object.
+// Unknown samples charge one byte and a bad split or header the stored
+// size; the handler answers those cheaply.
+func (s *Server) estimateFetchBytes(item wire.FetchBatchItem) int64 {
+	raw, err := s.store.Get(item.Sample)
 	if err != nil {
 		return 1
+	}
+	if split := int(item.Split); split > 0 && split <= s.pipe.Len() {
+		if w, h, err := imaging.DecodeDims(raw); err == nil {
+			return int64(s.pipe.CutBound(w, h, split))
+		}
 	}
 	return int64(len(raw))
 }
@@ -348,7 +355,7 @@ func (s *Server) admitFetchBatch(jobID uint64, req *wire.FetchBatch) wire.Messag
 	}
 	var bytes int64
 	for _, item := range req.Items {
-		bytes += s.estimateFetchBytes(item.Sample)
+		bytes += s.estimateFetchBytes(item)
 	}
 	release, err := s.admission.Acquire(jobID, bytes, s.shutdown)
 	if err != nil {
@@ -373,7 +380,6 @@ func (s *Server) admitFetchBatch(jobID uint64, req *wire.FetchBatch) wire.Messag
 // item on the handler's own goroutine, and the response preserves request
 // order.
 func (s *Server) handleFetchBatch(jobID uint64, req *wire.FetchBatch) *wire.FetchBatchResp {
-	s.counters.ObservePlanVersion(req.PlanVersion)
 	resp := &wire.FetchBatchResp{
 		RequestID: req.RequestID,
 		Items:     make([]wire.FetchBatchRespItem, len(req.Items)),

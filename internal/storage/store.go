@@ -117,14 +117,6 @@ type Counters struct {
 	CPUNanos      atomic.Uint64
 	InFlight      atomic.Int64
 	Connections   atomic.Int64
-	// PlanVersion is the highest plan version observed on any fetch
-	// directive (0 until a versioned client connects); PlanRegressions
-	// counts requests that arrived stamped with a version lower than one
-	// already seen — expected briefly during a swap (mixed-version traffic
-	// is legal), but a steadily climbing count means a client is stuck on a
-	// stale plan.
-	PlanVersion     atomic.Uint32
-	PlanRegressions atomic.Uint64
 	// ShedLoad counts requests this server rejected with a retry-after
 	// because admission control was saturated (the controller itself also
 	// keeps a global count; this one is per-server so a sharded deployment
@@ -136,26 +128,4 @@ type Counters struct {
 	// slices withheld versus shipping the full container.
 	PrefixServed     atomic.Uint64
 	PrefixBytesSaved atomic.Uint64
-}
-
-// ObservePlanVersion folds one request's plan version into the counters:
-// it ratchets PlanVersion up to v and counts a regression when v is older
-// than the high-water mark. Version 0 (unversioned traffic) is ignored.
-func (c *Counters) ObservePlanVersion(v uint32) {
-	if v == 0 {
-		return
-	}
-	for {
-		cur := c.PlanVersion.Load()
-		if v > cur {
-			if c.PlanVersion.CompareAndSwap(cur, v) {
-				return
-			}
-			continue
-		}
-		if v < cur {
-			c.PlanRegressions.Add(1)
-		}
-		return
-	}
 }

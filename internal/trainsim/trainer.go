@@ -124,9 +124,6 @@ type EpochReport struct {
 	// Failed counts samples skipped in DegradedMode (fetches that kept
 	// failing after the retry layer gave up, e.g. on a dead shard).
 	Failed int
-	// PlanVersion is the control-plane version the epoch ran under (0 when
-	// the epoch was driven by RunEpoch with a bare plan).
-	PlanVersion policy.PlanVersion
 }
 
 // New validates the config, resolves its defaults and dials the storage
@@ -254,31 +251,13 @@ type sampleOutcome struct {
 // session. A failure cancels the epoch's context, which unblocks in-flight
 // fetches promptly without poisoning the session.
 func (t *Trainer) RunEpoch(epoch uint64, plan *policy.Plan, collector *profiler.Collector) (EpochReport, error) {
-	return t.runEpoch(epoch, plan, 0, collector)
-}
-
-// RunEpochSnapshot trains one epoch under a versioned plan snapshot from the
-// control plane. The snapshot's version rides every fetch the epoch issues
-// (storage.WithPlanVersion) and is recorded in the report. Swapping
-// snapshots between epochs is always safe: preprocessing is deterministic in
-// (job, epoch, sample), so requests stamped with different versions return
-// identical artifacts for the same split.
-func (t *Trainer) RunEpochSnapshot(epoch uint64, snap *policy.PlanSnapshot, collector *profiler.Collector) (EpochReport, error) {
-	if snap == nil {
-		return EpochReport{}, errors.New("trainsim: nil plan snapshot")
-	}
-	return t.runEpoch(epoch, snap.Plan, snap.Version, collector)
-}
-
-func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanVersion, collector *profiler.Collector) (EpochReport, error) {
 	if plan != nil && plan.N() != t.tier.Samples {
 		return EpochReport{}, fmt.Errorf("trainsim: plan covers %d samples, dataset has %d", plan.N(), t.tier.Samples)
 	}
 	clock := t.cfg.Clock
 	start := clock.Now()
 
-	// Every round trip the epoch issues carries its plan version (0: none).
-	ctx, cancel := context.WithCancel(storage.WithPlanVersion(context.Background(), uint32(version)))
+	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
 	results, stop, err := t.startLoader(ctx, cancel, epoch, plan, collector)
@@ -287,7 +266,7 @@ func (t *Trainer) runEpoch(epoch uint64, plan *policy.Plan, version policy.PlanV
 	}
 	defer stop()
 
-	report := EpochReport{Epoch: epoch, PlanVersion: version}
+	report := EpochReport{Epoch: epoch}
 	inBatch := 0
 	var firstErr error
 	for out := range results {

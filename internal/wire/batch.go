@@ -20,14 +20,11 @@ type FetchBatchItem struct {
 
 const rowsBit = 0x80 // Rows in the fidelity byte
 
-// FetchBatch requests several samples in one frame, all for the same epoch
-// and issued under the same control-plane snapshot (PlanVersion 0 =
-// unversioned; it never affects the artifacts produced).
+// FetchBatch requests several samples in one frame, all for the same epoch.
 type FetchBatch struct {
-	RequestID   uint64
-	Epoch       uint64
-	PlanVersion uint32
-	Items       []FetchBatchItem
+	RequestID uint64
+	Epoch     uint64
+	Items     []FetchBatchItem
 }
 
 // FetchBatchRespItem is one sample's outcome within a batch response.
@@ -52,7 +49,7 @@ func (*FetchBatch) Type() MsgType     { return typeFetchBatch }
 func (*FetchBatchResp) Type() MsgType { return typeFetchBatchResp }
 
 const (
-	batchHeader = 22 // request ID (8), epoch (8), plan version (4), item count (2)
+	batchHeader = 18 // request ID (8), epoch (8), item count (2)
 	batchItem   = 6
 )
 
@@ -62,8 +59,7 @@ func (m *FetchBatch) appendPayload(p []byte) []byte {
 	var b [batchHeader]byte
 	binary.BigEndian.PutUint64(b[0:8], m.RequestID)
 	binary.BigEndian.PutUint64(b[8:16], m.Epoch)
-	binary.BigEndian.PutUint32(b[16:20], m.PlanVersion)
-	binary.BigEndian.PutUint16(b[20:22], uint16(len(m.Items)))
+	binary.BigEndian.PutUint16(b[16:18], uint16(len(m.Items)))
 	p = append(p, b[:]...)
 	for _, it := range m.Items {
 		var e [batchItem]byte
@@ -84,8 +80,7 @@ func (m *FetchBatch) decodePayload(p []byte) error {
 	}
 	m.RequestID = binary.BigEndian.Uint64(p[0:8])
 	m.Epoch = binary.BigEndian.Uint64(p[8:16])
-	m.PlanVersion = binary.BigEndian.Uint32(p[16:20])
-	n := int(binary.BigEndian.Uint16(p[20:22]))
+	n := int(binary.BigEndian.Uint16(p[16:18]))
 	if n > MaxBatchItems {
 		return errFrameTooBig
 	}

@@ -9,9 +9,8 @@ import (
 
 func TestFetchBatchRoundTrip(t *testing.T) {
 	in := &FetchBatch{
-		RequestID:   9,
-		Epoch:       3,
-		PlanVersion: 2,
+		RequestID: 9,
+		Epoch:     3,
 		Items: []FetchBatchItem{
 			{Sample: 1, Split: 0},
 			{Sample: 7, Split: 2},
@@ -19,7 +18,7 @@ func TestFetchBatchRoundTrip(t *testing.T) {
 		},
 	}
 	got := roundTrip(t, in).(*FetchBatch)
-	if got.RequestID != 9 || got.Epoch != 3 || got.PlanVersion != 2 || len(got.Items) != 3 {
+	if got.RequestID != 9 || got.Epoch != 3 || len(got.Items) != 3 {
 		t.Fatalf("got %+v", got)
 	}
 	for i := range in.Items {

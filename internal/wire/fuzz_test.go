@@ -52,7 +52,7 @@ func FuzzRoundTrip(f *testing.F) {
 		// bytes so each item carries a distinct payload, exercising the
 		// reassembly offsets item by item.
 		n := int(items) % (MaxBatchItems + 1)
-		req := &FetchBatch{RequestID: reqID, Epoch: epoch, PlanVersion: sample ^ uint32(reqID), Items: make([]FetchBatchItem, n)}
+		req := &FetchBatch{RequestID: reqID, Epoch: epoch, Items: make([]FetchBatchItem, n)}
 		resp := &FetchBatchResp{RequestID: reqID, Items: make([]FetchBatchRespItem, n)}
 		for i := 0; i < n; i++ {
 			req.Items[i] = FetchBatchItem{Sample: sample + uint32(i), Split: split + uint8(i), Fidelity: (split + uint8(i)) % 4}
@@ -68,8 +68,7 @@ func FuzzRoundTrip(f *testing.F) {
 			}
 		}
 		gotReq := check(req).(*FetchBatch)
-		if gotReq.RequestID != req.RequestID || gotReq.Epoch != req.Epoch ||
-			gotReq.PlanVersion != req.PlanVersion || len(gotReq.Items) != n {
+		if gotReq.RequestID != req.RequestID || gotReq.Epoch != req.Epoch || len(gotReq.Items) != n {
 			t.Fatalf("FetchBatch %+v -> %+v", req, gotReq)
 		}
 		for i := range req.Items {
@@ -99,7 +98,7 @@ func FuzzRoundTrip(f *testing.F) {
 // (TestReadRejectsUnknownType) however plausible their payloads.
 func seedBatches(f *testing.F) {
 	for _, n := range []int{0, 1, MaxBatchItems} {
-		req := &FetchBatch{RequestID: 3, Epoch: 2, PlanVersion: 1, Items: make([]FetchBatchItem, n)}
+		req := &FetchBatch{RequestID: 3, Epoch: 2, Items: make([]FetchBatchItem, n)}
 		resp := &FetchBatchResp{RequestID: 3, Items: make([]FetchBatchRespItem, n)}
 		for i := 0; i < n; i++ {
 			req.Items[i] = FetchBatchItem{Sample: uint32(i), Split: uint8(i % 6), Fidelity: uint8(i % 3)}

@@ -22,13 +22,10 @@
 // same byte, whether to ship only the rows the epoch's crop reads — plus the
 // epoch, so the server derives the exact augmentation seeds (and crop) the
 // client would have used locally, answered by one FetchBatchResp (or a
-// RetryAfter when admission control sheds it). The request is stamped with the
-// PlanVersion it was issued under, so a server can observe which
-// control-plane snapshot it came from. During a plan swap a session legally
-// carries mixed-version requests in flight — fetches stay idempotent because
-// augmentation seeds depend only on (job, epoch, sample), never on the plan
-// version — so the field is observability and validation, not routing.
-// PlanVersion 0 means "unversioned" (a bare plan outside any provider).
+// RetryAfter when admission control sheds it). A fetch is a pure function of
+// (job, epoch, sample, directive): no plan state crosses the wire, so
+// requests issued under different plans share a session, and a server,
+// freely.
 package wire
 
 import (
@@ -46,9 +43,9 @@ import (
 const (
 	magic = 0x534F5048 // "SOPH"
 	// Version is the only protocol generation a peer speaks; a Hello carrying
-	// any other is answered with an ErrorResp. 6's HelloAck did not state
-	// the server's shard.
-	Version = 7
+	// any other is answered with an ErrorResp. 7's FetchBatch carried a
+	// plan version.
+	Version = 8
 	// frameHeader is the on-wire frame-header length: magic (4), type (1),
 	// flags (1), payload length (4), CRC32-C (4).
 	frameHeader  = 14

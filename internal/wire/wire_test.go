@@ -52,8 +52,8 @@ func TestHelloAckEmptyName(t *testing.T) {
 }
 
 // one and oneResp build the single-sample round trip: a batch of one.
-func one(reqID uint64, it FetchBatchItem, epoch uint64, planVersion uint32) *FetchBatch {
-	return &FetchBatch{RequestID: reqID, Epoch: epoch, PlanVersion: planVersion, Items: []FetchBatchItem{it}}
+func one(reqID uint64, it FetchBatchItem, epoch uint64) *FetchBatch {
+	return &FetchBatch{RequestID: reqID, Epoch: epoch, Items: []FetchBatchItem{it}}
 }
 
 func oneResp(reqID uint64, it FetchBatchRespItem) *FetchBatchResp {
@@ -61,9 +61,9 @@ func oneResp(reqID uint64, it FetchBatchRespItem) *FetchBatchResp {
 }
 
 func TestFetchRoundTrip(t *testing.T) {
-	in := one(7, FetchBatchItem{Sample: 12345, Split: 2, Fidelity: 1}, 9, 3)
+	in := one(7, FetchBatchItem{Sample: 12345, Split: 2, Fidelity: 1}, 9)
 	got := roundTrip(t, in).(*FetchBatch)
-	if got.RequestID != 7 || got.Epoch != 9 || got.PlanVersion != 3 || len(got.Items) != 1 || got.Items[0] != in.Items[0] {
+	if got.RequestID != 7 || got.Epoch != 9 || len(got.Items) != 1 || got.Items[0] != in.Items[0] {
 		t.Fatalf("got %+v", got)
 	}
 }
@@ -105,7 +105,7 @@ func TestSequentialMessagesOnOneStream(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
 		&Hello{Version: 1, JobID: 2},
-		one(1, FetchBatchItem{Sample: 2, Split: 3}, 4, 0),
+		one(1, FetchBatchItem{Sample: 2, Split: 3}, 4),
 		&StatsReq{},
 	}
 	for _, m := range msgs {
@@ -204,7 +204,7 @@ func TestReadRejectsCorruption(t *testing.T) {
 
 func TestReadTruncatedHeaderAndPayload(t *testing.T) {
 	var buf bytes.Buffer
-	Write(&buf, one(1, FetchBatchItem{}, 0, 0))
+	Write(&buf, one(1, FetchBatchItem{}, 0))
 	full := buf.Bytes()
 	if _, err := Read(bytes.NewReader(full[:5])); err == nil {
 		t.Fatal("accepted truncated header")
@@ -272,10 +272,10 @@ func TestFetchRespArtifactIsCopied(t *testing.T) {
 
 // Property: every single-sample directive round-trips exactly.
 func TestFetchRoundTripProperty(t *testing.T) {
-	f := func(req uint64, sample uint32, split, fidelity uint8, rows bool, epoch uint64, planVersion uint32) bool {
+	f := func(req uint64, sample uint32, split, fidelity uint8, rows bool, epoch uint64) bool {
 		var buf bytes.Buffer
-		in := one(req, FetchBatchItem{Sample: sample, Split: split, Fidelity: fidelity % 128, Rows: rows}, epoch, planVersion)
-		if err := Write(&buf, in); err != nil || buf.Len() != frameHeader+28 {
+		in := one(req, FetchBatchItem{Sample: sample, Split: split, Fidelity: fidelity % 128, Rows: rows}, epoch)
+		if err := Write(&buf, in); err != nil || buf.Len() != frameHeader+24 {
 			return false
 		}
 		out, err := Read(&buf)
@@ -283,7 +283,7 @@ func TestFetchRoundTripProperty(t *testing.T) {
 			return false
 		}
 		got, ok := out.(*FetchBatch)
-		return ok && got.RequestID == req && got.Epoch == epoch && got.PlanVersion == planVersion &&
+		return ok && got.RequestID == req && got.Epoch == epoch &&
 			len(got.Items) == 1 && got.Items[0] == in.Items[0]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {

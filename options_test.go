@@ -384,7 +384,6 @@ var exportKeeps = map[string]keep{
 	"repro/internal/simclock.Virtual.PendingWaiters":     {keepSeam, "repro/internal/storage.TestWithRetryCtxCancelMidBackoff"},
 	"repro/internal/soak.Config.Plan":                    {keepSeam, "repro.TestChaosSoakReproducible"},
 	"repro/internal/dataset.ImageSet.Raw":                {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
-	"repro/internal/storage.Counters.ObservePlanVersion": {keepSeam, "repro/internal/monitor.TestStatsJSON"},
 	"repro/internal/storage.AdmissionController.Acquire": {keepSeam, "repro/internal/monitor.TestHammerScrapeDuringAdmissionChurn"},
 
 	// Outcomes other packages' tests check for by identity.

@@ -205,10 +205,6 @@ func StartCluster(cfg ClusterConfig) (*Cluster, error) {
 // link has nothing to reshape).
 func (c *Cluster) SetBandwidth(mbps float64) error { return c.tier.SetLinkMbps(mbps) }
 
-// ServerPlanVersion returns the highest plan version the storage server has
-// observed on the wire (0 until versioned traffic arrives).
-func (c *Cluster) ServerPlanVersion() uint32 { return c.tier.Counters()[0].PlanVersion.Load() }
-
 // ServerCPUNanos returns the storage node's accumulated preprocessing CPU
 // time in nanoseconds.
 func (c *Cluster) ServerCPUNanos() uint64 { return c.tier.Counters()[0].CPUNanos.Load() }
