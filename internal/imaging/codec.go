@@ -405,7 +405,9 @@ func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 // row-prediction residuals, and the one step that reads them — image or
 // cropResize — first undoes the prediction where it will read, and there
 // folds in the refinement bits; the rest stays residuals, so a ycc serves one
-// such call.
+// such call. The ycc of a Planes (decoded.go) is the exception: its planes
+// are values throughout, cut from plain memory that is never released, and
+// it serves any number of calls, each on a copy.
 type ycc struct {
 	w, h           int
 	yShift, cShift uint
@@ -458,6 +460,9 @@ func (p *ycc) undoPrediction(rows []int32, first, last int) {
 
 // undoEveryPrediction is undoPrediction over the whole image.
 func (p *ycc) undoEveryPrediction() {
+	if !p.residual {
+		return
+	}
 	s := samplerPool.Get().(*sampler)
 	s.rows = s.rows[:0]
 	for r := 0; r < p.h; r++ {

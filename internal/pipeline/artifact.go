@@ -42,10 +42,15 @@ func (k Kind) String() string {
 }
 
 // Artifact is the value flowing between pipeline ops. Exactly one payload
-// field is set, selected by Kind.
+// field is set, selected by Kind, except that a raw artifact may also carry
+// Planes, Raw decoded once (imaging.DecodePlanes), which the decode ops then
+// read instead of decoding Raw. Planes are borrowed like Raw, and never
+// encoded, sent or compared: only the storage node, which keeps them per
+// object, sets them.
 type Artifact struct {
 	Kind   Kind
 	Raw    []byte
+	Planes *imaging.Planes
 	Image  *imaging.Image
 	Tensor *tensor.Tensor
 }

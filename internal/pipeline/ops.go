@@ -61,7 +61,8 @@ type op interface {
 // decodeOp turns a stored SJPG container into a pixel image. A container
 // decodes from however many scans are present, so a prefix a
 // reduced-fidelity fetch shipped flows through the same pipeline as a full
-// object — at lower fidelity, not as an error.
+// object — at lower fidelity, not as an error. A raw artifact that carries
+// Planes is dequantized from them, with nothing decoded.
 type decodeOp struct{}
 
 func (decodeOp) name() string  { return opDecode.String() }
@@ -72,7 +73,13 @@ func (decodeOp) apply(a Artifact, _ *rand.Rand) (Artifact, error) {
 	if a.Kind != KindRaw {
 		return Artifact{}, fmt.Errorf("%w: Decode wants raw, got %s", errKindMismatch, a.Kind)
 	}
-	im, err := imaging.Decode(a.Raw)
+	var im *imaging.Image
+	var err error
+	if a.Planes != nil {
+		im, err = a.Planes.Image()
+	} else {
+		im, err = imaging.Decode(a.Raw)
+	}
 	if err != nil {
 		return Artifact{}, fmt.Errorf("pipeline: decode: %w", err)
 	}
@@ -119,17 +126,23 @@ func (op randomResizedCropOp) apply(a Artifact, rng *rand.Rand) (Artifact, error
 }
 
 // decodeCrop is decodeOp then op on the same raw sample, as one imaging kernel
-// that never builds the full image; decoded is the ImageWireSize that image
-// would have had. The rect is sampled from the header's dimensions — the ones
-// the decoded image would have — with op's own rng stream, so it is the rect
-// apply would have drawn. A failure is the stream's: sampleRect only returns
-// rects inside w×h.
-func (op randomResizedCropOp) decodeCrop(raw []byte, rng *rand.Rand) (im *imaging.Image, decoded int, err error) {
-	w, h, err := imaging.DecodeDims(raw)
+// that never builds the full image — from a's Planes where it carries them,
+// else decoding only the units the crop reads; decoded is the ImageWireSize
+// that image would have had. The rect is sampled from the header's dimensions
+// — the ones the decoded image would have — with op's own rng stream, so it is
+// the rect apply would have drawn. A failure is the stream's: sampleRect only
+// returns rects inside w×h.
+func (op randomResizedCropOp) decodeCrop(a Artifact, rng *rand.Rand) (im *imaging.Image, decoded int, err error) {
+	w, h, err := imaging.DecodeDims(a.Raw)
 	if err != nil {
 		return nil, 0, fmt.Errorf("pipeline: decode: %w", err)
 	}
-	im, err = imaging.DecodeCropResize(raw, op.sampleRect(w, h, rng), op.Size, op.Size)
+	rect := op.sampleRect(w, h, rng)
+	if a.Planes != nil {
+		im, err = a.Planes.CropResize(rect, op.Size, op.Size)
+	} else {
+		im, err = imaging.DecodeCropResize(a.Raw, rect, op.Size, op.Size)
+	}
 	if err != nil {
 		return nil, 0, fmt.Errorf("pipeline: decode: %w", err)
 	}

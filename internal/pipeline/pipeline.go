@@ -200,7 +200,7 @@ func (p *Pipeline) step(cur Artifact, i, to int, h *rngHolder, seed Seed) (next 
 		switch second := p.ops[i+1].(type) {
 		case randomResizedCropOp:
 			if _, isDec := p.ops[i].(decodeOp); isDec && cur.Kind == KindRaw {
-				im, decoded, err := second.decodeCrop(cur.Raw, h.seedFor(seed, i+1))
+				im, decoded, err := second.decodeCrop(cur, h.seedFor(seed, i+1))
 				if err != nil {
 					return Artifact{}, 0, fmt.Errorf("pipeline: op %d (%s): %w", i, p.ops[i].name(), err)
 				}

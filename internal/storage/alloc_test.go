@@ -46,7 +46,10 @@ func TestPrefixServeSteadyStateAllocs(t *testing.T) {
 // warm pools what allocates is the cropped Image's header — the fused
 // decode→crop never builds the decoded image, and its tap tables and compact
 // buffer are pooled like the packer's code tables and plane scratch. The
-// collector is off because only a collection empties the pools.
+// server's path, which crops from the object's decoded planes, allocates the
+// same once its slot is filled (AllocsPerRun's warm-up run fills it): the
+// planes are allocated on the object's first use only. The collector is off
+// because only a collection empties the pools.
 func TestRunPrefixEncodedCut2SteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")
@@ -61,17 +64,22 @@ func TestRunPrefixEncodedCut2SteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sample uint64
-	allocs := testing.AllocsPerRun(50, func() {
-		sample++
-		enc, err := exec.RunPrefixEncoded(raw, 2, pipeline.Seed{Job: 1, Epoch: 1, Sample: sample})
-		if err != nil {
-			t.Fatal(err)
+	for _, slot := range []*planeSlot{nil, st.slot(0)} {
+		var sample uint64
+		allocs := testing.AllocsPerRun(50, func() {
+			sample++
+			enc, err := exec.runPrefixEncoded(raw, slot, 2, pipeline.Seed{Job: 1, Epoch: 1, Sample: sample})
+			if err != nil {
+				t.Fatal(err)
+			}
+			bufpool.PutBytes(enc)
+		})
+		if allocs != 1 {
+			t.Fatalf("cut-2 prefix (decoded planes: %v) allocates %.1f allocs/op at steady state, want 1 (the crop's Image header)", slot != nil, allocs)
 		}
-		bufpool.PutBytes(enc)
-	})
-	if allocs != 1 {
-		t.Fatalf("cut-2 RunPrefixEncoded allocates %.1f allocs/op at steady state, want 1 (the crop's Image header)", allocs)
+	}
+	if got := exec.wholeDecodes.Load(); got != 1 {
+		t.Fatalf("%d whole decodes of one object, want 1", got)
 	}
 }
 

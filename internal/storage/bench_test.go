@@ -122,7 +122,7 @@ func BenchmarkExecutorPrefix(b *testing.B) {
 	b.SetBytes(int64(len(raw)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		art, err := e.runPrefix(raw, 2, pipeline.Seed{Job: 1, Epoch: 1, Sample: uint64(i)})
+		art, err := e.runPrefix(raw, nil, 2, pipeline.Seed{Job: 1, Epoch: 1, Sample: uint64(i)})
 		if err != nil {
 			b.Fatal(err)
 		}

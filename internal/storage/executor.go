@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/imaging"
 	"repro/internal/pipeline"
 )
 
@@ -16,11 +18,18 @@ import (
 // A Slowdown factor > 1 models a storage node with weaker cores than the
 // compute node (the paper's future-work heterogeneous-CPU scenario) by
 // stretching each op's occupancy.
+//
+// A prefix the server runs on a stored object reads the object's decoded
+// planes from its store slot: the object's first offload decodes it whole
+// into the slot, on the core and in CPUNanos, and every later one crops from
+// the planes with nothing left to decode.
 type Executor struct {
 	pipe     *pipeline.Pipeline
 	sem      chan struct{}
 	slowdown float64
 	counters *Counters
+	// wholeDecodes counts the slots planes has filled or tried to.
+	wholeDecodes atomic.Int64
 }
 
 // errNoOffload is returned when a prefix execution is requested but the
@@ -59,9 +68,10 @@ func (e *Executor) cores() int {
 }
 
 // runPrefix executes ops [0, split) on raw bytes, holding one core for the
-// duration. split == 0 returns the raw artifact without touching the core
-// budget.
-func (e *Executor) runPrefix(raw []byte, split int, seed pipeline.Seed) (pipeline.Artifact, error) {
+// duration, from the decoded planes in sl when raw is a stored object whose
+// slot sl is (nil: decoding raw). split == 0 returns the raw artifact
+// without touching the core budget.
+func (e *Executor) runPrefix(raw []byte, sl *planeSlot, split int, seed pipeline.Seed) (pipeline.Artifact, error) {
 	if split < 0 || split > e.pipe.Len() {
 		return pipeline.Artifact{}, fmt.Errorf("%w: split %d of %d ops", pipeline.ErrBadSplit, split, e.pipe.Len())
 	}
@@ -75,7 +85,11 @@ func (e *Executor) runPrefix(raw []byte, split int, seed pipeline.Seed) (pipelin
 	defer func() { <-e.sem }()
 
 	start := time.Now()
-	art, err := e.pipe.RunRange(pipeline.RawArtifact(raw), 0, split, seed)
+	src := pipeline.RawArtifact(raw)
+	if sl != nil {
+		src.Planes = e.planes(sl, raw)
+	}
+	art, err := e.pipe.RunRange(src, 0, split, seed)
 	elapsed := time.Since(start)
 	if e.slowdown > 1 {
 		// Occupy the core for the extra time a slower CPU would need.
@@ -91,14 +105,34 @@ func (e *Executor) runPrefix(raw []byte, split int, seed pipeline.Seed) (pipelin
 	return art, nil
 }
 
-// RunPrefixEncoded runs ops [0, split) and encodes the result straight into
-// a pool-backed buffer, releasing the artifact's pixel/tensor scratch before
-// returning. This keeps the server's per-request path allocation-free at
-// steady state. The caller owns the encoded bytes and returns them with
-// bufpool.PutBytes — the server's writer goroutine does so via wire.Recycle
-// once the frame is on the wire.
+// planes returns the decoded planes in sl, decoding raw, the object whose
+// slot sl is, into it on the slot's first use; a caller that comes meanwhile
+// waits for that decode. A whole decode that fails leaves the slot empty for
+// good, and the prefix decodes raw as it would with no slot, failing only
+// where that fails: a crop need not read the faulty unit.
+func (e *Executor) planes(sl *planeSlot, raw []byte) *imaging.Planes {
+	sl.once.Do(func() {
+		e.wholeDecodes.Add(1)
+		sl.planes, _ = imaging.DecodePlanes(raw) // nil on a fault: the crop decodes raw
+	})
+	return sl.planes
+}
+
+// RunPrefixEncoded runs ops [0, split) on raw and encodes the result
+// straight into a pool-backed buffer, releasing the artifact's pixel/tensor
+// scratch before returning. This keeps the server's per-request path
+// allocation-free at steady state. The caller owns the encoded bytes and
+// returns them with bufpool.PutBytes — the server's writer goroutine does so
+// via wire.Recycle once the frame is on the wire. It decodes raw on every
+// call; the server's prefixes read the store's decoded planes instead.
 func (e *Executor) RunPrefixEncoded(raw []byte, split int, seed pipeline.Seed) ([]byte, error) {
-	art, err := e.runPrefix(raw, split, seed)
+	return e.runPrefixEncoded(raw, nil, split, seed)
+}
+
+// runPrefixEncoded is RunPrefixEncoded from the decoded planes in sl, as
+// runPrefix.
+func (e *Executor) runPrefixEncoded(raw []byte, sl *planeSlot, split int, seed pipeline.Seed) ([]byte, error) {
+	art, err := e.runPrefix(raw, sl, split, seed)
 	if err != nil {
 		return nil, err
 	}

@@ -421,9 +421,10 @@ func (s *Server) serveItem(jobID, epoch uint64, item wire.FetchBatchItem) wire.F
 		s.counters.SamplesServed.Add(1)
 		return resp
 	}
-	// RunPrefixEncoded encodes into a pooled buffer; the writer goroutine
-	// returns it to the arena (wire.Recycle) once the frame is sent.
-	encoded, err := s.exec.RunPrefixEncoded(raw, split, seed)
+	// The prefix crops from the object's decoded planes, filling its store
+	// slot on the first offload, and encodes into a pooled buffer; the writer
+	// goroutine returns it to the arena (wire.Recycle) once the frame is sent.
+	encoded, err := s.exec.runPrefixEncoded(raw, s.store.slot(item.Sample), split, seed)
 	if err != nil {
 		s.logf("storage: prefix sample=%d split=%d: %v", item.Sample, split, err)
 		resp.Status = wire.FetchFailed

@@ -123,11 +123,11 @@ func TestExecutorRunPrefix(t *testing.T) {
 	}
 	seed := pipeline.Seed{Job: 1, Epoch: 1, Sample: 0}
 
-	art, err := e.runPrefix(raw, 0, seed)
+	art, err := e.runPrefix(raw, nil, 0, seed)
 	if err != nil || art.Kind != pipeline.KindRaw {
 		t.Fatalf("split 0: %v kind=%v", err, art.Kind)
 	}
-	art, err = e.runPrefix(raw, 2, seed)
+	art, err = e.runPrefix(raw, nil, 2, seed)
 	if err != nil || art.Kind != pipeline.KindImage {
 		t.Fatalf("split 2: %v kind=%v", err, art.Kind)
 	}
@@ -139,7 +139,7 @@ func TestExecutorRunPrefix(t *testing.T) {
 	if counters.OpsExecuted.Load() != 2 {
 		t.Fatalf("ops executed = %d", counters.OpsExecuted.Load())
 	}
-	if art, err = e.runPrefix(raw, p.Len(), seed); err != nil || art.Kind != pipeline.KindTensor {
+	if art, err = e.runPrefix(raw, nil, p.Len(), seed); err != nil || art.Kind != pipeline.KindTensor {
 		t.Fatalf("split %d: %v kind=%v", p.Len(), err, art.Kind)
 	}
 	if got, want := counters.OpsExecuted.Load(), uint64(2+p.Len()); got != want {
@@ -148,21 +148,21 @@ func TestExecutorRunPrefix(t *testing.T) {
 	if counters.CPUNanos.Load() == 0 {
 		t.Fatal("no CPU time recorded")
 	}
-	if _, err := e.runPrefix(raw, 6, seed); err == nil {
+	if _, err := e.runPrefix(raw, nil, 6, seed); err == nil {
 		t.Fatal("accepted split beyond pipeline")
 	}
-	if _, err := e.runPrefix(raw, -1, seed); err == nil {
+	if _, err := e.runPrefix(raw, nil, -1, seed); err == nil {
 		t.Fatal("accepted negative split")
 	}
 }
 
 func TestExecutorZeroCoresRejectsOffload(t *testing.T) {
 	e, _ := NewExecutor(pipeline.DefaultStandard(), 0, 1, nil)
-	if _, err := e.runPrefix([]byte{1}, 1, pipeline.Seed{}); !errors.Is(err, errNoOffload) {
+	if _, err := e.runPrefix([]byte{1}, nil, 1, pipeline.Seed{}); !errors.Is(err, errNoOffload) {
 		t.Fatalf("err = %v, want ErrNoOffload", err)
 	}
 	// Split 0 stays available.
-	if _, err := e.runPrefix([]byte{1}, 0, pipeline.Seed{}); err != nil {
+	if _, err := e.runPrefix([]byte{1}, nil, 0, pipeline.Seed{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -180,7 +180,7 @@ func TestExecutorSlowdownStretchesOccupancy(t *testing.T) {
 	// cold first one), so compare the fastest of interleaved runs on each.
 	run := func(e *Executor, c *Counters) uint64 {
 		before := c.CPUNanos.Load()
-		if _, err := e.runPrefix(raw, 2, seed); err != nil {
+		if _, err := e.runPrefix(raw, nil, 2, seed); err != nil {
 			t.Fatal(err)
 		}
 		return c.CPUNanos.Load() - before
