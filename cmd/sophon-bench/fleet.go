@@ -134,8 +134,8 @@ func writeFleetJSON(path string, seed uint64) error {
 		return err
 	}
 	for _, s := range specs {
-		if _, err := coord.Admit(sched.Tenant{
-			Name: s.name, Trace: s.trace, Env: tenantEnv, Dataset: s.dataset,
+		if err := coord.Admit(sched.Tenant{
+			Name: s.name, Trace: s.trace, Env: tenantEnv,
 		}); err != nil {
 			return fmt.Errorf("admit %s: %w", s.name, err)
 		}

@@ -76,7 +76,7 @@ func buildLoadJobs(seed uint64, util float64) ([]loadgen.JobSpec, error) {
 	}
 	var jobs []loadgen.JobSpec
 	for i, t := range tenants {
-		if _, err := coord.Admit(t); err != nil {
+		if err := coord.Admit(t); err != nil {
 			return nil, fmt.Errorf("admit %s: %w", t.Name, err)
 		}
 		grant := coord.Grants()[t.Name]

@@ -228,11 +228,11 @@ func runAdaptive(logger *log.Logger, stdout io.Writer, trainer *trainsim.Trainer
 		if err != nil {
 			return err
 		}
-		next, drifts, err := ctrl.ObserveEpoch(profiler.EpochSample{Epoch: uint64(e), Bandwidth: bw})
+		next, drift, err := ctrl.ObserveEpoch(profiler.EpochSample{Epoch: uint64(e), Bandwidth: bw})
 		if err != nil {
 			return err
 		}
-		if len(drifts) > 0 {
+		if drift != nil {
 			logger.Printf("replanned: %s (link %.1f MB/s, %d offloaded, effective epoch %d)",
 				next.Reason, bw/1e6, next.Plan.OffloadedCount(), next.Epoch)
 		}

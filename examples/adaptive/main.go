@@ -91,12 +91,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		_, drifts, err := ctrl.ObserveEpoch(sophon.EpochSample{Epoch: e, Bandwidth: bw})
+		_, drift, err := ctrl.ObserveEpoch(sophon.EpochSample{Epoch: e, Bandwidth: bw})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("  probe: %.1f MB/s", bw/1e6)
-		if len(drifts) > 0 {
+		if drift != nil {
 			fmt.Printf("  → drift, replanning for epoch %d", e+1)
 		}
 		fmt.Println()

@@ -1,9 +1,10 @@
 // Multi-tenant fleet: three training jobs share one storage tier through
 // the fleet coordinator. Two tenants train on the SAME dataset and share
 // offloaded artifacts through the cross-job cache; a third tenant arrives
-// mid-run and the whole fleet replans — every tenant's plan feed publishes
-// a new generation with shrunken grants. The example trains real epochs
-// over the wire protocol and prints the cache's per-tenant accounting.
+// mid-run and the whole fleet replans at a new generation, shrinking every
+// tenant's grant. The example trains real epochs over the wire protocol,
+// each under the tenant's current grant, and prints the cache's per-tenant
+// accounting.
 package main
 
 import (
@@ -84,69 +85,64 @@ func main() {
 
 	// Admit the first two tenants: same dataset (share key 42), so their
 	// offloaded artifacts are interchangeable.
-	provA, err := coord.Admit(sophon.FleetTenant{
-		Name: "vision-team-a", Trace: trace(1), Env: env, Dataset: shareKey,
-	})
-	if err != nil {
-		log.Fatal(err)
+	var admitted []string // admission order, the order grants print in
+	admit := func(name string, tr *sophon.Trace) {
+		if err := coord.Admit(sophon.FleetTenant{Name: name, Trace: tr, Env: env}); err != nil {
+			log.Fatal(err)
+		}
+		admitted = append(admitted, name)
 	}
-	provB, err := coord.Admit(sophon.FleetTenant{
-		Name: "vision-team-b", Trace: trace(1), Env: env, Dataset: shareKey,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
+	admit("vision-team-a", trace(1))
+	admit("vision-team-b", trace(1))
 
 	fmt.Printf("fleet generation %d: 2 tenants admitted\n", coord.Generation())
-	printGrants(coord)
+	printGrants(coord, admitted)
 
 	// Epoch 1: tenant a trains first (cold cache), tenant b second — its
 	// overlap with a is served from the shared cache at zero wire bytes.
-	repA, err := trainerA.RunEpoch(1, provA.Current().Plan, nil)
+	grants := coord.Grants()
+	repA, err := trainerA.RunEpoch(1, grants["vision-team-a"].Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repB, err := trainerB.RunEpoch(1, provB.Current().Plan, nil)
+	repB, err := trainerB.RunEpoch(1, grants["vision-team-b"].Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nepoch 1 (plan generation %d):\n", provA.Current().Version)
+	fmt.Printf("\nepoch 1 (plan generation %d):\n", coord.Generation())
 	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-a", repA.Duration.Seconds(), float64(repA.BytesFetched)/1e6)
 	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-b", repB.Duration.Seconds(), float64(repB.BytesFetched)/1e6)
 
 	// A third tenant arrives mid-run. Admission replans the fleet: both
-	// existing feeds publish a higher generation with tighter grants before
+	// existing tenants hold tighter grants at a higher generation before
 	// Admit returns.
-	provC, err := coord.Admit(sophon.FleetTenant{
-		Name: "imagenet-job", Trace: trace(3), Env: env,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	replanned := provA.Current()
+	admit("imagenet-job", trace(3))
+	history := coord.History()
+	last := history[len(history)-1]
 	fmt.Printf("\nmid-run arrival: %s → fleet generation %d (reason %q)\n",
-		"imagenet-job", replanned.Version, replanned.Reason)
-	printGrants(coord)
+		"imagenet-job", last.Generation, last.Reason)
+	printGrants(coord, admitted)
 
 	// Epoch 2 runs under the replanned generation. The share group's raw
 	// artifacts are still warm from epoch 1; augmented cuts are re-fetched
 	// once per epoch and shared again between a and b.
-	repA2, err := trainerA.RunEpoch(2, replanned.Plan, nil)
+	grants = coord.Grants()
+	repA2, err := trainerA.RunEpoch(2, grants["vision-team-a"].Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	repB2, err := trainerB.RunEpoch(2, provB.Current().Plan, nil)
+	repB2, err := trainerB.RunEpoch(2, grants["vision-team-b"].Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// The newcomer is outside the share group: own job ID, no shared cache.
 	trainerC := newTrainer("imagenet-job", 99, nil)
 	defer trainerC.Close()
-	repC, err := trainerC.RunEpoch(2, provC.Current().Plan, nil)
+	repC, err := trainerC.RunEpoch(2, grants["imagenet-job"].Plan, nil)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nepoch 2 (plan generation %d):\n", replanned.Version)
+	fmt.Printf("\nepoch 2 (plan generation %d):\n", coord.Generation())
 	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-a", repA2.Duration.Seconds(), float64(repA2.BytesFetched)/1e6)
 	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-b", repB2.Duration.Seconds(), float64(repB2.BytesFetched)/1e6)
 	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "imagenet-job", repC.Duration.Seconds(), float64(repC.BytesFetched)/1e6)
@@ -169,10 +165,12 @@ func main() {
 	}
 }
 
-// printGrants lists every tenant's grant in admission order.
-func printGrants(coord *sophon.FleetCoordinator) {
-	for _, row := range coord.Status().Tenants {
+// printGrants lists the named tenants' grants in the order given.
+func printGrants(coord *sophon.FleetCoordinator, names []string) {
+	grants := coord.Grants()
+	for _, name := range names {
+		g := grants[name]
 		fmt.Printf("  %-15s %d cores, %5.1f Mbps, predicted %5.1fs\n",
-			row.Name, row.Cores, row.BandwidthMBps, row.PredictedSeconds)
+			name, g.Cores, g.Bandwidth*8/1e6, g.Predicted.Seconds())
 	}
 }

@@ -69,7 +69,7 @@ func TestAdaptiveReplanOnReshape(t *testing.T) {
 		t.Fatalf("replanned for %v B/s, want ~%v", replan.Bandwidth, degraded)
 	}
 	for _, e := range adaptive.Epochs {
-		wantV := policy.PlanVersion(1)
+		wantV := PlanVersion(1)
 		if e.Epoch >= 4 {
 			wantV = 2
 		}

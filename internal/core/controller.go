@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -13,12 +12,37 @@ import (
 	"repro/internal/simclock"
 )
 
-// Controller is the adaptive control plane: it owns the live plan feed,
-// folds per-epoch telemetry into the drift detector, and replans when the
-// measured environment no longer matches the one the current plan was
-// computed against. Every replan takes effect at the next epoch boundary —
-// shard topology changes skip hysteresis, but not the boundary — and every
-// transition is recorded in a replan history with its reason.
+// PlanVersion identifies one plan snapshot of a controller. Versions start
+// at 1 and each replan adds one.
+type PlanVersion uint32
+
+// PlanSnapshot is one plan the controller wants executed. A replan installs
+// a NEW snapshot with the next version rather than mutating the old one, so
+// an epoch running under a stale snapshot stays internally consistent; the
+// snapshot and its plan are read-only.
+type PlanSnapshot struct {
+	// Version orders snapshots; higher supersedes lower.
+	Version PlanVersion
+	// Plan is the per-sample offload plan.
+	Plan *policy.Plan
+	// Epoch is the first training epoch the snapshot applies to.
+	Epoch uint64
+	// Reason records why this snapshot was produced ("initial" or
+	// "bandwidth-drift").
+	Reason string
+}
+
+// String summarizes the snapshot for logs.
+func (s *PlanSnapshot) String() string {
+	return fmt.Sprintf("PlanSnapshot(v%d epoch %d %q: %d/%d offloaded)",
+		s.Version, s.Epoch, s.Reason, s.Plan.OffloadedCount(), s.Plan.N())
+}
+
+// Controller is the adaptive control plane: it holds the current plan
+// snapshot, folds per-epoch telemetry into the drift detector, and replans
+// when the measured link no longer matches the one the current plan was
+// computed against. Every replan takes effect at the next epoch boundary,
+// and every transition is recorded in a replan history with its reason.
 //
 // The controller never reads the wall clock directly: history timestamps
 // come from the injected simclock.Clock and all other state advances only
@@ -29,9 +53,9 @@ type Controller struct {
 	trace *dataset.Trace
 	clock simclock.Clock
 	tel   *profiler.Telemetry
-	feed  *policy.PlanFeed
 
 	mu      sync.Mutex
+	cur     *PlanSnapshot
 	env     policy.Env // environment estimate the current plan assumes
 	history []ReplanEvent
 }
@@ -40,10 +64,10 @@ type Controller struct {
 type ReplanEvent struct {
 	// Version and Epoch identify the snapshot and the first epoch it
 	// governs.
-	Version policy.PlanVersion `json:"version"`
-	Epoch   uint64             `json:"epoch"`
-	// Reason names what triggered the replan ("initial", "bandwidth-drift",
-	// "shard-change", or a "+"-joined combination).
+	Version PlanVersion `json:"version"`
+	Epoch   uint64      `json:"epoch"`
+	// Reason names what triggered the replan: "initial" or
+	// "bandwidth-drift".
 	Reason string `json:"reason"`
 	// Bandwidth is the link estimate the new plan assumes (bytes/second).
 	Bandwidth float64 `json:"bandwidth"`
@@ -74,8 +98,7 @@ type ControllerConfig struct {
 	Clock simclock.Clock
 }
 
-// NewController computes the initial plan (version 1, reason "initial") and
-// starts the feed.
+// NewController computes the initial plan (version 1, reason "initial").
 func NewController(cfg ControllerConfig) (*Controller, error) {
 	if cfg.Trace == nil || cfg.Trace.N() == 0 {
 		return nil, errors.New("core: controller needs a trace")
@@ -99,23 +122,12 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	if err != nil {
 		return nil, err
 	}
-	snap := &policy.PlanSnapshot{
-		Version: 1,
-		Plan:    d.Plan,
-		Env:     cfg.Env,
-		Epoch:   1,
-		Reason:  "initial",
-	}
-	feed, err := policy.NewPlanFeed(snap)
-	if err != nil {
-		return nil, err
-	}
 	c := &Controller{
 		fw:    fw,
 		trace: cfg.Trace,
 		clock: clock,
 		tel:   tel,
-		feed:  feed,
+		cur:   &PlanSnapshot{Version: 1, Plan: d.Plan, Epoch: 1, Reason: "initial"},
 		env:   cfg.Env,
 	}
 	tel.Rebase(cfg.Env.Bandwidth)
@@ -127,7 +139,11 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 }
 
 // Current returns the snapshot in force.
-func (c *Controller) Current() *policy.PlanSnapshot { return c.feed.Current() }
+func (c *Controller) Current() *PlanSnapshot {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.cur
+}
 
 // History returns a copy of the replan history, oldest first.
 func (c *Controller) History() []ReplanEvent {
@@ -139,71 +155,41 @@ func (c *Controller) History() []ReplanEvent {
 }
 
 // ObserveEpoch folds one epoch's measurements in at the epoch boundary. If
-// drift crossed its hysteresis gate, the controller replans effective the
-// NEXT epoch and publishes the new snapshot; otherwise the current snapshot
-// is returned unchanged. The returned drifts say what (if anything) moved.
-func (c *Controller) ObserveEpoch(s profiler.EpochSample) (*policy.PlanSnapshot, []profiler.Drift, error) {
-	drifts := c.tel.ObserveEpoch(s)
-	if len(drifts) == 0 {
-		return c.feed.Current(), nil, nil
+// the link drifted past its hysteresis gate, the controller replans
+// effective the NEXT epoch and installs the new snapshot; otherwise the
+// current snapshot is returned unchanged. The returned drift is nil when
+// nothing moved.
+func (c *Controller) ObserveEpoch(s profiler.EpochSample) (*PlanSnapshot, *profiler.Drift, error) {
+	drift := c.tel.ObserveEpoch(s)
+	if drift == nil {
+		return c.Current(), nil, nil
 	}
-	snap, err := c.replan(drifts, s.Epoch+1)
-	return snap, drifts, err
+	snap, err := c.replan(s.Epoch + 1)
+	return snap, drift, err
 }
 
-// replan recomputes the plan against the measured environment and
-// publishes it effective the given epoch.
-func (c *Controller) replan(drifts []profiler.Drift, effective uint64) (*policy.PlanSnapshot, error) {
+// replan recomputes the plan against the measured link and installs it
+// effective the given epoch.
+func (c *Controller) replan(effective uint64) (*PlanSnapshot, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 
 	env := c.env
-	if bw := c.tel.Bandwidth(); bw > 0 {
-		env.Bandwidth = bw
-	}
-	for _, d := range drifts {
-		if d.Kind == profiler.DriftShard {
-			if up := int(d.Current); up >= 1 {
-				env.Shards = up
-			} else {
-				env.Shards = 1
-			}
-		}
-	}
-
+	env.Bandwidth = c.tel.Bandwidth() // > 0: a drift follows a measurement
 	d, err := c.fw.Decide(c.trace, env)
 	if err != nil {
 		return nil, fmt.Errorf("core: replan: %w", err)
 	}
-
-	kinds := make([]string, 0, len(drifts))
-	for _, dr := range drifts {
-		k := dr.Kind.String()
-		if len(kinds) == 0 || kinds[len(kinds)-1] != k {
-			kinds = append(kinds, k)
-		}
-	}
-	reason := strings.Join(kinds, "+")
-
-	cur := c.feed.Current()
-	snap := &policy.PlanSnapshot{
-		Version: cur.Version + 1,
-		Plan:    d.Plan,
-		Env:     env,
-		Epoch:   effective,
-		Reason:  reason,
-	}
-	if err := c.feed.Publish(snap); err != nil {
-		return nil, err
-	}
+	const reason = "bandwidth-drift"
+	c.cur = &PlanSnapshot{Version: c.cur.Version + 1, Plan: d.Plan, Epoch: effective, Reason: reason}
 	c.env = env
 	c.tel.Rebase(env.Bandwidth)
 	c.history = append(c.history, ReplanEvent{
-		Version: snap.Version, Epoch: effective, Reason: reason,
+		Version: c.cur.Version, Epoch: effective, Reason: reason,
 		Bandwidth: env.Bandwidth, At: c.clock.Now(),
 	})
 	if len(c.history) > maxHistory {
 		c.history = c.history[len(c.history)-maxHistory:]
 	}
-	return snap, nil
+	return c.cur, nil
 }

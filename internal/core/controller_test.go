@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -46,12 +48,12 @@ func TestControllerSteadyStateNeverReplans(t *testing.T) {
 		t.Fatal(err)
 	}
 	for e := uint64(1); e <= 8; e++ {
-		snap, drifts, err := c.ObserveEpoch(profiler.EpochSample{Epoch: e, Bandwidth: env.Bandwidth})
+		snap, drift, err := c.ObserveEpoch(profiler.EpochSample{Epoch: e, Bandwidth: env.Bandwidth})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(drifts) != 0 || snap.Version != 1 {
-			t.Fatalf("epoch %d replanned: %v %v", e, snap, drifts)
+		if drift != nil || snap.Version != 1 {
+			t.Fatalf("epoch %d replanned: %v %v", e, snap, drift)
 		}
 	}
 	if h := c.History(); len(h) != 1 {
@@ -77,12 +79,12 @@ func TestControllerReplansOnSustainedBandwidthDrop(t *testing.T) {
 		t.Fatalf("replanned before hysteresis: %v", snap)
 	}
 	clock.Advance(time.Minute)
-	snap, drifts, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 3, Bandwidth: half})
+	snap, drift, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 3, Bandwidth: half})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.Version != 2 || len(drifts) != 1 {
-		t.Fatalf("no replan at epoch 3: %v %v", snap, drifts)
+	if snap.Version != 2 || drift == nil {
+		t.Fatalf("no replan at epoch 3: %v %v", snap, drift)
 	}
 	if snap.Reason != "bandwidth-drift" {
 		t.Fatalf("reason %q", snap.Reason)
@@ -90,62 +92,78 @@ func TestControllerReplansOnSustainedBandwidthDrop(t *testing.T) {
 	if snap.Epoch != 4 {
 		t.Fatalf("boundary replan effective epoch %d, want 4", snap.Epoch)
 	}
-	if snap.Env.Bandwidth != half {
-		t.Fatalf("replanned env bandwidth %v, want %v", snap.Env.Bandwidth, half)
-	}
-	// The degraded-link plan offloads more aggressively than the original.
-	orig := c.History()[0]
-	if orig.Bandwidth <= snap.Env.Bandwidth {
-		t.Fatalf("history bandwidths %v vs %v", orig.Bandwidth, snap.Env.Bandwidth)
-	}
+	// The replan assumed the measured, halved link.
 	h := c.History()
 	if len(h) != 2 || h[1].Version != 2 || h[1].At != clock.Now() {
 		t.Fatalf("history %v (now %v)", h, clock.Now())
+	}
+	if h[0].Bandwidth != env.Bandwidth || h[1].Bandwidth != half {
+		t.Fatalf("history bandwidths %v then %v, want %v then %v", h[0].Bandwidth, h[1].Bandwidth, env.Bandwidth, half)
 	}
 	if c.Current() != snap {
 		t.Fatal("Current() is not the replanned snapshot")
 	}
 }
 
-func TestControllerShardChangeReplansImmediately(t *testing.T) {
-	tr := openImages(t, 500)
-	env := paperEnv(8)
-	env.Shards = 4
-	c, err := NewController(ControllerConfig{Trace: tr, Env: env})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Seed the shard baseline at an epoch boundary.
-	if _, drifts, _ := c.ObserveEpoch(profiler.EpochSample{
-		Epoch: 1, Bandwidth: env.Bandwidth, ShardsUp: 4, Shards: 4,
-	}); len(drifts) != 0 {
-		t.Fatalf("baseline drifted: %v", drifts)
-	}
-	// A shard dies in epoch 2: replan at once, no hysteresis, effective at
-	// the next boundary.
-	snap, drifts, err := c.ObserveEpoch(profiler.EpochSample{
-		Epoch: 2, Bandwidth: env.Bandwidth, ShardsUp: 3, Shards: 4,
+// TestControllerCurrentDuringReplan: readers call Current while
+// ObserveEpoch drives a replan, each from before the replan starts until
+// well after it shows. Every snapshot read is the whole v1 or the whole v2,
+// and a reader that has seen v2 never sees v1 again. Run it under -race.
+func TestControllerCurrentDuringReplan(t *testing.T) {
+	env := paperEnv(48)
+	c, err := NewController(ControllerConfig{
+		Trace: openImages(t, 500), Env: env,
+		Drift: profiler.DriftConfig{Alpha: 1, Hysteresis: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(drifts) != 1 || drifts[0].Kind != profiler.DriftShard {
-		t.Fatalf("shard loss drifts %v, want one shard change", drifts)
+	v1 := c.Current()
+	const readers, readsAfter = 4, 1000
+	done := make(chan struct{}) // closed only if the replan fails
+	errs := make(chan error, readers)
+	var started, wg sync.WaitGroup
+	for range readers {
+		started.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first, after := true, 0
+			for after < readsAfter {
+				s := c.Current()
+				if first {
+					started.Done()
+					first = false
+				}
+				switch {
+				case s == v1 && after == 0 && s.Version == 1 && s.Epoch == 1 && s.Reason == "initial":
+				case s != v1 && s.Version == 2 && s.Epoch == 3 && s.Reason == "bandwidth-drift" && s.Plan != nil:
+					after++
+				default:
+					errs <- fmt.Errorf("read %v after %d reads of v2", s, after)
+					return
+				}
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
 	}
-	if snap.Version != 2 || snap.Epoch != 3 {
-		t.Fatalf("shard-change replan snapshot %v", snap)
+	started.Wait()
+	snap, drift, err := c.ObserveEpoch(profiler.EpochSample{Epoch: 2, Bandwidth: env.Bandwidth / 2})
+	if err != nil || drift == nil || snap.Version != 2 {
+		close(done)
+		wg.Wait()
+		t.Fatalf("replan: %v %v %v", snap, drift, err)
 	}
-	if snap.Reason != "shard-change" {
-		t.Fatalf("reason %q", snap.Reason)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
 	}
-	if snap.Env.Shards != 3 {
-		t.Fatalf("replanned env shards %d, want 3", snap.Env.Shards)
-	}
-	// Reporting the same topology again is a no-op.
-	again, _, err := c.ObserveEpoch(profiler.EpochSample{
-		Epoch: 3, Bandwidth: env.Bandwidth, ShardsUp: 3, Shards: 4,
-	})
-	if err != nil || again.Version != 2 {
-		t.Fatalf("no-change report replanned: %v %v", again, err)
+	if c.Current() != snap {
+		t.Fatal("Current() is not the replanned snapshot")
 	}
 }

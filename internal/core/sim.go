@@ -14,8 +14,8 @@ import (
 
 // RunAdaptiveSim drives the controller loop at the model tier: each epoch
 // the DES simulates the CURRENT plan against that epoch's TRUE environment,
-// the measured outcome (bandwidth from traffic over link-busy time, and the
-// shard count) feeds the drift detector, and the controller replans
+// the measured outcome (bandwidth from traffic over link-busy time) feeds
+// the drift detector, and the controller replans
 // at the boundary when the gates trip. This is the adaptive-vs-static
 // evaluation harness: run once with Adaptive true and once false over the
 // same EnvAt schedule and compare epoch-time series.
@@ -40,9 +40,9 @@ type SimConfig struct {
 
 // SimEpoch is one simulated epoch's outcome.
 type SimEpoch struct {
-	Epoch       uint64             `json:"epoch"`
-	PlanVersion policy.PlanVersion `json:"plan_version"`
-	EpochTime   time.Duration      `json:"epoch_time"`
+	Epoch       uint64        `json:"epoch"`
+	PlanVersion PlanVersion   `json:"plan_version"`
+	EpochTime   time.Duration `json:"epoch_time"`
 	// TrafficBytes crossed the storage link this epoch.
 	TrafficBytes int64 `json:"traffic_bytes"`
 	// MeasuredBandwidth is the link throughput the telemetry observed
@@ -82,7 +82,6 @@ func RunAdaptiveSim(cfg SimConfig) (SimResult, error) {
 		return SimResult{}, err
 	}
 
-	baseShards := cfg.Env.ShardCount()
 	var epochs []SimEpoch
 	for e := uint64(1); e <= uint64(cfg.Epochs); e++ {
 		trueEnv := envAt(e)
@@ -114,12 +113,7 @@ func RunAdaptiveSim(cfg SimConfig) (SimResult, error) {
 		})
 
 		if cfg.Adaptive {
-			if _, _, err := ctrl.ObserveEpoch(profiler.EpochSample{
-				Epoch:     e,
-				Bandwidth: measuredBW,
-				ShardsUp:  trueEnv.ShardCount(),
-				Shards:    baseShards,
-			}); err != nil {
+			if _, _, err := ctrl.ObserveEpoch(profiler.EpochSample{Epoch: e, Bandwidth: measuredBW}); err != nil {
 				return SimResult{}, err
 			}
 		}

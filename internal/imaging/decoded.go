@@ -30,6 +30,10 @@ func DecodePlanes(data []byte) (*Planes, error) {
 		y: buf[:n], cb: buf[n : n+cn], cr: buf[n+cn:], buf: buf}}, nil
 }
 
+// Bytes is the memory the planes hold: w·h luma samples and two chroma
+// planes of ⌈w/2⌉·⌈h/2⌉.
+func (pl *Planes) Bytes() int { return len(pl.p.buf) }
+
 // CropResize is DecodeCropResize(data, rect, w, h) of the data pl was decoded
 // from, the same pixels and errors, with nothing left to decode. The result
 // is pool-backed.

@@ -37,7 +37,7 @@ func TestSpecFromTenant(t *testing.T) {
 			GPU:             gpu.AlexNet,
 		},
 	}
-	if _, err := coord.Admit(tenant); err != nil {
+	if err := coord.Admit(tenant); err != nil {
 		t.Fatal(err)
 	}
 	grant, ok := coord.Grants()["probe"]

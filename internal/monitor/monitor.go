@@ -61,10 +61,12 @@ type statsSnapshot struct {
 	// PrefixServed / PrefixBytesSaved sum raw fetches answered from the
 	// progressive fast path (a stored-container prefix sliced in place of
 	// the full object) and the wire bytes that avoided.
-	PrefixServed     uint64                  `json:"prefix_served"`
-	PrefixBytesSaved uint64                  `json:"prefix_bytes_saved"`
-	Admission        *storage.AdmissionStats `json:"admission,omitempty"`
-	PerServer        []serverSnapshot        `json:"per_server,omitempty"`
+	PrefixServed     uint64 `json:"prefix_served"`
+	PrefixBytesSaved uint64 `json:"prefix_bytes_saved"`
+	// PlaneBytes sums the decoded planes every watched store holds.
+	PlaneBytes uint64                  `json:"plane_bytes"`
+	Admission  *storage.AdmissionStats `json:"admission,omitempty"`
+	PerServer  []serverSnapshot        `json:"per_server,omitempty"`
 }
 
 // serverSnapshot is one storage server's slice of /stats.
@@ -79,6 +81,7 @@ type serverSnapshot struct {
 	ShedLoad         uint64 `json:"shed_load"`
 	PrefixServed     uint64 `json:"prefix_served"`
 	PrefixBytesSaved uint64 `json:"prefix_bytes_saved"`
+	PlaneBytes       uint64 `json:"plane_bytes"`
 }
 
 func (s *Server) snapshot() statsSnapshot {
@@ -95,6 +98,7 @@ func (s *Server) snapshot() statsSnapshot {
 			ShedLoad:         c.ShedLoad.Load(),
 			PrefixServed:     c.PrefixServed.Load(),
 			PrefixBytesSaved: c.PrefixBytesSaved.Load(),
+			PlaneBytes:       c.PlaneBytes.Load(),
 		}
 		out.SamplesServed += one.SamplesServed
 		out.OpsExecuted += one.OpsExecuted
@@ -105,6 +109,7 @@ func (s *Server) snapshot() statsSnapshot {
 		out.ShedLoad += one.ShedLoad
 		out.PrefixServed += one.PrefixServed
 		out.PrefixBytesSaved += one.PrefixBytesSaved
+		out.PlaneBytes += one.PlaneBytes
 		if len(s.sources) > 1 {
 			out.PerServer = append(out.PerServer, one)
 		}

@@ -50,6 +50,8 @@ func TestStatsMulti(t *testing.T) {
 	b.SamplesServed.Add(4)
 	b.BytesSent.Add(256)
 	b.InFlight.Add(2)
+	a.PlaneBytes.Add(100)
+	b.PlaneBytes.Add(28)
 	m := NewMulti(a, b)
 
 	srv := httptest.NewServer(m.handler())
@@ -63,16 +65,16 @@ func TestStatsMulti(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
 		t.Fatal(err)
 	}
-	if got.SamplesServed != 14 || got.BytesSent != 256 || got.InFlightRequests != 3 || got.OpenConnections != 1 {
+	if got.SamplesServed != 14 || got.BytesSent != 256 || got.InFlightRequests != 3 || got.OpenConnections != 1 || got.PlaneBytes != 128 {
 		t.Fatalf("aggregate: %+v", got)
 	}
 	if len(got.PerServer) != 2 {
 		t.Fatalf("per_server has %d entries", len(got.PerServer))
 	}
-	if got.PerServer[0].Server != 0 || got.PerServer[0].SamplesServed != 10 || got.PerServer[0].InFlightRequests != 1 {
+	if got.PerServer[0].Server != 0 || got.PerServer[0].SamplesServed != 10 || got.PerServer[0].InFlightRequests != 1 || got.PerServer[0].PlaneBytes != 100 {
 		t.Fatalf("server 0: %+v", got.PerServer[0])
 	}
-	if got.PerServer[1].Server != 1 || got.PerServer[1].SamplesServed != 4 || got.PerServer[1].BytesSent != 256 {
+	if got.PerServer[1].Server != 1 || got.PerServer[1].SamplesServed != 4 || got.PerServer[1].BytesSent != 256 || got.PerServer[1].PlaneBytes != 28 {
 		t.Fatalf("server 1: %+v", got.PerServer[1])
 	}
 }

@@ -8,13 +8,11 @@ import (
 
 // Streaming telemetry: SOPHON's stage-2 profiler measures the environment
 // once, during epoch 1, and the plan is frozen against that snapshot. The
-// Telemetry type extends stage 2 into a per-epoch stream of the two inputs a
-// replan reads from it — the link bandwidth, smoothed by an EWMA, and the
-// shard count — and flags drift against the environment the current plan was
-// computed for. A relative-change threshold with hysteresis keeps
-// measurement noise from thrashing the plan; shard topology changes bypass
-// hysteresis because a lost shard invalidates placement immediately, not
-// after it has been dead for N epochs.
+// Telemetry type extends stage 2 into a per-epoch stream of the one input a
+// replan reads from it — the link bandwidth, smoothed by an EWMA — and flags
+// drift against the bandwidth the current plan was computed for. A
+// relative-change threshold with hysteresis keeps measurement noise from
+// thrashing the plan.
 //
 // Telemetry is epoch-indexed, never wall-clock-driven: all its state
 // advances only through ObserveEpoch, so the adaptive controller is
@@ -22,52 +20,27 @@ import (
 
 // EpochSample is one epoch's measured environment, produced by whichever
 // layer ran the epoch (the live trainer's bandwidth probe, the DES from its
-// Result). Zero-valued metrics mean "not measured this epoch" and leave the
-// corresponding state untouched.
+// Result).
 type EpochSample struct {
 	Epoch uint64
-	// Bandwidth is the measured link throughput in bytes/second.
+	// Bandwidth is the measured link throughput in bytes/second; 0 means
+	// not measured this epoch and leaves the stream untouched.
 	Bandwidth float64
-	// ShardsUp counts reachable shards out of Shards; Shards 0 means shard
-	// health was not measured this epoch.
-	ShardsUp, Shards int
 }
 
-// DriftKind classifies what moved away from the plan's environment.
-type DriftKind int
-
-// Drift kinds.
-const (
-	driftBandwidth DriftKind = iota
-	DriftShard
-)
-
-// String names the drift kind; the controller uses it in replan reasons.
-func (k DriftKind) String() string {
-	switch k {
-	case driftBandwidth:
-		return "bandwidth-drift"
-	case DriftShard:
-		return "shard-change"
-	default:
-		return fmt.Sprintf("drift(%d)", int(k))
-	}
-}
-
-// Drift is one detected deviation between the smoothed measurements and the
+// Drift is a sustained deviation of the smoothed link bandwidth from the
 // baseline the current plan was computed against.
 type Drift struct {
-	Kind  DriftKind
 	Epoch uint64
-	// Baseline and Current are the metric's plan-time and smoothed live
-	// values (for DriftShard: shard counts).
+	// Baseline and Current are the plan-time and smoothed live bandwidths
+	// (bytes/second).
 	Baseline float64
 	Current  float64
 }
 
-// String renders the drift for logs and replan histories.
+// String renders the drift for logs.
 func (d Drift) String() string {
-	return fmt.Sprintf("%s@epoch%d(%.3g→%.3g)", d.Kind, d.Epoch, d.Baseline, d.Current)
+	return fmt.Sprintf("bandwidth-drift@epoch%d(%.3g→%.3g)", d.Epoch, d.Baseline, d.Current)
 }
 
 // DriftConfig tunes detection. The zero value resolves to defaults.
@@ -80,7 +53,7 @@ type DriftConfig struct {
 	RelThreshold float64
 	// Hysteresis is how many consecutive over-threshold epochs the
 	// bandwidth must sustain before drift is signaled (0 → 2, 1 = signal on
-	// the first over-threshold epoch). Shard changes ignore hysteresis.
+	// the first over-threshold epoch).
 	Hysteresis int
 }
 
@@ -125,7 +98,6 @@ type Telemetry struct {
 	bandwidth float64
 	baseline  float64 // the plan's bandwidth; 0 until the first Rebase
 	streak    int     // consecutive over-threshold epochs
-	shardsUp  int     // -1 until first measured
 }
 
 // NewTelemetry builds a telemetry stream with cfg (zero fields default).
@@ -134,7 +106,7 @@ func NewTelemetry(cfg DriftConfig) (*Telemetry, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Telemetry{cfg: cfg, shardsUp: -1}, nil
+	return &Telemetry{cfg: cfg}, nil
 }
 
 // Rebase records the bandwidth the (re)computed plan assumes and clears the
@@ -150,50 +122,34 @@ func (t *Telemetry) Rebase(bandwidth float64) {
 	}
 }
 
-// ObserveEpoch folds one epoch's measurements into the stream and returns
-// the drifts that crossed their gates this epoch (nil when the environment
-// still matches the plan). While a sustained bandwidth drift persists
-// un-replanned it is re-reported every epoch; the controller's Rebase after
-// replanning clears the streak.
-func (t *Telemetry) ObserveEpoch(s EpochSample) []Drift {
+// ObserveEpoch folds one epoch's measurement into the stream and returns
+// the drift if the bandwidth crossed its gate this epoch (nil while it still
+// matches the plan). While a sustained drift persists un-replanned it is
+// re-reported every epoch; the controller's Rebase after replanning clears
+// the streak.
+func (t *Telemetry) ObserveEpoch(s EpochSample) *Drift {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Drift
-	if bw := s.Bandwidth; bw > 0 {
-		if t.bandwidth == 0 {
-			t.bandwidth = bw
-		} else {
-			t.bandwidth = t.cfg.Alpha*bw + (1-t.cfg.Alpha)*t.bandwidth
-		}
-		switch {
-		case t.baseline <= 0: // no baseline yet: nothing to drift from
-		case math.Abs(t.bandwidth-t.baseline)/t.baseline < t.cfg.RelThreshold:
-			t.streak = 0
-		default:
-			t.streak++
-			if t.streak >= t.cfg.Hysteresis {
-				out = append(out, Drift{
-					Kind:     driftBandwidth,
-					Epoch:    s.Epoch,
-					Baseline: t.baseline,
-					Current:  t.bandwidth,
-				})
-			}
+	bw := s.Bandwidth
+	if bw <= 0 {
+		return nil
+	}
+	if t.bandwidth == 0 {
+		t.bandwidth = bw
+	} else {
+		t.bandwidth = t.cfg.Alpha*bw + (1-t.cfg.Alpha)*t.bandwidth
+	}
+	switch {
+	case t.baseline <= 0: // no baseline yet: nothing to drift from
+	case math.Abs(t.bandwidth-t.baseline)/t.baseline < t.cfg.RelThreshold:
+		t.streak = 0
+	default:
+		t.streak++
+		if t.streak >= t.cfg.Hysteresis {
+			return &Drift{Epoch: s.Epoch, Baseline: t.baseline, Current: t.bandwidth}
 		}
 	}
-
-	if s.Shards > 0 {
-		if t.shardsUp >= 0 && s.ShardsUp != t.shardsUp {
-			out = append(out, Drift{
-				Kind:     DriftShard,
-				Epoch:    s.Epoch,
-				Baseline: float64(t.shardsUp),
-				Current:  float64(s.ShardsUp),
-			})
-		}
-		t.shardsUp = s.ShardsUp
-	}
-	return out
+	return nil
 }
 
 // Bandwidth returns the smoothed link bandwidth (bytes/second; 0 before any

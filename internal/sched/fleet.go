@@ -13,12 +13,10 @@ import (
 
 // The fleet coordinator is the multi-tenant control plane: it admits live
 // training jobs against SHARED per-shard storage-CPU and link-bandwidth
-// budgets, grants each tenant a weighted fair share, re-runs SOPHON's
-// decision engine per tenant under its grant, and publishes every tenant's
-// plan through its own PlanFeed. Every admission changes the fleet mix: it
-// bumps the fleet generation and republishes every tenant's snapshot, so
-// tenants replan exactly the way a single job replans under the adaptive
-// controller.
+// budgets, grants each tenant a weighted fair share, and re-runs SOPHON's
+// decision engine per tenant under its grant. Every admission changes the
+// fleet mix: it bumps the fleet generation and replans every tenant, whose
+// plan is then read from its Grant.
 //
 // Budget semantics follow policy.Env: with K shards, Cores and Bandwidth
 // are PER-SHARD quantities. Bandwidth is divided weighted-fair among
@@ -42,10 +40,6 @@ type Tenant struct {
 	// storage slowdown). Bandwidth, StorageCores, and Shards are overridden
 	// by the coordinator's grants.
 	Env policy.Env
-	// Dataset is the artifact share key (conventionally the dataset
-	// fingerprint): tenants with equal keys train on the same dataset and
-	// share offloaded artifacts through the cross-job cache. 0 = private.
-	Dataset uint64
 }
 
 // weight returns the effective fair-share weight.
@@ -70,8 +64,7 @@ type Grant struct {
 
 // FleetEvent records one control-plane transition.
 type FleetEvent struct {
-	// Generation is the fleet plan generation the event produced; it is the
-	// plan version stamped on every tenant snapshot published for it.
+	// Generation is the fleet plan generation the event produced.
 	Generation uint64 `json:"generation"`
 	// Reason names the trigger, "admit:<name>".
 	Reason string `json:"reason"`
@@ -86,30 +79,6 @@ type FleetEvent struct {
 // String renders the event for logs.
 func (e FleetEvent) String() string {
 	return fmt.Sprintf("gen%d %s (%d tenants, %.1f MB/s)", e.Generation, e.Reason, e.Tenants, e.Bandwidth/1e6)
-}
-
-// TenantStatus is one tenant's row of the fleet's observability surface.
-type TenantStatus struct {
-	Name             string  `json:"name"`
-	Weight           float64 `json:"weight"`
-	Dataset          uint64  `json:"dataset,omitempty"`
-	Cores            int     `json:"cores"`
-	BandwidthMBps    float64 `json:"bandwidth_mbps"`
-	PlanVersion      uint64  `json:"plan_version"`
-	Samples          int     `json:"samples"`
-	Offloaded        int     `json:"offloaded"`
-	PredictedSeconds float64 `json:"predicted_seconds"`
-}
-
-// FleetStatus is a snapshot of the fleet: roster, grants and event history.
-type FleetStatus struct {
-	Generation uint64         `json:"generation"`
-	Shards     int            `json:"shards"`
-	Cores      int            `json:"cores"`
-	CoresUsed  int            `json:"cores_used"`
-	Bandwidth  float64        `json:"bandwidth"`
-	Tenants    []TenantStatus `json:"tenants"`
-	History    []FleetEvent   `json:"history"`
 }
 
 // maxFleetHistory bounds the event history.
@@ -127,10 +96,9 @@ type FleetConfig struct {
 	Clock simclock.Clock
 }
 
-// tenantState is one admitted tenant plus its live plan feed.
+// tenantState is one admitted tenant plus its current grant.
 type tenantState struct {
 	Tenant
-	feed  *policy.PlanFeed
 	grant Grant
 }
 
@@ -179,43 +147,40 @@ func NewCoordinator(cfg FleetConfig) (*Coordinator, error) {
 	}, nil
 }
 
-// Admit joins a tenant to the fleet, replans every tenant under the new
-// mix, and returns the tenant's live plan feed. The feed's first snapshot
-// is the admission-generation plan; later fleet transitions publish higher
-// generations on it, every tenant's before the call that caused them
-// returns.
-func (c *Coordinator) Admit(t Tenant) (*policy.PlanFeed, error) {
+// Admit joins a tenant to the fleet and replans every tenant under the new
+// mix at the next generation, before it returns. Each tenant's plan is read
+// from Grants, and the generation it belongs to from Generation.
+func (c *Coordinator) Admit(t Tenant) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if t.Name == "" {
-		return nil, errors.New("sched: tenant has no name")
+		return errors.New("sched: tenant has no name")
 	}
 	if _, ok := c.tenants[t.Name]; ok {
-		return nil, fmt.Errorf("sched: tenant %q already admitted", t.Name)
+		return fmt.Errorf("sched: tenant %q already admitted", t.Name)
 	}
 	if t.Trace == nil || t.Trace.N() == 0 {
-		return nil, fmt.Errorf("sched: tenant %q has an empty trace", t.Name)
+		return fmt.Errorf("sched: tenant %q has an empty trace", t.Name)
 	}
 	env := t.Env
 	env.StorageCores = 0
 	env.Bandwidth = c.bandwidth
 	env.Shards = c.shards
 	if err := env.Validate(); err != nil {
-		return nil, fmt.Errorf("sched: tenant %q: %w", t.Name, err)
+		return fmt.Errorf("sched: tenant %q: %w", t.Name, err)
 	}
-	st := &tenantState{Tenant: t}
-	c.tenants[t.Name] = st
+	c.tenants[t.Name] = &tenantState{Tenant: t}
 	c.order = append(c.order, t.Name)
 	if err := c.replanLocked("admit:" + t.Name); err != nil {
 		// Roll the failed admission back so the fleet stays consistent.
 		delete(c.tenants, t.Name)
 		c.order = c.order[:len(c.order)-1]
-		return nil, err
+		return err
 	}
-	return st.feed, nil
+	return nil
 }
 
-// Grants returns every tenant's current grant.
+// Grants returns every tenant's current grant, keyed by tenant name.
 func (c *Coordinator) Grants() map[string]Grant {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -242,105 +207,43 @@ func (c *Coordinator) History() []FleetEvent {
 	return out
 }
 
-// Status snapshots the fleet for the monitor, tenants in admission order.
-func (c *Coordinator) Status() FleetStatus {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := FleetStatus{
-		Generation: c.generation,
-		Shards:     c.shards,
-		Cores:      c.cores,
-		Bandwidth:  c.bandwidth,
-		Tenants:    make([]TenantStatus, 0, len(c.order)),
-		History:    append([]FleetEvent(nil), c.history...),
+// replanLocked recomputes every tenant's grant and plan at a new fleet
+// generation. Called with c.mu held and at least one tenant admitted.
+func (c *Coordinator) replanLocked(reason string) error {
+	var totalWeight float64
+	for _, name := range c.order {
+		totalWeight += c.tenants[name].weight()
 	}
+
+	// Weighted fair bandwidth shares, then weighted water-filling for
+	// cores, each tenant evaluated under ITS OWN bandwidth grant.
+	jobs := make([]Job, 0, len(c.order))
+	weights := make([]float64, 0, len(c.order))
 	for _, name := range c.order {
 		st := c.tenants[name]
-		row := TenantStatus{
-			Name:             name,
-			Weight:           st.weight(),
-			Dataset:          st.Dataset,
-			Cores:            st.grant.Cores,
-			BandwidthMBps:    st.grant.Bandwidth * 8 / 1e6,
-			Samples:          st.Trace.N(),
-			PredictedSeconds: st.grant.Predicted.Seconds(),
-		}
-		if st.grant.Plan != nil {
-			row.Offloaded = st.grant.Plan.OffloadedCount()
-		}
-		if st.feed != nil {
-			row.PlanVersion = uint64(st.feed.Current().Version)
-		}
-		out.CoresUsed += st.grant.Cores
-		out.Tenants = append(out.Tenants, row)
+		env := st.Env
+		env.Bandwidth = c.bandwidth * st.weight() / totalWeight
+		env.Shards = c.shards
+		jobs = append(jobs, Job{Name: name, Trace: st.Trace, Env: env})
+		weights = append(weights, st.weight())
 	}
-	return out
-}
+	granted, current, err := waterFill(jobs, weights, c.cores, newEvaluator(c.engine))
+	if err != nil {
+		return fmt.Errorf("sched: fleet replan (%s): %w", reason, err)
+	}
+	for _, j := range jobs {
+		o := current[j.Name]
+		c.tenants[j.Name].grant = Grant{
+			Cores:     granted[j.Name],
+			Bandwidth: j.Env.Bandwidth,
+			Plan:      o.plan,
+			Predicted: o.time,
+		}
+	}
 
-// replanLocked recomputes every tenant's grant and plan at a new fleet
-// generation and publishes the snapshots. Called with c.mu held.
-func (c *Coordinator) replanLocked(reason string) error {
 	c.generation++
-	gen := c.generation
-
-	if len(c.order) > 0 {
-		var totalWeight float64
-		for _, name := range c.order {
-			totalWeight += c.tenants[name].weight()
-		}
-
-		// Weighted fair bandwidth shares, then weighted water-filling for
-		// cores, each tenant evaluated under ITS OWN bandwidth grant.
-		jobs := make([]Job, 0, len(c.order))
-		weights := make([]float64, 0, len(c.order))
-		for _, name := range c.order {
-			st := c.tenants[name]
-			env := st.Env
-			env.Bandwidth = c.bandwidth * st.weight() / totalWeight
-			env.Shards = c.shards
-			jobs = append(jobs, Job{Name: name, Trace: st.Trace, Env: env})
-			weights = append(weights, st.weight())
-		}
-		granted, current, err := waterFill(jobs, weights, c.cores, newEvaluator(c.engine))
-		if err != nil {
-			c.generation--
-			return fmt.Errorf("sched: fleet replan (%s): %w", reason, err)
-		}
-
-		for _, j := range jobs {
-			st := c.tenants[j.Name]
-			o := current[j.Name]
-			st.grant = Grant{
-				Cores:     granted[j.Name],
-				Bandwidth: j.Env.Bandwidth,
-				Plan:      o.plan,
-				Predicted: o.time,
-			}
-			env := j.Env
-			env.StorageCores = granted[j.Name]
-			snap := &policy.PlanSnapshot{
-				Version: policy.PlanVersion(gen),
-				Plan:    o.plan,
-				Env:     env,
-				Reason:  reason,
-			}
-			// Neither call can fail here (the plan is non-nil and gen strictly
-			// increases), but a surfaced error must not roll the generation
-			// back: earlier tenants in this loop already published it.
-			if st.feed == nil {
-				feed, err := policy.NewPlanFeed(snap)
-				if err != nil {
-					return err
-				}
-				st.feed = feed
-			} else if err := st.feed.Publish(snap); err != nil {
-				return err
-			}
-		}
-	}
-
 	c.history = append(c.history, FleetEvent{
-		Generation: gen,
+		Generation: c.generation,
 		Reason:     reason,
 		Tenants:    len(c.tenants),
 		Bandwidth:  c.bandwidth,

@@ -1,6 +1,8 @@
 package sched
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -40,10 +42,10 @@ func TestCoordinatorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Admit(Tenant{}); err == nil {
+	if err := c.Admit(Tenant{}); err == nil {
 		t.Fatal("admitted unnamed tenant")
 	}
-	if _, err := c.Admit(Tenant{Name: "t", Trace: &dataset.Trace{}, Env: jobEnv()}); err == nil {
+	if err := c.Admit(Tenant{Name: "t", Trace: &dataset.Trace{}, Env: jobEnv()}); err == nil {
 		t.Fatal("admitted empty trace")
 	}
 	// A failed admission must not leak into the fleet.
@@ -60,44 +62,37 @@ func TestCoordinatorAdmitReplans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	provA, err := c.Admit(fleetTenant(t, "a", 1))
-	if err != nil {
+	if err := c.Admit(fleetTenant(t, "a", 1)); err != nil {
 		t.Fatal(err)
-	}
-	snapA1 := provA.Current()
-	if snapA1.Version != 1 || snapA1.Reason != "admit:a" {
-		t.Fatalf("first snapshot: version %d reason %q", snapA1.Version, snapA1.Reason)
 	}
 	// Alone, tenant a gets the whole link and the whole core budget it can use.
-	grants := c.Grants()
-	if grants["a"].Bandwidth != netsim.Mbps(1000) {
-		t.Fatalf("solo tenant granted %.0f B/s of the link", grants["a"].Bandwidth)
+	solo := c.Grants()["a"]
+	if solo.Bandwidth != netsim.Mbps(1000) || solo.Plan == nil {
+		t.Fatalf("solo tenant granted %.0f B/s of the link, plan %v", solo.Bandwidth, solo.Plan)
 	}
 
-	provB, err := c.Admit(fleetTenant(t, "b", 2))
-	if err != nil {
+	if err := c.Admit(fleetTenant(t, "b", 2)); err != nil {
 		t.Fatal(err)
 	}
-	// b's arrival republishes a's plan, before Admit returns, at the next
-	// generation with a halved link share.
-	snapA2 := provA.Current()
-	if snapA2.Version != 2 || snapA2.Reason != "admit:b" {
-		t.Fatalf("replan snapshot: version %d reason %q", snapA2.Version, snapA2.Reason)
-	}
-	if got := snapA2.Env.Bandwidth; got != netsim.Mbps(500) {
+	// b's arrival replans a, before Admit returns, with a halved link share.
+	grants := c.Grants()
+	if got := grants["a"].Bandwidth; got != netsim.Mbps(500) {
 		t.Fatalf("tenant a's share after b arrived: %.0f B/s", got)
 	}
-	if provB.Current().Version != 2 {
-		t.Fatalf("tenant b admitted at version %d", provB.Current().Version)
+	if grants["a"].Plan == solo.Plan || grants["b"].Plan == nil {
+		t.Fatal("b's admission did not replan both tenants")
 	}
 
+	if g := c.Generation(); g != 2 {
+		t.Fatalf("generation %d after two admissions, want 2", g)
+	}
 	hist := c.History()
 	if len(hist) != 2 {
 		t.Fatalf("history has %d events, want 2", len(hist))
 	}
-	for i, e := range hist {
-		if e.Generation != uint64(i+1) {
-			t.Fatalf("event %d at generation %d", i, e.Generation)
+	for i, want := range []string{"admit:a", "admit:b"} {
+		if e := hist[i]; e.Generation != uint64(i+1) || e.Reason != want || e.Tenants != i+1 {
+			t.Fatalf("event %d: %v, want generation %d %s", i, e, i+1, want)
 		}
 	}
 }
@@ -109,10 +104,10 @@ func TestCoordinatorWeightedShares(t *testing.T) {
 	}
 	heavy := fleetTenant(t, "heavy", 3)
 	heavy.Weight = 3
-	if _, err := c.Admit(heavy); err != nil {
+	if err := c.Admit(heavy); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Admit(fleetTenant(t, "light", 4)); err != nil {
+	if err := c.Admit(fleetTenant(t, "light", 4)); err != nil {
 		t.Fatal(err)
 	}
 	grants := c.Grants()
@@ -135,7 +130,7 @@ func TestCoordinatorZeroCoreTenantStillPlanned(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, name := range []string{"t0", "t1", "t2"} {
-		if _, err := c.Admit(fleetTenant(t, name, uint64(10+i))); err != nil {
+		if err := c.Admit(fleetTenant(t, name, uint64(10+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -157,44 +152,6 @@ func TestCoordinatorZeroCoreTenantStillPlanned(t *testing.T) {
 	if starved != 2 {
 		t.Fatalf("%d tenants starved under a 1-core budget, want 2", starved)
 	}
-	status := c.Status()
-	if status.CoresUsed != 1 {
-		t.Fatalf("status reports %d cores used, want 1", status.CoresUsed)
-	}
-}
-
-func TestCoordinatorStatusAndShareGroups(t *testing.T) {
-	c, err := NewCoordinator(fleetConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := fleetTenant(t, "a", 30)
-	a.Dataset = 42
-	b := fleetTenant(t, "b", 31)
-	b.Dataset = 42
-	solo := fleetTenant(t, "solo", 32)
-	for _, tn := range []Tenant{a, b, solo} {
-		if _, err := c.Admit(tn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := c.Status()
-	if st.Generation != 3 || len(st.Tenants) != 3 {
-		t.Fatalf("status: generation %d, %d tenants", st.Generation, len(st.Tenants))
-	}
-	// Rows come back in admission order with live plan versions.
-	for i, want := range []string{"a", "b", "solo"} {
-		row := st.Tenants[i]
-		if row.Name != want {
-			t.Fatalf("row %d is %q, want %q", i, row.Name, want)
-		}
-		if row.PlanVersion != st.Generation {
-			t.Fatalf("tenant %s at plan version %d, fleet at %d", row.Name, row.PlanVersion, st.Generation)
-		}
-		if row.Samples != 1000 {
-			t.Fatalf("tenant %s reports %d samples", row.Name, row.Samples)
-		}
-	}
 }
 
 // The water-filling total across the fleet never exceeds the shared budget,
@@ -207,7 +164,7 @@ func TestCoordinatorRespectsCoreBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, err := c.Admit(fleetTenant(t, string(rune('a'+i)), uint64(40+i))); err != nil {
+		if err := c.Admit(fleetTenant(t, string(rune('a'+i)), uint64(40+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -233,7 +190,7 @@ func TestCoordinatorRespectsCoreBudget(t *testing.T) {
 	}
 	var zeroTotal time.Duration
 	for i := 0; i < 3; i++ {
-		if _, err := z.Admit(fleetTenant(t, string(rune('a'+i)), uint64(40+i))); err != nil {
+		if err := z.Admit(fleetTenant(t, string(rune('a'+i)), uint64(40+i))); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,5 +199,56 @@ func TestCoordinatorRespectsCoreBudget(t *testing.T) {
 	}
 	if total >= zeroTotal {
 		t.Fatalf("shared cores did not improve the fleet: %v vs %v", total, zeroTotal)
+	}
+}
+
+// TestCoordinatorGrantsDuringAdmit: Grants is read while another goroutine
+// admits tenants. Every read is a whole generation: n tenants, each with a
+// plan and an equal share of the link. Run it under -race.
+func TestCoordinatorGrantsDuringAdmit(t *testing.T) {
+	c, err := NewCoordinator(fleetConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tenants := make([]Tenant, 3)
+	for i := range tenants {
+		tenants[i] = fleetTenant(t, fmt.Sprint("t", i), uint64(50+i))
+	}
+	done := make(chan struct{})
+	errs := make(chan error, 2)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				grants := c.Grants()
+				for name, g := range grants {
+					if g.Plan == nil || g.Bandwidth != netsim.Mbps(1000)/float64(len(grants)) {
+						errs <- fmt.Errorf("%d tenants: %s granted %.0f B/s, plan %v", len(grants), name, g.Bandwidth, g.Plan)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for _, tn := range tenants {
+		if err := c.Admit(tn); err != nil {
+			t.Error(err)
+		}
+	}
+	close(done)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if g, n := c.Generation(), len(c.Grants()); g != 3 || n != 3 {
+		t.Fatalf("generation %d with %d tenants, want 3 and 3", g, n)
 	}
 }

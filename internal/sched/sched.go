@@ -5,7 +5,7 @@
 // candidate core count) drops the most, until cores run out or no job
 // benefits. The fleet coordinator (fleet.go) generalizes it to weighted
 // fair-share admission of live tenants against shared per-shard core and
-// bandwidth budgets, with per-tenant plan feeds.
+// bandwidth budgets: each admission replans the fleet at a new generation.
 package sched
 
 import (

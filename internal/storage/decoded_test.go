@@ -82,6 +82,38 @@ func TestServerCropsFromDecodedPlanes(t *testing.T) {
 	}
 }
 
+// TestPlaneBytesCountsFilledSlots: a server that serves cut 2 of k objects
+// reports exactly their planes' bytes, w·h + 2·⌈w/2⌉·⌈h/2⌉ each, and serving
+// them again adds nothing.
+func TestPlaneBytesCountsFilledSlots(t *testing.T) {
+	const n, k = 6, 4
+	st := testStore(t, n)
+	srv, dial := startServer(t, ServerConfig{Store: st, Pipeline: decodedPipe(), Cores: 2})
+	c := dial()
+	var want uint64
+	for s := range k {
+		raw, err := st.Get(uint32(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		im, err := imaging.Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += uint64(im.W*im.H + 2*((im.W+1)/2)*((im.H+1)/2))
+		im.Release()
+	}
+	samples, splits := []uint32{0, 1, 2, 3}, []int{2, 2, 2, 2}
+	for epoch := uint64(1); epoch <= 2; epoch++ {
+		if _, err := c.FetchBatch(context.Background(), samples, splits, epoch); err != nil {
+			t.Fatal(err)
+		}
+		if got := srv.Counters().PlaneBytes.Load(); got != want {
+			t.Fatalf("epoch %d: %d plane bytes for %d objects, want %d", epoch, got, k, want)
+		}
+	}
+}
+
 // TestRawFetchesFillNoPlanes: fetches at split 0 — whole, withholding a
 // scan, and row-sliced — run no executor and decode nothing; the first
 // offload of an object fills its slot.
@@ -96,8 +128,8 @@ func TestRawFetchesFillNoPlanes(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := srv.exec.wholeDecodes.Load(); got != 0 {
-		t.Fatalf("raw fetches decoded %d objects whole", got)
+	if got, pb := srv.exec.wholeDecodes.Load(), srv.Counters().PlaneBytes.Load(); got != 0 || pb != 0 {
+		t.Fatalf("raw fetches decoded %d objects whole into %d plane bytes", got, pb)
 	}
 	for s := range n {
 		if st.slot(uint32(s)).planes != nil {

@@ -114,6 +114,9 @@ func (e *Executor) planes(sl *planeSlot, raw []byte) *imaging.Planes {
 	sl.once.Do(func() {
 		e.wholeDecodes.Add(1)
 		sl.planes, _ = imaging.DecodePlanes(raw) // nil on a fault: the crop decodes raw
+		if sl.planes != nil {
+			e.counters.PlaneBytes.Add(uint64(sl.planes.Bytes()))
+		}
 	})
 	return sl.planes
 }

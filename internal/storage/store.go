@@ -152,4 +152,7 @@ type Counters struct {
 	// slices withheld versus shipping the full container.
 	PrefixServed     atomic.Uint64
 	PrefixBytesSaved atomic.Uint64
+	// PlaneBytes sums the decoded planes the store's slots hold. A slot is
+	// filled once and never evicted, so it only grows.
+	PlaneBytes atomic.Uint64
 }
