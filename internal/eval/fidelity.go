@@ -12,13 +12,14 @@ import (
 // artifact-size law the trace generator assumes, and their offload structure
 // (which stage is minimal) must follow from raw size vs crop-artifact size
 // the same way. The law is what StageTrace.Sizes reports; what the live tier
-// ships on image stages is smaller, by the measured ShippedOverLaw.
+// ships on the decoded stages (planes, then images) is smaller, by the
+// measured ShippedOverLaw.
 type fidelityResult struct {
 	Samples          int
 	LawViolations    int     // measured stage sizes that break the artifact size law
 	MinStageMismatch int     // samples whose min stage isn't argmin(raw, decode, crop)
 	Benefiting       float64 // fraction with min stage > 0 in the real tier
-	ShippedOverLaw   float64 // packed bytes ÷ law bytes, summed over the image stages
+	ShippedOverLaw   float64 // shipped bytes ÷ law bytes, summed over stages 1–3: the planes and the packed images
 }
 
 // validateGenerator renders n real synthetic photos, measures them through

@@ -53,9 +53,9 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 }
 
 // TestDecodeCropResizeSteadyStateAllocs: the fused prefix allocates the
-// crop's Image header and nothing else — planes, tap tables, compact buffer
-// and output pixels are all pooled. The collector is off because only a
-// collection empties the pools.
+// crop's Image header and nothing else — planes, tap tables and output
+// pixels are all pooled. The collector is off because only a collection
+// empties the pools.
 func TestDecodeCropResizeSteadyStateAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race detector degrades sync.Pool caching; budgets not meaningful")

@@ -51,16 +51,6 @@ func BenchmarkDecode640x480(b *testing.B) {
 	}
 }
 
-func BenchmarkResizeTo224(b *testing.B) {
-	im := benchImage(b, 640, 480, 0.5)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Resize(im, 224, 224); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkFlipHorizontal224(b *testing.B) {
 	im := benchImage(b, 224, 224, 0.5)
 	b.ResetTimer()
@@ -80,22 +70,9 @@ func BenchmarkCrop(b *testing.B) {
 	}
 }
 
-// BenchmarkCropResize128 and BenchmarkDecodeCropResize128 price the unfused
-// and the fused Decode→RandomResizedCrop prefix on a crop a little over twice
-// the output size, the common case for a 128² training crop.
-func BenchmarkCropResize128(b *testing.B) {
-	im := benchImage(b, 480, 360, 0.5)
-	rect := Rect{X: 90, Y: 30, W: 300, H: 290}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := CropResize(im, rect, 128, 128)
-		if err != nil {
-			b.Fatal(err)
-		}
-		out.Release()
-	}
-}
-
+// BenchmarkDecodeCropResize128 prices the fused Decode→RandomResizedCrop
+// prefix on a crop a little over twice the output size, the common case for a
+// 128² training crop.
 func BenchmarkDecodeCropResize128(b *testing.B) {
 	data, err := EncodeDefault(benchImage(b, 480, 360, 0.5))
 	if err != nil {
@@ -117,7 +94,7 @@ func BenchmarkDecodeCropResize128(b *testing.B) {
 // inputs — each side uniform in 160–640, detail uniform in 0–1, default
 // quality — with the size of their planes and one RandomResizedCrop-shaped
 // rect apiece (8–100 % of the area, aspect 3/4–4/3). One stream is one sample
-// of cpu_local or storage_alloff, so the two Set benchmarks price the kernels
+// of cpu_local or storage_alloff, so the Set benchmarks price the kernels
 // on the traffic they serve; BenchmarkDecode640x480 stays as the one-stream
 // number older records quote. The image stays for the MaxScans pair, and its
 // parameters for SynthesizeSet.
@@ -197,6 +174,28 @@ func BenchmarkDecodeCropResizeSet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := set[i%len(set)]
 		out, err := DecodeCropResize(s.data, s.rect, 128, 128)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out.Release()
+	}
+}
+
+// BenchmarkPlanesCropResizeSet is the storage node's kernel on the same
+// crops: each object decoded once into Planes beforehand, as its store slot
+// holds it, and every crop resampled from them.
+func BenchmarkPlanesCropResizeSet(b *testing.B) {
+	set := benchSetFor(b)
+	planes := make([]*Planes, len(set))
+	for i, s := range set {
+		var err error
+		if planes[i], err = DecodePlanes(s.data); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := planes[i%len(set)].CropResize(set[i%len(set)].rect, 128, 128)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -360,18 +360,17 @@ func Decode(data []byte) (*Image, error) {
 	return p.image()
 }
 
-// DecodeCropResize is CropResize(Decode(data), rect, w, h) without the full
-// image in between: it checks the header, the index and the rect, then
-// decodes only the units rect falls in — the strips of its columns in the
-// bands of its rows, and of a refinement scan those bands — with Decode's
-// checks, and dequantizes only the pixels the resample reads
-// (ycc.cropResize). Where Decode accepts, the pixels and errors are
-// CropResize(Decode)'s. A fault in a unit it does not read it need not see,
-// nor one only a scan's CRC shows unless it reads every unit — over the whole
-// image it refuses as Decode does — which is why a store decodes each object
-// in full as it loads (dataset.DirSet.Materialize). The result is
-// pool-backed. It also reads the sliced form (rows.go), refusing with
-// errSliced a rect of other units.
+// DecodeCropResize is DecodePlanes(data) then Planes.CropResize(rect, w, h)
+// without the planes of the whole image in between: it checks the header,
+// the index and the rect, then decodes only the units rect falls in — the
+// strips of its columns in the bands of its rows, and of a refinement scan
+// those bands — with Decode's checks, and resamples them (ycc.cropResize).
+// Where DecodePlanes accepts, the pixels and errors are the planes'. A
+// fault in a unit it does not read it need not see, nor one only a scan's
+// CRC shows unless it reads every unit — over the whole image it refuses as
+// Decode does — which is why a store decodes each object in full as it loads
+// (dataset.DirSet.Materialize). The result is pool-backed. It also reads the
+// sliced form (rows.go), refusing with errSliced a rect of other units.
 func DecodeCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
 	if len(data) > headerSize && data[4] == sjpgVersion|rowsFlag {
 		stored, err := unslice(data, rect)
@@ -642,7 +641,7 @@ func (p *ycc) image() (*Image, error) {
 	}
 	p.undoEveryPrediction()
 	var yy1, c1 [256]int32
-	p.dequantTables(&yy1, &c1)
+	p.dequantTables(&yy1, &c1, 0x10101)
 	cw := (w + 1) / 2
 	for y := 0; y < h; y += 2 {
 		// Under the last row of an odd-height image the second row aliases
@@ -678,23 +677,23 @@ func (p *ycc) image() (*Image, error) {
 }
 
 // dequantTables fills the two lookups both dequantizers share: dequantized
-// luma pre-multiplied into YCbCrToRGB's yy1, and dequantized chroma
+// luma times yScale — YCbCrToRGB's yy1 at 0x10101 — and dequantized chroma
 // re-centred on zero.
-func (p *ycc) dequantTables(yy1, c1 *[256]int32) {
+func (p *ycc) dequantTables(yy1, c1 *[256]int32, yScale int32) {
 	for v := range yy1 {
-		yy1[v] = int32(dequant(uint8(v), p.yShift)) * 0x10101
+		yy1[v] = int32(dequant(uint8(v), p.yShift)) * yScale
 		c1[v] = int32(dequant(uint8(v), p.cShift)) - 128
 	}
 }
 
-// cropResize dequantizes rect and resamples it to w×h: the pixels of
-// CropResize(p.image(), rect, w, h) without the image. The resample reads at
-// most two source rows per output row and two columns per output column, so
-// only those rows × columns are converted — every pixel of the rect when it
-// is no larger than the output, at most (2w)×(2h) otherwise — into a pooled
-// compact buffer that blend then reads through taps renumbered to it.
-// Conversion and blend are each the arithmetic of the unfused pair, so every
-// byte is the same. The output image is requested only once rect is accepted.
+// cropResize dequantizes rect and resamples it to w×h. Each output pixel
+// interpolates the dequantized luma at its four taps and the chroma sample
+// under each of them, rounds Y, Cb and Cr to integers and converts them once,
+// with image's arithmetic: the pixels image would give where the taps'
+// weights are 0 (a crop of rect's own size), and a bilinear resample of
+// them, in YCbCr, elsewhere. Only the tapped rows are undone, from the
+// strip of the first tapped column to the last. The output image is
+// requested only once rect is accepted.
 func (p *ycc) cropResize(rect Rect, w, h int) (*Image, error) {
 	if err := checkCropResize(rect, p.w, p.h, w, h); err != nil {
 		return nil, err
@@ -705,58 +704,29 @@ func (p *ycc) cropResize(rect Rect, w, h int) (*Image, error) {
 	}
 	s := samplerPool.Get().(*sampler)
 	defer samplerPool.Put(s)
-	s.x.fill(rect.W, w)
-	s.y.fill(rect.H, h)
-	s.cols = s.x.compact(rect.X, s.cols)
-	s.rows = s.y.compact(rect.Y, s.rows)
-	p.undoPrediction(s.rows, int(s.cols[0]), int(s.cols[len(s.cols)-1]))
-	if w == rect.W && h == rect.H {
-		// Pure crop: the taps name every pixel of rect with weight one.
-		p.convert(s.rows, s.cols, dst.Pix)
-		return dst, nil
+	s.x.fill(rect.X, rect.W, w)
+	s.y.fill(rect.Y, rect.H, h)
+	s.rows = s.y.distinct(s.rows)
+	p.undoPrediction(s.rows, int(s.x.lo[0]), int(s.x.hi[w-1]))
+	var dy, c1 [256]int32
+	p.dequantTables(&dy, &c1, 1)
+	cw, xlo, xhi, fxs := (p.w+1)/2, s.x.lo, s.x.hi[:w], s.x.f[:w]
+	for j := range h {
+		r0, r1, fy := int(s.y.lo[j]), int(s.y.hi[j]), s.y.f[j]
+		y0, y1 := p.y[r0*p.w:][:p.w], p.y[r1*p.w:][:p.w]
+		cb0, cb1 := p.cb[r0>>1*cw:][:cw], p.cb[r1>>1*cw:][:cw]
+		cr0, cr1 := p.cr[r0>>1*cw:][:cw], p.cr[r1>>1*cw:][:cw]
+		out := dst.Pix[j*w*Channels:][:w*Channels]
+		for i, x0 := range xlo[:w] {
+			x1, fx := xhi[i], fxs[i]
+			l := lerp2(dy[y0[x0]], dy[y0[x1]], dy[y1[x0]], dy[y1[x1]], fx, fy) * 0x10101
+			cb := lerp2(c1[cb0[x0>>1]], c1[cb0[x1>>1]], c1[cb1[x0>>1]], c1[cb1[x1>>1]], fx, fy)
+			cr := lerp2(c1[cr0[x0>>1]], c1[cr0[x1>>1]], c1[cr1[x0>>1]], c1[cr1[x1>>1]], fx, fy)
+			px := out[i*Channels : i*Channels+Channels : i*Channels+Channels]
+			px[0], px[1], px[2] = clamp8(l+91881*cr), clamp8(l-22554*cb-46802*cr), clamp8(l+116130*cb)
+		}
 	}
-	compact := bufpool.GetBytes(len(s.rows) * len(s.cols) * Channels)
-	p.convert(s.rows, s.cols, compact)
-	blend(compact, len(s.cols), &s.x, &s.y, dst)
-	bufpool.PutBytes(compact)
 	return dst, nil
-}
-
-// convert dequantizes the pixels at rows × cols into out, row-major, with
-// image's tables and arithmetic. Two listed rows under one chroma row are
-// converted together, so that each tapped chroma sample's terms are computed
-// once for both.
-func (p *ycc) convert(rows, cols []int32, out []uint8) {
-	var yy1, c1 [256]int32
-	p.dequantTables(&yy1, &c1)
-	cw, n := (p.w+1)/2, len(cols)*Channels
-	for k := 0; k < len(rows); k++ {
-		r := rows[k]
-		y0 := p.y[int(r)*p.w : (int(r)+1)*p.w]
-		cbRow, crRow := p.cb[int(r>>1)*cw:(int(r>>1)+1)*cw], p.cr[int(r>>1)*cw:(int(r>>1)+1)*cw]
-		px0 := out[:n]
-		if r&1 == 0 && k+1 < len(rows) && rows[k+1] == r+1 {
-			k++
-			y1, px1 := p.y[int(r+1)*p.w:(int(r)+2)*p.w], out[n:2*n]
-			out = out[2*n:]
-			for _, c := range cols {
-				cb1, cr1 := c1[cbRow[c>>1]], c1[crRow[c>>1]]
-				rAdd, gAdd, bAdd := 91881*cr1, -22554*cb1-46802*cr1, 116130*cb1
-				l0, l1 := yy1[y0[c]], yy1[y1[c]]
-				px0[0], px0[1], px0[2] = clamp8(l0+rAdd), clamp8(l0+gAdd), clamp8(l0+bAdd)
-				px1[0], px1[1], px1[2] = clamp8(l1+rAdd), clamp8(l1+gAdd), clamp8(l1+bAdd)
-				px0, px1 = px0[Channels:], px1[Channels:]
-			}
-			continue
-		}
-		out = out[n:]
-		for _, c := range cols {
-			cb1, cr1 := c1[cbRow[c>>1]], c1[crRow[c>>1]]
-			l := yy1[y0[c]]
-			px0[0], px0[1], px0[2] = clamp8(l+91881*cr1), clamp8(l-22554*cb1-46802*cr1), clamp8(l+116130*cb1)
-			px0 = px0[Channels:]
-		}
-	}
 }
 
 // clamp8 maps a 16.16 fixed-point channel to [0, 255].

@@ -11,15 +11,15 @@ import (
 // decoded single-threaded before the storm starts: if a pooled plane or pixel
 // buffer were ever handed to two decodes at once, or returned to the pool
 // while still referenced, the comparison (or the race detector) catches it.
-// The fused decode→crop runs in the same storm against the unfused crop of
-// that reference: its tap tables and compact buffer are pooled too.
+// The fused decode→crop runs in the same storm against its own single-threaded
+// result: its tap tables and the planes under them are pooled too.
 func TestConcurrentCodecBitIdentical(t *testing.T) {
 	const nInputs = 4
 	type input struct {
 		data []byte
 		ref  *Image // plain (non-pooled) memory via Clone
 		rect Rect
-		crop *Image // CropResize(ref, rect, 48, 48), plain memory
+		crop *Image // DecodeCropResize(data, rect, 48, 48), plain memory
 	}
 	inputs := make([]input, nInputs)
 	for k := 0; k < nInputs; k++ {
@@ -36,7 +36,7 @@ func TestConcurrentCodecBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		rect := Rect{X: 3 * k, Y: 2 * k, W: 50 + 20*k, H: 60 - 8*k}
-		crop, err := CropResize(dec, rect, 48, 48)
+		crop, err := DecodeCropResize(data, rect, 48, 48)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"image/color"
 	"math/rand/v2"
 	"testing"
 
@@ -13,38 +14,16 @@ import (
 	"repro/internal/raceflag"
 )
 
-// refCropResize is the per-pixel bilinear loop Resize and cropResizeInto each
-// carried a copy of before both became blend over tap tables: every tap and
-// weight recomputed per output pixel, every source pixel read through
-// Image.offset. It exists only so blend has something other than itself to be
-// compared with.
+// refCropResize is a float64 bilinear resample of RGB pixels, the kernel
+// RandomResizedCrop ran before it resampled the decoded planes. The packed
+// crops TestPackedGoldenDigests pins (benchCrop) and Resize are written in
+// it, so their bytes do not move with the live kernel.
 func refCropResize(im *Image, rect Rect, w, h int) *Image {
 	out := MustNew(w, h)
-	xRatio := float64(rect.W) / float64(w)
-	yRatio := float64(rect.H) / float64(h)
 	for y := 0; y < h; y++ {
-		srcY := (float64(y)+0.5)*yRatio - 0.5
-		if srcY < 0 {
-			srcY = 0
-		}
-		y0 := int(srcY)
-		y1 := y0 + 1
-		if y1 >= rect.H {
-			y1 = rect.H - 1
-		}
-		fy := srcY - float64(y0)
+		y0, y1, fy := floatTap(y, rect.H, h)
 		for x := 0; x < w; x++ {
-			srcX := (float64(x)+0.5)*xRatio - 0.5
-			if srcX < 0 {
-				srcX = 0
-			}
-			x0 := int(srcX)
-			x1 := x0 + 1
-			if x1 >= rect.W {
-				x1 = rect.W - 1
-			}
-			fx := srcX - float64(x0)
-
+			x0, x1, fx := floatTap(x, rect.W, w)
 			o00 := im.offset(rect.X+x0, rect.Y+y0)
 			o10 := im.offset(rect.X+x1, rect.Y+y0)
 			o01 := im.offset(rect.X+x0, rect.Y+y1)
@@ -61,7 +40,66 @@ func refCropResize(im *Image, rect Rect, w, h int) *Image {
 	return out
 }
 
-// The grid the resample kernels are compared over: degenerate, odd and
+// floatTap is output i's taps among n source samples resampled to out, in
+// float64: it samples at ((i + 0.5)·n/out − 0.5), clamped at both edges, with
+// that position's fraction as the weight.
+func floatTap(i, n, out int) (lo, hi int, f float64) {
+	src := max((float64(i)+0.5)*float64(n)/float64(out)-0.5, 0)
+	lo = int(src)
+	return lo, min(lo+1, n-1), src - float64(lo)
+}
+
+// refResample is ycc.cropResize written out plainly, sharing none of its code
+// but dequant: each output pixel's taps and weights from their definition
+// (axis.fill), the four luma samples and the chroma sample under each
+// dequantized to 0–255, blended as the products of integer weights out of
+// weightOne, rounded half up, and converted by color.YCbCrToRGB. p must hold
+// plane values, as DecodePlanes leaves them.
+func refResample(p ycc, rect Rect, w, h int) *Image {
+	tap := func(i, n, out int) (lo, hi, f int) {
+		num := max((2*i+1)*n-out, 0)
+		lo = num / (2 * out)
+		return lo, min(lo+1, n-1), ((num-lo*2*out)*weightOne + out) / (2 * out)
+	}
+	return resampleWith(p, rect, w, h, func(i, n, out int) (int, int, float64) {
+		lo, hi, f := tap(i, n, out)
+		return lo, hi, float64(f)
+	}, func(v float64) uint8 { return uint8((int(v) + weightOne*weightOne/2) / (weightOne * weightOne)) }, weightOne)
+}
+
+// oracleResample is refResample in float64: floatTap's taps and unrounded
+// weights, each of Y, Cb and Cr rounded half up once blended, and the same
+// conversion. Where every weight is a multiple of 1/weightOne — an output
+// side of 128 — the kernel's integers are exact and the two agree everywhere.
+func oracleResample(p ycc, rect Rect, w, h int) *Image {
+	return resampleWith(p, rect, w, h, floatTap, func(v float64) uint8 { return uint8(v + 0.5) }, 1)
+}
+
+// resampleWith is the loop both references share: the taps from tap, weights
+// out of one, and round to turn a blend scaled by one² into a sample.
+func resampleWith(p ycc, rect Rect, w, h int, tap func(i, n, out int) (int, int, float64), round func(float64) uint8, one float64) *Image {
+	out := MustNew(w, h)
+	cw := (p.w + 1) / 2
+	for y := 0; y < h; y++ {
+		y0, y1, fy := tap(y, rect.H, h)
+		y0, y1 = y0+rect.Y, y1+rect.Y
+		for x := 0; x < w; x++ {
+			x0, x1, fx := tap(x, rect.W, w)
+			x0, x1 = x0+rect.X, x1+rect.X
+			blend := func(plane []uint8, stride int, shift uint, sub int) uint8 {
+				at := func(x, y int) float64 { return float64(dequant(plane[(y>>sub)*stride+x>>sub], shift)) }
+				top := at(x0, y0)*(one-fx) + at(x1, y0)*fx
+				bot := at(x0, y1)*(one-fx) + at(x1, y1)*fx
+				return round(top*(one-fy) + bot*fy)
+			}
+			r, g, b := color.YCbCrToRGB(blend(p.y, p.w, p.yShift, 0), blend(p.cb, cw, p.cShift, 1), blend(p.cr, cw, p.cShift, 1))
+			setPixel(out, x, y, r, g, b)
+		}
+	}
+	return out
+}
+
+// The grid the resample kernel is compared over: degenerate, odd and
 // photo-sized sources, and heights around SJPG's bands of 16 rows; the training crop sizes; and, per seed, one rect of
 // each relation to the output size.
 var (
@@ -79,13 +117,13 @@ func gridSeeds(w, h int) int {
 	return min(40, w*h)
 }
 
-// hurried: -short, or the race detector's ≈10× on every encode and blend.
+// hurried: -short, or the race detector's ≈10× on every encode and resample.
 func hurried() bool { return testing.Short() || raceflag.Enabled }
 
-// gridRect draws a rect inside w×h: exactly out×out where that fits (the
-// pure-copy path), smaller than out on both sides (every source pixel
-// reused), at least 2·out on both sides where that fits (sparse taps), or
-// anything at all.
+// gridRect draws a rect inside w×h: exactly out×out where that fits (every
+// weight 0), smaller than out on both sides (every source pixel reused), at
+// least 2·out on both sides where that fits (sparse taps), or anything at
+// all.
 func gridRect(rng *rand.Rand, w, h, out, kind int) Rect {
 	side := func(n int) int {
 		switch kind {
@@ -104,46 +142,6 @@ func gridRect(rng *rand.Rand, w, h, out, kind int) Rect {
 	return r
 }
 
-// TestBlendMatchesReference: CropResize and Resize, now one tap-table kernel,
-// produce the bytes of the loop they replaced — including where the crop is
-// the output size, which the reference interpolates with zero weights and the
-// kernel copies. Noise leaves a rounding difference no smooth region to
-// hide in.
-func TestBlendMatchesReference(t *testing.T) {
-	for _, dim := range gridDims {
-		w, h := dim[0], dim[1]
-		if hurried() && w*h > 333*251 {
-			continue
-		}
-		im := noiseImage(w, h, uint64(w*1000+h))
-		for _, out := range gridCrops {
-			for seed := 0; seed < gridSeeds(w, h); seed++ {
-				rng := rand.New(rand.NewPCG(uint64(seed), uint64(out)))
-				rect := gridRect(rng, w, h, out, seed%4)
-				ow, oh := out, out
-				if seed%8 >= 4 { // not only square outputs
-					ow, oh = 1+rng.IntN(out), 1+rng.IntN(out)
-				}
-				got, err := CropResize(im, rect, ow, oh)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !got.Equal(refCropResize(im, rect, ow, oh)) {
-					t.Fatalf("%dx%d: CropResize %+v to %dx%d differs from the reference loop", w, h, rect, ow, oh)
-				}
-				got.Release()
-			}
-			got, err := Resize(im, out, out/2+1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(refCropResize(im, Rect{W: w, H: h}, out, out/2+1)) {
-				t.Fatalf("%dx%d: Resize to %dx%d differs from the reference loop", w, h, out, out/2+1)
-			}
-		}
-	}
-}
-
 // decodePlanes is Decode's first step: every unit of every scan data holds.
 func decodePlanes(data []byte) (ycc, error) {
 	c, err := whole(data)
@@ -153,14 +151,15 @@ func decodePlanes(data []byte) (ycc, error) {
 	return c.decode(data, c.present, gridOf(c.w, c.h).all())
 }
 
-// fusedStream is one accepted stream with both of its decodes: the full image
-// (the unfused path's input) and the planes (the fused kernel's).
+// fusedStream is one accepted stream with both forms of its planes: as the
+// decode step leaves them (the fused kernel's input) and as values
+// (DecodePlanes's, the references' input).
 type fusedStream struct {
 	name    string
 	data    []byte // what the entry point under test is handed
 	scans   int    // L: 1, or MaxScans for the prefixes of a deep container
 	shallow bool   // a prefix short of every scan: the full container's planes under wider shifts
-	full    *Image
+	values  *Planes
 	plane   ycc // as the first decode step left them; crops read copies (planes)
 }
 
@@ -188,49 +187,42 @@ func fusedStreams(t *testing.T, im *Image, q int) []fusedStream {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := Decode(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plane, err := decodePlanes(one)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := []fusedStream{{name: name + "/L1", data: one, scans: 1, full: full, plane: plane}}
 	deep, err := EncodeProgressive(im, q, MaxScans)
 	if err != nil {
 		t.Fatal(err)
 	}
+	datas, names := [][]byte{one}, []string{name + "/L1"}
 	for k := 1; k <= MaxScans; k++ {
 		prefix, err := SlicePrefix(deep, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		full, err := Decode(prefix)
+		datas, names = append(datas, prefix), append(names, fmt.Sprintf("%s/L%d-k%d", name, MaxScans, k))
+	}
+	out := make([]fusedStream, len(datas))
+	for i, data := range datas {
+		values, err := DecodePlanes(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		plane, err := decodePlanes(prefix)
+		plane, err := decodePlanes(data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, fusedStream{name: fmt.Sprintf("%s/L%d-k%d", name, MaxScans, k), data: prefix, scans: MaxScans, shallow: k < MaxScans, full: full, plane: plane})
+		out[i] = fusedStream{name: names[i], data: data, scans: min(i, 1)*(MaxScans-1) + 1, shallow: i > 0 && i < MaxScans, values: values, plane: plane}
 	}
 	return out
 }
 
-func (s *fusedStream) release() {
-	s.full.Release()
-	s.plane.release()
-}
+func (s *fusedStream) release() { s.plane.release() }
 
-// TestDecodeCropResizeMatchesUnfused: the fused kernel equals
-// CropResize(Decode(...)) byte for byte over the whole grid — every geometry,
-// quantization band, scan depth, crop size and relation of crop to output —
-// and the two exported entry points reach that kernel. Shallow prefixes differ
-// from the full container only in the dequantization tables, so they draw
-// fewer rects.
-func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
+// TestDecodeCropResizeMatchesReference: the kernel equals refResample byte
+// for byte over the whole grid — every geometry, quantization band, scan
+// depth, crop size and relation of crop to output — from the planes as the
+// decode step leaves them, undone only where it reads, and the two exported
+// entry points reach it. Shallow prefixes differ from the full container only
+// in the dequantization tables, so they draw fewer rects.
+func TestDecodeCropResizeMatchesReference(t *testing.T) {
 	for _, dim := range gridDims {
 		w, h := dim[0], dim[1]
 		if hurried() && w*h > 333*251 {
@@ -245,29 +237,34 @@ func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
 				}
 				for _, out := range gridCrops {
 					for seed := 0; seed < seeds; seed++ {
-						rect := gridRect(rand.New(rand.NewPCG(uint64(seed), uint64(out))), w, h, out, seed%4)
-						want, err := CropResize(s.full, rect, out, out)
-						if err != nil {
-							t.Fatal(err)
+						rng := rand.New(rand.NewPCG(uint64(seed), uint64(out)))
+						rect := gridRect(rng, w, h, out, seed%4)
+						ow, oh := out, out
+						if seed%8 >= 4 { // not only square outputs
+							ow, oh = 1+rng.IntN(out), 1+rng.IntN(out)
 						}
+						want := refResample(s.values.p, rect, ow, oh)
 						plane := s.planes()
-						got, err := plane.cropResize(rect, out, out)
+						got, err := plane.cropResize(rect, ow, oh)
 						plane.release()
 						if err != nil {
-							t.Fatalf("%s: %+v to %d: %v", s.name, rect, out, err)
+							t.Fatalf("%s: %+v to %dx%d: %v", s.name, rect, ow, oh, err)
 						}
 						if !got.Equal(want) {
-							t.Fatalf("%s: fused crop %+v to %d differs from CropResize(Decode)", s.name, rect, out)
+							t.Fatalf("%s: crop %+v to %dx%d differs from the reference", s.name, rect, ow, oh)
 						}
-						if seed == 3 { // once per crop size through the exported entry point
-							entry, err := DecodeCropResize(s.data, rect, out, out)
+						if seed == 3 { // once per crop size through the exported entry points
+							entry, err := DecodeCropResize(s.data, rect, ow, oh)
 							if err != nil || !entry.Equal(want) {
-								t.Fatalf("%s: entry point: err %v, equal %v", s.name, err, err == nil && entry.Equal(want))
+								t.Fatalf("%s: DecodeCropResize: err %v, equal %v", s.name, err, err == nil && entry.Equal(want))
+							}
+							entry.Release()
+							if entry, err = s.values.CropResize(rect, ow, oh); err != nil || !entry.Equal(want) {
+								t.Fatalf("%s: Planes.CropResize: err %v, equal %v", s.name, err, err == nil && entry.Equal(want))
 							}
 							entry.Release()
 						}
 						got.Release()
-						want.Release()
 					}
 				}
 				s.release()
@@ -276,17 +273,100 @@ func TestDecodeCropResizeMatchesUnfused(t *testing.T) {
 	}
 }
 
+// TestBenchSetMatchesReference holds the kernel to refResample on the crops
+// the live tier takes — benchSet's objects and rects, at the output sides the
+// workloads train at.
+func TestBenchSetMatchesReference(t *testing.T) {
+	set, err := benchSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range set {
+		if hurried() && i%8 != 0 {
+			continue
+		}
+		pl, err := DecodePlanes(s.data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, out := range []int{96, 128, 224} {
+			got, err := DecodeCropResize(s.data, s.rect, out, out)
+			if err != nil || !got.Equal(refResample(pl.p, s.rect, out, out)) {
+				t.Fatalf("object %d: crop %+v to %d: err %v, or it differs from the reference", i, s.rect, out, err)
+			}
+			got.Release()
+		}
+	}
+}
+
+// TestResampleOracle: where every weight is a multiple of 1/weightOne (an
+// output side of 128) the kernel is the float64 oracle, value for value; at
+// 224 and 96, whose weights it rounds to 1/weightOne, at most 0.5 % of
+// benchSet's values differ, none by more than 3.
+func TestResampleOracle(t *testing.T) {
+	set, err := benchSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, out := range []int{128, 224, 96} {
+		differ, worst, total := 0, 0, 0
+		for i, s := range set {
+			if hurried() && i%8 != 0 {
+				continue
+			}
+			pl, err := DecodePlanes(s.data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := pl.CropResize(s.rect, out, out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k, v := range oracleResample(pl.p, s.rect, out, out).Pix {
+				if d := int(got.Pix[k]) - int(v); d != 0 {
+					differ, worst = differ+1, max(worst, d, -d)
+				}
+			}
+			total += len(got.Pix)
+			got.Release()
+		}
+		frac := float64(differ) / float64(total)
+		t.Logf("out %d: %.3f %% of %d values differ from the float64 oracle, by at most %d", out, 100*frac, total, worst)
+		if out == 128 && differ != 0 || worst > 3 || frac > 0.005 {
+			t.Errorf("out %d: %d of %d values differ from the oracle (%.3f %%), by up to %d", out, differ, total, 100*frac, worst)
+		}
+	}
+}
+
+// TestPackedCropCap: benchSet's 128² crops pack to a mean of at most
+// 18 657 B, what the RGB resample's crops packed to.
+func TestPackedCropCap(t *testing.T) {
+	crops, err := packSet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := 0
+	for _, c := range crops {
+		total += PackedSize(c)
+	}
+	mean := float64(total) / float64(len(crops))
+	t.Logf("mean packed 128² crop: %.0f B", mean)
+	if mean > 18657 {
+		t.Errorf("mean packed 128² crop %.0f B, over the RGB resample's 18 657", mean)
+	}
+}
+
 // TestDecodeCropResizeEdgeTaps: rects whose taps are only the first row, only
 // the last row of an odd height, only column 0, or reach the last column of
 // an odd width — where the column-0 chain and the running sums start and stop
 // — at one scan, and of a MaxScans-deep container at one scan (no refinement
 // bits) and at MaxScans (bits folded into each value restored, from every
-// alignment of a row to the bytes of the bit planes). Odd sides end in a
-// chroma sample that covers one pixel, not two. Rects also start and end on
-// each band edge's first and last rows and one row either side, or fill one
-// band; heights run under one band, one band, one row over, and two bands one
-// row short and one over, the one-scan ones each also as noise, whose luma
-// plane is stored.
+// alignment of a row to the bytes of the bit planes), against refResample
+// over planes undone everywhere. Odd sides end in a chroma sample that covers
+// one pixel, not two. Rects also start and end on each band edge's first and
+// last rows and one row either side, or fill one band; heights run under one
+// band, one band, one row over, and two bands one row short and one over, the
+// one-scan ones each also as noise, whose luma plane is stored.
 func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 	for _, dim := range [][2]int{{15, 17}, {333, 251}, {1, 9}, {9, 1}, {12, 15}, {12, 16}, {11, 31}, {13, 33}} {
 		w, h := dim[0], dim[1]
@@ -326,16 +406,12 @@ func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 				}
 				for _, rect := range rects {
 					for _, out := range []int{1, 3, 32} {
-						want, err := CropResize(s.full, rect, out, out)
-						if err != nil {
-							t.Fatal(err)
-						}
+						want := refResample(s.values.p, rect, out, out)
 						got, err := DecodeCropResize(s.data, rect, out, out)
 						if err != nil || !got.Equal(want) {
 							t.Fatalf("%s: crop %+v to %d: err %v, equal %v", s.name, rect, out, err, err == nil && got.Equal(want))
 						}
 						got.Release()
-						want.Release()
 					}
 				}
 				s.release()
@@ -344,14 +420,13 @@ func TestDecodeCropResizeEdgeTaps(t *testing.T) {
 	}
 }
 
-// decodeThenCropResize is the unfused path.
+// decodeThenCropResize is the unfused path: the planes, then a crop of them.
 func decodeThenCropResize(data []byte, rect Rect, w, h int) (*Image, error) {
-	im, err := Decode(data)
+	pl, err := DecodePlanes(data)
 	if err != nil {
 		return nil, err
 	}
-	defer im.Release()
-	return CropResize(im, rect, w, h)
+	return pl.CropResize(rect, w, h)
 }
 
 // over frames scans of three planes each, written as codePlanes writes a

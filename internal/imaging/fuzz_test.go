@@ -121,12 +121,13 @@ func FuzzDecode(f *testing.F) {
 }
 
 // FuzzDecodeCropResize: on any bytes, rect and output size the fused entry
-// point never panics and keeps its contract with Decode. Where Decode
-// accepts, it is CropResize(Decode(data), rect, out, out) — the same pixels,
-// or CropResize's error. A header, an index or a cut Decode refuses, it
-// refuses in Decode's words, and a rect CropResize refuses in CropResize's.
-// Where Decode refuses a scan or a band, it may succeed or refuse, but widened
-// to every row it refuses in Decode's words.
+// point never panics and keeps its contract with the planes path. Where
+// DecodePlanes accepts, it is Planes.CropResize(rect, out, out) — the same
+// pixels, or the same error. A header, an index or a cut Decode refuses, it
+// refuses in Decode's words, and a rect outside the image in
+// checkCropResize's. Where DecodePlanes refuses a scan or a band, it may
+// succeed or refuse, but widened to every row it refuses in DecodePlanes's
+// words.
 func FuzzDecodeCropResize(f *testing.F) {
 	corpus := decodeCorpus(f)
 	for _, scans := range []int{1, MaxScans} {
@@ -172,12 +173,11 @@ func FuzzDecodeCropResize(f *testing.F) {
 			}
 			return
 		}
-		full, decodeErr := Decode(data)
+		pl, decodeErr := DecodePlanes(data)
 		if decodeErr == nil {
-			defer full.Release()
-			want, wantErr := CropResize(full, rect, out, out)
+			want, wantErr := pl.CropResize(rect, out, out)
 			if wantErr != nil || err != nil || !got.Equal(want) {
-				t.Fatalf("crop %+v to %d: fused err %v, unfused %v, or pixels differ from CropResize(Decode)", rect, out, err, wantErr)
+				t.Fatalf("crop %+v to %d: fused err %v, from the planes %v, or the pixels differ", rect, out, err, wantErr)
 			}
 			want.Release()
 			return
@@ -189,6 +189,52 @@ func FuzzDecodeCropResize(f *testing.F) {
 		if wideErr == nil || wideErr.Error() != decodeErr.Error() {
 			wide.Release()
 			t.Fatalf("crop %+v widened to every row: err %v, want Decode's %v", rect, wideErr, decodeErr)
+		}
+	})
+}
+
+// FuzzDecodePlanes: on any bytes DecodePlanes never panics and either
+// refuses them, in Decode's words and the same words every time, or crops as
+// DecodeCropResize does — the same pixels or the same error — at the fuzzed
+// rect and output size and at the whole image to 1², 7² and 128².
+func FuzzDecodePlanes(f *testing.F) {
+	corpus := decodeCorpus(f)
+	corpus = append(corpus, handmadeSeeds()...)
+	header := bytes.Clone(corpus[2])
+	header[6] ^= 0x80 // a width over the cap
+	corpus = append(corpus, header)
+	for _, data := range corpus {
+		f.Add(data, 0, 0, 16, 12, 8)
+		f.Add(data, 5, 5, 3, 2, 32)
+		f.Add(data, 9, 0, 8, 12, 4)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, x, y, w, h, out int) {
+		if out > 256 {
+			return // the output is sized from out alone
+		}
+		pl, err := DecodePlanes(data)
+		if err != nil {
+			_, again := DecodePlanes(data)
+			_, decodeErr := Decode(data)
+			if again == nil || again.Error() != err.Error() || decodeErr == nil || decodeErr.Error() != err.Error() {
+				t.Fatalf("refused as %v, then as %v; Decode says %v", err, again, decodeErr)
+			}
+			return
+		}
+		sw, sh, _ := DecodeDims(data)
+		crops := []struct {
+			rect Rect
+			out  int
+		}{{Rect{X: x, Y: y, W: w, H: h}, out}, {Rect{W: sw, H: sh}, 1}, {Rect{W: sw, H: sh}, 7}, {Rect{W: sw, H: sh}, 128}}
+		for _, c := range crops {
+			got, err := pl.CropResize(c.rect, c.out, c.out)
+			want, wantErr := DecodeCropResize(data, c.rect, c.out, c.out)
+			if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() || err == nil && !got.Equal(want) {
+				t.Fatalf("crop %+v to %d: from the planes err %v, fused %v, or the pixels differ", c.rect, c.out, err, wantErr)
+			}
+			got.Release()
+			want.Release()
 		}
 	})
 }

@@ -1,9 +1,10 @@
 // Package imaging implements the pixel-level substrate for the preprocessing
-// pipeline: an interleaved RGB image type, geometric transforms
-// (crop/resize/flip), a synthetic photo generator, and SJPG — a real lossy
-// codec (YCbCr conversion, chroma subsampling, delta prediction, DEFLATE)
-// that stands in for JPEG so that raw sample sizes vary with image content
-// the way the paper's datasets do.
+// pipeline: an interleaved RGB image type and its flip, a synthetic photo
+// generator, SJPG — a real lossy codec (YCbCr conversion, chroma
+// subsampling, delta prediction, entropy-coded planes) that stands in for
+// JPEG so that raw sample sizes vary with image content the way the paper's
+// datasets do — its decoded planes (Planes), and the bilinear crop-resize
+// that resamples them to RGB.
 package imaging
 
 import (
@@ -46,7 +47,7 @@ func MustNew(w, h int) *Image {
 // newPooled allocates an image whose pixel buffer comes from the bufpool
 // arena. The caller owns the image; calling Release when done returns the
 // buffer to the pool. The pixels are NOT zeroed — callers must overwrite
-// every byte (Decode and CropResizeInto both do).
+// every byte (Decode and the crop-resize both do).
 func newPooled(w, h int) (*Image, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("%w: %dx%d", errBadDimensions, w, h)

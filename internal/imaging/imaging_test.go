@@ -199,15 +199,19 @@ func TestFlipHorizontalMovesPixels(t *testing.T) {
 
 func TestCropResize(t *testing.T) {
 	im, _ := Synthesize(SynthParams{W: 100, H: 80, Detail: 0.4, Seed: 4})
-	out, err := CropResize(im, Rect{X: 10, Y: 10, W: 50, H: 40}, 224, 224)
+	data, err := EncodeDefault(im)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := DecodeCropResize(data, Rect{X: 10, Y: 10, W: 50, H: 40}, 224, 224)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.W != 224 || out.H != 224 {
-		t.Fatalf("CropResize dims %dx%d", out.W, out.H)
+		t.Fatalf("DecodeCropResize dims %dx%d", out.W, out.H)
 	}
-	if _, err := CropResize(im, Rect{X: 90, Y: 0, W: 50, H: 40}, 10, 10); err == nil {
-		t.Fatal("CropResize accepted out-of-bounds rect")
+	if _, err := DecodeCropResize(data, Rect{X: 90, Y: 0, W: 50, H: 40}, 10, 10); err == nil {
+		t.Fatal("DecodeCropResize accepted out-of-bounds rect")
 	}
 }
 
@@ -452,15 +456,14 @@ func Crop(im *Image, rect Rect) (*Image, error) {
 	return out, nil
 }
 
-// Resize scales the image to w×h using bilinear interpolation. It matches
-// the sampling used by common DL preprocessing (align-corners=false).
+// Resize scales the image to w×h using bilinear interpolation of its RGB
+// pixels (refCropResize), with the sampling common DL preprocessing uses
+// (align-corners=false).
 func Resize(im *Image, w, h int) (*Image, error) {
 	if w <= 0 || h <= 0 {
 		return nil, fmt.Errorf("%w: resize to %dx%d", errBadDimensions, w, h)
 	}
-	out := MustNew(w, h)
-	cropResizeInto(im, Rect{W: im.W, H: im.H}, out)
-	return out, nil
+	return refCropResize(im, Rect{W: im.W, H: im.H}, w, h), nil
 }
 
 // FromPix wraps an existing pixel buffer. The buffer length must equal

@@ -495,8 +495,9 @@ func noiseImage(w, h int, seed uint64) *Image {
 	return im
 }
 
-// benchCrop is a crop as the live tier ships them: a decoded SJPG photo
-// resampled to side×side.
+// benchCrop is a crop as the live tier shipped them before it resampled the
+// decoded planes: a decoded SJPG photo resampled to side×side in RGB
+// (refCropResize), so that the pinned packed bytes stay the same.
 func benchCrop(t testing.TB, seed uint64, w, h, side int, detail float64) *Image {
 	t.Helper()
 	raw, err := EncodeDefault(synthFor(t, seed, w, h, detail))
@@ -507,11 +508,7 @@ func benchCrop(t testing.TB, seed uint64, w, h, side int, detail float64) *Image
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := CropResize(dec, Rect{X: w / 10, Y: h / 10, W: w * 3 / 5, H: h * 3 / 5}, side, side)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return refCropResize(dec, Rect{X: w / 10, Y: h / 10, W: w * 3 / 5, H: h * 3 / 5}, side, side)
 }
 
 // goldenCrops are the three crops whose packed bytes are pinned.

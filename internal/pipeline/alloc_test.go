@@ -72,7 +72,7 @@ func TestFullPipelineSteadyStateAllocs(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	// The per-sample path allocates two object headers (cropped image,
 	// tensor) and nothing else: the fused decode→crop builds no decoded
-	// image, and its tap tables and compact buffer are pooled.
+	// image, and its planes and tap tables are pooled.
 	if got := (after.TotalAlloc - before.TotalAlloc) / 21; got > 64<<10 { // AllocsPerRun runs 1 + 20 times
 		t.Fatalf("full pipeline allocates %d B/op at steady state, budget is 64 KiB (pre-pooling: ~3.4 MB)", got)
 	}

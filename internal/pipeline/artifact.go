@@ -1,6 +1,7 @@
 // Package pipeline implements the preprocessing-pipeline framework at the
 // heart of SOPHON's offloading model: typed intermediate artifacts with one
-// wire encoding each (so every stage has a measurable transfer size), the
+// wire encoding each (so every stage has a measurable transfer size) —
+// stored bytes, the decoded planes, an RGB image, a tensor — the
 // paper's five image-classification ops (Decode, RandomResizedCrop,
 // RandomHorizontalFlip, ToTensor, Normalize), deterministic per-op
 // augmentation seeding, and split execution — run a prefix of the ops on the
@@ -9,6 +10,7 @@
 package pipeline
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -20,11 +22,12 @@ import (
 // Kind identifies an artifact's payload type.
 type Kind uint8
 
-// Artifact kinds, in pipeline order.
+// Artifact kinds. In pipeline order: raw, planes, image, tensor.
 const (
 	KindRaw    Kind = 1 // encoded (SJPG) bytes, as stored
-	KindImage  Kind = 2 // decoded RGB pixels
+	KindImage  Kind = 2 // RGB pixels
 	KindTensor Kind = 3 // float32 CHW tensor
+	KindPlanes Kind = 4 // decoded Y/Cb/Cr planes (imaging.Planes)
 )
 
 // String names the kind.
@@ -36,17 +39,18 @@ func (k Kind) String() string {
 		return "image"
 	case KindTensor:
 		return "tensor"
+	case KindPlanes:
+		return "planes"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
 }
 
 // Artifact is the value flowing between pipeline ops. Exactly one payload
-// field is set, selected by Kind, except that a raw artifact may also carry
-// Planes, Raw decoded once (imaging.DecodePlanes), which the decode ops then
-// read instead of decoding Raw. Planes are borrowed like Raw, and never
-// encoded, sent or compared: only the storage node, which keeps them per
-// object, sets them.
+// field is set, selected by Kind. Raw and Planes payloads are immutable and
+// borrowed — a store or a cache may hold them, the storage node keeps each
+// offloaded object's planes for good — and never released; images and
+// tensors are owned.
 type Artifact struct {
 	Kind   Kind
 	Raw    []byte
@@ -63,6 +67,9 @@ var (
 
 // RawArtifact wraps encoded bytes.
 func RawArtifact(data []byte) Artifact { return Artifact{Kind: KindRaw, Raw: data} }
+
+// planesArtifact wraps decoded planes.
+func planesArtifact(pl *imaging.Planes) Artifact { return Artifact{Kind: KindPlanes, Planes: pl} }
 
 // imageArtifact wraps a decoded image.
 func imageArtifact(im *imaging.Image) Artifact { return Artifact{Kind: KindImage, Image: im} }
@@ -90,11 +97,15 @@ func TensorWireSize(c, h, w int) int { return 1 + tensor.MarshaledSize(c, h, w) 
 // quantity the paper's Figure 1a traces through the pipeline. For raw and
 // tensor artifacts it is exactly len(AppendEncode(nil)). For images it is
 // ImageWireSize, the in-memory charge; the packed encoding is about 0.37 of
-// it on photo-like crops and never more than EncodeBound.
+// it on photo-like crops and never more than EncodeBound. Decoded planes are
+// priced as the image they decode to, the law's decoded stage; they ship
+// half of it (planesWireSize).
 func (a Artifact) WireSize() int {
 	switch a.Kind {
 	case KindRaw:
 		return 1 + len(a.Raw)
+	case KindPlanes:
+		return ImageWireSize(a.Planes.Dims())
 	case KindImage:
 		return imageHeader + a.Image.ByteSize()
 	case KindTensor:
@@ -106,18 +117,27 @@ func (a Artifact) WireSize() int {
 
 // EncodeBound returns, in O(1), the most bytes AppendEncode can append: the
 // capacity that is never regrown. It is WireSize, plus for an image the one
-// byte per plane that marks pixels no code can shrink as stored.
+// byte per plane that marks pixels no code can shrink as stored; for planes
+// it is exactly what they encode to.
 func (a Artifact) EncodeBound() int {
-	if a.Kind == KindImage {
+	switch a.Kind {
+	case KindImage:
 		return a.WireSize() + imaging.Channels
+	case KindPlanes:
+		return planesWireSize(a.Planes.Dims())
 	}
 	return a.WireSize()
 }
 
+// planesWireSize returns the encoded size of the planes of a w×h image: the
+// kind byte, imaging.AppendPlanes's header and 1.5 B a pixel.
+func planesWireSize(w, h int) int { return 1 + imaging.PlanesSize(w, h) }
+
 // AppendEncode appends the artifact's serialization to dst and returns the
 // extended slice: a kind byte followed by the payload (raw bytes verbatim;
-// images as W,H plus the pixels packed losslessly by imaging.AppendPacked;
-// tensors via tensor.Marshal). When dst has EncodeBound() spare capacity the
+// planes by imaging.AppendPlanes, W, H and the shifts before them; images as
+// W,H plus the pixels packed losslessly by imaging.AppendPacked; tensors via
+// tensor.Marshal). When dst has EncodeBound() spare capacity the
 // call performs no allocation, which is how the storage executor encodes
 // into pooled buffers.
 func (a Artifact) AppendEncode(dst []byte) ([]byte, error) {
@@ -125,6 +145,8 @@ func (a Artifact) AppendEncode(dst []byte) ([]byte, error) {
 	case KindRaw:
 		dst = append(dst, byte(KindRaw))
 		return append(dst, a.Raw...), nil
+	case KindPlanes:
+		return imaging.AppendPlanes(append(dst, byte(KindPlanes)), a.Planes), nil
 	case KindImage:
 		im := a.Image
 		var hdr [imageHeader]byte
@@ -141,8 +163,9 @@ func (a Artifact) AppendEncode(dst []byte) ([]byte, error) {
 }
 
 // Release returns pooled payload buffers to the bufpool arena. Image and
-// tensor payloads are owned by whoever holds the artifact; raw payloads are
-// borrowed (they may alias the store or a cache) and are left untouched.
+// tensor payloads are owned by whoever holds the artifact; raw and planes
+// payloads are borrowed (they may alias the store or a cache) and are left
+// untouched.
 // Call at most once; the artifact must not be used afterwards.
 func (a Artifact) Release() {
 	switch a.Kind {
@@ -155,8 +178,8 @@ func (a Artifact) Release() {
 
 // DecodeArtifact parses an encoded artifact. Image and tensor payloads are
 // unpacked or copied into pool-backed buffers — the caller owns the result
-// (Release when done) and data is never aliased. Raw payloads are copied into
-// plain memory since raw artifacts are borrowed-by-convention and never
+// (Release when done) and data is never aliased. Raw and planes payloads are
+// copied into plain memory since they are borrowed-by-convention and never
 // released. Every rejection is errCorrupt, made before a buffer is sized from
 // anything the payload cannot back.
 func DecodeArtifact(data []byte) (Artifact, error) {
@@ -168,6 +191,12 @@ func DecodeArtifact(data []byte) (Artifact, error) {
 		raw := make([]byte, len(data)-1)
 		copy(raw, data[1:])
 		return RawArtifact(raw), nil
+	case KindPlanes:
+		pl, err := imaging.UnmarshalPlanes(data[1:])
+		if err != nil {
+			return Artifact{}, fmt.Errorf("%w: %v", errCorrupt, err)
+		}
+		return planesArtifact(pl), nil
 	case KindImage:
 		if len(data) < imageHeader {
 			return Artifact{}, fmt.Errorf("%w: short image header", errCorrupt)
@@ -197,15 +226,9 @@ func (a Artifact) Equal(b Artifact) bool {
 	}
 	switch a.Kind {
 	case KindRaw:
-		if len(a.Raw) != len(b.Raw) {
-			return false
-		}
-		for i := range a.Raw {
-			if a.Raw[i] != b.Raw[i] {
-				return false
-			}
-		}
-		return true
+		return bytes.Equal(a.Raw, b.Raw)
+	case KindPlanes:
+		return bytes.Equal(imaging.AppendPlanes(nil, a.Planes), imaging.AppendPlanes(nil, b.Planes))
 	case KindImage:
 		return a.Image.Equal(b.Image)
 	case KindTensor:

@@ -64,8 +64,8 @@ func TestConcurrentFusedKernelBitIdentical(t *testing.T) {
 }
 
 // TestConcurrentPipelineDeterministic runs the full pipeline (fused
-// decode→crop over pooled planes, tap tables and compact buffer, in-place
-// flip, pooled per-op rng, fused tensor tail) from many goroutines and checks
+// decode→crop over pooled planes and tap tables, in-place flip, pooled
+// per-op rng, fused tensor tail) from many goroutines and checks
 // that each (raw, seed) pair yields a tensor bit-identical to the one Trace —
 // op by op, fresh rng per op — produced single-threaded. This pins two
 // properties at once: pooled rng re-seeding reproduces the exact rand.NewPCG

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/imaging"
@@ -47,6 +48,11 @@ func FuzzDecodeArtifact(f *testing.F) {
 	if enc, err := tensorArtifact(tt).AppendEncode(nil); err == nil {
 		f.Add(enc)
 	}
+	good, bad := planesSeeds(f)
+	f.Add(good)
+	for _, d := range bad {
+		f.Add(d)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{99, 1, 2})
 
@@ -69,16 +75,64 @@ func FuzzDecodeArtifact(f *testing.F) {
 		if !a.Equal(b) {
 			t.Fatal("artifact changed across round trip")
 		}
-		// WireSize is exact, except for images: the unpacked size, which the
-		// packed encoding exceeds only by a stored plane's marker byte.
-		if a.Kind == KindImage {
+		// WireSize is exact, except for images — the unpacked size, which the
+		// packed encoding exceeds only by a stored plane's marker byte — and
+		// planes, which ship exactly their EncodeBound, half the law.
+		switch a.Kind {
+		case KindImage:
 			if len(enc) > a.EncodeBound() {
 				t.Fatalf("image encoded to %d bytes, bound %d", len(enc), a.EncodeBound())
 			}
-		} else if len(enc) != a.WireSize() {
-			t.Fatalf("WireSize %d != encoded %d", a.WireSize(), len(enc))
+		case KindPlanes:
+			if w, h := a.Planes.Dims(); len(enc) != a.EncodeBound() || a.WireSize() != ImageWireSize(w, h) {
+				t.Fatalf("planes encoded to %d bytes, bound %d, WireSize %d", len(enc), a.EncodeBound(), a.WireSize())
+			}
+		default:
+			if len(enc) != a.WireSize() {
+				t.Fatalf("WireSize %d != encoded %d", a.WireSize(), len(enc))
+			}
 		}
 	})
+}
+
+// planesSeeds is a 7×5 object's planes artifact, whole and damaged the ways
+// DecodeArtifact must refuse with errCorrupt: a length wrong for its W×H
+// (a byte over, the dims of another size), a shift out of range, and the
+// artifact cut short at every byte.
+func planesSeeds(tb testing.TB) (good []byte, bad map[string][]byte) {
+	im, err := imaging.Synthesize(imaging.SynthParams{W: 7, H: 5, Detail: 0.4, Seed: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := imaging.EncodeDefault(im)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pl, err := imaging.DecodePlanes(raw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	good, err = planesArtifact(pl).AppendEncode(nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	with := func(at int, v byte) []byte {
+		d := bytes.Clone(good)
+		d[at] = v
+		return d
+	}
+	bad = map[string][]byte{
+		"a byte over":       append(bytes.Clone(good), 0),
+		"dims of 8x5":       with(1, 8),
+		"dims of 7x6":       with(5, 6),
+		"zero width":        with(1, 0),
+		"luma shift 8":      with(9, 8),
+		"chroma shift 0xff": with(10, 0xff),
+	}
+	for cut := range len(good) {
+		bad[fmt.Sprintf("cut at %d", cut)] = good[:cut]
+	}
+	return good, bad
 }
 
 // FuzzProfileMatchesRun: the profiling kernel accepts exactly what Run

@@ -58,37 +58,32 @@ type op interface {
 	apply(a Artifact, rng *rand.Rand) (Artifact, error)
 }
 
-// decodeOp turns a stored SJPG container into a pixel image. A container
+// decodeOp turns a stored SJPG container into its decoded planes
+// (imaging.DecodePlanes), what RandomResizedCrop resamples. A container
 // decodes from however many scans are present, so a prefix a
 // reduced-fidelity fetch shipped flows through the same pipeline as a full
-// object — at lower fidelity, not as an error. A raw artifact that carries
-// Planes is dequantized from them, with nothing decoded.
+// object — at lower fidelity, not as an error.
 type decodeOp struct{}
 
 func (decodeOp) name() string  { return opDecode.String() }
 func (decodeOp) inKind() Kind  { return KindRaw }
-func (decodeOp) outKind() Kind { return KindImage }
+func (decodeOp) outKind() Kind { return KindPlanes }
 
 func (decodeOp) apply(a Artifact, _ *rand.Rand) (Artifact, error) {
 	if a.Kind != KindRaw {
 		return Artifact{}, fmt.Errorf("%w: Decode wants raw, got %s", errKindMismatch, a.Kind)
 	}
-	var im *imaging.Image
-	var err error
-	if a.Planes != nil {
-		im, err = a.Planes.Image()
-	} else {
-		im, err = imaging.Decode(a.Raw)
-	}
+	pl, err := imaging.DecodePlanes(a.Raw)
 	if err != nil {
 		return Artifact{}, fmt.Errorf("pipeline: decode: %w", err)
 	}
-	return imageArtifact(im), nil
+	return planesArtifact(pl), nil
 }
 
 // randomResizedCropOp reproduces torchvision's RandomResizedCrop: sample a
 // crop with area in scale×srcArea and aspect ratio in [3/4, 4/3] (10
-// attempts, then a clamped center-crop fallback), and resize to Size².
+// attempts, then a clamped center-crop fallback), and resize to Size² —
+// bilinearly, from the decoded planes (imaging.Planes.CropResize).
 type randomResizedCropOp struct {
 	Size     int
 	ScaleLo  float64
@@ -108,41 +103,34 @@ func newRandomResizedCrop(size int) randomResizedCropOp {
 }
 
 func (randomResizedCropOp) name() string  { return opRandomResizedCrop.String() }
-func (randomResizedCropOp) inKind() Kind  { return KindImage }
+func (randomResizedCropOp) inKind() Kind  { return KindPlanes }
 func (randomResizedCropOp) outKind() Kind { return KindImage }
 
 func (op randomResizedCropOp) apply(a Artifact, rng *rand.Rand) (Artifact, error) {
-	if a.Kind != KindImage {
-		return Artifact{}, fmt.Errorf("%w: RandomResizedCrop wants image, got %s", errKindMismatch, a.Kind)
+	if a.Kind != KindPlanes {
+		return Artifact{}, fmt.Errorf("%w: RandomResizedCrop wants planes, got %s", errKindMismatch, a.Kind)
 	}
-	im := a.Image
-	rect := op.sampleRect(im.W, im.H, rng)
-	out, err := imaging.CropResize(im, rect, op.Size, op.Size)
+	w, h := a.Planes.Dims()
+	out, err := a.Planes.CropResize(op.sampleRect(w, h, rng), op.Size, op.Size)
 	if err != nil {
 		return Artifact{}, fmt.Errorf("pipeline: random resized crop: %w", err)
 	}
-	im.Release()
 	return imageArtifact(out), nil
 }
 
 // decodeCrop is decodeOp then op on the same raw sample, as one imaging kernel
-// that never builds the full image — from a's Planes where it carries them,
-// else decoding only the units the crop reads; decoded is the ImageWireSize
-// that image would have had. The rect is sampled from the header's dimensions
-// — the ones the decoded image would have — with op's own rng stream, so it is
-// the rect apply would have drawn. A failure is the stream's: sampleRect only
-// returns rects inside w×h.
+// that never builds the planes of the whole image, decoding only the units the
+// crop reads (imaging.DecodeCropResize); decoded is the law size, the
+// ImageWireSize, of the stage it skips. The rect is sampled from the header's
+// dimensions — the planes' — with op's own rng stream, so it is the rect apply
+// would have drawn. A failure is the stream's: sampleRect only returns rects
+// inside w×h.
 func (op randomResizedCropOp) decodeCrop(a Artifact, rng *rand.Rand) (im *imaging.Image, decoded int, err error) {
 	w, h, err := imaging.DecodeDims(a.Raw)
 	if err != nil {
 		return nil, 0, fmt.Errorf("pipeline: decode: %w", err)
 	}
-	rect := op.sampleRect(w, h, rng)
-	if a.Planes != nil {
-		im, err = a.Planes.CropResize(rect, op.Size, op.Size)
-	} else {
-		im, err = imaging.DecodeCropResize(a.Raw, rect, op.Size, op.Size)
-	}
+	im, err = imaging.DecodeCropResize(a.Raw, op.sampleRect(w, h, rng), op.Size, op.Size)
 	if err != nil {
 		return nil, 0, fmt.Errorf("pipeline: decode: %w", err)
 	}

@@ -123,8 +123,11 @@ func (p *Pipeline) CutBound(w, h, split int) int {
 			w, h = c.Size, c.Size
 		}
 	}
-	if p.ops[split-1].outKind() == KindTensor {
+	switch p.ops[split-1].outKind() {
+	case KindTensor:
 		return TensorWireSize(imaging.Channels, h, w)
+	case KindPlanes:
+		return planesWireSize(w, h)
 	}
 	return ImageWireSize(w, h) + imaging.Channels
 }
@@ -190,11 +193,11 @@ func (p *Pipeline) RunRange(a Artifact, from, to int, seed Seed) (Artifact, erro
 
 // step applies op i to cur, or ops i and i+1 as one kernel when both lie
 // below to and form a fused pair: Decode+RandomResizedCrop on a raw artifact
-// dequantizes only the pixels the crop samples (randomResizedCropOp.decodeCrop),
+// decodes only the units the crop reads (randomResizedCropOp.decodeCrop),
 // and ToTensor+Normalize is a single pass (tensor.FromImageNormalized; both
 // ops ignore their rng). skipped is 0 when op i ran alone; after a pair it is
-// the law size of the stage the pair never built — the decoded image's
-// ImageWireSize, the un-normalised tensor's TensorWireSize.
+// the law size of the stage the pair never built — the planes' (the decoded
+// image's ImageWireSize), the un-normalised tensor's TensorWireSize.
 func (p *Pipeline) step(cur Artifact, i, to int, h *rngHolder, seed Seed) (next Artifact, skipped int, err error) {
 	if i+1 < to {
 		switch second := p.ops[i+1].(type) {
@@ -308,9 +311,9 @@ func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 // step and recording the sizes after every stage it builds, as Trace sizes
 // them and outside the timings. A stage inside a fused pair is never built:
 // it gets its law size as both Sizes and Shipped — exact for the
-// un-normalised tensor, an unpacked upper price for the decoded image — and
-// the pair's time goes on its first op, its second reading 0. PrefixTime is
-// thus exact at every cut outside a pair.
+// un-normalised tensor, for the planes the decoded image's size, about twice
+// what they ship — and the pair's time goes on its first op, its second
+// reading 0. PrefixTime is thus exact at every cut outside a pair.
 func (p *Pipeline) Profile(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 	trace := StageTrace{
 		Sizes:   make([]int, len(p.ops)+1),
@@ -343,10 +346,14 @@ func (p *Pipeline) Profile(raw []byte, seed Seed) (Artifact, StageTrace, error) 
 
 // shippedSize returns len(a.AppendEncode(nil)) without encoding. Only the image
 // encoding depends on content, and its size is known from the histograms of
-// what it would code; the others are their WireSize.
+// what it would code; the planes' is their EncodeBound, the others' their
+// WireSize.
 func shippedSize(a Artifact) int {
-	if a.Kind != KindImage {
-		return a.WireSize()
+	switch a.Kind {
+	case KindImage:
+		return imageHeader + imaging.PackedSize(a.Image)
+	case KindPlanes:
+		return a.EncodeBound()
 	}
-	return imageHeader + imaging.PackedSize(a.Image)
+	return a.WireSize()
 }

@@ -71,6 +71,53 @@ func TestArtifactEncodeDecodeImage(t *testing.T) {
 	}
 }
 
+// TestArtifactEncodeDecodePlanes: the decoded stage travels as its planes —
+// kind, W, H, the two shifts, then 1.5 B a pixel — priced at the law's
+// decoded image, and the trainer's crop of the planes it receives is the
+// server's.
+func TestArtifactEncodeDecodePlanes(t *testing.T) {
+	raw := encodeSample(t, 13, 7, 0.5, 1)
+	p := Standard(StandardOptions{CropSize: 16, FlipP: -1})
+	seed := Seed{Job: 1, Epoch: 2, Sample: 3}
+	a, err := p.RunRange(RawArtifact(raw), 0, 1, seed)
+	if err != nil || a.Kind != KindPlanes {
+		t.Fatalf("the decode made %v, %v", a.Kind, err)
+	}
+	enc, err := a.AppendEncode(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.WireSize() != ImageWireSize(13, 7) || len(enc) != a.EncodeBound() || len(enc) != 1+10+13*7+2*7*4 {
+		t.Fatalf("encoded %d bytes, bound %d, WireSize %d", len(enc), a.EncodeBound(), a.WireSize())
+	}
+	if Kind(enc[0]) != KindPlanes || binary.LittleEndian.Uint32(enc[1:5]) != 13 || binary.LittleEndian.Uint32(enc[5:9]) != 7 {
+		t.Fatalf("planes header % x", enc[:11])
+	}
+	if p.CutBound(13, 7, 1) != len(enc) {
+		t.Fatalf("CutBound at 1 is %d, the planes encode to %d", p.CutBound(13, 7, 1), len(enc))
+	}
+	got, err := DecodeArtifact(enc)
+	if err != nil || !got.Equal(a) {
+		t.Fatalf("planes round trip: %v", err)
+	}
+	want, err := p.Run(raw, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err := p.RunRange(got, 1, p.Len(), seed); err != nil || !out.Equal(want) {
+		t.Fatalf("the received planes finish to another tensor: %v", err)
+	}
+	if _, bad := planesSeeds(t); len(bad) == 0 {
+		t.Fatal("no damaged planes")
+	} else {
+		for name, d := range bad {
+			if _, err := DecodeArtifact(d); !errors.Is(err, errCorrupt) {
+				t.Errorf("planes %s: %v, want errCorrupt", name, err)
+			}
+		}
+	}
+}
+
 // Property: the image wire form is lossless at any geometry — 1×1, single
 // rows and columns, odd widths — and on any content, from one colour to
 // noise, which Huffman coding cannot shrink and the encoder stores.
@@ -266,7 +313,10 @@ func TestNewValidatesChaining(t *testing.T) {
 	if _, err := newPipeline(decodeOp{}, decodeOp{}); err == nil {
 		t.Fatal("kind-mismatched chain accepted")
 	}
-	if _, err := newPipeline(decodeOp{}, toTensorOp{}, normalizeOp{Mean: tensor.ImageNetMean, Std: tensor.ImageNetStd}); err != nil {
+	if _, err := newPipeline(decodeOp{}, toTensorOp{}); err == nil {
+		t.Fatal("planes handed to an image consumer accepted")
+	}
+	if _, err := newPipeline(decodeOp{}, newRandomResizedCrop(32), toTensorOp{}, normalizeOp{Mean: tensor.ImageNetMean, Std: tensor.ImageNetStd}); err != nil {
 		t.Fatalf("valid chain rejected: %v", err)
 	}
 }
@@ -539,7 +589,8 @@ func TestFusedPrefixRejectsWhatDecodeRejects(t *testing.T) {
 // TestProfileMatchesTrace: the profiling kernel runs the fused path, yet
 // returns Trace's artifact bit for bit and Trace's Sizes at every stage, over
 // benchSet-shaped containers of one scan and of MaxScans, the 128 and 224
-// crops, a pure-crop rect and a pipeline with no fusable pair. Outside a
+// crops, a pure-crop rect and a pipeline with no fusable pair, the decode
+// alone. Outside a
 // fused pair it ships what Trace ships; inside one (stages 1 and 4 of the
 // standard pipeline) it ships the law size, which bounds Trace's packing, and
 // the pair's second op reads 0. A corrupt object fails both the same way.
@@ -548,7 +599,7 @@ func TestProfileMatchesTrace(t *testing.T) {
 	if testing.Short() || raceflag.Enabled {
 		objects, seeds = 2, 2
 	}
-	noPair, err := newPipeline(decodeOp{}, randomHorizontalFlipOp{P: 0.5}, newRandomResizedCrop(96), toTensorOp{})
+	noPair, err := newPipeline(decodeOp{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -907,7 +958,7 @@ func TestRowSlicedFetchFinishesLikeThePrefix(t *testing.T) {
 // Decode+RandomResizedCrop pair, and only for a header it can read.
 func TestCropRectNeedsTheFusedPair(t *testing.T) {
 	raw := encodeSample(t, 40, 50, 0.5, 1)
-	decodeOnly, err := newPipeline(decodeOp{}, toTensorOp{})
+	decodeOnly, err := newPipeline(decodeOp{})
 	if err != nil {
 		t.Fatal(err)
 	}

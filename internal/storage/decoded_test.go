@@ -75,7 +75,7 @@ func TestServerCropsFromDecodedPlanes(t *testing.T) {
 			t.Errorf("%d cores: %d whole decodes of %d objects offloaded 9 times each, want one each", cores, got, n)
 		}
 		for s := range n {
-			if st.slot(uint32(s)).planes == nil {
+			if st.slot(uint32(s)).planes.Planes == nil {
 				t.Errorf("%d cores: sample %d has no decoded planes", cores, s)
 			}
 		}
@@ -132,15 +132,15 @@ func TestRawFetchesFillNoPlanes(t *testing.T) {
 		t.Fatalf("raw fetches decoded %d objects whole into %d plane bytes", got, pb)
 	}
 	for s := range n {
-		if st.slot(uint32(s)).planes != nil {
+		if st.slot(uint32(s)).planes.Planes != nil {
 			t.Fatalf("a raw fetch filled sample %d's planes", s)
 		}
 	}
 	if _, err := FetchOne(context.Background(), c, 2, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.exec.wholeDecodes.Load(); got != 1 || st.slot(2).planes == nil {
-		t.Fatalf("after one offload: %d whole decodes, planes %v", got, st.slot(2).planes != nil)
+	if got := srv.exec.wholeDecodes.Load(); got != 1 || st.slot(2).planes.Planes == nil {
+		t.Fatalf("after one offload: %d whole decodes, planes %v", got, st.slot(2).planes.Planes != nil)
 	}
 }
 
@@ -212,7 +212,7 @@ func TestCorruptUnitServesThroughCropDecode(t *testing.T) {
 	if r, err := FetchOne(context.Background(), c, id, 1, epoch); err == nil && r.Err == nil {
 		t.Fatal("cut 1 of an object Decode refuses was served")
 	}
-	if got := srv.exec.wholeDecodes.Load(); got != 1 || st.slot(id).planes != nil {
-		t.Fatalf("%d whole decodes, planes cached %v: want one failed decode, nothing cached", got, st.slot(id).planes != nil)
+	if got := srv.exec.wholeDecodes.Load(); got != 1 || st.slot(id).planes.Planes != nil {
+		t.Fatalf("%d whole decodes, planes cached %v: want one failed decode, nothing cached", got, st.slot(id).planes.Planes != nil)
 	}
 }

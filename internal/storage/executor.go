@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
-	"repro/internal/imaging"
 	"repro/internal/pipeline"
 )
 
@@ -19,10 +18,11 @@ import (
 // compute node (the paper's future-work heterogeneous-CPU scenario) by
 // stretching each op's occupancy.
 //
-// A prefix the server runs on a stored object reads the object's decoded
-// planes from its store slot: the object's first offload decodes it whole
-// into the slot, on the core and in CPUNanos, and every later one crops from
-// the planes with nothing left to decode.
+// A prefix the server runs on a stored object starts from the object's
+// decoded stage, the planes artifact op 0 makes of it, in its store slot: the
+// object's first offload decodes it whole into the slot, on the core and in
+// CPUNanos, and every later one runs ops [1, split) on the planes with
+// nothing left to decode — a cut after the decode ships them as they lie.
 type Executor struct {
 	pipe     *pipeline.Pipeline
 	sem      chan struct{}
@@ -68,9 +68,9 @@ func (e *Executor) cores() int {
 }
 
 // runPrefix executes ops [0, split) on raw bytes, holding one core for the
-// duration, from the decoded planes in sl when raw is a stored object whose
-// slot sl is (nil: decoding raw). split == 0 returns the raw artifact
-// without touching the core budget.
+// duration: ops [1, split) on the decoded planes in sl when raw is a stored
+// object whose slot sl is (nil: every op on raw). split == 0 returns the raw
+// artifact without touching the core budget.
 func (e *Executor) runPrefix(raw []byte, sl *planeSlot, split int, seed pipeline.Seed) (pipeline.Artifact, error) {
 	if split < 0 || split > e.pipe.Len() {
 		return pipeline.Artifact{}, fmt.Errorf("%w: split %d of %d ops", pipeline.ErrBadSplit, split, e.pipe.Len())
@@ -85,11 +85,13 @@ func (e *Executor) runPrefix(raw []byte, sl *planeSlot, split int, seed pipeline
 	defer func() { <-e.sem }()
 
 	start := time.Now()
-	src := pipeline.RawArtifact(raw)
+	src, from := pipeline.RawArtifact(raw), 0
 	if sl != nil {
-		src.Planes = e.planes(sl, raw)
+		if planes, ok := e.planes(sl, raw, seed); ok {
+			src, from = planes, 1
+		}
 	}
-	art, err := e.pipe.RunRange(src, 0, split, seed)
+	art, err := e.pipe.RunRange(src, from, split, seed)
 	elapsed := time.Since(start)
 	if e.slowdown > 1 {
 		// Occupy the core for the extra time a slower CPU would need.
@@ -105,20 +107,21 @@ func (e *Executor) runPrefix(raw []byte, sl *planeSlot, split int, seed pipeline
 	return art, nil
 }
 
-// planes returns the decoded planes in sl, decoding raw, the object whose
-// slot sl is, into it on the slot's first use; a caller that comes meanwhile
-// waits for that decode. A whole decode that fails leaves the slot empty for
-// good, and the prefix decodes raw as it would with no slot, failing only
-// where that fails: a crop need not read the faulty unit.
-func (e *Executor) planes(sl *planeSlot, raw []byte) *imaging.Planes {
+// planes returns the planes artifact in sl, running op 0, the decode, on raw,
+// the object whose slot sl is, into it on the slot's first use; a caller that
+// comes meanwhile waits for that decode. A whole decode that fails leaves the
+// slot empty for good (ok false), and the prefix runs on raw as it would with
+// no slot, failing only where that fails: a crop need not read the faulty
+// unit.
+func (e *Executor) planes(sl *planeSlot, raw []byte, seed pipeline.Seed) (planes pipeline.Artifact, ok bool) {
 	sl.once.Do(func() {
 		e.wholeDecodes.Add(1)
-		sl.planes, _ = imaging.DecodePlanes(raw) // nil on a fault: the crop decodes raw
-		if sl.planes != nil {
-			e.counters.PlaneBytes.Add(uint64(sl.planes.Bytes()))
+		if art, err := e.pipe.RunRange(pipeline.RawArtifact(raw), 0, 1, seed); err == nil {
+			sl.planes = art
+			e.counters.PlaneBytes.Add(uint64(art.Planes.Bytes()))
 		}
 	})
-	return sl.planes
+	return sl.planes, sl.planes.Planes != nil
 }
 
 // RunPrefixEncoded runs ops [0, split) on raw and encodes the result
@@ -127,13 +130,12 @@ func (e *Executor) planes(sl *planeSlot, raw []byte) *imaging.Planes {
 // allocation-free at steady state. The caller owns the encoded bytes and
 // returns them with bufpool.PutBytes — the server's writer goroutine does so
 // via wire.Recycle once the frame is on the wire. It decodes raw on every
-// call; the server's prefixes read the store's decoded planes instead.
+// call; the server's prefixes start from the store's decoded planes instead.
 func (e *Executor) RunPrefixEncoded(raw []byte, split int, seed pipeline.Seed) ([]byte, error) {
 	return e.runPrefixEncoded(raw, nil, split, seed)
 }
 
-// runPrefixEncoded is RunPrefixEncoded from the decoded planes in sl, as
-// runPrefix.
+// runPrefixEncoded is RunPrefixEncoded from the planes in sl, as runPrefix.
 func (e *Executor) runPrefixEncoded(raw []byte, sl *planeSlot, split int, seed pipeline.Seed) ([]byte, error) {
 	art, err := e.runPrefix(raw, sl, split, seed)
 	if err != nil {

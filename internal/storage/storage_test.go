@@ -127,6 +127,13 @@ func TestExecutorRunPrefix(t *testing.T) {
 	if err != nil || art.Kind != pipeline.KindRaw {
 		t.Fatalf("split 0: %v kind=%v", err, art.Kind)
 	}
+	art, err = e.runPrefix(raw, nil, 1, seed)
+	if err != nil || art.Kind != pipeline.KindPlanes {
+		t.Fatalf("split 1: %v kind=%v", err, art.Kind)
+	}
+	if w, h := art.Planes.Dims(); art.WireSize() != pipeline.ImageWireSize(w, h) {
+		t.Fatalf("split 1 priced %d B, not the law's decoded %dx%d image", art.WireSize(), w, h)
+	}
 	art, err = e.runPrefix(raw, nil, 2, seed)
 	if err != nil || art.Kind != pipeline.KindImage {
 		t.Fatalf("split 2: %v kind=%v", err, art.Kind)
@@ -136,13 +143,13 @@ func TestExecutorRunPrefix(t *testing.T) {
 	}
 	// The prefix ran Decode+RandomResizedCrop as one kernel; it still counts
 	// the ops of the plan, not the kernels.
-	if counters.OpsExecuted.Load() != 2 {
+	if counters.OpsExecuted.Load() != 3 {
 		t.Fatalf("ops executed = %d", counters.OpsExecuted.Load())
 	}
 	if art, err = e.runPrefix(raw, nil, p.Len(), seed); err != nil || art.Kind != pipeline.KindTensor {
 		t.Fatalf("split %d: %v kind=%v", p.Len(), err, art.Kind)
 	}
-	if got, want := counters.OpsExecuted.Load(), uint64(2+p.Len()); got != want {
+	if got, want := counters.OpsExecuted.Load(), uint64(3+p.Len()); got != want {
 		t.Fatalf("ops executed = %d after a full prefix, want %d", got, want)
 	}
 	if counters.CPUNanos.Load() == 0 {
@@ -209,7 +216,8 @@ func TestServerConfigValidation(t *testing.T) {
 
 // TestFetchAllSplitsMatchLocal is the networked version of the
 // split-equivalence invariant: every split fetched over the wire, finished
-// locally, matches a fully local run.
+// locally, matches a fully local run. Cut 1 is fetched first, decoding a cold
+// object into its store slot, and again last, served from the filled slot.
 func TestFetchAllSplitsMatchLocal(t *testing.T) {
 	set := testImageSet(t, 3)
 	st, err := FromImageSet(set)
@@ -217,7 +225,7 @@ func TestFetchAllSplitsMatchLocal(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := pipeline.DefaultStandard()
-	_, dial := startServer(t, ServerConfig{Store: st, Pipeline: p, Cores: 4})
+	srv, dial := startServer(t, ServerConfig{Store: st, Pipeline: p, Cores: 4})
 	c := dial()
 
 	want := Tier{Samples: 3, Pipeline: p.Fingerprint(), Cores: 4, Slowdown: 1, Shards: 1}
@@ -233,7 +241,7 @@ func TestFetchAllSplitsMatchLocal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for split := 0; split <= p.Len(); split++ {
+		for _, split := range []int{0, 1, 2, 3, 4, 5, 1} {
 			res, err := FetchOne(context.Background(), c, sample, split, epoch)
 			if err != nil {
 				t.Fatalf("fetch sample=%d split=%d: %v", sample, split, err)
@@ -245,10 +253,13 @@ func TestFetchAllSplitsMatchLocal(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("sample=%d split=%d differs from local run", sample, split)
 			}
-			if res.WireBytes <= res.Artifact.WireSize() {
-				t.Fatalf("wire bytes %d not > artifact %d", res.WireBytes, res.Artifact.WireSize())
+			if enc, _ := res.Artifact.AppendEncode(nil); res.WireBytes <= len(enc) {
+				t.Fatalf("wire bytes %d not > artifact %d", res.WireBytes, len(enc))
 			}
 		}
+	}
+	if got := srv.exec.wholeDecodes.Load(); got != 3 {
+		t.Fatalf("%d whole decodes of 3 objects, want one each", got)
 	}
 }
 
@@ -524,7 +535,7 @@ func TestServerOverShapedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Artifact.Kind != pipeline.KindImage {
+	if res.Artifact.Kind != pipeline.KindPlanes {
 		t.Fatalf("shaped fetch returned %s", res.Artifact.Kind)
 	}
 }

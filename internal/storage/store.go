@@ -12,7 +12,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/dataset"
-	"repro/internal/imaging"
+	"repro/internal/pipeline"
 )
 
 // Store is an in-memory object store: sample ID → stored bytes, immutable
@@ -20,11 +20,11 @@ import (
 // sample ID space of a dataset but holds objects for only a subset — the
 // shape of one shard of a sharded storage tier.
 //
-// Beside each object it keeps one slot for the object's decoded form, filled
-// once, the first time an offloaded prefix runs on the object, and never
-// evicted: every epoch offloads the same objects again, and cropping from
-// decoded planes skips the entropy decode and the prediction undo, about
-// half of a prefix's CPU. The slots
+// Beside each object it keeps one slot for the object's decoded stage, the
+// planes artifact the pipeline's decode makes of it, filled once, the first
+// time an offloaded prefix runs on the object, and never evicted: every epoch
+// offloads the same objects again, and cropping from decoded planes skips the
+// entropy decode and the prediction undo. The slots
 // hold 1.5 B a pixel of each object the plans offload, about 2.3× its SJPG
 // bytes; objects only ever fetched raw cost nothing.
 type Store struct {
@@ -37,11 +37,11 @@ type Store struct {
 	shard, shards int
 }
 
-// planeSlot holds an object's decoded planes once Executor.planes has filled
-// it; planes stays nil if that whole decode failed.
+// planeSlot holds an object's planes artifact once Executor.planes has filled
+// it; it stays the zero Artifact if that whole decode failed.
 type planeSlot struct {
 	once   sync.Once
-	planes *imaging.Planes
+	planes pipeline.Artifact
 }
 
 // errNotFound reports a missing object.

@@ -390,6 +390,7 @@ var exportKeeps = map[string]keep{
 	"repro/internal/imaging.ErrUnsupported":  {keepSeam, "repro/internal/pipeline.TestFusedPrefixRejectsWhatDecodeRejects"},
 	"repro/internal/imaging.ErrTruncated":    {keepSeam, "repro/internal/pipeline.TestFusedPrefixRejectsWhatDecodeRejects"},
 	"repro/internal/pipeline.KindImage":      {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
+	"repro/internal/pipeline.KindPlanes":     {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
 	"repro/internal/storage.ErrClientClosed": {keepSeam, "repro/internal/cluster.TestDialShardedClosesOnFailure"},
 	"repro/internal/wire.ErrChecksum":        {keepSeam, "repro/internal/chaos.TestConnCorruptionCaughtByChecksum"},
 }
