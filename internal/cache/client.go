@@ -147,7 +147,7 @@ func ApplyToTrace(tr *dataset.Trace, capacityBytes int64, seed uint64) (*dataset
 			continue
 		}
 		used += size
-		out.Records[idx].StageSizes[0] = 1
+		out.Records[idx].StageSizes[0], out.Records[idx].Sliced = 1, 0
 		resident++
 	}
 	return out, resident

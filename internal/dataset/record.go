@@ -31,6 +31,9 @@ type Record struct {
 	Height     int   // decoded height in pixels
 	StageSizes [StageCount]int64
 	OpTimes    [OpCount]time.Duration
+	// Sliced is what a raw fetch of only its crop's units ships on average,
+	// as a measured trace records it; 0 (a generated trace) is StageSizes[0].
+	Sliced int64
 }
 
 // MinStage returns the stage index with the smallest wire size, preferring

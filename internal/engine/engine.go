@@ -431,10 +431,15 @@ func (j *job) step() {
 
 	// The plan prices the sample (policy.Plan.ShippedBytes, the planner's
 	// own rule): artifact is its cut at full fidelity, bytes what the link
-	// carries, both with framing.
+	// carries, both with framing; a raw one at its record's Sliced, which the
+	// planner does not read yet (ROADMAP item 15).
 	artifact := j.cfg.Plan.ShippedBytes(j.cfg.Trace, id, nil)
+	bytes := j.cfg.Plan.ShippedBytes(j.cfg.Trace, id, j.cfg.Fidelity)
+	if split == 0 && rec.Sliced > 0 {
+		artifact, bytes = rec.Sliced, bytes*rec.Sliced/artifact
+	}
 	full := artifact + defaultRequestOverhead
-	bytes := j.cfg.Plan.ShippedBytes(j.cfg.Trace, id, j.cfg.Fidelity) + defaultRequestOverhead
+	bytes += defaultRequestOverhead
 	key := cacheKey{dataset: j.dataset, sample: uint32(id), cut: uint8(split)}
 	shared := t.cacheCap > 0 && j.dataset != 0
 	if shared && t.resident[key] {

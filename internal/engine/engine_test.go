@@ -115,6 +115,36 @@ func TestTrafficConservation(t *testing.T) {
 	}
 }
 
+// TestRawPricedAsSliced: a raw sample whose measured record carries Sliced
+// ships that many bytes, as a live raw fetch that asks for its crop's rows
+// does; an offloaded one and a generated record (Sliced 0) ship their stage.
+func TestRawPricedAsSliced(t *testing.T) {
+	tr := openImages(t, 40)
+	plan := noOffPlan(t, tr)
+	plan.Splits[1] = 2
+	want := int64(tr.N() * defaultRequestOverhead)
+	for i := range tr.Records {
+		r := &tr.Records[i]
+		switch {
+		case i == 1:
+			r.Sliced = 7 // never read: the sample is offloaded
+			want += r.StageSizes[2]
+		case i%2 == 0:
+			r.Sliced = r.StageSizes[0] / 3
+			want += r.Sliced
+		default:
+			want += r.StageSizes[0]
+		}
+	}
+	res, err := Run(Config{Trace: tr, Plan: plan, Env: env(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.TrafficBytes != want {
+		t.Fatalf("traffic %d, want %d", res.TrafficBytes, want)
+	}
+}
+
 // TestEpochTimeTracksLinkWhenIOBound: for the I/O-bound paper setup, the
 // epoch time is within a few percent of the pure transfer time.
 func TestEpochTimeTracksLinkWhenIOBound(t *testing.T) {

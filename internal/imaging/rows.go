@@ -98,11 +98,13 @@ func unslice(data []byte, rect Rect) ([]byte, error) {
 // withholds drop refinement scans, as FidelityPrefixSize cuts it, and when
 // rows lies in the image and misses a unit, of it the sliced form for a crop
 // of rows, if that is shorter. It only copies: data it cannot parse as a
-// stored container, it copies whole.
+// stored container, it copies whole. A nil dst copies nothing and returns the
+// same length, what a planner prices the fetch at.
 func Slice(dst, data []byte, drop int, rows Rect) int {
 	c, err := whole(data)
 	if err != nil {
-		return copy(dst, data)
+		copy(dst, data)
+		return len(data)
 	}
 	k := min(c.present, max(c.scans-max(drop, 0), 1))
 	if sp := spanOf(rows); rows.within(c.w, c.h) && sp != gridOf(c.w, c.h).all() {
@@ -114,12 +116,15 @@ func Slice(dst, data []byte, drop int, rows Rect) int {
 		n := c.start[0] + len(d)
 		c.held(k, sp, func(lo, hi int) { n += hi - lo })
 		if n < c.start[k] {
-			o := copy(dst, data[:c.start[0]])
-			dst[4] |= rowsFlag
-			o += copy(dst[o:], d)
-			c.held(k, sp, func(lo, hi int) { o += copy(dst[o:], data[lo:hi]) })
-			return o
+			if dst != nil {
+				o := copy(dst, data[:c.start[0]])
+				dst[4] |= rowsFlag
+				o += copy(dst[o:], d)
+				c.held(k, sp, func(lo, hi int) { o += copy(dst[o:], data[lo:hi]) })
+			}
+			return n
 		}
 	}
-	return copy(dst, data[:c.start[k]])
+	copy(dst, data[:c.start[k]])
+	return c.start[k]
 }

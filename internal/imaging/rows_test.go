@@ -14,10 +14,15 @@ import (
 // narrow last one and strip edges exactly on the width.
 var rowsDims = [][2]int{{37, 53}, {64, 48}, {41, 70}, {20, 9}, {33, 16}, {150, 37}, {128, 20}, {65, 33}}
 
-// sliced is Slice into a buffer of its own.
+// sliced is Slice into a buffer of its own, checking that a nil dst returns
+// the same length.
 func sliced(data []byte, drop int, rows Rect) []byte {
 	dst := make([]byte, len(data))
-	return dst[:Slice(dst, data, drop, rows)]
+	n := Slice(dst, data, drop, rows)
+	if m := Slice(nil, data, drop, rows); m != n {
+		panic(fmt.Sprintf("Slice with a nil dst returns %d, with a buffer %d", m, n))
+	}
+	return dst[:n]
 }
 
 func isRowSliced(data []byte) bool { return len(data) > headerSize && data[4]&rowsFlag != 0 }

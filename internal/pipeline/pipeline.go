@@ -256,13 +256,32 @@ func (p *Pipeline) Run(raw []byte, seed Seed) (Artifact, error) {
 // model-tier tables are written in. Shipped is len(AppendEncode(nil)), the
 // bytes a fetch cut at that stage puts on the link; it differs from Sizes on
 // image stages, whose pixels travel packed, and is what a planner must price.
-// Stage 0 is the stored object in both: a live raw fetch that asks for the
-// crop's rows (storage.Rows) ships only the units the crop reads, ≈ 0.49 of
-// it on the benchmark's cpu_local store (ROADMAP item 15).
+// Stage 0 is the stored object in both; Sliced is what a live raw fetch of
+// only the crop's units (storage.Rows) ships on average, ≈ 0.49 of it on the
+// benchmark's cpu_local store.
 type StageTrace struct {
 	Sizes   []int
 	Shipped []int
 	OpTimes []time.Duration
+	Sliced  int
+}
+
+// newStageTrace sizes a trace of raw's run and fills in stage 0 and Sliced,
+// the mean over 16 of the sample's crops drawn at epochs no run reaches, so
+// that a trace does not depend on the epoch it was measured in.
+func (p *Pipeline) newStageTrace(raw []byte, seed Seed) StageTrace {
+	t := StageTrace{
+		Sizes:   make([]int, len(p.ops)+1),
+		Shipped: make([]int, len(p.ops)+1),
+		OpTimes: make([]time.Duration, len(p.ops)),
+	}
+	t.Sizes[0], t.Shipped[0] = 1+len(raw), 1+len(raw) // and the kind byte
+	for k := range 16 {
+		rect, _ := p.CropRect(raw, Seed{Job: seed.Job, Epoch: ^uint64(k), Sample: seed.Sample})
+		t.Sliced += imaging.Slice(nil, raw, 0, rect)
+	}
+	t.Sliced = 1 + t.Sliced/16
+	return t
 }
 
 // MinStage returns the stage index with the smallest wire size, preferring
@@ -284,14 +303,7 @@ func (t StageTrace) MinStage() int {
 // cost measured. Image stages are sized once each, outside the op timings, to
 // learn what they ship.
 func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
-	trace := StageTrace{
-		Sizes:   make([]int, len(p.ops)+1),
-		Shipped: make([]int, len(p.ops)+1),
-		OpTimes: make([]time.Duration, len(p.ops)),
-	}
-	cur := RawArtifact(raw)
-	trace.Sizes[0] = cur.WireSize()
-	trace.Shipped[0] = trace.Sizes[0]
+	trace, cur := p.newStageTrace(raw, seed), RawArtifact(raw)
 	for i, op := range p.ops {
 		start := time.Now()
 		next, err := op.apply(cur, rngFor(seed, i))
@@ -310,21 +322,13 @@ func (p *Pipeline) Trace(raw []byte, seed Seed) (Artifact, StageTrace, error) {
 // the full pipeline over raw bytes as Run does, through step, timing each
 // step and recording the sizes after every stage it builds, as Trace sizes
 // them and outside the timings. A stage inside a fused pair is never built:
-// it gets its law size as both Sizes and Shipped — exact for the
-// un-normalised tensor, for the planes the decoded image's size, about twice
-// what they ship — and the pair's time goes on its first op, its second
+// it gets its law size as Sizes and what it would ship as Shipped, both known
+// from the dimensions, and the pair's time goes on its first op, its second
 // reading 0. PrefixTime is thus exact at every cut outside a pair.
 func (p *Pipeline) Profile(raw []byte, seed Seed) (Artifact, StageTrace, error) {
-	trace := StageTrace{
-		Sizes:   make([]int, len(p.ops)+1),
-		Shipped: make([]int, len(p.ops)+1),
-		OpTimes: make([]time.Duration, len(p.ops)),
-	}
+	trace, cur := p.newStageTrace(raw, seed), RawArtifact(raw)
 	h := rngPool.Get().(*rngHolder)
 	defer rngPool.Put(h)
-	cur := RawArtifact(raw)
-	trace.Sizes[0] = cur.WireSize()
-	trace.Shipped[0] = trace.Sizes[0]
 	for i := 0; i < len(p.ops); {
 		start := time.Now()
 		next, skipped, err := p.step(cur, i, len(p.ops), h, seed)
@@ -335,6 +339,9 @@ func (p *Pipeline) Profile(raw []byte, seed Seed) (Artifact, StageTrace, error) 
 		i++
 		if skipped > 0 { // stage i, inside the pair, was never built
 			trace.Sizes[i], trace.Shipped[i] = skipped, skipped
+			if w, h, _ := imaging.DecodeDims(raw); p.ops[i-1].outKind() == KindPlanes {
+				trace.Shipped[i] = planesWireSize(w, h) // what they ship
+			}
 			i++
 		}
 		cur = next

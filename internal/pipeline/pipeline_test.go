@@ -663,17 +663,17 @@ func TestProfileMatchesTrace(t *testing.T) {
 					if len(gt.Sizes) != c.p.Len()+1 || len(gt.Shipped) != c.p.Len()+1 || len(gt.OpTimes) != c.p.Len() {
 						t.Fatalf("%s: trace lengths %d/%d/%d", at, len(gt.Sizes), len(gt.Shipped), len(gt.OpTimes))
 					}
+					if gt.Sliced != wt.Sliced || gt.Sliced < 1 || gt.Sliced > gt.Shipped[0] {
+						t.Fatalf("%s: a sliced raw fetch ships %d of %d, Trace's %d", at, gt.Sliced, gt.Shipped[0], wt.Sliced)
+					}
 					for k := range wt.Sizes {
 						if gt.Sizes[k] != wt.Sizes[k] {
 							t.Fatalf("%s: stage %d size %d, Trace's %d", at, k, gt.Sizes[k], wt.Sizes[k])
 						}
-						inPair := slices.Contains(c.fused, k)
 						switch {
-						case !inPair && gt.Shipped[k] != wt.Shipped[k]:
+						case gt.Shipped[k] != wt.Shipped[k]: // a stage inside a fused pair too
 							t.Fatalf("%s: stage %d ships %d, Trace's %d", at, k, gt.Shipped[k], wt.Shipped[k])
-						case inPair && (gt.Shipped[k] != gt.Sizes[k] || wt.Shipped[k] > gt.Sizes[k]+imaging.Channels):
-							t.Fatalf("%s: fused stage %d ships %d (law %d), Trace packs %d", at, k, gt.Shipped[k], gt.Sizes[k], wt.Shipped[k])
-						case inPair && gt.OpTimes[k] != 0:
+						case slices.Contains(c.fused, k) && gt.OpTimes[k] != 0:
 							t.Fatalf("%s: op %d inside a fused pair timed %v", at, k, gt.OpTimes[k])
 						}
 					}

@@ -268,7 +268,7 @@ func (c *Scheduler) complete(s int, claim, splits []int, res []storage.FetchResu
 				// After Stop no consumer will release these bytes; keep the
 				// result (harmless) but don't charge an abandoned epoch to
 				// the staging gauge.
-				sl.bytes = int64(res[k].Artifact.WireSize())
+				sl.bytes = int64(res[k].Artifact.EncodeBound())
 				c.staged += sl.bytes
 				c.m.addStaged(sl.bytes)
 			}

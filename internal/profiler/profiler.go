@@ -151,6 +151,7 @@ func (c *Collector) Observe(id uint32, st pipeline.StageTrace, width, height int
 		RawSize: int64(st.Shipped[0] - 1), // strip the artifact kind byte
 		Width:   width,
 		Height:  height,
+		Sliced:  int64(st.Sliced),
 	}
 	for i, s := range st.Shipped {
 		rec.StageSizes[i] = int64(s)

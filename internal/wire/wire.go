@@ -44,8 +44,8 @@ const (
 	magic = 0x534F5048 // "SOPH"
 	// Version is the only protocol generation a peer speaks; a Hello carrying
 	// any other is answered with an ErrorResp. 7's FetchBatch carried a
-	// plan version.
-	Version = 8
+	// plan version; 8's cut 1 shipped the decoded image, not its planes.
+	Version = 9
 	// frameHeader is the on-wire frame-header length: magic (4), type (1),
 	// flags (1), payload length (4), CRC32-C (4).
 	frameHeader  = 14

@@ -387,12 +387,15 @@ var exportKeeps = map[string]keep{
 	"repro/internal/storage.AdmissionController.Acquire": {keepSeam, "repro/internal/monitor.TestHammerScrapeDuringAdmissionChurn"},
 
 	// Outcomes other packages' tests check for by identity.
-	"repro/internal/imaging.ErrUnsupported":  {keepSeam, "repro/internal/pipeline.TestFusedPrefixRejectsWhatDecodeRejects"},
-	"repro/internal/imaging.ErrTruncated":    {keepSeam, "repro/internal/pipeline.TestFusedPrefixRejectsWhatDecodeRejects"},
-	"repro/internal/pipeline.KindImage":      {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
-	"repro/internal/pipeline.KindPlanes":     {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
-	"repro/internal/storage.ErrClientClosed": {keepSeam, "repro/internal/cluster.TestDialShardedClosesOnFailure"},
-	"repro/internal/wire.ErrChecksum":        {keepSeam, "repro/internal/chaos.TestConnCorruptionCaughtByChecksum"},
+	"repro/internal/imaging.ErrUnsupported": {keepSeam, "repro/internal/pipeline.TestFusedPrefixRejectsWhatDecodeRejects"},
+	"repro/internal/imaging.ErrTruncated":   {keepSeam, "repro/internal/pipeline.TestFusedPrefixRejectsWhatDecodeRejects"},
+	"repro/internal/pipeline.KindImage":     {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
+	"repro/internal/pipeline.KindPlanes":    {keepSeam, "repro/internal/storage.TestExecutorRunPrefix"},
+	// The size law a served artifact is priced at, which no live code outside
+	// pipeline reads since the prefetch staging gauge charges EncodeBound.
+	"repro/internal/pipeline.Artifact.WireSize": {keepOracle, "repro/internal/storage.TestExecutorRunPrefix"},
+	"repro/internal/storage.ErrClientClosed":    {keepSeam, "repro/internal/cluster.TestDialShardedClosesOnFailure"},
+	"repro/internal/wire.ErrChecksum":           {keepSeam, "repro/internal/chaos.TestConnCorruptionCaughtByChecksum"},
 }
 
 // stdInterfaces are the standard-library interfaces whose methods the
