@@ -6,9 +6,10 @@ package main
 //
 //   - independent: every job plans with SOPHON as if it owned the whole
 //     tier (full link, full core budget) — N single-job planners.
-//   - coordinated: the fleet coordinator admits all jobs against the shared
-//     budgets, granting weighted-fair bandwidth shares and water-filled
-//     cores, so every plan reflects the contention it will actually see.
+//   - coordinated: sched.Allocate plans every job on its even share of the
+//     link (link ÷ jobs, the split the live tier gives concurrent tenants)
+//     and water-fills the cores, so every plan reflects the contention it
+//     will actually see.
 //
 // The report records both replays plus the determinism check: the
 // coordinated replay runs twice and the digests must match bit-for-bit
@@ -61,7 +62,7 @@ type fleetReport struct {
 	Coordinated fleetSide `json:"coordinated"`
 	Independent fleetSide `json:"independent"`
 	// CoordinatedSpeedup is independent/coordinated aggregate epoch time
-	// (>1 means the coordinator beats N independent planners).
+	// (>1 means coordinated planning beats N independent planners).
 	CoordinatedSpeedup float64 `json:"coordinated_speedup"`
 	// DeterminismOK records that two same-seed coordinated replays produced
 	// identical digests; the command exits non-zero when they differ.
@@ -83,7 +84,7 @@ func side(r engine.FleetResult) fleetSide {
 func writeFleetJSON(path string, seed uint64) error {
 	// Per-tenant resources; the tier-wide link and core budgets are shared.
 	tenantEnv := policy.Env{
-		Bandwidth:       netsim.Mbps(fleetLinkMbps), // coordinator overrides with the fair share
+		Bandwidth:       netsim.Mbps(fleetLinkMbps),
 		ComputeCores:    8,
 		StorageSlowdown: 1,
 		GPU:             gpu.AlexNet,
@@ -124,26 +125,22 @@ func writeFleetJSON(path string, seed uint64) error {
 		independent[i] = engine.FleetJob{Name: s.name, Trace: s.trace, Plan: plan, Dataset: s.dataset}
 	}
 
-	// Coordinated regime: the fleet coordinator admits every tenant against
-	// the shared budgets.
-	coord, err := sched.NewCoordinator(sched.FleetConfig{
-		Cores:     fleetCores,
-		Bandwidth: netsim.Mbps(fleetLinkMbps),
-	})
+	// Coordinated regime: one allocation over every job, each planned on
+	// the even link share the tier gives it (link ÷ jobs) and water-filled
+	// cores.
+	jobs := make([]sched.Job, len(specs))
+	for i, s := range specs {
+		env := tenantEnv
+		env.Bandwidth /= float64(len(specs))
+		jobs[i] = sched.Job{Name: s.name, Trace: s.trace, Env: env}
+	}
+	alloc, err := sched.Allocate(jobs, fleetCores, nil)
 	if err != nil {
 		return err
 	}
-	for _, s := range specs {
-		if err := coord.Admit(sched.Tenant{
-			Name: s.name, Trace: s.trace, Env: tenantEnv,
-		}); err != nil {
-			return fmt.Errorf("admit %s: %w", s.name, err)
-		}
-	}
-	grants := coord.Grants()
 	coordinated := make([]engine.FleetJob, len(specs))
 	for i, s := range specs {
-		coordinated[i] = engine.FleetJob{Name: s.name, Trace: s.trace, Plan: grants[s.name].Plan, Dataset: s.dataset}
+		coordinated[i] = engine.FleetJob{Name: s.name, Trace: s.trace, Plan: alloc.Plans[s.name], Dataset: s.dataset}
 	}
 
 	replay := func(jobs []engine.FleetJob) (engine.FleetResult, error) {
@@ -168,6 +165,7 @@ func writeFleetJSON(path string, seed uint64) error {
 		return fmt.Errorf("independent replay: %w", err)
 	}
 
+	// The description keeps the words BENCH_pr6.json was written with.
 	report := fleetReport{
 		Kind: "BENCH",
 		PR:   6,

@@ -16,7 +16,6 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/policy"
 	"repro/internal/sched"
-	"repro/internal/simclock"
 )
 
 // SLORecord is the output of `sophon-bench -load`: one record per run, one
@@ -40,10 +39,11 @@ const (
 	loadMbps     = 500
 )
 
-// buildLoadJobs derives the mixed job profiles from fleet tenant specs: two
-// tenants (an OpenImages-profile job and an ImageNet-profile job) admitted
-// to one coordinator sharing the tier's cores and link, their grants turned
-// into loadgen specs. Roughly 2/3 of the sessions go to the heavier tenant.
+// buildLoadJobs derives the mixed job profiles from planned traces: two
+// jobs (an OpenImages-profile job and an ImageNet-profile job) share the
+// tier's cores and link, each planned on its even link share, and their
+// plans are turned into loadgen specs. Roughly 2/3 of the sessions go to
+// the heavier job, which also weighs 2 in the simulated admission queues.
 // Arrival rates are scaled so the offered link traffic is util × the tier's
 // capacity — util < 1 is a steady workload, util > 1 open-loop overload.
 func buildLoadJobs(seed uint64, util float64) ([]loadgen.JobSpec, error) {
@@ -55,49 +55,32 @@ func buildLoadJobs(seed uint64, util float64) ([]loadgen.JobSpec, error) {
 	if err != nil {
 		return nil, err
 	}
-	coord, err := sched.NewCoordinator(sched.FleetConfig{
-		Cores:     loadShards * loadCores,
-		Bandwidth: netsim.Mbps(loadMbps),
-		Shards:    loadShards,
-		Clock:     simclock.NewVirtual(time.Unix(0, 0)),
-	})
+	env := policy.Env{
+		ComputeCores:    16,
+		Bandwidth:       netsim.Mbps(loadMbps) / 2,
+		StorageSlowdown: 1,
+		GPU:             gpu.AlexNet,
+		Shards:          loadShards,
+	}
+	alloc, err := sched.Allocate([]sched.Job{
+		{Name: "openimages", Trace: trA, Env: env},
+		{Name: "imagenet", Trace: trB, Env: env},
+	}, loadShards*loadCores, nil)
 	if err != nil {
 		return nil, err
 	}
-	env := policy.Env{
-		ComputeCores:    16,
-		Bandwidth:       netsim.Mbps(loadMbps),
-		StorageSlowdown: 1,
-		GPU:             gpu.AlexNet,
-	}
-	tenants := []sched.Tenant{
-		{Name: "openimages", Weight: 2, Trace: trA, Env: env},
-		{Name: "imagenet", Weight: 1, Trace: trB, Env: env},
-	}
-	var jobs []loadgen.JobSpec
-	for i, t := range tenants {
-		if err := coord.Admit(t); err != nil {
-			return nil, fmt.Errorf("admit %s: %w", t.Name, err)
-		}
-		grant := coord.Grants()[t.Name]
-		sessions := loadSessions * 2 / 3
-		hitRate := 0.4
-		if i == 1 {
-			sessions = loadSessions - sessions
-			hitRate = 0.3
-		}
-		// Provisional per-session rates (scaled to the link below): the
-		// heavier tenant's sessions also arrive faster.
-		spec := loadgen.SpecFromTenant(t, grant, sessions, 1.5, hitRate)
-		if i == 1 {
-			// The lighter tenant arrives in bursts — mixed arrival processes
-			// stress the admission queue harder than two smooth streams.
-			spec.Arrival = loadgen.Bursty
-			spec.Burst = 8
-			spec.Rate = 1
-		}
-		jobs = append(jobs, spec)
-	}
+	// Provisional per-session rates (scaled to the link below): the
+	// heavier job's sessions also arrive faster.
+	heavy := loadgen.SpecFromPlan(trA, alloc.Plans["openimages"], 0.4)
+	heavy.Name, heavy.Weight = "openimages", 2
+	heavy.Sessions, heavy.Rate = loadSessions*2/3, 1.5
+	// The lighter job arrives in bursts — mixed arrival processes stress
+	// the admission queue harder than two smooth streams.
+	light := loadgen.SpecFromPlan(trB, alloc.Plans["imagenet"], 0.3)
+	light.Name, light.Weight = "imagenet", 1
+	light.Sessions, light.Rate = loadSessions-heavy.Sessions, 1
+	light.Arrival, light.Burst = loadgen.Bursty, 8
+	jobs := []loadgen.JobSpec{heavy, light}
 	// Scale every rate so offered traffic = util × tier bandwidth.
 	var offered float64
 	for _, j := range jobs {

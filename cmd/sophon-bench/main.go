@@ -16,15 +16,15 @@
 // adaptive, static, and oracle epoch times (the contents of BENCH_pr5.json).
 //
 // With -fleet the command instead runs the multi-tenant fleet scenario — 100
-// jobs (20 datasets × 5 tenants) planned by the fleet coordinator against the
-// shared tier budgets versus 100 independent single-job planners, both
+// jobs (20 datasets × 5 tenants) planned together, each on its even share of
+// the tier's link, versus 100 independent single-job planners, both
 // replayed through the deterministic fleet DES with the cross-job artifact
 // cache — and writes a JSON comparison (the contents of BENCH_pr6.json). The
 // coordinated replay runs twice; mismatching digests fail the command.
 //
 // With -load the command instead runs the heavy-traffic serving harness:
 // thousands of open-loop sessions (Poisson and bursty arrivals, job profiles
-// drawn from fleet tenant specs) against the simulated sharded tier, once at
+// drawn from planned traces) against the simulated sharded tier, once at
 // ~65% of link capacity and once at 2.6x capacity behind admission control.
 // The output is a versioned SLO record — p50/p90/p99/p999 per fetch class
 // (cache hit / offloaded / raw) plus throughput and shed rates — the

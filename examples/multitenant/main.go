@@ -1,37 +1,49 @@
-// Multi-tenant fleet: three training jobs share one storage tier through
-// the fleet coordinator. Two tenants train on the SAME dataset and share
-// offloaded artifacts through the cross-job cache; a third tenant arrives
-// mid-run and the whole fleet replans at a new generation, shrinking every
-// tenant's grant. The example trains real epochs over the wire protocol,
-// each under the tenant's current grant, and prints the cache's per-tenant
-// accounting.
+// Multi-tenant training on one storage tier. Tenants that train at once
+// share the tier's link and storage cores, and the tier splits them evenly
+// (internal/trainsim's TestConcurrentJobsSplitTheLinkEvenly), so each tenant
+// plans from its own profile with link ÷ tenants and storage cores ÷
+// tenants. Two tenants of one dataset form a share group: they dial with the
+// group's share key and stack the cross-job artifact cache over their
+// sessions, so an artifact one of them fetched serves the other at zero wire
+// bytes. Both train at once; then a third tenant arrives, all three re-plan
+// at ÷ 3 and train at once. Each live epoch prints beside the epoch its plan
+// predicted.
+//
+// Run with:
+//
+//	go run ./examples/multitenant
 package main
 
 import (
 	"fmt"
 	"log"
+	"sync"
 
 	sophon "repro"
 )
 
 const (
-	samples   = 400
-	shareKey  = 42 // dataset share key = every group tenant's storage job ID
-	linkMbps  = 300
-	fleetCPUs = 6
+	samples  = 64
+	shareKey = 42 // dataset share key = every group tenant's storage job ID
+	linkMbps = 100
 )
 
+// tenant is one training job on the tier and the trace it profiled.
+type tenant struct {
+	name    string
+	trainer *sophon.Trainer
+	trace   *sophon.Trace
+}
+
 func main() {
-	// One storage tier, bandwidth-shaped, with a shared preprocessing-core
-	// budget the coordinator will divide among tenants.
+	// One storage tier: 4 preprocessing cores behind a 100 Mbps shaped link.
 	cluster, err := sophon.StartCluster(sophon.ClusterConfig{
-		DatasetName:   "fleet-demo",
+		DatasetName:   "multitenant-demo",
 		NumSamples:    samples,
 		Seed:          7,
-		MinDim:        64,
-		MaxDim:        200,
-		CropSize:      64,
-		StorageCores:  fleetCPUs,
+		MinDim:        320,
+		MaxDim:        640,
+		StorageCores:  4,
 		BandwidthMbps: linkMbps,
 	})
 	if err != nil {
@@ -39,13 +51,14 @@ func main() {
 	}
 	defer cluster.Close()
 
-	// The cross-job artifact cache every tenant of the share group stacks
-	// over its storage session.
+	// The cross-job artifact cache the share group stacks over its sessions.
 	shared, err := sophon.NewSharedArtifactCache(256 << 20)
 	if err != nil {
 		log.Fatal(err)
 	}
-	newTrainer := func(name string, jobID uint64, sharedCache *sophon.SharedArtifactCache) *sophon.Trainer {
+	// arrive dials a tenant and profiles it: stage-1 probes, then epoch 1
+	// without offloading, measured into the tenant's own trace.
+	arrive := func(name string, jobID uint64, sharedCache *sophon.SharedArtifactCache) *tenant {
 		t, err := cluster.NewTrainer(sophon.TrainerOptions{
 			Workers:     4,
 			BatchSize:   32,
@@ -56,96 +69,28 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		return t
-	}
-	// Coordinated prep: both group tenants dial with the GROUP's share key.
-	trainerA := newTrainer("vision-team-a", shareKey, shared)
-	trainerB := newTrainer("vision-team-b", shareKey, shared)
-	defer trainerA.Close()
-	defer trainerB.Close()
-
-	// Every tenant's own resources: its loader, GPU and the tier's slowdown.
-	// The fleet coordinator owns the tier's budgets — the cores the tier
-	// stated and the link — and grants them weighted-fair to the tenants.
-	env := trainerA.Env(sophon.Mbps(linkMbps))
-	coord, err := sophon.NewFleetCoordinator(sophon.FleetCoordinatorConfig{
-		Cores:     env.StorageCores,
-		Bandwidth: env.Bandwidth,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	trace := func(seed uint64) *sophon.Trace {
-		tr, err := sophon.GenerateTrace(sophon.OpenImagesProfile(samples), seed)
+		trace, _, rep, err := t.Profile(2)
 		if err != nil {
 			log.Fatal(err)
 		}
-		return tr
+		fmt.Printf("%-15s profiled: epoch 1 %5.2fs, %6.1f MB fetched\n",
+			name, rep.Duration.Seconds(), float64(rep.BytesFetched)/1e6)
+		return &tenant{name: name, trainer: t, trace: trace}
 	}
 
-	// Admit the first two tenants: same dataset (share key 42), so their
-	// offloaded artifacts are interchangeable.
-	var admitted []string // admission order, the order grants print in
-	admit := func(name string, tr *sophon.Trace) {
-		if err := coord.Admit(sophon.FleetTenant{Name: name, Trace: tr, Env: env}); err != nil {
-			log.Fatal(err)
-		}
-		admitted = append(admitted, name)
-	}
-	admit("vision-team-a", trace(1))
-	admit("vision-team-b", trace(1))
+	// The share group profiles one tenant after the other: the second's
+	// raw fetches hit the whole objects the first one cached.
+	a := arrive("vision-team-a", shareKey, shared)
+	defer a.trainer.Close()
+	b := arrive("vision-team-b", shareKey, shared)
+	defer b.trainer.Close()
+	trainConcurrently(2, []*tenant{a, b})
 
-	fmt.Printf("fleet generation %d: 2 tenants admitted\n", coord.Generation())
-	printGrants(coord, admitted)
-
-	// Epoch 1: tenant a trains first (cold cache), tenant b second — its
-	// overlap with a is served from the shared cache at zero wire bytes.
-	grants := coord.Grants()
-	repA, err := trainerA.RunEpoch(1, grants["vision-team-a"].Plan, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	repB, err := trainerB.RunEpoch(1, grants["vision-team-b"].Plan, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nepoch 1 (plan generation %d):\n", coord.Generation())
-	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-a", repA.Duration.Seconds(), float64(repA.BytesFetched)/1e6)
-	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-b", repB.Duration.Seconds(), float64(repB.BytesFetched)/1e6)
-
-	// A third tenant arrives mid-run. Admission replans the fleet: both
-	// existing tenants hold tighter grants at a higher generation before
-	// Admit returns.
-	admit("imagenet-job", trace(3))
-	history := coord.History()
-	last := history[len(history)-1]
-	fmt.Printf("\nmid-run arrival: %s → fleet generation %d (reason %q)\n",
-		"imagenet-job", last.Generation, last.Reason)
-	printGrants(coord, admitted)
-
-	// Epoch 2 runs under the replanned generation. The share group's raw
-	// artifacts are still warm from epoch 1; augmented cuts are re-fetched
-	// once per epoch and shared again between a and b.
-	grants = coord.Grants()
-	repA2, err := trainerA.RunEpoch(2, grants["vision-team-a"].Plan, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	repB2, err := trainerB.RunEpoch(2, grants["vision-team-b"].Plan, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	// The newcomer is outside the share group: own job ID, no shared cache.
-	trainerC := newTrainer("imagenet-job", 99, nil)
-	defer trainerC.Close()
-	repC, err := trainerC.RunEpoch(2, grants["imagenet-job"].Plan, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nepoch 2 (plan generation %d):\n", coord.Generation())
-	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-a", repA2.Duration.Seconds(), float64(repA2.BytesFetched)/1e6)
-	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "vision-team-b", repB2.Duration.Seconds(), float64(repB2.BytesFetched)/1e6)
-	fmt.Printf("  %-15s %6.2fs  %8.1f MB fetched\n", "imagenet-job", repC.Duration.Seconds(), float64(repC.BytesFetched)/1e6)
+	// A third tenant arrives, outside the share group: its own job ID and
+	// no shared cache. Every tenant re-plans at ÷ 3 and all three train.
+	c := arrive("team-c", 99, nil)
+	defer c.trainer.Close()
+	trainConcurrently(3, []*tenant{a, b, c})
 
 	snap := shared.Snapshot()
 	fmt.Printf("\ncross-job artifact cache: %d items, %.1f MB resident, hit rate %.0f%%\n",
@@ -158,19 +103,45 @@ func main() {
 	if snap.Hits == 0 {
 		log.Fatal("expected shared-cache hits between the share group's tenants")
 	}
-
-	fmt.Printf("\nfleet history:\n")
-	for _, e := range coord.History() {
-		fmt.Printf("  %s\n", e)
-	}
 }
 
-// printGrants lists the named tenants' grants in the order given.
-func printGrants(coord *sophon.FleetCoordinator, names []string) {
-	grants := coord.Grants()
-	for _, name := range names {
-		g := grants[name]
-		fmt.Printf("  %-15s %d cores, %5.1f Mbps, predicted %5.1fs\n",
-			name, g.Cores, g.Bandwidth*8/1e6, g.Predicted.Seconds())
+// trainConcurrently plans each tenant from its own trace on its even share
+// of the tier, trains one epoch of every tenant at once, and prints each
+// live epoch beside the epoch its plan predicted.
+func trainConcurrently(epoch uint64, tenants []*tenant) {
+	k := len(tenants)
+	decisions := make([]sophon.Decision, k)
+	var env sophon.Env
+	for i, t := range tenants {
+		env = t.trainer.Env(sophon.Mbps(linkMbps) / float64(k))
+		env.StorageCores /= k
+		d, err := sophon.Decide(t.trace, env)
+		if err != nil {
+			log.Fatal(err)
+		}
+		decisions[i] = d
+	}
+	reports := make([]sophon.EpochReport, k)
+	errs := make([]error, k)
+	var wg sync.WaitGroup
+	for i, t := range tenants {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reports[i], errs[i] = t.trainer.RunEpoch(epoch, decisions[i].Plan, nil)
+		}()
+	}
+	wg.Wait()
+
+	fmt.Printf("\nepoch %d, %d tenants at once, each planned on %.1f Mbps and %d storage core(s):\n",
+		epoch, k, env.Bandwidth*8/1e6, env.StorageCores)
+	for i, t := range tenants {
+		if errs[i] != nil {
+			log.Fatal(errs[i])
+		}
+		planned := decisions[i].Planned.Predicted()
+		fmt.Printf("  %-15s offloads %3d of %d, live %5.2fs, planned %5.2fs (live ÷ planned %.2f), %6.1f MB fetched\n",
+			t.name, decisions[i].Plan.OffloadedCount(), t.trace.N(), reports[i].Duration.Seconds(),
+			planned.Seconds(), reports[i].Duration.Seconds()/planned.Seconds(), float64(reports[i].BytesFetched)/1e6)
 	}
 }

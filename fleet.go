@@ -1,29 +1,9 @@
 package sophon
 
-import (
-	"repro/internal/cache"
-	"repro/internal/sched"
-)
+import "repro/internal/cache"
 
-// This file exposes the fleet control plane: multi-tenant SOPHON planning
-// under shared per-shard core and bandwidth budgets, and the cross-job
-// artifact cache its tenants share.
-
-// FleetTenant is one live training job requesting admission to the fleet.
-type FleetTenant = sched.Tenant
-
-// FleetCoordinatorConfig configures the fleet coordinator's shared budgets.
-type FleetCoordinatorConfig = sched.FleetConfig
-
-// FleetCoordinator admits tenants against shared budgets and republishes
-// every tenant's plan whenever the fleet mix changes.
-type FleetCoordinator = sched.Coordinator
-
-// NewFleetCoordinator builds a fleet coordinator over shared per-shard
-// storage-core and bandwidth budgets.
-func NewFleetCoordinator(cfg FleetCoordinatorConfig) (*FleetCoordinator, error) {
-	return sched.NewCoordinator(cfg)
-}
+// This file exposes the cross-job artifact cache that the tenants of one
+// share group stack over their storage sessions.
 
 // SharedArtifactCache is the fleet's cross-job artifact cache, keyed by
 // (dataset, sample, pipeline cut) rather than by job.

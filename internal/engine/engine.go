@@ -55,7 +55,9 @@ type Config struct {
 
 	// PrepSched selects how local preprocessing is dispatched over
 	// PrepWorkers single-core workers, stream position i's home being
-	// worker i%W: the product's work-stealing pool by default.
+	// worker i%W. The default, PrepSchedSteal, models the product's loader,
+	// whose workers take samples from one shared queue as they free up (an
+	// earliest-free worker).
 	PrepSched PrepSchedModel
 	// PrepWorkers is the local-prep pool's worker count; 0 means
 	// Env.ComputeCores.

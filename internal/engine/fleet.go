@@ -70,7 +70,7 @@ type FleetResult struct {
 	// Makespan is when the last job finished its epoch.
 	Makespan time.Duration `json:"makespan"`
 	// AggregateEpochTime sums per-job epoch times — the fleet-level
-	// objective the coordinator minimizes.
+	// objective the allocator minimizes.
 	AggregateEpochTime time.Duration `json:"aggregate_epoch_time"`
 	TrafficBytes       int64         `json:"traffic_bytes"`
 	StorageBusy        time.Duration `json:"storage_busy"`

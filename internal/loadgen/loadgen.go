@@ -66,8 +66,8 @@ func (c class) String() string {
 }
 
 // JobSpec describes one job profile: a group of identical open-loop
-// sessions with a fetch-class mix. Profiles are typically derived from
-// sched tenant grants via SpecFromTenant.
+// sessions with a fetch-class mix. The mix is typically derived from a
+// planned trace via SpecFromPlan.
 type JobSpec struct {
 	// Name labels the job in the report.
 	Name string

@@ -3,40 +3,25 @@ package loadgen
 import (
 	"time"
 
-	"repro/internal/sched"
+	"repro/internal/dataset"
+	"repro/internal/policy"
 )
 
-// SpecFromTenant derives a load-generator job profile from a fleet tenant
-// and its coordinator grant, so the harness drives the storage tier with
-// the same class mix the planner actually decided: the grant's plan fixes
-// the offloaded/raw split and the mean artifact sizes and storage-CPU cost
-// per offloaded fetch, while hitRate models the tenant's shared-cache hit
-// fraction (measured or assumed).
-//
-// sessions and rate shape the offered load: sessions concurrent pipelined
-// streams each offering rate requests/second, bursty to model prefetch
-// windows (callers can override Arrival/Burst on the returned spec).
-func SpecFromTenant(t sched.Tenant, g sched.Grant, sessions int, rate, hitRate float64) JobSpec {
-	if hitRate < 0 {
-		hitRate = 0
-	}
-	if hitRate > 1 {
-		hitRate = 1
-	}
-	spec := JobSpec{
-		Name:     t.Name,
-		Weight:   t.Weight,
-		Sessions: sessions,
-		Rate:     rate,
-		Arrival:  poisson,
-	}
-
-	tr := t.Trace
+// SpecFromPlan derives a job profile's fetch classes from a trace and the
+// plan made for it, so the harness drives the storage tier with the class
+// mix the planner actually decided: the plan fixes the offloaded/raw split
+// and the mean artifact sizes and storage-CPU cost per offloaded fetch,
+// while hitRate models the job's shared-cache hit fraction (measured or
+// assumed). The caller names the job and shapes its offered load (Sessions,
+// Rate, Arrival, Weight).
+func SpecFromPlan(tr *dataset.Trace, plan *policy.Plan, hitRate float64) JobSpec {
+	hitRate = min(max(hitRate, 0), 1)
+	var spec JobSpec
 	n := 0
 	if tr != nil {
 		n = tr.N()
 	}
-	if n == 0 || g.Plan == nil || g.Plan.N() != n {
+	if n == 0 || plan == nil || plan.N() != n {
 		// No usable plan: everything is a raw fetch of unknown size.
 		spec.Mix = [3]float64{hitRate, 0, 1 - hitRate}
 		spec.RawBytes = 1 << 20
@@ -54,14 +39,14 @@ func SpecFromTenant(t sched.Tenant, g sched.Grant, sessions int, rate, hitRate f
 		rawBytes int64
 	)
 	for i := range tr.Records {
-		k := g.Plan.Split(i)
+		k := plan.Split(i)
 		if k > 0 {
 			offCount++
-			offBytes += g.Plan.ShippedBytes(tr, i, nil)
+			offBytes += plan.ShippedBytes(tr, i, nil)
 			offCPU += tr.Records[i].PrefixTime(k)
 		} else {
 			rawCount++
-			rawBytes += g.Plan.ShippedBytes(tr, i, nil)
+			rawBytes += plan.ShippedBytes(tr, i, nil)
 		}
 	}
 	offFrac := float64(offCount) / float64(n)

@@ -1,11 +1,9 @@
-// Package sched implements the paper's multi-tenant future-work extension,
-// grown into a fleet control plane. The core is a marginal-gain
-// water-filling allocator: each storage-CPU core goes to the job whose
-// predicted epoch time (after re-running SOPHON's decision engine at the
-// candidate core count) drops the most, until cores run out or no job
-// benefits. The fleet coordinator (fleet.go) generalizes it to weighted
-// fair-share admission of live tenants against shared per-shard core and
-// bandwidth budgets: each admission replans the fleet at a new generation.
+// Package sched implements the paper's multi-tenant future-work extension:
+// a marginal-gain water-filling allocator. Each storage-CPU core goes to the
+// job whose predicted epoch time (after re-running SOPHON's decision engine
+// at the candidate core count) drops the most, until cores run out or no job
+// benefits. Jobs that share one live tier are planned on the even link
+// share that tier gives them: each job's Env.Bandwidth is the link ÷ jobs.
 package sched
 
 import (
@@ -118,9 +116,9 @@ func (e *evaluator) evaluate(j Job, cores int) (outcome, error) {
 }
 
 // waterFill runs the marginal-gain loop over validated jobs: each core goes
-// to the job maximizing weight × predicted-epoch-time drop. weights may be
-// nil (all 1). Returns every job's grant and final outcome.
-func waterFill(jobs []Job, weights []float64, totalCores int, ev *evaluator) (map[string]int, map[string]outcome, error) {
+// to the job whose predicted epoch time drops the most. Returns every job's
+// grant and final outcome.
+func waterFill(jobs []Job, totalCores int, ev *evaluator) (map[string]int, map[string]outcome, error) {
 	granted := make(map[string]int, len(jobs))
 	current := make(map[string]outcome, len(jobs))
 	for _, j := range jobs {
@@ -131,12 +129,6 @@ func waterFill(jobs []Job, weights []float64, totalCores int, ev *evaluator) (ma
 		current[j.Name] = o
 		granted[j.Name] = 0
 	}
-	weightOf := func(i int) float64 {
-		if weights == nil || weights[i] <= 0 {
-			return 1
-		}
-		return weights[i]
-	}
 	for c := 0; c < totalCores; c++ {
 		bestIdx := -1
 		var bestGain float64
@@ -146,7 +138,7 @@ func waterFill(jobs []Job, weights []float64, totalCores int, ev *evaluator) (ma
 			if err != nil {
 				return nil, nil, err
 			}
-			gain := weightOf(i) * float64(current[j.Name].time-next.time)
+			gain := float64(current[j.Name].time - next.time)
 			if gain > bestGain { // ties resolve to the earliest job
 				bestGain = gain
 				bestIdx = i
@@ -173,7 +165,7 @@ func Allocate(jobs []Job, totalCores int, engine *policy.Sophon) (Allocation, er
 	if totalCores < 0 {
 		return Allocation{}, fmt.Errorf("sched: negative core budget %d", totalCores)
 	}
-	granted, current, err := waterFill(jobs, nil, totalCores, newEvaluator(engine))
+	granted, current, err := waterFill(jobs, totalCores, newEvaluator(engine))
 	if err != nil {
 		return Allocation{}, err
 	}

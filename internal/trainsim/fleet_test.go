@@ -14,7 +14,7 @@ import (
 	"repro/internal/storage"
 )
 
-func TestFleetTenantsShareArtifacts(t *testing.T) {
+func TestShareGroupTenantsShareArtifacts(t *testing.T) {
 	const shareKey = 91
 	h := newHarness(t, 32, 2)
 	shared, err := cache.NewShared(128 << 20)

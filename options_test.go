@@ -31,13 +31,10 @@ var optionKeeps = map[string]optionKeep{
 	"repro/internal/core.ControllerConfig.Clock": {"test seam: virtual replan-history clock", "repro/internal/core.TestControllerReplansOnSustainedBandwidthDrop"},
 
 	// Filled by the declaring package's own caller-facing constructor.
-	"repro/internal/loadgen.JobSpec.Name":           {reason: "loadgen.SpecFromTenant fills it"},
-	"repro/internal/loadgen.JobSpec.Weight":         {reason: "loadgen.SpecFromTenant fills it"},
-	"repro/internal/loadgen.JobSpec.Sessions":       {reason: "loadgen.SpecFromTenant fills it"},
-	"repro/internal/loadgen.JobSpec.Mix":            {reason: "loadgen.SpecFromTenant fills it"},
-	"repro/internal/loadgen.JobSpec.RawBytes":       {reason: "loadgen.SpecFromTenant fills it"},
-	"repro/internal/loadgen.JobSpec.OffloadCPU":     {reason: "loadgen.SpecFromTenant fills it"},
-	"repro/internal/loadgen.JobSpec.OffloadedBytes": {reason: "loadgen.SpecFromTenant fills it"},
+	"repro/internal/loadgen.JobSpec.Mix":            {reason: "loadgen.SpecFromPlan fills it"},
+	"repro/internal/loadgen.JobSpec.RawBytes":       {reason: "loadgen.SpecFromPlan fills it"},
+	"repro/internal/loadgen.JobSpec.OffloadCPU":     {reason: "loadgen.SpecFromPlan fills it"},
+	"repro/internal/loadgen.JobSpec.OffloadedBytes": {reason: "loadgen.SpecFromPlan fills it"},
 
 	// internal/soak is the harness the chaos tests drive; sophon-bench sets
 	// only the seed, class and duration.
